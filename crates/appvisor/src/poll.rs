@@ -654,6 +654,9 @@ fn worker_loop(
         if stop.load(Ordering::SeqCst) {
             return;
         }
+        // Counted before demuxing, so the metric is never behind the
+        // frames a consumer can already see.
+        wakeups.inc();
         let mut ready = 0u64;
         sources.retain_mut(|reg| loop {
             match reg.source.try_recv() {
@@ -668,7 +671,6 @@ fn worker_loop(
                 }
             }
         });
-        wakeups.inc();
         ready_hist.observe(ready);
         if ready == 0 {
             let park = if sources.iter().all(|r| r.source.has_waker()) {

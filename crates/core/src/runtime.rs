@@ -32,7 +32,7 @@ use crate::config::{DispatchMode, IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::{Host, ProxyAdapter};
 use crate::workers::{
     commit_outcome, delivery_label, select_app, AppRecord, CommitLane, ShardApp, ShardCtx,
-    ShardRouter, SlotStore, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
+    ShardRouter, SlotStore, WarmCheck, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
 };
 use legosdn_appvisor::{AppHandle, AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
@@ -141,6 +141,9 @@ pub struct LegoSdnRuntime {
     translator: EventTranslator,
     netlog: NetLog,
     checker: Option<Checker>,
+    /// The checker's memory of the network it last checked; handed out
+    /// with the commit lane.
+    warm_check: WarmCheck,
     /// Worker shards in id order; apps are hashed onto them at attach.
     shards: Vec<WorkerShard>,
     /// Global attach index → (shard, local index).
@@ -215,6 +218,7 @@ impl LegoSdnRuntime {
             translator: EventTranslator::new(),
             netlog,
             checker: config.checker.clone(),
+            warm_check: WarmCheck::new(&obs),
             shards,
             router: ShardRouter::default(),
             stats: RuntimeStats::default(),
@@ -726,6 +730,7 @@ impl LegoSdnRuntime {
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
+            check: &mut self.warm_check,
             notify_seen: false,
         };
         let mut cx = shard_cx!(self, w);
@@ -986,6 +991,7 @@ impl LegoSdnRuntime {
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
+            check: &mut self.warm_check,
             notify_seen: false,
         });
         let mut deltas: Vec<(RuntimeStats, LegoCycleReport)> =
@@ -1679,6 +1685,32 @@ mod tests {
                 sw.dpid()
             );
         }
+    }
+
+    #[test]
+    fn commit_path_check_reuses_what_a_transaction_did_not_touch() {
+        let obs = Obs::new();
+        let topo = Topology::linear(4, 1);
+        let mut net = Network::new(&topo);
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+            obs: ObsConfig::instance(obs.clone()),
+            ..LegoSdnConfig::default()
+        });
+        rt.attach(Box::new(LearningSwitch::new())).unwrap();
+        rt.run_cycle(&mut net);
+        let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+        for (src, dst) in [(a, b), (b, a), (a, b)] {
+            net.inject(src, Packet::ethernet(src, dst)).unwrap();
+            while rt.run_cycle(&mut net).events > 0 {}
+        }
+        let reprobed = obs.counter("invariants", "pairs_reprobed", "").get();
+        let reused = obs.counter("invariants", "pairs_reused", "").get();
+        // 4 hosts: every check accounts for all 12 pairs, one way or the
+        // other; the first is a full scan, the rest mostly reuse.
+        assert!(reprobed >= 12, "{reprobed}");
+        assert!(reused > 0, "{reused}");
+        assert_eq!((reprobed + reused) % 12, 0, "{reprobed} + {reused}");
+        assert!(reprobed + reused >= 24, "more than one check ran");
     }
 
     #[test]

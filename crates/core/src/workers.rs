@@ -26,10 +26,10 @@ use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{
     CompromisePolicy, CrashPad, DeliveryResult, DispatchResult, RecoverableApp, RecoveryTaken,
 };
-use legosdn_invariants::{shutdown_network, Checker};
+use legosdn_invariants::{shutdown_network, CheckReport, CheckState, Checker};
 use legosdn_netlog::{CommitBarrier, NetLog, TxId, TxMode, TxTouch};
 use legosdn_netsim::{Network, SimTime};
-use legosdn_obs::{Obs, TraceId};
+use legosdn_obs::{Counter, Obs, TraceId};
 use legosdn_openflow::prelude::{DatapathId, FlowModCommand, Message};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -225,12 +225,40 @@ impl SlotStore {
     }
 }
 
+/// The invariant checker's warm cache (DESIGN.md §16) for the network
+/// this runtime commits to, with its hit-ratio counters resolved once.
+/// It lives beside the network: whoever holds the commit lane holds it.
+pub(crate) struct WarmCheck {
+    state: CheckState,
+    reprobed: Arc<Counter>,
+    reused: Arc<Counter>,
+}
+
+impl WarmCheck {
+    pub(crate) fn new(obs: &Obs) -> Self {
+        WarmCheck {
+            state: CheckState::new(),
+            reprobed: obs.counter("invariants", "pairs_reprobed", ""),
+            reused: obs.counter("invariants", "pairs_reused", ""),
+        }
+    }
+
+    fn check(&mut self, checker: &Checker, net: &Network) -> CheckReport {
+        let report = self.state.check(checker, net);
+        let reprobed = self.state.last_reprobed();
+        self.reprobed.add(reprobed as u64);
+        self.reused.add((report.pairs_checked - reprobed) as u64);
+        report
+    }
+}
+
 /// The shared commit lane: the one place network effects happen. Workers
 /// take it only for the duration of a single transaction, under barrier
 /// admission.
 pub(crate) struct CommitLane<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) netlog: &'a mut NetLog,
+    pub(crate) check: &'a mut WarmCheck,
     /// Sticky within the lane's lifetime: some committed batch carried a
     /// `send_flow_removed` FlowMod. The runtime folds this into its
     /// cross-cycle `notify_flows_seen` flag — once a notify-flagged entry
@@ -531,7 +559,7 @@ fn execute_guarded(
             (!r.is_clean()).then_some(r.violations.len())
         }
         (Some(checker), TxMode::Immediate) => {
-            let r = checker.check(lane.net);
+            let r = lane.check.check(checker, lane.net);
             (!r.is_clean()).then_some(r.violations.len())
         }
         (None, _) => None,

@@ -2,12 +2,14 @@
 //!
 //! Implements the VeriFlow-style policy checker the paper leans on for
 //! byzantine-failure detection (§3.3) and for enforcing "No-Compromise"
-//! invariants with a network-shutdown escape hatch (§5).
+//! invariants with a network-shutdown escape hatch (§5). The probing
+//! itself lives in [`crate::state`]; this module is its configuration,
+//! its report, and the stateless entry points.
 
-use crate::probe::{probe, ProbeOutcome};
+use crate::state::CheckState;
 use legosdn_codec::Codec;
 use legosdn_netsim::{Endpoint, Network};
-use legosdn_openflow::prelude::{DatapathId, MacAddr, Message, Packet};
+use legosdn_openflow::prelude::{DatapathId, MacAddr, Message};
 
 /// A checkable network-wide invariant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Codec)]
@@ -107,64 +109,12 @@ impl Checker {
     }
 
     /// Probe every (ordered) host pair and report violations of the
-    /// enforced invariants.
+    /// enforced invariants: [`CheckState::check`] from a cold state.
+    /// Callers that check the same network again and again should keep a
+    /// [`CheckState`] instead and pay only for what changed in between.
     #[must_use]
     pub fn check(&self, net: &Network) -> CheckReport {
-        let hosts: Vec<_> = net.hosts().to_vec();
-        let mut report = CheckReport::default();
-        'outer: for src in &hosts {
-            for dst in &hosts {
-                if src.mac == dst.mac {
-                    continue;
-                }
-                if report.pairs_checked >= self.max_pairs {
-                    break 'outer;
-                }
-                report.pairs_checked += 1;
-                let pkt = Packet::ethernet(src.mac, dst.mac);
-                match probe(net, src.mac, dst.mac, &pkt) {
-                    ProbeOutcome::Delivered
-                    | ProbeOutcome::Flooded {
-                        reached_destination: true,
-                    } => {
-                        report.pairs_delivered += 1;
-                    }
-                    ProbeOutcome::Punt { .. } => {
-                        report.pairs_punted += 1;
-                    }
-                    ProbeOutcome::BlackHole { at } => {
-                        if self.invariants.contains(&Invariant::NoBlackHoles) {
-                            report.violations.push(Violation::BlackHole {
-                                src: src.mac,
-                                dst: dst.mac,
-                                at,
-                            });
-                        }
-                    }
-                    ProbeOutcome::Loop { path } => {
-                        if self.invariants.contains(&Invariant::NoLoops) {
-                            report.violations.push(Violation::Loop {
-                                src: src.mac,
-                                dst: dst.mac,
-                                path,
-                            });
-                        }
-                    }
-                    ProbeOutcome::Flooded {
-                        reached_destination: false,
-                    } => {
-                        if self.invariants.contains(&Invariant::AllPairsServiced) {
-                            report.violations.push(Violation::Undelivered {
-                                src: src.mac,
-                                dst: dst.mac,
-                            });
-                        }
-                    }
-                    ProbeOutcome::NoSuchSource => {}
-                }
-            }
-        }
-        report
+        CheckState::new().check(self, net)
     }
 
     /// The pre-commit gate: would applying `commands` violate the enforced

@@ -8,8 +8,7 @@
 
 use legosdn_codec::Codec;
 use legosdn_netsim::{Endpoint, Network};
-use legosdn_openflow::prelude::{apply_actions, MacAddr, Packet, PortNo};
-use std::collections::HashSet;
+use legosdn_openflow::prelude::{MacAddr, Packet, PortNo};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -67,16 +66,64 @@ fn hash_packet(pkt: &Packet) -> u64 {
     h.finish()
 }
 
+/// Working memory of a probe walk, reusable across probes so a check of
+/// thousands of pairs allocates once, not three containers per pair.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeScratch {
+    queue: VecDeque<(Endpoint, Packet)>,
+    /// `(arrival point, packet hash)` states in visit order. Doubles as
+    /// the revisit set (a walk is at most [`PROBE_HOP_LIMIT`] states, so a
+    /// scan beats hashing) and, projected to its endpoints, as the path.
+    visited: Vec<(Endpoint, u64)>,
+    outputs: Vec<PortNo>,
+}
+
+impl ProbeScratch {
+    /// Arrival points of the last walk, in visit order. The walk read
+    /// forwarding state of exactly these switches and no others.
+    pub(crate) fn path(&self) -> impl Iterator<Item = Endpoint> + '_ {
+        self.visited.iter().map(|&(at, _)| at)
+    }
+
+    /// Bytes held by the scratch containers.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        self.queue.capacity() * std::mem::size_of::<(Endpoint, Packet)>()
+            + self.visited.capacity() * std::mem::size_of::<(Endpoint, u64)>()
+            + self.outputs.capacity() * std::mem::size_of::<PortNo>()
+    }
+}
+
 /// Probe `packet` from `src` toward `dst` through the current flow tables.
 #[must_use]
 pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> ProbeOutcome {
     let Some(host) = net.host_by_mac(src) else {
         return ProbeOutcome::NoSuchSource;
     };
-    let mut queue: VecDeque<(Endpoint, Packet)> = VecDeque::new();
-    let mut visited: HashSet<(Endpoint, u64)> = HashSet::new();
-    let mut path: Vec<Endpoint> = Vec::new();
-    queue.push_back((host.attach, packet.clone()));
+    walk(net, host.attach, dst, packet, &mut ProbeScratch::default())
+}
+
+/// Walk `packet`, entering the network at `start`, toward the host `dst`.
+///
+/// Everything the walk reads that can change — flow tables, port
+/// liveness, up-flags, link status at an emitting port — belongs to a
+/// switch it *arrived at*, i.e. one on `scratch.path()` afterwards. A
+/// walk cut short (revisit or hop budget) returns before looking at the
+/// arrival points still queued, so the same holds for it.
+pub(crate) fn walk(
+    net: &Network,
+    start: Endpoint,
+    dst: MacAddr,
+    packet: &Packet,
+    scratch: &mut ProbeScratch,
+) -> ProbeOutcome {
+    let ProbeScratch {
+        queue,
+        visited,
+        outputs,
+    } = scratch;
+    queue.clear();
+    visited.clear();
+    queue.push_back((start, packet.clone()));
 
     let mut delivered_to_dst = false;
     let mut delivered_other = false;
@@ -86,10 +133,13 @@ pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> Prob
 
     while let Some((at, pkt)) = queue.pop_front() {
         hops += 1;
-        if hops > PROBE_HOP_LIMIT || !visited.insert((at, hash_packet(&pkt))) {
-            return ProbeOutcome::Loop { path };
+        let state = (at, hash_packet(&pkt));
+        if hops > PROBE_HOP_LIMIT || visited.contains(&state) {
+            return ProbeOutcome::Loop {
+                path: visited.iter().map(|&(at, _)| at).collect(),
+            };
         }
-        path.push(at);
+        visited.push(state);
         let Some(sw) = net.switch(at.dpid) else {
             black_hole.get_or_insert(at);
             continue;
@@ -98,8 +148,8 @@ pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> Prob
             black_hole.get_or_insert(at);
             continue;
         }
-        let in_port_live = sw.port(at.port).map(|p| p.desc.is_live()).unwrap_or(false);
-        if !in_port_live {
+        let port_live = |p: u16| sw.port(p).is_some_and(|ps| ps.desc.is_live());
+        if !port_live(at.port) {
             black_hole.get_or_insert(at);
             continue;
         }
@@ -111,38 +161,44 @@ pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> Prob
             black_hole.get_or_insert(at);
             continue;
         }
-        let (rewritten, outputs) = apply_actions(&entry.actions, &pkt);
+        // Fold the action list: every output emits the fully rewritten
+        // packet, as the switch's own `emit` does.
+        let mut rewritten = pkt;
+        outputs.clear();
+        outputs.extend(entry.actions.iter().filter_map(|a| a.apply(&mut rewritten)));
         let mut emitted_any = false;
-        for out in outputs {
-            let ports: Vec<u16> = match out {
-                PortNo::Phys(p) => vec![p],
-                PortNo::InPort => vec![at.port],
-                PortNo::Flood | PortNo::All => sw.live_ports().filter(|&p| p != at.port).collect(),
+        let mut emit = |p: u16| {
+            if !port_live(p) {
+                return;
+            }
+            let from = Endpoint::new(at.dpid, p);
+            if let Some(h) = net.host_at(from) {
+                emitted_any = true;
+                if h.mac == dst {
+                    delivered_to_dst = true;
+                } else {
+                    delivered_other = true;
+                }
+            } else if let Some(peer) = net.link_peer(from) {
+                emitted_any = true;
+                queue.push_back((peer, rewritten.clone()));
+            }
+            // Dangling live port: emitted into the void — not counted.
+        };
+        for &out in outputs.iter() {
+            match out {
+                PortNo::Phys(p) => emit(p),
+                PortNo::InPort => emit(at.port),
+                PortNo::Flood | PortNo::All => {
+                    sw.live_ports()
+                        .filter(|&p| p != at.port)
+                        .for_each(&mut emit);
+                }
                 // Controller output punts; other pseudo-ports drop.
                 PortNo::Controller => {
                     punt.get_or_insert(at);
-                    continue;
                 }
-                _ => continue,
-            };
-            for p in ports {
-                let from = Endpoint::new(at.dpid, p);
-                let port_live = sw.port(p).map(|ps| ps.desc.is_live()).unwrap_or(false);
-                if !port_live {
-                    continue;
-                }
-                if let Some(h) = net.host_at(from) {
-                    emitted_any = true;
-                    if h.mac == dst {
-                        delivered_to_dst = true;
-                    } else {
-                        delivered_other = true;
-                    }
-                } else if let Some(peer) = net.link_peer(from) {
-                    emitted_any = true;
-                    queue.push_back((peer, rewritten.clone()));
-                }
-                // Dangling live port: emitted into the void — not counted.
+                _ => {}
             }
         }
         if !emitted_any && punt.is_none() {
@@ -163,7 +219,7 @@ pub fn probe(net: &Network, src: MacAddr, dst: MacAddr, packet: &Packet) -> Prob
         ProbeOutcome::BlackHole { at }
     } else {
         // Nothing happened at all (e.g. source attach port dead).
-        ProbeOutcome::BlackHole { at: host.attach }
+        ProbeOutcome::BlackHole { at: start }
     }
 }
 

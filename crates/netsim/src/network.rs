@@ -20,6 +20,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Maximum dataplane hops before a walk is declared a loop.
 pub const HOP_LIMIT: usize = 64;
@@ -107,6 +109,71 @@ struct Link {
     up: bool,
 }
 
+/// Source of every change stamp and lineage id. Process-global and
+/// monotonic, so a value is never reused across networks or clones: two
+/// networks of one lineage agree on a switch's stamp only if that
+/// switch's forwarding state is identical in both.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// `Relaxed` suffices: a stamp only has to be unique, which an atomic
+/// add is at any ordering; the stamps themselves travel with the
+/// `Network` that holds them.
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A lookup table over something immutable: `(key, position)` sorted by
+/// key, the first position winning a duplicate key. At a few hundred
+/// entries a binary search is as quick as a hash, and three such tables
+/// cost 17 KB on `fat_tree(8)` where hash maps took 53 — memory every
+/// network pays whether or not anything probes it.
+#[derive(Debug)]
+struct Index<K>(Vec<(K, u32)>);
+
+impl<K: Ord + Copy> Index<K> {
+    fn new(keys: impl Iterator<Item = K>) -> Self {
+        let mut v: Vec<(K, u32)> = keys.zip(0..).collect();
+        v.sort_unstable();
+        v.dedup_by_key(|e| e.0);
+        v.shrink_to_fit();
+        Index(v)
+    }
+
+    fn get(&self, key: K) -> Option<usize> {
+        let i = self.0.binary_search_by_key(&key, |e| e.0).ok()?;
+        Some(self.0[i].1 as usize)
+    }
+}
+
+/// What never changes after [`Network::new`]: the identity of the host
+/// list + wiring, and the lookups over them the dataplane makes per hop.
+/// Shared between clones.
+#[derive(Debug)]
+struct Wiring {
+    lineage: u64,
+    /// Switches ascending; a switch's position here is its position in
+    /// [`Network::stamps`].
+    dpids: Vec<DatapathId>,
+    /// MAC → position in `hosts`.
+    host_by_mac: Index<MacAddr>,
+    /// Attachment point → position in `hosts`.
+    host_at: Index<Endpoint>,
+    /// Link endpoint → `2 * position in links`, plus one for the `b` end.
+    link_at: Index<Endpoint>,
+}
+
+impl Wiring {
+    fn new(topology: &Topology) -> Self {
+        Wiring {
+            lineage: fresh_stamp(),
+            dpids: topology.switches.keys().copied().collect(),
+            host_by_mac: Index::new(topology.hosts.iter().map(|h| h.mac)),
+            host_at: Index::new(topology.hosts.iter().map(|h| h.attach)),
+            link_at: Index::new(topology.links.iter().flat_map(|l| [l.a, l.b])),
+        }
+    }
+}
+
 /// The simulated network.
 ///
 /// `Clone` is deliberate: invariant gates (NetLog pre-commit checks) verify
@@ -116,8 +183,17 @@ struct Link {
 pub struct Network {
     now: SimTime,
     switches: BTreeMap<DatapathId, Switch>,
+    /// Per-switch change stamp: redrawn whenever the switch's forwarding
+    /// state (flow table, port liveness, up-flag, or the status of a link
+    /// it terminates) may have changed. Kept here rather than in
+    /// [`Switch`], whose encoding must not grow. `Clone` copies stamps
+    /// verbatim — identical state, identical stamps — and the first
+    /// divergent write on either side draws a fresh one. Parallel to
+    /// `switches` (ascending dpid).
+    stamps: Vec<u64>,
     links: Vec<Link>,
     hosts: Vec<HostSpec>,
+    wiring: Arc<Wiring>,
     events: VecDeque<NetEvent>,
     /// Lifetime delivery/drop counters for availability experiments.
     total_delivered: u64,
@@ -139,6 +215,7 @@ impl Network {
         }
         Network {
             now: SimTime::ZERO,
+            stamps: switches.keys().map(|_| fresh_stamp()).collect(),
             switches,
             links: topology
                 .links
@@ -146,6 +223,7 @@ impl Network {
                 .map(|&spec| Link { spec, up: true })
                 .collect(),
             hosts: topology.hosts.clone(),
+            wiring: Arc::new(Wiring::new(topology)),
             events,
             total_delivered: 0,
             total_dropped: 0,
@@ -164,11 +242,6 @@ impl Network {
         self.switches.get(&dpid)
     }
 
-    /// Mutable switch access (test setup, counter restoration).
-    pub fn switch_mut(&mut self, dpid: DatapathId) -> Option<&mut Switch> {
-        self.switches.get_mut(&dpid)
-    }
-
     /// All switches, ascending by dpid.
     pub fn switches(&self) -> impl Iterator<Item = &Switch> {
         self.switches.values()
@@ -185,45 +258,65 @@ impl Network {
         self.links.iter().map(|l| (&l.spec, l.up))
     }
 
+    /// Identity of the immutable host list + wiring: drawn once in
+    /// [`Network::new`] and shared by every clone. Anything cached
+    /// against one lineage is meaningless against another.
+    #[must_use]
+    pub fn lineage(&self) -> u64 {
+        self.wiring.lineage
+    }
+
+    /// Every switch's change stamp, ascending by dpid. Between two
+    /// networks of one lineage, an equal stamp means the switch's
+    /// forwarding state (flow table, port liveness, up-flag, status of
+    /// the links it terminates) is identical; counters and packet
+    /// buffers are not covered.
+    pub fn stamps(&self) -> impl Iterator<Item = (DatapathId, u64)> + '_ {
+        self.wiring
+            .dpids
+            .iter()
+            .copied()
+            .zip(self.stamps.iter().copied())
+    }
+
+    /// Record that `dpid`'s forwarding state may have changed.
+    fn stamp(&mut self, dpid: DatapathId) {
+        if let Ok(i) = self.wiring.dpids.binary_search(&dpid) {
+            self.stamps[i] = fresh_stamp();
+        }
+    }
+
+    /// The link wired at `at`: its position in `links` and its far end.
+    fn link_at(&self, at: Endpoint) -> Option<(usize, Endpoint)> {
+        let end = self.wiring.link_at.get(at)?;
+        let spec = &self.links[end / 2].spec;
+        Some((end / 2, if end % 2 == 0 { spec.b } else { spec.a }))
+    }
+
     /// Find a host by MAC.
     #[must_use]
     pub fn host_by_mac(&self, mac: MacAddr) -> Option<&HostSpec> {
-        self.hosts.iter().find(|h| h.mac == mac)
+        self.wiring.host_by_mac.get(mac).map(|i| &self.hosts[i])
     }
 
     /// The host attached at `(dpid, port)`, if any.
     #[must_use]
     pub fn host_at(&self, at: Endpoint) -> Option<&HostSpec> {
-        self.hosts.iter().find(|h| h.attach == at)
+        self.wiring.host_at.get(at).map(|i| &self.hosts[i])
     }
 
     /// The far end of the up link at `(dpid, port)`, if any.
     #[must_use]
     pub fn link_peer(&self, at: Endpoint) -> Option<Endpoint> {
-        self.links.iter().filter(|l| l.up).find_map(|l| {
-            if l.spec.a == at {
-                Some(l.spec.b)
-            } else if l.spec.b == at {
-                Some(l.spec.a)
-            } else {
-                None
-            }
-        })
+        let (idx, peer) = self.link_at(at)?;
+        self.links[idx].up.then_some(peer)
     }
 
     /// Like [`Self::link_peer`] but ignoring link status — the wiring, not
     /// the weather.
     #[must_use]
     pub fn wired_peer(&self, at: Endpoint) -> Option<Endpoint> {
-        self.links.iter().find_map(|l| {
-            if l.spec.a == at {
-                Some(l.spec.b)
-            } else if l.spec.b == at {
-                Some(l.spec.a)
-            } else {
-                None
-            }
-        })
+        self.link_at(at).map(|(_, peer)| peer)
     }
 
     /// Lifetime `(delivered, dropped)` dataplane counters.
@@ -261,6 +354,9 @@ impl Network {
             return Err(NetError::SwitchDown(dpid));
         }
         let out = sw.handle_message(msg, now);
+        if msg.alters_network_state() {
+            self.stamp(dpid);
+        }
         for n in out.notifications {
             self.events.push_back(NetEvent::FromSwitch(dpid, n));
         }
@@ -384,15 +480,17 @@ impl Network {
     pub fn tick(&mut self, delta: SimDuration) {
         self.now += delta;
         let now = self.now;
-        let dpids: Vec<_> = self.switches.keys().copied().collect();
-        for dpid in dpids {
-            let removed = {
-                let sw = self.switches.get_mut(&dpid).unwrap();
-                if !sw.is_up() {
-                    continue;
-                }
-                sw.expire_flows(now)
-            };
+        for ((&dpid, sw), stamp) in self.switches.iter_mut().zip(&mut self.stamps) {
+            if !sw.is_up() {
+                continue;
+            }
+            // Expiry only ever removes entries, so the table shrank iff
+            // something expired (notifying or not).
+            let before = sw.table().len();
+            let removed = sw.expire_flows(now);
+            if sw.table().len() != before {
+                *stamp = fresh_stamp();
+            }
             for msg in removed {
                 self.events.push_back(NetEvent::FromSwitch(dpid, msg));
             }
@@ -409,6 +507,7 @@ impl Network {
         link.up = up;
         let spec = link.spec;
         for ep in [spec.a, spec.b] {
+            self.stamp(ep.dpid);
             if let Some(sw) = self.switches.get_mut(&ep.dpid) {
                 if let Some(msg) = sw.set_link_down(ep.port, !up) {
                     if sw.is_up() {
@@ -440,6 +539,7 @@ impl Network {
             return Ok(());
         }
         sw.set_up(up);
+        self.stamp(dpid);
         self.events.push_back(if up {
             NetEvent::SwitchConnected(dpid)
         } else {
@@ -461,13 +561,18 @@ impl Network {
             })
             .collect();
         for (idx, peer) in affected {
+            let mut flapped = self.links[idx].up != up;
             self.links[idx].up = up;
             if let Some(psw) = self.switches.get_mut(&peer.dpid) {
                 if let Some(msg) = psw.set_link_down(peer.port, !up) {
+                    flapped = true;
                     if psw.is_up() {
                         self.events.push_back(NetEvent::FromSwitch(peer.dpid, msg));
                     }
                 }
+            }
+            if flapped {
+                self.stamp(peer.dpid);
             }
         }
         Ok(())
@@ -483,6 +588,7 @@ fn hash_packet(pkt: &Packet) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legosdn_openflow::messages::StatsRequest;
     use legosdn_openflow::prelude::{Action, FlowMod, Match, PacketOut, PortNo};
     use legosdn_openflow::types::BufferId;
 
@@ -727,6 +833,123 @@ mod tests {
         // The sender's own host must not receive a copy (flood excludes the
         // ingress port).
         assert!(!trace.delivered_to(a));
+    }
+
+    /// The dpids whose stamp differs between two stamp snapshots.
+    fn restamped(before: &[(DatapathId, u64)], net: &Network) -> Vec<DatapathId> {
+        before
+            .iter()
+            .zip(net.stamps())
+            .filter(|(b, a)| **b != *a)
+            .map(|(b, _)| b.0)
+            .collect()
+    }
+
+    #[test]
+    fn mutators_stamp_exactly_the_switches_they_touch() {
+        let topo = Topology::linear(3, 1);
+        let mut net = Network::new(&topo);
+        let [d1, d2, d3] = [DatapathId(1), DatapathId(2), DatapathId(3)];
+        let (a, c) = (topo.hosts[0].mac, topo.hosts[2].mac);
+        let snap = |net: &Network| net.stamps().collect::<Vec<_>>();
+
+        // Fresh networks share nothing; clones share everything.
+        let other = Network::new(&topo);
+        assert_ne!(net.lineage(), other.lineage());
+        assert!(restamped(&snap(&other), &net).len() == 3);
+        let twin = net.clone();
+        assert_eq!(twin.lineage(), net.lineage());
+        assert!(restamped(&snap(&twin), &net).is_empty());
+
+        // State-altering control messages stamp their switch only.
+        let before = snap(&net);
+        let fm = FlowMod::add(Match::eth_dst(c))
+            .idle_timeout(5)
+            .action(Action::Output(PortNo::Flood));
+        net.apply(d2, &Message::FlowMod(fm)).unwrap();
+        assert_eq!(restamped(&before, &net), vec![d2]);
+        assert!(restamped(&snap(&twin), &net) == vec![d2], "clone diverged");
+        let before = snap(&net);
+        let pm = legosdn_openflow::messages::PortMod {
+            port_no: PortNo::Phys(1),
+            hw_addr: MacAddr::from_index(0),
+            down: true,
+        };
+        net.apply(d3, &Message::PortMod(pm)).unwrap();
+        assert_eq!(restamped(&before, &net), vec![d3]);
+
+        // Reads, packet-outs, injected traffic and the counters they bump
+        // stamp nothing; neither does a no-op link change or a tick that
+        // expires nothing.
+        let before = snap(&net);
+        net.apply(d1, &Message::Hello).unwrap();
+        net.apply(d2, &Message::StatsRequest(StatsRequest::Table))
+            .unwrap();
+        let po = PacketOut {
+            buffer_id: BufferId::NONE,
+            in_port: PortNo::None,
+            actions: vec![Action::Output(PortNo::Flood)],
+            packet: Some(Packet::ethernet(a, c)),
+        };
+        net.apply(d1, &Message::PacketOut(po)).unwrap();
+        net.inject(a, Packet::ethernet(a, c)).unwrap();
+        let _ = net
+            .switch(d2)
+            .unwrap()
+            .table()
+            .peek(&Packet::ethernet(a, c), PortNo::Phys(1));
+        let _ = net.switch(d2).unwrap().table().stats();
+        net.set_link_up(0, true).unwrap();
+        net.set_switch_up(d1, true).unwrap();
+        net.tick(SimDuration::from_secs(1));
+        assert!(restamped(&before, &net).is_empty());
+
+        // Expiry stamps the switch that lost an entry.
+        net.tick(SimDuration::from_secs(10));
+        assert_eq!(restamped(&before, &net), vec![d2]);
+
+        // A link flap stamps both ends; a power-cycle stamps the switch
+        // and every peer whose port flaps.
+        let before = snap(&net);
+        let l12 = net.find_link(d1, d2).unwrap();
+        net.set_link_up(l12, false).unwrap();
+        assert_eq!(restamped(&before, &net), vec![d1, d2]);
+        let before = snap(&net);
+        net.set_switch_up(d3, false).unwrap();
+        assert_eq!(restamped(&before, &net), vec![d2, d3]);
+        let before = snap(&net);
+        net.set_switch_up(d3, true).unwrap();
+        assert_eq!(restamped(&before, &net), vec![d2, d3]);
+
+        // Applying to a down or unknown switch changes nothing.
+        net.set_switch_up(d1, false).unwrap();
+        let before = snap(&net);
+        let fm = FlowMod::add(Match::any());
+        assert!(net.apply(d1, &Message::FlowMod(fm.clone())).is_err());
+        assert!(net.apply(DatapathId(9), &Message::FlowMod(fm)).is_err());
+        assert!(restamped(&before, &net).is_empty());
+    }
+
+    #[test]
+    fn topology_lookups_agree_with_the_wiring() {
+        let topo = Topology::fat_tree(4);
+        let mut net = Network::new(&topo);
+        for h in &topo.hosts {
+            assert_eq!(net.host_by_mac(h.mac), Some(h));
+            assert_eq!(net.host_at(h.attach), Some(h));
+            assert_eq!(net.link_peer(h.attach), None);
+        }
+        assert_eq!(net.host_by_mac(MacAddr::from_index(9999)), None);
+        for (i, l) in topo.links.iter().enumerate() {
+            assert_eq!(net.link_peer(l.a), Some(l.b));
+            assert_eq!(net.link_peer(l.b), Some(l.a));
+            assert_eq!(net.host_at(l.a), None);
+            net.set_link_up(i, false).unwrap();
+            assert_eq!(net.link_peer(l.a), None);
+            assert_eq!(net.link_peer(l.b), None);
+            assert_eq!(net.wired_peer(l.a), Some(l.b));
+            assert_eq!(net.wired_peer(l.b), Some(l.a));
+        }
     }
 
     #[test]

@@ -462,12 +462,6 @@ impl Switch {
             })
             .collect()
     }
-
-    /// Direct mutable table access for test setup and NetLog counter
-    /// restoration.
-    pub fn table_mut(&mut self) -> &mut FlowTable {
-        &mut self.table
-    }
 }
 
 fn bad_port() -> Message {

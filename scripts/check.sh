@@ -167,4 +167,19 @@ echo "==> dispatch determinism integration test (hard 120s timeout)"
 timeout 120 cargo test -q --offline -p legosdn --test integration_dispatch_determinism \
   || { echo "dispatch determinism test failed or timed out" >&2; exit 1; }
 
+# Warm-vs-cold invariant checking: every mutation a network can undergo,
+# full report equality after each. Run by name under a hard timeout so a
+# walk that stops terminating fails fast.
+echo "==> incremental invariant-check equivalence suite (hard 120s timeout)"
+timeout 120 cargo test -q --offline -p legosdn-invariants --test incremental_equivalence \
+  || { echo "incremental equivalence suite failed or timed out" >&2; exit 1; }
+
+# The benchmark is a package of its own, so the workspace run above does
+# not reach it: its unit tests, the all-workload --smoke run (every
+# oracle digest check) and BENCHMARK.json against the names the binary
+# emits.
+echo "==> stackbench tests + smoke (hard 300s timeout)"
+timeout 300 cargo test -q --offline --manifest-path stackbench/Cargo.toml \
+  || { echo "stackbench tests failed or timed out" >&2; exit 1; }
+
 echo "all checks passed"

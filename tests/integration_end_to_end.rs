@@ -32,9 +32,6 @@ fn send_until_delivered(
 fn full_app_stack_on_fat_tree_with_crashing_router() {
     let topo = Topology::fat_tree(4);
     let mut net = Network::new(&topo);
-    // Bound the invariant checker: all-pairs probing on a 16-host fat-tree
-    // after every transaction is the naive-checker cost the paper's VeriFlow
-    // citation exists to avoid.
     let checker = Checker {
         max_pairs: 24,
         ..Checker::default()

@@ -21,9 +21,10 @@ use legosdn_controller::app::{Command, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
-use legosdn_obs::{Obs, RecordKind};
+use legosdn_obs::{Counter, Obs, RecordKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -196,6 +197,62 @@ pub struct AppWireStats {
     pub bytes_received: u64,
 }
 
+/// What the stub on the far side holds of the controller's views, as far
+/// as this proxy knows.
+enum Shipped {
+    /// No delivery frame sent yet.
+    Never,
+    /// A failure since the last delivery frame: the stub may have missed
+    /// any of them, so what it holds is unknown.
+    Lost,
+    /// Delivery frame `seq` put these views on the wire.
+    At {
+        seq: u64,
+        topology: TopologyView,
+        devices: DeviceView,
+    },
+}
+
+/// Why a slot is being marked failed; picks the counter that moves.
+enum Failure {
+    Comm,
+    Crash,
+    HeartbeatMiss,
+}
+
+/// An app's metric handles, resolved once when its slot is created so a
+/// frame costs atomic adds, not registry lookups.
+struct SlotMetrics {
+    bytes_sent: Arc<Counter>,
+    bytes_received: Arc<Counter>,
+    events_delivered: Arc<Counter>,
+    comm_failures: Arc<Counter>,
+    crashes_detected: Arc<Counter>,
+    heartbeat_misses: Arc<Counter>,
+    view_resyncs: Arc<Counter>,
+    /// Proxy-wide (unlabelled): delivery frames that carried full views.
+    view_full_frames: Arc<Counter>,
+    /// Proxy-wide (unlabelled): delivery frames that carried a diff.
+    view_delta_frames: Arc<Counter>,
+}
+
+impl SlotMetrics {
+    fn resolve(obs: &Obs, app: &str) -> SlotMetrics {
+        let counter = |name| obs.counter("appvisor", name, app);
+        SlotMetrics {
+            bytes_sent: counter("bytes_sent"),
+            bytes_received: counter("bytes_received"),
+            events_delivered: counter("events_delivered"),
+            comm_failures: counter("comm_failures"),
+            crashes_detected: counter("crashes_detected"),
+            heartbeat_misses: counter("heartbeat_misses"),
+            view_resyncs: counter("view_resyncs"),
+            view_full_frames: obs.counter("appvisor", "view_full_frames", ""),
+            view_delta_frames: obs.counter("appvisor", "view_delta_frames", ""),
+        }
+    }
+}
+
 struct AppSlot {
     name: String,
     subscriptions: Vec<EventKind>,
@@ -205,6 +262,8 @@ struct AppSlot {
     last_heartbeat: Instant,
     alive: bool,
     stats: AppWireStats,
+    metrics: SlotMetrics,
+    shipped: Shipped,
     /// Tagged replies that arrived while a *different* tag was being
     /// collected (multi-event in-flight queue; also absorbs datagram
     /// reordering on the UDP transport). Consulted before the transport
@@ -256,6 +315,9 @@ impl AppVisorProxy {
     /// Report metrics and journal records to `obs` instead of the global
     /// instance.
     pub fn set_obs(&mut self, obs: Obs) {
+        for slot in &mut self.apps {
+            slot.metrics = SlotMetrics::resolve(&obs, &slot.name);
+        }
         self.obs = obs;
     }
 
@@ -344,6 +406,7 @@ impl AppVisorProxy {
                     }) = decode_frame(&frame)
                     {
                         self.apps.push(AppSlot {
+                            metrics: SlotMetrics::resolve(&self.obs, &app_name),
                             name: app_name,
                             subscriptions,
                             transport,
@@ -352,6 +415,7 @@ impl AppVisorProxy {
                             last_heartbeat: Instant::now(),
                             alive: true,
                             stats: AppWireStats::default(),
+                            shipped: Shipped::Never,
                             inbox: VecDeque::new(),
                             cancelled: BTreeSet::new(),
                         });
@@ -411,171 +475,60 @@ impl AppVisorProxy {
         devices: &DeviceView,
         now: SimTime,
     ) -> Result<DeliverOutcome, ProxyError> {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.deliver");
-        let deliver_timeout = self.config.deliver_timeout;
+        let _span = self.obs.span("appvisor.deliver");
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::EventDeliver {
-            seq,
-            event: event.clone(),
-            topology: topology.clone(),
-            devices: devices.clone(),
-            now,
-        });
-        slot.stats.bytes_sent += frame.len() as u64;
-        obs.counter("appvisor", "bytes_sent", &slot.name)
-            .add(frame.len() as u64);
-        obs.trace_event("send", &slot.name, "rpc");
-        slot.transport.send(&frame).map_err(ProxyError::Transport)?;
-
-        let deadline = Instant::now() + deliver_timeout;
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                slot.stats.comm_failures += 1;
-                slot.alive = false;
-                obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                obs.trace_event("collect", &slot.name, "comm_failure");
-                return Ok(DeliverOutcome::CommFailure);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::EventAck { seq: s, commands }) if s == seq => {
-                            slot.stats.events_delivered += 1;
-                            slot.last_heartbeat = Instant::now();
-                            obs.counter("appvisor", "events_delivered", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "ok");
-                            return Ok(DeliverOutcome::Commands(commands));
-                        }
-                        Ok(RpcMessage::Crashed {
-                            seq: s,
-                            panic_message,
-                        }) if s == seq => {
-                            slot.stats.crashes_detected += 1;
-                            slot.alive = false;
-                            obs.counter("appvisor", "crashes_detected", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "crashed");
-                            return Ok(DeliverOutcome::Crashed { panic_message });
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        // Stale acks from before a restore: ignore.
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(TransportError::Disconnected) => {
-                    slot.stats.comm_failures += 1;
-                    slot.alive = false;
-                    obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                    obs.trace_event("collect", &slot.name, "comm_failure");
-                    return Ok(DeliverOutcome::CommFailure);
-                }
-                Err(e) => return Err(ProxyError::Transport(e)),
-            }
-        }
+        self.obs.trace_event("send", &slot.name, "rpc");
+        let seq =
+            deliver_frame(slot, event, topology, devices, now).map_err(ProxyError::Transport)?;
+        let deadline = Instant::now() + self.config.deliver_timeout;
+        let reply = await_tag(slot, seq, deadline);
+        settle_delivery(slot, reply, &self.obs)
     }
 
     /// Take a checkpoint of the app's state ("the proxy creates a
     /// checkpoint of an SDN-App process prior to dispatching every
     /// message").
     pub fn snapshot(&mut self, h: AppHandle) -> Result<Vec<u8>, ProxyError> {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.snapshot");
-        let rpc_timeout = self.config.rpc_timeout;
+        let _span = self.obs.span("appvisor.snapshot");
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::SnapshotRequest { seq });
-        slot.stats.bytes_sent += frame.len() as u64;
-        obs.counter("appvisor", "bytes_sent", &slot.name)
-            .add(frame.len() as u64);
-        slot.transport.send(&frame).map_err(ProxyError::Transport)?;
-        let deadline = Instant::now() + rpc_timeout;
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                return Err(ProxyError::Timeout);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::SnapshotReply { seq: s, bytes }) if s == seq => {
-                            return Ok(bytes);
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ProxyError::Transport(e)),
-            }
+        send_frame(slot, &RpcMessage::SnapshotRequest { seq }).map_err(ProxyError::Transport)?;
+        let deadline = Instant::now() + self.config.rpc_timeout;
+        match await_tag(slot, seq, deadline) {
+            Ok(Some(RpcMessage::SnapshotReply { bytes, .. })) => Ok(bytes),
+            Ok(_) => Err(ProxyError::Timeout),
+            Err(e) => Err(ProxyError::Transport(e)),
         }
     }
 
     /// Restore the app from a checkpoint, reviving it if it was dead (the
     /// CRIU restore analogue).
     pub fn restore(&mut self, h: AppHandle, bytes: &[u8]) -> Result<bool, ProxyError> {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.restore");
-        let rpc_timeout = self.config.rpc_timeout;
+        let _span = self.obs.span("appvisor.restore");
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::RestoreRequest {
-            seq,
-            bytes: bytes.to_vec(),
-        });
-        slot.stats.bytes_sent += frame.len() as u64;
-        obs.counter("appvisor", "bytes_sent", &slot.name)
-            .add(frame.len() as u64);
-        slot.transport.send(&frame).map_err(ProxyError::Transport)?;
-        let deadline = Instant::now() + rpc_timeout;
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                return Err(ProxyError::Timeout);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::RestoreAck { seq: s, ok }) if s == seq => {
-                            // Anything stashed or cancelled predates this
-                            // restore and can never be collected: the
-                            // in-flight queue starts clean.
-                            slot.inbox.clear();
-                            slot.cancelled.clear();
-                            if ok {
-                                slot.alive = true;
-                                slot.stats.restores += 1;
-                                slot.last_heartbeat = Instant::now();
-                                obs.counter("appvisor", "restores", &slot.name).inc();
-                            }
-                            return Ok(ok);
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        _ => {}
-                    }
+        let bytes = bytes.to_vec();
+        send_frame(slot, &RpcMessage::RestoreRequest { seq, bytes })
+            .map_err(ProxyError::Transport)?;
+        let deadline = Instant::now() + self.config.rpc_timeout;
+        match await_tag(slot, seq, deadline) {
+            Ok(Some(RpcMessage::RestoreAck { ok, .. })) => {
+                // Anything stashed or cancelled predates this restore and
+                // can never be collected: the in-flight queue starts clean.
+                slot.inbox.clear();
+                slot.cancelled.clear();
+                if ok {
+                    slot.alive = true;
+                    slot.stats.restores += 1;
+                    slot.last_heartbeat = Instant::now();
+                    self.obs.counter("appvisor", "restores", &slot.name).inc();
                 }
-                Ok(None) => {}
-                Err(e) => return Err(ProxyError::Transport(e)),
+                Ok(ok)
             }
+            Ok(_) => Err(ProxyError::Timeout),
+            Err(e) => Err(ProxyError::Transport(e)),
         }
     }
 
@@ -617,40 +570,15 @@ impl AppVisorProxy {
         devices: &DeviceView,
         now: SimTime,
     ) -> FanoutTicket {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.fanout_send");
+        let _span = self.obs.span("appvisor.fanout_send");
         let mut seqs: Vec<Option<u64>> = Vec::with_capacity(handles.len());
         for h in handles {
-            match self.apps.get_mut(h.0) {
-                Some(slot) => {
-                    slot.next_seq += 1;
-                    let seq = slot.next_seq;
-                    let frame = encode_frame(&RpcMessage::EventDeliver {
-                        seq,
-                        event: event.clone(),
-                        topology: topology.clone(),
-                        devices: devices.clone(),
-                        now,
-                    });
-                    slot.stats.bytes_sent += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_sent", &slot.name)
-                        .add(frame.len() as u64);
-                    match slot.transport.send(&frame) {
-                        Ok(()) => {
-                            obs.trace_event("send", &slot.name, "fanout");
-                            seqs.push(Some(seq));
-                        }
-                        Err(_) => {
-                            slot.alive = false;
-                            slot.stats.comm_failures += 1;
-                            obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                            obs.trace_event("send", &slot.name, "send_failed");
-                            seqs.push(None);
-                        }
-                    }
-                }
-                None => seqs.push(None),
-            }
+            let Some(slot) = self.apps.get_mut(h.0) else {
+                seqs.push(None);
+                continue;
+            };
+            let sent = deliver_frame(slot, event, topology, devices, now);
+            seqs.push(queued(slot, sent, &self.obs, "send", "fanout"));
         }
         FanoutTicket {
             handles: handles.to_vec(),
@@ -703,56 +631,8 @@ impl AppVisorProxy {
             obs.trace_event("collect", &slot.name, "comm_failure");
             return Ok(DeliverOutcome::CommFailure);
         };
-        loop {
-            let Some(remaining) = time_left(deadline) else {
-                slot.stats.comm_failures += 1;
-                slot.alive = false;
-                obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                obs.trace_event("collect", &slot.name, "comm_failure");
-                return Ok(DeliverOutcome::CommFailure);
-            };
-            match slot.transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    slot.stats.bytes_received += frame.len() as u64;
-                    obs.counter("appvisor", "bytes_received", &slot.name)
-                        .add(frame.len() as u64);
-                    match decode_frame(&frame) {
-                        Ok(RpcMessage::EventAck { seq: s, commands }) if s == seq => {
-                            slot.stats.events_delivered += 1;
-                            slot.last_heartbeat = Instant::now();
-                            obs.counter("appvisor", "events_delivered", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "ok");
-                            return Ok(DeliverOutcome::Commands(commands));
-                        }
-                        Ok(RpcMessage::Crashed {
-                            seq: s,
-                            panic_message,
-                        }) if s == seq => {
-                            slot.stats.crashes_detected += 1;
-                            slot.alive = false;
-                            obs.counter("appvisor", "crashes_detected", &slot.name)
-                                .inc();
-                            obs.trace_event("collect", &slot.name, "crashed");
-                            return Ok(DeliverOutcome::Crashed { panic_message });
-                        }
-                        Ok(RpcMessage::Heartbeat { .. }) => {
-                            slot.last_heartbeat = Instant::now();
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(TransportError::Disconnected) => {
-                    slot.stats.comm_failures += 1;
-                    slot.alive = false;
-                    obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                    obs.trace_event("collect", &slot.name, "comm_failure");
-                    return Ok(DeliverOutcome::CommFailure);
-                }
-                Err(e) => return Err(ProxyError::Transport(e)),
-            }
-        }
+        let reply = await_tag(slot, seq, deadline);
+        settle_delivery(slot, reply, obs)
     }
 
     // ------------------------------------------------------------------
@@ -777,25 +657,9 @@ impl AppVisorProxy {
         devices: &DeviceView,
         now: SimTime,
     ) -> Result<Option<u64>, ProxyError> {
-        let obs = self.obs.clone();
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::EventDeliver {
-            seq,
-            event: event.clone(),
-            topology: topology.clone(),
-            devices: devices.clone(),
-            now,
-        });
-        let tag = send_queued(slot, &frame, seq, &obs);
-        let outcome = if tag.is_some() {
-            "queued"
-        } else {
-            "send_failed"
-        };
-        obs.trace_event("send", &slot.name, outcome);
-        Ok(tag)
+        let sent = deliver_frame(slot, event, topology, devices, now);
+        Ok(queued(slot, sent, &self.obs, "send", "queued"))
     }
 
     /// Queue a snapshot request without awaiting the reply. Interleaved
@@ -804,19 +668,11 @@ impl AppVisorProxy {
     /// protocol takes, collected lazily via
     /// [`AppVisorProxy::collect_snapshot`].
     pub fn queue_snapshot(&mut self, h: AppHandle) -> Result<Option<u64>, ProxyError> {
-        let obs = self.obs.clone();
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
-        let frame = encode_frame(&RpcMessage::SnapshotRequest { seq });
-        let tag = send_queued(slot, &frame, seq, &obs);
-        let outcome = if tag.is_some() {
-            "queued"
-        } else {
-            "send_failed"
-        };
-        obs.trace_event("snap_send", &slot.name, outcome);
-        Ok(tag)
+        let sent = send_frame(slot, &RpcMessage::SnapshotRequest { seq }).map(|()| seq);
+        Ok(queued(slot, sent, &self.obs, "snap_send", "queued"))
     }
 
     /// Collect the outcome of a queued delivery. The timeout window opens
@@ -827,49 +683,23 @@ impl AppVisorProxy {
         h: AppHandle,
         seq: u64,
     ) -> Result<DeliverOutcome, ProxyError> {
-        let obs = self.obs.clone();
         let deadline = Instant::now() + self.config.deliver_timeout;
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        match await_tag(slot, seq, deadline, &obs) {
-            Ok(Some(RpcMessage::EventAck { commands, .. })) => {
-                slot.stats.events_delivered += 1;
-                slot.last_heartbeat = Instant::now();
-                obs.counter("appvisor", "events_delivered", &slot.name)
-                    .inc();
-                obs.trace_event("collect", &slot.name, "ok");
-                Ok(DeliverOutcome::Commands(commands))
-            }
-            Ok(Some(RpcMessage::Crashed { panic_message, .. })) => {
-                slot.stats.crashes_detected += 1;
-                slot.alive = false;
-                obs.counter("appvisor", "crashes_detected", &slot.name)
-                    .inc();
-                obs.trace_event("collect", &slot.name, "crashed");
-                Ok(DeliverOutcome::Crashed { panic_message })
-            }
-            Ok(Some(_)) | Ok(None) | Err(TransportError::Disconnected) => {
-                slot.stats.comm_failures += 1;
-                slot.alive = false;
-                obs.counter("appvisor", "comm_failures", &slot.name).inc();
-                obs.trace_event("collect", &slot.name, "comm_failure");
-                Ok(DeliverOutcome::CommFailure)
-            }
-            Err(e) => Err(ProxyError::Transport(e)),
-        }
+        let reply = await_tag(slot, seq, deadline);
+        settle_delivery(slot, reply, &self.obs)
     }
 
     /// Collect the bytes of a queued snapshot request.
     pub fn collect_snapshot(&mut self, h: AppHandle, seq: u64) -> Result<Vec<u8>, ProxyError> {
-        let obs = self.obs.clone();
         let deadline = Instant::now() + self.config.rpc_timeout;
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        match await_tag(slot, seq, deadline, &obs) {
+        match await_tag(slot, seq, deadline) {
             Ok(Some(RpcMessage::SnapshotReply { bytes, .. })) => {
-                obs.trace_event("snap_collect", &slot.name, "ok");
+                self.obs.trace_event("snap_collect", &slot.name, "ok");
                 Ok(bytes)
             }
             Ok(Some(_) | None) => {
-                obs.trace_event("snap_collect", &slot.name, "timeout");
+                self.obs.trace_event("snap_collect", &slot.name, "timeout");
                 Err(ProxyError::Timeout)
             }
             Err(e) => Err(ProxyError::Transport(e)),
@@ -894,8 +724,7 @@ impl AppVisorProxy {
     /// Drain pending heartbeats (non-blocking-ish) and return the apps whose
     /// heartbeat is stale — the paper's background crash detector.
     pub fn check_liveness(&mut self) -> Vec<AppHandle> {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.check_liveness");
+        let _span = self.obs.span("appvisor.check_liveness");
         let threshold = self.config.heartbeat_timeout;
         let mut stale = Vec::new();
         for (i, slot) in self.apps.iter_mut().enumerate() {
@@ -905,20 +734,16 @@ impl AppVisorProxy {
             // millisecond of blocking plus a wasted syscall per app, so a
             // 1000-app sweep could stall the control loop for a second.
             while let Ok(Some(frame)) = slot.transport.try_recv() {
-                slot.stats.bytes_received += frame.len() as u64;
-                obs.counter("appvisor", "bytes_received", &slot.name)
-                    .add(frame.len() as u64);
+                received(slot, &frame);
                 if matches!(decode_frame(&frame), Ok(RpcMessage::Heartbeat { .. })) {
                     slot.last_heartbeat = Instant::now();
                 }
             }
             if slot.alive && slot.last_heartbeat.elapsed() > threshold {
-                slot.alive = false;
-                obs.record(RecordKind::HeartbeatMiss {
+                mark_failed(slot, Failure::HeartbeatMiss);
+                self.obs.record(RecordKind::HeartbeatMiss {
                     app: slot.name.clone(),
                 });
-                obs.counter("appvisor", "heartbeat_misses", &slot.name)
-                    .inc();
                 stale.push(AppHandle(i));
             }
         }
@@ -950,21 +775,138 @@ impl AppVisorProxy {
     }
 }
 
-/// Account and push an already-encoded queued request; on send failure
-/// mark the slot dead and record the comm failure (mirrors
-/// [`AppVisorProxy::fanout_send`]'s per-slot behaviour).
-fn send_queued(slot: &mut AppSlot, frame: &[u8], seq: u64, obs: &Obs) -> Option<u64> {
-    slot.stats.bytes_sent += frame.len() as u64;
-    obs.counter("appvisor", "bytes_sent", &slot.name)
-        .add(frame.len() as u64);
-    match slot.transport.send(frame) {
-        Ok(()) => Some(seq),
-        Err(_) => {
-            slot.alive = false;
+/// Mark a slot failed. Whatever the reason, the stub may have missed a
+/// delivery frame, so the views it was shipped are forgotten and the next
+/// delivery carries them whole.
+fn mark_failed(slot: &mut AppSlot, why: Failure) {
+    slot.alive = false;
+    slot.shipped = Shipped::Lost;
+    match why {
+        Failure::Comm => {
             slot.stats.comm_failures += 1;
-            obs.counter("appvisor", "comm_failures", &slot.name).inc();
-            None
+            slot.metrics.comm_failures.inc();
         }
+        Failure::Crash => {
+            slot.stats.crashes_detected += 1;
+            slot.metrics.crashes_detected.inc();
+        }
+        Failure::HeartbeatMiss => slot.metrics.heartbeat_misses.inc(),
+    }
+}
+
+/// Account and push one request frame.
+fn send_frame(slot: &mut AppSlot, msg: &RpcMessage) -> Result<(), TransportError> {
+    let frame = encode_frame(msg);
+    slot.stats.bytes_sent += frame.len() as u64;
+    slot.metrics.bytes_sent.add(frame.len() as u64);
+    slot.transport.send(&frame)
+}
+
+/// Account one received frame.
+fn received(slot: &mut AppSlot, frame: &[u8]) {
+    slot.stats.bytes_received += frame.len() as u64;
+    slot.metrics.bytes_received.add(frame.len() as u64);
+}
+
+/// The one delivery-frame builder: tag, build, account and send the
+/// frame that delivers `event` under these views, and return its tag.
+/// A stub known to hold the views of the previous delivery frame gets the
+/// diff against them; otherwise (first contact, or any failure since) the
+/// views travel whole. A failed send leaves the shipped views forgotten.
+fn deliver_frame(
+    slot: &mut AppSlot,
+    event: &Event,
+    topology: &TopologyView,
+    devices: &DeviceView,
+    now: SimTime,
+) -> Result<u64, TransportError> {
+    slot.next_seq += 1;
+    let seq = slot.next_seq;
+    let event = event.clone();
+    let msg = match std::mem::replace(&mut slot.shipped, Shipped::Lost) {
+        Shipped::At {
+            seq: base,
+            topology: held,
+            devices: held_devices,
+        } => {
+            slot.metrics.view_delta_frames.inc();
+            RpcMessage::EventDeliverDelta {
+                seq,
+                event,
+                base,
+                topology: held.diff(topology),
+                devices: held_devices.diff(devices),
+                now,
+            }
+        }
+        unknown => {
+            slot.metrics.view_full_frames.inc();
+            if matches!(unknown, Shipped::Lost) {
+                slot.metrics.view_resyncs.inc();
+            }
+            RpcMessage::EventDeliver {
+                seq,
+                event,
+                topology: topology.clone(),
+                devices: devices.clone(),
+                now,
+            }
+        }
+    };
+    send_frame(slot, &msg)?;
+    slot.shipped = Shipped::At {
+        seq,
+        topology: topology.clone(),
+        devices: devices.clone(),
+    };
+    Ok(seq)
+}
+
+/// The tag of a queued request, or `None` (slot marked failed) when the
+/// send itself failed; traced as `phase` either way.
+fn queued(
+    slot: &mut AppSlot,
+    sent: Result<u64, TransportError>,
+    obs: &Obs,
+    phase: &str,
+    sent_as: &str,
+) -> Option<u64> {
+    let tag = sent.map_err(|_| mark_failed(slot, Failure::Comm)).ok();
+    let outcome = if tag.is_some() {
+        sent_as
+    } else {
+        "send_failed"
+    };
+    obs.trace_event(phase, &slot.name, outcome);
+    tag
+}
+
+/// Classify the reply to a delivery frame (`Ok(None)`: the deadline
+/// passed) and book it on the slot.
+fn settle_delivery(
+    slot: &mut AppSlot,
+    reply: Result<Option<RpcMessage>, TransportError>,
+    obs: &Obs,
+) -> Result<DeliverOutcome, ProxyError> {
+    match reply {
+        Ok(Some(RpcMessage::EventAck { commands, .. })) => {
+            slot.stats.events_delivered += 1;
+            slot.last_heartbeat = Instant::now();
+            slot.metrics.events_delivered.inc();
+            obs.trace_event("collect", &slot.name, "ok");
+            Ok(DeliverOutcome::Commands(commands))
+        }
+        Ok(Some(RpcMessage::Crashed { panic_message, .. })) => {
+            mark_failed(slot, Failure::Crash);
+            obs.trace_event("collect", &slot.name, "crashed");
+            Ok(DeliverOutcome::Crashed { panic_message })
+        }
+        Ok(Some(_)) | Ok(None) | Err(TransportError::Disconnected) => {
+            mark_failed(slot, Failure::Comm);
+            obs.trace_event("collect", &slot.name, "comm_failure");
+            Ok(DeliverOutcome::CommFailure)
+        }
+        Err(e) => Err(ProxyError::Transport(e)),
     }
 }
 
@@ -976,7 +918,6 @@ fn await_tag(
     slot: &mut AppSlot,
     seq: u64,
     deadline: Instant,
-    obs: &Obs,
 ) -> Result<Option<RpcMessage>, TransportError> {
     if let Some(pos) = slot.inbox.iter().position(|m| reply_seq(m) == Some(seq)) {
         let msg = slot.inbox.remove(pos).expect("position is in range");
@@ -989,9 +930,7 @@ fn await_tag(
         };
         match slot.transport.recv_timeout(remaining) {
             Ok(Some(frame)) => {
-                slot.stats.bytes_received += frame.len() as u64;
-                obs.counter("appvisor", "bytes_received", &slot.name)
-                    .add(frame.len() as u64);
+                received(slot, &frame);
                 let Ok(msg) = decode_frame(&frame) else {
                     continue;
                 };

@@ -6,14 +6,23 @@
 //! simple RPC-like mechanism."
 //!
 //! Frames are length-prefixed: `u32 LE length | body`, with the body encoded
-//! by the deterministic binary serde codec. Event deliveries carry the
-//! controller's current topology/device views so the stub can rebuild the
-//! app context on its side of the isolation boundary.
+//! by the deterministic binary codec.
+//!
+//! An app needs the controller's topology/device views to process an
+//! event, and the stub keeps its own copy of them. The proxy ships the
+//! views whole once — [`RpcMessage::EventDeliver`], on first contact and
+//! again after any failure — and from then on only what changed since the
+//! delivery frame before: [`RpcMessage::EventDeliverDelta`] names that
+//! frame in `base` and carries the entry-level diff against its views. A
+//! stub applies a delta only on top of exactly that frame; on any other
+//! `base` it stays silent, so the app never runs on views the proxy did
+//! not build the frame from and the proxy's delivery timeout reports the
+//! break as the communication failure it is.
 
 use legosdn_codec::Codec;
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
-use legosdn_controller::services::{DeviceView, TopologyView};
+use legosdn_controller::services::{DeviceDelta, DeviceView, TopologyDelta, TopologyView};
 use legosdn_controller::snapshot;
 use legosdn_netsim::SimTime;
 
@@ -40,7 +49,7 @@ pub enum RpcMessage {
     RestoreAck { seq: u64, ok: bool },
 
     // ------------------------------------------------ proxy → stub
-    /// Deliver an event with the context needed to process it.
+    /// Deliver an event with the full views needed to process it.
     EventDeliver {
         seq: u64,
         event: Event,
@@ -54,6 +63,16 @@ pub enum RpcMessage {
     RestoreRequest { seq: u64, bytes: Vec<u8> },
     /// Orderly shutdown.
     Shutdown,
+    /// Deliver an event to a stub that holds the views of delivery frame
+    /// `base`: `topology`/`devices` turn those into this event's views.
+    EventDeliverDelta {
+        seq: u64,
+        event: Event,
+        base: u64,
+        topology: TopologyDelta,
+        devices: DeviceDelta,
+        now: SimTime,
+    },
 }
 
 /// Encode a frame (length prefix + body).
@@ -134,6 +153,34 @@ mod tests {
             devices,
             now: SimTime::from_secs(5),
         });
+    }
+
+    #[test]
+    fn event_deliver_delta_carries_only_the_change() {
+        let mut older = TopologyView::default();
+        for d in 1..=40 {
+            older.switch_up(DatapathId(d), vec![]);
+        }
+        let mut newer = older.clone();
+        newer.switch_up(DatapathId(41), vec![]);
+        let devices = DeviceView::default();
+        let delta = RpcMessage::EventDeliverDelta {
+            seq: 2,
+            event: Event::SwitchUp(DatapathId(41)),
+            base: 1,
+            topology: older.diff(&newer),
+            devices: devices.diff(&devices),
+            now: SimTime::from_secs(5),
+        };
+        let full = RpcMessage::EventDeliver {
+            seq: 2,
+            event: Event::SwitchUp(DatapathId(41)),
+            topology: newer,
+            devices,
+            now: SimTime::from_secs(5),
+        };
+        assert!(encode_frame(&delta).len() * 4 < encode_frame(&full).len());
+        roundtrip(delta);
     }
 
     #[test]

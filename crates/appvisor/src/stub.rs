@@ -17,7 +17,10 @@ use crate::poll::{Duplex, FrameSink, FrameSource, PollWaker};
 use crate::rpc::{decode_frame, encode_frame, RpcMessage};
 use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Ctx, SdnApp};
+use legosdn_controller::event::Event;
 use legosdn_controller::monolithic::panic_text;
+use legosdn_controller::services::{DeviceView, TopologyView};
+use legosdn_netsim::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,6 +75,10 @@ struct StubCore {
     app: Box<dyn SdnApp>,
     config: StubConfig,
     dead: bool,
+    /// The controller views as of the delivery frame tagged `.0` — the
+    /// last one this stub took views from. They are the stub's state, not
+    /// the app's: a dead app's stub keeps them in step all the same.
+    views: Option<(u64, TopologyView, DeviceView)>,
     hb_seq: u64,
     last_heartbeat: Instant,
     report: StubReport,
@@ -83,6 +90,7 @@ impl StubCore {
             app,
             config,
             dead: false,
+            views: None,
             hb_seq: 0,
             last_heartbeat: Instant::now(),
             report: StubReport::default(),
@@ -120,8 +128,43 @@ impl StubCore {
             .saturating_sub(self.last_heartbeat.elapsed())
     }
 
-    /// Serve one proxy frame: deliver/snapshot/restore/shutdown, with
-    /// panic containment around the app exactly as before.
+    /// Run the app on `event` under the views just taken in, containing
+    /// a panic as a crash.
+    fn run_app(&mut self, seq: u64, event: &Event, now: SimTime) -> StubStep {
+        if self.dead {
+            // A dead process can't answer. (The proxy's delivery
+            // timeout is its comm-failure crash signal.)
+            return StubStep::Continue;
+        }
+        let (_, topology, devices) = self.views.as_ref().expect("set by the delivery frame");
+        let mut ctx = Ctx::new(now, topology, devices);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.app.on_event(event, &mut ctx);
+        }));
+        match result {
+            Ok(()) => {
+                self.report.events_processed += 1;
+                StubStep::Reply(encode_frame(&RpcMessage::EventAck {
+                    seq,
+                    commands: ctx.into_commands(),
+                }))
+            }
+            Err(payload) => {
+                self.report.crashes_contained += 1;
+                self.dead = true;
+                if self.config.report_crashes {
+                    StubStep::Reply(encode_frame(&RpcMessage::Crashed {
+                        seq,
+                        panic_message: panic_text(&*payload),
+                    }))
+                } else {
+                    StubStep::Continue
+                }
+            }
+        }
+    }
+
+    /// Serve one proxy frame: deliver/snapshot/restore/shutdown.
     fn handle_frame(&mut self, frame: &[u8]) -> StubStep {
         let Ok(msg) = decode_frame(frame) else {
             return StubStep::Continue;
@@ -134,36 +177,31 @@ impl StubCore {
                 devices,
                 now,
             } => {
-                if self.dead {
-                    // A dead process can't answer. (The proxy's delivery
-                    // timeout is its comm-failure crash signal.)
-                    return StubStep::Continue;
-                }
-                let mut ctx = Ctx::new(now, &topology, &devices);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    self.app.on_event(&event, &mut ctx);
-                }));
-                match result {
-                    Ok(()) => {
-                        self.report.events_processed += 1;
-                        StubStep::Reply(encode_frame(&RpcMessage::EventAck {
-                            seq,
-                            commands: ctx.into_commands(),
-                        }))
+                self.views = Some((seq, topology, devices));
+                self.run_app(seq, &event, now)
+            }
+            RpcMessage::EventDeliverDelta {
+                seq,
+                event,
+                base,
+                topology,
+                devices,
+                now,
+            } => {
+                match &mut self.views {
+                    Some((held, t, d)) if *held == base => {
+                        t.apply(topology);
+                        d.apply(devices);
+                        *held = seq;
                     }
-                    Err(payload) => {
-                        self.report.crashes_contained += 1;
-                        self.dead = true;
-                        if self.config.report_crashes {
-                            StubStep::Reply(encode_frame(&RpcMessage::Crashed {
-                                seq,
-                                panic_message: panic_text(&*payload),
-                            }))
-                        } else {
-                            StubStep::Continue
-                        }
-                    }
+                    // Cut against a frame this stub never took views
+                    // from: one went missing. Applying it would hand the
+                    // app views the proxy never built, so say nothing —
+                    // the proxy times the delivery out as the comm
+                    // failure a lost frame is, and resends views whole.
+                    _ => return StubStep::Continue,
                 }
+                self.run_app(seq, &event, now)
             }
             RpcMessage::SnapshotRequest { seq } => {
                 if self.dead {

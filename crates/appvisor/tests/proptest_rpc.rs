@@ -89,6 +89,7 @@ fn frames_roundtrip() {
         let seq = rng.next_u64();
         let event = arb_event(rng);
         let (topology, devices) = arb_views(rng);
+        let (held_topology, held_devices) = arb_views(rng);
         let commands = rng.gen_vec(0..8, arb_command);
         let bytes = rng.gen_vec(0..128, |r| r.next_u64() as u8);
         let name = rng.gen_name(1..25);
@@ -109,6 +110,14 @@ fn frames_roundtrip() {
                 bytes: bytes.clone(),
             },
             RpcMessage::RestoreAck { seq, ok },
+            RpcMessage::EventDeliverDelta {
+                seq,
+                event: event.clone(),
+                base: seq.wrapping_sub(1),
+                topology: held_topology.diff(&topology),
+                devices: held_devices.diff(&devices),
+                now: SimTime::from_micros(seq % 1_000_000),
+            },
             RpcMessage::EventDeliver {
                 seq,
                 event,
@@ -144,6 +153,26 @@ fn truncated_frames_never_decode() {
         let cut = ((frame.len() as f64) * cut_frac) as usize;
         assert!(cut < frame.len());
         assert!(decode_frame(&frame[..cut]).is_err());
+    });
+}
+
+/// A delta frame cut anywhere short of its end never decodes.
+#[test]
+fn delta_frames_fail_at_every_cut() {
+    forall(32, |rng| {
+        let (held_topology, held_devices) = arb_views(rng);
+        let (topology, devices) = arb_views(rng);
+        let frame = encode_frame(&RpcMessage::EventDeliverDelta {
+            seq: 9,
+            event: arb_event(rng),
+            base: 8,
+            topology: held_topology.diff(&topology),
+            devices: held_devices.diff(&devices),
+            now: SimTime::ZERO,
+        });
+        for cut in 0..frame.len() {
+            assert!(decode_frame(&frame[..cut]).is_err(), "cut {cut}");
+        }
     });
 }
 

@@ -237,6 +237,17 @@ impl<T: Codec> Codec for Box<T> {
     }
 }
 
+/// Shared values encode exactly as the value they point at: sharing is
+/// a property of the process, not of the bytes.
+impl<T: Codec> Codec for std::sync::Arc<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(std::sync::Arc::new(T::decode(r)?))
+    }
+}
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
@@ -463,6 +474,14 @@ mod tests {
             (2, "b".to_string()),
         ]));
         roundtrip(BTreeSet::from([3u16, 1, 2]));
+    }
+
+    #[test]
+    fn arc_encodes_as_its_pointee() {
+        let plain = BTreeMap::from([(1u32, "a".to_string())]);
+        let shared = std::sync::Arc::new(plain.clone());
+        assert_eq!(to_bytes(&shared).unwrap(), to_bytes(&plain).unwrap());
+        roundtrip(shared);
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod translate;
 pub use app::{Command, Ctx, RestoreError, SdnApp};
 pub use event::{Event, EventKind};
 pub use monolithic::{ControllerStats, CrashInfo, CycleReport, MonolithicController};
-pub use services::{Device, DeviceView, LinkKey, TopologyView};
+pub use services::{Device, DeviceDelta, DeviceView, LinkKey, TopologyDelta, TopologyView};
 pub use translate::EventTranslator;

@@ -104,11 +104,7 @@ impl EventTranslator {
             Message::PortStatus(ps) => {
                 let mut events = Vec::new();
                 // Keep the port inventory current.
-                if let Some(ports) = self.topology.switches.get_mut(&dpid) {
-                    if let Some(slot) = ports.iter_mut().find(|p| p.port_no == ps.desc.port_no) {
-                        *slot = ps.desc.clone();
-                    }
-                }
+                self.topology.port_refresh(dpid, &ps.desc);
                 if let Some(p) = ps.desc.port_no.phys() {
                     let at = Endpoint::new(dpid, p);
                     if !ps.desc.is_live() {
@@ -382,6 +378,31 @@ mod tests {
         }
         assert!(events.iter().any(|e| matches!(e, Event::LinkUp { .. })));
         assert_eq!(tr.topology.n_links(), 1);
+    }
+
+    #[test]
+    fn identical_port_status_refresh_leaves_the_inventory_shared() {
+        let topo = Topology::linear(2, 0);
+        let (mut net, mut tr, _) = boot(&topo);
+        net.set_link_up(0, false).unwrap();
+        let reports = net.poll_events();
+        let before = tr.topology.clone();
+        for r in reports.clone() {
+            tr.process(&mut net, r);
+        }
+        assert!(
+            !std::sync::Arc::ptr_eq(&before.switches, &tr.topology.switches),
+            "a port going down is a real inventory change"
+        );
+        // The same reports again describe ports exactly as recorded.
+        let before = tr.topology.clone();
+        for r in reports {
+            tr.process(&mut net, r);
+        }
+        assert!(std::sync::Arc::ptr_eq(
+            &before.switches,
+            &tr.topology.switches
+        ));
     }
 
     #[test]

@@ -174,6 +174,17 @@ echo "==> incremental invariant-check equivalence suite (hard 120s timeout)"
 timeout 120 cargo test -q --offline -p legosdn-invariants --test incremental_equivalence \
   || { echo "incremental equivalence suite failed or timed out" >&2; exit 1; }
 
+# View shipping: diff/apply must turn any view into any other, and a stub
+# must never run its app on views the proxy did not build the frame from —
+# through a lost frame, a crash mid-window and a replay against older
+# views. The resync tests wait out real delivery timeouts, so a proxy that
+# stops classifying them hangs here, not in CI at large.
+echo "==> view diff/apply property + appvisor resync tests (hard 120s timeout)"
+timeout 120 cargo test -q --offline -p legosdn-controller --test view_diff \
+  || { echo "view diff/apply property failed or timed out" >&2; exit 1; }
+timeout 120 cargo test -q --offline -p legosdn-appvisor --test view_resync \
+  || { echo "appvisor view resync tests failed or timed out" >&2; exit 1; }
+
 # The benchmark is a package of its own, so the workspace run above does
 # not reach it: its unit tests, the all-workload --smoke run (every
 # oracle digest check) and BENCHMARK.json against the names the binary

@@ -6,16 +6,19 @@
 //! destinations flood.
 
 use crate::util::{packet_out_reply, snap, unsnap};
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, Memo};
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 use std::collections::BTreeMap;
 
-/// Serializable state: per-switch MAC → port tables.
+/// Serializable state: per-switch MAC → port tables. Each switch's table
+/// is a memoized segment (DESIGN.md §18): a learn re-encodes one table,
+/// a packet that teaches nothing re-encodes none. The counters change on
+/// every packet and stay plain.
 #[derive(Clone, Debug, Default, PartialEq, Codec)]
 struct State {
-    tables: BTreeMap<DatapathId, BTreeMap<MacAddr, u16>>,
+    tables: BTreeMap<DatapathId, Memo<BTreeMap<MacAddr, u16>>>,
     packets_handled: u64,
     flows_installed: u64,
 }
@@ -41,7 +44,7 @@ impl LearningSwitch {
     /// Number of (switch, mac) entries learned.
     #[must_use]
     pub fn entries(&self) -> usize {
-        self.state.tables.values().map(BTreeMap::len).sum()
+        self.state.tables.values().map(|t| t.len()).sum()
     }
 
     /// Packets processed so far.
@@ -68,8 +71,11 @@ impl SdnApp for LearningSwitch {
                 };
                 self.state.packets_handled += 1;
                 let table = self.state.tables.entry(*dpid).or_default();
-                if !pi.packet.eth_src.is_multicast() {
-                    table.insert(pi.packet.eth_src, in_port);
+                // Learn only what is new or moved: a write forgets the
+                // table's remembered encoding.
+                let src = pi.packet.eth_src;
+                if !src.is_multicast() && table.get(&src) != Some(&in_port) {
+                    table.make_mut().insert(src, in_port);
                 }
                 let dst = pi.packet.eth_dst;
                 match table.get(&dst) {
@@ -218,6 +224,42 @@ mod tests {
         // Restored app behaves identically: knows host 2.
         let cmds = run(&mut fresh, &pin(1, 1, 2, 3));
         assert_eq!(cmds.len(), 2);
+    }
+
+    #[test]
+    fn a_repeated_packet_learns_nothing_and_dirties_no_table() {
+        let mut app = LearningSwitch::new();
+        run(&mut app, &pin(1, 1, 2, 3));
+        run(&mut app, &pin(2, 1, 2, 4));
+        let first = app.snapshot();
+        assert!(app.state.tables.values().all(|t| t.is_warm()));
+        let before = app.state.clone();
+
+        run(&mut app, &pin(1, 1, 2, 3));
+        assert!(
+            app.state.tables.values().all(|t| t.is_warm()),
+            "nothing learned, nothing to re-encode"
+        );
+        assert_eq!(
+            app.state,
+            State {
+                packets_handled: before.packets_handled + 1,
+                ..before
+            }
+        );
+        // Byte-identical apart from `packets_handled` (the 8 bytes before
+        // the trailing `flows_installed`).
+        let second = app.snapshot();
+        let counter = first.len() - 16..first.len() - 8;
+        assert_eq!(first.len(), second.len());
+        assert_eq!(first[..counter.start], second[..counter.start]);
+        assert_eq!(first[counter.end..], second[counter.end..]);
+        assert_eq!(second[counter], 3u64.to_le_bytes());
+
+        // A move on one switch dirties that switch's table only.
+        run(&mut app, &pin(1, 1, 2, 9));
+        assert!(!app.state.tables[&DatapathId(1)].is_warm());
+        assert!(app.state.tables[&DatapathId(2)].is_warm());
     }
 
     #[test]

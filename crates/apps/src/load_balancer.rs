@@ -6,7 +6,7 @@
 //! toward the chosen backend.
 
 use crate::util::{packet_out_reply, snap, unsnap};
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, Memo};
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
@@ -23,8 +23,9 @@ pub struct Backend {
 struct State {
     vip: Ipv4Addr,
     backends: Vec<Backend>,
-    /// Sticky client → backend index.
-    assignments: BTreeMap<Ipv4Addr, usize>,
+    /// Sticky client → backend index. Memoized (DESIGN.md §18): written
+    /// once per new client, read on every flow.
+    assignments: Memo<BTreeMap<Ipv4Addr, usize>>,
     rr_next: usize,
     flows_balanced: u64,
 }
@@ -78,7 +79,7 @@ impl LoadBalancer {
             _ => {
                 let i = self.state.rr_next % self.state.backends.len();
                 self.state.rr_next = self.state.rr_next.wrapping_add(1);
-                self.state.assignments.insert(client, i);
+                self.state.assignments.make_mut().insert(client, i);
                 i
             }
         };

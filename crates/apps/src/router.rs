@@ -6,7 +6,7 @@
 //! stateful behaviour that makes naive app reboots lossy (paper §1).
 
 use crate::util::{packet_out_reply, snap, unsnap};
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, Memo};
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_netsim::Endpoint;
@@ -32,7 +32,9 @@ impl Route {
 
 #[derive(Clone, Debug, Default, PartialEq, Codec)]
 struct State {
-    routes: Vec<Route>,
+    /// Memoized (DESIGN.md §18): written when a route is installed or
+    /// torn down, not by the floods and failures in between.
+    routes: Memo<Vec<Route>>,
     next_cookie: u64,
     packets_routed: u64,
     routes_torn_down: u64,
@@ -116,13 +118,26 @@ impl ShortestPathRouter {
             )),
         );
         self.state.packets_routed += 1;
-        self.state.routes.push(Route { dst, cookie, hops });
+        self.state
+            .routes
+            .make_mut()
+            .push(Route { dst, cookie, hops });
+    }
+
+    /// Remove and return the routes `dead` selects, in order. Touches the
+    /// route list only if there are any.
+    fn take_routes(&mut self, dead: impl Fn(&Route) -> bool) -> Vec<Route> {
+        if !self.state.routes.iter().any(&dead) {
+            return Vec::new();
+        }
+        let routes = self.state.routes.make_mut();
+        let (gone, alive) = routes.drain(..).partition(dead);
+        *routes = alive;
+        gone
     }
 
     fn handle_link_down(&mut self, a: Endpoint, b: Endpoint, ctx: &mut Ctx<'_>) {
-        let (dead, alive): (Vec<Route>, Vec<Route>) =
-            self.state.routes.drain(..).partition(|r| r.uses_link(a, b));
-        for route in &dead {
+        for route in self.take_routes(|r| r.uses_link(a, b)) {
             self.state.routes_torn_down += 1;
             for &(d, _) in &route.hops {
                 ctx.send(
@@ -131,7 +146,6 @@ impl ShortestPathRouter {
                 );
             }
         }
-        self.state.routes = alive;
     }
 }
 
@@ -155,14 +169,13 @@ impl SdnApp for ShortestPathRouter {
             Event::LinkDown { a, b } => self.handle_link_down(*a, *b, ctx),
             Event::SwitchDown(dpid) => {
                 // Routes through the dead switch are gone with it.
-                let before = self.state.routes.len();
-                self.state.routes.retain(|r| !r.hops.iter().any(|&(d, _)| d == *dpid));
-                self.state.routes_torn_down += (before - self.state.routes.len()) as u64;
+                let gone = self.take_routes(|r| r.hops.iter().any(|&(d, _)| d == *dpid));
+                self.state.routes_torn_down += gone.len() as u64;
             }
             Event::FlowRemoved(_, fr)
                 // An idle-expired route: forget the matching record.
                 if fr.cookie & COOKIE_BASE == COOKIE_BASE => {
-                    self.state.routes.retain(|r| r.cookie != fr.cookie);
+                    self.take_routes(|r| r.cookie == fr.cookie);
                 }
             _ => {}
         }

@@ -8,7 +8,7 @@
 //! network with rule churn, so keeping its state across crashes matters.
 
 use crate::util::{snap, unsnap};
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, Memo};
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::TopologyView;
@@ -20,7 +20,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 struct State {
     /// Ports (per switch) currently allowed to flood: tree ports + host
     /// ports (i.e. everything except non-tree inter-switch ports).
-    blocked: BTreeMap<DatapathId, BTreeSet<u16>>,
+    /// Memoized (DESIGN.md §18): most recomputations leave it as it was.
+    blocked: Memo<BTreeMap<DatapathId, BTreeSet<u16>>>,
     recomputations: u64,
 }
 
@@ -118,7 +119,9 @@ impl SpanningTree {
                 ctx.send(dpid, Message::FlowMod(fm));
             }
         }
-        self.state.blocked = want;
+        if *self.state.blocked != want {
+            *self.state.blocked.make_mut() = want;
+        }
     }
 }
 
@@ -145,7 +148,9 @@ impl SdnApp for SpanningTree {
                 // Any topology change can move the tree.
                 if let Event::SwitchDown(d) = event {
                     // The dead switch's blocks are gone with its table.
-                    self.state.blocked.remove(d);
+                    if self.state.blocked.contains_key(d) {
+                        self.state.blocked.make_mut().remove(d);
+                    }
                 }
                 self.recompute(ctx);
             }

@@ -3,7 +3,7 @@
 //! users (§4.1 notes the paper had to comment those out — ours works).
 
 use crate::util::{snap, unsnap};
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, Memo};
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_netsim::SimTime;
@@ -23,7 +23,9 @@ pub struct Sample {
 #[derive(Clone, Debug, Default, PartialEq, Codec)]
 struct State {
     switches: BTreeSet<DatapathId>,
-    history: Vec<Sample>,
+    /// Memoized (DESIGN.md §18): up to 4096 samples, written only by a
+    /// stats reply — ticks and switch events leave it alone.
+    history: Memo<Vec<Sample>>,
     polls_sent: u64,
 }
 
@@ -98,10 +100,11 @@ impl SdnApp for StatsMonitor {
                     flow_count,
                 },
             ) => {
-                if self.state.history.len() >= HISTORY_CAP {
-                    self.state.history.remove(0);
+                let history = self.state.history.make_mut();
+                if history.len() >= HISTORY_CAP {
+                    history.remove(0);
                 }
-                self.state.history.push(Sample {
+                history.push(Sample {
                     at: ctx.now,
                     dpid: *dpid,
                     packets: *packet_count,

@@ -11,12 +11,19 @@
 //!
 //! The format is not self-describing: decoding must use the same types as
 //! encoding.
+//!
+//! [`Memo`] wraps a value so that encoding it again, unchanged, is a copy
+//! of the bytes from last time — what makes a per-event checkpoint cost
+//! what the event wrote.
 
 // The derive macro emits `::legosdn_codec::…` paths; alias ourselves so
 // `#[derive(Codec)]` also works inside this crate (mirrors serde's trick).
 extern crate self as legosdn_codec;
 
 pub use legosdn_codec_derive::Codec;
+
+mod memo;
+pub use memo::Memo;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;

@@ -11,6 +11,20 @@
 //! recovery restores the last snapshot and replays the events delivered
 //! since. A bounded history of older checkpoints supports the STS-guided
 //! multi-transaction rollback (§5).
+//!
+//! **Elision.** A snapshot whose bytes equal the latest stored checkpoint's
+//! is not stored again: the store re-dates that checkpoint to the current
+//! event index and clears the replay buffer, which is the same recovery
+//! plan at no copy and no history slot. The test is a byte comparison —
+//! exact, and for the usual unequal case over at the length or the first
+//! differing byte. What makes the snapshot itself cheap is upstream: apps
+//! keep their large state in memoized segments (`legosdn_codec::Memo`,
+//! DESIGN.md §18), so `snapshot()` re-encodes only what the last event
+//! wrote and copies the rest.
+//!
+//! **Footprint.** Stored checkpoints are trimmed to their length: an
+//! encoder grows its buffer by doubling, and `history` slots of up-to-2×
+//! slack is what the store would otherwise hold.
 
 use legosdn_codec::Codec;
 use legosdn_controller::event::Event;
@@ -54,27 +68,10 @@ pub struct RecoveryPlan {
     pub replay: Vec<Event>,
 }
 
-/// FNV-1a over the serialized state — cheap enough to run on every
-/// snapshot, collision-resistant enough to gate *elision* (a false match
-/// would reuse a stale checkpoint; at 64 bits that is vanishingly rarer
-/// than the fault rates the paper's recovery machinery exists for).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[derive(Clone, Debug, Default, Codec)]
 struct AppCheckpoints {
     /// Most recent first is at the back.
     history: VecDeque<Checkpoint>,
-    /// FNV-1a hash of the latest stored snapshot's bytes; used to elide
-    /// a new snapshot whose serialized state is unchanged.
-    last_hash: Option<u64>,
     /// Events delivered since the latest snapshot.
     replay_buffer: Vec<Event>,
     /// Total events delivered to this app.
@@ -96,7 +93,7 @@ pub struct CheckpointStore {
     /// Lifetime bytes snapshotted.
     pub bytes_snapshotted: u64,
     /// Snapshots elided because the serialized state was unchanged since
-    /// the previous one (hash match — see [`CheckpointStore::record_snapshot`]).
+    /// the previous one (see [`CheckpointStore::record_snapshot`]).
     pub snapshots_elided: u64,
 }
 
@@ -134,42 +131,52 @@ impl CheckpointStore {
         }
     }
 
+    /// The app's bookkeeping, created on first contact — the only time
+    /// the name is copied.
+    fn entry(&mut self, app: &str) -> &mut AppCheckpoints {
+        if !self.apps.contains_key(app) {
+            self.apps.insert(app.to_string(), AppCheckpoints::default());
+        }
+        self.apps.get_mut(app).expect("inserted above")
+    }
+
     /// Record a snapshot taken before the app's next event. Returns `true`
     /// if the snapshot was stored, `false` if it was *elided*: when the
-    /// serialized state hashes identically to the latest stored snapshot,
-    /// the store just re-dates that checkpoint (`event_index` := now) and
-    /// clears the replay buffer — restore + empty replay reproduces the
-    /// current state exactly, so recovery plans stay correct while the
-    /// copy and its history slot are saved.
+    /// bytes equal the latest stored snapshot's, the store just re-dates
+    /// that checkpoint (`event_index` := now) and clears the replay
+    /// buffer — restore + empty replay reproduces the current state
+    /// exactly, so recovery plans stay correct while the copy and its
+    /// history slot are saved.
     pub fn record_snapshot(&mut self, app: &str, bytes: Vec<u8>) -> bool {
-        let entry = self.apps.entry(app.to_string()).or_default();
-        let hash = fnv1a(&bytes);
-        if entry.last_hash == Some(hash) {
-            if let Some(latest) = entry.history.back_mut() {
+        let history_cap = self.policy.history.max(1);
+        let entry = self.entry(app);
+        entry.replay_buffer.clear();
+        if let Some(latest) = entry.history.back_mut() {
+            if latest.bytes == bytes {
                 latest.event_index = entry.events_delivered;
-                entry.replay_buffer.clear();
                 self.snapshots_elided += 1;
                 return false;
             }
         }
-        self.snapshots_taken += 1;
-        self.bytes_snapshotted += bytes.len() as u64;
-        entry.last_hash = Some(hash);
-        entry.history.push_back(Checkpoint {
+        let checkpoint = Checkpoint {
             event_index: entry.events_delivered,
-            bytes,
-        });
-        while entry.history.len() > self.policy.history.max(1) {
+            // Exact capacity: the encoder's doubling slack is not kept.
+            bytes: bytes.into_boxed_slice().into_vec(),
+        };
+        let size = checkpoint.bytes.len() as u64;
+        entry.history.push_back(checkpoint);
+        while entry.history.len() > history_cap {
             entry.history.pop_front();
         }
-        entry.replay_buffer.clear();
+        self.snapshots_taken += 1;
+        self.bytes_snapshotted += size;
         true
     }
 
     /// Record that an event was (successfully) delivered to the app.
     pub fn record_delivered(&mut self, app: &str, event: &Event) {
         let cap = self.policy.archive.max(1);
-        let entry = self.apps.entry(app.to_string()).or_default();
+        let entry = self.entry(app);
         entry.events_delivered += 1;
         entry.replay_buffer.push(event.clone());
         entry.archive.push_back(event.clone());
@@ -386,6 +393,56 @@ mod tests {
         assert!(store.record_snapshot("a", vec![7, 8]));
         assert_eq!(store.snapshots_taken, 2);
         assert_eq!(store.history_len("a"), 2);
+    }
+
+    #[test]
+    fn same_length_different_content_is_stored_not_elided() {
+        let mut store = CheckpointStore::new(CheckpointPolicy::default());
+        assert!(store.record_snapshot("a", vec![1, 2, 3, 4]));
+        store.record_delivered("a", &ev(0));
+        // Differs only in its last byte — where an app's counters sit.
+        assert!(store.record_snapshot("a", vec![1, 2, 3, 5]));
+        store.record_delivered("a", &ev(1));
+        assert_eq!(store.snapshots_elided, 0);
+        let hist = store.history("a");
+        assert_eq!(hist.len(), 2);
+        assert_eq!(
+            (hist[0].event_index, &hist[0].bytes),
+            (0, &vec![1, 2, 3, 4])
+        );
+        assert_eq!(
+            (hist[1].event_index, &hist[1].bytes),
+            (1, &vec![1, 2, 3, 5])
+        );
+        // Identical to the latest: elided, and the latest is re-dated.
+        assert!(!store.record_snapshot("a", vec![1, 2, 3, 5]));
+        assert_eq!(store.snapshots_elided, 1);
+        let hist = store.history("a");
+        assert_eq!(hist.len(), 2);
+        assert_eq!(hist[1].event_index, 2);
+        assert!(store.recovery_plan("a").unwrap().replay.is_empty());
+        // Equal to an *older* checkpoint only: stored.
+        assert!(store.record_snapshot("a", vec![1, 2, 3, 4]));
+        assert_eq!(store.history_len("a"), 3);
+    }
+
+    #[test]
+    fn stored_checkpoints_carry_no_slack_capacity() {
+        let mut store = CheckpointStore::new(CheckpointPolicy::default());
+        // Grown the way an encoder grows it: by doubling from empty.
+        let mut bytes = Vec::new();
+        for i in 0..1000u32 {
+            bytes.extend_from_slice(&i.to_le_bytes());
+        }
+        assert!(bytes.capacity() > bytes.len(), "test needs slack to trim");
+        assert!(store.record_snapshot("a", bytes.clone()));
+        let mut roomy = Vec::with_capacity(64);
+        roomy.push(9u8);
+        assert!(store.record_snapshot("a", roomy));
+        for checkpoint in store.history("a") {
+            assert_eq!(checkpoint.bytes.capacity(), checkpoint.bytes.len());
+        }
+        assert_eq!(store.history("a")[0].bytes, bytes);
     }
 
     #[test]

@@ -20,8 +20,9 @@ use legosdn_controller::event::Event;
 use legosdn_controller::monolithic::panic_text;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
-use legosdn_obs::{Obs, RecordKind};
+use legosdn_obs::{Counter, Histogram, Obs, RecordKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Result of delivering one event to a protected app.
@@ -114,6 +115,24 @@ impl Default for CrashPadConfig {
     }
 }
 
+/// The per-snapshot metric handles, resolved once per [`Obs`] instance so
+/// a checkpoint costs atomic adds, not registry lookups.
+struct CheckpointMetrics {
+    checkpoint_ns: Arc<Histogram>,
+    checkpoint_bytes: Arc<Histogram>,
+    snapshots_elided: Arc<Counter>,
+}
+
+impl CheckpointMetrics {
+    fn resolve(obs: &Obs) -> Self {
+        CheckpointMetrics {
+            checkpoint_ns: obs.histogram("crashpad", "checkpoint_ns", ""),
+            checkpoint_bytes: obs.histogram("crashpad", "checkpoint_bytes", ""),
+            snapshots_elided: obs.counter("crashpad", "snapshots_elided", ""),
+        }
+    }
+}
+
 /// The Crash-Pad engine.
 pub struct CrashPad {
     pub checkpoints: CheckpointStore,
@@ -122,25 +141,29 @@ pub struct CrashPad {
     pub transform_direction: TransformDirection,
     stats: CrashPadStats,
     obs: Obs,
+    metrics: CheckpointMetrics,
 }
 
 impl CrashPad {
     /// An engine with the given configuration, reporting to [`Obs::global`].
     #[must_use]
     pub fn new(config: CrashPadConfig) -> Self {
+        let obs = Obs::global();
         CrashPad {
             checkpoints: CheckpointStore::new(config.checkpoints),
             policies: config.policies,
             tickets: TicketStore::default(),
             transform_direction: config.transform_direction,
             stats: CrashPadStats::default(),
-            obs: Obs::global(),
+            metrics: CheckpointMetrics::resolve(&obs),
+            obs,
         }
     }
 
     /// Report metrics and journal records to `obs` instead of the global
     /// instance (isolated tests, side-by-side campaigns).
     pub fn set_obs(&mut self, obs: Obs) {
+        self.metrics = CheckpointMetrics::resolve(&obs);
         self.obs = obs;
     }
 
@@ -206,14 +229,10 @@ impl CrashPad {
             bytes: size,
             dur_ns,
         });
-        self.obs
-            .histogram("crashpad", "checkpoint_ns", "")
-            .observe(dur_ns);
-        self.obs
-            .histogram("crashpad", "checkpoint_bytes", "")
-            .observe(size);
+        self.metrics.checkpoint_ns.observe(dur_ns);
+        self.metrics.checkpoint_bytes.observe(size);
         if !self.checkpoints.record_snapshot(name, bytes) {
-            self.obs.counter("crashpad", "snapshots_elided", "").inc();
+            self.metrics.snapshots_elided.inc();
         }
     }
 

@@ -185,6 +185,18 @@ timeout 120 cargo test -q --offline -p legosdn-controller --test view_diff \
 timeout 120 cargo test -q --offline -p legosdn-appvisor --test view_resync \
   || { echo "appvisor view resync tests failed or timed out" >&2; exit 1; }
 
+# Memoized snapshot segments: a stale remembered encoding is the one way
+# a checkpoint can silently be wrong, so the twin-struct property runs by
+# name; so do the pinned snapshot bytes of every app that wraps its state
+# and the crash-recovery comparison over such an app.
+echo "==> Memo property + app golden snapshot bytes (hard 120s timeout)"
+timeout 120 cargo test -q --offline -p legosdn-codec --test memo_property \
+  || { echo "Memo twin-struct property failed or timed out" >&2; exit 1; }
+timeout 120 cargo test -q --offline -p legosdn-apps --test golden_snapshots \
+  || { echo "app golden snapshot bytes moved or timed out" >&2; exit 1; }
+timeout 120 cargo test -q --offline -p legosdn-crashpad --test memoized_recovery \
+  || { echo "memoized-state recovery test failed or timed out" >&2; exit 1; }
+
 # The benchmark is a package of its own, so the workspace run above does
 # not reach it: its unit tests, the all-workload --smoke run (every
 # oracle digest check) and BENCHMARK.json against the names the binary

@@ -27,8 +27,8 @@ pub use poll::{
     PolledTransport, Poller, SlotQueue,
 };
 pub use proxy::{
-    AppHandle, AppVisorProxy, AppWireStats, DeliverOutcome, FanoutDelivery, FanoutTicket, IoMode,
-    ProxyConfig, ProxyError, TransportKind,
+    AppHandle, AppVisorProxy, AppWireStats, DeliverOutcome, IoMode, ProxyConfig, ProxyError,
+    TransportKind,
 };
 pub use rpc::{decode_frame, encode_frame, RpcMessage};
 pub use stub::{run_stub, spawn_stub, StubConfig, StubHost, StubReport};

@@ -119,39 +119,6 @@ pub enum DeliverOutcome {
     CommFailure,
 }
 
-/// One app's result from a fan-out delivery: the outcome plus how long
-/// the proxy waited for it (wall time from the end of the send phase),
-/// so callers can attribute pipeline latency per app.
-#[derive(Clone, Debug)]
-pub struct FanoutDelivery {
-    /// What the app did with the event (or why we could not ask it).
-    pub outcome: Result<DeliverOutcome, ProxyError>,
-    /// Wall time from the end of [`AppVisorProxy::fanout_send`] until
-    /// this app's outcome was classified. Because collection is
-    /// in-order, an app's elapsed time includes any wait spent on apps
-    /// ahead of it; the *maximum* over a fan-out is the round's cost.
-    pub elapsed: Duration,
-}
-
-/// In-flight fan-out: the frames are sent, the acks are not yet
-/// collected. Produced by [`AppVisorProxy::fanout_send`], consumed by
-/// [`AppVisorProxy::fanout_collect`]. Dropping it without collecting
-/// leaves unread acks queued on the transports; the per-seq matching in
-/// the recv loops discards stale acks, so that is safe but wasteful.
-#[must_use = "collect the fan-out or the acks rot in the transports"]
-pub struct FanoutTicket {
-    handles: Vec<AppHandle>,
-    seqs: Vec<Option<u64>>,
-    started: Instant,
-}
-
-impl FanoutTicket {
-    /// Apps included in this fan-out, in send (and collection) order.
-    pub fn handles(&self) -> &[AppHandle] {
-        &self.handles
-    }
-}
-
 /// Proxy-level failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProxyError {
@@ -532,115 +499,14 @@ impl AppVisorProxy {
         }
     }
 
-    /// Deliver one event to many isolated apps **concurrently**: the event
-    /// is pushed to every stub before any ack is awaited, so app processing
-    /// overlaps across their threads. The paper's stubs are independent
-    /// processes; this is the dispatch pattern that exploits it ("SDN-Apps
-    /// [...] can handle multiple events in parallel", §5).
-    ///
-    /// Returns one [`FanoutDelivery`] per handle, in order, each carrying
-    /// the outcome plus the wall time until that app's result was
-    /// available. Unknown handles yield `Err` outcomes without aborting
-    /// the rest.
-    ///
-    /// This is [`AppVisorProxy::fanout_send`] + [`AppVisorProxy::fanout_collect`]
-    /// back to back; the pipelined runtime calls the halves directly so it
-    /// can run in-process sandboxes between them while the stubs work.
-    pub fn deliver_fanout(
-        &mut self,
-        handles: &[AppHandle],
-        event: &Event,
-        topology: &TopologyView,
-        devices: &DeviceView,
-        now: SimTime,
-    ) -> Vec<FanoutDelivery> {
-        let ticket = self.fanout_send(handles, event, topology, devices, now);
-        self.fanout_collect(ticket)
-    }
-
-    /// Fan-out phase 1: push the event to every stub without awaiting any
-    /// ack. Returns the ticket [`AppVisorProxy::fanout_collect`] needs to
-    /// gather the results; the stubs start processing as soon as their
-    /// frame lands, so work done between the two calls overlaps with them.
-    pub fn fanout_send(
-        &mut self,
-        handles: &[AppHandle],
-        event: &Event,
-        topology: &TopologyView,
-        devices: &DeviceView,
-        now: SimTime,
-    ) -> FanoutTicket {
-        let _span = self.obs.span("appvisor.fanout_send");
-        let mut seqs: Vec<Option<u64>> = Vec::with_capacity(handles.len());
-        for h in handles {
-            let Some(slot) = self.apps.get_mut(h.0) else {
-                seqs.push(None);
-                continue;
-            };
-            let sent = deliver_frame(slot, event, topology, devices, now);
-            seqs.push(queued(slot, sent, &self.obs, "send", "fanout"));
-        }
-        FanoutTicket {
-            handles: handles.to_vec(),
-            seqs,
-            started: Instant::now(),
-        }
-    }
-
-    /// Fan-out phase 2: gather one result per handle in the ticket, in
-    /// order (the stubs worked in parallel already). Each result carries
-    /// the wall time from the end of the send phase to that app's outcome
-    /// being classified, recorded in the `appvisor.fanout_app_ns`
-    /// histogram per app.
-    pub fn fanout_collect(&mut self, ticket: FanoutTicket) -> Vec<FanoutDelivery> {
-        let obs = self.obs.clone();
-        let _span = obs.span("appvisor.fanout_collect");
-        let FanoutTicket {
-            handles,
-            seqs,
-            started,
-        } = ticket;
-        let deadline = started + self.config.deliver_timeout;
-        handles
-            .iter()
-            .zip(seqs)
-            .map(|(h, seq)| {
-                let outcome = self.collect_one(*h, seq, deadline, &obs);
-                let elapsed = started.elapsed();
-                if let Some(slot) = self.apps.get(h.0) {
-                    obs.histogram("appvisor", "fanout_app_ns", &slot.name)
-                        .observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-                }
-                FanoutDelivery { outcome, elapsed }
-            })
-            .collect()
-    }
-
-    /// Await one app's ack for an already-sent fan-out frame.
-    fn collect_one(
-        &mut self,
-        h: AppHandle,
-        seq: Option<u64>,
-        deadline: Instant,
-        obs: &Obs,
-    ) -> Result<DeliverOutcome, ProxyError> {
-        let Some(slot) = self.apps.get_mut(h.0) else {
-            return Err(ProxyError::UnknownApp);
-        };
-        let Some(seq) = seq else {
-            obs.trace_event("collect", &slot.name, "comm_failure");
-            return Ok(DeliverOutcome::CommFailure);
-        };
-        let reply = await_tag(slot, seq, deadline);
-        settle_delivery(slot, reply, obs)
-    }
-
     // ------------------------------------------------------------------
-    // Tagged multi-event in-flight queue (the cross-event dispatch
-    // window): queue_* pushes a request without awaiting the reply,
-    // collect_* awaits a specific tag. A stub processes its queue in
-    // order, so event k+1 can be on its thread while the proxy is still
-    // gathering event k from its peers.
+    // Tagged in-flight queue (the dispatch window): queue_* pushes a
+    // request without awaiting the reply, collect_* awaits a specific
+    // tag. Stubs are independent ("SDN-Apps [...] can handle multiple
+    // events in parallel", paper §5): queueing one event on many stubs
+    // before collecting any overlaps their processing, and a stub
+    // processes its own queue in order, so event k+1 can be on its
+    // thread while the proxy is still gathering event k from its peers.
     // ------------------------------------------------------------------
 
     /// Queue one event delivery on an app's RPC stream without awaiting
@@ -659,7 +525,7 @@ impl AppVisorProxy {
     ) -> Result<Option<u64>, ProxyError> {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         let sent = deliver_frame(slot, event, topology, devices, now);
-        Ok(queued(slot, sent, &self.obs, "send", "queued"))
+        Ok(queued(slot, sent, &self.obs, "send"))
     }
 
     /// Queue a snapshot request without awaiting the reply. Interleaved
@@ -672,7 +538,7 @@ impl AppVisorProxy {
         slot.next_seq += 1;
         let seq = slot.next_seq;
         let sent = send_frame(slot, &RpcMessage::SnapshotRequest { seq }).map(|()| seq);
-        Ok(queued(slot, sent, &self.obs, "snap_send", "queued"))
+        Ok(queued(slot, sent, &self.obs, "snap_send"))
     }
 
     /// Collect the outcome of a queued delivery. The timeout window opens
@@ -869,11 +735,10 @@ fn queued(
     sent: Result<u64, TransportError>,
     obs: &Obs,
     phase: &str,
-    sent_as: &str,
 ) -> Option<u64> {
     let tag = sent.map_err(|_| mark_failed(slot, Failure::Comm)).ok();
     let outcome = if tag.is_some() {
-        sent_as
+        "queued"
     } else {
         "send_failed"
     };
@@ -1193,107 +1058,135 @@ mod tests {
         let _ = p.shutdown();
     }
 
+    /// Joins a rendezvous inside `on_event`, so a delivery only ever
+    /// completes while every other party is at the rendezvous too.
+    struct RendezvousApp(Arc<std::sync::Barrier>);
+
+    impl SdnApp for RendezvousApp {
+        fn name(&self) -> &str {
+            "rendezvous-app"
+        }
+        fn subscriptions(&self) -> Vec<EventKind> {
+            vec![EventKind::SwitchUp]
+        }
+        fn on_event(&mut self, _event: &Event, ctx: &mut Ctx<'_>) {
+            self.0.wait();
+            ctx.send(DatapathId(1), Message::BarrierRequest);
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
+            Ok(())
+        }
+    }
+
+    /// Queue one event on every handle before collecting any — how the
+    /// dispatch window fans an event out.
+    fn queue_all_then_collect(
+        p: &mut AppVisorProxy,
+        handles: &[AppHandle],
+    ) -> Vec<Result<DeliverOutcome, ProxyError>> {
+        let topo = TopologyView::default();
+        let dev = DeviceView::default();
+        let event = Event::SwitchUp(DatapathId(1));
+        let tags: Vec<_> = handles
+            .iter()
+            .map(|&h| p.queue_deliver(h, &event, &topo, &dev, SimTime::ZERO))
+            .collect();
+        handles
+            .iter()
+            .zip(tags)
+            .map(|(&h, tag)| match tag? {
+                Some(seq) => p.collect_deliver(h, seq),
+                None => Ok(DeliverOutcome::CommFailure),
+            })
+            .collect()
+    }
+
     #[test]
     fn fanout_delivers_to_all_in_parallel() {
+        // Four stubs that each finish the event only once all four are
+        // inside it: queueing before collecting must overlap them (one
+        // delivery at a time would time out at the rendezvous).
         let mut p = proxy();
+        let rendezvous = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<AppHandle> = (0..4)
             .map(|_| {
                 p.launch_app(
+                    Box::new(RendezvousApp(Arc::clone(&rendezvous))),
+                    TransportKind::Channel,
+                )
+                .unwrap()
+            })
+            .collect();
+        for r in queue_all_then_collect(&mut p, &handles) {
+            assert!(
+                matches!(&r, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
+                "{r:?}"
+            );
+        }
+        let _ = p.shutdown();
+
+        // Mixed with a crasher and a bogus handle.
+        let mut p = proxy();
+        let mut all: Vec<AppHandle> = [None, None, Some(1)]
+            .into_iter()
+            .map(|crash_on_count| {
+                p.launch_app(
                     Box::new(TestApp {
                         count: 0,
-                        crash_on_count: None,
+                        crash_on_count,
                     }),
                     TransportKind::Channel,
                 )
                 .unwrap()
             })
             .collect();
-        let topo = TopologyView::default();
-        let dev = DeviceView::default();
-        let results = p.deliver_fanout(
-            &handles,
-            &Event::SwitchUp(DatapathId(1)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        assert_eq!(results.len(), 4);
-        for r in &results {
-            assert!(
-                matches!(&r.outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
-                "{r:?}"
-            );
-        }
-        // Mixed with a crasher and a bogus handle.
-        let crashy = p
-            .launch_app(
-                Box::new(TestApp {
-                    count: 0,
-                    crash_on_count: Some(1),
-                }),
-                TransportKind::Channel,
-            )
-            .unwrap();
-        let mut all = handles.clone();
-        all.push(crashy);
         all.push(AppHandle(99));
-        let results = p.deliver_fanout(
-            &all,
-            &Event::SwitchUp(DatapathId(1)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        assert!(matches!(
-            &results[4].outcome,
-            Ok(DeliverOutcome::Crashed { .. })
-        ));
-        assert!(matches!(&results[5].outcome, Err(ProxyError::UnknownApp)));
+        let results = queue_all_then_collect(&mut p, &all);
+        assert!(matches!(&results[2], Ok(DeliverOutcome::Crashed { .. })));
+        assert!(matches!(&results[3], Err(ProxyError::UnknownApp)));
         // Healthy apps unaffected by their neighbor's crash.
-        for r in &results[..4] {
-            assert!(matches!(&r.outcome, Ok(DeliverOutcome::Commands(_))));
+        for r in &results[..2] {
+            assert!(matches!(r, Ok(DeliverOutcome::Commands(_))), "{r:?}");
         }
         let _ = p.shutdown();
     }
 
     #[test]
-    fn fanout_send_collect_split_matches_composed_call() {
-        // The pipelined runtime calls the halves directly so it can run
-        // local sandboxes between them; the split must behave exactly
-        // like the composed `deliver_fanout` and report per-app wall time.
+    fn work_between_queue_and_collect_overlaps_the_stub() {
+        // The dispatch window runs local sandboxes and commits between
+        // queueing a delivery and collecting it. The stub must be inside
+        // the event while the caller is free: the app only finishes once
+        // this thread, having returned from `queue_deliver`, meets it at
+        // the rendezvous.
         let mut p = proxy();
-        let handles: Vec<AppHandle> = (0..3)
-            .map(|_| {
-                p.launch_app(
-                    Box::new(TestApp {
-                        count: 0,
-                        crash_on_count: None,
-                    }),
-                    TransportKind::Channel,
-                )
-                .unwrap()
-            })
-            .collect();
+        let rendezvous = Arc::new(std::sync::Barrier::new(2));
+        let h = p
+            .launch_app(
+                Box::new(RendezvousApp(Arc::clone(&rendezvous))),
+                TransportKind::Channel,
+            )
+            .unwrap();
         let topo = TopologyView::default();
         let dev = DeviceView::default();
-        let ticket = p.fanout_send(
-            &handles,
-            &Event::SwitchUp(DatapathId(7)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
+        let seq = p
+            .queue_deliver(
+                h,
+                &Event::SwitchUp(DatapathId(7)),
+                &topo,
+                &dev,
+                SimTime::ZERO,
+            )
+            .unwrap()
+            .expect("send succeeded");
+        rendezvous.wait();
+        let outcome = p.collect_deliver(h, seq);
+        assert!(
+            matches!(&outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
+            "{outcome:?}"
         );
-        assert_eq!(ticket.handles(), &handles[..]);
-        // Stubs are processing while the caller is free to do other work.
-        let results = p.fanout_collect(ticket);
-        assert_eq!(results.len(), 3);
-        for r in &results {
-            assert!(
-                matches!(&r.outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
-                "{r:?}"
-            );
-            assert!(r.elapsed < Duration::from_secs(1));
-        }
         let _ = p.shutdown();
     }
 
@@ -1651,20 +1544,8 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let topo = TopologyView::default();
-        let dev = DeviceView::default();
-        let results = p.deliver_fanout(
-            &handles,
-            &Event::SwitchUp(DatapathId(1)),
-            &topo,
-            &dev,
-            SimTime::ZERO,
-        );
-        for r in &results {
-            assert!(
-                matches!(&r.outcome, Ok(DeliverOutcome::Commands(_))),
-                "{r:?}"
-            );
+        for r in queue_all_then_collect(&mut p, &handles) {
+            assert!(matches!(&r, Ok(DeliverOutcome::Commands(_))), "{r:?}");
         }
         let reports = p.shutdown();
         assert_eq!(reports.len(), 24);

@@ -2,9 +2,10 @@
 //!
 //! Four isolated apps subscribe to the same event. Sequential dispatch
 //! pays one blocking RPC round-trip per app — cost is the *sum* of app
-//! processing times. Pipelined dispatch fans the event out first
-//! (`AppVisorProxy::fanout_send`), so the stubs process concurrently and
-//! the cycle costs roughly the *slowest* app. The determinism
+//! processing times. Pipelined dispatch queues the event on every stub
+//! before collecting any ack (`AppVisorProxy::queue_deliver` /
+//! `collect_deliver`), so the stubs process concurrently and the cycle
+//! costs roughly the *slowest* app. The determinism
 //! integration test proves both modes leave identical network state;
 //! this bench measures what the overlap buys. Results (and the
 //! pipelined/sequential ratio) land in `BENCH_4.json`.

@@ -20,9 +20,7 @@
 //! wakeup/ready-set metrics) land in `BENCH_7.json`.
 
 use legosdn::apps::Hub;
-use legosdn::appvisor::{
-    AppHandle, AppVisorProxy, DeliverOutcome, IoMode, ProxyConfig, StubConfig, TransportKind,
-};
+use legosdn::appvisor::{AppHandle, AppVisorProxy, IoMode, ProxyConfig, StubConfig, TransportKind};
 use legosdn::controller::app::RestoreError;
 use legosdn::controller::event::Event;
 use legosdn::controller::services::{DeviceView, TopologyView};
@@ -30,6 +28,7 @@ use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, Transform
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, Criterion};
 use legosdn_bench::print_table;
+use legosdn_bench::workloads::{self, fan_out};
 use std::time::{Duration, Instant};
 
 const FLEET_APPS: usize = 1000;
@@ -97,17 +96,14 @@ fn run_fleet(apps: usize, rounds: u64, io: IoMode, obs: Obs) -> FleetRun {
     let mut delivered = 0u64;
     let fanout_start = Instant::now();
     for _ in 0..rounds {
-        let results = proxy.deliver_fanout(
+        let results = fan_out(
+            &mut proxy,
             &handles,
             &Event::SwitchUp(DatapathId(1)),
             &topo,
             &dev,
-            SimTime::ZERO,
         );
-        delivered += results
-            .iter()
-            .filter(|r| matches!(&r.outcome, Ok(DeliverOutcome::Commands(_))))
-            .count() as u64;
+        delivered += workloads::delivered(&results) as u64;
     }
     let fanout_s = fanout_start.elapsed().as_secs_f64();
     peak_threads = peak_threads.max(thread_count());
@@ -350,12 +346,12 @@ fn bench(c: &mut Criterion) {
             .collect();
         g.bench_function(name, |b| {
             b.iter(|| {
-                proxy.deliver_fanout(
+                fan_out(
+                    &mut proxy,
                     &handles,
                     &Event::SwitchUp(DatapathId(1)),
                     &topo,
                     &dev,
-                    SimTime::ZERO,
                 )
             })
         });

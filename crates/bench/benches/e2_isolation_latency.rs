@@ -123,8 +123,9 @@ fn summary() {
         ],
     );
 
-    // Parallel fan-out: one event to 4 isolated apps, sequential deliver
-    // vs deliver_fanout (stubs process concurrently on their threads).
+    // Parallel fan-out: one event to 4 isolated apps, one blocking
+    // deliver each vs queue-all-then-collect (stubs process concurrently
+    // on their threads).
     let mut p = proxy();
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -140,7 +141,7 @@ fn summary() {
     });
     let fan_us = time_deliveries(500, |i| {
         let ev = workloads::bench_packet_in(i);
-        let _ = p.deliver_fanout(&handles, &ev, &topo, &dev, SimTime::ZERO);
+        let _ = workloads::fan_out(&mut p, &handles, &ev, &topo, &dev);
     });
     eprintln!(
         "fan-out to 4 isolated apps: sequential {seq_us:.1} us/event, \

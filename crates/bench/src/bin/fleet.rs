@@ -23,10 +23,10 @@ use legosdn::appvisor::{
 };
 use legosdn::controller::event::Event;
 use legosdn::controller::services::{DeviceView, TopologyView};
-use legosdn::netsim::SimTime;
 use legosdn::openflow::DatapathId;
 use legosdn_bench::args::{parse_or_exit, ArgWalker, IoArgs};
 use legosdn_bench::print_table;
+use legosdn_bench::workloads::fan_out;
 
 struct FleetConfig {
     apps: usize,
@@ -140,15 +140,15 @@ fn main() {
     let mut failed = 0u64;
     let fanout_start = Instant::now();
     for _ in 0..cfg.rounds {
-        let results = proxy.deliver_fanout(
+        let results = fan_out(
+            &mut proxy,
             &handles,
             &Event::SwitchUp(DatapathId(1)),
             &topo,
             &dev,
-            SimTime::ZERO,
         );
         for r in results {
-            match r.outcome {
+            match r {
                 Ok(DeliverOutcome::Commands(_)) => delivered += 1,
                 other => {
                     failed += 1;

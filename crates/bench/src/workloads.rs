@@ -3,9 +3,43 @@
 //! link-flap storm) used by `e16_table_scale` and the check.sh fat-tree
 //! smoke.
 
+use legosdn::appvisor::{AppHandle, AppVisorProxy, DeliverOutcome, ProxyError};
+use legosdn::controller::services::{DeviceView, TopologyView};
 use legosdn::netsim::{HostSpec, NetEvent};
 use legosdn::prelude::*;
 use legosdn_testkit::Rng;
+
+/// Fan one event out to a fleet of stubs the way the dispatch window
+/// does — queue it on every stub, then collect every ack, so the stubs
+/// process concurrently. One outcome per handle, in order.
+pub fn fan_out(
+    proxy: &mut AppVisorProxy,
+    handles: &[AppHandle],
+    event: &Event,
+    topology: &TopologyView,
+    devices: &DeviceView,
+) -> Vec<Result<DeliverOutcome, ProxyError>> {
+    let tags: Vec<_> = handles
+        .iter()
+        .map(|&h| proxy.queue_deliver(h, event, topology, devices, SimTime::ZERO))
+        .collect();
+    handles
+        .iter()
+        .zip(tags)
+        .map(|(&h, tag)| match tag? {
+            Some(seq) => proxy.collect_deliver(h, seq),
+            None => Ok(DeliverOutcome::CommFailure),
+        })
+        .collect()
+}
+
+/// How many of a [`fan_out`]'s deliveries came back with commands.
+pub fn delivered(outcomes: &[Result<DeliverOutcome, ProxyError>]) -> usize {
+    outcomes
+        .iter()
+        .filter(|r| matches!(r, Ok(DeliverOutcome::Commands(_))))
+        .count()
+}
 
 /// A booted network + LegoSDN runtime pair on a linear topology.
 pub fn lego_on_linear(

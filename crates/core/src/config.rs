@@ -61,21 +61,23 @@ impl IsolationMode {
     }
 }
 
-/// How `dispatch_event` moves one event through the app roster.
+/// Which dispatcher moves events through the app roster.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// One blocking Crash-Pad round-trip per app, in attach order — the
-    /// original monolithic loop. Simple and the reference for
-    /// determinism.
+    /// The reference: one blocking Crash-Pad round-trip per (event, app),
+    /// in translation and attach order, on the calling thread. The
+    /// determinism suites hold [`DispatchMode::Pipelined`] to its
+    /// residue; it ignores `window` and `workers`.
     Sequential,
-    /// Phased pipeline: checkpoint all selected apps up front, fan the
-    /// event out to isolated stubs concurrently (local sandboxes run
-    /// inline while the stubs work), gather outcomes and recover only
-    /// the failures, then commit each app's commands through NetLog in
-    /// attach order. Network state and transaction order are identical
-    /// to `Sequential`; wall time per event is bounded by the slowest
-    /// app instead of the sum. The default since the determinism sweep
-    /// proved it observationally identical to `Sequential`.
+    /// The dispatch engine: each event is queued on every isolated stub
+    /// before any ack is collected (local sandboxes run inline while the
+    /// stubs work), outcomes are gathered and only the failures
+    /// recovered, and each app's commands commit through NetLog in
+    /// (event, attach) order. Network state and transaction order are
+    /// identical to `Sequential`; wall time per event is bounded by the
+    /// slowest app instead of the sum. `window` lets deliveries of later
+    /// events overlap the commits of earlier ones, `workers` spreads the
+    /// apps over threads.
     #[default]
     Pipelined,
 }
@@ -100,9 +102,9 @@ impl DispatchMode {
 /// txlog, and runtime counters bit-identical to `Sequential`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchWindow {
-    /// Events in flight at once. `1` (the default) is the single-event
-    /// pipeline; values above 1 overlap delivery of later events with
-    /// gather/commit of earlier ones.
+    /// Events in flight at once. `1` (the default) delivers and commits
+    /// one event at a time; values above 1 overlap delivery of later
+    /// events with gather/commit of earlier ones.
     pub depth: usize,
 }
 
@@ -134,17 +136,16 @@ pub struct DispatchConfig {
     pub window: DispatchWindow,
     /// Worker shards: apps are partitioned across `workers` shards by a
     /// load-aware balancer, each with its own AppVisor proxy, Crash-Pad,
-    /// and window machinery (DESIGN.md §13, §15). `1` (the default) runs
-    /// the single-threaded engine; values above 1 take effect under
+    /// and window machinery (DESIGN.md §9). `1` (the default) runs the
+    /// engine on the calling thread; values above 1 take effect under
     /// [`DispatchMode::Pipelined`] and commit through the cross-shard
     /// barrier, bit-identical to the sequential reference.
     pub workers: usize,
     /// Cross-cycle windowing: one `run_cycle` call may consume follow-on
     /// events triggered by its own commits, up to `lookahead_cycles ×`
     /// the cycle's initial event count, instead of draining the window
-    /// at every cycle boundary (DESIGN.md §15). `1` (the default) is
-    /// today's behavior — a cycle processes exactly the events queued
-    /// when it started. Applies identically in every dispatch mode, so
+    /// at every cycle boundary (DESIGN.md §9). `1` (the default) means a
+    /// cycle processes exactly the events queued when it started. Applies identically in every dispatch mode, so
     /// sharded runs stay bit-identical to the sequential reference at
     /// the same lookahead.
     pub lookahead_cycles: usize,

@@ -21,32 +21,38 @@
 //! Crashes never propagate: the controller core and every other app keep
 //! running — the paper's two fate-sharing relationships are gone.
 //!
-//! Apps are partitioned across `dispatch.workers` shards (DESIGN.md §13):
+//! One engine runs that story (DESIGN.md §9): the cycle's `Feed` hands
+//! out raw events one at a time, each translated event becomes a slot of
+//! the dispatch window, and a `WorkerRun` per shard fills and commits
+//! the window. Apps are partitioned across `dispatch.workers` shards:
 //! each [`crate::workers::WorkerShard`] owns its own AppVisor proxy and
-//! Crash-Pad, and under pipelined dispatch each worker runs the window
-//! machinery on its own thread, committing through the shared
-//! [`legosdn_netlog::CommitBarrier`] so the output stays bit-identical to
-//! the single-threaded reference.
+//! Crash-Pad, and every commit goes through the shared
+//! [`legosdn_netlog::CommitBarrier`], so the output stays bit-identical to
+//! the single-threaded reference in `reference.rs`.
 
 use crate::config::{DispatchMode, IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::{Host, ProxyAdapter};
 use crate::workers::{
-    commit_outcome, delivery_label, select_app, AppRecord, CommitLane, ShardApp, ShardCtx,
-    ShardRouter, SlotStore, WarmCheck, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
+    AppRecord, CommitLane, CoreMetrics, ShardApp, ShardMetrics, ShardRouter, SlotStore, WarmCheck,
+    Window, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
 };
-use legosdn_appvisor::{AppHandle, AppVisorProxy, TransportKind};
+use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
 use legosdn_controller::event::Event;
 use legosdn_controller::translate::EventTranslator;
-use legosdn_crashpad::{CrashPad, DeliveryResult, DispatchResult, LocalSandbox, RecoverableApp};
+use legosdn_crashpad::{CrashPad, LocalSandbox};
 use legosdn_invariants::Checker;
 use legosdn_netlog::{CommitBarrier, NetLog};
-use legosdn_obs::{Obs, TraceId};
+use legosdn_netsim::{NetEvent, Network};
+use legosdn_obs::{Counter, Obs, TraceId};
 use legosdn_openflow::prelude::Message;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+#[path = "reference.rs"]
+mod reference;
 
 /// Identifier of an attached app.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -120,25 +126,11 @@ impl fmt::Display for AttachError {
 
 impl std::error::Error for AttachError {}
 
-/// A [`ShardCtx`] over one of `self`'s shards, splitting the borrow so
-/// sibling fields (`report`, `netlog`, `translator`) stay usable in the
-/// same expression.
-macro_rules! shard_cx {
-    ($self:ident, $w:expr) => {
-        ShardCtx {
-            shard: &mut $self.shards[$w],
-            stats: &mut $self.stats,
-            obs: &$self.obs,
-            checker: $self.checker.as_ref(),
-            shutdown_on_no_compromise: $self.config.shutdown_network_on_no_compromise,
-        }
-    };
-}
-
 /// The LegoSDN runtime.
 pub struct LegoSdnRuntime {
     config: LegoSdnConfig,
-    translator: EventTranslator,
+    /// The controller core's translator and the cycle's raw-event feed.
+    feed: Feed,
     netlog: NetLog,
     checker: Option<Checker>,
     /// The checker's memory of the network it last checked; handed out
@@ -150,9 +142,7 @@ pub struct LegoSdnRuntime {
     router: ShardRouter,
     stats: RuntimeStats,
     obs: Obs,
-    /// Translated events seen by the trace sampler (monotonic; doubles as
-    /// the `seq` half of [`TraceId`], so ids stay unique across cycles).
-    trace_seen: u64,
+    metrics: CoreMetrics,
     /// First transaction id of the next cycle. Every dispatch mode
     /// advances it identically (`events × apps × TXS_PER_POS` per cycle),
     /// so transaction ids are a pure function of the event/app position —
@@ -166,7 +156,7 @@ pub struct LegoSdnRuntime {
     notify_flows_seen: bool,
     /// Per-app-name dispatch-cost EWMA (nanoseconds), integrated from
     /// the `dispatch_app_ns` histograms the workers feed. Drives the
-    /// load-aware shard balancer (DESIGN.md §15). Placement is
+    /// load-aware shard balancer (DESIGN.md §9). Placement is
     /// residue-independent (commits are admitted in global position
     /// order), so this timing-derived signal cannot perturb the
     /// determinism contract.
@@ -204,18 +194,29 @@ impl LegoSdnRuntime {
                 proxy_config.worker = id;
                 let mut proxy = AppVisorProxy::new(proxy_config);
                 proxy.set_obs(obs.clone());
+                let label = if workers > 1 {
+                    format!("w{id}")
+                } else {
+                    String::new()
+                };
                 WorkerShard {
                     id,
                     proxy,
                     crashpad,
                     apps: Vec::new(),
+                    metrics: ShardMetrics::resolve(&obs, &label),
                 }
             })
             .collect();
+        let metrics = CoreMetrics::resolve(&obs);
         obs.gauge("core", "workers", "")
             .set(i64::try_from(workers).unwrap_or(i64::MAX));
         LegoSdnRuntime {
-            translator: EventTranslator::new(),
+            feed: Feed::new(
+                obs.clone(),
+                Arc::clone(&metrics.events_translated),
+                config.obs.trace_sample,
+            ),
             netlog,
             checker: config.checker.clone(),
             warm_check: WarmCheck::new(&obs),
@@ -223,36 +224,13 @@ impl LegoSdnRuntime {
             router: ShardRouter::default(),
             stats: RuntimeStats::default(),
             obs,
-            trace_seen: 0,
+            metrics,
             txid_cursor: 1,
             notify_flows_seen: false,
             cost_ewma: HashMap::new(),
             cost_prev: HashMap::new(),
             config,
         }
-    }
-
-    /// Sampling gate for the flight recorder: begin a trace for this
-    /// event if it is the `trace_sample`th since the last traced one.
-    /// Returns the id for scope switching (`None`: not sampled).
-    /// Recorder scopes are per-thread, so sampling works at any worker
-    /// count — each worker tags its own slice of the window with the
-    /// event's trace id.
-    fn trace_for_event(&mut self, event: &Event) -> Option<TraceId> {
-        let sample = self.config.obs.trace_sample;
-        if sample == 0 {
-            return None;
-        }
-        self.trace_seen += 1;
-        if !(self.trace_seen - 1).is_multiple_of(sample) {
-            return None;
-        }
-        let id = TraceId {
-            cycle: self.stats.cycles,
-            seq: self.trace_seen,
-        };
-        self.obs.trace_begin(id, &format!("{:?}", event.kind()));
-        Some(id)
     }
 
     /// Build a push frame of this runtime's observability state for
@@ -331,12 +309,13 @@ impl LegoSdnRuntime {
         shard.apps.push(ShardApp {
             global,
             rec: AppRecord {
-                name,
                 subscriptions,
                 host,
                 status: AppStatus::Running,
                 limits,
                 usage: ResourceUsage::default(),
+                dispatch_ns: self.obs.histogram("core", "dispatch_app_ns", &name),
+                name,
             },
         });
         let local = shard.apps.len() - 1;
@@ -426,7 +405,7 @@ impl LegoSdnRuntime {
     /// The controller core's views.
     #[must_use]
     pub fn translator(&self) -> &EventTranslator {
-        &self.translator
+        &self.feed.translator
     }
 
     /// The controller is never crashed by app failures; this exists for
@@ -438,130 +417,46 @@ impl LegoSdnRuntime {
 
     /// Drain network events, translate, and dispatch under full protection.
     ///
-    /// Under [`DispatchMode::Pipelined`] with a window depth above 1 — or
-    /// more than one worker shard — the whole burst is translated up
-    /// front and dispatched through the cross-event window scheduler
-    /// (per-worker under shards); otherwise each raw event's translations
-    /// dispatch before the next raw is translated (the original loop).
-    /// [`DispatchMode::Sequential`] always runs the single-threaded
-    /// reference, whatever the worker count.
+    /// The polled burst — and, while `lookahead_cycles` allows, the
+    /// follow-on events its own commits enqueue — reaches the apps
+    /// through the cycle's `Feed` and the dispatch window.
+    /// [`DispatchMode::Sequential`] runs the single-threaded reference
+    /// over the same feed instead, whatever the depth or worker count.
     pub fn run_cycle(&mut self, net: &mut Network) -> LegoCycleReport {
-        let _span = self.obs.span("core.run_cycle");
+        let _span = self.metrics.run_cycle.start();
         let started = Instant::now();
         // Placement changes only ever land here, at a cycle boundary —
         // never while a window is in flight.
         self.rebalance_shards();
         self.stats.cycles += 1;
         let mut report = LegoCycleReport::default();
-        let lookahead = self.config.dispatch.lookahead_cycles.max(1);
-        let windowed = self.config.dispatch.mode == DispatchMode::Pipelined
-            && (self.config.dispatch.window.depth > 1 || self.shards.len() > 1);
-        if windowed {
-            let slots = self.translate_burst(net, &mut report);
-            self.dispatch_windowed(net, slots, lookahead, &mut report);
-        } else {
-            let tx_cycle_base = self.txid_cursor;
-            let n_apps = self.router.len() as u64;
-            for raw in net.poll_events() {
-                let events = self.translator.process(net, raw);
-                self.stats.events_translated += events.len() as u64;
-                self.obs
-                    .counter("core", "events_translated", "")
-                    .add(events.len() as u64);
-                for ev in events {
-                    let ordinal = report.events as u64;
-                    report.events += 1;
-                    let trace = self.trace_for_event(&ev);
-                    self.obs.trace_scope(trace);
-                    let tx_event_base = tx_cycle_base + ordinal * n_apps * TXS_PER_POS;
-                    self.dispatch_event(net, &ev, &mut report, tx_event_base);
-                    self.obs.trace_scope(None);
-                }
-            }
-            // Cross-cycle windowing on the per-event path (DESIGN.md
-            // §15): keep dispatching the follow-on events this cycle's
-            // commits triggered, up to `lookahead_cycles` bursts'
-            // worth, for as long as their translation is pure. The cap
-            // is checked before each raw pop, so one raw translating
-            // to several events may overshoot it — exactly like the
-            // windowed scheduler, which keeps the two paths
-            // bit-identical at matching lookahead.
-            let cap = report.events.saturating_mul(lookahead);
-            while report.events < cap {
-                let Some(raw) = net.peek_event() else { break };
-                if !extendable(raw) {
-                    break;
-                }
-                let raw = net.pop_event().expect("peeked above");
-                let events = self.translator.process(net, raw);
-                self.stats.events_translated += events.len() as u64;
-                self.obs
-                    .counter("core", "events_translated", "")
-                    .add(events.len() as u64);
-                for ev in events {
-                    let ordinal = report.events as u64;
-                    report.events += 1;
-                    let trace = self.trace_for_event(&ev);
-                    self.obs.trace_scope(trace);
-                    let tx_event_base = tx_cycle_base + ordinal * n_apps * TXS_PER_POS;
-                    self.dispatch_event(net, &ev, &mut report, tx_event_base);
-                    self.obs.trace_scope(None);
-                }
-            }
+        let burst = net.poll_events();
+        if !burst.is_empty() {
+            let lookahead = self.config.dispatch.lookahead_cycles.max(1);
+            self.feed.begin(burst, lookahead, self.stats.cycles);
+            self.dispatch_feed(net, &mut report);
+            self.stats.events_translated += report.events as u64;
         }
-        self.txid_cursor += report.events as u64 * self.router.len() as u64 * TXS_PER_POS;
         report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         report
-    }
-
-    /// Translate the cycle's entire raw-event burst up front, snapshotting
-    /// the translator's views per event so each delivery sees exactly the
-    /// views sequential dispatch would have handed it. `Network::now()`
-    /// only advances via an explicit `advance()`, so the captured `now` is
-    /// constant across the cycle either way.
-    fn translate_burst(
-        &mut self,
-        net: &mut Network,
-        report: &mut LegoCycleReport,
-    ) -> Vec<WindowSlot> {
-        let cycle = self.stats.cycles;
-        let mut bt = BurstTranslator {
-            translator: &mut self.translator,
-            stats: &mut self.stats,
-            obs: &self.obs,
-            trace_seen: &mut self.trace_seen,
-            trace_sample: self.config.obs.trace_sample,
-            cycle,
-        };
-        let mut slots = Vec::new();
-        for raw in net.poll_events() {
-            report.events += bt.translate_raw(net, raw, &mut slots);
-        }
-        slots
     }
 
     /// Integrate the newest `dispatch_app_ns` observations into the
     /// per-app-name cost EWMA (integer, 3/4 old + 1/4 new).
     fn refresh_app_costs(&mut self) {
-        let names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.apps.iter().map(|a| a.rec.name.clone()))
-            .collect();
-        for name in names {
-            let h = self.obs.histogram("core", "dispatch_app_ns", &name);
-            let (sum, count) = (h.sum(), h.count());
-            let (psum, pcount) = self.cost_prev.get(&name).copied().unwrap_or((0, 0));
+        for rec in self.shards.iter().flat_map(|s| &s.apps).map(|a| &a.rec) {
+            let (sum, count) = (rec.dispatch_ns.sum(), rec.dispatch_ns.count());
+            let (psum, pcount) = self.cost_prev.get(&rec.name).copied().unwrap_or((0, 0));
             if count > pcount {
                 let avg = sum.saturating_sub(psum) / (count - pcount);
-                let e = self.cost_ewma.entry(name.clone()).or_insert(avg);
+                let e = self.cost_ewma.entry(rec.name.clone()).or_insert(avg);
                 *e = (*e * 3 + avg) / 4;
-                self.cost_prev.insert(name, (sum, count));
+                self.cost_prev.insert(rec.name.clone(), (sum, count));
             }
         }
     }
 
-    /// Load-aware shard re-balance (DESIGN.md §15): refresh the per-app
+    /// Load-aware shard re-balance (DESIGN.md §9): refresh the per-app
     /// cost EWMA, export per-worker load gauges, and — when a
     /// first-fit-decreasing plan improves the bottleneck load by more
     /// than 10% — migrate apps (with their Crash-Pad checkpoint state)
@@ -683,285 +578,47 @@ impl LegoSdnRuntime {
         self.obs.counter("core", "rebalance_count", "").inc();
     }
 
-    /// Deliver a Tick to subscribed apps.
+    /// Deliver a Tick to subscribed apps: a cycle whose feed is the one
+    /// Tick.
     pub fn tick_apps(&mut self, net: &mut Network) -> LegoCycleReport {
-        let _span = self.obs.span("core.tick_apps");
+        let _span = self.metrics.tick_apps.start();
         let started = Instant::now();
         self.stats.cycles += 1;
         let mut report = LegoCycleReport::default();
-        let ev = Event::Tick(net.now());
-        report.events += 1;
-        let trace = self.trace_for_event(&ev);
-        self.obs.trace_scope(trace);
-        let tx_event_base = self.txid_cursor;
-        self.dispatch_event(net, &ev, &mut report, tx_event_base);
-        self.obs.trace_scope(None);
-        self.txid_cursor += self.router.len() as u64 * TXS_PER_POS;
+        self.feed
+            .begin_tick(Event::Tick(net.now()), self.stats.cycles);
+        self.dispatch_feed(net, &mut report);
         report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         report
     }
 
-    fn dispatch_event(
-        &mut self,
-        net: &mut Network,
-        event: &Event,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
+    /// Dispatch everything the feed yields this cycle, and advance the
+    /// transaction-id cursor past the cycle's positions.
+    fn dispatch_feed(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
         match self.config.dispatch.mode {
-            DispatchMode::Sequential => self.dispatch_sequential(net, event, report, tx_event_base),
-            DispatchMode::Pipelined => self.dispatch_pipelined(net, event, report, tx_event_base),
+            DispatchMode::Sequential => self.run_reference(net, report),
+            DispatchMode::Pipelined => self.run_window(net, report),
         }
+        report.events = self.feed.events;
+        self.txid_cursor += report.events as u64 * self.router.len() as u64 * TXS_PER_POS;
     }
 
-    /// Commit one app's outcome on the per-event (non-windowed) path:
-    /// live translator views, position-derived transaction ids, sticky
-    /// notify-flag bookkeeping.
-    fn commit_on_lane(
-        &mut self,
-        net: &mut Network,
-        global: usize,
-        event: &Event,
-        result: DispatchResult,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let (w, l) = self.router.loc(global);
-        let mut lane = CommitLane {
-            net,
-            netlog: &mut self.netlog,
-            check: &mut self.warm_check,
-            notify_seen: false,
-        };
-        let mut cx = shard_cx!(self, w);
-        commit_outcome(
-            &mut cx,
-            &mut lane,
-            l,
-            event,
-            result,
-            report,
-            (&self.translator.topology, &self.translator.devices),
-            tx_event_base + global as u64 * TXS_PER_POS,
-        );
-        let notify = lane.notify_seen;
-        self.notify_flows_seen |= notify;
-    }
-
-    /// The original monolithic loop: one blocking Crash-Pad round-trip
-    /// per app, in attach order.
-    fn dispatch_sequential(
-        &mut self,
-        net: &mut Network,
-        event: &Event,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let kind = event.kind();
-        for global in 0..self.router.len() {
-            let (w, l) = self.router.loc(global);
-            if !select_app(&mut shard_cx!(self, w), l, kind) {
-                continue;
-            }
-            self.dispatch_to_app(net, global, event, report, tx_event_base);
-        }
-    }
-
-    /// Phased pipeline over the same roster (see [`DispatchMode`]):
+    /// The dispatch engine (DESIGN.md §9): up to `dispatch.window.depth`
+    /// slots are in flight per worker at once. Each worker runs the
+    /// two-cursor fill/commit machinery over its own shard's apps and
+    /// pulls the next raw off the shared feed when its fill cursor wants
+    /// a slot; commits synchronize through the [`CommitBarrier`] in
+    /// global (event, attach) position order — or overtake it on the
+    /// provably-disjoint fastpath — so network state, the txlog, and
+    /// runtime counters stay bit-identical to the sequential reference.
     ///
-    /// - **prepare**: select apps, checkpoint each if due;
-    /// - **deliver**: fan the event out to isolated stubs per shard (they
-    ///   process on their own threads), run local sandboxes inline
-    ///   meanwhile;
-    /// - **gather**: classify each outcome through Crash-Pad in attach
-    ///   order — restore/replay/transform runs only for failed apps;
-    /// - **commit**: NetLog transactions + byzantine gate per app, in
-    ///   attach order.
-    ///
-    /// Deliveries read only the translator's views and per-app state, so
-    /// overlapping them cannot be observed by the apps; everything that
-    /// touches the network — commits, byzantine recovery, No-Compromise
-    /// shutdown — stays serialized in attach order. Network state and
-    /// NetLog transaction order are therefore identical to
-    /// [`DispatchMode::Sequential`] (the determinism integration test
-    /// holds both modes to that).
-    fn dispatch_pipelined(
-        &mut self,
-        net: &mut Network,
-        event: &Event,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let kind = event.kind();
-        let now = net.now();
-        self.obs
-            .counter("core", "pipelined_dispatch_rounds", "")
-            .inc();
-
-        // Phase A — prepare: selection, then up-front checkpoints.
-        let selected: Vec<usize> = {
-            let _span = self.obs.span("core.dispatch_prepare");
-            let selected: Vec<usize> = (0..self.router.len())
-                .filter(|&g| {
-                    let (w, l) = self.router.loc(g);
-                    select_app(&mut shard_cx!(self, w), l, kind)
-                })
-                .collect();
-            for &g in &selected {
-                let (w, l) = self.router.loc(g);
-                let shard = &mut self.shards[w];
-                let name = shard.apps[l].rec.name.clone();
-                match &mut shard.apps[l].rec.host {
-                    Host::Local(sandbox) => shard.crashpad.prepare(sandbox, &name),
-                    Host::Isolated(handle) => {
-                        let mut adapter = ProxyAdapter {
-                            proxy: &mut shard.proxy,
-                            handle: *handle,
-                        };
-                        shard.crashpad.prepare(&mut adapter, &name);
-                    }
-                }
-            }
-            selected
-        };
-
-        // Phase B — deliver: each shard's stubs get their frames first so
-        // they start processing; local sandboxes run inline while the
-        // stubs work; then collect the stub outcomes.
-        let mut deliveries: Vec<Option<DeliveryResult>> =
-            (0..selected.len()).map(|_| None).collect();
-        {
-            let _span = self.obs.span("core.dispatch_deliver");
-            let mut stub_slots: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-            let mut stub_handles: Vec<Vec<AppHandle>> = vec![Vec::new(); self.shards.len()];
-            for (pos, &g) in selected.iter().enumerate() {
-                let (w, l) = self.router.loc(g);
-                if let Host::Isolated(h) = &self.shards[w].apps[l].rec.host {
-                    stub_slots[w].push(pos);
-                    stub_handles[w].push(*h);
-                }
-            }
-            let tickets: Vec<_> = (0..self.shards.len())
-                .map(|w| {
-                    (!stub_handles[w].is_empty()).then(|| {
-                        self.shards[w].proxy.fanout_send(
-                            &stub_handles[w],
-                            event,
-                            &self.translator.topology,
-                            &self.translator.devices,
-                            now,
-                        )
-                    })
-                })
-                .collect();
-            for (pos, &g) in selected.iter().enumerate() {
-                let (w, l) = self.router.loc(g);
-                let name = self.shards[w].apps[l].rec.name.clone();
-                if let Host::Local(sandbox) = &mut self.shards[w].apps[l].rec.host {
-                    self.obs.trace_event("send", &name, "local");
-                    let delivery = sandbox.deliver(
-                        event,
-                        &self.translator.topology,
-                        &self.translator.devices,
-                        now,
-                    );
-                    self.obs
-                        .trace_event("collect", &name, delivery_label(&delivery));
-                    deliveries[pos] = Some(delivery);
-                }
-            }
-            for (w, ticket) in tickets.into_iter().enumerate() {
-                if let Some(ticket) = ticket {
-                    for (&pos, d) in stub_slots[w]
-                        .iter()
-                        .zip(self.shards[w].proxy.fanout_collect(ticket))
-                    {
-                        deliveries[pos] = Some(outcome_to_delivery_outcome(d));
-                    }
-                }
-            }
-        }
-
-        // Phase C — gather: Crash-Pad bookkeeping per app in attach
-        // order; restore + policy transform/replay only for failures.
-        let outcomes: Vec<DispatchResult> = {
-            let _span = self.obs.span("core.dispatch_gather");
-            selected
-                .iter()
-                .zip(deliveries)
-                .map(|(&g, delivery)| {
-                    let delivery = delivery.expect("every selected app was delivered");
-                    let (w, l) = self.router.loc(g);
-                    let shard = &mut self.shards[w];
-                    let name = shard.apps[l].rec.name.clone();
-                    match &mut shard.apps[l].rec.host {
-                        Host::Local(sandbox) => shard.crashpad.complete(
-                            sandbox,
-                            &name,
-                            event,
-                            delivery,
-                            &self.translator.topology,
-                            &self.translator.devices,
-                            now,
-                        ),
-                        Host::Isolated(handle) => {
-                            let mut adapter = ProxyAdapter {
-                                proxy: &mut shard.proxy,
-                                handle: *handle,
-                            };
-                            shard.crashpad.complete(
-                                &mut adapter,
-                                &name,
-                                event,
-                                delivery,
-                                &self.translator.topology,
-                                &self.translator.devices,
-                                now,
-                            )
-                        }
-                    }
-                })
-                .collect()
-        };
-
-        // Phase D — commit: network effects in attach order, exactly as
-        // sequential dispatch would issue them.
-        let _span = self.obs.span("core.dispatch_commit");
-        for (&g, result) in selected.iter().zip(outcomes) {
-            self.commit_on_lane(net, g, event, result, report, tx_event_base);
-        }
-    }
-
-    /// Cross-event window scheduler (DESIGN.md §10, sharded per §13,
-    /// cross-cycle per §15): up to `dispatch.window.depth` slots are in
-    /// flight per worker at once. Each worker runs the two-cursor
-    /// fill/commit machinery over its own shard's apps; commits
-    /// synchronize through the [`CommitBarrier`] in global (event,
-    /// attach) position order — or overtake it on the provably-disjoint
-    /// fastpath — so network state, the txlog, and runtime counters stay
-    /// bit-identical to the sequential reference.
-    ///
-    /// With `lookahead_cycles > 1` the window grows past the initial
-    /// burst while commits are still in flight: the runtime pops
-    /// follow-on events off the net queue as soon as their translation
-    /// is pure (cannot observe mid-window state out of order), appends
-    /// them to the shared [`SlotStore`], and the workers' send cursors
-    /// run ahead across what used to be a cycle boundary.
-    fn dispatch_windowed(
-        &mut self,
-        net: &mut Network,
-        slots: Vec<WindowSlot>,
-        lookahead: usize,
-        report: &mut LegoCycleReport,
-    ) {
-        if slots.is_empty() {
-            return;
-        }
+    /// A single worker runs inline on this thread; worker shards run on
+    /// `lego-worker-N` scoped threads.
+    fn run_window(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
         let depth = self.config.dispatch.window.depth.max(1);
-        self.obs
-            .gauge("core", "window_depth", "")
+        self.metrics
+            .window_depth
             .set(i64::try_from(depth).unwrap_or(i64::MAX));
-        let n_apps = self.router.len();
         let sharded = self.shards.len() > 1;
         // The fastpath needs commit-time effects to be exactly the
         // declared touch: a checker observes (and byz-recovery rewrites)
@@ -970,199 +627,75 @@ impl LegoSdnRuntime {
         // forces full ordering.
         let fastpath = sharded && self.checker.is_none() && !self.notify_flows_seen;
         let barrier = CommitBarrier::new(fastpath);
-        let tx_cycle_base = self.txid_cursor;
-        let checker = self.checker.as_ref();
-        let shutdown_on_no_compromise = self.config.shutdown_network_on_no_compromise;
-        let obs = self.obs.clone();
-        // Event cap of the lookahead window: checked before each raw
-        // pop, so one raw translating to several events may overshoot.
-        let cap = slots.len().saturating_mul(lookahead);
-        let store = SlotStore::new(slots);
-        let can_extend = cap > store.len();
-        let cycle = self.stats.cycles;
-        let mut bt = BurstTranslator {
-            translator: &mut self.translator,
-            stats: &mut self.stats,
-            obs: &self.obs,
-            trace_seen: &mut self.trace_seen,
-            trace_sample: self.config.obs.trace_sample,
-            cycle,
-        };
+        let store = SlotStore::default();
+        let feed = Mutex::new(&mut self.feed);
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
             check: &mut self.warm_check,
             notify_seen: false,
         });
-        let mut deltas: Vec<(RuntimeStats, LegoCycleReport)> =
-            Vec::with_capacity(self.shards.len());
-        if !sharded {
-            let mut run = WorkerRun {
-                shard: &mut self.shards[0],
-                store: &store,
-                barrier: &barrier,
-                lane: &lane,
-                obs: obs.clone(),
-                checker,
-                shutdown_on_no_compromise,
-                depth,
-                n_apps,
-                tx_cycle_base,
-                sharded: false,
-                wait_more: false,
-                wl: String::new(),
-                stats: RuntimeStats::default(),
-                report: LegoCycleReport::default(),
-                pending: Vec::new(),
-                inflight: Vec::new(),
-                next_send: 0,
-                commit_pos: 0,
-            };
-            // Drain/extend alternation: each run() commits every slot
-            // the store holds; each extension appends the follow-on
-            // events those commits triggered.
-            loop {
-                run.run();
-                if !can_extend || extend_window(&mut bt, &lane, &store, cap, report) == 0 {
-                    break;
-                }
-            }
-            deltas.push((run.stats, run.report));
+        let win = Window {
+            store: &store,
+            feed: &feed,
+            barrier: &barrier,
+            lane: &lane,
+            obs: &self.obs,
+            metrics: &self.metrics,
+            checker: self.checker.as_ref(),
+            shutdown_on_no_compromise: self.config.shutdown_network_on_no_compromise,
+            depth,
+            n_apps: self.router.len(),
+            tx_cycle_base: self.txid_cursor,
+            sharded,
+        };
+        let mut absorb = |run: WorkerRun<'_, '_>| {
+            self.stats.absorb(&run.stats);
+            report.commands += run.report.commands;
+            report.recoveries += run.report.recoveries;
+            report.byzantine_blocked += run.report.byzantine_blocked;
+        };
+        if let [shard] = &mut self.shards[..] {
+            let mut run = WorkerRun::new(shard, win);
+            run.run();
+            absorb(run);
         } else {
-            if !can_extend {
-                // The window can never grow: close up front so workers
-                // drain the burst and exit without parking.
-                store.close();
-            }
+            // Start the workers with work instead of a race for the feed
+            // (with no app anywhere, this session is the whole cycle).
+            win.top_up(0);
             std::thread::scope(|scope| {
+                // A shard without apps owns no position, so nothing ties
+                // its cursor to the barrier's: it would fall behind the
+                // slots being released. It has nothing to run either.
                 let handles: Vec<_> = self
                     .shards
                     .iter_mut()
+                    .filter(|shard| !shard.apps.is_empty())
                     .map(|shard| {
-                        let worker = shard.id;
-                        let obs = obs.clone();
-                        let barrier = &barrier;
-                        let lane = &lane;
-                        let store = &store;
                         std::thread::Builder::new()
-                            .name(format!("lego-worker-{worker}"))
+                            .name(format!("lego-worker-{}", shard.id))
                             .spawn_scoped(scope, move || {
-                                let mut run = WorkerRun {
-                                    shard,
-                                    store,
-                                    barrier,
-                                    lane,
-                                    obs,
-                                    checker,
-                                    shutdown_on_no_compromise,
-                                    depth,
-                                    n_apps,
-                                    tx_cycle_base,
-                                    sharded: true,
-                                    wait_more: true,
-                                    wl: format!("w{worker}"),
-                                    stats: RuntimeStats::default(),
-                                    report: LegoCycleReport::default(),
-                                    pending: Vec::new(),
-                                    inflight: Vec::new(),
-                                    next_send: 0,
-                                    commit_pos: 0,
-                                };
+                                let mut run = WorkerRun::new(shard, win);
                                 run.run();
-                                (run.stats, run.report)
+                                run
                             })
                             .expect("spawn worker thread")
                     })
                     .collect();
-                if can_extend {
-                    // Extension loop. The commit cursor is read BEFORE
-                    // each drain attempt, so a commit landing between
-                    // the drain and the wait advances the cursor past
-                    // the snapshot and `wait_cursor_past` returns
-                    // immediately — the close can never be missed.
-                    // Deadlock-free: workers take the barrier before
-                    // the lane, and this thread never holds the lane
-                    // while waiting on the barrier.
-                    loop {
-                        let cursor = barrier.cursor();
-                        if extend_window(&mut bt, &lane, &store, cap, report) > 0 {
-                            continue;
-                        }
-                        if cursor >= (store.len() * n_apps) as u64 {
-                            break;
-                        }
-                        barrier.wait_cursor_past(cursor);
-                    }
-                    store.close();
-                }
                 for handle in handles {
-                    deltas.push(handle.join().expect("worker thread panicked"));
+                    absorb(handle.join().expect("worker thread panicked"));
                 }
             });
         }
         let lane = lane.into_inner().expect("commit lane poisoned");
         self.notify_flows_seen |= lane.notify_seen;
-        for (stats, delta) in deltas {
-            self.stats.absorb(&stats);
-            report.commands += delta.commands;
-            report.recoveries += delta.recoveries;
-            report.byzantine_blocked += delta.byzantine_blocked;
-        }
         let bs = barrier.stats();
-        self.obs
-            .counter("netlog", "barrier_fastpath_commits", "")
-            .add(bs.fastpath_commits);
-        self.obs
-            .counter("netlog", "barrier_ordered_commits", "")
-            .add(bs.ordered_commits);
-        self.obs
-            .counter("netlog", "barrier_elided_positions", "")
-            .add(bs.elided_positions);
-        self.obs
-            .counter("netlog", "barrier_shared_switch_conflicts", "")
+        let m = &self.metrics;
+        m.barrier_fastpath_commits.add(bs.fastpath_commits);
+        m.barrier_ordered_commits.add(bs.ordered_commits);
+        m.barrier_elided_positions.add(bs.elided_positions);
+        m.barrier_shared_switch_conflicts
             .add(bs.shared_switch_conflicts);
-    }
-
-    fn dispatch_to_app(
-        &mut self,
-        net: &mut Network,
-        global: usize,
-        event: &Event,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let now = net.now();
-        let (w, l) = self.router.loc(global);
-        // Crash-Pad protected delivery.
-        let result = {
-            let shard = &mut self.shards[w];
-            let name = shard.apps[l].rec.name.clone();
-            match &mut shard.apps[l].rec.host {
-                Host::Local(sandbox) => shard.crashpad.dispatch(
-                    sandbox,
-                    &name,
-                    event,
-                    &self.translator.topology,
-                    &self.translator.devices,
-                    now,
-                ),
-                Host::Isolated(handle) => {
-                    let mut adapter = ProxyAdapter {
-                        proxy: &mut shard.proxy,
-                        handle: *handle,
-                    };
-                    shard.crashpad.dispatch(
-                        &mut adapter,
-                        &name,
-                        event,
-                        &self.translator.topology,
-                        &self.translator.devices,
-                        now,
-                    )
-                }
-            }
-        };
-        self.commit_on_lane(net, global, event, result, report, tx_event_base);
     }
 
     /// §5 STS-guided diagnosis: find the checkpoint and minimal causal
@@ -1186,8 +719,8 @@ impl LegoSdnRuntime {
                 sandbox,
                 &name,
                 offending,
-                &self.translator.topology,
-                &self.translator.devices,
+                &self.feed.translator.topology,
+                &self.feed.translator.devices,
                 now,
             ),
             Host::Isolated(handle) => {
@@ -1199,8 +732,8 @@ impl LegoSdnRuntime {
                     &mut adapter,
                     &name,
                     offending,
-                    &self.translator.topology,
-                    &self.translator.devices,
+                    &self.feed.translator.topology,
+                    &self.feed.translator.devices,
                     now,
                 )
             }
@@ -1212,14 +745,15 @@ impl LegoSdnRuntime {
     /// re-handshaking every switch; apps keep their state and their fault
     /// domains — the outage the monolithic reboot causes does not happen.
     pub fn upgrade_controller(&mut self, net: &mut Network) {
-        self.translator = EventTranslator::new();
+        self.feed.translator = EventTranslator::new();
         self.stats.upgrades += 1;
         let dpids: Vec<_> = net.switches().map(|s| s.dpid()).collect();
         for dpid in dpids {
             if net.switch(dpid).map(|s| s.is_up()).unwrap_or(false) {
                 let _ = self
+                    .feed
                     .translator
-                    .process(net, legosdn_netsim::NetEvent::SwitchConnected(dpid));
+                    .process(net, NetEvent::SwitchConnected(dpid));
             }
         }
     }
@@ -1246,21 +780,11 @@ impl LegoSdnRuntime {
     }
 }
 
-use legosdn_netsim::{NetEvent, Network};
-
-/// Adapter shim: the pipelined path collects
-/// [`legosdn_appvisor::FanoutDelivery`] values whose `outcome` field is
-/// what [`crate::host::outcome_to_delivery`] converts.
-fn outcome_to_delivery_outcome(d: legosdn_appvisor::FanoutDelivery) -> DeliveryResult {
-    crate::host::outcome_to_delivery(d.outcome)
-}
-
 /// Whether a raw event's translation is *pure* — reads nothing but the
 /// translator's own views, so translating it mid-window is identical to
 /// translating it after the window drains. `PortStatus` probes ports
 /// and drains the net queue; `SwitchConnected` handshakes (feature
-/// replies, port probes). Either one ends the extension prefix; the
-/// remaining raws wait for the next cycle.
+/// replies, port probes).
 fn extendable(raw: &NetEvent) -> bool {
     match raw {
         NetEvent::FromSwitch(_, msg) => !matches!(msg, Message::PortStatus(_)),
@@ -1269,102 +793,183 @@ fn extendable(raw: &NetEvent) -> bool {
     }
 }
 
-/// The windowed translation engine, split off the runtime so the main
-/// thread can translate (fields: translator, stats, trace cursor) while
-/// the worker shards are mutably borrowed by the dispatch threads.
-struct BurstTranslator<'a> {
-    translator: &'a mut EventTranslator,
-    stats: &'a mut RuntimeStats,
-    obs: &'a Obs,
-    trace_seen: &'a mut u64,
-    trace_sample: u64,
-    cycle: u64,
+/// What one [`Feed::pull`] came to.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Pull {
+    /// One raw was translated; its events (possibly none) were pushed.
+    Fed,
+    /// The next raw must wait until every slot fed so far has committed.
+    Drain,
+    /// Nothing more will be fed this cycle.
+    End,
 }
 
-impl BurstTranslator<'_> {
-    /// The same sampling gate as `LegoSdnRuntime::trace_for_event`,
-    /// over the borrowed trace cursor.
+/// The cycle's raw-event feed, and the one place raws become app events
+/// (DESIGN.md §9). It hands out the burst polled at cycle start and then
+/// — while `lookahead_cycles` allows — the head of the net queue, one raw
+/// at a time and strictly in order, under one rule:
+///
+/// - a pure raw ([`extendable`]) is translated whenever the window wants
+///   a slot;
+/// - an impure raw of the polled burst only once every slot fed before
+///   it has committed: its translation probes the network and swallows
+///   whatever those commits enqueued, so it must see exactly the network
+///   sequential dispatch would show it;
+/// - an impure raw at the head of the net queue ends the cycle's feed and
+///   waits for the next cycle's burst.
+///
+/// Event-producing commits are always barrier-Ordered, so the net queue
+/// grows in commit-position order and popping its pure prefix as commits
+/// land yields exactly the sequence popping it after a full drain would.
+/// The reference dispatcher and the window engine pull from the same
+/// feed, so they pop, translate and sample traces identically.
+pub(crate) struct Feed {
+    translator: EventTranslator,
+    obs: Obs,
+    events_translated: Arc<Counter>,
+    /// Flight-recorder sampling period (0: off).
+    trace_sample: u64,
+    /// Events seen by the trace sampler (monotonic; doubles as the `seq`
+    /// half of [`TraceId`], so ids stay unique across cycles).
+    trace_seen: u64,
+    cycle: u64,
+    /// A `tick_apps` cycle's one event, until it is fed.
+    tick: Option<Event>,
+    /// What is left of the burst polled at cycle start.
+    burst: VecDeque<NetEvent>,
+    lookahead: usize,
+    /// Events fed so far this cycle.
+    events: usize,
+    /// Event cap of the lookahead, fixed when the burst runs dry; checked
+    /// before each raw pop, so one raw translating to several events may
+    /// overshoot it.
+    cap: Option<usize>,
+    ended: bool,
+}
+
+impl Feed {
+    fn new(obs: Obs, events_translated: Arc<Counter>, trace_sample: u64) -> Self {
+        Feed {
+            translator: EventTranslator::new(),
+            obs,
+            events_translated,
+            trace_sample,
+            trace_seen: 0,
+            cycle: 0,
+            tick: None,
+            burst: VecDeque::new(),
+            lookahead: 1,
+            events: 0,
+            cap: None,
+            ended: false,
+        }
+    }
+
+    /// Start a cycle over its polled burst.
+    fn begin(&mut self, burst: Vec<NetEvent>, lookahead: usize, cycle: u64) {
+        self.burst = burst.into();
+        self.lookahead = lookahead;
+        self.cycle = cycle;
+        self.events = 0;
+        self.cap = None;
+        self.ended = false;
+    }
+
+    /// Start a cycle that feeds one `Tick` and nothing else.
+    fn begin_tick(&mut self, tick: Event, cycle: u64) {
+        self.begin(Vec::new(), 1, cycle);
+        self.tick = Some(tick);
+    }
+
+    /// Nothing more will be fed this cycle.
+    pub(crate) fn ended(&self) -> bool {
+        self.ended
+    }
+
+    /// A raw of the polled burst is still waiting its turn.
+    pub(crate) fn burst_waiting(&self) -> bool {
+        !self.burst.is_empty()
+    }
+
+    /// Sampling gate for the flight recorder: begin a trace for this
+    /// event if it is the `trace_sample`th since the last traced one.
+    /// Returns the id for scope switching (`None`: not sampled).
     fn trace_for_event(&mut self, event: &Event) -> Option<TraceId> {
         if self.trace_sample == 0 {
             return None;
         }
-        *self.trace_seen += 1;
-        if !(*self.trace_seen - 1).is_multiple_of(self.trace_sample) {
+        self.trace_seen += 1;
+        if !(self.trace_seen - 1).is_multiple_of(self.trace_sample) {
             return None;
         }
         let id = TraceId {
             cycle: self.cycle,
-            seq: *self.trace_seen,
+            seq: self.trace_seen,
         };
         self.obs.trace_begin(id, &format!("{:?}", event.kind()));
         Some(id)
     }
 
-    /// Translate one raw event into window slots (with the translator's
-    /// views snapshotted per event) and return how many events it
-    /// yielded.
-    fn translate_raw(
+    /// One event as a window slot: the views it must be delivered
+    /// against are the translator's as of its translation. `Network::now`
+    /// only advances via an explicit `advance()`, so the captured `now`
+    /// is constant across the cycle.
+    fn slot(&mut self, net: &Network, event: Event) -> WindowSlot {
+        self.events += 1;
+        let trace = self.trace_for_event(&event);
+        WindowSlot {
+            event,
+            topology: self.translator.topology.clone(),
+            devices: self.translator.devices.clone(),
+            now: net.now(),
+            trace,
+        }
+    }
+
+    /// Translate the next raw the rule allows and hand its slots to
+    /// `sink`. `drained` says whether every slot fed so far has committed.
+    pub(crate) fn pull(
         &mut self,
         net: &mut Network,
-        raw: NetEvent,
-        out: &mut Vec<WindowSlot>,
-    ) -> usize {
-        let events = self.translator.process(net, raw);
-        let n = events.len();
-        self.stats.events_translated += n as u64;
-        self.obs
-            .counter("core", "events_translated", "")
-            .add(n as u64);
-        for ev in events {
-            let trace = self.trace_for_event(&ev);
-            out.push(WindowSlot {
-                event: ev,
-                topology: self.translator.topology.clone(),
-                devices: self.translator.devices.clone(),
-                now: net.now(),
-                trace,
-            });
+        drained: bool,
+        mut sink: impl FnMut(WindowSlot),
+    ) -> Pull {
+        if self.ended {
+            return Pull::End;
         }
-        n
-    }
-}
-
-/// Grow the window: pop the pure prefix of the net queue (under a brief
-/// lane lock — commits and translation serialize on the same network),
-/// translate it, and append the slots to the store. Returns how many
-/// slots were appended; 0 means the queue head is non-extendable,
-/// empty, or the lookahead cap is reached. Event-producing commits are
-/// always barrier-Ordered, so the queue grows in strict commit-position
-/// order and this incremental prefix-popping yields exactly the
-/// sequence a post-drain batch pop would.
-fn extend_window(
-    bt: &mut BurstTranslator<'_>,
-    lane: &Mutex<CommitLane<'_>>,
-    store: &SlotStore,
-    cap: usize,
-    report: &mut LegoCycleReport,
-) -> usize {
-    let mut appended = 0;
-    loop {
-        if report.events >= cap {
-            return appended;
+        if let Some(tick) = self.tick.take() {
+            sink(self.slot(net, tick));
+            return Pull::Fed;
         }
-        let mut out = Vec::new();
-        {
-            let mut guard = lane.lock().expect("commit lane poisoned");
-            let net: &mut Network = guard.net;
-            match net.peek_event() {
-                Some(raw) if extendable(raw) => {}
-                _ => return appended,
+        let raw = match self.burst.front() {
+            Some(raw) if drained || extendable(raw) => self.burst.pop_front(),
+            Some(_) => return Pull::Drain,
+            None => {
+                let cap = *self
+                    .cap
+                    .get_or_insert(self.events.saturating_mul(self.lookahead));
+                if self.events >= cap {
+                    None
+                } else {
+                    match net.peek_event() {
+                        Some(raw) if extendable(raw) => net.pop_event(),
+                        // Commits still in flight may enqueue more.
+                        None if !drained => return Pull::Drain,
+                        _ => None,
+                    }
+                }
             }
-            let raw = net.pop_event().expect("peeked above");
-            bt.translate_raw(net, raw, &mut out);
+        };
+        let Some(raw) = raw else {
+            self.ended = true;
+            return Pull::End;
+        };
+        let events = self.translator.process(net, raw);
+        self.events_translated.add(events.len() as u64);
+        for event in events {
+            sink(self.slot(net, event));
         }
-        for slot in out {
-            report.events += 1;
-            store.append(slot);
-            appended += 1;
-        }
+        Pull::Fed
     }
 }
 
@@ -1448,6 +1053,50 @@ mod tests {
     }
 
     #[test]
+    fn feed_holds_an_impure_raw_until_everything_before_it_has_committed() {
+        let (mut net, topo) = net2();
+        let obs = Obs::new();
+        let mut feed = Feed::new(obs.clone(), obs.counter("core", "events_translated", ""), 0);
+        let mut slots = Vec::new();
+        // Boot: handshakes are impure, so only a drained window gets them.
+        feed.begin(net.poll_events(), 1, 1);
+        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Drain);
+        assert!(slots.is_empty());
+        while feed.pull(&mut net, true, |s| slots.push(s)) == Pull::Fed {}
+        assert!(feed.ended());
+
+        // A burst of packet, link flap, packet: the packet-in is handed
+        // out at once, the port-status behind it waits for the drain and
+        // holds back the pure raws queued after it.
+        let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+        net.inject(a, Packet::ethernet(a, b)).unwrap();
+        net.set_link_up(0, false).unwrap();
+        net.inject(b, Packet::ethernet(b, a)).unwrap();
+        feed.begin(net.poll_events(), 2, 2);
+        slots.clear();
+        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Fed);
+        let kinds = |slots: &[WindowSlot]| slots.iter().map(|s| s.event.kind()).collect::<Vec<_>>();
+        assert_eq!(kinds(&slots), [EventKind::PacketIn]);
+        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Drain);
+        assert_eq!(slots.len(), 1, "a refused pull translates nothing");
+        while feed.burst_waiting() {
+            assert_eq!(feed.pull(&mut net, true, |s| slots.push(s)), Pull::Fed);
+        }
+        assert_eq!(kinds(&slots).last(), Some(&EventKind::PacketIn));
+
+        // Past the burst the net queue's head is fed only while pure and
+        // under the lookahead cap; an empty queue is final only once
+        // nothing in flight could still grow it.
+        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Drain);
+        net.set_link_up(0, true).unwrap();
+        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::End);
+        assert!(
+            net.peek_event().is_some(),
+            "the impure head waits for the next cycle"
+        );
+    }
+
+    #[test]
     fn pipelined_dispatch_contains_crashes_and_counts_phases() {
         let (mut net, topo) = net2();
         let obs = Obs::new();
@@ -1473,16 +1122,11 @@ mod tests {
         assert!(!rt.is_crashed());
         // Healthy neighbor still produced network output.
         assert!(report.commands > 0, "{report:?}");
-        // Per-phase instrumentation landed.
-        assert!(obs.counter("core", "pipelined_dispatch_rounds", "").get() > 0);
-        for phase in [
-            "dispatch_prepare",
-            "dispatch_deliver",
-            "dispatch_gather",
-            "dispatch_commit",
-        ] {
+        // Per-phase instrumentation landed: the default depth-1 window
+        // filled and committed once per event.
+        for phase in ["window_fill", "window_commit"] {
             assert!(
-                obs.histogram("core", phase, "").count() > 0,
+                obs.histogram("core", phase, "").count() >= report.events as u64,
                 "missing span histogram for {phase}"
             );
         }

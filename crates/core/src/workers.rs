@@ -1,4 +1,4 @@
-//! Worker shards: the runtime's per-worker half (DESIGN.md §13, §15).
+//! Worker shards: the runtime's per-worker half (DESIGN.md §9).
 //!
 //! The runtime partitions attached apps across N worker shards with a
 //! load-aware balancer: least-loaded placement at attach, and a
@@ -18,7 +18,7 @@
 
 use crate::config::ResourceLimits;
 use crate::host::{outcome_to_delivery, Host, ProxyAdapter};
-use crate::runtime::{AppStatus, LegoCycleReport, ResourceUsage, RuntimeStats};
+use crate::runtime::{AppStatus, Feed, LegoCycleReport, Pull, ResourceUsage, RuntimeStats};
 use legosdn_appvisor::{AppHandle, AppVisorProxy};
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
@@ -29,9 +29,10 @@ use legosdn_crashpad::{
 use legosdn_invariants::{shutdown_network, CheckReport, CheckState, Checker};
 use legosdn_netlog::{CommitBarrier, NetLog, TxId, TxMode, TxTouch};
 use legosdn_netsim::{Network, SimTime};
-use legosdn_obs::{Counter, Obs, TraceId};
+use legosdn_obs::{Counter, Gauge, Histogram, Obs, TraceId};
 use legosdn_openflow::prelude::{DatapathId, FlowModCommand, Message};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Transaction-id stride per commit position. Each (event, app) position
@@ -49,6 +50,9 @@ pub(crate) struct AppRecord {
     pub(crate) status: AppStatus,
     pub(crate) limits: ResourceLimits,
     pub(crate) usage: ResourceUsage,
+    /// `core/dispatch_app_ns{name}`: what one delivery to this app costs
+    /// its shard, read back by the runtime's load-aware balancer.
+    pub(crate) dispatch_ns: Arc<Histogram>,
 }
 
 /// An app as a shard sees it: its record plus its global attach index
@@ -65,6 +69,60 @@ pub(crate) struct WorkerShard {
     pub(crate) proxy: AppVisorProxy,
     pub(crate) crashpad: CrashPad,
     pub(crate) apps: Vec<ShardApp>,
+    pub(crate) metrics: ShardMetrics,
+}
+
+/// One shard's window timing series. Unlabelled on a single-worker
+/// runtime, labelled `wN` per worker otherwise, so one shard's fill and
+/// commit timing does not blur into another's.
+pub(crate) struct ShardMetrics {
+    window_fill: Arc<Histogram>,
+    window_commit: Arc<Histogram>,
+    window_queue_ns: Arc<Histogram>,
+}
+
+impl ShardMetrics {
+    pub(crate) fn resolve(obs: &Obs, label: &str) -> Self {
+        ShardMetrics {
+            window_fill: obs.histogram("core", "window_fill", label),
+            window_commit: obs.histogram("core", "window_commit", label),
+            window_queue_ns: obs.histogram("core", "window_queue_ns", label),
+        }
+    }
+}
+
+/// The runtime-wide metric handles of the dispatch path, resolved once in
+/// `LegoSdnRuntime::new` so an event costs atomic adds, not registry
+/// lookups.
+pub(crate) struct CoreMetrics {
+    pub(crate) run_cycle: Arc<Histogram>,
+    pub(crate) tick_apps: Arc<Histogram>,
+    pub(crate) events_translated: Arc<Counter>,
+    pub(crate) dispatches: Arc<Counter>,
+    pub(crate) commands_executed: Arc<Counter>,
+    pub(crate) window_depth: Arc<Gauge>,
+    pub(crate) barrier_fastpath_commits: Arc<Counter>,
+    pub(crate) barrier_ordered_commits: Arc<Counter>,
+    pub(crate) barrier_elided_positions: Arc<Counter>,
+    pub(crate) barrier_shared_switch_conflicts: Arc<Counter>,
+}
+
+impl CoreMetrics {
+    pub(crate) fn resolve(obs: &Obs) -> Self {
+        let barrier = |name| obs.counter("netlog", name, "");
+        CoreMetrics {
+            run_cycle: obs.histogram("core", "run_cycle", ""),
+            tick_apps: obs.histogram("core", "tick_apps", ""),
+            events_translated: obs.counter("core", "events_translated", ""),
+            dispatches: obs.counter("core", "dispatches", ""),
+            commands_executed: obs.counter("core", "commands_executed", ""),
+            window_depth: obs.gauge("core", "window_depth", ""),
+            barrier_fastpath_commits: barrier("barrier_fastpath_commits"),
+            barrier_ordered_commits: barrier("barrier_ordered_commits"),
+            barrier_elided_positions: barrier("barrier_elided_positions"),
+            barrier_shared_switch_conflicts: barrier("barrier_shared_switch_conflicts"),
+        }
+    }
 }
 
 /// Global-index → (worker, local-index) directory, in attach order.
@@ -103,31 +161,6 @@ impl ShardRouter {
     }
 }
 
-/// Stable app→worker assignment: FNV-1a over the app name and its attach
-/// ordinal, avalanched, mod the worker count. Pure data — the same
-/// roster always shards the same way, on any machine, at any worker
-/// count.
-///
-/// The avalanche finalizer (splitmix64's) matters: raw FNV's low bit is
-/// just the XOR of the input bytes' low bits, so for rosters named
-/// `app-0`, `app-1`, … the decimal digit's parity cancels the ordinal's
-/// and `% 2` degenerates into a contiguous block split. Block-contiguous
-/// shards serialize the commit barrier (every position on worker B waits
-/// on all of worker A's declarations); mixing the bits first interleaves
-/// the roster across shards instead.
-#[must_use]
-pub fn stable_shard(name: &str, ordinal: usize, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes().chain((ordinal as u64).to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h % workers.max(1) as u64) as usize
-}
-
 /// One translated event awaiting windowed dispatch, with the views it
 /// must be delivered against — the translator's views *as of its
 /// translation*, which is exactly what sequential dispatch would have
@@ -163,65 +196,49 @@ pub(crate) struct WindowEntry {
     pub(crate) queued_at: Instant,
 }
 
-/// A growable, shareable window of translated events. The runtime seeds
-/// it with the cycle's initial burst and — when `lookahead_cycles`
-/// allows — appends follow-on events triggered by commits while the
-/// workers are still draining the window (DESIGN.md §15). Workers index
-/// it by slot number; `Arc` hands each worker a stable view of a slot
-/// without holding the store lock across dispatch work.
+/// The window's slots, shared by the workers: whichever wants a slot
+/// first appends what the feed yields, all index it by slot number
+/// (counted from the start of the cycle). `Arc` hands a worker a stable
+/// view of a slot without holding the store lock across dispatch work.
+/// Slots every worker has committed are released, so a long burst pins
+/// the views of at most a window's worth of events.
+#[derive(Default)]
 pub(crate) struct SlotStore {
     state: Mutex<StoreState>,
-    cv: Condvar,
 }
 
+#[derive(Default)]
 struct StoreState {
-    slots: Vec<Arc<WindowSlot>>,
-    closed: bool,
+    /// Slot number of `slots[0]`.
+    base: usize,
+    slots: VecDeque<Arc<WindowSlot>>,
 }
 
 impl SlotStore {
-    pub(crate) fn new(initial: Vec<WindowSlot>) -> Self {
-        Self {
-            state: Mutex::new(StoreState {
-                slots: initial.into_iter().map(Arc::new).collect(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
+    /// Slots appended so far this cycle, released ones included.
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().expect("slot store poisoned").slots.len()
+        let st = self.state.lock().expect("slot store poisoned");
+        st.base + st.slots.len()
     }
 
     pub(crate) fn get(&self, i: usize) -> Arc<WindowSlot> {
-        Arc::clone(&self.state.lock().expect("slot store poisoned").slots[i])
+        let st = self.state.lock().expect("slot store poisoned");
+        Arc::clone(&st.slots[i - st.base])
     }
 
-    /// Append one slot and wake every worker parked in [`wait_beyond`].
-    ///
-    /// [`wait_beyond`]: SlotStore::wait_beyond
-    pub(crate) fn append(&self, slot: WindowSlot) {
+    /// Append one slot; returns [`SlotStore::len`] with it in.
+    pub(crate) fn append(&self, slot: WindowSlot) -> usize {
         let mut st = self.state.lock().expect("slot store poisoned");
-        st.slots.push(Arc::new(slot));
-        self.cv.notify_all();
+        st.slots.push_back(Arc::new(slot));
+        st.base + st.slots.len()
     }
 
-    /// Mark the window complete: no further appends will come.
-    pub(crate) fn close(&self) {
+    /// Drop the slots below `committed`: every worker is past them.
+    pub(crate) fn release_below(&self, committed: usize) {
         let mut st = self.state.lock().expect("slot store poisoned");
-        st.closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Block until the store grows past `known` slots (`Some(new_len)`)
-    /// or is closed with nothing beyond them (`None`).
-    pub(crate) fn wait_beyond(&self, known: usize) -> Option<usize> {
-        let mut st = self.state.lock().expect("slot store poisoned");
-        while st.slots.len() <= known && !st.closed {
-            st = self.cv.wait(st).expect("slot store poisoned");
+        while st.base < committed && st.slots.pop_front().is_some() {
+            st.base += 1;
         }
-        (st.slots.len() > known).then_some(st.slots.len())
     }
 }
 
@@ -274,6 +291,7 @@ pub(crate) struct ShardCtx<'a> {
     pub(crate) shard: &'a mut WorkerShard,
     pub(crate) stats: &'a mut RuntimeStats,
     pub(crate) obs: &'a Obs,
+    pub(crate) metrics: &'a CoreMetrics,
     pub(crate) checker: Option<&'a Checker>,
     pub(crate) shutdown_on_no_compromise: bool,
 }
@@ -309,7 +327,7 @@ pub(crate) fn select_app(cx: &mut ShardCtx<'_>, local: usize, kind: EventKind) -
         }
     }
     cx.stats.dispatches += 1;
-    cx.obs.counter("core", "dispatches", "").inc();
+    cx.metrics.dispatches.inc();
     rec.usage.events_consumed += 1;
     cx.obs.trace_event("fill", &rec.name, "selected");
     true
@@ -595,9 +613,7 @@ fn execute_guarded(
             };
             report.commands += applied;
             cx.stats.commands_executed += applied as u64;
-            cx.obs
-                .counter("core", "commands_executed", "")
-                .add(applied as u64);
+            cx.metrics.commands_executed.add(applied as u64);
             cx.shard.apps[local].rec.usage.commands_emitted += applied as u64;
         }
     }
@@ -681,29 +697,17 @@ pub(crate) fn mark_dead(
     }
 }
 
-/// One worker's execution of a cycle's window: the fill → collect →
-/// commit machinery of DESIGN.md §10 over a growable [`SlotStore`],
-/// scoped to the shard's apps, with every commit admitted by the shared
-/// [`CommitBarrier`].
-///
-/// The same engine runs the single-worker configuration (inline on the
-/// runtime's thread, `sharded == false`, `wait_more == false` so each
-/// [`run`] call drains what the store holds and returns for more) and
-/// the multi-worker one (on `lego-worker-N` scoped threads,
-/// `sharded == true`, `wait_more == true` so workers park in the store
-/// until the runtime closes it). Recorder scopes are per-thread, so
-/// both configurations record full flight-recorder traces. Stats and
-/// the cycle report accumulate into worker-local zero-initialized
-/// deltas the runtime merges after the cycle — identical totals at any
-/// worker count.
-///
-/// [`run`]: WorkerRun::run
-pub(crate) struct WorkerRun<'env, 'net> {
-    pub(crate) shard: &'env mut WorkerShard,
+/// What every worker of one cycle's window shares: the slots and the
+/// feed they come from, the commit order, the commit lane and the
+/// read-only knobs. Lock order: feed, then lane.
+#[derive(Clone, Copy)]
+pub(crate) struct Window<'env, 'net> {
     pub(crate) store: &'env SlotStore,
+    pub(crate) feed: &'env Mutex<&'net mut Feed>,
     pub(crate) barrier: &'env CommitBarrier,
     pub(crate) lane: &'env Mutex<CommitLane<'net>>,
-    pub(crate) obs: Obs,
+    pub(crate) obs: &'env Obs,
+    pub(crate) metrics: &'env CoreMetrics,
     pub(crate) checker: Option<&'env Checker>,
     pub(crate) shutdown_on_no_compromise: bool,
     pub(crate) depth: usize,
@@ -711,96 +715,186 @@ pub(crate) struct WorkerRun<'env, 'net> {
     pub(crate) n_apps: usize,
     /// First transaction id of the cycle (position 0, sub 0).
     pub(crate) tx_cycle_base: u64,
+    /// More than one shard commits through the barrier, so peers consult
+    /// each other's declared touches.
     pub(crate) sharded: bool,
-    /// When caught up with the store, park in [`SlotStore::wait_beyond`]
-    /// for more slots (worker threads, fed by the runtime's extension
-    /// loop) instead of returning to the caller (single-worker drain
-    /// mode, where the caller alternates draining with extending).
-    pub(crate) wait_more: bool,
-    /// Worker label for span histograms: empty when single-worker (the
-    /// runtime's historical metric names), `"wN"` per worker otherwise.
-    pub(crate) wl: String,
-    pub(crate) stats: RuntimeStats,
-    pub(crate) report: LegoCycleReport,
-    /// Cross-call window state (single-worker drain mode re-enters
-    /// [`run`] after each extension): speculative in-flight entries per
-    /// slot, uncollected deliveries per app, and the fill/commit
-    /// cursors.
-    ///
-    /// [`run`]: WorkerRun::run
-    pub(crate) pending: Vec<Vec<WindowEntry>>,
-    pub(crate) inflight: Vec<u64>,
-    pub(crate) next_send: usize,
-    pub(crate) commit_pos: usize,
 }
 
-impl WorkerRun<'_, '_> {
+/// How a [`Window::top_up`] left things.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Topped {
+    /// The store holds the asking worker's window.
+    Full,
+    /// The next raw waits on commits still in flight; worth asking again
+    /// once the barrier cursor has passed this value.
+    Wait(u64),
+    /// The feed has ended: nothing more to ask it for this cycle.
+    Ended,
+}
+
+impl Window<'_, '_> {
+    /// Top the store up for a worker whose commit cursor is at
+    /// `commit_pos`: if it holds less than a window past that, pull raws
+    /// off the feed. Translation and commits serialize on the same
+    /// network, so a session holds the lane. Alone, a worker translates
+    /// just far enough to fill its window — a slot pins the views of its
+    /// translation, and the next view change would have to copy them.
+    /// With peer shards every session contends with their commits for
+    /// the lane, so one session runs to the end of the pure run instead
+    /// of coming back for every slot.
+    pub(crate) fn top_up(&self, commit_pos: usize) -> Topped {
+        let want = commit_pos + self.depth;
+        if self.store.len() >= want {
+            return Topped::Full;
+        }
+        let mut feed = self.feed.lock().expect("feed poisoned");
+        if feed.ended() {
+            return Topped::Ended;
+        }
+        // Read before the feed is asked, so a wait on it cannot sleep
+        // through the commit the feed was waiting for.
+        let cursor = self.barrier.cursor();
+        // Every position of the slots below the cursor's has committed.
+        self.store
+            .release_below((cursor / self.n_apps.max(1) as u64) as usize);
+        let target = if self.sharded { usize::MAX } else { want };
+        let mut lane = self.lane.lock().expect("commit lane poisoned");
+        let mut len = self.store.len();
+        while len < target {
+            let uncommitted = (len * self.n_apps) as u64;
+            let pulled = feed.pull(lane.net, cursor >= uncommitted, |slot| {
+                len = self.store.append(slot);
+            });
+            match pulled {
+                Pull::Fed => {}
+                Pull::End => return Topped::Ended,
+                // An impure raw needs the whole store committed; an empty
+                // net queue may grow with any commit.
+                Pull::Drain if feed.burst_waiting() => return Topped::Wait(uncommitted - 1),
+                Pull::Drain => return Topped::Wait(cursor),
+            }
+        }
+        Topped::Full
+    }
+}
+
+/// One worker's execution of a cycle's window — the dispatch engine
+/// (DESIGN.md §9): a fill cursor queues deliveries up to `depth` slots
+/// past the commit cursor (pulling the next raw off the shared feed when
+/// the store runs short), the commit cursor settles one slot at a time,
+/// and every commit is admitted by the shared [`CommitBarrier`].
+///
+/// A single-worker runtime calls [`run`] inline; a sharded one on a
+/// `lego-worker-N` scoped thread per shard. Recorder scopes are
+/// per-thread, so both record full flight-recorder traces. Stats and the
+/// cycle report accumulate into worker-local zero-initialized deltas the
+/// runtime merges after the cycle — identical totals at any worker count.
+///
+/// [`run`]: WorkerRun::run
+pub(crate) struct WorkerRun<'env, 'net> {
+    shard: &'env mut WorkerShard,
+    win: Window<'env, 'net>,
+    pub(crate) stats: RuntimeStats,
+    pub(crate) report: LegoCycleReport,
+    /// Speculative in-flight stub entries per slot.
+    pending: Vec<Vec<WindowEntry>>,
+    /// Uncollected deliveries per local app.
+    inflight: Vec<u64>,
+    next_send: usize,
+    commit_pos: usize,
+    /// The feed has ended: nothing more to ask it for this cycle.
+    fed_out: bool,
+}
+
+impl<'env, 'net> WorkerRun<'env, 'net> {
+    pub(crate) fn new(shard: &'env mut WorkerShard, win: Window<'env, 'net>) -> Self {
+        WorkerRun {
+            inflight: vec![0; shard.apps.len()],
+            shard,
+            win,
+            stats: RuntimeStats::default(),
+            report: LegoCycleReport::default(),
+            pending: Vec::new(),
+            next_send: 0,
+            commit_pos: 0,
+            fed_out: false,
+        }
+    }
+
     /// Switch this thread's flight-recorder scope. Scopes are
     /// per-thread, so each worker tags its own fill/commit work with
     /// the slot's trace without disturbing its peers.
     fn scope(&self, trace: Option<TraceId>) {
-        self.obs.trace_scope(trace);
+        self.win.obs.trace_scope(trace);
     }
 
-    fn cx(&mut self) -> ShardCtx<'_> {
-        ShardCtx {
+    /// The shard context for acting on one app, plus the report its
+    /// commits accumulate into.
+    fn cx(&mut self) -> (ShardCtx<'_>, &mut LegoCycleReport) {
+        let cx = ShardCtx {
             shard: &mut *self.shard,
             stats: &mut self.stats,
-            obs: &self.obs,
-            checker: self.checker,
-            shutdown_on_no_compromise: self.shutdown_on_no_compromise,
-        }
+            obs: self.win.obs,
+            metrics: self.win.metrics,
+            checker: self.win.checker,
+            shutdown_on_no_compromise: self.win.shutdown_on_no_compromise,
+        };
+        (cx, &mut self.report)
     }
 
     /// Barrier position of `(slot, local app)`: the index sequential
     /// dispatch would commit it at.
     fn pos_of(&self, slot: usize, local: usize) -> u64 {
-        (slot * self.n_apps + self.shard.apps[local].global) as u64
+        (slot * self.win.n_apps + self.shard.apps[local].global) as u64
     }
 
-    /// Run the window over this shard's apps: drain every slot the
-    /// store currently holds (and, under `wait_more`, every slot the
-    /// runtime appends until it closes the store).
+    /// Run the window over this shard's apps until the feed has ended and
+    /// every slot it yielded is committed.
     pub(crate) fn run(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut inflight = std::mem::take(&mut self.inflight);
-        if inflight.len() < self.shard.apps.len() {
-            inflight.resize(self.shard.apps.len(), 0);
-        }
-        let mut next_send = self.next_send;
-        let mut commit_pos = self.commit_pos;
         loop {
-            let len = self.store.len();
-            if commit_pos >= len {
-                if !self.wait_more {
-                    break;
+            let topped = if self.fed_out {
+                Topped::Ended
+            } else {
+                self.win.top_up(self.commit_pos)
+            };
+            self.fed_out = topped == Topped::Ended;
+            if self.commit_pos < self.win.store.len() {
+                self.step();
+                continue;
+            }
+            match topped {
+                Topped::Ended => break,
+                // Nothing of ours to commit and the next raw waits on
+                // peers' commits.
+                Topped::Wait(past) => {
+                    self.win.barrier.wait_cursor_past(past);
                 }
-                match self.store.wait_beyond(len) {
-                    Some(_) => continue,
-                    None => break,
-                }
+                Topped::Full => unreachable!("a full window holds the commit cursor's slot"),
             }
-            if pending.len() < len {
-                pending.resize_with(len, Vec::new);
-            }
-            {
-                let _span = self.obs.span_labeled("core.window_fill", &self.wl);
-                while next_send < len && next_send < commit_pos + self.depth {
-                    pending[next_send] = self.send_slot(next_send, &mut inflight);
-                    next_send += 1;
-                }
-            }
-            {
-                let _span = self.obs.span_labeled("core.window_commit", &self.wl);
-                self.commit_slot(commit_pos, next_send, &mut pending, &mut inflight);
-            }
-            commit_pos += 1;
         }
         self.scope(None);
-        self.pending = pending;
-        self.inflight = inflight;
-        self.next_send = next_send;
-        self.commit_pos = commit_pos;
+    }
+
+    /// Queue deliveries for every stored slot inside the window, then
+    /// commit the slot at the commit cursor (which the caller knows the
+    /// store holds).
+    fn step(&mut self) {
+        let len = self.win.store.len();
+        if self.pending.len() < len {
+            self.pending.resize_with(len, Vec::new);
+        }
+        {
+            let _span = self.shard.metrics.window_fill.start();
+            while self.next_send < len && self.next_send < self.commit_pos + self.win.depth {
+                self.pending[self.next_send] = self.send_slot(self.next_send);
+                self.next_send += 1;
+            }
+        }
+        {
+            let _span = self.shard.metrics.window_commit.start();
+            self.commit_slot();
+        }
+        self.commit_pos += 1;
     }
 
     /// Speculatively select and queue one slot's deliveries to the
@@ -808,8 +902,8 @@ impl WorkerRun<'_, '_> {
     /// effects (dispatch counters, event budgets, suspension) apply at
     /// send time and are rolled back entry-by-entry if a failure on an
     /// earlier slot cancels the entry.
-    fn send_slot(&mut self, s: usize, inflight: &mut [u64]) -> Vec<WindowEntry> {
-        let slot = self.store.get(s);
+    fn send_slot(&mut self, s: usize) -> Vec<WindowEntry> {
+        let slot = self.win.store.get(s);
         self.scope(slot.trace);
         let kind = slot.event.kind();
         let mut entries = Vec::new();
@@ -817,10 +911,10 @@ impl WorkerRun<'_, '_> {
             if !matches!(self.shard.apps[local].rec.host, Host::Isolated(_)) {
                 continue;
             }
-            if !select_app(&mut self.cx(), local, kind) {
+            if !select_app(&mut self.cx().0, local, kind) {
                 continue;
             }
-            entries.push(self.queue_one(local, &slot, inflight));
+            entries.push(self.queue_one(local, &slot));
         }
         entries
     }
@@ -830,29 +924,30 @@ impl WorkerRun<'_, '_> {
     /// in-flight deliveries: a snapshot queued on the FIFO stream between
     /// deliveries *k* and *k+1* captures the state after *k* — exactly
     /// the pre-event checkpoint the sequential protocol takes.
-    fn queue_one(&mut self, local: usize, slot: &WindowSlot, inflight: &mut [u64]) -> WindowEntry {
-        let Host::Isolated(handle) = &self.shard.apps[local].rec.host else {
+    fn queue_one(&mut self, local: usize, slot: &WindowSlot) -> WindowEntry {
+        let WorkerShard {
+            apps,
+            crashpad,
+            proxy,
+            ..
+        } = &mut *self.shard;
+        let rec = &apps[local].rec;
+        let Host::Isolated(handle) = rec.host else {
             unreachable!("windowed entries are stub-only");
         };
-        let handle = *handle;
-        let name = self.shard.apps[local].rec.name.clone();
-        let snap = if self
-            .shard
-            .crashpad
+        let snap = if crashpad
             .checkpoints
-            .checkpoint_due_ahead(&name, inflight[local])
+            .checkpoint_due_ahead(&rec.name, self.inflight[local])
         {
-            self.shard.proxy.queue_snapshot(handle).ok().flatten()
+            proxy.queue_snapshot(handle).ok().flatten()
         } else {
             None
         };
-        let seq = self
-            .shard
-            .proxy
+        let seq = proxy
             .queue_deliver(handle, &slot.event, &slot.topology, &slot.devices, slot.now)
             .ok()
             .flatten();
-        inflight[local] += 1;
+        self.inflight[local] += 1;
         WindowEntry {
             local,
             handle,
@@ -862,9 +957,10 @@ impl WorkerRun<'_, '_> {
         }
     }
 
-    /// Commit one slot: sweep the shard's apps in local (= global) order,
-    /// settling each position exactly once — a collected stub entry, an
-    /// inline local-sandbox dispatch, or an elision at the barrier.
+    /// Commit the slot at the commit cursor: sweep the shard's apps in
+    /// local (= global) order, settling each position exactly once — a
+    /// collected stub entry, an inline local-sandbox dispatch, or an
+    /// elision at the barrier.
     ///
     /// When sharded, every selected local sandbox's (snapshot, deliver,
     /// gather) runs *before* any barrier interaction. Deliveries read the
@@ -876,23 +972,18 @@ impl WorkerRun<'_, '_> {
     /// slow local work with `acquire` would otherwise lock-step the
     /// shards (each settle waits on every earlier position's declaration,
     /// and each declaration waits on that worker's previous settle).
-    fn commit_slot(
-        &mut self,
-        commit_pos: usize,
-        next_send: usize,
-        pending: &mut [Vec<WindowEntry>],
-        inflight: &mut [u64],
-    ) {
-        let slot = self.store.get(commit_pos);
+    fn commit_slot(&mut self) {
+        let commit_pos = self.commit_pos;
+        let slot = self.win.store.get(commit_pos);
         self.scope(slot.trace);
         let kind = slot.event.kind();
-        let entries = std::mem::take(&mut pending[commit_pos]);
+        let entries = std::mem::take(&mut self.pending[commit_pos]);
         let mut entries = entries.into_iter().peekable();
-        let mut eager = std::collections::VecDeque::new();
-        if self.sharded {
+        let mut eager = VecDeque::new();
+        if self.win.sharded {
             for local in 0..self.shard.apps.len() {
                 if matches!(self.shard.apps[local].rec.host, Host::Local(_))
-                    && select_app(&mut self.cx(), local, kind)
+                    && select_app(&mut self.cx().0, local, kind)
                 {
                     let result = self.deliver_local(local, &slot);
                     eager.push_back((local, result));
@@ -904,57 +995,52 @@ impl WorkerRun<'_, '_> {
         // declarations for the whole slot land before its first
         // admission wait. Peers deciding fastpath eligibility see the
         // declared touches that much sooner.
-        let mut settles: Vec<(usize, Option<DispatchResult>, bool, bool)> = Vec::new();
+        let mut settles: Vec<Settle> = Vec::new();
         for local in 0..self.shard.apps.len() {
             if entries.peek().is_some_and(|e| e.local == local) {
                 let entry = entries.next().expect("peeked");
-                inflight[local] -= 1;
-                let (result, failed) =
-                    self.harvest_entry(entry, &slot, commit_pos, pending, inflight);
-                self.declare_or_queue(local, commit_pos, &slot, result, true, failed, &mut settles);
+                self.inflight[local] -= 1;
+                let (result, failed) = self.harvest_entry(entry, &slot);
+                self.declare_or_queue(local, &slot, result, true, failed, &mut settles);
             } else if eager.front().is_some_and(|e| e.0 == local) {
                 let (_, result) = eager.pop_front().expect("peeked");
-                self.declare_or_queue(local, commit_pos, &slot, result, false, false, &mut settles);
+                self.declare_or_queue(local, &slot, result, false, false, &mut settles);
+            } else if !self.win.sharded
+                && matches!(self.shard.apps[local].rec.host, Host::Local(_))
+                && select_app(&mut self.cx().0, local, kind)
+            {
+                // A local sandbox has no stub to overlap with: it runs
+                // inline at commit, against the slot's captured views.
+                let result = self.deliver_local(local, &slot);
+                self.declare_or_queue(local, &slot, result, false, false, &mut settles);
             } else {
-                let selected = !self.sharded
-                    && matches!(self.shard.apps[local].rec.host, Host::Local(_))
-                    && select_app(&mut self.cx(), local, kind);
-                if selected {
-                    // A local sandbox has no stub to overlap with: it
-                    // runs inline at commit, against the slot's
-                    // captured views.
-                    let result = self.deliver_local(local, &slot);
-                    self.declare_or_queue(
-                        local,
-                        commit_pos,
-                        &slot,
-                        result,
-                        false,
-                        false,
-                        &mut settles,
-                    );
-                } else {
-                    self.barrier.finish_empty(self.pos_of(commit_pos, local));
-                }
+                self.win
+                    .barrier
+                    .finish_empty(self.pos_of(commit_pos, local));
             }
         }
         // Settle sweep, in the same local order: admission + lane
-        // commit, then the window repair (cancel/resend) the inline
-        // path used to perform per entry.
-        for (local, result, is_stub, failed) in settles {
+        // commit, then the window repair (cancel/resend).
+        for Settle {
+            local,
+            result,
+            is_stub,
+            failed,
+        } in settles
+        {
             let byz_before = self.stats.byzantine_blocked;
             if let Some(result) = result {
-                self.settle_declared(local, commit_pos, &slot, result);
+                self.settle_declared(local, &slot, result);
             }
             let byz_recovered = self.stats.byzantine_blocked > byz_before;
             if is_stub && byz_recovered && !failed {
                 // Byzantine caught at commit: the app was restored
                 // mid-stream, so its queued later deliveries ran from
                 // the wrong state.
-                self.cancel_app(local, commit_pos, pending, inflight);
+                self.cancel_app(local);
             }
             if is_stub && (failed || byz_recovered) {
-                self.resend_app(local, commit_pos, next_send, pending, inflight);
+                self.resend_app(local);
                 // The resend loop re-scoped the recorder to the
                 // refilled slots; later settles still belong here.
                 self.scope(slot.trace);
@@ -966,33 +1052,33 @@ impl WorkerRun<'_, '_> {
     /// gather/recover) against the slot's captured views, without
     /// touching the barrier.
     fn deliver_local(&mut self, local: usize, slot: &WindowSlot) -> DispatchResult {
-        let name = self.shard.apps[local].rec.name.clone();
-        let started = Instant::now();
-        let result = {
-            let obs = self.obs.clone();
-            let Host::Local(sandbox) = &mut self.shard.apps[local].rec.host else {
-                unreachable!("checked by the caller");
-            };
-            self.shard.crashpad.prepare(sandbox, &name);
-            obs.trace_event("send", &name, "local");
-            let delivery = sandbox.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
-            obs.trace_event("collect", &name, delivery_label(&delivery));
-            self.shard.crashpad.complete(
-                sandbox,
-                &name,
-                &slot.event,
-                delivery,
-                &slot.topology,
-                &slot.devices,
-                slot.now,
-            )
+        let obs = self.win.obs;
+        let WorkerShard { apps, crashpad, .. } = &mut *self.shard;
+        let AppRecord {
+            name,
+            host,
+            dispatch_ns,
+            ..
+        } = &mut apps[local].rec;
+        let Host::Local(sandbox) = host else {
+            unreachable!("checked by the caller");
         };
         // Per-app dispatch cost, fed back to the runtime's load-aware
-        // re-balancer (DESIGN.md §15).
-        self.obs
-            .histogram("core", "dispatch_app_ns", &name)
-            .observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        result
+        // re-balancer.
+        let _cost = dispatch_ns.start();
+        crashpad.prepare(sandbox, name);
+        obs.trace_event("send", name, "local");
+        let delivery = sandbox.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
+        obs.trace_event("collect", name, delivery_label(&delivery));
+        crashpad.complete(
+            sandbox,
+            name,
+            &slot.event,
+            delivery,
+            &slot.topology,
+            &slot.devices,
+            slot.now,
+        )
     }
 
     /// Collect and gather one in-flight (event, app) entry: snapshot
@@ -1001,16 +1087,16 @@ impl WorkerRun<'_, '_> {
     /// replay begins), and the Crash-Pad's completion/recovery.
     /// Returns the dispatch outcome plus whether the delivery failed;
     /// settling happens later, after the whole slot has declared.
-    fn harvest_entry(
-        &mut self,
-        entry: WindowEntry,
-        slot: &WindowSlot,
-        commit_pos: usize,
-        pending: &mut [Vec<WindowEntry>],
-        inflight: &mut [u64],
-    ) -> (DispatchResult, bool) {
+    fn harvest_entry(&mut self, entry: WindowEntry, slot: &WindowSlot) -> (DispatchResult, bool) {
         let local = entry.local;
-        let name = self.shard.apps[local].rec.name.clone();
+        let WorkerShard {
+            apps,
+            crashpad,
+            proxy,
+            metrics,
+            ..
+        } = &mut *self.shard;
+        let rec = &apps[local].rec;
 
         // The snapshot queued before this delivery: collect and book it.
         // The recorded duration is the wait the proxy actually paid here —
@@ -1018,49 +1104,49 @@ impl WorkerRun<'_, '_> {
         // which is the cost this scheduler exists to hide.
         if let Some(tag) = entry.snap {
             let waited = Instant::now();
-            if let Ok(bytes) = self.shard.proxy.collect_snapshot(entry.handle, tag) {
+            if let Ok(bytes) = proxy.collect_snapshot(entry.handle, tag) {
                 let dur_ns = u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.shard.crashpad.record_prepared(&name, bytes, dur_ns);
+                crashpad.record_prepared(&rec.name, bytes, dur_ns);
             }
         }
 
-        self.shard.crashpad.note_dispatch();
+        crashpad.note_dispatch();
         let delivery = match entry.seq {
-            Some(seq) => outcome_to_delivery(self.shard.proxy.collect_deliver(entry.handle, seq)),
+            Some(seq) => outcome_to_delivery(proxy.collect_deliver(entry.handle, seq)),
             None => DeliveryResult::CommFailure,
         };
         let queue_ns = u64::try_from(entry.queued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.obs
-            .histogram("core", "window_queue_ns", &self.wl)
-            .observe(queue_ns);
+        metrics.window_queue_ns.observe(queue_ns);
         // Queue latency doubles as the stub's load signal for the
         // runtime's re-balancer: a stub that keeps the window waiting
         // is a stub worth spreading away from its shard-mates.
-        self.obs
-            .histogram("core", "dispatch_app_ns", &name)
-            .observe(queue_ns);
+        rec.dispatch_ns.observe(queue_ns);
 
         let failed = !matches!(delivery, DeliveryResult::Ok(_));
         if failed {
             // Cancel this app's queued later deliveries BEFORE recovery
             // restores it, so the RPC stream is clean when replay begins.
-            self.cancel_app(local, commit_pos, pending, inflight);
+            self.cancel_app(local);
         }
-        let result = {
-            let mut adapter = ProxyAdapter {
-                proxy: &mut self.shard.proxy,
-                handle: entry.handle,
-            };
-            self.shard.crashpad.complete(
-                &mut adapter,
-                &name,
-                &slot.event,
-                delivery,
-                &slot.topology,
-                &slot.devices,
-                slot.now,
-            )
+        let WorkerShard {
+            apps,
+            crashpad,
+            proxy,
+            ..
+        } = &mut *self.shard;
+        let mut adapter = ProxyAdapter {
+            proxy,
+            handle: entry.handle,
         };
+        let result = crashpad.complete(
+            &mut adapter,
+            &apps[local].rec.name,
+            &slot.event,
+            delivery,
+            &slot.topology,
+            &slot.devices,
+            slot.now,
+        );
         (result, failed)
     }
 
@@ -1069,94 +1155,87 @@ impl WorkerRun<'_, '_> {
     /// positions are queued for the settle sweep; elided failed stubs
     /// are queued too (result already settled) so the settle sweep
     /// still repairs their window.
-    #[allow(clippy::too_many_arguments)]
     fn declare_or_queue(
         &mut self,
         local: usize,
-        commit_pos: usize,
         slot: &WindowSlot,
         result: DispatchResult,
         is_stub: bool,
         failed: bool,
-        settles: &mut Vec<(usize, Option<DispatchResult>, bool, bool)>,
+        settles: &mut Vec<Settle>,
     ) {
-        let pos = self.pos_of(commit_pos, local);
-        if !lane_need(&self.cx(), local, &slot.event, &result) {
-            let mut cx = ShardCtx {
-                shard: &mut *self.shard,
-                stats: &mut self.stats,
-                obs: &self.obs,
-                checker: self.checker,
-                shutdown_on_no_compromise: self.shutdown_on_no_compromise,
-            };
-            commit_outcome_elided(&mut cx, local, &slot.event, result, &mut self.report);
-            self.barrier.finish_empty(pos);
+        let pos = self.pos_of(self.commit_pos, local);
+        if !lane_need(&self.cx().0, local, &slot.event, &result) {
+            let (mut cx, report) = self.cx();
+            commit_outcome_elided(&mut cx, local, &slot.event, result, report);
+            self.win.barrier.finish_empty(pos);
             if is_stub && failed {
-                settles.push((local, None, is_stub, failed));
+                settles.push(Settle {
+                    local,
+                    result: None,
+                    is_stub,
+                    failed,
+                });
             }
             return;
         }
-        let (touch, notify) = match &result {
-            DispatchResult::Delivered(commands) | DispatchResult::Recovered { commands, .. } => {
-                commands_touch(commands)
+        // A touch is declared for peers to judge their fastpath against;
+        // with no peer shard nobody reads it, and a single worker's
+        // commits reach the cursor in order by construction.
+        if self.win.sharded {
+            let (touch, notify) = match &result {
+                DispatchResult::Delivered(commands)
+                | DispatchResult::Recovered { commands, .. } => commands_touch(commands),
+                DispatchResult::AppDead { .. } => (TxTouch::Unknown, false),
+            };
+            if notify {
+                self.win.barrier.poison_fastpath();
             }
-            DispatchResult::AppDead { .. } => (TxTouch::Unknown, false),
-        };
-        if notify {
-            self.barrier.poison_fastpath();
+            self.win.barrier.declare(pos, self.shard.id, touch);
         }
-        self.barrier.declare(pos, self.shard.id, touch);
-        settles.push((local, Some(result), is_stub, failed));
+        settles.push(Settle {
+            local,
+            result: Some(result),
+            is_stub,
+            failed,
+        });
     }
 
     /// Settle one already-declared position: wait for admission and run
     /// the commit inside the shared lane.
-    fn settle_declared(
-        &mut self,
-        local: usize,
-        commit_pos: usize,
-        slot: &WindowSlot,
-        result: DispatchResult,
-    ) {
-        let pos = self.pos_of(commit_pos, local);
-        let _admission = self.barrier.acquire(pos);
+    fn settle_declared(&mut self, local: usize, slot: &WindowSlot, result: DispatchResult) {
+        let pos = self.pos_of(self.commit_pos, local);
+        let _admission = self.win.barrier.acquire(pos);
         {
-            let mut lane = self.lane.lock().expect("commit lane poisoned");
-            let mut cx = ShardCtx {
-                shard: &mut *self.shard,
-                stats: &mut self.stats,
-                obs: &self.obs,
-                checker: self.checker,
-                shutdown_on_no_compromise: self.shutdown_on_no_compromise,
-            };
+            let mut lane = self.win.lane.lock().expect("commit lane poisoned");
+            let tx_base = self.win.tx_cycle_base + pos * TXS_PER_POS;
+            let (mut cx, report) = self.cx();
             commit_outcome(
                 &mut cx,
                 &mut lane,
                 local,
                 &slot.event,
                 result,
-                &mut self.report,
+                report,
                 (&slot.topology, &slot.devices),
-                self.tx_cycle_base + pos * TXS_PER_POS,
+                tx_base,
             );
         }
-        self.barrier.release(pos);
+        self.win.barrier.release(pos);
     }
 
-    /// Drop an app's in-flight entries beyond `commit_pos` and roll back
-    /// their speculative selection, so re-selection sees exactly the
-    /// post-recovery state sequential dispatch would.
-    fn cancel_app(
-        &mut self,
-        local: usize,
-        commit_pos: usize,
-        pending: &mut [Vec<WindowEntry>],
-        inflight: &mut [u64],
-    ) {
-        let name = self.shard.apps[local].rec.name.clone();
+    /// Drop an app's in-flight entries beyond the commit cursor and roll
+    /// back their speculative selection, so re-selection sees exactly
+    /// the post-recovery state sequential dispatch would.
+    fn cancel_app(&mut self, local: usize) {
         let mut tags = Vec::new();
         let mut handle = None;
-        for (s, slot_entries) in pending.iter_mut().enumerate().skip(commit_pos + 1) {
+        for (s, slot_entries) in self
+            .pending
+            .iter_mut()
+            .enumerate()
+            .skip(self.commit_pos + 1)
+        {
             if let Some(pos) = slot_entries.iter().position(|e| e.local == local) {
                 let e = slot_entries.remove(pos);
                 tags.extend(e.snap);
@@ -1167,12 +1246,16 @@ impl WorkerRun<'_, '_> {
                 // is the determinism-bearing surface.)
                 self.stats.dispatches -= 1;
                 self.shard.apps[local].rec.usage.events_consumed -= 1;
-                inflight[local] -= 1;
+                self.inflight[local] -= 1;
                 // The cancellation belongs to the *cancelled* event's
                 // timeline, not the failed one currently in scope.
-                if let Some(tid) = self.store.get(s).trace {
-                    self.obs
-                        .trace_event_for(tid, "cancel", &name, "crash_upstream");
+                if let Some(tid) = self.win.store.get(s).trace {
+                    self.win.obs.trace_event_for(
+                        tid,
+                        "cancel",
+                        &self.shard.apps[local].rec.name,
+                        "crash_upstream",
+                    );
                 }
             }
         }
@@ -1185,29 +1268,19 @@ impl WorkerRun<'_, '_> {
     /// state: a revived app is usually re-selected, a dead or suspended
     /// one is skipped and counted, just as sequential dispatch would) and
     /// queue fresh deliveries for the survivors.
-    fn resend_app(
-        &mut self,
-        local: usize,
-        commit_pos: usize,
-        next_send: usize,
-        pending: &mut [Vec<WindowEntry>],
-        inflight: &mut [u64],
-    ) {
-        for (s, pend) in pending
-            .iter_mut()
-            .enumerate()
-            .take(next_send)
-            .skip(commit_pos + 1)
-        {
-            let slot = self.store.get(s);
+    fn resend_app(&mut self, local: usize) {
+        for s in self.commit_pos + 1..self.next_send {
+            let slot = self.win.store.get(s);
             // Re-queued work records into the re-sent event's trace.
             self.scope(slot.trace);
-            if !select_app(&mut self.cx(), local, slot.event.kind()) {
+            if !select_app(&mut self.cx().0, local, slot.event.kind()) {
                 continue;
             }
-            self.obs
+            self.win
+                .obs
                 .trace_event("resend", &self.shard.apps[local].rec.name, "requeued");
-            let entry = self.queue_one(local, &slot, inflight);
+            let entry = self.queue_one(local, &slot);
+            let pend = &mut self.pending[s];
             let pos = pend
                 .iter()
                 .position(|e| e.local > local)
@@ -1215,6 +1288,17 @@ impl WorkerRun<'_, '_> {
             pend.insert(pos, entry);
         }
     }
+}
+
+/// One position of the slot being committed, between the harvest sweep
+/// (outcome known, touch declared) and the settle sweep. `result` is
+/// `None` for a failed stub whose position was elided: nothing to
+/// commit, but its window still needs the repair.
+struct Settle {
+    local: usize,
+    result: Option<DispatchResult>,
+    is_stub: bool,
+    failed: bool,
 }
 
 impl RuntimeStats {
@@ -1239,23 +1323,6 @@ impl RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stable_shard_is_stable_and_in_range() {
-        for workers in 1..=8 {
-            for ordinal in 0..32 {
-                let a = stable_shard("learning-switch", ordinal, workers);
-                let b = stable_shard("learning-switch", ordinal, workers);
-                assert_eq!(a, b);
-                assert!(a < workers);
-            }
-        }
-        // Distinct ordinals of the same name do spread (the whole point
-        // of hashing the ordinal in).
-        let spread: std::collections::BTreeSet<usize> =
-            (0..16).map(|o| stable_shard("hub", o, 4)).collect();
-        assert!(spread.len() > 1, "identical ordinals never spread");
-    }
 
     #[test]
     fn commands_touch_classifies_the_fastpath_gate() {

@@ -12,8 +12,8 @@
 //!
 //! - `exact`: a hash index from [`ExactKey`] (the fully-concrete 12-tuple
 //!   fingerprint) to the candidates carrying that exact match. Keyed with a
-//!   deterministic FNV-1a + splitmix64-avalanche hasher (the `stable_shard`
-//!   recipe) so behaviour never depends on std's per-process SipHash seeds.
+//!   deterministic FNV-1a + splitmix64-avalanche hasher so behaviour never
+//!   depends on std's per-process SipHash seeds.
 //! - `wild`: the candidates whose match wildcards at least one field, in
 //!   table order.
 //!
@@ -131,9 +131,9 @@ pub struct ExpiredFlow {
     pub notify: bool,
 }
 
-/// FNV-1a accumulation with a splitmix64 avalanche finisher — the same
-/// recipe as `stable_shard` in `legosdn-core`. Deterministic across runs
-/// and platforms, unlike std's randomly-seeded SipHash.
+/// FNV-1a accumulation with a splitmix64 avalanche finisher (raw FNV's
+/// low bit is just the XOR of the input bytes' low bits). Deterministic
+/// across runs and platforms, unlike std's randomly-seeded SipHash.
 #[derive(Clone)]
 pub(crate) struct FnvSplitHasher(u64);
 

@@ -12,43 +12,30 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
-echo "==> campaign bin builds and completes a bounded run"
+# Names the one-engine refactor deleted must not grow back beside it.
+echo "==> no second dispatch path or fan-out API under crates/"
+if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/; then
+  echo "a deleted dispatch/fan-out name reappeared (see DESIGN.md §9)" >&2
+  exit 1
+fi
+
+# The full failure/recovery campaign through the daemon path, once per
+# configuration the dispatch engine can be put in (the determinism suite
+# proves the outputs identical; this proves the daemon wires each one up
+# and that none of them hangs). One row per smoke: label | extra flags.
 cargo build -q --offline --release -p legosdn-bench --bin campaign --bin aggregate
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
-  || { echo "campaign smoke run failed or hung" >&2; exit 1; }
-
-# Same campaign under pipelined dispatch with isolated stubs: the fan-out
-# path must survive a full failure/recovery story, not just the bench.
-echo "==> campaign smoke under pipelined dispatch"
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
-  --dispatch pipelined --isolation channel \
-  || { echo "pipelined campaign smoke run failed or hung" >&2; exit 1; }
-
-# And with the stub channels multiplexed onto the polled I/O pools: the
-# same failure/recovery story must hold when no stub owns a thread.
-echo "==> campaign smoke under the polled transport"
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
-  --dispatch pipelined --isolation channel --transport polled --io-threads 2 \
-  || { echo "polled campaign smoke run failed or hung" >&2; exit 1; }
-
-# The full failure/recovery campaign again, sharded across 4 worker
-# threads: stable-hash partitioning, the cross-shard commit barrier,
-# and scoped worker threads must survive crash/replay under the same
-# hard timeout (the determinism suite proves the output identical;
-# this proves the daemon path wires it up).
-echo "==> campaign smoke under sharded dispatch (--workers 4)"
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
-  --dispatch pipelined --isolation channel --window 4 --workers 4 \
-  || { echo "sharded campaign smoke run failed or hung" >&2; exit 1; }
-
-# Sharded dispatch with the send cursor running ahead across cycle
-# boundaries: load-aware rebalancing, declare-ahead commits, and
-# cross-cycle cancellation all live on this path, so the full
-# failure/recovery story must hold with lookahead enabled too.
-echo "==> campaign smoke under cross-cycle lookahead (--workers 4 --lookahead 2)"
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 \
-  --dispatch pipelined --isolation channel --window 4 --workers 4 --lookahead 2 \
-  || { echo "lookahead campaign smoke run failed or hung" >&2; exit 1; }
+while IFS='|' read -r label flags; do
+  echo "==> campaign smoke: $label"
+  # shellcheck disable=SC2086  # $flags is a flag string, split on purpose
+  timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 2 --period-ms 1 $flags \
+    </dev/null || { echo "campaign smoke ($label) failed or hung" >&2; exit 1; }
+done <<'SMOKES'
+defaults|
+isolated stubs|--dispatch pipelined --isolation channel
+polled transport, no stub owns a thread|--dispatch pipelined --isolation channel --transport polled --io-threads 2
+4 worker shards behind the commit barrier|--dispatch pipelined --isolation channel --window 4 --workers 4
+4 worker shards, cross-cycle lookahead|--dispatch pipelined --isolation channel --window 4 --workers 4 --lookahead 2
+SMOKES
 
 # Scrape one path from a live endpoint over bash's /dev/tcp (curl may be
 # absent), under a hard timeout so a wedged responder fails fast.

@@ -545,3 +545,98 @@ fn per_app_delivery_order_equals_translation_order_under_random_crashes() {
         rt.shutdown();
     }
 }
+
+/// Everything the impure-raw burst leaves behind, cycle by cycle.
+#[derive(Debug, PartialEq)]
+struct BurstResidue {
+    cycles: Vec<(usize, usize)>,
+    stats: RuntimeStats,
+    txlog: Vec<TxRecord>,
+    flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
+}
+
+fn run_impure_burst(
+    dispatch: DispatchMode,
+    depth: usize,
+    workers: usize,
+    lookahead: usize,
+) -> BurstResidue {
+    let topo = Topology::linear(3, 1);
+    let mut net = Network::new(&topo);
+    let mut rt = LegoSdnRuntime::new(
+        LegoSdnConfig {
+            dispatch: DispatchConfig {
+                mode: dispatch,
+                ..DispatchConfig::default()
+            }
+            .window(depth)
+            .workers(workers)
+            .lookahead(lookahead),
+            obs: ObsConfig::instance(Obs::new()),
+            ..LegoSdnConfig::default()
+        }
+        .build()
+        .expect("valid config"),
+    );
+    rt.attach(Box::new(Hub::new())).unwrap();
+    rt.attach(Box::new(LearningSwitch::new())).unwrap();
+    let mut cycles = Vec::new();
+    let mut settle = |rt: &mut LegoSdnRuntime, net: &mut Network| loop {
+        let r = rt.run_cycle(net);
+        if r.events == 0 {
+            break;
+        }
+        cycles.push((r.events, r.commands));
+    };
+    settle(&mut rt, &mut net); // handshake + discovery
+    net.set_link_up(0, false).unwrap();
+    settle(&mut rt, &mut net);
+    // One burst: a packet, a link coming back (its port-status raw probes
+    // the network and drains the queue when translated), another packet.
+    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+    let _ = net.inject(a, Packet::ethernet(a, b));
+    net.set_link_up(0, true).unwrap();
+    let _ = net.inject(b, Packet::ethernet(b, a));
+    settle(&mut rt, &mut net);
+
+    let mut flow_tables: Vec<(DatapathId, Vec<FlowEntry>)> = net
+        .switches()
+        .map(|sw| (sw.dpid(), sw.table().iter().cloned().collect()))
+        .collect();
+    flow_tables.sort_by_key(|(dpid, _)| *dpid);
+    let txlog = rt.netlog().log().iter().cloned().collect();
+    let stats = rt.stats();
+    rt.shutdown();
+    BurstResidue {
+        cycles,
+        stats,
+        txlog,
+        flow_tables,
+    }
+}
+
+#[test]
+fn impure_raw_mid_burst_matches_the_oracle() {
+    // A raw whose translation reads the network (a live PortStatus
+    // re-probes the port and swallows whatever is queued) must be
+    // translated where the sequential reference translates it: after
+    // every event ahead of it in the burst has committed. Translating
+    // the whole burst up front moves the probe ahead of the first
+    // packet's follow-on packet-ins and changes which cycle sees them.
+    for lookahead in [1usize, 2] {
+        let oracle = run_impure_burst(DispatchMode::Sequential, 1, 1, lookahead);
+        assert!(
+            oracle.cycles.iter().any(|&(_, commands)| commands > 0),
+            "lookahead {lookahead}: the burst produced no commands"
+        );
+        for depth in [1usize, 2, 8] {
+            for workers in [1usize, 2] {
+                let run = run_impure_burst(DispatchMode::Pipelined, depth, workers, lookahead);
+                assert_eq!(
+                    oracle, run,
+                    "depth {depth} workers {workers} lookahead {lookahead}: residue diverges"
+                );
+            }
+        }
+    }
+}

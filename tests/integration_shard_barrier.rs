@@ -253,3 +253,36 @@ fn contested_commit_order_is_stable_across_repeated_sharded_runs() {
         assert_eq!(first.stats, again.stats);
     }
 }
+
+#[test]
+fn shards_without_apps_sit_the_window_out() {
+    // One app on four shards: the barrier cursor (and the slot release
+    // behind it) is driven by the one busy shard alone, so an idle shard
+    // walking the window at its own pace would fall behind the slots
+    // being released.
+    let topo = Topology::linear(2, 1);
+    let mut net = Network::new(&topo);
+    let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+        dispatch: DispatchConfig::pipelined().window(2).workers(4),
+        obs: ObsConfig::instance(Obs::new()),
+        ..LegoSdnConfig::default()
+    });
+    rt.attach(Box::new(LearningSwitch::new())).unwrap();
+    rt.run_cycle(&mut net);
+    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+    for _ in 0..4 {
+        net.inject(a, Packet::ethernet(a, b)).unwrap();
+    }
+    let report = rt.run_cycle(&mut net);
+    assert!(report.events >= 4, "{report:?}");
+    assert!(rt.stats().dispatches >= 4, "{:?}", rt.stats());
+
+    // And with no app anywhere the events are still translated.
+    let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+        dispatch: DispatchConfig::pipelined().workers(2),
+        obs: ObsConfig::instance(Obs::new()),
+        ..LegoSdnConfig::default()
+    });
+    net.inject(a, Packet::ethernet(a, b)).unwrap();
+    assert!(rt.run_cycle(&mut net).events > 0);
+}

@@ -23,14 +23,17 @@ pub mod stub;
 pub mod transport;
 
 pub use poll::{
-    queue_duplex_pair, tcp_duplex_pair, udp_duplex_pair, Duplex, FrameSink, FrameSource,
-    PolledTransport, Poller, SlotQueue,
+    queue_duplex_pair, tcp_duplex_pair, udp_duplex_pair, Duplex, FrameQueue, FrameSink,
+    FrameSource, PolledTransport, Poller, QueueTransport,
 };
 pub use proxy::{
     AppHandle, AppVisorProxy, AppWireStats, DeliverOutcome, IoMode, ProxyConfig, ProxyError,
     TransportKind,
 };
-pub use rpc::{decode_frame, encode_frame, RpcMessage};
+pub use rpc::{
+    decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,
+    RpcMessage,
+};
 pub use stub::{run_stub, spawn_stub, StubConfig, StubHost, StubReport};
 pub use transport::{
     ChannelTransport, FlakyTransport, TcpTransport, Transport, TransportError, UdpTransport,

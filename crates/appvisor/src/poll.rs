@@ -3,28 +3,40 @@
 //! The blocking [`crate::transport`] implementations cost one parked OS
 //! thread per stub channel: every proxy recv loop sits in
 //! `recv_timeout`, and every stub burns its own thread. That caps the
-//! fleet at hundreds of apps. This module multiplexes *all* stub
-//! channels onto a small fixed pool of I/O threads:
+//! fleet at hundreds of apps. This module serves *all* stub channels from
+//! a small fixed pool of threads:
 //!
 //! - a transport is split into a non-blocking [`FrameSink`] /
 //!   [`FrameSource`] pair ([`Duplex`]);
-//! - a [`Poller`] owns the proxy-side sources: each worker level-scans
-//!   its sources with `try_recv` and demultiplexes complete frames into
-//!   per-slot [`SlotQueue`]s;
-//! - a [`PolledTransport`] wraps one sink + one slot queue and
-//!   implements the blocking [`Transport`] trait, so everything above
-//!   the proxy seam — the tagged `inbox`/`cancelled` machinery, windowed
-//!   dispatch in `core/runtime.rs`, the determinism oracle — is
-//!   unchanged;
-//! - stub-side, [`crate::stub::StubHost`] runs the same scan loop over
-//!   hosted stubs, so 1000 apps need a handful of threads, not 1000.
+//! - stub-side, [`crate::stub::StubHost`] level-scans the sources of the
+//!   stubs it hosts, so 1000 apps need a handful of threads, not 1000;
+//! - proxy-side, an in-memory channel needs no thread at all: a
+//!   [`QueueTransport`] is a blocking [`Transport`] straight over the
+//!   queue the stub host writes its replies into, so a reply crosses one
+//!   thread boundary (stub host → proxy) and wakes the proxy only if it
+//!   is asleep on that queue;
+//! - sockets have no such queue to sleep on, so a [`Poller`] owns their
+//!   proxy-side sources: each worker scans its sockets with `try_recv`
+//!   and demultiplexes complete frames into per-slot [`FrameQueue`]s, and
+//!   a [`PolledTransport`] wraps one sink + one such queue.
+//!
+//! Both facades implement the blocking [`Transport`] trait, so everything
+//! above the proxy seam — the tagged `inbox`/`cancelled` machinery,
+//! windowed dispatch in `core/runtime.rs`, the determinism oracle — is
+//! unchanged.
 //!
 //! There is no epoll in `std`, so readiness is a level-triggered scan:
-//! in-memory queue duplexes carry a [`PollWaker`] (a generation-counted
-//! condvar) and wake their worker on every send — the latency of that
-//! path is a condvar signal, not a poll interval. Socket duplexes have
-//! no waker, so their workers park briefly between empty scans; the park
-//! is bounded and amortized across every source on the worker.
+//! an in-memory queue read by a scanning worker carries that worker's
+//! [`PollWaker`] (a generation-counted condvar) and wakes it on every
+//! send — the latency of that path is a condvar signal, not a poll
+//! interval. Sockets have no waker, so their workers park briefly between
+//! empty scans; the park is bounded and amortized across every source on
+//! the worker.
+//!
+//! Every signal here is **park-aware** (`ParkLock`): a producer issues
+//! the condvar notify — a futex syscall in std whether or not anyone
+//! waits — only when the consumer has recorded, under the same mutex,
+//! that it is asleep.
 
 use crate::transport::{Transport, TransportError};
 use legosdn_obs::Obs;
@@ -32,7 +44,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,50 +63,120 @@ const PARK_WAKERED: Duration = Duration::from_millis(5);
 /// socket path.
 const PARK_SCANNED: Duration = Duration::from_micros(100);
 
+/// A value behind a mutex and condvar that know whether the value's one
+/// consumer is asleep.
+///
+/// The consumer sets `parked` under the mutex immediately before the
+/// condvar wait releases it, and clears it on the way out. A producer
+/// changes the value under the same mutex and notifies only if it found
+/// `parked` set — taking the flag, so a burst of updates behind one
+/// sleeper costs one notify. No wakeup is lost: a consumer that is not
+/// parked either holds the mutex or has yet to take it, and in both cases
+/// looks at the value again before it sleeps.
+///
+/// One consumer at a time (every user here has exactly one: a worker on
+/// its own waker, a proxy on its own slot); any number of producers.
+struct ParkLock<T> {
+    state: Mutex<ParkState<T>>,
+    cv: Condvar,
+}
+
+struct ParkState<T> {
+    value: T,
+    parked: bool,
+}
+
+impl<T> ParkLock<T> {
+    fn new(value: T) -> ParkLock<T> {
+        ParkLock {
+            state: Mutex::new(ParkState {
+                value,
+                parked: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Every critical section below is a queue push/pop, a counter bump
+    /// or a flag store — valid at every step — so a poisoned guard (some
+    /// holder's closure panicked) is taken over rather than propagated:
+    /// `close` runs from `Drop`, where a second panic would abort.
+    fn lock(&self) -> MutexGuard<'_, ParkState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Producer side: change the value, then wake the consumer if it is
+    /// parked.
+    fn update<R>(&self, change: impl FnOnce(&mut T) -> R) -> R {
+        let (out, wake) = {
+            let mut state = self.lock();
+            let out = change(&mut state.value);
+            (out, std::mem::take(&mut state.parked))
+        };
+        if wake {
+            self.cv.notify_all();
+        }
+        out
+    }
+
+    /// Consumer side, non-blocking: look at (or take from) the value.
+    fn peek<R>(&self, look: impl FnOnce(&mut T) -> R) -> R {
+        look(&mut self.lock().value)
+    }
+
+    /// Consumer side: park until `ready` yields something or `timeout`
+    /// elapses. `ready` runs under the mutex, first before any wait.
+    fn wait<R>(&self, timeout: Duration, mut ready: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.lock();
+        loop {
+            if let Some(out) = ready(&mut state.value) {
+                return Some(out);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            state.parked = true;
+            state = self
+                .cv
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            state.parked = false;
+        }
+    }
+}
+
 /// A generation-counted condvar: the readiness signal for sources that
 /// can produce one (in-memory queues). `wake` is cheap and never blocks
 /// behind the worker; a worker that reads the generation *before*
 /// scanning and waits for it to move afterwards cannot miss a wakeup
 /// that raced its scan.
 pub struct PollWaker {
-    generation: Mutex<u64>,
-    cv: Condvar,
+    generation: ParkLock<u64>,
 }
 
 impl PollWaker {
     pub(crate) fn new() -> Arc<PollWaker> {
         Arc::new(PollWaker {
-            generation: Mutex::new(0),
-            cv: Condvar::new(),
+            generation: ParkLock::new(0),
         })
     }
 
     /// Signal that a source may have become ready.
     pub fn wake(&self) {
-        *self.generation.lock().unwrap() += 1;
-        self.cv.notify_all();
+        self.generation.update(|generation| *generation += 1);
     }
 
     /// The generation to pass to [`PollWaker::wait_past`]. Read this
     /// *before* scanning sources.
     pub(crate) fn current(&self) -> u64 {
-        *self.generation.lock().unwrap()
+        self.generation.peek(|generation| *generation)
     }
 
     /// Park until the generation moves past `seen` or `timeout` elapses.
     pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut generation = self.generation.lock().unwrap();
-        while *generation == seen {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return;
-            };
-            let (guard, wait) = self.cv.wait_timeout(generation, left).unwrap();
-            generation = guard;
-            if wait.timed_out() {
-                return;
-            }
-        }
+        let _ = self
+            .generation
+            .wait(timeout, |generation| (*generation != seen).then_some(()));
     }
 }
 
@@ -103,6 +185,13 @@ impl PollWaker {
 pub trait FrameSink: Send {
     /// Send one frame.
     fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError>;
+
+    /// Send one frame the caller is done with. A sink that queues frames
+    /// in memory keeps the buffer instead of copying it; a socket writes
+    /// the bytes out either way.
+    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.send(&bytes)
+    }
 }
 
 /// The read half of a split transport, drained by a poll worker.
@@ -131,60 +220,93 @@ pub struct Duplex {
 }
 
 // ---------------------------------------------------------------------
-// In-memory queue duplex (the polled analogue of ChannelTransport).
+// In-memory frame queues: one direction of a queue duplex, or the
+// per-slot target a poll worker demultiplexes a socket into.
 // ---------------------------------------------------------------------
 
-struct QueueState {
-    frames: VecDeque<Vec<u8>>,
+struct Frames {
+    queue: VecDeque<Vec<u8>>,
     closed: bool,
-    waker: Option<Arc<PollWaker>>,
 }
 
-struct QueueShared {
-    state: Mutex<QueueState>,
+impl Frames {
+    /// The next frame; the end of the stream once the queue has drained;
+    /// `None` while it is merely empty.
+    fn pop(&mut self) -> Option<Result<Vec<u8>, TransportError>> {
+        match self.queue.pop_front() {
+            Some(frame) => Some(Ok(frame)),
+            None => self.closed.then_some(Err(TransportError::Disconnected)),
+        }
+    }
 }
 
-impl QueueShared {
-    fn new() -> Arc<QueueShared> {
-        Arc::new(QueueShared {
-            state: Mutex::new(QueueState {
-                frames: VecDeque::new(),
+/// A FIFO of frames between one producer side and one consumer. The
+/// consumer either blocks on the queue itself ([`QueueTransport`],
+/// [`PolledTransport`]: `pop_wait` parks on the queue's condvar, not on a
+/// socket, so the proxy's recv loops work unchanged) or scans it from a
+/// worker whose [`PollWaker`] the queue then carries. Queued frames drain
+/// before a close is reported, and a close wakes a parked consumer.
+pub struct FrameQueue {
+    frames: ParkLock<Frames>,
+    /// The scanning worker to wake, for a queue read with `try_pop` from
+    /// a scan loop. A source belongs to one worker for its whole life.
+    waker: OnceLock<Arc<PollWaker>>,
+}
+
+impl FrameQueue {
+    fn new() -> Arc<FrameQueue> {
+        Arc::new(FrameQueue {
+            frames: ParkLock::new(Frames {
+                queue: VecDeque::new(),
                 closed: false,
-                waker: None,
             }),
+            waker: OnceLock::new(),
         })
     }
 
-    fn close(&self) {
-        let waker = {
-            let mut state = self.state.lock().unwrap();
-            state.closed = true;
-            state.waker.clone()
-        };
-        if let Some(w) = waker {
-            w.wake();
+    fn wake_scanner(&self) {
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
         }
+    }
+
+    fn push(&self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.frames.update(|frames| {
+            if frames.closed {
+                return Err(TransportError::Disconnected);
+            }
+            frames.queue.push_back(frame);
+            Ok(())
+        })?;
+        self.wake_scanner();
+        Ok(())
+    }
+
+    fn close(&self) {
+        self.frames.update(|frames| frames.closed = true);
+        self.wake_scanner();
+    }
+
+    fn try_pop(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.frames.peek(Frames::pop).transpose()
+    }
+
+    fn pop_wait(&self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
+        self.frames.wait(timeout, Frames::pop).transpose()
     }
 }
 
 struct QueueSink {
-    shared: Arc<QueueShared>,
+    shared: Arc<FrameQueue>,
 }
 
 impl FrameSink for QueueSink {
     fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        let waker = {
-            let mut state = self.shared.state.lock().unwrap();
-            if state.closed {
-                return Err(TransportError::Disconnected);
-            }
-            state.frames.push_back(bytes.to_vec());
-            state.waker.clone()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-        Ok(())
+        self.shared.push(bytes.to_vec())
+    }
+
+    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.shared.push(bytes)
     }
 }
 
@@ -195,23 +317,17 @@ impl Drop for QueueSink {
 }
 
 struct QueueSource {
-    shared: Arc<QueueShared>,
+    shared: Arc<FrameQueue>,
 }
 
 impl FrameSource for QueueSource {
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut state = self.shared.state.lock().unwrap();
-        if let Some(frame) = state.frames.pop_front() {
-            return Ok(Some(frame));
-        }
-        if state.closed {
-            return Err(TransportError::Disconnected);
-        }
-        Ok(None)
+        self.shared.try_pop()
     }
 
     fn set_waker(&mut self, waker: Arc<PollWaker>) {
-        self.shared.state.lock().unwrap().waker = Some(waker);
+        // First registration wins; see `FrameQueue::waker`.
+        let _ = self.shared.waker.set(waker);
     }
 
     fn has_waker(&self) -> bool {
@@ -225,22 +341,68 @@ impl Drop for QueueSource {
     }
 }
 
+/// One side of an in-memory duplex as a blocking [`Transport`]: sends
+/// move the frame into the far side's queue, receives park on this
+/// side's own queue. No thread sits in between — the far side's send is
+/// what wakes a parked `recv_timeout`, and only then; dropping or closing
+/// the far side wakes it too, as [`TransportError::Disconnected`].
+pub struct QueueTransport {
+    sink: QueueSink,
+    source: QueueSource,
+}
+
+impl QueueTransport {
+    /// A connected pair: frames sent on one side arrive on the other.
+    #[must_use]
+    pub fn pair() -> (QueueTransport, QueueTransport) {
+        let ab = FrameQueue::new(); // a → b
+        let ba = FrameQueue::new(); // b → a
+        let side = |out: &Arc<FrameQueue>, inn: &Arc<FrameQueue>| QueueTransport {
+            sink: QueueSink {
+                shared: out.clone(),
+            },
+            source: QueueSource {
+                shared: inn.clone(),
+            },
+        };
+        (side(&ab, &ba), side(&ba, &ab))
+    }
+
+    /// This side as a non-blocking sink/source pair, for a scanning
+    /// worker ([`crate::stub::StubHost`], [`Poller`]) to drive.
+    #[must_use]
+    pub fn into_duplex(self) -> Duplex {
+        Duplex {
+            sink: Box::new(self.sink),
+            source: Box::new(self.source),
+        }
+    }
+}
+
+impl Transport for QueueTransport {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+        self.sink.send(bytes)
+    }
+
+    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.sink.send_owned(bytes)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
+        self.source.shared.pop_wait(timeout)
+    }
+
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.source.shared.try_pop()
+    }
+}
+
 /// A connected pair of in-memory duplexes: frames written to one side's
 /// sink pop out of the other side's source, waking its worker.
 #[must_use]
 pub fn queue_duplex_pair() -> (Duplex, Duplex) {
-    let ab = QueueShared::new(); // a → b
-    let ba = QueueShared::new(); // b → a
-    (
-        Duplex {
-            sink: Box::new(QueueSink { shared: ab.clone() }),
-            source: Box::new(QueueSource { shared: ba.clone() }),
-        },
-        Duplex {
-            sink: Box::new(QueueSink { shared: ba }),
-            source: Box::new(QueueSource { shared: ab }),
-        },
-    )
+    let (a, b) = QueueTransport::pair();
+    (a.into_duplex(), b.into_duplex())
 }
 
 // ---------------------------------------------------------------------
@@ -423,85 +585,20 @@ pub fn tcp_duplex_pair() -> std::io::Result<(Duplex, Duplex)> {
 }
 
 // ---------------------------------------------------------------------
-// Demux target + blocking facade.
+// Blocking facade over a poller-owned source.
 // ---------------------------------------------------------------------
-
-struct SlotState {
-    frames: VecDeque<Vec<u8>>,
-    disconnected: bool,
-}
-
-/// Per-slot frame queue a poll worker demultiplexes into. The consumer
-/// side is the blocking [`Transport`] facade ([`PolledTransport`]):
-/// `recv_timeout` parks on the queue's condvar, not on a socket, so the
-/// proxy's recv loops work unchanged. Queued frames drain before a
-/// disconnect is reported.
-pub struct SlotQueue {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-impl SlotQueue {
-    fn new() -> Arc<SlotQueue> {
-        Arc::new(SlotQueue {
-            state: Mutex::new(SlotState {
-                frames: VecDeque::new(),
-                disconnected: false,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn push(&self, frame: Vec<u8>) {
-        self.state.lock().unwrap().frames.push_back(frame);
-        self.cv.notify_all();
-    }
-
-    fn disconnect(&self) {
-        self.state.lock().unwrap().disconnected = true;
-        self.cv.notify_all();
-    }
-
-    fn try_pop(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut state = self.state.lock().unwrap();
-        if let Some(frame) = state.frames.pop_front() {
-            return Ok(Some(frame));
-        }
-        if state.disconnected {
-            return Err(TransportError::Disconnected);
-        }
-        Ok(None)
-    }
-
-    fn pop_wait(&self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(frame) = state.frames.pop_front() {
-                return Ok(Some(frame));
-            }
-            if state.disconnected {
-                return Err(TransportError::Disconnected);
-            }
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return Ok(None);
-            };
-            state = self.cv.wait_timeout(state, left).unwrap().0;
-        }
-    }
-}
 
 /// Blocking [`Transport`] facade over a split transport whose source is
 /// owned by a [`Poller`]: sends go straight down the sink; receives park
-/// on the [`SlotQueue`] the poll worker fills.
+/// on the [`FrameQueue`] the poll worker fills.
 pub struct PolledTransport {
     sink: Box<dyn FrameSink>,
-    queue: Arc<SlotQueue>,
+    queue: Arc<FrameQueue>,
 }
 
 impl PolledTransport {
     #[must_use]
-    pub fn new(sink: Box<dyn FrameSink>, queue: Arc<SlotQueue>) -> Self {
+    pub fn new(sink: Box<dyn FrameSink>, queue: Arc<FrameQueue>) -> Self {
         PolledTransport { sink, queue }
     }
 }
@@ -509,6 +606,10 @@ impl PolledTransport {
 impl Transport for PolledTransport {
     fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
         self.sink.send(bytes)
+    }
+
+    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.sink.send_owned(bytes)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
@@ -526,7 +627,7 @@ impl Transport for PolledTransport {
 
 struct Registration {
     source: Box<dyn FrameSource>,
-    queue: Arc<SlotQueue>,
+    queue: Arc<FrameQueue>,
 }
 
 struct Worker {
@@ -599,8 +700,8 @@ impl Poller {
 
     /// Hand a source to a poll worker (round-robin) and get back the slot
     /// queue its frames will land in.
-    pub fn register(&self, mut source: Box<dyn FrameSource>) -> Arc<SlotQueue> {
-        let queue = SlotQueue::new();
+    pub fn register(&self, mut source: Box<dyn FrameSource>) -> Arc<FrameQueue> {
+        let queue = FrameQueue::new();
         let worker = &self.workers[self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len()];
         source.set_waker(worker.waker.clone());
         worker.inject.lock().unwrap().push(Registration {
@@ -662,11 +763,12 @@ fn worker_loop(
             match reg.source.try_recv() {
                 Ok(Some(frame)) => {
                     ready += 1;
-                    reg.queue.push(frame);
+                    // Only this worker closes the slot queue, below.
+                    let _ = reg.queue.push(frame);
                 }
                 Ok(None) => return true,
                 Err(_) => {
-                    reg.queue.disconnect();
+                    reg.queue.close();
                     return false;
                 }
             }
@@ -713,6 +815,12 @@ mod tests {
     #[test]
     fn polled_queue_transport_conforms() {
         conformance(queue_duplex_pair());
+    }
+
+    #[test]
+    fn direct_queue_transport_conforms() {
+        let (a, b) = QueueTransport::pair();
+        crate::transport::tests::exercise(a, b);
     }
 
     #[test]
@@ -805,6 +913,154 @@ mod tests {
             obs.counter("appvisor", "poller_wakeups", "w0").get() > 0,
             "worker scans are counted"
         );
+    }
+
+    #[test]
+    fn direct_disconnect_wakes_a_waiting_receiver_at_once() {
+        // The far side vanishes while this side is parked on a 2 s
+        // deadline: the close itself must end the park.
+        let (mut a, b) = QueueTransport::pair();
+        let parked = Arc::new(std::sync::Barrier::new(2));
+        let dropper = {
+            let parked = parked.clone();
+            std::thread::spawn(move || {
+                parked.wait();
+                // Let the receiver get from the barrier into its park.
+                std::thread::sleep(Duration::from_millis(20));
+                let at = Instant::now();
+                drop(b);
+                at
+            })
+        };
+        parked.wait();
+        let got = a.recv_timeout(Duration::from_secs(2));
+        let woke = Instant::now();
+        assert_eq!(got, Err(TransportError::Disconnected));
+        let dropped = dropper.join().unwrap();
+        assert!(
+            woke.saturating_duration_since(dropped) < Duration::from_millis(50),
+            "disconnect took {:?} to surface",
+            woke.saturating_duration_since(dropped)
+        );
+    }
+
+    #[test]
+    fn direct_queued_frames_drain_before_the_disconnect() {
+        let (mut a, mut b) = QueueTransport::pair();
+        b.send(b"last words").unwrap();
+        drop(b);
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
+            b"last words"
+        );
+        assert_eq!(a.try_recv(), Err(TransportError::Disconnected));
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Disconnected)
+        );
+        assert_eq!(a.send(b"anyone?"), Err(TransportError::Disconnected));
+    }
+
+    const STRESS_FRAMES: u64 = 200_000;
+
+    /// One producer, one consumer that parks whenever it finds nothing:
+    /// every `recv_timeout(2 s)` must return the next frame before its
+    /// deadline. A producer that skipped a notify the consumer needed
+    /// shows up as a park that ran the full 2 s.
+    fn lost_wake_stress(mut tx: impl Transport + 'static, mut rx: impl Transport) {
+        let consumed = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let producer = {
+            let consumed = consumed.clone();
+            std::thread::spawn(move || {
+                for i in 0..STRESS_FRAMES {
+                    // Every few frames let the consumer catch up, so the
+                    // next send races it between "found nothing" and
+                    // "parked" — tens of thousands of times a run.
+                    if i % 7 == 0 {
+                        while consumed.load(Ordering::SeqCst) < i {
+                            std::thread::yield_now();
+                        }
+                    }
+                    tx.send_owned(i.to_le_bytes().to_vec()).unwrap();
+                }
+                tx // keep the far side open until the consumer is done
+            })
+        };
+        for i in 0..STRESS_FRAMES {
+            // A park that runs out its deadline re-checks the queue on
+            // the way out, so a lost wakeup reads as a late frame, not a
+            // missing one: time the call as well.
+            let start = Instant::now();
+            let frame = rx
+                .recv_timeout(Duration::from_secs(2))
+                .expect("transport alive");
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "frame {i} waited out its deadline: a wakeup was lost"
+            );
+            assert_eq!(frame.expect("within the deadline"), i.to_le_bytes());
+            consumed.store(i + 1, Ordering::SeqCst);
+        }
+        drop(producer.join().unwrap());
+    }
+
+    #[test]
+    fn lost_wake_stress_direct_queue() {
+        let (a, b) = QueueTransport::pair();
+        lost_wake_stress(a, b);
+    }
+
+    #[test]
+    fn lost_wake_stress_slot_queue_behind_a_poller() {
+        // Producer → queue source → poll worker (parks on its waker) →
+        // slot queue → consumer (parks on the slot queue): both hops.
+        let p = Poller::new(1, Obs::new());
+        let (tx, b) = QueueTransport::pair();
+        let b = b.into_duplex();
+        let rx = PolledTransport::new(b.sink, p.register(b.source));
+        lost_wake_stress(tx, rx);
+    }
+
+    #[test]
+    fn lost_wake_stress_poll_waker() {
+        // The worker protocol: read the generation, look for work, park
+        // past the generation read. Work is a counter bumped before the
+        // wake; a park that runs out its 2 s lost that wake.
+        let waker = PollWaker::new();
+        let produced = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let consumed = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let producer = {
+            let (waker, produced, consumed) = (waker.clone(), produced.clone(), consumed.clone());
+            std::thread::spawn(move || {
+                for i in 0..STRESS_FRAMES {
+                    // As in `lost_wake_stress`: race the consumer's park.
+                    if i % 7 == 0 {
+                        while consumed.load(Ordering::SeqCst) < i {
+                            std::thread::yield_now();
+                        }
+                    }
+                    produced.fetch_add(1, Ordering::SeqCst);
+                    waker.wake();
+                }
+            })
+        };
+        let mut taken = 0;
+        while taken < STRESS_FRAMES {
+            let seen = waker.current();
+            let available = produced.load(Ordering::SeqCst);
+            if available > taken {
+                taken = available;
+                consumed.store(taken, Ordering::SeqCst);
+                continue;
+            }
+            let start = Instant::now();
+            waker.wait_past(seen, Duration::from_secs(2));
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "parked through a wake after {taken} items"
+            );
+        }
+        producer.join().unwrap();
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! Crash-Pad supplies recovery.
 
 use crate::poll::{
-    queue_duplex_pair, tcp_duplex_pair, udp_duplex_pair, Duplex, PolledTransport, Poller,
+    tcp_duplex_pair, udp_duplex_pair, Duplex, PolledTransport, Poller, QueueTransport,
 };
-use crate::rpc::{decode_frame, encode_frame, RpcMessage};
+use crate::rpc::{decode_frame, encode_deliver, encode_deliver_delta, encode_frame, RpcMessage};
 use crate::stub::{spawn_stub, StubConfig, StubHost, StubReport};
 use crate::transport::{ChannelTransport, TcpTransport, Transport, TransportError, UdpTransport};
 use legosdn_controller::app::{Command, SdnApp};
@@ -46,13 +46,16 @@ pub enum IoMode {
     /// and the reference the determinism suite anchors on.
     #[default]
     Blocking,
-    /// All stub channels multiplexed onto a fixed pool of poll workers
-    /// ([`crate::poll::Poller`]), with stubs hosted on a matching
-    /// [`StubHost`] pool: thread count is a deployment constant, not a
-    /// function of fleet size.
+    /// All stubs hosted on a fixed [`StubHost`] pool, and every socket
+    /// channel multiplexed onto a matching pool of poll workers
+    /// ([`crate::poll::Poller`]): thread count is a deployment constant,
+    /// not a function of fleet size. In-memory channels need no poll
+    /// worker — the proxy blocks on the reply queue itself
+    /// ([`crate::poll::QueueTransport`]).
     Polled {
-        /// Poll workers on each side (proxy poller + stub host), clamped
-        /// to at least 1. Total I/O threads = `2 × io_threads`.
+        /// Workers per pool, clamped to at least 1. A `Channel` fleet
+        /// runs on `io_threads` stub-host threads; the first `Udp`/`Tcp`
+        /// launch adds `io_threads` poll threads.
         io_threads: usize,
     },
 }
@@ -231,6 +234,9 @@ struct AppSlot {
     stats: AppWireStats,
     metrics: SlotMetrics,
     shipped: Shipped,
+    /// Buffer size the next delta frame is written into: the last one's
+    /// length rounded up, so a steady-state delivery is one allocation.
+    delta_capacity: usize,
     /// Tagged replies that arrived while a *different* tag was being
     /// collected (multi-event in-flight queue; also absorbs datagram
     /// reordering on the UDP transport). Consulted before the transport
@@ -259,8 +265,9 @@ pub struct AppVisorProxy {
     config: ProxyConfig,
     apps: Vec<AppSlot>,
     obs: Obs,
-    /// Proxy-side poll workers, created lazily on the first polled
-    /// launch so `set_obs` has already run.
+    /// Proxy-side poll workers for socket channels, created on the first
+    /// polled `Udp`/`Tcp` launch (so `set_obs` has already run, and a
+    /// fleet of in-memory channels never starts them).
     poller: Option<Poller>,
     /// Stub-side worker pool for polled launches.
     stub_host: Option<StubHost>,
@@ -290,8 +297,8 @@ impl AppVisorProxy {
 
     /// Spawn a stub hosting `app` over the chosen transport and register it.
     /// Under [`IoMode::Blocking`] the stub gets its own thread and the
-    /// proxy a blocking transport; under [`IoMode::Polled`] the channel is
-    /// split and multiplexed onto the shared poller / stub-host pools.
+    /// proxy a blocking transport; under [`IoMode::Polled`] the stub is
+    /// hosted on the shared stub-host pool.
     pub fn launch_app(
         &mut self,
         app: Box<dyn SdnApp>,
@@ -319,38 +326,50 @@ impl AppVisorProxy {
         self.register_transport(proxy_side, Some(handle))
     }
 
-    /// The polled launch path: split the channel, host the stub on the
-    /// shared worker pool, register the proxy-side source with the
-    /// poller, and present the slot a blocking [`PolledTransport`] facade
-    /// so everything above this seam is unchanged.
+    /// The polled launch path: host the stub on the shared worker pool
+    /// and present the slot a blocking facade, so everything above this
+    /// seam is unchanged. An in-memory channel's facade is the reply
+    /// queue itself; a socket's source goes to the poller, which is the
+    /// job it exists for (no readiness signal without epoll).
     fn launch_app_polled(
         &mut self,
         app: Box<dyn SdnApp>,
         transport: TransportKind,
     ) -> Result<AppHandle, ProxyError> {
         let io_err = |e: std::io::Error| ProxyError::Transport(TransportError::Io(e.to_string()));
-        let (proxy_dx, stub_dx): (Duplex, Duplex) = match transport {
-            TransportKind::Channel => queue_duplex_pair(),
-            TransportKind::Udp => udp_duplex_pair().map_err(io_err)?,
-            TransportKind::Tcp => tcp_duplex_pair().map_err(io_err)?,
-        };
         let io_threads = match self.config.io {
             IoMode::Polled { io_threads } => io_threads,
             IoMode::Blocking => unreachable!("polled launch under blocking io"),
+        };
+        let (proxy_side, stub_dx): (Box<dyn Transport>, Duplex) = match transport {
+            TransportKind::Channel => {
+                let (proxy_side, stub_side) = QueueTransport::pair();
+                (Box::new(proxy_side), stub_side.into_duplex())
+            }
+            TransportKind::Udp | TransportKind::Tcp => {
+                let (proxy_dx, stub_dx) = if transport == TransportKind::Udp {
+                    udp_duplex_pair().map_err(io_err)?
+                } else {
+                    tcp_duplex_pair().map_err(io_err)?
+                };
+                let obs = self.obs.clone();
+                let worker = self.config.worker;
+                let poller = self
+                    .poller
+                    .get_or_insert_with(|| Poller::for_worker(io_threads, obs, worker));
+                let queue = poller.register(proxy_dx.source);
+                (
+                    Box::new(PolledTransport::new(proxy_dx.sink, queue)),
+                    stub_dx,
+                )
+            }
         };
         let host = self
             .stub_host
             .get_or_insert_with(|| StubHost::new(io_threads));
         host.spawn(app, stub_dx, self.config.stub.clone())
             .map_err(ProxyError::Transport)?;
-        let obs = self.obs.clone();
-        let worker = self.config.worker;
-        let poller = self
-            .poller
-            .get_or_insert_with(|| Poller::for_worker(io_threads, obs, worker));
-        let queue = poller.register(proxy_dx.source);
-        let polled = PolledTransport::new(proxy_dx.sink, queue);
-        self.register_transport(Box::new(polled), None)
+        self.register_transport(proxy_side, None)
     }
 
     /// Register an app over an already-connected transport (the far end
@@ -383,6 +402,7 @@ impl AppVisorProxy {
                             alive: true,
                             stats: AppWireStats::default(),
                             shipped: Shipped::Never,
+                            delta_capacity: 0,
                             inbox: VecDeque::new(),
                             cancelled: BTreeSet::new(),
                         });
@@ -460,7 +480,8 @@ impl AppVisorProxy {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
-        send_frame(slot, &RpcMessage::SnapshotRequest { seq }).map_err(ProxyError::Transport)?;
+        send_frame(slot, encode_frame(&RpcMessage::SnapshotRequest { seq }))
+            .map_err(ProxyError::Transport)?;
         let deadline = Instant::now() + self.config.rpc_timeout;
         match await_tag(slot, seq, deadline) {
             Ok(Some(RpcMessage::SnapshotReply { bytes, .. })) => Ok(bytes),
@@ -477,8 +498,11 @@ impl AppVisorProxy {
         slot.next_seq += 1;
         let seq = slot.next_seq;
         let bytes = bytes.to_vec();
-        send_frame(slot, &RpcMessage::RestoreRequest { seq, bytes })
-            .map_err(ProxyError::Transport)?;
+        send_frame(
+            slot,
+            encode_frame(&RpcMessage::RestoreRequest { seq, bytes }),
+        )
+        .map_err(ProxyError::Transport)?;
         let deadline = Instant::now() + self.config.rpc_timeout;
         match await_tag(slot, seq, deadline) {
             Ok(Some(RpcMessage::RestoreAck { ok, .. })) => {
@@ -537,7 +561,8 @@ impl AppVisorProxy {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
-        let sent = send_frame(slot, &RpcMessage::SnapshotRequest { seq }).map(|()| seq);
+        let sent =
+            send_frame(slot, encode_frame(&RpcMessage::SnapshotRequest { seq })).map(|()| seq);
         Ok(queued(slot, sent, &self.obs, "snap_send"))
     }
 
@@ -622,7 +647,9 @@ impl AppVisorProxy {
     pub fn shutdown(mut self) -> Vec<StubReport> {
         let mut reports = Vec::new();
         for slot in &mut self.apps {
-            let _ = slot.transport.send(&encode_frame(&RpcMessage::Shutdown));
+            let _ = slot
+                .transport
+                .send_owned(encode_frame(&RpcMessage::Shutdown));
         }
         for slot in &mut self.apps {
             if let Some(handle) = slot.stub_thread.take() {
@@ -660,12 +687,11 @@ fn mark_failed(slot: &mut AppSlot, why: Failure) {
     }
 }
 
-/// Account and push one request frame.
-fn send_frame(slot: &mut AppSlot, msg: &RpcMessage) -> Result<(), TransportError> {
-    let frame = encode_frame(msg);
+/// Account and push one encoded request frame.
+fn send_frame(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), TransportError> {
     slot.stats.bytes_sent += frame.len() as u64;
     slot.metrics.bytes_sent.add(frame.len() as u64);
-    slot.transport.send(&frame)
+    slot.transport.send_owned(frame)
 }
 
 /// Account one received frame.
@@ -688,38 +714,34 @@ fn deliver_frame(
 ) -> Result<u64, TransportError> {
     slot.next_seq += 1;
     let seq = slot.next_seq;
-    let event = event.clone();
-    let msg = match std::mem::replace(&mut slot.shipped, Shipped::Lost) {
+    let frame = match std::mem::replace(&mut slot.shipped, Shipped::Lost) {
         Shipped::At {
             seq: base,
             topology: held,
             devices: held_devices,
         } => {
             slot.metrics.view_delta_frames.inc();
-            RpcMessage::EventDeliverDelta {
+            let frame = encode_deliver_delta(
                 seq,
                 event,
                 base,
-                topology: held.diff(topology),
-                devices: held_devices.diff(devices),
+                &held.diff(topology),
+                &held_devices.diff(devices),
                 now,
-            }
+                slot.delta_capacity,
+            );
+            slot.delta_capacity = frame.len().next_power_of_two();
+            frame
         }
         unknown => {
             slot.metrics.view_full_frames.inc();
             if matches!(unknown, Shipped::Lost) {
                 slot.metrics.view_resyncs.inc();
             }
-            RpcMessage::EventDeliver {
-                seq,
-                event,
-                topology: topology.clone(),
-                devices: devices.clone(),
-                now,
-            }
+            encode_deliver(seq, event, topology, devices, now, 0)
         }
     };
-    send_frame(slot, &msg)?;
+    send_frame(slot, frame)?;
     slot.shipped = Shipped::At {
         seq,
         topology: topology.clone(),
@@ -1484,6 +1506,44 @@ mod tests {
             let reports = p.shutdown();
             assert_eq!(reports.len(), 1, "over {kind:?}");
         }
+    }
+
+    #[test]
+    fn only_polled_socket_launches_start_the_poller() {
+        // An in-memory channel's proxy side blocks on the reply queue
+        // itself; the `appvisor-poll-*` threads exist for sockets.
+        let app = || {
+            Box::new(TestApp {
+                count: 0,
+                crash_on_count: None,
+            })
+        };
+        // Shard 41 names its poll threads `appvisor-poll-w41-*`, which no
+        // other test in this process does; the kernel keeps 15 bytes.
+        let poll_threads = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("linux procfs")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == "appvisor-poll-w")
+                .count()
+        };
+        let obs = Obs::new();
+        let mut p = polled_proxy(1);
+        p.config.worker = 41;
+        p.set_obs(obs.clone());
+        let wakeups = obs.counter("appvisor", "poller_wakeups", "w41.0");
+        let channel = p.launch_app(app(), TransportKind::Channel).unwrap();
+        assert!(matches!(
+            deliver(&mut p, channel),
+            DeliverOutcome::Commands(_)
+        ));
+        assert_eq!(poll_threads(), 0, "a Channel launch started poll threads");
+        assert_eq!(wakeups.get(), 0);
+        let udp = p.launch_app(app(), TransportKind::Udp).unwrap();
+        assert_eq!(poll_threads(), 1, "a Udp launch needs the poller");
+        assert!(matches!(deliver(&mut p, udp), DeliverOutcome::Commands(_)));
+        assert!(wakeups.get() > 0, "socket scans are still counted");
+        assert_eq!(p.shutdown().len(), 2);
     }
 
     #[test]

@@ -75,14 +75,84 @@ pub enum RpcMessage {
     },
 }
 
+/// Smallest buffer a frame is written into: every control frame
+/// (register, heartbeat, requests, acks without commands) fits.
+const MIN_FRAME_CAPACITY: usize = 64;
+
+/// Write one frame into one buffer: leave room for the length prefix, let
+/// `body` append the encoding behind it, then fill the prefix in. A
+/// `capacity` that covers the frame makes this a single allocation.
+fn framed(capacity: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity.max(MIN_FRAME_CAPACITY));
+    out.extend_from_slice(&[0u8; 4]);
+    body(&mut out);
+    let len = u32::try_from(out.len() - 4).expect("an rpc frame body is far below 4 GiB");
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
 /// Encode a frame (length prefix + body).
 #[must_use]
 pub fn encode_frame(msg: &RpcMessage) -> Vec<u8> {
-    let body = snapshot::to_bytes(msg).expect("rpc messages are plain data");
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    encode_frame_sized(msg, 0)
+}
+
+/// [`encode_frame`] into a buffer that starts `capacity` bytes large —
+/// the size the stream's previous frame of this kind came to. Only the
+/// number of allocations depends on it.
+#[must_use]
+pub fn encode_frame_sized(msg: &RpcMessage, capacity: usize) -> Vec<u8> {
+    framed(capacity, |out| msg.encode(out))
+}
+
+/// Variant indices of the two delivery frames, as `#[derive(Codec)]`
+/// numbers [`RpcMessage`]'s variants (declaration order, `u32`).
+const EVENT_DELIVER: u32 = 6;
+const EVENT_DELIVER_DELTA: u32 = 10;
+
+/// The bytes of `encode_frame(&RpcMessage::EventDeliver { .. })` from
+/// borrowed parts: the proxy does not clone the event (packet payload
+/// included) and both views just to own a message it encodes once.
+#[must_use]
+pub fn encode_deliver(
+    seq: u64,
+    event: &Event,
+    topology: &TopologyView,
+    devices: &DeviceView,
+    now: SimTime,
+    capacity: usize,
+) -> Vec<u8> {
+    framed(capacity, |out| {
+        EVENT_DELIVER.encode(out);
+        seq.encode(out);
+        event.encode(out);
+        topology.encode(out);
+        devices.encode(out);
+        now.encode(out);
+    })
+}
+
+/// The bytes of `encode_frame(&RpcMessage::EventDeliverDelta { .. })`
+/// from borrowed parts; see [`encode_deliver`].
+#[must_use]
+pub fn encode_deliver_delta(
+    seq: u64,
+    event: &Event,
+    base: u64,
+    topology: &TopologyDelta,
+    devices: &DeviceDelta,
+    now: SimTime,
+    capacity: usize,
+) -> Vec<u8> {
+    framed(capacity, |out| {
+        EVENT_DELIVER_DELTA.encode(out);
+        seq.encode(out);
+        event.encode(out);
+        base.encode(out);
+        topology.encode(out);
+        devices.encode(out);
+        now.encode(out);
+    })
 }
 
 /// Decode a frame produced by [`encode_frame`].

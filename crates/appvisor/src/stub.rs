@@ -14,7 +14,7 @@
 //! CRIU-restore analogue.
 
 use crate::poll::{Duplex, FrameSink, FrameSource, PollWaker};
-use crate::rpc::{decode_frame, encode_frame, RpcMessage};
+use crate::rpc::{decode_frame, encode_frame, encode_frame_sized, RpcMessage};
 use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
@@ -81,6 +81,9 @@ struct StubCore {
     views: Option<(u64, TopologyView, DeviceView)>,
     hb_seq: u64,
     last_heartbeat: Instant,
+    /// Buffer size the next `EventAck` is written into: the last one's
+    /// length rounded up, so a steady-state reply is one allocation.
+    ack_capacity: usize,
     report: StubReport,
 }
 
@@ -93,6 +96,7 @@ impl StubCore {
             views: None,
             hb_seq: 0,
             last_heartbeat: Instant::now(),
+            ack_capacity: 0,
             report: StubReport::default(),
         }
     }
@@ -144,10 +148,13 @@ impl StubCore {
         match result {
             Ok(()) => {
                 self.report.events_processed += 1;
-                StubStep::Reply(encode_frame(&RpcMessage::EventAck {
+                let ack = RpcMessage::EventAck {
                     seq,
                     commands: ctx.into_commands(),
-                }))
+                };
+                let frame = encode_frame_sized(&ack, self.ack_capacity);
+                self.ack_capacity = frame.len().next_power_of_two();
+                StubStep::Reply(frame)
             }
             Err(payload) => {
                 self.report.crashes_contained += 1;
@@ -360,7 +367,7 @@ impl StubHost {
             mut sink,
             mut source,
         } = transport;
-        sink.send(&core.register_frame())?;
+        sink.send_owned(core.register_frame())?;
         let worker = &self.workers[self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len()];
         source.set_waker(worker.waker.clone());
         self.spawned.fetch_add(1, Ordering::SeqCst);
@@ -467,7 +474,7 @@ fn host_loop(
 /// transport loss).
 fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
     if let Some(hb) = s.core.heartbeat_if_due() {
-        if s.sink.send(&hb).is_err() {
+        if s.sink.send_owned(hb).is_err() {
             return true;
         }
     }
@@ -478,7 +485,7 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
                 match s.core.handle_frame(&frame) {
                     StubStep::Continue => {}
                     StubStep::Reply(reply) => {
-                        if s.sink.send(&reply).is_err() {
+                        if s.sink.send_owned(reply).is_err() {
                             return true;
                         }
                     }
@@ -842,6 +849,46 @@ mod stub_tests {
         let restores: u64 = reports.iter().map(|r| r.restores).sum();
         assert_eq!(crashes, 1);
         assert_eq!(restores, 1);
+    }
+
+    #[test]
+    fn host_shutdown_disconnects_a_proxy_waiting_on_the_reply_queue() {
+        // The polled in-memory path has no thread between stub host and
+        // proxy: the host going away must itself end the proxy's wait.
+        let host = StubHost::new(1);
+        let (mut proxy_side, stub_side) = crate::poll::QueueTransport::pair();
+        let quiet = StubConfig {
+            heartbeat_period: Duration::from_secs(60),
+            report_crashes: true,
+        };
+        let app = TestApp {
+            count: 0,
+            crash_on: None,
+        };
+        host.spawn(Box::new(app), stub_side.into_duplex(), quiet)
+            .unwrap();
+        let register = proxy_side.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert!(matches!(
+            decode_frame(&register.expect("register frame")),
+            Ok(RpcMessage::Register { .. })
+        ));
+        let stopper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            let at = Instant::now();
+            drop(host);
+            at
+        });
+        let got = proxy_side.recv_timeout(Duration::from_secs(2));
+        let woke = Instant::now();
+        assert_eq!(got, Err(TransportError::Disconnected));
+        // `drop(host)` joins its workers, so the close lies between `at`
+        // and the join; the proxy must not have slept on past it.
+        let stopped = stopper.join().unwrap();
+        assert!(
+            woke.saturating_duration_since(stopped) < Duration::from_millis(50),
+            "shutdown took {:?} to reach the proxy",
+            woke.saturating_duration_since(stopped)
+        );
     }
 
     #[test]

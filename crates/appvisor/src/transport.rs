@@ -12,9 +12,9 @@
 //! - [`TcpTransport`] — TCP loopback with length framing, the
 //!   reliable-stream alternative.
 //!
-//! The readiness-polled path that multiplexes *all* stubs onto a fixed
-//! I/O thread pool lives in [`crate::poll`]; it splits each of these
-//! transports into a non-blocking sink/source pair.
+//! The path that serves *all* stubs from a fixed thread pool lives in
+//! [`crate::poll`]; it splits each of these transports into a
+//! non-blocking sink/source pair.
 
 use std::fmt;
 use std::io::ErrorKind;
@@ -46,6 +46,13 @@ impl std::error::Error for TransportError {}
 pub trait Transport: Send {
     /// Send one frame.
     fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError>;
+
+    /// Send one frame the caller is done with. An in-memory transport
+    /// keeps the buffer instead of copying it; everything else writes the
+    /// bytes out as [`Transport::send`] does.
+    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
+        self.send(&bytes)
+    }
 
     /// Receive one frame, waiting up to `timeout`. `Ok(None)` on timeout.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError>;

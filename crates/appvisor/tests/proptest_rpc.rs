@@ -2,11 +2,15 @@
 //! arbitrary protocol values, and end-to-end proxy⇄stub consistency for
 //! random event streams.
 
-use legosdn_appvisor::{decode_frame, encode_frame, RpcMessage};
+use legosdn_appvisor::{
+    decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,
+    RpcMessage,
+};
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
-use legosdn_netsim::{Endpoint, SimTime};
+use legosdn_controller::{snapshot, EventTranslator};
+use legosdn_netsim::{Endpoint, Network, SimTime, Topology};
 use legosdn_openflow::prelude::*;
 use legosdn_testkit::{forall, Rng};
 
@@ -83,6 +87,15 @@ fn arb_views(rng: &mut Rng) -> (TopologyView, DeviceView) {
     (topo, dev)
 }
 
+/// What a frame is on the wire: the body's length as `u32 LE`, then the
+/// body exactly as the codec writes it.
+fn prefixed(msg: &RpcMessage) -> Vec<u8> {
+    let body = snapshot::to_bytes(msg).unwrap();
+    let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+    bytes.extend(body);
+    bytes
+}
+
 #[test]
 fn frames_roundtrip() {
     forall(256, |rng| {
@@ -131,10 +144,93 @@ fn frames_roundtrip() {
         ];
         for f in frames {
             let encoded = encode_frame(&f);
+            assert_eq!(encoded, prefixed(&f), "length prefix, then codec bytes");
             let back = decode_frame(&encoded).expect("decode");
             assert_eq!(back, f);
         }
     });
+}
+
+/// The proxy writes its delivery frames from borrowed parts; they are
+/// byte for byte the frames of the owned messages, whatever buffer size
+/// the encoder was told to start from.
+#[test]
+fn borrowed_delivery_encoders_match_the_owned_frames() {
+    forall(256, |rng| {
+        let seq = rng.next_u64();
+        let base = rng.next_u64();
+        let event = arb_event(rng);
+        let (topology, devices) = arb_views(rng);
+        let (held_topology, held_devices) = arb_views(rng);
+        let now = SimTime::from_micros(seq % 1_000_000);
+        let capacity = rng.gen_range(0u64..4096) as usize;
+        let topology_delta = held_topology.diff(&topology);
+        let devices_delta = held_devices.diff(&devices);
+        let borrowed_delta = encode_deliver_delta(
+            seq,
+            &event,
+            base,
+            &topology_delta,
+            &devices_delta,
+            now,
+            capacity,
+        );
+        let delta = RpcMessage::EventDeliverDelta {
+            seq,
+            event: event.clone(),
+            base,
+            topology: topology_delta,
+            devices: devices_delta,
+            now,
+        };
+        assert_eq!(borrowed_delta, encode_frame(&delta));
+        assert_eq!(borrowed_delta, encode_frame_sized(&delta, capacity));
+        let borrowed_full = encode_deliver(seq, &event, &topology, &devices, now, capacity);
+        let full = RpcMessage::EventDeliver {
+            seq,
+            event,
+            topology,
+            devices,
+            now,
+        };
+        assert_eq!(borrowed_full, encode_frame(&full));
+    });
+}
+
+/// The first-contact frame of the benchmark's network — `fat_tree(8)`
+/// after discovery with every host learned, 27 KB of views — grown
+/// through every buffer doubling on the way: same prefix, same bytes.
+#[test]
+fn golden_full_view_frame_is_prefix_plus_codec_bytes() {
+    let topo = Topology::fat_tree(8);
+    let mut net = Network::new(&topo);
+    let mut tr = EventTranslator::new();
+    for raw in net.poll_events() {
+        tr.process(&mut net, raw);
+    }
+    for h in &topo.hosts {
+        tr.devices.learn(h.mac, Some(h.ip), h.attach, SimTime::ZERO);
+    }
+    let full = RpcMessage::EventDeliver {
+        seq: 1,
+        event: Event::SwitchUp(DatapathId(1)),
+        topology: tr.topology.clone(),
+        devices: tr.devices.clone(),
+        now: SimTime::from_secs(1),
+    };
+    let frame = encode_frame(&full);
+    assert!(frame.len() > 27_000, "{} B", frame.len());
+    assert_eq!(frame, prefixed(&full));
+    let borrowed = encode_deliver(
+        1,
+        &Event::SwitchUp(DatapathId(1)),
+        &tr.topology,
+        &tr.devices,
+        SimTime::from_secs(1),
+        0,
+    );
+    assert_eq!(borrowed, frame);
+    assert_eq!(decode_frame(&frame).unwrap(), full);
 }
 
 /// Truncation never decodes, never panics.

@@ -4,13 +4,13 @@
 //! the proxy built that delivery frame from.
 //!
 //! Every proxy-level test runs twice: over a blocking channel transport
-//! with a stub thread, and over the polled path (split queue duplex,
-//! `StubHost` + `Poller` pools).
+//! with a stub thread, and over the polled path as the proxy launches it
+//! (a `StubHost` pool, the proxy blocking on the reply queue itself).
 
 use legosdn_appvisor::{
-    decode_frame, encode_frame, queue_duplex_pair, spawn_stub, AppHandle, AppVisorProxy,
-    ChannelTransport, DeliverOutcome, FlakyTransport, PolledTransport, Poller, ProxyConfig,
-    RpcMessage, StubConfig, StubHost, Transport,
+    decode_frame, encode_frame, spawn_stub, AppHandle, AppVisorProxy, ChannelTransport,
+    DeliverOutcome, FlakyTransport, ProxyConfig, QueueTransport, RpcMessage, StubConfig, StubHost,
+    Transport,
 };
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
@@ -117,20 +117,30 @@ struct Rig {
     h: AppHandle,
     obs: Obs,
     seen: Seen,
-    // The polled path's thread pools, kept alive for the proxy.
-    _pools: Option<(StubHost, Poller)>,
+    // The polled path's stub pool, kept alive for the proxy.
+    _host: Option<StubHost>,
 }
 
 /// A `ViewProbe` behind a stub, reached through a transport that loses
 /// `drop_per_mille` of the proxy's frames.
 fn rig(io: Io, drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
+    // Over a lossless transport every awaited reply arrives (the stub
+    // reports crashes) and a wait ends when it does, so a long deadline
+    // costs nothing — and a loaded box printing a panic backtrace cannot
+    // turn `Crashed` into a timeout. A lossy test waits its deadline out
+    // once per eaten frame.
+    let deliver_timeout = if drop_per_mille == 0 {
+        Duration::from_secs(2)
+    } else {
+        Duration::from_millis(60)
+    };
     let stub = StubConfig {
         heartbeat_period: Duration::from_millis(10),
         report_crashes: true,
     };
     let obs = Obs::new();
     let mut proxy = AppVisorProxy::new(ProxyConfig {
-        deliver_timeout: Duration::from_millis(60),
+        deliver_timeout,
         rpc_timeout: Duration::from_secs(2),
         stub: stub.clone(),
         ..Default::default()
@@ -141,7 +151,7 @@ fn rig(io: Io, drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
         seen: seen.clone(),
         crash_at,
     });
-    let (h, pools) = match io {
+    let (h, host) = match io {
         Io::Blocking => {
             let (proxy_side, stub_side) = ChannelTransport::pair();
             let thread = spawn_stub(stub_side, app, stub);
@@ -152,16 +162,11 @@ fn rig(io: Io, drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
             )
         }
         Io::Polled => {
-            let (proxy_dx, stub_dx) = queue_duplex_pair();
+            let (proxy_side, stub_side) = QueueTransport::pair();
             let host = StubHost::new(1);
-            host.spawn(app, stub_dx, stub).unwrap();
-            let poller = Poller::new(1, obs.clone());
-            let polled = PolledTransport::new(proxy_dx.sink, poller.register(proxy_dx.source));
-            let lossy = FlakyTransport::new(polled, drop_per_mille, 11);
-            (
-                proxy.register_transport(Box::new(lossy), None),
-                Some((host, poller)),
-            )
+            host.spawn(app, stub_side.into_duplex(), stub).unwrap();
+            let lossy = FlakyTransport::new(proxy_side, drop_per_mille, 11);
+            (proxy.register_transport(Box::new(lossy), None), Some(host))
         }
     };
     Rig {
@@ -169,7 +174,7 @@ fn rig(io: Io, drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
         h: h.expect("stub registers"),
         obs,
         seen,
-        _pools: pools,
+        _host: host,
     }
 }
 

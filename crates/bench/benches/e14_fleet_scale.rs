@@ -3,21 +3,21 @@
 //!
 //! The blocking transport spends one proxy-facing thread *and* one stub
 //! thread per app, so a 1000-app fleet costs ~1000 OS threads before a
-//! single event moves. The polled transport multiplexes every stub
-//! channel onto two fixed pools (poll workers on the proxy side, stub-host
-//! workers on the app side), so the same fleet runs on `2 × io_threads`
-//! threads total. This exhibit measures both sides of that trade:
+//! single event moves. The polled transport hosts every stub on a fixed
+//! pool of stub-host workers; its in-memory channels need no proxy-side
+//! thread (sockets would add a poll pool of the same size), so the same
+//! fleet runs on `io_threads` threads. This exhibit measures both sides
+//! of that trade:
 //!
 //! 1. **Scale**: launch 1000 stubs under each mode, fan event rounds out
 //!    to the whole fleet, record events/sec and the peak process thread
 //!    count from `/proc/self/status`.
 //! 2. **Regression guard**: the E12 windowed-burst workload (4 apps,
 //!    8-event bursts, depth-8 window, interval-1 checkpoints) must not
-//!    run more than ~3% slower under the polled transport — the poller
+//!    run more than ~3% slower under the polled transport — hosting
 //!    may not tax the latency-sensitive path it replaced.
 //!
-//! Results (plus the polled fleet's obs snapshot, including the poller's
-//! wakeup/ready-set metrics) land in `BENCH_7.json`.
+//! Results (plus the polled fleet's obs snapshot) land in `BENCH_7.json`.
 
 use legosdn::apps::Hub;
 use legosdn::appvisor::{AppHandle, AppVisorProxy, IoMode, ProxyConfig, StubConfig, TransportKind};
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 const FLEET_APPS: usize = 1000;
 const FLEET_ROUNDS: u64 = 3;
-const IO_THREADS: usize = 4; // 2 pools of 4 → 8 polled threads total
+const IO_THREADS: usize = 4; // 4 stub-host threads; channels need no poll pool
 
 /// The process thread count (`Threads:` in `/proc/self/status`); 0 where
 /// procfs is unavailable.

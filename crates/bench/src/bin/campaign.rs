@@ -83,8 +83,8 @@ own window machinery; commits stay in the sequential order through the \
 shared commit barrier (default 1). --lookahead CYCLES lets the window \
 run ahead into events this cycle's commits enqueue, up to CYCLES times \
 the cycle's own event count (default 1: today's cycle boundary). \
---transport polled services every stub channel from a fixed pool of \
-poll threads instead of one blocking thread per stub; --io-threads N \
+--transport polled hosts every stub on a fixed pool of stub-host \
+threads instead of one blocking thread per stub; --io-threads N \
 sizes that pool (default 4; only meaningful with isolated modes). \
 --trace-sample N records a causal flight-recorder trace for every Nth \
 event (default 1: every event; 0 disables tracing), served at /traces \

@@ -8,9 +8,10 @@
 //!
 //! Under `--transport blocking` every stub owns a thread, so the process
 //! grows ~N threads. Under `--transport polled` (the default) the whole
-//! fleet is serviced by two fixed pools — `--io-threads N` poll workers
-//! on the proxy side and the same number of stub-host workers — so the
-//! thread count stays flat no matter how many apps attach. `scripts/
+//! fleet is hosted on `--io-threads N` stub-host workers — its channels
+//! are in-memory, so the proxy blocks on each reply queue itself and no
+//! poll threads start — and the thread count stays flat no matter how
+//! many apps attach. `scripts/
 //! check.sh` runs this with `--apps 1000 --max-threads 64`: the smoke
 //! fails (exit 1) if the fleet ever needs more threads than that, or if
 //! any app misses a delivery or its shutdown report.
@@ -52,8 +53,8 @@ const USAGE: &str = "usage: fleet [--apps N] [--rounds N] \
 [--transport blocking|polled] [--io-threads N] [--max-threads N]\n\
 Launches N isolated stub apps against one AppVisor proxy, fans --rounds \
 events out to all of them, and prints throughput plus the process thread \
-count. --transport polled (the default) services the whole fleet from \
-fixed poll/stub-host pools of --io-threads threads each; --max-threads N \
+count. --transport polled (the default) hosts the whole fleet on a \
+fixed pool of --io-threads stub-host threads; --max-threads N \
 makes the run fail (exit 1) if /proc/self/status ever reports more \
 threads than N.";
 

@@ -230,8 +230,9 @@ impl IoConfig {
         }
     }
 
-    /// Readiness-polled multiplexed servicing with `io_threads` poll
-    /// workers per shard. Not clamped: 0 threads is rejected by
+    /// Pooled servicing with `io_threads` stub-host workers per shard
+    /// (plus as many poll workers once a socket transport is in use).
+    /// Not clamped: 0 threads is rejected by
     /// [`LegoSdnConfig::build`].
     #[must_use]
     pub fn polled(io_threads: usize) -> Self {

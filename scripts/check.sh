@@ -58,7 +58,9 @@ AGG_ADDR_FILE=""
 AGG_OUT=""
 AGG_PID=""
 CMP_PID=""
-trap 'kill "$AGG_PID" "$CMP_PID" 2>/dev/null || true; \
+BURN_PIDS=""
+# shellcheck disable=SC2086  # $BURN_PIDS is a pid list, split on purpose
+trap 'kill "$AGG_PID" "$CMP_PID" $BURN_PIDS 2>/dev/null || true; \
   rm -f "$AGG_ADDR_FILE" "$AGG_OUT" "$CMP_ADDR_FILE" "$CMP_OUT"' EXIT
 ./target/release/campaign --addr 127.0.0.1:0 --addr-file "$CMP_ADDR_FILE" \
   --period-ms 1 --dispatch pipelined --isolation channel --window 8 \
@@ -171,6 +173,41 @@ timeout 120 cargo test -q --offline -p legosdn-controller --test view_diff \
   || { echo "view diff/apply property failed or timed out" >&2; exit 1; }
 timeout 120 cargo test -q --offline -p legosdn-appvisor --test view_resync \
   || { echo "appvisor view resync tests failed or timed out" >&2; exit 1; }
+
+# The delivery path's contracts, by name: every transport facade passes
+# the one conformance suite (the direct in-memory one included); no
+# park-aware signal loses a wakeup in 200k frames; a frame is still a
+# length prefix plus the codec's bytes, from the owned and the borrowed
+# encoder alike. A lost wakeup parks a test for 2 s per frame, so the
+# timeout is what fails a broken waker.
+echo "==> transport conformance + lost-wake stress + golden frames (hard 120s timeout)"
+timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_wake_stress \
+  || { echo "transport conformance / lost-wake stress failed or timed out" >&2; exit 1; }
+timeout 120 cargo test -q --offline -p legosdn-appvisor --test proptest_rpc -- \
+    golden_ borrowed_delivery_encoders frames_roundtrip \
+  || { echo "rpc frame bytes moved or timed out" >&2; exit 1; }
+
+# Two tests that expect an explicit `Crashed` report used to give the
+# stub 60 / 300 ms to send it and went red on a loaded box (the stub was
+# still printing its panic backtrace). They now wait up to 2 s and return
+# when the report arrives. Hold that: 20 rounds with every core kept busy.
+echo "==> crash-report tests, 20x beside a busy loop per core (hard 300s timeout)"
+cargo test -q --offline --no-run -p legosdn-appvisor --test view_resync
+cargo test -q --offline --no-run -p legosdn --test integration_appvisor
+for _ in $(seq 1 "$(nproc)"); do
+  ( while :; do :; done ) &
+  BURN_PIDS="$BURN_PIDS $!"
+done
+for round in $(seq 1 20); do
+  timeout 300 cargo test -q --offline -p legosdn-appvisor --test view_resync -- \
+      a_crash_mid_window_resends_whole_views_then_diffs >/dev/null 2>&1 \
+    && timeout 300 cargo test -q --offline -p legosdn --test integration_appvisor -- \
+      crash_containment_with_explicit_report >/dev/null 2>&1 \
+    || { echo "crash-report test flaked in round $round of 20 under load" >&2; exit 1; }
+done
+# shellcheck disable=SC2086
+kill $BURN_PIDS 2>/dev/null || true
+BURN_PIDS=""
 
 # Memoized snapshot segments: a stale remembered encoding is the one way
 # a checkpoint can silently be wrong, so the twin-struct property runs by

@@ -7,8 +7,17 @@ use legosdn::prelude::*;
 use std::time::Duration;
 
 fn proxy(report_crashes: bool) -> AppVisorProxy {
+    // A stub that reports its crashes answers every delivery, and a wait
+    // ends the moment the answer arrives: a long deadline costs nothing
+    // and a loaded box printing a panic backtrace cannot turn `Crashed`
+    // into a timeout. Only a silent death waits the deadline out.
+    let deliver_timeout = if report_crashes {
+        Duration::from_secs(2)
+    } else {
+        Duration::from_millis(300)
+    };
     AppVisorProxy::new(ProxyConfig {
-        deliver_timeout: Duration::from_millis(300),
+        deliver_timeout,
         rpc_timeout: Duration::from_secs(2),
         heartbeat_timeout: Duration::from_millis(100),
         stub: StubConfig {

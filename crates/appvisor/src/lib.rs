@@ -7,13 +7,14 @@
 //!   dispatches events to isolated apps, maintains the subscription table,
 //!   and detects crashes via explicit reports, communication failures, and
 //!   heartbeat loss;
-//! - the **stub** ([`stub::run_stub`]) hosts one app in its own fault
-//!   domain, converts controller calls to RPC frames, and sends periodic
-//!   heartbeats.
+//! - the **stub** (hosted by a [`stub::StubHost`]) holds one app in its
+//!   own fault domain, converts controller calls to RPC frames, and sends
+//!   periodic heartbeats.
 //!
-//! The RPC rides a pluggable [`transport::Transport`]: in-memory channels or
-//! UDP loopback (the paper's prototype transport). Fault domains are
-//! sandboxed threads with panic containment — the process-isolation
+//! The RPC rides a [`transport::Transport`]: in-memory queues, or UDP (the
+//! paper's prototype transport) or TCP loopback through the poller — one
+//! I/O model, in [`poll`]. A fault domain is `catch_unwind` around every
+//! call into the app, on a pool of host threads — the process-isolation
 //! substitution documented in DESIGN.md §2.
 
 pub mod poll;
@@ -34,8 +35,5 @@ pub use rpc::{
     decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,
     RpcMessage,
 };
-pub use stub::{run_stub, spawn_stub, StubConfig, StubHost, StubReport};
-pub use transport::{
-    ChannelTransport, FlakyTransport, TcpTransport, Transport, TransportError, UdpTransport,
-    MAX_DATAGRAM,
-};
+pub use stub::{StubConfig, StubHost, StubReport};
+pub use transport::{FlakyTransport, Transport, TransportError, MAX_DATAGRAM};

@@ -1,10 +1,7 @@
-//! Readiness-polled multiplexed transport (DESIGN.md §12).
-//!
-//! The blocking [`crate::transport`] implementations cost one parked OS
-//! thread per stub channel: every proxy recv loop sits in
-//! `recv_timeout`, and every stub burns its own thread. That caps the
-//! fleet at hundreds of apps. This module serves *all* stub channels from
-//! a small fixed pool of threads:
+//! The stub I/O model (DESIGN.md §12): every [`Transport`] the proxy
+//! drives is implemented here, and *all* stub channels are served from a
+//! small fixed pool of threads — a thread per stub would cap the fleet at
+//! hundreds of apps:
 //!
 //! - a transport is split into a non-blocking [`FrameSink`] /
 //!   [`FrameSource`] pair ([`Duplex`]);
@@ -20,10 +17,10 @@
 //!   and demultiplexes complete frames into per-slot [`FrameQueue`]s, and
 //!   a [`PolledTransport`] wraps one sink + one such queue.
 //!
-//! Both facades implement the blocking [`Transport`] trait, so everything
-//! above the proxy seam — the tagged `inbox`/`cancelled` machinery,
-//! windowed dispatch in `core/runtime.rs`, the determinism oracle — is
-//! unchanged.
+//! Both facades implement the blocking [`Transport`] trait, which is all
+//! that anything above the proxy seam — the tagged `inbox`/`cancelled`
+//! machinery, windowed dispatch in `core/runtime.rs`, the determinism
+//! oracle — ever sees.
 //!
 //! There is no epoll in `std`, so readiness is a level-triggered scan:
 //! an in-memory queue read by a scanning worker carries that worker's

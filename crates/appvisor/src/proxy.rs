@@ -15,8 +15,8 @@ use crate::poll::{
     tcp_duplex_pair, udp_duplex_pair, Duplex, PolledTransport, Poller, QueueTransport,
 };
 use crate::rpc::{decode_frame, encode_deliver, encode_deliver_delta, encode_frame, RpcMessage};
-use crate::stub::{spawn_stub, StubConfig, StubHost, StubReport};
-use crate::transport::{ChannelTransport, TcpTransport, Transport, TransportError, UdpTransport};
+use crate::stub::{StubConfig, StubHost, StubReport};
+use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Command, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
@@ -25,7 +25,6 @@ use legosdn_obs::{Counter, Obs, RecordKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Which transport carries the proxy⇄stub RPC.
@@ -39,36 +38,25 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// How stub channels are serviced on the proxy side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One blocking transport (and one stub thread) per app — simple,
-    /// and the reference the determinism suite anchors on.
-    #[default]
-    Blocking,
-    /// All stubs hosted on a fixed [`StubHost`] pool, and every socket
-    /// channel multiplexed onto a matching pool of poll workers
-    /// ([`crate::poll::Poller`]): thread count is a deployment constant,
-    /// not a function of fleet size. In-memory channels need no poll
-    /// worker — the proxy blocks on the reply queue itself
-    /// ([`crate::poll::QueueTransport`]).
-    Polled {
-        /// Workers per pool, clamped to at least 1. A `Channel` fleet
-        /// runs on `io_threads` stub-host threads; the first `Udp`/`Tcp`
-        /// launch adds `io_threads` poll threads.
-        io_threads: usize,
-    },
+/// How many threads service stub channels. Every stub is hosted on a
+/// fixed [`StubHost`] pool and every socket channel multiplexed onto a
+/// matching pool of poll workers ([`crate::poll::Poller`]), so the thread
+/// count is a deployment constant, not a function of fleet size.
+/// In-memory channels need no poll worker — the proxy blocks on the reply
+/// queue itself ([`crate::poll::QueueTransport`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IoMode {
+    /// Workers per pool, clamped to at least 1. A `Channel` fleet runs on
+    /// `io_threads` stub-host threads; the first `Udp`/`Tcp` launch adds
+    /// `io_threads` poll threads. Stubs are placed round-robin, so with
+    /// at least as many threads as stubs each stub has a thread of its
+    /// own and a stalled app delays no neighbour (DESIGN.md §12).
+    pub io_threads: usize,
 }
 
-impl IoMode {
-    /// Parse a CLI-style name (`blocking` | `polled`). `polled` uses 4
-    /// I/O threads per side; pair with a `--io-threads` flag to override.
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s {
-            "blocking" => Some(IoMode::Blocking),
-            "polled" => Some(IoMode::Polled { io_threads: 4 }),
-            _ => None,
-        }
+impl Default for IoMode {
+    fn default() -> Self {
+        IoMode { io_threads: 4 }
     }
 }
 
@@ -83,11 +71,10 @@ pub struct ProxyConfig {
     pub heartbeat_timeout: Duration,
     /// Stub-side settings used when the proxy spawns the stub itself.
     pub stub: StubConfig,
-    /// Blocking thread-per-stub I/O or the readiness-polled multiplexed
-    /// path; see [`IoMode`].
+    /// Size of the stub-host and poll pools; see [`IoMode`].
     pub io: IoMode,
     /// Which runtime worker shard owns this proxy (0 when the runtime is
-    /// unsharded). Tags the polled path's thread names and poller metric
+    /// unsharded). Tags the poll threads' names and poller metric
     /// labels so one shard's I/O is attributable; the proxy's behaviour
     /// is otherwise identical.
     pub worker: usize,
@@ -148,9 +135,7 @@ impl std::error::Error for ProxyError {}
 ///
 /// Every proxy recv loop gates on this so an expired deadline is
 /// classified as a timeout exactly once, up front — we never hand a
-/// zero-duration (or sub-tick) timeout to `recv_timeout`, which on the
-/// UDP/TCP transports would round up to a full extra millisecond of
-/// blocking and an extra wasted syscall per call site.
+/// zero-duration timeout to `recv_timeout`.
 fn time_left(deadline: Instant) -> Option<Duration> {
     let remaining = deadline.saturating_duration_since(Instant::now());
     (!remaining.is_zero()).then_some(remaining)
@@ -227,7 +212,6 @@ struct AppSlot {
     name: String,
     subscriptions: Vec<EventKind>,
     transport: Box<dyn Transport>,
-    stub_thread: Option<JoinHandle<StubReport>>,
     next_seq: u64,
     last_heartbeat: Instant,
     alive: bool,
@@ -266,10 +250,10 @@ pub struct AppVisorProxy {
     apps: Vec<AppSlot>,
     obs: Obs,
     /// Proxy-side poll workers for socket channels, created on the first
-    /// polled `Udp`/`Tcp` launch (so `set_obs` has already run, and a
-    /// fleet of in-memory channels never starts them).
+    /// `Udp`/`Tcp` launch (so `set_obs` has already run, and a fleet of
+    /// in-memory channels never starts them).
     poller: Option<Poller>,
-    /// Stub-side worker pool for polled launches.
+    /// The pool hosting every launched stub, created on the first launch.
     stub_host: Option<StubHost>,
 }
 
@@ -295,52 +279,19 @@ impl AppVisorProxy {
         self.obs = obs;
     }
 
-    /// Spawn a stub hosting `app` over the chosen transport and register it.
-    /// Under [`IoMode::Blocking`] the stub gets its own thread and the
-    /// proxy a blocking transport; under [`IoMode::Polled`] the stub is
-    /// hosted on the shared stub-host pool.
+    /// Host `app` behind a stub on the shared worker pool, over the chosen
+    /// transport, and register it. The slot gets a blocking facade, so
+    /// everything above this seam sees one [`Transport`]: an in-memory
+    /// channel's facade is the reply queue itself; a socket's source goes
+    /// to the poller, which is the job it exists for (no readiness signal
+    /// without epoll).
     pub fn launch_app(
         &mut self,
         app: Box<dyn SdnApp>,
         transport: TransportKind,
     ) -> Result<AppHandle, ProxyError> {
-        if let IoMode::Polled { .. } = self.config.io {
-            return self.launch_app_polled(app, transport);
-        }
-        let (proxy_side, handle): (Box<dyn Transport>, JoinHandle<StubReport>) = match transport {
-            TransportKind::Channel => {
-                let (a, b) = ChannelTransport::pair();
-                (Box::new(a), spawn_stub(b, app, self.config.stub.clone()))
-            }
-            TransportKind::Udp => {
-                let (a, b) = UdpTransport::pair()
-                    .map_err(|e| ProxyError::Transport(TransportError::Io(e.to_string())))?;
-                (Box::new(a), spawn_stub(b, app, self.config.stub.clone()))
-            }
-            TransportKind::Tcp => {
-                let (a, b) = TcpTransport::pair()
-                    .map_err(|e| ProxyError::Transport(TransportError::Io(e.to_string())))?;
-                (Box::new(a), spawn_stub(b, app, self.config.stub.clone()))
-            }
-        };
-        self.register_transport(proxy_side, Some(handle))
-    }
-
-    /// The polled launch path: host the stub on the shared worker pool
-    /// and present the slot a blocking facade, so everything above this
-    /// seam is unchanged. An in-memory channel's facade is the reply
-    /// queue itself; a socket's source goes to the poller, which is the
-    /// job it exists for (no readiness signal without epoll).
-    fn launch_app_polled(
-        &mut self,
-        app: Box<dyn SdnApp>,
-        transport: TransportKind,
-    ) -> Result<AppHandle, ProxyError> {
         let io_err = |e: std::io::Error| ProxyError::Transport(TransportError::Io(e.to_string()));
-        let io_threads = match self.config.io {
-            IoMode::Polled { io_threads } => io_threads,
-            IoMode::Blocking => unreachable!("polled launch under blocking io"),
-        };
+        let io_threads = self.config.io.io_threads;
         let (proxy_side, stub_dx): (Box<dyn Transport>, Duplex) = match transport {
             TransportKind::Channel => {
                 let (proxy_side, stub_side) = QueueTransport::pair();
@@ -369,15 +320,16 @@ impl AppVisorProxy {
             .get_or_insert_with(|| StubHost::new(io_threads));
         host.spawn(app, stub_dx, self.config.stub.clone())
             .map_err(ProxyError::Transport)?;
-        self.register_transport(proxy_side, None)
+        self.register_transport(proxy_side)
     }
 
     /// Register an app over an already-connected transport (the far end
-    /// must run [`crate::stub::run_stub`]). Waits for the `Register` frame.
+    /// must be a stub: [`StubHost::spawn`]). Waits for the `Register`
+    /// frame; a stub whose app panicked while naming itself sends
+    /// `Crashed` in its place.
     pub fn register_transport(
         &mut self,
         mut transport: Box<dyn Transport>,
-        stub_thread: Option<JoinHandle<StubReport>>,
     ) -> Result<AppHandle, ProxyError> {
         let deadline = Instant::now() + self.config.rpc_timeout;
         loop {
@@ -385,18 +337,16 @@ impl AppVisorProxy {
                 return Err(ProxyError::RegistrationFailed("no register frame".into()));
             };
             match transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => {
-                    if let Ok(RpcMessage::Register {
+                Ok(Some(frame)) => match decode_frame(&frame) {
+                    Ok(RpcMessage::Register {
                         app_name,
                         subscriptions,
-                    }) = decode_frame(&frame)
-                    {
+                    }) => {
                         self.apps.push(AppSlot {
                             metrics: SlotMetrics::resolve(&self.obs, &app_name),
                             name: app_name,
                             subscriptions,
                             transport,
-                            stub_thread,
                             next_seq: 0,
                             last_heartbeat: Instant::now(),
                             alive: true,
@@ -408,7 +358,11 @@ impl AppVisorProxy {
                         });
                         return Ok(AppHandle(self.apps.len() - 1));
                     }
-                }
+                    Ok(RpcMessage::Crashed { panic_message, .. }) => {
+                        return Err(ProxyError::RegistrationFailed(panic_message));
+                    }
+                    _ => {}
+                },
                 Ok(None) => {}
                 Err(e) => return Err(ProxyError::Transport(e)),
             }
@@ -619,11 +573,8 @@ impl AppVisorProxy {
         let threshold = self.config.heartbeat_timeout;
         let mut stale = Vec::new();
         for (i, slot) in self.apps.iter_mut().enumerate() {
-            // Drain whatever is already queued, without blocking: the old
-            // sub-tick `recv_timeout(1µs)` violated the `time_left`
-            // contract — the socket transports round it up to a full
-            // millisecond of blocking plus a wasted syscall per app, so a
-            // 1000-app sweep could stall the control loop for a second.
+            // Drain whatever is already queued, without blocking: a sweep
+            // must not stall the control loop, however many apps it covers.
             while let Ok(Some(frame)) = slot.transport.try_recv() {
                 received(slot, &frame);
                 if matches!(decode_frame(&frame), Ok(RpcMessage::Heartbeat { .. })) {
@@ -641,26 +592,20 @@ impl AppVisorProxy {
         stale
     }
 
-    /// Shut all stubs down and collect their reports. Blocking stubs are
-    /// joined; hosted (polled) stubs get a grace period to serve their
-    /// `Shutdown` frames before the host and poller pools stop.
+    /// Shut all stubs down and collect their reports: the stubs get a
+    /// grace period to serve their `Shutdown` frames before the host and
+    /// poller pools stop.
     pub fn shutdown(mut self) -> Vec<StubReport> {
-        let mut reports = Vec::new();
         for slot in &mut self.apps {
             let _ = slot
                 .transport
                 .send_owned(encode_frame(&RpcMessage::Shutdown));
         }
-        for slot in &mut self.apps {
-            if let Some(handle) = slot.stub_thread.take() {
-                if let Ok(report) = handle.join() {
-                    reports.push(report);
-                }
-            }
-        }
-        if let Some(host) = self.stub_host.take() {
-            reports.extend(host.shutdown(Duration::from_secs(2)));
-        }
+        let reports = self
+            .stub_host
+            .take()
+            .map(|host| host.shutdown(Duration::from_secs(2)))
+            .unwrap_or_default();
         if let Some(mut poller) = self.poller.take() {
             poller.shutdown();
         }
@@ -1269,22 +1214,17 @@ mod tests {
             },
             ..Default::default()
         });
-        // Registration also runs on rpc_timeout; hand-register over a raw
-        // transport pair so launch itself is not subject to the zero
-        // deadline.
-        let (proxy_side, stub_side) = ChannelTransport::pair();
-        let handle = spawn_stub(
-            stub_side,
-            Box::new(TestApp {
-                count: 0,
-                crash_on_count: None,
-            }),
-            p.config.stub.clone(),
-        );
-        // Restore a sane registration window just for the handshake.
+        // Registration also runs on rpc_timeout: launch under a sane one,
+        // then zero it.
         p.config.rpc_timeout = Duration::from_secs(1);
         let h = p
-            .register_transport(Box::new(proxy_side), Some(handle))
+            .launch_app(
+                Box::new(TestApp {
+                    count: 0,
+                    crash_on_count: None,
+                }),
+                TransportKind::Channel,
+            )
             .unwrap();
         p.config.rpc_timeout = Duration::ZERO;
         assert_eq!(p.snapshot(h).unwrap_err(), ProxyError::Timeout);
@@ -1340,7 +1280,7 @@ mod tests {
         // (as UDP datagram reordering would): the collect for the earlier
         // tag must stash the later reply, and the later collect must find
         // it in the inbox without touching the transport.
-        let (proxy_side, mut stub_side) = ChannelTransport::pair();
+        let (proxy_side, mut stub_side) = QueueTransport::pair();
         stub_side
             .send(&encode_frame(&RpcMessage::Register {
                 app_name: "manual".into(),
@@ -1348,7 +1288,7 @@ mod tests {
             }))
             .unwrap();
         let mut p = proxy();
-        let h = p.register_transport(Box::new(proxy_side), None).unwrap();
+        let h = p.register_transport(Box::new(proxy_side)).unwrap();
         let topo = TopologyView::default();
         let dev = DeviceView::default();
         let ev = Event::SwitchUp(DatapathId(1));
@@ -1454,7 +1394,7 @@ mod tests {
                 heartbeat_period: Duration::from_millis(10),
                 report_crashes: true,
             },
-            io: IoMode::Polled { io_threads },
+            io: IoMode { io_threads },
             ..Default::default()
         })
     }
@@ -1549,7 +1489,7 @@ mod tests {
     #[test]
     fn polled_tagged_queue_interleaves_like_blocking() {
         // The windowed-dispatch machinery (queue/collect with tags,
-        // inbox stashing) must behave identically over the polled path.
+        // inbox stashing) on a pool smaller than the default.
         let mut p = polled_proxy(2);
         let h = p
             .launch_app(
@@ -1614,10 +1554,10 @@ mod tests {
 
     #[test]
     fn liveness_sweep_is_sub_millisecond_across_many_socket_apps() {
-        // Regression for the 1µs recv_timeout in check_liveness: the UDP
-        // transport rounded it up to a blocking millisecond per app, so a
-        // 16-app sweep cost ≥16ms. The try_recv drain must keep a sweep
-        // under a millisecond regardless of app count.
+        // Regression for a 1µs recv_timeout in check_liveness that cost a
+        // millisecond of blocking per socket app, so a 16-app sweep cost
+        // ≥16ms. The try_recv drain must keep a sweep under a millisecond
+        // regardless of app count.
         let mut p = AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::from_millis(300),
             rpc_timeout: Duration::from_secs(2),

@@ -2,20 +2,23 @@
 //! (paper §4.1).
 //!
 //! The stub owns the app, registers it (name + subscriptions) with the
-//! proxy, then serves the RPC loop: deliver events to the app, return its
-//! commands, answer snapshot/restore requests, and emit heartbeats.
+//! proxy, then serves the RPC protocol: deliver events to the app, return
+//! its commands, answer snapshot/restore requests, and emit heartbeats.
+//! `StubCore` is that protocol with the I/O hoisted out; a [`StubHost`]
+//! drives many cores from a fixed pool of threads.
 //!
 //! **Fault containment substitution** (DESIGN.md §2): the paper runs the
-//! stub in a separate JVM process; here the stub runs in a sandboxed thread
-//! and contains app panics with `catch_unwind`. A crashed app leaves the
-//! stub in the `dead` state: it stops processing events and (configurably)
-//! stops heart-beating, which is exactly the observable a separate dead
-//! process would present to the proxy. A `RestoreRequest` revives it — the
-//! CRIU-restore analogue.
+//! stub in a separate JVM process; here stubs share host threads, and the
+//! wall is `catch_unwind` around *every* call into app code — `on_event`,
+//! `snapshot`, `restore`, and the `name`/`subscriptions` read at
+//! registration. A crashed app leaves the stub in the `dead` state: it
+//! stops processing events and (configurably) stops heart-beating, which
+//! is exactly the observable a separate dead process would present to the
+//! proxy. A `RestoreRequest` revives it — the CRIU-restore analogue.
 
 use crate::poll::{Duplex, FrameSink, FrameSource, PollWaker};
 use crate::rpc::{decode_frame, encode_frame, encode_frame_sized, RpcMessage};
-use crate::transport::{Transport, TransportError};
+use crate::transport::TransportError;
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
 use legosdn_controller::monolithic::panic_text;
@@ -68,9 +71,7 @@ enum StubStep {
 }
 
 /// The sans-io stub state machine: app + liveness state + report, with
-/// all I/O hoisted out. [`run_stub`] drives it from a blocking loop (one
-/// thread per stub); [`StubHost`] drives many cores from a fixed worker
-/// pool — same protocol, same containment, two thread models.
+/// all I/O hoisted out; [`StubHost`] drives many of them per thread.
 struct StubCore {
     app: Box<dyn SdnApp>,
     config: StubConfig,
@@ -101,12 +102,32 @@ impl StubCore {
         }
     }
 
-    /// The `Register` frame that must open the conversation.
-    fn register_frame(&self) -> Vec<u8> {
-        encode_frame(&RpcMessage::Register {
-            app_name: self.app.name().to_string(),
-            subscriptions: self.app.subscriptions(),
-        })
+    /// The `Register` frame that must open the conversation, or the
+    /// panic text if the app crashed while being asked who it is.
+    fn register_frame(&self) -> Result<Vec<u8>, String> {
+        catch_unwind(AssertUnwindSafe(|| {
+            encode_frame(&RpcMessage::Register {
+                app_name: self.app.name().to_string(),
+                subscriptions: self.app.subscriptions(),
+            })
+        }))
+        .map_err(|payload| panic_text(&*payload))
+    }
+
+    /// Book a panic out of app code while serving request `seq`: the app
+    /// is dead until restored, and the proxy hears `Crashed` or — like a
+    /// process that just died — nothing.
+    fn crashed(&mut self, seq: u64, payload: &(dyn std::any::Any + Send)) -> StubStep {
+        self.report.crashes_contained += 1;
+        self.dead = true;
+        if self.config.report_crashes {
+            StubStep::Reply(encode_frame(&RpcMessage::Crashed {
+                seq,
+                panic_message: panic_text(payload),
+            }))
+        } else {
+            StubStep::Continue
+        }
     }
 
     /// A heartbeat frame when one is due (and the app is alive — a dead
@@ -121,8 +142,9 @@ impl StubCore {
         Some(encode_frame(&RpcMessage::Heartbeat { seq: self.hb_seq }))
     }
 
-    /// Time until the next heartbeat is due (zero if overdue or dead —
-    /// a dead stub has nothing to schedule).
+    /// Time until the next heartbeat is due: zero if overdue, a full
+    /// period for a dead stub (it has nothing to schedule, so it must not
+    /// shorten the host's park).
     fn heartbeat_due_in(&self) -> Duration {
         if self.dead {
             return self.config.heartbeat_period;
@@ -156,18 +178,7 @@ impl StubCore {
                 self.ack_capacity = frame.len().next_power_of_two();
                 StubStep::Reply(frame)
             }
-            Err(payload) => {
-                self.report.crashes_contained += 1;
-                self.dead = true;
-                if self.config.report_crashes {
-                    StubStep::Reply(encode_frame(&RpcMessage::Crashed {
-                        seq,
-                        panic_message: panic_text(&*payload),
-                    }))
-                } else {
-                    StubStep::Continue
-                }
-            }
+            Err(payload) => self.crashed(seq, &*payload),
         }
     }
 
@@ -214,14 +225,19 @@ impl StubCore {
                 if self.dead {
                     return StubStep::Continue;
                 }
-                StubStep::Reply(encode_frame(&RpcMessage::SnapshotReply {
-                    seq,
-                    bytes: self.app.snapshot(),
-                }))
+                match catch_unwind(AssertUnwindSafe(|| self.app.snapshot())) {
+                    Ok(bytes) => {
+                        StubStep::Reply(encode_frame(&RpcMessage::SnapshotReply { seq, bytes }))
+                    }
+                    Err(payload) => self.crashed(seq, &*payload),
+                }
             }
             RpcMessage::RestoreRequest { seq, bytes } => {
                 // Restore revives a dead app (the CRIU restart+restore).
-                let ok = self.app.restore(&bytes).is_ok();
+                let ok = match catch_unwind(AssertUnwindSafe(|| self.app.restore(&bytes))) {
+                    Ok(restored) => restored.is_ok(),
+                    Err(payload) => return self.crashed(seq, &*payload),
+                };
                 if ok {
                     self.dead = false;
                     self.report.restores += 1;
@@ -236,59 +252,8 @@ impl StubCore {
     }
 }
 
-/// Run the stub loop until `Shutdown` or transport disconnect. This is the
-/// body of the stub thread; it is also callable directly for deterministic
-/// single-threaded tests.
-pub fn run_stub<T: Transport>(
-    mut transport: T,
-    app: Box<dyn SdnApp>,
-    config: &StubConfig,
-) -> StubReport {
-    let mut core = StubCore::new(app, config.clone());
-
-    // Register first.
-    if transport.send(&core.register_frame()).is_err() {
-        return core.report;
-    }
-
-    loop {
-        if let Some(hb) = core.heartbeat_if_due() {
-            if transport.send(&hb).is_err() {
-                return core.report;
-            }
-        }
-        let frame = match transport.recv_timeout(config.heartbeat_period / 2) {
-            Ok(Some(f)) => f,
-            Ok(None) => continue,
-            Err(TransportError::Disconnected) => return core.report,
-            Err(_) => continue,
-        };
-        match core.handle_frame(&frame) {
-            StubStep::Continue => {}
-            StubStep::Reply(reply) => {
-                if transport.send(&reply).is_err() {
-                    return core.report;
-                }
-            }
-            StubStep::Shutdown => return core.report,
-        }
-    }
-}
-
-/// Spawn the stub loop on its own sandbox thread.
-pub fn spawn_stub<T: Transport + 'static>(
-    transport: T,
-    app: Box<dyn SdnApp>,
-    config: StubConfig,
-) -> JoinHandle<StubReport> {
-    std::thread::Builder::new()
-        .name("appvisor-stub".into())
-        .spawn(move || run_stub(transport, app, &config))
-        .expect("spawn stub thread")
-}
-
 // ---------------------------------------------------------------------
-// Multiplexed stub hosting (the fleet-scale thread model).
+// Stub hosting: many cores per thread.
 // ---------------------------------------------------------------------
 
 struct HostedStub {
@@ -305,10 +270,12 @@ struct HostWorker {
 
 /// Hosts many [`StubCore`]s on a fixed pool of worker threads, each
 /// driving its stubs' frames and heartbeats through split non-blocking
-/// transports ([`crate::poll`]). Same containment guarantees as
-/// [`spawn_stub`] — `catch_unwind` still walls off app panics, a crashed
-/// app goes `dead` on its worker without disturbing neighbors — but a
-/// 1000-app fleet costs `workers` threads instead of 1000.
+/// transports ([`crate::poll`]). `catch_unwind` walls off app panics — a
+/// crashed app goes `dead` on its worker without disturbing neighbors —
+/// and a 1000-app fleet costs `workers` threads, not 1000. Stubs are
+/// placed round-robin, so up to `workers` stubs each get a thread of
+/// their own; beyond that, an app that *stalls* (rather than panics)
+/// holds up the stubs sharing its thread (DESIGN.md §12).
 pub struct StubHost {
     workers: Vec<HostWorker>,
     next: AtomicUsize,
@@ -356,6 +323,10 @@ impl StubHost {
     /// Host `app` over the stub side of a split transport. Sends the
     /// `Register` frame synchronously (so the proxy can await it
     /// immediately after this returns), then hands the stub to a worker.
+    /// This runs on the caller's thread — the controller's — so an app
+    /// that panics while naming itself is contained here: it is never
+    /// hosted, and the proxy hears `Crashed` where it expected `Register`
+    /// (or, from a stub that does not report crashes, a hang-up).
     pub fn spawn(
         &self,
         app: Box<dyn SdnApp>,
@@ -367,7 +338,18 @@ impl StubHost {
             mut sink,
             mut source,
         } = transport;
-        sink.send_owned(core.register_frame())?;
+        let register = match core.register_frame() {
+            Ok(frame) => frame,
+            Err(panic_message) if core.config.report_crashes => {
+                let crashed = RpcMessage::Crashed {
+                    seq: 0,
+                    panic_message,
+                };
+                return sink.send_owned(encode_frame(&crashed));
+            }
+            Err(_) => return Ok(()),
+        };
+        sink.send_owned(register)?;
         let worker = &self.workers[self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len()];
         source.set_waker(worker.waker.clone());
         self.spawned.fetch_add(1, Ordering::SeqCst);
@@ -501,7 +483,8 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
 #[cfg(test)]
 mod stub_tests {
     use super::*;
-    use crate::transport::ChannelTransport;
+    use crate::poll::QueueTransport;
+    use crate::transport::Transport;
     use legosdn_controller::app::RestoreError;
     use legosdn_controller::event::{Event, EventKind};
     use legosdn_controller::services::{DeviceView, TopologyView};
@@ -548,7 +531,35 @@ mod stub_tests {
         })
     }
 
-    fn recv_msg(t: &mut ChannelTransport) -> RpcMessage {
+    /// A `TestApp` on a one-thread host, and the proxy's end of its
+    /// channel.
+    fn host_one(
+        count: u32,
+        crash_on: Option<u32>,
+        config: StubConfig,
+    ) -> (StubHost, QueueTransport) {
+        let host = StubHost::new(1);
+        let (proxy_side, stub_side) = QueueTransport::pair();
+        host.spawn(
+            Box::new(TestApp { count, crash_on }),
+            stub_side.into_duplex(),
+            config,
+        )
+        .unwrap();
+        (host, proxy_side)
+    }
+
+    /// Serve the `Shutdown` frame and hand back the one stub's report.
+    fn retire(host: StubHost, proxy_side: &mut QueueTransport) -> StubReport {
+        proxy_side
+            .send(&encode_frame(&RpcMessage::Shutdown))
+            .unwrap();
+        let reports = host.shutdown(Duration::from_secs(2));
+        assert_eq!(reports.len(), 1);
+        reports[0]
+    }
+
+    fn recv_msg(t: &mut QueueTransport) -> RpcMessage {
         loop {
             let frame = t
                 .recv_timeout(Duration::from_secs(2))
@@ -563,15 +574,7 @@ mod stub_tests {
 
     #[test]
     fn stub_registers_then_serves_events() {
-        let (mut proxy_side, stub_side) = ChannelTransport::pair();
-        let handle = spawn_stub(
-            stub_side,
-            Box::new(TestApp {
-                count: 0,
-                crash_on: None,
-            }),
-            StubConfig::default(),
-        );
+        let (host, mut proxy_side) = host_one(0, None, StubConfig::default());
         match recv_msg(&mut proxy_side) {
             RpcMessage::Register {
                 app_name,
@@ -590,25 +593,14 @@ mod stub_tests {
             }
             other => panic!("expected ack, got {other:?}"),
         }
-        proxy_side
-            .send(&encode_frame(&RpcMessage::Shutdown))
-            .unwrap();
-        let report = handle.join().unwrap();
+        let report = retire(host, &mut proxy_side);
         assert_eq!(report.events_processed, 1);
         assert_eq!(report.crashes_contained, 0);
     }
 
     #[test]
     fn crash_is_contained_and_reported() {
-        let (mut proxy_side, stub_side) = ChannelTransport::pair();
-        let handle = spawn_stub(
-            stub_side,
-            Box::new(TestApp {
-                count: 0,
-                crash_on: Some(2),
-            }),
-            StubConfig::default(),
-        );
+        let (host, mut proxy_side) = host_one(0, Some(2), StubConfig::default());
         let _ = recv_msg(&mut proxy_side); // register
         proxy_side.send(&deliver_frame(1)).unwrap();
         let _ = recv_msg(&mut proxy_side); // ack 1
@@ -643,29 +635,18 @@ mod stub_tests {
             RpcMessage::Crashed { seq, .. } => assert_eq!(seq, 5),
             other => panic!("deterministic bug must re-crash, got {other:?}"),
         }
-        proxy_side
-            .send(&encode_frame(&RpcMessage::Shutdown))
-            .unwrap();
-        let report = handle.join().unwrap();
+        let report = retire(host, &mut proxy_side);
         assert_eq!(report.crashes_contained, 2);
         assert_eq!(report.restores, 1);
     }
 
     #[test]
     fn silent_crash_mode_goes_quiet() {
-        let (mut proxy_side, stub_side) = ChannelTransport::pair();
         let config = StubConfig {
             heartbeat_period: Duration::from_millis(10),
             report_crashes: false,
         };
-        let _handle = spawn_stub(
-            stub_side,
-            Box::new(TestApp {
-                count: 0,
-                crash_on: Some(1),
-            }),
-            config,
-        );
+        let (_host, mut proxy_side) = host_one(0, Some(1), config);
         let _ = recv_msg(&mut proxy_side); // register
         proxy_side.send(&deliver_frame(1)).unwrap();
         // No Crashed frame, no ack, and heartbeats stop: silence.
@@ -687,15 +668,7 @@ mod stub_tests {
 
     #[test]
     fn snapshot_request_roundtrips() {
-        let (mut proxy_side, stub_side) = ChannelTransport::pair();
-        let handle = spawn_stub(
-            stub_side,
-            Box::new(TestApp {
-                count: 7,
-                crash_on: None,
-            }),
-            StubConfig::default(),
-        );
+        let (host, mut proxy_side) = host_one(7, None, StubConfig::default());
         let _ = recv_msg(&mut proxy_side);
         proxy_side
             .send(&encode_frame(&RpcMessage::SnapshotRequest { seq: 1 }))
@@ -707,27 +680,16 @@ mod stub_tests {
             }
             other => panic!("expected snapshot, got {other:?}"),
         }
-        proxy_side
-            .send(&encode_frame(&RpcMessage::Shutdown))
-            .unwrap();
-        handle.join().unwrap();
+        retire(host, &mut proxy_side);
     }
 
     #[test]
     fn heartbeats_flow() {
-        let (mut proxy_side, stub_side) = ChannelTransport::pair();
         let config = StubConfig {
             heartbeat_period: Duration::from_millis(5),
             report_crashes: true,
         };
-        let _handle = spawn_stub(
-            stub_side,
-            Box::new(TestApp {
-                count: 0,
-                crash_on: None,
-            }),
-            config,
-        );
+        let (_host, mut proxy_side) = host_one(0, None, config);
         let _ = proxy_side.recv_timeout(Duration::from_secs(1)); // register
         let mut beats = 0;
         let deadline = Instant::now() + Duration::from_millis(200);

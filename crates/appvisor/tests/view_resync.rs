@@ -3,14 +3,13 @@
 //! replayed on the way — its app only ever runs on exactly the view pair
 //! the proxy built that delivery frame from.
 //!
-//! Every proxy-level test runs twice: over a blocking channel transport
-//! with a stub thread, and over the polled path as the proxy launches it
-//! (a `StubHost` pool, the proxy blocking on the reply queue itself).
+//! The proxy-level tests run over the path the proxy itself launches — a
+//! `StubHost` pool, the proxy blocking on the reply queue — with a
+//! `FlakyTransport` between the two to lose frames on demand.
 
 use legosdn_appvisor::{
-    decode_frame, encode_frame, spawn_stub, AppHandle, AppVisorProxy, ChannelTransport,
-    DeliverOutcome, FlakyTransport, ProxyConfig, QueueTransport, RpcMessage, StubConfig, StubHost,
-    Transport,
+    decode_frame, encode_frame, AppHandle, AppVisorProxy, DeliverOutcome, FlakyTransport,
+    ProxyConfig, QueueTransport, RpcMessage, StubConfig, StubHost, Transport,
 };
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
@@ -106,24 +105,18 @@ fn history(n: u64) -> Vec<Views> {
     out
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Io {
-    Blocking,
-    Polled,
-}
-
 struct Rig {
     proxy: AppVisorProxy,
     h: AppHandle,
     obs: Obs,
     seen: Seen,
-    // The polled path's stub pool, kept alive for the proxy.
-    _host: Option<StubHost>,
+    // The stub's host thread, kept alive for the proxy.
+    _host: StubHost,
 }
 
 /// A `ViewProbe` behind a stub, reached through a transport that loses
 /// `drop_per_mille` of the proxy's frames.
-fn rig(io: Io, drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
+fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
     // Over a lossless transport every awaited reply arrives (the stub
     // reports crashes) and a wait ends when it does, so a long deadline
     // costs nothing — and a loaded box printing a panic backtrace cannot
@@ -151,27 +144,16 @@ fn rig(io: Io, drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
         seen: seen.clone(),
         crash_at,
     });
-    let (h, host) = match io {
-        Io::Blocking => {
-            let (proxy_side, stub_side) = ChannelTransport::pair();
-            let thread = spawn_stub(stub_side, app, stub);
-            let lossy = FlakyTransport::new(proxy_side, drop_per_mille, 11);
-            (
-                proxy.register_transport(Box::new(lossy), Some(thread)),
-                None,
-            )
-        }
-        Io::Polled => {
-            let (proxy_side, stub_side) = QueueTransport::pair();
-            let host = StubHost::new(1);
-            host.spawn(app, stub_side.into_duplex(), stub).unwrap();
-            let lossy = FlakyTransport::new(proxy_side, drop_per_mille, 11);
-            (proxy.register_transport(Box::new(lossy), None), Some(host))
-        }
-    };
+    let (proxy_side, stub_side) = QueueTransport::pair();
+    let host = StubHost::new(1);
+    host.spawn(app, stub_side.into_duplex(), stub).unwrap();
+    let lossy = FlakyTransport::new(proxy_side, drop_per_mille, 11);
+    let h = proxy
+        .register_transport(Box::new(lossy))
+        .expect("stub registers");
     Rig {
         proxy,
-        h: h.expect("stub registers"),
+        h,
         obs,
         seen,
         _host: host,
@@ -229,124 +211,109 @@ fn is_ack(outcome: &DeliverOutcome) -> bool {
 
 #[test]
 fn steady_state_deliveries_cost_a_diff_not_the_views() {
-    for io in [Io::Blocking, Io::Polled] {
-        let history = history(40);
-        let mut rig = rig(io, 0, None);
-        assert!(is_ack(&rig.deliver(0, &history[0])));
-        let first = rig.bytes_sent();
-        assert!(first > 2_000, "{io:?}: first contact ships the views whole");
-        for (id, views) in history.iter().enumerate().skip(1) {
-            let before = rig.bytes_sent();
-            assert!(is_ack(&rig.deliver(id as u64, views)));
-            let frame = rig.bytes_sent() - before;
-            assert!(
-                frame < 512,
-                "{io:?}: delivery {id} put {frame} B on the wire"
-            );
-        }
-        assert_eq!(rig.frames(), (1, 39, 0), "{io:?}");
-        assert_eq!(rig.assert_never_stale(&history).len(), 40, "{io:?}");
+    let history = history(40);
+    let mut rig = rig(0, None);
+    assert!(is_ack(&rig.deliver(0, &history[0])));
+    let first = rig.bytes_sent();
+    assert!(first > 2_000, "first contact ships the views whole");
+    for (id, views) in history.iter().enumerate().skip(1) {
+        let before = rig.bytes_sent();
+        assert!(is_ack(&rig.deliver(id as u64, views)));
+        let frame = rig.bytes_sent() - before;
+        assert!(frame < 512, "delivery {id} put {frame} B on the wire");
     }
+    assert_eq!(rig.frames(), (1, 39, 0));
+    assert_eq!(rig.assert_never_stale(&history).len(), 40);
 }
 
 #[test]
 fn a_lost_delivery_frame_breaks_the_chain_safely() {
-    for io in [Io::Blocking, Io::Polled] {
-        let history = history(12);
-        let mut rig = rig(io, 250, None);
-        // A window of eight goes out before any reply is read; the lossy
-        // transport eats at least one of the frames.
-        let tags: Vec<u64> = (0..8)
-            .map(|id| rig.queue(id, &history[id as usize]))
-            .collect();
-        let mut lost = None;
-        for (id, tag) in tags.iter().enumerate() {
-            match rig.proxy.collect_deliver(rig.h, *tag).unwrap() {
-                DeliverOutcome::Commands(_) => {}
-                other => {
-                    assert_eq!(other, DeliverOutcome::CommFailure, "{io:?}");
-                    lost = Some(id);
-                    break;
-                }
+    let history = history(12);
+    let mut rig = rig(250, None);
+    // A window of eight goes out before any reply is read; the lossy
+    // transport eats at least one of the frames.
+    let tags: Vec<u64> = (0..8)
+        .map(|id| rig.queue(id, &history[id as usize]))
+        .collect();
+    let mut lost = None;
+    for (id, tag) in tags.iter().enumerate() {
+        match rig.proxy.collect_deliver(rig.h, *tag).unwrap() {
+            DeliverOutcome::Commands(_) => {}
+            other => {
+                assert_eq!(other, DeliverOutcome::CommFailure);
+                lost = Some(id);
+                break;
             }
         }
-        let lost = lost.expect("seed 11 at 250‰ drops one of the first eight frames");
-        rig.proxy.cancel_pending(rig.h, &tags[lost + 1..]).unwrap();
-        // Everything queued behind the lost frame was a diff against it
-        // or its successors: the stub applied none of them and the app
-        // ran none of them.
-        let ran = rig.assert_never_stale(&history);
-        assert_eq!(ran, (0..lost as u64).collect::<Vec<_>>(), "{io:?}");
-        // From here every frame is whole until one is acknowledged (the
-        // transport is still lossy), then diffs resume.
-        let (full, delta, resyncs) = rig.frames();
-        assert_eq!((full, resyncs), (1, 0), "{io:?}");
-        let mut tries = 0;
-        while !is_ack(&rig.deliver(10, &history[10])) {
-            tries += 1;
-            assert!(tries < 20, "{io:?}: never got through");
-        }
-        assert_eq!(
-            rig.frames(),
-            (full + tries + 1, delta, resyncs + tries + 1),
-            "{io:?}"
-        );
-        let ran = rig.assert_never_stale(&history);
-        assert_eq!(ran.last(), Some(&10), "{io:?}");
     }
+    let lost = lost.expect("seed 11 at 250‰ drops one of the first eight frames");
+    rig.proxy.cancel_pending(rig.h, &tags[lost + 1..]).unwrap();
+    // Everything queued behind the lost frame was a diff against it
+    // or its successors: the stub applied none of them and the app
+    // ran none of them.
+    let ran = rig.assert_never_stale(&history);
+    assert_eq!(ran, (0..lost as u64).collect::<Vec<_>>());
+    // From here every frame is whole until one is acknowledged (the
+    // transport is still lossy), then diffs resume.
+    let (full, delta, resyncs) = rig.frames();
+    assert_eq!((full, resyncs), (1, 0));
+    let mut tries = 0;
+    while !is_ack(&rig.deliver(10, &history[10])) {
+        tries += 1;
+        assert!(tries < 20, "never got through");
+    }
+    assert_eq!(rig.frames(), (full + tries + 1, delta, resyncs + tries + 1));
+    let ran = rig.assert_never_stale(&history);
+    assert_eq!(ran.last(), Some(&10));
 }
 
 #[test]
 fn a_crash_mid_window_resends_whole_views_then_diffs() {
-    for io in [Io::Blocking, Io::Polled] {
-        let history = history(12);
-        let mut rig = rig(io, 0, Some(2));
-        let checkpoint = rig.proxy.snapshot(rig.h).unwrap();
-        assert!(is_ack(&rig.deliver(0, &history[0])));
-        assert!(is_ack(&rig.deliver(1, &history[1])));
-        // Event 2 crashes the app with 3..=9 queued behind it.
-        let tags: Vec<u64> = (2..10)
-            .map(|id| rig.queue(id, &history[id as usize]))
-            .collect();
-        assert!(matches!(
-            rig.proxy.collect_deliver(rig.h, tags[0]).unwrap(),
-            DeliverOutcome::Crashed { .. }
-        ));
-        rig.proxy.cancel_pending(rig.h, &tags[1..]).unwrap();
-        assert!(rig.proxy.restore(rig.h, &checkpoint).unwrap());
-        assert_eq!(rig.frames(), (1, 9, 0), "{io:?}");
-        // Re-send the cancelled slots: the first frame carries the views
-        // whole, the rest are diffs again.
-        let before = rig.bytes_sent();
-        let first = rig.queue(3, &history[3]);
-        assert!(rig.bytes_sent() - before > 2_000, "{io:?}");
-        assert_eq!(rig.frames(), (2, 9, 1), "{io:?}");
-        let rest: Vec<u64> = (4..10)
-            .map(|id| rig.queue(id, &history[id as usize]))
-            .collect();
-        assert_eq!(rig.frames(), (2, 15, 1), "{io:?}");
-        for tag in std::iter::once(first).chain(rest) {
-            assert!(is_ack(&rig.proxy.collect_deliver(rig.h, tag).unwrap()));
-        }
-        let ran = rig.assert_never_stale(&history);
-        assert_eq!(ran, (0..10).collect::<Vec<_>>(), "{io:?}: each once");
+    let history = history(12);
+    let mut rig = rig(0, Some(2));
+    let checkpoint = rig.proxy.snapshot(rig.h).unwrap();
+    assert!(is_ack(&rig.deliver(0, &history[0])));
+    assert!(is_ack(&rig.deliver(1, &history[1])));
+    // Event 2 crashes the app with 3..=9 queued behind it.
+    let tags: Vec<u64> = (2..10)
+        .map(|id| rig.queue(id, &history[id as usize]))
+        .collect();
+    assert!(matches!(
+        rig.proxy.collect_deliver(rig.h, tags[0]).unwrap(),
+        DeliverOutcome::Crashed { .. }
+    ));
+    rig.proxy.cancel_pending(rig.h, &tags[1..]).unwrap();
+    assert!(rig.proxy.restore(rig.h, &checkpoint).unwrap());
+    assert_eq!(rig.frames(), (1, 9, 0));
+    // Re-send the cancelled slots: the first frame carries the views
+    // whole, the rest are diffs again.
+    let before = rig.bytes_sent();
+    let first = rig.queue(3, &history[3]);
+    assert!(rig.bytes_sent() - before > 2_000);
+    assert_eq!(rig.frames(), (2, 9, 1));
+    let rest: Vec<u64> = (4..10)
+        .map(|id| rig.queue(id, &history[id as usize]))
+        .collect();
+    assert_eq!(rig.frames(), (2, 15, 1));
+    for tag in std::iter::once(first).chain(rest) {
+        assert!(is_ack(&rig.proxy.collect_deliver(rig.h, tag).unwrap()));
     }
+    let ran = rig.assert_never_stale(&history);
+    assert_eq!(ran, (0..10).collect::<Vec<_>>(), "each once");
 }
 
 #[test]
 fn a_replay_against_older_views_is_one_more_diff() {
-    for io in [Io::Blocking, Io::Polled] {
-        let history = history(10);
-        let mut rig = rig(io, 0, None);
-        // Forward past the switch loss at step 5, then replay step 2 (a
-        // switch, its links and its hosts come back; the grave empties),
-        // then jump forward again.
-        for id in [0, 4, 7, 2, 9, 0] {
-            assert!(is_ack(&rig.deliver(id, &history[id as usize])), "{io:?}");
-        }
-        assert_eq!(rig.frames(), (1, 5, 0), "{io:?}: one whole frame, ever");
-        assert_eq!(rig.assert_never_stale(&history), [0, 4, 7, 2, 9, 0]);
+    let history = history(10);
+    let mut rig = rig(0, None);
+    // Forward past the switch loss at step 5, then replay step 2 (a
+    // switch, its links and its hosts come back; the grave empties),
+    // then jump forward again.
+    for id in [0, 4, 7, 2, 9, 0] {
+        assert!(is_ack(&rig.deliver(id, &history[id as usize])));
     }
+    assert_eq!(rig.frames(), (1, 5, 0), "one whole frame, ever");
+    assert_eq!(rig.assert_never_stale(&history), [0, 4, 7, 2, 9, 0]);
 }
 
 /// The stub alone, driven by hand: views belong to the stub, so a dead
@@ -356,12 +323,14 @@ fn a_replay_against_older_views_is_one_more_diff() {
 fn a_dead_stub_keeps_its_views_in_step_and_refuses_a_foreign_base() {
     let history = history(8);
     let seen = Seen::default();
-    let (mut proxy_side, stub_side) = ChannelTransport::pair();
+    let (mut proxy_side, stub_side) = QueueTransport::pair();
     let app = Box::new(ViewProbe {
         seen: seen.clone(),
         crash_at: Some(2),
     });
-    let _stub = spawn_stub(stub_side, app, StubConfig::default());
+    let host = StubHost::new(1);
+    host.spawn(app, stub_side.into_duplex(), StubConfig::default())
+        .unwrap();
     let mut reply = move |frame: Option<RpcMessage>, wait_ms: u64| -> Option<RpcMessage> {
         if let Some(frame) = frame {
             proxy_side.send(&encode_frame(&frame)).unwrap();

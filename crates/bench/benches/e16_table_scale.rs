@@ -1,6 +1,7 @@
 //! E16 — indexed flow-table scale (PR 9 tentpole).
 //!
-//! Two exhibits, recorded into `BENCH_9.json`:
+//! Two exhibits, recorded through the harness's `BENCH_<exhibit>.json`
+//! writer:
 //!
 //! 1. **Lookup microbench.** A 4096-entry table (4000 exact TCP 5-tuples
 //!    fronted by a 96-entry wildcard tail at lower priorities) is built
@@ -18,7 +19,7 @@
 
 use legosdn::netsim::{FlowTable, LinearFlowTable};
 use legosdn::prelude::*;
-use legosdn_bench::harness::{criterion_group, Criterion};
+use legosdn_bench::harness::{criterion_group, headline, Criterion};
 use legosdn_bench::print_table;
 use legosdn_bench::workloads::{flash_crowd, replay_reactive, skewed_index};
 use legosdn_testkit::Rng;
@@ -208,34 +209,17 @@ fn summary() {
         ]],
     );
 
-    let obs_json = Obs::global().json_snapshot();
-    let json = format!(
-        "{{\n  \"exhibit\": \"table_scale\",\n  \
-         \"exact_entries\": {EXACT_FLOWS},\n  \"wildcard_entries\": {WILD_TAIL},\n  \
-         \"stream_len\": {STREAM_LEN},\n  \
-         \"linear_lookups_per_sec\": {:.0},\n  \
-         \"indexed_lookups_per_sec\": {:.0},\n  \
-         \"linear_p99_batch_ns\": {:.0},\n  \
-         \"indexed_p99_batch_ns\": {:.0},\n  \
-         \"speedup\": {speedup:.2},\n  \
-         \"fat_tree_k\": {FAT_TREE_K},\n  \"switches\": {n_switches},\n  \
-         \"replay_events\": {},\n  \"replay_packet_ins\": {},\n  \
-         \"replay_flow_mods\": {},\n  \"replay_delivered\": {},\n  \
-         \"replay_events_per_sec\": {events_per_sec:.0},\n  \
-         \"obs\": {obs_json}\n}}\n",
-        lin.lookups_per_sec,
-        idx.lookups_per_sec,
-        lin.p99_batch_ns,
-        idx.p99_batch_ns,
-        stats.events,
-        stats.packet_ins,
-        stats.flow_mods,
-        stats.delivered,
-    );
-    match std::fs::write("BENCH_9.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_9.json (indexed speedup {speedup:.2}x)"),
-        Err(e) => eprintln!("could not write BENCH_9.json: {e}"),
-    }
+    headline("linear_lookups_per_sec", lin.lookups_per_sec);
+    headline("indexed_lookups_per_sec", idx.lookups_per_sec);
+    headline("linear_p99_batch_ns", lin.p99_batch_ns);
+    headline("indexed_p99_batch_ns", idx.p99_batch_ns);
+    headline("speedup", speedup);
+    headline("switches", n_switches as f64);
+    headline("replay_events", stats.events as f64);
+    headline("replay_packet_ins", stats.packet_ins as f64);
+    headline("replay_flow_mods", stats.flow_mods as f64);
+    headline("replay_delivered", stats.delivered as f64);
+    headline("replay_events_per_sec", events_per_sec);
 }
 
 fn bench(c: &mut Criterion) {

@@ -3,10 +3,12 @@
 //! Per-event dispatch latency across the four hosting configurations:
 //! monolithic direct call, in-process sandbox (panic containment only),
 //! AppVisor over in-memory channels, and AppVisor over UDP loopback (the
-//! paper's prototype). The UDP path includes real serialization of the
-//! event + controller views and the kernel round trip — the "additional
-//! latency into the control-loop" §3.1 argues is acceptable against the 4x
-//! slowdown controllers already impose on flow setup.
+//! paper's prototype transport) — both AppVisor rows on the stub-host
+//! pool, the one way a stub is hosted. The UDP path includes real
+//! serialization of the event + controller views and the kernel round
+//! trip — the "additional latency into the control-loop" §3.1 argues is
+//! acceptable against the 4x slowdown controllers already impose on flow
+//! setup.
 
 use legosdn::appvisor::{AppVisorProxy, ProxyConfig, StubConfig, TransportKind};
 use legosdn::controller::app::{Ctx, SdnApp};
@@ -124,8 +126,8 @@ fn summary() {
     );
 
     // Parallel fan-out: one event to 4 isolated apps, one blocking
-    // deliver each vs queue-all-then-collect (stubs process concurrently
-    // on their threads).
+    // deliver each vs queue-all-then-collect (the default pool gives four
+    // stubs a host thread each, so they process concurrently).
     let mut p = proxy();
     let handles: Vec<_> = (0..4)
         .map(|_| {

@@ -14,7 +14,7 @@
 use std::net::SocketAddr;
 
 use legosdn::appvisor::IoMode;
-use legosdn::{DispatchConfig, DispatchMode, IoConfig};
+use legosdn::{DispatchConfig, IoConfig};
 
 /// Iterator over `--flag [value]` argument lists, remembering the flag
 /// currently being parsed so value errors name it.
@@ -103,11 +103,9 @@ impl EndpointArgs {
     }
 }
 
-/// `--dispatch sequential|pipelined` / `--window DEPTH` / `--workers N` /
-/// `--lookahead CYCLES`: the runtime's dispatch shape, mirroring
-/// [`DispatchConfig`].
+/// `--window DEPTH` / `--workers N` / `--lookahead CYCLES`: the
+/// runtime's dispatch shape, mirroring [`DispatchConfig`].
 pub struct DispatchArgs {
-    pub mode: DispatchMode,
     pub window: usize,
     pub workers: usize,
     pub lookahead: usize,
@@ -117,7 +115,6 @@ impl Default for DispatchArgs {
     fn default() -> Self {
         let d = DispatchConfig::default();
         DispatchArgs {
-            mode: d.mode,
             window: d.window.depth,
             workers: d.workers,
             lookahead: d.lookahead_cycles,
@@ -128,11 +125,6 @@ impl Default for DispatchArgs {
 impl DispatchArgs {
     pub fn try_flag(&mut self, flag: &str, args: &mut ArgWalker) -> Result<bool, String> {
         match flag {
-            "--dispatch" => {
-                let v = args.value()?;
-                self.mode =
-                    DispatchMode::parse(&v).ok_or_else(|| format!("unknown dispatch mode: {v}"))?;
-            }
             "--window" => {
                 self.window = args.parsed()?;
                 if self.window == 0 {
@@ -159,18 +151,15 @@ impl DispatchArgs {
     /// The equivalent dispatch config section.
     #[must_use]
     pub fn config(&self) -> DispatchConfig {
-        DispatchConfig {
-            mode: self.mode,
-            ..DispatchConfig::default()
-        }
-        .window(self.window)
-        .workers(self.workers)
-        .lookahead(self.lookahead)
+        DispatchConfig::default()
+            .window(self.window)
+            .workers(self.workers)
+            .lookahead(self.lookahead)
     }
 }
 
-/// `--transport blocking|polled` / `--io-threads N`: how stub channels
-/// are serviced, mirroring [`IoConfig::mode`].
+/// `--io-threads N`: the size of the stub-host (and poll) pool,
+/// mirroring [`IoConfig::mode`].
 #[derive(Default)]
 pub struct IoArgs {
     pub mode: IoMode,
@@ -179,17 +168,12 @@ pub struct IoArgs {
 impl IoArgs {
     pub fn try_flag(&mut self, flag: &str, args: &mut ArgWalker) -> Result<bool, String> {
         match flag {
-            "--transport" => {
-                let v = args.value()?;
-                self.mode =
-                    IoMode::parse(&v).ok_or_else(|| format!("unknown transport mode: {v}"))?;
-            }
             "--io-threads" => {
                 let n: usize = args.parsed()?;
                 if n == 0 {
                     return Err("--io-threads must be at least 1".into());
                 }
-                self.mode = IoMode::Polled { io_threads: n };
+                self.mode = IoMode { io_threads: n };
             }
             _ => return Ok(false),
         }
@@ -234,8 +218,6 @@ mod tests {
     #[test]
     fn dispatch_group_consumes_its_flags_and_builds_the_section() {
         let args = argv(&[
-            "--dispatch",
-            "pipelined",
             "--window",
             "8",
             "--workers",
@@ -253,7 +235,6 @@ mod tests {
             assert!(d.try_flag(&flag, &mut w).unwrap(), "{flag} not consumed");
         }
         let cfg = d.config();
-        assert_eq!(cfg.mode, DispatchMode::Pipelined);
         assert_eq!(cfg.window.depth, 8);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.lookahead_cycles, 2);
@@ -295,14 +276,18 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_left_for_the_caller() {
-        let args = argv(&["--mystery"]);
-        let mut w = ArgWalker::new(&args);
-        let flag = w.next_flag().unwrap();
-        let mut e = EndpointArgs::on_port(1);
-        let mut d = DispatchArgs::default();
-        let mut io = IoArgs::default();
-        assert!(!e.try_flag(&flag, &mut w).unwrap());
-        assert!(!d.try_flag(&flag, &mut w).unwrap());
-        assert!(!io.try_flag(&flag, &mut w).unwrap());
+        // `--dispatch` and `--transport` selected paths that no longer
+        // exist: no group may still swallow them.
+        for name in ["--mystery", "--dispatch", "--transport"] {
+            let args = argv(&[name, "pipelined"]);
+            let mut w = ArgWalker::new(&args);
+            let flag = w.next_flag().unwrap();
+            let mut e = EndpointArgs::on_port(1);
+            let mut d = DispatchArgs::default();
+            let mut io = IoArgs::default();
+            assert!(!e.try_flag(&flag, &mut w).unwrap(), "{name}");
+            assert!(!d.try_flag(&flag, &mut w).unwrap(), "{name}");
+            assert!(!io.try_flag(&flag, &mut w).unwrap(), "{name}");
+        }
     }
 }

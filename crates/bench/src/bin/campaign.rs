@@ -69,13 +69,13 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--switches N] [--hosts N] [--policy absolute|no-compromise|equivalence] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
 [--push-to HOST:PORT] [--campaign NAME] \
-[--dispatch sequential|pipelined] [--window DEPTH] [--workers N] \
+[--window DEPTH] [--workers N] \
 [--lookahead CYCLES] [--isolation local|channel|udp|tcp] \
-[--transport blocking|polled] [--io-threads N] [--trace-sample N]\n\
+[--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
 ephemeral port (written to --addr-file for scripts). --push-to exports \
-to a fleet aggregator under the --campaign name. --dispatch pipelined \
-(the default) fans events out to isolated apps concurrently; --window \
+to a fleet aggregator under the --campaign name. Events fan out to \
+isolated apps concurrently; --window \
 DEPTH keeps up to DEPTH events of a cycle in flight on each stub's \
 stream (default 1; same network state either way, see DESIGN.md). \
 --workers N shards the apps across N worker threads, each running its \
@@ -83,9 +83,9 @@ own window machinery; commits stay in the sequential order through the \
 shared commit barrier (default 1). --lookahead CYCLES lets the window \
 run ahead into events this cycle's commits enqueue, up to CYCLES times \
 the cycle's own event count (default 1: today's cycle boundary). \
---transport polled hosts every stub on a fixed pool of stub-host \
-threads instead of one blocking thread per stub; --io-threads N \
-sizes that pool (default 4; only meaningful with isolated modes). \
+Isolated stubs are hosted on a fixed pool of stub-host threads per \
+worker; --io-threads N sizes that pool (default 4; with at least as \
+many threads as stubs, each stub has a thread of its own). \
 --trace-sample N records a causal flight-recorder trace for every Nth \
 event (default 1: every event; 0 disables tracing), served at /traces \
 and /traces/<cycle>-<seq>.";
@@ -252,18 +252,17 @@ fn main() {
     }
     eprintln!(
         "campaign: serving /metrics /metrics.json /incidents /traces /rollups /healthz on http://{} \
-         ({} switches, policy {}, {} fault app(s), {:?}/{:?} dispatch, \
-         window {}, {} worker(s), lookahead {}, {:?} io, {})",
+         ({} switches, policy {}, {} fault app(s), {:?} isolation, \
+         window {}, {} worker(s), lookahead {}, {} io thread(s), {})",
         server.local_addr(),
         cfg.switches,
         cfg.policy,
         cfg.faults.len(),
-        cfg.dispatch.mode,
         cfg.isolation,
         cfg.dispatch.window,
         cfg.dispatch.workers,
         cfg.dispatch.lookahead,
-        cfg.io.mode,
+        cfg.io.mode.io_threads,
         if cfg.rounds == 0 {
             "until killed".to_string()
         } else {

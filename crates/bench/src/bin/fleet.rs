@@ -6,21 +6,19 @@
 //! a few event rounds out to all of them, and reports throughput plus
 //! the process thread count from `/proc/self/status`.
 //!
-//! Under `--transport blocking` every stub owns a thread, so the process
-//! grows ~N threads. Under `--transport polled` (the default) the whole
-//! fleet is hosted on `--io-threads N` stub-host workers — its channels
-//! are in-memory, so the proxy blocks on each reply queue itself and no
-//! poll threads start — and the thread count stays flat no matter how
-//! many apps attach. `scripts/
-//! check.sh` runs this with `--apps 1000 --max-threads 64`: the smoke
-//! fails (exit 1) if the fleet ever needs more threads than that, or if
-//! any app misses a delivery or its shutdown report.
+//! The whole fleet is hosted on `--io-threads N` stub-host workers
+//! (default 4) — its channels are in-memory, so the proxy blocks on each
+//! reply queue itself and no poll threads start — and the thread count
+//! stays flat no matter how many apps attach. `scripts/check.sh` runs
+//! this with `--apps 1000 --max-threads 64`: the smoke fails (exit 1) if
+//! the fleet ever needs more threads than that, or if any app misses a
+//! delivery or its shutdown report.
 
 use std::time::{Duration, Instant};
 
 use legosdn::apps::Hub;
 use legosdn::appvisor::{
-    AppHandle, AppVisorProxy, DeliverOutcome, IoMode, ProxyConfig, StubConfig, TransportKind,
+    AppHandle, AppVisorProxy, DeliverOutcome, ProxyConfig, StubConfig, TransportKind,
 };
 use legosdn::controller::event::Event;
 use legosdn::controller::services::{DeviceView, TopologyView};
@@ -41,20 +39,18 @@ impl Default for FleetConfig {
         FleetConfig {
             apps: 1000,
             rounds: 3,
-            io: IoArgs {
-                mode: IoMode::Polled { io_threads: 4 },
-            },
+            io: IoArgs::default(),
             max_threads: None,
         }
     }
 }
 
 const USAGE: &str = "usage: fleet [--apps N] [--rounds N] \
-[--transport blocking|polled] [--io-threads N] [--max-threads N]\n\
+[--io-threads N] [--max-threads N]\n\
 Launches N isolated stub apps against one AppVisor proxy, fans --rounds \
 events out to all of them, and prints throughput plus the process thread \
-count. --transport polled (the default) hosts the whole fleet on a \
-fixed pool of --io-threads stub-host threads; --max-threads N \
+count. The whole fleet is hosted on a fixed pool of --io-threads \
+stub-host threads (default 4); --max-threads N \
 makes the run fail (exit 1) if /proc/self/status ever reports more \
 threads than N.";
 
@@ -166,8 +162,8 @@ fn main() {
 
     print_table(
         &format!(
-            "fleet: {} apps x {} rounds, {:?} io",
-            cfg.apps, cfg.rounds, cfg.io.mode
+            "fleet: {} apps x {} rounds, {} io threads",
+            cfg.apps, cfg.rounds, cfg.io.mode.io_threads
         ),
         &["metric", "value"],
         &[

@@ -5,14 +5,23 @@
 //! `bench_function`, `bench_with_input`, `criterion_group!`), plain
 //! `Instant`-based timing underneath. Each run prints a mean/min/max
 //! table to stderr and, in `final_summary`, dumps the accumulated
-//! results together with the global [`legosdn_obs`] snapshot to
-//! `BENCH_<exhibit>.json` so metric trajectories survive across runs.
+//! results, the exhibit's [`headline`] numbers and the global
+//! [`legosdn_obs`] snapshot to `BENCH_<exhibit>.json` — the one writer
+//! every exhibit's numbers go through.
 
 use std::fmt::Display;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
+static HEADLINES: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
+
+/// Record an exhibit-level number — a throughput, a thread count, a
+/// speedup — for [`Criterion::final_summary`] to write beside the timed
+/// results.
+pub fn headline(name: &str, value: f64) {
+    HEADLINES.lock().unwrap().push((name.to_string(), value));
+}
 
 #[derive(Clone, Debug)]
 pub struct BenchResult {
@@ -125,7 +134,13 @@ fn snapshot_json(results: &[BenchResult]) -> String {
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ],\n  \"obs\": ");
+    out.push_str("  ],\n  \"headline\": {");
+    let headlines = HEADLINES.lock().unwrap();
+    for (i, (name, value)) in headlines.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        out.push_str(&format!("{sep}\"{name}\": {value}"));
+    }
+    out.push_str("},\n  \"obs\": ");
     out.push_str(&legosdn_obs::Obs::global().json_snapshot());
     out.push_str("\n}\n");
     out

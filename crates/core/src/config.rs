@@ -1,8 +1,8 @@
 //! LegoSDN runtime configuration.
 //!
-//! The configuration is sectioned: [`DispatchConfig`] (strategy, window,
-//! worker shards), [`IoConfig`] (stub transport servicing + proxy
-//! tuning), and [`ObsConfig`] (observability instance + trace sampling).
+//! The configuration is sectioned: [`DispatchConfig`] (window, worker
+//! shards, lookahead), [`IoConfig`] (stub I/O threads + proxy tuning),
+//! and [`ObsConfig`] (observability instance + trace sampling).
 //! Build one with struct update syntax plus the section constructors,
 //! then validate it with [`LegoSdnConfig::build`]:
 //!
@@ -10,7 +10,7 @@
 //! use legosdn::config::{DispatchConfig, IoConfig, LegoSdnConfig};
 //!
 //! let cfg = LegoSdnConfig {
-//!     dispatch: DispatchConfig::pipelined().window(8).workers(4),
+//!     dispatch: DispatchConfig::default().window(8).workers(4),
 //!     io: IoConfig::polled(2),
 //!     ..LegoSdnConfig::default()
 //! }
@@ -38,13 +38,13 @@ pub enum IsolationMode {
     /// In-process sandbox with panic containment (fast path; still isolates
     /// crashes from the controller).
     Local,
-    /// AppVisor stub on its own thread, RPC over in-memory channels.
+    /// AppVisor stub on the stub-host pool, RPC over in-memory channels.
     Channel,
-    /// AppVisor stub on its own thread, RPC over UDP loopback — the paper's
-    /// prototype configuration (§4.1).
+    /// AppVisor stub on the stub-host pool, RPC over UDP loopback — the
+    /// paper's prototype transport (§4.1).
     Udp,
-    /// AppVisor stub on its own thread, RPC over TCP loopback with length
-    /// framing (the reliable-stream alternative).
+    /// AppVisor stub on the stub-host pool, RPC over TCP loopback with
+    /// length framing (the reliable-stream alternative).
     Tcp,
 }
 
@@ -61,45 +61,13 @@ impl IsolationMode {
     }
 }
 
-/// Which dispatcher moves events through the app roster.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The reference: one blocking Crash-Pad round-trip per (event, app),
-    /// in translation and attach order, on the calling thread. The
-    /// determinism suites hold [`DispatchMode::Pipelined`] to its
-    /// residue; it ignores `window` and `workers`.
-    Sequential,
-    /// The dispatch engine: each event is queued on every isolated stub
-    /// before any ack is collected (local sandboxes run inline while the
-    /// stubs work), outcomes are gathered and only the failures
-    /// recovered, and each app's commands commit through NetLog in
-    /// (event, attach) order. Network state and transaction order are
-    /// identical to `Sequential`; wall time per event is bounded by the
-    /// slowest app instead of the sum. `window` lets deliveries of later
-    /// events overlap the commits of earlier ones, `workers` spreads the
-    /// apps over threads.
-    #[default]
-    Pipelined,
-}
-
-impl DispatchMode {
-    /// Parse a CLI-style name (`sequential` | `pipelined`).
-    pub fn parse(s: &str) -> Option<DispatchMode> {
-        match s {
-            "sequential" => Some(DispatchMode::Sequential),
-            "pipelined" => Some(DispatchMode::Pipelined),
-            _ => None,
-        }
-    }
-}
-
-/// Cross-event dispatch window for [`DispatchMode::Pipelined`]: up to
-/// `depth` translated events from one cycle are in flight to the isolated
-/// stubs at once. Each stub's RPC queue carries the deliveries (and any
-/// due checkpoint requests) in per-app event order, so an app never sees
-/// event *k+1* before it has answered *k*; gather and commit stay fully
-/// serialized in (event, attach) order, keeping network state, the NetLog
-/// txlog, and runtime counters bit-identical to `Sequential`.
+/// Cross-event dispatch window: up to `depth` translated events from one
+/// cycle are in flight to the isolated stubs at once. Each stub's RPC
+/// queue carries the deliveries (and any due checkpoint requests) in
+/// per-app event order, so an app never sees event *k+1* before it has
+/// answered *k*; gather and commit stay fully serialized in (event,
+/// attach) order, keeping network state, the NetLog txlog, and runtime
+/// counters bit-identical to the sequential reference (DESIGN.md §9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchWindow {
     /// Events in flight at once. `1` (the default) delivers and commits
@@ -126,35 +94,35 @@ impl DispatchWindow {
     }
 }
 
-/// Event-dispatch section: strategy, cross-event window, worker shards.
+/// Event-dispatch section: the shape of the one dispatch engine. Each
+/// event is queued on every isolated stub before any ack is collected
+/// (local sandboxes run inline while the stubs work), outcomes are
+/// gathered and only the failures recovered, and each app's commands
+/// commit through NetLog in (event, attach) order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchConfig {
-    /// Strategy; see [`DispatchMode`].
-    pub mode: DispatchMode,
-    /// Cross-event window for pipelined dispatch; ignored under
-    /// [`DispatchMode::Sequential`].
+    /// Cross-event window: lets deliveries of later events overlap the
+    /// commits of earlier ones.
     pub window: DispatchWindow,
     /// Worker shards: apps are partitioned across `workers` shards by a
     /// load-aware balancer, each with its own AppVisor proxy, Crash-Pad,
     /// and window machinery (DESIGN.md §9). `1` (the default) runs the
-    /// engine on the calling thread; values above 1 take effect under
-    /// [`DispatchMode::Pipelined`] and commit through the cross-shard
-    /// barrier, bit-identical to the sequential reference.
+    /// engine on the calling thread; values above 1 commit through the
+    /// cross-shard barrier, bit-identical to the sequential reference.
     pub workers: usize,
     /// Cross-cycle windowing: one `run_cycle` call may consume follow-on
     /// events triggered by its own commits, up to `lookahead_cycles ×`
     /// the cycle's initial event count, instead of draining the window
     /// at every cycle boundary (DESIGN.md §9). `1` (the default) means a
-    /// cycle processes exactly the events queued when it started. Applies identically in every dispatch mode, so
-    /// sharded runs stay bit-identical to the sequential reference at
-    /// the same lookahead.
+    /// cycle processes exactly the events queued when it started. The
+    /// sequential reference honours it too, so sharded runs stay
+    /// bit-identical to the reference at the same lookahead.
     pub lookahead_cycles: usize,
 }
 
 impl Default for DispatchConfig {
     fn default() -> Self {
         DispatchConfig {
-            mode: DispatchMode::default(),
             window: DispatchWindow::default(),
             workers: 1,
             lookahead_cycles: 1,
@@ -163,24 +131,6 @@ impl Default for DispatchConfig {
 }
 
 impl DispatchConfig {
-    /// The sequential reference strategy.
-    #[must_use]
-    pub fn sequential() -> Self {
-        DispatchConfig {
-            mode: DispatchMode::Sequential,
-            ..DispatchConfig::default()
-        }
-    }
-
-    /// The pipelined strategy (the default).
-    #[must_use]
-    pub fn pipelined() -> Self {
-        DispatchConfig {
-            mode: DispatchMode::Pipelined,
-            ..DispatchConfig::default()
-        }
-    }
-
     /// Set the cross-event window depth. Not clamped: depth 0 is rejected
     /// by [`LegoSdnConfig::build`].
     #[must_use]
@@ -206,13 +156,12 @@ impl DispatchConfig {
     }
 }
 
-/// Stub I/O section: how stub channels are serviced, plus AppVisor proxy
-/// tuning. Only isolated modes (`Channel`, `Udp`, `Tcp`) have stub
-/// channels to service.
+/// Stub I/O section: how many threads service stub channels, plus
+/// AppVisor proxy tuning. Only isolated modes (`Channel`, `Udp`, `Tcp`)
+/// have stub channels to service.
 #[derive(Clone, Debug, Default)]
 pub struct IoConfig {
-    /// Blocking thread-per-stub or the readiness-polled multiplexed
-    /// pools; see [`IoMode`].
+    /// Size of each shard's stub-host (and poll) pool; see [`IoMode`].
     pub mode: IoMode,
     /// AppVisor proxy tuning (timeouts, heartbeats). The proxy's own
     /// `io` field is overwritten with [`IoConfig::mode`] at build /
@@ -221,15 +170,6 @@ pub struct IoConfig {
 }
 
 impl IoConfig {
-    /// Blocking thread-per-stub servicing (the default).
-    #[must_use]
-    pub fn blocking() -> Self {
-        IoConfig {
-            mode: IoMode::Blocking,
-            ..IoConfig::default()
-        }
-    }
-
     /// Pooled servicing with `io_threads` stub-host workers per shard
     /// (plus as many poll workers once a socket transport is in use).
     /// Not clamped: 0 threads is rejected by
@@ -237,7 +177,7 @@ impl IoConfig {
     #[must_use]
     pub fn polled(io_threads: usize) -> Self {
         IoConfig {
-            mode: IoMode::Polled { io_threads },
+            mode: IoMode { io_threads },
             ..IoConfig::default()
         }
     }
@@ -326,7 +266,7 @@ impl ObsConfig {
 pub enum ConfigError {
     /// `dispatch.window.depth == 0`: a window must hold at least one event.
     ZeroWindowDepth,
-    /// `io.mode == Polled { io_threads: 0 }`: the poll pool needs a thread.
+    /// `io.mode.io_threads == 0`: the stub-host pool needs a thread.
     ZeroIoThreads,
     /// `dispatch.workers == 0`: at least one worker shard must exist.
     ZeroWorkers,
@@ -342,7 +282,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroWindowDepth => write!(f, "dispatch.window.depth must be at least 1"),
-            ConfigError::ZeroIoThreads => write!(f, "io polled mode needs at least 1 io thread"),
+            ConfigError::ZeroIoThreads => write!(f, "io.mode.io_threads must be at least 1"),
             ConfigError::ZeroWorkers => write!(f, "dispatch.workers must be at least 1"),
             ConfigError::ZeroLookahead => {
                 write!(f, "dispatch.lookahead_cycles must be at least 1")
@@ -424,10 +364,8 @@ impl LegoSdnConfig {
         if self.dispatch.lookahead_cycles == 0 {
             return Err(ConfigError::ZeroLookahead);
         }
-        if let IoMode::Polled { io_threads } = self.io.mode {
-            if io_threads == 0 {
-                return Err(ConfigError::ZeroIoThreads);
-            }
+        if self.io.mode.io_threads == 0 {
+            return Err(ConfigError::ZeroIoThreads);
         }
         if !self.obs.enabled && self.obs.trace_sample > 0 {
             return Err(ConfigError::TraceWithObsDisabled);
@@ -445,18 +383,19 @@ mod tests {
     fn defaults_are_the_paper_design() {
         let c = LegoSdnConfig::default();
         assert_eq!(c.isolation, IsolationMode::Local);
-        // Pipelined has soaked (determinism sweep holds it bit-identical
-        // to Sequential) and is now the default; the window stays at 1
-        // and the runtime stays single-worker until the operator widens
-        // them.
-        assert_eq!(c.dispatch.mode, DispatchMode::Pipelined);
+        // The window stays at 1 and the runtime stays single-worker
+        // until the operator widens them.
         assert_eq!(c.dispatch.window, DispatchWindow { depth: 1 });
         assert_eq!(c.dispatch.workers, 1);
         assert_eq!(
             c.dispatch.lookahead_cycles, 1,
             "default lookahead drains the window at each cycle boundary"
         );
-        assert_eq!(c.io.mode, IoMode::Blocking);
+        assert_eq!(
+            c.io.mode,
+            IoMode { io_threads: 4 },
+            "up to four stubs per shard each get a host thread of their own"
+        );
         assert_eq!(c.netlog_mode, TxMode::Immediate);
         assert!(c.checker.is_some());
         assert_eq!(c.resource_limits, ResourceLimits::default());
@@ -472,7 +411,7 @@ mod tests {
     fn build_accepts_the_default_and_sectioned_configs() {
         assert!(LegoSdnConfig::default().build().is_ok());
         let c = LegoSdnConfig {
-            dispatch: DispatchConfig::pipelined().window(8).workers(4),
+            dispatch: DispatchConfig::default().window(8).workers(4),
             io: IoConfig::polled(2),
             ..LegoSdnConfig::default()
         }
@@ -480,15 +419,15 @@ mod tests {
         .unwrap();
         assert_eq!(c.dispatch.window.depth, 8);
         assert_eq!(c.dispatch.workers, 4);
-        assert_eq!(c.io.mode, IoMode::Polled { io_threads: 2 });
+        assert_eq!(c.io.mode, IoMode { io_threads: 2 });
         // build() stamps the proxy's io field from the section mode.
-        assert_eq!(c.io.proxy.io, IoMode::Polled { io_threads: 2 });
+        assert_eq!(c.io.proxy.io, IoMode { io_threads: 2 });
     }
 
     #[test]
     fn build_rejects_nonsense_up_front() {
         let zero_window = LegoSdnConfig {
-            dispatch: DispatchConfig::pipelined().window(0),
+            dispatch: DispatchConfig::default().window(0),
             ..LegoSdnConfig::default()
         };
         assert_eq!(
@@ -497,13 +436,13 @@ mod tests {
         );
 
         let zero_workers = LegoSdnConfig {
-            dispatch: DispatchConfig::pipelined().workers(0),
+            dispatch: DispatchConfig::default().workers(0),
             ..LegoSdnConfig::default()
         };
         assert_eq!(zero_workers.build().unwrap_err(), ConfigError::ZeroWorkers);
 
         let zero_lookahead = LegoSdnConfig {
-            dispatch: DispatchConfig::pipelined().lookahead(0),
+            dispatch: DispatchConfig::default().lookahead(0),
             ..LegoSdnConfig::default()
         };
         assert_eq!(
@@ -548,15 +487,6 @@ mod tests {
 
     #[test]
     fn mode_parsers_cover_cli_names() {
-        assert_eq!(
-            DispatchMode::parse("sequential"),
-            Some(DispatchMode::Sequential)
-        );
-        assert_eq!(
-            DispatchMode::parse("pipelined"),
-            Some(DispatchMode::Pipelined)
-        );
-        assert_eq!(DispatchMode::parse("warp"), None);
         assert_eq!(IsolationMode::parse("local"), Some(IsolationMode::Local));
         assert_eq!(
             IsolationMode::parse("channel"),
@@ -565,12 +495,6 @@ mod tests {
         assert_eq!(IsolationMode::parse("udp"), Some(IsolationMode::Udp));
         assert_eq!(IsolationMode::parse("tcp"), Some(IsolationMode::Tcp));
         assert_eq!(IsolationMode::parse("vm"), None);
-        assert_eq!(IoMode::parse("blocking"), Some(IoMode::Blocking));
-        assert_eq!(
-            IoMode::parse("polled"),
-            Some(IoMode::Polled { io_threads: 4 })
-        );
-        assert_eq!(IoMode::parse("epoll"), None);
     }
 
     #[test]

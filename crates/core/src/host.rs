@@ -11,15 +11,15 @@ use legosdn_netsim::SimTime;
 pub enum Host {
     /// In-process sandbox.
     Local(LocalSandbox),
-    /// Behind the AppVisor proxy (stub thread + transport).
+    /// Behind the AppVisor proxy (hosted stub + transport).
     Isolated(AppHandle),
 }
 
 /// Classify a proxy delivery the way Crash-Pad expects: proxy-level
 /// errors (unknown handle, transport failure) count as communication
 /// failures — the paper's primary crash signal. Shared by the blocking
-/// [`ProxyAdapter::deliver`] path and the pipelined fan-out path so both
-/// dispatch modes see identical failure semantics.
+/// [`ProxyAdapter::deliver`] path (recovery replay, the reference) and the
+/// engine's queue/collect path so both see identical failure semantics.
 pub fn outcome_to_delivery(outcome: Result<DeliverOutcome, ProxyError>) -> DeliveryResult {
     match outcome {
         Ok(DeliverOutcome::Commands(cmds)) => DeliveryResult::Ok(cmds),

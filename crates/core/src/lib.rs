@@ -69,8 +69,8 @@ pub mod workers;
 
 pub use clone_runner::{ClonePair, CloneStats};
 pub use config::{
-    ConfigError, DispatchConfig, DispatchMode, DispatchWindow, IoConfig, IsolationMode,
-    LegoSdnConfig, ObsConfig, ResourceLimits,
+    ConfigError, DispatchConfig, DispatchWindow, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig,
+    ResourceLimits,
 };
 pub use host::{Host, ProxyAdapter};
 pub use nversion::{NVersionApp, VoteStats};
@@ -94,8 +94,8 @@ pub mod prelude {
     //! Everything a typical consumer needs.
     pub use crate::clone_runner::ClonePair;
     pub use crate::config::{
-        ConfigError, DispatchConfig, DispatchMode, DispatchWindow, IoConfig, IsolationMode,
-        LegoSdnConfig, ObsConfig, ResourceLimits,
+        ConfigError, DispatchConfig, DispatchWindow, IoConfig, IsolationMode, LegoSdnConfig,
+        ObsConfig, ResourceLimits,
     };
     pub use crate::nversion::NVersionApp;
     pub use crate::runtime::{AppId, AppStatus, LegoCycleReport, LegoSdnRuntime, RuntimeStats};

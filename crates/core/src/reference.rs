@@ -2,15 +2,14 @@
 //! per (event, app), in translation order and attach order, on the
 //! calling thread.
 //!
-//! This is the oracle the determinism, shard-barrier and trace suites
-//! compare the window engine against ([`DispatchMode::Sequential`]
-//! selects it) — the counterpart of `netsim::reference::LinearFlowTable`.
+//! This is the oracle the determinism and shard-barrier suites compare
+//! the window engine against (a runtime built with
+//! [`LegoSdnRuntime::oracle`] runs it) — the counterpart of
+//! `netsim::reference::LinearFlowTable`.
 //! It pulls from the same [`Feed`](super::Feed) as the engine, with
 //! every slot committed before the next raw is asked for, so the two pop,
 //! translate and sample identically and differ only in how a slot reaches
 //! the apps.
-//!
-//! [`DispatchMode::Sequential`]: crate::config::DispatchMode::Sequential
 
 use super::{LegoCycleReport, LegoSdnRuntime, Pull};
 use crate::host::{Host, ProxyAdapter};

@@ -30,7 +30,7 @@
 //! [`legosdn_netlog::CommitBarrier`], so the output stays bit-identical to
 //! the single-threaded reference in `reference.rs`.
 
-use crate::config::{DispatchMode, IsolationMode, LegoSdnConfig, ResourceLimits};
+use crate::config::{IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::{Host, ProxyAdapter};
 use crate::workers::{
     AppRecord, CommitLane, CoreMetrics, ShardApp, ShardMetrics, ShardRouter, SlotStore, WarmCheck,
@@ -143,9 +143,10 @@ pub struct LegoSdnRuntime {
     stats: RuntimeStats,
     obs: Obs,
     metrics: CoreMetrics,
-    /// First transaction id of the next cycle. Every dispatch mode
-    /// advances it identically (`events × apps × TXS_PER_POS` per cycle),
-    /// so transaction ids are a pure function of the event/app position —
+    /// First transaction id of the next cycle. The engine and the
+    /// reference advance it identically (`events × apps × TXS_PER_POS`
+    /// per cycle), so transaction ids are a pure function of the
+    /// event/app position —
     /// the invariant that lets sharded fastpath commits land out of order
     /// with a txlog that still reads in sequential order.
     txid_cursor: u64,
@@ -164,6 +165,9 @@ pub struct LegoSdnRuntime {
     /// Last-seen (sum, count) per `dispatch_app_ns` histogram, so each
     /// EWMA update integrates only the newest observations.
     cost_prev: HashMap<String, (u64, u64)>,
+    /// Dispatch through the sequential reference in `reference.rs`
+    /// instead of the engine; only [`LegoSdnRuntime::oracle`] sets it.
+    oracle: bool,
 }
 
 impl LegoSdnRuntime {
@@ -229,7 +233,22 @@ impl LegoSdnRuntime {
             notify_flows_seen: false,
             cost_ewma: HashMap::new(),
             cost_prev: HashMap::new(),
+            oracle: false,
             config,
+        }
+    }
+
+    /// A runtime that dispatches through the sequential reference
+    /// (`reference.rs`: one blocking Crash-Pad round trip per (event,
+    /// app), whatever the window depth or worker count) — the oracle the
+    /// determinism suites hold the engine to. Not a configuration: nothing
+    /// but a test should want it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn oracle(config: LegoSdnConfig) -> Self {
+        LegoSdnRuntime {
+            oracle: true,
+            ..LegoSdnRuntime::new(config)
         }
     }
 
@@ -420,8 +439,6 @@ impl LegoSdnRuntime {
     /// The polled burst — and, while `lookahead_cycles` allows, the
     /// follow-on events its own commits enqueue — reaches the apps
     /// through the cycle's `Feed` and the dispatch window.
-    /// [`DispatchMode::Sequential`] runs the single-threaded reference
-    /// over the same feed instead, whatever the depth or worker count.
     pub fn run_cycle(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.metrics.run_cycle.start();
         let started = Instant::now();
@@ -595,9 +612,10 @@ impl LegoSdnRuntime {
     /// Dispatch everything the feed yields this cycle, and advance the
     /// transaction-id cursor past the cycle's positions.
     fn dispatch_feed(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
-        match self.config.dispatch.mode {
-            DispatchMode::Sequential => self.run_reference(net, report),
-            DispatchMode::Pipelined => self.run_window(net, report),
+        if self.oracle {
+            self.run_reference(net, report);
+        } else {
+            self.run_window(net, report);
         }
         report.events = self.feed.events;
         self.txid_cursor += report.events as u64 * self.router.len() as u64 * TXS_PER_POS;
@@ -1102,7 +1120,7 @@ mod tests {
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
             isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::pipelined(),
+            dispatch: DispatchConfig::default(),
             obs: ObsConfig::instance(obs.clone()),
             ..LegoSdnConfig::default()
         });
@@ -1139,7 +1157,7 @@ mod tests {
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
             isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::pipelined().window(4),
+            dispatch: DispatchConfig::default().window(4),
             obs: ObsConfig::instance(obs.clone()),
             ..LegoSdnConfig::default()
         });
@@ -1197,7 +1215,7 @@ mod tests {
         let mut rt = LegoSdnRuntime::new(
             LegoSdnConfig {
                 isolation: IsolationMode::Channel,
-                dispatch: DispatchConfig::pipelined().window(2).workers(4),
+                dispatch: DispatchConfig::default().window(2).workers(4),
                 obs: ObsConfig::instance(obs.clone()),
                 ..LegoSdnConfig::default()
             }

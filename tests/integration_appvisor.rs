@@ -202,35 +202,50 @@ fn many_apps_one_proxy_independent_fault_domains() {
 
 #[test]
 fn lossy_transport_degrades_to_comm_failures_not_hangs() {
-    use legosdn::appvisor::{spawn_stub, ChannelTransport, FlakyTransport};
+    use legosdn::appvisor::{FlakyTransport, QueueTransport, StubHost, Transport};
     // 40% frame loss in each direction: some deliveries ack, some time out
     // as comm failures; nothing hangs, panics, or poisons the proxy.
+    let stub = StubConfig {
+        heartbeat_period: Duration::from_millis(10),
+        report_crashes: true,
+    };
     let mut p = AppVisorProxy::new(ProxyConfig {
         deliver_timeout: Duration::from_millis(80),
         rpc_timeout: Duration::from_secs(2),
         heartbeat_timeout: Duration::from_millis(200),
-        stub: StubConfig {
-            heartbeat_period: Duration::from_millis(10),
-            report_crashes: true,
-        },
+        stub: stub.clone(),
         ..Default::default()
     });
-    let (proxy_side, stub_side) = ChannelTransport::pair();
-    let proxy_side = FlakyTransport::new(proxy_side, 400, 7);
-    let stub_side = FlakyTransport::new(stub_side, 400, 8);
-    let handle = spawn_stub(
-        stub_side,
-        Box::new(Hub::new()),
-        StubConfig {
-            heartbeat_period: Duration::from_millis(10),
-            report_crashes: true,
-        },
-    );
-    // Registration itself may need retries under loss: register_transport
-    // waits for the Register frame; at 40% loss it may be eaten, in which
-    // case we accept the failure and end the test (the stub exits when the
-    // proxy side drops).
-    let Ok(h) = p.register_transport(Box::new(proxy_side), Some(handle)) else {
+    // A relay between the proxy's channel and the stub's loses frames
+    // both ways; it ends when either side hangs up.
+    let (proxy_side, relay_near) = QueueTransport::pair();
+    let (relay_far, stub_side) = QueueTransport::pair();
+    std::thread::spawn(move || {
+        let mut to_proxy = FlakyTransport::new(relay_near, 400, 8);
+        let mut to_stub = FlakyTransport::new(relay_far, 400, 7);
+        loop {
+            let inbound = to_proxy.try_recv();
+            let outbound = to_stub.try_recv();
+            match (inbound, outbound) {
+                (Err(_), _) | (_, Err(_)) => return,
+                (Ok(None), Ok(None)) => std::thread::sleep(Duration::from_micros(200)),
+                (Ok(request), Ok(reply)) => {
+                    let sent = request.map(|f| to_stub.send_owned(f));
+                    let answered = reply.map(|f| to_proxy.send_owned(f));
+                    if matches!(sent, Some(Err(_))) || matches!(answered, Some(Err(_))) {
+                        return;
+                    }
+                }
+            }
+        }
+    });
+    let host = StubHost::new(1);
+    host.spawn(Box::new(Hub::new()), stub_side.into_duplex(), stub)
+        .unwrap();
+    // Registration itself may fall to the loss: register_transport waits
+    // for the Register frame; if the relay ate it we accept the failure
+    // and end the test.
+    let Ok(h) = p.register_transport(Box::new(proxy_side)) else {
         return;
     };
     let topo = legosdn::controller::services::TopologyView::default();
@@ -276,5 +291,97 @@ fn isolated_runtime_end_to_end_over_udp() {
         .unwrap();
     let report = rt.run_cycle(&mut net);
     assert!(report.commands > 0, "{report:?}");
+    rt.shutdown();
+}
+
+/// A hub whose next `snapshot` panics once the test arms it.
+struct SnapshotBomb {
+    inner: Hub,
+    armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl SdnApp for SnapshotBomb {
+    fn name(&self) -> &str {
+        "snapshot-bomb"
+    }
+    fn subscriptions(&self) -> Vec<EventKind> {
+        self.inner.subscriptions()
+    }
+    fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
+        self.inner.on_event(event, ctx);
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        let armed = self.armed.swap(false, std::sync::atomic::Ordering::SeqCst);
+        assert!(!armed, "snapshot bomb went off");
+        self.inner.snapshot()
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), legosdn::controller::app::RestoreError> {
+        self.inner.restore(bytes)
+    }
+}
+
+#[test]
+fn a_checkpoint_panic_on_a_shared_host_thread_is_recovered_as_a_crash() {
+    // Two apps on one stub-host thread, a checkpoint before every event.
+    // A panic inside one app's `snapshot` must cost that app one
+    // fail-stop recovery — not the host thread, the neighbour, or the
+    // controller.
+    let topo = Topology::linear(2, 1);
+    let mut net = Network::new(&topo);
+    let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+        isolation: IsolationMode::Channel,
+        io: IoConfig::polled(1).proxy(ProxyConfig {
+            deliver_timeout: Duration::from_millis(200),
+            ..ProxyConfig::default()
+        }),
+        obs: ObsConfig::instance(Obs::new()),
+        crashpad: legosdn::crashpad::CrashPadConfig {
+            checkpoints: legosdn::crashpad::CheckpointPolicy {
+                interval: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        ..LegoSdnConfig::default()
+    });
+    let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let bomb = rt
+        .attach(Box::new(SnapshotBomb {
+            inner: Hub::new(),
+            armed: armed.clone(),
+        }))
+        .unwrap();
+    let neighbour = rt.attach(Box::new(LearningSwitch::new())).unwrap();
+    rt.run_cycle(&mut net); // handshake + discovery
+    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+    // One healthy packet first: recovery restores a checkpoint, and the
+    // hub's first is taken before its first packet-in.
+    net.inject(a, Packet::ethernet(a, b)).unwrap();
+    assert_eq!(rt.run_cycle(&mut net).recoveries, 0);
+
+    armed.store(true, std::sync::atomic::Ordering::SeqCst);
+    net.inject(a, Packet::ethernet(a, b)).unwrap();
+    let report = rt.run_cycle(&mut net);
+    assert!(
+        !armed.load(std::sync::atomic::Ordering::SeqCst),
+        "the bomb went off"
+    );
+    assert!(report.recoveries >= 1, "{report:?}");
+    assert!(rt.stats().failstop_recoveries >= 1, "{:?}", rt.stats());
+    assert!(!rt.is_crashed());
+    assert_eq!(rt.app_status(bomb), Some(&AppStatus::Running));
+    assert_eq!(rt.app_status(neighbour), Some(&AppStatus::Running));
+
+    // Both are back in service: the next packet reaches both.
+    let before = (
+        rt.app_usage(bomb).unwrap(),
+        rt.app_usage(neighbour).unwrap(),
+    );
+    net.inject(b, Packet::ethernet(b, a)).unwrap();
+    let report = rt.run_cycle(&mut net);
+    assert_eq!(report.recoveries, 0, "{report:?}");
+    assert!(report.commands > 0, "{report:?}");
+    assert!(rt.app_usage(bomb).unwrap().commands_emitted > before.0.commands_emitted);
+    assert!(rt.app_usage(neighbour).unwrap().events_consumed > before.1.events_consumed);
     rt.shutdown();
 }

@@ -1,10 +1,12 @@
-//! Pipelined dispatch must be observationally identical to sequential
-//! dispatch: same final flow tables, same NetLog transaction order, same
-//! recovery counts — for local sandboxes and isolated stubs alike. The
-//! pipeline overlaps app *processing* only; everything that touches the
-//! network stays serialized in attach order (see DESIGN.md §9). The
-//! cross-event window (DESIGN.md §10) must preserve the same residue at
-//! every depth, including across crash-triggered cancellation/re-send.
+//! The dispatch engine must be observationally identical to the
+//! sequential reference (`core/src/reference.rs`, reached through
+//! `LegoSdnRuntime::oracle`): same final flow tables, same NetLog
+//! transaction order, same recovery counts — for local sandboxes and
+//! isolated stubs alike. The engine overlaps app *processing* only;
+//! everything that touches the network stays serialized in attach order
+//! (see DESIGN.md §9). The cross-event window must preserve the same
+//! residue at every depth, including across crash-triggered
+//! cancellation/re-send.
 
 use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
@@ -24,38 +26,43 @@ struct Residue {
     commands: usize,
 }
 
-/// One fixed fault campaign — healthy traffic, a byzantine poke, a
-/// fail-stop crash with recovery, more traffic, a tick — executed under
-/// the given dispatch/isolation pair.
-fn run_campaign(dispatch: DispatchMode, isolation: IsolationMode, depth: usize) -> Residue {
-    run_campaign_io(dispatch, isolation, depth, IoMode::Blocking)
+/// The engine under `config`, or the sequential reference over the same
+/// config and feed.
+fn runtime(oracle: bool, config: LegoSdnConfig) -> LegoSdnRuntime {
+    let config = config.build().expect("valid config");
+    if oracle {
+        LegoSdnRuntime::oracle(config)
+    } else {
+        LegoSdnRuntime::new(config)
+    }
 }
 
-/// [`run_campaign`] with an explicit stub-I/O servicing mode (blocking
-/// thread-per-stub vs the readiness-polled pools).
-fn run_campaign_io(
-    dispatch: DispatchMode,
-    isolation: IsolationMode,
-    depth: usize,
-    io: IoMode,
-) -> Residue {
-    run_campaign_sharded(dispatch, isolation, depth, io, 1)
+/// One fixed fault campaign — healthy traffic, a byzantine poke, a
+/// fail-stop crash with recovery, more traffic, a tick — executed under
+/// the engine, or (`oracle`) under the sequential reference.
+fn run_campaign(oracle: bool, isolation: IsolationMode, depth: usize) -> Residue {
+    run_campaign_io(oracle, isolation, depth, IoMode::default())
+}
+
+/// [`run_campaign`] with an explicit stub-host pool size.
+fn run_campaign_io(oracle: bool, isolation: IsolationMode, depth: usize, io: IoMode) -> Residue {
+    run_campaign_sharded(oracle, isolation, depth, io, 1)
 }
 
 /// [`run_campaign_io`] with an explicit worker-shard count.
 fn run_campaign_sharded(
-    dispatch: DispatchMode,
+    oracle: bool,
     isolation: IsolationMode,
     depth: usize,
     io: IoMode,
     workers: usize,
 ) -> Residue {
-    run_campaign_lookahead(dispatch, isolation, depth, io, workers, 1)
+    run_campaign_lookahead(oracle, isolation, depth, io, workers, 1)
 }
 
 /// [`run_campaign_sharded`] with an explicit cross-cycle lookahead.
 fn run_campaign_lookahead(
-    dispatch: DispatchMode,
+    oracle: bool,
     isolation: IsolationMode,
     depth: usize,
     io: IoMode,
@@ -64,16 +71,14 @@ fn run_campaign_lookahead(
 ) -> Residue {
     let topo = Topology::linear(3, 2);
     let mut net = Network::new(&topo);
-    let mut rt = LegoSdnRuntime::new(
+    let mut rt = runtime(
+        oracle,
         LegoSdnConfig {
             isolation,
-            dispatch: DispatchConfig {
-                mode: dispatch,
-                ..DispatchConfig::default()
-            }
-            .window(depth)
-            .workers(workers)
-            .lookahead(lookahead),
+            dispatch: DispatchConfig::default()
+                .window(depth)
+                .workers(workers)
+                .lookahead(lookahead),
             io: IoConfig {
                 mode: io,
                 ..IoConfig::default()
@@ -93,9 +98,7 @@ fn run_campaign_lookahead(
                 Invariant::NoLoops,
             ])),
             ..LegoSdnConfig::default()
-        }
-        .build()
-        .expect("valid campaign config"),
+        },
     );
 
     let poison = topo.hosts[topo.hosts.len() - 1].mac;
@@ -166,8 +169,8 @@ fn run_campaign_lookahead(
 }
 
 fn assert_identical(isolation: IsolationMode) {
-    let seq = run_campaign(DispatchMode::Sequential, isolation, 1);
-    let pipe = run_campaign(DispatchMode::Pipelined, isolation, 1);
+    let seq = run_campaign(true, isolation, 1);
+    let pipe = run_campaign(false, isolation, 1);
     // The campaign must actually exercise the interesting paths, or this
     // test proves nothing.
     assert!(
@@ -213,9 +216,9 @@ fn pipelined_dispatch_is_deterministic_with_isolated_stubs() {
 fn pipelined_matches_sequential_across_repeated_runs() {
     // Stub scheduling varies run to run; determinism must not depend on
     // a lucky interleaving.
-    let reference = run_campaign(DispatchMode::Sequential, IsolationMode::Channel, 1);
+    let reference = run_campaign(true, IsolationMode::Channel, 1);
     for _ in 0..3 {
-        let pipe = run_campaign(DispatchMode::Pipelined, IsolationMode::Channel, 1);
+        let pipe = run_campaign(false, IsolationMode::Channel, 1);
         assert_eq!(reference.flow_tables, pipe.flow_tables);
         assert_eq!(reference.txlog, pipe.txlog);
         assert_eq!(reference.stats, pipe.stats);
@@ -225,9 +228,9 @@ fn pipelined_matches_sequential_across_repeated_runs() {
 #[test]
 fn windowed_dispatch_is_deterministic_across_depths() {
     for isolation in [IsolationMode::Local, IsolationMode::Channel] {
-        let reference = run_campaign(DispatchMode::Sequential, isolation, 1);
+        let reference = run_campaign(true, isolation, 1);
         for depth in [1usize, 2, 8] {
-            let win = run_campaign(DispatchMode::Pipelined, isolation, depth);
+            let win = run_campaign(false, isolation, depth);
             assert_eq!(
                 reference.flow_tables, win.flow_tables,
                 "{isolation:?} depth {depth}: flow tables diverge"
@@ -255,15 +258,14 @@ fn windowed_dispatch_is_deterministic_across_depths() {
 
 #[test]
 fn polled_transport_preserves_the_dispatch_residue() {
-    // The poller changes only *how* stub frames reach the proxy — a
-    // fixed pool of readiness-polled threads instead of one blocking
-    // thread per stub — never what they say. Every {io mode} × {window
-    // depth} combination must leave the exact residue of the sequential
-    // blocking reference.
-    let reference = run_campaign(DispatchMode::Sequential, IsolationMode::Channel, 1);
-    for io in [IoMode::Blocking, IoMode::Polled { io_threads: 2 }] {
+    // The size of the stub-host pool changes only *which thread* runs a
+    // stub — one each at the default, shared at two — never what the
+    // stub says. Every {pool size} × {window depth} combination must
+    // leave the exact residue of the sequential reference.
+    let reference = run_campaign(true, IsolationMode::Channel, 1);
+    for io in [IoMode::default(), IoMode { io_threads: 2 }] {
         for depth in [1usize, 8] {
-            let run = run_campaign_io(DispatchMode::Pipelined, IsolationMode::Channel, depth, io);
+            let run = run_campaign_io(false, IsolationMode::Channel, depth, io);
             assert_eq!(
                 reference.flow_tables, run.flow_tables,
                 "{io:?} depth {depth}: flow tables diverge"
@@ -293,21 +295,15 @@ fn polled_transport_preserves_the_dispatch_residue() {
 fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
     // The tentpole determinism oracle (DESIGN.md §13): sharding the apps
     // across worker threads changes only *where* they run. For every
-    // {worker count} × {io mode} × {window depth} combination the residue
+    // {worker count} × {pool size} × {window depth} combination the residue
     // — flow tables, NetLog transaction order, runtime counters, per-
     // cycle reports — must be bit-identical to the single-threaded
     // sequential reference.
-    let reference = run_campaign(DispatchMode::Sequential, IsolationMode::Channel, 1);
+    let reference = run_campaign(true, IsolationMode::Channel, 1);
     for workers in [1usize, 2, 4] {
-        for io in [IoMode::Blocking, IoMode::Polled { io_threads: 2 }] {
+        for io in [IoMode::default(), IoMode { io_threads: 2 }] {
             for depth in [1usize, 8] {
-                let run = run_campaign_sharded(
-                    DispatchMode::Pipelined,
-                    IsolationMode::Channel,
-                    depth,
-                    io,
-                    workers,
-                );
+                let run = run_campaign_sharded(false, IsolationMode::Channel, depth, io, workers);
                 assert_eq!(
                     reference.flow_tables, run.flow_tables,
                     "workers {workers} {io:?} depth {depth}: flow tables diverge"
@@ -344,10 +340,10 @@ fn cross_cycle_lookahead_preserves_the_residue() {
     // matching-lookahead sequential reference.
     for lookahead in [1usize, 2] {
         let reference = run_campaign_lookahead(
-            DispatchMode::Sequential,
+            true,
             IsolationMode::Channel,
             1,
-            IoMode::Blocking,
+            IoMode::default(),
             1,
             lookahead,
         );
@@ -362,10 +358,10 @@ fn cross_cycle_lookahead_preserves_the_residue() {
         for workers in [1usize, 2, 4] {
             for depth in [1usize, 8] {
                 let run = run_campaign_lookahead(
-                    DispatchMode::Pipelined,
+                    false,
                     IsolationMode::Channel,
                     depth,
-                    IoMode::Blocking,
+                    IoMode::default(),
                     workers,
                     lookahead,
                 );
@@ -399,15 +395,9 @@ fn cross_cycle_lookahead_preserves_the_residue() {
 fn sharded_dispatch_is_stable_across_repeated_runs() {
     // Thread scheduling varies run to run; sharded determinism must not
     // depend on a lucky interleaving.
-    let reference = run_campaign(DispatchMode::Sequential, IsolationMode::Local, 1);
+    let reference = run_campaign(true, IsolationMode::Local, 1);
     for _ in 0..3 {
-        let run = run_campaign_sharded(
-            DispatchMode::Pipelined,
-            IsolationMode::Local,
-            4,
-            IoMode::Blocking,
-            4,
-        );
+        let run = run_campaign_sharded(false, IsolationMode::Local, 4, IoMode::default(), 4);
         assert_eq!(reference.flow_tables, run.flow_tables);
         assert_eq!(reference.txlog, run.txlog);
         assert_eq!(reference.stats, run.stats);
@@ -482,7 +472,7 @@ fn per_app_delivery_order_equals_translation_order_under_random_crashes() {
         let poison = topo.hosts[topo.hosts.len() - 1].mac;
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
             isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::pipelined().window(8),
+            dispatch: DispatchConfig::default().window(8),
             obs: ObsConfig::instance(Obs::new()),
             crashpad: CrashPadConfig {
                 checkpoints: CheckpointPolicy {
@@ -555,28 +545,19 @@ struct BurstResidue {
     flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
 }
 
-fn run_impure_burst(
-    dispatch: DispatchMode,
-    depth: usize,
-    workers: usize,
-    lookahead: usize,
-) -> BurstResidue {
+fn run_impure_burst(oracle: bool, depth: usize, workers: usize, lookahead: usize) -> BurstResidue {
     let topo = Topology::linear(3, 1);
     let mut net = Network::new(&topo);
-    let mut rt = LegoSdnRuntime::new(
+    let mut rt = runtime(
+        oracle,
         LegoSdnConfig {
-            dispatch: DispatchConfig {
-                mode: dispatch,
-                ..DispatchConfig::default()
-            }
-            .window(depth)
-            .workers(workers)
-            .lookahead(lookahead),
+            dispatch: DispatchConfig::default()
+                .window(depth)
+                .workers(workers)
+                .lookahead(lookahead),
             obs: ObsConfig::instance(Obs::new()),
             ..LegoSdnConfig::default()
-        }
-        .build()
-        .expect("valid config"),
+        },
     );
     rt.attach(Box::new(Hub::new())).unwrap();
     rt.attach(Box::new(LearningSwitch::new())).unwrap();
@@ -624,14 +605,14 @@ fn impure_raw_mid_burst_matches_the_oracle() {
     // the whole burst up front moves the probe ahead of the first
     // packet's follow-on packet-ins and changes which cycle sees them.
     for lookahead in [1usize, 2] {
-        let oracle = run_impure_burst(DispatchMode::Sequential, 1, 1, lookahead);
+        let oracle = run_impure_burst(true, 1, 1, lookahead);
         assert!(
             oracle.cycles.iter().any(|&(_, commands)| commands > 0),
             "lookahead {lookahead}: the burst produced no commands"
         );
         for depth in [1usize, 2, 8] {
             for workers in [1usize, 2] {
-                let run = run_impure_burst(DispatchMode::Pipelined, depth, workers, lookahead);
+                let run = run_impure_burst(false, depth, workers, lookahead);
                 assert_eq!(
                     oracle, run,
                     "depth {depth} workers {workers} lookahead {lookahead}: residue diverges"

@@ -69,41 +69,42 @@ struct Residue {
 /// Six contested-switch writers plus one recurring crasher, driven
 /// through three rounds of bursts with a crash trigger in the middle of
 /// each burst.
-fn run(mode: DispatchMode, depth: usize, workers: usize) -> Residue {
-    run_lookahead(mode, depth, workers, 1)
+fn run(oracle: bool, depth: usize, workers: usize) -> Residue {
+    run_lookahead(oracle, depth, workers, 1)
 }
 
-/// [`run`] with an explicit cross-cycle lookahead.
-fn run_lookahead(mode: DispatchMode, depth: usize, workers: usize, lookahead: usize) -> Residue {
+/// [`run`] with an explicit cross-cycle lookahead. `oracle` runs the
+/// sequential reference (`LegoSdnRuntime::oracle`) instead of the engine.
+fn run_lookahead(oracle: bool, depth: usize, workers: usize, lookahead: usize) -> Residue {
     let topo = Topology::linear(2, 2);
     let mut net = Network::new(&topo);
     let poison = topo.hosts[topo.hosts.len() - 1].mac;
     let obs = Obs::new();
-    let mut rt = LegoSdnRuntime::new(
-        LegoSdnConfig {
-            isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig {
-                mode,
-                ..DispatchConfig::default()
-            }
+    let config = LegoSdnConfig {
+        isolation: IsolationMode::Channel,
+        dispatch: DispatchConfig::default()
             .window(depth)
             .workers(workers)
             .lookahead(lookahead),
-            obs: ObsConfig::instance(obs.clone()),
-            crashpad: CrashPadConfig {
-                checkpoints: CheckpointPolicy {
-                    interval: 2,
-                    history: 8,
-                    ..CheckpointPolicy::default()
-                },
-                policies: PolicyTable::with_default(CompromisePolicy::Absolute),
-                transform_direction: TransformDirection::Decompose,
+        obs: ObsConfig::instance(obs.clone()),
+        crashpad: CrashPadConfig {
+            checkpoints: CheckpointPolicy {
+                interval: 2,
+                history: 8,
+                ..CheckpointPolicy::default()
             },
-            ..LegoSdnConfig::default()
-        }
-        .build()
-        .expect("valid config"),
-    );
+            policies: PolicyTable::with_default(CompromisePolicy::Absolute),
+            transform_direction: TransformDirection::Decompose,
+        },
+        ..LegoSdnConfig::default()
+    }
+    .build()
+    .expect("valid config");
+    let mut rt = if oracle {
+        LegoSdnRuntime::oracle(config)
+    } else {
+        LegoSdnRuntime::new(config)
+    };
 
     let mut ids = Vec::new();
     for id in 0..6u64 {
@@ -170,14 +171,14 @@ fn run_lookahead(mode: DispatchMode, depth: usize, workers: usize, lookahead: us
 
 #[test]
 fn cross_shard_writes_to_one_switch_commit_in_sequential_order() {
-    let reference = run(DispatchMode::Sequential, 1, 1);
+    let reference = run(true, 1, 1);
     assert!(
         reference.recoveries > 0,
         "campaign produced no crash recovery"
     );
     assert!(!reference.txlog.is_empty(), "campaign produced no txlog");
     for workers in [2usize, 4] {
-        let sharded = run(DispatchMode::Pipelined, 4, workers);
+        let sharded = run(false, 4, workers);
         assert!(
             sharded.worker_spread > 1,
             "workers {workers}: all writers landed on one shard"
@@ -212,14 +213,14 @@ fn crash_during_lookahead_replays_contested_commits_in_order() {
     // packet-ins on the contested switch). The mid-burst crash must
     // cancel those cross-cycle in-flight tags and re-send them from the
     // restored state without perturbing the contested commit order.
-    let reference = run_lookahead(DispatchMode::Sequential, 1, 1, 2);
+    let reference = run_lookahead(true, 1, 1, 2);
     assert!(
         reference.recoveries > 0,
         "lookahead campaign produced no crash recovery"
     );
     assert!(!reference.txlog.is_empty(), "campaign produced no txlog");
     for workers in [2usize, 4] {
-        let sharded = run_lookahead(DispatchMode::Pipelined, 4, workers, 2);
+        let sharded = run_lookahead(false, 4, workers, 2);
         assert!(
             sharded.worker_spread > 1,
             "workers {workers}: all writers landed on one shard"
@@ -245,9 +246,9 @@ fn crash_during_lookahead_replays_contested_commits_in_order() {
 
 #[test]
 fn contested_commit_order_is_stable_across_repeated_sharded_runs() {
-    let first = run(DispatchMode::Pipelined, 4, 4);
+    let first = run(false, 4, 4);
     for _ in 0..2 {
-        let again = run(DispatchMode::Pipelined, 4, 4);
+        let again = run(false, 4, 4);
         assert_eq!(first.flow_tables, again.flow_tables);
         assert_eq!(first.txlog, again.txlog);
         assert_eq!(first.stats, again.stats);
@@ -263,7 +264,7 @@ fn shards_without_apps_sit_the_window_out() {
     let topo = Topology::linear(2, 1);
     let mut net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-        dispatch: DispatchConfig::pipelined().window(2).workers(4),
+        dispatch: DispatchConfig::default().window(2).workers(4),
         obs: ObsConfig::instance(Obs::new()),
         ..LegoSdnConfig::default()
     });
@@ -279,7 +280,7 @@ fn shards_without_apps_sit_the_window_out() {
 
     // And with no app anywhere the events are still translated.
     let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-        dispatch: DispatchConfig::pipelined().workers(2),
+        dispatch: DispatchConfig::default().workers(2),
         obs: ObsConfig::instance(Obs::new()),
         ..LegoSdnConfig::default()
     });

@@ -37,7 +37,7 @@ fn run_traced_campaign(depth: usize, seed: u64) -> (Obs, Vec<Trace>) {
     let mut net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
         isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::pipelined().window(depth),
+        dispatch: DispatchConfig::default().window(depth),
         obs: ObsConfig::instance(Obs::new()),
         crashpad: CrashPadConfig {
             checkpoints: CheckpointPolicy {
@@ -259,7 +259,7 @@ fn sharded_workers_still_feed_the_flight_recorder() {
     let mut net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
         isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::pipelined().window(2).workers(4),
+        dispatch: DispatchConfig::default().window(2).workers(4),
         obs: ObsConfig::instance(Obs::new()).trace_sample(1),
         ..LegoSdnConfig::default()
     });

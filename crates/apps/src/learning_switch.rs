@@ -13,7 +13,7 @@ use legosdn_openflow::prelude::*;
 use std::collections::BTreeMap;
 
 /// Serializable state: per-switch MAC → port tables. Each switch's table
-/// is a memoized segment (DESIGN.md §18): a learn re-encodes one table,
+/// is a memoized segment (DESIGN.md §15): a learn re-encodes one table,
 /// a packet that teaches nothing re-encodes none. The counters change on
 /// every packet and stay plain.
 #[derive(Clone, Debug, Default, PartialEq, Codec)]

@@ -23,7 +23,7 @@ pub struct Backend {
 struct State {
     vip: Ipv4Addr,
     backends: Vec<Backend>,
-    /// Sticky client → backend index. Memoized (DESIGN.md §18): written
+    /// Sticky client → backend index. Memoized (DESIGN.md §15): written
     /// once per new client, read on every flow.
     assignments: Memo<BTreeMap<Ipv4Addr, usize>>,
     rr_next: usize,

@@ -32,7 +32,7 @@ impl Route {
 
 #[derive(Clone, Debug, Default, PartialEq, Codec)]
 struct State {
-    /// Memoized (DESIGN.md §18): written when a route is installed or
+    /// Memoized (DESIGN.md §15): written when a route is installed or
     /// torn down, not by the floods and failures in between.
     routes: Memo<Vec<Route>>,
     next_cookie: u64,

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 struct State {
     /// Ports (per switch) currently allowed to flood: tree ports + host
     /// ports (i.e. everything except non-tree inter-switch ports).
-    /// Memoized (DESIGN.md §18): most recomputations leave it as it was.
+    /// Memoized (DESIGN.md §15): most recomputations leave it as it was.
     blocked: Memo<BTreeMap<DatapathId, BTreeSet<u16>>>,
     recomputations: u64,
 }

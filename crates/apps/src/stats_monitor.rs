@@ -23,7 +23,7 @@ pub struct Sample {
 #[derive(Clone, Debug, Default, PartialEq, Codec)]
 struct State {
     switches: BTreeSet<DatapathId>,
-    /// Memoized (DESIGN.md §18): up to 4096 samples, written only by a
+    /// Memoized (DESIGN.md §15): up to 4096 samples, written only by a
     /// stats reply — ticks and switch events leave it alone.
     history: Memo<Vec<Sample>>,
     polls_sent: u64,

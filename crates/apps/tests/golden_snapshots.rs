@@ -1,7 +1,7 @@
 //! Snapshot bytes are a compatibility surface: checkpoints taken by one
 //! build are restored by the next, and stubs ship them across the wire.
 //! Each app whose state is held in memoized segments (`legosdn_codec::Memo`,
-//! DESIGN.md §18) is pinned here to the bytes its plain, un-wrapped state
+//! DESIGN.md §15) is pinned here to the bytes its plain, un-wrapped state
 //! layout produces for a fixed event sequence — and must restore from
 //! those bytes.
 //!

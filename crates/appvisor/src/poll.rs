@@ -1,4 +1,4 @@
-//! The stub I/O model (DESIGN.md §12): every [`Transport`] the proxy
+//! The stub I/O model (DESIGN.md §11): every [`Transport`] the proxy
 //! drives is implemented here, and *all* stub channels are served from a
 //! small fixed pool of threads — a thread per stub would cap the fleet at
 //! hundreds of apps:

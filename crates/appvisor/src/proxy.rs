@@ -50,7 +50,7 @@ pub struct IoMode {
     /// `io_threads` stub-host threads; the first `Udp`/`Tcp` launch adds
     /// `io_threads` poll threads. Stubs are placed round-robin, so with
     /// at least as many threads as stubs each stub has a thread of its
-    /// own and a stalled app delays no neighbour (DESIGN.md §12).
+    /// own and a stalled app delays no neighbour (DESIGN.md §11).
     pub io_threads: usize,
 }
 

@@ -275,7 +275,7 @@ struct HostWorker {
 /// and a 1000-app fleet costs `workers` threads, not 1000. Stubs are
 /// placed round-robin, so up to `workers` stubs each get a thread of
 /// their own; beyond that, an app that *stalls* (rather than panics)
-/// holds up the stubs sharing its thread (DESIGN.md §12).
+/// holds up the stubs sharing its thread (DESIGN.md §11).
 pub struct StubHost {
     workers: Vec<HostWorker>,
     next: AtomicUsize,

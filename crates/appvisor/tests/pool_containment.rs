@@ -195,7 +195,7 @@ impl SdnApp for Staller {
 fn with_a_host_thread_each_a_stalled_app_delays_no_neighbour() {
     // Round-robin placement: two stubs on two threads never share one.
     // (On one thread the neighbour's delivery would wait behind the
-    // stall and be booked a comm failure — DESIGN.md §12.)
+    // stall and be booked a comm failure — DESIGN.md §11.)
     let mut p = proxy(2, true);
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();

@@ -1,4 +1,4 @@
-//! [`Memo`] — a value that remembers its own encoding (DESIGN.md §18).
+//! [`Memo`] — a value that remembers its own encoding (DESIGN.md §15).
 //!
 //! A checkpoint re-serializes an app's whole state although one event
 //! writes a small part of it. Wrapping a large, rarely-written piece of

@@ -104,9 +104,9 @@ pub struct DispatchConfig {
     /// Cross-event window: lets deliveries of later events overlap the
     /// commits of earlier ones.
     pub window: DispatchWindow,
-    /// Worker shards: apps are partitioned across `workers` shards by a
-    /// load-aware balancer, each with its own AppVisor proxy, Crash-Pad,
-    /// and window machinery (DESIGN.md §9). `1` (the default) runs the
+    /// Worker shards: apps are dealt round-robin, in attach order, across
+    /// `workers` shards, each with its own AppVisor proxy, Crash-Pad, and
+    /// window machinery (DESIGN.md §9). `1` (the default) runs the
     /// engine on the calling thread; values above 1 commit through the
     /// cross-shard barrier, bit-identical to the sequential reference.
     pub workers: usize,

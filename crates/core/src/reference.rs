@@ -12,7 +12,6 @@
 //! the apps.
 
 use super::{LegoCycleReport, LegoSdnRuntime, Pull};
-use crate::host::{Host, ProxyAdapter};
 use crate::workers::{commit_outcome, select_app, CommitLane, ShardCtx, WindowSlot, TXS_PER_POS};
 use legosdn_crashpad::DispatchResult;
 use legosdn_netsim::Network;
@@ -36,7 +35,7 @@ macro_rules! shard_cx {
 impl LegoSdnRuntime {
     /// Dispatch everything the feed yields this cycle.
     pub(super) fn run_reference(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
-        let slot_stride = self.router.len() as u64 * TXS_PER_POS;
+        let slot_stride = self.n_apps as u64 * TXS_PER_POS;
         let mut tx_event_base = self.txid_cursor;
         let mut slots: Vec<WindowSlot> = Vec::new();
         loop {
@@ -61,8 +60,8 @@ impl LegoSdnRuntime {
         tx_event_base: u64,
     ) {
         let kind = slot.event.kind();
-        for global in 0..self.router.len() {
-            let (w, l) = self.router.loc(global);
+        for global in 0..self.n_apps {
+            let (w, l) = self.loc(global);
             if !select_app(&mut shard_cx!(self, w), l, kind) {
                 continue;
             }
@@ -79,35 +78,17 @@ impl LegoSdnRuntime {
         report: &mut LegoCycleReport,
         tx_event_base: u64,
     ) {
-        let (w, l) = self.router.loc(global);
-        let result = {
-            let shard = &mut self.shards[w];
-            let name = shard.apps[l].rec.name.clone();
-            match &mut shard.apps[l].rec.host {
-                Host::Local(sandbox) => shard.crashpad.dispatch(
-                    sandbox,
-                    &name,
-                    &slot.event,
-                    &slot.topology,
-                    &slot.devices,
-                    slot.now,
-                ),
-                Host::Isolated(handle) => {
-                    let mut adapter = ProxyAdapter {
-                        proxy: &mut shard.proxy,
-                        handle: *handle,
-                    };
-                    shard.crashpad.dispatch(
-                        &mut adapter,
-                        &name,
-                        &slot.event,
-                        &slot.topology,
-                        &slot.devices,
-                        slot.now,
-                    )
-                }
-            }
-        };
+        let (w, l) = self.loc(global);
+        let result = self.shards[w].with_app(l, |crashpad, app, name| {
+            crashpad.dispatch(
+                app,
+                name,
+                &slot.event,
+                &slot.topology,
+                &slot.devices,
+                slot.now,
+            )
+        });
         self.commit_on_lane(net, global, slot, result, report, tx_event_base);
     }
 
@@ -122,7 +103,7 @@ impl LegoSdnRuntime {
         report: &mut LegoCycleReport,
         tx_event_base: u64,
     ) {
-        let (w, l) = self.router.loc(global);
+        let (w, l) = self.loc(global);
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
@@ -132,7 +113,7 @@ impl LegoSdnRuntime {
         let mut cx = shard_cx!(self, w);
         commit_outcome(
             &mut cx,
-            &mut lane,
+            Some(&mut lane),
             l,
             &slot.event,
             result,

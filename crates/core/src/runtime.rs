@@ -24,17 +24,17 @@
 //! One engine runs that story (DESIGN.md §9): the cycle's `Feed` hands
 //! out raw events one at a time, each translated event becomes a slot of
 //! the dispatch window, and a `WorkerRun` per shard fills and commits
-//! the window. Apps are partitioned across `dispatch.workers` shards:
-//! each [`crate::workers::WorkerShard`] owns its own AppVisor proxy and
-//! Crash-Pad, and every commit goes through the shared
-//! [`legosdn_netlog::CommitBarrier`], so the output stays bit-identical to
-//! the single-threaded reference in `reference.rs`.
+//! the window. Apps are dealt round-robin, in attach order, across
+//! `dispatch.workers` shards: each [`crate::workers::WorkerShard`] owns
+//! its own AppVisor proxy and Crash-Pad, and every commit goes through
+//! the shared [`legosdn_netlog::CommitBarrier`], so the output stays
+//! bit-identical to the single-threaded reference in `reference.rs`.
 
 use crate::config::{IsolationMode, LegoSdnConfig, ResourceLimits};
-use crate::host::{Host, ProxyAdapter};
+use crate::host::Host;
 use crate::workers::{
-    AppRecord, CommitLane, CoreMetrics, ShardApp, ShardMetrics, ShardRouter, SlotStore, WarmCheck,
-    Window, WindowSlot, WorkerRun, WorkerShard, TXS_PER_POS,
+    AppRecord, CommitLane, CoreMetrics, ShardMetrics, SlotStore, WarmCheck, Window, WindowSlot,
+    WorkerRun, WorkerShard, TXS_PER_POS,
 };
 use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
@@ -46,7 +46,7 @@ use legosdn_netlog::{CommitBarrier, NetLog};
 use legosdn_netsim::{NetEvent, Network};
 use legosdn_obs::{Counter, Obs, TraceId};
 use legosdn_openflow::prelude::Message;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -136,10 +136,11 @@ pub struct LegoSdnRuntime {
     /// The checker's memory of the network it last checked; handed out
     /// with the commit lane.
     warm_check: WarmCheck,
-    /// Worker shards in id order; apps are hashed onto them at attach.
+    /// Worker shards in id order; app `g` (attach order) is local app
+    /// `g / workers` of shard `g % workers` ([`LegoSdnRuntime::loc`]).
     shards: Vec<WorkerShard>,
-    /// Global attach index → (shard, local index).
-    router: ShardRouter,
+    /// Apps attached so far, across all shards.
+    n_apps: usize,
     stats: RuntimeStats,
     obs: Obs,
     metrics: CoreMetrics,
@@ -155,16 +156,6 @@ pub struct LegoSdnRuntime {
     /// cycles (an Add displacing a notify-flagged entry would enqueue a
     /// `FlowRemoved` out of order).
     notify_flows_seen: bool,
-    /// Per-app-name dispatch-cost EWMA (nanoseconds), integrated from
-    /// the `dispatch_app_ns` histograms the workers feed. Drives the
-    /// load-aware shard balancer (DESIGN.md §9). Placement is
-    /// residue-independent (commits are admitted in global position
-    /// order), so this timing-derived signal cannot perturb the
-    /// determinism contract.
-    cost_ewma: HashMap<String, u64>,
-    /// Last-seen (sum, count) per `dispatch_app_ns` histogram, so each
-    /// EWMA update integrates only the newest observations.
-    cost_prev: HashMap<String, (u64, u64)>,
     /// Dispatch through the sequential reference in `reference.rs`
     /// instead of the engine; only [`LegoSdnRuntime::oracle`] sets it.
     oracle: bool,
@@ -225,14 +216,12 @@ impl LegoSdnRuntime {
             checker: config.checker.clone(),
             warm_check: WarmCheck::new(&obs),
             shards,
-            router: ShardRouter::default(),
+            n_apps: 0,
             stats: RuntimeStats::default(),
             obs,
             metrics,
             txid_cursor: 1,
             notify_flows_seen: false,
-            cost_ewma: HashMap::new(),
-            cost_prev: HashMap::new(),
             oracle: false,
             config,
         }
@@ -280,11 +269,10 @@ impl LegoSdnRuntime {
         self.attach_with_limits(app, self.config.resource_limits)
     }
 
-    /// Attach an app with specific resource limits (paper §3.4). The app
-    /// lands on the least-loaded shard by the dispatch-cost EWMA
-    /// (deterministic tie-break: fewest apps, then lowest worker id) —
-    /// with no cost signal yet, that is a pure count-balanced
-    /// round-robin, so the same roster shards the same way on every run.
+    /// Attach an app with specific resource limits (paper §3.4). Apps are
+    /// dealt round-robin over the shards in attach order
+    /// ([`LegoSdnRuntime::loc`]), so the same roster shards the same way
+    /// on every run.
     pub fn attach_with_limits(
         &mut self,
         app: Box<dyn SdnApp>,
@@ -292,17 +280,8 @@ impl LegoSdnRuntime {
     ) -> Result<AppId, AttachError> {
         let name = app.name().to_string();
         let subscriptions = app.subscriptions();
-        let global = self.router.len();
-        let worker = (0..self.shards.len())
-            .min_by_key(|&w| {
-                let load: u64 = self.shards[w]
-                    .apps
-                    .iter()
-                    .map(|a| self.cost_ewma.get(&a.rec.name).copied().unwrap_or(0))
-                    .sum();
-                (load, self.shards[w].apps.len(), w)
-            })
-            .unwrap_or(0);
+        let global = self.n_apps;
+        let (worker, _) = self.loc(global);
         let shard = &mut self.shards[worker];
         let host = match self.config.isolation {
             IsolationMode::Local => Host::Local(LocalSandbox::new(app)),
@@ -325,36 +304,38 @@ impl LegoSdnRuntime {
                     .map_err(|e| AttachError(e.to_string()))?,
             ),
         };
-        shard.apps.push(ShardApp {
-            global,
-            rec: AppRecord {
-                subscriptions,
-                host,
-                status: AppStatus::Running,
-                limits,
-                usage: ResourceUsage::default(),
-                dispatch_ns: self.obs.histogram("core", "dispatch_app_ns", &name),
-                name,
-            },
+        shard.apps.push(AppRecord {
+            subscriptions,
+            host,
+            status: AppStatus::Running,
+            limits,
+            usage: ResourceUsage::default(),
+            failstop_recoveries: self.obs.counter("core", "failstop_recoveries", &name),
+            byzantine_blocked: self.obs.counter("core", "byzantine_blocked", &name),
+            name,
         });
-        let local = shard.apps.len() - 1;
-        self.obs
-            .gauge("core", "worker_apps", &format!("w{worker}"))
-            .set(i64::try_from(shard.apps.len()).unwrap_or(i64::MAX));
-        self.router.push(worker, local);
+        self.n_apps += 1;
         Ok(AppId(global))
     }
 
+    /// Where the app with global attach index `global` lives, as (shard,
+    /// local index): placement is arithmetic, never stored or revised
+    /// (DESIGN.md §9).
+    pub(crate) fn loc(&self, global: usize) -> (usize, usize) {
+        (global % self.shards.len(), global / self.shards.len())
+    }
+
     fn rec(&self, global: usize) -> Option<&AppRecord> {
-        let (w, l) = self.router.get(global)?;
-        Some(&self.shards[w].apps[l].rec)
+        let (w, l) = self.loc(global);
+        self.shards[w].apps.get(l)
     }
 
     /// Names of attached apps, in attach order.
     #[must_use]
     pub fn app_names(&self) -> Vec<String> {
-        (0..self.router.len())
-            .map(|g| self.rec(g).expect("router indexes every app").name.clone())
+        (0..self.n_apps)
+            .filter_map(|g| self.rec(g))
+            .map(|a| a.name.clone())
             .collect()
     }
 
@@ -368,9 +349,9 @@ impl LegoSdnRuntime {
         self.rec(id.0).map(|a| a.usage)
     }
 
-    /// The worker shard an app was hashed onto.
+    /// The worker shard an app lives on.
     pub fn worker_of(&self, id: AppId) -> Option<usize> {
-        self.router.get(id.0).map(|(w, _)| w)
+        self.rec(id.0).map(|_| self.loc(id.0).0)
     }
 
     /// The worker-shard count.
@@ -411,8 +392,7 @@ impl LegoSdnRuntime {
 
     /// The Crash-Pad engine owning a specific app.
     pub fn crashpad_for(&self, id: AppId) -> Option<&CrashPad> {
-        let (w, _) = self.router.get(id.0)?;
-        Some(&self.shards[w].crashpad)
+        self.worker_of(id).map(|w| &self.shards[w].crashpad)
     }
 
     /// The NetLog engine (transaction log, counter cache).
@@ -442,9 +422,6 @@ impl LegoSdnRuntime {
     pub fn run_cycle(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.metrics.run_cycle.start();
         let started = Instant::now();
-        // Placement changes only ever land here, at a cycle boundary —
-        // never while a window is in flight.
-        self.rebalance_shards();
         self.stats.cycles += 1;
         let mut report = LegoCycleReport::default();
         let burst = net.poll_events();
@@ -456,143 +433,6 @@ impl LegoSdnRuntime {
         }
         report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         report
-    }
-
-    /// Integrate the newest `dispatch_app_ns` observations into the
-    /// per-app-name cost EWMA (integer, 3/4 old + 1/4 new).
-    fn refresh_app_costs(&mut self) {
-        for rec in self.shards.iter().flat_map(|s| &s.apps).map(|a| &a.rec) {
-            let (sum, count) = (rec.dispatch_ns.sum(), rec.dispatch_ns.count());
-            let (psum, pcount) = self.cost_prev.get(&rec.name).copied().unwrap_or((0, 0));
-            if count > pcount {
-                let avg = sum.saturating_sub(psum) / (count - pcount);
-                let e = self.cost_ewma.entry(rec.name.clone()).or_insert(avg);
-                *e = (*e * 3 + avg) / 4;
-                self.cost_prev.insert(rec.name.clone(), (sum, count));
-            }
-        }
-    }
-
-    /// Load-aware shard re-balance (DESIGN.md §9): refresh the per-app
-    /// cost EWMA, export per-worker load gauges, and — when a
-    /// first-fit-decreasing plan improves the bottleneck load by more
-    /// than 10% — migrate apps (with their Crash-Pad checkpoint state)
-    /// between shards. Movable apps are Local-hosted ones whose name is
-    /// unique in the roster: checkpoint state is keyed by app name, and
-    /// stubs are pinned to the proxy that launched them. Runs only at
-    /// cycle start, so placement never changes under a live window, and
-    /// commits stay admitted in global position order regardless of
-    /// placement — the residue is placement-independent.
-    fn rebalance_shards(&mut self) {
-        let workers = self.shards.len();
-        if workers < 2 {
-            return;
-        }
-        self.refresh_app_costs();
-        let current: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.apps
-                    .iter()
-                    .map(|a| self.cost_ewma.get(&a.rec.name).copied().unwrap_or(0))
-                    .sum()
-            })
-            .collect();
-        for (w, &load) in current.iter().enumerate() {
-            self.obs
-                .gauge("core", "worker_load", &format!("w{w}"))
-                .set(i64::try_from(load).unwrap_or(i64::MAX));
-        }
-        let cur_max = current.iter().copied().max().unwrap_or(0);
-        if cur_max == 0 {
-            return;
-        }
-        let mut name_counts: HashMap<String, usize> = HashMap::new();
-        for s in &self.shards {
-            for a in &s.apps {
-                *name_counts.entry(a.rec.name.clone()).or_insert(0) += 1;
-            }
-        }
-        let mut movable: Vec<(u64, usize)> = Vec::new();
-        let mut planned = vec![0u64; workers];
-        let mut counts = vec![0usize; workers];
-        for (w, s) in self.shards.iter().enumerate() {
-            for a in &s.apps {
-                let cost = self.cost_ewma.get(&a.rec.name).copied().unwrap_or(0);
-                if name_counts.get(&a.rec.name) == Some(&1) && matches!(a.rec.host, Host::Local(_))
-                {
-                    movable.push((cost, a.global));
-                } else {
-                    planned[w] += cost;
-                    counts[w] += 1;
-                }
-            }
-        }
-        if movable.is_empty() {
-            return;
-        }
-        // First-fit decreasing with deterministic tie-breaks: heaviest
-        // app first (attach order breaks cost ties), each onto the
-        // least-loaded worker (fewest planned apps, then lowest id,
-        // break load ties).
-        movable.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut target: Vec<(usize, usize)> = Vec::new();
-        for &(cost, global) in &movable {
-            let w = (0..workers)
-                .min_by_key(|&w| (planned[w], counts[w], w))
-                .unwrap_or(0);
-            planned[w] += cost;
-            counts[w] += 1;
-            target.push((global, w));
-        }
-        let new_max = planned.iter().copied().max().unwrap_or(0);
-        // Migration shuffles checkpoint state and cache affinity;
-        // demand a real (>10%) win on the bottleneck load.
-        if new_max.saturating_mul(10) >= cur_max.saturating_mul(9) {
-            return;
-        }
-        let mut moved = false;
-        for (global, to) in target {
-            let (from, local) = self
-                .shards
-                .iter()
-                .enumerate()
-                .find_map(|(w, s)| {
-                    s.apps
-                        .iter()
-                        .position(|a| a.global == global)
-                        .map(|l| (w, l))
-                })
-                .expect("movable app is attached");
-            if from == to {
-                continue;
-            }
-            let app = self.shards[from].apps.remove(local);
-            let name = app.rec.name.clone();
-            if let Some(state) = self.shards[from].crashpad.checkpoints.extract(&name) {
-                self.shards[to].crashpad.checkpoints.adopt(&name, state);
-            }
-            // Keep each shard's roster sorted by global attach index —
-            // the windowed sweep relies on local order == global order.
-            let at = self.shards[to]
-                .apps
-                .iter()
-                .position(|a| a.global > global)
-                .unwrap_or(self.shards[to].apps.len());
-            self.shards[to].apps.insert(at, app);
-            moved = true;
-        }
-        if !moved {
-            return;
-        }
-        self.router.rebuild(&self.shards);
-        for (w, s) in self.shards.iter().enumerate() {
-            self.obs
-                .gauge("core", "worker_apps", &format!("w{w}"))
-                .set(i64::try_from(s.apps.len()).unwrap_or(i64::MAX));
-        }
-        self.obs.counter("core", "rebalance_count", "").inc();
     }
 
     /// Deliver a Tick to subscribed apps: a cycle whose feed is the one
@@ -618,7 +458,7 @@ impl LegoSdnRuntime {
             self.run_window(net, report);
         }
         report.events = self.feed.events;
-        self.txid_cursor += report.events as u64 * self.router.len() as u64 * TXS_PER_POS;
+        self.txid_cursor += report.events as u64 * self.n_apps as u64 * TXS_PER_POS;
     }
 
     /// The dispatch engine (DESIGN.md §9): up to `dispatch.window.depth`
@@ -663,9 +503,9 @@ impl LegoSdnRuntime {
             checker: self.checker.as_ref(),
             shutdown_on_no_compromise: self.config.shutdown_network_on_no_compromise,
             depth,
-            n_apps: self.router.len(),
+            n_apps: self.n_apps,
             tx_cycle_base: self.txid_cursor,
-            sharded,
+            workers: self.shards.len(),
         };
         let mut absorb = |run: WorkerRun<'_, '_>| {
             self.stats.absorb(&run.stats);
@@ -727,35 +567,21 @@ impl LegoSdnRuntime {
         offending: &Event,
         now: legosdn_netsim::SimTime,
     ) -> Result<legosdn_crashpad::Diagnosis, legosdn_crashpad::DiagnoseError> {
-        let Some((w, l)) = self.router.get(id.0) else {
+        if self.rec(id.0).is_none() {
             return Err(legosdn_crashpad::DiagnoseError::NoHistory);
-        };
-        let shard = &mut self.shards[w];
-        let name = shard.apps[l].rec.name.clone();
-        match &mut shard.apps[l].rec.host {
-            Host::Local(sandbox) => shard.crashpad.diagnose(
-                sandbox,
-                &name,
-                offending,
-                &self.feed.translator.topology,
-                &self.feed.translator.devices,
-                now,
-            ),
-            Host::Isolated(handle) => {
-                let mut adapter = ProxyAdapter {
-                    proxy: &mut shard.proxy,
-                    handle: *handle,
-                };
-                shard.crashpad.diagnose(
-                    &mut adapter,
-                    &name,
-                    offending,
-                    &self.feed.translator.topology,
-                    &self.feed.translator.devices,
-                    now,
-                )
-            }
         }
+        let (w, l) = self.loc(id.0);
+        let translator = &self.feed.translator;
+        self.shards[w].with_app(l, |crashpad, app, name| {
+            crashpad.diagnose(
+                app,
+                name,
+                offending,
+                &translator.topology,
+                &translator.devices,
+                now,
+            )
+        })
     }
 
     /// §3.4 controller upgrade: restart the controller core without
@@ -778,16 +604,15 @@ impl LegoSdnRuntime {
 
     /// Resume a suspended app (operator action after a resource review).
     pub fn resume(&mut self, id: AppId, extra_budget: ResourceLimits) -> bool {
-        let Some((w, l)) = self.router.get(id.0) else {
-            return false;
-        };
-        let rec = &mut self.shards[w].apps[l].rec;
-        if matches!(rec.status, AppStatus::Suspended(_)) {
-            rec.status = AppStatus::Running;
-            rec.limits = extra_budget;
-            return true;
+        let (w, l) = self.loc(id.0);
+        match self.shards[w].apps.get_mut(l) {
+            Some(rec) if matches!(rec.status, AppStatus::Suspended(_)) => {
+                rec.status = AppStatus::Running;
+                rec.limits = extra_budget;
+                true
+            }
+            _ => false,
         }
-        false
     }
 
     /// Shut down all isolated stubs on every shard.
@@ -1115,7 +940,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_dispatch_contains_crashes_and_counts_phases() {
+    fn depth_one_dispatch_contains_crashes_and_counts_phases() {
         let (mut net, topo) = net2();
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
@@ -1227,11 +1052,11 @@ mod tests {
         for _ in 0..6 {
             ids.push(rt.attach(Box::new(Hub::new())).unwrap());
         }
-        // Six identically-named apps spread over more than one shard (the
-        // ordinal is hashed in), and the router reports their homes.
-        let spread: std::collections::BTreeSet<usize> =
-            ids.iter().map(|&id| rt.worker_of(id).unwrap()).collect();
-        assert!(spread.len() > 1, "apps never spread across workers");
+        // Six identically-named apps are dealt round-robin over the four
+        // shards, and `worker_of` reports their homes.
+        let homes: Vec<usize> = ids.iter().map(|&id| rt.worker_of(id).unwrap()).collect();
+        assert_eq!(homes, [0, 1, 2, 3, 0, 1]);
+        assert_eq!(rt.worker_of(AppId(6)), None);
         assert_eq!(obs.gauge("core", "workers", "").get(), 4);
 
         rt.run_cycle(&mut net);
@@ -1252,6 +1077,76 @@ mod tests {
             .sum();
         assert!(fills > 0, "no per-worker window_fill spans recorded");
         rt.shutdown();
+    }
+
+    /// A hub under its own name that burns `spin` of CPU per packet-in.
+    struct SpinHub {
+        name: String,
+        spin: std::time::Duration,
+        hub: Hub,
+    }
+
+    impl SdnApp for SpinHub {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn subscriptions(&self) -> Vec<EventKind> {
+            self.hub.subscriptions()
+        }
+        fn on_event(&mut self, event: &Event, ctx: &mut legosdn_controller::app::Ctx<'_>) {
+            let until = Instant::now() + self.spin;
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            self.hub.on_event(event, ctx);
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            self.hub.snapshot()
+        }
+        fn restore(&mut self, bytes: &[u8]) -> Result<(), legosdn_controller::app::RestoreError> {
+            self.hub.restore(bytes)
+        }
+    }
+
+    #[test]
+    fn placement_is_attach_order_round_robin_and_never_moves() {
+        for isolation in [IsolationMode::Local, IsolationMode::Channel] {
+            let (mut net, topo) = net2();
+            let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+                isolation,
+                dispatch: DispatchConfig::default().window(2).workers(2),
+                ..LegoSdnConfig::default()
+            });
+            // Five uniquely-named apps, the first a dozen times dearer
+            // than its shard-mates: what a load-aware placer would move.
+            let ids: Vec<AppId> = (0..5u64)
+                .map(|i| {
+                    let us = if i == 0 { 360 } else { 30 };
+                    rt.attach(Box::new(SpinHub {
+                        name: format!("hub-{i}"),
+                        spin: std::time::Duration::from_micros(us),
+                        hub: Hub::new(),
+                    }))
+                    .unwrap()
+                })
+                .collect();
+            let homes = |rt: &LegoSdnRuntime| -> Vec<usize> {
+                ids.iter().map(|&id| rt.worker_of(id).unwrap()).collect()
+            };
+            assert_eq!(homes(&rt), [0, 1, 0, 1, 0], "{isolation:?} at attach");
+            rt.run_cycle(&mut net);
+            let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+            for _ in 0..50 {
+                net.inject(a, Packet::ethernet(a, b)).unwrap();
+                net.inject(b, Packet::ethernet(b, a)).unwrap();
+                rt.run_cycle(&mut net);
+            }
+            assert_eq!(rt.stats().dispatches % 5, 0);
+            assert!(rt.stats().dispatches >= 5 * 100, "{:?}", rt.stats());
+            assert_eq!(homes(&rt), [0, 1, 0, 1, 0], "{isolation:?} after traffic");
+            assert_eq!(rt.app_names()[3], "hub-3");
+            rt.shutdown();
+        }
     }
 
     #[test]

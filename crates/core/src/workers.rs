@@ -1,14 +1,15 @@
 //! Worker shards: the runtime's per-worker half (DESIGN.md §9).
 //!
-//! The runtime partitions attached apps across N worker shards with a
-//! load-aware balancer: least-loaded placement at attach, and a
-//! cost-EWMA re-balance pass at cycle boundaries (never mid-window).
-//! Each shard owns a private AppVisor proxy (its stubs and, under polled
-//! I/O, its poll pool) and a private Crash-Pad, so the per-app dispatch
-//! path never crosses a shard boundary. The network and the NetLog stay
-//! shared: every commit goes through one [`CommitLane`] guarded by a
-//! mutex, admitted in sequential order (or provably-safe fastpath order)
-//! by the [`legosdn_netlog::CommitBarrier`].
+//! The runtime deals attached apps round-robin across N worker shards
+//! in attach order — app *g* is local app `g / N` of shard `g % N`, for
+//! good — so (shard, local) and the global attach index are arithmetic
+//! both ways and no directory is kept. Each shard owns a private
+//! AppVisor proxy (its stubs and their poll pool) and a private
+//! Crash-Pad, so the per-app dispatch path never crosses a shard
+//! boundary. The network and the NetLog stay shared: every commit goes
+//! through one [`CommitLane`] guarded by a mutex, admitted in sequential
+//! order (or provably-safe fastpath order) by the
+//! [`legosdn_netlog::CommitBarrier`].
 //!
 //! Determinism contract: a position's transaction ids are derived from
 //! the position itself (`tx_base + pos * TXS_PER_POS + sub`), never from
@@ -50,26 +51,46 @@ pub(crate) struct AppRecord {
     pub(crate) status: AppStatus,
     pub(crate) limits: ResourceLimits,
     pub(crate) usage: ResourceUsage,
-    /// `core/dispatch_app_ns{name}`: what one delivery to this app costs
-    /// its shard, read back by the runtime's load-aware balancer.
-    pub(crate) dispatch_ns: Arc<Histogram>,
-}
-
-/// An app as a shard sees it: its record plus its global attach index
-/// (the index sequential dispatch would visit it at).
-pub(crate) struct ShardApp {
-    pub(crate) global: usize,
-    pub(crate) rec: AppRecord,
+    /// `core/failstop_recoveries{name}` and `core/byzantine_blocked{name}`,
+    /// resolved at attach so a recovery costs an atomic add.
+    pub(crate) failstop_recoveries: Arc<Counter>,
+    pub(crate) byzantine_blocked: Arc<Counter>,
 }
 
 /// One worker's slice of the runtime: a private proxy and Crash-Pad plus
-/// the apps hashed onto it, in global attach order.
+/// every `workers`-th attached app, in attach order.
 pub(crate) struct WorkerShard {
     pub(crate) id: usize,
     pub(crate) proxy: AppVisorProxy,
     pub(crate) crashpad: CrashPad,
-    pub(crate) apps: Vec<ShardApp>,
+    pub(crate) apps: Vec<AppRecord>,
     pub(crate) metrics: ShardMetrics,
+}
+
+impl WorkerShard {
+    /// Reach one app behind this shard's Crash-Pad, whatever hosts it:
+    /// `f` gets the engine, the app as Crash-Pad sees it (the sandbox, or
+    /// the stub through this shard's proxy) and the app's name.
+    pub(crate) fn with_app<R>(
+        &mut self,
+        local: usize,
+        f: impl FnOnce(&mut CrashPad, &mut dyn RecoverableApp, &str) -> R,
+    ) -> R {
+        let WorkerShard {
+            apps,
+            crashpad,
+            proxy,
+            ..
+        } = self;
+        let AppRecord { name, host, .. } = &mut apps[local];
+        match host {
+            Host::Local(sandbox) => f(crashpad, sandbox, name),
+            Host::Isolated(handle) => {
+                let handle = *handle;
+                f(crashpad, &mut ProxyAdapter { proxy, handle }, name)
+            }
+        }
+    }
 }
 
 /// One shard's window timing series. Unlabelled on a single-worker
@@ -121,42 +142,6 @@ impl CoreMetrics {
             barrier_ordered_commits: barrier("barrier_ordered_commits"),
             barrier_elided_positions: barrier("barrier_elided_positions"),
             barrier_shared_switch_conflicts: barrier("barrier_shared_switch_conflicts"),
-        }
-    }
-}
-
-/// Global-index → (worker, local-index) directory, in attach order.
-#[derive(Default)]
-pub(crate) struct ShardRouter {
-    dir: Vec<(usize, usize)>,
-}
-
-impl ShardRouter {
-    pub(crate) fn len(&self) -> usize {
-        self.dir.len()
-    }
-
-    pub(crate) fn push(&mut self, worker: usize, local: usize) {
-        self.dir.push((worker, local));
-    }
-
-    pub(crate) fn loc(&self, global: usize) -> (usize, usize) {
-        self.dir[global]
-    }
-
-    pub(crate) fn get(&self, global: usize) -> Option<(usize, usize)> {
-        self.dir.get(global).copied()
-    }
-
-    /// Rewrite the whole directory from the shards' current rosters.
-    /// A re-balance migration shifts the local indices of every app
-    /// behind the one that moved, so patching single entries is never
-    /// enough — the directory is rebuilt wholesale.
-    pub(crate) fn rebuild(&mut self, shards: &[WorkerShard]) {
-        for (worker, shard) in shards.iter().enumerate() {
-            for (local, app) in shard.apps.iter().enumerate() {
-                self.dir[app.global] = (worker, local);
-            }
         }
     }
 }
@@ -242,7 +227,7 @@ impl SlotStore {
     }
 }
 
-/// The invariant checker's warm cache (DESIGN.md §16) for the network
+/// The invariant checker's warm cache (DESIGN.md §13) for the network
 /// this runtime commits to, with its hit-ratio counters resolved once.
 /// It lives beside the network: whoever holds the commit lane holds it.
 pub(crate) struct WarmCheck {
@@ -307,10 +292,10 @@ pub(crate) fn delivery_label(d: &DeliveryResult) -> &'static str {
 
 /// Subscription / status / event-budget gate for one app. Returns `true`
 /// when the app should receive the event, charging the event to its
-/// budget. Every dispatch mode uses this, so selection (and its
-/// suspension side effects) is identical across them.
+/// budget. The engine and the reference both use this, so selection (and
+/// its suspension side effects) is identical across them.
 pub(crate) fn select_app(cx: &mut ShardCtx<'_>, local: usize, kind: EventKind) -> bool {
-    let rec = &mut cx.shard.apps[local].rec;
+    let rec = &mut cx.shard.apps[local];
     if !rec.subscriptions.contains(&kind) {
         return false;
     }
@@ -343,7 +328,7 @@ pub(crate) fn lane_need(
     event: &Event,
     result: &DispatchResult,
 ) -> bool {
-    let rec = &cx.shard.apps[local].rec;
+    let rec = &cx.shard.apps[local];
     match result {
         DispatchResult::Delivered(commands) | DispatchResult::Recovered { commands, .. } => {
             !commands.is_empty()
@@ -394,13 +379,15 @@ pub(crate) fn commands_touch(commands: &[Command]) -> (TxTouch, bool) {
     (touch, notify)
 }
 
-/// Act on one app's dispatch outcome inside the commit lane: execute its
-/// commands under the NetLog/byzantine guard, or mark it dead. Shared
-/// tail of every dispatch mode.
+/// Act on one app's dispatch outcome: execute its commands under the
+/// NetLog/byzantine guard, or mark it dead. Shared tail of the engine and
+/// the reference. `lane` is `None` for a position [`lane_need`] ruled
+/// out: same bookkeeping (trace verdict, recovery counters, budget
+/// suppression, app death without network shutdown), no transaction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn commit_outcome(
     cx: &mut ShardCtx<'_>,
-    lane: &mut CommitLane<'_>,
+    lane: Option<&mut CommitLane<'_>>,
     local: usize,
     event: &Event,
     result: DispatchResult,
@@ -413,107 +400,48 @@ pub(crate) fn commit_outcome(
         DispatchResult::Recovered { .. } => "recovered",
         DispatchResult::AppDead { .. } => "app_dead",
     };
-    cx.obs
-        .trace_event("commit", &cx.shard.apps[local].rec.name, verdict);
-    let mut sub = 0u64;
-    match result {
-        DispatchResult::Delivered(commands) => {
-            execute_guarded(
-                cx, lane, local, event, commands, report, true, views, tx_base, &mut sub,
-            );
-        }
-        DispatchResult::Recovered {
-            commands, recovery, ..
-        } => {
-            report.recoveries += 1;
-            cx.stats.failstop_recoveries += 1;
-            cx.obs
-                .counter(
-                    "core",
-                    "failstop_recoveries",
-                    &cx.shard.apps[local].rec.name,
-                )
-                .inc();
-            // Commands from transformed events are real output; execute
-            // them under the same guard (no further byzantine recursion
-            // on already-recovered output — drop instead).
-            let _ = recovery;
-            execute_guarded(
-                cx, lane, local, event, commands, report, false, views, tx_base, &mut sub,
-            );
-        }
-        DispatchResult::AppDead { .. } => {
-            mark_dead(cx, Some(lane.net), local, event);
-        }
-    }
-}
-
-/// The lane-free twin of [`commit_outcome`] for positions [`lane_need`]
-/// ruled out: identical bookkeeping (trace verdict, recovery counters,
-/// budget suppression, app death without network shutdown) with no
-/// network transaction.
-pub(crate) fn commit_outcome_elided(
-    cx: &mut ShardCtx<'_>,
-    local: usize,
-    event: &Event,
-    result: DispatchResult,
-    report: &mut LegoCycleReport,
-) {
-    let verdict = match &result {
-        DispatchResult::Delivered(_) => "delivered",
-        DispatchResult::Recovered { .. } => "recovered",
-        DispatchResult::AppDead { .. } => "app_dead",
-    };
-    cx.obs
-        .trace_event("commit", &cx.shard.apps[local].rec.name, verdict);
-    match result {
-        DispatchResult::Delivered(commands) => {
-            suppress_if_over_budget(cx, local, &commands);
-        }
+    let rec = &cx.shard.apps[local];
+    cx.obs.trace_event("commit", &rec.name, verdict);
+    let (commands, allow_recovery) = match result {
+        DispatchResult::Delivered(commands) => (commands, true),
+        // Commands from transformed events are real output; execute
+        // them under the same guard (no further byzantine recursion
+        // on already-recovered output — drop instead).
         DispatchResult::Recovered { commands, .. } => {
             report.recoveries += 1;
             cx.stats.failstop_recoveries += 1;
-            cx.obs
-                .counter(
-                    "core",
-                    "failstop_recoveries",
-                    &cx.shard.apps[local].rec.name,
-                )
-                .inc();
-            suppress_if_over_budget(cx, local, &commands);
+            rec.failstop_recoveries.inc();
+            (commands, false)
         }
         DispatchResult::AppDead { .. } => {
-            mark_dead(cx, None, local, event);
+            return mark_dead(cx, lane.map(|lane| &mut *lane.net), local, event);
         }
-    }
-}
-
-/// The command-budget gate of [`execute_guarded`] for elided positions:
-/// an over-budget batch suspends the app and counts the suppression even
-/// though no transaction ever begins.
-fn suppress_if_over_budget(cx: &mut ShardCtx<'_>, local: usize, commands: &[Command]) {
-    if commands.is_empty() {
-        return;
-    }
-    let rec = &mut cx.shard.apps[local].rec;
-    if let Some(max) = rec.limits.max_commands {
-        if rec.usage.commands_emitted + commands.len() as u64 > max {
-            rec.status = AppStatus::Suspended("command budget exhausted");
-            cx.stats.apps_suspended += 1;
-            cx.stats.commands_suppressed += commands.len() as u64;
-        }
-    }
+    };
+    execute_guarded(
+        cx,
+        lane,
+        local,
+        event,
+        commands,
+        report,
+        allow_recovery,
+        views,
+        tx_base,
+        &mut 0,
+    );
 }
 
 /// Execute an app's commands inside a NetLog transaction with the
 /// byzantine gate. `allow_recovery` bounds the recursion: output from a
 /// recovery path that is still byzantine is dropped, not re-recovered.
 /// Transaction ids are position-derived (`tx_base + *sub`) so the txlog
-/// order is independent of barrier admission order.
+/// order is independent of barrier admission order. An empty or
+/// over-budget batch ends before any transaction begins, which is all a
+/// lane-less (elided) position may hold.
 #[allow(clippy::too_many_arguments)]
 fn execute_guarded(
     cx: &mut ShardCtx<'_>,
-    lane: &mut CommitLane<'_>,
+    lane: Option<&mut CommitLane<'_>>,
     local: usize,
     event: &Event,
     commands: Vec<Command>,
@@ -527,15 +455,16 @@ fn execute_guarded(
         return;
     }
     // Resource limit on emitted commands.
-    if let Some(max) = cx.shard.apps[local].rec.limits.max_commands {
-        let used = cx.shard.apps[local].rec.usage.commands_emitted;
-        if used + commands.len() as u64 > max {
-            cx.shard.apps[local].rec.status = AppStatus::Suspended("command budget exhausted");
+    let rec = &mut cx.shard.apps[local];
+    if let Some(max) = rec.limits.max_commands {
+        if rec.usage.commands_emitted + commands.len() as u64 > max {
+            rec.status = AppStatus::Suspended("command budget exhausted");
             cx.stats.apps_suspended += 1;
             cx.stats.commands_suppressed += commands.len() as u64;
             return;
         }
     }
+    let lane = lane.expect("lane_need elides only batches that end above");
 
     if commands
         .iter()
@@ -544,7 +473,7 @@ fn execute_guarded(
         lane.notify_seen = true;
     }
 
-    let name = cx.shard.apps[local].rec.name.clone();
+    let name = cx.shard.apps[local].name.clone();
     let mut tx = lane.netlog.begin_for_at(&name, TxId(tx_base + *sub));
     *sub += 1;
     for c in &commands {
@@ -590,14 +519,23 @@ fn execute_guarded(
             let _ = lane.netlog.abort(tx, lane.net);
             report.byzantine_blocked += 1;
             cx.stats.byzantine_blocked += 1;
-            cx.obs.counter("core", "byzantine_blocked", &name).inc();
+            cx.shard.apps[local].byzantine_blocked.inc();
             let policy = cx.shard.crashpad.policies.lookup(&name, event.kind());
             if allow_recovery {
                 let recovered = recover_byzantine(cx, lane, local, event, nviol, views);
                 // Recovered output (from transformed events) executes
                 // with recovery disabled.
                 execute_guarded(
-                    cx, lane, local, event, recovered, report, false, views, tx_base, sub,
+                    cx,
+                    Some(lane),
+                    local,
+                    event,
+                    recovered,
+                    report,
+                    false,
+                    views,
+                    tx_base,
+                    sub,
                 );
             } else {
                 cx.stats.commands_suppressed += commands.len() as u64;
@@ -614,7 +552,7 @@ fn execute_guarded(
             report.commands += applied;
             cx.stats.commands_executed += applied as u64;
             cx.metrics.commands_executed.add(applied as u64);
-            cx.shard.apps[local].rec.usage.commands_emitted += applied as u64;
+            cx.shard.apps[local].usage.commands_emitted += applied as u64;
         }
     }
 }
@@ -628,32 +566,13 @@ fn recover_byzantine(
     views: (&TopologyView, &DeviceView),
 ) -> Vec<Command> {
     let now = lane.net.now();
-    let name = cx.shard.apps[local].rec.name.clone();
     // Replay must see the views the event was dispatched with, which
     // every caller supplies (the windowed scheduler's translator has
     // already advanced past this event by commit time).
     let (topo, dev) = views;
-    let result = match &mut cx.shard.apps[local].rec.host {
-        Host::Local(sandbox) => cx
-            .shard
-            .crashpad
-            .recover_byzantine(sandbox, &name, event, violations, topo, dev, now),
-        Host::Isolated(handle) => {
-            let mut adapter = ProxyAdapter {
-                proxy: &mut cx.shard.proxy,
-                handle: *handle,
-            };
-            cx.shard.crashpad.recover_byzantine(
-                &mut adapter,
-                &name,
-                event,
-                violations,
-                topo,
-                dev,
-                now,
-            )
-        }
-    };
+    let result = cx.shard.with_app(local, |crashpad, app, name| {
+        crashpad.recover_byzantine(app, name, event, violations, topo, dev, now)
+    });
     match result {
         DispatchResult::Recovered {
             commands, recovery, ..
@@ -680,7 +599,7 @@ pub(crate) fn mark_dead(
     local: usize,
     event: &Event,
 ) {
-    let rec = &mut cx.shard.apps[local].rec;
+    let rec = &mut cx.shard.apps[local];
     if rec.status != AppStatus::Dead {
         rec.status = AppStatus::Dead;
         cx.stats.apps_dead += 1;
@@ -689,7 +608,7 @@ pub(crate) fn mark_dead(
         .shard
         .crashpad
         .policies
-        .lookup(&cx.shard.apps[local].rec.name, event.kind());
+        .lookup(&cx.shard.apps[local].name, event.kind());
     if policy == CompromisePolicy::NoCompromise && cx.shutdown_on_no_compromise {
         if let Some(net) = net {
             shutdown_network(net);
@@ -715,9 +634,9 @@ pub(crate) struct Window<'env, 'net> {
     pub(crate) n_apps: usize,
     /// First transaction id of the cycle (position 0, sub 0).
     pub(crate) tx_cycle_base: u64,
-    /// More than one shard commits through the barrier, so peers consult
-    /// each other's declared touches.
-    pub(crate) sharded: bool,
+    /// Shard count — the position stride between a shard's consecutive
+    /// local apps.
+    pub(crate) workers: usize,
 }
 
 /// How a [`Window::top_up`] left things.
@@ -733,6 +652,12 @@ pub(crate) enum Topped {
 }
 
 impl Window<'_, '_> {
+    /// More than one shard commits through the barrier, so peers consult
+    /// each other's declared touches.
+    fn sharded(&self) -> bool {
+        self.workers > 1
+    }
+
     /// Top the store up for a worker whose commit cursor is at
     /// `commit_pos`: if it holds less than a window past that, pull raws
     /// off the feed. Translation and commits serialize on the same
@@ -757,7 +682,7 @@ impl Window<'_, '_> {
         // Every position of the slots below the cursor's has committed.
         self.store
             .release_below((cursor / self.n_apps.max(1) as u64) as usize);
-        let target = if self.sharded { usize::MAX } else { want };
+        let target = if self.sharded() { usize::MAX } else { want };
         let mut lane = self.lane.lock().expect("commit lane poisoned");
         let mut len = self.store.len();
         while len < target {
@@ -843,9 +768,10 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     }
 
     /// Barrier position of `(slot, local app)`: the index sequential
-    /// dispatch would commit it at.
+    /// dispatch would commit it at (the app's global attach index is
+    /// `local * workers + shard id`).
     fn pos_of(&self, slot: usize, local: usize) -> u64 {
-        (slot * self.win.n_apps + self.shard.apps[local].global) as u64
+        (slot * self.win.n_apps + local * self.win.workers + self.shard.id) as u64
     }
 
     /// Run the window over this shard's apps until the feed has ended and
@@ -908,7 +834,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         let kind = slot.event.kind();
         let mut entries = Vec::new();
         for local in 0..self.shard.apps.len() {
-            if !matches!(self.shard.apps[local].rec.host, Host::Isolated(_)) {
+            if !matches!(self.shard.apps[local].host, Host::Isolated(_)) {
                 continue;
             }
             if !select_app(&mut self.cx().0, local, kind) {
@@ -931,7 +857,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             proxy,
             ..
         } = &mut *self.shard;
-        let rec = &apps[local].rec;
+        let rec = &apps[local];
         let Host::Isolated(handle) = rec.host else {
             unreachable!("windowed entries are stub-only");
         };
@@ -980,9 +906,9 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         let entries = std::mem::take(&mut self.pending[commit_pos]);
         let mut entries = entries.into_iter().peekable();
         let mut eager = VecDeque::new();
-        if self.win.sharded {
+        if self.win.sharded() {
             for local in 0..self.shard.apps.len() {
-                if matches!(self.shard.apps[local].rec.host, Host::Local(_))
+                if matches!(self.shard.apps[local].host, Host::Local(_))
                     && select_app(&mut self.cx().0, local, kind)
                 {
                     let result = self.deliver_local(local, &slot);
@@ -1005,8 +931,8 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             } else if eager.front().is_some_and(|e| e.0 == local) {
                 let (_, result) = eager.pop_front().expect("peeked");
                 self.declare_or_queue(local, &slot, result, false, false, &mut settles);
-            } else if !self.win.sharded
-                && matches!(self.shard.apps[local].rec.host, Host::Local(_))
+            } else if !self.win.sharded()
+                && matches!(self.shard.apps[local].host, Host::Local(_))
                 && select_app(&mut self.cx().0, local, kind)
             {
                 // A local sandbox has no stub to overlap with: it runs
@@ -1053,32 +979,21 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     /// touching the barrier.
     fn deliver_local(&mut self, local: usize, slot: &WindowSlot) -> DispatchResult {
         let obs = self.win.obs;
-        let WorkerShard { apps, crashpad, .. } = &mut *self.shard;
-        let AppRecord {
-            name,
-            host,
-            dispatch_ns,
-            ..
-        } = &mut apps[local].rec;
-        let Host::Local(sandbox) = host else {
-            unreachable!("checked by the caller");
-        };
-        // Per-app dispatch cost, fed back to the runtime's load-aware
-        // re-balancer.
-        let _cost = dispatch_ns.start();
-        crashpad.prepare(sandbox, name);
-        obs.trace_event("send", name, "local");
-        let delivery = sandbox.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
-        obs.trace_event("collect", name, delivery_label(&delivery));
-        crashpad.complete(
-            sandbox,
-            name,
-            &slot.event,
-            delivery,
-            &slot.topology,
-            &slot.devices,
-            slot.now,
-        )
+        self.shard.with_app(local, |crashpad, app, name| {
+            crashpad.prepare(app, name);
+            obs.trace_event("send", name, "local");
+            let delivery = app.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
+            obs.trace_event("collect", name, delivery_label(&delivery));
+            crashpad.complete(
+                app,
+                name,
+                &slot.event,
+                delivery,
+                &slot.topology,
+                &slot.devices,
+                slot.now,
+            )
+        })
     }
 
     /// Collect and gather one in-flight (event, app) entry: snapshot
@@ -1096,7 +1011,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             metrics,
             ..
         } = &mut *self.shard;
-        let rec = &apps[local].rec;
 
         // The snapshot queued before this delivery: collect and book it.
         // The recorded duration is the wait the proxy actually paid here —
@@ -1106,7 +1020,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             let waited = Instant::now();
             if let Ok(bytes) = proxy.collect_snapshot(entry.handle, tag) {
                 let dur_ns = u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                crashpad.record_prepared(&rec.name, bytes, dur_ns);
+                crashpad.record_prepared(&apps[local].name, bytes, dur_ns);
             }
         }
 
@@ -1117,10 +1031,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         };
         let queue_ns = u64::try_from(entry.queued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
         metrics.window_queue_ns.observe(queue_ns);
-        // Queue latency doubles as the stub's load signal for the
-        // runtime's re-balancer: a stub that keeps the window waiting
-        // is a stub worth spreading away from its shard-mates.
-        rec.dispatch_ns.observe(queue_ns);
 
         let failed = !matches!(delivery, DeliveryResult::Ok(_));
         if failed {
@@ -1128,25 +1038,17 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             // restores it, so the RPC stream is clean when replay begins.
             self.cancel_app(local);
         }
-        let WorkerShard {
-            apps,
-            crashpad,
-            proxy,
-            ..
-        } = &mut *self.shard;
-        let mut adapter = ProxyAdapter {
-            proxy,
-            handle: entry.handle,
-        };
-        let result = crashpad.complete(
-            &mut adapter,
-            &apps[local].rec.name,
-            &slot.event,
-            delivery,
-            &slot.topology,
-            &slot.devices,
-            slot.now,
-        );
+        let result = self.shard.with_app(local, |crashpad, app, name| {
+            crashpad.complete(
+                app,
+                name,
+                &slot.event,
+                delivery,
+                &slot.topology,
+                &slot.devices,
+                slot.now,
+            )
+        });
         (result, failed)
     }
 
@@ -1166,8 +1068,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     ) {
         let pos = self.pos_of(self.commit_pos, local);
         if !lane_need(&self.cx().0, local, &slot.event, &result) {
-            let (mut cx, report) = self.cx();
-            commit_outcome_elided(&mut cx, local, &slot.event, result, report);
+            self.commit(None, pos, local, slot, result);
             self.win.barrier.finish_empty(pos);
             if is_stub && failed {
                 settles.push(Settle {
@@ -1182,7 +1083,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         // A touch is declared for peers to judge their fastpath against;
         // with no peer shard nobody reads it, and a single worker's
         // commits reach the cursor in order by construction.
-        if self.win.sharded {
+        if self.win.sharded() {
             let (touch, notify) = match &result {
                 DispatchResult::Delivered(commands)
                 | DispatchResult::Recovered { commands, .. } => commands_touch(commands),
@@ -1208,20 +1109,33 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         let _admission = self.win.barrier.acquire(pos);
         {
             let mut lane = self.win.lane.lock().expect("commit lane poisoned");
-            let tx_base = self.win.tx_cycle_base + pos * TXS_PER_POS;
-            let (mut cx, report) = self.cx();
-            commit_outcome(
-                &mut cx,
-                &mut lane,
-                local,
-                &slot.event,
-                result,
-                report,
-                (&slot.topology, &slot.devices),
-                tx_base,
-            );
+            self.commit(Some(&mut lane), pos, local, slot, result);
         }
         self.win.barrier.release(pos);
+    }
+
+    /// [`commit_outcome`] for `local`'s position `pos` of `slot`; `lane`
+    /// is `None` for an elided position.
+    fn commit(
+        &mut self,
+        lane: Option<&mut CommitLane<'_>>,
+        pos: u64,
+        local: usize,
+        slot: &WindowSlot,
+        result: DispatchResult,
+    ) {
+        let tx_base = self.win.tx_cycle_base + pos * TXS_PER_POS;
+        let (mut cx, report) = self.cx();
+        commit_outcome(
+            &mut cx,
+            lane,
+            local,
+            &slot.event,
+            result,
+            report,
+            (&slot.topology, &slot.devices),
+            tx_base,
+        );
     }
 
     /// Drop an app's in-flight entries beyond the commit cursor and roll
@@ -1245,7 +1159,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
                 // dispatch counter keeps the cancelled send; RuntimeStats
                 // is the determinism-bearing surface.)
                 self.stats.dispatches -= 1;
-                self.shard.apps[local].rec.usage.events_consumed -= 1;
+                self.shard.apps[local].usage.events_consumed -= 1;
                 self.inflight[local] -= 1;
                 // The cancellation belongs to the *cancelled* event's
                 // timeline, not the failed one currently in scope.
@@ -1253,7 +1167,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
                     self.win.obs.trace_event_for(
                         tid,
                         "cancel",
-                        &self.shard.apps[local].rec.name,
+                        &self.shard.apps[local].name,
                         "crash_upstream",
                     );
                 }
@@ -1278,7 +1192,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             }
             self.win
                 .obs
-                .trace_event("resend", &self.shard.apps[local].rec.name, "requeued");
+                .trace_event("resend", &self.shard.apps[local].name, "requeued");
             let entry = self.queue_one(local, &slot);
             let pend = &mut self.pending[s];
             let pos = pend

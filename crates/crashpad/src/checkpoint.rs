@@ -19,7 +19,7 @@
 //! exact, and for the usual unequal case over at the length or the first
 //! differing byte. What makes the snapshot itself cheap is upstream: apps
 //! keep their large state in memoized segments (`legosdn_codec::Memo`,
-//! DESIGN.md §18), so `snapshot()` re-encodes only what the last event
+//! DESIGN.md §15), so `snapshot()` re-encodes only what the last event
 //! wrote and copies the rest.
 //!
 //! **Footprint.** Stored checkpoints are trimmed to their length: an
@@ -245,25 +245,7 @@ impl CheckpointStore {
     pub fn forget(&mut self, app: &str) {
         self.apps.remove(app);
     }
-
-    /// Remove an app's checkpoint bookkeeping for migration to another
-    /// store (the load balancer moving an app between worker shards).
-    /// `None` if the app has no state here.
-    pub fn extract(&mut self, app: &str) -> Option<AppMigration> {
-        self.apps.remove(app).map(AppMigration)
-    }
-
-    /// Adopt bookkeeping extracted from another store. Replaces any state
-    /// this store already holds for the app.
-    pub fn adopt(&mut self, app: &str, migration: AppMigration) {
-        self.apps.insert(app.to_string(), migration.0);
-    }
 }
-
-/// Opaque per-app checkpoint state in transit between two
-/// [`CheckpointStore`]s — see [`CheckpointStore::extract`].
-#[derive(Clone, Debug)]
-pub struct AppMigration(AppCheckpoints);
 
 #[cfg(test)]
 mod tests {
@@ -495,22 +477,5 @@ mod tests {
         store.record_snapshot("a", vec![1]);
         store.forget("a");
         assert!(store.recovery_plan("a").is_none());
-    }
-
-    #[test]
-    fn extract_and_adopt_move_state_between_stores() {
-        let mut from = CheckpointStore::new(CheckpointPolicy::default());
-        from.record_snapshot("a", vec![0xaa]);
-        from.record_delivered("a", &ev(1));
-        let migration = from.extract("a").unwrap();
-        assert!(from.recovery_plan("a").is_none(), "source forgot the app");
-        assert!(from.extract("ghost").is_none());
-
-        let mut to = CheckpointStore::new(CheckpointPolicy::default());
-        to.adopt("a", migration);
-        assert_eq!(to.events_delivered("a"), 1);
-        let plan = to.recovery_plan("a").unwrap();
-        assert_eq!(plan.snapshot.bytes, vec![0xaa]);
-        assert_eq!(plan.replay, vec![ev(1)]);
     }
 }

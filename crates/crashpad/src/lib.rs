@@ -22,7 +22,7 @@ pub mod policy;
 pub mod ticket;
 pub mod transform;
 
-pub use checkpoint::{AppMigration, Checkpoint, CheckpointPolicy, CheckpointStore, RecoveryPlan};
+pub use checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, RecoveryPlan};
 pub use diagnose::{DiagnoseError, Diagnosis};
 pub use engine::{
     CrashPad, CrashPadConfig, CrashPadStats, DeliveryResult, DispatchResult, LocalSandbox,

@@ -1,5 +1,5 @@
 //! Recovery over an app whose state lives in memoized segments
-//! (`legosdn_codec::Memo`, DESIGN.md §18): checkpoints are taken from warm
+//! (`legosdn_codec::Memo`, DESIGN.md §15): checkpoints are taken from warm
 //! memos, a restore primes them from the checkpoint's bytes, and replay
 //! writes through them. Whatever mix of those a crash lands on, the
 //! recovered app's snapshot must equal its pre-event snapshot byte for

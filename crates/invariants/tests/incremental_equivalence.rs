@@ -1,4 +1,4 @@
-//! Warm ≡ cold invariant checking (DESIGN.md §16).
+//! Warm ≡ cold invariant checking (DESIGN.md §13).
 //!
 //! [`CheckState`] answers a check by re-probing only the pairs whose last
 //! walk touched a switch that has been stamped since. The stateless

@@ -1,4 +1,4 @@
-//! Cross-shard commit barrier (DESIGN.md §13).
+//! Cross-shard commit barrier (DESIGN.md §9).
 //!
 //! The worker-sharded runtime partitions apps across N workers, but the
 //! network and the NetLog are shared, and the determinism contract says

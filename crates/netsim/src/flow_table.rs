@@ -4,7 +4,7 @@
 //! The table is the unit of state NetLog must be able to roll back, so every
 //! mutation reports exactly what it displaced (as [`FlowEntrySnapshot`]s).
 //!
-//! # Index structure (DESIGN.md §14)
+//! # Index structure (DESIGN.md §12)
 //!
 //! Entries live in `entries`, always sorted by `(priority desc, seq asc)` —
 //! the canonical table order that iteration, displaced-snapshot ordering, and

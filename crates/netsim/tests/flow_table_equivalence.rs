@@ -1,4 +1,4 @@
-//! Indexed ≡ linear flow-table equivalence (DESIGN.md §14).
+//! Indexed ≡ linear flow-table equivalence (DESIGN.md §12).
 //!
 //! Drives seeded random flow-mod/packet/expire sequences through the
 //! two-tier indexed [`FlowTable`] and the retained [`LinearFlowTable`]

@@ -17,13 +17,15 @@ echo "==> cargo test (hard 600s timeout)"
 timeout 600 cargo test -q --offline --workspace \
   || { echo "workspace tests failed or timed out" >&2; exit 1; }
 
-# Names the one-engine and one-stub-host refactors deleted must not grow
-# back beside what replaced them.
-echo "==> no second dispatch path, fan-out API or stub host"
+# Names the one-engine, one-stub-host and static-placement refactors
+# deleted must not grow back beside what replaced them.
+echo "==> no second dispatch path, fan-out API, stub host or shard re-balancer"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
+    crates/ tests/ examples/ \
+  || grep -rnE 'rebalance_shards|cost_ewma|AppMigration|dispatch_app_ns|worker_load' \
     crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host name reappeared (see DESIGN.md §9, §12)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement name reappeared (see DESIGN.md §9, §11)" >&2
   exit 1
 fi
 

@@ -293,7 +293,7 @@ fn polled_transport_preserves_the_dispatch_residue() {
 
 #[test]
 fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
-    // The tentpole determinism oracle (DESIGN.md §13): sharding the apps
+    // The tentpole determinism oracle (DESIGN.md §9): sharding the apps
     // across worker threads changes only *where* they run. For every
     // {worker count} × {pool size} × {window depth} combination the residue
     // — flow tables, NetLog transaction order, runtime counters, per-
@@ -332,7 +332,7 @@ fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
 
 #[test]
 fn cross_cycle_lookahead_preserves_the_residue() {
-    // Cross-cycle windowing (DESIGN.md §15) changes which run_cycle call
+    // Cross-cycle windowing (DESIGN.md §9) changes which run_cycle call
     // consumes an event — the send cursor runs ahead into raws enqueued by
     // this cycle's own commits — so the oracle for lookahead L is
     // *sequential dispatch at the same L*, not at L = 1. At every swept

@@ -2,7 +2,7 @@
 //! shards write the same switch, the commit barrier must serialize their
 //! transactions into exactly the order sequential dispatch would have
 //! produced — including while a neighboring app is crashing and being
-//! replay-recovered mid-window (DESIGN.md §13).
+//! replay-recovered mid-window (DESIGN.md §9).
 
 use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};

@@ -242,8 +242,12 @@ impl ObsConfig {
         ObsConfig::instance(Obs::with_journal_capacity(capacity))
     }
 
-    /// Observability off: metrics land in a throwaway instance and the
-    /// flight recorder never samples.
+    /// Observability off: the runtime's metrics land in a throwaway
+    /// instance and the flight recorder never samples. The one thing this
+    /// does not reach is netsim: the caller builds the `Network`, so its
+    /// switches' per-dpid churn counters (`netsim/flow_install` and its
+    /// two siblings) land in [`Obs::global`] whatever is set here or in
+    /// [`ObsConfig::instance`] (DESIGN.md §7).
     #[must_use]
     pub fn disabled() -> Self {
         ObsConfig {

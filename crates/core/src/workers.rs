@@ -473,8 +473,9 @@ fn execute_guarded(
         lane.notify_seen = true;
     }
 
-    let name = cx.shard.apps[local].name.clone();
-    let mut tx = lane.netlog.begin_for_at(&name, TxId(tx_base + *sub));
+    let mut tx = lane
+        .netlog
+        .begin_for_at(&cx.shard.apps[local].name, TxId(tx_base + *sub));
     *sub += 1;
     for c in &commands {
         // Reads return synchronously in immediate mode; pass stats
@@ -520,7 +521,11 @@ fn execute_guarded(
             report.byzantine_blocked += 1;
             cx.stats.byzantine_blocked += 1;
             cx.shard.apps[local].byzantine_blocked.inc();
-            let policy = cx.shard.crashpad.policies.lookup(&name, event.kind());
+            let policy = cx
+                .shard
+                .crashpad
+                .policies
+                .lookup(&cx.shard.apps[local].name, event.kind());
             if allow_recovery {
                 let recovered = recover_byzantine(cx, lane, local, event, nviol, views);
                 // Recovered output (from transformed events) executes

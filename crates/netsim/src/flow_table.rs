@@ -161,7 +161,7 @@ impl Hasher for FnvSplitHasher {
     }
 }
 
-type BuildFnvSplit = BuildHasherDefault<FnvSplitHasher>;
+pub(crate) type BuildFnvSplit = BuildHasherDefault<FnvSplitHasher>;
 
 /// A reference to an installed entry that survives inserts and removals:
 /// `(priority, seq)` is unique and binary-searchable in the sorted store.
@@ -193,6 +193,21 @@ pub struct FlowTable {
     /// Conservative minimum over entry deadlines: `expire(now)` is a no-op
     /// whenever `now` precedes it. `None` means nothing can ever expire.
     earliest_deadline: Option<SimTime>,
+}
+
+/// Drop `cand` from the exact bucket at `key`; a bucket left empty goes
+/// with it. A free function over the tier so expiry can call it while it
+/// walks `entries`.
+fn unbucket(exact: &mut HashMap<ExactKey, Vec<Cand>, BuildFnvSplit>, key: ExactKey, cand: Cand) {
+    let bucket = exact.get_mut(&key).expect("tier bucket for entry");
+    let i = bucket
+        .iter()
+        .position(|&c| c == cand)
+        .expect("candidate in bucket");
+    bucket.remove(i);
+    if bucket.is_empty() {
+        exact.remove(&key);
+    }
 }
 
 impl FlowTable {
@@ -257,6 +272,17 @@ impl FlowTable {
         }
     }
 
+    /// Whether both tiers are exactly what [`Self::rebuild_tiers`] would
+    /// derive from `entries` — the equivalence suite's check on every
+    /// incremental index update.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn index_is_consistent(&self) -> bool {
+        let mut fresh = self.clone();
+        fresh.rebuild_tiers();
+        fresh.exact == self.exact && fresh.wild == self.wild
+    }
+
     /// Recompute the expiry watermark from the live entries.
     fn recompute_deadline(&mut self) {
         self.earliest_deadline = self.entries.iter().filter_map(FlowEntry::deadline).min();
@@ -298,17 +324,7 @@ impl FlowTable {
         let pos = self.position_of(cand);
         let e = self.entries.remove(pos);
         match e.mat.exact_key() {
-            Some(k) => {
-                let bucket = self.exact.get_mut(&k).expect("tier bucket for entry");
-                let i = bucket
-                    .iter()
-                    .position(|&c| c == cand)
-                    .expect("candidate in bucket");
-                bucket.remove(i);
-                if bucket.is_empty() {
-                    self.exact.remove(&k);
-                }
-            }
+            Some(k) => unbucket(&mut self.exact, k, cand),
             None => {
                 let i = self
                     .wild
@@ -588,6 +604,10 @@ impl FlowTable {
             _ => return Vec::new(),
         }
         let mut expired = Vec::new();
+        // Each expired entry leaves its own bucket as the walk drops it, so
+        // the pass costs what expired; no other bucket is touched.
+        let exact = &mut self.exact;
+        let mut wild_expired = false;
         self.entries.retain(|e| {
             let hard_hit = e.hard_timeout > 0
                 && now.since(e.installed_at).as_secs() >= u64::from(e.hard_timeout);
@@ -603,13 +623,24 @@ impl FlowTable {
                     },
                     notify: e.send_flow_removed,
                 });
+                match e.mat.exact_key() {
+                    Some(k) => unbucket(exact, k, (e.priority, e.seq)),
+                    None => wild_expired = true,
+                }
                 false
             } else {
                 true
             }
         });
-        if !expired.is_empty() {
-            self.rebuild_tiers();
+        if wild_expired {
+            // One pass however many went: a wildcard candidate stays iff
+            // its entry did.
+            let entries = &self.entries;
+            self.wild.retain(|(c, _)| {
+                entries
+                    .binary_search_by_key(&rank(*c), |e| rank((e.priority, e.seq)))
+                    .is_ok()
+            });
         }
         // The watermark may have been stale-early (idle deadlines moved by
         // traffic); recompute from the survivors either way.

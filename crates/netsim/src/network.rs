@@ -12,6 +12,7 @@
 //! black-hole and loop invariants.
 
 use crate::clock::{SimDuration, SimTime};
+use crate::flow_table::BuildFnvSplit;
 use crate::switch::Switch;
 use crate::topology::{Endpoint, HostSpec, LinkSpec, Topology};
 use legosdn_openflow::inverse::PreState;
@@ -174,6 +175,23 @@ impl Wiring {
     }
 }
 
+/// The buffers of one dataplane walk, kept between walks so a packet
+/// costs no allocation for them. Not state: a clone starts empty.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    queue: VecDeque<(Endpoint, Packet)>,
+    /// `(dpid, in_port, packet hash)` already walked — the loop detector.
+    /// Only ever probed, never iterated, so the hasher is free to be the
+    /// cheap deterministic one.
+    visited: HashSet<(DatapathId, u16, u64), BuildFnvSplit>,
+}
+
+impl Clone for WalkScratch {
+    fn clone(&self) -> Self {
+        WalkScratch::default()
+    }
+}
+
 /// The simulated network.
 ///
 /// `Clone` is deliberate: invariant gates (NetLog pre-commit checks) verify
@@ -198,6 +216,7 @@ pub struct Network {
     /// Lifetime delivery/drop counters for availability experiments.
     total_delivered: u64,
     total_dropped: u64,
+    walk: WalkScratch,
 }
 
 impl Network {
@@ -227,6 +246,7 @@ impl Network {
             events,
             total_delivered: 0,
             total_dropped: 0,
+            walk: WalkScratch::default(),
         }
     }
 
@@ -383,37 +403,34 @@ impl Network {
     /// Walk a packet that arrives *into* a switch port (from a host).
     fn deliver_into(&mut self, at: Endpoint, pkt: Packet) -> DataplaneTrace {
         let mut trace = DataplaneTrace::default();
-        let mut queue: VecDeque<(Endpoint, Packet)> = VecDeque::new();
-        let mut visited: HashSet<(DatapathId, u16, u64)> = HashSet::new();
-        queue.push_back((at, pkt));
-        self.walk(&mut queue, &mut visited, &mut trace);
+        self.walk.queue.push_back((at, pkt));
+        self.walk(&mut trace);
         trace
     }
 
     /// Walk a packet that leaves a switch port (packet-out emission).
     fn propagate(&mut self, from: Endpoint, pkt: Packet) -> DataplaneTrace {
         let mut trace = DataplaneTrace::default();
-        let mut queue: VecDeque<(Endpoint, Packet)> = VecDeque::new();
-        let mut visited: HashSet<(DatapathId, u16, u64)> = HashSet::new();
-        self.route_emission(from, pkt, &mut queue, &mut trace);
-        self.walk(&mut queue, &mut visited, &mut trace);
+        self.route_emission(from, pkt, &mut trace);
+        self.walk(&mut trace);
         trace
     }
 
-    fn walk(
-        &mut self,
-        queue: &mut VecDeque<(Endpoint, Packet)>,
-        visited: &mut HashSet<(DatapathId, u16, u64)>,
-        trace: &mut DataplaneTrace,
-    ) {
+    /// Drain the walk queue, then leave the scratch empty for the next
+    /// walk.
+    fn walk(&mut self, trace: &mut DataplaneTrace) {
         let mut hops = 0usize;
-        while let Some((at, pkt)) = queue.pop_front() {
+        while let Some((at, pkt)) = self.walk.queue.pop_front() {
             hops += 1;
             if hops > HOP_LIMIT {
                 trace.loop_detected = true;
                 break;
             }
-            if !visited.insert((at.dpid, at.port, hash_packet(&pkt))) {
+            if !self
+                .walk
+                .visited
+                .insert((at.dpid, at.port, hash_packet(&pkt)))
+            {
                 // Same packet re-entering the same port: a forwarding loop.
                 trace.loop_detected = true;
                 continue;
@@ -434,21 +451,17 @@ impl Network {
             }
             for (port, emitted) in out.emissions {
                 if let Some(p) = port.phys() {
-                    self.route_emission(Endpoint::new(at.dpid, p), emitted, queue, trace);
+                    self.route_emission(Endpoint::new(at.dpid, p), emitted, trace);
                 }
             }
         }
+        self.walk.queue.clear();
+        self.walk.visited.clear();
     }
 
     /// Decide where a packet leaving `(dpid, port)` lands: a host, the far
-    /// end of a live link, or nowhere.
-    fn route_emission(
-        &mut self,
-        from: Endpoint,
-        pkt: Packet,
-        queue: &mut VecDeque<(Endpoint, Packet)>,
-        trace: &mut DataplaneTrace,
-    ) {
+    /// end of a live link (queued for the walk), or nowhere.
+    fn route_emission(&mut self, from: Endpoint, pkt: Packet, trace: &mut DataplaneTrace) {
         if let Some(host) = self.host_at(from) {
             trace.delivered.push((host.mac, pkt));
             self.total_delivered += 1;
@@ -462,7 +475,7 @@ impl Network {
                     .map(Switch::is_up)
                     .unwrap_or(false);
                 if peer_up {
-                    queue.push_back((peer, pkt));
+                    self.walk.queue.push_back((peer, pkt));
                 } else {
                     trace.drops += 1;
                     self.total_dropped += 1;

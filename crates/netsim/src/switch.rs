@@ -9,6 +9,7 @@
 use crate::clock::SimTime;
 use crate::flow_table::FlowTable;
 use legosdn_codec::Codec;
+use legosdn_obs::{Counter, Obs};
 use legosdn_openflow::error::{ErrorCode, ErrorType};
 use legosdn_openflow::inverse::PreState;
 use legosdn_openflow::messages::{
@@ -17,6 +18,7 @@ use legosdn_openflow::messages::{
 };
 use legosdn_openflow::prelude::{apply_actions, BufferId, DatapathId, MacAddr, Packet, PortNo};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Everything a message or packet arrival caused.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -49,6 +51,27 @@ pub struct PortState {
     pub stats: PortStats,
 }
 
+/// One switch's flow-table churn counters, labelled with its dpid. Each
+/// is resolved by the first flow-mod of its kind, so a series exists only
+/// for what a switch saw.
+#[derive(Clone, Debug, Default)]
+struct ChurnCounters {
+    delete: Option<Arc<Counter>>,
+    install: Option<Arc<Counter>>,
+    overwrite: Option<Arc<Counter>>,
+}
+
+/// The handle in `cell`, resolved on first use. The switch is
+/// Codec-serialisable state built by the caller, so it reports through
+/// the process-global observer rather than one it is handed.
+fn churn_counter<'a>(
+    cell: &'a mut Option<Arc<Counter>>,
+    name: &str,
+    dpid: DatapathId,
+) -> &'a Counter {
+    cell.get_or_insert_with(|| Obs::global().counter("netsim", name, &dpid.0.to_string()))
+}
+
 /// A simulated switch.
 #[derive(Clone, Debug, Codec)]
 pub struct Switch {
@@ -60,6 +83,9 @@ pub struct Switch {
     n_buffers: u32,
     /// Whether the switch itself is up. A down switch drops everything.
     up: bool,
+    /// Metric handles, not state: never encoded.
+    #[codec(skip)]
+    churn: ChurnCounters,
 }
 
 impl Switch {
@@ -95,6 +121,7 @@ impl Switch {
             next_buffer: 0,
             n_buffers: 256,
             up: true,
+            churn: ChurnCounters::default(),
         }
     }
 
@@ -245,18 +272,14 @@ impl Switch {
         let mut out = SwitchOutput::default();
         match self.table.apply(fm, now) {
             Ok(outcome) => {
-                // Per-switch flow-table churn counters. The switch itself is
-                // Codec-serialisable state, so it reports through the
-                // process-global observer rather than holding a handle.
-                let obs = legosdn_obs::Obs::global();
-                let dpid = self.dpid.0.to_string();
+                let (dpid, churn) = (self.dpid, &mut self.churn);
                 if fm.is_delete() {
-                    obs.counter("netsim", "flow_delete", &dpid)
+                    churn_counter(&mut churn.delete, "flow_delete", dpid)
                         .add((outcome.displaced.len() as u64).max(1));
                 } else if outcome.displaced.is_empty() {
-                    obs.counter("netsim", "flow_install", &dpid).inc();
+                    churn_counter(&mut churn.install, "flow_install", dpid).inc();
                 } else {
-                    obs.counter("netsim", "flow_overwrite", &dpid).inc();
+                    churn_counter(&mut churn.overwrite, "flow_overwrite", dpid).inc();
                 }
                 out.pre_state = Some(if fm.is_delete() {
                     PreState::DeletedFlows(outcome.displaced.clone())

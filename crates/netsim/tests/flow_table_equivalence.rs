@@ -155,6 +155,7 @@ fn run_sequence(seed: u64, ops: usize) {
                 let a = indexed.apply(&fm, now);
                 let b = linear.apply(&fm, now);
                 assert_eq!(a, b, "{ctx}: apply {fm:?}");
+                assert!(indexed.index_is_consistent(), "{ctx}: tiers after apply");
             }
             4..=6 => {
                 let p = packet(&mut rng);
@@ -173,6 +174,7 @@ fn run_sequence(seed: u64, ops: usize) {
             7 => {
                 now += SimDuration::from_micros(rng.gen_range(1..3_000_000u64));
                 assert_eq!(indexed.expire(now), linear.expire(now), "{ctx}: expire");
+                assert!(indexed.index_is_consistent(), "{ctx}: tiers after expire");
             }
             8 => {
                 let m = gen_match(&mut rng);
@@ -216,4 +218,95 @@ fn indexed_equals_linear_long_haul() {
     for seed in 100..104 {
         run_sequence(seed, 2000);
     }
+}
+
+/// Host `i`'s TCP flow towards host 1.
+fn flow_packet(i: u32) -> Packet {
+    Packet::tcp(
+        MacAddr::from_index(u64::from(i)),
+        MacAddr::from_index(1),
+        Ipv4Addr::from_index(i),
+        Ipv4Addr::from_index(1),
+        4000,
+        80,
+    )
+}
+
+/// That flow arriving on port 1: fully concrete, so it lands in the
+/// exact tier, one bucket per `i`.
+fn exact_match(i: u32) -> Match {
+    Match::from_packet(&flow_packet(i), PortNo::Phys(1))
+}
+
+fn timed(mat: Match, priority: u16, idle: u16, hard: u16) -> FlowMod {
+    let mut fm = FlowMod::add(mat);
+    fm.priority = priority;
+    fm.idle_timeout = idle;
+    fm.hard_timeout = hard;
+    fm.send_flow_removed = priority == 9;
+    fm.actions = vec![Action::Output(PortNo::Phys(2))];
+    fm
+}
+
+#[test]
+fn one_pass_expiring_most_of_a_large_table() {
+    let mut indexed = FlowTable::default();
+    let mut linear = LinearFlowTable::default();
+    let t0 = SimTime::ZERO;
+    let mut both = |fm: FlowMod| {
+        assert_eq!(indexed.apply(&fm, t0), linear.apply(&fm, t0));
+    };
+    // 400 exact buckets holding two priorities each, with every mix of
+    // short / long / absent idle and hard timeouts; 200 wildcard entries
+    // (host `i`'s destination MAC) on the same schedule.
+    for i in 0..400u32 {
+        let (idle, hard) = [(2, 0), (0, 3), (2, 50), (50, 0), (0, 0)][i as usize % 5];
+        both(timed(exact_match(i + 2), 5, idle, hard));
+        both(timed(exact_match(i + 2), 9, hard, idle));
+    }
+    for i in 0..200u32 {
+        let (idle, hard) = [(3, 0), (0, 2), (0, 0)][i as usize % 3];
+        both(timed(
+            Match::eth_dst(MacAddr::from_index(u64::from(i))),
+            5,
+            idle,
+            hard,
+        ));
+    }
+    assert_eq!(indexed.len(), 1000);
+
+    let now = t0 + SimDuration::from_secs(4);
+    let gone = indexed.expire(now);
+    assert_eq!(gone, linear.expire(now));
+    assert!(gone.len() > 500, "{} expired", gone.len());
+    assert!(indexed.index_is_consistent());
+    assert_same_state(&indexed, &linear, "after mass expiry");
+
+    // The survivors still answer lookups the way the reference does.
+    for i in 0..400u32 {
+        let p = flow_packet(i + 2);
+        assert_eq!(
+            indexed.lookup(&p, PortNo::Phys(1), now).cloned(),
+            linear.lookup(&p, PortNo::Phys(1), now).cloned()
+        );
+    }
+}
+
+#[test]
+fn expiry_empties_a_bucket_the_next_install_recreates() {
+    let mut indexed = FlowTable::default();
+    let mut linear = LinearFlowTable::default();
+    let mut now = SimTime::ZERO;
+    for round in 0..3 {
+        let fm = timed(exact_match(7), 5, 1, 0);
+        assert_eq!(indexed.apply(&fm, now), linear.apply(&fm, now));
+        assert!(indexed.index_is_consistent(), "round {round}: installed");
+        now += SimDuration::from_secs(2);
+        let gone = indexed.expire(now);
+        assert_eq!(gone.len(), 1, "round {round}");
+        assert_eq!(gone, linear.expire(now));
+        assert!(indexed.is_empty());
+        assert!(indexed.index_is_consistent(), "round {round}: expired");
+    }
+    assert_same_state(&indexed, &linear, "after three rounds");
 }

@@ -70,6 +70,11 @@ struct Inner {
     journal: Journal,
     tracer: FlightRecorder,
     start: Instant,
+    /// Handles for the two series `record` / `trace_begin` bump. Resolved
+    /// on the first drop, not at construction: an instance that never
+    /// dropped anything exports neither series.
+    journal_dropped: OnceLock<Arc<Counter>>,
+    traces_dropped: OnceLock<Arc<Counter>>,
 }
 
 impl Default for Obs {
@@ -94,6 +99,8 @@ impl Obs {
                 journal: Journal::new(capacity),
                 tracer: FlightRecorder::new(DEFAULT_TRACE_CAPACITY),
                 start: Instant::now(),
+                journal_dropped: OnceLock::new(),
+                traces_dropped: OnceLock::new(),
             }),
         }
     }
@@ -156,7 +163,10 @@ impl Obs {
     pub fn record(&self, kind: RecordKind) -> u64 {
         let (seq, dropped) = self.inner.journal.record_at_evicting(self.now_ns(), kind);
         if dropped {
-            self.counter("journal", "dropped", "").inc();
+            self.inner
+                .journal_dropped
+                .get_or_init(|| self.counter("journal", "dropped", ""))
+                .inc();
         }
         seq
     }
@@ -171,7 +181,10 @@ impl Obs {
     /// (ring at capacity) bumps the `traces_dropped` counter.
     pub fn trace_begin(&self, id: TraceId, kind: &str) {
         if self.inner.tracer.begin(id, kind, self.now_ns()) {
-            self.counter("trace", "traces_dropped", "").inc();
+            self.inner
+                .traces_dropped
+                .get_or_init(|| self.counter("trace", "traces_dropped", ""))
+                .inc();
         }
     }
 
@@ -188,10 +201,20 @@ impl Obs {
         self.inner.tracer.scope()
     }
 
+    /// Whether any thread has a trace in scope — what a caller checks
+    /// before it formats an outcome for [`Obs::trace_event`].
+    #[must_use]
+    pub fn trace_active(&self) -> bool {
+        self.inner.tracer.is_active()
+    }
+
     /// Append a `(phase, app, outcome)` step to the trace in scope.
-    /// Single relaxed atomic load when tracing is off or out of scope.
+    /// Single relaxed atomic load, and no clock read, when tracing is off
+    /// or out of scope.
     pub fn trace_event(&self, phase: &str, app: &str, outcome: &str) {
-        self.inner.tracer.event(self.now_ns(), phase, app, outcome);
+        if self.trace_active() {
+            self.inner.tracer.event(self.now_ns(), phase, app, outcome);
+        }
     }
 
     /// Append a step to a specific trace regardless of scope (cross-trace
@@ -229,6 +252,15 @@ impl Obs {
     /// The metrics registry — push/aggregate internals snapshot it whole.
     pub(crate) fn registry(&self) -> &Registry {
         &self.inner.registry
+    }
+
+    /// By-name instrument lookups (`counter` / `gauge` / `histogram` /
+    /// `span`) served so far, each a registry-mutex acquisition. Tests pin
+    /// it flat across the per-event path.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn registry_lookups(&self) -> u64 {
+        self.inner.registry.lookups()
     }
 
     /// Reconstruct incident timelines from the current journal contents.
@@ -318,6 +350,27 @@ mod tests {
         }
         assert_eq!(obs.counter("journal", "dropped", "").get(), 3);
         assert!(obs.prometheus().contains("legosdn_journal_dropped 3"));
+    }
+
+    #[test]
+    fn drop_series_exist_only_once_something_dropped() {
+        let obs = Obs::with_journal_capacity(1);
+        let id = |seq| TraceId { cycle: 1, seq };
+        obs.record(RecordKind::HeartbeatMiss { app: "a".into() });
+        obs.trace_begin(id(0), "PacketIn");
+        let text = obs.prometheus();
+        assert!(!text.contains("journal_dropped"), "{text}");
+        assert!(!text.contains("traces_dropped"), "{text}");
+
+        obs.record(RecordKind::HeartbeatMiss { app: "a".into() });
+        assert!(obs.prometheus().contains("legosdn_journal_dropped 1"));
+        assert!(!obs.prometheus().contains("traces_dropped"));
+
+        for seq in 1..=DEFAULT_TRACE_CAPACITY as u64 {
+            obs.trace_begin(id(seq), "PacketIn");
+        }
+        assert!(obs.prometheus().contains("legosdn_trace_traces_dropped 1"));
+        assert_eq!(obs.traces_dropped(), 1);
     }
 
     #[test]

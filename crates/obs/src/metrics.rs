@@ -4,6 +4,7 @@
 //! handle is first created, so hot paths hold handles (`Arc`) and never
 //! lock.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -233,6 +234,52 @@ impl Drop for SpanGuard {
     }
 }
 
+/// A [`Key`] or a borrowed `(&str, &str, &str)` seen as the same three
+/// parts, so the maps can be probed without building an owned key. Both
+/// order by the parts, which is `Key`'s own (tuple) order — exports list
+/// series exactly as before.
+trait KeyParts {
+    fn parts(&self) -> (&str, &str, &str);
+}
+
+impl KeyParts for Key {
+    fn parts(&self) -> (&str, &str, &str) {
+        (&self.0, &self.1, &self.2)
+    }
+}
+
+impl KeyParts for (&str, &str, &str) {
+    fn parts(&self) -> (&str, &str, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+impl PartialOrd for dyn KeyParts + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyParts + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+
 /// Owns every instrument, addressable by [`Key`]. `BTreeMap` so exports
 /// are deterministically ordered.
 #[derive(Debug, Default)]
@@ -240,31 +287,49 @@ pub struct Registry {
     counters: Mutex<BTreeMap<Key, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<Key, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<Key, Arc<Histogram>>>,
+    /// By-name lookups served, each one a mutex acquisition — what the
+    /// allocation-budget test pins at zero on the per-event path.
+    lookups: AtomicU64,
 }
 
 impl Registry {
+    /// The instrument at `(component, name, label)`, created on first
+    /// use. The owned key is built only then; a hit borrows.
+    fn resolve<T: Default>(
+        &self,
+        map: &Mutex<BTreeMap<Key, Arc<T>>>,
+        (component, name, label): (&str, &str, &str),
+    ) -> Arc<T> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let mut map = map.lock().unwrap();
+        let probe: &dyn KeyParts = &(component, name, label);
+        if let Some(found) = map.get(probe) {
+            return Arc::clone(found);
+        }
+        let made = Arc::<T>::default();
+        map.insert(
+            (component.into(), name.into(), label.into()),
+            Arc::clone(&made),
+        );
+        made
+    }
+
     pub fn counter(&self, component: &str, name: &str, label: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        Arc::clone(
-            map.entry((component.into(), name.into(), label.into()))
-                .or_default(),
-        )
+        self.resolve(&self.counters, (component, name, label))
     }
 
     pub fn gauge(&self, component: &str, name: &str, label: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        Arc::clone(
-            map.entry((component.into(), name.into(), label.into()))
-                .or_default(),
-        )
+        self.resolve(&self.gauges, (component, name, label))
     }
 
     pub fn histogram(&self, component: &str, name: &str, label: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        Arc::clone(
-            map.entry((component.into(), name.into(), label.into()))
-                .or_default(),
-        )
+        self.resolve(&self.histograms, (component, name, label))
+    }
+
+    /// By-name lookups served so far.
+    #[must_use]
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 
     /// Snapshot of all counters as `(key, value)`.
@@ -428,5 +493,35 @@ mod tests {
         r.counter("core", "events", "app1").inc();
         assert_eq!(r.counter("core", "events", "app1").get(), 1);
         assert_eq!(r.counters().len(), 2);
+    }
+
+    #[test]
+    fn borrowed_lookup_orders_and_finds_like_the_owned_key() {
+        let r = Registry::default();
+        // Parts that only order correctly as a tuple: ("a", "b") sorts
+        // before ("a", "b0") before ("a0", ""), whatever the label.
+        let names = [
+            ("a0", "", "z"),
+            ("a", "b0", ""),
+            ("a", "b", "y"),
+            ("a", "b", ""),
+            ("", "x", ""),
+        ];
+        for (i, (c, n, l)) in names.iter().enumerate() {
+            r.counter(c, n, l).add(i as u64 + 1);
+        }
+        for (i, (c, n, l)) in names.iter().enumerate() {
+            assert_eq!(
+                r.counter(c, n, l).get(),
+                i as u64 + 1,
+                "hit finds {c}/{n}/{l}"
+            );
+        }
+        let keys: Vec<Key> = r.counters().into_iter().map(|(k, _)| k).collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), names.len());
+        assert_eq!(r.lookups(), 2 * names.len() as u64);
     }
 }

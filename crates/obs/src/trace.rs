@@ -233,10 +233,16 @@ impl FlightRecorder {
         st.scopes.get(&std::thread::current().id()).copied()
     }
 
+    /// Whether any thread has a scope set.
+    #[must_use]
+    pub fn is_active(&self) -> bool {
+        self.active.load(Ordering::Relaxed)
+    }
+
     /// Append an event to the calling thread's trace in scope. No-op (one
     /// atomic load) when no thread has a scope anywhere.
     pub fn event(&self, now_ns: u64, phase: &str, app: &str, outcome: &str) {
-        if !self.active.load(Ordering::Relaxed) {
+        if !self.is_active() {
             return;
         }
         let mut st = self.inner.lock().unwrap();

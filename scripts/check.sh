@@ -196,6 +196,14 @@ done
 kill $BURN_PIDS 2>/dev/null || true
 BURN_PIDS=""
 
+# The per-event path's budget, by name so a filtered or renamed run
+# cannot skip it: allocations per event of the lean skeleton under its
+# bound, and zero by-name registry lookups across thousands of commits
+# (DESIGN.md §7). Exact counts, so no retry and no load sensitivity.
+echo "==> allocation budget + no by-name lookups per event (hard 120s timeout)"
+timeout 120 cargo test -q --offline -p legosdn --test alloc_budget \
+  || { echo "allocation budget exceeded, or a by-name lookup is back on the per-event path" >&2; exit 1; }
+
 # The benchmark is a package of its own, so the workspace run above does
 # not reach it: its unit tests, the all-workload --smoke run (every
 # oracle digest check) and BENCHMARK.json against the names the binary

@@ -820,7 +820,7 @@ impl Feed {
 mod tests {
     use super::*;
     use crate::config::{DispatchConfig, ObsConfig};
-    use legosdn_apps::{BugEffect, BugTrigger, FaultyApp, Hub, LearningSwitch};
+    use legosdn_apps::{BugEffect, BugTrigger, FaultyApp, Hub, LearningSwitch, SpanningTree};
     use legosdn_controller::event::EventKind;
     use legosdn_crashpad::{
         CheckpointPolicy, CompromisePolicy, CrashPadConfig, PolicyTable, TransformDirection,
@@ -1268,6 +1268,77 @@ mod tests {
         assert!(reused > 0, "{reused}");
         assert_eq!((reprobed + reused) % 12, 0, "{reprobed} + {reused}");
         assert!(reprobed + reused >= 24, "more than one check ran");
+    }
+
+    #[test]
+    fn commit_path_check_reprobes_nothing_for_rules_no_probe_can_match() {
+        let obs = Obs::new();
+        let topo = Topology::fat_tree(4);
+        let mut net = Network::new(&topo);
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+            obs: ObsConfig::instance(obs.clone()),
+            ..LegoSdnConfig::default()
+        });
+        // A fat-tree has loops: the spanning tree goes first so a flood
+        // ends. Its port-blocking rules match any probe, and are checked
+        // in full as they go in.
+        rt.attach(Box::new(SpanningTree::new())).unwrap();
+        rt.attach(Box::new(LearningSwitch::new())).unwrap();
+        let poison = topo.hosts[15].mac;
+        rt.attach(Box::new(FaultyApp::new(
+            Box::new(Hub::new()),
+            BugTrigger::OnPacketToMac(poison),
+            BugEffect::Blackhole,
+        )))
+        .unwrap();
+        while rt.run_cycle(&mut net).events > 0 {}
+
+        let pairs = (topo.hosts.len() * (topo.hosts.len() - 1)) as u64;
+        let counts = || {
+            let reprobed = obs.counter("invariants", "pairs_reprobed", "").get();
+            let reused = obs.counter("invariants", "pairs_reused", "").get();
+            assert_eq!((reprobed + reused) % pairs, 0);
+            (reprobed, (reprobed + reused) / pairs)
+        };
+        let (booted, checks_at_boot) = counts();
+        assert!(booted >= pairs, "the first check is a full scan");
+
+        // TCP between a dozen hosts, both ways: the learning switch
+        // installs one exact 12-tuple per hop. Every one of those
+        // transactions is checked, and no pair is walked again for it.
+        let tcp = |s: usize, d: usize| {
+            let (s, d) = (&topo.hosts[s], &topo.hosts[d]);
+            Packet::tcp(s.mac, d.mac, s.ip, d.ip, 4000, 80)
+        };
+        for i in 0..12 {
+            for (s, d) in [(i, (i + 5) % 12), ((i + 5) % 12, i), (i, (i + 5) % 12)] {
+                net.inject(topo.hosts[s].mac, tcp(s, d)).unwrap();
+                while rt.run_cycle(&mut net).events > 0 {}
+            }
+        }
+        let (reprobed, checks) = counts();
+        assert!(checks - checks_at_boot >= 50, "{checks} checks");
+        assert_eq!(reprobed, booted, "a learned flow re-probed pairs");
+        assert_eq!(rt.stats().byzantine_blocked, 0);
+
+        // The same warm state still sees a rule that does hurt: the
+        // drop-everything rule is refused and leaves nothing behind.
+        let rules = |net: &Network| net.switches().map(|s| s.table().len()).sum::<usize>();
+        // (Its neighbour on the edge switch sends, once that switch has
+        // learned where the poisoned host is: one packet-in, one firing.)
+        assert_eq!(topo.hosts[14].attach.dpid, topo.hosts[15].attach.dpid);
+        net.inject(poison, tcp(15, 14)).unwrap();
+        while rt.run_cycle(&mut net).events > 0 {}
+        let before = rules(&net);
+        net.inject(topo.hosts[14].mac, tcp(14, 15)).unwrap();
+        while rt.run_cycle(&mut net).events > 0 {}
+        assert_eq!(rt.stats().byzantine_blocked, 1);
+        assert!(counts().0 > reprobed);
+        for sw in net.switches() {
+            assert!(sw.table().iter().all(|e| e.priority != u16::MAX));
+        }
+        assert!(rules(&net) >= before);
+        assert!(Checker::default().check(&net).is_clean());
     }
 
     #[test]

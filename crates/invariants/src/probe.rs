@@ -76,6 +76,7 @@ pub(crate) struct ProbeScratch {
     /// scan beats hashing) and, projected to its endpoints, as the path.
     visited: Vec<(Endpoint, u64)>,
     outputs: Vec<PortNo>,
+    rewrote: bool,
 }
 
 impl ProbeScratch {
@@ -83,6 +84,12 @@ impl ProbeScratch {
     /// forwarding state of exactly these switches and no others.
     pub(crate) fn path(&self) -> impl Iterator<Item = Endpoint> + '_ {
         self.visited.iter().map(|&(at, _)| at)
+    }
+
+    /// Did the last walk carry anything but the packet it was given into
+    /// a switch? If not, every table lookup it made was for that packet.
+    pub(crate) fn rewrote(&self) -> bool {
+        self.rewrote
     }
 
     /// Bytes held by the scratch containers.
@@ -120,9 +127,11 @@ pub(crate) fn walk(
         queue,
         visited,
         outputs,
+        rewrote,
     } = scratch;
     queue.clear();
     visited.clear();
+    *rewrote = false;
     queue.push_back((start, packet.clone()));
 
     let mut delivered_to_dst = false;
@@ -181,6 +190,7 @@ pub(crate) fn walk(
                 }
             } else if let Some(peer) = net.link_peer(from) {
                 emitted_any = true;
+                *rewrote |= rewritten != *packet;
                 queue.push_back((peer, rewritten.clone()));
             }
             // Dangling live port: emitted into the void — not counted.

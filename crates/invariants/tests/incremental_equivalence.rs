@@ -1,17 +1,23 @@
 //! Warm ≡ cold invariant checking (DESIGN.md §13).
 //!
 //! [`CheckState`] answers a check by re-probing only the pairs whose last
-//! walk touched a switch that has been stamped since. The stateless
+//! walk touched a switch that has been stamped since — and, where the
+//! network can name the flow-mods that did the stamping, only those of
+//! them whose probe one of those flow-mods could match. The stateless
 //! [`Checker::check`] is the same routine from an empty state, so the
 //! property to hold is *warm report == cold report*, in full
 //! (`pairs_checked`, counts, and every violation in order with its
-//! `Loop.path` / `BlackHole.at`), after every single mutation a network
-//! can undergo: flow-mods of every shape, port-mods, link and switch
-//! failures, timeouts, NetLog rollbacks, and clones that diverge while
-//! one state is checked against both sides.
+//! `Loop.path` / `BlackHole.at`), whatever a network underwent between
+//! two checks: flow-mods of every shape (the stock apps' TCP 12-tuples,
+//! VLAN matches only a rewritten probe can hit), singly, in runs, in
+//! runs longer than the network keeps described, with port-mods, link
+//! and switch failures and timeouts among them, NetLog transactions
+//! checked mid-flight and rolled back, and clones that diverge on both
+//! sides while one state is checked against each.
 //!
-//! Plus the properties that make the warm path worth having: a change on
-//! one core switch re-probes a small fraction of the pairs, and the whole
+//! Plus the properties that make the warm path worth having: a flow-mod
+//! on a core switch re-probes the pairs that cross it *and* that it could
+//! match — none, for what a learning switch installs — and the whole
 //! cache stays within its 64 KB budget at the default 4 096 pairs.
 
 use legosdn_invariants::{CheckReport, CheckState, Checker, Invariant, Violation};
@@ -55,6 +61,9 @@ fn next_hops(topo: &Topology) -> NextHop {
     table
 }
 
+/// The one tag rules set and match, so that the two meet.
+const VLAN: VlanId = VlanId(7);
+
 struct World {
     topo: Topology,
     hops: NextHop,
@@ -92,7 +101,7 @@ impl World {
 
     fn gen_match(&self, rng: &mut Rng, dpid: DatapathId) -> Match {
         let hosts = &self.topo.hosts;
-        match rng.gen_range(0..6u32) {
+        match rng.gen_range(0..10u32) {
             0 => Match::any(),
             1 => Match::exact_eth(rng.pick(hosts).mac, rng.pick(hosts).mac),
             2 => {
@@ -102,6 +111,28 @@ impl World {
                 &Packet::ethernet(rng.pick(hosts).mac, rng.pick(hosts).mac),
                 PortNo::Phys(self.port(rng, dpid)),
             ),
+            // What LearningSwitch and Firewall install for real traffic:
+            // a TCP 12-tuple no probe can match, rewritten or not.
+            4 => {
+                let (a, b) = (rng.pick(hosts), rng.pick(hosts));
+                Match::from_packet(
+                    &Packet::tcp(a.mac, b.mac, a.ip, b.ip, 4000, 80),
+                    PortNo::Phys(self.port(rng, dpid)),
+                )
+            }
+            5 => Match {
+                eth_src: Some(rng.pick(hosts).mac),
+                ..Match::any()
+            },
+            // Only a probe that crossed a `SetVlanId` can match these.
+            6 => Match {
+                vlan: Some(VLAN),
+                ..Match::any()
+            },
+            7 => Match {
+                vlan: Some(VLAN),
+                ..Match::eth_dst(rng.pick(hosts).mac)
+            },
             _ => Match::eth_dst(rng.pick(hosts).mac),
         }
     }
@@ -112,7 +143,7 @@ impl World {
             let dst = hosts.iter().find(|h| Some(h.mac) == mat.eth_dst)?;
             Some(Action::Output(PortNo::Phys(self.port_toward(dpid, dst))))
         };
-        match rng.gen_range(0..12u32) {
+        match rng.gen_range(0..16u32) {
             // Drop rule.
             0 => vec![],
             // Flood / all / in-port / controller / an unsupported sink.
@@ -133,6 +164,16 @@ impl World {
             // Rewrite the destination, then forward toward the old one.
             6 => vec![
                 Action::SetEthDst(rng.pick(hosts).mac),
+                toward_dst().unwrap_or(Action::Output(PortNo::Flood)),
+            ],
+            // Tag, or pose as another source, and send on: downstream the
+            // probe matches rules its own headers never would.
+            7 | 8 => vec![
+                Action::SetVlanId(VLAN),
+                toward_dst().unwrap_or(Action::Output(PortNo::Flood)),
+            ],
+            9 | 10 => vec![
+                Action::SetEthSrc(rng.pick(hosts).mac),
                 toward_dst().unwrap_or(Action::Output(PortNo::Flood)),
             ],
             // The right thing.
@@ -178,10 +219,19 @@ impl World {
     /// One random mutation of `net`.
     fn mutate(&self, rng: &mut Rng, net: &mut Network) {
         match rng.gen_range(0..20u32) {
-            0..=8 => {
+            0..=7 => {
                 let d = self.dpid(rng);
                 let fm = self.gen_flow_mod(rng, d);
                 let _ = net.apply(d, &Message::FlowMod(fm));
+            }
+            // A burst on one switch: more flow-mods than a network keeps
+            // described, as often as not.
+            8 => {
+                let d = self.dpid(rng);
+                for _ in 0..rng.gen_range(2..8u32) {
+                    let fm = self.gen_flow_mod(rng, d);
+                    let _ = net.apply(d, &Message::FlowMod(fm));
+                }
             }
             9 => self.route_host(net, rng.pick(&self.topo.hosts)),
             10 => {
@@ -203,8 +253,8 @@ impl World {
             }
             14 | 15 => net.tick(SimDuration::from_secs(rng.gen_range(1..6u64))),
             16 => {
-                // A NetLog transaction that applies for real, is checked
-                // mid-flight by the caller's next check, and rolls back.
+                // A NetLog transaction that applies for real and rolls
+                // back unseen.
                 let mut netlog = NetLog::new(TxMode::Immediate);
                 let mut tx = netlog.begin();
                 for _ in 0..rng.gen_range(1..5u32) {
@@ -254,6 +304,10 @@ fn gen_checker(rng: &mut Rng, hosts: usize) -> Checker {
     }
 }
 
+/// Checks come after a seeded 1..=12 ops, not after each: what a switch
+/// went through between two checks is then several flow-mods, more than
+/// the network keeps described, or flow-mods with a port-mod, an expiry
+/// or a flap among them.
 fn run_sequence(seed: u64, topo: Topology, ops: usize) {
     let mut rng = Rng::seed_from_u64(seed);
     let world = World::new(topo);
@@ -267,15 +321,19 @@ fn run_sequence(seed: u64, topo: Topology, ops: usize) {
         boot.pairs_checked,
         "first check is a full scan"
     );
+    let mut unchecked = rng.gen_range_inclusive(1..=12u32);
     for op in 0..ops {
         let ctx = format!("seed {seed} op {op}");
-        match rng.gen_range(0..40u32) {
-            0 => {
-                // Fork, diverge the fork, check both sides against the
-                // one state; sometimes the fork becomes the network.
+        match rng.gen_range(0..120u32) {
+            0..=2 => {
+                // Fork, diverge both sides, check them against the one
+                // state; sometimes the fork becomes the network.
                 let mut fork = net.clone();
-                for _ in 0..rng.gen_range(1..4u32) {
+                for _ in 0..rng.gen_range(1..6u32) {
                     world.mutate(&mut rng, &mut fork);
+                }
+                for _ in 0..rng.gen_range(0..3u32) {
+                    world.mutate(&mut rng, &mut net);
                 }
                 assert_warm_is_cold(&mut warm, &checker, &fork, &format!("{ctx} fork"));
                 assert_warm_is_cold(&mut warm, &checker, &net, &format!("{ctx} trunk"));
@@ -283,36 +341,53 @@ fn run_sequence(seed: u64, topo: Topology, ops: usize) {
                     net = fork;
                 }
             }
-            1 => {
+            3 => {
                 // Another lineage altogether, then back.
                 let stranger = Network::new(&world.topo);
                 assert_warm_is_cold(&mut warm, &checker, &stranger, &format!("{ctx} stranger"));
             }
-            2 => checker = gen_checker(&mut rng, world.topo.hosts.len()),
+            4 => checker = gen_checker(&mut rng, world.topo.hosts.len()),
+            5..=7 => {
+                // The commit path's own shape: a transaction applies for
+                // real, is checked where it stands, and rolls back.
+                let mut netlog = NetLog::new(TxMode::Immediate);
+                let mut tx = netlog.begin();
+                for _ in 0..rng.gen_range(1..5u32) {
+                    let d = world.dpid(&mut rng);
+                    let fm = world.gen_flow_mod(&mut rng, d);
+                    let _ = netlog.execute(&mut tx, &mut net, d, &Message::FlowMod(fm));
+                }
+                assert_warm_is_cold(&mut warm, &checker, &net, &format!("{ctx} mid-flight"));
+                netlog.abort(tx, &mut net).unwrap();
+            }
             _ => world.mutate(&mut rng, &mut net),
         }
-        assert_warm_is_cold(&mut warm, &checker, &net, &ctx);
+        unchecked -= 1;
+        if unchecked == 0 {
+            assert_warm_is_cold(&mut warm, &checker, &net, &ctx);
+            unchecked = rng.gen_range_inclusive(1..=12u32);
+        }
     }
 }
 
 #[test]
 fn warm_equals_cold_on_linear() {
     for seed in 0..12 {
-        run_sequence(seed, Topology::linear(4, 2), 1000);
+        run_sequence(seed, Topology::linear(4, 2), 4000);
     }
 }
 
 #[test]
 fn warm_equals_cold_on_star() {
     for seed in 100..112 {
-        run_sequence(seed, Topology::star(3, 2), 1000);
+        run_sequence(seed, Topology::star(3, 2), 4000);
     }
 }
 
 #[test]
 fn warm_equals_cold_on_fat_tree() {
     for seed in 200..212 {
-        run_sequence(seed, Topology::fat_tree(4), 250);
+        run_sequence(seed, Topology::fat_tree(4), 1000);
     }
 }
 
@@ -372,23 +447,81 @@ fn a_core_switch_change_reprobes_only_the_pairs_that_cross_it() {
         .count();
     assert!(crossing > 0);
 
-    // A rule there that matches none of the probes still stamps it.
-    let fm = FlowMod::add(Match::exact_eth(dst.mac, hosts[1].mac)).priority(9);
-    net.apply(core, &Message::FlowMod(fm)).unwrap();
-    assert_eq!(warm.check(&checker, &net), first);
-    assert_eq!(warm.last_reprobed(), crossing);
     assert!(
         crossing * 10 < 240,
-        "one flow-mod on {core:?} re-probed {crossing} of 240 pairs"
+        "{crossing} of 240 pairs cross {core:?}"
     );
 
-    // One that drops a crossing pair is found by the same small re-probe.
-    let fm = FlowMod::add(Match::exact_eth(hosts[1].mac, dst.mac)).priority(u16::MAX);
-    net.apply(core, &Message::FlowMod(fm)).unwrap();
-    let after = warm.check(&checker, &net);
-    assert_eq!(after, checker.check(&net));
-    assert_eq!((after.pairs_delivered, after.violations.len()), (14, 1));
-    assert_eq!(warm.last_reprobed(), crossing);
+    // Every check below is also held to the cold one.
+    let mut check = |net: &Network| {
+        let report = warm.check(&checker, net);
+        assert_eq!(report, checker.check(net));
+        (report, warm.last_reprobed())
+    };
+    let on_core = |net: &mut Network, msg: Message| {
+        net.apply(core, &msg).unwrap();
+    };
+    let narrow = |priority: u16| {
+        let none_crossing = Match::exact_eth(dst.mac, hosts[1].mac);
+        Message::FlowMod(FlowMod::add(none_crossing).priority(priority))
+    };
+
+    // Rules there that the probe of no crossing pair can match stamp the
+    // switch and re-probe nothing: another pair's MACs, and the TCP
+    // 12-tuple a learning switch installs, which no probe matches at all.
+    on_core(&mut net, narrow(9));
+    assert_eq!(check(&net), (first.clone(), 0));
+    let tcp = Packet::tcp(hosts[1].mac, dst.mac, hosts[1].ip, dst.ip, 4000, 80);
+    let exact = Match::from_packet(&tcp, PortNo::Phys(1));
+    on_core(
+        &mut net,
+        Message::FlowMod(FlowMod::add(exact).priority(u16::MAX)),
+    );
+    assert_eq!(check(&net), (first.clone(), 0));
+
+    // One that drops a crossing pair re-probes that pair and no other.
+    let hole = FlowMod::add(Match::exact_eth(hosts[1].mac, dst.mac)).priority(u16::MAX);
+    on_core(&mut net, Message::FlowMod(hole.clone()));
+    let (holed, reprobed) = check(&net);
+    assert_eq!((holed.pairs_delivered, holed.violations.len()), (14, 1));
+    assert_eq!(reprobed, 1);
+
+    // A match any probe satisfies, and a change that is no flow-mod at
+    // all, re-probe everything that crosses.
+    on_core(
+        &mut net,
+        Message::FlowMod(FlowMod::add(Match::any()).priority(1)),
+    );
+    assert_eq!(check(&net), (holed.clone(), crossing));
+    let pm = PortMod {
+        port_no: PortNo::Phys(1),
+        hw_addr: MacAddr::from_index(0),
+        down: false,
+    };
+    on_core(&mut net, Message::PortMod(pm));
+    assert_eq!(check(&net), (holed.clone(), crossing));
+
+    // A network describes a switch's last four steps. Four narrow
+    // flow-mods between two checks are read one by one; a fifth loses
+    // the first, and with it the right to skip anything.
+    for (steps, expect) in [(4, 0), (5, crossing)] {
+        for i in 0..steps {
+            on_core(&mut net, narrow(20 + i));
+        }
+        assert_eq!(check(&net), (holed.clone(), expect), "{steps} steps");
+    }
+
+    // A fork that heals the hole while the trunk moves on: the trunk's
+    // own step is read from its chain; the stamp the state then holds is
+    // one the fork never had, and the fork's one the trunk never had.
+    let mut fork = net.clone();
+    let mut heal = hole;
+    heal.command = FlowModCommand::DeleteStrict;
+    on_core(&mut fork, Message::FlowMod(heal));
+    on_core(&mut net, narrow(30));
+    assert_eq!(check(&net), (holed.clone(), 0));
+    assert_eq!(check(&fork), (first, crossing));
+    assert_eq!(check(&net), (holed, crossing));
 }
 
 #[test]

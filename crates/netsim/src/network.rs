@@ -16,7 +16,7 @@ use crate::flow_table::BuildFnvSplit;
 use crate::switch::Switch;
 use crate::topology::{Endpoint, HostSpec, LinkSpec, Topology};
 use legosdn_openflow::inverse::PreState;
-use legosdn_openflow::prelude::{DatapathId, MacAddr, Message, Packet};
+use legosdn_openflow::prelude::{DatapathId, MacAddr, Match, Message, Packet};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
@@ -123,6 +123,75 @@ fn fresh_stamp() -> u64 {
     NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
+/// How many of a switch's latest changes stay described. A check follows
+/// every transaction, and a transaction puts one or two flow-mods on one
+/// switch; rolled back after its check, it puts as many inverses there
+/// before the next transaction's. Beyond that the answer is "unknown",
+/// which only costs the asker its precision.
+const HISTORY_DEPTH: usize = 4;
+
+/// One step of a switch's history: the stamp the step replaced and the
+/// match every table entry it touched lies inside. `from` 0 — a stamp
+/// never drawn — marks a step that is not described that way.
+#[derive(Clone, Debug)]
+struct Step {
+    from: u64,
+    mat: Match,
+}
+
+/// A switch's change stamp and a fixed ring of the steps that led to it,
+/// the newest at `next - 1`. Every redraw of the stamp pushes one step,
+/// so walking back from the newest retraces the stamps one by one.
+/// Allocated whole with the network; a push is one copy of a `Match`
+/// (plain data) into place.
+#[derive(Clone, Debug)]
+struct History {
+    stamp: u64,
+    next: usize,
+    ring: [Step; HISTORY_DEPTH],
+}
+
+impl History {
+    fn new() -> Self {
+        History {
+            stamp: fresh_stamp(),
+            next: 0,
+            ring: std::array::from_fn(|_| Step {
+                from: 0,
+                mat: Match::any(),
+            }),
+        }
+    }
+
+    /// Redraw the stamp. `within` bounds what changed to the table
+    /// entries inside that match; `None` is any other change.
+    fn advance(&mut self, within: Option<&Match>) {
+        let step = &mut self.ring[self.next];
+        self.next = (self.next + 1) % HISTORY_DEPTH;
+        step.from = 0;
+        if let Some(mat) = within {
+            step.from = self.stamp;
+            step.mat.clone_from(mat);
+        }
+        self.stamp = fresh_stamp();
+    }
+
+    /// The matches of the steps that led from stamp `seen` to the current
+    /// one, newest first — if the ring still holds every one of them and
+    /// each is described by a match.
+    fn since(&self, seen: u64) -> Option<impl Iterator<Item = &Match>> {
+        let back = |n: usize| &self.ring[(self.next + HISTORY_DEPTH - n) % HISTORY_DEPTH];
+        for n in 1..=HISTORY_DEPTH {
+            match back(n).from {
+                0 => return None,
+                from if from == seen => return Some((1..=n).map(move |k| &back(k).mat)),
+                _ => {}
+            }
+        }
+        None
+    }
+}
+
 /// A lookup table over something immutable: `(key, position)` sorted by
 /// key, the first position winning a duplicate key. At a few hundred
 /// entries a binary search is as quick as a hash, and three such tables
@@ -201,14 +270,14 @@ impl Clone for WalkScratch {
 pub struct Network {
     now: SimTime,
     switches: BTreeMap<DatapathId, Switch>,
-    /// Per-switch change stamp: redrawn whenever the switch's forwarding
+    /// Per-switch change stamp, redrawn whenever the switch's forwarding
     /// state (flow table, port liveness, up-flag, or the status of a link
-    /// it terminates) may have changed. Kept here rather than in
-    /// [`Switch`], whose encoding must not grow. `Clone` copies stamps
-    /// verbatim — identical state, identical stamps — and the first
-    /// divergent write on either side draws a fresh one. Parallel to
-    /// `switches` (ascending dpid).
-    stamps: Vec<u64>,
+    /// it terminates) may have changed, with what the latest redraws were
+    /// for. Kept here rather than in [`Switch`], whose encoding must not
+    /// grow. `Clone` copies both verbatim — identical state, identical
+    /// stamps, identical past — and the first divergent write on either
+    /// side draws a fresh stamp. Parallel to `switches` (ascending dpid).
+    history: Vec<History>,
     links: Vec<Link>,
     hosts: Vec<HostSpec>,
     wiring: Arc<Wiring>,
@@ -234,7 +303,7 @@ impl Network {
         }
         Network {
             now: SimTime::ZERO,
-            stamps: switches.keys().map(|_| fresh_stamp()).collect(),
+            history: switches.keys().map(|_| History::new()).collect(),
             switches,
             links: topology
                 .links
@@ -296,13 +365,27 @@ impl Network {
             .dpids
             .iter()
             .copied()
-            .zip(self.stamps.iter().copied())
+            .zip(self.history.iter().map(|h| h.stamp))
     }
 
-    /// Record that `dpid`'s forwarding state may have changed.
-    fn stamp(&mut self, dpid: DatapathId) {
+    /// What took the switch at position `row` of [`Self::stamps`] from
+    /// the stamp `seen` to the one it has now: matches such that every
+    /// flow entry added, rewritten or removed in between lies inside one
+    /// of them — so a packet none of them matches is forwarded there as
+    /// it was at `seen`, and nothing else about the switch changed. Never
+    /// a subset. `None` when that cannot be said: something other than a
+    /// flow-mod changed the switch (port-mod, expiry, link or power
+    /// flap), more steps passed than are kept, or `seen` is not a stamp
+    /// this switch had on the way here (a diverged clone's, say).
+    pub fn changes_since(&self, row: usize, seen: u64) -> Option<impl Iterator<Item = &Match>> {
+        self.history.get(row)?.since(seen)
+    }
+
+    /// Record that `dpid`'s forwarding state may have changed; see
+    /// [`History::advance`] for `within`.
+    fn stamp(&mut self, dpid: DatapathId, within: Option<&Match>) {
         if let Ok(i) = self.wiring.dpids.binary_search(&dpid) {
-            self.stamps[i] = fresh_stamp();
+            self.history[i].advance(within);
         }
     }
 
@@ -375,7 +458,19 @@ impl Network {
         }
         let out = sw.handle_message(msg, now);
         if msg.alters_network_state() {
-            self.stamp(dpid);
+            // A flow-mod of any command touches only entries whose match
+            // lies inside its own (an add or a strict form: equal to it;
+            // a loose modify or delete: subsumed by it). One the table
+            // refused (overlap, full) changed nothing, which is inside
+            // any match. A `FlowModBatch` is answered `Unsupported` and
+            // changes nothing either, but is not worth describing.
+            self.stamp(
+                dpid,
+                match msg {
+                    Message::FlowMod(fm) => Some(&fm.mat),
+                    _ => None,
+                },
+            );
         }
         for n in out.notifications {
             self.events.push_back(NetEvent::FromSwitch(dpid, n));
@@ -493,7 +588,7 @@ impl Network {
     pub fn tick(&mut self, delta: SimDuration) {
         self.now += delta;
         let now = self.now;
-        for ((&dpid, sw), stamp) in self.switches.iter_mut().zip(&mut self.stamps) {
+        for ((&dpid, sw), history) in self.switches.iter_mut().zip(&mut self.history) {
             if !sw.is_up() {
                 continue;
             }
@@ -502,7 +597,7 @@ impl Network {
             let before = sw.table().len();
             let removed = sw.expire_flows(now);
             if sw.table().len() != before {
-                *stamp = fresh_stamp();
+                history.advance(None);
             }
             for msg in removed {
                 self.events.push_back(NetEvent::FromSwitch(dpid, msg));
@@ -520,7 +615,7 @@ impl Network {
         link.up = up;
         let spec = link.spec;
         for ep in [spec.a, spec.b] {
-            self.stamp(ep.dpid);
+            self.stamp(ep.dpid, None);
             if let Some(sw) = self.switches.get_mut(&ep.dpid) {
                 if let Some(msg) = sw.set_link_down(ep.port, !up) {
                     if sw.is_up() {
@@ -552,7 +647,7 @@ impl Network {
             return Ok(());
         }
         sw.set_up(up);
-        self.stamp(dpid);
+        self.stamp(dpid, None);
         self.events.push_back(if up {
             NetEvent::SwitchConnected(dpid)
         } else {
@@ -585,7 +680,7 @@ impl Network {
                 }
             }
             if flapped {
-                self.stamp(peer.dpid);
+                self.stamp(peer.dpid, None);
             }
         }
         Ok(())
@@ -941,6 +1036,92 @@ mod tests {
         assert!(net.apply(d1, &Message::FlowMod(fm.clone())).is_err());
         assert!(net.apply(DatapathId(9), &Message::FlowMod(fm)).is_err());
         assert!(restamped(&before, &net).is_empty());
+    }
+
+    #[test]
+    fn changes_since_names_the_flow_mods_or_says_unknown() {
+        let topo = Topology::linear(2, 1);
+        let mut net = Network::new(&topo);
+        let (d1, d2) = (DatapathId(1), DatapathId(2));
+        let stamp = |net: &Network, row: usize| net.stamps().nth(row).unwrap().1;
+        let since = |net: &Network, row: usize, seen: u64| {
+            net.changes_since(row, seen)
+                .map(|mats| mats.cloned().collect::<Vec<_>>())
+        };
+        let mat = |i: u64| Match::eth_dst(MacAddr::from_index(i));
+        let add = |net: &mut Network, d: DatapathId, m: Match| {
+            net.apply(d, &Message::FlowMod(FlowMod::add(m))).unwrap();
+        };
+
+        // Flow-mods are named, newest first, from any stamp on the way.
+        let s0 = stamp(&net, 0);
+        add(&mut net, d1, mat(1));
+        let s1 = stamp(&net, 0);
+        let mut del = FlowMod::add(mat(2));
+        del.command = legosdn_openflow::prelude::FlowModCommand::Delete;
+        net.apply(d1, &Message::FlowMod(del)).unwrap();
+        assert_eq!(since(&net, 0, s0), Some(vec![mat(2), mat(1)]));
+        assert_eq!(since(&net, 0, s1), Some(vec![mat(2)]));
+        // A stamp the switch never had, the other switch's say: unknown.
+        assert_eq!(since(&net, 0, stamp(&net, 1)), None);
+        assert_eq!(since(&net, 9, s0), None);
+
+        // A clone carries the past; what either side does next is its own.
+        let mut fork = net.clone();
+        let s2 = stamp(&net, 0);
+        add(&mut fork, d1, mat(3));
+        add(&mut net, d1, mat(4));
+        assert_eq!(since(&fork, 0, s1), Some(vec![mat(3), mat(2)]));
+        assert_eq!(since(&net, 0, s2), Some(vec![mat(4)]));
+        assert_eq!(since(&net, 0, stamp(&fork, 0)), None);
+
+        // One step more than is kept: unknown, from then on.
+        for i in 0..HISTORY_DEPTH as u64 {
+            assert_eq!(since(&net, 0, s2).map(|m| m.len()), Some(i as usize + 1));
+            add(&mut net, d1, mat(10 + i));
+        }
+        assert_eq!(since(&net, 0, s2), None);
+
+        // Anything but a flow-mod cuts the chain, however recent.
+        let cuts: [fn(&mut Network); 4] = [
+            |net| {
+                let pm = legosdn_openflow::messages::PortMod {
+                    port_no: PortNo::Phys(1),
+                    hw_addr: MacAddr::from_index(0),
+                    down: true,
+                };
+                net.apply(DatapathId(2), &Message::PortMod(pm)).unwrap();
+            },
+            |net| {
+                net.apply(DatapathId(2), &Message::FlowModBatch(vec![]))
+                    .unwrap();
+            },
+            |net| net.set_link_up(0, false).unwrap(),
+            |net| {
+                let fm = FlowMod::add(Match::any()).hard_timeout(1);
+                net.apply(DatapathId(2), &Message::FlowMod(fm)).unwrap();
+                net.tick(SimDuration::from_secs(2));
+            },
+        ];
+        for cut in cuts {
+            let before = stamp(&net, 1);
+            add(&mut net, d2, mat(5));
+            cut(&mut net);
+            let between = stamp(&net, 1);
+            add(&mut net, d2, mat(6));
+            assert_eq!(since(&net, 1, before), None);
+            assert_eq!(since(&net, 1, between), Some(vec![mat(6)]));
+        }
+
+        // A refused flow-mod changed nothing; its match says no less.
+        let mut net = Network::new(&topo);
+        add(&mut net, d1, mat(1));
+        let before = stamp(&net, 0);
+        let mut clash = FlowMod::add(Match::any());
+        clash.check_overlap = true;
+        let out = net.apply(d1, &Message::FlowMod(clash)).unwrap();
+        assert!(matches!(out.replies[..], [Message::Error(_)]));
+        assert_eq!(since(&net, 0, before), Some(vec![Match::any()]));
     }
 
     #[test]

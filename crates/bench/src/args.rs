@@ -1,10 +1,10 @@
-//! Shared std-only flag parsing for the workload binaries (`campaign`,
-//! `fleet`, `aggregate`).
+//! Shared std-only flag parsing for the workload binaries (`campaign`
+//! and `fleet`).
 //!
 //! Each binary keeps its own config struct and `USAGE` text; this module
 //! owns the mechanics they used to duplicate: the flag/value walker, the
-//! error-to-usage exit path, and typed groups for the flag families more
-//! than one binary accepts (ops endpoint, dispatch shape, stub I/O).
+//! error-to-usage exit path, and typed groups per flag family (ops
+//! endpoint, dispatch shape, stub I/O).
 //!
 //! A group exposes `try_flag(flag, args) -> Result<bool, String>`: `true`
 //! means the group consumed the flag (and any value), `false` means the

@@ -14,14 +14,7 @@
 //! `--rounds 0` (the default) runs until the process is killed; a finite
 //! `--rounds N` makes the daemon a smoke-testable batch job (used by
 //! `scripts/check.sh`).
-//!
-//! With `--push-to HOST:PORT` the daemon additionally *pushes* its
-//! snapshot to a fleet aggregator (the `aggregate` binary) under the name
-//! given by `--campaign`, so N concurrent campaigns merge into one
-//! operator view. Pushing is fire-and-forget with backoff: a dead
-//! aggregator never slows the campaign down.
 
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
@@ -36,8 +29,6 @@ struct CampaignConfig {
     policy: CompromisePolicy,
     faults: Vec<BugEffect>,
     period: Duration,
-    push_to: Option<SocketAddr>,
-    campaign: String,
     dispatch: DispatchArgs,
     isolation: IsolationMode,
     io: IoArgs,
@@ -54,8 +45,6 @@ impl Default for CampaignConfig {
             policy: CompromisePolicy::Absolute,
             faults: vec![BugEffect::Crash, BugEffect::Blackhole],
             period: Duration::from_millis(20),
-            push_to: None,
-            campaign: "campaign".to_string(),
             dispatch: DispatchArgs::default(),
             isolation: IsolationMode::Local,
             io: IoArgs::default(),
@@ -68,13 +57,11 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--rounds N] \
 [--switches N] [--hosts N] [--policy absolute|no-compromise|equivalence] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
-[--push-to HOST:PORT] [--campaign NAME] \
 [--window DEPTH] [--workers N] \
 [--lookahead CYCLES] [--isolation local|channel|udp|tcp] \
 [--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
-ephemeral port (written to --addr-file for scripts). --push-to exports \
-to a fleet aggregator under the --campaign name. Events fan out to \
+ephemeral port (written to --addr-file for scripts). Events fan out to \
 isolated apps concurrently; --window \
 DEPTH keeps up to DEPTH events of a cycle in flight on each stub's \
 stream (default 1; same network state either way, see DESIGN.md). \
@@ -143,13 +130,6 @@ fn parse_args(args: &[String]) -> Result<CampaignConfig, String> {
                 }
             }
             "--period-ms" => cfg.period = Duration::from_millis(it.parsed()?),
-            "--push-to" => cfg.push_to = Some(it.parsed()?),
-            "--campaign" => {
-                cfg.campaign = it.value()?;
-                if cfg.campaign.is_empty() || cfg.campaign == legosdn::obs::FLEET {
-                    return Err("--campaign must be a non-reserved, non-empty name".into());
-                }
-            }
             "--isolation" => {
                 let v = it.value()?;
                 cfg.isolation = IsolationMode::parse(&v)
@@ -270,15 +250,6 @@ fn main() {
         },
     );
 
-    let exporter = cfg.push_to.map(|target| {
-        eprintln!(
-            "campaign: pushing to aggregator http://{target}/push as campaign \
-             {:?}",
-            cfg.campaign
-        );
-        PushExporter::start(obs.clone(), PushConfig::new(target, cfg.campaign.clone()))
-    });
-
     let (a, b) = (topo.hosts[0].mac, topo.hosts[1 % topo.hosts.len()].mac);
     let bounce = DatapathId(cfg.switches as u64); // the last switch
     let mut round: u64 = 0;
@@ -314,10 +285,6 @@ fn main() {
         std::thread::sleep(cfg.period);
     }
 
-    if let Some(exporter) = exporter {
-        // Final flush inside: short smoke runs still land a complete frame.
-        exporter.shutdown();
-    }
     let joined = server.shutdown();
     eprintln!(
         "campaign: done after {round} round(s); endpoint shut down ({joined} thread(s) joined)"

@@ -113,9 +113,6 @@ pub mod prelude {
     pub use legosdn_invariants::{Checker, Invariant};
     pub use legosdn_netlog::TxMode;
     pub use legosdn_netsim::{Network, SimDuration, SimTime, Topology};
-    pub use legosdn_obs::{
-        AggregateConfig, Aggregator, Obs, ObsError, ObsServer, PushConfig, PushExporter,
-        ServeConfig,
-    };
+    pub use legosdn_obs::{Obs, ObsServer, ServeConfig};
     pub use legosdn_openflow::prelude::*;
 }

@@ -241,29 +241,6 @@ impl LegoSdnRuntime {
         }
     }
 
-    /// Build a push frame of this runtime's observability state for
-    /// `campaign`: the cumulative metric snapshot plus the journal delta
-    /// after `since` (see [`legosdn_obs::Obs::frame`]). This is the
-    /// runtime-level entry point a custom export loop would use; the
-    /// stock [`legosdn_obs::PushExporter`] calls the same machinery.
-    #[must_use]
-    pub fn obs_frame(
-        &self,
-        campaign: &str,
-        since: Option<u64>,
-        max_records: usize,
-    ) -> legosdn_obs::PushFrame {
-        self.obs.frame(campaign, since, max_records)
-    }
-
-    /// Journal records with sequence numbers after `since` (all retained
-    /// records when `None`) — the raw snapshot-delta without the metric
-    /// snapshot around it.
-    #[must_use]
-    pub fn obs_delta(&self, since: Option<u64>) -> Vec<legosdn_obs::Record> {
-        self.obs.journal().snapshot_since(since)
-    }
-
     /// Attach an app in the configured isolation mode.
     pub fn attach(&mut self, app: Box<dyn SdnApp>) -> Result<AppId, AttachError> {
         self.attach_with_limits(app, self.config.resource_limits)
@@ -878,21 +855,6 @@ mod tests {
             ..LegoSdnConfig::default()
         });
         assert_eq!(rt.obs().journal().capacity(), 4);
-    }
-
-    #[test]
-    fn obs_frame_and_delta_expose_the_snapshot() {
-        let obs = Obs::new();
-        let rt = LegoSdnRuntime::new(LegoSdnConfig {
-            obs: ObsConfig::instance(obs.clone()),
-            ..LegoSdnConfig::default()
-        });
-        obs.record(legosdn_obs::RecordKind::HeartbeatMiss { app: "a".into() });
-        obs.record(legosdn_obs::RecordKind::HeartbeatMiss { app: "b".into() });
-        let frame = rt.obs_frame("alpha", None, 4096);
-        assert_eq!(frame.campaign, "alpha");
-        assert_eq!(frame.records.len(), 2);
-        assert_eq!(rt.obs_delta(Some(0)).len(), 1);
     }
 
     #[test]

@@ -14,13 +14,13 @@ fn sanitize(s: &str) -> String {
         .collect()
 }
 
-pub(crate) fn metric_name(key: &Key) -> String {
+fn metric_name(key: &Key) -> String {
     format!("legosdn_{}_{}", sanitize(&key.0), sanitize(&key.1))
 }
 
 /// Escape a label value per the Prometheus text exposition format:
 /// backslash, double-quote, and line feed.
-pub(crate) fn escape_label(label: &str) -> String {
+fn escape_label(label: &str) -> String {
     label
         .replace('\\', "\\\\")
         .replace('"', "\\\"")

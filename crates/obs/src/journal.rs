@@ -9,15 +9,9 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use legosdn_codec::Codec;
-
 /// What happened. App-scoped kinds name the app; transaction kinds name
 /// the NetLog transaction id.
-///
-/// `Codec` so records travel inside push frames (`crate::push`) — the
-/// variant order is therefore part of the wire format; append new kinds at
-/// the end.
-#[derive(Clone, Debug, PartialEq, Eq, Codec)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecordKind {
     /// An app panicked while handling an event (fail-stop detection).
     AppCrash { app: String, detail: String },
@@ -125,7 +119,7 @@ impl RecordKind {
 }
 
 /// One journal entry.
-#[derive(Clone, Debug, PartialEq, Eq, Codec)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
     /// Monotonic sequence number; total order over all records.
     pub seq: u64,
@@ -166,7 +160,7 @@ impl Journal {
     /// Append a record and report whether the ring dropped its oldest
     /// record to make room — [`crate::Obs::record`] mirrors that bit into
     /// the `journal_dropped` counter so silent eviction shows up in
-    /// `/metrics` and push frames, not just in [`Journal::evicted`].
+    /// `/metrics`, not just in [`Journal::evicted`].
     pub fn record_at_evicting(&self, at_ns: u64, kind: RecordKind) -> (u64, bool) {
         let mut ring = self.inner.lock().unwrap();
         let seq = ring.next_seq;
@@ -185,26 +179,6 @@ impl Journal {
     #[must_use]
     pub fn snapshot(&self) -> Vec<Record> {
         self.inner.lock().unwrap().records.iter().cloned().collect()
-    }
-
-    /// The retained records with sequence numbers strictly greater than
-    /// `since` (all retained records when `None`), oldest first — the
-    /// delta a push exporter ships between acks. Records evicted by the
-    /// ring before being requested are simply gone: the ring itself is
-    /// the drop-oldest buffer that keeps a dead consumer from growing
-    /// this process without bound.
-    #[must_use]
-    pub fn snapshot_since(&self, since: Option<u64>) -> Vec<Record> {
-        let ring = self.inner.lock().unwrap();
-        match since {
-            None => ring.records.iter().cloned().collect(),
-            Some(seq) => ring
-                .records
-                .iter()
-                .filter(|r| r.seq > seq)
-                .cloned()
-                .collect(),
-        }
     }
 
     /// Total records ever appended (including evicted ones).
@@ -281,41 +255,6 @@ mod tests {
         assert_eq!(j.record_at_evicting(1, crash("a")), (1, false));
         assert_eq!(j.record_at_evicting(2, crash("a")), (2, true));
         assert_eq!(j.evicted(), 1);
-    }
-
-    #[test]
-    fn snapshot_since_returns_the_delta() {
-        let j = Journal::new(8);
-        for i in 0..5 {
-            j.record_at(i, crash("a"));
-        }
-        assert_eq!(j.snapshot_since(None).len(), 5);
-        let delta = j.snapshot_since(Some(2));
-        assert_eq!(delta.len(), 2);
-        assert_eq!(delta[0].seq, 3);
-        assert_eq!(delta[1].seq, 4);
-        assert!(j.snapshot_since(Some(4)).is_empty());
-        // An ack pointing past eviction still yields only retained records.
-        assert_eq!(j.snapshot_since(Some(100)).len(), 0);
-    }
-
-    #[test]
-    fn records_roundtrip_through_the_codec() {
-        let j = Journal::new(8);
-        j.record_at(7, crash("alpha"));
-        j.record_at(
-            9,
-            RecordKind::CheckpointTaken {
-                app: "alpha".into(),
-                bytes: 128,
-                dur_ns: 42,
-            },
-        );
-        for rec in j.snapshot() {
-            let bytes = legosdn_codec::to_bytes(&rec).unwrap();
-            let back: Record = legosdn_codec::from_bytes(&bytes).unwrap();
-            assert_eq!(back, rec);
-        }
     }
 
     #[test]

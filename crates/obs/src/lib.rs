@@ -1,7 +1,7 @@
 //! `legosdn-obs` — zero-dependency observability for LegoSDN.
 //!
 //! The paper's pitch is that app failures become *survivable events with a
-//! measurable recovery path*; this crate makes that path measurable. Four
+//! measurable recovery path*; this crate makes that path measurable. Five
 //! pieces, all std-only:
 //!
 //! - **Metrics** ([`metrics`]): lock-free counters/gauges and log-bucketed
@@ -15,7 +15,7 @@
 //!   per-incident detection→restore→replay reports.
 //! - **Ops endpoint** ([`serve`]): a bounded, blocking HTTP responder
 //!   serving all of the above live over TCP (`/metrics`, `/metrics.json`,
-//!   `/incidents`, `/healthz`).
+//!   `/incidents`, `/traces`, `/rollups`, `/healthz`).
 //!
 //! Exporters ([`Obs::prometheus`], [`Obs::json_snapshot`]) serve scraping
 //! and `BENCH_*.json` trajectories.
@@ -24,27 +24,21 @@
 //! to [`Obs::global`] so wiring is optional per call site, while tests use
 //! private instances to stay isolated.
 
-pub mod aggregate;
-pub mod error;
 pub mod export;
 pub mod journal;
 pub mod metrics;
-pub mod push;
 pub mod rollup;
 pub mod serve;
 pub mod timeline;
 pub mod trace;
 
-pub use aggregate::{AggregateConfig, Aggregator, FleetIncident, FLEET};
-pub use error::ObsError;
 pub use journal::{Journal, Record, RecordKind};
 pub use metrics::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramRow, HistogramSummary,
     SpanGuard,
 };
-pub use push::{PushAck, PushConfig, PushExporter, PushFrame, WireHistogram};
-pub use rollup::{RollupConfig, RollupSample, RollupState, RollupTracker, RollupWindow};
-pub use serve::{ObsServer, ObsServerBuilder, Request, Response, RouteHandler, ServeConfig};
+pub use rollup::{RollupConfig, RollupSample, RollupTracker, RollupWindow};
+pub use serve::{ObsServer, ServeConfig};
 pub use timeline::{reconstruct, IncidentReport, ReplayInfo, Resolution, RestoreInfo};
 pub use trace::{FlightRecorder, Trace, TraceEvent, TraceId, DEFAULT_TRACE_CAPACITY};
 
@@ -159,7 +153,7 @@ impl Obs {
     /// Append a journal record stamped with [`Obs::now_ns`]; returns its
     /// sequence number. A record evicted to make room bumps the
     /// `journal_dropped` counter so bounded-ring data loss is visible in
-    /// `/metrics` and push frames.
+    /// `/metrics`.
     pub fn record(&self, kind: RecordKind) -> u64 {
         let (seq, dropped) = self.inner.journal.record_at_evicting(self.now_ns(), kind);
         if dropped {
@@ -237,19 +231,13 @@ impl Obs {
         self.inner.tracer.get(id)
     }
 
-    /// The `n` most recent traces, oldest first.
-    #[must_use]
-    pub fn recent_traces(&self, n: usize) -> Vec<Trace> {
-        self.inner.tracer.recent(n)
-    }
-
     /// Traces evicted from the flight recorder.
     #[must_use]
     pub fn traces_dropped(&self) -> u64 {
         self.inner.tracer.dropped()
     }
 
-    /// The metrics registry — push/aggregate internals snapshot it whole.
+    /// The metrics registry — the rollup sampler reads it whole.
     pub(crate) fn registry(&self) -> &Registry {
         &self.inner.registry
     }

@@ -6,13 +6,12 @@
 //! count/duration) into fixed-width windows of *deltas*, retaining only
 //! the most recent `retain` windows (drop-oldest).
 //!
-//! Sampling is pull-shaped: callers hand the tracker a [`RollupSample`]
-//! whenever convenient (each push-frame ingest on the aggregator, each
-//! `GET /rollups` locally). When a sample lands past the current window
-//! boundary, the open window closes with the delta between its boundary
-//! samples. Attribution is at sample granularity — a sample's activity
-//! counts toward the window it closes into, which is exact whenever
-//! sampling is at least as frequent as the window width.
+//! Sampling is pull-shaped: the ops endpoint hands the tracker a
+//! [`RollupSample`] on each `GET /rollups`. When a sample lands past the
+//! current window boundary, the open window closes with the delta between
+//! its boundary samples. Attribution is at sample granularity — a
+//! sample's activity counts toward the window it closes into, which is
+//! exact whenever sampling is at least as frequent as the window width.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -50,8 +49,7 @@ impl RollupConfig {
 /// A point-in-time reading of the cumulative series the rollup tracks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RollupSample {
-    /// Timestamp on the *sampler's* clock (campaign obs locally,
-    /// aggregator obs fleet-side, so fleet windows align).
+    /// Timestamp on the sampled [`Obs`]'s clock.
     pub at_ns: u64,
     /// Cumulative events translated.
     pub events: u64,
@@ -99,8 +97,9 @@ impl RollupSample {
     }
 }
 
-/// Sum `(upper_bound, count)` bucket lists bucket-wise into `into`.
-pub fn merge_buckets(into: &mut Vec<(u64, u64)>, add: &[(u64, u64)]) {
+/// Sum `(upper_bound, count)` bucket lists bucket-wise into `into` — a
+/// series recorded under several labels reads as one.
+fn merge_buckets(into: &mut Vec<(u64, u64)>, add: &[(u64, u64)]) {
     let mut map: BTreeMap<u64, u64> = into.iter().copied().collect();
     for &(ub, c) in add {
         *map.entry(ub).or_insert(0) += c;
@@ -143,8 +142,8 @@ pub struct RollupWindow {
     pub recoveries: u64,
     pub recovery_count: u64,
     pub recovery_ns: u64,
-    /// Per-window `core.run_cycle` bucket deltas, kept so fleet rollups
-    /// can merge bucket-wise before taking quantiles.
+    /// Per-window `core.run_cycle` bucket deltas the quantiles are taken
+    /// from.
     pub cycle_buckets: Vec<(u64, u64)>,
 }
 
@@ -164,31 +163,26 @@ impl RollupWindow {
                 cycle_buckets.push((ub, d));
             }
         }
-        let mut w = RollupWindow {
+        let span_ns = end_ns.saturating_sub(start_ns);
+        let events = s.events.saturating_sub(base.events);
+        RollupWindow {
             index,
             start_ns,
             end_ns,
-            events: s.events.saturating_sub(base.events),
+            events,
+            events_per_sec: if span_ns == 0 {
+                0.0
+            } else {
+                events as f64 * 1e9 / span_ns as f64
+            },
             cycles: s.cycles.saturating_sub(base.cycles),
+            p50_cycle_ns: quantile_from_buckets(&cycle_buckets, 0.50),
+            p99_cycle_ns: quantile_from_buckets(&cycle_buckets, 0.99),
             recoveries: s.recoveries.saturating_sub(base.recoveries),
             recovery_count: s.recovery_count.saturating_sub(base.recovery_count),
             recovery_ns: s.recovery_ns.saturating_sub(base.recovery_ns),
             cycle_buckets,
-            ..RollupWindow::default()
-        };
-        w.finish(end_ns.saturating_sub(start_ns));
-        w
-    }
-
-    /// Recompute the derived fields (rate, quantiles) from the raw deltas.
-    pub fn finish(&mut self, span_ns: u64) {
-        self.events_per_sec = if span_ns == 0 {
-            0.0
-        } else {
-            self.events as f64 * 1e9 / span_ns as f64
-        };
-        self.p50_cycle_ns = quantile_from_buckets(&self.cycle_buckets, 0.50);
-        self.p99_cycle_ns = quantile_from_buckets(&self.cycle_buckets, 0.99);
+        }
     }
 
     /// JSON object for `/rollups`.
@@ -214,11 +208,16 @@ impl RollupWindow {
     }
 }
 
-/// Lock-free-clonable rollup core: boundary bookkeeping plus the bounded
-/// ring of closed windows. Plain data so the aggregator can keep one per
-/// campaign under its existing shard locks.
-#[derive(Clone, Debug, Default)]
-pub struct RollupState {
+/// Boundary bookkeeping plus the bounded ring of closed windows, behind
+/// one lock so the ops endpoint's workers can share it.
+#[derive(Debug, Default)]
+pub struct RollupTracker {
+    cfg: RollupConfig,
+    state: Mutex<State>,
+}
+
+#[derive(Debug, Default)]
+struct State {
     /// Sample at the last closed boundary.
     base: Option<RollupSample>,
     base_window: u64,
@@ -228,10 +227,39 @@ pub struct RollupState {
     evicted: u64,
 }
 
-impl RollupState {
+impl RollupTracker {
+    #[must_use]
+    pub fn new(cfg: RollupConfig) -> Self {
+        RollupTracker {
+            cfg,
+            state: Mutex::default(),
+        }
+    }
+
     /// Fold a sample in; closes the open window when `s` lands past its
-    /// boundary, evicting the oldest closed window beyond `cfg.retain`.
-    pub fn observe(&mut self, cfg: &RollupConfig, s: RollupSample) {
+    /// boundary, evicting the oldest closed window beyond `retain`.
+    pub fn observe(&self, s: RollupSample) {
+        self.state.lock().unwrap().observe(&self.cfg, s);
+    }
+
+    /// Closed windows, oldest first.
+    #[must_use]
+    pub fn windows(&self) -> Vec<RollupWindow> {
+        let st = self.state.lock().unwrap();
+        st.windows.iter().cloned().collect()
+    }
+
+    /// Sample `obs` now, then render the `/rollups` JSON.
+    #[must_use]
+    pub fn json_for(&self, obs: &Obs) -> String {
+        let mut st = self.state.lock().unwrap();
+        st.observe(&self.cfg, RollupSample::from_obs(obs));
+        st.render_json(&self.cfg)
+    }
+}
+
+impl State {
+    fn observe(&mut self, cfg: &RollupConfig, s: RollupSample) {
         let width = cfg.width_ns();
         let w = s.at_ns / width;
         match &self.base {
@@ -262,16 +290,9 @@ impl RollupState {
         self.last = Some(s);
     }
 
-    /// Closed windows, oldest first.
-    #[must_use]
-    pub fn windows(&self) -> Vec<RollupWindow> {
-        self.windows.iter().cloned().collect()
-    }
-
     /// The open (not yet closed) window: deltas from the last boundary to
-    /// the latest sample. `None` until two samples exist.
-    #[must_use]
-    pub fn current(&self, cfg: &RollupConfig) -> Option<RollupWindow> {
+    /// the latest sample. `None` until a sample exists.
+    fn current(&self, cfg: &RollupConfig) -> Option<RollupWindow> {
         let base = self.base.as_ref()?;
         let last = self.last.as_ref()?;
         let width = cfg.width_ns();
@@ -284,88 +305,27 @@ impl RollupState {
         ))
     }
 
-    /// Closed windows evicted by retention.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// JSON payload for one campaign's `/rollups` entry.
-    #[must_use]
-    pub fn to_json(&self, cfg: &RollupConfig) -> String {
-        render_json(
-            cfg,
-            &self.windows(),
-            self.current(cfg).as_ref(),
-            self.evicted,
-        )
-    }
-}
-
-/// Thread-safe wrapper for the local (single-campaign) ops endpoint.
-#[derive(Debug, Default)]
-pub struct RollupTracker {
-    cfg: RollupConfig,
-    state: Mutex<RollupState>,
-}
-
-impl RollupTracker {
-    #[must_use]
-    pub fn new(cfg: RollupConfig) -> Self {
-        RollupTracker {
-            cfg,
-            state: Mutex::new(RollupState::default()),
+    /// The `/rollups` body: closed windows plus the open one.
+    fn render_json(&self, cfg: &RollupConfig) -> String {
+        use std::fmt::Write as _;
+        let mut out = format!(
+            "{{\"width_ns\":{},\"retain\":{},\"windows_evicted\":{},\"windows\":[",
+            cfg.width_ns(),
+            cfg.retain,
+            self.evicted
+        );
+        for (i, w) in self.windows.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}{}", w.to_json());
         }
+        out.push_str("],\"current\":");
+        match self.current(cfg) {
+            Some(w) => out.push_str(&w.to_json()),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+        out
     }
-
-    pub fn observe(&self, s: RollupSample) {
-        self.state.lock().unwrap().observe(&self.cfg, s);
-    }
-
-    #[must_use]
-    pub fn windows(&self) -> Vec<RollupWindow> {
-        self.state.lock().unwrap().windows()
-    }
-
-    #[must_use]
-    pub fn config(&self) -> RollupConfig {
-        self.cfg
-    }
-
-    /// Sample `obs` now, then render the `/rollups` JSON.
-    #[must_use]
-    pub fn json_for(&self, obs: &Obs) -> String {
-        let mut st = self.state.lock().unwrap();
-        st.observe(&self.cfg, RollupSample::from_obs(obs));
-        st.to_json(&self.cfg)
-    }
-}
-
-/// Render one rollup series (closed windows + the open one) as JSON.
-#[must_use]
-pub fn render_json(
-    cfg: &RollupConfig,
-    windows: &[RollupWindow],
-    current: Option<&RollupWindow>,
-    evicted: u64,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"width_ns\":{},\"retain\":{},\"windows_evicted\":{evicted},\"windows\":[",
-        cfg.width_ns(),
-        cfg.retain
-    );
-    for (i, w) in windows.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}{}", w.to_json());
-    }
-    out.push_str("],\"current\":");
-    match current {
-        Some(w) => out.push_str(&w.to_json()),
-        None => out.push_str("null"),
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -388,11 +348,11 @@ mod tests {
             width: Duration::from_secs(10),
             retain: 8,
         };
-        let mut st = RollupState::default();
-        st.observe(&cfg, sample(1, 100));
-        st.observe(&cfg, sample(5, 200)); // still window 0
+        let st = RollupTracker::new(cfg);
+        st.observe(sample(1, 100));
+        st.observe(sample(5, 200)); // still window 0
         assert!(st.windows().is_empty());
-        st.observe(&cfg, sample(12, 260)); // crosses into window 1
+        st.observe(sample(12, 260)); // crosses into window 1
         let ws = st.windows();
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].index, 0);
@@ -401,7 +361,7 @@ mod tests {
         assert_eq!(ws[0].cycles, 50);
         assert!(ws[0].events_per_sec > 0.0);
         // The open window carries the remainder.
-        let cur = st.current(&cfg).unwrap();
+        let cur = st.state.lock().unwrap().current(&cfg).unwrap();
         assert_eq!(cur.events, 60);
     }
 
@@ -411,13 +371,13 @@ mod tests {
             width: Duration::from_secs(1),
             retain: 3,
         };
-        let mut st = RollupState::default();
+        let st = RollupTracker::new(cfg);
         for s in 0..10u64 {
-            st.observe(&cfg, sample(s, s * 10));
+            st.observe(sample(s, s * 10));
         }
         let ws = st.windows();
         assert_eq!(ws.len(), 3, "ring holds exactly `retain` windows");
-        assert_eq!(st.evicted(), 6, "9 closed, 6 evicted");
+        assert_eq!(st.state.lock().unwrap().evicted, 6, "9 closed, 6 evicted");
         // The survivors are the most recent ones, in order.
         let idx: Vec<u64> = ws.iter().map(|w| w.index).collect();
         assert_eq!(idx, vec![6, 7, 8]);
@@ -449,12 +409,48 @@ mod tests {
     }
 
     #[test]
+    fn from_obs_merges_labelled_cycle_histograms_bucket_wise() {
+        let obs = Obs::new();
+        // Two labels of one series (a sharded runtime's `w0` / `w1`)
+        // whose buckets overlap at 100 and differ elsewhere.
+        for v in [100, 100, 3] {
+            obs.histogram("core", "run_cycle", "w0").observe(v);
+        }
+        for v in [100, 1 << 20] {
+            obs.histogram("core", "run_cycle", "w1").observe(v);
+        }
+        let ub = |v| crate::bucket_bounds(crate::bucket_index(v)).1;
+        let s = RollupSample::from_obs(&obs);
+        assert_eq!(s.cycles, 5);
+        assert_eq!(
+            s.cycle_buckets,
+            vec![(ub(3), 1), (ub(100), 3), (ub(1 << 20), 1)],
+            "bucket-wise sums, ordered by bound"
+        );
+
+        // Quantiles of a window come from the merged deltas: four more
+        // slow cycles on w1 move p50 off the bucket w0 alone would give.
+        let st = RollupTracker::new(RollupConfig::default());
+        st.observe(s);
+        for _ in 0..4 {
+            obs.histogram("core", "run_cycle", "w1").observe(1 << 20);
+        }
+        obs.histogram("core", "run_cycle", "w0").observe(100);
+        st.observe(RollupSample::from_obs(&obs));
+        let cur = st.state.lock().unwrap().current(&st.cfg).unwrap();
+        assert_eq!(cur.cycles, 5);
+        assert_eq!(cur.cycle_buckets, vec![(ub(100), 1), (ub(1 << 20), 4)]);
+        assert_eq!(cur.p50_cycle_ns, ub(1 << 20));
+        assert_eq!(cur.p99_cycle_ns, ub(1 << 20));
+    }
+
+    #[test]
     fn render_json_is_balanced_and_tagged() {
         let cfg = RollupConfig::default();
-        let mut st = RollupState::default();
-        st.observe(&cfg, sample(1, 10));
-        st.observe(&cfg, sample(2, 30));
-        let json = st.to_json(&cfg);
+        let st = RollupTracker::new(cfg);
+        st.observe(sample(1, 10));
+        st.observe(sample(2, 30));
+        let json = st.state.lock().unwrap().render_json(&cfg);
         assert!(json.contains("\"width_ns\":10000000000"));
         assert!(json.contains("\"current\":{"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -1,36 +1,21 @@
-//! Ops endpoint: a minimal, std-only, blocking HTTP/1.1 responder shared
-//! by the pull endpoint (one campaign's live [`Obs`] state) and the
-//! fleet aggregator ([`crate::aggregate::Aggregator`]).
+//! Ops endpoint: a minimal, std-only, blocking HTTP/1.1 responder over
+//! one live [`Obs`] instance.
 //!
 //! The paper's operability story (Crash-Pad problem tickets, §5) assumes
 //! operators can *watch* failures and recoveries as they happen.
-//! [`ObsServer`] is the watching machinery; what it serves is decided by a
-//! [`RouteHandler`]:
-//!
-//! - [`ObsServerBuilder::start`] serves one `Obs` instance (the pull
-//!   routes: `/metrics`, `/metrics.json`, `/incidents`, `/healthz`);
-//! - [`ObsServerBuilder::start_with`] serves any handler — the aggregator
-//!   uses this to add `POST /push` and fleet-merged views of the same
-//!   routes.
+//! [`ObsServer`] is the watching machinery. It is GET-only: `/metrics`,
+//! `/metrics.json`, `/incidents`, `/traces`, `/traces/<id>`, `/rollups`
+//! and `/healthz`, each answered from the request head alone — a declared
+//! body is never read, let alone buffered.
 //!
 //! Resource behaviour is deliberately bounded: a fixed worker pool drains
 //! a bounded connection queue (overload answers `503` instead of queueing
 //! without limit), every connection gets read/write deadlines, request
-//! heads are capped at [`ServeConfig::max_request_bytes`], bodies at
-//! [`ServeConfig::max_body_bytes`] (`413` beyond it), and responses close
-//! the connection (no keep-alive state to leak). Shutdown is an atomic
-//! flag plus a self-connect to wake the blocking `accept`, then a join of
-//! every thread — a hung scrape cannot wedge process exit past its I/O
-//! deadline.
-//!
-//! One subtlety for restartable servers: whichever TCP endpoint closes
-//! first owns the `TIME_WAIT` state, and a port with server-side
-//! `TIME_WAIT` sockets cannot be re-bound (std exposes no `SO_REUSEADDR`).
-//! [`ServeConfig::close_grace`] makes the server wait briefly for the
-//! client's FIN after writing a response, so well-behaved clients (the
-//! push exporter, scrapers that parse `Content-Length`) close first and
-//! the port is immediately re-bindable — which is what lets an aggregator
-//! be killed and restarted on the same address mid-campaign.
+//! heads are capped at [`ServeConfig::max_request_bytes`] (`431` beyond
+//! it), and responses close the connection (no keep-alive state to leak).
+//! Shutdown is an atomic flag plus a self-connect to wake the blocking
+//! `accept`, then a join of every thread — a hung scrape cannot wedge
+//! process exit past its I/O deadline.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,9 +23,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::error::ObsError;
+use crate::rollup::{RollupConfig, RollupTracker};
+use crate::trace::TraceId;
 use crate::Obs;
 
 /// Endpoint knobs. The defaults suit a localhost scraper.
@@ -56,14 +42,6 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Maximum bytes of request head we will buffer before answering `431`.
     pub max_request_bytes: usize,
-    /// Maximum request body bytes (push frames); beyond it clients get
-    /// `413`.
-    pub max_body_bytes: usize,
-    /// After writing a response, wait up to this long for the client to
-    /// close first. Zero (the default) closes immediately. Servers that
-    /// must re-bind their port promptly after shutdown — a restarted
-    /// aggregator — set a small grace so `TIME_WAIT` lands on the client.
-    pub close_grace: Duration,
 }
 
 impl Default for ServeConfig {
@@ -74,8 +52,6 @@ impl Default for ServeConfig {
             backlog: 32,
             io_timeout: Duration::from_secs(2),
             max_request_bytes: 8 * 1024,
-            max_body_bytes: 4 * 1024 * 1024,
-            close_grace: Duration::ZERO,
         }
     }
 }
@@ -91,196 +67,77 @@ impl ServeConfig {
     }
 }
 
-/// One parsed HTTP request, as handed to a [`RouteHandler`].
-#[derive(Clone, Debug)]
-pub struct Request {
-    /// Uppercase method token (`GET`, `POST`, …) exactly as received.
-    pub method: String,
-    /// Request path with any query string stripped.
-    pub path: String,
-    /// Request body (empty unless the client sent `Content-Length`).
-    pub body: Vec<u8>,
-}
-
-/// What a [`RouteHandler`] answers with.
-#[derive(Clone, Debug)]
-pub struct Response {
-    pub status: u16,
-    pub content_type: &'static str,
-    pub body: String,
+struct Response {
+    status: u16,
+    content_type: &'static str,
+    body: String,
 }
 
 impl Response {
-    /// A `text/plain` response.
-    #[must_use]
-    pub fn text(status: u16, body: impl Into<String>) -> Response {
+    fn text(status: u16, body: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "text/plain",
             body: body.into(),
         }
     }
+
+    fn json(body: String) -> Response {
+        Response {
+            status: 200,
+            content_type: "application/json",
+            body,
+        }
+    }
 }
 
-/// Dispatches parsed requests to responses. Implemented by the pull
-/// routes (over an [`Obs`]) and by the aggregator; anything else that
-/// wants to ride the bounded serving machinery can implement it too.
-pub trait RouteHandler: Send + Sync + 'static {
-    /// Answer one request. Must not block beyond its own computation —
-    /// socket deadlines are the server's job.
-    fn route(&self, req: &Request) -> Response;
-}
-
-/// The single-campaign pull routes: the original `ObsServer` behaviour.
-struct PullRoutes {
+/// What the workers answer from: the instance being served plus the
+/// time-windowed rollups, sampled lazily on `/rollups` GETs.
+struct Routes {
     obs: Obs,
-    /// Local time-windowed rollups, sampled lazily on `/rollups` GETs.
-    rollups: crate::rollup::RollupTracker,
+    rollups: RollupTracker,
 }
 
-impl PullRoutes {
-    fn new(obs: Obs) -> Self {
-        PullRoutes {
-            obs,
-            rollups: crate::rollup::RollupTracker::new(crate::rollup::RollupConfig::default()),
+impl Routes {
+    fn route(&self, method: &str, path: &str) -> Response {
+        if method != "GET" {
+            return Response::text(405, "method not allowed; use GET\n");
+        }
+        if let Some(id) = path.strip_prefix("/traces/") {
+            return self.trace_detail(id);
+        }
+        match path {
+            "/metrics" => Response {
+                status: 200,
+                content_type: "text/plain; version=0.0.4; charset=utf-8",
+                body: self.obs.prometheus(),
+            },
+            "/metrics.json" => Response::json(self.obs.json_snapshot()),
+            "/incidents" => Response {
+                status: 200,
+                content_type: "text/plain; charset=utf-8",
+                body: incidents_report(&self.obs),
+            },
+            "/traces" => Response::json(crate::trace::list_json(
+                &self.obs.traces(),
+                self.obs.traces_dropped(),
+            )),
+            "/rollups" => Response::json(self.rollups.json_for(&self.obs)),
+            "/healthz" => Response::text(200, "ok\n"),
+            _ => Response::text(404, "not found\n"),
         }
     }
 
     /// `GET /traces/<cycle>-<seq>`: the trace's causal story plus any
     /// journal-reconstructed incidents that overlap it.
     fn trace_detail(&self, id_str: &str) -> Response {
-        let Some(id) = crate::trace::TraceId::parse(id_str) else {
+        let Some(id) = TraceId::parse(id_str) else {
             return Response::text(404, "bad trace id; expected <cycle>-<seq>\n");
         };
         let Some(trace) = self.obs.trace(id) else {
             return Response::text(404, "no such trace (evicted or never recorded)\n");
         };
-        Response {
-            status: 200,
-            content_type: "application/json",
-            body: trace.to_json(&self.obs.incidents()),
-        }
-    }
-}
-
-impl RouteHandler for PullRoutes {
-    fn route(&self, req: &Request) -> Response {
-        if req.method != "GET" {
-            return Response::text(405, "method not allowed; use GET\n");
-        }
-        if let Some(id) = req.path.strip_prefix("/traces/") {
-            return self.trace_detail(id);
-        }
-        match req.path.as_str() {
-            "/metrics" => Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: self.obs.prometheus(),
-            },
-            "/metrics.json" => Response {
-                status: 200,
-                content_type: "application/json",
-                body: self.obs.json_snapshot(),
-            },
-            "/incidents" => Response {
-                status: 200,
-                content_type: "text/plain; charset=utf-8",
-                body: incidents_report(&self.obs),
-            },
-            "/traces" => Response {
-                status: 200,
-                content_type: "application/json",
-                body: crate::trace::list_json(&self.obs.traces(), self.obs.traces_dropped()),
-            },
-            "/rollups" => Response {
-                status: 200,
-                content_type: "application/json",
-                body: self.rollups.json_for(&self.obs),
-            },
-            "/healthz" => Response::text(200, "ok\n"),
-            _ => Response::text(404, "not found\n"),
-        }
-    }
-}
-
-/// Builds an [`ObsServer`]: the one construction path shared by the pull
-/// endpoint and the aggregator. Starts from [`ServeConfig::ephemeral`];
-/// call [`ObsServerBuilder::addr`] for a fixed port.
-#[derive(Clone, Debug, Default)]
-pub struct ObsServerBuilder {
-    cfg: Option<ServeConfig>,
-}
-
-impl ObsServerBuilder {
-    fn cfg(&mut self) -> &mut ServeConfig {
-        self.cfg.get_or_insert_with(ServeConfig::ephemeral)
-    }
-
-    /// Bind address (port 0 picks an ephemeral port).
-    #[must_use]
-    pub fn addr(mut self, addr: SocketAddr) -> Self {
-        self.cfg().addr = addr;
-        self
-    }
-
-    /// Worker threads answering requests.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg().workers = workers;
-        self
-    }
-
-    /// Queued-but-unserved connection limit; beyond it clients get `503`.
-    #[must_use]
-    pub fn backlog(mut self, backlog: usize) -> Self {
-        self.cfg().backlog = backlog;
-        self
-    }
-
-    /// Per-connection read *and* write deadline.
-    #[must_use]
-    pub fn io_deadline(mut self, deadline: Duration) -> Self {
-        self.cfg().io_timeout = deadline;
-        self
-    }
-
-    /// Request-head byte cap (`431` beyond it).
-    #[must_use]
-    pub fn max_request_bytes(mut self, cap: usize) -> Self {
-        self.cfg().max_request_bytes = cap;
-        self
-    }
-
-    /// Request-body byte cap (`413` beyond it).
-    #[must_use]
-    pub fn max_body_bytes(mut self, cap: usize) -> Self {
-        self.cfg().max_body_bytes = cap;
-        self
-    }
-
-    /// Post-response wait for the client's FIN (see [`ServeConfig`]).
-    #[must_use]
-    pub fn close_grace(mut self, grace: Duration) -> Self {
-        self.cfg().close_grace = grace;
-        self
-    }
-
-    /// Start serving the pull routes over `obs`.
-    pub fn start(mut self, obs: Obs) -> Result<ObsServer, ObsError> {
-        let cfg = self.cfg().clone();
-        ObsServer::start_inner(Arc::new(PullRoutes::new(obs.clone())), obs, cfg)
-    }
-
-    /// Start serving a custom handler; `obs` receives the endpoint's own
-    /// request/overload counters (the aggregator passes its private
-    /// instance).
-    pub fn start_with(
-        mut self,
-        handler: Arc<dyn RouteHandler>,
-        obs: Obs,
-    ) -> Result<ObsServer, ObsError> {
-        let cfg = self.cfg().clone();
-        ObsServer::start_inner(handler, obs, cfg)
+        Response::json(trace.to_json(&self.obs.incidents()))
     }
 }
 
@@ -294,53 +151,33 @@ pub struct ObsServer {
 }
 
 impl ObsServer {
-    /// The builder: one construction path for every knob.
-    #[must_use]
-    pub fn builder() -> ObsServerBuilder {
-        ObsServerBuilder::default()
-    }
-
     /// Bind `config.addr` and start serving `obs`. Returns once the
     /// listener is live, so [`ObsServer::local_addr`] is immediately
-    /// scrapable.
-    ///
-    /// Positional-construction shim kept for existing callers; prefer
-    /// [`ObsServer::builder`].
+    /// scrapable. The only failure is the bind.
     pub fn start(obs: Obs, config: ServeConfig) -> std::io::Result<ObsServer> {
-        Self::start_inner(Arc::new(PullRoutes::new(obs.clone())), obs, config).map_err(
-            |e| match e {
-                ObsError::Io(io) => io,
-                other => std::io::Error::other(other.to_string()),
-            },
-        )
-    }
-
-    fn start_inner(
-        handler: Arc<dyn RouteHandler>,
-        obs: Obs,
-        config: ServeConfig,
-    ) -> Result<ObsServer, ObsError> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = sync_channel::<TcpStream>(config.backlog.max(1));
         let rx = Arc::new(Mutex::new(rx));
+        let routes = Arc::new(Routes {
+            obs: obs.clone(),
+            rollups: RollupTracker::new(RollupConfig::default()),
+        });
 
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&handler);
-                let obs = obs.clone();
+                let routes = Arc::clone(&routes);
                 let cfg = config.clone();
                 std::thread::Builder::new()
                     .name(format!("obsd-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &handler, &obs, &cfg))
+                    .spawn(move || worker_loop(&rx, &routes, &cfg))
                     .expect("spawn obsd worker")
             })
             .collect();
 
         let accept_stop = Arc::clone(&stop);
-        let accept_obs = obs.clone();
         let accept_thread = std::thread::Builder::new()
             .name("obsd-accept".into())
             .spawn(move || {
@@ -352,18 +189,12 @@ impl ObsServer {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    accept_obs.counter("obsd", "connections_total", "").inc();
+                    obs.counter("obsd", "connections_total", "").inc();
                     match tx.try_send(stream) {
                         Ok(()) => {}
                         Err(TrySendError::Full(stream)) => {
-                            accept_obs.counter("obsd", "overload_total", "").inc();
-                            respond_best_effort(
-                                stream,
-                                503,
-                                "text/plain",
-                                "overloaded\n",
-                                Duration::ZERO,
-                            );
+                            obs.counter("obsd", "overload_total", "").inc();
+                            respond_best_effort(stream, &Response::text(503, "overloaded\n"));
                         }
                         Err(TrySendError::Disconnected(_)) => break,
                     }
@@ -414,12 +245,7 @@ impl Drop for ObsServer {
     }
 }
 
-fn worker_loop(
-    rx: &Mutex<Receiver<TcpStream>>,
-    handler: &Arc<dyn RouteHandler>,
-    obs: &Obs,
-    cfg: &ServeConfig,
-) {
+fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, routes: &Routes, cfg: &ServeConfig) {
     loop {
         // Hold the lock only while waiting, never while serving.
         let conn = match rx.lock() {
@@ -427,107 +253,39 @@ fn worker_loop(
             Err(_) => return,
         };
         match conn {
-            Ok(stream) => handle_connection(stream, handler, obs, cfg),
+            Ok(stream) => handle_connection(stream, routes, cfg),
             Err(_) => return, // accept loop gone: graceful exit
         }
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    handler: &Arc<dyn RouteHandler>,
-    obs: &Obs,
-    cfg: &ServeConfig,
-) {
+fn handle_connection(mut stream: TcpStream, routes: &Routes, cfg: &ServeConfig) {
     let _ = stream.set_read_timeout(Some(cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(cfg.io_timeout));
+    let obs = &routes.obs;
     let _span = obs.span("obsd.handle");
-    match read_request(&mut stream, cfg) {
-        Ok(req) => {
-            let resp = handler.route(&req);
-            obs.counter("obsd", "http_requests_total", &resp.status.to_string())
-                .inc();
-            respond_best_effort(
-                stream,
-                resp.status,
-                resp.content_type,
-                &resp.body,
-                cfg.close_grace,
-            );
-        }
-        Err(status) => {
-            obs.counter("obsd", "http_requests_total", &status.to_string())
-                .inc();
-            respond_best_effort(
-                stream,
-                status,
-                "text/plain",
-                "bad request\n",
-                cfg.close_grace,
-            );
-        }
-    }
+    let resp = read_head(&mut stream, cfg.max_request_bytes)
+        .and_then(|head| {
+            let (method, path) = request_line(&head).ok_or(400u16)?;
+            Ok(routes.route(method, path))
+        })
+        .unwrap_or_else(|status| Response::text(status, "bad request\n"));
+    obs.counter("obsd", "http_requests_total", &resp.status.to_string())
+        .inc();
+    respond_best_effort(stream, &resp);
 }
 
-/// Read and parse one request (head, then any `Content-Length` body).
-/// `Err` carries the HTTP status to answer with (`408` timeout, `431`
-/// oversized head, `413` oversized body, `400` otherwise).
-fn read_request(stream: &mut TcpStream, cfg: &ServeConfig) -> Result<Request, u16> {
+/// Read up to the blank line ending the request head and return the head.
+/// Whatever follows it — a declared body — is neither parsed nor waited
+/// for, so at most `cap` plus one chunk is ever buffered. `Err` carries
+/// the HTTP status to answer with (`408` timeout, `431` oversized head,
+/// `400` otherwise).
+fn read_head(stream: &mut impl Read, cap: usize) -> Result<String, u16> {
     let mut buf = Vec::with_capacity(512);
-    let head_end = read_until_head_end(stream, &mut buf, cfg.max_request_bytes)?;
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| 400u16)?;
-
-    let request_line = head.lines().next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Err(400);
-    };
-    let method = method.to_string();
-    let path = target.split('?').next().unwrap_or(target).to_string();
-
-    let content_length = content_length(head)?;
-    if content_length > cfg.max_body_bytes {
-        return Err(413);
-    }
-    let mut body = buf[head_end + 4..].to_vec();
-    let mut chunk = [0u8; 4096];
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(400),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(408)
-            }
-            Err(_) => return Err(400),
-        }
-    }
-    body.truncate(content_length);
-    Ok(Request { method, path, body })
-}
-
-/// Parse a `Content-Length` header (case-insensitive); absent means 0.
-fn content_length(head: &str) -> Result<usize, u16> {
-    for line in head.lines().skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                return value.trim().parse().map_err(|_| 400u16);
-            }
-        }
-    }
-    Ok(0)
-}
-
-/// Read until the blank line ending the request head; returns the head
-/// length (bytes read past it stay in `buf` — the start of the body).
-fn read_until_head_end(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> Result<usize, u16> {
     let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(end) = find_head_end(buf) {
-            return Ok(end);
+    let end = loop {
+        if let Some(end) = find_head_end(&buf) {
+            break end;
         }
         if buf.len() >= cap {
             return Err(431);
@@ -540,7 +298,16 @@ fn read_until_head_end(
             }
             Err(_) => return Err(400),
         }
-    }
+    };
+    buf.truncate(end);
+    String::from_utf8(buf).map_err(|_| 400)
+}
+
+/// `(method, path)` of the request line, query string stripped.
+fn request_line(head: &str) -> Option<(&str, &str)> {
+    let mut parts = head.lines().next()?.split_whitespace();
+    let (method, target) = (parts.next()?, parts.next()?);
+    Some((method, target.split('?').next().unwrap_or(target)))
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -566,7 +333,6 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
-        413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Error",
@@ -574,52 +340,28 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Write a full `Connection: close` response; errors are swallowed — the
-/// client hanging up mid-write must not take a worker down. With a
-/// nonzero `close_grace`, wait up to that long for the client's FIN
-/// before closing, so `TIME_WAIT` lands on the client side.
-fn respond_best_effort(
-    mut stream: TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close_grace: Duration,
-) {
+/// client hanging up mid-write must not take a worker down.
+fn respond_best_effort(mut stream: TcpStream, resp: &Response) {
     let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n\
          Content-Length: {}\r\nConnection: close\r\n",
-        reason(status),
-        body.len()
+        resp.status,
+        reason(resp.status),
+        resp.content_type,
+        resp.body.len()
     );
-    let allow = if status == 405 { "Allow: GET\r\n" } else { "" };
-    let sent = stream
+    let allow = if resp.status == 405 {
+        "Allow: GET\r\n"
+    } else {
+        ""
+    };
+    let _ = stream
         .write_all(head.as_bytes())
         .and_then(|()| stream.write_all(allow.as_bytes()))
         .and_then(|()| stream.write_all(b"\r\n"))
-        .and_then(|()| stream.write_all(body.as_bytes()))
+        .and_then(|()| stream.write_all(resp.body.as_bytes()))
         .and_then(|()| stream.flush());
-    if sent.is_ok() && !close_grace.is_zero() {
-        drain_until_client_close(&mut stream, close_grace);
-    }
     let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// Read (and discard) until EOF or the grace expires. A prompt client
-/// returns in microseconds; a rude one costs at most `grace`.
-fn drain_until_client_close(stream: &mut TcpStream, grace: Duration) {
-    let begun = Instant::now();
-    let mut sink = [0u8; 256];
-    loop {
-        let Some(left) = grace.checked_sub(begun.elapsed()).filter(|d| !d.is_zero()) else {
-            return;
-        };
-        if stream.set_read_timeout(Some(left)).is_err() {
-            return;
-        }
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -710,10 +452,11 @@ mod tests {
     #[test]
     fn oversized_request_head_is_rejected() {
         let obs = Obs::new();
-        let srv = ObsServer::builder()
-            .max_request_bytes(256)
-            .start(obs)
-            .unwrap();
+        let cfg = ServeConfig {
+            max_request_bytes: 256,
+            ..ServeConfig::ephemeral()
+        };
+        let srv = ObsServer::start(obs, cfg).unwrap();
         let huge = format!(
             "GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
             "a".repeat(4096)
@@ -722,103 +465,77 @@ mod tests {
         srv.shutdown();
     }
 
+    /// The server is GET-only: a request that declares a body is answered
+    /// from its head, at once — not after waiting out the I/O deadline for
+    /// bytes that will never be looked at — and the connection closes
+    /// (`fetch` reads to EOF).
     #[test]
-    fn oversized_body_is_rejected_with_413() {
-        let obs = Obs::new();
-        let srv = ObsServer::builder().max_body_bytes(64).start(obs).unwrap();
-        let req = format!(
-            "POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 4096\r\n\r\n{}",
-            "b".repeat(4096)
+    fn declared_body_is_never_waited_for() {
+        let (_obs, srv) = server();
+        let addr = srv.local_addr();
+        let begun = std::time::Instant::now();
+        let post = "POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 4294967296\r\n\r\n";
+        assert_eq!(fetch(addr, post).0, 405);
+        // A GET that declares more body than it sends: nothing to wait for.
+        let get_with_body = "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 4096\r\n\r\nhello";
+        assert_eq!(fetch(addr, get_with_body), (200, "ok\n".to_string()));
+        assert!(
+            begun.elapsed() < ServeConfig::default().io_timeout,
+            "answered from the head, not after a body-read deadline: {:?}",
+            begun.elapsed()
         );
-        assert_eq!(fetch(srv.local_addr(), &req).0, 413);
+        // Both workers are free again: the next scrape succeeds.
+        assert_eq!(get(addr, "/metrics").0, 200);
         srv.shutdown();
     }
 
     #[test]
-    fn custom_handler_receives_method_path_and_body() {
-        struct Echo;
-        impl RouteHandler for Echo {
-            fn route(&self, req: &Request) -> Response {
-                Response::text(
-                    200,
-                    format!("{} {} {}b\n", req.method, req.path, req.body.len()),
-                )
-            }
-        }
-        let srv = ObsServer::builder()
-            .start_with(Arc::new(Echo), Obs::new())
-            .unwrap();
-        let (status, body) = fetch(
-            srv.local_addr(),
-            "POST /push HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
-        );
-        assert_eq!(status, 200);
-        assert_eq!(body, "POST /push 5b\n");
-        srv.shutdown();
+    fn read_head_stops_at_the_blank_line_whatever_length_is_declared() {
+        let cap = ServeConfig::default().max_request_bytes;
+        let head = "POST /metrics HTTP/1.1\r\nContent-Length: 4294967296";
+        let mut wire =
+            std::io::Cursor::new([head.as_bytes(), b"\r\n\r\n", &vec![b'b'; 1 << 20]].concat());
+        assert_eq!(read_head(&mut wire, cap).as_deref(), Ok(head));
+        assert_eq!(request_line(head), Some(("POST", "/metrics")));
+        // One chunk was consumed; the megabyte behind it was never read,
+        // so worker memory is independent of the declared length.
+        assert!(wire.position() <= 1024, "read {} bytes", wire.position());
     }
 
     #[test]
-    fn builder_configures_the_endpoint() {
+    fn full_backlog_answers_503_and_the_endpoint_recovers() {
         let obs = Obs::new();
-        let srv = ObsServer::builder()
-            .workers(3)
-            .backlog(8)
-            .io_deadline(Duration::from_secs(1))
-            .close_grace(Duration::from_millis(200))
-            .start(obs)
-            .unwrap();
-        let addr = srv.local_addr();
-        assert_eq!(get(addr, "/healthz").0, 200);
-        let joined = srv.shutdown();
-        assert_eq!(joined, 4, "accept loop + 3 workers, none leaked");
-    }
-
-    #[test]
-    fn close_grace_port_is_rebindable_when_client_closes_first() {
-        let obs = Obs::new();
-        let srv = ObsServer::builder()
-            .close_grace(Duration::from_secs(1))
-            .start(obs.clone())
-            .unwrap();
-        let addr = srv.local_addr();
-        // A well-behaved client: parse Content-Length, read exactly the
-        // response, close first.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 256];
-        let body_len = loop {
-            let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "server closed before client");
-            buf.extend_from_slice(&chunk[..n]);
-            if let Some(end) = find_head_end(&buf) {
-                let head = std::str::from_utf8(&buf[..end]).unwrap();
-                break content_length_of(head);
-            }
+        let cfg = ServeConfig {
+            workers: 1,
+            backlog: 1,
+            ..ServeConfig::ephemeral()
         };
-        while buf.len() < buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4 + body_len {
-            let n = stream.read(&mut chunk).unwrap();
-            buf.extend_from_slice(&chunk[..n]);
+        let srv = ObsServer::start(obs.clone(), cfg).unwrap();
+        let addr = srv.local_addr();
+        // Four silent connections against room for two (one pinning the
+        // worker, one queued): at least two are turned away at accept.
+        let mut conns: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let overloads = obs.counter("obsd", "overload_total", "");
+        let begun = std::time::Instant::now();
+        while overloads.get() < 2 {
+            assert!(begun.elapsed() < Duration::from_secs(5), "no overload seen");
+            std::thread::yield_now();
         }
-        drop(stream); // client FIN first → server side leaves no TIME_WAIT
+        // Half-close: the admitted ones now read EOF and answer 400, so
+        // every connection ends without waiting out a deadline.
+        let mut statuses = Vec::new();
+        for c in &mut conns {
+            let _ = c.shutdown(std::net::Shutdown::Write);
+            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut raw = String::new();
+            c.read_to_string(&mut raw).unwrap();
+            statuses.push(raw.split_whitespace().nth(1).map(str::to_owned));
+        }
+        let count = |s: &str| statuses.iter().filter(|x| x.as_deref() == Some(s)).count();
+        assert_eq!(count("503") as u64, overloads.get(), "{statuses:?}");
+        assert_eq!(count("503") + count("400"), 4, "{statuses:?}");
+        assert_eq!(get(addr, "/healthz").0, 200);
         srv.shutdown();
-        // The port is immediately re-bindable.
-        let srv2 = ObsServer::builder().addr(addr).start(Obs::new()).unwrap();
-        assert_eq!(get(srv2.local_addr(), "/healthz").0, 200);
-        srv2.shutdown();
-    }
-
-    fn content_length_of(head: &str) -> usize {
-        head.lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(n, _)| n.trim().eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.trim().parse().ok())
-            .unwrap_or(0)
     }
 
     #[test]

@@ -12,17 +12,14 @@
 //!
 //! The recorder is a drop-oldest ring: at capacity the oldest trace is
 //! evicted and `traces_dropped` incremented, so a long campaign holds a
-//! bounded window of recent history. Traces ride [`crate::PushFrame`]s to
-//! the fleet aggregator (deduplicated by `trace_seq`, last write wins) and
-//! are served locally via `GET /traces` and `GET /traces/<id>`.
+//! bounded window of recent history, served via `GET /traces` and
+//! `GET /traces/<id>`.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
-
-use legosdn_codec::Codec;
 
 use crate::export::json_escape;
 use crate::timeline::IncidentReport;
@@ -37,7 +34,7 @@ pub const MAX_TRACE_EVENTS: usize = 192;
 /// Identity of one dispatched event: the runtime cycle that translated it
 /// and its position within that cycle. Renders as `"<cycle>-<seq>"`
 /// (the `/traces/<id>` path segment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Codec)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId {
     pub cycle: u64,
     pub seq: u64,
@@ -63,7 +60,7 @@ impl TraceId {
 
 /// One step of an event's causal story: which phase ran, in which app's
 /// context, with what outcome, at what offset from the trace's start.
-#[derive(Clone, Debug, PartialEq, Eq, Codec)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     pub t_off_ns: u64,
     pub phase: String,
@@ -72,9 +69,8 @@ pub struct TraceEvent {
 }
 
 /// The full causal record of one dispatched event. `trace_seq` is the
-/// recorder-wide monotonic sequence number — the dedupe key when traces
-/// are shipped repeatedly in push frames.
-#[derive(Clone, Debug, PartialEq, Eq, Codec)]
+/// recorder-wide monotonic sequence number.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     pub id: TraceId,
     pub trace_seq: u64,
@@ -291,14 +287,6 @@ impl FlightRecorder {
         self.inner.lock().unwrap().traces.iter().cloned().collect()
     }
 
-    /// The `n` most recent traces, oldest first — the push-frame payload.
-    #[must_use]
-    pub fn recent(&self, n: usize) -> Vec<Trace> {
-        let st = self.inner.lock().unwrap();
-        let skip = st.traces.len().saturating_sub(n);
-        st.traces.iter().skip(skip).cloned().collect()
-    }
-
     /// Look one trace up by id.
     #[must_use]
     pub fn get(&self, id: TraceId) -> Option<Trace> {
@@ -452,26 +440,6 @@ mod tests {
         r.event_for(b, 5, "cancel", "app1", "crash upstream");
         assert_eq!(r.get(b).unwrap().events[0].phase, "cancel");
         assert!(r.get(a).unwrap().events.is_empty());
-    }
-
-    #[test]
-    fn trace_wire_roundtrip() {
-        let t = Trace {
-            id: TraceId { cycle: 7, seq: 1 },
-            trace_seq: 42,
-            kind: "PacketIn".into(),
-            started_ns: 1000,
-            events: vec![TraceEvent {
-                t_off_ns: 5,
-                phase: "fill".into(),
-                app: "lsw".into(),
-                outcome: "selected".into(),
-            }],
-            truncated: 0,
-        };
-        let bytes = legosdn_codec::to_bytes(&t).unwrap();
-        let back: Trace = legosdn_codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -58,12 +58,9 @@ fn main() {
     });
 
     // Serve this runtime's obs state on an ephemeral loopback port. A real
-    // deployment would pass `.addr(..)` with a fixed port for its scraper
-    // to target.
-    let server = ObsServer::builder()
-        .workers(2)
-        .start(rt.obs())
-        .expect("bind ops endpoint");
+    // deployment would set `ServeConfig::addr` to a fixed port for its
+    // scraper to target.
+    let server = ObsServer::start(rt.obs(), ServeConfig::ephemeral()).expect("bind ops endpoint");
     let addr = server.local_addr();
     println!("ops endpoint live on http://{addr}");
 

@@ -25,23 +25,32 @@ echo "==> warm check == cold check, release sweep (hard 120s timeout)"
 timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incremental_equivalence \
   || { echo "a warm invariant check disagreed with a cold one" >&2; exit 1; }
 
-# Names the one-engine, one-stub-host and static-placement refactors
-# deleted must not grow back beside what replaced them.
-echo "==> no second dispatch path, fan-out API, stub host or shard re-balancer"
+# Names the one-engine, one-stub-host, static-placement and
+# one-ops-endpoint refactors deleted must not grow back beside what
+# replaced them.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer or fleet pipeline"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
   || grep -rnE 'rebalance_shards|cost_ewma|AppMigration|dispatch_app_ns|worker_load' \
+    crates/ tests/ examples/ \
+  || grep -rnE 'PushExporter|PushFrame|PushConfig|Aggregator|AggregateConfig|RouteHandler|ObsServerBuilder|ObsError|close_grace|obs_frame|snapshot_since' \
     crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement name reappeared (see DESIGN.md §9, §11)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline name reappeared (see DESIGN.md §7, §9, §11)" >&2
   exit 1
 fi
+
+# `legosdn-obs` is std-only: its normal dependency tree is itself.
+echo "==> legosdn-obs has no dependencies"
+OBS_TREE="$(cargo tree --offline -p legosdn-obs -e normal)"
+[ "$(printf '%s\n' "$OBS_TREE" | wc -l)" -eq 1 ] \
+  || { echo "legosdn-obs grew a dependency:" >&2; echo "$OBS_TREE" >&2; exit 1; }
 
 # The full failure/recovery campaign through the daemon path, once per
 # configuration the dispatch engine can be put in (the determinism suite
 # proves the outputs identical; this proves the daemon wires each one up
 # and that none of them hangs). One row per smoke: label | extra flags.
-cargo build -q --offline --release -p legosdn-bench --bin campaign --bin aggregate
+cargo build -q --offline --release -p legosdn-bench --bin campaign
 while IFS='|' read -r label flags; do
   echo "==> campaign smoke: $label"
   # shellcheck disable=SC2086  # $flags is a flag string, split on purpose
@@ -56,7 +65,7 @@ isolated stubs sharing 2 host threads|--isolation channel --io-threads 2
 SMOKES
 
 # The flags that selected the deleted paths are gone, not hidden.
-for gone in --dispatch --transport; do
+for gone in --dispatch --transport --push-to --campaign; do
   if ./target/release/campaign --rounds 1 "$gone" x </dev/null >/dev/null 2>&1; then
     echo "campaign still accepts $gone" >&2
     exit 1
@@ -80,14 +89,11 @@ scrape() { # scrape HOST:PORT PATH
 echo "==> campaign smoke under windowed dispatch (--window 8) + /traces /rollups"
 CMP_ADDR_FILE="$(mktemp)"
 CMP_OUT="$(mktemp)"
-AGG_ADDR_FILE=""
-AGG_OUT=""
-AGG_PID=""
 CMP_PID=""
 BURN_PIDS=""
 # shellcheck disable=SC2086  # $BURN_PIDS is a pid list, split on purpose
-trap 'kill "$AGG_PID" "$CMP_PID" $BURN_PIDS 2>/dev/null || true; \
-  rm -f "$AGG_ADDR_FILE" "$AGG_OUT" "$CMP_ADDR_FILE" "$CMP_OUT"' EXIT
+trap 'kill "$CMP_PID" $BURN_PIDS 2>/dev/null || true; \
+  rm -f "$CMP_ADDR_FILE" "$CMP_OUT"' EXIT
 ./target/release/campaign --addr 127.0.0.1:0 --addr-file "$CMP_ADDR_FILE" \
   --period-ms 1 --isolation channel --window 8 \
   --trace-sample 1 2>"$CMP_OUT" &
@@ -108,45 +114,6 @@ echo "$ROLLUPS" | grep -q '"width_ns"' \
   || { echo "windowed campaign /rollups is missing the window config" >&2; exit 1; }
 kill "$CMP_PID" 2>/dev/null || true
 wait "$CMP_PID" 2>/dev/null || true
-
-echo "==> fleet smoke: aggregator + two pushing traced campaigns"
-AGG_ADDR_FILE="$(mktemp)"
-AGG_OUT="$(mktemp)"
-./target/release/aggregate --addr 127.0.0.1:0 --addr-file "$AGG_ADDR_FILE" \
-  --max-seconds 60 2>"$AGG_OUT" &
-AGG_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$AGG_ADDR_FILE" ] && break
-  kill -0 "$AGG_PID" 2>/dev/null || { cat "$AGG_OUT" >&2; exit 1; }
-  sleep 0.1
-done
-AGG_ADDR="$(cat "$AGG_ADDR_FILE")"
-[ -n "$AGG_ADDR" ] || { echo "aggregator never published its address" >&2; exit 1; }
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 3 --period-ms 1 \
-  --campaign alpha --push-to "$AGG_ADDR" --trace-sample 1 \
-  || { echo "campaign alpha smoke run failed or hung" >&2; exit 1; }
-timeout 60 ./target/release/campaign --addr 127.0.0.1:0 --rounds 3 --period-ms 1 \
-  --campaign beta --push-to "$AGG_ADDR" --trace-sample 1 \
-  || { echo "campaign beta smoke run failed or hung" >&2; exit 1; }
-# Scrape the merged exposition: both campaign labels and a TYPE comment
-# must appear.
-MERGED="$(scrape "$AGG_ADDR" /metrics || true)"
-echo "$MERGED" | grep -q 'campaign="alpha"' \
-  || { echo "merged /metrics is missing campaign=\"alpha\"" >&2; exit 1; }
-echo "$MERGED" | grep -q 'campaign="beta"' \
-  || { echo "merged /metrics is missing campaign=\"beta\"" >&2; exit 1; }
-echo "$MERGED" | grep -q '^# TYPE legosdn_' \
-  || { echo "merged /metrics is missing TYPE comments" >&2; exit 1; }
-# The pushed flight-recorder traces and the fleet rollups must be served
-# back by the aggregator, attributed per campaign.
-AGG_TRACES="$(scrape "$AGG_ADDR" /traces || true)"
-echo "$AGG_TRACES" | grep -q '"campaign":"alpha"' \
-  || { echo "aggregator /traces has no traces for campaign alpha" >&2; exit 1; }
-AGG_ROLLUPS="$(scrape "$AGG_ADDR" /rollups || true)"
-echo "$AGG_ROLLUPS" | grep -q '"_fleet"' \
-  || { echo "aggregator /rollups is missing the _fleet merge" >&2; exit 1; }
-kill "$AGG_PID" 2>/dev/null || true
-wait "$AGG_PID" 2>/dev/null || true
 
 # A 1000-stub fleet: the whole fleet must be serviced by the fixed
 # stub-host pool (4 threads), so the process thread count stays far

@@ -185,35 +185,35 @@ fn assert_identical(isolation: IsolationMode) {
     assert!(!seq.txlog.is_empty(), "campaign produced no transactions");
     assert_eq!(
         seq.flow_tables, pipe.flow_tables,
-        "{isolation:?}: flow tables diverge between dispatch modes"
+        "{isolation:?}: flow tables diverge between the engine and the oracle"
     );
     assert_eq!(
         seq.txlog, pipe.txlog,
-        "{isolation:?}: NetLog transaction order diverges between dispatch modes"
+        "{isolation:?}: NetLog transaction order diverges between the engine and the oracle"
     );
     assert_eq!(
         seq.stats, pipe.stats,
-        "{isolation:?}: runtime counters diverge between dispatch modes"
+        "{isolation:?}: runtime counters diverge between the engine and the oracle"
     );
     assert_eq!(
         (seq.recoveries, seq.byzantine_blocked, seq.commands),
         (pipe.recoveries, pipe.byzantine_blocked, pipe.commands),
-        "{isolation:?}: per-cycle reports diverge between dispatch modes"
+        "{isolation:?}: per-cycle reports diverge between the engine and the oracle"
     );
 }
 
 #[test]
-fn pipelined_dispatch_is_deterministic_with_local_sandboxes() {
+fn engine_matches_the_oracle_with_local_sandboxes() {
     assert_identical(IsolationMode::Local);
 }
 
 #[test]
-fn pipelined_dispatch_is_deterministic_with_isolated_stubs() {
+fn engine_matches_the_oracle_with_isolated_stubs() {
     assert_identical(IsolationMode::Channel);
 }
 
 #[test]
-fn pipelined_matches_sequential_across_repeated_runs() {
+fn engine_matches_the_oracle_across_repeated_runs() {
     // Stub scheduling varies run to run; determinism must not depend on
     // a lucky interleaving.
     let reference = run_campaign(true, IsolationMode::Channel, 1);

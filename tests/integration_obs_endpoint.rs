@@ -4,8 +4,9 @@
 //! through a full `LegoSdnRuntime`, and verifies what an external scraper
 //! would see: `/metrics` parses under the Prometheus text grammar (with
 //! hostile label values escaped), counters strictly increase between
-//! scrapes, `/healthz` answers while live, and graceful shutdown joins
-//! every thread and closes the listener.
+//! scrapes, `/healthz` answers while live, graceful shutdown joins
+//! every thread and closes the listener, and `/rollups`, `/traces/<id>`
+//! and `/incidents` tell the same recovery story as `RuntimeStats`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -151,11 +152,15 @@ struct Campaign {
 
 impl Campaign {
     fn new() -> Self {
+        Campaign::on(Obs::new())
+    }
+
+    /// Private obs instance (construction-time wiring): the endpoint
+    /// must serve exactly this campaign, isolated from other tests in
+    /// the process.
+    fn on(obs: Obs) -> Self {
         let topo = Topology::linear(3, 1);
         let mut net = Network::new(&topo);
-        // Private obs instance (construction-time wiring): the endpoint
-        // must serve exactly this campaign, isolated from other tests in
-        // the process.
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
             crashpad: CrashPadConfig {
                 checkpoints: CheckpointPolicy {
@@ -170,7 +175,7 @@ impl Campaign {
                 Invariant::NoBlackHoles,
                 Invariant::NoLoops,
             ])),
-            obs: legosdn::ObsConfig::instance(legosdn::obs::Obs::new()),
+            obs: legosdn::ObsConfig::instance(obs),
             ..LegoSdnConfig::default()
         });
         let poison = topo.hosts[2].mac;
@@ -274,4 +279,81 @@ fn live_endpoint_serves_a_fault_campaign() {
         TcpStream::connect(addr).is_err(),
         "listener must be closed after shutdown"
     );
+}
+
+/// Sum of every `"key":<integer>` in a `/rollups` body: closed windows
+/// plus the open one partition the deltas since the tracker's first
+/// sample, however many window boundaries the run crossed.
+fn rollup_total(json: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    json.match_indices(&needle)
+        .map(|(at, _)| {
+            let digits = &json[at + needle.len()..];
+            let end = digits
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(digits.len());
+            digits[..end].parse::<u64>().expect("integer rollup field")
+        })
+        .sum()
+}
+
+#[test]
+fn rollups_traces_and_incidents_agree_with_the_runtime() {
+    let obs = Obs::new();
+    let server = ObsServer::start(obs.clone(), ServeConfig::ephemeral()).expect("bind endpoint");
+    let addr = server.local_addr();
+
+    // The tracker's first sample is taken before the runtime exists, so
+    // every delta it reports afterwards is a total.
+    let (status, empty) = scrape(addr, "/rollups");
+    assert_eq!(status, 200);
+    assert!(empty.contains("\"windows\":[]"), "fresh tracker: {empty}");
+    assert_eq!(rollup_total(&empty, "cycles"), 0);
+
+    let mut campaign = Campaign::on(obs.clone());
+    campaign.round();
+    campaign.round();
+    let stats = campaign.rt.stats();
+    assert!(stats.failstop_recoveries >= 1, "no crash recovered");
+
+    let (status, rollups) = scrape(addr, "/rollups");
+    assert_eq!(status, 200);
+    assert_eq!(
+        rollup_total(&rollups, "recoveries"),
+        stats.failstop_recoveries
+    );
+    assert_eq!(rollup_total(&rollups, "cycles"), stats.cycles);
+    assert_eq!(rollup_total(&rollups, "events"), stats.events_translated);
+    assert_eq!(
+        rollup_total(&rollups, "recovery_count"),
+        stats.failstop_recoveries,
+        "one timed restore per recovery"
+    );
+
+    // The recovery is also one causal trace, served by id with the
+    // journal-reconstructed incident it overlaps.
+    let episode = obs
+        .traces()
+        .into_iter()
+        .find(|t| t.events.iter().any(|e| e.phase == "restore"))
+        .expect("a trace holding the restore");
+    let (status, list) = scrape(addr, "/traces");
+    assert_eq!(status, 200);
+    assert!(list.contains(&format!("\"id\":\"{}\"", episode.id)));
+    let (status, detail) = scrape(addr, &format!("/traces/{}", episode.id));
+    assert_eq!(status, 200);
+    assert!(detail.contains("\"phase\":\"restore\""), "{detail}");
+    assert!(detail.contains("incident app="), "no incident: {detail}");
+    assert_eq!(scrape(addr, "/traces/0-notanumber").0, 404);
+
+    let (status, incidents) = scrape(addr, "/incidents");
+    assert_eq!(status, 200);
+    let reconstructed = obs.incidents().len();
+    assert!(reconstructed as u64 >= stats.failstop_recoveries);
+    assert!(
+        incidents.starts_with(&format!("{reconstructed} incident(s) reconstructed\n")),
+        "{incidents}"
+    );
+
+    server.shutdown();
 }

@@ -106,24 +106,6 @@ impl FaultyApp {
         }
     }
 
-    /// Times the bug has fired.
-    #[must_use]
-    pub fn times_fired(&self) -> u64 {
-        self.state.times_fired
-    }
-
-    /// Events delivered so far.
-    #[must_use]
-    pub fn events_seen(&self) -> u64 {
-        self.state.events_seen
-    }
-
-    /// The wrapped app.
-    #[must_use]
-    pub fn inner(&self) -> &dyn SdnApp {
-        self.inner.as_ref()
-    }
-
     fn roll(&mut self) -> u64 {
         // xorshift64*; state never zero (seeded with |1).
         let mut x = self.state.rng;
@@ -255,9 +237,10 @@ impl SdnApp for FaultyApp {
 mod tests {
     use super::*;
     use crate::hub::Hub;
+    use legosdn_controller::app::Command;
+    use legosdn_controller::sandbox::{Fault, Sandbox};
     use legosdn_controller::services::{DeviceView, TopologyView};
     use legosdn_netsim::{Endpoint, SimTime};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn pin(dst: u64) -> Event {
         Event::PacketIn(
@@ -271,10 +254,16 @@ mod tests {
         )
     }
 
-    fn deliver(
-        app: &mut FaultyApp,
-        ev: &Event,
-    ) -> Result<Vec<legosdn_controller::app::Command>, String> {
+    /// A hub with the given bug, behind the fault wall.
+    fn buggy_hub(trigger: BugTrigger, effect: BugEffect) -> Sandbox {
+        Sandbox::new(Box::new(FaultyApp::new(
+            Box::new(Hub::new()),
+            trigger,
+            effect,
+        )))
+    }
+
+    fn deliver(app: &mut Sandbox, ev: &Event) -> Result<Vec<Command>, Fault> {
         let mut topo = TopologyView::default();
         topo.switch_up(DatapathId(1), vec![]);
         topo.switch_up(DatapathId(2), vec![]);
@@ -284,57 +273,59 @@ mod tests {
         );
         let dev = DeviceView::default();
         let mut ctx = Ctx::new(SimTime::ZERO, &topo, &dev);
-        let r = catch_unwind(AssertUnwindSafe(|| app.on_event(ev, &mut ctx)));
-        match r {
-            Ok(()) => Ok(ctx.into_commands()),
-            Err(p) => Err(legosdn_controller::monolithic::panic_text(&*p)),
-        }
+        app.on_event(ev, &mut ctx)?;
+        Ok(ctx.into_commands())
+    }
+
+    /// The wrapper's own counters, read from its snapshot.
+    fn counters(app: &Sandbox) -> State {
+        unsnap::<Saved>(&app.capture().unwrap()).unwrap().own
     }
 
     #[test]
     fn never_trigger_is_transparent() {
-        let mut app = FaultyApp::new(Box::new(Hub::new()), BugTrigger::Never, BugEffect::Crash);
+        let mut app = buggy_hub(BugTrigger::Never, BugEffect::Crash);
         for _ in 0..10 {
             assert!(deliver(&mut app, &pin(2)).is_ok());
         }
-        assert_eq!(app.times_fired(), 0);
-        assert_eq!(app.events_seen(), 10);
+        assert_eq!(counters(&app).times_fired, 0);
+        assert_eq!(counters(&app).events_seen, 10);
     }
 
     #[test]
     fn poisoned_mac_crashes_deterministically() {
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
+        let mut app = buggy_hub(
             BugTrigger::OnPacketToMac(MacAddr::from_index(13)),
             BugEffect::Crash,
         );
         assert!(deliver(&mut app, &pin(2)).is_ok());
+        let before = app.capture().unwrap();
         let err = deliver(&mut app, &pin(13)).unwrap_err();
-        assert!(err.contains("injected bug"));
+        assert!(String::from(err).contains("injected bug"));
         // Determinism: the same event crashes again after restore.
-        let snap_before = app.snapshot();
-        app.restore(&snap_before).unwrap();
+        app.revive(&before).unwrap();
         assert!(deliver(&mut app, &pin(13)).is_err());
     }
 
     #[test]
     fn nth_event_trigger_counts() {
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
-            BugTrigger::OnNthEvent(3),
-            BugEffect::Crash,
-        );
-        assert!(deliver(&mut app, &pin(2)).is_ok());
-        assert!(deliver(&mut app, &pin(2)).is_ok());
-        assert!(deliver(&mut app, &pin(2)).is_err());
+        // The trigger, not the effect, is under test: a black-hole fires
+        // without killing the app, so the 4th event can show it is over.
+        let mut app = buggy_hub(BugTrigger::OnNthEvent(3), BugEffect::Blackhole);
+        let fired = |app: &mut Sandbox| {
+            deliver(app, &pin(2)).unwrap();
+            counters(app).times_fired
+        };
+        assert_eq!(fired(&mut app), 0);
+        assert_eq!(fired(&mut app), 0);
+        assert_eq!(fired(&mut app), 1);
         // 4th event: trigger no longer matches.
-        assert!(deliver(&mut app, &pin(2)).is_ok());
+        assert_eq!(fired(&mut app), 1);
     }
 
     #[test]
     fn nth_of_kind_trigger() {
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
+        let mut app = buggy_hub(
             BugTrigger::OnNthOfKind(EventKind::SwitchDown, 2),
             BugEffect::Crash,
         );
@@ -345,8 +336,7 @@ mod tests {
 
     #[test]
     fn blackhole_effect_emits_drop_all() {
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
+        let mut app = buggy_hub(
             BugTrigger::OnEventKind(EventKind::PacketIn),
             BugEffect::Blackhole,
         );
@@ -358,13 +348,12 @@ mod tests {
         assert!(blackhole.is_some(), "commands: {cmds:?}");
         // The inner app still ran (its flood is also present).
         assert!(cmds.iter().any(|c| matches!(&c.msg, Message::PacketOut(_))));
-        assert_eq!(app.times_fired(), 1);
+        assert_eq!(counters(&app).times_fired, 1);
     }
 
     #[test]
     fn forwarding_loop_effect_hits_both_ends() {
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
+        let mut app = buggy_hub(
             BugTrigger::OnEventKind(EventKind::PacketIn),
             BugEffect::ForwardingLoop,
         );
@@ -380,8 +369,7 @@ mod tests {
 
     #[test]
     fn flush_effect_deletes_everywhere() {
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
+        let mut app = buggy_hub(
             BugTrigger::OnEventKind(EventKind::PacketIn),
             BugEffect::FlushFlows,
         );
@@ -395,17 +383,17 @@ mod tests {
 
     #[test]
     fn snapshot_nests_inner_state() {
-        let mut app = FaultyApp::new(Box::new(Hub::new()), BugTrigger::Never, BugEffect::Crash);
+        let mut app = buggy_hub(BugTrigger::Never, BugEffect::Crash);
         deliver(&mut app, &pin(2)).unwrap();
         deliver(&mut app, &pin(2)).unwrap();
-        let s = app.snapshot();
-        let mut fresh = FaultyApp::new(Box::new(Hub::new()), BugTrigger::Never, BugEffect::Crash);
-        fresh.restore(&s).unwrap();
-        assert_eq!(fresh.events_seen(), 2);
+        let s = app.capture().unwrap();
+        let mut fresh = buggy_hub(BugTrigger::Never, BugEffect::Crash);
+        fresh.revive(&s).unwrap();
+        let saved: Saved = unsnap(&fresh.capture().unwrap()).unwrap();
+        assert_eq!(saved.own.events_seen, 2);
         // Inner hub's counter came along.
-        let inner_snap = fresh.inner().snapshot();
         let mut hub = Hub::new();
-        hub.restore(&inner_snap).unwrap();
+        hub.restore(&saved.inner).unwrap();
         assert_eq!(hub.packets_flooded(), 2);
     }
 
@@ -415,45 +403,20 @@ mod tests {
         // snapshots we can't assert re-roll divergence at p=1000, so use the
         // structure instead: the rng field must survive a restore (not reset
         // to the snapshotted value — there is none).
-        let mut app = FaultyApp::new(
-            Box::new(Hub::new()),
-            BugTrigger::WithProbability {
-                per_mille: 500,
-                seed: 42,
-            },
-            BugEffect::Crash,
-        );
+        let trigger = BugTrigger::WithProbability {
+            per_mille: 500,
+            seed: 42,
+        };
+        let first_crash = |app: &mut Sandbox| (0..100).find(|_| deliver(app, &pin(2)).is_err());
         // Drive events until the first crash.
-        let mut fired_at = None;
-        for i in 0..100 {
-            if deliver(&mut app, &pin(2)).is_err() {
-                fired_at = Some(i);
-                break;
-            }
-        }
-        let fired_at = fired_at.expect("p=0.5 must fire within 100 events");
-        // Restore to just-before state: RNG has advanced, so the outcome
-        // sequence from here differs from a fresh app with the same seed.
-        let snap = app.snapshot();
-        app.restore(&snap).unwrap();
-        let mut fresh = FaultyApp::new(
-            Box::new(Hub::new()),
-            BugTrigger::WithProbability {
-                per_mille: 500,
-                seed: 42,
-            },
-            BugEffect::Crash,
-        );
-        let mut fresh_fired_at = None;
-        for i in 0..100 {
-            if deliver(&mut fresh, &pin(2)).is_err() {
-                fresh_fired_at = Some(i);
-                break;
-            }
-        }
+        let mut app = buggy_hub(trigger.clone(), BugEffect::Crash);
+        let start = app.capture().unwrap();
+        let fired_at = first_crash(&mut app).expect("p=0.5 must fire within 100 events");
         // The fresh app fires at the same point (same seed); the restored
         // app's future rolls continue from a later RNG state.
-        assert_eq!(fresh_fired_at, Some(fired_at));
+        let mut fresh = buggy_hub(trigger, BugEffect::Crash);
+        assert_eq!(first_crash(&mut fresh), Some(fired_at));
+        app.revive(&start).unwrap();
         let restored_next = deliver(&mut app, &pin(2));
         let _ = restored_next; // may or may not crash — the point is it can differ
     }

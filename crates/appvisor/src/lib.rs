@@ -13,9 +13,9 @@
 //!
 //! The RPC rides a [`transport::Transport`]: in-memory queues, or UDP (the
 //! paper's prototype transport) or TCP loopback through the poller — one
-//! I/O model, in [`poll`]. A fault domain is `catch_unwind` around every
-//! call into the app, on a pool of host threads — the process-isolation
-//! substitution documented in DESIGN.md §2.
+//! I/O model, in [`poll`]. A fault domain is the app's `Sandbox`, on a
+//! pool of host threads — the process-isolation substitution documented
+//! in DESIGN.md §2.
 
 pub mod poll;
 pub mod proxy;

@@ -9,9 +9,9 @@
 //!
 //! **Fault containment substitution** (DESIGN.md §2): the paper runs the
 //! stub in a separate JVM process; here stubs share host threads, and the
-//! wall is `catch_unwind` around *every* call into app code — `on_event`,
-//! `snapshot`, `restore`, and the `name`/`subscriptions` read at
-//! registration. A crashed app leaves the stub in the `dead` state: it
+//! wall is the app's [`Sandbox`], through which *every* call into app code
+//! goes — `on_event`, `snapshot`, `restore`, and the `name`/`subscriptions`
+//! read at registration. A crashed app is dead in its sandbox: the stub
 //! stops processing events and (configurably) stops heart-beating, which
 //! is exactly the observable a separate dead process would present to the
 //! proxy. A `RestoreRequest` revives it — the CRIU-restore analogue.
@@ -21,10 +21,9 @@ use crate::rpc::{decode_frame, encode_frame, encode_frame_sized, RpcMessage};
 use crate::transport::TransportError;
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
-use legosdn_controller::monolithic::panic_text;
+use legosdn_controller::sandbox::{Fault, Sandbox};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -70,12 +69,11 @@ enum StubStep {
     Shutdown,
 }
 
-/// The sans-io stub state machine: app + liveness state + report, with
-/// all I/O hoisted out; [`StubHost`] drives many of them per thread.
+/// The sans-io stub state machine: sandboxed app + report, with all I/O
+/// hoisted out; [`StubHost`] drives many of them per thread.
 struct StubCore {
-    app: Box<dyn SdnApp>,
+    sandbox: Sandbox,
     config: StubConfig,
-    dead: bool,
     /// The controller views as of the delivery frame tagged `.0` — the
     /// last one this stub took views from. They are the stub's state, not
     /// the app's: a dead app's stub keeps them in step all the same.
@@ -91,9 +89,8 @@ struct StubCore {
 impl StubCore {
     fn new(app: Box<dyn SdnApp>, config: StubConfig) -> StubCore {
         StubCore {
-            app,
+            sandbox: Sandbox::new(app),
             config,
-            dead: false,
             views: None,
             hb_seq: 0,
             last_heartbeat: Instant::now(),
@@ -102,29 +99,17 @@ impl StubCore {
         }
     }
 
-    /// The `Register` frame that must open the conversation, or the
-    /// panic text if the app crashed while being asked who it is.
-    fn register_frame(&self) -> Result<Vec<u8>, String> {
-        catch_unwind(AssertUnwindSafe(|| {
-            encode_frame(&RpcMessage::Register {
-                app_name: self.app.name().to_string(),
-                subscriptions: self.app.subscriptions(),
-            })
-        }))
-        .map_err(|payload| panic_text(&*payload))
-    }
-
-    /// Book a panic out of app code while serving request `seq`: the app
-    /// is dead until restored, and the proxy hears `Crashed` or — like a
+    /// Answer request `seq`, whose call into the app faulted. A dead app
+    /// says nothing (the proxy's timeout is its crash signal); one that
+    /// just panicked is booked, and the proxy hears `Crashed` or — like a
     /// process that just died — nothing.
-    fn crashed(&mut self, seq: u64, payload: &(dyn std::any::Any + Send)) -> StubStep {
+    fn faulted(&mut self, seq: u64, fault: Fault) -> StubStep {
+        let Fault::Panicked(panic_message) = fault else {
+            return StubStep::Continue;
+        };
         self.report.crashes_contained += 1;
-        self.dead = true;
         if self.config.report_crashes {
-            StubStep::Reply(encode_frame(&RpcMessage::Crashed {
-                seq,
-                panic_message: panic_text(payload),
-            }))
+            StubStep::Reply(encode_frame(&RpcMessage::Crashed { seq, panic_message }))
         } else {
             StubStep::Continue
         }
@@ -133,7 +118,7 @@ impl StubCore {
     /// A heartbeat frame when one is due (and the app is alive — a dead
     /// process doesn't beat).
     fn heartbeat_if_due(&mut self) -> Option<Vec<u8>> {
-        if self.dead || self.last_heartbeat.elapsed() < self.config.heartbeat_period {
+        if self.sandbox.is_dead() || self.last_heartbeat.elapsed() < self.config.heartbeat_period {
             return None;
         }
         self.hb_seq += 1;
@@ -146,7 +131,7 @@ impl StubCore {
     /// period for a dead stub (it has nothing to schedule, so it must not
     /// shorten the host's park).
     fn heartbeat_due_in(&self) -> Duration {
-        if self.dead {
+        if self.sandbox.is_dead() {
             return self.config.heartbeat_period;
         }
         self.config
@@ -154,20 +139,11 @@ impl StubCore {
             .saturating_sub(self.last_heartbeat.elapsed())
     }
 
-    /// Run the app on `event` under the views just taken in, containing
-    /// a panic as a crash.
+    /// Run the app on `event` under the views just taken in.
     fn run_app(&mut self, seq: u64, event: &Event, now: SimTime) -> StubStep {
-        if self.dead {
-            // A dead process can't answer. (The proxy's delivery
-            // timeout is its comm-failure crash signal.)
-            return StubStep::Continue;
-        }
         let (_, topology, devices) = self.views.as_ref().expect("set by the delivery frame");
         let mut ctx = Ctx::new(now, topology, devices);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.app.on_event(event, &mut ctx);
-        }));
-        match result {
+        match self.sandbox.on_event(event, &mut ctx) {
             Ok(()) => {
                 self.report.events_processed += 1;
                 let ack = RpcMessage::EventAck {
@@ -178,7 +154,7 @@ impl StubCore {
                 self.ack_capacity = frame.len().next_power_of_two();
                 StubStep::Reply(frame)
             }
-            Err(payload) => self.crashed(seq, &*payload),
+            Err(fault) => self.faulted(seq, fault),
         }
     }
 
@@ -221,25 +197,20 @@ impl StubCore {
                 }
                 self.run_app(seq, &event, now)
             }
-            RpcMessage::SnapshotRequest { seq } => {
-                if self.dead {
-                    return StubStep::Continue;
+            RpcMessage::SnapshotRequest { seq } => match self.sandbox.capture() {
+                Ok(bytes) => {
+                    StubStep::Reply(encode_frame(&RpcMessage::SnapshotReply { seq, bytes }))
                 }
-                match catch_unwind(AssertUnwindSafe(|| self.app.snapshot())) {
-                    Ok(bytes) => {
-                        StubStep::Reply(encode_frame(&RpcMessage::SnapshotReply { seq, bytes }))
-                    }
-                    Err(payload) => self.crashed(seq, &*payload),
-                }
-            }
+                Err(fault) => self.faulted(seq, fault),
+            },
             RpcMessage::RestoreRequest { seq, bytes } => {
                 // Restore revives a dead app (the CRIU restart+restore).
-                let ok = match catch_unwind(AssertUnwindSafe(|| self.app.restore(&bytes))) {
-                    Ok(restored) => restored.is_ok(),
-                    Err(payload) => return self.crashed(seq, &*payload),
+                let ok = match self.sandbox.revive(&bytes) {
+                    Ok(()) => true,
+                    Err(Fault::Rejected(_)) => false,
+                    Err(fault) => return self.faulted(seq, fault),
                 };
                 if ok {
-                    self.dead = false;
                     self.report.restores += 1;
                     self.last_heartbeat = Instant::now();
                 }
@@ -270,8 +241,9 @@ struct HostWorker {
 
 /// Hosts many [`StubCore`]s on a fixed pool of worker threads, each
 /// driving its stubs' frames and heartbeats through split non-blocking
-/// transports ([`crate::poll`]). `catch_unwind` walls off app panics — a
-/// crashed app goes `dead` on its worker without disturbing neighbors —
+/// transports ([`crate::poll`]). Each app's [`Sandbox`] walls off its
+/// panics — a crashed app goes dead on its worker without disturbing
+/// neighbors —
 /// and a 1000-app fleet costs `workers` threads, not 1000. Stubs are
 /// placed round-robin, so up to `workers` stubs each get a thread of
 /// their own; beyond that, an app that *stalls* (rather than panics)
@@ -333,23 +305,22 @@ impl StubHost {
         transport: Duplex,
         config: StubConfig,
     ) -> Result<(), TransportError> {
-        let core = StubCore::new(app, config);
+        let mut core = StubCore::new(app, config);
         let Duplex {
             mut sink,
             mut source,
         } = transport;
-        let register = match core.register_frame() {
-            Ok(frame) => frame,
-            Err(panic_message) if core.config.report_crashes => {
-                let crashed = RpcMessage::Crashed {
-                    seq: 0,
-                    panic_message,
-                };
-                return sink.send_owned(encode_frame(&crashed));
-            }
-            Err(_) => return Ok(()),
+        let (app_name, subscriptions) = match core.sandbox.identity() {
+            Ok(identity) => identity,
+            Err(fault) => match core.faulted(0, fault) {
+                StubStep::Reply(crashed) => return sink.send_owned(crashed),
+                _ => return Ok(()),
+            },
         };
-        sink.send_owned(register)?;
+        sink.send_owned(encode_frame(&RpcMessage::Register {
+            app_name,
+            subscriptions,
+        }))?;
         let worker = &self.workers[self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len()];
         source.set_waker(worker.waker.clone());
         self.spawned.fetch_add(1, Ordering::SeqCst);

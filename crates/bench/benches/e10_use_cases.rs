@@ -5,7 +5,8 @@
 
 use legosdn::clone_runner::ClonePair;
 use legosdn::controller::services::{DeviceView, TopologyView};
-use legosdn::crashpad::{LocalSandbox, RecoverableApp};
+use legosdn::controller::Sandbox;
+use legosdn::crashpad::RecoverableApp;
 use legosdn::nversion::NVersionApp;
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, Criterion};
@@ -29,12 +30,12 @@ fn summary() {
     let n = 2_000;
 
     // Single app baseline vs 3-version group vs clone pair.
-    let mut single = LocalSandbox::new(Box::new(Hub::new()));
+    let mut single = Sandbox::new(Box::new(Hub::new()));
     let single_us = time_events(n, |i| {
         let _ = single.deliver(&workloads::bench_packet_in(i), &topo, &dev, SimTime::ZERO);
     });
 
-    let mut nv = LocalSandbox::new(Box::new(NVersionApp::new(
+    let mut nv = Sandbox::new(Box::new(NVersionApp::new(
         "hub-3v",
         vec![
             Box::new(Hub::new()),
@@ -47,8 +48,8 @@ fn summary() {
     });
 
     let mut pair = ClonePair::new(
-        LocalSandbox::new(Box::new(Hub::new())),
-        LocalSandbox::new(Box::new(Hub::new())),
+        Sandbox::new(Box::new(Hub::new())),
+        Sandbox::new(Box::new(Hub::new())),
     );
     let clone_us = time_events(n, |i| {
         let _ = pair.deliver(&workloads::bench_packet_in(i), &topo, &dev, SimTime::ZERO);
@@ -156,7 +157,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e10_use_cases");
     let mut i = 0u64;
 
-    let mut single = LocalSandbox::new(Box::new(Hub::new()));
+    let mut single = Sandbox::new(Box::new(Hub::new()));
     g.bench_function("single_app", |b| {
         b.iter(|| {
             i += 1;
@@ -164,7 +165,7 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    let mut nv = LocalSandbox::new(Box::new(NVersionApp::new(
+    let mut nv = Sandbox::new(Box::new(NVersionApp::new(
         "hub-3v",
         vec![
             Box::new(Hub::new()),
@@ -180,8 +181,8 @@ fn bench(c: &mut Criterion) {
     });
 
     let mut pair = ClonePair::new(
-        LocalSandbox::new(Box::new(Hub::new())),
-        LocalSandbox::new(Box::new(Hub::new())),
+        Sandbox::new(Box::new(Hub::new())),
+        Sandbox::new(Box::new(Hub::new())),
     );
     g.bench_function("clone_pair", |b| {
         b.iter(|| {

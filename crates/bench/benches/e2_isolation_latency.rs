@@ -13,7 +13,8 @@
 use legosdn::appvisor::{AppVisorProxy, ProxyConfig, StubConfig, TransportKind};
 use legosdn::controller::app::{Ctx, SdnApp};
 use legosdn::controller::services::{DeviceView, TopologyView};
-use legosdn::crashpad::{LocalSandbox, RecoverableApp};
+use legosdn::controller::Sandbox;
+use legosdn::crashpad::RecoverableApp;
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, Criterion};
 use legosdn_bench::{print_table, workloads};
@@ -60,7 +61,7 @@ fn summary() {
     });
 
     // In-process sandbox.
-    let mut sandbox = LocalSandbox::new(Box::new(LearningSwitch::new()));
+    let mut sandbox = Sandbox::new(Box::new(LearningSwitch::new()));
     let local = time_deliveries(n, |i| {
         let ev = workloads::bench_packet_in(i);
         let _ = sandbox.deliver(&ev, &topo, &dev, SimTime::ZERO);
@@ -194,7 +195,7 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    let mut sandbox = LocalSandbox::new(Box::new(LearningSwitch::new()));
+    let mut sandbox = Sandbox::new(Box::new(LearningSwitch::new()));
     g.bench_function("local_sandbox", |b| {
         b.iter(|| {
             i += 1;

@@ -8,8 +8,9 @@
 
 use legosdn::controller::app::SdnApp;
 use legosdn::controller::services::{DeviceView, TopologyView};
+use legosdn::controller::Sandbox;
 use legosdn::crashpad::{
-    CheckpointPolicy, CrashPad, CrashPadConfig, LocalSandbox, PolicyTable, TransformDirection,
+    CheckpointPolicy, CrashPad, CrashPadConfig, PolicyTable, TransformDirection,
 };
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, BenchmarkId, Criterion};
@@ -34,7 +35,7 @@ fn pad(interval: u64) -> CrashPad {
 /// (mean us/event, snapshots taken, snapshot bytes total).
 fn steady_state(interval: u64, n: u64, state_size: u64) -> (f64, u64, u64) {
     let mut cp = pad(interval);
-    let mut sandbox = LocalSandbox::new(Box::new(workloads::warmed_learning_switch(state_size)));
+    let mut sandbox = Sandbox::new(Box::new(workloads::warmed_learning_switch(state_size)));
     let topo = TopologyView::default();
     let dev = DeviceView::default();
     let start = Instant::now();
@@ -56,7 +57,7 @@ fn steady_state(interval: u64, n: u64, state_size: u64) -> (f64, u64, u64) {
 fn recovery_cost(interval: u64, state_size: u64) -> (f64, u64) {
     let mut cp = pad(interval);
     let inner = workloads::warmed_learning_switch(state_size);
-    let mut sandbox = LocalSandbox::new(Box::new(FaultyApp::new(
+    let mut sandbox = Sandbox::new(Box::new(FaultyApp::new(
         Box::new(inner),
         BugTrigger::OnPacketToMac(MacAddr::from_index(0xdead)),
         BugEffect::Crash,
@@ -95,7 +96,7 @@ fn recovery_cost(interval: u64, state_size: u64) -> (f64, u64) {
 /// Returns (stored, elided).
 fn elision_rate(n: u64, state_size: u64) -> (u64, u64) {
     let mut cp = pad(1);
-    let mut sandbox = LocalSandbox::new(Box::new(workloads::warmed_learning_switch(state_size)));
+    let mut sandbox = Sandbox::new(Box::new(workloads::warmed_learning_switch(state_size)));
     let topo = TopologyView::default();
     let dev = DeviceView::default();
     for _ in 0..n {

@@ -10,9 +10,10 @@
 //!   stand-in for CRIU in the paper's prototype (DESIGN.md §2). Apps
 //!   serialize their *entire* state; restoring the bytes must reproduce the
 //!   exact pre-event state.
-//! - `on_event` is allowed to panic. A panic is the fail-stop crash the
-//!   whole system is designed around; who it kills depends on the runtime
-//!   (the monolithic baseline dies with the app, AppVisor contains it).
+//! - Any method may panic. A panic is the fail-stop crash the whole system
+//!   is designed around; who it kills depends on the runtime (the
+//!   monolithic baseline dies with the app, LegoSDN calls apps only through
+//!   a [`crate::sandbox::Sandbox`], which contains it).
 
 use crate::event::{Event, EventKind};
 use crate::services::{DeviceView, TopologyView};
@@ -105,12 +106,6 @@ pub trait SdnApp: Send {
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError>;
 }
 
-/// Blanket helper: does the app subscribe to this event?
-#[must_use]
-pub fn subscribes(app: &dyn SdnApp, event: &Event) -> bool {
-    app.subscriptions().contains(&event.kind())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,13 +148,6 @@ mod tests {
         assert_eq!(ctx.commands().len(), 1);
         let cmds = ctx.into_commands();
         assert_eq!(cmds[0].dpid, DatapathId(1));
-    }
-
-    #[test]
-    fn subscribes_filters_by_kind() {
-        let app = Probe { seen: 0 };
-        assert!(subscribes(&app, &Event::SwitchUp(DatapathId(1))));
-        assert!(!subscribes(&app, &Event::SwitchDown(DatapathId(1))));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::app::{Command, Ctx, SdnApp};
 use crate::event::Event;
+use crate::sandbox::panic_text;
 use crate::translate::EventTranslator;
 use legosdn_netsim::Network;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -247,18 +248,6 @@ fn execute(net: &mut Network, commands: &[Command], stats: &mut ControllerStats)
     for c in commands {
         stats.commands_executed += 1;
         let _ = net.apply(c.dpid, &c.msg);
-    }
-}
-
-/// Render a panic payload as text (panics carry `String` or `&str`).
-#[must_use]
-pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 

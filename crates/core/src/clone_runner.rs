@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use legosdn_apps::{BugEffect, BugTrigger, FaultyApp, Hub};
     use legosdn_controller::event::EventKind;
-    use legosdn_crashpad::LocalSandbox;
+    use legosdn_controller::sandbox::Sandbox;
     use legosdn_openflow::prelude::*;
 
     fn pin(dst: u64) -> Event {
@@ -141,8 +141,8 @@ mod tests {
         )
     }
 
-    fn nondet_hub(per_mille: u32, seed: u64) -> LocalSandbox {
-        LocalSandbox::new(Box::new(FaultyApp::new(
+    fn nondet_hub(per_mille: u32, seed: u64) -> Sandbox {
+        Sandbox::new(Box::new(FaultyApp::new(
             Box::new(Hub::new()),
             BugTrigger::WithProbability { per_mille, seed },
             BugEffect::Crash,
@@ -161,8 +161,8 @@ mod tests {
     #[test]
     fn healthy_pair_passes_primary_output() {
         let mut pair = ClonePair::new(
-            LocalSandbox::new(Box::new(Hub::new())),
-            LocalSandbox::new(Box::new(Hub::new())),
+            Sandbox::new(Box::new(Hub::new())),
+            Sandbox::new(Box::new(Hub::new())),
         );
         match deliver(&mut pair, &pin(2)) {
             DeliveryResult::Ok(cmds) => assert_eq!(cmds.len(), 1),
@@ -202,7 +202,7 @@ mod tests {
         // Both replicas crash on the same poisoned input: the pair reports
         // the failure upward (Crash-Pad's job from here).
         let bug = || {
-            LocalSandbox::new(Box::new(FaultyApp::new(
+            Sandbox::new(Box::new(FaultyApp::new(
                 Box::new(Hub::new()),
                 BugTrigger::OnPacketToMac(MacAddr::from_index(13)),
                 BugEffect::Crash,
@@ -219,8 +219,8 @@ mod tests {
     #[test]
     fn restore_resyncs_both_replicas() {
         let mut pair = ClonePair::new(
-            LocalSandbox::new(Box::new(Hub::new())),
-            LocalSandbox::new(Box::new(Hub::new())),
+            Sandbox::new(Box::new(Hub::new())),
+            Sandbox::new(Box::new(Hub::new())),
         );
         deliver(&mut pair, &pin(2));
         let snap = pair.snapshot().unwrap();

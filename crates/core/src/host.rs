@@ -3,14 +3,15 @@
 
 use legosdn_appvisor::{AppHandle, AppVisorProxy, DeliverOutcome, ProxyError};
 use legosdn_controller::event::Event;
+use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::services::{DeviceView, TopologyView};
-use legosdn_crashpad::{DeliveryResult, LocalSandbox, RecoverableApp};
+use legosdn_crashpad::{DeliveryResult, RecoverableApp};
 use legosdn_netsim::SimTime;
 
 /// Where an attached app lives.
 pub enum Host {
-    /// In-process sandbox.
-    Local(LocalSandbox),
+    /// In-process, behind its sandbox.
+    Local(Sandbox),
     /// Behind the AppVisor proxy (hosted stub + transport).
     Isolated(AppHandle),
 }

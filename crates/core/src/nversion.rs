@@ -7,15 +7,16 @@
 //!
 //! [`NVersionApp`] is itself an [`SdnApp`], so it composes with every other
 //! LegoSDN mechanism: it can be sandboxed, checkpointed, and policed like
-//! any single app. Each version is panic-contained individually; a crashed
-//! version simply stops voting until the group is restored.
+//! any single app. Each version runs in a [`Sandbox`] of its own; a version
+//! that panics — voting, or being checkpointed — simply stops voting until
+//! the group is restored.
 
 use legosdn_codec::Codec;
 use legosdn_controller::app::{Command, Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
+use legosdn_controller::sandbox::{Fault, Sandbox};
 use legosdn_controller::snapshot;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Vote bookkeeping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Codec)]
@@ -40,8 +41,7 @@ struct Saved {
 /// An N-version group voting on the output of each event.
 pub struct NVersionApp {
     name: String,
-    versions: Vec<Box<dyn SdnApp>>,
-    dead: Vec<bool>,
+    versions: Vec<Sandbox>,
     stats: VoteStats,
 }
 
@@ -56,11 +56,9 @@ impl NVersionApp {
             !versions.is_empty(),
             "n-version group needs at least one version"
         );
-        let dead = vec![false; versions.len()];
         NVersionApp {
             name: name.to_string(),
-            versions,
-            dead,
+            versions: versions.into_iter().map(Sandbox::new).collect(),
             stats: VoteStats::default(),
         }
     }
@@ -74,7 +72,7 @@ impl NVersionApp {
     /// Number of versions still live.
     #[must_use]
     pub fn live_versions(&self) -> usize {
-        self.dead.iter().filter(|d| !**d).count()
+        self.versions.iter().filter(|v| !v.is_dead()).count()
     }
 }
 
@@ -90,8 +88,8 @@ impl SdnApp for NVersionApp {
 
     fn subscriptions(&self) -> Vec<EventKind> {
         let mut subs: Vec<EventKind> = Vec::new();
-        for v in &self.versions {
-            for k in v.subscriptions() {
+        for (_, kinds) in self.versions.iter().filter_map(|v| v.identity().ok()) {
+            for k in kinds {
                 if !subs.contains(&k) {
                     subs.push(k);
                 }
@@ -101,15 +99,11 @@ impl SdnApp for NVersionApp {
     }
 
     fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
-        // Run every live version in its own contained scope.
         let mut ballots: BTreeMap<Vec<u8>, (usize, Vec<Command>)> = BTreeMap::new();
         let mut voters = 0usize;
-        for (i, version) in self.versions.iter_mut().enumerate() {
-            if self.dead[i] {
-                continue;
-            }
+        for version in &mut self.versions {
             let mut vctx = Ctx::new(ctx.now, ctx.topology, ctx.devices);
-            match catch_unwind(AssertUnwindSafe(|| version.on_event(event, &mut vctx))) {
+            match version.on_event(event, &mut vctx) {
                 Ok(()) => {
                     voters += 1;
                     let commands = vctx.into_commands();
@@ -117,10 +111,8 @@ impl SdnApp for NVersionApp {
                     let entry = ballots.entry(key).or_insert((0, commands));
                     entry.0 += 1;
                 }
-                Err(_) => {
-                    self.stats.version_crashes += 1;
-                    self.dead[i] = true;
-                }
+                Err(Fault::Panicked(_)) => self.stats.version_crashes += 1,
+                Err(_) => {}
             }
         }
         if voters == 0 {
@@ -146,10 +138,11 @@ impl SdnApp for NVersionApp {
     }
 
     fn snapshot(&self) -> Vec<u8> {
+        let states: Vec<Option<Vec<u8>>> = self.versions.iter().map(|v| v.capture().ok()).collect();
         let saved = Saved {
             stats: self.stats,
-            dead: self.dead.clone(),
-            versions: self.versions.iter().map(|v| v.snapshot()).collect(),
+            dead: states.iter().map(Option::is_none).collect(),
+            versions: states.into_iter().map(Option::unwrap_or_default).collect(),
         };
         snapshot::to_bytes(&saved).expect("plain data")
     }
@@ -163,11 +156,19 @@ impl SdnApp for NVersionApp {
                 self.versions.len()
             )));
         }
-        for (v, s) in self.versions.iter_mut().zip(&saved.versions) {
-            v.restore(s)?;
+        for ((v, s), dead) in self
+            .versions
+            .iter_mut()
+            .zip(&saved.versions)
+            .zip(saved.dead)
+        {
+            if dead {
+                v.kill("dead in the restored group checkpoint");
+            } else if let Err(Fault::Rejected(e)) = v.revive(s) {
+                return Err(e);
+            }
         }
         self.stats = saved.stats;
-        self.dead = saved.dead;
         Ok(())
     }
 }
@@ -274,6 +275,55 @@ mod tests {
         nv.restore(&healthy).unwrap();
         assert_eq!(nv.live_versions(), 3, "restore revives the crashed version");
         assert_eq!(nv.vote_stats().version_crashes, 0);
+    }
+
+    #[test]
+    fn a_version_dead_in_a_checkpoint_is_dead_after_restoring_it() {
+        let mut nv = three_hubs_one_buggy(BugEffect::Crash);
+        let healthy = nv.snapshot();
+        deliver(&mut nv, &pin(13));
+        let wounded = nv.snapshot();
+        nv.restore(&healthy).unwrap();
+        assert_eq!(nv.live_versions(), 3);
+        nv.restore(&wounded).unwrap();
+        assert_eq!(nv.live_versions(), 2, "the checkpoint's dead stay dead");
+        assert_eq!(deliver(&mut nv, &pin(2)).len(), 1);
+    }
+
+    #[test]
+    fn a_version_that_panics_being_checkpointed_stops_voting() {
+        struct SnapshotBomb(Hub);
+        impl SdnApp for SnapshotBomb {
+            fn name(&self) -> &str {
+                "snapshot-bomb"
+            }
+            fn subscriptions(&self) -> Vec<EventKind> {
+                self.0.subscriptions()
+            }
+            fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
+                self.0.on_event(event, ctx);
+            }
+            fn snapshot(&self) -> Vec<u8> {
+                panic!("snapshot bomb");
+            }
+            fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+                self.0.restore(bytes)
+            }
+        }
+        let mut nv = NVersionApp::new(
+            "hub-nv",
+            vec![
+                Box::new(Hub::new()),
+                Box::new(Hub::new()),
+                Box::new(SnapshotBomb(Hub::new())),
+            ],
+        );
+        let saved = nv.snapshot();
+        assert_eq!(nv.live_versions(), 2);
+        assert_eq!(deliver(&mut nv, &pin(2)).len(), 1);
+        assert_eq!(nv.vote_stats().unanimous, 1, "the two live versions agree");
+        nv.restore(&saved).unwrap();
+        assert_eq!(nv.live_versions(), 2, "and the checkpoint saved it dead");
     }
 
     #[test]

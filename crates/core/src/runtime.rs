@@ -39,8 +39,9 @@ use crate::workers::{
 use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
 use legosdn_controller::event::Event;
+use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::translate::EventTranslator;
-use legosdn_crashpad::{CrashPad, LocalSandbox};
+use legosdn_crashpad::CrashPad;
 use legosdn_invariants::Checker;
 use legosdn_netlog::{CommitBarrier, NetLog};
 use legosdn_netsim::{NetEvent, Network};
@@ -255,31 +256,31 @@ impl LegoSdnRuntime {
         app: Box<dyn SdnApp>,
         limits: ResourceLimits,
     ) -> Result<AppId, AttachError> {
-        let name = app.name().to_string();
-        let subscriptions = app.subscriptions();
         let global = self.n_apps;
         let (worker, _) = self.loc(global);
         let shard = &mut self.shards[worker];
-        let host = match self.config.isolation {
-            IsolationMode::Local => Host::Local(LocalSandbox::new(app)),
-            IsolationMode::Channel => Host::Isolated(
-                shard
-                    .proxy
-                    .launch_app(app, TransportKind::Channel)
-                    .map_err(|e| AttachError(e.to_string()))?,
-            ),
-            IsolationMode::Udp => Host::Isolated(
-                shard
-                    .proxy
-                    .launch_app(app, TransportKind::Udp)
-                    .map_err(|e| AttachError(e.to_string()))?,
-            ),
-            IsolationMode::Tcp => Host::Isolated(
-                shard
-                    .proxy
-                    .launch_app(app, TransportKind::Tcp)
-                    .map_err(|e| AttachError(e.to_string()))?,
-            ),
+        let transport = match self.config.isolation {
+            IsolationMode::Local => None,
+            IsolationMode::Channel => Some(TransportKind::Channel),
+            IsolationMode::Udp => Some(TransportKind::Udp),
+            IsolationMode::Tcp => Some(TransportKind::Tcp),
+        };
+        // The app says who it is from behind its fault wall: in-process,
+        // its sandbox; isolated, its stub's `Register` frame.
+        let (name, subscriptions, host) = match transport {
+            None => {
+                let sandbox = Sandbox::new(app);
+                let (name, subs) = sandbox.identity().map_err(|f| AttachError(f.into()))?;
+                (name, subs, Host::Local(sandbox))
+            }
+            Some(kind) => {
+                let proxy = &mut shard.proxy;
+                let registered = proxy.launch_app(app, kind).and_then(|h| {
+                    let name = proxy.app_name(h)?.to_string();
+                    Ok((name, proxy.subscriptions(h)?.to_vec(), Host::Isolated(h)))
+                });
+                registered.map_err(|e| AttachError(e.to_string()))?
+            }
         };
         shard.apps.push(AppRecord {
             subscriptions,

@@ -61,7 +61,7 @@ impl fmt::Display for DiagnoseError {
 /// Oracle that replays candidate subsequences into the real app, restored
 /// from a fixed snapshot before each attempt.
 struct SnapshotOracle<'a> {
-    app: &'a mut dyn RecoverableApp,
+    live: &'a mut dyn RecoverableApp,
     snapshot: &'a [u8],
     topology: &'a TopologyView,
     devices: &'a DeviceView,
@@ -70,11 +70,11 @@ struct SnapshotOracle<'a> {
 
 impl ReplayOracle for SnapshotOracle<'_> {
     fn reproduces(&mut self, events: &[Event]) -> bool {
-        if self.app.restore(self.snapshot).is_err() {
+        if self.live.restore(self.snapshot).is_err() {
             return false;
         }
         for ev in events {
-            match self.app.deliver(ev, self.topology, self.devices, self.now) {
+            match self.live.deliver(ev, self.topology, self.devices, self.now) {
                 DeliveryResult::Ok(_) => {}
                 _ => return true,
             }
@@ -129,7 +129,7 @@ impl CrashPad {
             let mut suffix = plan.replay.clone();
             suffix.push(offending.clone());
             let mut oracle = SnapshotOracle {
-                app,
+                live: app,
                 snapshot: &plan.snapshot.bytes,
                 topology,
                 devices,
@@ -158,10 +158,10 @@ impl CrashPad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::LocalSandbox;
     use crate::{CheckpointPolicy, CompromisePolicy, CrashPadConfig, PolicyTable};
     use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
     use legosdn_controller::event::EventKind;
+    use legosdn_controller::sandbox::Sandbox;
     use legosdn_openflow::prelude::DatapathId;
 
     /// Crashes once it has accumulated `fuse` switch-downs.
@@ -222,7 +222,7 @@ mod tests {
         // snapshot); but roll back far enough and the minimal sequence
         // includes the earlier switch-downs.
         let mut pad = pad();
-        let mut sandbox = LocalSandbox::new(Box::new(FuseApp { seen: 0, fuse: 3 }));
+        let mut sandbox = Sandbox::new(Box::new(FuseApp { seen: 0, fuse: 3 }));
         let topo = TopologyView::default();
         let dev = DeviceView::default();
         // 20 noise events with 2 switch-downs buried at positions 5 and 13.
@@ -245,7 +245,7 @@ mod tests {
         assert_eq!(diagnosis.minimal, vec![offending.clone()]);
         // Diagnosis left the app in its pre-diagnosis state: alive, seen=2.
         assert!(!sandbox.is_dead());
-        let state = sandbox.app().snapshot();
+        let state = sandbox.capture().unwrap();
         assert_eq!(u32::from_be_bytes(state.try_into().unwrap()), 2);
     }
 
@@ -264,7 +264,7 @@ mod tests {
             policies: PolicyTable::with_default(CompromisePolicy::Absolute),
             transform_direction: crate::TransformDirection::Decompose,
         });
-        let mut sandbox = LocalSandbox::new(Box::new(FuseApp { seen: 0, fuse: 2 }));
+        let mut sandbox = Sandbox::new(Box::new(FuseApp { seen: 0, fuse: 2 }));
         let topo = TopologyView::default();
         let dev = DeviceView::default();
         // 6 events (inside the first window): one switch-down at pos 3.
@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn dead_app_is_revived_for_diagnosis() {
         let mut pad = pad();
-        let mut sandbox = LocalSandbox::new(Box::new(FuseApp { seen: 0, fuse: 1 }));
+        let mut sandbox = Sandbox::new(Box::new(FuseApp { seen: 0, fuse: 1 }));
         let topo = TopologyView::default();
         let dev = DeviceView::default();
         pad.dispatch(&mut sandbox, "fuse", &up(1), &topo, &dev, SimTime::ZERO);
@@ -306,7 +306,7 @@ mod tests {
         // An app that never crashes on replay: the "offending" event is
         // benign, so nothing reproduces.
         let mut pad = pad();
-        let mut sandbox = LocalSandbox::new(Box::new(FuseApp { seen: 0, fuse: 100 }));
+        let mut sandbox = Sandbox::new(Box::new(FuseApp { seen: 0, fuse: 100 }));
         let topo = TopologyView::default();
         let dev = DeviceView::default();
         pad.dispatch(&mut sandbox, "fuse", &up(1), &topo, &dev, SimTime::ZERO);
@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn no_history_is_reported() {
         let mut pad = pad();
-        let mut sandbox = LocalSandbox::new(Box::new(FuseApp { seen: 0, fuse: 1 }));
+        let mut sandbox = Sandbox::new(Box::new(FuseApp { seen: 0, fuse: 1 }));
         let topo = TopologyView::default();
         let dev = DeviceView::default();
         let err = pad

@@ -7,21 +7,20 @@
 //! problem ticket either way.
 //!
 //! The engine is agnostic to *where* the app runs: anything implementing
-//! [`RecoverableApp`] can be protected. [`LocalSandbox`] wraps an in-process
-//! app with panic containment; the LegoSDN runtime provides an
-//! AppVisor-proxy-backed implementation for truly isolated apps.
+//! [`RecoverableApp`] can be protected. An in-process app is protected
+//! through its [`Sandbox`] (the fault wall); the LegoSDN runtime provides
+//! an AppVisor-proxy-backed implementation for truly isolated apps.
 
 use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
 use crate::policy::{CompromisePolicy, PolicyTable};
 use crate::ticket::{FailureKind, RecoveryTaken, TicketStore};
 use crate::transform::{transform, TransformDirection};
-use legosdn_controller::app::{Command, Ctx, SdnApp};
+use legosdn_controller::app::{Command, Ctx};
 use legosdn_controller::event::Event;
-use legosdn_controller::monolithic::panic_text;
+use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
 use legosdn_obs::{Counter, Histogram, Obs, RecordKind};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -544,47 +543,8 @@ fn failure_class(failure: &FailureKind) -> &'static str {
     }
 }
 
-// -------------------------------------------------------------------------
-// in-process sandbox
-// -------------------------------------------------------------------------
-
-/// An in-process [`RecoverableApp`]: the app runs on the caller's thread
-/// with panic containment. After a panic the sandbox is *dead* — further
-/// deliveries report [`DeliveryResult::Crashed`] without running the app —
-/// until a successful [`RecoverableApp::restore`], mirroring process death
-/// and CRIU revival.
-pub struct LocalSandbox {
-    app: Box<dyn SdnApp>,
-    dead: bool,
-}
-
-impl LocalSandbox {
-    /// Sandbox an app.
-    #[must_use]
-    pub fn new(app: Box<dyn SdnApp>) -> Self {
-        LocalSandbox { app, dead: false }
-    }
-
-    /// The app's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        self.app.name()
-    }
-
-    /// Is the sandboxed app dead?
-    #[must_use]
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// Access the wrapped app (for assertions in tests).
-    #[must_use]
-    pub fn app(&self) -> &dyn SdnApp {
-        self.app.as_ref()
-    }
-}
-
-impl RecoverableApp for LocalSandbox {
+/// An in-process app; a delivery to a dead one reports what killed it.
+impl RecoverableApp for Sandbox {
     fn deliver(
         &mut self,
         event: &Event,
@@ -592,34 +552,21 @@ impl RecoverableApp for LocalSandbox {
         devices: &DeviceView,
         now: SimTime,
     ) -> DeliveryResult {
-        if self.dead {
-            return DeliveryResult::Crashed {
-                panic_message: "app is dead".into(),
-            };
-        }
         let mut ctx = Ctx::new(now, topology, devices);
-        match catch_unwind(AssertUnwindSafe(|| self.app.on_event(event, &mut ctx))) {
+        match self.on_event(event, &mut ctx) {
             Ok(()) => DeliveryResult::Ok(ctx.into_commands()),
-            Err(payload) => {
-                self.dead = true;
-                DeliveryResult::Crashed {
-                    panic_message: panic_text(&*payload),
-                }
-            }
+            Err(fault) => DeliveryResult::Crashed {
+                panic_message: fault.into(),
+            },
         }
     }
 
     fn snapshot(&mut self) -> Result<Vec<u8>, String> {
-        if self.dead {
-            return Err("app is dead".into());
-        }
-        Ok(self.app.snapshot())
+        self.capture().map_err(String::from)
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.app.restore(bytes).map_err(|e| e.to_string())?;
-        self.dead = false;
-        Ok(())
+        self.revive(bytes).map_err(String::from)
     }
 }
 
@@ -628,7 +575,7 @@ mod tests {
     use super::*;
     use crate::policy::CompromisePolicy;
     use legosdn_codec::Codec;
-    use legosdn_controller::app::RestoreError;
+    use legosdn_controller::app::{RestoreError, SdnApp};
     use legosdn_controller::event::EventKind;
     use legosdn_netsim::Endpoint;
     use legosdn_openflow::prelude::*;
@@ -696,23 +643,22 @@ mod tests {
 
     fn dispatch(
         pad: &mut CrashPad,
-        sandbox: &mut LocalSandbox,
+        sandbox: &mut Sandbox,
         ev: &Event,
         topo: &TopologyView,
     ) -> DispatchResult {
         let dev = DeviceView::default();
-        let name = sandbox.name().to_string();
-        pad.dispatch(sandbox, &name, ev, topo, &dev, SimTime::ZERO)
+        pad.dispatch(sandbox, "brittle", ev, topo, &dev, SimTime::ZERO)
     }
 
-    fn brittle_state(sandbox: &LocalSandbox) -> BrittleState {
-        legosdn_controller::snapshot::from_bytes(&sandbox.app().snapshot()).unwrap()
+    fn brittle_state(sandbox: &Sandbox) -> BrittleState {
+        legosdn_controller::snapshot::from_bytes(&sandbox.capture().unwrap()).unwrap()
     }
 
     #[test]
     fn healthy_dispatch_passes_through() {
         let mut pad = pad(CompromisePolicy::Absolute, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let r = dispatch(
             &mut pad,
@@ -732,8 +678,8 @@ mod tests {
         // post-recovery app state must be identical.
         let mut mono = pad(CompromisePolicy::Absolute, 1);
         let mut split = pad(CompromisePolicy::Absolute, 1);
-        let mut sandbox_a = LocalSandbox::new(Box::new(Brittle::default()));
-        let mut sandbox_b = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox_a = Sandbox::new(Box::new(Brittle::default()));
+        let mut sandbox_b = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let dev = DeviceView::default();
         let events = [
@@ -766,7 +712,7 @@ mod tests {
     #[test]
     fn absolute_compromise_ignores_and_survives() {
         let mut pad = pad(CompromisePolicy::Absolute, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         dispatch(
             &mut pad,
@@ -809,7 +755,7 @@ mod tests {
     #[test]
     fn no_compromise_lets_the_app_die() {
         let mut pad = pad(CompromisePolicy::NoCompromise, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let r = dispatch(
             &mut pad,
@@ -825,7 +771,7 @@ mod tests {
     #[test]
     fn equivalence_transforms_switch_down_into_link_downs() {
         let mut pad = pad(CompromisePolicy::Equivalence, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let r = dispatch(
             &mut pad,
@@ -870,7 +816,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sandbox = LocalSandbox::new(Box::new(TickBomb));
+        let mut sandbox = Sandbox::new(Box::new(TickBomb));
         let topo = topo2();
         let dev = DeviceView::default();
         let r = pad.dispatch(
@@ -894,7 +840,7 @@ mod tests {
     #[test]
     fn checkpoint_every_n_replays_suffix() {
         let mut pad = pad(CompromisePolicy::Absolute, 5);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         // 3 healthy events (snapshot taken before the 1st only).
         for i in 0..3 {
@@ -925,7 +871,7 @@ mod tests {
     #[test]
     fn deterministic_bug_recurs_and_is_survived_every_time() {
         let mut pad = pad(CompromisePolicy::Absolute, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         for _ in 0..5 {
             let r = dispatch(
@@ -945,7 +891,7 @@ mod tests {
     #[test]
     fn byzantine_recovery_rolls_app_state_back() {
         let mut pad = pad(CompromisePolicy::Absolute, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let dev = DeviceView::default();
         // Healthy event that the GATE rejects (simulated byzantine).
@@ -975,7 +921,7 @@ mod tests {
             .policies
             .set_app("brittle", CompromisePolicy::NoCompromise);
         let mut pad = CrashPad::new(config);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let r = dispatch(
             &mut pad,
@@ -989,7 +935,7 @@ mod tests {
     #[test]
     fn ticket_records_offending_event_and_failure() {
         let mut pad = pad(CompromisePolicy::Absolute, 1);
-        let mut sandbox = LocalSandbox::new(Box::new(Brittle::default()));
+        let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
         let topo = topo2();
         let r = dispatch(
             &mut pad,
@@ -1005,5 +951,70 @@ mod tests {
         assert!(matches!(t.offending_event, Event::SwitchDown(d) if d == DatapathId(7)));
         assert!(matches!(&t.failure, FailureKind::FailStop { panic_message }
             if panic_message.contains("switch-down")));
+    }
+
+    #[test]
+    fn a_snapshot_panic_is_the_crash_its_ticket_names() {
+        // Brittle whose checkpoint panics once, before its third event.
+        struct Fragile {
+            inner: Brittle,
+            armed: std::sync::atomic::AtomicBool,
+        }
+        impl SdnApp for Fragile {
+            fn name(&self) -> &str {
+                "brittle"
+            }
+            fn subscriptions(&self) -> Vec<EventKind> {
+                self.inner.subscriptions()
+            }
+            fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
+                self.inner.on_event(event, ctx);
+            }
+            fn snapshot(&self) -> Vec<u8> {
+                if self.inner.state.events == 2
+                    && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst)
+                {
+                    panic!("fragile checkpoint");
+                }
+                self.inner.snapshot()
+            }
+            fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+                self.inner.restore(bytes)
+            }
+        }
+        let mut pad = pad(CompromisePolicy::Absolute, 1);
+        let mut sandbox = Sandbox::new(Box::new(Fragile {
+            inner: Brittle::default(),
+            armed: true.into(),
+        }));
+        let topo = topo2();
+        for d in 1..=2 {
+            dispatch(
+                &mut pad,
+                &mut sandbox,
+                &Event::SwitchUp(DatapathId(d)),
+                &topo,
+            );
+        }
+        let r = dispatch(
+            &mut pad,
+            &mut sandbox,
+            &Event::SwitchUp(DatapathId(3)),
+            &topo,
+        );
+        let DispatchResult::Recovered {
+            recovery: RecoveryTaken::Ignored,
+            ticket,
+            ..
+        } = r
+        else {
+            panic!("expected the event ignored, got {r:?}")
+        };
+        assert!(matches!(&pad.tickets.get(ticket).unwrap().failure,
+            FailureKind::FailStop { panic_message } if panic_message == "fragile checkpoint"));
+        // Restored from the checkpoint before event 2, event 2 replayed.
+        assert!(!sandbox.is_dead());
+        assert_eq!(brittle_state(&sandbox).events, 2);
+        assert_eq!(pad.stats().events_replayed, 1);
     }
 }

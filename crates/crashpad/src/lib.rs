@@ -25,9 +25,10 @@ pub mod transform;
 pub use checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, RecoveryPlan};
 pub use diagnose::{DiagnoseError, Diagnosis};
 pub use engine::{
-    CrashPad, CrashPadConfig, CrashPadStats, DeliveryResult, DispatchResult, LocalSandbox,
-    RecoverableApp,
+    CrashPad, CrashPadConfig, CrashPadStats, DeliveryResult, DispatchResult, RecoverableApp,
 };
+/// The old name of [`legosdn_controller::Sandbox`], kept for stackbench.
+pub use legosdn_controller::sandbox::Sandbox as LocalSandbox;
 pub use policy::{CompromisePolicy, PolicyParseError, PolicyTable};
 pub use ticket::{FailureKind, ProblemTicket, RecoveryTaken, TicketStore};
 pub use transform::{transform, TransformDirection};

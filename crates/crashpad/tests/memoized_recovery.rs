@@ -7,10 +7,11 @@
 
 use legosdn_apps::{BugEffect, BugTrigger, FaultyApp, LearningSwitch};
 use legosdn_controller::event::Event;
+use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{
-    CheckpointPolicy, CompromisePolicy, CrashPad, CrashPadConfig, DispatchResult, LocalSandbox,
-    PolicyTable, TransformDirection,
+    CheckpointPolicy, CompromisePolicy, CrashPad, CrashPadConfig, DispatchResult, PolicyTable,
+    TransformDirection,
 };
 use legosdn_netsim::SimTime;
 use legosdn_openflow::prelude::*;
@@ -55,14 +56,14 @@ fn crash_and_compare(interval: u64) {
         policies: PolicyTable::with_default(CompromisePolicy::Absolute),
         transform_direction: TransformDirection::Decompose,
     });
-    let mut sandbox = LocalSandbox::new(Box::new(FaultyApp::new(
+    let mut sandbox = Sandbox::new(Box::new(FaultyApp::new(
         Box::new(LearningSwitch::new()),
         BugTrigger::OnPacketToMac(MacAddr::from_index(POISON)),
         BugEffect::Crash,
     )));
-    let name = sandbox.name().to_string();
+    let (name, _) = sandbox.identity().unwrap();
     let (topo, dev) = (TopologyView::default(), DeviceView::default());
-    let dispatch = |pad: &mut CrashPad, sandbox: &mut LocalSandbox, ev: &Event| {
+    let dispatch = |pad: &mut CrashPad, sandbox: &mut Sandbox, ev: &Event| {
         pad.dispatch(sandbox, &name, ev, &topo, &dev, SimTime::ZERO)
     };
 
@@ -73,14 +74,14 @@ fn crash_and_compare(interval: u64) {
             let r = dispatch(&mut pad, &mut sandbox, ev);
             assert!(matches!(r, DispatchResult::Delivered(_)), "{r:?}");
         }
-        let before = sandbox.app().snapshot();
+        let before = sandbox.capture().unwrap();
         let r = dispatch(&mut pad, &mut sandbox, &pin(1, 1, POISON, 1));
         assert!(
             matches!(r, DispatchResult::Recovered { .. }),
             "interval {interval} episode {episode}: {r:?}"
         );
         assert_eq!(
-            sandbox.app().snapshot(),
+            sandbox.capture().unwrap(),
             before,
             "interval {interval} episode {episode}: recovered state differs"
         );

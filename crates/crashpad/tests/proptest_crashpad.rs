@@ -6,10 +6,11 @@
 use legosdn_codec::Codec;
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
+use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{
-    CheckpointPolicy, CompromisePolicy, CrashPad, CrashPadConfig, DispatchResult, LocalSandbox,
-    PolicyTable, TransformDirection,
+    CheckpointPolicy, CompromisePolicy, CrashPad, CrashPadConfig, DispatchResult, PolicyTable,
+    TransformDirection,
 };
 use legosdn_netsim::SimTime;
 use legosdn_openflow::prelude::DatapathId;
@@ -102,8 +103,8 @@ fn expected_state(steps: &[Step]) -> LedgerState {
     st
 }
 
-fn ledger_state(sandbox: &LocalSandbox) -> LedgerState {
-    legosdn_controller::snapshot::from_bytes(&sandbox.app().snapshot()).unwrap()
+fn ledger_state(sandbox: &Sandbox) -> LedgerState {
+    legosdn_controller::snapshot::from_bytes(&sandbox.capture().unwrap()).unwrap()
 }
 
 /// THE Crash-Pad theorem under Absolute Compromise: for any event
@@ -124,7 +125,7 @@ fn recovery_equals_stream_without_poison() {
             policies: PolicyTable::with_default(CompromisePolicy::Absolute),
             transform_direction: TransformDirection::Decompose,
         });
-        let mut sandbox = LocalSandbox::new(Box::new(Ledger {
+        let mut sandbox = Sandbox::new(Box::new(Ledger {
             poison: POISON,
             ..Ledger::default()
         }));
@@ -156,7 +157,7 @@ fn no_compromise_freezes_at_first_poison() {
             policies: PolicyTable::with_default(CompromisePolicy::NoCompromise),
             transform_direction: TransformDirection::Decompose,
         });
-        let mut sandbox = LocalSandbox::new(Box::new(Ledger {
+        let mut sandbox = Sandbox::new(Box::new(Ledger {
             poison: POISON,
             ..Ledger::default()
         }));
@@ -190,7 +191,7 @@ fn one_ticket_per_failure() {
             policies: PolicyTable::with_default(CompromisePolicy::Absolute),
             transform_direction: TransformDirection::Decompose,
         });
-        let mut sandbox = LocalSandbox::new(Box::new(Ledger {
+        let mut sandbox = Sandbox::new(Box::new(Ledger {
             poison: POISON,
             ..Ledger::default()
         }));

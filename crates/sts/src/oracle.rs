@@ -2,9 +2,9 @@
 
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
+use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Answers "does replaying these events reproduce the failure?".
 pub trait ReplayOracle {
@@ -57,24 +57,20 @@ impl<F> ReplayOracle for AppReplayOracle<F>
 where
     F: FnMut() -> Box<dyn SdnApp>,
 {
+    /// A panic in `on_event` reproduces the crash; one while restoring
+    /// the checkpoint means the replay never started, so it does not.
     fn reproduces(&mut self, events: &[Event]) -> bool {
         self.replays += 1;
-        let mut app = (self.factory)();
+        let mut app = Sandbox::new((self.factory)());
         if let Some(snapshot) = &self.start_from {
-            if app.restore(snapshot).is_err() {
+            if app.revive(snapshot).is_err() {
                 return false;
             }
         }
-        for ev in events {
+        events.iter().any(|ev| {
             let mut ctx = Ctx::new(SimTime::ZERO, &self.topology, &self.devices);
-            let ok = catch_unwind(AssertUnwindSafe(|| {
-                app.on_event(ev, &mut ctx);
-            }));
-            if ok.is_err() {
-                return true; // crash reproduced
-            }
-        }
-        false
+            app.on_event(ev, &mut ctx).is_err()
+        })
     }
 }
 
@@ -173,5 +169,35 @@ mod tests {
             DeviceView::default(),
         );
         assert!(ddmin(&history, &mut oracle).is_err());
+    }
+
+    #[test]
+    fn a_checkpoint_that_panics_on_restore_reproduces_nothing() {
+        struct RestoreBomb;
+        impl SdnApp for RestoreBomb {
+            fn name(&self) -> &str {
+                "restore-bomb"
+            }
+            fn subscriptions(&self) -> Vec<EventKind> {
+                EventKind::ALL.to_vec()
+            }
+            fn on_event(&mut self, _: &Event, _: &mut Ctx<'_>) {
+                panic!("crashes on everything");
+            }
+            fn snapshot(&self) -> Vec<u8> {
+                Vec::new()
+            }
+            fn restore(&mut self, _: &[u8]) -> Result<(), RestoreError> {
+                panic!("restore bomb");
+            }
+        }
+        let mut oracle = AppReplayOracle::new(
+            || Box::new(RestoreBomb),
+            TopologyView::default(),
+            DeviceView::default(),
+        )
+        .starting_from(Vec::new());
+        assert!(!oracle.reproduces(&mixed_history()));
+        assert!(ddmin(&mixed_history(), &mut oracle).is_err());
     }
 }

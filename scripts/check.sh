@@ -40,6 +40,19 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   exit 1
 fi
 
+# One fault wall (DESIGN.md §2): outside tests, app code is called through
+# `controller::Sandbox` and nowhere else. The monolithic baseline keeps
+# its own wall, since dying with the app is what LegoSDN is measured
+# against; testkit's `forall` catches a failing case to report its seed.
+echo "==> one fault wall: app calls and catch_unwind only behind the sandbox"
+WALLS='^crates/controller/src/(sandbox|monolithic)\.rs:'
+if grep -rn catch_unwind crates/*/src | grep -vE "$WALLS|^crates/testkit/src/lib\.rs:" \
+  || grep -rnE '\.app(\(\))?\.(on_event|snapshot|restore|name|subscriptions)\(' crates/*/src \
+    | grep -vE "$WALLS"; then
+  echo "app code called, or a panic caught, outside controller/src/sandbox.rs (see DESIGN.md §2)" >&2
+  exit 1
+fi
+
 # `legosdn-obs` is std-only: its normal dependency tree is itself.
 echo "==> legosdn-obs has no dependencies"
 OBS_TREE="$(cargo tree --offline -p legosdn-obs -e normal)"

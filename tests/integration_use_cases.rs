@@ -4,7 +4,8 @@
 //! multi-event diagnosis.
 
 use legosdn::clone_runner::ClonePair;
-use legosdn::crashpad::{DeliveryResult, LocalSandbox, RecoverableApp};
+use legosdn::controller::Sandbox;
+use legosdn::crashpad::{DeliveryResult, RecoverableApp};
 use legosdn::nversion::NVersionApp;
 use legosdn::prelude::*;
 use legosdn::sts::{ddmin, AppReplayOracle};
@@ -128,7 +129,7 @@ fn clone_pair_survives_nondeterministic_bug_under_crashpad() {
     // non-deterministic bug (RNG excluded from snapshots, diverging seeds)
     // fires on the primary; the clone's output is promoted.
     let make = |seed| {
-        LocalSandbox::new(Box::new(FaultyApp::new(
+        Sandbox::new(Box::new(FaultyApp::new(
             Box::new(Hub::new()),
             BugTrigger::WithProbability {
                 per_mille: 400,

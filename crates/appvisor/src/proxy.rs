@@ -21,7 +21,7 @@ use legosdn_controller::app::{Command, SdnApp};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
-use legosdn_obs::{AppId, Counter, Obs, RecordKind};
+use legosdn_obs::{AppId, Counter, Histogram, Obs, RecordKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -213,6 +213,28 @@ impl SlotMetrics {
     }
 }
 
+/// The proxy's blocking-call timers, resolved once per [`Obs`] instance
+/// so a replayed delivery or a restore costs an atomic add, not a
+/// registry lookup.
+struct ProxyMetrics {
+    deliver: Arc<Histogram>,
+    snapshot: Arc<Histogram>,
+    restore: Arc<Histogram>,
+    check_liveness: Arc<Histogram>,
+}
+
+impl ProxyMetrics {
+    fn resolve(obs: &Obs) -> ProxyMetrics {
+        let timer = |name| obs.histogram("appvisor", name, "");
+        ProxyMetrics {
+            deliver: timer("deliver"),
+            snapshot: timer("snapshot"),
+            restore: timer("restore"),
+            check_liveness: timer("check_liveness"),
+        }
+    }
+}
+
 struct AppSlot {
     name: String,
     subscriptions: Vec<EventKind>,
@@ -254,6 +276,7 @@ pub struct AppVisorProxy {
     config: ProxyConfig,
     apps: Vec<AppSlot>,
     obs: Obs,
+    metrics: ProxyMetrics,
     /// Proxy-side poll workers for socket channels, created on the first
     /// `Udp`/`Tcp` launch (so `set_obs` has already run, and a fleet of
     /// in-memory channels never starts them).
@@ -263,24 +286,27 @@ pub struct AppVisorProxy {
 }
 
 impl AppVisorProxy {
-    /// An empty proxy, reporting to [`Obs::global`].
+    /// An empty proxy, reporting to an [`Obs::disabled`] instance until
+    /// [`AppVisorProxy::set_obs`] hands it one.
     #[must_use]
     pub fn new(config: ProxyConfig) -> Self {
+        let obs = Obs::disabled();
         AppVisorProxy {
             config,
             apps: Vec::new(),
-            obs: Obs::global(),
+            metrics: ProxyMetrics::resolve(&obs),
+            obs,
             poller: None,
             stub_host: None,
         }
     }
 
-    /// Report metrics and journal records to `obs` instead of the global
-    /// instance.
+    /// Report metrics and journal records to `obs`.
     pub fn set_obs(&mut self, obs: Obs) {
         for slot in &mut self.apps {
             slot.metrics = SlotMetrics::resolve(&obs, &slot.name);
         }
+        self.metrics = ProxyMetrics::resolve(&obs);
         self.obs = obs;
     }
 
@@ -421,7 +447,7 @@ impl AppVisorProxy {
         devices: &DeviceView,
         now: SimTime,
     ) -> Result<DeliverOutcome, ProxyError> {
-        let _span = self.obs.span("appvisor.deliver");
+        let _span = self.metrics.deliver.start();
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         self.obs
             .emit(Some(slot.metrics.app), RecordKind::Step("send", "rpc"));
@@ -436,7 +462,7 @@ impl AppVisorProxy {
     /// checkpoint of an SDN-App process prior to dispatching every
     /// message").
     pub fn snapshot(&mut self, h: AppHandle) -> Result<Vec<u8>, ProxyError> {
-        let _span = self.obs.span("appvisor.snapshot");
+        let _span = self.metrics.snapshot.start();
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
@@ -453,7 +479,7 @@ impl AppVisorProxy {
     /// Restore the app from a checkpoint, reviving it if it was dead (the
     /// CRIU restore analogue).
     pub fn restore(&mut self, h: AppHandle, bytes: &[u8]) -> Result<bool, ProxyError> {
-        let _span = self.obs.span("appvisor.restore");
+        let _span = self.metrics.restore.start();
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
@@ -574,7 +600,7 @@ impl AppVisorProxy {
     /// Drain pending heartbeats (non-blocking-ish) and return the apps whose
     /// heartbeat is stale — the paper's background crash detector.
     pub fn check_liveness(&mut self) -> Vec<AppHandle> {
-        let _span = self.obs.span("appvisor.check_liveness");
+        let _span = self.metrics.check_liveness.start();
         let threshold = self.config.heartbeat_timeout;
         let mut stale = Vec::new();
         for (i, slot) in self.apps.iter_mut().enumerate() {

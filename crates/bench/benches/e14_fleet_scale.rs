@@ -108,9 +108,7 @@ fn run_fleet(apps: usize, rounds: u64, obs: Obs) -> FleetRun {
 }
 
 fn summary() {
-    // The global instance, so the harness's snapshot carries the fleet's
-    // wire counters.
-    let fleet = run_fleet(FLEET_APPS, FLEET_ROUNDS, Obs::global());
+    let fleet = run_fleet(FLEET_APPS, FLEET_ROUNDS, Obs::new());
     print_table(
         &format!("E14: {FLEET_APPS}-app fleet, {FLEET_ROUNDS} fan-out rounds"),
         &[

@@ -63,8 +63,7 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--rounds N] \
 [--switches N] [--hosts N] [--policy absolute|no-compromise|equivalence] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
-[--window DEPTH] [--workers N] \
-[--lookahead CYCLES] [--isolation local|channel|udp|tcp] \
+[--window DEPTH] [--workers N] [--isolation local|channel|udp|tcp] \
 [--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
 ephemeral port (written to --addr-file for scripts). Events fan out to \
@@ -73,9 +72,7 @@ DEPTH keeps up to DEPTH events of a cycle in flight on each stub's \
 stream (default 1; same network state either way, see DESIGN.md). \
 --workers N shards the apps across N worker threads, each running its \
 own window machinery; commits stay in the sequential order through the \
-shared commit barrier (default 1). --lookahead CYCLES lets the window \
-run ahead into events this cycle's commits enqueue, up to CYCLES times \
-the cycle's own event count (default 1: today's cycle boundary). \
+shared commit barrier (default 1). \
 Isolated stubs are hosted on a fixed pool of stub-host threads per \
 worker; --io-threads N sizes that pool (default 4; with at least as \
 many threads as stubs, each stub has a thread of its own). \
@@ -113,9 +110,6 @@ fn parse_args(args: &[String]) -> Result<CampaignConfig, String> {
             "--addr-file" => cfg.addr_file = Some(it.value()?),
             "--window" => cfg.dispatch = cfg.dispatch.window(at_least_one(&flag, &mut it)?),
             "--workers" => cfg.dispatch = cfg.dispatch.workers(at_least_one(&flag, &mut it)?),
-            "--lookahead" => {
-                cfg.dispatch = cfg.dispatch.lookahead(at_least_one(&flag, &mut it)?);
-            }
             "--rounds" => cfg.rounds = it.parsed()?,
             "--switches" => {
                 cfg.switches = it.parsed()?;
@@ -243,15 +237,14 @@ fn main() {
     eprintln!(
         "campaign: serving /metrics /metrics.json /incidents /traces /rollups /healthz on http://{} \
          ({} switches, policy {}, {} fault app(s), {:?} isolation, \
-         window {}, {} worker(s), lookahead {}, {} io thread(s), {})",
+         window {}, {} worker(s), {} io thread(s), {})",
         server.local_addr(),
         cfg.switches,
         cfg.policy,
         cfg.faults.len(),
         cfg.isolation,
-        cfg.dispatch.window.depth,
+        cfg.dispatch.window,
         cfg.dispatch.workers,
-        cfg.dispatch.lookahead_cycles,
         cfg.io.mode.io_threads,
         if cfg.rounds == 0 {
             "until killed".to_string()
@@ -311,12 +304,9 @@ mod tests {
 
     #[test]
     fn dispatch_flags_build_the_section() {
-        let cfg = parse(&["--window", "8", "--workers", "4", "--lookahead", "2"]).unwrap();
-        assert_eq!(
-            cfg.dispatch,
-            DispatchConfig::default().window(8).workers(4).lookahead(2)
-        );
-        for flag in ["--window", "--workers", "--lookahead", "--hosts"] {
+        let cfg = parse(&["--window", "8", "--workers", "4"]).unwrap();
+        assert_eq!(cfg.dispatch, DispatchConfig::default().window(8).workers(4));
+        for flag in ["--window", "--workers", "--hosts"] {
             let err = parse(&[flag, "0"]).err().expect("a zero count is refused");
             assert_eq!(err, format!("{flag} must be at least 1"));
         }
@@ -331,14 +321,15 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_refused() {
-        // `--dispatch`, `--transport`, `--push-to` and `--campaign`
-        // selected paths that no longer exist.
+        // `--dispatch`, `--transport`, `--push-to`, `--campaign` and
+        // `--lookahead` selected paths that no longer exist.
         for name in [
             "--mystery",
             "--dispatch",
             "--transport",
             "--push-to",
             "--campaign",
+            "--lookahead",
         ] {
             let err = parse(&[name, "x"]).err().expect("unknown flag accepted");
             assert_eq!(err, format!("unknown flag: {name}"));

@@ -5,9 +5,9 @@
 //! `bench_function`, `bench_with_input`, `criterion_group!`), plain
 //! `Instant`-based timing underneath. Each run prints a mean/min/max
 //! table to stderr and, in `final_summary`, dumps the accumulated
-//! results, the exhibit's [`headline`] numbers and the global
-//! [`legosdn_obs`] snapshot to `BENCH_<exhibit>.json` — the one writer
-//! every exhibit's numbers go through.
+//! results and the exhibit's [`headline`] numbers to
+//! `BENCH_<exhibit>.json` — the one writer every exhibit's numbers go
+//! through.
 
 use std::fmt::Display;
 use std::sync::Mutex;
@@ -71,7 +71,7 @@ impl Criterion {
     }
 
     /// Print the results table and write `BENCH_<exhibit>.json` (bench
-    /// results + the global obs snapshot) into the working directory.
+    /// results + headline numbers) into the working directory.
     pub fn final_summary(&self) {
         let results = RESULTS.lock().unwrap();
         if results.is_empty() {
@@ -140,9 +140,7 @@ fn snapshot_json(results: &[BenchResult]) -> String {
         let sep = if i == 0 { "" } else { ", " };
         out.push_str(&format!("{sep}\"{name}\": {value}"));
     }
-    out.push_str("},\n  \"obs\": ");
-    out.push_str(&legosdn_obs::Obs::global().json_snapshot());
-    out.push_str("\n}\n");
+    out.push_str("}\n}\n");
     out
 }
 

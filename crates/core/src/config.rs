@@ -1,7 +1,7 @@
 //! LegoSDN runtime configuration.
 //!
-//! The configuration is sectioned: [`DispatchConfig`] (window, worker
-//! shards, lookahead), [`IoConfig`] (stub I/O threads + proxy tuning),
+//! The configuration is sectioned: [`DispatchConfig`] (window depth,
+//! worker shards), [`IoConfig`] (stub I/O threads + proxy tuning),
 //! and [`ObsConfig`] (observability instance + trace sampling).
 //! Build one with struct update syntax plus the section constructors,
 //! then validate it with [`LegoSdnConfig::build`]:
@@ -20,10 +20,9 @@
 //! ```
 //!
 //! `build()` rejects nonsense up front — window depth 0, zero I/O
-//! threads, zero workers, a trace sample with observability disabled —
-//! instead of panicking or silently clamping at use sites. The old flat
-//! `with_*` builders have completed their deprecation cycle and are gone;
-//! struct-literal section updates are the only way to configure.
+//! threads, zero workers — instead of panicking or silently clamping at
+//! use sites. Struct-literal section updates are the only way to
+//! configure.
 
 use legosdn_appvisor::{IoMode, ProxyConfig};
 use legosdn_crashpad::CrashPadConfig;
@@ -61,71 +60,37 @@ impl IsolationMode {
     }
 }
 
-/// Cross-event dispatch window: up to `depth` translated events from one
-/// cycle are in flight to the isolated stubs at once. Each stub's RPC
-/// queue carries the deliveries (and any due checkpoint requests) in
-/// per-app event order, so an app never sees event *k+1* before it has
-/// answered *k*; gather and commit stay fully serialized in (event,
-/// attach) order, keeping network state, the NetLog txlog, and runtime
-/// counters bit-identical to the sequential reference (DESIGN.md §9).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DispatchWindow {
-    /// Events in flight at once. `1` (the default) delivers and commits
-    /// one event at a time; values above 1 overlap delivery of later
-    /// events with gather/commit of earlier ones.
-    pub depth: usize,
-}
-
-impl Default for DispatchWindow {
-    fn default() -> Self {
-        DispatchWindow { depth: 1 }
-    }
-}
-
-impl DispatchWindow {
-    /// A window of the given depth (clamped to at least 1; the sectioned
-    /// [`DispatchConfig::window`] setter instead leaves invalid depths
-    /// for [`LegoSdnConfig::build`] to reject).
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        DispatchWindow {
-            depth: depth.max(1),
-        }
-    }
-}
-
 /// Event-dispatch section: the shape of the one dispatch engine. Each
 /// event is queued on every isolated stub before any ack is collected
 /// (local sandboxes run inline while the stubs work), outcomes are
 /// gathered and only the failures recovered, and each app's commands
-/// commit through NetLog in (event, attach) order.
+/// commit through NetLog in (event, attach) order. A cycle dispatches
+/// exactly the burst it polled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchConfig {
-    /// Cross-event window: lets deliveries of later events overlap the
-    /// commits of earlier ones.
-    pub window: DispatchWindow,
+    /// Cross-event window depth: up to `window` translated events of one
+    /// cycle are in flight to the isolated stubs at once. Each stub's RPC
+    /// queue carries the deliveries (and any due checkpoint requests) in
+    /// per-app event order, so an app never sees event *k+1* before it
+    /// has answered *k*; gather and commit stay serialized in (event,
+    /// attach) order, keeping network state, the NetLog txlog and the
+    /// runtime counters bit-identical to the sequential reference
+    /// (DESIGN.md §9). `1` (the default) delivers and commits one event
+    /// at a time.
+    pub window: usize,
     /// Worker shards: apps are dealt round-robin, in attach order, across
     /// `workers` shards, each with its own AppVisor proxy, Crash-Pad, and
     /// window machinery (DESIGN.md §9). `1` (the default) runs the
     /// engine on the calling thread; values above 1 commit through the
     /// cross-shard barrier, bit-identical to the sequential reference.
     pub workers: usize,
-    /// Cross-cycle windowing: one `run_cycle` call may consume follow-on
-    /// events triggered by its own commits, up to `lookahead_cycles ×`
-    /// the cycle's initial event count, instead of draining the window
-    /// at every cycle boundary (DESIGN.md §9). `1` (the default) means a
-    /// cycle processes exactly the events queued when it started. The
-    /// sequential reference honours it too, so sharded runs stay
-    /// bit-identical to the reference at the same lookahead.
-    pub lookahead_cycles: usize,
 }
 
 impl Default for DispatchConfig {
     fn default() -> Self {
         DispatchConfig {
-            window: DispatchWindow::default(),
+            window: 1,
             workers: 1,
-            lookahead_cycles: 1,
         }
     }
 }
@@ -135,7 +100,7 @@ impl DispatchConfig {
     /// by [`LegoSdnConfig::build`].
     #[must_use]
     pub fn window(mut self, depth: usize) -> Self {
-        self.window = DispatchWindow { depth };
+        self.window = depth;
         self
     }
 
@@ -144,14 +109,6 @@ impl DispatchConfig {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Set the cross-cycle lookahead budget. Not clamped: 0 is rejected
-    /// by [`LegoSdnConfig::build`].
-    #[must_use]
-    pub fn lookahead(mut self, lookahead_cycles: usize) -> Self {
-        self.lookahead_cycles = lookahead_cycles;
         self
     }
 }
@@ -206,10 +163,6 @@ pub struct ObsConfig {
     /// per-thread scopes, so sampling works at any `dispatch.workers`
     /// count.
     pub trace_sample: u64,
-    /// `false` routes the runtime to a throwaway private instance and
-    /// requires `trace_sample == 0` (enforced by
-    /// [`LegoSdnConfig::build`]).
-    pub enabled: bool,
 }
 
 impl Default for ObsConfig {
@@ -217,7 +170,6 @@ impl Default for ObsConfig {
         ObsConfig {
             instance: None,
             trace_sample: 1,
-            enabled: true,
         }
     }
 }
@@ -241,19 +193,16 @@ impl ObsConfig {
         ObsConfig::instance(Obs::with_journal_capacity(capacity))
     }
 
-    /// Observability off: the runtime's metrics land in a throwaway
-    /// instance that records nothing ([`Obs::disabled`]: an emission is
-    /// one branch) and the flight recorder never samples. The one thing this
-    /// does not reach is netsim: the caller builds the `Network`, so its
-    /// switches' per-dpid churn counters (`netsim/flow_install` and its
-    /// two siblings) land in [`Obs::global`] whatever is set here or in
-    /// [`ObsConfig::instance`] (DESIGN.md §7).
+    /// Observability off: every layer reports into a private instance
+    /// that records nothing ([`Obs::disabled`]: an emission is one
+    /// branch, metrics still count) and the flight recorder never
+    /// samples. Nothing lands in [`Obs::global`]: no layer below the
+    /// runtime reports anywhere it was not handed.
     #[must_use]
     pub fn disabled() -> Self {
         ObsConfig {
-            instance: None,
+            instance: Some(Obs::disabled()),
             trace_sample: 0,
-            enabled: false,
         }
     }
 
@@ -268,32 +217,20 @@ impl ObsConfig {
 /// What [`LegoSdnConfig::build`] rejects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `dispatch.window.depth == 0`: a window must hold at least one event.
+    /// `dispatch.window == 0`: a window must hold at least one event.
     ZeroWindowDepth,
     /// `io.mode.io_threads == 0`: the stub-host pool needs a thread.
     ZeroIoThreads,
     /// `dispatch.workers == 0`: at least one worker shard must exist.
     ZeroWorkers,
-    /// `dispatch.lookahead_cycles == 0`: a cycle must be allowed to
-    /// process at least its own events.
-    ZeroLookahead,
-    /// `obs.trace_sample > 0` with `obs.enabled == false`: traces would
-    /// record into a throwaway instance nobody can read.
-    TraceWithObsDisabled,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroWindowDepth => write!(f, "dispatch.window.depth must be at least 1"),
+            ConfigError::ZeroWindowDepth => write!(f, "dispatch.window must be at least 1"),
             ConfigError::ZeroIoThreads => write!(f, "io.mode.io_threads must be at least 1"),
             ConfigError::ZeroWorkers => write!(f, "dispatch.workers must be at least 1"),
-            ConfigError::ZeroLookahead => {
-                write!(f, "dispatch.lookahead_cycles must be at least 1")
-            }
-            ConfigError::TraceWithObsDisabled => {
-                write!(f, "trace_sample > 0 requires observability enabled")
-            }
         }
     }
 }
@@ -359,20 +296,14 @@ impl LegoSdnConfig {
     /// panicking or silently clamping at use sites. Also stamps
     /// `io.proxy.io` from `io.mode`, so the two can never disagree.
     pub fn build(mut self) -> Result<Self, ConfigError> {
-        if self.dispatch.window.depth == 0 {
+        if self.dispatch.window == 0 {
             return Err(ConfigError::ZeroWindowDepth);
         }
         if self.dispatch.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
-        if self.dispatch.lookahead_cycles == 0 {
-            return Err(ConfigError::ZeroLookahead);
-        }
         if self.io.mode.io_threads == 0 {
             return Err(ConfigError::ZeroIoThreads);
-        }
-        if !self.obs.enabled && self.obs.trace_sample > 0 {
-            return Err(ConfigError::TraceWithObsDisabled);
         }
         self.io.proxy.io = self.io.mode;
         Ok(self)
@@ -389,12 +320,7 @@ mod tests {
         assert_eq!(c.isolation, IsolationMode::Local);
         // The window stays at 1 and the runtime stays single-worker
         // until the operator widens them.
-        assert_eq!(c.dispatch.window, DispatchWindow { depth: 1 });
-        assert_eq!(c.dispatch.workers, 1);
-        assert_eq!(
-            c.dispatch.lookahead_cycles, 1,
-            "default lookahead drains the window at each cycle boundary"
-        );
+        assert_eq!((c.dispatch.window, c.dispatch.workers), (1, 1));
         assert_eq!(
             c.io.mode,
             IoMode { io_threads: 4 },
@@ -407,7 +333,6 @@ mod tests {
             c.obs.instance.is_none(),
             "default means Obs::global at build time"
         );
-        assert!(c.obs.enabled);
         assert_eq!(c.obs.trace_sample, 1, "every event is traced by default");
     }
 
@@ -421,7 +346,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        assert_eq!(c.dispatch.window.depth, 8);
+        assert_eq!(c.dispatch.window, 8);
         assert_eq!(c.dispatch.workers, 4);
         assert_eq!(c.io.mode, IoMode { io_threads: 2 });
         // build() stamps the proxy's io field from the section mode.
@@ -445,29 +370,12 @@ mod tests {
         };
         assert_eq!(zero_workers.build().unwrap_err(), ConfigError::ZeroWorkers);
 
-        let zero_lookahead = LegoSdnConfig {
-            dispatch: DispatchConfig::default().lookahead(0),
-            ..LegoSdnConfig::default()
-        };
-        assert_eq!(
-            zero_lookahead.build().unwrap_err(),
-            ConfigError::ZeroLookahead
-        );
-
         let zero_io = LegoSdnConfig {
             io: IoConfig::polled(0),
             ..LegoSdnConfig::default()
         };
         assert_eq!(zero_io.build().unwrap_err(), ConfigError::ZeroIoThreads);
 
-        let trace_without_obs = LegoSdnConfig {
-            obs: ObsConfig::disabled().trace_sample(1),
-            ..LegoSdnConfig::default()
-        };
-        assert_eq!(
-            trace_without_obs.build().unwrap_err(),
-            ConfigError::TraceWithObsDisabled
-        );
         assert!(LegoSdnConfig {
             obs: ObsConfig::disabled(),
             ..LegoSdnConfig::default()
@@ -482,8 +390,6 @@ mod tests {
             ConfigError::ZeroWindowDepth,
             ConfigError::ZeroIoThreads,
             ConfigError::ZeroWorkers,
-            ConfigError::ZeroLookahead,
-            ConfigError::TraceWithObsDisabled,
         ] {
             assert!(!e.to_string().is_empty());
         }

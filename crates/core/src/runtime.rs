@@ -164,21 +164,16 @@ pub struct LegoSdnRuntime {
 
 impl LegoSdnRuntime {
     /// A runtime with the given configuration. Observability is wired
-    /// here, once, for every layer, from the `obs` section:
-    /// [`crate::config::ObsConfig::instance`] if set, [`Obs::global`] if
-    /// merely enabled, a private instance that records nothing when
-    /// disabled.
+    /// here, once, for every layer, from the `obs` section: its
+    /// `instance` if set ([`crate::config::ObsConfig::disabled`] sets one
+    /// that records nothing), else [`Obs::global`].
     ///
     /// Call [`LegoSdnConfig::build`] first to validate; this constructor
     /// tolerates unvalidated configs by clamping (workers/depth floor 1)
     /// rather than panicking.
     #[must_use]
     pub fn new(config: LegoSdnConfig) -> Self {
-        let obs = match (&config.obs.instance, config.obs.enabled) {
-            (Some(obs), _) => obs.clone(),
-            (None, true) => Obs::global(),
-            (None, false) => Obs::disabled(),
-        };
+        let obs = config.obs.instance.clone().unwrap_or_else(Obs::global);
         let mut netlog = NetLog::new(config.netlog_mode);
         netlog.set_obs(obs.clone());
         let workers = config.dispatch.workers.max(1);
@@ -396,9 +391,9 @@ impl LegoSdnRuntime {
 
     /// Drain network events, translate, and dispatch under full protection.
     ///
-    /// The polled burst — and, while `lookahead_cycles` allows, the
-    /// follow-on events its own commits enqueue — reaches the apps
-    /// through the cycle's `Feed` and the dispatch window.
+    /// A cycle is the burst it polled: those raws, and nothing its own
+    /// commits enqueue, reach the apps through the cycle's `Feed` and the
+    /// dispatch window. Follow-on events wait for the next cycle.
     pub fn run_cycle(&mut self, net: &mut Network) -> LegoCycleReport {
         let _span = self.metrics.run_cycle.start();
         let started = Instant::now();
@@ -406,8 +401,7 @@ impl LegoSdnRuntime {
         let mut report = LegoCycleReport::default();
         let burst = net.poll_events();
         if !burst.is_empty() {
-            let lookahead = self.config.dispatch.lookahead_cycles.max(1);
-            self.feed.begin(burst, lookahead, self.stats.cycles);
+            self.feed.begin(burst, self.stats.cycles);
             self.dispatch_feed(net, &mut report);
             self.stats.events_translated += report.events as u64;
         }
@@ -441,7 +435,7 @@ impl LegoSdnRuntime {
         self.txid_cursor += report.events as u64 * self.n_apps as u64 * TXS_PER_POS;
     }
 
-    /// The dispatch engine (DESIGN.md §9): up to `dispatch.window.depth`
+    /// The dispatch engine (DESIGN.md §9): up to `dispatch.window`
     /// slots are in flight per worker at once. Each worker runs the
     /// two-cursor fill/commit machinery over its own shard's apps and
     /// pulls the next raw off the shared feed when its fill cursor wants
@@ -453,7 +447,7 @@ impl LegoSdnRuntime {
     /// A single worker runs inline on this thread; worker shards run on
     /// `lego-worker-N` scoped threads.
     fn run_window(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
-        let depth = self.config.dispatch.window.depth.max(1);
+        let depth = self.config.dispatch.window.max(1);
         self.metrics
             .window_depth
             .set(i64::try_from(depth).unwrap_or(i64::MAX));
@@ -628,24 +622,20 @@ pub(crate) enum Pull {
 }
 
 /// The cycle's raw-event feed, and the one place raws become app events
-/// (DESIGN.md §9). It hands out the burst polled at cycle start and then
-/// — while `lookahead_cycles` allows — the head of the net queue, one raw
-/// at a time and strictly in order, under one rule:
+/// (DESIGN.md §9). It hands out the burst polled at cycle start, one raw
+/// at a time and strictly in order, under two rules:
 ///
 /// - a pure raw ([`extendable`]) is translated whenever the window wants
 ///   a slot;
-/// - an impure raw of the polled burst only once every slot fed before
-///   it has committed: its translation probes the network and swallows
-///   whatever those commits enqueued, so it must see exactly the network
-///   sequential dispatch would show it;
-/// - an impure raw at the head of the net queue ends the cycle's feed and
-///   waits for the next cycle's burst.
+/// - an impure raw only once every slot fed before it has committed: its
+///   translation probes the network and swallows whatever those commits
+///   enqueued, so it must see exactly the network sequential dispatch
+///   would show it.
 ///
-/// Event-producing commits are always barrier-Ordered, so the net queue
-/// grows in commit-position order and popping its pure prefix as commits
-/// land yields exactly the sequence popping it after a full drain would.
-/// The reference dispatcher and the window engine pull from the same
-/// feed, so they pop, translate and sample traces identically.
+/// Once the burst is fed the feed ends; what the cycle's commits enqueued
+/// is the next cycle's burst. The reference dispatcher and the window
+/// engine pull from the same feed, so they translate and sample traces
+/// identically.
 pub(crate) struct Feed {
     translator: EventTranslator,
     obs: Obs,
@@ -660,14 +650,8 @@ pub(crate) struct Feed {
     tick: Option<Event>,
     /// What is left of the burst polled at cycle start.
     burst: VecDeque<NetEvent>,
-    lookahead: usize,
     /// Events fed so far this cycle.
     events: usize,
-    /// Event cap of the lookahead, fixed when the burst runs dry; checked
-    /// before each raw pop, so one raw translating to several events may
-    /// overshoot it.
-    cap: Option<usize>,
-    ended: bool,
 }
 
 impl Feed {
@@ -681,37 +665,26 @@ impl Feed {
             cycle: 0,
             tick: None,
             burst: VecDeque::new(),
-            lookahead: 1,
             events: 0,
-            cap: None,
-            ended: false,
         }
     }
 
     /// Start a cycle over its polled burst.
-    fn begin(&mut self, burst: Vec<NetEvent>, lookahead: usize, cycle: u64) {
+    fn begin(&mut self, burst: Vec<NetEvent>, cycle: u64) {
         self.burst = burst.into();
-        self.lookahead = lookahead;
         self.cycle = cycle;
         self.events = 0;
-        self.cap = None;
-        self.ended = false;
     }
 
     /// Start a cycle that feeds one `Tick` and nothing else.
     fn begin_tick(&mut self, tick: Event, cycle: u64) {
-        self.begin(Vec::new(), 1, cycle);
+        self.begin(Vec::new(), cycle);
         self.tick = Some(tick);
     }
 
     /// Nothing more will be fed this cycle.
     pub(crate) fn ended(&self) -> bool {
-        self.ended
-    }
-
-    /// A raw of the polled burst is still waiting its turn.
-    pub(crate) fn burst_waiting(&self) -> bool {
-        !self.burst.is_empty()
+        self.tick.is_none() && self.burst.is_empty()
     }
 
     /// Sampling gate for the flight recorder: begin a trace for this
@@ -749,7 +722,7 @@ impl Feed {
         }
     }
 
-    /// Translate the next raw the rule allows and hand its slots to
+    /// Translate the next raw the rules allow and hand its slots to
     /// `sink`. `drained` says whether every slot fed so far has committed.
     pub(crate) fn pull(
         &mut self,
@@ -757,36 +730,16 @@ impl Feed {
         drained: bool,
         mut sink: impl FnMut(WindowSlot),
     ) -> Pull {
-        if self.ended {
-            return Pull::End;
-        }
         if let Some(tick) = self.tick.take() {
             sink(self.slot(net, tick));
             return Pull::Fed;
         }
-        let raw = match self.burst.front() {
-            Some(raw) if drained || extendable(raw) => self.burst.pop_front(),
-            Some(_) => return Pull::Drain,
-            None => {
-                let cap = *self
-                    .cap
-                    .get_or_insert(self.events.saturating_mul(self.lookahead));
-                if self.events >= cap {
-                    None
-                } else {
-                    match net.peek_event() {
-                        Some(raw) if extendable(raw) => net.pop_event(),
-                        // Commits still in flight may enqueue more.
-                        None if !drained => return Pull::Drain,
-                        _ => None,
-                    }
-                }
-            }
-        };
-        let Some(raw) = raw else {
-            self.ended = true;
-            return Pull::End;
-        };
+        match self.burst.front() {
+            None => return Pull::End,
+            Some(raw) if !drained && !extendable(raw) => return Pull::Drain,
+            Some(_) => {}
+        }
+        let raw = self.burst.pop_front().expect("the burst has a front");
         let events = self.translator.process(net, raw);
         self.events_translated.add(events.len() as u64);
         for event in events {
@@ -867,7 +820,7 @@ mod tests {
         let mut feed = Feed::new(obs.clone(), obs.counter("core", "events_translated", ""), 0);
         let mut slots = Vec::new();
         // Boot: handshakes are impure, so only a drained window gets them.
-        feed.begin(net.poll_events(), 1, 1);
+        feed.begin(net.poll_events(), 1);
         assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Drain);
         assert!(slots.is_empty());
         while feed.pull(&mut net, true, |s| slots.push(s)) == Pull::Fed {}
@@ -880,27 +833,30 @@ mod tests {
         net.inject(a, Packet::ethernet(a, b)).unwrap();
         net.set_link_up(0, false).unwrap();
         net.inject(b, Packet::ethernet(b, a)).unwrap();
-        feed.begin(net.poll_events(), 2, 2);
+        feed.begin(net.poll_events(), 2);
         slots.clear();
         assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Fed);
         let kinds = |slots: &[WindowSlot]| slots.iter().map(|s| s.event.kind()).collect::<Vec<_>>();
         assert_eq!(kinds(&slots), [EventKind::PacketIn]);
         assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Drain);
         assert_eq!(slots.len(), 1, "a refused pull translates nothing");
-        while feed.burst_waiting() {
+        while !feed.ended() {
             assert_eq!(feed.pull(&mut net, true, |s| slots.push(s)), Pull::Fed);
         }
         assert_eq!(kinds(&slots).last(), Some(&EventKind::PacketIn));
 
-        // Past the burst the net queue's head is fed only while pure and
-        // under the lookahead cap; an empty queue is final only once
-        // nothing in flight could still grow it.
-        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::Drain);
-        net.set_link_up(0, true).unwrap();
-        assert_eq!(feed.pull(&mut net, false, |s| slots.push(s)), Pull::End);
+        // Past the burst the feed ends, even with a pure raw queued: what
+        // the cycle's commits enqueue is the next cycle's burst.
+        let fed = slots.len();
+        net.inject(a, Packet::ethernet(a, b)).unwrap();
+        assert!(net.peek_event().is_some());
+        for drained in [false, true] {
+            assert_eq!(feed.pull(&mut net, drained, |s| slots.push(s)), Pull::End);
+        }
+        assert_eq!(slots.len(), fed, "an ended feed translates nothing");
         assert!(
             net.peek_event().is_some(),
-            "the impure head waits for the next cycle"
+            "the queued raw waits for the next cycle"
         );
     }
 

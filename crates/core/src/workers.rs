@@ -653,8 +653,8 @@ pub(crate) struct Window<'env, 'net> {
 pub(crate) enum Topped {
     /// The store holds the asking worker's window.
     Full,
-    /// The next raw waits on commits still in flight; worth asking again
-    /// once the barrier cursor has passed this value.
+    /// The next raw is impure and waits on commits still in flight;
+    /// worth asking again once the barrier cursor has passed this value.
     Wait(u64),
     /// The feed has ended: nothing more to ask it for this cycle.
     Ended,
@@ -685,10 +685,10 @@ impl Window<'_, '_> {
         if feed.ended() {
             return Topped::Ended;
         }
-        // Read before the feed is asked, so a wait on it cannot sleep
-        // through the commit the feed was waiting for.
+        // Every position below the cursor has committed: the slots below
+        // its slot are released, and the store counts as drained once the
+        // cursor is past every position in it.
         let cursor = self.barrier.cursor();
-        // Every position of the slots below the cursor's has committed.
         self.store
             .release_below((cursor / self.n_apps.max(1) as u64) as usize);
         let target = if self.sharded() { usize::MAX } else { want };
@@ -702,10 +702,8 @@ impl Window<'_, '_> {
             match pulled {
                 Pull::Fed => {}
                 Pull::End => return Topped::Ended,
-                // An impure raw needs the whole store committed; an empty
-                // net queue may grow with any commit.
-                Pull::Drain if feed.burst_waiting() => return Topped::Wait(uncommitted - 1),
-                Pull::Drain => return Topped::Wait(cursor),
+                // An impure raw needs the whole store committed.
+                Pull::Drain => return Topped::Wait(uncommitted - 1),
             }
         }
         Topped::Full

@@ -151,10 +151,11 @@ pub struct CrashPad {
 }
 
 impl CrashPad {
-    /// An engine with the given configuration, reporting to [`Obs::global`].
+    /// An engine with the given configuration, reporting to an
+    /// [`Obs::disabled`] instance until [`CrashPad::set_obs`] hands it one.
     #[must_use]
     pub fn new(config: CrashPadConfig) -> Self {
-        let obs = Obs::global();
+        let obs = Obs::disabled();
         CrashPad {
             checkpoints: CheckpointStore::new(config.checkpoints),
             policies: config.policies,
@@ -166,8 +167,7 @@ impl CrashPad {
         }
     }
 
-    /// Report metrics and journal records to `obs` instead of the global
-    /// instance (isolated tests, side-by-side campaigns).
+    /// Report metrics and journal records to `obs`.
     pub fn set_obs(&mut self, obs: Obs) {
         self.metrics = CrashPadMetrics::resolve(&obs);
         self.obs = obs;

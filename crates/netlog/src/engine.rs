@@ -210,10 +210,11 @@ pub struct NetLog {
 }
 
 impl NetLog {
-    /// An engine in the given mode, reporting to [`Obs::global`].
+    /// An engine in the given mode, reporting to an [`Obs::disabled`]
+    /// instance until [`NetLog::set_obs`] hands it one.
     #[must_use]
     pub fn new(mode: TxMode) -> Self {
-        let obs = Obs::global();
+        let obs = Obs::disabled();
         NetLog {
             mode,
             next_id: 0,
@@ -226,8 +227,7 @@ impl NetLog {
         }
     }
 
-    /// Report metrics and journal records to `obs` instead of the global
-    /// instance.
+    /// Report metrics and journal records to `obs`.
     pub fn set_obs(&mut self, obs: Obs) {
         self.metrics = NetLogMetrics::resolve(&obs);
         self.obs = obs;

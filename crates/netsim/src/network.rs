@@ -433,17 +433,11 @@ impl Network {
         self.events.drain(..).collect()
     }
 
-    /// Peek the oldest pending controller-bound event without draining.
-    /// The windowed runtime's cross-cycle extension inspects the queue
-    /// head to decide whether the event can be consumed incrementally.
+    /// Peek the oldest pending controller-bound event without draining:
+    /// `None` means the network has nothing left to tell the controller.
     #[must_use]
     pub fn peek_event(&self) -> Option<&NetEvent> {
         self.events.front()
-    }
-
-    /// Pop the oldest pending controller-bound event.
-    pub fn pop_event(&mut self) -> Option<NetEvent> {
-        self.events.pop_front()
     }
 
     /// Apply a controller→switch message.

@@ -6,8 +6,8 @@
 //!
 //! - **Metrics** ([`metrics`]): lock-free counters/gauges and log-bucketed
 //!   latency histograms addressed by `(component, name, label)`.
-//! - **Spans** ([`span!`], [`Histogram::start`]): RAII guards timing a
-//!   region via `Instant`, feeding histograms.
+//! - **Spans** ([`Histogram::start`], [`Obs::span`]): RAII guards timing
+//!   a region via `Instant`, feeding histograms.
 //! - **Records** ([`journal`], [`trace`]): one typed record per reported
 //!   moment, emitted once through [`Obs::emit`], kept by two retention
 //!   policies — the journal (recent recovery records, dense sequence
@@ -21,9 +21,9 @@
 //! Exporters ([`Obs::prometheus`], [`Obs::json_snapshot`]) serve scraping
 //! and `BENCH_*.json` trajectories.
 //!
-//! Engines take an [`Obs`] handle (cheap `Arc` clone); everything defaults
-//! to [`Obs::global`] so wiring is optional per call site, while tests use
-//! private instances to stay isolated.
+//! Engines take an [`Obs`] handle (cheap `Arc` clone) and report into an
+//! [`Obs::disabled`] instance until they are handed one: nothing below
+//! the runtime reports to [`Obs::global`] on its own.
 
 pub mod export;
 pub mod journal;
@@ -134,8 +134,8 @@ impl Obs {
         }
     }
 
-    /// The process-wide instance. Engines default to this when not handed
-    /// an explicit instance.
+    /// The process-wide instance: where a runtime built with the default
+    /// `ObsConfig` reports. No engine falls back to it on its own.
     #[must_use]
     pub fn global() -> Obs {
         static GLOBAL: OnceLock<Obs> = OnceLock::new();
@@ -327,19 +327,6 @@ impl Obs {
     }
 }
 
-/// Time a region: `let _g = obs::span!(obs, "appvisor.deliver");` records
-/// elapsed nanoseconds into the `(appvisor, deliver, "")` histogram when
-/// the guard drops. The one-argument form uses [`Obs::global`].
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $path:expr) => {
-        $obs.span($path)
-    };
-    ($path:expr) => {
-        $crate::Obs::global().span($path)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,7 +336,7 @@ mod tests {
         let obs = Obs::with_journal_capacity(8);
         obs.counter("core", "events", "").add(3);
         {
-            let _g = span!(obs, "appvisor.deliver");
+            let _g = obs.span("appvisor.deliver");
         }
         let a = Some(obs.attach_app("a"));
         obs.emit(a, RecordKind::AppCrash { detail: "p".into() });

@@ -25,10 +25,10 @@ echo "==> warm check == cold check, release sweep (hard 120s timeout)"
 timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incremental_equivalence \
   || { echo "a warm invariant check disagreed with a cold one" >&2; exit 1; }
 
-# Names the one-engine, one-stub-host, static-placement and
-# one-ops-endpoint refactors deleted must not grow back beside what
-# replaced them.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer or fleet pipeline"
+# Names the one-engine, one-stub-host, static-placement,
+# one-ops-endpoint and one-burst-per-cycle refactors deleted must not
+# grow back beside what replaced them.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline or cross-cycle lookahead"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -38,9 +38,11 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
     crates/ tests/ examples/ \
   || grep -rnE 'trace_event(_for)?\(|trace_active|record_at_evicting|HashMap<ThreadId|EndpointArgs|DispatchArgs' \
     crates/ tests/ examples/ \
+  || grep -rnE 'lookahead_cycles|\.lookahead\(|DispatchWindow|ZeroLookahead|TraceWithObsDisabled|ChurnCounters|pop_event' \
+    crates/ tests/ examples/ \
   || grep -rnw TraceEvent crates/obs crates/core crates/crashpad crates/netlog crates/appvisor \
     tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs name reappeared (see DESIGN.md §7, §9, §11)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead name reappeared (see DESIGN.md §7, §9, §11)" >&2
   exit 1
 fi
 
@@ -78,6 +80,22 @@ OBS_TREE="$(cargo tree --offline -p legosdn-obs -e normal)"
 [ "$(printf '%s\n' "$OBS_TREE" | wc -l)" -eq 1 ] \
   || { echo "legosdn-obs grew a dependency:" >&2; echo "$OBS_TREE" >&2; exit 1; }
 
+# No layer reports anywhere it was not handed (DESIGN.md §7): the
+# runtime's default configuration is the one user of the global instance,
+# and netsim does not depend on legosdn-obs at all.
+echo "==> Obs::global only as the runtime's default; legosdn-netsim has no legosdn-obs"
+if grep -rnF 'Obs::global()' crates/*/src \
+    | grep -vE '^crates/(obs/src/lib|core/src/runtime)\.rs:'; then
+  echo "a layer reports to Obs::global() on its own" >&2
+  exit 1
+fi
+NETSIM_TREE="$(cargo tree --offline -p legosdn-netsim -e normal)"
+if printf '%s\n' "$NETSIM_TREE" | grep -q 'legosdn-obs'; then
+  echo "legosdn-netsim depends on legosdn-obs again:" >&2
+  echo "$NETSIM_TREE" >&2
+  exit 1
+fi
+
 # The full failure/recovery campaign through the daemon path, once per
 # configuration the dispatch engine can be put in (the determinism suite
 # proves the outputs identical; this proves the daemon wires each one up
@@ -93,11 +111,10 @@ defaults|
 isolated stubs|--isolation channel
 isolated stubs sharing 2 host threads|--isolation channel --io-threads 2
 4 worker shards behind the commit barrier|--isolation channel --window 4 --workers 4
-4 worker shards, cross-cycle lookahead|--isolation channel --window 4 --workers 4 --lookahead 2
 SMOKES
 
 # The flags that selected the deleted paths are gone, not hidden.
-for gone in --dispatch --transport --push-to --campaign; do
+for gone in --dispatch --transport --push-to --campaign --lookahead; do
   if ./target/release/campaign --rounds 1 "$gone" x </dev/null >/dev/null 2>&1; then
     echo "campaign still accepts $gone" >&2
     exit 1

@@ -205,17 +205,25 @@ fn deterministic_crash_loop_generates_one_ticket_per_hit() {
 }
 
 /// Every instrument recovery bumps is resolved before the first event:
-/// however many crashes the runtime survives, under whichever policy, it
-/// looks nothing up by name once its apps are attached.
+/// however many crashes the runtime survives, under whichever policy, in
+/// a sandbox or behind a stub (whose restore and replay run through the
+/// proxy's blocking calls), it looks nothing up by name once its apps
+/// are attached.
 #[test]
 fn recovery_makes_no_by_name_lookups() {
-    for policy in [
+    let policies = [
         CompromisePolicy::Absolute,
         CompromisePolicy::Equivalence,
         CompromisePolicy::NoCompromise,
-    ] {
+    ];
+    let isolations = [IsolationMode::Local, IsolationMode::Channel];
+    for (isolation, policy) in isolations
+        .into_iter()
+        .flat_map(|i| policies.map(|p| (i, p)))
+    {
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+            isolation,
             crashpad: CrashPadConfig {
                 checkpoints: CheckpointPolicy::default(),
                 policies: PolicyTable::with_default(policy),
@@ -244,12 +252,13 @@ fn recovery_makes_no_by_name_lookups() {
         rt.run_cycle(&mut net);
         assert!(
             rt.crashpad().tickets.len() >= 2,
-            "{policy}: the crashes were not recovered"
+            "{isolation:?} {policy}: the crashes were not recovered"
         );
         assert_eq!(
             obs.registry_lookups(),
             lookups,
-            "{policy}: a by-name lookup on the recovery path"
+            "{isolation:?} {policy}: a by-name lookup on the recovery path"
         );
+        rt.shutdown();
     }
 }

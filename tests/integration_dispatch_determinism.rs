@@ -57,28 +57,13 @@ fn run_campaign_sharded(
     io: IoMode,
     workers: usize,
 ) -> Residue {
-    run_campaign_lookahead(oracle, isolation, depth, io, workers, 1)
-}
-
-/// [`run_campaign_sharded`] with an explicit cross-cycle lookahead.
-fn run_campaign_lookahead(
-    oracle: bool,
-    isolation: IsolationMode,
-    depth: usize,
-    io: IoMode,
-    workers: usize,
-    lookahead: usize,
-) -> Residue {
     let topo = Topology::linear(3, 2);
     let mut net = Network::new(&topo);
     let mut rt = runtime(
         oracle,
         LegoSdnConfig {
             isolation,
-            dispatch: DispatchConfig::default()
-                .window(depth)
-                .workers(workers)
-                .lookahead(lookahead),
+            dispatch: DispatchConfig::default().window(depth).workers(workers),
             io: IoConfig {
                 mode: io,
                 ..IoConfig::default()
@@ -331,67 +316,6 @@ fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
 }
 
 #[test]
-fn cross_cycle_lookahead_preserves_the_residue() {
-    // Cross-cycle windowing (DESIGN.md §9) changes which run_cycle call
-    // consumes an event — the send cursor runs ahead into raws enqueued by
-    // this cycle's own commits — so the oracle for lookahead L is
-    // *sequential dispatch at the same L*, not at L = 1. At every swept
-    // {workers × depth} point the residue must be bit-identical to that
-    // matching-lookahead sequential reference.
-    for lookahead in [1usize, 2] {
-        let reference = run_campaign_lookahead(
-            true,
-            IsolationMode::Channel,
-            1,
-            IoMode::default(),
-            1,
-            lookahead,
-        );
-        assert!(
-            reference.recoveries > 0,
-            "lookahead {lookahead}: campaign produced no recovery"
-        );
-        assert!(
-            reference.byzantine_blocked > 0,
-            "lookahead {lookahead}: campaign produced no byzantine block"
-        );
-        for workers in [1usize, 2, 4] {
-            for depth in [1usize, 8] {
-                let run = run_campaign_lookahead(
-                    false,
-                    IsolationMode::Channel,
-                    depth,
-                    IoMode::default(),
-                    workers,
-                    lookahead,
-                );
-                assert_eq!(
-                    reference.flow_tables, run.flow_tables,
-                    "workers {workers} depth {depth} lookahead {lookahead}: flow tables diverge"
-                );
-                assert_eq!(
-                    reference.txlog, run.txlog,
-                    "workers {workers} depth {depth} lookahead {lookahead}: NetLog order diverges"
-                );
-                assert_eq!(
-                    reference.stats, run.stats,
-                    "workers {workers} depth {depth} lookahead {lookahead}: counters diverge"
-                );
-                assert_eq!(
-                    (
-                        reference.recoveries,
-                        reference.byzantine_blocked,
-                        reference.commands
-                    ),
-                    (run.recoveries, run.byzantine_blocked, run.commands),
-                    "workers {workers} depth {depth} lookahead {lookahead}: reports diverge"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn sharded_dispatch_is_stable_across_repeated_runs() {
     // Thread scheduling varies run to run; sharded determinism must not
     // depend on a lucky interleaving.
@@ -545,16 +469,13 @@ struct BurstResidue {
     flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
 }
 
-fn run_impure_burst(oracle: bool, depth: usize, workers: usize, lookahead: usize) -> BurstResidue {
+fn run_impure_burst(oracle: bool, depth: usize, workers: usize) -> BurstResidue {
     let topo = Topology::linear(3, 1);
     let mut net = Network::new(&topo);
     let mut rt = runtime(
         oracle,
         LegoSdnConfig {
-            dispatch: DispatchConfig::default()
-                .window(depth)
-                .workers(workers)
-                .lookahead(lookahead),
+            dispatch: DispatchConfig::default().window(depth).workers(workers),
             obs: ObsConfig::instance(Obs::new()),
             ..LegoSdnConfig::default()
         },
@@ -604,20 +525,18 @@ fn impure_raw_mid_burst_matches_the_oracle() {
     // every event ahead of it in the burst has committed. Translating
     // the whole burst up front moves the probe ahead of the first
     // packet's follow-on packet-ins and changes which cycle sees them.
-    for lookahead in [1usize, 2] {
-        let oracle = run_impure_burst(true, 1, 1, lookahead);
-        assert!(
-            oracle.cycles.iter().any(|&(_, commands)| commands > 0),
-            "lookahead {lookahead}: the burst produced no commands"
-        );
-        for depth in [1usize, 2, 8] {
-            for workers in [1usize, 2] {
-                let run = run_impure_burst(false, depth, workers, lookahead);
-                assert_eq!(
-                    oracle, run,
-                    "depth {depth} workers {workers} lookahead {lookahead}: residue diverges"
-                );
-            }
+    let oracle = run_impure_burst(true, 1, 1);
+    assert!(
+        oracle.cycles.iter().any(|&(_, commands)| commands > 0),
+        "the burst produced no commands"
+    );
+    for depth in [1usize, 2, 8] {
+        for workers in [1usize, 2] {
+            let run = run_impure_burst(false, depth, workers);
+            assert_eq!(
+                oracle, run,
+                "depth {depth} workers {workers}: residue diverges"
+            );
         }
     }
 }

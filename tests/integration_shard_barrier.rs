@@ -68,24 +68,16 @@ struct Residue {
 
 /// Six contested-switch writers plus one recurring crasher, driven
 /// through three rounds of bursts with a crash trigger in the middle of
-/// each burst.
+/// each burst. `oracle` runs the sequential reference
+/// (`LegoSdnRuntime::oracle`) instead of the engine.
 fn run(oracle: bool, depth: usize, workers: usize) -> Residue {
-    run_lookahead(oracle, depth, workers, 1)
-}
-
-/// [`run`] with an explicit cross-cycle lookahead. `oracle` runs the
-/// sequential reference (`LegoSdnRuntime::oracle`) instead of the engine.
-fn run_lookahead(oracle: bool, depth: usize, workers: usize, lookahead: usize) -> Residue {
     let topo = Topology::linear(2, 2);
     let mut net = Network::new(&topo);
     let poison = topo.hosts[topo.hosts.len() - 1].mac;
     let obs = Obs::new();
     let config = LegoSdnConfig {
         isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::default()
-            .window(depth)
-            .workers(workers)
-            .lookahead(lookahead),
+        dispatch: DispatchConfig::default().window(depth).workers(workers),
         obs: ObsConfig::instance(obs.clone()),
         crashpad: CrashPadConfig {
             checkpoints: CheckpointPolicy {
@@ -202,44 +194,6 @@ fn cross_shard_writes_to_one_switch_commit_in_sequential_order() {
         assert_eq!(
             reference.stats, sharded.stats,
             "workers {workers}: runtime counters diverge from sequential"
-        );
-    }
-}
-
-#[test]
-fn crash_during_lookahead_replays_contested_commits_in_order() {
-    // At lookahead 2 the per-stub send cursor runs ahead into raws this
-    // cycle's own commits enqueue (flood replies arriving as fresh
-    // packet-ins on the contested switch). The mid-burst crash must
-    // cancel those cross-cycle in-flight tags and re-send them from the
-    // restored state without perturbing the contested commit order.
-    let reference = run_lookahead(true, 1, 1, 2);
-    assert!(
-        reference.recoveries > 0,
-        "lookahead campaign produced no crash recovery"
-    );
-    assert!(!reference.txlog.is_empty(), "campaign produced no txlog");
-    for workers in [2usize, 4] {
-        let sharded = run_lookahead(false, 4, workers, 2);
-        assert!(
-            sharded.worker_spread > 1,
-            "workers {workers}: all writers landed on one shard"
-        );
-        assert!(
-            sharded.recoveries > 0,
-            "workers {workers}: the crasher never fired under lookahead"
-        );
-        assert_eq!(
-            reference.flow_tables, sharded.flow_tables,
-            "workers {workers}: lookahead flow tables diverge from sequential"
-        );
-        assert_eq!(
-            reference.txlog, sharded.txlog,
-            "workers {workers}: lookahead NetLog order diverges from sequential"
-        );
-        assert_eq!(
-            reference.stats, sharded.stats,
-            "workers {workers}: lookahead counters diverge from sequential"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! switch fan-out, and the table verifies state equality after rollback
 //! (the correctness half of the claim).
 
-use legosdn::netlog::{NetLog, TxMode};
+use legosdn::netlog::NetLog;
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, BenchmarkId, Criterion};
 use legosdn_bench::print_table;
@@ -23,7 +23,7 @@ fn add_flow(i: u64, port: u16) -> Message {
 fn rollback_run(m: u64, s: usize) -> (f64, usize, usize) {
     let topo = Topology::linear(s, 1);
     let mut net = Network::new(&topo);
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     for i in 0..m {
         let dpid = DatapathId(1 + (i % s as u64));
@@ -45,7 +45,7 @@ fn delete_rollback_run(m: u64) -> (f64, usize) {
     for i in 0..m {
         net.apply(DatapathId(1), &add_flow(i, 1)).unwrap();
     }
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     nl.execute(
         &mut tx,
@@ -126,7 +126,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let topo = Topology::linear(4, 1);
             let mut net = Network::new(&topo);
-            let mut nl = NetLog::new(TxMode::Immediate);
+            let mut nl = NetLog::default();
             let mut tx = nl.begin();
             for i in 0..64u64 {
                 let dpid = DatapathId(1 + (i % 4));

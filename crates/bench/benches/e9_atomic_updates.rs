@@ -1,14 +1,11 @@
-//! E9 — §3.4 atomic network updates: the partial-install problem and the
-//! two NetLog modes.
+//! E9 — §3.4 atomic network updates: the partial-install problem.
 //!
-//! An app intends `m` rules but fails after `r`. Three treatments:
-//! monolithic (partial rules stay — inconsistent), NetLog buffered (the
-//! §4.1 prototype: nothing applied until success — consistent, free
-//! abort), NetLog immediate (applied then rolled back — consistent, abort
-//! costs one inverse per rule). The table reports residual rules and abort
-//! cost for each.
+//! An app intends `m` rules but fails after `r`. Two treatments:
+//! monolithic (partial rules stay — inconsistent) and NetLog (applied,
+//! then rolled back — consistent, abort costs one inverse per rule). The
+//! table reports residual rules for each and NetLog's abort cost.
 
-use legosdn::netlog::{NetLog, TxMode};
+use legosdn::netlog::NetLog;
 use legosdn::prelude::*;
 use legosdn_bench::harness::{criterion_group, BenchmarkId, Criterion};
 use legosdn_bench::print_table;
@@ -33,10 +30,10 @@ fn monolithic_partial(m: u64, r: u64) -> usize {
 }
 
 /// NetLog: open tx, apply r of m, crash → abort. Returns (residual, us).
-fn netlog_partial(mode: TxMode, m: u64, r: u64) -> (usize, f64) {
+fn netlog_partial(m: u64, r: u64) -> (usize, f64) {
     let topo = Topology::linear(2, 1);
     let mut net = Network::new(&topo);
-    let mut nl = NetLog::new(mode);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     for i in 0..r.min(m) {
         nl.execute(&mut tx, &mut net, DatapathId(1 + i % 2), &rule(i))
@@ -52,41 +49,28 @@ fn summary() {
     let mut rows = Vec::new();
     for (m, r) in [(8u64, 3u64), (32, 16), (128, 100)] {
         let mono = monolithic_partial(m, r);
-        let (buf_res, buf_us) = netlog_partial(TxMode::Buffered, m, r);
-        let (imm_res, imm_us) = netlog_partial(TxMode::Immediate, m, r);
+        let (residual, abort_us) = netlog_partial(m, r);
         rows.push(vec![
             format!("{r}/{m}"),
             mono.to_string(),
-            buf_res.to_string(),
-            format!("{buf_us:.1}"),
-            imm_res.to_string(),
-            format!("{imm_us:.1}"),
+            residual.to_string(),
+            format!("{abort_us:.1}"),
         ]);
     }
     print_table(
         "E9: app crashes after installing r of m rules",
-        &[
-            "r/m",
-            "mono residual",
-            "buffered residual",
-            "buffered abort us",
-            "immediate residual",
-            "immediate abort us",
-        ],
+        &["r/m", "mono residual", "netlog residual", "netlog abort us"],
         &rows,
     );
-    eprintln!("buffered mode aborts for free but cannot serve reads mid-transaction;");
-    eprintln!("immediate mode pays one inverse per applied rule (see E4).\n");
+    eprintln!("NetLog pays one inverse per applied rule at abort (see E4), and reads");
+    eprintln!("inside the transaction see its own writes.\n");
 }
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e9_atomic_updates");
     for r in [16u64, 100] {
-        g.bench_with_input(BenchmarkId::new("buffered_abort", r), &r, |b, &r| {
-            b.iter(|| netlog_partial(TxMode::Buffered, r + 8, r));
-        });
         g.bench_with_input(BenchmarkId::new("immediate_abort", r), &r, |b, &r| {
-            b.iter(|| netlog_partial(TxMode::Immediate, r + 8, r));
+            b.iter(|| netlog_partial(r + 8, r));
         });
     }
     g.finish();

@@ -261,12 +261,15 @@ pub struct LegoSdnConfig {
     pub io: IoConfig,
     /// Observability section; see [`ObsConfig`].
     pub obs: ObsConfig,
-    /// NetLog transaction mode: `Immediate` (full NetLog: apply + undo log)
-    /// or `Buffered` (the paper-prototype ablation).
+    /// NetLog transaction mode. There is one (apply + undo log), and the
+    /// runtime does not read this; it stays for callers outside this
+    /// workspace that still set it.
+    #[doc(hidden)]
     pub netlog_mode: TxMode,
     pub crashpad: CrashPadConfig,
-    /// Byzantine-failure detection: gate/inspect app output against network
-    /// invariants. `None` disables detection (fail-stop coverage only).
+    /// Byzantine-failure detection: the runtime's NetLog checks every
+    /// state-altering commit against these invariants and rolls back what
+    /// violates them. `None` disables detection (fail-stop coverage only).
     pub checker: Option<Checker>,
     /// §5: when a No-Compromise app's byzantine output violates invariants,
     /// shut the whole network down rather than run unsafely.
@@ -326,7 +329,6 @@ mod tests {
             IoMode { io_threads: 4 },
             "up to four stubs per shard each get a host thread of their own"
         );
-        assert_eq!(c.netlog_mode, TxMode::Immediate);
         assert!(c.checker.is_some());
         assert_eq!(c.resource_limits, ResourceLimits::default());
         assert!(

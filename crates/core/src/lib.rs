@@ -110,6 +110,7 @@ pub mod prelude {
         CheckpointPolicy, CompromisePolicy, CrashPadConfig, PolicyTable, TransformDirection,
     };
     pub use legosdn_invariants::{Checker, Invariant};
+    #[doc(hidden)]
     pub use legosdn_netlog::TxMode;
     pub use legosdn_netsim::{Network, SimDuration, SimTime, Topology};
     pub use legosdn_obs::{Obs, ObsServer, ServeConfig};

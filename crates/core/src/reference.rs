@@ -26,7 +26,6 @@ macro_rules! shard_cx {
             stats: &mut $self.stats,
             obs: &$self.obs,
             metrics: &$self.metrics,
-            checker: $self.checker.as_ref(),
             shutdown_on_no_compromise: $self.config.shutdown_network_on_no_compromise,
         }
     };
@@ -107,7 +106,6 @@ impl LegoSdnRuntime {
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
-            check: &mut self.warm_check,
             notify_seen: false,
         };
         let mut cx = shard_cx!(self, w);

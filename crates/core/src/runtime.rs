@@ -6,17 +6,17 @@
 //!   Network ⇄ EventTranslator (controller core)
 //!                 │ events                    ▲ commands
 //!                 ▼                           │
-//!            Crash-Pad dispatch ──► NetLog transactions ──► invariant gate
-//!                 │                                               │
-//!            AppVisor proxy ⇄ stubs (isolated apps)        byzantine recovery
+//!            Crash-Pad dispatch ──► NetLog transaction, checked at commit
+//!                 │                                   │ blocked: rolled back
+//!            AppVisor proxy ⇄ stubs (isolated apps)   byzantine recovery
 //! ```
 //!
 //! Per app-event dispatch: checkpoint if due → deliver through the app's
 //! fault domain → on fail-stop, Crash-Pad recovers (restore + ignore/
 //! transform per policy) → the app's commands run inside a NetLog
-//! transaction → byzantine output is caught by the invariant checker and
-//! the transaction rolled back, after which Crash-Pad recovers the app's
-//! internal state too.
+//! transaction → its commit checks the network against the invariants and
+//! rolls byzantine output back (NetLog owns the check), after which
+//! Crash-Pad recovers the app's internal state too.
 //!
 //! Crashes never propagate: the controller core and every other app keep
 //! running — the paper's two fate-sharing relationships are gone.
@@ -33,8 +33,8 @@
 use crate::config::{IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::Host;
 use crate::workers::{
-    AppRecord, CommitLane, CoreMetrics, ShardMetrics, SlotStore, WarmCheck, Window, WindowSlot,
-    WorkerRun, WorkerShard, TXS_PER_POS,
+    AppRecord, CommitLane, CoreMetrics, ShardMetrics, SlotStore, Window, WindowSlot, WorkerRun,
+    WorkerShard, TXS_PER_POS,
 };
 use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
@@ -42,7 +42,6 @@ use legosdn_controller::event::Event;
 use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::translate::EventTranslator;
 use legosdn_crashpad::CrashPad;
-use legosdn_invariants::Checker;
 use legosdn_netlog::{CommitBarrier, NetLog};
 use legosdn_netsim::{NetEvent, Network};
 use legosdn_obs::{Counter, Obs, TraceId};
@@ -72,7 +71,7 @@ pub struct RuntimeStats {
     pub commands_suppressed: u64,
     /// Fail-stop failures recovered.
     pub failstop_recoveries: u64,
-    /// Byzantine outputs blocked (transaction aborted / buffer dropped).
+    /// Byzantine outputs blocked (transaction rolled back at commit).
     pub byzantine_blocked: u64,
     /// Apps currently dead (No-Compromise).
     pub apps_dead: u64,
@@ -132,11 +131,9 @@ pub struct LegoSdnRuntime {
     config: LegoSdnConfig,
     /// The controller core's translator and the cycle's raw-event feed.
     feed: Feed,
+    /// Commits to the network, under the byzantine guard when the config
+    /// names a checker.
     netlog: NetLog,
-    checker: Option<Checker>,
-    /// The checker's memory of the network it last checked; handed out
-    /// with the commit lane.
-    warm_check: WarmCheck,
     /// Worker shards in id order; app `g` (attach order) is local app
     /// `g / workers` of shard `g % workers` ([`LegoSdnRuntime::loc`]).
     shards: Vec<WorkerShard>,
@@ -174,7 +171,7 @@ impl LegoSdnRuntime {
     #[must_use]
     pub fn new(config: LegoSdnConfig) -> Self {
         let obs = config.obs.instance.clone().unwrap_or_else(Obs::global);
-        let mut netlog = NetLog::new(config.netlog_mode);
+        let mut netlog = NetLog::with_checker(config.checker.clone());
         netlog.set_obs(obs.clone());
         let workers = config.dispatch.workers.max(1);
         let shards = (0..workers)
@@ -210,8 +207,6 @@ impl LegoSdnRuntime {
                 config.obs.trace_sample,
             ),
             netlog,
-            checker: config.checker.clone(),
-            warm_check: WarmCheck::new(&obs),
             shards,
             n_apps: 0,
             stats: RuntimeStats::default(),
@@ -457,14 +452,13 @@ impl LegoSdnRuntime {
         // live state at commit, and a surviving notify-flagged table
         // entry could emit a FlowRemoved on displacement — either one
         // forces full ordering.
-        let fastpath = sharded && self.checker.is_none() && !self.notify_flows_seen;
+        let fastpath = sharded && self.netlog.checker().is_none() && !self.notify_flows_seen;
         let barrier = CommitBarrier::new(fastpath);
         let store = SlotStore::default();
         let feed = Mutex::new(&mut self.feed);
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
-            check: &mut self.warm_check,
             notify_seen: false,
         });
         let win = Window {
@@ -474,7 +468,6 @@ impl LegoSdnRuntime {
             lane: &lane,
             obs: &self.obs,
             metrics: &self.metrics,
-            checker: self.checker.as_ref(),
             shutdown_on_no_compromise: self.config.shutdown_network_on_no_compromise,
             depth,
             n_apps: self.n_apps,
@@ -758,7 +751,7 @@ mod tests {
     use legosdn_crashpad::{
         CheckpointPolicy, CompromisePolicy, CrashPadConfig, PolicyTable, TransformDirection,
     };
-    use legosdn_netlog::TxMode;
+    use legosdn_invariants::Checker;
     use legosdn_netsim::Topology;
     use legosdn_openflow::prelude::*;
 
@@ -1263,12 +1256,9 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_loop_blocked_in_buffered_mode() {
+    fn byzantine_loop_is_blocked_and_rolled_back() {
         let (mut net, topo) = net2();
-        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-            netlog_mode: TxMode::Buffered,
-            ..LegoSdnConfig::default()
-        });
+        let mut rt = runtime(IsolationMode::Local);
         rt.attach(Box::new(FaultyApp::new(
             Box::new(Hub::new()),
             BugTrigger::OnEventKind(EventKind::PacketIn),

@@ -27,8 +27,8 @@ use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{
     CompromisePolicy, CrashPad, DeliveryResult, DispatchResult, RecoverableApp, RecoveryTaken,
 };
-use legosdn_invariants::{shutdown_network, CheckReport, CheckState, Checker};
-use legosdn_netlog::{CommitBarrier, NetLog, TxId, TxMode, TxTouch};
+use legosdn_invariants::shutdown_network;
+use legosdn_netlog::{CommitBarrier, NetLog, TxError, TxId, TxTouch};
 use legosdn_netsim::{Network, SimTime};
 use legosdn_obs::{AppId, Counter, Gauge, Histogram, Obs, RecordKind, TraceId};
 use legosdn_openflow::prelude::{DatapathId, FlowModCommand, Message};
@@ -229,40 +229,12 @@ impl SlotStore {
     }
 }
 
-/// The invariant checker's warm cache (DESIGN.md §13) for the network
-/// this runtime commits to, with its hit-ratio counters resolved once.
-/// It lives beside the network: whoever holds the commit lane holds it.
-pub(crate) struct WarmCheck {
-    state: CheckState,
-    reprobed: Arc<Counter>,
-    reused: Arc<Counter>,
-}
-
-impl WarmCheck {
-    pub(crate) fn new(obs: &Obs) -> Self {
-        WarmCheck {
-            state: CheckState::new(),
-            reprobed: obs.counter("invariants", "pairs_reprobed", ""),
-            reused: obs.counter("invariants", "pairs_reused", ""),
-        }
-    }
-
-    fn check(&mut self, checker: &Checker, net: &Network) -> CheckReport {
-        let report = self.state.check(checker, net);
-        let reprobed = self.state.last_reprobed();
-        self.reprobed.add(reprobed as u64);
-        self.reused.add((report.pairs_checked - reprobed) as u64);
-        report
-    }
-}
-
 /// The shared commit lane: the one place network effects happen. Workers
 /// take it only for the duration of a single transaction, under barrier
 /// admission.
 pub(crate) struct CommitLane<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) netlog: &'a mut NetLog,
-    pub(crate) check: &'a mut WarmCheck,
     /// Sticky within the lane's lifetime: some committed batch carried a
     /// `send_flow_removed` FlowMod. The runtime folds this into its
     /// cross-cycle `notify_flows_seen` flag — once a notify-flagged entry
@@ -279,7 +251,6 @@ pub(crate) struct ShardCtx<'a> {
     pub(crate) stats: &'a mut RuntimeStats,
     pub(crate) obs: &'a Obs,
     pub(crate) metrics: &'a CoreMetrics,
-    pub(crate) checker: Option<&'a Checker>,
     pub(crate) shutdown_on_no_compromise: bool,
 }
 
@@ -482,8 +453,8 @@ fn execute_guarded(
         .begin_for_at(cx.shard.apps[local].id, TxId(tx_base + *sub));
     *sub += 1;
     for c in &commands {
-        // Reads return synchronously in immediate mode; pass stats
-        // replies through the counter cache.
+        // Reads return synchronously; pass stats replies through the
+        // counter cache.
         match lane.netlog.execute(&mut tx, lane.net, c.dpid, &c.msg) {
             Ok(replies) => {
                 for mut reply in replies {
@@ -499,29 +470,10 @@ fn execute_guarded(
         }
     }
 
-    // Byzantine gate. Only state-altering output can violate network
-    // invariants; pure packet-outs/reads skip the (expensive) check.
-    let alters_state = commands.iter().any(|c| c.msg.alters_network_state());
-    let violations = match (
-        alters_state.then_some(()).and(cx.checker),
-        lane.netlog.mode(),
-    ) {
-        (Some(checker), TxMode::Buffered) => {
-            let r = checker.gate(lane.net, tx.buffered_commands());
-            (!r.is_clean()).then_some(r.violations.len())
-        }
-        (Some(checker), TxMode::Immediate) => {
-            let r = lane.check.check(checker, lane.net);
-            (!r.is_clean()).then_some(r.violations.len())
-        }
-        (None, _) => None,
-    };
-
-    match violations {
-        Some(nviol) => {
-            // Abort: buffered mode drops the buffer; immediate mode
-            // rolls the network back via the undo log.
-            let _ = lane.netlog.abort(tx, lane.net);
+    // The commit is the byzantine gate: a violation comes back rolled
+    // back, with the check's report.
+    match lane.netlog.commit(tx, lane.net) {
+        Err(TxError::Blocked(check)) => {
             report.byzantine_blocked += 1;
             cx.stats.byzantine_blocked += 1;
             cx.shard.apps[local].byzantine_blocked.inc();
@@ -531,6 +483,7 @@ fn execute_guarded(
                 .policies
                 .lookup(&cx.shard.apps[local].name, event.kind());
             if allow_recovery {
+                let nviol = check.violations.len();
                 let recovered = recover_byzantine(cx, lane, local, event, nviol, views);
                 // Recovered output (from transformed events) executes
                 // with recovery disabled.
@@ -553,11 +506,8 @@ fn execute_guarded(
                 shutdown_network(lane.net);
             }
         }
-        None => {
-            let applied = match lane.netlog.commit(tx, lane.net) {
-                Ok(r) => r.ops_applied,
-                Err(_) => 0,
-            };
+        committed => {
+            let applied = committed.map_or(0, |r| r.ops_applied);
             report.commands += applied;
             cx.stats.commands_executed += applied as u64;
             cx.metrics.commands_executed.add(applied as u64);
@@ -636,7 +586,6 @@ pub(crate) struct Window<'env, 'net> {
     pub(crate) lane: &'env Mutex<CommitLane<'net>>,
     pub(crate) obs: &'env Obs,
     pub(crate) metrics: &'env CoreMetrics,
-    pub(crate) checker: Option<&'env Checker>,
     pub(crate) shutdown_on_no_compromise: bool,
     pub(crate) depth: usize,
     /// Total apps across all shards — the position stride per slot.
@@ -768,7 +717,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             stats: &mut self.stats,
             obs: self.win.obs,
             metrics: self.win.metrics,
-            checker: self.win.checker,
             shutdown_on_no_compromise: self.win.shutdown_on_no_compromise,
         };
         (cx, &mut self.report)

@@ -1,15 +1,16 @@
-//! Network-wide invariant evaluation and the NetLog pre-commit gate.
+//! Network-wide invariant evaluation.
 //!
 //! Implements the VeriFlow-style policy checker the paper leans on for
 //! byzantine-failure detection (§3.3) and for enforcing "No-Compromise"
 //! invariants with a network-shutdown escape hatch (§5). The probing
 //! itself lives in [`crate::state`]; this module is its configuration,
-//! its report, and the stateless entry points.
+//! its report, and the stateless entry points. NetLog runs the check on
+//! every state-altering commit, warm, and rolls back what fails it.
 
 use crate::state::CheckState;
 use legosdn_codec::Codec;
 use legosdn_netsim::{Endpoint, Network};
-use legosdn_openflow::prelude::{DatapathId, MacAddr, Message};
+use legosdn_openflow::prelude::{DatapathId, MacAddr};
 
 /// A checkable network-wide invariant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Codec)]
@@ -116,22 +117,6 @@ impl Checker {
     pub fn check(&self, net: &Network) -> CheckReport {
         CheckState::new().check(self, net)
     }
-
-    /// The pre-commit gate: would applying `commands` violate the enforced
-    /// invariants? Verifies against a scratch clone; the real network is
-    /// untouched.
-    ///
-    /// This is how NetLog detects byzantine output before it damages the
-    /// network (§3.3: "the output of the SDN-App violates network
-    /// invariants, which can be detected using policy checkers").
-    #[must_use]
-    pub fn gate(&self, net: &Network, commands: &[(DatapathId, Message)]) -> CheckReport {
-        let mut scratch = net.clone();
-        for (dpid, msg) in commands {
-            let _ = scratch.apply(*dpid, msg);
-        }
-        self.check(&scratch)
-    }
 }
 
 /// The §5 escape hatch: when a "No-Compromise" invariant is violated, the
@@ -230,43 +215,6 @@ mod tests {
         .unwrap();
         let loose = Checker::new(vec![Invariant::NoLoops]);
         assert!(loose.check(&net).is_clean());
-    }
-
-    #[test]
-    fn gate_detects_violation_without_touching_network() {
-        let (net, topo) = delivered_net();
-        let d1 = topo.hosts[0].attach.dpid;
-        let bad = vec![(
-            d1,
-            Message::FlowMod(FlowMod::add(Match::any()).priority(u16::MAX)),
-        )];
-        let report = Checker::default().gate(&net, &bad);
-        assert!(!report.is_clean());
-        // Real network unchanged: still clean.
-        assert!(Checker::default().check(&net).is_clean());
-        assert_eq!(
-            net.switch(d1)
-                .unwrap()
-                .table()
-                .iter()
-                .filter(|e| e.priority == u16::MAX)
-                .count(),
-            0
-        );
-    }
-
-    #[test]
-    fn gate_passes_benign_commands() {
-        let (net, topo) = delivered_net();
-        let d1 = topo.hosts[0].attach.dpid;
-        let benign = vec![(
-            d1,
-            Message::FlowMod(
-                FlowMod::add(Match::eth_dst(MacAddr::from_index(50)))
-                    .action(Action::Output(PortNo::Phys(1))),
-            ),
-        )];
-        assert!(Checker::default().gate(&net, &benign).is_clean());
     }
 
     #[test]

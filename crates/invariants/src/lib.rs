@@ -4,11 +4,12 @@
 //!
 //! - [`mod@probe`]: non-mutating dataplane walks classifying each host pair as
 //!   delivered / punted / black-holed / looping.
-//! - [`checker`]: invariant sets, full-network checks, the NetLog pre-commit
-//!   [`Checker::gate`], and the §5 [`checker::shutdown_network`] escape
-//!   hatch.
+//! - [`checker`]: invariant sets, full-network checks, and the §5
+//!   [`checker::shutdown_network`] escape hatch.
 //! - [`state`]: the per-pair cache that makes a repeated check cost only
-//!   what changed since the last one ([`CheckState`]).
+//!   what changed since the last one ([`CheckState`]). NetLog owns one
+//!   per network it commits to and checks every state-altering commit
+//!   with it.
 
 pub mod checker;
 pub mod probe;

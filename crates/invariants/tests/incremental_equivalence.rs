@@ -21,7 +21,7 @@
 //! cache stays within its 64 KB budget at the default 4 096 pairs.
 
 use legosdn_invariants::{CheckReport, CheckState, Checker, Invariant, Violation};
-use legosdn_netlog::{NetLog, TxMode};
+use legosdn_netlog::NetLog;
 use legosdn_netsim::{Endpoint, HostSpec, Network, SimDuration, Topology};
 use legosdn_openflow::messages::PortMod;
 use legosdn_openflow::prelude::*;
@@ -255,7 +255,7 @@ impl World {
             16 => {
                 // A NetLog transaction that applies for real and rolls
                 // back unseen.
-                let mut netlog = NetLog::new(TxMode::Immediate);
+                let mut netlog = NetLog::default();
                 let mut tx = netlog.begin();
                 for _ in 0..rng.gen_range(1..5u32) {
                     let d = self.dpid(rng);
@@ -350,7 +350,7 @@ fn run_sequence(seed: u64, topo: Topology, ops: usize) {
             5..=7 => {
                 // The commit path's own shape: a transaction applies for
                 // real, is checked where it stands, and rolls back.
-                let mut netlog = NetLog::new(TxMode::Immediate);
+                let mut netlog = NetLog::default();
                 let mut tx = netlog.begin();
                 for _ in 0..rng.gen_range(1..5u32) {
                     let d = world.dpid(&mut rng);

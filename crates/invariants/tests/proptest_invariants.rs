@@ -1,9 +1,10 @@
 //! Property tests for the invariant checker: the probe agrees with the
-//! real dataplane, checks are side-effect-free, and the gate is sound
-//! (never lets a detectable violation through) on randomized topologies
-//! and rule sets.
+//! real dataplane, checks are side-effect-free, and NetLog's commit gate
+//! is sound (never lets a detectable violation through, and rolls back
+//! what it refuses) on randomized topologies and rule sets.
 
 use legosdn_invariants::{probe, Checker};
+use legosdn_netlog::{NetLog, TxError};
 use legosdn_netsim::{Network, Topology};
 use legosdn_openflow::prelude::*;
 use legosdn_testkit::forall;
@@ -110,8 +111,39 @@ fn check_has_no_side_effects() {
     });
 }
 
+/// Every switch's rules, order-free, without counters or install times.
+fn forwarding_state(net: &Network) -> Vec<Vec<String>> {
+    net.switches()
+        .map(|sw| {
+            let mut rules: Vec<String> = sw
+                .table()
+                .iter()
+                .map(|e| format!("{:?}|{}|{:?}", e.mat, e.priority, e.actions))
+                .collect();
+            rules.sort();
+            rules
+        })
+        .collect()
+}
+
+/// Commit `bad` in one transaction through a guarded NetLog, which must
+/// refuse it and leave the network exactly as it found it.
+fn assert_gate_refuses(net: &mut Network, bad: &[(DatapathId, Message)], what: &str) {
+    let baseline = forwarding_state(net);
+    let mut netlog = NetLog::with_checker(Some(Checker::default()));
+    let mut tx = netlog.begin();
+    for (dpid, msg) in bad {
+        netlog.execute(&mut tx, net, *dpid, msg).unwrap();
+    }
+    match netlog.commit(tx, net) {
+        Err(TxError::Blocked(report)) => assert!(!report.is_clean()),
+        other => panic!("{what} undetected: {other:?}"),
+    }
+    assert_eq!(forwarding_state(net), baseline, "{what} not rolled back");
+}
+
 /// Gate soundness: adding a top-priority drop rule to any switch on a
-/// delivering path is caught, and the gate leaves the network intact.
+/// delivering path is refused at commit and rolled back.
 #[test]
 fn gate_catches_planted_blackhole() {
     forall(64, |rng| {
@@ -122,21 +154,19 @@ fn gate_catches_planted_blackhole() {
         install_correct_routing(&mut net, &topo);
         let dpids: Vec<DatapathId> = topo.switches.keys().copied().collect();
         let victim = dpids[victim_idx % dpids.len()];
-        let bad = vec![(
+        let bad = [(
             victim,
             Message::FlowMod(FlowMod::add(Match::any()).priority(u16::MAX)),
         )];
-        let report = Checker::default().gate(&net, &bad);
         // The victim switch hosts at least one host or forwards for one, so
         // some pair must die.
-        assert!(!report.is_clean(), "blackhole on {victim:?} undetected");
-        // Gate never mutates the real network.
+        assert_gate_refuses(&mut net, &bad, &format!("blackhole on {victim:?}"));
         assert!(Checker::default().check(&net).is_clean());
     });
 }
 
 /// Loop soundness: pointing two adjacent switches at each other with a
-/// top-priority rule is always caught as a loop or black-hole.
+/// top-priority rule is always refused as a loop or black-hole.
 #[test]
 fn gate_catches_planted_loop() {
     forall(64, |rng| {
@@ -145,7 +175,7 @@ fn gate_catches_planted_loop() {
         let mut net = Network::new(&topo);
         install_correct_routing(&mut net, &topo);
         let link = topo.links[0];
-        let bad = vec![
+        let bad = [
             (
                 link.a.dpid,
                 Message::FlowMod(
@@ -163,7 +193,6 @@ fn gate_catches_planted_loop() {
                 ),
             ),
         ];
-        let report = Checker::default().gate(&net, &bad);
-        assert!(!report.is_clean(), "planted loop undetected");
+        assert_gate_refuses(&mut net, &bad, "planted loop");
     });
 }

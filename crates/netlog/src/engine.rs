@@ -1,25 +1,24 @@
-//! The NetLog transaction engine (paper §3.2).
+//! The NetLog transaction engine (paper §3.2–§3.3).
 //!
 //! "The actions associated with any policy must be executed in an atomic
 //! fashion, with all-or-nothing semantics. Failure of either an SDN-App or
 //! an action generated by an SDN-App should trigger a network-wide
 //! roll-back of all related actions of the concerned policy."
 //!
-//! Two execution modes reproduce both the design and the paper's §4.1
-//! prototype ablation:
+//! Every command applies to the network as it arrives, and the engine
+//! records its inverse (computed from the pre-state the switch reports) in
+//! an undo log, so reads inside a transaction see its own writes. Abort
+//! replays the undo log in reverse: a true network-wide rollback.
 //!
-//! - [`TxMode::Immediate`] — full NetLog: every command applies to the
-//!   network as it arrives, and the engine records the inverse (computed
-//!   from the pre-state the switch reports) in an undo log. Abort replays
-//!   the undo log in reverse — a true network-wide rollback.
-//! - [`TxMode::Buffered`] — the paper's prototype: commands are held in a
-//!   buffer "until it is confirmed that the processing completed without
-//!   failure"; commit applies them, abort just drops the buffer. The paper
-//!   notes this is "not practical in a real-world environment" (reads
-//!   can't see buffered writes, and the network lags the app's view) —
-//!   experiment E9 quantifies the difference.
+//! An engine built with [`NetLog::with_checker`] also owns the byzantine guard
+//! (§3.3: output that "violates network invariants, which can be detected
+//! using policy checkers"): [`NetLog::commit`] checks the network a
+//! state-altering transaction left behind, warm, and on a violation rolls
+//! it back exactly as [`NetLog::abort`] does and returns
+//! [`TxError::Blocked`]. Without a checker a commit seals what it is given.
 
 use crate::counter_cache::CounterCache;
+use legosdn_invariants::{CheckReport, CheckState, Checker};
 use legosdn_netsim::{NetError, Network};
 use legosdn_obs::{AppId, Counter, Obs, RecordKind};
 use legosdn_openflow::inverse::{inverse_of, Inverse, PreState};
@@ -29,13 +28,13 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-/// Transaction execution mode.
+/// Transaction execution mode. Apply-and-undo is the only one; the type
+/// stays for callers outside this workspace that still name it.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxMode {
-    /// Apply immediately, log inverses, roll back on abort (full NetLog).
+    /// Apply immediately, log inverses, roll back on abort.
     Immediate,
-    /// Buffer commands until commit (the paper-prototype ablation).
-    Buffered,
 }
 
 /// Transaction identifier.
@@ -54,7 +53,6 @@ pub enum TxState {
 #[derive(Clone, Debug)]
 struct AppliedOp {
     dpid: DatapathId,
-    msg: Message,
     undo: Vec<Message>,
 }
 
@@ -62,13 +60,23 @@ struct AppliedOp {
 #[derive(Debug)]
 pub struct Transaction {
     id: TxId,
-    mode: TxMode,
     state: TxState,
     applied: Vec<AppliedOp>,
-    buffered: Vec<(DatapathId, Message)>,
+    /// Some executed command could alter network state, whether or not
+    /// the network accepted it: what puts the commit under the guard.
+    alters: bool,
 }
 
 impl Transaction {
+    fn open(id: TxId) -> Self {
+        Transaction {
+            id,
+            state: TxState::Open,
+            applied: Vec::new(),
+            alters: false,
+        }
+    }
+
     /// This transaction's id.
     #[must_use]
     pub fn id(&self) -> TxId {
@@ -81,35 +89,16 @@ impl Transaction {
         self.state
     }
 
-    /// Number of operations recorded so far.
+    /// Number of operations applied so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self.mode {
-            TxMode::Immediate => self.applied.len(),
-            TxMode::Buffered => self.buffered.len(),
-        }
+        self.applied.len()
     }
 
-    /// True when no operations are recorded.
+    /// True when no operations are applied.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The buffered commands (buffered mode), for inspection/gating.
-    #[must_use]
-    pub fn buffered_commands(&self) -> &[(DatapathId, Message)] {
-        &self.buffered
-    }
-
-    /// The operations applied so far (immediate mode) — used for problem
-    /// tickets and invariant gating.
-    #[must_use]
-    pub fn applied_ops(&self) -> Vec<(DatapathId, Message)> {
-        self.applied
-            .iter()
-            .map(|op| (op.dpid, op.msg.clone()))
-            .collect()
+        self.applied.is_empty()
     }
 }
 
@@ -120,6 +109,9 @@ pub enum TxError {
     NotOpen(TxState),
     /// The network rejected an operation.
     Net(NetError),
+    /// The guard found the committed state violating its invariants; the
+    /// transaction was rolled back instead.
+    Blocked(CheckReport),
 }
 
 impl fmt::Display for TxError {
@@ -127,6 +119,11 @@ impl fmt::Display for TxError {
         match self {
             TxError::NotOpen(s) => write!(f, "transaction is {s:?}, not open"),
             TxError::Net(e) => write!(f, "network error: {e}"),
+            TxError::Blocked(r) => write!(
+                f,
+                "blocked and rolled back: {} invariant violations",
+                r.violations.len()
+            ),
         }
     }
 }
@@ -137,9 +134,6 @@ impl std::error::Error for TxError {}
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommitReport {
     pub ops_applied: usize,
-    /// Operations the network rejected at commit time (buffered mode only;
-    /// immediate mode surfaces rejections at execute time).
-    pub ops_failed: usize,
 }
 
 /// Result of an abort/rollback.
@@ -173,7 +167,9 @@ pub struct NetLogStats {
 }
 
 /// The per-transaction metric handles, resolved once per [`Obs`] instance
-/// so a transaction costs atomic adds, not registry lookups.
+/// so a transaction costs atomic adds, not registry lookups. The guard's
+/// hit-ratio pair is resolved with or without a guard, so both series
+/// exist from the moment an engine is handed an instance.
 struct NetLogMetrics {
     txn_begun: Arc<Counter>,
     ops_executed: Arc<Counter>,
@@ -181,6 +177,8 @@ struct NetLogMetrics {
     txn_committed: Arc<Counter>,
     txn_aborted: Arc<Counter>,
     undo_messages: Arc<Counter>,
+    pairs_reprobed: Arc<Counter>,
+    pairs_reused: Arc<Counter>,
 }
 
 impl NetLogMetrics {
@@ -193,35 +191,63 @@ impl NetLogMetrics {
             txn_committed: counter("txn_committed"),
             txn_aborted: counter("txn_aborted"),
             undo_messages: counter("undo_messages"),
+            pairs_reprobed: obs.counter("invariants", "pairs_reprobed", ""),
+            pairs_reused: obs.counter("invariants", "pairs_reused", ""),
         }
     }
 }
 
+/// The byzantine guard: the invariants a commit must keep, and the
+/// checker's warm cache (DESIGN.md §13) for the network this engine
+/// commits to. Whoever holds the engine holds it.
+struct Guard {
+    checker: Checker,
+    state: CheckState,
+}
+
 /// The NetLog engine.
 pub struct NetLog {
-    mode: TxMode,
     next_id: u64,
     pub counter_cache: CounterCache,
     log: VecDeque<TxRecord>,
     log_capacity: usize,
     stats: NetLogStats,
+    guard: Option<Guard>,
     obs: Obs,
     metrics: NetLogMetrics,
 }
 
+impl Default for NetLog {
+    /// An engine without a guard.
+    fn default() -> Self {
+        NetLog::with_checker(None)
+    }
+}
+
 impl NetLog {
-    /// An engine in the given mode, reporting to an [`Obs::disabled`]
-    /// instance until [`NetLog::set_obs`] hands it one.
+    /// An engine without a guard. The mode is ignored: there is one.
+    #[doc(hidden)]
     #[must_use]
-    pub fn new(mode: TxMode) -> Self {
+    pub fn new(_mode: TxMode) -> Self {
+        NetLog::default()
+    }
+
+    /// An engine whose every state-altering commit is checked against
+    /// `checker`'s invariants (`None`: no guard), reporting to an
+    /// [`Obs::disabled`] instance until [`NetLog::set_obs`] hands it one.
+    #[must_use]
+    pub fn with_checker(checker: Option<Checker>) -> Self {
         let obs = Obs::disabled();
         NetLog {
-            mode,
             next_id: 0,
             counter_cache: CounterCache::default(),
             log: VecDeque::new(),
             log_capacity: 65_536,
             stats: NetLogStats::default(),
+            guard: checker.map(|checker| Guard {
+                checker,
+                state: CheckState::new(),
+            }),
             metrics: NetLogMetrics::resolve(&obs),
             obs,
         }
@@ -233,10 +259,10 @@ impl NetLog {
         self.obs = obs;
     }
 
-    /// The engine's mode.
+    /// The invariants commits are checked against, if any.
     #[must_use]
-    pub fn mode(&self) -> TxMode {
-        self.mode
+    pub fn checker(&self) -> Option<&Checker> {
+        self.guard.as_ref().map(|g| &g.checker)
     }
 
     /// Engine counters.
@@ -256,13 +282,7 @@ impl NetLog {
         self.next_id += 1;
         self.stats.begun += 1;
         self.metrics.txn_begun.inc();
-        Transaction {
-            id: TxId(self.next_id),
-            mode: self.mode,
-            state: TxState::Open,
-            applied: Vec::new(),
-            buffered: Vec::new(),
-        }
+        Transaction::open(TxId(self.next_id))
     }
 
     /// Open a transaction on behalf of the app this engine's `Obs` knows
@@ -283,13 +303,7 @@ impl NetLog {
         self.next_id = self.next_id.max(id.0);
         self.stats.begun += 1;
         self.metrics.txn_begun.inc();
-        Transaction {
-            id,
-            mode: self.mode,
-            state: TxState::Open,
-            applied: Vec::new(),
-            buffered: Vec::new(),
-        }
+        Transaction::open(id)
     }
 
     /// [`NetLog::begin_at`] plus the `txn → app` journal binding of
@@ -305,12 +319,9 @@ impl NetLog {
         tx
     }
 
-    /// Execute one command inside the transaction.
-    ///
-    /// Immediate mode applies it to the network now, recording the inverse;
-    /// buffered mode queues it. Returns the network's synchronous replies
-    /// (empty in buffered mode — the reason the paper calls the buffer
-    /// prototype impractical: reads can't see buffered writes).
+    /// Execute one command inside the transaction: apply it to the network
+    /// now, recording its inverse. Returns the network's synchronous
+    /// replies, so a read sees the transaction's own writes.
     pub fn execute(
         &mut self,
         tx: &mut Transaction,
@@ -323,32 +334,21 @@ impl NetLog {
         }
         self.stats.ops_executed += 1;
         self.metrics.ops_executed.inc();
-        match tx.mode {
-            TxMode::Buffered => {
-                tx.buffered.push((dpid, msg.clone()));
-                Ok(Vec::new())
+        tx.alters |= msg.alters_network_state();
+        let outcome = net.apply(dpid, msg).map_err(TxError::Net)?;
+        let undo = match &outcome.pre_state {
+            Some(pre) => {
+                self.harvest_counters(dpid, msg, pre);
+                match inverse_of(msg, pre) {
+                    Inverse::Messages(msgs) => msgs,
+                    Inverse::Ephemeral => Vec::new(),
+                }
             }
-            TxMode::Immediate => {
-                let outcome = net.apply(dpid, msg).map_err(TxError::Net)?;
-                let undo = match &outcome.pre_state {
-                    Some(pre) => {
-                        self.harvest_counters(dpid, msg, pre);
-                        match inverse_of(msg, pre) {
-                            Inverse::Messages(msgs) => msgs,
-                            Inverse::Ephemeral => Vec::new(),
-                        }
-                    }
-                    None => Vec::new(),
-                };
-                self.metrics.inverse_ops_recorded.add(undo.len() as u64);
-                tx.applied.push(AppliedOp {
-                    dpid,
-                    msg: msg.clone(),
-                    undo,
-                });
-                Ok(outcome.replies)
-            }
-        }
+            None => Vec::new(),
+        };
+        self.metrics.inverse_ops_recorded.add(undo.len() as u64);
+        tx.applied.push(AppliedOp { dpid, undo });
+        Ok(outcome.replies)
     }
 
     /// Cache counters for flows a delete displaced, so a later rollback can
@@ -379,11 +379,12 @@ impl NetLog {
         }
     }
 
-    /// Commit the transaction: buffered mode applies the queued commands
-    /// (logging inverses in case a *later* caller-initiated rollback is
-    /// needed is not possible here — buffered commits are final); immediate
-    /// mode seals the log entry and sends barriers to every touched switch
-    /// so the all-or-nothing boundary is ordered on the wire.
+    /// Commit the transaction. Under a guard, a transaction that executed
+    /// any state-altering command is checked first: on a violation it is
+    /// rolled back as [`NetLog::abort`] would, and the check's report
+    /// comes back as [`TxError::Blocked`]. Otherwise the log entry is
+    /// sealed and every touched switch gets a barrier, so the
+    /// all-or-nothing boundary is ordered on the wire.
     pub fn commit(
         &mut self,
         mut tx: Transaction,
@@ -392,42 +393,34 @@ impl NetLog {
         if tx.state != TxState::Open {
             return Err(TxError::NotOpen(tx.state));
         }
-        let mut report = CommitReport::default();
-        match tx.mode {
-            TxMode::Buffered => {
-                for (dpid, msg) in tx.buffered.drain(..) {
-                    match net.apply(dpid, &msg) {
-                        Ok(out) => {
-                            // Errors the switch reports (table full, overlap)
-                            // count as failed ops.
-                            if out.replies.iter().any(|m| matches!(m, Message::Error(_))) {
-                                report.ops_failed += 1;
-                            } else {
-                                report.ops_applied += 1;
-                            }
-                        }
-                        Err(_) => report.ops_failed += 1,
-                    }
-                }
+        if let (true, Some(guard)) = (tx.alters, &mut self.guard) {
+            let report = guard.state.check(&guard.checker, net);
+            let reprobed = guard.state.last_reprobed();
+            self.metrics.pairs_reprobed.add(reprobed as u64);
+            self.metrics
+                .pairs_reused
+                .add((report.pairs_checked - reprobed) as u64);
+            if !report.is_clean() {
+                self.abort(tx, net)?;
+                return Err(TxError::Blocked(report));
             }
-            TxMode::Immediate => {
-                report.ops_applied = tx.applied.len();
-                // One barrier per touched switch, ascending dpid: repeatedly
-                // pick the smallest dpid above the last one served. A
-                // scan per distinct switch, no buffer — transactions name
-                // a switch or two.
-                let mut served: Option<DatapathId> = None;
-                while let Some(dpid) = tx
-                    .applied
-                    .iter()
-                    .map(|op| op.dpid)
-                    .filter(|d| served.is_none_or(|s| *d > s))
-                    .min()
-                {
-                    let _ = net.apply(dpid, &Message::BarrierRequest);
-                    served = Some(dpid);
-                }
-            }
+        }
+        let report = CommitReport {
+            ops_applied: tx.applied.len(),
+        };
+        // One barrier per touched switch, ascending dpid: repeatedly pick
+        // the smallest dpid above the last one served. A scan per distinct
+        // switch, no buffer — transactions name a switch or two.
+        let mut served: Option<DatapathId> = None;
+        while let Some(dpid) = tx
+            .applied
+            .iter()
+            .map(|op| op.dpid)
+            .filter(|d| served.is_none_or(|s| *d > s))
+            .min()
+        {
+            let _ = net.apply(dpid, &Message::BarrierRequest);
+            served = Some(dpid);
         }
         tx.state = TxState::Committed;
         self.stats.committed += 1;
@@ -447,9 +440,8 @@ impl NetLog {
         Ok(report)
     }
 
-    /// Abort the transaction: immediate mode rolls the network back by
-    /// applying the recorded inverses in reverse order; buffered mode drops
-    /// the buffer.
+    /// Abort the transaction: roll the network back by applying the
+    /// recorded inverses in reverse order.
     pub fn abort(
         &mut self,
         mut tx: Transaction,
@@ -459,26 +451,18 @@ impl NetLog {
             return Err(TxError::NotOpen(tx.state));
         }
         let mut report = RollbackReport::default();
-        match tx.mode {
-            TxMode::Buffered => {
-                report.ops_rolled_back = tx.buffered.len();
-                tx.buffered.clear();
-            }
-            TxMode::Immediate => {
-                for op in tx.applied.drain(..).rev() {
-                    report.ops_rolled_back += 1;
-                    for undo in &op.undo {
-                        report.undo_messages += 1;
-                        self.stats.undo_messages_applied += 1;
-                        match net.apply(op.dpid, undo) {
-                            Ok(out) => {
-                                if out.replies.iter().any(|m| matches!(m, Message::Error(_))) {
-                                    report.undo_failures += 1;
-                                }
-                            }
-                            Err(_) => report.undo_failures += 1,
+        for op in tx.applied.drain(..).rev() {
+            report.ops_rolled_back += 1;
+            for undo in &op.undo {
+                report.undo_messages += 1;
+                self.stats.undo_messages_applied += 1;
+                match net.apply(op.dpid, undo) {
+                    Ok(out) => {
+                        if out.replies.iter().any(|m| matches!(m, Message::Error(_))) {
+                            report.undo_failures += 1;
                         }
                     }
+                    Err(_) => report.undo_failures += 1,
                 }
             }
         }
@@ -569,7 +553,7 @@ mod tests {
 
     #[test]
     fn immediate_execute_applies_now() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let mut tx = nl.begin();
         nl.execute(&mut tx, &mut net, DatapathId(1), &flowmod(9, 2))
@@ -583,7 +567,7 @@ mod tests {
 
     #[test]
     fn immediate_abort_rolls_back_adds() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let mut tx = nl.begin();
         for i in 0..5 {
@@ -599,7 +583,7 @@ mod tests {
 
     #[test]
     fn immediate_abort_restores_deletes_with_timeouts() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         // Pre-existing flow with a hard timeout, installed outside any tx.
         let fm = FlowMod::add(Match::eth_dst(MacAddr::from_index(1)))
@@ -638,7 +622,7 @@ mod tests {
 
     #[test]
     fn rollback_of_overwrite_restores_original_actions() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let m = Match::eth_dst(MacAddr::from_index(1));
         let original = FlowMod::add(m.clone())
@@ -671,7 +655,7 @@ mod tests {
 
     #[test]
     fn counter_cache_populated_on_delete_and_adjusts_stats() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let host = net.hosts()[0].clone();
         // Install a flow and push traffic through it.
@@ -726,38 +710,8 @@ mod tests {
     }
 
     #[test]
-    fn buffered_holds_until_commit() {
-        let mut nl = NetLog::new(TxMode::Buffered);
-        let mut net = net();
-        let mut tx = nl.begin();
-        nl.execute(&mut tx, &mut net, DatapathId(1), &flowmod(9, 2))
-            .unwrap();
-        nl.execute(&mut tx, &mut net, DatapathId(2), &flowmod(9, 2))
-            .unwrap();
-        assert_eq!(table_len(&net, 1), 0, "nothing applied yet");
-        assert_eq!(tx.buffered_commands().len(), 2);
-        let report = nl.commit(tx, &mut net).unwrap();
-        assert_eq!(report.ops_applied, 2);
-        assert_eq!(table_len(&net, 1), 1);
-        assert_eq!(table_len(&net, 2), 1);
-    }
-
-    #[test]
-    fn buffered_abort_discards() {
-        let mut nl = NetLog::new(TxMode::Buffered);
-        let mut net = net();
-        let mut tx = nl.begin();
-        nl.execute(&mut tx, &mut net, DatapathId(1), &flowmod(9, 2))
-            .unwrap();
-        let report = nl.abort(tx, &mut net).unwrap();
-        assert_eq!(report.ops_rolled_back, 1);
-        assert_eq!(report.undo_messages, 0);
-        assert_eq!(table_len(&net, 1), 0);
-    }
-
-    #[test]
     fn finished_tx_rejects_operations() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let tx = nl.begin();
         let id = tx.id();
@@ -769,7 +723,7 @@ mod tests {
 
     #[test]
     fn wal_records_lifecycle() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let mut tx = nl.begin();
         nl.execute(&mut tx, &mut net, DatapathId(1), &flowmod(1, 2))
@@ -787,7 +741,7 @@ mod tests {
 
     #[test]
     fn begin_at_pins_ids_and_the_log_sorts_out_of_order_commits() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         // Position-derived ids committed out of wall-clock order (the
         // barrier fastpath case): the log must still read in id order.
@@ -806,7 +760,7 @@ mod tests {
 
     #[test]
     fn portmod_rolls_back() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let hw = net
             .switch(DatapathId(1))
@@ -843,7 +797,7 @@ mod tests {
 
     #[test]
     fn multi_switch_rollback_is_network_wide() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let mut tx = nl.begin();
         nl.execute(&mut tx, &mut net, DatapathId(1), &flowmod(1, 2))
@@ -859,7 +813,7 @@ mod tests {
 
     #[test]
     fn ephemeral_messages_produce_no_undo() {
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut net = net();
         let host = net.hosts()[0].clone();
         let mut tx = nl.begin();
@@ -918,7 +872,7 @@ mod tests {
     #[test]
     fn handles_count_what_stats_count_and_follow_set_obs() {
         let mut net = net();
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let first = Obs::new();
         nl.set_obs(first.clone());
         drive(&mut nl, &mut net, 7, 200);

@@ -7,6 +7,10 @@
 //! records inverses as it applies commands and replays them in reverse on
 //! abort.
 //!
+//! An engine built with a `Checker` also guards its commits: a
+//! transaction that leaves the network violating an invariant is rolled
+//! back at commit and reported as `TxError::Blocked` (§3.3).
+//!
 //! The lossy parts of inversion — flow counters and elapsed timeouts — are
 //! handled per the paper: restored entries carry their *remaining* hard
 //! timeout, and a [`counter_cache::CounterCache`] rewrites statistics

@@ -2,11 +2,19 @@
 //! sequence of state-altering control messages applied inside a
 //! transaction on *any* pre-existing network state, aborting the
 //! transaction restores the network's forwarding state exactly.
+//!
+//! And for its guard (§3.3): a guarded commit refuses exactly the
+//! transactions a cold check of the network they leave behind rejects,
+//! and a refused one is rolled back as an abort would.
 
-use legosdn_netlog::{NetLog, TxMode};
+use legosdn_invariants::{CheckReport, Checker};
+use legosdn_netlog::{NetLog, TxError};
 use legosdn_netsim::{Network, SimDuration, Topology};
+use legosdn_obs::{Obs, RecordKind};
 use legosdn_openflow::prelude::*;
 use legosdn_testkit::{forall, Rng};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Semantic forwarding state of the whole network: per switch, the set of
 /// (match, priority, actions, idle, send_flow_removed) entries plus port
@@ -207,7 +215,7 @@ fn abort_restores_forwarding_state() {
         let mut net = seeded_network(&pre);
         let baseline = forwarding_state(&net);
 
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut tx = nl.begin();
         for op in &tx_ops {
             let (dpid, msg) = op_to_message(op, &net);
@@ -219,58 +227,6 @@ fn abort_restores_forwarding_state() {
     });
 }
 
-/// Buffered abort is trivially clean (nothing ever applied).
-#[test]
-fn buffered_abort_is_invisible() {
-    forall(256, |rng| {
-        let pre = rng.gen_vec(0..6, arb_op);
-        let tx_ops = rng.gen_vec(1..10, arb_op);
-        let mut net = seeded_network(&pre);
-        let baseline = forwarding_state(&net);
-        let mut nl = NetLog::new(TxMode::Buffered);
-        let mut tx = nl.begin();
-        for op in &tx_ops {
-            let (dpid, msg) = op_to_message(op, &net);
-            let _ = nl.execute(&mut tx, &mut net, dpid, &msg);
-        }
-        assert_eq!(
-            forwarding_state(&net),
-            baseline.clone(),
-            "buffer must not touch the net"
-        );
-        nl.abort(tx, &mut net).unwrap();
-        assert_eq!(forwarding_state(&net), baseline);
-    });
-}
-
-/// Commit in the two modes converges to the same forwarding state for
-/// write-only transactions (reads differ — that's the E9 point).
-#[test]
-fn modes_commit_to_same_state() {
-    forall(256, |rng| {
-        let tx_ops = rng.gen_vec(1..12, arb_op);
-        let mut net_a = seeded_network(&[]);
-        let mut nl = NetLog::new(TxMode::Immediate);
-        let mut tx = nl.begin();
-        for op in &tx_ops {
-            let (dpid, msg) = op_to_message(op, &net_a);
-            let _ = nl.execute(&mut tx, &mut net_a, dpid, &msg);
-        }
-        nl.commit(tx, &mut net_a).unwrap();
-
-        let mut net_b = seeded_network(&[]);
-        let mut nl = NetLog::new(TxMode::Buffered);
-        let mut tx = nl.begin();
-        for op in &tx_ops {
-            let (dpid, msg) = op_to_message(op, &net_b);
-            let _ = nl.execute(&mut tx, &mut net_b, dpid, &msg);
-        }
-        nl.commit(tx, &mut net_b).unwrap();
-
-        assert_eq!(forwarding_state(&net_a), forwarding_state(&net_b));
-    });
-}
-
 /// Abort then replaying the same ops non-transactionally equals having
 /// committed in the first place (rollback leaves no hidden residue).
 #[test]
@@ -279,7 +235,7 @@ fn rollback_then_redo_equals_commit() {
         let tx_ops = rng.gen_vec(1..10, arb_op);
         // Path 1: apply in tx, commit.
         let mut net_commit = seeded_network(&[]);
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut tx = nl.begin();
         for op in &tx_ops {
             let (dpid, msg) = op_to_message(op, &net_commit);
@@ -289,7 +245,7 @@ fn rollback_then_redo_equals_commit() {
 
         // Path 2: apply in tx, abort, then redo raw.
         let mut net_redo = seeded_network(&[]);
-        let mut nl = NetLog::new(TxMode::Immediate);
+        let mut nl = NetLog::default();
         let mut tx = nl.begin();
         for op in &tx_ops {
             let (dpid, msg) = op_to_message(op, &net_redo);
@@ -302,4 +258,104 @@ fn rollback_then_redo_equals_commit() {
         }
         assert_eq!(forwarding_state(&net_commit), forwarding_state(&net_redo));
     });
+}
+
+/// The generator's middle priority: its ops override, overwrite and
+/// delete routes installed here.
+const ROUTE_PRIORITY: u16 = 200;
+
+/// A seeded random topology with shortest-path forwarding toward every
+/// host on every switch: a clean network the ops can break.
+fn routed_network(seed: u64) -> Network {
+    let topo = Topology::random(5, 2, 1, seed);
+    let mut net = Network::new(&topo);
+    for h in &topo.hosts {
+        // BFS outward from the host's switch: the first link that reaches
+        // a switch is that switch's way back.
+        let mut toward = BTreeMap::from([(h.attach.dpid, h.attach.port)]);
+        let mut queue = VecDeque::from([h.attach.dpid]);
+        while let Some(cur) = queue.pop_front() {
+            for l in &topo.links {
+                let far = match (l.a.dpid == cur, l.b.dpid == cur) {
+                    (true, _) => l.b,
+                    (_, true) => l.a,
+                    _ => continue,
+                };
+                if let Entry::Vacant(slot) = toward.entry(far.dpid) {
+                    slot.insert(far.port);
+                    queue.push_back(far.dpid);
+                }
+            }
+        }
+        for (dpid, port) in toward {
+            let fm = FlowMod::add(Match::eth_dst(h.mac))
+                .priority(ROUTE_PRIORITY)
+                .action(Action::Output(PortNo::Phys(port)));
+            net.apply(dpid, &Message::FlowMod(fm)).unwrap();
+        }
+    }
+    net
+}
+
+/// The oracle: apply `msgs` to a scratch clone and check it cold.
+fn cold(net: &Network, msgs: &[(DatapathId, Message)]) -> CheckReport {
+    let mut scratch = net.clone();
+    for (dpid, msg) in msgs {
+        let _ = scratch.apply(*dpid, msg);
+    }
+    Checker::default().check(&scratch)
+}
+
+fn rollbacks(obs: &Obs) -> usize {
+    obs.records()
+        .iter()
+        .filter(|r| matches!(r.kind, RecordKind::TxnRollback { .. }))
+        .count()
+}
+
+/// A guarded commit is blocked iff a cold check of what the transaction
+/// leaves behind finds a violation, over a run of transactions that keeps
+/// one guard warm. Blocked: the network is back at its baseline, the
+/// abort is counted and journaled once. Committed: the network is clean.
+#[test]
+fn guarded_commit_blocks_exactly_what_a_cold_check_rejects() {
+    let (mut blocked, mut committed) = (0, 0);
+    forall(128, |rng| {
+        let mut net = routed_network(rng.gen_range(0u64..500));
+        assert!(Checker::default().check(&net).is_clean());
+        let obs = Obs::new();
+        let mut nl = NetLog::with_checker(Some(Checker::default()));
+        nl.set_obs(obs.clone());
+        for _ in 0..rng.gen_range(1..6usize) {
+            let ops = rng.gen_vec(1..6, arb_op);
+            let msgs: Vec<_> = ops.iter().map(|op| op_to_message(op, &net)).collect();
+            let want = cold(&net, &msgs);
+            let baseline = forwarding_state(&net);
+            let (aborted, journaled) = (nl.stats().aborted, rollbacks(&obs));
+            let mut tx = nl.begin();
+            for (dpid, msg) in &msgs {
+                let _ = nl.execute(&mut tx, &mut net, *dpid, msg);
+            }
+            match nl.commit(tx, &mut net) {
+                Err(TxError::Blocked(report)) => {
+                    blocked += 1;
+                    assert_eq!(report, want, "the warm guard saw what a cold check sees");
+                    assert_eq!(forwarding_state(&net), baseline, "rolled back");
+                    assert_eq!(nl.stats().aborted, aborted + 1);
+                    assert_eq!(rollbacks(&obs), journaled + 1);
+                }
+                Ok(_) => {
+                    committed += 1;
+                    assert!(want.is_clean(), "committed past {want:?}");
+                    assert!(Checker::default().check(&net).is_clean());
+                    assert_eq!(nl.stats().aborted, aborted);
+                }
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+        }
+    });
+    assert!(
+        blocked > 20 && committed > 20,
+        "{blocked} blocked, {committed} committed"
+    );
 }

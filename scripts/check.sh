@@ -26,9 +26,9 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
   || { echo "a warm invariant check disagreed with a cold one" >&2; exit 1; }
 
 # Names the one-engine, one-stub-host, static-placement,
-# one-ops-endpoint and one-burst-per-cycle refactors deleted must not
-# grow back beside what replaced them.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline or cross-cycle lookahead"
+# one-ops-endpoint, one-burst-per-cycle and one-commit refactors deleted
+# must not grow back beside what replaced them.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead or NetLog mode"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -40,9 +40,25 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
     crates/ tests/ examples/ \
   || grep -rnE 'lookahead_cycles|\.lookahead\(|DispatchWindow|ZeroLookahead|TraceWithObsDisabled|ChurnCounters|pop_event' \
     crates/ tests/ examples/ \
+  || grep -rnE 'TxMode::Buffered|buffered_commands|applied_ops|ops_failed|WarmCheck|\.gate\(|fn gate\(' \
+    crates/ tests/ examples/ \
   || grep -rnw TraceEvent crates/obs crates/core crates/crashpad crates/netlog crates/appvisor \
     tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead name reappeared (see DESIGN.md §7, §9, §11)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode name reappeared (see DESIGN.md §7, §9, §11, §13)" >&2
+  exit 1
+fi
+
+# One commit (DESIGN.md §13): the invariant check lives in
+# `NetLog::commit`, which owns the checker's warm state. Outside its
+# tests, the runtime never holds a `CheckState` of its own.
+echo "==> the commit check has one home: no CheckState in core outside tests"
+CHECKS="$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  !in_tests && /CheckState/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$CHECKS" ]; then
+  echo "$CHECKS" >&2
+  echo "core names CheckState; the check belongs to NetLog::commit (see DESIGN.md §13)" >&2
   exit 1
 fi
 

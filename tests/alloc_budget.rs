@@ -44,11 +44,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per translated event the lean skeleton may spend on this
-/// trace. Measured 33.69 since a disabled `Obs` records nothing (34.72
-/// before); the bound sits ~13 % above, so a per-event `String`, `Vec` or
-/// by-name lookup that creeps back in (each worth 1–3 across three apps)
-/// trips it.
-const ALLOCS_PER_EVENT_BOUND: f64 = 38.0;
+/// trace. Measured 31.69 since NetLog stopped cloning each executed
+/// message into its undo log (33.69 before); the bound sits ~13 % above,
+/// so a per-event `String`, `Vec` or by-name lookup that creeps back in
+/// (each worth 1–3 across three apps) trips it.
+const ALLOCS_PER_EVENT_BOUND: f64 = 36.0;
 
 /// Allocations per event that tracing every event may add to the default
 /// configuration on this trace.

@@ -268,3 +268,109 @@ fn deterministic_runs_are_reproducible() {
     assert_eq!(a.1, b.1);
     assert_eq!(a.2, b.2);
 }
+
+/// One default-config runtime (checker on, a private `Obs` so its
+/// counters are its own) on its own `fat_tree(4)`, driven one cycle per
+/// step by a seeded script of TCP traffic, some of it to the host a
+/// black-holing app poisons.
+struct Rig {
+    topo: Topology,
+    net: Network,
+    rt: LegoSdnRuntime,
+    obs: Obs,
+    rng: legosdn_testkit::Rng,
+}
+
+/// What a rig leaves behind: flow tables, txlog, runtime counters, and
+/// how many pairs its warm check walked again.
+#[derive(Debug, PartialEq)]
+struct Residue {
+    tables: Vec<(DatapathId, Vec<legosdn::netsim::FlowEntry>)>,
+    txlog: Vec<legosdn::netlog::TxRecord>,
+    stats: RuntimeStats,
+    pairs_reprobed: u64,
+}
+
+impl Rig {
+    fn new(seed: u64) -> Self {
+        let topo = Topology::fat_tree(4);
+        let obs = Obs::new();
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+            obs: ObsConfig::instance(obs.clone()),
+            ..LegoSdnConfig::default()
+        });
+        rt.attach(Box::new(SpanningTree::new())).unwrap();
+        rt.attach(Box::new(LearningSwitch::new())).unwrap();
+        rt.attach(Box::new(FaultyApp::new(
+            Box::new(Hub::new()),
+            BugTrigger::OnPacketToMac(topo.hosts[15].mac),
+            BugEffect::Blackhole,
+        )))
+        .unwrap();
+        Rig {
+            net: Network::new(&topo),
+            topo,
+            rt,
+            obs,
+            rng: legosdn_testkit::Rng::seed_from_u64(seed),
+        }
+    }
+
+    fn step(&mut self) {
+        if self.rng.gen_bool(0.7) {
+            let hosts = &self.topo.hosts;
+            let s = self.rng.gen_range(0..hosts.len());
+            let d = if self.rng.gen_bool(0.25) {
+                15
+            } else {
+                self.rng.gen_range(0..hosts.len())
+            };
+            let (s, d) = (&hosts[s], &hosts[d]);
+            let pkt = Packet::tcp(s.mac, d.mac, s.ip, d.ip, 4000, 80);
+            let _ = self.net.inject(s.mac, pkt);
+        }
+        self.rt.run_cycle(&mut self.net);
+    }
+
+    fn residue(self) -> Residue {
+        let tables = self
+            .net
+            .switches()
+            .map(|sw| (sw.dpid(), sw.table().iter().cloned().collect()))
+            .collect();
+        Residue {
+            tables,
+            txlog: self.rt.netlog().log().iter().cloned().collect(),
+            stats: self.rt.stats(),
+            pairs_reprobed: self.obs.counter("invariants", "pairs_reprobed", "").get(),
+        }
+    }
+}
+
+#[test]
+fn two_runtimes_on_one_thread_keep_their_warm_checks_apart() {
+    const STEPS: usize = 80;
+    let alone = |seed| {
+        let mut rig = Rig::new(seed);
+        for _ in 0..STEPS {
+            rig.step();
+        }
+        rig.residue()
+    };
+    let (want_a, want_b) = (alone(1), alone(2));
+    for want in [&want_a, &want_b] {
+        assert!(want.stats.byzantine_blocked > 0, "{:?}", want.stats);
+        assert!(want.pairs_reprobed > 0);
+    }
+    assert_ne!(want_a.tables, want_b.tables, "the two scripts differ");
+
+    // Each network and each NetLog's warm check stay their own when the
+    // two runtimes take turns, cycle by cycle.
+    let (mut a, mut b) = (Rig::new(1), Rig::new(2));
+    for _ in 0..STEPS {
+        a.step();
+        b.step();
+    }
+    assert_eq!(a.residue(), want_a);
+    assert_eq!(b.residue(), want_b);
+}

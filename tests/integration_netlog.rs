@@ -1,8 +1,8 @@
 //! Integration: NetLog transactions against a live network (E4, E9) —
 //! all-or-nothing semantics, rollback fidelity including timeouts and the
-//! counter-cache, and the buffered-prototype ablation.
+//! counter-cache, and reads that see the transaction's own writes.
 
-use legosdn::netlog::{NetLog, TxMode};
+use legosdn::netlog::NetLog;
 use legosdn::prelude::*;
 
 fn setup() -> (Network, Topology) {
@@ -24,7 +24,7 @@ fn total_flows(net: &Network) -> usize {
 #[test]
 fn committed_transaction_is_durable_across_switches() {
     let (mut net, _) = setup();
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     for d in 1..=3u64 {
         nl.execute(&mut tx, &mut net, DatapathId(d), &add_flow(100, 1))
@@ -44,7 +44,7 @@ fn aborted_transaction_leaves_no_trace_anywhere() {
         .map(|s| (s.dpid(), s.table().iter().cloned().collect::<Vec<_>>()))
         .collect();
 
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     for d in 1..=3u64 {
         for i in 0..5u64 {
@@ -103,7 +103,7 @@ fn rollback_restores_traffic_continuity_with_counter_cache() {
     }
 
     // A buggy transaction flushes the table, then gets rolled back.
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     nl.execute(
         &mut tx,
@@ -144,45 +144,16 @@ fn rollback_restores_traffic_continuity_with_counter_cache() {
 }
 
 #[test]
-fn buffered_mode_discards_on_abort_without_rollback_messages() {
-    let (mut net, _) = setup();
-    let mut nl = NetLog::new(TxMode::Buffered);
-    let mut tx = nl.begin();
-    for d in 1..=3u64 {
-        nl.execute(&mut tx, &mut net, DatapathId(d), &add_flow(1, 1))
-            .unwrap();
-    }
-    assert_eq!(total_flows(&net), 0, "nothing touched the network yet");
-    let report = nl.abort(tx, &mut net).unwrap();
-    assert_eq!(report.undo_messages, 0, "abort is free in buffered mode");
-    assert_eq!(total_flows(&net), 0);
-}
-
-#[test]
-fn buffered_mode_cannot_read_its_own_writes_immediate_can() {
-    // The paper's stated reason the buffer prototype is "not practical":
-    // within a transaction, a stats read in buffered mode misses the
+fn immediate_mode_reads_its_own_writes() {
+    // What the paper's buffer prototype could not do (§4.1: "not
+    // practical"): within a transaction, a stats read sees the
     // transaction's own installs.
     let (mut net, _) = setup();
     let stats_req = Message::StatsRequest(StatsRequest::Aggregate {
         mat: Match::any(),
         out_port: PortNo::None,
     });
-
-    let mut nl = NetLog::new(TxMode::Buffered);
-    let mut tx = nl.begin();
-    nl.execute(&mut tx, &mut net, DatapathId(1), &add_flow(5, 1))
-        .unwrap();
-    let replies = nl
-        .execute(&mut tx, &mut net, DatapathId(1), &stats_req)
-        .unwrap();
-    assert!(
-        replies.is_empty(),
-        "buffered reads return nothing until commit"
-    );
-    nl.commit(tx, &mut net).unwrap();
-
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     nl.execute(&mut tx, &mut net, DatapathId(2), &add_flow(5, 1))
         .unwrap();
@@ -191,7 +162,7 @@ fn buffered_mode_cannot_read_its_own_writes_immediate_can() {
         .unwrap();
     match replies.first() {
         Some(Message::StatsReply(StatsReply::Aggregate { flow_count, .. })) => {
-            assert_eq!(*flow_count, 1, "immediate mode sees its own writes");
+            assert_eq!(*flow_count, 1, "the read sees its own write");
         }
         other => panic!("unexpected {other:?}"),
     }
@@ -205,7 +176,7 @@ fn partial_install_ambiguity_is_resolved_by_abort() {
     // With NetLog the open transaction at crash time IS the answer: abort
     // rolls back exactly the partial prefix.
     let (mut net, _) = setup();
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx = nl.begin();
     // The app intended 6 rules but "crashed" after 3.
     for i in 0..3u64 {
@@ -221,7 +192,7 @@ fn partial_install_ambiguity_is_resolved_by_abort() {
 #[test]
 fn interleaved_transactions_roll_back_independently() {
     let (mut net, _) = setup();
-    let mut nl = NetLog::new(TxMode::Immediate);
+    let mut nl = NetLog::default();
     let mut tx_keep = nl.begin();
     let mut tx_drop = nl.begin();
     nl.execute(&mut tx_keep, &mut net, DatapathId(1), &add_flow(1, 1))

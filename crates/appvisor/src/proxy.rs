@@ -438,7 +438,9 @@ impl AppVisorProxy {
             .ok_or(ProxyError::UnknownApp)
     }
 
-    /// Deliver an event to an isolated app and wait for its commands.
+    /// Deliver an event to an isolated app and wait for its commands. A
+    /// frame that could not be sent is a comm failure, booked on the slot
+    /// like one the stub never answered.
     pub fn deliver(
         &mut self,
         h: AppHandle,
@@ -451,10 +453,11 @@ impl AppVisorProxy {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         self.obs
             .emit(Some(slot.metrics.app), RecordKind::Step("send", "rpc"));
-        let seq =
-            deliver_frame(slot, event, topology, devices, now).map_err(ProxyError::Transport)?;
-        let deadline = Instant::now() + self.config.deliver_timeout;
-        let reply = await_tag(slot, seq, deadline);
+        let reply = match deliver_frame(slot, event, topology, devices, now) {
+            Ok(seq) => await_tag(slot, seq, Instant::now() + self.config.deliver_timeout),
+            // A frame that never left gets no reply.
+            Err(_) => Ok(None),
+        };
         settle_delivery(slot, reply, &self.obs)
     }
 
@@ -466,8 +469,7 @@ impl AppVisorProxy {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         slot.next_seq += 1;
         let seq = slot.next_seq;
-        send_frame(slot, encode_frame(&RpcMessage::SnapshotRequest { seq }))
-            .map_err(ProxyError::Transport)?;
+        send_rpc(slot, encode_frame(&RpcMessage::SnapshotRequest { seq }))?;
         let deadline = Instant::now() + self.config.rpc_timeout;
         match await_tag(slot, seq, deadline) {
             Ok(Some(RpcMessage::SnapshotReply { bytes, .. })) => Ok(bytes),
@@ -484,11 +486,10 @@ impl AppVisorProxy {
         slot.next_seq += 1;
         let seq = slot.next_seq;
         let bytes = bytes.to_vec();
-        send_frame(
+        send_rpc(
             slot,
             encode_frame(&RpcMessage::RestoreRequest { seq, bytes }),
-        )
-        .map_err(ProxyError::Transport)?;
+        )?;
         let deadline = Instant::now() + self.config.rpc_timeout;
         match await_tag(slot, seq, deadline) {
             Ok(Some(RpcMessage::RestoreAck { ok, .. })) => {
@@ -667,6 +668,15 @@ fn send_frame(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), TransportError> 
     slot.stats.bytes_sent += frame.len() as u64;
     slot.metrics.bytes_sent.add(frame.len() as u64);
     slot.transport.send_owned(frame)
+}
+
+/// [`send_frame`] for a blocking RPC: a failed send marks the slot failed
+/// and counts a comm failure, as a failed queued send does.
+fn send_rpc(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), ProxyError> {
+    send_frame(slot, frame).map_err(|e| {
+        mark_failed(slot, Failure::Comm);
+        ProxyError::Transport(e)
+    })
 }
 
 /// Account one received frame.
@@ -1351,6 +1361,28 @@ mod tests {
             DeliverOutcome::Commands(_)
         ));
         assert_eq!(p.wire_stats(h).unwrap().crashes_detected, 1);
+    }
+
+    #[test]
+    fn a_failed_blocking_send_is_a_booked_comm_failure() {
+        // The stub side goes away after registering: every blocking call's
+        // send fails, and each is booked on the slot like a queued send's.
+        let (proxy_side, mut stub_side) = QueueTransport::pair();
+        stub_side
+            .send(&encode_frame(&RpcMessage::Register {
+                app_name: "gone".into(),
+                subscriptions: vec![EventKind::PacketIn],
+            }))
+            .unwrap();
+        let mut p = proxy();
+        let h = p.register_transport(Box::new(proxy_side)).unwrap();
+        drop(stub_side);
+        assert_eq!(deliver(&mut p, h), DeliverOutcome::CommFailure);
+        assert_eq!(p.wire_stats(h).unwrap().comm_failures, 1);
+        assert!(!p.is_alive(h).unwrap());
+        assert!(p.snapshot(h).is_err());
+        assert!(p.restore(h, &[]).is_err());
+        assert_eq!(p.wire_stats(h).unwrap().comm_failures, 3);
     }
 
     #[test]

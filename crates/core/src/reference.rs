@@ -11,38 +11,27 @@
 //! translate and sample identically and differ only in how a slot reaches
 //! the apps.
 
-use super::{LegoCycleReport, LegoSdnRuntime, Pull};
-use crate::workers::{commit_outcome, select_app, CommitLane, ShardCtx, WindowSlot, TXS_PER_POS};
-use legosdn_crashpad::DispatchResult;
+use super::{LegoSdnRuntime, Pull};
+use crate::workers::{
+    book, commit_on_lane, select_app, CommitLane, ShardCtx, WindowSlot, TXS_PER_POS,
+};
+use legosdn_netlog::TxId;
 use legosdn_netsim::Network;
-
-/// A [`ShardCtx`] over one of `self`'s shards, splitting the borrow so
-/// sibling fields (`report`, `netlog`, `feed`) stay usable in the same
-/// expression.
-macro_rules! shard_cx {
-    ($self:ident, $w:expr) => {
-        ShardCtx {
-            shard: &mut $self.shards[$w],
-            stats: &mut $self.stats,
-            obs: &$self.obs,
-            metrics: &$self.metrics,
-            shutdown_on_no_compromise: $self.config.shutdown_network_on_no_compromise,
-        }
-    };
-}
 
 impl LegoSdnRuntime {
     /// Dispatch everything the feed yields this cycle.
-    pub(super) fn run_reference(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
-        let slot_stride = self.n_apps as u64 * TXS_PER_POS;
+    pub(super) fn run_reference(&mut self, net: &mut Network) {
         let mut tx_event_base = self.txid_cursor;
         let mut slots: Vec<WindowSlot> = Vec::new();
         loop {
             for slot in slots.drain(..) {
                 self.obs.trace_scope(slot.trace);
-                self.dispatch_sequential(net, &slot, report, tx_event_base);
+                for global in 0..self.n_apps {
+                    let tx = TxId(tx_event_base + global as u64 * TXS_PER_POS);
+                    self.dispatch_to_app(net, global, &slot, tx);
+                }
                 self.obs.trace_scope(None);
-                tx_event_base += slot_stride;
+                tx_event_base += self.n_apps as u64 * TXS_PER_POS;
             }
             if self.feed.pull(net, true, |slot| slots.push(slot)) == Pull::End {
                 return;
@@ -50,35 +39,21 @@ impl LegoSdnRuntime {
         }
     }
 
-    /// One slot through the roster, in attach order.
-    fn dispatch_sequential(
-        &mut self,
-        net: &mut Network,
-        slot: &WindowSlot,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let kind = slot.event.kind();
-        for global in 0..self.n_apps {
-            let (w, l) = self.loc(global);
-            if !select_app(&mut shard_cx!(self, w), l, kind) {
-                continue;
-            }
-            self.dispatch_to_app(net, global, slot, report, tx_event_base);
-        }
-    }
-
-    /// Crash-Pad protected delivery to one app, then its commit.
-    fn dispatch_to_app(
-        &mut self,
-        net: &mut Network,
-        global: usize,
-        slot: &WindowSlot,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
+    /// Select, deliver under Crash-Pad, book and commit one (event, app)
+    /// position, whose first transaction id is `tx`.
+    fn dispatch_to_app(&mut self, net: &mut Network, global: usize, slot: &WindowSlot, tx: TxId) {
         let (w, l) = self.loc(global);
-        let result = self.shards[w].with_app(l, |crashpad, app, _, name| {
+        let mut cx = ShardCtx {
+            shard: &mut self.shards[w],
+            stats: &mut self.stats,
+            obs: &self.obs,
+            metrics: &self.metrics,
+            shutdown_on_no_compromise: self.config.shutdown_network_on_no_compromise,
+        };
+        if !select_app(&mut cx, l, slot.event.kind()) {
+            return;
+        }
+        let result = cx.shard.with_app(l, |crashpad, app, _, name| {
             crashpad.dispatch(
                 app,
                 name,
@@ -88,37 +63,11 @@ impl LegoSdnRuntime {
                 slot.now,
             )
         });
-        self.commit_on_lane(net, global, slot, result, report, tx_event_base);
-    }
-
-    /// Commit one app's outcome: position-derived transaction ids, sticky
-    /// notify-flag bookkeeping.
-    fn commit_on_lane(
-        &mut self,
-        net: &mut Network,
-        global: usize,
-        slot: &WindowSlot,
-        result: DispatchResult,
-        report: &mut LegoCycleReport,
-        tx_event_base: u64,
-    ) {
-        let (w, l) = self.loc(global);
+        let work = book(&mut cx, l, slot, result);
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
-            notify_seen: false,
         };
-        let mut cx = shard_cx!(self, w);
-        commit_outcome(
-            &mut cx,
-            Some(&mut lane),
-            l,
-            &slot.event,
-            result,
-            report,
-            (&slot.topology, &slot.devices),
-            tx_event_base + global as u64 * TXS_PER_POS,
-        );
-        self.notify_flows_seen |= lane.notify_seen;
+        commit_on_lane(&mut cx, &mut lane, l, slot, work, tx);
     }
 }

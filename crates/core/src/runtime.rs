@@ -85,6 +85,26 @@ pub struct RuntimeStats {
     pub cycles: u64,
 }
 
+impl RuntimeStats {
+    /// The report of a cycle that fed `events` and began at `started`,
+    /// when these stats stood at `before`: its counts are what it moved.
+    fn report_since(
+        &self,
+        before: &RuntimeStats,
+        events: usize,
+        started: Instant,
+    ) -> LegoCycleReport {
+        let moved = |now: u64, then: u64| usize::try_from(now - then).unwrap_or(usize::MAX);
+        LegoCycleReport {
+            events,
+            commands: moved(self.commands_executed, before.commands_executed),
+            recoveries: moved(self.failstop_recoveries, before.failstop_recoveries),
+            byzantine_blocked: moved(self.byzantine_blocked, before.byzantine_blocked),
+            elapsed_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        }
+    }
+}
+
 /// Report of one run cycle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LegoCycleReport {
@@ -149,10 +169,10 @@ pub struct LegoSdnRuntime {
     /// the invariant that lets sharded fastpath commits land out of order
     /// with a txlog that still reads in sequential order.
     txid_cursor: u64,
-    /// Some committed batch carried a `send_flow_removed` FlowMod; table
-    /// entries persist, so the commit fastpath stays off for all later
-    /// cycles (an Add displacing a notify-flagged entry would enqueue a
-    /// `FlowRemoved` out of order).
+    /// Some cycle's barrier was poisoned by a `send_flow_removed` FlowMod
+    /// ([`CommitBarrier::poisoned`]); table entries persist, so the commit
+    /// fastpath stays off for all later cycles (an Add displacing a
+    /// notify-flagged entry would enqueue a `FlowRemoved` out of order).
     notify_flows_seen: bool,
     /// Dispatch through the sequential reference in `reference.rs`
     /// instead of the engine; only [`LegoSdnRuntime::oracle`] sets it.
@@ -393,15 +413,15 @@ impl LegoSdnRuntime {
         let _span = self.metrics.run_cycle.start();
         let started = Instant::now();
         self.stats.cycles += 1;
-        let mut report = LegoCycleReport::default();
+        let before = self.stats;
         let burst = net.poll_events();
+        let mut events = 0;
         if !burst.is_empty() {
             self.feed.begin(burst, self.stats.cycles);
-            self.dispatch_feed(net, &mut report);
-            self.stats.events_translated += report.events as u64;
+            events = self.dispatch_feed(net);
+            self.stats.events_translated += events as u64;
         }
-        report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        report
+        self.stats.report_since(&before, events, started)
     }
 
     /// Deliver a Tick to subscribed apps: a cycle whose feed is the one
@@ -410,24 +430,25 @@ impl LegoSdnRuntime {
         let _span = self.metrics.tick_apps.start();
         let started = Instant::now();
         self.stats.cycles += 1;
-        let mut report = LegoCycleReport::default();
+        let before = self.stats;
         self.feed
             .begin_tick(Event::Tick(net.now()), self.stats.cycles);
-        self.dispatch_feed(net, &mut report);
-        report.elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        report
+        let events = self.dispatch_feed(net);
+        self.stats.report_since(&before, events, started)
     }
 
     /// Dispatch everything the feed yields this cycle, and advance the
-    /// transaction-id cursor past the cycle's positions.
-    fn dispatch_feed(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
+    /// transaction-id cursor past the cycle's positions. Returns the
+    /// number of events fed.
+    fn dispatch_feed(&mut self, net: &mut Network) -> usize {
         if self.oracle {
-            self.run_reference(net, report);
+            self.run_reference(net);
         } else {
-            self.run_window(net, report);
+            self.run_window(net);
         }
-        report.events = self.feed.events;
-        self.txid_cursor += report.events as u64 * self.n_apps as u64 * TXS_PER_POS;
+        let events = self.feed.events;
+        self.txid_cursor += events as u64 * self.n_apps as u64 * TXS_PER_POS;
+        events
     }
 
     /// The dispatch engine (DESIGN.md §9): up to `dispatch.window`
@@ -441,7 +462,7 @@ impl LegoSdnRuntime {
     ///
     /// A single worker runs inline on this thread; worker shards run on
     /// `lego-worker-N` scoped threads.
-    fn run_window(&mut self, net: &mut Network, report: &mut LegoCycleReport) {
+    fn run_window(&mut self, net: &mut Network) {
         let depth = self.config.dispatch.window.max(1);
         self.metrics
             .window_depth
@@ -459,7 +480,6 @@ impl LegoSdnRuntime {
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
-            notify_seen: false,
         });
         let win = Window {
             store: &store,
@@ -474,16 +494,11 @@ impl LegoSdnRuntime {
             tx_cycle_base: self.txid_cursor,
             workers: self.shards.len(),
         };
-        let mut absorb = |run: WorkerRun<'_, '_>| {
-            self.stats.absorb(&run.stats);
-            report.commands += run.report.commands;
-            report.recoveries += run.report.recoveries;
-            report.byzantine_blocked += run.report.byzantine_blocked;
-        };
+        let stats = &mut self.stats;
         if let [shard] = &mut self.shards[..] {
             let mut run = WorkerRun::new(shard, win);
             run.run();
-            absorb(run);
+            stats.absorb(&run.stats);
         } else {
             // Start the workers with work instead of a race for the feed
             // (with no app anywhere, this session is the whole cycle).
@@ -502,18 +517,20 @@ impl LegoSdnRuntime {
                             .spawn_scoped(scope, move || {
                                 let mut run = WorkerRun::new(shard, win);
                                 run.run();
-                                run
+                                run.stats
                             })
                             .expect("spawn worker thread")
                     })
                     .collect();
                 for handle in handles {
-                    absorb(handle.join().expect("worker thread panicked"));
+                    stats.absorb(&handle.join().expect("worker thread panicked"));
                 }
             });
         }
-        let lane = lane.into_inner().expect("commit lane poisoned");
-        self.notify_flows_seen |= lane.notify_seen;
+        // Without a checker every executed batch was declared, so the
+        // barrier saw every notify-flagged one (with one worker the
+        // fastpath is off anyway).
+        self.notify_flows_seen |= barrier.poisoned();
         let bs = barrier.stats();
         let m = &self.metrics;
         m.barrier_fastpath_commits.add(bs.fastpath_commits);

@@ -19,7 +19,7 @@
 
 use crate::config::ResourceLimits;
 use crate::host::{outcome_to_delivery, Host, ProxyAdapter};
-use crate::runtime::{AppStatus, Feed, LegoCycleReport, Pull, ResourceUsage, RuntimeStats};
+use crate::runtime::{AppStatus, Feed, Pull, ResourceUsage, RuntimeStats};
 use legosdn_appvisor::{AppHandle, AppVisorProxy};
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
@@ -235,13 +235,6 @@ impl SlotStore {
 pub(crate) struct CommitLane<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) netlog: &'a mut NetLog,
-    /// Sticky within the lane's lifetime: some committed batch carried a
-    /// `send_flow_removed` FlowMod. The runtime folds this into its
-    /// cross-cycle `notify_flows_seen` flag — once a notify-flagged entry
-    /// may exist in any table, a later cycle's fastpath Add could
-    /// displace it and enqueue a `FlowRemoved`, so the fastpath stays off
-    /// from then on.
-    pub(crate) notify_seen: bool,
 }
 
 /// A shard's view of the runtime while acting on one app: the shard
@@ -292,30 +285,91 @@ pub(crate) fn select_app(cx: &mut ShardCtx<'_>, local: usize, kind: EventKind) -
     true
 }
 
-/// Whether acting on `result` needs the shared commit lane at all. A
-/// position that provably produces no network transaction (no commands,
-/// an over-budget suppression, or an app death with network shutdown off)
-/// is *elided* at the barrier instead of serialized through it.
-pub(crate) fn lane_need(
-    cx: &ShardCtx<'_>,
+/// What one position still needs from the shared commit lane once its
+/// outcome is booked.
+pub(crate) enum LaneWork {
+    /// Nothing: the position is *elided* at the barrier.
+    None,
+    /// Run `commands` in a NetLog transaction. `recover` is false for
+    /// output that already came out of a recovery: if that is byzantine
+    /// too, it is dropped, not recovered again.
+    Execute {
+        commands: Vec<Command>,
+        recover: bool,
+    },
+    /// A No-Compromise app died and the network goes down with it.
+    Shutdown,
+}
+
+/// Book one app's dispatch outcome — recovery counters, command-budget
+/// suspension, app death — and say what is left for the commit lane. The
+/// engine books at harvest and the reference right before the lane step;
+/// neither decides any of this again. An elided position's trace verdict
+/// is emitted here; the lane step emits the others.
+pub(crate) fn book(
+    cx: &mut ShardCtx<'_>,
     local: usize,
-    event: &Event,
-    result: &DispatchResult,
-) -> bool {
-    let rec = &cx.shard.apps[local];
-    match result {
-        DispatchResult::Delivered(commands) | DispatchResult::Recovered { commands, .. } => {
-            !commands.is_empty()
-                && rec
-                    .limits
-                    .max_commands
-                    .is_none_or(|max| rec.usage.commands_emitted + commands.len() as u64 <= max)
+    slot: &WindowSlot,
+    result: DispatchResult,
+) -> LaneWork {
+    let (verdict, work) = match result {
+        DispatchResult::Delivered(commands) => ("delivered", charge(cx, local, commands, true)),
+        DispatchResult::Recovered { commands, .. } => {
+            cx.stats.failstop_recoveries += 1;
+            cx.shard.apps[local].failstop_recoveries.inc();
+            ("recovered", charge(cx, local, commands, false))
         }
         DispatchResult::AppDead { .. } => {
-            cx.shutdown_on_no_compromise
-                && cx.shard.crashpad.policies.lookup(&rec.name, event.kind())
-                    == CompromisePolicy::NoCompromise
+            mark_dead(cx, local);
+            let work = if shuts_network(cx, local, slot) {
+                LaneWork::Shutdown
+            } else {
+                LaneWork::None
+            };
+            ("app_dead", work)
         }
+    };
+    if let LaneWork::None = work {
+        let id = cx.shard.apps[local].id;
+        cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
+    }
+    work
+}
+
+/// The lane work of one command batch: none if it is empty, or if it
+/// would overrun the app's command budget (which suspends the app and
+/// counts the batch suppressed); its execution otherwise.
+fn charge(cx: &mut ShardCtx<'_>, local: usize, commands: Vec<Command>, recover: bool) -> LaneWork {
+    if commands.is_empty() {
+        return LaneWork::None;
+    }
+    let rec = &mut cx.shard.apps[local];
+    if let Some(max) = rec.limits.max_commands {
+        if rec.usage.commands_emitted + commands.len() as u64 > max {
+            rec.status = AppStatus::Suspended("command budget exhausted");
+            cx.stats.apps_suspended += 1;
+            cx.stats.commands_suppressed += commands.len() as u64;
+            return LaneWork::None;
+        }
+    }
+    LaneWork::Execute { commands, recover }
+}
+
+/// Whether a failure of this app on this slot's event takes the network
+/// down: its policy is No-Compromise and the runtime is configured to.
+fn shuts_network(cx: &ShardCtx<'_>, local: usize, slot: &WindowSlot) -> bool {
+    let name = &cx.shard.apps[local].name;
+    cx.shutdown_on_no_compromise
+        && cx.shard.crashpad.policies.lookup(name, slot.event.kind())
+            == CompromisePolicy::NoCompromise
+}
+
+/// Mark an app dead.
+fn mark_dead(cx: &mut ShardCtx<'_>, local: usize) {
+    let rec = &mut cx.shard.apps[local];
+    if rec.status != AppStatus::Dead {
+        rec.status = AppStatus::Dead;
+        cx.stats.apps_dead += 1;
     }
 }
 
@@ -353,109 +407,56 @@ pub(crate) fn commands_touch(commands: &[Command]) -> (TxTouch, bool) {
     (touch, notify)
 }
 
-/// Act on one app's dispatch outcome: execute its commands under the
-/// NetLog/byzantine guard, or mark it dead. Shared tail of the engine and
-/// the reference. `lane` is `None` for a position [`lane_need`] ruled
-/// out: same bookkeeping (trace verdict, recovery counters, budget
-/// suppression, app death without network shutdown), no transaction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_outcome(
+/// The lane step: run one booked position's [`LaneWork`] on the commit
+/// lane — a NetLog transaction under the byzantine guard, with the
+/// position's first transaction id `tx`, or a network shutdown. Returns
+/// whether the commit was blocked as byzantine.
+pub(crate) fn commit_on_lane(
     cx: &mut ShardCtx<'_>,
-    lane: Option<&mut CommitLane<'_>>,
+    lane: &mut CommitLane<'_>,
     local: usize,
-    event: &Event,
-    result: DispatchResult,
-    report: &mut LegoCycleReport,
-    views: (&TopologyView, &DeviceView),
-    tx_base: u64,
-) {
-    let verdict = match &result {
-        DispatchResult::Delivered(_) => "delivered",
-        DispatchResult::Recovered { .. } => "recovered",
-        DispatchResult::AppDead { .. } => "app_dead",
+    slot: &WindowSlot,
+    work: LaneWork,
+    tx: TxId,
+) -> bool {
+    let verdict = match &work {
+        LaneWork::None => return false,
+        LaneWork::Execute { recover: true, .. } => "delivered",
+        LaneWork::Execute { recover: false, .. } => "recovered",
+        LaneWork::Shutdown => "app_dead",
     };
-    let rec = &cx.shard.apps[local];
-    cx.obs
-        .emit(Some(rec.id), RecordKind::Step("commit", verdict));
-    let (commands, allow_recovery) = match result {
-        DispatchResult::Delivered(commands) => (commands, true),
-        // Commands from transformed events are real output; execute
-        // them under the same guard (no further byzantine recursion
-        // on already-recovered output — drop instead).
-        DispatchResult::Recovered { commands, .. } => {
-            report.recoveries += 1;
-            cx.stats.failstop_recoveries += 1;
-            rec.failstop_recoveries.inc();
-            (commands, false)
+    let id = cx.shard.apps[local].id;
+    cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
+    match work {
+        LaneWork::Execute { commands, recover } => {
+            execute_guarded(cx, lane, local, slot, commands, recover, tx)
         }
-        DispatchResult::AppDead { .. } => {
-            return mark_dead(cx, lane.map(|lane| &mut *lane.net), local, event);
+        _ => {
+            shutdown_network(lane.net);
+            false
         }
-    };
-    execute_guarded(
-        cx,
-        lane,
-        local,
-        event,
-        commands,
-        report,
-        allow_recovery,
-        views,
-        tx_base,
-        &mut 0,
-    );
+    }
 }
 
-/// Execute an app's commands inside a NetLog transaction with the
-/// byzantine gate. `allow_recovery` bounds the recursion: output from a
-/// recovery path that is still byzantine is dropped, not re-recovered.
-/// Transaction ids are position-derived (`tx_base + *sub`) so the txlog
-/// order is independent of barrier admission order. An empty or
-/// over-budget batch ends before any transaction begins, which is all a
-/// lane-less (elided) position may hold.
-#[allow(clippy::too_many_arguments)]
+/// Execute an app's commands inside NetLog transaction `tx`, whose commit
+/// is the byzantine gate. `recover` bounds the recursion: output from a
+/// recovery path that is still byzantine is dropped, not re-recovered;
+/// a recovered retry takes the next id. Ids are position-derived, so the
+/// txlog order is independent of barrier admission order.
 fn execute_guarded(
     cx: &mut ShardCtx<'_>,
-    lane: Option<&mut CommitLane<'_>>,
+    lane: &mut CommitLane<'_>,
     local: usize,
-    event: &Event,
+    slot: &WindowSlot,
     commands: Vec<Command>,
-    report: &mut LegoCycleReport,
-    allow_recovery: bool,
-    views: (&TopologyView, &DeviceView),
-    tx_base: u64,
-    sub: &mut u64,
-) {
-    if commands.is_empty() {
-        return;
-    }
-    // Resource limit on emitted commands.
-    let rec = &mut cx.shard.apps[local];
-    if let Some(max) = rec.limits.max_commands {
-        if rec.usage.commands_emitted + commands.len() as u64 > max {
-            rec.status = AppStatus::Suspended("command budget exhausted");
-            cx.stats.apps_suspended += 1;
-            cx.stats.commands_suppressed += commands.len() as u64;
-            return;
-        }
-    }
-    let lane = lane.expect("lane_need elides only batches that end above");
-
-    if commands
-        .iter()
-        .any(|c| matches!(&c.msg, Message::FlowMod(fm) if fm.send_flow_removed))
-    {
-        lane.notify_seen = true;
-    }
-
-    let mut tx = lane
-        .netlog
-        .begin_for_at(cx.shard.apps[local].id, TxId(tx_base + *sub));
-    *sub += 1;
+    recover: bool,
+    tx: TxId,
+) -> bool {
+    let mut txn = lane.netlog.begin_for_at(cx.shard.apps[local].id, tx);
     for c in &commands {
         // Reads return synchronously; pass stats replies through the
         // counter cache.
-        match lane.netlog.execute(&mut tx, lane.net, c.dpid, &c.msg) {
+        match lane.netlog.execute(&mut txn, lane.net, c.dpid, &c.msg) {
             Ok(replies) => {
                 for mut reply in replies {
                     if let Message::StatsReply(ref mut sr) = reply {
@@ -472,64 +473,49 @@ fn execute_guarded(
 
     // The commit is the byzantine gate: a violation comes back rolled
     // back, with the check's report.
-    match lane.netlog.commit(tx, lane.net) {
+    match lane.netlog.commit(txn, lane.net) {
         Err(TxError::Blocked(check)) => {
-            report.byzantine_blocked += 1;
             cx.stats.byzantine_blocked += 1;
             cx.shard.apps[local].byzantine_blocked.inc();
-            let policy = cx
-                .shard
-                .crashpad
-                .policies
-                .lookup(&cx.shard.apps[local].name, event.kind());
-            if allow_recovery {
-                let nviol = check.violations.len();
-                let recovered = recover_byzantine(cx, lane, local, event, nviol, views);
+            if recover {
+                let recovered = recover_byzantine(cx, lane, local, slot, check.violations.len());
                 // Recovered output (from transformed events) executes
                 // with recovery disabled.
-                execute_guarded(
-                    cx,
-                    Some(lane),
-                    local,
-                    event,
-                    recovered,
-                    report,
-                    false,
-                    views,
-                    tx_base,
-                    sub,
-                );
+                if let LaneWork::Execute { commands, .. } = charge(cx, local, recovered, false) {
+                    execute_guarded(cx, lane, local, slot, commands, false, TxId(tx.0 + 1));
+                }
             } else {
                 cx.stats.commands_suppressed += commands.len() as u64;
             }
-            if policy == CompromisePolicy::NoCompromise && cx.shutdown_on_no_compromise {
+            if shuts_network(cx, local, slot) {
                 shutdown_network(lane.net);
             }
+            true
         }
         committed => {
-            let applied = committed.map_or(0, |r| r.ops_applied);
-            report.commands += applied;
-            cx.stats.commands_executed += applied as u64;
-            cx.metrics.commands_executed.add(applied as u64);
-            cx.shard.apps[local].usage.commands_emitted += applied as u64;
+            let applied = committed.map_or(0, |r| r.ops_applied) as u64;
+            cx.stats.commands_executed += applied;
+            cx.metrics.commands_executed.add(applied);
+            cx.shard.apps[local].usage.commands_emitted += applied;
+            false
         }
     }
 }
 
+/// Byzantine recovery of `local` on the slot's event: the commands to
+/// retry (a transformed event's output), or none.
 fn recover_byzantine(
     cx: &mut ShardCtx<'_>,
     lane: &mut CommitLane<'_>,
     local: usize,
-    event: &Event,
+    slot: &WindowSlot,
     violations: usize,
-    views: (&TopologyView, &DeviceView),
 ) -> Vec<Command> {
     let now = lane.net.now();
-    // Replay must see the views the event was dispatched with, which
-    // every caller supplies (the windowed scheduler's translator has
-    // already advanced past this event by commit time).
-    let (topo, dev) = views;
+    // Replay sees the views the event was dispatched with (the windowed
+    // scheduler's translator has already advanced past it by commit time).
     let result = cx.shard.with_app(local, |crashpad, app, id, name| {
+        let (event, topo, dev) = (&slot.event, &slot.topology, &slot.devices);
         crashpad.recover_byzantine(app, id, name, event, violations, topo, dev, now)
     });
     match result {
@@ -542,36 +528,12 @@ fn recover_byzantine(
                 Vec::new()
             }
         }
+        // The caller shuts the network down if the app's death does.
         DispatchResult::AppDead { .. } => {
-            mark_dead(cx, Some(lane.net), local, event);
+            mark_dead(cx, local);
             Vec::new()
         }
         DispatchResult::Delivered(c) => c,
-    }
-}
-
-/// Mark an app dead. `net` is `None` on elided positions, where
-/// [`lane_need`] already proved No-Compromise network shutdown is off.
-pub(crate) fn mark_dead(
-    cx: &mut ShardCtx<'_>,
-    net: Option<&mut Network>,
-    local: usize,
-    event: &Event,
-) {
-    let rec = &mut cx.shard.apps[local];
-    if rec.status != AppStatus::Dead {
-        rec.status = AppStatus::Dead;
-        cx.stats.apps_dead += 1;
-    }
-    let policy = cx
-        .shard
-        .crashpad
-        .policies
-        .lookup(&cx.shard.apps[local].name, event.kind());
-    if policy == CompromisePolicy::NoCompromise && cx.shutdown_on_no_compromise {
-        if let Some(net) = net {
-            shutdown_network(net);
-        }
     }
 }
 
@@ -667,16 +629,15 @@ impl Window<'_, '_> {
 ///
 /// A single-worker runtime calls [`run`] inline; a sharded one on a
 /// `lego-worker-N` scoped thread per shard. Recorder scopes are
-/// per-thread, so both record full flight-recorder traces. Stats and the
-/// cycle report accumulate into worker-local zero-initialized deltas the
-/// runtime merges after the cycle — identical totals at any worker count.
+/// per-thread, so both record full flight-recorder traces. Stats
+/// accumulate into a worker-local zero-initialized delta the runtime
+/// merges after the cycle — identical totals at any worker count.
 ///
 /// [`run`]: WorkerRun::run
 pub(crate) struct WorkerRun<'env, 'net> {
     shard: &'env mut WorkerShard,
     win: Window<'env, 'net>,
     pub(crate) stats: RuntimeStats,
-    pub(crate) report: LegoCycleReport,
     /// Speculative in-flight stub entries per slot.
     pending: Vec<Vec<WindowEntry>>,
     /// Uncollected deliveries per local app.
@@ -694,7 +655,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             shard,
             win,
             stats: RuntimeStats::default(),
-            report: LegoCycleReport::default(),
             pending: Vec::new(),
             next_send: 0,
             commit_pos: 0,
@@ -709,17 +669,15 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         self.win.obs.trace_scope(trace);
     }
 
-    /// The shard context for acting on one app, plus the report its
-    /// commits accumulate into.
-    fn cx(&mut self) -> (ShardCtx<'_>, &mut LegoCycleReport) {
-        let cx = ShardCtx {
+    /// The shard context for acting on one app.
+    fn cx(&mut self) -> ShardCtx<'_> {
+        ShardCtx {
             shard: &mut *self.shard,
             stats: &mut self.stats,
             obs: self.win.obs,
             metrics: self.win.metrics,
             shutdown_on_no_compromise: self.win.shutdown_on_no_compromise,
-        };
-        (cx, &mut self.report)
+        }
     }
 
     /// Barrier position of `(slot, local app)`: the index sequential
@@ -792,7 +750,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             if !matches!(self.shard.apps[local].host, Host::Isolated(_)) {
                 continue;
             }
-            if !select_app(&mut self.cx().0, local, kind) {
+            if !select_app(&mut self.cx(), local, kind) {
                 continue;
             }
             entries.push(self.queue_one(local, &slot));
@@ -842,17 +800,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     /// local (= global) order, settling each position exactly once — a
     /// collected stub entry, an inline local-sandbox dispatch, or an
     /// elision at the barrier.
-    ///
-    /// When sharded, every selected local sandbox's (snapshot, deliver,
-    /// gather) runs *before* any barrier interaction. Deliveries read the
-    /// slot's captured views, never the commits — the same independence
-    /// the stub path already exploits by queueing deliveries in the fill
-    /// phase — so hoisting them is unobservable in the output, but it
-    /// means this worker's declarations land while its peers are still
-    /// busy instead of trickling out between barrier waits. Interleaving
-    /// slow local work with `acquire` would otherwise lock-step the
-    /// shards (each settle waits on every earlier position's declaration,
-    /// and each declaration waits on that worker's previous settle).
     fn commit_slot(&mut self) {
         let commit_pos = self.commit_pos;
         let slot = self.win.store.get(commit_pos);
@@ -860,67 +807,78 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         let kind = slot.event.kind();
         let entries = std::mem::take(&mut self.pending[commit_pos]);
         let mut entries = entries.into_iter().peekable();
-        let mut eager = VecDeque::new();
-        if self.win.sharded() {
-            for local in 0..self.shard.apps.len() {
-                if matches!(self.shard.apps[local].host, Host::Local(_))
-                    && select_app(&mut self.cx().0, local, kind)
-                {
-                    let result = self.deliver_local(local, &slot);
-                    eager.push_back((local, result));
-                }
-            }
-        }
-        // Harvest sweep: collect every position's outcome and declare
-        // its barrier touch the moment it is known, so this worker's
-        // declarations for the whole slot land before its first
+        // Harvest sweep: collect and book every position's outcome and
+        // declare its barrier touch the moment it is known, so this
+        // worker's declarations for the whole slot land before its first
         // admission wait. Peers deciding fastpath eligibility see the
         // declared touches that much sooner.
         let mut settles: Vec<Settle> = Vec::new();
         for local in 0..self.shard.apps.len() {
-            if entries.peek().is_some_and(|e| e.local == local) {
+            let pos = self.pos_of(commit_pos, local);
+            let (result, failed) = if entries.peek().is_some_and(|e| e.local == local) {
                 let entry = entries.next().expect("peeked");
                 self.inflight[local] -= 1;
-                let (result, failed) = self.harvest_entry(entry, &slot);
-                self.declare_or_queue(local, &slot, result, true, failed, &mut settles);
-            } else if eager.front().is_some_and(|e| e.0 == local) {
-                let (_, result) = eager.pop_front().expect("peeked");
-                self.declare_or_queue(local, &slot, result, false, false, &mut settles);
-            } else if !self.win.sharded()
-                && matches!(self.shard.apps[local].host, Host::Local(_))
-                && select_app(&mut self.cx().0, local, kind)
+                self.harvest_entry(entry, &slot)
+            } else if matches!(self.shard.apps[local].host, Host::Local(_))
+                && select_app(&mut self.cx(), local, kind)
             {
                 // A local sandbox has no stub to overlap with: it runs
                 // inline at commit, against the slot's captured views.
-                let result = self.deliver_local(local, &slot);
-                self.declare_or_queue(local, &slot, result, false, false, &mut settles);
+                (self.deliver_local(local, &slot), false)
             } else {
-                self.win
-                    .barrier
-                    .finish_empty(self.pos_of(commit_pos, local));
+                self.win.barrier.finish_empty(pos);
+                continue;
+            };
+            let running = self.shard.apps[local].status == AppStatus::Running;
+            let work = book(&mut self.cx(), local, &slot, result);
+            let mut cancelled = failed;
+            if running && !failed && self.shard.apps[local].status != AppStatus::Running {
+                // Booking suspended the app: sequential dispatch would
+                // not have made the deliveries queued after this one.
+                self.cancel_app(local);
+                cancelled = true;
             }
+            if let LaneWork::None = work {
+                self.win.barrier.finish_empty(pos);
+                // A cancelled stub window still needs its re-send.
+                if !cancelled {
+                    continue;
+                }
+            } else if self.win.sharded() {
+                // A touch is declared for peers to judge their fastpath
+                // against; with no peer shard nobody reads it, and a
+                // single worker's commits reach the cursor in order by
+                // construction.
+                self.declare(pos, &work);
+            }
+            settles.push(Settle {
+                local,
+                work,
+                cancelled,
+            });
         }
         // Settle sweep, in the same local order: admission + lane
         // commit, then the window repair (cancel/resend).
         for Settle {
             local,
-            result,
-            is_stub,
-            failed,
+            work,
+            cancelled,
         } in settles
         {
-            let byz_before = self.stats.byzantine_blocked;
-            if let Some(result) = result {
-                self.settle_declared(local, &slot, result);
+            let blocked = match work {
+                LaneWork::None => false,
+                work => self.settle(local, &slot, work),
+            };
+            if !matches!(self.shard.apps[local].host, Host::Isolated(_)) {
+                continue;
             }
-            let byz_recovered = self.stats.byzantine_blocked > byz_before;
-            if is_stub && byz_recovered && !failed {
+            if blocked && !cancelled {
                 // Byzantine caught at commit: the app was restored
                 // mid-stream, so its queued later deliveries ran from
                 // the wrong state.
                 self.cancel_app(local);
             }
-            if is_stub && (failed || byz_recovered) {
+            if cancelled || blocked {
                 self.resend_app(local);
                 // The resend loop re-scoped the recorder to the
                 // refilled slots; later settles still belong here.
@@ -1012,90 +970,33 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         (result, failed)
     }
 
-    /// Declare one harvested position at the barrier, or elide it on
-    /// the spot if it needs no network transaction. Lane-needing
-    /// positions are queued for the settle sweep; elided failed stubs
-    /// are queued too (result already settled) so the settle sweep
-    /// still repairs their window.
-    fn declare_or_queue(
-        &mut self,
-        local: usize,
-        slot: &WindowSlot,
-        result: DispatchResult,
-        is_stub: bool,
-        failed: bool,
-        settles: &mut Vec<Settle>,
-    ) {
-        let pos = self.pos_of(self.commit_pos, local);
-        if !lane_need(&self.cx().0, local, &slot.event, &result) {
-            self.commit(None, pos, local, slot, result);
-            self.win.barrier.finish_empty(pos);
-            if is_stub && failed {
-                settles.push(Settle {
-                    local,
-                    result: None,
-                    is_stub,
-                    failed,
-                });
-            }
-            return;
+    /// Declare a booked position's barrier touch. A batch that asks for
+    /// flow-removed notifications poisons the fastpath, and the runtime
+    /// keeps that poison for every later cycle.
+    fn declare(&self, pos: u64, work: &LaneWork) {
+        let (touch, notify) = match work {
+            LaneWork::Execute { commands, .. } => commands_touch(commands),
+            _ => (TxTouch::Unknown, false),
+        };
+        if notify {
+            self.win.barrier.poison_fastpath();
         }
-        // A touch is declared for peers to judge their fastpath against;
-        // with no peer shard nobody reads it, and a single worker's
-        // commits reach the cursor in order by construction.
-        if self.win.sharded() {
-            let (touch, notify) = match &result {
-                DispatchResult::Delivered(commands)
-                | DispatchResult::Recovered { commands, .. } => commands_touch(commands),
-                DispatchResult::AppDead { .. } => (TxTouch::Unknown, false),
-            };
-            if notify {
-                self.win.barrier.poison_fastpath();
-            }
-            self.win.barrier.declare(pos, self.shard.id, touch);
-        }
-        settles.push(Settle {
-            local,
-            result: Some(result),
-            is_stub,
-            failed,
-        });
+        self.win.barrier.declare(pos, self.shard.id, touch);
     }
 
-    /// Settle one already-declared position: wait for admission and run
-    /// the commit inside the shared lane.
-    fn settle_declared(&mut self, local: usize, slot: &WindowSlot, result: DispatchResult) {
+    /// Settle one declared position: wait for admission and run its lane
+    /// step. Returns whether the commit was blocked as byzantine.
+    fn settle(&mut self, local: usize, slot: &WindowSlot, work: LaneWork) -> bool {
+        let win = self.win;
         let pos = self.pos_of(self.commit_pos, local);
-        let _admission = self.win.barrier.acquire(pos);
-        {
-            let mut lane = self.win.lane.lock().expect("commit lane poisoned");
-            self.commit(Some(&mut lane), pos, local, slot, result);
-        }
-        self.win.barrier.release(pos);
-    }
-
-    /// [`commit_outcome`] for `local`'s position `pos` of `slot`; `lane`
-    /// is `None` for an elided position.
-    fn commit(
-        &mut self,
-        lane: Option<&mut CommitLane<'_>>,
-        pos: u64,
-        local: usize,
-        slot: &WindowSlot,
-        result: DispatchResult,
-    ) {
-        let tx_base = self.win.tx_cycle_base + pos * TXS_PER_POS;
-        let (mut cx, report) = self.cx();
-        commit_outcome(
-            &mut cx,
-            lane,
-            local,
-            &slot.event,
-            result,
-            report,
-            (&slot.topology, &slot.devices),
-            tx_base,
-        );
+        let tx = TxId(win.tx_cycle_base + pos * TXS_PER_POS);
+        let _admission = win.barrier.acquire(pos);
+        let blocked = {
+            let mut lane = win.lane.lock().expect("commit lane poisoned");
+            commit_on_lane(&mut self.cx(), &mut lane, local, slot, work, tx)
+        };
+        win.barrier.release(pos);
+        blocked
     }
 
     /// Drop an app's in-flight entries beyond the commit cursor and roll
@@ -1146,7 +1047,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             let slot = self.win.store.get(s);
             // Re-queued work records into the re-sent event's trace.
             self.scope(slot.trace);
-            if !select_app(&mut self.cx().0, local, slot.event.kind()) {
+            if !select_app(&mut self.cx(), local, slot.event.kind()) {
                 continue;
             }
             self.win.obs.emit(
@@ -1164,15 +1065,15 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     }
 }
 
-/// One position of the slot being committed, between the harvest sweep
-/// (outcome known, touch declared) and the settle sweep. `result` is
-/// `None` for a failed stub whose position was elided: nothing to
-/// commit, but its window still needs the repair.
+/// One booked position of the slot being committed, between the harvest
+/// sweep (outcome booked, touch declared) and the settle sweep.
+/// `cancelled`: the harvest cancelled the app's later deliveries (it
+/// failed, or booking suspended it), so they need re-sending; `work` is
+/// [`LaneWork::None`] when that is all the position needs.
 struct Settle {
     local: usize,
-    result: Option<DispatchResult>,
-    is_stub: bool,
-    failed: bool,
+    work: LaneWork,
+    cancelled: bool,
 }
 
 impl RuntimeStats {

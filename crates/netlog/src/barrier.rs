@@ -94,14 +94,6 @@ pub struct BarrierStats {
     pub shared_switch_conflicts: u64,
 }
 
-#[derive(Debug)]
-struct Decl {
-    /// Declaring worker — carried for debug output on barrier disputes.
-    #[allow(dead_code)]
-    worker: usize,
-    touch: TxTouch,
-}
-
 #[derive(Debug, Default)]
 struct State {
     /// Next position to commit in sequential order. Everything below is
@@ -110,7 +102,7 @@ struct State {
     /// Positions at or above the cursor that finished out of order.
     done: BTreeSet<u64>,
     /// Declared, not-yet-done positions.
-    declared: BTreeMap<u64, Decl>,
+    declared: BTreeMap<u64, TxTouch>,
     /// First worker to declare each switch this cycle, for conflict
     /// accounting.
     owners: HashMap<DatapathId, usize>,
@@ -164,7 +156,7 @@ impl CommitBarrier {
                 st.stats.shared_switch_conflicts += 1;
             }
         }
-        st.declared.insert(pos, Decl { worker, touch });
+        st.declared.insert(pos, touch);
         drop(st);
         self.cv.notify_all();
     }
@@ -177,8 +169,10 @@ impl CommitBarrier {
         self.cv.notify_all();
     }
 
-    /// True once [`CommitBarrier::poison_fastpath`] has been called — the
-    /// runtime keeps this sticky across cycles.
+    /// True once [`CommitBarrier::poison_fastpath`] has been called. The
+    /// runtime reads it after each sharded cycle and keeps it sticky in
+    /// its `notify_flows_seen`, which turns every later cycle's fastpath
+    /// off (table entries outlive the cycle that installed them).
     #[must_use]
     pub fn poisoned(&self) -> bool {
         self.state.lock().unwrap().poisoned
@@ -222,10 +216,7 @@ impl CommitBarrier {
     /// `[cursor, pos)` is done, declared empty, or declared on a disjoint
     /// switch set.
     fn fastpath_ok(st: &State, pos: u64) -> bool {
-        let Some(decl) = st.declared.get(&pos) else {
-            return false;
-        };
-        let TxTouch::Flows { dpids, add_only } = &decl.touch else {
+        let Some(TxTouch::Flows { dpids, add_only }) = st.declared.get(&pos) else {
             return false;
         };
         if !add_only {
@@ -236,15 +227,13 @@ impl CommitBarrier {
                 continue;
             }
             match st.declared.get(&q) {
-                Some(d) => match &d.touch {
-                    TxTouch::Empty => {}
-                    TxTouch::Flows { dpids: theirs, .. } => {
-                        if theirs.iter().any(|d| dpids.contains(d)) {
-                            return false;
-                        }
+                Some(TxTouch::Empty) => {}
+                Some(TxTouch::Flows { dpids: theirs, .. }) => {
+                    if theirs.iter().any(|d| dpids.contains(d)) {
+                        return false;
                     }
-                    TxTouch::Unknown => return false,
-                },
+                }
+                Some(TxTouch::Unknown) => return false,
                 // Not yet declared: its collect is still in flight and we
                 // cannot know what it touches.
                 None => return false,
@@ -280,9 +269,10 @@ impl CommitBarrier {
         self.state.lock().unwrap().stats
     }
 
-    /// The current cursor: every position below it is done. The sharded
-    /// runtime's extension loop reads this to learn how far the commit
-    /// sweep has drained without blocking.
+    /// The current cursor: every position below it is done. A worker
+    /// topping up the window reads it, without blocking, to release the
+    /// slots every worker is past and to learn whether the store has
+    /// drained for an impure raw.
     #[must_use]
     pub fn cursor(&self) -> u64 {
         self.state.lock().unwrap().cursor

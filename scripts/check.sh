@@ -26,9 +26,9 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
   || { echo "a warm invariant check disagreed with a cold one" >&2; exit 1; }
 
 # Names the one-engine, one-stub-host, static-placement,
-# one-ops-endpoint, one-burst-per-cycle and one-commit refactors deleted
-# must not grow back beside what replaced them.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead or NetLog mode"
+# one-ops-endpoint, one-burst-per-cycle, one-commit and book-once refactors
+# deleted must not grow back beside what replaced them.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode or commit-path decision"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -43,8 +43,19 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'TxMode::Buffered|buffered_commands|applied_ops|ops_failed|WarmCheck|\.gate\(|fn gate\(' \
     crates/ tests/ examples/ \
   || grep -rnw TraceEvent crates/obs crates/core crates/crashpad crates/netlog crates/appvisor \
-    tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode name reappeared (see DESIGN.md §7, §9, §11, §13)" >&2
+    tests/ examples/ \
+  || grep -rnE 'lane_need' crates/ tests/ examples/ \
+  || grep -rnw notify_seen crates/ tests/ examples/; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path name reappeared (see DESIGN.md §7, §9, §11, §13)" >&2
+  exit 1
+fi
+
+# Book once, commit on the lane (DESIGN.md §9): a commit-path step takes
+# the slot it commits, not its parts, so no function in core needs more
+# than clippy's argument limit.
+echo "==> no too_many_arguments allowance in core"
+if grep -rn too_many_arguments crates/core/src; then
+  echo "core allows too_many_arguments; pass the slot, not its parts (see DESIGN.md §9)" >&2
   exit 1
 fi
 

@@ -57,8 +57,41 @@ fn run_campaign_sharded(
     io: IoMode,
     workers: usize,
 ) -> Residue {
+    run_campaign_with(oracle, isolation, depth, io, workers, Extra::Nothing)
+}
+
+/// One more roster/config input for the campaign: each drives a decision
+/// the engine books at harvest and the reference at commit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Extra {
+    /// The campaign as it is.
+    Nothing,
+    /// An order probe whose `max_commands` budget runs out in round 0's
+    /// burst, mid-window at depth > 1.
+    CommandBudget,
+    /// An order probe under No-Compromise, with
+    /// `shutdown_network_on_no_compromise` on, that crashes (and so dies,
+    /// taking the network down) on a packet in round 2's burst.
+    FatalNoCompromise,
+}
+
+/// The order probe's command budget under [`Extra::CommandBudget`].
+const PROBE_BUDGET: u64 = 4;
+
+/// [`run_campaign_sharded`] with an [`Extra`] input.
+fn run_campaign_with(
+    oracle: bool,
+    isolation: IsolationMode,
+    depth: usize,
+    io: IoMode,
+    workers: usize,
+    extra: Extra,
+) -> Residue {
     let topo = Topology::linear(3, 2);
     let mut net = Network::new(&topo);
+    let fatal = MacAddr::from_index(0xfa7a1);
+    let mut policies = PolicyTable::with_default(CompromisePolicy::Absolute);
+    policies.set_app("order-probe#buggy", CompromisePolicy::NoCompromise);
     let mut rt = runtime(
         oracle,
         LegoSdnConfig {
@@ -75,13 +108,14 @@ fn run_campaign_sharded(
                     history: 8,
                     ..CheckpointPolicy::default()
                 },
-                policies: PolicyTable::with_default(CompromisePolicy::Absolute),
+                policies,
                 transform_direction: TransformDirection::Decompose,
             },
             checker: Some(Checker::new(vec![
                 Invariant::NoBlackHoles,
                 Invariant::NoLoops,
             ])),
+            shutdown_network_on_no_compromise: extra == Extra::FatalNoCompromise,
             ..LegoSdnConfig::default()
         },
     );
@@ -102,6 +136,25 @@ fn run_campaign_sharded(
         BugEffect::Blackhole,
     )))
     .unwrap();
+    match extra {
+        Extra::Nothing => {}
+        Extra::CommandBudget => {
+            let limits = ResourceLimits {
+                max_commands: Some(PROBE_BUDGET),
+                ..ResourceLimits::default()
+            };
+            rt.attach_with_limits(Box::new(OrderProbe { count: 0 }), limits)
+                .unwrap();
+        }
+        Extra::FatalNoCompromise => {
+            rt.attach(Box::new(FaultyApp::new(
+                Box::new(OrderProbe { count: 0 }),
+                BugTrigger::OnPacketToMac(fatal),
+                BugEffect::Crash,
+            )))
+            .unwrap();
+        }
+    }
 
     rt.run_cycle(&mut net); // handshake + discovery
     let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
@@ -124,6 +177,9 @@ fn run_campaign_sharded(
         // byzantine recovery without changing what lands.
         let _ = net.inject(a, Packet::ethernet(a, b));
         let _ = net.inject(a, Packet::ethernet(a, poison));
+        if round == 2 && extra == Extra::FatalNoCompromise {
+            let _ = net.inject(a, Packet::ethernet(a, fatal));
+        }
         let _ = net.inject(b, Packet::ethernet(b, a));
         absorb(rt.run_cycle(&mut net));
         let _ = net.set_switch_up(bounce, false);
@@ -310,6 +366,39 @@ fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
                     (run.recoveries, run.byzantine_blocked, run.commands),
                     "workers {workers} {io:?} depth {depth}: per-cycle reports diverge"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths() {
+    // The decisions the engine books at harvest and the reference right
+    // before the commit: a command budget running out mid-window, and a
+    // No-Compromise death that takes the network down with it.
+    for extra in [Extra::CommandBudget, Extra::FatalNoCompromise] {
+        for isolation in [IsolationMode::Local, IsolationMode::Channel] {
+            let io = IoMode::default();
+            let reference = run_campaign_with(true, isolation, 1, io, 1, extra);
+            let stats = reference.stats;
+            match extra {
+                Extra::CommandBudget => assert!(
+                    stats.apps_suspended > 0 && stats.commands_suppressed > 0,
+                    "{isolation:?}: the budget never ran out: {stats:?}"
+                ),
+                _ => assert!(
+                    stats.apps_dead > 0,
+                    "{isolation:?}: nothing died: {stats:?}"
+                ),
+            }
+            for workers in [1usize, 2] {
+                for depth in [1usize, 8] {
+                    let run = run_campaign_with(false, isolation, depth, io, workers, extra);
+                    assert_eq!(
+                        reference, run,
+                        "{extra:?} {isolation:?} workers {workers} depth {depth}: residue diverges"
+                    );
+                }
             }
         }
     }

@@ -241,3 +241,169 @@ fn shards_without_apps_sit_the_window_out() {
     net.inject(a, Packet::ethernet(a, b)).unwrap();
     assert!(rt.run_cycle(&mut net).events > 0);
 }
+
+/// Installs one uniquely-tagged flow per packet-in on a switch of its
+/// own, so writers on different shards never write the same switch and
+/// every commit is a fastpath candidate. A packet-in for [`NOTIFY_INDEX`]
+/// makes the flow ask for flow-removed notifications.
+struct OwnSwitchWriter {
+    own: DatapathId,
+    count: u64,
+}
+
+const NOTIFY_INDEX: u64 = 90_000;
+
+impl SdnApp for OwnSwitchWriter {
+    fn name(&self) -> &str {
+        "own-switch-writer"
+    }
+
+    fn subscriptions(&self) -> Vec<EventKind> {
+        vec![EventKind::PacketIn]
+    }
+
+    fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
+        if let Event::PacketIn(_, pi) = event {
+            let mut mat = Match::from_packet(&pi.packet, pi.in_port);
+            mat.eth_src = Some(MacAddr::from_index(
+                TAG_BASE + self.own.0 * 10_000 + self.count,
+            ));
+            self.count += 1;
+            let mut fm = FlowMod::add(mat);
+            fm.send_flow_removed = pi.packet.eth_dst == MacAddr::from_index(NOTIFY_INDEX);
+            ctx.send(self.own, Message::FlowMod(fm));
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.count.to_le_bytes().to_vec()
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+        let arr: [u8; 8] = bytes
+            .try_into()
+            .map_err(|_| RestoreError("bad snapshot".into()))?;
+        self.count = u64::from_le_bytes(arr);
+        Ok(())
+    }
+}
+
+/// What a checker-less run leaves behind, plus
+/// `netlog/barrier_fastpath_commits` after each burst's cycle.
+struct Uncontested {
+    flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
+    txlog: Vec<TxRecord>,
+    stats: RuntimeStats,
+    fastpath: Vec<u64>,
+}
+
+/// Four own-switch writers on two shards with no invariant checker — the
+/// one configuration whose barrier admits commits ahead of the cursor —
+/// driven through six 8-packet bursts, one cycle each. Burst
+/// `notify_round`, if any, carries a packet for [`NOTIFY_INDEX`].
+fn run_uncontested(oracle: bool, notify_round: Option<u64>) -> Uncontested {
+    let topo = Topology::linear(4, 1);
+    let mut net = Network::new(&topo);
+    let obs = Obs::new();
+    let config = LegoSdnConfig {
+        dispatch: DispatchConfig::default().window(4).workers(2),
+        obs: ObsConfig::instance(obs.clone()),
+        checker: None,
+        ..LegoSdnConfig::default()
+    }
+    .build()
+    .expect("valid config");
+    let mut rt = if oracle {
+        LegoSdnRuntime::oracle(config)
+    } else {
+        LegoSdnRuntime::new(config)
+    };
+    for sw in 1..=4 {
+        rt.attach(Box::new(OwnSwitchWriter {
+            own: DatapathId(sw),
+            count: 0,
+        }))
+        .unwrap();
+    }
+    rt.run_cycle(&mut net); // handshake + discovery
+    let counter = obs.counter("netlog", "barrier_fastpath_commits", "");
+    let a = topo.hosts[0].mac;
+    let mut fastpath = Vec::new();
+    for round in 0..6u64 {
+        for slot in 0..8u64 {
+            let dst = if notify_round == Some(round) && slot == 3 {
+                NOTIFY_INDEX
+            } else {
+                700 + round * 16 + slot
+            };
+            let _ = net.inject(a, Packet::ethernet(a, MacAddr::from_index(dst)));
+        }
+        rt.run_cycle(&mut net);
+        fastpath.push(counter.get());
+    }
+
+    let mut flow_tables: Vec<(DatapathId, Vec<FlowEntry>)> = net
+        .switches()
+        .map(|sw| (sw.dpid(), sw.table().iter().cloned().collect()))
+        .collect();
+    flow_tables.sort_by_key(|(dpid, _)| *dpid);
+    let txlog = rt.netlog().log().iter().cloned().collect();
+    let stats = rt.stats();
+    rt.shutdown();
+    Uncontested {
+        flow_tables,
+        txlog,
+        stats,
+        fastpath,
+    }
+}
+
+fn assert_matches_oracle(oracle: &Uncontested, run: &Uncontested) {
+    assert_eq!(oracle.flow_tables, run.flow_tables, "flow tables diverge");
+    assert_eq!(oracle.txlog, run.txlog, "NetLog transaction order diverges");
+    assert_eq!(oracle.stats, run.stats, "runtime counters diverge");
+}
+
+#[test]
+fn disjoint_writers_without_a_checker_take_the_fastpath_and_match_the_oracle() {
+    let oracle = run_uncontested(true, None);
+    assert!(
+        oracle.stats.commands_executed >= 6 * 8 * 4,
+        "{:?}",
+        oracle.stats
+    );
+    let run = run_uncontested(false, None);
+    assert!(
+        run.fastpath.last().is_some_and(|&n| n > 0),
+        "no commit ever overtook the cursor: {:?}",
+        run.fastpath
+    );
+    assert_matches_oracle(&oracle, &run);
+}
+
+#[test]
+fn a_notify_flagged_flow_keeps_the_fastpath_off_for_every_later_cycle() {
+    const K: u64 = 2;
+    let oracle = run_uncontested(true, Some(K));
+    let run = run_uncontested(false, Some(K));
+    assert!(
+        run.flow_tables
+            .iter()
+            .any(|(_, table)| table.iter().any(|e| e.send_flow_removed)),
+        "no notify-flagged flow was installed"
+    );
+    assert!(
+        run.fastpath[K as usize - 1] > 0,
+        "the fastpath never ran before the poison: {:?}",
+        run.fastpath
+    );
+    let at_k = run.fastpath[K as usize];
+    for (round, &n) in run.fastpath.iter().enumerate().skip(K as usize + 1) {
+        assert_eq!(
+            n, at_k,
+            "the fastpath moved in cycle {round}, after the poison: {:?}",
+            run.fastpath
+        );
+    }
+    assert_matches_oracle(&oracle, &run);
+}

@@ -64,6 +64,7 @@ pub mod clone_runner;
 pub mod config;
 pub mod host;
 pub mod nversion;
+mod pool;
 pub mod runtime;
 pub mod workers;
 

@@ -32,6 +32,7 @@
 
 use crate::config::{IsolationMode, LegoSdnConfig, ResourceLimits};
 use crate::host::Host;
+use crate::pool::{Job, ShardPool};
 use crate::workers::{
     AppRecord, CommitLane, CoreMetrics, ShardMetrics, SlotStore, Window, WindowSlot, WorkerRun,
     WorkerShard, TXS_PER_POS,
@@ -48,7 +49,7 @@ use legosdn_obs::{Counter, Obs, TraceId};
 use legosdn_openflow::prelude::Message;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 #[path = "reference.rs"]
@@ -157,6 +158,8 @@ pub struct LegoSdnRuntime {
     /// Worker shards in id order; app `g` (attach order) is local app
     /// `g / workers` of shard `g % workers` ([`LegoSdnRuntime::loc`]).
     shards: Vec<WorkerShard>,
+    /// The threads shards 1.. run on, started once (DESIGN.md §9).
+    pool: ShardPool,
     /// Apps attached so far, across all shards.
     n_apps: usize,
     stats: RuntimeStats,
@@ -185,11 +188,29 @@ impl LegoSdnRuntime {
     /// `instance` if set ([`crate::config::ObsConfig::disabled`] sets one
     /// that records nothing), else [`Obs::global`].
     ///
+    /// A sharded runtime starts its `workers − 1` shard threads here, and
+    /// dropping it joins them.
+    ///
     /// Call [`LegoSdnConfig::build`] first to validate; this constructor
     /// tolerates unvalidated configs by clamping (workers/depth floor 1)
     /// rather than panicking.
     #[must_use]
     pub fn new(config: LegoSdnConfig) -> Self {
+        Self::build(config, false)
+    }
+
+    /// A runtime that dispatches through the sequential reference
+    /// (`reference.rs`: one blocking Crash-Pad round trip per (event,
+    /// app), on the calling thread, whatever the window depth or worker
+    /// count) — the oracle the determinism suites hold the engine to. Not
+    /// a configuration: nothing but a test should want it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn oracle(config: LegoSdnConfig) -> Self {
+        Self::build(config, true)
+    }
+
+    fn build(config: LegoSdnConfig, oracle: bool) -> Self {
         let obs = config.obs.instance.clone().unwrap_or_else(Obs::global);
         let mut netlog = NetLog::with_checker(config.checker.clone());
         netlog.set_obs(obs.clone());
@@ -228,28 +249,15 @@ impl LegoSdnRuntime {
             ),
             netlog,
             shards,
+            pool: ShardPool::new(if oracle { 0 } else { workers - 1 }),
             n_apps: 0,
             stats: RuntimeStats::default(),
             obs,
             metrics,
             txid_cursor: 1,
             notify_flows_seen: false,
-            oracle: false,
+            oracle,
             config,
-        }
-    }
-
-    /// A runtime that dispatches through the sequential reference
-    /// (`reference.rs`: one blocking Crash-Pad round trip per (event,
-    /// app), whatever the window depth or worker count) — the oracle the
-    /// determinism suites hold the engine to. Not a configuration: nothing
-    /// but a test should want it.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn oracle(config: LegoSdnConfig) -> Self {
-        LegoSdnRuntime {
-            oracle: true,
-            ..LegoSdnRuntime::new(config)
         }
     }
 
@@ -460,8 +468,10 @@ impl LegoSdnRuntime {
     /// provably-disjoint fastpath — so network state, the txlog, and
     /// runtime counters stay bit-identical to the sequential reference.
     ///
-    /// A single worker runs inline on this thread; worker shards run on
-    /// `lego-worker-N` scoped threads.
+    /// Shard 0 runs inline on this thread; shard *N* ≥ 1 runs as one job
+    /// on the pool's long-lived `lego-worker-N` thread, and the cycle ends
+    /// when every shard has finished. A shard's panic reaches the caller
+    /// once the others are done.
     fn run_window(&mut self, net: &mut Network) {
         let depth = self.config.dispatch.window.max(1);
         self.metrics
@@ -494,39 +504,36 @@ impl LegoSdnRuntime {
             tx_cycle_base: self.txid_cursor,
             workers: self.shards.len(),
         };
-        let stats = &mut self.stats;
-        if let [shard] = &mut self.shards[..] {
-            let mut run = WorkerRun::new(shard, win);
-            run.run();
-            stats.absorb(&run.stats);
-        } else {
+        if sharded {
             // Start the workers with work instead of a race for the feed
             // (with no app anywhere, this session is the whole cycle).
             win.top_up(0);
-            std::thread::scope(|scope| {
-                // A shard without apps owns no position, so nothing ties
-                // its cursor to the barrier's: it would fall behind the
-                // slots being released. It has nothing to run either.
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .filter(|shard| !shard.apps.is_empty())
-                    .map(|shard| {
-                        std::thread::Builder::new()
-                            .name(format!("lego-worker-{}", shard.id))
-                            .spawn_scoped(scope, move || {
-                                let mut run = WorkerRun::new(shard, win);
-                                run.run();
-                                run.stats
-                            })
-                            .expect("spawn worker thread")
-                    })
-                    .collect();
-                for handle in handles {
-                    stats.absorb(&handle.join().expect("worker thread panicked"));
-                }
-            });
         }
+        // A shard without apps owns no position, so nothing ties its
+        // cursor to the barrier's: it would fall behind the slots being
+        // released. It has nothing to run either. A lone shard always
+        // runs: it is the one that drains the feed.
+        let runs = |shard: &WorkerShard| !sharded || !shard.apps.is_empty();
+        let moved = Mutex::new(RuntimeStats::default());
+        let run = |shard: &mut WorkerShard| {
+            let mut run = WorkerRun::new(shard, win);
+            run.run();
+            let mut moved = moved.lock().unwrap_or_else(PoisonError::into_inner);
+            moved.absorb(&run.stats);
+        };
+        let (inline, rest) = self.shards.split_at_mut(1);
+        let jobs = rest
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, shard)| runs(shard))
+            .map(|(n, shard)| (n, Box::new(move || run(shard)) as Job<'_>));
+        self.pool.run(jobs, || {
+            if runs(&inline[0]) {
+                run(&mut inline[0]);
+            }
+        });
+        let moved = moved.into_inner().unwrap_or_else(PoisonError::into_inner);
+        self.stats.absorb(&moved);
         // Without a checker every executed batch was declared, so the
         // barrier saw every notify-flagged one (with one worker the
         // fastpath is off anyway).
@@ -808,6 +815,12 @@ mod tests {
         assert!(obs.records().iter().any(|r| r.kind.is_detection()));
         // The construction-time worker gauge landed too.
         assert_eq!(obs.gauge("core", "workers", "").get(), 1);
+    }
+
+    #[test]
+    fn the_runtime_stays_send_with_its_shard_threads() {
+        fn send<T: Send>() {}
+        send::<LegoSdnRuntime>();
     }
 
     #[test]

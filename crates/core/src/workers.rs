@@ -627,9 +627,10 @@ impl Window<'_, '_> {
 /// the store runs short), the commit cursor settles one slot at a time,
 /// and every commit is admitted by the shared [`CommitBarrier`].
 ///
-/// A single-worker runtime calls [`run`] inline; a sharded one on a
-/// `lego-worker-N` scoped thread per shard. Recorder scopes are
-/// per-thread, so both record full flight-recorder traces. Stats
+/// The runtime thread calls [`run`] for shard 0, and shard *N* ≥ 1 runs
+/// it as one job on its long-lived `lego-worker-N` thread
+/// (`crate::pool`), so no cycle starts a thread. Recorder scopes are
+/// per-thread, so every shard records full flight-recorder traces. Stats
 /// accumulate into a worker-local zero-initialized delta the runtime
 /// merges after the cycle — identical totals at any worker count.
 ///

@@ -25,6 +25,16 @@
 //! smaller positions — the wait graph is acyclic and the barrier cannot
 //! deadlock.
 //!
+//! **Wake rule** (DESIGN.md §11's park-aware rule). A condvar notify is a
+//! futex syscall whether or not anyone waits, so the barrier counts its
+//! sleepers and every state change notifies only when the count is
+//! non-zero. The invariant: *a waiter is counted only while it holds the
+//! lock or sleeps in `cv.wait`* — it increments the count under the lock
+//! right before the wait releases it and decrements it on the way out.
+//! A waiter that is not counted therefore holds the lock or has yet to
+//! take it, and either way it checks the state again before it sleeps,
+//! so a change that skipped its notify cannot strand it.
+//!
 //! Two hazards disable the fastpath outright:
 //!
 //! - an invariant [checker] inspects live network state at commit time,
@@ -40,7 +50,7 @@
 
 use legosdn_openflow::prelude::DatapathId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// What a transaction at some position will touch, declared before the
 /// committer asks for admission.
@@ -110,6 +120,8 @@ struct State {
     /// proven event-silent, so the fastpath is off for the rest of the
     /// cycle.
     poisoned: bool,
+    /// Waiters asleep in `cv.wait` (see the wake rule in the module docs).
+    sleepers: usize,
     stats: BarrierStats,
 }
 
@@ -157,16 +169,34 @@ impl CommitBarrier {
             }
         }
         st.declared.insert(pos, touch);
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     /// Poison the fastpath for the rest of the cycle: a declared command
     /// installs notify-on-removal entries, so a later plain Add could
     /// displace one and enqueue a `FlowRemoved` out of order.
     pub fn poison_fastpath(&self) {
-        self.state.lock().unwrap().poisoned = true;
-        self.cv.notify_all();
+        let mut st = self.state.lock().expect("commit barrier poisoned");
+        st.poisoned = true;
+        self.wake(st);
+    }
+
+    /// Release the lock after a state change, and wake the waiters if any
+    /// is asleep.
+    fn wake(&self, st: MutexGuard<'_, State>) {
+        let sleeping = st.sleepers > 0;
+        drop(st);
+        if sleeping {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Sleep until the next state change, counted as a sleeper meanwhile.
+    fn sleep<'a>(&self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        st.sleepers += 1;
+        let mut st = self.cv.wait(st).expect("commit barrier poisoned");
+        st.sleepers -= 1;
+        st
     }
 
     /// True once [`CommitBarrier::poison_fastpath`] has been called. The
@@ -185,8 +215,7 @@ impl CommitBarrier {
         let mut st = self.state.lock().unwrap();
         st.stats.elided_positions += 1;
         Self::complete(&mut st, pos);
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     /// Block until the commit at `pos` may run. [`Admission::Ordered`]
@@ -208,7 +237,7 @@ impl CommitBarrier {
                 st.stats.fastpath_commits += 1;
                 return Admission::Fastpath;
             }
-            st = self.cv.wait(st).unwrap();
+            st = self.sleep(st);
         }
     }
 
@@ -247,8 +276,7 @@ impl CommitBarrier {
     pub fn release(&self, pos: u64) {
         let mut st = self.state.lock().unwrap();
         Self::complete(&mut st, pos);
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     fn complete(st: &mut State, pos: u64) {
@@ -279,13 +307,14 @@ impl CommitBarrier {
     }
 
     /// Block until the cursor advances past `prev` (i.e. becomes
-    /// `> prev`), returning the new cursor. Completes, releases, and
-    /// elisions all notify, so a caller that read `cursor() == prev`,
-    /// found no other work, and then waits here cannot miss an advance.
+    /// `> prev`), returning the new cursor. Every advance happens under
+    /// the lock and wakes every sleeper (the wake rule in the module
+    /// docs), so a caller that read `cursor() == prev`, found no other
+    /// work, and then waits here cannot miss an advance.
     pub fn wait_cursor_past(&self, prev: u64) -> u64 {
         let mut st = self.state.lock().unwrap();
         while st.cursor <= prev {
-            st = self.cv.wait(st).unwrap();
+            st = self.sleep(st);
         }
         st.cursor
     }
@@ -519,5 +548,76 @@ mod tests {
         // immediately.
         b.declare(total, 0, TxTouch::Unknown);
         assert_eq!(b.acquire(total), Admission::Ordered);
+    }
+
+    const STRESS_POSITIONS: u64 = 120_000;
+
+    /// `workers` threads own the positions round-robin, as shards do, and
+    /// drive each through the barrier: about a third are elided, a sixth
+    /// first sleep on the cursor as a worker waiting on the feed does,
+    /// and the rest declare, acquire and release. A fixed scramble of the
+    /// position picks its path, so every local run of paths occurs. A
+    /// waiter whose wake was skipped sleeps for good (nothing here times
+    /// out), so the run has a hard deadline.
+    fn lost_wake_stress(workers: u64, fastpath: bool) {
+        let b = Arc::new(CommitBarrier::new(fastpath));
+        let (done, finished) = std::sync::mpsc::channel();
+        for w in 0..workers {
+            let (b, done) = (Arc::clone(&b), done.clone());
+            std::thread::spawn(move || {
+                for pos in (w..STRESS_POSITIONS).step_by(workers as usize) {
+                    let roll = pos.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+                    if roll < 21 {
+                        b.finish_empty(pos);
+                        continue;
+                    }
+                    if roll < 32 && pos > 0 {
+                        b.wait_cursor_past(pos - 1);
+                    }
+                    let touch = if roll % 8 == 0 {
+                        TxTouch::Unknown
+                    } else {
+                        adds(&[roll % 4])
+                    };
+                    b.declare(pos, w as usize, touch);
+                    b.acquire(pos);
+                    b.release(pos);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        for _ in 0..workers {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            finished.recv_timeout(left).unwrap_or_else(|_| {
+                panic!("{workers} workers, fastpath {fastpath}: a waiter was never woken")
+            });
+        }
+        assert_eq!(b.cursor(), STRESS_POSITIONS);
+        let s = b.stats();
+        assert_eq!(
+            s.elided_positions + s.ordered_commits + s.fastpath_commits,
+            STRESS_POSITIONS
+        );
+    }
+
+    #[test]
+    fn lost_wake_stress_two_workers_ordered() {
+        lost_wake_stress(2, false);
+    }
+
+    #[test]
+    fn lost_wake_stress_two_workers_fastpath() {
+        lost_wake_stress(2, true);
+    }
+
+    #[test]
+    fn lost_wake_stress_four_workers_ordered() {
+        lost_wake_stress(4, false);
+    }
+
+    #[test]
+    fn lost_wake_stress_four_workers_fastpath() {
+        lost_wake_stress(4, true);
     }
 }

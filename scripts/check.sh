@@ -92,12 +92,26 @@ fi
 # `controller::Sandbox` and nowhere else. The monolithic baseline keeps
 # its own wall, since dying with the app is what LegoSDN is measured
 # against; testkit's `forall` catches a failing case to report its seed.
+# The shard pool (DESIGN.md §9) catches a shard's panic too, only to
+# raise it again on the runtime thread once the other shards are done.
 echo "==> one fault wall: app calls and catch_unwind only behind the sandbox"
 WALLS='^crates/controller/src/(sandbox|monolithic)\.rs:'
-if grep -rn catch_unwind crates/*/src | grep -vE "$WALLS|^crates/testkit/src/lib\.rs:" \
+if grep -rn catch_unwind crates/*/src \
+    | grep -vE "$WALLS|^crates/(testkit/src/lib|core/src/pool)\.rs:" \
   || grep -rnE '\.app(\(\))?\.(on_event|snapshot|restore|name|subscriptions)\(' crates/*/src \
     | grep -vE "$WALLS"; then
   echo "app code called, or a panic caught, outside controller/src/sandbox.rs (see DESIGN.md §2)" >&2
+  exit 1
+fi
+
+# One `unsafe` block (DESIGN.md §9): the shard pool erases a job's
+# lifetime and argues there why that is sound. The allocation-budget
+# test's counting allocator is the other user: `GlobalAlloc` cannot be
+# implemented without it.
+echo "==> unsafe only in the shard pool and the counting allocator"
+if grep -rnw unsafe crates/ tests/ examples/ \
+    | grep -vE '^(crates/core/src/pool|tests/alloc_budget)\.rs:'; then
+  echo "unsafe outside crates/core/src/pool.rs (see DESIGN.md §9)" >&2
   exit 1
 fi
 
@@ -220,18 +234,25 @@ timeout 120 ./target/release/workload --k 30 --events 20000 --seed 7 \
 # conformance suite, and no park-aware signal loses a wakeup in 200k
 # frames. Beside 200 other tests the stress has the scheduler's noise to
 # hide in; alone, a lost wakeup parks it for 2 s per frame and the
-# timeout fails it.
-echo "==> transport conformance + lost-wake stress, alone (hard 120s timeout)"
+# timeout fails it. The commit barrier's sleeper-counted wakes get the
+# same: 120k positions at 2 and 4 workers, a lost one hangs its run.
+echo "==> transport conformance + lost-wake stress, alone (hard 120s timeout each)"
 timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_wake_stress \
   || { echo "transport conformance / lost-wake stress failed or timed out" >&2; exit 1; }
+timeout 120 cargo test -q --offline -p legosdn-netlog --lib -- lost_wake_stress \
+  || { echo "commit barrier lost-wake stress failed or timed out" >&2; exit 1; }
 
 # Two tests that expect an explicit `Crashed` report used to give the
 # stub 60 / 300 ms to send it and went red on a loaded box (the stub was
 # still printing its panic backtrace). They now wait up to 2 s and return
 # when the report arrives. Hold that: 20 rounds with every core kept busy.
-echo "==> crash-report tests, 20x beside a busy loop per core (hard 300s timeout)"
+# The shard pool's tests and the shard-barrier suite ride along: a job
+# handed to a sleeping worker, and the latch that waits for it, must hold
+# on a starved box too.
+echo "==> crash-report, shard-pool and shard-barrier tests, 20x beside a busy loop per core (hard 300s timeout)"
 cargo test -q --offline --no-run -p legosdn-appvisor --test view_resync
-cargo test -q --offline --no-run -p legosdn --test integration_appvisor
+cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor \
+  --test integration_shard_barrier
 for _ in $(seq 1 "$(nproc)"); do
   ( while :; do :; done ) &
   BURN_PIDS="$BURN_PIDS $!"
@@ -241,7 +262,10 @@ for round in $(seq 1 20); do
       a_crash_mid_window_resends_whole_views_then_diffs >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --test integration_appvisor -- \
       crash_containment_with_explicit_report >/dev/null 2>&1 \
-    || { echo "crash-report test flaked in round $round of 20 under load" >&2; exit 1; }
+    && timeout 300 cargo test -q --offline -p legosdn --lib -- pool:: >/dev/null 2>&1 \
+    && timeout 300 cargo test -q --offline -p legosdn --test integration_shard_barrier \
+      >/dev/null 2>&1 \
+    || { echo "crash-report, shard-pool or shard-barrier test flaked in round $round of 20 under load" >&2; exit 1; }
 done
 # shellcheck disable=SC2086
 kill $BURN_PIDS 2>/dev/null || true

@@ -242,6 +242,90 @@ fn shards_without_apps_sit_the_window_out() {
     assert!(rt.run_cycle(&mut net).events > 0);
 }
 
+/// Threads of this process named `lego-worker-*`.
+fn worker_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("linux procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("lego-worker-"))
+        .count()
+}
+
+/// [`worker_threads`], once it reads `n` or five seconds have passed: a
+/// new thread names itself a moment after its spawn returns, and a joined
+/// one can outlive its join by a moment in procfs.
+fn worker_threads_settled_at(n: usize) -> usize {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let seen = worker_threads();
+        if seen == n || std::time::Instant::now() > deadline {
+            return seen;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+const THREADS_TEST: &str = "shard_threads_start_with_the_runtime_and_end_with_it";
+
+#[test]
+fn shard_threads_start_with_the_runtime_and_end_with_it() {
+    // Every other test here runs shards too, in parallel, so the count is
+    // taken in a process that runs this test alone.
+    let args: Vec<String> = std::env::args().collect();
+    if !(args.iter().any(|a| a == THREADS_TEST) && args.iter().any(|a| a == "--exact")) {
+        let alone = std::process::Command::new(&args[0])
+            .args([THREADS_TEST, "--exact", "--test-threads=1"])
+            .output()
+            .expect("run this test in a process of its own");
+        assert!(
+            alone.status.success(),
+            "{THREADS_TEST} failed alone:\n{}{}",
+            String::from_utf8_lossy(&alone.stdout),
+            String::from_utf8_lossy(&alone.stderr)
+        );
+        return;
+    }
+    let topo = Topology::linear(2, 1);
+    let mut net = Network::new(&topo);
+    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+    let runtime = |workers| {
+        LegoSdnRuntime::new(LegoSdnConfig {
+            dispatch: DispatchConfig::default().window(2).workers(workers),
+            obs: ObsConfig::instance(Obs::new()),
+            ..LegoSdnConfig::default()
+        })
+    };
+    let lone = runtime(1);
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    assert_eq!(worker_threads(), 0, "a single-worker runtime started one");
+    drop(lone);
+    for shutdown in [false, true] {
+        let mut rt = runtime(4);
+        for _ in 0..4 {
+            rt.attach(Box::new(Hub::new())).unwrap();
+        }
+        assert_eq!(worker_threads_settled_at(3), 3, "after attach");
+        rt.run_cycle(&mut net);
+        for _ in 0..50 {
+            net.inject(a, Packet::ethernet(a, b)).unwrap();
+            rt.run_cycle(&mut net);
+        }
+        rt.tick_apps(&mut net);
+        assert!(rt.stats().dispatches >= 4 * 50, "{:?}", rt.stats());
+        assert_eq!(worker_threads(), 3, "after 50 cycles and a tick");
+        if shutdown {
+            rt.shutdown();
+        } else {
+            drop(rt);
+        }
+        assert_eq!(
+            worker_threads_settled_at(0),
+            0,
+            "shard threads outlived their runtime (shutdown: {shutdown})"
+        );
+    }
+}
+
 /// Installs one uniquely-tagged flow per packet-in on a switch of its
 /// own, so writers on different shards never write the same switch and
 /// every commit is a fastpath candidate. A packet-in for [`NOTIFY_INDEX`]

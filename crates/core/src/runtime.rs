@@ -168,15 +168,8 @@ pub struct LegoSdnRuntime {
     /// First transaction id of the next cycle. The engine and the
     /// reference advance it identically (`events × apps × TXS_PER_POS`
     /// per cycle), so transaction ids are a pure function of the
-    /// event/app position —
-    /// the invariant that lets sharded fastpath commits land out of order
-    /// with a txlog that still reads in sequential order.
+    /// event/app position and the engine's match the reference's.
     txid_cursor: u64,
-    /// Some cycle's barrier was poisoned by a `send_flow_removed` FlowMod
-    /// ([`CommitBarrier::poisoned`]); table entries persist, so the commit
-    /// fastpath stays off for all later cycles (an Add displacing a
-    /// notify-flagged entry would enqueue a `FlowRemoved` out of order).
-    notify_flows_seen: bool,
     /// Dispatch through the sequential reference in `reference.rs`
     /// instead of the engine; only [`LegoSdnRuntime::oracle`] sets it.
     oracle: bool,
@@ -255,7 +248,6 @@ impl LegoSdnRuntime {
             obs,
             metrics,
             txid_cursor: 1,
-            notify_flows_seen: false,
             oracle,
             config,
         }
@@ -464,9 +456,9 @@ impl LegoSdnRuntime {
     /// two-cursor fill/commit machinery over its own shard's apps and
     /// pulls the next raw off the shared feed when its fill cursor wants
     /// a slot; commits synchronize through the [`CommitBarrier`] in
-    /// global (event, attach) position order — or overtake it on the
-    /// provably-disjoint fastpath — so network state, the txlog, and
-    /// runtime counters stay bit-identical to the sequential reference.
+    /// global (event, attach) position order, so network state, the
+    /// txlog, and runtime counters stay bit-identical to the sequential
+    /// reference.
     ///
     /// Shard 0 runs inline on this thread; shard *N* ≥ 1 runs as one job
     /// on the pool's long-lived `lego-worker-N` thread, and the cycle ends
@@ -478,13 +470,7 @@ impl LegoSdnRuntime {
             .window_depth
             .set(i64::try_from(depth).unwrap_or(i64::MAX));
         let sharded = self.shards.len() > 1;
-        // The fastpath needs commit-time effects to be exactly the
-        // declared touch: a checker observes (and byz-recovery rewrites)
-        // live state at commit, and a surviving notify-flagged table
-        // entry could emit a FlowRemoved on displacement — either one
-        // forces full ordering.
-        let fastpath = sharded && self.netlog.checker().is_none() && !self.notify_flows_seen;
-        let barrier = CommitBarrier::new(fastpath);
+        let barrier = CommitBarrier::default();
         let store = SlotStore::default();
         let feed = Mutex::new(&mut self.feed);
         let lane = Mutex::new(CommitLane {
@@ -534,17 +520,10 @@ impl LegoSdnRuntime {
         });
         let moved = moved.into_inner().unwrap_or_else(PoisonError::into_inner);
         self.stats.absorb(&moved);
-        // Without a checker every executed batch was declared, so the
-        // barrier saw every notify-flagged one (with one worker the
-        // fastpath is off anyway).
-        self.notify_flows_seen |= barrier.poisoned();
         let bs = barrier.stats();
         let m = &self.metrics;
-        m.barrier_fastpath_commits.add(bs.fastpath_commits);
         m.barrier_ordered_commits.add(bs.ordered_commits);
         m.barrier_elided_positions.add(bs.elided_positions);
-        m.barrier_shared_switch_conflicts
-            .add(bs.shared_switch_conflicts);
     }
 
     /// §5 STS-guided diagnosis: find the checkpoint and minimal causal

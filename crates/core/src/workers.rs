@@ -8,14 +8,13 @@
 //! Crash-Pad, so the per-app dispatch path never crosses a shard
 //! boundary. The network and the NetLog stay shared: every commit goes
 //! through one [`CommitLane`] guarded by a mutex, admitted in sequential
-//! order (or provably-safe fastpath order) by the
-//! [`legosdn_netlog::CommitBarrier`].
+//! position order by the [`legosdn_netlog::CommitBarrier`].
 //!
 //! Determinism contract: a position's transaction ids are derived from
-//! the position itself (`tx_base + pos * TXS_PER_POS + sub`), never from
-//! arrival order, and the NetLog log is sorted by id — so the sharded
-//! runtime's residue (network state, txlog, stats, per-app delivery
-//! order) is bit-identical to the single-threaded reference.
+//! the position itself (`tx_base + pos * TXS_PER_POS + sub`), as the
+//! reference derives them, and commits land in position order — so the
+//! sharded runtime's residue (network state, txlog, stats, per-app
+//! delivery order) is bit-identical to the single-threaded reference.
 
 use crate::config::ResourceLimits;
 use crate::host::{outcome_to_delivery, Host, ProxyAdapter};
@@ -28,10 +27,10 @@ use legosdn_crashpad::{
     CompromisePolicy, CrashPad, DeliveryResult, DispatchResult, RecoverableApp, RecoveryTaken,
 };
 use legosdn_invariants::shutdown_network;
-use legosdn_netlog::{CommitBarrier, NetLog, TxError, TxId, TxTouch};
+use legosdn_netlog::{CommitBarrier, NetLog, TxError, TxId};
 use legosdn_netsim::{Network, SimTime};
 use legosdn_obs::{AppId, Counter, Gauge, Histogram, Obs, RecordKind, TraceId};
-use legosdn_openflow::prelude::{DatapathId, FlowModCommand, Message};
+use legosdn_openflow::prelude::Message;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -39,8 +38,8 @@ use std::time::Instant;
 /// Transaction-id stride per commit position. Each (event, app) position
 /// owns this many consecutive ids: sub 0 is the top-level transaction,
 /// sub 1 the byzantine-recovery retry. Deriving ids from the position
-/// (not from arrival order) is what lets fastpath commits land out of
-/// order while the txlog still reads in sequential order.
+/// gives every commit the id the reference (`reference.rs`) gives it,
+/// with no counter shared between workers.
 pub const TXS_PER_POS: u64 = 4;
 
 /// One attached app: identity, fault-domain host, scheduling state.
@@ -125,10 +124,8 @@ pub(crate) struct CoreMetrics {
     pub(crate) dispatches: Arc<Counter>,
     pub(crate) commands_executed: Arc<Counter>,
     pub(crate) window_depth: Arc<Gauge>,
-    pub(crate) barrier_fastpath_commits: Arc<Counter>,
     pub(crate) barrier_ordered_commits: Arc<Counter>,
     pub(crate) barrier_elided_positions: Arc<Counter>,
-    pub(crate) barrier_shared_switch_conflicts: Arc<Counter>,
 }
 
 impl CoreMetrics {
@@ -141,10 +138,8 @@ impl CoreMetrics {
             dispatches: obs.counter("core", "dispatches", ""),
             commands_executed: obs.counter("core", "commands_executed", ""),
             window_depth: obs.gauge("core", "window_depth", ""),
-            barrier_fastpath_commits: barrier("barrier_fastpath_commits"),
             barrier_ordered_commits: barrier("barrier_ordered_commits"),
             barrier_elided_positions: barrier("barrier_elided_positions"),
-            barrier_shared_switch_conflicts: barrier("barrier_shared_switch_conflicts"),
         }
     }
 }
@@ -373,40 +368,6 @@ fn mark_dead(cx: &mut ShardCtx<'_>, local: usize) {
     }
 }
 
-/// The declared barrier touch of a command batch, plus whether any
-/// command requests flow-removed notifications (which poisons the
-/// fastpath for the rest of the cycle: an Add displacing a notify-flagged
-/// entry would enqueue a `FlowRemoved` event).
-pub(crate) fn commands_touch(commands: &[Command]) -> (TxTouch, bool) {
-    let mut dpids: Vec<DatapathId> = Vec::new();
-    let mut add_only = true;
-    let mut notify = false;
-    let mut unknown = false;
-    for c in commands {
-        match &c.msg {
-            Message::FlowMod(fm) => {
-                if !dpids.contains(&c.dpid) {
-                    dpids.push(c.dpid);
-                }
-                if fm.command != FlowModCommand::Add || fm.buffer_id.is_some() {
-                    add_only = false;
-                }
-                if fm.send_flow_removed {
-                    notify = true;
-                    add_only = false;
-                }
-            }
-            _ => unknown = true,
-        }
-    }
-    let touch = if unknown {
-        TxTouch::Unknown
-    } else {
-        TxTouch::Flows { dpids, add_only }
-    };
-    (touch, notify)
-}
-
 /// The lane step: run one booked position's [`LaneWork`] on the commit
 /// lane — a NetLog transaction under the byzantine guard, with the
 /// position's first transaction id `tx`, or a network shutdown. Returns
@@ -572,12 +533,6 @@ pub(crate) enum Topped {
 }
 
 impl Window<'_, '_> {
-    /// More than one shard commits through the barrier, so peers consult
-    /// each other's declared touches.
-    fn sharded(&self) -> bool {
-        self.workers > 1
-    }
-
     /// Top the store up for a worker whose commit cursor is at
     /// `commit_pos`: if it holds less than a window past that, pull raws
     /// off the feed. Translation and commits serialize on the same
@@ -602,7 +557,7 @@ impl Window<'_, '_> {
         let cursor = self.barrier.cursor();
         self.store
             .release_below((cursor / self.n_apps.max(1) as u64) as usize);
-        let target = if self.sharded() { usize::MAX } else { want };
+        let target = if self.workers > 1 { usize::MAX } else { want };
         let mut lane = self.lane.lock().expect("commit lane poisoned");
         let mut len = self.store.len();
         while len < target {
@@ -808,11 +763,10 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         let kind = slot.event.kind();
         let entries = std::mem::take(&mut self.pending[commit_pos]);
         let mut entries = entries.into_iter().peekable();
-        // Harvest sweep: collect and book every position's outcome and
-        // declare its barrier touch the moment it is known, so this
-        // worker's declarations for the whole slot land before its first
-        // admission wait. Peers deciding fastpath eligibility see the
-        // declared touches that much sooner.
+        // Harvest sweep: collect and book every position's outcome, and
+        // finish each elided one at the barrier the moment it is known.
+        // Every elision of the slot thus lands before this worker's first
+        // admission wait, so a peer's cursor is never held by our waits.
         let mut settles: Vec<Settle> = Vec::new();
         for local in 0..self.shard.apps.len() {
             let pos = self.pos_of(commit_pos, local);
@@ -845,12 +799,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
                 if !cancelled {
                     continue;
                 }
-            } else if self.win.sharded() {
-                // A touch is declared for peers to judge their fastpath
-                // against; with no peer shard nobody reads it, and a
-                // single worker's commits reach the cursor in order by
-                // construction.
-                self.declare(pos, &work);
             }
             settles.push(Settle {
                 local,
@@ -919,7 +867,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     /// recovery restores the app, so the RPC stream is clean when
     /// replay begins), and the Crash-Pad's completion/recovery.
     /// Returns the dispatch outcome plus whether the delivery failed;
-    /// settling happens later, after the whole slot has declared.
+    /// settling happens later, after the whole slot is harvested.
     fn harvest_entry(&mut self, entry: WindowEntry, slot: &WindowSlot) -> (DispatchResult, bool) {
         let local = entry.local;
         let WorkerShard {
@@ -971,27 +919,13 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         (result, failed)
     }
 
-    /// Declare a booked position's barrier touch. A batch that asks for
-    /// flow-removed notifications poisons the fastpath, and the runtime
-    /// keeps that poison for every later cycle.
-    fn declare(&self, pos: u64, work: &LaneWork) {
-        let (touch, notify) = match work {
-            LaneWork::Execute { commands, .. } => commands_touch(commands),
-            _ => (TxTouch::Unknown, false),
-        };
-        if notify {
-            self.win.barrier.poison_fastpath();
-        }
-        self.win.barrier.declare(pos, self.shard.id, touch);
-    }
-
-    /// Settle one declared position: wait for admission and run its lane
+    /// Settle one booked position: wait for admission and run its lane
     /// step. Returns whether the commit was blocked as byzantine.
     fn settle(&mut self, local: usize, slot: &WindowSlot, work: LaneWork) -> bool {
         let win = self.win;
         let pos = self.pos_of(self.commit_pos, local);
         let tx = TxId(win.tx_cycle_base + pos * TXS_PER_POS);
-        let _admission = win.barrier.acquire(pos);
+        win.barrier.acquire(pos);
         let blocked = {
             let mut lane = win.lane.lock().expect("commit lane poisoned");
             commit_on_lane(&mut self.cx(), &mut lane, local, slot, work, tx)
@@ -1067,7 +1001,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
 }
 
 /// One booked position of the slot being committed, between the harvest
-/// sweep (outcome booked, touch declared) and the settle sweep.
+/// sweep (outcome booked) and the settle sweep.
 /// `cancelled`: the harvest cancelled the app's later deliveries (it
 /// failed, or booking suspended it), so they need re-sending; `work` is
 /// [`LaneWork::None`] when that is all the position needs.
@@ -1093,74 +1027,5 @@ impl RuntimeStats {
         self.apps_suspended += d.apps_suspended;
         self.upgrades += d.upgrades;
         self.cycles += d.cycles;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn commands_touch_classifies_the_fastpath_gate() {
-        use legosdn_openflow::prelude::*;
-        let add = |dpid: u64| Command {
-            dpid: DatapathId(dpid),
-            msg: Message::FlowMod(FlowMod::add(Match::exact_eth(
-                MacAddr::from_index(1),
-                MacAddr::from_index(2),
-            ))),
-        };
-        let (touch, notify) = commands_touch(&[add(1), add(2), add(1)]);
-        assert!(!notify);
-        match touch {
-            TxTouch::Flows { dpids, add_only } => {
-                assert!(add_only);
-                assert_eq!(dpids, vec![DatapathId(1), DatapathId(2)]);
-            }
-            other => panic!("expected Flows, got {other:?}"),
-        }
-
-        // A delete is flows-touching but not add-only.
-        let mut del = add(3);
-        if let Message::FlowMod(fm) = &mut del.msg {
-            fm.command = FlowModCommand::Delete;
-        }
-        let (touch, _) = commands_touch(&[del]);
-        assert!(matches!(
-            touch,
-            TxTouch::Flows {
-                add_only: false,
-                ..
-            }
-        ));
-
-        // send_flow_removed poisons (displacement hazard) and is not
-        // add-only.
-        let mut notify_add = add(4);
-        if let Message::FlowMod(fm) = &mut notify_add.msg {
-            fm.send_flow_removed = true;
-        }
-        let (touch, notify) = commands_touch(&[notify_add]);
-        assert!(notify);
-        assert!(matches!(
-            touch,
-            TxTouch::Flows {
-                add_only: false,
-                ..
-            }
-        ));
-
-        // Anything that is not a FlowMod is an unknown touch.
-        let po = Command {
-            dpid: DatapathId(5),
-            msg: Message::PacketOut(PacketOut {
-                buffer_id: BufferId::NONE,
-                in_port: PortNo::Phys(1),
-                actions: vec![Action::Output(PortNo::Flood)],
-                packet: None,
-            }),
-        };
-        let (touch, _) = commands_touch(&[add(1), po]);
-        assert!(matches!(touch, TxTouch::Unknown));
     }
 }

@@ -65,15 +65,18 @@ pub struct Transaction {
     /// Some executed command could alter network state, whether or not
     /// the network accepted it: what puts the commit under the guard.
     alters: bool,
+    /// The id was chosen by the caller ([`NetLog::begin_at`]).
+    pinned: bool,
 }
 
 impl Transaction {
-    fn open(id: TxId) -> Self {
+    fn open(id: TxId, pinned: bool) -> Self {
         Transaction {
             id,
             state: TxState::Open,
             applied: Vec::new(),
             alters: false,
+            pinned,
         }
     }
 
@@ -259,12 +262,6 @@ impl NetLog {
         self.obs = obs;
     }
 
-    /// The invariants commits are checked against, if any.
-    #[must_use]
-    pub fn checker(&self) -> Option<&Checker> {
-        self.guard.as_ref().map(|g| &g.checker)
-    }
-
     /// Engine counters.
     #[must_use]
     pub fn stats(&self) -> NetLogStats {
@@ -282,7 +279,7 @@ impl NetLog {
         self.next_id += 1;
         self.stats.begun += 1;
         self.metrics.txn_begun.inc();
-        Transaction::open(TxId(self.next_id))
+        Transaction::open(TxId(self.next_id), false)
     }
 
     /// Open a transaction on behalf of the app this engine's `Obs` knows
@@ -297,13 +294,15 @@ impl NetLog {
     /// Open a transaction with a caller-chosen id. The worker-sharded
     /// runtime derives ids from commit positions (DESIGN.md §9) so
     /// transactions carry the same ids regardless of which worker commits
-    /// them, or in what wall-clock order. The id high-water mark advances
-    /// past `id`, so later [`NetLog::begin`] calls never collide.
+    /// them. The id high-water mark advances past `id`, so later
+    /// [`NetLog::begin`] calls never collide. Pinned transactions must
+    /// finish in id order (the barrier admits them in position order), so
+    /// the log, which is in finishing order, reads in id order too.
     pub fn begin_at(&mut self, id: TxId) -> Transaction {
         self.next_id = self.next_id.max(id.0);
         self.stats.begun += 1;
         self.metrics.txn_begun.inc();
-        Transaction::open(id)
+        Transaction::open(id, true)
     }
 
     /// [`NetLog::begin_at`] plus the `txn → app` journal binding of
@@ -432,11 +431,7 @@ impl NetLog {
                 ops: report.ops_applied as u64,
             },
         );
-        self.push_log(TxRecord {
-            id: tx.id,
-            state: TxState::Committed,
-            ops: report.ops_applied,
-        });
+        self.push_log(&tx, report.ops_applied);
         Ok(report)
     }
 
@@ -477,28 +472,27 @@ impl NetLog {
                 undo_ops: report.undo_messages as u64,
             },
         );
-        self.push_log(TxRecord {
-            id: tx.id,
-            state: TxState::Aborted,
-            ops: report.ops_rolled_back,
-        });
+        self.push_log(&tx, report.ops_rolled_back);
         Ok(report)
     }
 
-    fn push_log(&mut self, rec: TxRecord) {
+    /// Append a finished transaction to the log, which is in finishing
+    /// order.
+    fn push_log(&mut self, tx: &Transaction, ops: usize) {
+        debug_assert!(
+            !tx.pinned || self.log.back().is_none_or(|last| last.id < tx.id),
+            "pinned transaction {:?} finished after {:?}",
+            tx.id,
+            self.log.back().map(|last| last.id)
+        );
         if self.log.len() >= self.log_capacity {
             self.log.pop_front();
         }
-        // Insert in TxId order, not arrival order: barrier fastpath commits
-        // (DESIGN.md §9) may finish out of position, but ids are
-        // position-derived, so id order IS the sequential reference order.
-        // The scan runs from the back — in-order commits cost O(1).
-        let at = self
-            .log
-            .iter()
-            .rposition(|r| r.id <= rec.id)
-            .map_or(0, |i| i + 1);
-        self.log.insert(at, rec);
+        self.log.push_back(TxRecord {
+            id: tx.id,
+            state: tx.state,
+            ops,
+        });
     }
 
     /// Pass a switch's statistics reply through the counter-cache so
@@ -740,22 +734,33 @@ mod tests {
     }
 
     #[test]
-    fn begin_at_pins_ids_and_the_log_sorts_out_of_order_commits() {
+    fn begin_at_pins_ids_and_the_high_water_mark() {
         let mut nl = NetLog::default();
         let mut net = net();
-        // Position-derived ids committed out of wall-clock order (the
-        // barrier fastpath case): the log must still read in id order.
-        let t9 = nl.begin_at(TxId(9));
         let t5 = nl.begin_at(TxId(5));
-        let t7 = nl.begin_for_at(nl.obs.attach_app("writer"), TxId(7));
-        nl.commit(t9, &mut net).unwrap();
+        assert_eq!(t5.id(), TxId(5));
         nl.commit(t5, &mut net).unwrap();
-        nl.commit(t7, &mut net).unwrap();
+        let t7 = nl.begin_for_at(nl.obs.attach_app("writer"), TxId(7));
+        nl.abort(t7, &mut net).unwrap();
+        let t9 = nl.begin_at(TxId(9));
+        nl.commit(t9, &mut net).unwrap();
         let ids: Vec<u64> = nl.log().iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![5, 7, 9]);
         // The high-water mark advanced past the largest pinned id.
         assert!(nl.begin().id() > TxId(9));
         assert_eq!(nl.stats().begun, 4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "finished after")]
+    fn a_pinned_id_finishing_below_the_last_logged_one_trips_the_debug_check() {
+        let mut nl = NetLog::default();
+        let mut net = net();
+        let t9 = nl.begin_at(TxId(9));
+        let t5 = nl.begin_at(TxId(5));
+        nl.commit(t9, &mut net).unwrap();
+        let _ = nl.commit(t5, &mut net);
     }
 
     #[test]

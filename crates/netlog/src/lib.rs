@@ -20,7 +20,7 @@ pub mod barrier;
 pub mod counter_cache;
 pub mod engine;
 
-pub use barrier::{Admission, BarrierStats, CommitBarrier, TxTouch};
+pub use barrier::*;
 pub use counter_cache::CounterCache;
 pub use engine::{
     CommitReport, NetLog, NetLogStats, RollbackReport, Transaction, TxError, TxId, TxMode,

@@ -12,8 +12,8 @@ use legosdn::prelude::*;
 
 /// Installs one uniquely-tagged flow on a FIXED switch per packet-in, no
 /// matter where the packet arrived. Every instance targets the same
-/// switch, so any two instances on different shards force a shared-switch
-/// conflict at the barrier.
+/// switch, so any two instances on different shards write it in an order
+/// only the barrier keeps.
 struct SharedSwitchWriter {
     id: u64,
     count: u64,
@@ -63,7 +63,6 @@ struct Residue {
     stats: RuntimeStats,
     recoveries: usize,
     worker_spread: usize,
-    shared_switch_conflicts: u64,
 }
 
 /// Six contested-switch writers plus one recurring crasher, driven
@@ -74,11 +73,10 @@ fn run(oracle: bool, depth: usize, workers: usize) -> Residue {
     let topo = Topology::linear(2, 2);
     let mut net = Network::new(&topo);
     let poison = topo.hosts[topo.hosts.len() - 1].mac;
-    let obs = Obs::new();
     let config = LegoSdnConfig {
         isolation: IsolationMode::Channel,
         dispatch: DispatchConfig::default().window(depth).workers(workers),
-        obs: ObsConfig::instance(obs.clone()),
+        obs: ObsConfig::instance(Obs::new()),
         crashpad: CrashPadConfig {
             checkpoints: CheckpointPolicy {
                 interval: 2,
@@ -147,9 +145,6 @@ fn run(oracle: bool, depth: usize, workers: usize) -> Residue {
     flow_tables.sort_by_key(|(dpid, _)| *dpid);
     let txlog = rt.netlog().log().iter().cloned().collect();
     let stats = rt.stats();
-    let shared_switch_conflicts = obs
-        .counter("netlog", "barrier_shared_switch_conflicts", "")
-        .get();
     rt.shutdown();
     Residue {
         flow_tables,
@@ -157,7 +152,6 @@ fn run(oracle: bool, depth: usize, workers: usize) -> Residue {
         stats,
         recoveries,
         worker_spread,
-        shared_switch_conflicts,
     }
 }
 
@@ -174,10 +168,6 @@ fn cross_shard_writes_to_one_switch_commit_in_sequential_order() {
         assert!(
             sharded.worker_spread > 1,
             "workers {workers}: all writers landed on one shard"
-        );
-        assert!(
-            sharded.shared_switch_conflicts > 0,
-            "workers {workers}: no shared-switch conflict ever reached the barrier"
         );
         assert!(
             sharded.recoveries > 0,
@@ -327,9 +317,9 @@ fn shard_threads_start_with_the_runtime_and_end_with_it() {
 }
 
 /// Installs one uniquely-tagged flow per packet-in on a switch of its
-/// own, so writers on different shards never write the same switch and
-/// every commit is a fastpath candidate. A packet-in for [`NOTIFY_INDEX`]
-/// makes the flow ask for flow-removed notifications.
+/// own, so writers on different shards never write the same switch. A
+/// packet-in for [`NOTIFY_INDEX`] makes the flow ask for flow-removed
+/// notifications.
 struct OwnSwitchWriter {
     own: DatapathId,
     count: u64,
@@ -372,26 +362,23 @@ impl SdnApp for OwnSwitchWriter {
     }
 }
 
-/// What a checker-less run leaves behind, plus
-/// `netlog/barrier_fastpath_commits` after each burst's cycle.
+/// What a checker-less run leaves behind.
 struct Uncontested {
     flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
     txlog: Vec<TxRecord>,
     stats: RuntimeStats,
-    fastpath: Vec<u64>,
 }
 
-/// Four own-switch writers on two shards with no invariant checker — the
-/// one configuration whose barrier admits commits ahead of the cursor —
-/// driven through six 8-packet bursts, one cycle each. Burst
-/// `notify_round`, if any, carries a packet for [`NOTIFY_INDEX`].
-fn run_uncontested(oracle: bool, notify_round: Option<u64>) -> Uncontested {
+/// Four own-switch writers on two shards with no invariant checker,
+/// driven through six 8-packet bursts, one cycle each. Burst 2 carries a
+/// packet for [`NOTIFY_INDEX`], so later bursts' Adds can displace a
+/// notify-flagged flow.
+fn run_uncontested(oracle: bool) -> Uncontested {
     let topo = Topology::linear(4, 1);
     let mut net = Network::new(&topo);
-    let obs = Obs::new();
     let config = LegoSdnConfig {
         dispatch: DispatchConfig::default().window(4).workers(2),
-        obs: ObsConfig::instance(obs.clone()),
+        obs: ObsConfig::instance(Obs::new()),
         checker: None,
         ..LegoSdnConfig::default()
     }
@@ -410,12 +397,10 @@ fn run_uncontested(oracle: bool, notify_round: Option<u64>) -> Uncontested {
         .unwrap();
     }
     rt.run_cycle(&mut net); // handshake + discovery
-    let counter = obs.counter("netlog", "barrier_fastpath_commits", "");
     let a = topo.hosts[0].mac;
-    let mut fastpath = Vec::new();
     for round in 0..6u64 {
         for slot in 0..8u64 {
-            let dst = if notify_round == Some(round) && slot == 3 {
+            let dst = if round == 2 && slot == 3 {
                 NOTIFY_INDEX
             } else {
                 700 + round * 16 + slot
@@ -423,7 +408,6 @@ fn run_uncontested(oracle: bool, notify_round: Option<u64>) -> Uncontested {
             let _ = net.inject(a, Packet::ethernet(a, MacAddr::from_index(dst)));
         }
         rt.run_cycle(&mut net);
-        fastpath.push(counter.get());
     }
 
     let mut flow_tables: Vec<(DatapathId, Vec<FlowEntry>)> = net
@@ -438,56 +422,25 @@ fn run_uncontested(oracle: bool, notify_round: Option<u64>) -> Uncontested {
         flow_tables,
         txlog,
         stats,
-        fastpath,
     }
 }
 
-fn assert_matches_oracle(oracle: &Uncontested, run: &Uncontested) {
-    assert_eq!(oracle.flow_tables, run.flow_tables, "flow tables diverge");
-    assert_eq!(oracle.txlog, run.txlog, "NetLog transaction order diverges");
-    assert_eq!(oracle.stats, run.stats, "runtime counters diverge");
-}
-
 #[test]
-fn disjoint_writers_without_a_checker_take_the_fastpath_and_match_the_oracle() {
-    let oracle = run_uncontested(true, None);
+fn disjoint_writers_without_a_checker_match_the_oracle() {
+    let oracle = run_uncontested(true);
     assert!(
         oracle.stats.commands_executed >= 6 * 8 * 4,
         "{:?}",
         oracle.stats
     );
-    let run = run_uncontested(false, None);
-    assert!(
-        run.fastpath.last().is_some_and(|&n| n > 0),
-        "no commit ever overtook the cursor: {:?}",
-        run.fastpath
-    );
-    assert_matches_oracle(&oracle, &run);
-}
-
-#[test]
-fn a_notify_flagged_flow_keeps_the_fastpath_off_for_every_later_cycle() {
-    const K: u64 = 2;
-    let oracle = run_uncontested(true, Some(K));
-    let run = run_uncontested(false, Some(K));
+    let run = run_uncontested(false);
     assert!(
         run.flow_tables
             .iter()
             .any(|(_, table)| table.iter().any(|e| e.send_flow_removed)),
         "no notify-flagged flow was installed"
     );
-    assert!(
-        run.fastpath[K as usize - 1] > 0,
-        "the fastpath never ran before the poison: {:?}",
-        run.fastpath
-    );
-    let at_k = run.fastpath[K as usize];
-    for (round, &n) in run.fastpath.iter().enumerate().skip(K as usize + 1) {
-        assert_eq!(
-            n, at_k,
-            "the fastpath moved in cycle {round}, after the poison: {:?}",
-            run.fastpath
-        );
-    }
-    assert_matches_oracle(&oracle, &run);
+    assert_eq!(oracle.flow_tables, run.flow_tables, "flow tables diverge");
+    assert_eq!(oracle.txlog, run.txlog, "NetLog transaction order diverges");
+    assert_eq!(oracle.stats, run.stats, "runtime counters diverge");
 }

@@ -157,7 +157,7 @@ impl FaultyApp {
                 let link = event
                     .dpid()
                     .and_then(|d| ctx.topology.links_of(d).into_iter().next())
-                    .or_else(|| ctx.topology.links.iter().next().copied());
+                    .or_else(|| ctx.topology.links().iter().next().copied());
                 if let Some(link) = link {
                     for (here, _) in [(link.a, link.b), (link.b, link.a)] {
                         let fm = FlowMod::add(Match::any())

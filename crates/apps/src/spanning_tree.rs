@@ -88,7 +88,7 @@ impl SpanningTree {
 
         // Every inter-switch endpoint NOT on the tree gets blocked.
         let mut want: BTreeMap<DatapathId, BTreeSet<u16>> = BTreeMap::new();
-        for link in ctx.topology.links.iter() {
+        for link in ctx.topology.links().iter() {
             for ep in [link.a, link.b] {
                 if !on_tree.contains(&ep) {
                     want.entry(ep.dpid).or_default().insert(ep.port);

@@ -25,15 +25,32 @@ pub use legosdn_codec_derive::Codec;
 mod memo;
 pub use memo::Memo;
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
-/// Encode `value` to bytes.
+thread_local! {
+    /// The buffer [`to_bytes`] encodes into, kept at this thread's largest
+    /// encoding so far.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Encode `value` to bytes, returned in one allocation of exactly the
+/// encoded size: the encoding grows this thread's reused buffer, not a
+/// fresh one, and is copied out once. A `to_bytes` nested inside an
+/// `encode` finds the buffer taken and encodes into a fresh `Vec`.
 pub fn to_bytes<T: Codec>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    value.encode(&mut out);
-    Ok(out)
+    SCRATCH.with(|scratch| {
+        let Ok(mut buf) = scratch.try_borrow_mut() else {
+            let mut out = Vec::new();
+            value.encode(&mut out);
+            return Ok(out);
+        };
+        buf.clear();
+        value.encode(&mut buf);
+        Ok(buf.to_vec())
+    })
 }
 
 /// Decode a `T` from bytes produced by [`to_bytes`].
@@ -564,6 +581,41 @@ mod tests {
         assert!(from_bytes::<String>(&bytes).is_err());
         // Out-of-range enum variant.
         assert!(from_bytes::<Shape>(&99u32.to_le_bytes()).is_err());
+    }
+
+    /// Encodes a field through a nested [`to_bytes`], as a length-prefixed
+    /// blob: the re-entered call must not share the outer buffer.
+    struct Blob(Vec<u32>);
+
+    impl Codec for Blob {
+        fn encode(&self, out: &mut Vec<u8>) {
+            to_bytes(&self.0).unwrap().encode(out);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Blob(from_bytes(&Vec::<u8>::decode(r)?)?))
+        }
+    }
+
+    #[test]
+    fn to_bytes_is_exact_size_and_survives_reentry() {
+        let big: Vec<u64> = (0..5_000).collect();
+        let mut plain = Vec::new();
+        big.encode(&mut plain);
+        for _ in 0..2 {
+            let bytes = to_bytes(&big).unwrap();
+            assert_eq!(bytes, plain);
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
+        // A short encoding after a long one carries none of the old bytes.
+        assert_eq!(to_bytes(&1u8).unwrap(), vec![1]);
+        let nested = (7u8, Blob((0..100).collect()), 9u8);
+        let bytes = to_bytes(&nested).unwrap();
+        let mut by_hand = vec![7u8];
+        to_bytes(&nested.1 .0).unwrap().encode(&mut by_hand);
+        by_hand.push(9);
+        assert_eq!(bytes, by_hand);
+        let back: (u8, Blob, u8) = from_bytes(&bytes).unwrap();
+        assert_eq!(back.1 .0, nested.1 .0);
     }
 
     #[test]

@@ -12,12 +12,19 @@
 //! and [`DeviceView::diff`] turn two views into the entry-level change
 //! between them, which is what AppVisor ships to a stub that already holds
 //! the older one.
+//!
+//! The topology view also keeps a per-switch index over its links, so the
+//! per-event queries (`link_at` on every packet-in, `neighbors` in every
+//! path search) cost the switch's degree, not the network's size. The
+//! index is derived state: the view maintains it, rebuilds it on decode,
+//! and never encodes, diffs or compares it (DESIGN.md §14).
 
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, CodecError, Reader};
 use legosdn_netsim::{Endpoint, SimTime};
 use legosdn_openflow::messages::PortDesc;
 use legosdn_openflow::prelude::{DatapathId, Ipv4Addr, MacAddr};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::Arc;
 
 /// A normalized (smaller endpoint first) inter-switch link.
@@ -95,14 +102,82 @@ fn apply_map<K: Ord + Clone, V: Clone>(
     map.extend(upserts);
 }
 
-fn diff_set<K: Ord + Copy>(old: &Arc<BTreeSet<K>>, new: &Arc<BTreeSet<K>>) -> (Vec<K>, Vec<K>) {
-    if Arc::ptr_eq(old, new) {
-        return (Vec::new(), Vec::new());
+/// The discovered links, beside an index of them by switch.
+#[derive(Clone, Default)]
+struct Links {
+    set: BTreeSet<LinkKey>,
+    /// `(dpid, link)` for every switch a link touches: a range of it is
+    /// one switch's links, in link order.
+    by_switch: BTreeSet<(DatapathId, LinkKey)>,
+}
+
+impl Links {
+    fn insert(&mut self, key: LinkKey) -> bool {
+        let new = self.set.insert(key);
+        if new {
+            self.by_switch.insert((key.a.dpid, key));
+            self.by_switch.insert((key.b.dpid, key));
+        }
+        new
     }
-    (
-        new.difference(old).copied().collect(),
-        old.difference(new).copied().collect(),
-    )
+
+    fn remove(&mut self, key: &LinkKey) -> bool {
+        let present = self.set.remove(key);
+        if present {
+            self.by_switch.remove(&(key.a.dpid, *key));
+            self.by_switch.remove(&(key.b.dpid, *key));
+        }
+        present
+    }
+
+    /// The links touching `dpid`, in link order.
+    fn of(&self, dpid: DatapathId) -> impl Iterator<Item = &LinkKey> {
+        let key = |dpid, port| {
+            let end = Endpoint::new(DatapathId(dpid), port);
+            LinkKey { a: end, b: end }
+        };
+        let (first, last) = (key(0, 0), key(u64::MAX, u16::MAX));
+        self.by_switch
+            .range((dpid, first)..=(dpid, last))
+            .map(|(_, link)| link)
+    }
+
+    fn diff(old: &Arc<Links>, new: &Arc<Links>) -> (Vec<LinkKey>, Vec<LinkKey>) {
+        if Arc::ptr_eq(old, new) {
+            return (Vec::new(), Vec::new());
+        }
+        (
+            new.set.difference(&old.set).copied().collect(),
+            old.set.difference(&new.set).copied().collect(),
+        )
+    }
+}
+
+/// The set alone is the value: the index follows from it.
+impl PartialEq for Links {
+    fn eq(&self, other: &Self) -> bool {
+        self.set == other.set
+    }
+}
+
+impl fmt::Debug for Links {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.set.fmt(f)
+    }
+}
+
+/// Encodes byte-for-byte as the set; decoding rebuilds the index.
+impl Codec for Links {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.set.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut links = Links::default();
+        for key in BTreeSet::<LinkKey>::decode(r)? {
+            links.insert(key);
+        }
+        Ok(links)
+    }
 }
 
 /// What turns one [`TopologyView`] into another; see [`TopologyView::diff`].
@@ -121,8 +196,8 @@ pub struct TopologyDelta {
 pub struct TopologyView {
     /// Connected switches and their last-reported port descriptors.
     pub switches: Arc<BTreeMap<DatapathId, Vec<PortDesc>>>,
-    /// Discovered links.
-    pub links: Arc<BTreeSet<LinkKey>>,
+    /// Discovered links; private so that no write skips the index.
+    links: Arc<Links>,
     /// Links each switch carried when it was last seen alive. Consulted by
     /// Crash-Pad's equivalence transform: by the time a `SwitchDown` event
     /// is dispatched, the live link set no longer contains the dead
@@ -178,7 +253,7 @@ impl TopologyView {
     #[must_use]
     pub fn diff(&self, target: &TopologyView) -> TopologyDelta {
         let (switches_set, switches_gone) = diff_map(&self.switches, &target.switches);
-        let (links_set, links_gone) = diff_set(&self.links, &target.links);
+        let (links_set, links_gone) = Links::diff(&self.links, &target.links);
         let (graveyard_set, graveyard_gone) = diff_map(&self.graveyard, &target.graveyard);
         TopologyDelta {
             switches_set,
@@ -198,7 +273,9 @@ impl TopologyView {
             for l in &delta.links_gone {
                 links.remove(l);
             }
-            links.extend(delta.links_set);
+            for l in delta.links_set {
+                links.insert(l);
+            }
         }
         apply_map(
             &mut self.graveyard,
@@ -221,13 +298,13 @@ impl TopologyView {
     /// Record a discovered link. Returns true if it was new.
     pub fn link_up(&mut self, x: Endpoint, y: Endpoint) -> bool {
         let key = LinkKey::new(x, y);
-        !self.links.contains(&key) && Arc::make_mut(&mut self.links).insert(key)
+        !self.links.set.contains(&key) && Arc::make_mut(&mut self.links).insert(key)
     }
 
     /// Remove a link. Returns true if it was present.
     pub fn link_down(&mut self, x: Endpoint, y: Endpoint) -> bool {
         let key = LinkKey::new(x, y);
-        self.links.contains(&key) && Arc::make_mut(&mut self.links).remove(&key)
+        self.links.set.contains(&key) && Arc::make_mut(&mut self.links).remove(&key)
     }
 
     /// Is the switch known?
@@ -236,34 +313,41 @@ impl TopologyView {
         self.switches.contains_key(&dpid)
     }
 
-    /// The link (if any) with an endpoint at `(dpid, port)`.
+    /// The discovered links.
+    #[must_use]
+    pub fn links(&self) -> &BTreeSet<LinkKey> {
+        &self.links.set
+    }
+
+    /// The first link, in link order, with an endpoint at `(dpid, port)`.
     #[must_use]
     pub fn link_at(&self, at: Endpoint) -> Option<LinkKey> {
-        self.links.iter().find(|l| l.a == at || l.b == at).copied()
+        self.links
+            .of(at.dpid)
+            .find(|l| l.a == at || l.b == at)
+            .copied()
     }
 
-    /// Links touching a switch.
+    /// Links touching a switch, in link order.
     #[must_use]
     pub fn links_of(&self, dpid: DatapathId) -> Vec<LinkKey> {
-        self.links
-            .iter()
-            .filter(|l| l.touches(dpid))
-            .copied()
-            .collect()
+        self.links.of(dpid).copied().collect()
     }
 
-    /// Neighbors of a switch: `(out_port, neighbor_dpid, neighbor_in_port)`.
+    /// Neighbors of a switch: `(out_port, neighbor_dpid, neighbor_in_port)`,
+    /// in link order.
     #[must_use]
     pub fn neighbors(&self, dpid: DatapathId) -> Vec<(u16, Endpoint)> {
-        let mut out = Vec::new();
-        for l in self.links.iter() {
-            if l.a.dpid == dpid {
-                out.push((l.a.port, l.b));
-            } else if l.b.dpid == dpid {
-                out.push((l.b.port, l.a));
-            }
-        }
-        out
+        self.links
+            .of(dpid)
+            .map(|l| {
+                if l.a.dpid == dpid {
+                    (l.a.port, l.b)
+                } else {
+                    (l.b.port, l.a)
+                }
+            })
+            .collect()
     }
 
     /// BFS shortest switch-path from `src` to `dst`.
@@ -315,7 +399,7 @@ impl TopologyView {
     /// Number of known links.
     #[must_use]
     pub fn n_links(&self) -> usize {
-        self.links.len()
+        self.links.set.len()
     }
 }
 

@@ -1,13 +1,16 @@
-//! The copy-on-write views' two external contracts: `diff`/`apply` turn
-//! any view into any other (older into newer or back, or across two
-//! histories that diverged), and the `Arc`s inside never reach the wire.
+//! The copy-on-write views' external contracts: `diff`/`apply` turn any
+//! view into any other (older into newer or back, or across two histories
+//! that diverged), the `Arc`s inside never reach the wire, and neither
+//! does the topology view's per-switch link index, whose queries answer
+//! what a scan of every link answers.
 
-use legosdn_controller::services::{DeviceView, TopologyView};
+use legosdn_controller::services::{DeviceView, LinkKey, TopologyView};
 use legosdn_controller::snapshot;
 use legosdn_netsim::{Endpoint, SimTime};
 use legosdn_openflow::messages::PortDesc;
 use legosdn_openflow::prelude::{DatapathId, Ipv4Addr, MacAddr, PortNo};
 use legosdn_testkit::{forall, Rng};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn ep(rng: &mut Rng) -> Endpoint {
     Endpoint::new(DatapathId(rng.gen_range(1u64..8)), rng.gen_range(1u16..4))
@@ -129,4 +132,103 @@ fn views_encode_to_the_bytes_they_had_before_sharing() {
         snapshot::from_bytes::<DeviceView>(&devices_bytes).unwrap(),
         devices
     );
+}
+
+/// The three collections a topology view ships, in encoding order:
+/// switches, links, graveyard.
+type Shipped = (
+    BTreeMap<DatapathId, Vec<PortDesc>>,
+    BTreeSet<LinkKey>,
+    BTreeMap<DatapathId, Vec<LinkKey>>,
+);
+
+// The link queries as they were before the per-switch index: scans over
+// every link, kept here as the reference.
+
+fn scan_link_at(links: &BTreeSet<LinkKey>, at: Endpoint) -> Option<LinkKey> {
+    links.iter().find(|l| l.a == at || l.b == at).copied()
+}
+
+fn scan_links_of(links: &BTreeSet<LinkKey>, dpid: DatapathId) -> Vec<LinkKey> {
+    links.iter().filter(|l| l.touches(dpid)).copied().collect()
+}
+
+fn scan_neighbors(links: &BTreeSet<LinkKey>, dpid: DatapathId) -> Vec<(u16, Endpoint)> {
+    let mut out = Vec::new();
+    for l in links {
+        if l.a.dpid == dpid {
+            out.push((l.a.port, l.b));
+        } else if l.b.dpid == dpid {
+            out.push((l.b.port, l.a));
+        }
+    }
+    out
+}
+
+fn scan_last_known_links(shipped: &Shipped, dpid: DatapathId) -> Vec<LinkKey> {
+    let live = scan_links_of(&shipped.1, dpid);
+    if !live.is_empty() {
+        return live;
+    }
+    shipped.2.get(&dpid).cloned().unwrap_or_default()
+}
+
+/// Every indexed query, at every endpoint the generators reach and one
+/// beyond, equals the scan; and the view encodes as its three shipped
+/// collections do, index or no index.
+fn assert_index_agrees(view: &TopologyView) {
+    let bytes = snapshot::to_bytes(view).unwrap();
+    let shipped: Shipped = snapshot::from_bytes(&bytes).unwrap();
+    assert_eq!(snapshot::to_bytes(&shipped).unwrap(), bytes);
+    let links = view.links();
+    assert_eq!(&shipped.1, links);
+    for d in 0..=8 {
+        let dpid = DatapathId(d);
+        assert_eq!(view.links_of(dpid), scan_links_of(links, dpid));
+        assert_eq!(view.neighbors(dpid), scan_neighbors(links, dpid));
+        assert_eq!(
+            view.last_known_links(dpid),
+            scan_last_known_links(&shipped, dpid)
+        );
+        for port in 0..=4 {
+            let at = Endpoint::new(dpid, port);
+            assert_eq!(view.link_at(at), scan_link_at(links, at), "at {at:?}");
+        }
+    }
+}
+
+/// A link no physical network has: a self-link (one endpoint at both
+/// ends), or a second link on an endpoint that already carries one.
+fn odd_link(rng: &mut Rng, topology: &mut TopologyView) {
+    let x = ep(rng);
+    if rng.gen_bool(0.5) {
+        topology.link_up(x, x);
+    } else {
+        topology.link_up(x, ep(rng));
+        topology.link_up(ep(rng), x);
+    }
+}
+
+#[test]
+fn indexed_link_queries_agree_with_a_scan_after_every_step() {
+    forall(200, |rng| {
+        let mut a = (TopologyView::default(), DeviceView::default());
+        let mut b = a.clone();
+        for _ in 0..rng.gen_range(0usize..60) {
+            match rng.gen_range(0u32..10) {
+                0 => odd_link(rng, &mut a.0),
+                1 => a.0.apply(a.0.diff(&b.0)),
+                2 => b.0.apply(b.0.diff(&a.0)),
+                3 => {
+                    let bytes = snapshot::to_bytes(&a.0).unwrap();
+                    a.0 = snapshot::from_bytes(&bytes).unwrap();
+                }
+                4 => std::mem::swap(&mut a, &mut b),
+                5 => b = a.clone(),
+                _ => mutate(rng, &mut a.0, &mut a.1),
+            }
+            assert_index_agrees(&a.0);
+            assert_index_agrees(&b.0);
+        }
+    });
 }

@@ -7,24 +7,32 @@
 //! proxy restores the SDN-App to the checkpoint."
 //!
 //! §5 refines this: per-event checkpointing is "prohibitively expensive",
-//! so the store supports checkpoint-every-N with an event replay buffer —
-//! recovery restores the last snapshot and replays the events delivered
-//! since. A bounded history of older checkpoints supports the STS-guided
-//! multi-transaction rollback (§5).
+//! so the store supports checkpoint-every-N — recovery restores the last
+//! snapshot and replays the events delivered since. A bounded history of
+//! older checkpoints supports the STS-guided multi-transaction rollback
+//! (§5).
+//!
+//! **One event log.** Every delivered event is kept once, in the app's
+//! archive. A recovery plan's replay is the archive's suffix past the
+//! latest checkpoint, and the archive never evicts that suffix, whatever
+//! its bound: the bound trims only events older than the latest
+//! checkpoint, which only a historical plan reads.
 //!
 //! **Elision.** A snapshot whose bytes equal the latest stored checkpoint's
 //! is not stored again: the store re-dates that checkpoint to the current
-//! event index and clears the replay buffer, which is the same recovery
-//! plan at no copy and no history slot. The test is a byte comparison —
-//! exact, and for the usual unequal case over at the length or the first
-//! differing byte. What makes the snapshot itself cheap is upstream: apps
-//! keep their large state in memoized segments (`legosdn_codec::Memo`,
-//! DESIGN.md §15), so `snapshot()` re-encodes only what the last event
-//! wrote and copies the rest.
+//! event index, which empties the replay suffix — the same recovery plan
+//! at no copy and no history slot. The test is exact byte equality,
+//! compared where two snapshots of one app differ first: the length, then
+//! the last 64 bytes (a derived encoding ends in the per-event counters an
+//! app keeps after its tables), then the rest. What makes the snapshot
+//! itself cheap is upstream: apps keep their large state in memoized
+//! segments (`legosdn_codec::Memo`, DESIGN.md §15), so `snapshot()`
+//! re-encodes only what the last event wrote and copies the rest.
 //!
-//! **Footprint.** Stored checkpoints are trimmed to their length: an
-//! encoder grows its buffer by doubling, and `history` slots of up-to-2×
-//! slack is what the store would otherwise hold.
+//! **Footprint.** Stored checkpoints are held at their length. What
+//! `to_bytes` returns already is; bytes collected from a stub's frame may
+//! carry slack, and `history` slots of up-to-2× slack is what the store
+//! would otherwise hold.
 
 use legosdn_codec::Codec;
 use legosdn_controller::event::Event;
@@ -68,19 +76,25 @@ pub struct RecoveryPlan {
     pub replay: Vec<Event>,
 }
 
-#[derive(Clone, Debug, Default, Codec)]
+#[derive(Clone, Debug, Default)]
 struct AppCheckpoints {
     /// Most recent first is at the back.
     history: VecDeque<Checkpoint>,
-    /// Events delivered since the latest snapshot.
-    replay_buffer: Vec<Event>,
     /// Total events delivered to this app.
     events_delivered: u64,
-    /// Bounded archive of delivered events, spanning (at least) the
-    /// retained checkpoint history — what §5's STS-guided diagnosis
-    /// replays. `archive[0]` is event index `archive_start`.
+    /// The delivered events: every one since the latest checkpoint, and
+    /// older ones up to the policy's `archive` bound — what recovery and
+    /// §5's STS-guided diagnosis replay. `archive[0]` is event index
+    /// `archive_start`.
     archive: VecDeque<Event>,
     archive_start: u64,
+}
+
+/// Exact byte equality, compared where two snapshots of one app differ
+/// first (see the module doc): length, the last 64 bytes, the rest.
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    let tail = a.len().saturating_sub(64);
+    a.len() == b.len() && a[tail..] == b[tail..] && a[..tail] == b[..tail]
 }
 
 /// Per-app checkpoint bookkeeping.
@@ -143,16 +157,15 @@ impl CheckpointStore {
     /// Record a snapshot taken before the app's next event. Returns `true`
     /// if the snapshot was stored, `false` if it was *elided*: when the
     /// bytes equal the latest stored snapshot's, the store just re-dates
-    /// that checkpoint (`event_index` := now) and clears the replay
-    /// buffer — restore + empty replay reproduces the current state
+    /// that checkpoint (`event_index` := now), which empties its replay
+    /// suffix — restore + empty replay reproduces the current state
     /// exactly, so recovery plans stay correct while the copy and its
     /// history slot are saved.
     pub fn record_snapshot(&mut self, app: &str, bytes: Vec<u8>) -> bool {
         let history_cap = self.policy.history.max(1);
         let entry = self.entry(app);
-        entry.replay_buffer.clear();
         if let Some(latest) = entry.history.back_mut() {
-            if latest.bytes == bytes {
+            if same_bytes(&latest.bytes, &bytes) {
                 latest.event_index = entry.events_delivered;
                 self.snapshots_elided += 1;
                 return false;
@@ -160,7 +173,8 @@ impl CheckpointStore {
         }
         let checkpoint = Checkpoint {
             event_index: entry.events_delivered,
-            // Exact capacity: the encoder's doubling slack is not kept.
+            // Exact capacity: no slack is kept. Free for what `to_bytes`
+            // returns; a copy for bytes that came off the wire.
             bytes: bytes.into_boxed_slice().into_vec(),
         };
         let size = checkpoint.bytes.len() as u64;
@@ -178,9 +192,11 @@ impl CheckpointStore {
         let cap = self.policy.archive.max(1);
         let entry = self.entry(app);
         entry.events_delivered += 1;
-        entry.replay_buffer.push(event.clone());
         entry.archive.push_back(event.clone());
-        while entry.archive.len() > cap {
+        // Evict down to the bound, but never the latest checkpoint's
+        // replay suffix.
+        let keep_from = entry.history.back().map_or(u64::MAX, |c| c.event_index);
+        while entry.archive.len() > cap && entry.archive_start < keep_from {
             entry.archive.pop_front();
             entry.archive_start += 1;
         }
@@ -196,32 +212,22 @@ impl CheckpointStore {
     /// event: the latest snapshot plus the events delivered since.
     #[must_use]
     pub fn recovery_plan(&self, app: &str) -> Option<RecoveryPlan> {
-        let a = self.apps.get(app)?;
-        let snapshot = a.history.back()?.clone();
-        Some(RecoveryPlan {
-            snapshot,
-            replay: a.replay_buffer.clone(),
-        })
+        self.historical_plan(app, 0)
     }
 
     /// A plan rolling back `extra` checkpoints further than the latest —
     /// the §5 "read a history of snapshots" mechanism for failures that
     /// span multiple events. Replay comes from the event archive: every
     /// event delivered after that snapshot, in order (empty if the archive
-    /// has already evicted that span).
+    /// has already evicted that span, which it never does for the latest).
     #[must_use]
     pub fn historical_plan(&self, app: &str, extra: usize) -> Option<RecoveryPlan> {
         let a = self.apps.get(app)?;
-        if extra == 0 {
-            return self.recovery_plan(app);
-        }
         let idx = a.history.len().checked_sub(1 + extra)?;
         let snapshot = a.history[idx].clone();
-        let replay = if snapshot.event_index >= a.archive_start {
-            let skip = (snapshot.event_index - a.archive_start) as usize;
-            a.archive.iter().skip(skip).cloned().collect()
-        } else {
-            Vec::new()
+        let replay = match snapshot.event_index.checked_sub(a.archive_start) {
+            Some(skip) => a.archive.range(skip as usize..).cloned().collect(),
+            None => Vec::new(),
         };
         Some(RecoveryPlan { snapshot, replay })
     }
@@ -304,7 +310,7 @@ mod tests {
         let plan = store.recovery_plan("a").unwrap();
         assert_eq!(plan.snapshot.bytes, vec![0xaa]);
         assert_eq!(plan.replay, vec![ev(1), ev(2)]);
-        // A fresh snapshot clears the buffer.
+        // A fresh snapshot leaves nothing to replay.
         store.record_snapshot("a", vec![0xbb]);
         let plan = store.recovery_plan("a").unwrap();
         assert!(plan.replay.is_empty());
@@ -458,6 +464,155 @@ mod tests {
             store.checkpoint_due("a"),
             store.checkpoint_due_ahead("a", 0)
         );
+    }
+
+    /// The store as it was with a replay buffer beside the archive: the
+    /// reference the one-event-log store must agree with.
+    struct Reference {
+        /// `(event_index, bytes)`, oldest first, at most `history`.
+        history: VecDeque<(u64, Vec<u8>)>,
+        /// Events delivered since the latest snapshot.
+        since_snapshot: Vec<Event>,
+        /// Every event ever delivered.
+        delivered: Vec<Event>,
+        policy: CheckpointPolicy,
+    }
+
+    impl Reference {
+        fn snapshot(&mut self, bytes: Vec<u8>) {
+            self.since_snapshot.clear();
+            let now = self.delivered.len() as u64;
+            match self.history.back_mut() {
+                Some(latest) if latest.1 == bytes => latest.0 = now,
+                _ => {
+                    self.history.push_back((now, bytes));
+                    if self.history.len() > self.policy.history.max(1) {
+                        self.history.pop_front();
+                    }
+                }
+            }
+        }
+
+        fn deliver(&mut self, event: Event) {
+            self.since_snapshot.push(event.clone());
+            self.delivered.push(event);
+        }
+
+        /// A historical plan over an archive that evicts strictly to
+        /// its bound.
+        fn historical(&self, extra: usize) -> Option<(u64, Vec<u8>, Vec<Event>)> {
+            let (index, bytes) = self
+                .history
+                .get(self.history.len().checked_sub(1 + extra)?)?;
+            let archive_start = self
+                .delivered
+                .len()
+                .saturating_sub(self.policy.archive.max(1));
+            let replay = if extra == 0 {
+                self.since_snapshot.clone()
+            } else if *index as usize >= archive_start {
+                self.delivered[*index as usize..].to_vec()
+            } else {
+                Vec::new()
+            };
+            Some((*index, bytes.clone(), replay))
+        }
+    }
+
+    /// Drive a store and the reference through one seeded run: due
+    /// snapshots that are stored, elided (state unchanged) or never
+    /// taken (the capture failed), and the plans compared after every
+    /// step.
+    fn one_event_log_run(interval: u64, archive: usize, seed: u64) {
+        let policy = CheckpointPolicy {
+            interval,
+            history: 3,
+            archive,
+        };
+        let mut store = CheckpointStore::new(policy);
+        let mut reference = Reference {
+            history: VecDeque::new(),
+            since_snapshot: Vec::new(),
+            delivered: Vec::new(),
+            policy,
+        };
+        let mut rng = legosdn_testkit::Rng::seed_from_u64(seed);
+        let (mut head, mut tail) = (0u8, 0u8);
+        for i in 0..200u64 {
+            if store.checkpoint_due("a") {
+                // Unchanged state is elided; a change lands in the last 64
+                // bytes (where counters sit) or only before them.
+                match rng.gen_range(0u32..4) {
+                    0 => head = head.wrapping_add(1),
+                    1 | 2 => tail = tail.wrapping_add(1),
+                    _ => {}
+                }
+                if rng.gen_bool(0.85) {
+                    let mut bytes = vec![0x5a; 100];
+                    bytes[0] = head;
+                    bytes.push(tail);
+                    store.record_snapshot("a", bytes.clone());
+                    reference.snapshot(bytes);
+                }
+            }
+            store.record_delivered("a", &ev(i));
+            reference.deliver(ev(i));
+            let plan = store.recovery_plan("a");
+            let since = reference.history.back().map(|(at, _)| *at);
+            assert_eq!(
+                plan.as_ref().map(|p| &p.replay),
+                since.map(|_| &reference.since_snapshot),
+                "interval {interval}, archive {archive}, event {i}: replay"
+            );
+            if let (Some(plan), Some(since)) = (plan, since) {
+                assert_eq!(plan.snapshot.event_index, since);
+                assert_eq!(plan.replay, reference.delivered[since as usize..]);
+            }
+            for extra in 0..=policy.history {
+                let plan = store
+                    .historical_plan("a", extra)
+                    .map(|p| (p.snapshot.event_index, p.snapshot.bytes, p.replay));
+                assert_eq!(
+                    plan,
+                    reference.historical(extra),
+                    "interval {interval}, archive {archive}, event {i}, extra {extra}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_is_the_archive_past_the_latest_checkpoint() {
+        for interval in [1, 4, 16] {
+            for archive in [1, 4, 1024] {
+                for seed in 0..4 {
+                    one_event_log_run(interval, archive, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_due_snapshot_keeps_replaying_from_the_last_good_one() {
+        let mut store = CheckpointStore::new(CheckpointPolicy {
+            interval: 2,
+            history: 2,
+            archive: 1,
+        });
+        store.record_snapshot("a", vec![1]);
+        for i in 0..5 {
+            // Due at 2 and 4, but the captures fail: nothing recorded.
+            store.record_delivered("a", &ev(i));
+        }
+        let plan = store.recovery_plan("a").unwrap();
+        assert_eq!(plan.snapshot.event_index, 0);
+        assert_eq!(plan.replay, (0..5).map(ev).collect::<Vec<_>>());
+        // A later snapshot succeeds: the archive may shrink to its bound.
+        store.record_snapshot("a", vec![2]);
+        store.record_delivered("a", &ev(5));
+        store.record_delivered("a", &ev(6));
+        assert_eq!(store.recovery_plan("a").unwrap().replay, vec![ev(5), ev(6)]);
+        assert!(store.historical_plan("a", 1).unwrap().replay.is_empty());
     }
 
     #[test]

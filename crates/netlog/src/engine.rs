@@ -180,6 +180,7 @@ struct NetLogMetrics {
     txn_committed: Arc<Counter>,
     txn_aborted: Arc<Counter>,
     undo_messages: Arc<Counter>,
+    counter_cache_hits: Arc<Counter>,
     pairs_reprobed: Arc<Counter>,
     pairs_reused: Arc<Counter>,
 }
@@ -194,6 +195,7 @@ impl NetLogMetrics {
             txn_committed: counter("txn_committed"),
             txn_aborted: counter("txn_aborted"),
             undo_messages: counter("undo_messages"),
+            counter_cache_hits: counter("counter_cache_hits"),
             pairs_reprobed: obs.counter("invariants", "pairs_reprobed", ""),
             pairs_reused: obs.counter("invariants", "pairs_reused", ""),
         }
@@ -506,9 +508,7 @@ impl NetLog {
         self.counter_cache.adjust_stats_reply(dpid, reply);
         let hits = self.counter_cache.adjustments - before;
         if hits > 0 {
-            self.obs
-                .counter("netlog", "counter_cache_hits", "")
-                .add(hits);
+            self.metrics.counter_cache_hits.add(hits);
         }
     }
 
@@ -874,6 +874,25 @@ mod tests {
         }
     }
 
+    /// Pass `n` aggregate replies from a switch the counter cache holds a
+    /// baseline for through the engine: one cache hit each.
+    fn adjust(nl: &mut NetLog, n: u64) {
+        nl.counter_cache
+            .record(DatapathId(1), &Match::any(), 0, 1, 1);
+        for _ in 0..n {
+            let mut reply = StatsReply::Aggregate {
+                packet_count: 0,
+                byte_count: 0,
+                flow_count: 0,
+            };
+            nl.adjust_stats(DatapathId(1), &mut reply);
+        }
+    }
+
+    fn cache_hits(obs: &Obs) -> u64 {
+        obs.counter("netlog", "counter_cache_hits", "").get()
+    }
+
     #[test]
     fn handles_count_what_stats_count_and_follow_set_obs() {
         let mut net = net();
@@ -881,22 +900,27 @@ mod tests {
         let first = Obs::new();
         nl.set_obs(first.clone());
         drive(&mut nl, &mut net, 7, 200);
+        adjust(&mut nl, 3);
         let at_switch = nl.stats();
         assert_eq!(series(&first), at_switch);
         assert!(at_switch.aborted > 0 && at_switch.undo_messages_applied > 0);
         assert!(first.counter("netlog", "inverse_ops_recorded", "").get() > 0);
+        assert_eq!(cache_hits(&first), 3);
 
         // A fresh instance counts from zero; the old one stops.
         let second = Obs::new();
         nl.set_obs(second.clone());
         let lookups = second.registry_lookups();
         drive(&mut nl, &mut net, 11, 200);
+        adjust(&mut nl, 2);
         assert_eq!(
             second.registry_lookups(),
             lookups,
-            "no by-name lookup per transaction"
+            "no by-name lookup per transaction or stats reply"
         );
         assert_eq!(series(&first), at_switch);
+        assert_eq!(cache_hits(&first), 3);
+        assert_eq!(cache_hits(&second), 2);
         let total = nl.stats();
         let since = series(&second);
         assert_eq!(since.begun, total.begun - at_switch.begun);

@@ -28,8 +28,9 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # Names the one-engine, one-stub-host, static-placement,
 # one-ops-endpoint, one-burst-per-cycle, one-commit, book-once and
 # one-commit-order refactors deleted must not grow back beside what
-# replaced them. `TxTouch` survives only as the barrier's hidden shim.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision or commit fastpath"
+# replaced them, nor Crash-Pad's second event log (a plan's replay is the
+# archive's suffix, DESIGN.md §15). `TxTouch` survives only as the barrier's hidden shim.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath or replay buffer"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -47,10 +48,11 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
     tests/ examples/ \
   || grep -rnE 'lane_need' crates/ tests/ examples/ \
   || grep -rnw notify_seen crates/ tests/ examples/ \
+  || grep -rnw replay_buffer crates/ tests/ examples/ \
   || grep -rniE 'fastpath|commands_touch|notify_flows_seen|poison_fastpath|Admission::|shared_switch_conflicts' \
     crates/ tests/ examples/ \
   || grep -rnw TxTouch crates/ tests/ examples/ | grep -v '^crates/netlog/src/barrier\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath name reappeared (see DESIGN.md §7, §9, §11, §13)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer name reappeared (see DESIGN.md §7, §9, §11, §13, §15)" >&2
   exit 1
 fi
 

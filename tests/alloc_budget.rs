@@ -1,12 +1,15 @@
-//! The per-event allocation budget of the lean skeleton, and the rule that
-//! keeps it: nothing on the per-event path looks an instrument up by name
-//! (DESIGN.md §7).
+//! The per-event allocation budgets of the lean skeleton and the default
+//! configuration, the rule that keeps them — nothing on the per-event path
+//! looks an instrument up by name (DESIGN.md §7) — and the cost of one
+//! warm checkpoint: a single allocation (DESIGN.md §15).
 //!
 //! A test binary of its own with a counting `#[global_allocator]`; its
 //! tests measure one at a time, so nothing else allocates, or touches
-//! `Obs::global()`, beside a measurement. Both numbers are counts of what this program does with a
-//! seeded input: they repeat exactly, on any host.
+//! `Obs::global()`, beside a measurement. Every number is a count of what
+//! this program does with a seeded input: it repeats exactly, on any host.
 
+use legosdn::controller::{DeviceView, Sandbox, TopologyView};
+use legosdn::crashpad::CheckpointStore;
 use legosdn::netsim::{SimDuration, Topology};
 use legosdn::obs::Obs;
 use legosdn::prelude::*;
@@ -44,11 +47,19 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per translated event the lean skeleton may spend on this
-/// trace. Measured 31.69 since NetLog stopped cloning each executed
-/// message into its undo log (33.69 before); the bound sits ~13 % above,
-/// so a per-event `String`, `Vec` or by-name lookup that creeps back in
-/// (each worth 1–3 across three apps) trips it.
-const ALLOCS_PER_EVENT_BOUND: f64 = 36.0;
+/// trace. Measured 31.50 since a checkpoint is one exact-size copy (31.69
+/// before; 33.69 before NetLog stopped cloning each executed message into
+/// its undo log); the bound sits ~11 % above, so a per-event `String`,
+/// `Vec` or by-name lookup that creeps back in (each worth 1–3 across
+/// three apps) trips it.
+const ALLOCS_PER_EVENT_BOUND: f64 = 35.0;
+
+/// Allocations per translated event the default configuration (a
+/// checkpoint before every event, the invariant guard, every event
+/// traced) may spend on this trace. Measured 33.47 since a checkpoint is
+/// one exact-size copy and an event is archived once (45.47 before); the
+/// bound sits ~10 % above.
+const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 37.0;
 
 /// Allocations per event that tracing every event may add to the default
 /// configuration on this trace.
@@ -228,4 +239,70 @@ fn default_config_traces_every_event_almost_for_free() {
         "tracing costs {:.2} allocations per event, budget {TRACE_ALLOCS_PER_EVENT_BOUND}",
         traced - untraced
     );
+    assert!(
+        traced <= DEFAULT_ALLOCS_PER_EVENT_BOUND,
+        "{traced:.2} allocations per event, budget {DEFAULT_ALLOCS_PER_EVENT_BOUND}"
+    );
+}
+
+/// A learning switch that knows hosts on every switch of the benchmark's
+/// fat tree, checkpointed the way Crash-Pad does before an event
+/// (`Sandbox::capture`, then `CheckpointStore::record_snapshot`). Once
+/// warm, a checkpoint is one allocation: the stored copy, at exactly its
+/// length. The tables are memoized segments, so the encoding is copies;
+/// the encoder's buffer is reused, so it does not regrow; and the bytes
+/// arrive at their exact size, so the store keeps them as they are.
+#[test]
+fn a_warm_checkpoint_is_one_allocation_at_its_exact_size() {
+    let _serial = serial();
+    let topo = Topology::fat_tree(8);
+    let (topology, devices) = (TopologyView::default(), DeviceView::default());
+    let mut app = Sandbox::new(Box::new(LearningSwitch::new()));
+    let mut store = CheckpointStore::new(CheckpointPolicy::default());
+    let packet_in = |dpid: DatapathId, port: u16, src: MacAddr, dst: MacAddr| {
+        Event::PacketIn(
+            dpid,
+            PacketIn {
+                buffer_id: BufferId::NONE,
+                in_port: PortNo::Phys(port),
+                reason: PacketInReason::NoMatch,
+                packet: Packet::ethernet(src, dst),
+            },
+        )
+    };
+    let deliver = |app: &mut Sandbox, event: &Event| {
+        let mut ctx = Ctx::new(SimTime::ZERO, &topology, &devices);
+        app.on_event(event, &mut ctx).expect("the app lives");
+    };
+    for &dpid in topo.switches.keys() {
+        for (i, host) in topo.hosts.iter().take(32).enumerate() {
+            let dst = topo.hosts[(i + 1) % topo.hosts.len()].mac;
+            deliver(&mut app, &packet_in(dpid, 1 + i as u16 % 8, host.mac, dst));
+        }
+    }
+    // Teaches nothing: the counters move, the tables stay as they were.
+    let (first, h0, h1) = (
+        *topo.switches.keys().next().unwrap(),
+        &topo.hosts[0],
+        &topo.hosts[1],
+    );
+    let quiet = packet_in(first, 1, h0.mac, h1.mac);
+    for _ in 0..10 {
+        deliver(&mut app, &quiet);
+        assert!(store.record_snapshot("ls", app.capture().unwrap()));
+    }
+    deliver(&mut app, &quiet);
+
+    let before = ALLOCS.load(Relaxed);
+    let stored = store.record_snapshot("ls", app.capture().unwrap());
+    let allocs = ALLOCS.load(Relaxed) - before;
+
+    let latest = *store.history("ls").last().unwrap();
+    println!(
+        "warm checkpoint of {} bytes: {allocs} allocation(s)",
+        latest.bytes.len()
+    );
+    assert!(stored, "the counters changed: stored, not elided");
+    assert_eq!(allocs, 1, "a warm checkpoint allocates once");
+    assert_eq!(latest.bytes.capacity(), latest.bytes.len());
 }

@@ -1,9 +1,8 @@
 //! E10 — §3.4/§5 novel use cases, exercised and timed:
-//! N-version voting overhead, clone-pair mirroring overhead, controller
+//! N-version voting overhead, hot-standby (clone pair) overhead, controller
 //! upgrade (LegoSDN) vs reboot (monolithic), and per-app resource-limit
 //! enforcement cost.
 
-use legosdn::clone_runner::ClonePair;
 use legosdn::controller::services::{DeviceView, TopologyView};
 use legosdn::controller::Sandbox;
 use legosdn::crashpad::RecoverableApp;
@@ -47,10 +46,10 @@ fn summary() {
         let _ = nv.deliver(&workloads::bench_packet_in(i), &topo, &dev, SimTime::ZERO);
     });
 
-    let mut pair = ClonePair::new(
-        Sandbox::new(Box::new(Hub::new())),
-        Sandbox::new(Box::new(Hub::new())),
-    );
+    let mut pair = Sandbox::new(Box::new(NVersionApp::standby(
+        "hub-hs",
+        vec![Box::new(Hub::new()), Box::new(Hub::new())],
+    )));
     let clone_us = time_events(n, |i| {
         let _ = pair.deliver(&workloads::bench_packet_in(i), &topo, &dev, SimTime::ZERO);
     });
@@ -180,10 +179,10 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    let mut pair = ClonePair::new(
-        Sandbox::new(Box::new(Hub::new())),
-        Sandbox::new(Box::new(Hub::new())),
-    );
+    let mut pair = Sandbox::new(Box::new(NVersionApp::standby(
+        "hub-hs",
+        vec![Box::new(Hub::new()), Box::new(Hub::new())],
+    )));
     g.bench_function("clone_pair", |b| {
         b.iter(|| {
             i += 1;

@@ -60,7 +60,6 @@
 //! | `legosdn-sts` | minimal causal sequences (§5) |
 //! | `legosdn` (this crate) | the runtime + §3.4/§5 extensions |
 
-pub mod clone_runner;
 pub mod config;
 pub mod host;
 pub mod nversion;
@@ -68,7 +67,6 @@ mod pool;
 pub mod runtime;
 pub mod workers;
 
-pub use clone_runner::{ClonePair, CloneStats};
 pub use config::{
     ConfigError, DispatchConfig, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig, ResourceLimits,
 };
@@ -92,7 +90,6 @@ pub use legosdn_sts as sts;
 
 pub mod prelude {
     //! Everything a typical consumer needs.
-    pub use crate::clone_runner::ClonePair;
     pub use crate::config::{
         ConfigError, DispatchConfig, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig,
         ResourceLimits,

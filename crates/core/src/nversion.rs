@@ -1,15 +1,18 @@
-//! N-version programming for SDN apps (paper §3.4).
+//! N-version groups (paper §3.4, §5): versions of one app fed the same
+//! events, one output kept. [`NVersionApp::new`] takes "a majority vote on
+//! the outputs from the different versions" (§3.4). [`NVersionApp::standby`]
+//! runs "a clone [...] in parallel to the actual SDN-App" for "an easy
+//! switch-over operation to the clone, when the primary fails" (§5): the
+//! lowest-indexed version that survives an event answers it, and the
+//! versions that died on it are revived from the answer's state.
 //!
-//! "LegoSDN can be used to distribute events to the different versions of
-//! the same SDN-App, and compare the outputs. [...] the correct output for
-//! any given input can be chosen using a majority vote on the outputs from
-//! the different versions."
-//!
-//! [`NVersionApp`] is itself an [`SdnApp`], so it composes with every other
-//! LegoSDN mechanism: it can be sandboxed, checkpointed, and policed like
-//! any single app. Each version runs in a [`Sandbox`] of its own; a version
-//! that panics — voting, or being checkpointed — simply stops voting until
-//! the group is restored.
+//! A group is itself an [`SdnApp`], so it is sandboxed, checkpointed and
+//! policed like any single app. Each version runs in a [`Sandbox`] of its
+//! own; one that panics being checkpointed, or voting, stops answering
+//! until the group is restored. When no version answers an event, the
+//! group panics with the last version's fault, as one app would: its own
+//! sandbox reports the crash, and Crash-Pad's restore of the group's
+//! pre-event checkpoint revives every version.
 
 use legosdn_codec::Codec;
 use legosdn_controller::app::{Command, Ctx, RestoreError, SdnApp};
@@ -25,10 +28,14 @@ pub struct VoteStats {
     pub unanimous: u64,
     /// Events decided by a strict majority over disagreement.
     pub majority_overrides: u64,
-    /// Events with no majority (output dropped for safety).
+    /// Events the answers split on with no strict majority (output
+    /// dropped for safety).
     pub no_majority: u64,
     /// Per-event version crashes (contained).
     pub version_crashes: u64,
+    /// Standby rule: events answered by a version other than the first
+    /// one live before the event.
+    pub switchovers: u64,
 }
 
 #[derive(Codec)]
@@ -38,15 +45,18 @@ struct Saved {
     versions: Vec<Vec<u8>>,
 }
 
-/// An N-version group voting on the output of each event.
+/// A group of versions of one app, keeping one output per event.
 pub struct NVersionApp {
     name: String,
     versions: Vec<Sandbox>,
+    /// The standby rule; otherwise the majority rule.
+    standby: bool,
     stats: VoteStats,
 }
 
 impl NVersionApp {
-    /// Group `versions` under `name`.
+    /// Group `versions` under `name`; a strict majority of the versions
+    /// that answer an event decides its output.
     ///
     /// # Panics
     /// If `versions` is empty.
@@ -59,7 +69,23 @@ impl NVersionApp {
         NVersionApp {
             name: name.to_string(),
             versions: versions.into_iter().map(Sandbox::new).collect(),
+            standby: false,
             stats: VoteStats::default(),
+        }
+    }
+
+    /// Group `versions` under `name` as a primary and its hot standbys:
+    /// the first version to survive an event supplies the output, even
+    /// over disagreement, and revives the versions that died on it (so
+    /// they must share a snapshot format).
+    ///
+    /// # Panics
+    /// If `versions` is empty.
+    #[must_use]
+    pub fn standby(name: &str, versions: Vec<Box<dyn SdnApp>>) -> Self {
+        NVersionApp {
+            standby: true,
+            ..Self::new(name, versions)
         }
     }
 
@@ -74,11 +100,27 @@ impl NVersionApp {
     pub fn live_versions(&self) -> usize {
         self.versions.iter().filter(|v| !v.is_dead()).count()
     }
-}
 
-/// Canonical form of a command list for equality voting.
-fn ballot(commands: &[Command]) -> Vec<u8> {
-    snapshot::to_bytes(&commands.to_vec()).unwrap_or_default()
+    /// The majority rule: the output a strict majority of `answers`
+    /// agrees on, or `None` rather than something wrong.
+    fn vote(&mut self, answers: Vec<(usize, Vec<Command>)>) -> Option<Vec<Command>> {
+        let voters = answers.len();
+        let mut ballots: BTreeMap<Vec<u8>, (usize, Vec<Command>)> = BTreeMap::new();
+        for (_, commands) in answers {
+            let key = snapshot::to_bytes(&commands).unwrap_or_default();
+            ballots.entry(key).or_insert((0, commands)).0 += 1;
+        }
+        let (count, winner) = ballots.into_values().max_by_key(|(count, _)| *count)?;
+        if count == voters {
+            self.stats.unanimous += 1;
+        } else if count * 2 > voters {
+            self.stats.majority_overrides += 1;
+        } else {
+            self.stats.no_majority += 1;
+            return None;
+        }
+        Some(winner)
+    }
 }
 
 impl SdnApp for NVersionApp {
@@ -99,39 +141,36 @@ impl SdnApp for NVersionApp {
     }
 
     fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
-        let mut ballots: BTreeMap<Vec<u8>, (usize, Vec<Command>)> = BTreeMap::new();
-        let mut voters = 0usize;
-        for version in &mut self.versions {
+        let first_live = self.versions.iter().position(|v| !v.is_dead());
+        let mut answers = Vec::new();
+        let (mut crashed, mut fault) = (Vec::new(), String::new());
+        for (i, version) in self.versions.iter_mut().enumerate() {
             let mut vctx = Ctx::new(ctx.now, ctx.topology, ctx.devices);
             match version.on_event(event, &mut vctx) {
-                Ok(()) => {
-                    voters += 1;
-                    let commands = vctx.into_commands();
-                    let key = ballot(&commands);
-                    let entry = ballots.entry(key).or_insert((0, commands));
-                    entry.0 += 1;
+                Ok(()) => answers.push((i, vctx.into_commands())),
+                Err(f) => {
+                    if matches!(f, Fault::Panicked(_)) {
+                        self.stats.version_crashes += 1;
+                        crashed.push(i);
+                    }
+                    fault = f.into();
                 }
-                Err(Fault::Panicked(_)) => self.stats.version_crashes += 1,
-                Err(_) => {}
             }
         }
-        if voters == 0 {
-            self.stats.no_majority += 1;
-            return;
-        }
-        let (count, winner) = ballots
-            .into_values()
-            .max_by_key(|(count, _)| *count)
-            .expect("voters > 0");
-        if count == voters {
-            self.stats.unanimous += 1;
-        } else if count * 2 > voters {
-            self.stats.majority_overrides += 1;
+        let Some(&(first, _)) = answers.first() else {
+            panic!("{fault}");
+        };
+        let winner = if self.standby {
+            self.stats.switchovers += u64::from(Some(first) != first_live);
+            if let Ok(state) = self.versions[first].capture() {
+                for i in crashed {
+                    let _ = self.versions[i].revive(&state);
+                }
+            }
+            answers.swap_remove(0).1
         } else {
-            // No strict majority: emit nothing rather than something wrong.
-            self.stats.no_majority += 1;
-            return;
-        }
+            self.vote(answers).unwrap_or_default()
+        };
         for c in winner {
             ctx.send(c.dpid, c.msg);
         }
@@ -250,20 +289,47 @@ mod tests {
         assert_eq!(nv.live_versions(), 3, "byzantine version keeps running");
     }
 
+    /// The fault text `FaultyApp` panics with on a packet-in.
+    const BUG_TEXT: &str = "injected bug in hub#buggy";
+
+    fn crash_on(trigger: BugTrigger) -> Box<dyn SdnApp> {
+        Box::new(FaultyApp::new(
+            Box::new(Hub::new()),
+            trigger,
+            BugEffect::Crash,
+        ))
+    }
+
+    fn deliver_walled(group: &mut Sandbox, ev: &Event) -> Result<Vec<Command>, Fault> {
+        let topo = TopologyView::default();
+        let dev = DeviceView::default();
+        let mut ctx = Ctx::new(SimTime::ZERO, &topo, &dev);
+        group.on_event(ev, &mut ctx)?;
+        Ok(ctx.into_commands())
+    }
+
     #[test]
-    fn all_versions_dead_emits_nothing() {
-        let mut nv = NVersionApp::new(
+    #[should_panic(expected = "injected bug in hub#buggy")]
+    fn a_group_no_version_answers_panics_with_the_last_fault() {
+        let all_buggy = || crash_on(BugTrigger::OnEventKind(EventKind::PacketIn));
+        let mut nv = NVersionApp::new("all-buggy", vec![all_buggy(), all_buggy()]);
+        deliver(&mut nv, &pin(2));
+    }
+
+    #[test]
+    fn a_silent_group_is_a_crash_and_its_restore_revives_every_version() {
+        let poisoned = || crash_on(BugTrigger::OnPacketToMac(MacAddr::from_index(13)));
+        let mut group = Sandbox::new(Box::new(NVersionApp::new(
             "all-buggy",
-            vec![Box::new(FaultyApp::new(
-                Box::new(Hub::new()),
-                BugTrigger::OnEventKind(EventKind::PacketIn),
-                BugEffect::Crash,
-            ))],
-        );
-        assert!(deliver(&mut nv, &pin(2)).is_empty());
-        assert_eq!(nv.live_versions(), 0);
-        assert!(deliver(&mut nv, &pin(2)).is_empty());
-        assert_eq!(nv.vote_stats().no_majority, 2);
+            vec![poisoned(), poisoned(), poisoned()],
+        )));
+        let before = group.capture().unwrap();
+        assert!(matches!(
+            deliver_walled(&mut group, &pin(13)),
+            Err(Fault::Panicked(text)) if text.starts_with(BUG_TEXT)
+        ));
+        group.revive(&before).unwrap();
+        assert_eq!(deliver_walled(&mut group, &pin(2)).unwrap().len(), 1);
     }
 
     #[test]
@@ -324,6 +390,92 @@ mod tests {
         assert_eq!(nv.vote_stats().unanimous, 1, "the two live versions agree");
         nv.restore(&saved).unwrap();
         assert_eq!(nv.live_versions(), 2, "and the checkpoint saved it dead");
+    }
+
+    #[test]
+    fn a_healthy_standby_pair_passes_the_primary_output_through() {
+        let mut pair =
+            NVersionApp::standby("hub-hs", vec![Box::new(Hub::new()), Box::new(Hub::new())]);
+        assert_eq!(deliver(&mut pair, &pin(2)).len(), 1);
+        assert_eq!(pair.vote_stats().switchovers, 0);
+        assert_eq!(
+            pair.vote_stats().unanimous,
+            0,
+            "the standby rule takes no vote"
+        );
+    }
+
+    #[test]
+    fn a_nondeterministic_crash_switches_over_and_resyncs_the_primary() {
+        // Diverging seeds: the RNG is not in a snapshot, so the primary's
+        // crash points are not the standby's.
+        let nondet = |seed| {
+            crash_on(BugTrigger::WithProbability {
+                per_mille: 400,
+                seed,
+            })
+        };
+        let mut pair = NVersionApp::standby("hub-hs", vec![nondet(7), nondet(100_003)]);
+        let mut event = 0;
+        while pair.vote_stats().switchovers == 0 {
+            event += 1;
+            assert!(event < 50, "no switch-over: {:?}", pair.vote_stats());
+            assert_eq!(deliver(&mut pair, &pin(event)).len(), 1);
+        }
+        assert!(pair.vote_stats().version_crashes >= 1);
+        assert_eq!(pair.live_versions(), 2, "the dead primary was re-synced");
+    }
+
+    #[test]
+    fn a_deterministic_bug_in_every_version_reaches_the_groups_sandbox() {
+        let poisoned = || crash_on(BugTrigger::OnPacketToMac(MacAddr::from_index(13)));
+        let mut group = Sandbox::new(Box::new(NVersionApp::standby(
+            "hub-hs",
+            vec![poisoned(), poisoned()],
+        )));
+        assert_eq!(deliver_walled(&mut group, &pin(2)).unwrap().len(), 1);
+        assert!(matches!(
+            deliver_walled(&mut group, &pin(13)),
+            Err(Fault::Panicked(text)) if text.starts_with(BUG_TEXT)
+        ));
+    }
+
+    #[test]
+    fn a_restore_resyncs_every_standby() {
+        let mut pair =
+            NVersionApp::standby("hub-hs", vec![Box::new(Hub::new()), Box::new(Hub::new())]);
+        deliver(&mut pair, &pin(2));
+        let saved = pair.snapshot();
+        deliver(&mut pair, &pin(3));
+        assert_ne!(pair.snapshot(), saved);
+        pair.restore(&saved).unwrap();
+        assert_eq!(
+            pair.snapshot(),
+            saved,
+            "both versions are back at the checkpoint"
+        );
+        assert_eq!(pair.live_versions(), 2);
+    }
+
+    #[test]
+    fn the_primary_wins_a_split_that_a_pair_majority_drops() {
+        let versions = || -> Vec<Box<dyn SdnApp>> {
+            vec![
+                Box::new(Hub::new()),
+                Box::new(FaultyApp::new(
+                    Box::new(Hub::new()),
+                    BugTrigger::OnPacketToMac(MacAddr::from_index(13)),
+                    BugEffect::Blackhole,
+                )),
+            ]
+        };
+        let mut pair = NVersionApp::standby("hub-hs", versions());
+        let cmds = deliver(&mut pair, &pin(13));
+        assert_eq!(cmds.len(), 1, "the primary's flood, no black-hole");
+        assert!(matches!(cmds[0].msg, Message::PacketOut(_)));
+        let mut majority = NVersionApp::new("hub-nv", versions());
+        assert!(deliver(&mut majority, &pin(13)).is_empty());
+        assert_eq!(majority.vote_stats().no_majority, 1);
     }
 
     #[test]

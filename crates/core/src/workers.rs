@@ -32,7 +32,7 @@ use legosdn_netsim::{Network, SimTime};
 use legosdn_obs::{AppId, Counter, Gauge, Histogram, Obs, RecordKind, TraceId};
 use legosdn_openflow::prelude::Message;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Transaction-id stride per commit position. Each (event, app) position
@@ -184,6 +184,11 @@ pub(crate) struct WindowEntry {
 /// view of a slot without holding the store lock across dispatch work.
 /// Slots every worker has committed are released, so a long burst pins
 /// the views of at most a window's worth of events.
+///
+/// A poisoned lock is still a sound one: each critical section is an
+/// index, a push or a pop, which panics before it mutates (an index out
+/// of range) or cannot panic, so every lock takes the state back from a
+/// [`PoisonError`], as the commit barrier's does.
 #[derive(Default)]
 pub(crate) struct SlotStore {
     state: Mutex<StoreState>,
@@ -199,25 +204,25 @@ struct StoreState {
 impl SlotStore {
     /// Slots appended so far this cycle, released ones included.
     pub(crate) fn len(&self) -> usize {
-        let st = self.state.lock().expect("slot store poisoned");
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.base + st.slots.len()
     }
 
     pub(crate) fn get(&self, i: usize) -> Arc<WindowSlot> {
-        let st = self.state.lock().expect("slot store poisoned");
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(&st.slots[i - st.base])
     }
 
     /// Append one slot; returns [`SlotStore::len`] with it in.
     pub(crate) fn append(&self, slot: WindowSlot) -> usize {
-        let mut st = self.state.lock().expect("slot store poisoned");
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.slots.push_back(Arc::new(slot));
         st.base + st.slots.len()
     }
 
     /// Drop the slots below `committed`: every worker is past them.
     pub(crate) fn release_below(&self, committed: usize) {
-        let mut st = self.state.lock().expect("slot store poisoned");
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.base < committed && st.slots.pop_front().is_some() {
             st.base += 1;
         }
@@ -1027,5 +1032,35 @@ impl RuntimeStats {
         self.apps_suspended += d.apps_suspended;
         self.upgrades += d.upgrades;
         self.cycles += d.cycles;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use legosdn_openflow::prelude::DatapathId;
+
+    fn slot(dpid: u64) -> WindowSlot {
+        WindowSlot {
+            event: Event::SwitchUp(DatapathId(dpid)),
+            topology: TopologyView::default(),
+            devices: DeviceView::default(),
+            now: SimTime::ZERO,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn the_slot_store_answers_after_a_panic_under_its_lock() {
+        let store = SlotStore::default();
+        assert_eq!(store.append(slot(1)), 1);
+        let past_the_end = std::thread::scope(|s| s.spawn(|| store.get(5)).join());
+        assert!(past_the_end.is_err(), "a get past the end panics");
+        assert!(store.state.is_poisoned());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.append(slot(2)), 2);
+        store.release_below(1);
+        assert_eq!(store.len(), 2);
+        assert!(matches!(store.get(1).event, Event::SwitchUp(DatapathId(2))));
     }
 }

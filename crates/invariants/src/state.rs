@@ -20,7 +20,7 @@
 
 use crate::checker::{CheckReport, Checker, Invariant, Violation};
 use crate::probe::{walk, ProbeOutcome, ProbeScratch};
-use legosdn_netsim::{Endpoint, Network};
+use legosdn_netsim::{Endpoint, Lineage, Network};
 use legosdn_openflow::prelude::{DatapathId, MacAddr, Match, Packet, PortNo};
 use std::collections::BTreeMap;
 use std::mem::size_of;
@@ -55,9 +55,9 @@ fn invariant_bit(inv: Invariant) -> u8 {
 /// healthy network) come on top.
 #[derive(Debug, Default)]
 pub struct CheckState {
-    /// What the cache is valid for; a mismatch on any drops it. Lineage 0
-    /// is never drawn, so a default state matches no network.
-    lineage: u64,
+    /// What the cache is valid for; a mismatch on any drops it. The
+    /// default lineage is no network's, so a default state matches none.
+    lineage: Lineage,
     max_pairs: usize,
     enforced: u8,
 

@@ -26,7 +26,7 @@ pub mod topology;
 
 pub use clock::{SimDuration, SimTime};
 pub use flow_table::{ExpiredFlow, FlowEntry, FlowModOutcome, FlowTable};
-pub use network::{ApplyOutcome, DataplaneTrace, NetError, NetEvent, Network, HOP_LIMIT};
+pub use network::{ApplyOutcome, DataplaneTrace, Lineage, NetError, NetEvent, Network, HOP_LIMIT};
 pub use reference::LinearFlowTable;
 pub use switch::{PortState, Switch, SwitchOutput};
 pub use topology::{Endpoint, HostSpec, LinkSpec, Topology};

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Maximum dataplane hops before a walk is declared a loop.
 pub const HOP_LIMIT: usize = 64;
@@ -110,19 +110,6 @@ struct Link {
     up: bool,
 }
 
-/// Source of every change stamp and lineage id. Process-global and
-/// monotonic, so a value is never reused across networks or clones: two
-/// networks of one lineage agree on a switch's stamp only if that
-/// switch's forwarding state is identical in both.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-
-/// `Relaxed` suffices: a stamp only has to be unique, which an atomic
-/// add is at any ordering; the stamps themselves travel with the
-/// `Network` that holds them.
-fn fresh_stamp() -> u64 {
-    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
-
 /// How many of a switch's latest changes stay described. A check follows
 /// every transaction, and a transaction puts one or two flow-mods on one
 /// switch; rolled back after its check, it puts as many inverses there
@@ -152,9 +139,9 @@ struct History {
 }
 
 impl History {
-    fn new() -> Self {
+    fn new(stamp: u64) -> Self {
         History {
-            stamp: fresh_stamp(),
+            stamp,
             next: 0,
             ring: std::array::from_fn(|_| Step {
                 from: 0,
@@ -163,9 +150,9 @@ impl History {
         }
     }
 
-    /// Redraw the stamp. `within` bounds what changed to the table
-    /// entries inside that match; `None` is any other change.
-    fn advance(&mut self, within: Option<&Match>) {
+    /// Move to the fresh stamp `stamp`. `within` bounds what changed to
+    /// the table entries inside that match; `None` is any other change.
+    fn advance(&mut self, stamp: u64, within: Option<&Match>) {
         let step = &mut self.ring[self.next];
         self.next = (self.next + 1) % HISTORY_DEPTH;
         step.from = 0;
@@ -173,7 +160,7 @@ impl History {
             step.from = self.stamp;
             step.mat.clone_from(mat);
         }
-        self.stamp = fresh_stamp();
+        self.stamp = stamp;
     }
 
     /// The matches of the steps that led from stamp `seen` to the current
@@ -215,12 +202,16 @@ impl<K: Ord + Copy> Index<K> {
     }
 }
 
-/// What never changes after [`Network::new`]: the identity of the host
-/// list + wiring, and the lookups over them the dataplane makes per hop.
-/// Shared between clones.
+/// What a network shares with its clones: the immutable host list +
+/// wiring with the lookups over them the dataplane makes per hop, and
+/// the counter every change stamp of the lineage is drawn from.
 #[derive(Debug)]
 struct Wiring {
-    lineage: u64,
+    /// The next stamp. Shared, so a value is never reused within the
+    /// lineage: two of its networks agree on a switch's stamp only if
+    /// that switch's forwarding state is identical in both. Nothing
+    /// outside the lineage draws from it.
+    next_stamp: AtomicU64,
     /// Switches ascending; a switch's position here is its position in
     /// [`Network::stamps`].
     dpids: Vec<DatapathId>,
@@ -235,14 +226,36 @@ struct Wiring {
 impl Wiring {
     fn new(topology: &Topology) -> Self {
         Wiring {
-            lineage: fresh_stamp(),
+            next_stamp: AtomicU64::new(1),
             dpids: topology.switches.keys().copied().collect(),
             host_by_mac: Index::new(topology.hosts.iter().map(|h| h.mac)),
             host_at: Index::new(topology.hosts.iter().map(|h| h.attach)),
             link_at: Index::new(topology.links.iter().flat_map(|l| [l.a, l.b])),
         }
     }
+
+    /// A stamp no network of the lineage has drawn. `Relaxed` suffices:
+    /// a stamp only has to be unique, which an atomic add is at any
+    /// ordering; the stamps themselves travel with the `Network` that
+    /// holds them.
+    fn fresh_stamp(&self) -> u64 {
+        self.next_stamp.fetch_add(1, Ordering::Relaxed)
+    }
 }
+
+/// The identity of a network and its clones, from [`Network::lineage`].
+/// It holds the lineage weakly, so the identity of a dropped network is
+/// never taken by a new one, and the default one is no network's.
+#[derive(Clone, Debug, Default)]
+pub struct Lineage(Weak<Wiring>);
+
+impl PartialEq for Lineage {
+    fn eq(&self, other: &Self) -> bool {
+        Weak::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Lineage {}
 
 /// The buffers of one dataplane walk, kept between walks so a packet
 /// costs no allocation for them. Not state: a clone starts empty.
@@ -301,9 +314,13 @@ impl Network {
         for &dpid in switches.keys() {
             events.push_back(NetEvent::SwitchConnected(dpid));
         }
+        let wiring = Arc::new(Wiring::new(topology));
         Network {
             now: SimTime::ZERO,
-            history: switches.keys().map(|_| History::new()).collect(),
+            history: switches
+                .keys()
+                .map(|_| History::new(wiring.fresh_stamp()))
+                .collect(),
             switches,
             links: topology
                 .links
@@ -311,7 +328,7 @@ impl Network {
                 .map(|&spec| Link { spec, up: true })
                 .collect(),
             hosts: topology.hosts.clone(),
-            wiring: Arc::new(Wiring::new(topology)),
+            wiring,
             events,
             total_delivered: 0,
             total_dropped: 0,
@@ -347,12 +364,12 @@ impl Network {
         self.links.iter().map(|l| (&l.spec, l.up))
     }
 
-    /// Identity of the immutable host list + wiring: drawn once in
-    /// [`Network::new`] and shared by every clone. Anything cached
-    /// against one lineage is meaningless against another.
+    /// Identity of the immutable host list + wiring and of the stamps:
+    /// made in [`Network::new`] and shared by every clone. Anything
+    /// cached against one lineage is meaningless against another.
     #[must_use]
-    pub fn lineage(&self) -> u64 {
-        self.wiring.lineage
+    pub fn lineage(&self) -> Lineage {
+        Lineage(Arc::downgrade(&self.wiring))
     }
 
     /// Every switch's change stamp, ascending by dpid. Between two
@@ -385,7 +402,7 @@ impl Network {
     /// [`History::advance`] for `within`.
     fn stamp(&mut self, dpid: DatapathId, within: Option<&Match>) {
         if let Ok(i) = self.wiring.dpids.binary_search(&dpid) {
-            self.history[i].advance(within);
+            self.history[i].advance(self.wiring.fresh_stamp(), within);
         }
     }
 
@@ -591,7 +608,7 @@ impl Network {
             let before = sw.table().len();
             let removed = sw.expire_flows(now);
             if sw.table().len() != before {
-                history.advance(None);
+                history.advance(self.wiring.fresh_stamp(), None);
             }
             for msg in removed {
                 self.events.push_back(NetEvent::FromSwitch(dpid, msg));
@@ -955,10 +972,11 @@ mod tests {
         let (a, c) = (topo.hosts[0].mac, topo.hosts[2].mac);
         let snap = |net: &Network| net.stamps().collect::<Vec<_>>();
 
-        // Fresh networks share nothing; clones share everything.
+        // Fresh networks are lineages of their own, each drawing its
+        // stamps alike from its own counter; clones share everything.
         let other = Network::new(&topo);
         assert_ne!(net.lineage(), other.lineage());
-        assert!(restamped(&snap(&other), &net).len() == 3);
+        assert_eq!(snap(&other), snap(&net));
         let twin = net.clone();
         assert_eq!(twin.lineage(), net.lineage());
         assert!(restamped(&snap(&twin), &net).is_empty());
@@ -1030,6 +1048,36 @@ mod tests {
         assert!(net.apply(d1, &Message::FlowMod(fm.clone())).is_err());
         assert!(net.apply(DatapathId(9), &Message::FlowMod(fm)).is_err());
         assert!(restamped(&before, &net).is_empty());
+    }
+
+    #[test]
+    fn a_network_draws_its_stamps_unperturbed_by_another() {
+        let topo = Topology::linear(3, 1);
+        let c = topo.hosts[2].mac;
+        let step = |net: &mut Network, i: u64| {
+            let fm = FlowMod::add(Match::eth_dst(c)).priority(i as u16);
+            // A down switch refuses it and stamps nothing.
+            let _ = net.apply(DatapathId(i % 3 + 1), &Message::FlowMod(fm));
+            if i.is_multiple_of(2) {
+                net.set_switch_up(DatapathId(2), i.is_multiple_of(4))
+                    .unwrap();
+            }
+        };
+        let mut alone = Network::new(&topo);
+        for i in 0..8 {
+            step(&mut alone, i);
+        }
+        let mut other = Network::new(&topo);
+        let mut net = Network::new(&topo);
+        for i in 0..8 {
+            step(&mut other, i + 1);
+            step(&mut net, i);
+            step(&mut other, i + 2);
+        }
+        assert_eq!(
+            net.stamps().collect::<Vec<_>>(),
+            alone.stamps().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -29,8 +29,10 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # one-ops-endpoint, one-burst-per-cycle, one-commit, book-once and
 # one-commit-order refactors deleted must not grow back beside what
 # replaced them, nor Crash-Pad's second event log (a plan's replay is the
-# archive's suffix, DESIGN.md §15). `TxTouch` survives only as the barrier's hidden shim.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath or replay buffer"
+# archive's suffix, DESIGN.md §15), nor a second replica mechanism beside
+# the N-version group (DESIGN.md §5a). `TxTouch` survives only as the
+# barrier's hidden shim.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer or clone pair"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -51,8 +53,19 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnw replay_buffer crates/ tests/ examples/ \
   || grep -rniE 'fastpath|commands_touch|notify_flows_seen|poison_fastpath|Admission::|shared_switch_conflicts' \
     crates/ tests/ examples/ \
+  || grep -rnE 'ClonePair|CloneStats|clone_runner' crates/ tests/ examples/ \
   || grep -rnw TxTouch crates/ tests/ examples/ | grep -v '^crates/netlog/src/barrier\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer name reappeared (see DESIGN.md §7, §9, §11, §13, §15)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair name reappeared (see DESIGN.md §5a, §7, §9, §11, §13, §15)" >&2
+  exit 1
+fi
+
+# No ambient inputs: a process-global `static` is state two runtimes (or
+# two networks) in one binary would share. The bench harness's result
+# collectors are the one exception; `static`s inside functions are not
+# matched.
+echo "==> no item-level static outside crates/bench"
+if grep -rn '^static ' crates/*/src | grep -v '^crates/bench/'; then
+  echo "a process-global static in a library crate; hand the state in instead" >&2
   exit 1
 fi
 

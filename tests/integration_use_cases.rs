@@ -1,11 +1,11 @@
 //! Integration: the §3.4 novel use cases and the §5 extensions (E10) —
 //! N-version voting, per-app resource limits, controller upgrades without
-//! app restarts, clone-based non-determinism handling, and STS-guided
-//! multi-event diagnosis.
+//! app restarts, hot-standby groups for non-deterministic bugs, and
+//! STS-guided multi-event diagnosis.
 
-use legosdn::clone_runner::ClonePair;
+use legosdn::controller::app::{Ctx, SdnApp};
+use legosdn::controller::services::{DeviceView, TopologyView};
 use legosdn::controller::Sandbox;
-use legosdn::crashpad::{DeliveryResult, RecoverableApp};
 use legosdn::nversion::NVersionApp;
 use legosdn::prelude::*;
 use legosdn::sts::{ddmin, AppReplayOracle};
@@ -124,47 +124,115 @@ fn controller_upgrade_vs_monolithic_reboot() {
 }
 
 #[test]
-fn clone_pair_survives_nondeterministic_bug_under_crashpad() {
-    // The §5 mechanism end-to-end: a ClonePair under Crash-Pad. The
-    // non-deterministic bug (RNG excluded from snapshots, diverging seeds)
-    // fires on the primary; the clone's output is promoted.
-    let make = |seed| {
-        Sandbox::new(Box::new(FaultyApp::new(
+fn majority_group_whose_versions_all_crash_is_recovered_by_crashpad() {
+    // No version answers the poison, so the group fails as one app would:
+    // Crash-Pad restores its pre-event checkpoint, which revives all three.
+    let topo = Topology::linear(2, 1);
+    let mut net = Network::new(&topo);
+    let mut rt = LegoSdnRuntime::new(LegoSdnConfig::default());
+    let poison = topo.hosts[1].mac;
+    let version = || -> Box<dyn SdnApp> {
+        Box::new(FaultyApp::new(
             Box::new(Hub::new()),
-            BugTrigger::WithProbability {
-                per_mille: 400,
-                seed,
-            },
+            BugTrigger::OnPacketToMac(poison),
             BugEffect::Crash,
-        )))
+        ))
     };
-    let mut pair = ClonePair::new(make(7), make(100_003));
-    let topo = legosdn::controller::services::TopologyView::default();
-    let dev = legosdn::controller::services::DeviceView::default();
-    let mut processed = 0;
-    for i in 0..60u64 {
-        let ev = Event::PacketIn(
+    let nv = NVersionApp::new("hub-3v", vec![version(), version(), version()]);
+    rt.attach(Box::new(nv)).unwrap();
+    rt.run_cycle(&mut net);
+    let a = topo.hosts[0].mac;
+    net.inject(a, Packet::ethernet(a, poison)).unwrap();
+    let report = rt.run_cycle(&mut net);
+    assert!(report.recoveries >= 1, "the silent group reached Crash-Pad");
+    assert!(!rt.crashpad().tickets.is_empty());
+    net.inject(a, Packet::ethernet(a, MacAddr::from_index(70)))
+        .unwrap();
+    let report = rt.run_cycle(&mut net);
+    assert!(report.commands > 0, "every version answers again");
+}
+
+/// A hub that crashes on a packet-in with probability 0.4, drawn from an
+/// RNG that snapshots leave out: a non-deterministic bug (paper §5).
+fn nondet_hub(seed: u64) -> Box<dyn SdnApp> {
+    Box::new(FaultyApp::new(
+        Box::new(Hub::new()),
+        BugTrigger::WithProbability {
+            per_mille: 400,
+            seed,
+        },
+        BugEffect::Crash,
+    ))
+}
+
+/// Whether `mirror` crashes on `event`; it is alive again after.
+fn crashes(mirror: &mut Sandbox, event: &Event) -> bool {
+    let state = mirror.capture().unwrap();
+    let (topo, dev) = (TopologyView::default(), DeviceView::default());
+    let crashed = mirror
+        .on_event(event, &mut Ctx::new(SimTime::ZERO, &topo, &dev))
+        .is_err();
+    mirror.revive(&state).unwrap();
+    crashed
+}
+
+#[test]
+fn standby_pair_survives_nondeterministic_bug_through_the_runtime() {
+    // The §5 mechanism attached like any app. Diverging seeds make the
+    // versions crash on different events: the group answers every event
+    // one version survives, and reaches Crash-Pad only when both crash.
+    const SEEDS: [u64; 2] = [7, 100_003];
+    for isolation in [IsolationMode::Local, IsolationMode::Channel] {
+        // Each version's bug on its own, to tell which events crash which:
+        // every version sees every packet-in, so their RNGs stay in step.
+        let mut mirrors = SEEDS.map(|seed| Sandbox::new(nondet_hub(seed)));
+        let topo = Topology::linear(1, 2);
+        let mut net = Network::new(&topo);
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+            isolation,
+            ..LegoSdnConfig::default()
+        });
+        let pair = NVersionApp::standby("hub-hs", SEEDS.map(nondet_hub).into());
+        rt.attach(Box::new(pair)).unwrap();
+        rt.run_cycle(&mut net);
+        let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+        let packet_in = Event::PacketIn(
             DatapathId(1),
             PacketIn {
                 buffer_id: BufferId::NONE,
                 in_port: PortNo::Phys(1),
                 reason: PacketInReason::NoMatch,
-                packet: Packet::ethernet(MacAddr::from_index(1), MacAddr::from_index(i + 2)),
+                packet: Packet::ethernet(a, b),
             },
         );
-        match pair.deliver(&ev, &topo, &dev, SimTime::ZERO) {
-            DeliveryResult::Ok(_) => processed += 1,
-            _ => break,
+        // Events by how many versions crashed, and events answered right
+        // after a double crash.
+        let (mut seen, mut answered_after_double) = ([0; 3], 0);
+        let mut last = 0;
+        for _ in 0..30 {
+            net.inject(a, Packet::ethernet(a, b)).unwrap();
+            let report = rt.run_cycle(&mut net);
+            assert_eq!(report.events, 1, "{isolation:?}");
+            let crashed = mirrors
+                .iter_mut()
+                .map(|m| crashes(m, &packet_in))
+                .filter(|&crashed| crashed)
+                .count();
+            seen[crashed] += 1;
+            assert_eq!(
+                report.recoveries,
+                usize::from(crashed == 2),
+                "{isolation:?}: {crashed} versions crashed"
+            );
+            assert_eq!(report.commands > 0, crashed < 2, "{isolation:?}");
+            answered_after_double += usize::from(last == 2 && crashed < 2);
+            last = crashed;
         }
+        assert!(
+            seen[1] > 0 && seen[2] > 0 && answered_after_double > 0,
+            "{isolation:?}: the seeds gave crashes {seen:?}"
+        );
     }
-    // With p=0.4 per replica per event, a lone app dies almost immediately;
-    // the pair should absorb at least one failure or reach a double fault
-    // far later than a single app's expectation (~2.5 events).
-    assert!(
-        pair.stats().switchovers > 0 || processed >= 3,
-        "pair stats {:?}, processed {processed}",
-        pair.stats()
-    );
 }
 
 #[test]

@@ -23,13 +23,13 @@ pub mod rpc;
 pub mod stub;
 pub mod transport;
 
+pub use legosdn_controller::DeliverOutcome;
 pub use poll::{
     queue_duplex_pair, tcp_duplex_pair, udp_duplex_pair, Duplex, FrameQueue, FrameSink,
     FrameSource, PolledTransport, Poller, QueueTransport,
 };
 pub use proxy::{
-    AppHandle, AppVisorProxy, AppWireStats, DeliverOutcome, IoMode, ProxyConfig, ProxyError,
-    TransportKind,
+    AppHandle, AppVisorProxy, AppWireStats, IoMode, ProxyConfig, ProxyError, TransportKind,
 };
 pub use rpc::{
     decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,

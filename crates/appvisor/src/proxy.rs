@@ -17,8 +17,9 @@ use crate::poll::{
 use crate::rpc::{decode_frame, encode_deliver, encode_deliver_delta, encode_frame, RpcMessage};
 use crate::stub::{StubConfig, StubHost, StubReport};
 use crate::transport::{Transport, TransportError};
-use legosdn_controller::app::{Command, SdnApp};
+use legosdn_controller::app::SdnApp;
 use legosdn_controller::event::{Event, EventKind};
+use legosdn_controller::sandbox::DeliverOutcome;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
 use legosdn_obs::{AppId, Counter, Histogram, Obs, RecordKind};
@@ -97,18 +98,6 @@ impl Default for ProxyConfig {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct AppHandle(pub usize);
 
-/// Result of delivering an event to an isolated app.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DeliverOutcome {
-    /// The app processed the event; here are its commands.
-    Commands(Vec<Command>),
-    /// The stub reported the app crashed on this event.
-    Crashed { panic_message: String },
-    /// No response within the deadline — a communication failure, the
-    /// paper's primary crash signal.
-    CommFailure,
-}
-
 /// Proxy-level failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProxyError {
@@ -166,13 +155,6 @@ enum Shipped {
         topology: TopologyView,
         devices: DeviceView,
     },
-}
-
-/// Why a slot is being marked failed; picks the counter that moves.
-enum Failure {
-    Comm,
-    Crash,
-    HeartbeatMiss,
 }
 
 /// An app's metric handles, resolved once when its slot is created so a
@@ -458,7 +440,7 @@ impl AppVisorProxy {
             // A frame that never left gets no reply.
             Err(_) => Ok(None),
         };
-        settle_delivery(slot, reply, &self.obs)
+        Ok(settle_delivery(slot, reply, &self.obs))
     }
 
     /// Take a checkpoint of the app's state ("the proxy creates a
@@ -564,7 +546,7 @@ impl AppVisorProxy {
         let deadline = Instant::now() + self.config.deliver_timeout;
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
         let reply = await_tag(slot, seq, deadline);
-        settle_delivery(slot, reply, &self.obs)
+        Ok(settle_delivery(slot, reply, &self.obs))
     }
 
     /// Collect the bytes of a queued snapshot request.
@@ -614,7 +596,11 @@ impl AppVisorProxy {
                 }
             }
             if slot.alive && slot.last_heartbeat.elapsed() > threshold {
-                mark_failed(slot, Failure::HeartbeatMiss);
+                // Not a delivery outcome, so no crash or comm failure is
+                // counted; the views are forgotten all the same.
+                slot.alive = false;
+                slot.shipped = Shipped::Lost;
+                slot.metrics.heartbeat_misses.inc();
                 self.obs
                     .emit(Some(slot.metrics.app), RecordKind::HeartbeatMiss);
                 stale.push(AppHandle(i));
@@ -644,22 +630,19 @@ impl AppVisorProxy {
     }
 }
 
-/// Mark a slot failed. Whatever the reason, the stub may have missed a
-/// delivery frame, so the views it was shipped are forgotten and the next
-/// delivery carries them whole.
-fn mark_failed(slot: &mut AppSlot, why: Failure) {
+/// Mark a slot failed with `outcome`, a crash or a comm failure, and
+/// count it. Either way the stub may have missed a delivery frame, so the
+/// views it was shipped are forgotten and the next delivery carries them
+/// whole.
+fn mark_failed(slot: &mut AppSlot, outcome: &DeliverOutcome) {
     slot.alive = false;
     slot.shipped = Shipped::Lost;
-    match why {
-        Failure::Comm => {
-            slot.stats.comm_failures += 1;
-            slot.metrics.comm_failures.inc();
-        }
-        Failure::Crash => {
-            slot.stats.crashes_detected += 1;
-            slot.metrics.crashes_detected.inc();
-        }
-        Failure::HeartbeatMiss => slot.metrics.heartbeat_misses.inc(),
+    if let DeliverOutcome::Crashed { .. } = outcome {
+        slot.stats.crashes_detected += 1;
+        slot.metrics.crashes_detected.inc();
+    } else {
+        slot.stats.comm_failures += 1;
+        slot.metrics.comm_failures.inc();
     }
 }
 
@@ -674,7 +657,7 @@ fn send_frame(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), TransportError> 
 /// and counts a comm failure, as a failed queued send does.
 fn send_rpc(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), ProxyError> {
     send_frame(slot, frame).map_err(|e| {
-        mark_failed(slot, Failure::Comm);
+        mark_failed(slot, &DeliverOutcome::CommFailure);
         ProxyError::Transport(e)
     })
 }
@@ -743,7 +726,9 @@ fn queued(
     obs: &Obs,
     phase: &'static str,
 ) -> Option<u64> {
-    let tag = sent.map_err(|_| mark_failed(slot, Failure::Comm)).ok();
+    let tag = sent
+        .map_err(|_| mark_failed(slot, &DeliverOutcome::CommFailure))
+        .ok();
     let outcome = if tag.is_some() {
         "queued"
     } else {
@@ -753,32 +738,34 @@ fn queued(
     tag
 }
 
-/// Classify the reply to a delivery frame (`Ok(None)`: the deadline
-/// passed) and book it on the slot.
+/// Classify the reply to a delivery frame and book it on the slot. Any
+/// reply but an ack or a crash report is a comm failure: none by the
+/// deadline (`Ok(None)`), a stray frame, or a transport error.
 fn settle_delivery(
     slot: &mut AppSlot,
     reply: Result<Option<RpcMessage>, TransportError>,
     obs: &Obs,
-) -> Result<DeliverOutcome, ProxyError> {
-    let (outcome, label) = match reply {
+) -> DeliverOutcome {
+    let outcome = match reply {
         Ok(Some(RpcMessage::EventAck { commands, .. })) => {
             slot.stats.events_delivered += 1;
             slot.last_heartbeat = Instant::now();
             slot.metrics.events_delivered.inc();
-            (DeliverOutcome::Commands(commands), "ok")
+            DeliverOutcome::Commands(commands)
         }
         Ok(Some(RpcMessage::Crashed { panic_message, .. })) => {
-            mark_failed(slot, Failure::Crash);
-            (DeliverOutcome::Crashed { panic_message }, "crashed")
+            DeliverOutcome::Crashed { panic_message }
         }
-        Ok(Some(_)) | Ok(None) | Err(TransportError::Disconnected) => {
-            mark_failed(slot, Failure::Comm);
-            (DeliverOutcome::CommFailure, "comm_failure")
-        }
-        Err(e) => return Err(ProxyError::Transport(e)),
+        _ => DeliverOutcome::CommFailure,
     };
-    obs.emit(Some(slot.metrics.app), RecordKind::Step("collect", label));
-    Ok(outcome)
+    if !matches!(outcome, DeliverOutcome::Commands(_)) {
+        mark_failed(slot, &outcome);
+    }
+    obs.emit(
+        Some(slot.metrics.app),
+        RecordKind::Step("collect", outcome.label()),
+    );
+    outcome
 }
 
 /// Await the reply tagged `seq`: inbox first, then the transport.
@@ -1383,6 +1370,80 @@ mod tests {
         assert!(p.snapshot(h).is_err());
         assert!(p.restore(h, &[]).is_err());
         assert_eq!(p.wire_stats(h).unwrap().comm_failures, 3);
+    }
+
+    /// A transport whose next `recv_timeout` fails with an I/O error once
+    /// `fail` is set.
+    struct FailNextRecv {
+        inner: QueueTransport,
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Transport for FailNextRecv {
+        fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+            self.inner.send(bytes)
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
+            if self.fail.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                return Err(TransportError::Io("injected".into()));
+            }
+            self.inner.recv_timeout(timeout)
+        }
+        fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+            self.inner.try_recv()
+        }
+    }
+
+    #[test]
+    fn a_reply_read_error_is_a_booked_comm_failure() {
+        let (proxy_side, mut stub_side) = QueueTransport::pair();
+        stub_side
+            .send(&encode_frame(&RpcMessage::Register {
+                app_name: "io-error".into(),
+                subscriptions: vec![EventKind::SwitchUp],
+            }))
+            .unwrap();
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let obs = Obs::new();
+        let mut p = proxy();
+        p.set_obs(obs.clone());
+        let h = p
+            .register_transport(Box::new(FailNextRecv {
+                inner: proxy_side,
+                fail: Arc::clone(&fail),
+            }))
+            .unwrap();
+        let resyncs = obs.counter("appvisor", "view_resyncs", "io-error");
+        let (topo, dev) = (TopologyView::default(), DeviceView::default());
+        let ev = Event::SwitchUp(DatapathId(1));
+        let queue = |p: &mut AppVisorProxy| {
+            p.queue_deliver(h, &ev, &topo, &dev, SimTime::ZERO)
+                .unwrap()
+                .unwrap()
+        };
+        // One acked delivery: the stub holds the views it was shipped.
+        let d1 = queue(&mut p);
+        stub_side
+            .send(&encode_frame(&RpcMessage::EventAck {
+                seq: d1,
+                commands: vec![],
+            }))
+            .unwrap();
+        assert!(matches!(
+            p.collect_deliver(h, d1).unwrap(),
+            DeliverOutcome::Commands(_)
+        ));
+        // The next reply cannot be read.
+        let d2 = queue(&mut p);
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(p.collect_deliver(h, d2), Ok(DeliverOutcome::CommFailure));
+        assert_eq!(p.wire_stats(h).unwrap().comm_failures, 1);
+        assert!(!p.is_alive(h).unwrap());
+        // Whether frame d2 arrived is unknown: the next one carries the
+        // views whole.
+        assert_eq!(resyncs.get(), 0);
+        queue(&mut p);
+        assert_eq!(resyncs.get(), 1);
     }
 
     #[test]

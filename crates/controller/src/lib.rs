@@ -23,6 +23,6 @@ pub mod translate;
 pub use app::{Command, Ctx, RestoreError, SdnApp};
 pub use event::{Event, EventKind};
 pub use monolithic::{ControllerStats, CrashInfo, CycleReport, MonolithicController};
-pub use sandbox::{Fault, Sandbox};
+pub use sandbox::{DeliverOutcome, Fault, Sandbox};
 pub use services::{Device, DeviceDelta, DeviceView, LinkKey, TopologyDelta, TopologyView};
 pub use translate::EventTranslator;

@@ -3,7 +3,7 @@
 //! into an app. Every call runs under `catch_unwind`; a panic kills the app,
 //! which answers [`Fault::Dead`] uncalled until a restore revives it.
 
-use crate::app::{Ctx, RestoreError, SdnApp};
+use crate::app::{Command, Ctx, RestoreError, SdnApp};
 use crate::event::{Event, EventKind};
 use std::any::Any;
 use std::cell::OnceCell;
@@ -26,6 +26,31 @@ impl From<Fault> for String {
         match fault {
             Fault::Dead(text) | Fault::Panicked(text) => text,
             Fault::Rejected(e) => e.to_string(),
+        }
+    }
+}
+
+/// What delivering one event to an app came to, wherever the app runs:
+/// behind a sandbox here, or behind an AppVisor stub.
+#[derive(Clone, Debug, PartialEq)]
+pub enum DeliverOutcome {
+    /// The app processed the event; here are its commands.
+    Commands(Vec<Command>),
+    /// The app crashed on this event (its sandbox or stub reported it).
+    Crashed { panic_message: String },
+    /// The stub did not answer in time — a communication failure, the
+    /// paper's primary crash signal (isolated apps only).
+    CommFailure,
+}
+
+impl DeliverOutcome {
+    /// The outcome's stable trace-step label.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            DeliverOutcome::Commands(_) => "ok",
+            DeliverOutcome::Crashed { .. } => "crashed",
+            DeliverOutcome::CommFailure => "comm_failure",
         }
     }
 }

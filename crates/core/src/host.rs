@@ -1,11 +1,11 @@
 //! App hosting: uniform [`RecoverableApp`] access to apps in any isolation
 //! mode.
 
-use legosdn_appvisor::{AppHandle, AppVisorProxy, DeliverOutcome, ProxyError};
+use legosdn_appvisor::{AppHandle, AppVisorProxy};
 use legosdn_controller::event::Event;
-use legosdn_controller::sandbox::Sandbox;
+use legosdn_controller::sandbox::{DeliverOutcome, Sandbox};
 use legosdn_controller::services::{DeviceView, TopologyView};
-use legosdn_crashpad::{DeliveryResult, RecoverableApp};
+use legosdn_crashpad::RecoverableApp;
 use legosdn_netsim::SimTime;
 
 /// Where an attached app lives.
@@ -14,19 +14,6 @@ pub enum Host {
     Local(Sandbox),
     /// Behind the AppVisor proxy (hosted stub + transport).
     Isolated(AppHandle),
-}
-
-/// Classify a proxy delivery the way Crash-Pad expects: proxy-level
-/// errors (unknown handle, transport failure) count as communication
-/// failures — the paper's primary crash signal. Shared by the blocking
-/// [`ProxyAdapter::deliver`] path (recovery replay, the reference) and the
-/// engine's queue/collect path so both see identical failure semantics.
-pub fn outcome_to_delivery(outcome: Result<DeliverOutcome, ProxyError>) -> DeliveryResult {
-    match outcome {
-        Ok(DeliverOutcome::Commands(cmds)) => DeliveryResult::Ok(cmds),
-        Ok(DeliverOutcome::Crashed { panic_message }) => DeliveryResult::Crashed { panic_message },
-        Ok(DeliverOutcome::CommFailure) | Err(_) => DeliveryResult::CommFailure,
-    }
 }
 
 /// Adapter giving Crash-Pad `RecoverableApp` access to a proxy-hosted app.
@@ -42,11 +29,11 @@ impl RecoverableApp for ProxyAdapter<'_> {
         topology: &TopologyView,
         devices: &DeviceView,
         now: SimTime,
-    ) -> DeliveryResult {
-        outcome_to_delivery(
-            self.proxy
-                .deliver(self.handle, event, topology, devices, now),
-        )
+    ) -> DeliverOutcome {
+        // A proxy-level error (an unknown handle) is a comm failure too.
+        self.proxy
+            .deliver(self.handle, event, topology, devices, now)
+            .unwrap_or(DeliverOutcome::CommFailure)
     }
 
     fn snapshot(&mut self) -> Result<Vec<u8>, String> {
@@ -84,7 +71,7 @@ mod tests {
         let dev = DeviceView::default();
         // Hub ignores SwitchUp (not subscribed, but delivery still works).
         let r = adapter.deliver(&Event::SwitchUp(DatapathId(1)), &topo, &dev, SimTime::ZERO);
-        assert!(matches!(r, DeliveryResult::Ok(_)));
+        assert!(matches!(r, DeliverOutcome::Commands(_)));
         let snap = adapter.snapshot().unwrap();
         adapter.restore(&snap).unwrap();
         let _ = proxy.shutdown();

@@ -17,15 +17,14 @@
 //! delivery order) is bit-identical to the single-threaded reference.
 
 use crate::config::ResourceLimits;
-use crate::host::{outcome_to_delivery, Host, ProxyAdapter};
+use crate::host::{Host, ProxyAdapter};
 use crate::runtime::{AppStatus, Feed, Pull, ResourceUsage, RuntimeStats};
 use legosdn_appvisor::{AppHandle, AppVisorProxy};
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
+use legosdn_controller::sandbox::DeliverOutcome;
 use legosdn_controller::services::{DeviceView, TopologyView};
-use legosdn_crashpad::{
-    CompromisePolicy, CrashPad, DeliveryResult, DispatchResult, RecoverableApp, RecoveryTaken,
-};
+use legosdn_crashpad::{CompromisePolicy, CrashPad, DispatchResult, FailureKind, RecoverableApp};
 use legosdn_invariants::shutdown_network;
 use legosdn_netlog::{CommitBarrier, NetLog, TxError, TxId};
 use legosdn_netsim::{Network, SimTime};
@@ -247,15 +246,6 @@ pub(crate) struct ShardCtx<'a> {
     pub(crate) shutdown_on_no_compromise: bool,
 }
 
-/// Stable trace-step outcome label for a raw delivery.
-pub(crate) fn delivery_label(d: &DeliveryResult) -> &'static str {
-    match d {
-        DeliveryResult::Ok(_) => "ok",
-        DeliveryResult::Crashed { .. } => "crashed",
-        DeliveryResult::CommFailure => "comm_failure",
-    }
-}
-
 /// Subscription / status / event-budget gate for one app. Returns `true`
 /// when the app should receive the event, charging the event to its
 /// budget. The engine and the reference both use this, so selection (and
@@ -444,11 +434,29 @@ fn execute_guarded(
             cx.stats.byzantine_blocked += 1;
             cx.shard.apps[local].byzantine_blocked.inc();
             if recover {
-                let recovered = recover_byzantine(cx, lane, local, slot, check.violations.len());
-                // Recovered output (from transformed events) executes
-                // with recovery disabled.
-                if let LaneWork::Execute { commands, .. } = charge(cx, local, recovered, false) {
-                    execute_guarded(cx, lane, local, slot, commands, false, TxId(tx.0 + 1));
+                let now = lane.net.now();
+                let failure = FailureKind::Byzantine {
+                    violations: check.violations.len(),
+                };
+                // Replay sees the views the event was dispatched with (the
+                // windowed scheduler's translator has already advanced past
+                // it by commit time).
+                let result = cx.shard.with_app(local, |crashpad, app, id, name| {
+                    let (event, topo, dev) = (&slot.event, &slot.topology, &slot.devices);
+                    crashpad.recover(app, id, name, event, failure, topo, dev, now)
+                });
+                match result {
+                    // Recovered output (a transformed event's; an ignored
+                    // one's is empty) executes with recovery disabled.
+                    DispatchResult::Recovered { commands, .. } => {
+                        if let LaneWork::Execute { commands, .. } =
+                            charge(cx, local, commands, false)
+                        {
+                            execute_guarded(cx, lane, local, slot, commands, false, TxId(tx.0 + 1));
+                        }
+                    }
+                    // The network goes down below if the app's death takes it.
+                    _ => mark_dead(cx, local),
                 }
             } else {
                 cx.stats.commands_suppressed += commands.len() as u64;
@@ -465,41 +473,6 @@ fn execute_guarded(
             cx.shard.apps[local].usage.commands_emitted += applied;
             false
         }
-    }
-}
-
-/// Byzantine recovery of `local` on the slot's event: the commands to
-/// retry (a transformed event's output), or none.
-fn recover_byzantine(
-    cx: &mut ShardCtx<'_>,
-    lane: &mut CommitLane<'_>,
-    local: usize,
-    slot: &WindowSlot,
-    violations: usize,
-) -> Vec<Command> {
-    let now = lane.net.now();
-    // Replay sees the views the event was dispatched with (the windowed
-    // scheduler's translator has already advanced past it by commit time).
-    let result = cx.shard.with_app(local, |crashpad, app, id, name| {
-        let (event, topo, dev) = (&slot.event, &slot.topology, &slot.devices);
-        crashpad.recover_byzantine(app, id, name, event, violations, topo, dev, now)
-    });
-    match result {
-        DispatchResult::Recovered {
-            commands, recovery, ..
-        } => {
-            if recovery == RecoveryTaken::Transformed {
-                commands
-            } else {
-                Vec::new()
-            }
-        }
-        // The caller shuts the network down if the app's death does.
-        DispatchResult::AppDead { .. } => {
-            mark_dead(cx, local);
-            Vec::new()
-        }
-        DispatchResult::Delivered(c) => c,
     }
 }
 
@@ -850,10 +823,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             crashpad.prepare(app, id, name);
             obs.emit(Some(id), RecordKind::Step("send", "local"));
             let delivery = app.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
-            obs.emit(
-                Some(id),
-                RecordKind::Step("collect", delivery_label(&delivery)),
-            );
+            obs.emit(Some(id), RecordKind::Step("collect", delivery.label()));
             crashpad.complete(
                 app,
                 id,
@@ -897,13 +867,15 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
 
         crashpad.note_dispatch();
         let delivery = match entry.seq {
-            Some(seq) => outcome_to_delivery(proxy.collect_deliver(entry.handle, seq)),
-            None => DeliveryResult::CommFailure,
+            Some(seq) => proxy
+                .collect_deliver(entry.handle, seq)
+                .unwrap_or(DeliverOutcome::CommFailure),
+            None => DeliverOutcome::CommFailure,
         };
         let queue_ns = u64::try_from(entry.queued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
         metrics.window_queue_ns.observe(queue_ns);
 
-        let failed = !matches!(delivery, DeliveryResult::Ok(_));
+        let failed = !matches!(delivery, DeliverOutcome::Commands(_));
         if failed {
             // Cancel this app's queued later deliveries BEFORE recovery
             // restores it, so the RPC stream is clean when replay begins.

@@ -13,8 +13,9 @@
 //! app is restored to its pre-diagnosis state before returning — diagnosis
 //! is a read-only operation from the outside.
 
-use crate::engine::{CrashPad, DeliveryResult, RecoverableApp};
+use crate::engine::{CrashPad, RecoverableApp};
 use legosdn_controller::event::Event;
+use legosdn_controller::sandbox::DeliverOutcome;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
 use legosdn_sts::{ddmin, MinimizeError, ReplayOracle};
@@ -75,7 +76,7 @@ impl ReplayOracle for SnapshotOracle<'_> {
         }
         for ev in events {
             match self.live.deliver(ev, self.topology, self.devices, self.now) {
-                DeliveryResult::Ok(_) => {}
+                DeliverOutcome::Commands(_) => {}
                 _ => return true,
             }
         }
@@ -292,7 +293,7 @@ mod tests {
         pad.dispatch(&mut sandbox, "fuse", &up(1), &topo, &dev, SimTime::ZERO);
         // Kill it outside Crash-Pad's recovery (No-Compromise style).
         let r = sandbox.deliver(&down(9), &topo, &dev, SimTime::ZERO);
-        assert!(matches!(r, DeliveryResult::Crashed { .. }));
+        assert!(matches!(r, DeliverOutcome::Crashed { .. }));
         assert!(sandbox.is_dead());
         let diagnosis = pad
             .diagnose(&mut sandbox, "fuse", &down(9), &topo, &dev, SimTime::ZERO)

@@ -17,23 +17,12 @@ use crate::ticket::{FailureKind, RecoveryTaken, TicketStore};
 use crate::transform::{transform, TransformDirection};
 use legosdn_controller::app::{Command, Ctx};
 use legosdn_controller::event::Event;
-use legosdn_controller::sandbox::Sandbox;
+use legosdn_controller::sandbox::{DeliverOutcome, Sandbox};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
 use legosdn_obs::{AppId, Counter, Histogram, Obs, RecordKind, Verdict};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Result of delivering one event to a protected app.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DeliveryResult {
-    /// Processed; here are the app's commands.
-    Ok(Vec<Command>),
-    /// The app crashed with this panic message.
-    Crashed { panic_message: String },
-    /// The app stopped responding (isolated apps only).
-    CommFailure,
-}
 
 /// An app Crash-Pad can protect: deliver / snapshot / restore.
 pub trait RecoverableApp {
@@ -44,7 +33,7 @@ pub trait RecoverableApp {
         topology: &TopologyView,
         devices: &DeviceView,
         now: SimTime,
-    ) -> DeliveryResult;
+    ) -> DeliverOutcome;
 
     /// Capture the app's full state.
     fn snapshot(&mut self) -> Result<Vec<u8>, String>;
@@ -249,7 +238,7 @@ impl CrashPad {
     }
 
     /// Second half of a protected dispatch: fold the raw delivery outcome
-    /// into checkpoint bookkeeping and, on failure, the recovery protocol.
+    /// into checkpoint bookkeeping and, on failure, [`CrashPad::recover`].
     /// The `app` handle must be the same one [`CrashPad::prepare`]
     /// checkpointed for this delivery.
     #[allow(clippy::too_many_arguments)]
@@ -259,49 +248,30 @@ impl CrashPad {
         id: AppId,
         name: &str,
         event: &Event,
-        delivery: DeliveryResult,
+        delivery: DeliverOutcome,
         topology: &TopologyView,
         devices: &DeviceView,
         now: SimTime,
     ) -> DispatchResult {
         let failure = match delivery {
-            DeliveryResult::Ok(commands) => {
+            DeliverOutcome::Commands(commands) => {
                 self.checkpoints.record_delivered(name, event);
                 return DispatchResult::Delivered(commands);
             }
-            DeliveryResult::Crashed { panic_message } => FailureKind::FailStop { panic_message },
-            DeliveryResult::CommFailure => FailureKind::CommFailure,
+            DeliverOutcome::Crashed { panic_message } => FailureKind::FailStop { panic_message },
+            DeliverOutcome::CommFailure => FailureKind::CommFailure,
         };
-        self.stats.failures += 1;
         self.recover(app, id, name, event, failure, topology, devices, now)
     }
 
-    /// Recover from a byzantine failure: the app ran fine but its output
-    /// violated invariants (the commands were rejected by the gate before
-    /// reaching the network). The app's internal state may assume its
-    /// rejected rules exist, so it is rolled back to the pre-event snapshot
-    /// and the offending event handled per policy.
+    /// The one way into recovery, whatever detected `failure`: count it,
+    /// journal the detection, apply the compromise policy, and close the
+    /// incident with a ticket for a survived failure or the app's death.
+    /// A byzantine app ran fine but its output was refused; its state may
+    /// assume the refused rules exist, so it is rolled back all the same.
+    /// Never returns [`DispatchResult::Delivered`].
     #[allow(clippy::too_many_arguments)]
-    pub fn recover_byzantine(
-        &mut self,
-        app: &mut dyn RecoverableApp,
-        id: AppId,
-        name: &str,
-        event: &Event,
-        violations: usize,
-        topology: &TopologyView,
-        devices: &DeviceView,
-        now: SimTime,
-    ) -> DispatchResult {
-        self.stats.byzantine_failures += 1;
-        let failure = FailureKind::Byzantine { violations };
-        self.recover(app, id, name, event, failure, topology, devices, now)
-    }
-
-    /// Journal the detection, apply the compromise policy, and close the
-    /// incident: a ticket for a survived failure, or the app's death.
-    #[allow(clippy::too_many_arguments)]
-    fn recover(
+    pub fn recover(
         &mut self,
         app: &mut dyn RecoverableApp,
         id: AppId,
@@ -312,7 +282,11 @@ impl CrashPad {
         devices: &DeviceView,
         now: SimTime,
     ) -> DispatchResult {
-        self.obs.emit(Some(id), detection(&failure));
+        match failure {
+            FailureKind::Byzantine { .. } => self.stats.byzantine_failures += 1,
+            _ => self.stats.failures += 1,
+        }
+        self.obs.emit(Some(id), failure.detection());
         let policy = self.policies.lookup(name, event.kind());
         let log = vec![
             format!("failure dispatching {:?} to '{name}'", event.kind()),
@@ -351,7 +325,7 @@ impl CrashPad {
         let closing = match recovery {
             RecoveryTaken::LetDie => RecordKind::AppDead,
             _ => RecordKind::TicketFiled {
-                failure: failure_class(&failure),
+                failure: failure.class(),
             },
         };
         let ticket = self
@@ -399,7 +373,7 @@ impl CrashPad {
                 let mut all_ok = true;
                 for ev in &equivalents {
                     match app.deliver(ev, topology, devices, now) {
-                        DeliveryResult::Ok(mut cmds) => {
+                        DeliverOutcome::Commands(mut cmds) => {
                             self.checkpoints.record_delivered(name, ev);
                             commands.append(&mut cmds);
                         }
@@ -459,7 +433,7 @@ impl CrashPad {
         let mut replayed = 0u64;
         for ev in &plan.replay {
             match app.deliver(ev, topology, devices, now) {
-                DeliveryResult::Ok(_) => {
+                DeliverOutcome::Commands(_) => {
                     self.stats.events_replayed += 1;
                     replayed += 1;
                 }
@@ -487,30 +461,6 @@ impl CrashPad {
     }
 }
 
-/// The record that opens an incident for `failure`.
-fn detection(failure: &FailureKind) -> RecordKind {
-    match failure {
-        FailureKind::FailStop { panic_message } => RecordKind::AppCrash {
-            detail: panic_message.clone(),
-        },
-        FailureKind::CommFailure => RecordKind::CommFailure,
-        FailureKind::HeartbeatLoss => RecordKind::HeartbeatMiss,
-        FailureKind::Byzantine { violations } => RecordKind::ByzantineBlocked {
-            violations: *violations as u64,
-        },
-    }
-}
-
-/// Stable export name for a failure kind (matches journal conventions).
-fn failure_class(failure: &FailureKind) -> &'static str {
-    match failure {
-        FailureKind::FailStop { .. } => "fail_stop",
-        FailureKind::CommFailure => "comm_failure",
-        FailureKind::HeartbeatLoss => "heartbeat_loss",
-        FailureKind::Byzantine { .. } => "byzantine",
-    }
-}
-
 /// An in-process app; a delivery to a dead one reports what killed it.
 impl RecoverableApp for Sandbox {
     fn deliver(
@@ -519,11 +469,11 @@ impl RecoverableApp for Sandbox {
         topology: &TopologyView,
         devices: &DeviceView,
         now: SimTime,
-    ) -> DeliveryResult {
+    ) -> DeliverOutcome {
         let mut ctx = Ctx::new(now, topology, devices);
         match self.on_event(event, &mut ctx) {
-            Ok(()) => DeliveryResult::Ok(ctx.into_commands()),
-            Err(fault) => DeliveryResult::Crashed {
+            Ok(()) => DeliverOutcome::Commands(ctx.into_commands()),
+            Err(fault) => DeliverOutcome::Crashed {
                 panic_message: fault.into(),
             },
         }
@@ -871,12 +821,12 @@ mod tests {
         assert_eq!(brittle_state(&sandbox).events, 1);
         // Pretend its output violated 2 invariants: recover.
         let id = pad.obs.attach_app("brittle");
-        let r = pad.recover_byzantine(
+        let r = pad.recover(
             &mut sandbox,
             id,
             "brittle",
             &ev,
-            2,
+            FailureKind::Byzantine { violations: 2 },
             &topo,
             &dev,
             SimTime::ZERO,

@@ -24,9 +24,10 @@ pub mod transform;
 
 pub use checkpoint::{Checkpoint, CheckpointPolicy, CheckpointStore, RecoveryPlan};
 pub use diagnose::{DiagnoseError, Diagnosis};
-pub use engine::{
-    CrashPad, CrashPadConfig, CrashPadStats, DeliveryResult, DispatchResult, RecoverableApp,
-};
+pub use engine::{CrashPad, CrashPadConfig, CrashPadStats, DispatchResult, RecoverableApp};
+/// The old name of [`legosdn_controller::DeliverOutcome`], kept for stackbench.
+#[doc(hidden)]
+pub use legosdn_controller::sandbox::DeliverOutcome as DeliveryResult;
 /// The old name of [`legosdn_controller::Sandbox`], kept for stackbench.
 pub use legosdn_controller::sandbox::Sandbox as LocalSandbox;
 pub use policy::{CompromisePolicy, PolicyParseError, PolicyTable};

@@ -9,6 +9,7 @@
 use legosdn_codec::Codec;
 use legosdn_controller::event::Event;
 use legosdn_netsim::SimTime;
+use legosdn_obs::RecordKind;
 use std::collections::VecDeque;
 
 /// How the failure was detected.
@@ -18,10 +19,43 @@ pub enum FailureKind {
     FailStop { panic_message: String },
     /// The stub stopped answering — a communication failure.
     CommFailure,
-    /// Heartbeats went stale.
-    HeartbeatLoss,
     /// The app's output violated network invariants.
     Byzantine { violations: usize },
+}
+
+impl FailureKind {
+    /// The record that opens an incident for this failure.
+    pub(crate) fn detection(&self) -> RecordKind {
+        match self {
+            FailureKind::FailStop { panic_message } => RecordKind::AppCrash {
+                detail: panic_message.clone(),
+            },
+            FailureKind::CommFailure => RecordKind::CommFailure,
+            FailureKind::Byzantine { violations } => RecordKind::ByzantineBlocked {
+                violations: *violations as u64,
+            },
+        }
+    }
+
+    /// Stable export name (matches journal conventions).
+    pub(crate) fn class(&self) -> &'static str {
+        match self {
+            FailureKind::FailStop { .. } => "fail_stop",
+            FailureKind::CommFailure => "comm_failure",
+            FailureKind::Byzantine { .. } => "byzantine",
+        }
+    }
+
+    /// The ticket's text for this failure.
+    pub(crate) fn describe(&self) -> String {
+        match self {
+            FailureKind::FailStop { panic_message } => format!("fail-stop: {panic_message}"),
+            FailureKind::CommFailure => "communication failure with stub".to_string(),
+            FailureKind::Byzantine { violations } => {
+                format!("byzantine output: {violations} invariant violation(s)")
+            }
+        }
+    }
 }
 
 /// The recovery Crash-Pad took.
@@ -33,8 +67,6 @@ pub enum RecoveryTaken {
     Transformed,
     /// Left the app dead (No Compromise).
     LetDie,
-    /// Restored and replayed the post-checkpoint event suffix only.
-    ReplayedOnly,
 }
 
 /// One problem ticket.
@@ -56,19 +88,12 @@ impl ProblemTicket {
     /// Render the ticket for an operator/report.
     #[must_use]
     pub fn render(&self) -> String {
-        let failure = match &self.failure {
-            FailureKind::FailStop { panic_message } => format!("fail-stop: {panic_message}"),
-            FailureKind::CommFailure => "communication failure with stub".to_string(),
-            FailureKind::HeartbeatLoss => "heartbeat loss".to_string(),
-            FailureKind::Byzantine { violations } => {
-                format!("byzantine output: {violations} invariant violation(s)")
-            }
-        };
         let mut out = format!(
             "TICKET #{id} [{at}] app={app}\n  failure: {failure}\n  offending event: {ev:?}\n  recovery: {rec:?}\n",
             id = self.id,
             at = self.at,
             app = self.app,
+            failure = self.failure.describe(),
             ev = self.offending_event.kind(),
             rec = self.recovery,
         );
@@ -222,6 +247,30 @@ mod tests {
         assert!(text.contains("SwitchDown"));
         assert!(text.contains("Ignored"));
         assert!(text.contains("| app panicked"));
+    }
+
+    #[test]
+    fn every_failure_kind_opens_an_incident_under_its_export_label() {
+        let kinds = [
+            (
+                FailureKind::FailStop {
+                    panic_message: "boom".into(),
+                },
+                "fail_stop",
+            ),
+            (FailureKind::CommFailure, "comm_failure"),
+            (FailureKind::Byzantine { violations: 2 }, "byzantine"),
+        ];
+        for (kind, label) in kinds {
+            // A new kind must join the list above.
+            match kind {
+                FailureKind::FailStop { .. }
+                | FailureKind::CommFailure
+                | FailureKind::Byzantine { .. } => {}
+            }
+            assert!(kind.detection().is_detection(), "{kind:?}");
+            assert_eq!(kind.class(), label);
+        }
     }
 
     #[test]

@@ -30,9 +30,11 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # one-commit-order refactors deleted must not grow back beside what
 # replaced them, nor Crash-Pad's second event log (a plan's replay is the
 # archive's suffix, DESIGN.md §15), nor a second replica mechanism beside
-# the N-version group (DESIGN.md §5a). `TxTouch` survives only as the
-# barrier's hidden shim.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer or clone pair"
+# the N-version group (DESIGN.md §5a), nor a second delivery outcome,
+# failure entry or fault kind nothing produces (DESIGN.md §5). `TxTouch`
+# survives only as the barrier's hidden shim, `DeliveryResult` only as
+# Crash-Pad's hidden alias.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair or fault vocabulary"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -54,8 +56,13 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rniE 'fastpath|commands_touch|notify_flows_seen|poison_fastpath|Admission::|shared_switch_conflicts' \
     crates/ tests/ examples/ \
   || grep -rnE 'ClonePair|CloneStats|clone_runner' crates/ tests/ examples/ \
-  || grep -rnw TxTouch crates/ tests/ examples/ | grep -v '^crates/netlog/src/barrier\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair name reappeared (see DESIGN.md §5a, §7, §9, §11, §13, §15)" >&2
+  || grep -rnw TxTouch crates/ tests/ examples/ | grep -v '^crates/netlog/src/barrier\.rs:' \
+  || grep -rnE 'outcome_to_delivery|delivery_label|recover_byzantine|HeartbeatLoss|ReplayedOnly' \
+    crates/ tests/ examples/ \
+  || grep -rnE 'enum Failure\b' crates/appvisor \
+  || grep -rn DeliveryResult crates/ tests/ examples/ \
+    | grep -vE '^crates/crashpad/src/lib\.rs:[0-9]+:pub use [a-z_:]+::DeliverOutcome as DeliveryResult;$'; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary name reappeared (see DESIGN.md §5, §5a, §7, §9, §11, §13, §15)" >&2
   exit 1
 fi
 

@@ -2,8 +2,12 @@
 //! (E5, E7) — the availability/correctness trade-off of §3.3 and the
 //! equivalence transformation of switch-downs into link-downs.
 
-use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
+use legosdn::crashpad::{
+    CheckpointPolicy, CrashPadConfig, FailureKind, PolicyTable, TransformDirection,
+};
+use legosdn::obs::RecordKind;
 use legosdn::prelude::*;
+use std::time::Duration;
 
 /// Router variant that crashes on SwitchDown — the paper's canonical
 /// "offending event" example.
@@ -261,4 +265,92 @@ fn recovery_makes_no_by_name_lookups() {
         );
         rt.shutdown();
     }
+}
+
+/// Attach `app` under `config` to a two-host line, send one packet from
+/// host 0 to host 1, and return what Crash-Pad filed: each ticket's
+/// failure, and each `TicketFiled` record's label, in order.
+fn tickets_filed(
+    config: LegoSdnConfig,
+    app: Box<dyn SdnApp>,
+) -> (Vec<FailureKind>, Vec<&'static str>) {
+    let obs = Obs::new();
+    let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
+        obs: ObsConfig::instance(obs.clone()),
+        ..config
+    });
+    let topo = Topology::linear(2, 1);
+    let mut net = Network::new(&topo);
+    rt.attach(app).unwrap();
+    rt.run_cycle(&mut net);
+    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+    net.inject(a, Packet::ethernet(a, b)).unwrap();
+    rt.run_cycle(&mut net);
+    let failures = rt
+        .crashpad()
+        .tickets
+        .iter()
+        .map(|t| t.failure.clone())
+        .collect();
+    let labels = obs
+        .records()
+        .into_iter()
+        .filter_map(|r| match r.kind {
+            RecordKind::TicketFiled { failure } => Some(failure),
+            _ => None,
+        })
+        .collect();
+    rt.shutdown();
+    (failures, labels)
+}
+
+fn hub_that(effect: BugEffect) -> Box<FaultyApp> {
+    Box::new(FaultyApp::new(
+        Box::new(Hub::new()),
+        BugTrigger::OnEventKind(EventKind::PacketIn),
+        effect,
+    ))
+}
+
+#[test]
+fn a_sandboxed_crash_files_a_fail_stop_ticket_with_its_panic() {
+    let (failures, labels) = tickets_filed(LegoSdnConfig::default(), hub_that(BugEffect::Crash));
+    assert!(
+        matches!(&failures[..], [FailureKind::FailStop { panic_message }]
+            if panic_message.contains("injected bug in hub#buggy")),
+        "{failures:?}"
+    );
+    assert_eq!(labels, ["fail_stop"]);
+}
+
+#[test]
+fn a_stub_that_dies_silently_files_a_comm_failure_ticket() {
+    let config = LegoSdnConfig {
+        isolation: IsolationMode::Channel,
+        io: IoConfig::default().proxy(ProxyConfig {
+            deliver_timeout: Duration::from_millis(50),
+            stub: StubConfig {
+                report_crashes: false,
+                ..StubConfig::default()
+            },
+            ..ProxyConfig::default()
+        }),
+        ..LegoSdnConfig::default()
+    };
+    let (failures, labels) = tickets_filed(config, hub_that(BugEffect::Crash));
+    // A loaded host can time a healthy delivery out too: look for the
+    // crash's ticket, not for it alone.
+    assert!(failures.contains(&FailureKind::CommFailure), "{failures:?}");
+    assert!(labels.contains(&"comm_failure"), "{labels:?}");
+}
+
+#[test]
+fn refused_output_files_a_byzantine_ticket() {
+    let (failures, labels) =
+        tickets_filed(LegoSdnConfig::default(), hub_that(BugEffect::Blackhole));
+    assert!(
+        matches!(&failures[..], [FailureKind::Byzantine { violations }] if *violations >= 1),
+        "{failures:?}"
+    );
+    assert_eq!(labels, ["byzantine"]);
 }

@@ -1,12 +1,13 @@
-//! Shared workload builders and reporting helpers for the experiment
-//! benches (DESIGN.md §4). Each `benches/eN_*.rs` target regenerates one
-//! paper exhibit/claim; this crate keeps their scenarios identical.
+//! The operator binaries and what they share: `campaign` (the
+//! failure/recovery campaign behind the ops endpoint), `fleet` (a stub
+//! fleet on the fixed stub-host pool) and `workload` (trace-driven replay
+//! over a fat-tree). The paper's claims are held by the tier-1 tests and
+//! stackbench's metrics (DESIGN.md §4); these bins are check.sh's smokes.
 
 pub mod args;
-pub mod harness;
 pub mod workloads;
 
-/// Print a paper-style results table to stderr (the bench harness owns stdout).
+/// Print a results table to stderr.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     eprintln!("\n=== {title} ===");
     let widths: Vec<usize> = headers

@@ -1,7 +1,6 @@
-//! Canonical scenarios shared by the experiment benches, plus the
-//! trace-driven datacenter workload engine (flash crowd, elephant/mice,
-//! link-flap storm) used by `e16_table_scale` and the check.sh fat-tree
-//! smoke.
+//! The `fleet` bin's fan-out, and the trace-driven datacenter workload
+//! engine (flash crowd, elephant/mice, link-flap storm) the `workload` bin
+//! replays as the check.sh fat-tree smoke.
 
 use legosdn::appvisor::{AppHandle, AppVisorProxy, DeliverOutcome, ProxyError};
 use legosdn::controller::services::{DeviceView, TopologyView};
@@ -33,104 +32,6 @@ pub fn fan_out(
         .collect()
 }
 
-/// How many of a [`fan_out`]'s deliveries came back with commands.
-pub fn delivered(outcomes: &[Result<DeliverOutcome, ProxyError>]) -> usize {
-    outcomes
-        .iter()
-        .filter(|r| matches!(r, Ok(DeliverOutcome::Commands(_))))
-        .count()
-}
-
-/// A booted network + LegoSDN runtime pair on a linear topology.
-pub fn lego_on_linear(
-    switches: usize,
-    hosts_per_switch: usize,
-    config: LegoSdnConfig,
-) -> (Network, LegoSdnRuntime, Topology) {
-    let topo = Topology::linear(switches, hosts_per_switch);
-    let mut net = Network::new(&topo);
-    let mut rt = LegoSdnRuntime::new(config);
-    rt.run_cycle(&mut net);
-    (net, rt, topo)
-}
-
-/// A booted network + monolithic controller pair on a linear topology.
-pub fn mono_on_linear(
-    switches: usize,
-    hosts_per_switch: usize,
-) -> (Network, MonolithicController, Topology) {
-    let topo = Topology::linear(switches, hosts_per_switch);
-    let mut net = Network::new(&topo);
-    let mut ctl = MonolithicController::new();
-    ctl.run_cycle(&mut net);
-    (net, ctl, topo)
-}
-
-/// The standard buggy app: a hub that crashes on packets to `poison`.
-pub fn poisoned_hub(poison: MacAddr) -> Box<FaultyApp> {
-    Box::new(FaultyApp::new(
-        Box::new(Hub::new()),
-        BugTrigger::OnPacketToMac(poison),
-        BugEffect::Crash,
-    ))
-}
-
-/// A deterministic round-robin traffic pattern over the topology's hosts.
-/// Calls `step(src, dst)` for `n` packets.
-pub fn round_robin_traffic(topo: &Topology, n: usize, mut step: impl FnMut(MacAddr, MacAddr)) {
-    let hosts = &topo.hosts;
-    for i in 0..n {
-        let src = hosts[i % hosts.len()].mac;
-        let dst = hosts[(i + 1) % hosts.len()].mac;
-        step(src, dst);
-    }
-}
-
-/// Pre-load a learning switch with `n` learned MACs so its snapshots carry
-/// realistic state (checkpoint-cost experiments).
-pub fn warmed_learning_switch(n: u64) -> LearningSwitch {
-    use legosdn::controller::app::Ctx;
-    use legosdn::controller::services::{DeviceView, TopologyView};
-    let mut app = LearningSwitch::new();
-    let topo = TopologyView::default();
-    let dev = DeviceView::default();
-    for i in 0..n {
-        let ev = Event::PacketIn(
-            DatapathId(1 + i % 8),
-            PacketIn {
-                buffer_id: BufferId::NONE,
-                in_port: PortNo::Phys((i % 16) as u16 + 1),
-                reason: PacketInReason::NoMatch,
-                packet: Packet::ethernet(MacAddr::from_index(i + 1), MacAddr::from_index(i + 2)),
-            },
-        );
-        let mut ctx = Ctx::new(SimTime::ZERO, &topo, &dev);
-        use legosdn::controller::app::SdnApp;
-        app.on_event(&ev, &mut ctx);
-    }
-    app
-}
-
-/// A packet-in event for benching dispatch paths.
-pub fn bench_packet_in(i: u64) -> Event {
-    Event::PacketIn(
-        DatapathId(1),
-        PacketIn {
-            buffer_id: BufferId::NONE,
-            in_port: PortNo::Phys(1),
-            reason: PacketInReason::NoMatch,
-            packet: Packet::tcp(
-                MacAddr::from_index(1),
-                MacAddr::from_index(2 + i % 64),
-                Ipv4Addr::from_index(1),
-                Ipv4Addr::from_index(2 + (i % 64) as u32),
-                40_000,
-                80,
-            ),
-        },
-    )
-}
-
 /// One event in a trace-driven workload.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
@@ -151,7 +52,7 @@ pub struct TraceWorkload {
 /// with 1/4, … (geometric via trailing zeros of a splitmix64 draw). Close
 /// enough to datacenter flow popularity for workload shaping, and exactly
 /// reproducible from the seed.
-pub fn skewed_index(rng: &mut Rng, n: usize) -> usize {
+fn skewed_index(rng: &mut Rng, n: usize) -> usize {
     assert!(n > 0);
     (rng.next_u64().trailing_zeros() as usize).min(n - 1)
 }
@@ -322,33 +223,6 @@ pub fn replay_reactive(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builders_boot() {
-        let (net, rt, topo) = lego_on_linear(2, 1, LegoSdnConfig::default());
-        assert_eq!(net.switches().count(), 2);
-        assert_eq!(rt.translator().topology.n_links(), 1);
-        assert_eq!(topo.hosts.len(), 2);
-        let (_, ctl, _) = mono_on_linear(2, 1);
-        assert!(!ctl.is_crashed());
-    }
-
-    #[test]
-    fn warmed_switch_has_state() {
-        use legosdn::controller::app::SdnApp;
-        let app = warmed_learning_switch(100);
-        assert!(app.snapshot().len() > 500, "snapshot should be sizeable");
-    }
-
-    #[test]
-    fn traffic_pattern_is_deterministic() {
-        let topo = Topology::linear(2, 2);
-        let mut a = Vec::new();
-        round_robin_traffic(&topo, 5, |s, d| a.push((s, d)));
-        let mut b = Vec::new();
-        round_robin_traffic(&topo, 5, |s, d| b.push((s, d)));
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn trace_workloads_are_seed_deterministic() {

@@ -129,17 +129,52 @@ mod tests {
         t
     }
 
+    /// A star: hub switch 1 with `degree` links, its port `i + 1` to leaf
+    /// switch `10 + i`'s port 1.
+    fn star(degree: u16) -> (TopologyView, Vec<(Endpoint, Endpoint)>) {
+        let mut t = TopologyView::default();
+        t.switch_up(DatapathId(1), vec![]);
+        let links: Vec<_> = (0..degree)
+            .map(|i| {
+                let leaf = DatapathId(10 + u64::from(i));
+                t.switch_up(leaf, vec![]);
+                let link = (Endpoint::new(DatapathId(1), i + 1), Endpoint::new(leaf, 1));
+                t.link_up(link.0, link.1);
+                link
+            })
+            .collect();
+        (t, links)
+    }
+
     #[test]
     fn switch_down_decomposes_into_its_link_downs() {
-        let t = topo();
-        let out = transform(
-            &Event::SwitchDown(DatapathId(2)),
-            &t,
-            TransformDirection::Decompose,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|e| matches!(e, Event::LinkDown { .. })));
+        for degree in [2, 4, 16, 48] {
+            let (t, links) = star(degree);
+            let out = transform(
+                &Event::SwitchDown(DatapathId(1)),
+                &t,
+                TransformDirection::Decompose,
+            )
+            .unwrap();
+            assert_eq!(out.len(), usize::from(degree));
+            for (a, b) in &links {
+                let hits = out
+                    .iter()
+                    .filter(|e| {
+                        matches!(e, Event::LinkDown { a: x, b: y }
+                            if (x, y) == (a, b) || (x, y) == (b, a))
+                    })
+                    .count();
+                assert_eq!(hits, 1, "degree {degree}: link {a:?}-{b:?}");
+            }
+            for down in &out {
+                let back = transform(down, &t, TransformDirection::Generalize).unwrap();
+                assert!(
+                    matches!(back[..], [Event::SwitchDown(_)]),
+                    "degree {degree}: {down:?} generalized to {back:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! [`FlowTable`](crate::FlowTable), kept verbatim as an executable
 //! specification: every operation is a straight scan over the
 //! priority-sorted `Vec<FlowEntry>`, with no tiers, no hash index, and no
-//! expiry watermark. Two things depend on it staying alive:
-//!
-//! - the equivalence property suite (`tests/flow_table_equivalence.rs`)
-//!   drives random flow-mod/packet/expire sequences through both tables and
-//!   asserts identical lookups, outcomes, stats, expirations, and encodings;
-//! - the `e16_table_scale` bench uses it as the baseline the indexed table's
-//!   speedup is measured against.
+//! expiry watermark. The equivalence suite
+//! (`tests/flow_table_equivalence.rs`) depends on it staying alive: it
+//! drives random flow-mod/packet/expire sequences, and a 4096-entry table
+//! under a skewed lookup stream, through both tables and asserts identical
+//! lookups, outcomes, stats, expirations, and encodings.
 //!
 //! It shares [`FlowEntry`], [`FlowModOutcome`], and [`ExpiredFlow`] with the
 //! indexed table, and its `#[derive(Codec)]` emits the same five fields in

@@ -310,3 +310,75 @@ fn expiry_empties_a_bucket_the_next_install_recreates() {
     }
     assert_same_state(&indexed, &linear, "after three rounds");
 }
+
+/// Distinct TCP 5-tuples, fully determined by `i`, and the port each
+/// arrives on.
+fn tuple(i: usize) -> (Packet, PortNo) {
+    let i = i as u64;
+    let pkt = Packet::tcp(
+        MacAddr::from_index(1 + i % 97),
+        MacAddr::from_index(200 + i % 89),
+        Ipv4Addr::from_index(1 + (i % 97) as u32),
+        Ipv4Addr::from_index(200 + (i % 89) as u32),
+        1024 + (i % 613) as u16,
+        80,
+    );
+    (pkt, PortNo::Phys(1 + (i % 7) as u16))
+}
+
+#[test]
+fn indexed_equals_linear_on_a_4k_entry_table() {
+    // E16's table: 4000 exact 5-tuples over a 96-entry wildcard tail at
+    // lower priorities, probed by a seeded stream of skewed hits and 10%
+    // misses. Both tables answer every lookup alike and end in one state.
+    let mut indexed = FlowTable::default();
+    let mut linear = LinearFlowTable::default();
+    let mut both = |fm: FlowMod| {
+        assert_eq!(
+            indexed.apply(&fm, SimTime::ZERO),
+            linear.apply(&fm, SimTime::ZERO)
+        );
+    };
+    for i in 0..4000 {
+        let (pkt, in_port) = tuple(i);
+        both(
+            FlowMod::add(Match::from_packet(&pkt, in_port)).action(Action::Output(PortNo::Phys(2))),
+        );
+    }
+    for i in 0..96 {
+        let mut mat = Match::eth_dst(MacAddr::from_index(10_000 + i));
+        if i % 3 == 0 {
+            mat.tp_dst = Some(80);
+            mat.eth_type = Some(EtherType::Ipv4);
+        }
+        both(
+            FlowMod::add(mat)
+                .priority(10 + (i % 5) as u16)
+                .action(Action::Output(PortNo::Phys(3))),
+        );
+    }
+    assert_eq!(indexed.len(), 4096);
+
+    let mut rng = Rng::seed_from_u64(42);
+    let mut hits = 0;
+    for n in 0..4096 {
+        let (pkt, in_port) = if rng.gen_bool(0.9) {
+            // Hot flows near a random base: rank r with probability 2^-(r+1).
+            let base = rng.gen_range(0..4000usize);
+            let rank = (rng.next_u64().trailing_zeros() as usize).min(63);
+            tuple((base + rank) % 4000)
+        } else {
+            (tuple(rng.gen_range(0..4000usize)).0, PortNo::Phys(15))
+        };
+        let now = SimTime::from_secs(n / 1024);
+        let hit = indexed.lookup(&pkt, in_port, now).cloned();
+        assert_eq!(
+            hit,
+            linear.lookup(&pkt, in_port, now).cloned(),
+            "lookup {n}"
+        );
+        hits += usize::from(hit.is_some());
+    }
+    assert!(hits > 3400, "the stream should mostly hit: {hits} of 4096");
+    assert_same_state(&indexed, &linear, "after the 4k stream");
+}

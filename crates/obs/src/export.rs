@@ -1,6 +1,6 @@
-//! Exporters: Prometheus text exposition and a JSON snapshot for
-//! `BENCH_*.json` trajectories. Both hand-rolled over std — no serde, no
-//! formatting crates.
+//! Exporters: Prometheus text exposition (`/metrics`) and a JSON snapshot
+//! (`/metrics.json`). Both hand-rolled over std — no serde, no formatting
+//! crates.
 
 use std::fmt::Write as _;
 

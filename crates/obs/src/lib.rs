@@ -18,8 +18,8 @@
 //!   serving all of the above live over TCP (`/metrics`, `/metrics.json`,
 //!   `/incidents`, `/traces`, `/rollups`, `/healthz`).
 //!
-//! Exporters ([`Obs::prometheus`], [`Obs::json_snapshot`]) serve scraping
-//! and `BENCH_*.json` trajectories.
+//! Exporters ([`Obs::prometheus`], [`Obs::json_snapshot`]) serve scraping:
+//! `/metrics` and `/metrics.json`.
 //!
 //! Engines take an [`Obs`] handle (cheap `Arc` clone) and report into an
 //! [`Obs::disabled`] instance until they are handed one: nothing below
@@ -315,8 +315,8 @@ impl Obs {
         export::prometheus(&self.inner.registry)
     }
 
-    /// JSON snapshot (metrics + journal occupancy + incidents) for
-    /// `BENCH_*.json`.
+    /// JSON snapshot (metrics + journal occupancy + incidents), served at
+    /// `/metrics.json`.
     #[must_use]
     pub fn json_snapshot(&self) -> String {
         let journal = {

@@ -1346,7 +1346,7 @@ mod tests {
     #[test]
     fn flow_mod_wire_size_is_realistic() {
         // OF 1.0 flow_mod body is 64 bytes + 8/action; ours should be within
-        // the same order of magnitude so latency benches are honest.
+        // the same order of magnitude so latency measurements are honest.
         let fm = FlowMod::add(sample_match()).action(Action::Output(PortNo::Phys(1)));
         let bytes = encode(&Message::FlowMod(fm), Xid(0));
         assert!(

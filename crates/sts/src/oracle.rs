@@ -126,22 +126,53 @@ mod tests {
         h
     }
 
+    /// A history of `len` switch-ups with `culprits` switch-downs spread
+    /// evenly through it.
+    fn history(len: usize, culprits: usize) -> Vec<Event> {
+        let stride = len / culprits;
+        let mut planted = 0;
+        (0..len as u64)
+            .map(|i| {
+                if i as usize % stride == stride / 2 && planted < culprits {
+                    planted += 1;
+                    Event::SwitchDown(DatapathId(i))
+                } else {
+                    Event::SwitchUp(DatapathId(i))
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn cumulative_bug_minimizes_to_the_fuse_count() {
-        let history = mixed_history();
-        let mut oracle = AppReplayOracle::new(
-            || Box::new(FuseApp { seen: 0, fuse: 3 }),
-            TopologyView::default(),
-            DeviceView::default(),
-        );
-        let report = ddmin(&history, &mut oracle).unwrap();
-        // Minimal sequence: exactly the 3 switch-downs.
-        assert_eq!(report.minimal.len(), 3);
-        assert!(report
-            .minimal
-            .iter()
-            .all(|e| matches!(e, Event::SwitchDown(_))));
-        assert!(oracle.replays > 0);
+        // (history length, culprits, replays ddmin takes): ~log L replays
+        // for one culprit, polynomial but tractable for three.
+        let cases = [
+            (8, 1, 5),
+            (32, 1, 7),
+            (128, 1, 9),
+            (512, 1, 11),
+            (8, 3, 44),
+            (32, 3, 100),
+            (128, 3, 156),
+            (512, 3, 212),
+        ];
+        for (len, culprits, replays) in cases {
+            let fuse = culprits as u32;
+            let mut oracle = AppReplayOracle::new(
+                move || Box::new(FuseApp { seen: 0, fuse }),
+                TopologyView::default(),
+                DeviceView::default(),
+            );
+            let report = ddmin(&history(len, culprits), &mut oracle).unwrap();
+            // Minimal sequence: exactly the planted switch-downs.
+            assert_eq!(report.minimal.len(), culprits, "L={len}");
+            assert!(report
+                .minimal
+                .iter()
+                .all(|e| matches!(e, Event::SwitchDown(_))));
+            assert_eq!(report.replays, replays, "L={len}, {culprits} culprits");
+        }
     }
 
     #[test]

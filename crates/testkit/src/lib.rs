@@ -1,7 +1,7 @@
 //! Deterministic randomness for LegoSDN: a seedable PRNG used by
-//! `netsim::Topology::random` and the benches, plus a tiny property-test
-//! harness replacing `proptest` (the build environment has no registry
-//! access, so both are hand-rolled over std).
+//! `netsim::Topology::random` and the trace generators, plus a tiny
+//! property-test harness replacing `proptest` (the build environment has
+//! no registry access, so both are hand-rolled over std).
 //!
 //! Determinism is load-bearing: topology generation and fault campaigns
 //! assert same-seed reproducibility, and STS-style replay (ROADMAP) depends

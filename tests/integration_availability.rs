@@ -1,29 +1,9 @@
-//! Integration: the paper's headline claim (E1). An app crash kills the
+//! Integration: the paper's headline claim (E1, E6). An app crash kills the
 //! monolithic stack; under LegoSDN the controller, the other apps, and the
-//! network all keep working.
+//! network all keep working, through a seeded campaign of Table 2 bugs.
 
 use legosdn::prelude::*;
-
-/// Drive `n` packets through the network, returning the network's total
-/// end-to-end deliveries (hub-style apps deliver via packet-out floods
-/// executed during the controller cycle, so the lifetime counter is the
-/// right availability metric).
-fn drive_traffic<R>(
-    net: &mut Network,
-    topo: &Topology,
-    n: usize,
-    mut cycle: impl FnMut(&mut Network) -> R,
-) -> u64 {
-    let hosts = topo.hosts.clone();
-    for i in 0..n {
-        let src = &hosts[i % hosts.len()];
-        let dst = &hosts[(i + 1) % hosts.len()];
-        net.inject(src.mac, Packet::ethernet(src.mac, dst.mac))
-            .unwrap();
-        cycle(net);
-    }
-    net.delivery_counters().0
-}
+use legosdn_testkit::Rng;
 
 fn poisoned_flooder(poison: MacAddr) -> Box<FaultyApp> {
     Box::new(FaultyApp::new(
@@ -84,44 +64,72 @@ fn legosdn_survives_the_same_bug() {
     assert!(rt.stats().commands_executed > before);
 }
 
+/// `packets` packets round-robin over the hosts of a 3-switch line, every
+/// `crash_every`-th one redirected to the poisoned third host, each
+/// followed by one controller cycle. Returns the network's deliveries.
+fn crash_workload(
+    net: &mut Network,
+    topo: &Topology,
+    packets: usize,
+    crash_every: usize,
+    mut cycle: impl FnMut(&mut Network),
+) -> u64 {
+    let poison = topo.hosts[2].mac;
+    let hosts = &topo.hosts;
+    for i in 1..=packets {
+        let src = hosts[(i - 1) % hosts.len()].mac;
+        let dst = if i % crash_every == 0 {
+            poison
+        } else {
+            hosts[i % hosts.len()].mac
+        };
+        net.inject(src, Packet::ethernet(src, dst)).unwrap();
+        cycle(net);
+    }
+    net.delivery_counters().0
+}
+
 #[test]
 fn network_availability_gap_is_measurable() {
-    // The quantitative shape behind Figure 1: deliveries under a recurring
-    // crash trigger, monolithic vs LegoSDN, same workload. Traffic rotates
-    // over three hosts; packets toward host 3 are poisoned, so a third of
-    // the events trigger the bug.
-    let build = || {
+    // The quantitative shape behind Figure 1 (E1): a poisoned hub beside a
+    // learning switch, the crash rate swept from 1/3 to 1/10. Monolithic
+    // dies at its first poisoned packet at every rate; LegoSDN dispatches
+    // and delivers the whole workload.
+    for crash_every in [3, 5, 10] {
         let topo = Topology::linear(3, 1);
-        let net = Network::new(&topo);
-        (topo, net)
-    };
+        let poison = topo.hosts[2].mac;
 
-    // Monolithic: the first poisoned packet kills everything.
-    let (topo, mut net) = build();
-    let poison = topo.hosts[2].mac;
-    let mut ctl = MonolithicController::new();
-    ctl.attach(poisoned_flooder(poison));
-    ctl.run_cycle(&mut net);
-    let mono_delivered = drive_traffic(&mut net, &topo, 30, |n| {
-        ctl.run_cycle(n);
-    });
+        let mut net = Network::new(&topo);
+        let mut ctl = MonolithicController::new();
+        ctl.attach(poisoned_flooder(poison));
+        ctl.attach(Box::new(LearningSwitch::new()));
+        ctl.run_cycle(&mut net);
+        let mono_delivered = crash_workload(&mut net, &topo, 30, crash_every, |n| {
+            ctl.run_cycle(n);
+        });
 
-    // LegoSDN: identical apps, identical traffic; only the poisoned third
-    // of events is compromised away.
-    let (topo, mut net) = build();
-    let mut rt = LegoSdnRuntime::new(LegoSdnConfig::default());
-    rt.attach(poisoned_flooder(poison)).unwrap();
-    rt.run_cycle(&mut net);
-    let lego_delivered = drive_traffic(&mut net, &topo, 30, |n| {
-        rt.run_cycle(n);
-    });
+        let mut net = Network::new(&topo);
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig::default());
+        rt.attach(poisoned_flooder(poison)).unwrap();
+        rt.attach(Box::new(LearningSwitch::new())).unwrap();
+        rt.run_cycle(&mut net);
+        let lego_delivered = crash_workload(&mut net, &topo, 30, crash_every, |n| {
+            rt.run_cycle(n);
+        });
 
-    assert!(
-        lego_delivered > mono_delivered,
-        "LegoSDN delivered {lego_delivered}, monolithic {mono_delivered}"
-    );
-    assert!(ctl.is_crashed());
-    assert!(!rt.is_crashed());
+        let rate = format!("crash rate 1/{crash_every}");
+        assert!(ctl.is_crashed(), "{rate}");
+        assert!(!rt.is_crashed(), "{rate}");
+        let (mono_dispatches, lego_dispatches) = (ctl.stats().dispatches, rt.stats().dispatches);
+        assert!(
+            lego_dispatches >= 5 * mono_dispatches,
+            "{rate}: LegoSDN dispatched {lego_dispatches}, monolithic {mono_dispatches}"
+        );
+        assert!(
+            lego_delivered >= 5 * mono_delivered,
+            "{rate}: LegoSDN delivered {lego_delivered}, monolithic {mono_delivered}"
+        );
+    }
 }
 
 #[test]
@@ -200,4 +208,71 @@ fn byzantine_app_cannot_blackhole_the_network() {
             .any(|e| e.priority == u16::MAX && e.actions.is_empty())
     });
     assert!(!lego_blackholed, "LegoSDN must keep the bad rule out");
+}
+
+/// The Table 2 app suite, each app carrying a bug drawn from `rng`: 16%
+/// crash on packets to `poison` (the FlowScale rate, §2.1), 8% install a
+/// blackhole on them, the rest never fire.
+fn bugged_suite(rng: &mut Rng, poison: MacAddr) -> Vec<Box<dyn SdnApp>> {
+    let apps: [Box<dyn SdnApp>; 5] = [
+        Box::new(LearningSwitch::new()),
+        Box::new(Hub::new()),
+        Box::new(ShortestPathRouter::new()),
+        Box::new(Firewall::new(vec![AclRule::deny_port(23)])),
+        Box::new(StatsMonitor::new()),
+    ];
+    apps.into_iter()
+        .map(|app| {
+            let roll = rng.gen_f64();
+            let (trigger, effect) = if roll < 0.16 {
+                (BugTrigger::OnPacketToMac(poison), BugEffect::Crash)
+            } else if roll < 0.24 {
+                (BugTrigger::OnPacketToMac(poison), BugEffect::Blackhole)
+            } else {
+                (BugTrigger::Never, BugEffect::Crash)
+            };
+            Box::new(FaultyApp::new(app, trigger, effect)) as Box<dyn SdnApp>
+        })
+        .collect()
+}
+
+#[test]
+fn seeded_fault_campaign_kills_monolithic_never_legosdn() {
+    // E6: 50 seeded bug draws, 15 packets to the poisoned host each.
+    // LegoSDN survives every draw with every app alive; the monolithic
+    // controller dies on the draws whose crash bug fires.
+    let (mut mono_deaths, mut byzantine_blocked) = (0, 0);
+    for seed in 0..50 {
+        let topo = Topology::linear(3, 1);
+        let poison = topo.hosts[2].mac;
+
+        let mut net = Network::new(&topo);
+        let mut ctl = MonolithicController::new();
+        for app in bugged_suite(&mut Rng::seed_from_u64(seed), poison) {
+            ctl.attach(app);
+        }
+        ctl.run_cycle(&mut net);
+        crash_workload(&mut net, &topo, 15, 1, |n| {
+            ctl.run_cycle(n);
+        });
+        mono_deaths += u32::from(ctl.is_crashed());
+
+        let mut net = Network::new(&topo);
+        let mut rt = LegoSdnRuntime::new(LegoSdnConfig::default());
+        for app in bugged_suite(&mut Rng::seed_from_u64(seed), poison) {
+            rt.attach(app).unwrap();
+        }
+        rt.run_cycle(&mut net);
+        crash_workload(&mut net, &topo, 15, 1, |n| {
+            rt.run_cycle(n);
+        });
+        assert!(!rt.is_crashed(), "seed {seed}");
+        assert_eq!(rt.stats().apps_dead, 0, "seed {seed}");
+        byzantine_blocked += rt.stats().byzantine_blocked;
+    }
+    assert!(mono_deaths > 0, "no draw killed the monolithic controller");
+    assert!(
+        byzantine_blocked > 0,
+        "no draw's blackhole reached the gate"
+    );
 }

@@ -1,9 +1,14 @@
 //! Integration: Crash-Pad recovery policies end-to-end on a live network
-//! (E5, E7) — the availability/correctness trade-off of §3.3 and the
-//! equivalence transformation of switch-downs into link-downs.
+//! (E3, E5, E7) — the availability/correctness trade-off of §3.3, the
+//! equivalence transformation of switch-downs into link-downs, and the
+//! checkpoint interval's snapshots-for-replay trade of §4.1/§5.
 
+use legosdn::controller::app::Ctx;
+use legosdn::controller::services::{DeviceView, TopologyView};
+use legosdn::controller::Sandbox;
 use legosdn::crashpad::{
-    CheckpointPolicy, CrashPadConfig, FailureKind, PolicyTable, TransformDirection,
+    CheckpointPolicy, CrashPad, CrashPadConfig, DispatchResult, FailureKind, PolicyTable,
+    TransformDirection,
 };
 use legosdn::obs::RecordKind;
 use legosdn::prelude::*;
@@ -51,9 +56,24 @@ fn run_scenario(policy: CompromisePolicy) -> (LegoSdnRuntime, Network, Topology)
     (rt, net, topo)
 }
 
+/// Whether the router goes on handling events after the scenario's crash:
+/// the availability half of E5's trade-off.
+fn processes_a_later_event(rt: &mut LegoSdnRuntime, net: &mut Network, topo: &Topology) -> bool {
+    let delivered = |rt: &LegoSdnRuntime| {
+        rt.crashpad()
+            .checkpoints
+            .events_delivered("shortest-path-router#buggy")
+    };
+    let before = delivered(rt);
+    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
+    net.inject(a, Packet::ethernet(a, b)).unwrap();
+    rt.run_cycle(net);
+    delivered(rt) > before
+}
+
 #[test]
 fn absolute_compromise_survives_but_misses_the_event() {
-    let (rt, _, _) = run_scenario(CompromisePolicy::Absolute);
+    let (mut rt, mut net, topo) = run_scenario(CompromisePolicy::Absolute);
     let stats = rt.stats();
     assert!(stats.failstop_recoveries >= 1, "{stats:?}");
     assert_eq!(stats.apps_dead, 0);
@@ -63,23 +83,25 @@ fn absolute_compromise_survives_but_misses_the_event() {
         .tickets
         .iter()
         .any(|t| t.recovery == legosdn::crashpad::RecoveryTaken::Ignored));
+    assert!(processes_a_later_event(&mut rt, &mut net, &topo));
 }
 
 #[test]
 fn no_compromise_sacrifices_the_app() {
-    let (rt, _, _) = run_scenario(CompromisePolicy::NoCompromise);
+    let (mut rt, mut net, topo) = run_scenario(CompromisePolicy::NoCompromise);
     assert_eq!(rt.stats().apps_dead, 1);
     assert!(rt
         .crashpad()
         .tickets
         .iter()
         .any(|t| t.recovery == legosdn::crashpad::RecoveryTaken::LetDie));
+    assert!(!processes_a_later_event(&mut rt, &mut net, &topo));
     assert!(!rt.is_crashed(), "only the app dies, never the controller");
 }
 
 #[test]
 fn equivalence_compromise_delivers_linkdowns_instead() {
-    let (rt, _, _) = run_scenario(CompromisePolicy::Equivalence);
+    let (mut rt, mut net, topo) = run_scenario(CompromisePolicy::Equivalence);
     let stats = rt.stats();
     assert_eq!(stats.apps_dead, 0);
     assert!(rt
@@ -95,6 +117,7 @@ fn equivalence_compromise_delivers_linkdowns_instead() {
         .checkpoints
         .events_delivered("shortest-path-router#buggy");
     assert!(delivered > 0);
+    assert!(processes_a_later_event(&mut rt, &mut net, &topo));
 }
 
 #[test]
@@ -183,6 +206,87 @@ fn checkpoint_interval_trades_snapshots_for_replay() {
         snaps_sparse < snaps_every,
         "interval-8 must checkpoint less: {snaps_sparse} vs {snaps_every}"
     );
+}
+
+/// A learning switch that has learned `macs` hosts, so its checkpoints
+/// carry real state.
+fn warmed_learning_switch(macs: u64) -> LearningSwitch {
+    let mut app = LearningSwitch::new();
+    let (topo, dev) = (TopologyView::default(), DeviceView::default());
+    for i in 0..macs {
+        let mut ctx = Ctx::new(SimTime::ZERO, &topo, &dev);
+        app.on_event(&packet_in(i + 1, i + 2, (i % 16) as u16 + 1), &mut ctx);
+    }
+    app
+}
+
+fn packet_in(src: u64, dst: u64, in_port: u16) -> Event {
+    Event::PacketIn(
+        DatapathId(1),
+        PacketIn {
+            buffer_id: BufferId::NONE,
+            in_port: PortNo::Phys(in_port),
+            reason: PacketInReason::NoMatch,
+            packet: Packet::ethernet(MacAddr::from_index(src), MacAddr::from_index(dst)),
+        },
+    )
+}
+
+fn every_nth(interval: u64) -> CrashPad {
+    CrashPad::new(CrashPadConfig {
+        checkpoints: CheckpointPolicy {
+            interval,
+            history: 4,
+            ..CheckpointPolicy::default()
+        },
+        policies: PolicyTable::with_default(CompromisePolicy::Absolute),
+        transform_direction: TransformDirection::Decompose,
+    })
+}
+
+#[test]
+fn checkpoint_every_n_snapshots_one_event_in_n_and_replays_the_rest() {
+    // E3's sweep (§4.1, §5): checkpointing before every N-th event pays
+    // 1/N of the snapshots and replays up to N - 1 events at recovery.
+    let (topo, dev) = (TopologyView::default(), DeviceView::default());
+    let snapshot_len = warmed_learning_switch(500).snapshot().len() as u64;
+    assert!(snapshot_len > 4000, "500 learned MACs: {snapshot_len} B");
+    for interval in [1, 2, 5, 10, 25, 100] {
+        let mut pad = every_nth(interval);
+        let mut app = Sandbox::new(Box::new(warmed_learning_switch(500)));
+        for i in 0..400 {
+            let ev = packet_in(1, 2 + i % 64, 1);
+            pad.dispatch(&mut app, "ls", &ev, &topo, &dev, SimTime::ZERO);
+        }
+        let cp = &pad.checkpoints;
+        assert_eq!(cp.snapshots_taken, 400 / interval, "N={interval}");
+        assert_eq!(cp.bytes_snapshotted, cp.snapshots_taken * snapshot_len);
+
+        let mut pad = every_nth(interval);
+        let poison = MacAddr::from_index(0xdead);
+        let mut app = Sandbox::new(Box::new(FaultyApp::new(
+            Box::new(warmed_learning_switch(500)),
+            BugTrigger::OnPacketToMac(poison),
+            BugEffect::Crash,
+        )));
+        for i in 0..interval - 1 {
+            let ev = packet_in(1, 2 + i % 64, 1);
+            pad.dispatch(&mut app, "f", &ev, &topo, &dev, SimTime::ZERO);
+        }
+        let result = pad.dispatch(
+            &mut app,
+            "f",
+            &packet_in(1, 0xdead, 1),
+            &topo,
+            &dev,
+            SimTime::ZERO,
+        );
+        assert!(
+            matches!(result, DispatchResult::Recovered { .. }),
+            "N={interval}: {result:?}"
+        );
+        assert_eq!(pad.stats().events_replayed, interval - 1, "N={interval}");
+    }
 }
 
 #[test]

@@ -174,19 +174,87 @@ fn partial_install_ambiguity_is_resolved_by_abort() {
     // §3.4: "When an application crashes after installing a few rules, it
     // is not clear whether the few rules issued were part of a larger set."
     // With NetLog the open transaction at crash time IS the answer: abort
-    // rolls back exactly the partial prefix.
-    let (mut net, _) = setup();
-    let mut nl = NetLog::default();
-    let mut tx = nl.begin();
-    // The app intended 6 rules but "crashed" after 3.
-    for i in 0..3u64 {
-        nl.execute(&mut tx, &mut net, DatapathId(1), &add_flow(300 + i, 1))
+    // rolls back exactly the partial prefix. E9: the app intended m rules
+    // and crashed after r; executed as emitted, all r stay behind.
+    for (m, r) in [(8, 3), (32, 16), (128, 100)] {
+        let (mut mono, _) = setup();
+        for i in 0..r {
+            mono.apply(DatapathId(1 + i % 3), &add_flow(300 + i, 1))
+                .unwrap();
+        }
+        assert_eq!(
+            total_flows(&mono) as u64,
+            r,
+            "{r}/{m}: monolithic strands the prefix"
+        );
+
+        let (mut net, _) = setup();
+        let mut nl = NetLog::default();
+        let mut tx = nl.begin();
+        for i in 0..r {
+            nl.execute(
+                &mut tx,
+                &mut net,
+                DatapathId(1 + i % 3),
+                &add_flow(300 + i, 1),
+            )
             .unwrap();
+        }
+        assert_eq!(
+            total_flows(&net) as u64,
+            r,
+            "{r}/{m}: partial prefix visible pre-abort"
+        );
+        let report = nl.abort(tx, &mut net).unwrap();
+        assert_eq!(
+            report.undo_messages as u64, r,
+            "{r}/{m}: one inverse per rule"
+        );
+        assert_eq!(total_flows(&net), 0, "{r}/{m}: no partial state survives");
+        assert_eq!(nl.stats().aborted, 1);
     }
-    assert_eq!(total_flows(&net), 3, "partial prefix visible pre-abort");
-    nl.abort(tx, &mut net).unwrap();
-    assert_eq!(total_flows(&net), 0, "no partial state survives");
-    assert_eq!(nl.stats().aborted, 1);
+}
+
+#[test]
+fn abort_undoes_one_message_per_op_at_any_size_and_fan_out() {
+    // E4: m adds spread over s switches, then aborted. Undo work is one
+    // inverse per logged op whatever the fan-out, and nothing is left.
+    let sizes = [1, 4, 16, 64, 256].map(|m| (m, 4));
+    let fan_outs = [1, 8, 16].map(|s| (64, s));
+    for (m, s) in sizes.into_iter().chain(fan_outs) {
+        let topo = Topology::linear(s, 1);
+        let mut net = Network::new(&topo);
+        let mut nl = NetLog::default();
+        let mut tx = nl.begin();
+        for i in 0..m {
+            let dpid = DatapathId(1 + i % s as u64);
+            nl.execute(&mut tx, &mut net, dpid, &add_flow(1000 + i, 1))
+                .unwrap();
+        }
+        let report = nl.abort(tx, &mut net).unwrap();
+        assert_eq!(report.undo_messages as u64, m, "{m} ops on {s} switches");
+        assert_eq!(report.undo_failures, 0);
+        assert_eq!(total_flows(&net), 0, "{m} ops on {s} switches");
+    }
+}
+
+#[test]
+fn aborting_a_wildcard_delete_restores_every_entry() {
+    // E4b: one delete-all wipes m installed flows; its abort puts all m back.
+    for m in [1, 16, 128] {
+        let topo = Topology::linear(1, 1);
+        let mut net = Network::new(&topo);
+        for i in 0..m {
+            net.apply(DatapathId(1), &add_flow(1000 + i, 1)).unwrap();
+        }
+        let mut nl = NetLog::default();
+        let mut tx = nl.begin();
+        let wipe = Message::FlowMod(FlowMod::delete(Match::any()));
+        nl.execute(&mut tx, &mut net, DatapathId(1), &wipe).unwrap();
+        assert_eq!(total_flows(&net), 0);
+        nl.abort(tx, &mut net).unwrap();
+        assert_eq!(total_flows(&net) as u64, m);
+    }
 }
 
 #[test]

@@ -1,14 +1,16 @@
-//! Integration: the §3.4 novel use cases and the §5 extensions (E10) —
+//! Integration: the §3.4 novel use cases and the §5 extensions (E8, E10) —
 //! N-version voting, per-app resource limits, controller upgrades without
 //! app restarts, hot-standby groups for non-deterministic bugs, and
 //! STS-guided multi-event diagnosis.
 
-use legosdn::controller::app::{Ctx, SdnApp};
+use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
 use legosdn::controller::services::{DeviceView, TopologyView};
 use legosdn::controller::Sandbox;
 use legosdn::nversion::NVersionApp;
 use legosdn::prelude::*;
 use legosdn::sts::{ddmin, AppReplayOracle};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn nversion_group_masks_a_buggy_version_in_the_runtime() {
@@ -408,4 +410,68 @@ fn software_diversity_voting_rejects_byzantine_minority() {
     for sw in net.switches() {
         assert!(sw.table().iter().all(|e| e.priority != u16::MAX));
     }
+}
+
+/// A hub that counts the events it handles into a shared counter.
+struct CountingHub(Hub, Arc<AtomicU64>);
+
+impl SdnApp for CountingHub {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn subscriptions(&self) -> Vec<EventKind> {
+        self.0.subscriptions()
+    }
+    fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.on_event(event, ctx);
+    }
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.snapshot()
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+        self.0.restore(bytes)
+    }
+}
+
+#[test]
+fn every_version_of_a_group_answers_every_event() {
+    // E10's cost model: a group runs each event through every version, so
+    // a 3-version vote costs ~3 dispatches plus a ballot per event and a
+    // standby pair ~2; healthy versions agree and never switch over.
+    let (topo, dev) = (TopologyView::default(), DeviceView::default());
+    let handled = Arc::new(AtomicU64::new(0));
+    let versions = |n| -> Vec<Box<dyn SdnApp>> {
+        (0..n)
+            .map(|_| Box::new(CountingHub(Hub::new(), handled.clone())) as Box<dyn SdnApp>)
+            .collect()
+    };
+    let mut vote = NVersionApp::new("hub-3v", versions(3));
+    let mut pair = NVersionApp::standby("hub-hs", versions(2));
+    for i in 0..200 {
+        let event = Event::PacketIn(
+            DatapathId(1),
+            PacketIn {
+                buffer_id: BufferId::NONE,
+                in_port: PortNo::Phys(1),
+                reason: PacketInReason::NoMatch,
+                packet: Packet::ethernet(MacAddr::from_index(1), MacAddr::from_index(2 + i % 64)),
+            },
+        );
+        for (group, n) in [(&mut vote, 3), (&mut pair, 2)] {
+            let before = handled.load(Ordering::Relaxed);
+            let mut ctx = Ctx::new(SimTime::ZERO, &topo, &dev);
+            group.on_event(&event, &mut ctx);
+            assert!(!ctx.into_commands().is_empty(), "{}", group.name());
+            assert_eq!(
+                handled.load(Ordering::Relaxed) - before,
+                n,
+                "{}",
+                group.name()
+            );
+        }
+    }
+    assert_eq!(vote.vote_stats().unanimous, 200);
+    assert_eq!(pair.vote_stats().switchovers, 0);
+    assert_eq!((vote.live_versions(), pair.live_versions()), (3, 2));
 }

@@ -11,11 +11,12 @@
 //!   own fault domain, converts controller calls to RPC frames, and sends
 //!   periodic heartbeats.
 //!
-//! The RPC rides a [`transport::Transport`]: in-memory queues, or UDP (the
-//! paper's prototype transport) or TCP loopback through the poller — one
-//! I/O model, in [`poll`]. A fault domain is the app's `Sandbox`, on a
-//! pool of host threads — the process-isolation substitution documented
-//! in DESIGN.md §2.
+//! The RPC rides a [`transport::Transport`], the one I/O seam on both
+//! sides: an in-memory [`QueueTransport`] or a UDP loopback
+//! [`UdpTransport`] (the paper's prototype transport), one type per
+//! medium used at both ends — the I/O model is in [`poll`]. A fault
+//! domain is the app's `Sandbox`, on a pool of host threads — the
+//! process-isolation substitution documented in DESIGN.md §2.
 
 pub mod poll;
 pub mod proxy;
@@ -24,10 +25,7 @@ pub mod stub;
 pub mod transport;
 
 pub use legosdn_controller::DeliverOutcome;
-pub use poll::{
-    queue_duplex_pair, tcp_duplex_pair, udp_duplex_pair, Duplex, FrameQueue, FrameSink,
-    FrameSource, PolledTransport, Poller, QueueTransport,
-};
+pub use poll::{QueueTransport, UdpTransport};
 pub use proxy::{
     AppHandle, AppVisorProxy, AppWireStats, IoMode, ProxyConfig, ProxyError, TransportKind,
 };

@@ -11,9 +11,7 @@
 //! the LegoSDN runtime (crate `legosdn`) supplies the dispatch policy and
 //! Crash-Pad supplies recovery.
 
-use crate::poll::{
-    tcp_duplex_pair, udp_duplex_pair, Duplex, PolledTransport, Poller, QueueTransport,
-};
+use crate::poll::{QueueTransport, UdpTransport};
 use crate::rpc::{decode_frame, encode_deliver, encode_deliver_delta, encode_frame, RpcMessage};
 use crate::stub::{StubConfig, StubHost, StubReport};
 use crate::transport::{Transport, TransportError};
@@ -35,23 +33,20 @@ pub enum TransportKind {
     Channel,
     /// UDP loopback (the paper-prototype configuration).
     Udp,
-    /// TCP loopback with length framing (reliable-stream alternative).
-    Tcp,
 }
 
 /// How many threads service stub channels. Every stub is hosted on a
-/// fixed [`StubHost`] pool and every socket channel multiplexed onto a
-/// matching pool of poll workers ([`crate::poll::Poller`]), so the thread
-/// count is a deployment constant, not a function of fleet size.
-/// In-memory channels need no poll worker — the proxy blocks on the reply
-/// queue itself ([`crate::poll::QueueTransport`]).
+/// fixed [`StubHost`] pool, so the thread count is a deployment constant,
+/// not a function of fleet size. The proxy needs no thread of its own:
+/// it blocks on its end of each channel — the reply queue
+/// ([`QueueTransport`]) or its own socket ([`UdpTransport`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoMode {
-    /// Workers per pool, clamped to at least 1. A `Channel` fleet runs on
-    /// `io_threads` stub-host threads; the first `Udp`/`Tcp` launch adds
-    /// `io_threads` poll threads. Stubs are placed round-robin, so with
-    /// at least as many threads as stubs each stub has a thread of its
-    /// own and a stalled app delays no neighbour (DESIGN.md §11).
+    /// Stub-host workers, clamped to at least 1: a fleet of either
+    /// transport runs on `io_threads` threads. Stubs are placed
+    /// round-robin, so with at least as many threads as stubs each stub
+    /// has a thread of its own and a stalled app delays no neighbour
+    /// (DESIGN.md §11).
     pub io_threads: usize,
 }
 
@@ -72,13 +67,8 @@ pub struct ProxyConfig {
     pub heartbeat_timeout: Duration,
     /// Stub-side settings used when the proxy spawns the stub itself.
     pub stub: StubConfig,
-    /// Size of the stub-host and poll pools; see [`IoMode`].
+    /// Size of the stub-host pool; see [`IoMode`].
     pub io: IoMode,
-    /// Which runtime worker shard owns this proxy (0 when the runtime is
-    /// unsharded). Tags the poll threads' names and poller metric
-    /// labels so one shard's I/O is attributable; the proxy's behaviour
-    /// is otherwise identical.
-    pub worker: usize,
 }
 
 impl Default for ProxyConfig {
@@ -89,7 +79,6 @@ impl Default for ProxyConfig {
             heartbeat_timeout: Duration::from_millis(100),
             stub: StubConfig::default(),
             io: IoMode::default(),
-            worker: 0,
         }
     }
 }
@@ -259,10 +248,6 @@ pub struct AppVisorProxy {
     apps: Vec<AppSlot>,
     obs: Obs,
     metrics: ProxyMetrics,
-    /// Proxy-side poll workers for socket channels, created on the first
-    /// `Udp`/`Tcp` launch (so `set_obs` has already run, and a fleet of
-    /// in-memory channels never starts them).
-    poller: Option<Poller>,
     /// The pool hosting every launched stub, created on the first launch.
     stub_host: Option<StubHost>,
 }
@@ -278,7 +263,6 @@ impl AppVisorProxy {
             apps: Vec::new(),
             metrics: ProxyMetrics::resolve(&obs),
             obs,
-            poller: None,
             stub_host: None,
         }
     }
@@ -293,45 +277,30 @@ impl AppVisorProxy {
     }
 
     /// Host `app` behind a stub on the shared worker pool, over the chosen
-    /// transport, and register it. The slot gets a blocking facade, so
-    /// everything above this seam sees one [`Transport`]: an in-memory
-    /// channel's facade is the reply queue itself; a socket's source goes
-    /// to the poller, which is the job it exists for (no readiness signal
-    /// without epoll).
+    /// transport, and register it. The stub host scans one end of the
+    /// channel; the slot keeps the other and blocks on it, so everything
+    /// above this seam sees one [`Transport`].
     pub fn launch_app(
         &mut self,
         app: Box<dyn SdnApp>,
         transport: TransportKind,
     ) -> Result<AppHandle, ProxyError> {
-        let io_err = |e: std::io::Error| ProxyError::Transport(TransportError::Io(e.to_string()));
-        let io_threads = self.config.io.io_threads;
-        let (proxy_side, stub_dx): (Box<dyn Transport>, Duplex) = match transport {
+        let (proxy_side, stub_side): (Box<dyn Transport>, Box<dyn Transport>) = match transport {
             TransportKind::Channel => {
                 let (proxy_side, stub_side) = QueueTransport::pair();
-                (Box::new(proxy_side), stub_side.into_duplex())
+                (Box::new(proxy_side), Box::new(stub_side))
             }
-            TransportKind::Udp | TransportKind::Tcp => {
-                let (proxy_dx, stub_dx) = if transport == TransportKind::Udp {
-                    udp_duplex_pair().map_err(io_err)?
-                } else {
-                    tcp_duplex_pair().map_err(io_err)?
-                };
-                let obs = self.obs.clone();
-                let worker = self.config.worker;
-                let poller = self
-                    .poller
-                    .get_or_insert_with(|| Poller::for_worker(io_threads, obs, worker));
-                let queue = poller.register(proxy_dx.source);
-                (
-                    Box::new(PolledTransport::new(proxy_dx.sink, queue)),
-                    stub_dx,
-                )
+            TransportKind::Udp => {
+                let (proxy_side, stub_side) = UdpTransport::pair()
+                    .map_err(|e| ProxyError::Transport(TransportError::Io(e.to_string())))?;
+                (Box::new(proxy_side), Box::new(stub_side))
             }
         };
+        let io_threads = self.config.io.io_threads;
         let host = self
             .stub_host
             .get_or_insert_with(|| StubHost::new(io_threads));
-        host.spawn(app, stub_dx, self.config.stub.clone())
+        host.spawn(app, stub_side, self.config.stub.clone())
             .map_err(ProxyError::Transport)?;
         self.register_transport(proxy_side)
     }
@@ -610,23 +579,18 @@ impl AppVisorProxy {
     }
 
     /// Shut all stubs down and collect their reports: the stubs get a
-    /// grace period to serve their `Shutdown` frames before the host and
-    /// poller pools stop.
+    /// grace period to serve their `Shutdown` frames before the host pool
+    /// stops.
     pub fn shutdown(mut self) -> Vec<StubReport> {
         for slot in &mut self.apps {
             let _ = slot
                 .transport
                 .send_owned(encode_frame(&RpcMessage::Shutdown));
         }
-        let reports = self
-            .stub_host
+        self.stub_host
             .take()
             .map(|host| host.shutdown(Duration::from_secs(2)))
-            .unwrap_or_default();
-        if let Some(mut poller) = self.poller.take() {
-            poller.shutdown();
-        }
-        reports
+            .unwrap_or_default()
     }
 }
 
@@ -923,7 +887,9 @@ mod tests {
             DeliverOutcome::Commands(cmds) => assert_eq!(cmds.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        p.shutdown();
+        let reports = p.shutdown();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].events_processed, 1);
     }
 
     #[test]
@@ -1517,7 +1483,6 @@ mod tests {
                 report_crashes: true,
             },
             io: IoMode { io_threads },
-            ..Default::default()
         })
     }
 
@@ -1550,62 +1515,54 @@ mod tests {
 
     #[test]
     fn polled_launch_works_over_sockets() {
-        for kind in [TransportKind::Udp, TransportKind::Tcp] {
-            let mut p = polled_proxy(1);
-            let h = p
-                .launch_app(
-                    Box::new(TestApp {
-                        count: 0,
-                        crash_on_count: None,
-                    }),
-                    kind,
-                )
-                .unwrap();
-            match deliver(&mut p, h) {
-                DeliverOutcome::Commands(cmds) => assert_eq!(cmds.len(), 1),
-                other => panic!("unexpected {other:?} over {kind:?}"),
-            }
-            let reports = p.shutdown();
-            assert_eq!(reports.len(), 1, "over {kind:?}");
+        // A socket app on a one-thread stub-host pool: the proxy's own
+        // timed `recv` picks up the reply.
+        let mut p = polled_proxy(1);
+        let h = p
+            .launch_app(
+                Box::new(TestApp {
+                    count: 0,
+                    crash_on_count: None,
+                }),
+                TransportKind::Udp,
+            )
+            .unwrap();
+        match deliver(&mut p, h) {
+            DeliverOutcome::Commands(cmds) => assert_eq!(cmds.len(), 1),
+            other => panic!("unexpected {other:?}"),
         }
+        let reports = p.shutdown();
+        assert_eq!(reports.len(), 1);
     }
 
     #[test]
-    fn only_polled_socket_launches_start_the_poller() {
-        // An in-memory channel's proxy side blocks on the reply queue
-        // itself; the `appvisor-poll-*` threads exist for sockets.
-        let app = || {
-            Box::new(TestApp {
-                count: 0,
-                crash_on_count: None,
-            })
-        };
-        // Shard 41 names its poll threads `appvisor-poll-w41-*`, which no
-        // other test in this process does; the kernel keeps 15 bytes.
-        let poll_threads = || {
+    fn a_udp_launch_starts_no_thread_but_the_stub_host() {
+        // The proxy blocks on its own socket: a socket launch costs the
+        // stub-host pool and nothing else.
+        let extra_threads = || {
             std::fs::read_dir("/proc/self/task")
                 .expect("linux procfs")
                 .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-                .filter(|comm| comm.trim_end() == "appvisor-poll-w")
-                .count()
+                // The kernel keeps 15 bytes of a thread's name.
+                .filter(|comm| {
+                    comm.starts_with("appvisor-") && !comm.starts_with("appvisor-stubho")
+                })
+                .map(|comm| comm.trim_end().to_string())
+                .collect::<Vec<_>>()
         };
-        let obs = Obs::new();
         let mut p = polled_proxy(1);
-        p.config.worker = 41;
-        p.set_obs(obs.clone());
-        let wakeups = obs.counter("appvisor", "poller_wakeups", "w41.0");
-        let channel = p.launch_app(app(), TransportKind::Channel).unwrap();
-        assert!(matches!(
-            deliver(&mut p, channel),
-            DeliverOutcome::Commands(_)
-        ));
-        assert_eq!(poll_threads(), 0, "a Channel launch started poll threads");
-        assert_eq!(wakeups.get(), 0);
-        let udp = p.launch_app(app(), TransportKind::Udp).unwrap();
-        assert_eq!(poll_threads(), 1, "a Udp launch needs the poller");
-        assert!(matches!(deliver(&mut p, udp), DeliverOutcome::Commands(_)));
-        assert!(wakeups.get() > 0, "socket scans are still counted");
-        assert_eq!(p.shutdown().len(), 2);
+        let h = p
+            .launch_app(
+                Box::new(TestApp {
+                    count: 0,
+                    crash_on_count: None,
+                }),
+                TransportKind::Udp,
+            )
+            .unwrap();
+        assert!(matches!(deliver(&mut p, h), DeliverOutcome::Commands(_)));
+        assert_eq!(extra_threads(), Vec::<String>::new());
+        assert_eq!(p.shutdown().len(), 1);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! is exactly the observable a separate dead process would present to the
 //! proxy. A `RestoreRequest` revives it — the CRIU-restore analogue.
 
-use crate::poll::{Duplex, FrameSink, FrameSource, PollWaker};
+use crate::poll::PollWaker;
 use crate::rpc::{decode_frame, encode_frame, encode_frame_sized, RpcMessage};
-use crate::transport::TransportError;
+use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
 use legosdn_controller::sandbox::{Fault, Sandbox};
@@ -229,8 +229,7 @@ impl StubCore {
 
 struct HostedStub {
     core: StubCore,
-    sink: Box<dyn FrameSink>,
-    source: Box<dyn FrameSource>,
+    transport: Box<dyn Transport>,
 }
 
 struct HostWorker {
@@ -240,10 +239,10 @@ struct HostWorker {
 }
 
 /// Hosts many [`StubCore`]s on a fixed pool of worker threads, each
-/// driving its stubs' frames and heartbeats through split non-blocking
-/// transports ([`crate::poll`]). Each app's [`Sandbox`] walls off its
-/// panics — a crashed app goes dead on its worker without disturbing
-/// neighbors —
+/// scanning its stubs' transports with `try_recv` and sending their
+/// replies and heartbeats ([`crate::poll`]). Each app's [`Sandbox`]
+/// walls off its panics — a crashed app goes dead on its worker without
+/// disturbing neighbors —
 /// and a 1000-app fleet costs `workers` threads, not 1000. Stubs are
 /// placed round-robin, so up to `workers` stubs each get a thread of
 /// their own; beyond that, an app that *stalls* (rather than panics)
@@ -292,7 +291,7 @@ impl StubHost {
         }
     }
 
-    /// Host `app` over the stub side of a split transport. Sends the
+    /// Host `app` over the stub's end of a transport. Sends the
     /// `Register` frame synchronously (so the proxy can await it
     /// immediately after this returns), then hands the stub to a worker.
     /// This runs on the caller's thread — the controller's — so an app
@@ -302,33 +301,29 @@ impl StubHost {
     pub fn spawn(
         &self,
         app: Box<dyn SdnApp>,
-        transport: Duplex,
+        mut transport: Box<dyn Transport>,
         config: StubConfig,
     ) -> Result<(), TransportError> {
         let mut core = StubCore::new(app, config);
-        let Duplex {
-            mut sink,
-            mut source,
-        } = transport;
         let (app_name, subscriptions) = match core.sandbox.identity() {
             Ok(identity) => identity,
             Err(fault) => match core.faulted(0, fault) {
-                StubStep::Reply(crashed) => return sink.send_owned(crashed),
+                StubStep::Reply(crashed) => return transport.send_owned(crashed),
                 _ => return Ok(()),
             },
         };
-        sink.send_owned(encode_frame(&RpcMessage::Register {
+        transport.send_owned(encode_frame(&RpcMessage::Register {
             app_name,
             subscriptions,
         }))?;
         let worker = &self.workers[self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len()];
-        source.set_waker(worker.waker.clone());
+        transport.set_waker(worker.waker.clone());
         self.spawned.fetch_add(1, Ordering::SeqCst);
         worker
             .inject
             .lock()
             .unwrap()
-            .push(HostedStub { core, sink, source });
+            .push(HostedStub { core, transport });
         worker.waker.wake();
         Ok(())
     }
@@ -345,6 +340,13 @@ impl StubHost {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+        self.stop();
+        std::mem::take(&mut *self.reports.lock().unwrap())
+    }
+
+    /// Stop and join every worker; a worker files the reports of the
+    /// stubs it still hosts on the way out. Joining twice is a no-op.
+    fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for w in &self.workers {
             w.waker.wake();
@@ -354,30 +356,21 @@ impl StubHost {
                 let _ = t.join();
             }
         }
-        std::mem::take(&mut *self.reports.lock().unwrap())
     }
 }
 
 impl Drop for StubHost {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for w in &self.workers {
-            w.waker.wake();
-        }
-        for w in &mut self.workers {
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.stop();
     }
 }
 
 /// Floor for the host park interval so an overdue heartbeat cannot spin
 /// the scan loop.
 const HOST_PARK_MIN: Duration = Duration::from_micros(50);
-/// Park ceiling when every source has a waker (sends end the park early).
+/// Park ceiling when every channel has a waker (sends end the park early).
 const HOST_PARK_MAX: Duration = Duration::from_millis(5);
-/// Park ceiling when any source is a waker-less socket.
+/// Park ceiling when any channel is a waker-less socket.
 const HOST_PARK_SCAN: Duration = Duration::from_micros(100);
 
 fn host_loop(
@@ -409,7 +402,7 @@ fn host_loop(
             !retired
         });
         if activity == 0 {
-            let mut park = if stubs.iter().all(|s| s.source.has_waker()) {
+            let mut park = if stubs.iter().all(|s| s.transport.has_waker()) {
                 HOST_PARK_MAX
             } else {
                 HOST_PARK_SCAN
@@ -427,18 +420,18 @@ fn host_loop(
 /// transport loss).
 fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
     if let Some(hb) = s.core.heartbeat_if_due() {
-        if s.sink.send_owned(hb).is_err() {
+        if s.transport.send_owned(hb).is_err() {
             return true;
         }
     }
     loop {
-        match s.source.try_recv() {
+        match s.transport.try_recv() {
             Ok(Some(frame)) => {
                 *activity += 1;
                 match s.core.handle_frame(&frame) {
                     StubStep::Continue => {}
                     StubStep::Reply(reply) => {
-                        if s.sink.send_owned(reply).is_err() {
+                        if s.transport.send_owned(reply).is_err() {
                             return true;
                         }
                     }
@@ -455,7 +448,6 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
 mod stub_tests {
     use super::*;
     use crate::poll::QueueTransport;
-    use crate::transport::Transport;
     use legosdn_controller::app::RestoreError;
     use legosdn_controller::event::{Event, EventKind};
     use legosdn_controller::services::{DeviceView, TopologyView};
@@ -513,7 +505,7 @@ mod stub_tests {
         let (proxy_side, stub_side) = QueueTransport::pair();
         host.spawn(
             Box::new(TestApp { count, crash_on }),
-            stub_side.into_duplex(),
+            Box::new(stub_side),
             config,
         )
         .unwrap();
@@ -677,28 +669,22 @@ mod stub_tests {
             .unwrap();
     }
 
-    /// Proxy-side view of a hosted stub: a raw duplex driven by hand.
-    fn hosted(
-        host: &StubHost,
-        crash_on: Option<u32>,
-    ) -> (
-        Box<dyn crate::poll::FrameSink>,
-        Box<dyn crate::poll::FrameSource>,
-    ) {
-        let (proxy_dx, stub_dx) = crate::poll::queue_duplex_pair();
+    /// The proxy's end of a hosted stub's channel, driven by hand.
+    fn hosted(host: &StubHost, crash_on: Option<u32>) -> QueueTransport {
+        let (proxy_side, stub_side) = QueueTransport::pair();
         host.spawn(
             Box::new(TestApp { count: 0, crash_on }),
-            stub_dx,
+            Box::new(stub_side),
             StubConfig::default(),
         )
         .unwrap();
-        (proxy_dx.sink, proxy_dx.source)
+        proxy_side
     }
 
-    fn await_frame(source: &mut Box<dyn crate::poll::FrameSource>) -> RpcMessage {
+    fn await_frame(proxy_side: &mut QueueTransport) -> RpcMessage {
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
-            if let Some(frame) = source.try_recv().unwrap() {
+            if let Some(frame) = proxy_side.try_recv().unwrap() {
                 let msg = decode_frame(&frame).unwrap();
                 if !matches!(msg, RpcMessage::Heartbeat { .. }) {
                     return msg;
@@ -714,12 +700,12 @@ mod stub_tests {
         let host = StubHost::new(2);
         let n = 16;
         let mut channels: Vec<_> = (0..n).map(|_| hosted(&host, None)).collect();
-        for (sink, source) in &mut channels {
-            assert!(matches!(await_frame(source), RpcMessage::Register { .. }));
-            sink.send(&deliver_frame(1)).unwrap();
+        for channel in &mut channels {
+            assert!(matches!(await_frame(channel), RpcMessage::Register { .. }));
+            channel.send(&deliver_frame(1)).unwrap();
         }
-        for (_, source) in &mut channels {
-            match await_frame(source) {
+        for channel in &mut channels {
+            match await_frame(channel) {
                 RpcMessage::EventAck { seq, commands } => {
                     assert_eq!(seq, 1);
                     assert_eq!(commands.len(), 1);
@@ -727,8 +713,8 @@ mod stub_tests {
                 other => panic!("expected ack, got {other:?}"),
             }
         }
-        for (sink, _) in &mut channels {
-            sink.send(&encode_frame(&RpcMessage::Shutdown)).unwrap();
+        for channel in &mut channels {
+            channel.send(&encode_frame(&RpcMessage::Shutdown)).unwrap();
         }
         let reports = host.shutdown(Duration::from_secs(2));
         assert_eq!(reports.len(), n);
@@ -738,18 +724,15 @@ mod stub_tests {
     #[test]
     fn hosted_crash_is_contained_per_stub() {
         let host = StubHost::new(1);
-        let (mut crashy_sink, mut crashy_source) = hosted(&host, Some(1));
-        let (mut ok_sink, mut ok_source) = hosted(&host, None);
+        let mut crashy = hosted(&host, Some(1));
+        let mut ok = hosted(&host, None);
         assert!(matches!(
-            await_frame(&mut crashy_source),
+            await_frame(&mut crashy),
             RpcMessage::Register { .. }
         ));
-        assert!(matches!(
-            await_frame(&mut ok_source),
-            RpcMessage::Register { .. }
-        ));
-        crashy_sink.send(&deliver_frame(1)).unwrap();
-        match await_frame(&mut crashy_source) {
+        assert!(matches!(await_frame(&mut ok), RpcMessage::Register { .. }));
+        crashy.send(&deliver_frame(1)).unwrap();
+        match await_frame(&mut crashy) {
             RpcMessage::Crashed { seq, panic_message } => {
                 assert_eq!(seq, 1);
                 assert!(panic_message.contains("test app crash"));
@@ -757,24 +740,21 @@ mod stub_tests {
             other => panic!("expected crashed, got {other:?}"),
         }
         // The neighbor on the same worker is untouched.
-        ok_sink.send(&deliver_frame(1)).unwrap();
-        assert!(matches!(
-            await_frame(&mut ok_source),
-            RpcMessage::EventAck { .. }
-        ));
+        ok.send(&deliver_frame(1)).unwrap();
+        assert!(matches!(await_frame(&mut ok), RpcMessage::EventAck { .. }));
         // Restore revives the crashed one.
-        crashy_sink
+        crashy
             .send(&encode_frame(&RpcMessage::RestoreRequest {
                 seq: 2,
                 bytes: 0u32.to_be_bytes().to_vec(),
             }))
             .unwrap();
         assert!(matches!(
-            await_frame(&mut crashy_source),
+            await_frame(&mut crashy),
             RpcMessage::RestoreAck { seq: 2, ok: true }
         ));
-        for sink in [&mut crashy_sink, &mut ok_sink] {
-            sink.send(&encode_frame(&RpcMessage::Shutdown)).unwrap();
+        for channel in [&mut crashy, &mut ok] {
+            channel.send(&encode_frame(&RpcMessage::Shutdown)).unwrap();
         }
         let reports = host.shutdown(Duration::from_secs(2));
         assert_eq!(reports.len(), 2);
@@ -786,10 +766,10 @@ mod stub_tests {
 
     #[test]
     fn host_shutdown_disconnects_a_proxy_waiting_on_the_reply_queue() {
-        // The polled in-memory path has no thread between stub host and
-        // proxy: the host going away must itself end the proxy's wait.
+        // The in-memory path has no thread between stub host and proxy:
+        // the host going away must itself end the proxy's wait.
         let host = StubHost::new(1);
-        let (mut proxy_side, stub_side) = crate::poll::QueueTransport::pair();
+        let (mut proxy_side, stub_side) = QueueTransport::pair();
         let quiet = StubConfig {
             heartbeat_period: Duration::from_secs(60),
             report_crashes: true,
@@ -798,7 +778,7 @@ mod stub_tests {
             count: 0,
             crash_on: None,
         };
-        host.spawn(Box::new(app), stub_side.into_duplex(), quiet)
+        host.spawn(Box::new(app), Box::new(stub_side), quiet)
             .unwrap();
         let register = proxy_side.recv_timeout(Duration::from_secs(2)).unwrap();
         assert!(matches!(
@@ -827,24 +807,23 @@ mod stub_tests {
     #[test]
     fn hosted_stubs_heartbeat() {
         let host = StubHost::new(1);
-        let (proxy_dx, stub_dx) = crate::poll::queue_duplex_pair();
+        let (mut proxy_side, stub_side) = QueueTransport::pair();
         host.spawn(
             Box::new(TestApp {
                 count: 0,
                 crash_on: None,
             }),
-            stub_dx,
+            Box::new(stub_side),
             StubConfig {
                 heartbeat_period: Duration::from_millis(5),
                 report_crashes: true,
             },
         )
         .unwrap();
-        let mut source = proxy_dx.source;
         let mut beats = 0;
         let deadline = Instant::now() + Duration::from_millis(500);
         while Instant::now() < deadline && beats < 3 {
-            if let Ok(Some(frame)) = source.try_recv() {
+            if let Ok(Some(frame)) = proxy_side.try_recv() {
                 if matches!(decode_frame(&frame), Ok(RpcMessage::Heartbeat { .. })) {
                     beats += 1;
                 }

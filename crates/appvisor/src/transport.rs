@@ -1,18 +1,19 @@
 //! The frame-transport contract between proxy and stub.
 //!
-//! [`Transport`] is the blocking, message-oriented interface the proxy
-//! drives every stub channel through. Its implementations live in
-//! [`crate::poll`]: an in-memory channel is a
-//! [`QueueTransport`](crate::poll::QueueTransport) (the proxy parks on the
-//! reply queue itself), a UDP or TCP loopback socket — UDP being the
+//! [`Transport`] is the one I/O seam on both sides of AppVisor: the proxy
+//! drives every stub channel through it, blocking in
+//! [`Transport::recv_timeout`], and the stub host scans the other end of
+//! the same channel with [`Transport::try_recv`]. Its two
+//! implementations live in [`crate::poll`], one type per medium used at
+//! both ends: an in-memory [`QueueTransport`](crate::poll::QueueTransport)
+//! and a UDP loopback [`UdpTransport`](crate::poll::UdpTransport) — the
 //! paper's prototype transport, "the proxy and stub communicate with each
-//! other using UDP" — is a [`PolledTransport`](crate::poll::PolledTransport)
-//! over a poller-owned source. What the socket paths share is here: the
-//! datagram limit ([`MAX_DATAGRAM`]) and the `u32 LE` length framer
-//! (`TcpFramer`). [`FlakyTransport`] wraps any transport with seeded
+//! other using UDP". [`FlakyTransport`] wraps any transport with seeded
 //! frame loss for the comm-failure tests.
 
+use crate::poll::PollWaker;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Transport failure.
@@ -54,56 +55,22 @@ pub trait Transport: Send {
     /// `Ok(None)` means "nothing queued right now" — what the liveness
     /// sweep and other opportunistic drains use.
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
+
+    /// Install the waker of the stub-host worker that scans this end, if
+    /// the transport can signal readiness (an in-memory queue can; a
+    /// socket cannot without epoll).
+    fn set_waker(&mut self, _waker: Arc<PollWaker>) {}
+
+    /// Does this end signal readiness through a waker? A worker whose
+    /// channels all say yes parks long between scans; any `false` forces
+    /// the short scan interval.
+    fn has_waker(&self) -> bool {
+        false
+    }
 }
 
 /// Maximum UDP datagram we send (the paper's prototype shares the limit).
 pub const MAX_DATAGRAM: usize = 60_000;
-
-/// Length-framed (u32 LE) reassembly buffer of the polled TCP source
-/// ([`crate::poll::tcp_duplex_pair`]). Tracks a consumed offset
-/// so popping a frame is O(frame) — the buffer is compacted once per
-/// read batch, not memmoved per frame, which kept a burst of small
-/// frames sharing one socket read from going quadratic.
-#[derive(Default)]
-pub(crate) struct TcpFramer {
-    pending: Vec<u8>,
-    consumed: usize,
-}
-
-impl TcpFramer {
-    /// Append raw stream bytes.
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
-        self.pending.extend_from_slice(bytes);
-    }
-
-    /// Pop one complete frame, advancing the consumed offset.
-    pub(crate) fn take(&mut self) -> Option<Vec<u8>> {
-        let avail = &self.pending[self.consumed..];
-        if avail.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
-        if avail.len() < 4 + len {
-            return None;
-        }
-        let frame = avail[4..4 + len].to_vec();
-        self.consumed += 4 + len;
-        if self.consumed == self.pending.len() {
-            // Everything delivered: reset in O(1), keeping the allocation.
-            self.pending.clear();
-            self.consumed = 0;
-        }
-        Some(frame)
-    }
-
-    /// Reclaim consumed bytes — one memmove per batch of frames.
-    pub(crate) fn compact(&mut self) {
-        if self.consumed > 0 {
-            self.pending.drain(..self.consumed);
-            self.consumed = 0;
-        }
-    }
-}
 
 /// SplitMix64 — a full-avalanche mix, so adjacent seeds land in
 /// unrelated xorshift orbits.
@@ -179,7 +146,7 @@ impl<T: Transport> Transport for FlakyTransport<T> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::poll::{tcp_duplex_pair, udp_duplex_pair, QueueTransport};
+    use crate::poll::{QueueTransport, UdpTransport};
     use std::time::Instant;
 
     pub(crate) fn exercise<T: Transport>(mut a: T, mut b: T) {
@@ -203,8 +170,8 @@ pub(crate) mod tests {
             b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
             b"2"
         );
-        // Non-blocking path: a sent frame becomes try_recv-visible (the
-        // socket transports may need a beat for loopback delivery), and
+        // Non-blocking path: a sent frame becomes try_recv-visible (a
+        // socket may need a beat for loopback delivery), and
         // an idle transport yields None without blocking.
         a.send(b"nb").unwrap();
         let deadline = Instant::now() + Duration::from_secs(1);
@@ -224,78 +191,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// Scan a socket source by hand until `want` answers or 2 s pass.
-    fn scan<R>(mut want: impl FnMut() -> Option<R>) -> R {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            if let Some(out) = want() {
-                return out;
-            }
-            assert!(Instant::now() < deadline, "socket never delivered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn tcp_small_frame_burst_arrives_in_order() {
-        // Many small frames share socket reads; the framer must pop them
-        // all from its offset without losing bytes across compactions.
-        let (mut a, mut b) = tcp_duplex_pair().unwrap();
-        let n = 64u32;
-        for i in 0..n {
-            a.sink.send(&i.to_le_bytes()).unwrap();
-        }
-        for i in 0..n {
-            let got = scan(|| b.source.try_recv().unwrap());
-            assert_eq!(got, i.to_le_bytes());
-        }
-        assert_eq!(b.source.try_recv().unwrap(), None);
-    }
-
-    #[test]
-    fn framer_pops_frames_at_offset_and_compacts_once() {
-        let mut f = TcpFramer::default();
-        let mut wire = Vec::new();
-        for payload in [&b"aa"[..], b"b", b"cccc"] {
-            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            wire.extend_from_slice(payload);
-        }
-        // Feed everything plus half of a fourth frame's header.
-        f.extend(&wire);
-        f.extend(&[9, 0]);
-        assert_eq!(f.take().unwrap(), b"aa");
-        assert_eq!(f.take().unwrap(), b"b");
-        assert_eq!(f.take().unwrap(), b"cccc");
-        assert!(f.take().is_none(), "partial header is not a frame");
-        f.compact();
-        assert_eq!(f.consumed, 0);
-        assert_eq!(f.pending, vec![9, 0]);
-        // Completing the partial frame delivers it.
-        f.extend(&[0, 0]);
-        f.extend(&[7; 9]);
-        assert_eq!(f.take().unwrap(), vec![7; 9]);
-        assert!(f.take().is_none());
-        assert_eq!(f.pending.len(), 0, "fully-drained buffer resets in O(1)");
-    }
-
-    #[test]
-    fn tcp_disconnect_detected() {
-        let (mut a, b) = tcp_duplex_pair().unwrap();
-        drop(b);
-        // Either the send or the following scans must observe the close.
-        let send_res = a.sink.send(b"x");
-        let recv_res = scan(|| a.source.try_recv().err());
-        assert!(
-            send_res.is_err() || recv_res == TransportError::Disconnected,
-            "send: {send_res:?}, recv: {recv_res:?}"
-        );
-    }
-
     #[test]
     fn udp_rejects_oversized_frames() {
-        let (mut a, _b) = udp_duplex_pair().unwrap();
+        let (mut a, _b) = UdpTransport::pair().unwrap();
         let huge = vec![0u8; MAX_DATAGRAM + 1];
-        assert!(matches!(a.sink.send(&huge), Err(TransportError::Io(_))));
+        assert!(matches!(a.send(&huge), Err(TransportError::Io(_))));
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
     });
     let (proxy_side, stub_side) = QueueTransport::pair();
     let host = StubHost::new(1);
-    host.spawn(app, stub_side.into_duplex(), stub).unwrap();
+    host.spawn(app, Box::new(stub_side), stub).unwrap();
     let lossy = FlakyTransport::new(proxy_side, drop_per_mille, 11);
     let h = proxy
         .register_transport(Box::new(lossy))
@@ -329,7 +329,7 @@ fn a_dead_stub_keeps_its_views_in_step_and_refuses_a_foreign_base() {
         crash_at: Some(2),
     });
     let host = StubHost::new(1);
-    host.spawn(app, stub_side.into_duplex(), StubConfig::default())
+    host.spawn(app, Box::new(stub_side), StubConfig::default())
         .unwrap();
     let mut reply = move |frame: Option<RpcMessage>, wait_ms: u64| -> Option<RpcMessage> {
         if let Some(frame) = frame {

@@ -72,7 +72,7 @@ pub fn parse_or_exit<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, 
     }
 }
 
-/// `--io-threads N`: the size of the stub-host (and poll) pool,
+/// `--io-threads N`: the size of the stub-host pool,
 /// mirroring [`IoConfig::mode`].
 #[derive(Default)]
 pub struct IoArgs {

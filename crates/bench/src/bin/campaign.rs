@@ -63,7 +63,7 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--rounds N] \
 [--switches N] [--hosts N] [--policy absolute|no-compromise|equivalence] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
-[--window DEPTH] [--workers N] [--isolation local|channel|udp|tcp] \
+[--window DEPTH] [--workers N] [--isolation local|channel|udp] \
 [--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
 ephemeral port (written to --addr-file for scripts). Events fan out to \

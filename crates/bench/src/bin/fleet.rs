@@ -7,12 +7,11 @@
 //! the process thread count from `/proc/self/status`.
 //!
 //! The whole fleet is hosted on `--io-threads N` stub-host workers
-//! (default 4) — its channels are in-memory, so the proxy blocks on each
-//! reply queue itself and no poll threads start — and the thread count
-//! stays flat no matter how many apps attach. `scripts/check.sh` runs
-//! this with `--apps 1000 --max-threads 64`: the smoke fails (exit 1) if
-//! the fleet ever needs more threads than that, or if any app misses a
-//! delivery or its shutdown report.
+//! (default 4) — the proxy blocks on each reply queue itself — and the
+//! thread count stays flat no matter how many apps attach.
+//! `scripts/check.sh` runs this with `--apps 1000 --max-threads 64`: the
+//! smoke fails (exit 1) if the fleet ever needs more threads than that,
+//! or if any app misses a delivery or its shutdown report.
 
 use std::time::{Duration, Instant};
 
@@ -114,7 +113,6 @@ fn main() {
             report_crashes: true,
         },
         io: cfg.io.mode,
-        ..Default::default()
     });
 
     let launch_start = Instant::now();

@@ -42,19 +42,15 @@ pub enum IsolationMode {
     /// AppVisor stub on the stub-host pool, RPC over UDP loopback — the
     /// paper's prototype transport (§4.1).
     Udp,
-    /// AppVisor stub on the stub-host pool, RPC over TCP loopback with
-    /// length framing (the reliable-stream alternative).
-    Tcp,
 }
 
 impl IsolationMode {
-    /// Parse a CLI-style name (`local` | `channel` | `udp` | `tcp`).
+    /// Parse a CLI-style name (`local` | `channel` | `udp`).
     pub fn parse(s: &str) -> Option<IsolationMode> {
         match s {
             "local" => Some(IsolationMode::Local),
             "channel" => Some(IsolationMode::Channel),
             "udp" => Some(IsolationMode::Udp),
-            "tcp" => Some(IsolationMode::Tcp),
             _ => None,
         }
     }
@@ -114,11 +110,11 @@ impl DispatchConfig {
 }
 
 /// Stub I/O section: how many threads service stub channels, plus
-/// AppVisor proxy tuning. Only isolated modes (`Channel`, `Udp`, `Tcp`)
-/// have stub channels to service.
+/// AppVisor proxy tuning. Only isolated modes (`Channel`, `Udp`) have
+/// stub channels to service.
 #[derive(Clone, Debug, Default)]
 pub struct IoConfig {
-    /// Size of each shard's stub-host (and poll) pool; see [`IoMode`].
+    /// Size of each shard's stub-host pool; see [`IoMode`].
     pub mode: IoMode,
     /// AppVisor proxy tuning (timeouts, heartbeats). The proxy's own
     /// `io` field is overwritten with [`IoConfig::mode`] at build /
@@ -127,10 +123,9 @@ pub struct IoConfig {
 }
 
 impl IoConfig {
-    /// Pooled servicing with `io_threads` stub-host workers per shard
-    /// (plus as many poll workers once a socket transport is in use).
-    /// Not clamped: 0 threads is rejected by
-    /// [`LegoSdnConfig::build`].
+    /// Pooled servicing with `io_threads` stub-host workers per shard,
+    /// whichever transport the stubs use. Not clamped: 0 threads is
+    /// rejected by [`LegoSdnConfig::build`].
     #[must_use]
     pub fn polled(io_threads: usize) -> Self {
         IoConfig {
@@ -405,7 +400,7 @@ mod tests {
             Some(IsolationMode::Channel)
         );
         assert_eq!(IsolationMode::parse("udp"), Some(IsolationMode::Udp));
-        assert_eq!(IsolationMode::parse("tcp"), Some(IsolationMode::Tcp));
+        assert_eq!(IsolationMode::parse("tcp"), None);
         assert_eq!(IsolationMode::parse("vm"), None);
     }
 

@@ -214,7 +214,6 @@ impl LegoSdnRuntime {
                 crashpad.set_obs(obs.clone());
                 let mut proxy_config = config.io.proxy.clone();
                 proxy_config.io = config.io.mode;
-                proxy_config.worker = id;
                 let mut proxy = AppVisorProxy::new(proxy_config);
                 proxy.set_obs(obs.clone());
                 let label = if workers > 1 {
@@ -274,7 +273,6 @@ impl LegoSdnRuntime {
             IsolationMode::Local => None,
             IsolationMode::Channel => Some(TransportKind::Channel),
             IsolationMode::Udp => Some(TransportKind::Udp),
-            IsolationMode::Tcp => Some(TransportKind::Tcp),
         };
         // The app says who it is from behind its fault wall: in-process,
         // its sandbox; isolated, its stub's `Register` frame.

@@ -4,7 +4,7 @@
 //! in attach order — app *g* is local app `g / N` of shard `g % N`, for
 //! good — so (shard, local) and the global attach index are arithmetic
 //! both ways and no directory is kept. Each shard owns a private
-//! AppVisor proxy (its stubs and their poll pool) and a private
+//! AppVisor proxy (its stubs and their stub-host pool) and a private
 //! Crash-Pad, so the per-app dispatch path never crosses a shard
 //! boundary. The network and the NetLog stay shared: every commit goes
 //! through one [`CommitLane`] guarded by a mutex, admitted in sequential

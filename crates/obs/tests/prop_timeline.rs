@@ -1,138 +1,9 @@
-//! Property: for ANY interleaving of journal records — multiple apps,
-//! interleaved transactions, arbitrary kinds in arbitrary order — the
-//! reconstructor yields incident timelines that are fully ordered by
-//! detection sequence and non-overlapping per app, with every attributed
-//! record inside its incident's `[detection_seq, end_seq]` range.
+//! Property: the recovery-timeline invariants of `timeline_property` hold
+//! for any interleaving of journal records that fits in the ring.
 
-use legosdn_obs::{reconstruct, AppId, Journal, RecordKind, Verdict};
-use legosdn_testkit::{forall, Rng};
-
-const APPS: [&str; 4] = ["fwd", "lb", "fw", "mon"];
-
-fn arb_kind(rng: &mut Rng, next_txn: &mut u64, open_txns: &mut Vec<u64>) -> RecordKind {
-    match rng.gen_range(0u32..14) {
-        0 => RecordKind::AppCrash {
-            detail: rng.gen_name(0..6),
-        },
-        1 => RecordKind::CommFailure,
-        2 => RecordKind::ByzantineBlocked {
-            violations: rng.gen_range(1u64..5),
-        },
-        3 => RecordKind::HeartbeatMiss,
-        4 => RecordKind::CheckpointTaken {
-            bytes: rng.gen_range(1u64..4096),
-            dur_ns: rng.gen_range(1u64..100_000),
-        },
-        5 => RecordKind::CheckpointRestored {
-            bytes: rng.gen_range(1u64..4096),
-            dur_ns: rng.gen_range(1u64..100_000),
-        },
-        6 => RecordKind::ReplayDone {
-            events_replayed: rng.gen_range(0u64..10),
-            dur_ns: rng.gen_range(1u64..100_000),
-        },
-        7 => {
-            let txn = *next_txn;
-            *next_txn += 1;
-            open_txns.push(txn);
-            RecordKind::TxnBegin { txn }
-        }
-        8 | 9 if !open_txns.is_empty() => {
-            let txn = open_txns.remove(rng.gen_range(0..open_txns.len()));
-            if rng.gen_bool(0.5) {
-                RecordKind::TxnCommit {
-                    txn,
-                    ops: rng.gen_range(0u64..8),
-                }
-            } else {
-                RecordKind::TxnRollback {
-                    txn,
-                    undo_ops: rng.gen_range(0u64..8),
-                }
-            }
-        }
-        10 => RecordKind::PolicyDecision {
-            policy: ["absolute", "equivalence", "no-compromise"][rng.gen_range(0usize..3)],
-            verdict: Verdict::ALL[rng.gen_range(0usize..4)],
-        },
-        11 => RecordKind::EventTransformed,
-        12 => RecordKind::EventDropped,
-        13 => RecordKind::TicketFiled {
-            failure: ["fail_stop", "byzantine"][rng.gen_range(0usize..2)],
-        },
-        _ => RecordKind::AppDead,
-    }
-}
+mod timeline_property;
 
 #[test]
 fn any_interleaving_yields_ordered_non_overlapping_incidents() {
-    forall(256, |rng| {
-        let mut journal = Journal::new(512);
-        let names: Vec<String> = APPS.iter().map(|a| a.to_string()).collect();
-        let mut next_txn = 0u64;
-        let mut open_txns = Vec::new();
-        let n = rng.gen_range(0usize..120);
-        let mut t = 0u64;
-        for _ in 0..n {
-            t += rng.gen_range(1u64..1000);
-            let app = AppId(rng.gen_range(0..APPS.len() as u16));
-            let kind = arb_kind(rng, &mut next_txn, &mut open_txns);
-            // Transaction outcomes name their transaction, not an app.
-            let app = match kind {
-                RecordKind::TxnCommit { .. } | RecordKind::TxnRollback { .. } => None,
-                _ => Some(app),
-            };
-            journal.push(t, None, app, kind);
-        }
-
-        let records = journal.snapshot();
-        let incidents = reconstruct(&records, &names);
-
-        // Fully ordered by detection seq, globally.
-        for w in incidents.windows(2) {
-            assert!(
-                w[0].detection_seq < w[1].detection_seq,
-                "incidents out of order: {} !< {}",
-                w[0].detection_seq,
-                w[1].detection_seq
-            );
-        }
-
-        for inc in &incidents {
-            // An incident's range is well-formed and time-consistent.
-            assert!(inc.detection_seq <= inc.end_seq);
-            assert!(inc.detection_at_ns <= inc.end_at_ns);
-            // Every detection record actually opens an incident of its kind.
-            let det = records.iter().find(|r| r.seq == inc.detection_seq).unwrap();
-            assert!(det.kind.is_detection());
-            assert_eq!(
-                det.app.map(|a| APPS[usize::from(a.0)]),
-                Some(inc.app.as_str())
-            );
-        }
-
-        // Per app: non-overlapping [detection_seq, end_seq] ranges.
-        for app in APPS {
-            let mut per_app: Vec<_> = incidents.iter().filter(|i| i.app == app).collect();
-            per_app.sort_by_key(|i| i.detection_seq);
-            for w in per_app.windows(2) {
-                assert!(
-                    w[0].end_seq < w[1].detection_seq,
-                    "app {app}: incident [{}, {}] overlaps [{}, {}]",
-                    w[0].detection_seq,
-                    w[0].end_seq,
-                    w[1].detection_seq,
-                    w[1].end_seq
-                );
-            }
-        }
-
-        // Incident count equals detection-record count (each detection
-        // opens exactly one incident).
-        let detections = records.iter().filter(|r| r.kind.is_detection()).count();
-        assert_eq!(incidents.len(), detections);
-
-        // Reconstruction is deterministic.
-        assert_eq!(reconstruct(&records, &names), incidents);
-    });
+    timeline_property::check(256, &["fwd", "lb", "fw", "mon"], 512, 120);
 }

@@ -1,161 +1,11 @@
-//! Property tests for the recovery-timeline reconstructor: for *any*
-//! interleaving of journal records across apps and transactions, the
-//! reconstructed incidents are fully ordered by detection sequence and,
-//! per app, their `[detection_seq, end_seq]` ranges never overlap.
+//! Property: the recovery-timeline invariants of `timeline_property` also
+//! hold when the journal ring evicts its oldest records, so the snapshot
+//! starts mid-history: outcomes whose detection was evicted, transactions
+//! whose begin was evicted.
 
-use legosdn_obs::{reconstruct, AppId, Journal, RecordKind, Resolution};
-use legosdn_testkit::{forall, Rng};
-
-/// One random record concerning one of `apps` (by index), possibly
-/// referencing a transaction id drawn from a small shared pool so
-/// rollbacks interleave across apps.
-fn random_record(rng: &mut Rng, apps: &[&str], txns: &mut Vec<u64>) -> (Option<AppId>, RecordKind) {
-    let app = Some(AppId(rng.gen_range(0..apps.len() as u16)));
-    let kind = match rng.gen_range(0u32..12) {
-        0 => RecordKind::AppCrash {
-            detail: "bug".into(),
-        },
-        1 => RecordKind::CommFailure,
-        2 => RecordKind::ByzantineBlocked {
-            violations: rng.gen_range(1u64..5),
-        },
-        3 => RecordKind::HeartbeatMiss,
-        4 => RecordKind::CheckpointTaken {
-            bytes: rng.gen_range(1u64..4096),
-            dur_ns: rng.gen_range(1u64..10_000),
-        },
-        5 => RecordKind::CheckpointRestored {
-            bytes: rng.gen_range(1u64..4096),
-            dur_ns: rng.gen_range(1u64..10_000),
-        },
-        6 => RecordKind::ReplayDone {
-            events_replayed: rng.gen_range(0u64..8),
-            dur_ns: rng.gen_range(1u64..10_000),
-        },
-        7 => {
-            let id = rng.gen_range(1u64..1_000_000);
-            txns.push(id);
-            RecordKind::TxnBegin { txn: id }
-        }
-        8 => match rng.pick_opt(txns) {
-            Some(id) => {
-                return (
-                    None,
-                    RecordKind::TxnCommit {
-                        txn: *id,
-                        ops: rng.gen_range(0u64..6),
-                    },
-                )
-            }
-            None => RecordKind::EventTransformed,
-        },
-        9 => match rng.pick_opt(txns) {
-            Some(id) => {
-                return (
-                    None,
-                    RecordKind::TxnRollback {
-                        txn: *id,
-                        undo_ops: rng.gen_range(0u64..6),
-                    },
-                )
-            }
-            None => RecordKind::EventDropped,
-        },
-        10 => RecordKind::TicketFiled {
-            failure: "fail_stop",
-        },
-        _ => RecordKind::AppDead,
-    };
-    (app, kind)
-}
-
-/// `Rng::pick` panics on empty slices; the pool starts empty.
-trait PickOpt {
-    fn pick_opt<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T>;
-}
-impl PickOpt for Rng {
-    fn pick_opt<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(self.pick(items))
-        }
-    }
-}
+mod timeline_property;
 
 #[test]
 fn any_interleaving_yields_ordered_non_overlapping_incidents() {
-    forall(200, |rng| {
-        let apps = ["alpha", "beta", "gamma"];
-        let mut journal = Journal::new(512);
-        let names: Vec<String> = apps.iter().map(|a| a.to_string()).collect();
-        let mut txns = Vec::new();
-        let n = rng.gen_range(0usize..120);
-        let mut at = 0u64;
-        for _ in 0..n {
-            at += rng.gen_range(1u64..5_000);
-            let (app, kind) = random_record(rng, &apps, &mut txns);
-            journal.push(at, None, app, kind);
-        }
-
-        let records = journal.snapshot();
-        let incidents = reconstruct(&records, &names);
-
-        // Fully ordered by detection seq, globally.
-        for pair in incidents.windows(2) {
-            assert!(
-                pair[0].detection_seq <= pair[1].detection_seq,
-                "incidents out of order: {} then {}",
-                pair[0].detection_seq,
-                pair[1].detection_seq
-            );
-        }
-
-        for inc in &incidents {
-            // The range is well-formed and lies within the journal.
-            assert!(inc.detection_seq <= inc.end_seq);
-            assert!(inc.detection_at_ns <= inc.end_at_ns);
-            assert!(records.iter().any(|r| r.seq == inc.detection_seq));
-            // Every incident starts at a detection record for its own app.
-            let det = records.iter().find(|r| r.seq == inc.detection_seq).unwrap();
-            assert!(det.kind.is_detection());
-            assert_eq!(
-                det.app.map(|a| apps[usize::from(a.0)]),
-                Some(inc.app.as_str())
-            );
-        }
-
-        // Per app: ranges never overlap, and at most one incident is
-        // unresolved (Open) — the last one.
-        for app in apps {
-            let mine: Vec<_> = incidents.iter().filter(|i| i.app == app).collect();
-            for pair in mine.windows(2) {
-                assert!(
-                    pair[0].end_seq < pair[1].detection_seq,
-                    "app {app}: incident [{}..{}] overlaps [{}..{}]",
-                    pair[0].detection_seq,
-                    pair[0].end_seq,
-                    pair[1].detection_seq,
-                    pair[1].end_seq
-                );
-            }
-            let open = mine
-                .iter()
-                .filter(|i| i.resolution == Resolution::Open)
-                .count();
-            assert!(open <= 1, "app {app}: {open} open incidents");
-            if open == 1 {
-                assert_eq!(mine.last().unwrap().resolution, Resolution::Open);
-            }
-        }
-
-        // Reconstruction is a pure function of the record set: shuffling
-        // the input order changes nothing.
-        let mut shuffled = records.clone();
-        for i in (1..shuffled.len()).rev() {
-            let j = rng.gen_range(0usize..i + 1);
-            shuffled.swap(i, j);
-        }
-        assert_eq!(reconstruct(&shuffled, &names), incidents);
-    });
+    timeline_property::check(200, &["alpha", "beta", "gamma"], 48, 240);
 }

@@ -35,9 +35,11 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # bench harness and its result files (a claim is held by a test, a
 # stackbench metric or a smoke below, DESIGN.md §4). `TxTouch`
 # survives only as the barrier's hidden shim, `DeliveryResult` only as
-# Crash-Pad's hidden alias. A bracketed letter keeps a pattern from
-# matching the line that spells it.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary or bench harness"
+# Crash-Pad's hidden alias. Nor the proxy-side poll pool, the split
+# sink/source traits or the TCP transport (one transport seam, DESIGN.md
+# §11). A bracketed letter keeps a pattern from matching the line that
+# spells it.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport or TCP transport"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -65,8 +67,14 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'enum Failure\b' crates/appvisor \
   || grep -rn DeliveryResult crates/ tests/ examples/ \
     | grep -vE '^crates/crashpad/src/lib\.rs:[0-9]+:pub use [a-z_:]+::DeliverOutcome as DeliveryResult;$' \
-  || grep -rnE 'criterion_[g]roup|final_summary|BENCH[_]' crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness name reappeared (see DESIGN.md §4, §5, §5a, §7, §9, §11, §13, §15)" >&2
+  || grep -rnE 'criterion_[g]roup|final_summary|BENCH[_]' crates/ tests/ examples/ \
+  || grep -rnE 'Poller|PolledTransport|poller_(wakeups|ready_set)|appvisor-poll' \
+    crates/ tests/ examples/ \
+  || grep -rnE 'tcp_duplex_pair|TcpFramer|TcpSink|TcpSource|(IsolationMode|TransportKind)::Tcp' \
+    crates/ tests/ examples/ \
+  || grep -rnE 'FrameSink|FrameSource|into_duplex|queue_duplex_pair|udp_duplex_pair' \
+    crates/ tests/ examples/; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport name reappeared (see DESIGN.md §4, §5, §5a, §7, §9, §11, §13, §15)" >&2
   exit 1
 fi
 
@@ -259,12 +267,13 @@ timeout 120 ./target/release/workload --k 30 --events 20000 --seed 7 \
   || { echo "fat-tree workload smoke failed or hung" >&2; exit 1; }
 
 # The delivery path's contracts, filtered out of the workspace run and
-# given a process to themselves: every transport facade passes the one
+# given a process to themselves: both transports pass the one
 # conformance suite, and no park-aware signal loses a wakeup in 200k
-# frames. Beside 200 other tests the stress has the scheduler's noise to
-# hide in; alone, a lost wakeup parks it for 2 s per frame and the
-# timeout fails it. The commit barrier's sleeper-counted wakes get the
-# same: 120k positions at 2 and 4 workers, a lost one hangs its run.
+# frames — the stub host's scan of a channel among them. Beside 200
+# other tests the stress has the scheduler's noise to hide in; alone, a
+# lost wakeup parks it for 2 s per frame and the timeout fails it. The
+# commit barrier's sleeper-counted wakes get the same: 120k positions at
+# 2 and 4 workers, a lost one hangs its run.
 echo "==> transport conformance + lost-wake stress, alone (hard 120s timeout each)"
 timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_wake_stress \
   || { echo "transport conformance / lost-wake stress failed or timed out" >&2; exit 1; }

@@ -74,11 +74,6 @@ fn real_app_behind_udp_transport() {
 }
 
 #[test]
-fn real_app_behind_tcp_transport() {
-    deliver_over(TransportKind::Tcp);
-}
-
-#[test]
 fn crash_containment_with_explicit_report() {
     let mut p = proxy(true);
     let h = p
@@ -240,7 +235,7 @@ fn lossy_transport_degrades_to_comm_failures_not_hangs() {
         }
     });
     let host = StubHost::new(1);
-    host.spawn(Box::new(Hub::new()), stub_side.into_duplex(), stub)
+    host.spawn(Box::new(Hub::new()), Box::new(stub_side), stub)
         .unwrap();
     // Registration itself may fall to the loss: register_transport waits
     // for the Register frame; if the relay ate it we accept the failure

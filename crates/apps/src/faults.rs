@@ -17,7 +17,7 @@
 
 use crate::util::{snap, unsnap};
 use legosdn_codec::Codec;
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 use std::collections::BTreeMap;
@@ -73,7 +73,7 @@ struct State {
 #[derive(Codec)]
 struct Saved {
     own: State,
-    inner: Vec<u8>,
+    inner: Snapshot,
 }
 
 /// An app wrapped with an injected bug.
@@ -217,7 +217,7 @@ impl SdnApp for FaultyApp {
         self.inner.on_event(event, ctx);
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&Saved {
             own: self.state.clone(),
             inner: self.inner.snapshot(),
@@ -229,7 +229,7 @@ impl SdnApp for FaultyApp {
         let rng = self.state.rng; // survives restore: non-determinism
         self.state = saved.own;
         self.state.rng = if rng == 0 { 1 } else { rng };
-        self.inner.restore(&saved.inner)
+        self.inner.restore(&saved.inner.flat())
     }
 }
 
@@ -279,7 +279,7 @@ mod tests {
 
     /// The wrapper's own counters, read from its snapshot.
     fn counters(app: &Sandbox) -> State {
-        unsnap::<Saved>(&app.capture().unwrap()).unwrap().own
+        unsnap::<Saved>(&app.capture().unwrap().flat()).unwrap().own
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         let err = deliver(&mut app, &pin(13)).unwrap_err();
         assert!(String::from(err).contains("injected bug"));
         // Determinism: the same event crashes again after restore.
-        app.revive(&before).unwrap();
+        app.revive(&before.flat()).unwrap();
         assert!(deliver(&mut app, &pin(13)).is_err());
     }
 
@@ -388,12 +388,12 @@ mod tests {
         deliver(&mut app, &pin(2)).unwrap();
         let s = app.capture().unwrap();
         let mut fresh = buggy_hub(BugTrigger::Never, BugEffect::Crash);
-        fresh.revive(&s).unwrap();
-        let saved: Saved = unsnap(&fresh.capture().unwrap()).unwrap();
+        fresh.revive(&s.flat()).unwrap();
+        let saved: Saved = unsnap(&fresh.capture().unwrap().flat()).unwrap();
         assert_eq!(saved.own.events_seen, 2);
         // Inner hub's counter came along.
         let mut hub = Hub::new();
-        hub.restore(&saved.inner).unwrap();
+        hub.restore(&saved.inner.flat()).unwrap();
         assert_eq!(hub.packets_flooded(), 2);
     }
 
@@ -416,7 +416,7 @@ mod tests {
         // app's future rolls continue from a later RNG state.
         let mut fresh = buggy_hub(trigger, BugEffect::Crash);
         assert_eq!(first_crash(&mut fresh), Some(fired_at));
-        app.revive(&start).unwrap();
+        app.revive(&start.flat()).unwrap();
         let restored_next = deliver(&mut app, &pin(2));
         let _ = restored_next; // may or may not crash — the point is it can differ
     }

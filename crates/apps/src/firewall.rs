@@ -8,7 +8,7 @@
 
 use crate::util::{snap, unsnap};
 use legosdn_codec::Codec;
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 
@@ -147,7 +147,7 @@ impl SdnApp for Firewall {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -261,7 +261,7 @@ mod tests {
         run(&mut fw, &pin(23, Ipv4Addr::from_index(1)));
         let s = fw.snapshot();
         let mut fresh = Firewall::new(vec![]);
-        fresh.restore(&s).unwrap();
+        fresh.restore(&s.flat()).unwrap();
         assert_eq!(fresh.denies_installed(), 1);
         // Restored rules still enforce.
         assert_eq!(run(&mut fresh, &pin(23, Ipv4Addr::from_index(9))).len(), 1);

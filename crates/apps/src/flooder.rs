@@ -4,7 +4,7 @@
 
 use crate::util::{packet_out_reply, snap, unsnap};
 use legosdn_codec::Codec;
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 use std::collections::BTreeSet;
@@ -69,7 +69,7 @@ impl SdnApp for Flooder {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -120,7 +120,7 @@ mod tests {
         run(&mut app, &Event::SwitchUp(DatapathId(1)));
         let snap = app.snapshot();
         let mut fresh = Flooder::new();
-        fresh.restore(&snap).unwrap();
+        fresh.restore(&snap.flat()).unwrap();
         // Restored app knows switch 1 is provisioned.
         assert_eq!(run(&mut fresh, &Event::SwitchUp(DatapathId(1))), 0);
     }

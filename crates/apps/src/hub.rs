@@ -3,7 +3,7 @@
 
 use crate::util::{packet_out_reply, snap, unsnap};
 use legosdn_codec::Codec;
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 
@@ -51,7 +51,7 @@ impl SdnApp for Hub {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -88,7 +88,7 @@ mod tests {
         assert_eq!(hub.packets_flooded(), 2);
         let snap = hub.snapshot();
         let mut fresh = Hub::new();
-        fresh.restore(&snap).unwrap();
+        fresh.restore(&snap.flat()).unwrap();
         assert_eq!(fresh.packets_flooded(), 2);
     }
 

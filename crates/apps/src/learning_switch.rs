@@ -7,20 +7,37 @@
 
 use crate::util::{packet_out_reply, snap, unsnap};
 use legosdn_codec::{Codec, Memo};
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 use std::collections::BTreeMap;
 
+/// One switch's MAC → port table.
+type Table = Memo<BTreeMap<MacAddr, u16>>;
+
 /// Serializable state: per-switch MAC → port tables. Each switch's table
-/// is a memoized segment (DESIGN.md §15): a learn re-encodes one table,
-/// a packet that teaches nothing re-encodes none. The counters change on
-/// every packet and stay plain.
+/// is a memoized segment, and so is the map of them (DESIGN.md §15): a
+/// learn re-encodes one table and copies the others, a packet that
+/// teaches nothing re-encodes none and a checkpoint holds the whole map
+/// by one handle. The counters change on every packet and stay plain.
 #[derive(Clone, Debug, Default, PartialEq, Codec)]
 struct State {
-    tables: BTreeMap<DatapathId, Memo<BTreeMap<MacAddr, u16>>>,
+    tables: Memo<BTreeMap<DatapathId, Table>>,
     packets_handled: u64,
     flows_installed: u64,
+}
+
+impl State {
+    /// The switch's table with `src` learned at `port` (a multicast
+    /// source is never learned). A switch's first packet gives it an
+    /// empty table, whatever it teaches.
+    fn learn(&mut self, dpid: DatapathId, src: MacAddr, port: u16) -> &Table {
+        let table = self.tables.make_mut().entry(dpid).or_default();
+        if !src.is_multicast() && table.get(&src) != Some(&port) {
+            table.make_mut().insert(src, port);
+        }
+        table
+    }
 }
 
 /// A per-switch L2 learning switch.
@@ -70,13 +87,13 @@ impl SdnApp for LearningSwitch {
                     return;
                 };
                 self.state.packets_handled += 1;
-                let table = self.state.tables.entry(*dpid).or_default();
                 // Learn only what is new or moved: a write forgets the
-                // table's remembered encoding.
+                // remembered encodings of the table and of the map.
                 let src = pi.packet.eth_src;
-                if !src.is_multicast() && table.get(&src) != Some(&in_port) {
-                    table.make_mut().insert(src, in_port);
-                }
+                let table = match self.state.tables.get(dpid) {
+                    Some(table) if src.is_multicast() || table.get(&src) == Some(&in_port) => table,
+                    _ => self.state.learn(*dpid, src, in_port),
+                };
                 let dst = pi.packet.eth_dst;
                 match table.get(&dst) {
                     Some(&out_port) if !dst.is_multicast() => {
@@ -104,14 +121,14 @@ impl SdnApp for LearningSwitch {
                     }
                 }
             }
-            Event::SwitchDown(dpid) => {
-                self.state.tables.remove(dpid);
+            Event::SwitchDown(dpid) if self.state.tables.contains_key(dpid) => {
+                self.state.tables.make_mut().remove(dpid);
             }
             _ => {}
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -218,7 +235,7 @@ mod tests {
         run(&mut app, &pin(1, 2, 1, 7));
         let snap = app.snapshot();
         let mut fresh = LearningSwitch::new();
-        fresh.restore(&snap).unwrap();
+        fresh.restore(&snap.flat()).unwrap();
         assert_eq!(fresh.entries(), 2);
         assert_eq!(fresh.packets_handled(), 2);
         // Restored app behaves identically: knows host 2.
@@ -231,13 +248,14 @@ mod tests {
         let mut app = LearningSwitch::new();
         run(&mut app, &pin(1, 1, 2, 3));
         run(&mut app, &pin(2, 1, 2, 4));
-        let first = app.snapshot();
+        let first = app.snapshot().to_vec();
+        assert!(app.state.tables.is_warm());
         assert!(app.state.tables.values().all(|t| t.is_warm()));
         let before = app.state.clone();
 
         run(&mut app, &pin(1, 1, 2, 3));
         assert!(
-            app.state.tables.values().all(|t| t.is_warm()),
+            app.state.tables.is_warm() && app.state.tables.values().all(|t| t.is_warm()),
             "nothing learned, nothing to re-encode"
         );
         assert_eq!(
@@ -249,17 +267,23 @@ mod tests {
         );
         // Byte-identical apart from `packets_handled` (the 8 bytes before
         // the trailing `flows_installed`).
-        let second = app.snapshot();
+        let second = app.snapshot().to_vec();
         let counter = first.len() - 16..first.len() - 8;
         assert_eq!(first.len(), second.len());
         assert_eq!(first[..counter.start], second[..counter.start]);
         assert_eq!(first[counter.end..], second[counter.end..]);
         assert_eq!(second[counter], 3u64.to_le_bytes());
 
-        // A move on one switch dirties that switch's table only.
+        // A move on one switch dirties the map and that switch's table
+        // only.
         run(&mut app, &pin(1, 1, 2, 9));
+        assert!(!app.state.tables.is_warm());
         assert!(!app.state.tables[&DatapathId(1)].is_warm());
         assert!(app.state.tables[&DatapathId(2)].is_warm());
+        // A switch going down that has no table dirties nothing.
+        let _ = app.snapshot();
+        run(&mut app, &Event::SwitchDown(DatapathId(7)));
+        assert!(app.state.tables.is_warm());
     }
 
     #[test]

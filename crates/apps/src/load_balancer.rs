@@ -7,7 +7,7 @@
 
 use crate::util::{packet_out_reply, snap, unsnap};
 use legosdn_codec::{Codec, Memo};
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_openflow::prelude::*;
 use std::collections::BTreeMap;
@@ -139,7 +139,7 @@ impl SdnApp for LoadBalancer {
         self.state.flows_balanced += 1;
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -298,7 +298,7 @@ mod tests {
         lb.on_event(&vip_pin(1), &mut ctx);
         let snapshot = lb.snapshot();
         let mut fresh = LoadBalancer::new(vip(), backends());
-        fresh.restore(&snapshot).unwrap();
+        fresh.restore(&snapshot.flat()).unwrap();
         let mut ctx = Ctx::new(SimTime::ZERO, &topo, &dev);
         fresh.on_event(&vip_pin(1), &mut ctx);
         assert_eq!(

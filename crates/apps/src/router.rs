@@ -7,7 +7,7 @@
 
 use crate::util::{packet_out_reply, snap, unsnap};
 use legosdn_codec::{Codec, Memo};
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_netsim::Endpoint;
 use legosdn_openflow::prelude::*;
@@ -181,7 +181,7 @@ impl SdnApp for ShortestPathRouter {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -376,7 +376,7 @@ mod tests {
         app.on_event(&pin(1, 1, 2), &mut ctx);
         let snap = app.snapshot();
         let mut fresh = ShortestPathRouter::new();
-        fresh.restore(&snap).unwrap();
+        fresh.restore(&snap.flat()).unwrap();
         assert_eq!(fresh.active_routes(), 1);
         assert_eq!(fresh.packets_routed(), 1);
     }

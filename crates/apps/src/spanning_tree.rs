@@ -9,7 +9,7 @@
 
 use crate::util::{snap, unsnap};
 use legosdn_codec::{Codec, Memo};
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::TopologyView;
 use legosdn_netsim::Endpoint;
@@ -158,7 +158,7 @@ impl SdnApp for SpanningTree {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -294,7 +294,7 @@ mod tests {
         run(&mut app, &Event::SwitchUp(DatapathId(1)), &topo);
         let snap = app.snapshot();
         let mut fresh = SpanningTree::new();
-        fresh.restore(&snap).unwrap();
+        fresh.restore(&snap.flat()).unwrap();
         // Restored app agrees nothing changed.
         let cmds = run(&mut fresh, &Event::SwitchUp(DatapathId(1)), &topo);
         assert!(cmds.is_empty());

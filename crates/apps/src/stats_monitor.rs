@@ -4,7 +4,7 @@
 
 use crate::util::{snap, unsnap};
 use legosdn_codec::{Codec, Memo};
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_netsim::SimTime;
 use legosdn_openflow::prelude::*;
@@ -116,7 +116,7 @@ impl SdnApp for StatsMonitor {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         snap(&self.state)
     }
 
@@ -228,7 +228,7 @@ mod tests {
         run(&mut app, &reply, SimTime::from_secs(1));
         let s = app.snapshot();
         let mut fresh = StatsMonitor::new();
-        fresh.restore(&s).unwrap();
+        fresh.restore(&s.flat()).unwrap();
         assert_eq!(fresh.history().len(), 1);
         assert_eq!(
             run(

@@ -1,13 +1,12 @@
 //! Shared helpers for application implementations.
 
 use legosdn_codec::Codec;
-use legosdn_controller::app::RestoreError;
+use legosdn_controller::app::{RestoreError, Snapshot};
 use legosdn_controller::snapshot;
 
-/// Serialize an app state (apps treat failure as a bug: state is always
-/// plain data).
-pub fn snap<T: Codec>(state: &T) -> Vec<u8> {
-    snapshot::to_bytes(state).expect("app state must serialize")
+/// Serialize an app state, its memos shared.
+pub fn snap<T: Codec>(state: &T) -> Snapshot {
+    Snapshot::of(state)
 }
 
 /// Deserialize an app state.
@@ -43,9 +42,9 @@ mod tests {
     fn snapshot_helpers_roundtrip() {
         let v = vec![(1u32, "a".to_string())];
         let bytes = snap(&v);
-        let back: Vec<(u32, String)> = unsnap(&bytes).unwrap();
+        let back: Vec<(u32, String)> = unsnap(&bytes.flat()).unwrap();
         assert_eq!(back, v);
-        assert!(unsnap::<u64>(&bytes[..1]).is_err());
+        assert!(unsnap::<u64>(&bytes.flat()[..1]).is_err());
     }
 
     #[test]

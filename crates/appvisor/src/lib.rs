@@ -31,7 +31,7 @@ pub use proxy::{
 };
 pub use rpc::{
     decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,
-    RpcMessage,
+    encode_snapshot_reply, RpcMessage,
 };
 pub use stub::{StubConfig, StubHost, StubReport};
 pub use transport::{FlakyTransport, Transport, TransportError, MAX_DATAGRAM};

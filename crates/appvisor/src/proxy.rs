@@ -784,7 +784,7 @@ fn await_tag(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legosdn_controller::app::{Ctx, RestoreError};
+    use legosdn_controller::app::{Ctx, RestoreError, Snapshot};
     use legosdn_openflow::prelude::*;
 
     struct TestApp {
@@ -806,8 +806,8 @@ mod tests {
             }
             ctx.send(DatapathId(self.count as u64), Message::BarrierRequest);
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.count.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.count.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.count =
@@ -1032,8 +1032,8 @@ mod tests {
             self.0.wait();
             ctx.send(DatapathId(1), Message::BarrierRequest);
         }
-        fn snapshot(&self) -> Vec<u8> {
-            Vec::new()
+        fn snapshot(&self) -> Snapshot {
+            Snapshot::default()
         }
         fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
             Ok(())

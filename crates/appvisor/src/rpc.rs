@@ -20,7 +20,7 @@
 //! break as the communication failure it is.
 
 use legosdn_codec::Codec;
-use legosdn_controller::app::Command;
+use legosdn_controller::app::{Command, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceDelta, DeviceView, TopologyDelta, TopologyView};
 use legosdn_controller::snapshot;
@@ -105,8 +105,10 @@ pub fn encode_frame_sized(msg: &RpcMessage, capacity: usize) -> Vec<u8> {
     framed(capacity, |out| msg.encode(out))
 }
 
-/// Variant indices of the two delivery frames, as `#[derive(Codec)]`
-/// numbers [`RpcMessage`]'s variants (declaration order, `u32`).
+/// Variant indices of the snapshot reply and the two delivery frames, as
+/// `#[derive(Codec)]` numbers [`RpcMessage`]'s variants (declaration
+/// order, `u32`).
+const SNAPSHOT_REPLY: u32 = 4;
 const EVENT_DELIVER: u32 = 6;
 const EVENT_DELIVER_DELTA: u32 = 10;
 
@@ -152,6 +154,18 @@ pub fn encode_deliver_delta(
         topology.encode(out);
         devices.encode(out);
         now.encode(out);
+    })
+}
+
+/// The bytes of `encode_frame(&RpcMessage::SnapshotReply { .. })` from
+/// the stub's checkpoint: its shared segments are flattened once, into
+/// the frame.
+#[must_use]
+pub fn encode_snapshot_reply(seq: u64, snapshot: &Snapshot) -> Vec<u8> {
+    framed(snapshot.len() + 32, |out| {
+        SNAPSHOT_REPLY.encode(out);
+        seq.encode(out);
+        snapshot.encode(out);
     })
 }
 
@@ -209,6 +223,24 @@ mod tests {
             bytes: vec![],
         });
         roundtrip(RpcMessage::Shutdown);
+    }
+
+    #[test]
+    fn a_snapshot_reply_is_the_frame_of_its_flat_bytes() {
+        use legosdn_codec::Memo;
+        let memo = Memo::new((0u32..200).collect::<Vec<_>>());
+        let _ = snapshot::to_bytes(&memo).unwrap();
+        // Warm memo between plain bytes: stored as a shared segment.
+        let snapshot = Snapshot::of(&(7u8, memo, 9u64));
+        let flat = RpcMessage::SnapshotReply {
+            seq: 11,
+            bytes: snapshot.to_vec(),
+        };
+        assert_eq!(encode_snapshot_reply(11, &snapshot), encode_frame(&flat));
+        assert_eq!(
+            decode_frame(&encode_snapshot_reply(11, &snapshot)),
+            Ok(flat)
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! proxy. A `RestoreRequest` revives it — the CRIU-restore analogue.
 
 use crate::poll::PollWaker;
-use crate::rpc::{decode_frame, encode_frame, encode_frame_sized, RpcMessage};
+use crate::rpc::{
+    decode_frame, encode_frame, encode_frame_sized, encode_snapshot_reply, RpcMessage,
+};
 use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
@@ -198,9 +200,7 @@ impl StubCore {
                 self.run_app(seq, &event, now)
             }
             RpcMessage::SnapshotRequest { seq } => match self.sandbox.capture() {
-                Ok(bytes) => {
-                    StubStep::Reply(encode_frame(&RpcMessage::SnapshotReply { seq, bytes }))
-                }
+                Ok(snapshot) => StubStep::Reply(encode_snapshot_reply(seq, &snapshot)),
                 Err(fault) => self.faulted(seq, fault),
             },
             RpcMessage::RestoreRequest { seq, bytes } => {
@@ -448,7 +448,7 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
 mod stub_tests {
     use super::*;
     use crate::poll::QueueTransport;
-    use legosdn_controller::app::RestoreError;
+    use legosdn_controller::app::{RestoreError, Snapshot};
     use legosdn_controller::event::{Event, EventKind};
     use legosdn_controller::services::{DeviceView, TopologyView};
     use legosdn_netsim::SimTime;
@@ -474,8 +474,8 @@ mod stub_tests {
             }
             ctx.send(DatapathId(1), Message::BarrierRequest);
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.count.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.count.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.count =

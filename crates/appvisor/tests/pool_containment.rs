@@ -9,7 +9,7 @@ use legosdn_appvisor::{
     AppHandle, AppVisorProxy, DeliverOutcome, IoMode, ProxyConfig, ProxyError, StubConfig,
     TransportKind,
 };
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
@@ -43,9 +43,9 @@ impl SdnApp for Hostile {
     fn on_event(&mut self, _event: &Event, ctx: &mut Ctx<'_>) {
         ctx.send(DatapathId(1), Message::BarrierRequest);
     }
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         self.maybe_panic("snapshot");
-        Vec::new()
+        Snapshot::default()
     }
     fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
         self.maybe_panic("restore");
@@ -183,8 +183,8 @@ impl SdnApp for Staller {
         let _ = self.release.recv_timeout(Duration::from_secs(10));
         ctx.send(DatapathId(1), Message::BarrierRequest);
     }
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
     }
     fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
         Ok(())

@@ -11,7 +11,7 @@ use legosdn_appvisor::{
     decode_frame, encode_frame, AppHandle, AppVisorProxy, DeliverOutcome, FlakyTransport,
     ProxyConfig, QueueTransport, RpcMessage, StubConfig, StubHost, Transport,
 };
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_controller::{snapshot, EventTranslator};
@@ -57,8 +57,8 @@ impl SdnApp for ViewProbe {
             .push((*id, encoded((ctx.topology, ctx.devices))));
         assert_ne!(Some(*id), self.crash_at, "view probe crash");
     }
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
     }
     fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
         Ok(())

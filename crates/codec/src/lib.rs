@@ -12,9 +12,9 @@
 //! The format is not self-describing: decoding must use the same types as
 //! encoding.
 //!
-//! [`Memo`] wraps a value so that encoding it again, unchanged, is a copy
-//! of the bytes from last time — what makes a per-event checkpoint cost
-//! what the event wrote.
+//! [`Memo`] wraps a value so that encoding it again, unchanged, reuses the
+//! bytes from last time, and a [`Snapshot`] holds those bytes by handle —
+//! what makes a per-event checkpoint cost what the event wrote.
 
 // The derive macro emits `::legosdn_codec::…` paths; alias ourselves so
 // `#[derive(Codec)]` also works inside this crate (mirrors serde's trick).
@@ -23,7 +23,9 @@ extern crate self as legosdn_codec;
 pub use legosdn_codec_derive::Codec;
 
 mod memo;
+mod snapshot;
 pub use memo::Memo;
+pub use snapshot::Snapshot;
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -36,19 +38,25 @@ thread_local! {
     static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Run `encode` over this thread's reused buffer, emptied; an encode
+/// nested inside another finds it taken and gets a fresh `Vec`.
+fn with_encode_buffer<R>(encode: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            encode(&mut buf)
+        }
+        Err(_) => encode(&mut Vec::new()),
+    })
+}
+
 /// Encode `value` to bytes, returned in one allocation of exactly the
 /// encoded size: the encoding grows this thread's reused buffer, not a
-/// fresh one, and is copied out once. A `to_bytes` nested inside an
-/// `encode` finds the buffer taken and encodes into a fresh `Vec`.
+/// fresh one, and is copied out once. It shares nothing, even nested
+/// inside a [`Snapshot::of`]: its buffer is never the one being cut.
 pub fn to_bytes<T: Codec>(value: &T) -> Result<Vec<u8>, CodecError> {
-    SCRATCH.with(|scratch| {
-        let Ok(mut buf) = scratch.try_borrow_mut() else {
-            let mut out = Vec::new();
-            value.encode(&mut out);
-            return Ok(out);
-        };
-        buf.clear();
-        value.encode(&mut buf);
+    with_encode_buffer(|buf| {
+        value.encode(buf);
         Ok(buf.to_vec())
     })
 }
@@ -306,19 +314,14 @@ impl<T: Codec> Codec for std::collections::VecDeque<T> {
     }
 }
 
-impl<T: Codec, const N: usize> Codec for [T; N] {
+/// Byte arrays encode as their bytes, with no length prefix: one append,
+/// one read.
+impl<const N: usize> Codec for [u8; N] {
     fn encode(&self, out: &mut Vec<u8>) {
-        for v in self {
-            v.encode(out);
-        }
+        out.extend_from_slice(self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        // Arrays encode as fixed-length tuples: no length prefix.
-        let mut v = Vec::with_capacity(N);
-        for _ in 0..N {
-            v.push(T::decode(r)?);
-        }
-        v.try_into().map_err(|_| CodecError::Eof)
+        Ok(r.take(N)?.try_into().expect("take returns N bytes"))
     }
 }
 
@@ -616,6 +619,33 @@ mod tests {
         assert_eq!(bytes, by_hand);
         let back: (u8, Blob, u8) = from_bytes(&bytes).unwrap();
         assert_eq!(back.1 .0, nested.1 .0);
+
+        // The same nested `to_bytes`, inside a snapshot's encode with warm
+        // memos on both sides of it: the blob gets every byte, the memos
+        // are shared, and the snapshot is the plain encoding.
+        let memo = Memo::new(big.clone());
+        let _ = to_bytes(&memo).unwrap();
+        let shared = (memo.clone(), Blob((0..100).collect()), memo);
+        let snapshot = Snapshot::of(&shared);
+        let bytes = to_bytes(&shared).unwrap();
+        let mut by_hand = plain.clone();
+        to_bytes(&shared.1 .0).unwrap().encode(&mut by_hand);
+        by_hand.extend_from_slice(&plain);
+        assert_eq!(bytes, by_hand);
+        assert_eq!(snapshot, bytes);
+        assert_eq!(snapshot.to_vec(), bytes);
+        let pieces: Vec<&[u8]> = snapshot
+            .chunks()
+            .filter(|c| c.len() == plain.len())
+            .collect();
+        assert_eq!(pieces.len(), 2, "both memos held by handle");
+        assert_eq!(
+            pieces[0].as_ptr(),
+            pieces[1].as_ptr(),
+            "one encoding, shared"
+        );
+        // After it, the thread's buffer shares nothing again.
+        assert_eq!(to_bytes(&shared.0).unwrap(), plain);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! state in a `Memo` makes encoding it a copy of the bytes remembered from
 //! last time; only a write — which must go through [`Memo::make_mut`] —
 //! forgets them. The bytes are exactly `T`'s, so wrapping a field changes
-//! no snapshot.
+//! no snapshot. They are kept shared, so a [`crate::Snapshot`] holds an
+//! outermost memo by handle rather than by copy.
 
+use crate::snapshot::{is_cutting, put, unshared};
 use crate::{Codec, CodecError, Reader};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A `T` beside a lazily filled copy of its encoding.
 ///
@@ -23,7 +25,7 @@ pub struct Memo<T> {
     /// `value`'s encoding, if it was encoded or decoded since the last
     /// `make_mut`. `OnceLock` so `encode(&self)` can fill it and the
     /// wrapper stays `Send + Sync` with `T`.
-    bytes: OnceLock<Box<[u8]>>,
+    bytes: OnceLock<Arc<[u8]>>,
 }
 
 impl<T> Memo<T> {
@@ -85,17 +87,23 @@ impl<T: fmt::Debug> fmt::Debug for Memo<T> {
     }
 }
 
-/// Encodes byte-for-byte as `T`.
+/// Encodes byte-for-byte as `T`. Into the buffer a [`crate::Snapshot`]
+/// is being cut from, the bytes go by handle; memos nested inside this
+/// one are copied into its own bytes.
 impl<T: Codec> Codec for Memo<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         if let Some(bytes) = self.bytes.get() {
-            out.extend_from_slice(bytes);
+            put(out, bytes);
             return;
         }
         let start = out.len();
-        self.value.encode(out);
+        unshared(|| self.value.encode(out));
         // A racing encoder computed the same bytes; either copy will do.
-        let _ = self.bytes.set(out[start..].into());
+        let bytes = self.bytes.get_or_init(|| out[start..].into());
+        if is_cutting(out) {
+            out.truncate(start);
+            put(out, bytes);
+        }
     }
 
     /// Remembers the slice the value was read from, so the next encode of
@@ -107,7 +115,7 @@ impl<T: Codec> Codec for Memo<T> {
         let value = T::decode(r)?;
         Ok(Memo {
             value,
-            bytes: OnceLock::from(Box::from(&r.input[start..r.pos])),
+            bytes: OnceLock::from(Arc::from(&r.input[start..r.pos])),
         })
     }
 }

@@ -1,9 +1,11 @@
 //! `Memo`'s one failure mode is a stale remembered encoding. Drive a
 //! `Memo`-bearing struct and a plain twin through the same random reads,
 //! writes, clones, encodes and decodes, and demand identical bytes after
-//! every step.
+//! every step — flat, and as a [`Snapshot`] holding the memos by handle.
+//! A snapshot shares its memos' encodings, so a later write must never
+//! change the bytes an earlier snapshot holds.
 
-use legosdn_codec::{from_bytes, to_bytes, Codec, Memo};
+use legosdn_codec::{from_bytes, to_bytes, Codec, Memo, Snapshot};
 use legosdn_testkit::{forall, Rng};
 use std::collections::BTreeMap;
 
@@ -25,11 +27,15 @@ struct Memoed {
 }
 
 fn assert_in_step(plain: &Plain, memoed: &Memoed, what: &str) {
+    let want = to_bytes(plain).unwrap();
     assert_eq!(
         to_bytes(memoed).unwrap(),
-        to_bytes(plain).unwrap(),
+        want,
         "bytes diverged after {what}"
     );
+    let snapshot = Snapshot::of(memoed);
+    assert_eq!(snapshot.to_vec(), want, "snapshot diverged after {what}");
+    assert_eq!(snapshot, want, "snapshot compares unequal after {what}");
 }
 
 /// One random operation applied to both twins. Returns its name.
@@ -100,7 +106,11 @@ fn step(rng: &mut Rng, plain: &mut Plain, memoed: &mut Memoed) -> &'static str {
         }
         8 => {
             // Encode warms every memo; a later write must still show.
-            let _ = to_bytes(memoed).unwrap();
+            if rng.gen_bool(0.5) {
+                let _ = to_bytes(memoed).unwrap();
+            } else {
+                let _ = Snapshot::of(memoed);
+            }
             "encode"
         }
         9 => {
@@ -168,5 +178,32 @@ fn a_clone_and_its_original_diverge_independently() {
         }
         assert_in_step(&plain_a, &memo_a, "divergence (original)");
         assert_in_step(&plain_b, &memo_b, "divergence (clone)");
+    });
+}
+
+#[test]
+fn a_write_never_changes_the_bytes_an_earlier_snapshot_holds() {
+    forall(100, |rng| {
+        let (mut plain, mut memoed) = (Plain::default(), Memoed::default());
+        // Every snapshot taken so far, beside the bytes it was taken as.
+        let mut held: Vec<(Snapshot, Vec<u8>)> = Vec::new();
+        for _ in 0..rng.gen_range(1usize..80) {
+            let what = step(rng, &mut plain, &mut memoed);
+            if rng.gen_bool(0.5) {
+                held.push((Snapshot::of(&memoed), to_bytes(&plain).unwrap()));
+            }
+            for (i, (snapshot, bytes)) in held.iter().enumerate() {
+                assert_eq!(snapshot.to_vec(), *bytes, "snapshot {i} moved after {what}");
+                assert_eq!(
+                    snapshot, bytes,
+                    "snapshot {i} compares unequal after {what}"
+                );
+            }
+            // Held snapshots decode to the state they were taken from.
+            if let Some((snapshot, bytes)) = held.last() {
+                let back: Plain = from_bytes(&snapshot.flat()).unwrap();
+                assert_eq!(to_bytes(&back).unwrap(), *bytes);
+            }
+        }
     });
 }

@@ -9,7 +9,8 @@
 //! - `snapshot`/`restore` give Crash-Pad its checkpoint primitive — the
 //!   stand-in for CRIU in the paper's prototype (DESIGN.md §2). Apps
 //!   serialize their *entire* state; restoring the bytes must reproduce the
-//!   exact pre-event state.
+//!   exact pre-event state. A snapshot is one byte sequence, stored
+//!   shared ([`Snapshot`], DESIGN.md §15).
 //! - Any method may panic. A panic is the fail-stop crash the whole system
 //!   is designed around; who it kills depends on the runtime (the
 //!   monolithic baseline dies with the app, LegoSDN calls apps only through
@@ -18,6 +19,7 @@
 use crate::event::{Event, EventKind};
 use crate::services::{DeviceView, TopologyView};
 use legosdn_codec::Codec;
+pub use legosdn_codec::Snapshot;
 use legosdn_netsim::SimTime;
 use legosdn_openflow::prelude::{DatapathId, Message};
 use std::fmt;
@@ -99,8 +101,9 @@ pub trait SdnApp: Send {
     /// panic models a fail-stop application bug.
     fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>);
 
-    /// Serialize the app's complete state.
-    fn snapshot(&self) -> Vec<u8>;
+    /// Serialize the app's complete state: `Snapshot::of(&state)`, or
+    /// plain bytes `.into()` one.
+    fn snapshot(&self) -> Snapshot;
 
     /// Restore state from a previous [`SdnApp::snapshot`].
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError>;
@@ -126,8 +129,8 @@ mod tests {
             self.seen += 1;
             ctx.send(DatapathId(1), Message::FlowMod(FlowMod::add(Match::any())));
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.seen.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.seen.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             let arr: [u8; 4] = bytes
@@ -155,7 +158,7 @@ mod tests {
         let mut app = Probe { seen: 42 };
         let snap = app.snapshot();
         app.seen = 0;
-        app.restore(&snap).unwrap();
+        app.restore(&snap.flat()).unwrap();
         assert_eq!(app.seen, 42);
         assert!(app.restore(&[1, 2]).is_err());
     }

@@ -10,7 +10,7 @@
 //!
 //! [`reboot`]: MonolithicController::reboot
 
-use crate::app::{Command, Ctx, SdnApp};
+use crate::app::{Command, Ctx, SdnApp, Snapshot};
 use crate::event::Event;
 use crate::sandbox::panic_text;
 use crate::translate::EventTranslator;
@@ -61,7 +61,7 @@ pub struct CycleReport {
 struct AppSlot {
     app: Box<dyn SdnApp>,
     /// State at attach time; a reboot restores this (apps lose everything).
-    initial_snapshot: Vec<u8>,
+    initial_snapshot: Snapshot,
 }
 
 /// The monolithic (fate-sharing) controller.
@@ -236,7 +236,7 @@ impl MonolithicController {
             // Restore is best-effort: an app whose snapshot no longer
             // restores stays at whatever state it had (it will be
             // re-driven by fresh events).
-            let _ = slot.app.restore(&slot.initial_snapshot);
+            let _ = slot.app.restore(&slot.initial_snapshot.flat());
         }
         self.translator = EventTranslator::new();
         self.crashed = None;
@@ -296,8 +296,8 @@ mod tests {
                 }),
             );
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.handled.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.handled.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.handled =
@@ -321,8 +321,8 @@ mod tests {
         fn on_event(&mut self, _event: &Event, _ctx: &mut Ctx<'_>) {
             self.count += 1;
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.count.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.count.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.count =

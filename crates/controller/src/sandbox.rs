@@ -5,6 +5,7 @@
 
 use crate::app::{Command, Ctx, RestoreError, SdnApp};
 use crate::event::{Event, EventKind};
+use legosdn_codec::Snapshot;
 use std::any::Any;
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -93,7 +94,7 @@ impl Sandbox {
     }
 
     /// The app's [`SdnApp::snapshot`].
-    pub fn capture(&self) -> Result<Vec<u8>, Fault> {
+    pub fn capture(&self) -> Result<Snapshot, Fault> {
         wall(&self.dead, || self.app.snapshot())
     }
 
@@ -141,6 +142,7 @@ pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::services::{DeviceView, TopologyView};
+    use legosdn_codec::{to_bytes, Codec, CodecError, Memo, Reader};
     use legosdn_netsim::SimTime;
     use legosdn_openflow::prelude::{DatapathId, Message};
 
@@ -170,9 +172,9 @@ mod tests {
             self.seen += 1;
             ctx.send(DatapathId(1), Message::BarrierRequest);
         }
-        fn snapshot(&self) -> Vec<u8> {
+        fn snapshot(&self) -> Snapshot {
             self.maybe_panic("snapshot");
-            vec![self.seen]
+            vec![self.seen].into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.maybe_panic("restore");
@@ -205,9 +207,9 @@ mod tests {
             Ok(("hostile".to_string(), vec![EventKind::SwitchUp]))
         );
         assert_eq!(deliver(&mut sb), Ok(1));
-        assert_eq!(sb.capture(), Ok(vec![1]));
+        assert_eq!(sb.capture(), Ok(vec![1].into()));
         assert_eq!(sb.revive(&[0]), Ok(()));
-        assert_eq!(sb.capture(), Ok(vec![0]));
+        assert_eq!(sb.capture(), Ok(vec![0].into()));
         assert!(!sb.is_dead());
     }
 
@@ -251,6 +253,63 @@ mod tests {
             matches!(deliver(&mut dead), Err(Fault::Dead(t)) if t.contains("on_event")),
             "a rejected restore revives nothing"
         );
+    }
+
+    /// Encodes by panicking.
+    struct Bomb;
+
+    impl Codec for Bomb {
+        fn encode(&self, _out: &mut Vec<u8>) {
+            panic!("bomb in the encoder");
+        }
+        fn decode(_r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Bomb)
+        }
+    }
+
+    /// A memoized table, then a field whose encoding panics: the snapshot
+    /// dies after the table was cut out of the encoder's buffer.
+    #[derive(Codec)]
+    struct Exploding {
+        table: Memo<Vec<u32>>,
+        bomb: Bomb,
+    }
+
+    impl SdnApp for Exploding {
+        fn name(&self) -> &str {
+            "exploding"
+        }
+        fn subscriptions(&self) -> Vec<EventKind> {
+            Vec::new()
+        }
+        fn on_event(&mut self, _event: &Event, _ctx: &mut Ctx<'_>) {}
+        fn snapshot(&self) -> Snapshot {
+            Snapshot::of(self)
+        }
+        fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_checkpoint_leaves_the_threads_encoder_as_it_was() {
+        let table = Memo::new((0..100).collect::<Vec<u32>>());
+        let plain = to_bytes(&table.to_vec()).unwrap();
+        assert_eq!(to_bytes(&table).unwrap(), plain, "warms the memo");
+        let sb = Sandbox::new(Box::new(Exploding {
+            table: table.clone(),
+            bomb: Bomb,
+        }));
+        assert!(matches!(sb.capture(), Err(Fault::Panicked(t)) if t.contains("bomb")));
+        // This thread's next plain encode gets every byte, and its next
+        // checkpoints carry nothing of the one that died.
+        assert_eq!(to_bytes(&table).unwrap(), plain);
+        assert_eq!(sandbox("nothing").capture(), Ok(vec![0].into()));
+        let shared = Snapshot::of(&(7u8, table));
+        let mut want = vec![7u8];
+        want.extend_from_slice(&plain);
+        assert_eq!(shared, want);
+        assert_eq!(shared.to_vec(), want);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! little-endian integers, `u64` length prefixes, one-byte option/bool
 //! tags, `u32` enum variant indices). This module stays as the stable
 //! import path for apps and Crash-Pad: `snapshot::to_bytes` /
-//! `snapshot::from_bytes` / `snapshot::CodecError`.
+//! `snapshot::from_bytes` / `snapshot::CodecError`, and
+//! `snapshot::Snapshot`, the checkpoint an app's `snapshot` returns.
 //!
 //! The format is not self-describing: decoding must use the same types as
 //! encoding.
 
-pub use legosdn_codec::{from_bytes, to_bytes, Codec, CodecError};
+pub use legosdn_codec::{from_bytes, to_bytes, Codec, CodecError, Snapshot};
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@
 //! pre-event checkpoint revives every version.
 
 use legosdn_codec::Codec;
-use legosdn_controller::app::{Command, Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Command, Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::sandbox::{Fault, Sandbox};
 use legosdn_controller::snapshot;
@@ -42,7 +42,7 @@ pub struct VoteStats {
 struct Saved {
     stats: VoteStats,
     dead: Vec<bool>,
-    versions: Vec<Vec<u8>>,
+    versions: Vec<Snapshot>,
 }
 
 /// A group of versions of one app, keeping one output per event.
@@ -164,7 +164,7 @@ impl SdnApp for NVersionApp {
             self.stats.switchovers += u64::from(Some(first) != first_live);
             if let Ok(state) = self.versions[first].capture() {
                 for i in crashed {
-                    let _ = self.versions[i].revive(&state);
+                    let _ = self.versions[i].revive(&state.flat());
                 }
             }
             answers.swap_remove(0).1
@@ -176,14 +176,15 @@ impl SdnApp for NVersionApp {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        let states: Vec<Option<Vec<u8>>> = self.versions.iter().map(|v| v.capture().ok()).collect();
+    fn snapshot(&self) -> Snapshot {
+        let states: Vec<Option<Snapshot>> =
+            self.versions.iter().map(|v| v.capture().ok()).collect();
         let saved = Saved {
             stats: self.stats,
             dead: states.iter().map(Option::is_none).collect(),
             versions: states.into_iter().map(Option::unwrap_or_default).collect(),
         };
-        snapshot::to_bytes(&saved).expect("plain data")
+        Snapshot::of(&saved)
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
@@ -203,7 +204,7 @@ impl SdnApp for NVersionApp {
         {
             if dead {
                 v.kill("dead in the restored group checkpoint");
-            } else if let Err(Fault::Rejected(e)) = v.revive(s) {
+            } else if let Err(Fault::Rejected(e)) = v.revive(&s.flat()) {
                 return Err(e);
             }
         }
@@ -328,7 +329,7 @@ mod tests {
             deliver_walled(&mut group, &pin(13)),
             Err(Fault::Panicked(text)) if text.starts_with(BUG_TEXT)
         ));
-        group.revive(&before).unwrap();
+        group.revive(&before.flat()).unwrap();
         assert_eq!(deliver_walled(&mut group, &pin(2)).unwrap().len(), 1);
     }
 
@@ -338,7 +339,7 @@ mod tests {
         let healthy = nv.snapshot();
         deliver(&mut nv, &pin(13));
         assert_eq!(nv.live_versions(), 2);
-        nv.restore(&healthy).unwrap();
+        nv.restore(&healthy.flat()).unwrap();
         assert_eq!(nv.live_versions(), 3, "restore revives the crashed version");
         assert_eq!(nv.vote_stats().version_crashes, 0);
     }
@@ -349,9 +350,9 @@ mod tests {
         let healthy = nv.snapshot();
         deliver(&mut nv, &pin(13));
         let wounded = nv.snapshot();
-        nv.restore(&healthy).unwrap();
+        nv.restore(&healthy.flat()).unwrap();
         assert_eq!(nv.live_versions(), 3);
-        nv.restore(&wounded).unwrap();
+        nv.restore(&wounded.flat()).unwrap();
         assert_eq!(nv.live_versions(), 2, "the checkpoint's dead stay dead");
         assert_eq!(deliver(&mut nv, &pin(2)).len(), 1);
     }
@@ -369,7 +370,7 @@ mod tests {
             fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
                 self.0.on_event(event, ctx);
             }
-            fn snapshot(&self) -> Vec<u8> {
+            fn snapshot(&self) -> Snapshot {
                 panic!("snapshot bomb");
             }
             fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
@@ -388,7 +389,7 @@ mod tests {
         assert_eq!(nv.live_versions(), 2);
         assert_eq!(deliver(&mut nv, &pin(2)).len(), 1);
         assert_eq!(nv.vote_stats().unanimous, 1, "the two live versions agree");
-        nv.restore(&saved).unwrap();
+        nv.restore(&saved.flat()).unwrap();
         assert_eq!(nv.live_versions(), 2, "and the checkpoint saved it dead");
     }
 
@@ -448,7 +449,7 @@ mod tests {
         let saved = pair.snapshot();
         deliver(&mut pair, &pin(3));
         assert_ne!(pair.snapshot(), saved);
-        pair.restore(&saved).unwrap();
+        pair.restore(&saved.flat()).unwrap();
         assert_eq!(
             pair.snapshot(),
             saved,

@@ -1021,7 +1021,7 @@ mod tests {
             }
             self.hub.on_event(event, ctx);
         }
-        fn snapshot(&self) -> Vec<u8> {
+        fn snapshot(&self) -> legosdn_controller::app::Snapshot {
             self.hub.snapshot()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), legosdn_controller::app::RestoreError> {

@@ -861,7 +861,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             let waited = Instant::now();
             if let Ok(bytes) = proxy.collect_snapshot(entry.handle, tag) {
                 let dur_ns = u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                crashpad.record_prepared(apps[local].id, &apps[local].name, bytes, dur_ns);
+                crashpad.record_prepared(apps[local].id, &apps[local].name, bytes.into(), dur_ns);
             }
         }
 

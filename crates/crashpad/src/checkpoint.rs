@@ -21,20 +21,18 @@
 //! **Elision.** A snapshot whose bytes equal the latest stored checkpoint's
 //! is not stored again: the store re-dates that checkpoint to the current
 //! event index, which empties the replay suffix — the same recovery plan
-//! at no copy and no history slot. The test is exact byte equality,
-//! compared where two snapshots of one app differ first: the length, then
-//! the last 64 bytes (a derived encoding ends in the per-event counters an
-//! app keeps after its tables), then the rest. What makes the snapshot
-//! itself cheap is upstream: apps keep their large state in memoized
-//! segments (`legosdn_codec::Memo`, DESIGN.md §15), so `snapshot()`
-//! re-encodes only what the last event wrote and copies the rest.
+//! at no copy and no history slot. The test is exact byte equality
+//! ([`Snapshot`]'s `==`), however the two are stored.
 //!
-//! **Footprint.** Stored checkpoints are held at their length. What
-//! `to_bytes` returns already is; bytes collected from a stub's frame may
-//! carry slack, and `history` slots of up-to-2× slack is what the store
-//! would otherwise hold.
+//! **Sharing.** A checkpoint is a [`Snapshot`]: one byte sequence, stored
+//! as the app's few plain bytes with its memoized segments
+//! (`legosdn_codec::Memo`, DESIGN.md §15) held by handle. A snapshot
+//! re-encodes only what the last event wrote, and the store keeps the
+//! rest shared with the app and with the checkpoints before it. Its
+//! plain bytes are held at their length, so a stored checkpoint keeps no
+//! slack.
 
-use legosdn_codec::Codec;
+use legosdn_codec::{Codec, Snapshot};
 use legosdn_controller::event::Event;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -66,7 +64,7 @@ pub struct Checkpoint {
     /// Index of the first event delivered *after* this snapshot.
     pub event_index: u64,
     /// Serialized app state.
-    pub bytes: Vec<u8>,
+    pub bytes: Snapshot,
 }
 
 /// A recovery plan: restore `snapshot`, then replay `replay` in order.
@@ -88,13 +86,6 @@ struct AppCheckpoints {
     /// `archive_start`.
     archive: VecDeque<Event>,
     archive_start: u64,
-}
-
-/// Exact byte equality, compared where two snapshots of one app differ
-/// first (see the module doc): length, the last 64 bytes, the rest.
-fn same_bytes(a: &[u8], b: &[u8]) -> bool {
-    let tail = a.len().saturating_sub(64);
-    a.len() == b.len() && a[tail..] == b[tail..] && a[..tail] == b[..tail]
 }
 
 /// Per-app checkpoint bookkeeping.
@@ -161,11 +152,11 @@ impl CheckpointStore {
     /// suffix — restore + empty replay reproduces the current state
     /// exactly, so recovery plans stay correct while the copy and its
     /// history slot are saved.
-    pub fn record_snapshot(&mut self, app: &str, bytes: Vec<u8>) -> bool {
+    pub fn record_snapshot(&mut self, app: &str, bytes: Snapshot) -> bool {
         let history_cap = self.policy.history.max(1);
         let entry = self.entry(app);
         if let Some(latest) = entry.history.back_mut() {
-            if same_bytes(&latest.bytes, &bytes) {
+            if latest.bytes == bytes {
                 latest.event_index = entry.events_delivered;
                 self.snapshots_elided += 1;
                 return false;
@@ -173,9 +164,7 @@ impl CheckpointStore {
         }
         let checkpoint = Checkpoint {
             event_index: entry.events_delivered,
-            // Exact capacity: no slack is kept. Free for what `to_bytes`
-            // returns; a copy for bytes that came off the wire.
-            bytes: bytes.into_boxed_slice().into_vec(),
+            bytes,
         };
         let size = checkpoint.bytes.len() as u64;
         entry.history.push_back(checkpoint);
@@ -256,6 +245,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legosdn_codec::Memo;
     use legosdn_controller::event::Event;
     use legosdn_openflow::prelude::DatapathId;
 
@@ -272,7 +262,7 @@ mod tests {
         });
         for i in 0..5u64 {
             assert!(store.checkpoint_due("a"), "event {i}");
-            store.record_snapshot("a", vec![i as u8]);
+            store.record_snapshot("a", vec![i as u8].into());
             store.record_delivered("a", &ev(i));
         }
         assert_eq!(store.snapshots_taken, 5);
@@ -289,7 +279,7 @@ mod tests {
         let mut taken = 0;
         for i in 0..9u64 {
             if store.checkpoint_due("a") {
-                store.record_snapshot("a", vec![i as u8]);
+                store.record_snapshot("a", vec![i as u8].into());
                 taken += 1;
             }
             store.record_delivered("a", &ev(i));
@@ -304,14 +294,14 @@ mod tests {
             history: 4,
             ..CheckpointPolicy::default()
         });
-        store.record_snapshot("a", vec![0xaa]);
+        store.record_snapshot("a", vec![0xaa].into());
         store.record_delivered("a", &ev(1));
         store.record_delivered("a", &ev(2));
         let plan = store.recovery_plan("a").unwrap();
         assert_eq!(plan.snapshot.bytes, vec![0xaa]);
         assert_eq!(plan.replay, vec![ev(1), ev(2)]);
         // A fresh snapshot leaves nothing to replay.
-        store.record_snapshot("a", vec![0xbb]);
+        store.record_snapshot("a", vec![0xbb].into());
         let plan = store.recovery_plan("a").unwrap();
         assert!(plan.replay.is_empty());
         assert_eq!(plan.snapshot.bytes, vec![0xbb]);
@@ -325,7 +315,7 @@ mod tests {
             ..CheckpointPolicy::default()
         });
         for i in 0..5u8 {
-            store.record_snapshot("a", vec![i]);
+            store.record_snapshot("a", vec![i].into());
             store.record_delivered("a", &ev(u64::from(i)));
         }
         let hist = store.history("a");
@@ -342,7 +332,7 @@ mod tests {
             ..CheckpointPolicy::default()
         });
         for i in 0..4u8 {
-            store.record_snapshot("a", vec![i]);
+            store.record_snapshot("a", vec![i].into());
             store.record_delivered("a", &ev(u64::from(i)));
         }
         assert_eq!(
@@ -363,11 +353,11 @@ mod tests {
             history: 4,
             ..CheckpointPolicy::default()
         });
-        assert!(store.record_snapshot("a", vec![7, 7]));
+        assert!(store.record_snapshot("a", vec![7, 7].into()));
         store.record_delivered("a", &ev(0));
         // State unchanged: elide, but the retained checkpoint must now
         // cover event 1 onward with nothing to replay.
-        assert!(!store.record_snapshot("a", vec![7, 7]));
+        assert!(!store.record_snapshot("a", vec![7, 7].into()));
         store.record_delivered("a", &ev(1));
         assert_eq!(store.snapshots_taken, 1);
         assert_eq!(store.snapshots_elided, 1);
@@ -378,7 +368,7 @@ mod tests {
         assert_eq!(plan.snapshot.bytes, vec![7, 7]);
         assert_eq!(plan.replay, vec![ev(1)]);
         // State changed again: stored as usual.
-        assert!(store.record_snapshot("a", vec![7, 8]));
+        assert!(store.record_snapshot("a", vec![7, 8].into()));
         assert_eq!(store.snapshots_taken, 2);
         assert_eq!(store.history_len("a"), 2);
     }
@@ -386,32 +376,58 @@ mod tests {
     #[test]
     fn same_length_different_content_is_stored_not_elided() {
         let mut store = CheckpointStore::new(CheckpointPolicy::default());
-        assert!(store.record_snapshot("a", vec![1, 2, 3, 4]));
+        assert!(store.record_snapshot("a", vec![1, 2, 3, 4].into()));
         store.record_delivered("a", &ev(0));
         // Differs only in its last byte — where an app's counters sit.
-        assert!(store.record_snapshot("a", vec![1, 2, 3, 5]));
+        assert!(store.record_snapshot("a", vec![1, 2, 3, 5].into()));
         store.record_delivered("a", &ev(1));
         assert_eq!(store.snapshots_elided, 0);
         let hist = store.history("a");
         assert_eq!(hist.len(), 2);
         assert_eq!(
-            (hist[0].event_index, &hist[0].bytes),
-            (0, &vec![1, 2, 3, 4])
+            (hist[0].event_index, hist[0].bytes.to_vec()),
+            (0, vec![1, 2, 3, 4])
         );
         assert_eq!(
-            (hist[1].event_index, &hist[1].bytes),
-            (1, &vec![1, 2, 3, 5])
+            (hist[1].event_index, hist[1].bytes.to_vec()),
+            (1, vec![1, 2, 3, 5])
         );
         // Identical to the latest: elided, and the latest is re-dated.
-        assert!(!store.record_snapshot("a", vec![1, 2, 3, 5]));
+        assert!(!store.record_snapshot("a", vec![1, 2, 3, 5].into()));
         assert_eq!(store.snapshots_elided, 1);
         let hist = store.history("a");
         assert_eq!(hist.len(), 2);
         assert_eq!(hist[1].event_index, 2);
         assert!(store.recovery_plan("a").unwrap().replay.is_empty());
         // Equal to an *older* checkpoint only: stored.
-        assert!(store.record_snapshot("a", vec![1, 2, 3, 4]));
+        assert!(store.record_snapshot("a", vec![1, 2, 3, 4].into()));
         assert_eq!(store.history_len("a"), 3);
+    }
+
+    #[test]
+    fn elision_compares_bytes_not_storage() {
+        #[derive(Codec)]
+        struct Model {
+            table: Memo<Vec<u32>>,
+            tail: u8,
+        }
+        let model = |tail| Model {
+            table: Memo::new((0..1000).collect()),
+            tail,
+        };
+        let mut store = CheckpointStore::new(CheckpointPolicy::default());
+        let warm = model(1);
+        assert!(store.record_snapshot("a", Snapshot::of(&warm)));
+        // The same memo by the same handle; an equal memo by a handle of
+        // its own; the same bytes with no memo cut out at all.
+        assert!(!store.record_snapshot("a", Snapshot::of(&warm)));
+        assert!(!store.record_snapshot("a", Snapshot::of(&model(1))));
+        let flat = legosdn_codec::to_bytes(&warm).unwrap();
+        assert!(!store.record_snapshot("a", flat.clone().into()));
+        assert_eq!(store.snapshots_elided, 3);
+        // A different tail behind an equal segment is stored.
+        assert!(store.record_snapshot("a", Snapshot::of(&model(2))));
+        assert_eq!(store.history("a")[0].bytes, flat);
     }
 
     #[test]
@@ -423,23 +439,32 @@ mod tests {
             bytes.extend_from_slice(&i.to_le_bytes());
         }
         assert!(bytes.capacity() > bytes.len(), "test needs slack to trim");
-        assert!(store.record_snapshot("a", bytes.clone()));
+        assert!(store.record_snapshot("a", bytes.clone().into()));
         let mut roomy = Vec::with_capacity(64);
         roomy.push(9u8);
-        assert!(store.record_snapshot("a", roomy));
-        for checkpoint in store.history("a") {
-            assert_eq!(checkpoint.bytes.capacity(), checkpoint.bytes.len());
-        }
-        assert_eq!(store.history("a")[0].bytes, bytes);
+        assert!(store.record_snapshot("a", roomy.into()));
+        let hist = store.history("a");
+        let (big, small) = (&hist[0].bytes, &hist[1].bytes);
+        // Many bytes are one boxed slice, which has no room beyond its
+        // length (`tests/alloc_budget.rs` counts the bytes it holds).
+        let pieces: Vec<&[u8]> = big.chunks().filter(|c| !c.is_empty()).collect();
+        assert_eq!(pieces.len(), 1, "one piece, not a Vec with room");
+        assert_eq!(pieces[0].len(), bytes.len());
+        assert_eq!(*big, bytes);
+        // A few live in the checkpoint itself: nothing on the heap at all.
+        let home = std::ptr::from_ref(small) as usize;
+        let at = small.flat().as_ptr() as usize;
+        assert!((home..home + std::mem::size_of::<Snapshot>()).contains(&at));
+        assert_eq!(*small, vec![9]);
     }
 
     #[test]
     fn elision_is_per_app() {
         let mut store = CheckpointStore::new(CheckpointPolicy::default());
-        assert!(store.record_snapshot("a", vec![1]));
+        assert!(store.record_snapshot("a", vec![1].into()));
         // Same bytes, different app: no cross-talk.
-        assert!(store.record_snapshot("b", vec![1]));
-        assert!(!store.record_snapshot("a", vec![1]));
+        assert!(store.record_snapshot("b", vec![1].into()));
+        assert!(!store.record_snapshot("a", vec![1].into()));
         assert_eq!(store.snapshots_elided, 1);
     }
 
@@ -519,6 +544,13 @@ mod tests {
         }
     }
 
+    /// An app state with a memoized segment before its counter.
+    #[derive(Codec)]
+    struct Shaped {
+        head: Memo<Vec<u8>>,
+        tail: u8,
+    }
+
     /// Drive a store and the reference through one seeded run: due
     /// snapshots that are stored, elided (state unchanged) or never
     /// taken (the capture failed), and the plans compared after every
@@ -537,21 +569,32 @@ mod tests {
             policy,
         };
         let mut rng = legosdn_testkit::Rng::seed_from_u64(seed);
-        let (mut head, mut tail) = (0u8, 0u8);
+        let mut state = Shaped {
+            head: Memo::new(vec![0x5a; 100]),
+            tail: 0,
+        };
         for i in 0..200u64 {
             if store.checkpoint_due("a") {
                 // Unchanged state is elided; a change lands in the last 64
                 // bytes (where counters sit) or only before them.
                 match rng.gen_range(0u32..4) {
-                    0 => head = head.wrapping_add(1),
-                    1 | 2 => tail = tail.wrapping_add(1),
+                    0 => state.head.make_mut()[0] = state.head[0].wrapping_add(1),
+                    1 | 2 => state.tail = state.tail.wrapping_add(1),
                     _ => {}
                 }
                 if rng.gen_bool(0.85) {
-                    let mut bytes = vec![0x5a; 100];
-                    bytes[0] = head;
-                    bytes.push(tail);
-                    store.record_snapshot("a", bytes.clone());
+                    let bytes = legosdn_codec::to_bytes(&state).unwrap();
+                    // Stored shared, by the memo's own handle or by a new
+                    // one over equal bytes, or flat: equality is the bytes.
+                    let snapshot = match rng.gen_range(0u32..3) {
+                        0 => Snapshot::of(&state),
+                        1 => Snapshot::of(&Shaped {
+                            head: Memo::new(state.head.to_vec()),
+                            tail: state.tail,
+                        }),
+                        _ => Snapshot::from(bytes.clone()),
+                    };
+                    store.record_snapshot("a", snapshot);
                     reference.snapshot(bytes);
                 }
             }
@@ -571,7 +614,7 @@ mod tests {
             for extra in 0..=policy.history {
                 let plan = store
                     .historical_plan("a", extra)
-                    .map(|p| (p.snapshot.event_index, p.snapshot.bytes, p.replay));
+                    .map(|p| (p.snapshot.event_index, p.snapshot.bytes.to_vec(), p.replay));
                 assert_eq!(
                     plan,
                     reference.historical(extra),
@@ -599,7 +642,7 @@ mod tests {
             history: 2,
             archive: 1,
         });
-        store.record_snapshot("a", vec![1]);
+        store.record_snapshot("a", vec![1].into());
         for i in 0..5 {
             // Due at 2 and 4, but the captures fail: nothing recorded.
             store.record_delivered("a", &ev(i));
@@ -608,7 +651,7 @@ mod tests {
         assert_eq!(plan.snapshot.event_index, 0);
         assert_eq!(plan.replay, (0..5).map(ev).collect::<Vec<_>>());
         // A later snapshot succeeds: the archive may shrink to its bound.
-        store.record_snapshot("a", vec![2]);
+        store.record_snapshot("a", vec![2].into());
         store.record_delivered("a", &ev(5));
         store.record_delivered("a", &ev(6));
         assert_eq!(store.recovery_plan("a").unwrap().replay, vec![ev(5), ev(6)]);
@@ -629,7 +672,7 @@ mod tests {
     #[test]
     fn forget_drops_state() {
         let mut store = CheckpointStore::new(CheckpointPolicy::default());
-        store.record_snapshot("a", vec![1]);
+        store.record_snapshot("a", vec![1].into());
         store.forget("a");
         assert!(store.recovery_plan("a").is_none());
     }

@@ -109,16 +109,16 @@ impl CrashPad {
         }
         // Capture the state to come back to. A dead app can't snapshot;
         // revive it at the newest checkpoint first.
-        let resume_state = match app.snapshot() {
+        let resume_state = match app.checkpoint() {
             Ok(bytes) => bytes,
             Err(_) => {
                 let plan = self
                     .checkpoints
                     .recovery_plan(name)
                     .ok_or(DiagnoseError::NoHistory)?;
-                app.restore(&plan.snapshot.bytes)
+                app.restore(&plan.snapshot.bytes.flat())
                     .map_err(DiagnoseError::RestoreFailed)?;
-                app.snapshot().map_err(DiagnoseError::RestoreFailed)?
+                app.checkpoint().map_err(DiagnoseError::RestoreFailed)?
             }
         };
 
@@ -131,7 +131,7 @@ impl CrashPad {
             suffix.push(offending.clone());
             let mut oracle = SnapshotOracle {
                 live: app,
-                snapshot: &plan.snapshot.bytes,
+                snapshot: &plan.snapshot.bytes.flat(),
                 topology,
                 devices,
                 now,
@@ -150,7 +150,7 @@ impl CrashPad {
             }
         }
 
-        app.restore(&resume_state)
+        app.restore(&resume_state.flat())
             .map_err(DiagnoseError::RestoreFailed)?;
         result
     }
@@ -160,7 +160,7 @@ impl CrashPad {
 mod tests {
     use super::*;
     use crate::{CheckpointPolicy, CompromisePolicy, CrashPadConfig, PolicyTable};
-    use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+    use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
     use legosdn_controller::event::EventKind;
     use legosdn_controller::sandbox::Sandbox;
     use legosdn_openflow::prelude::DatapathId;
@@ -186,8 +186,8 @@ mod tests {
                 }
             }
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.seen.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.seen.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, b: &[u8]) -> Result<(), RestoreError> {
             self.seen = u32::from_be_bytes(b.try_into().map_err(|_| RestoreError("len".into()))?);
@@ -247,7 +247,7 @@ mod tests {
         // Diagnosis left the app in its pre-diagnosis state: alive, seen=2.
         assert!(!sandbox.is_dead());
         let state = sandbox.capture().unwrap();
-        assert_eq!(u32::from_be_bytes(state.try_into().unwrap()), 2);
+        assert_eq!(u32::from_be_bytes(state.to_vec().try_into().unwrap()), 2);
     }
 
     #[test]

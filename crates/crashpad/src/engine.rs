@@ -15,7 +15,7 @@ use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
 use crate::policy::{CompromisePolicy, PolicyTable};
 use crate::ticket::{FailureKind, RecoveryTaken, TicketStore};
 use crate::transform::{transform, TransformDirection};
-use legosdn_controller::app::{Command, Ctx};
+use legosdn_controller::app::{Command, Ctx, Snapshot};
 use legosdn_controller::event::Event;
 use legosdn_controller::sandbox::{DeliverOutcome, Sandbox};
 use legosdn_controller::services::{DeviceView, TopologyView};
@@ -24,7 +24,7 @@ use legosdn_obs::{AppId, Counter, Histogram, Obs, RecordKind, Verdict};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An app Crash-Pad can protect: deliver / snapshot / restore.
+/// An app Crash-Pad can protect: deliver / checkpoint / restore.
 pub trait RecoverableApp {
     /// Deliver one event.
     fn deliver(
@@ -35,8 +35,16 @@ pub trait RecoverableApp {
         now: SimTime,
     ) -> DeliverOutcome;
 
-    /// Capture the app's full state.
+    /// The app's full state as one flat copy. Crash-Pad never calls it:
+    /// it is [`RecoverableApp::checkpoint`]'s flat twin, kept only for an
+    /// implementor outside the workspace.
     fn snapshot(&mut self) -> Result<Vec<u8>, String>;
+
+    /// Capture the app's full state, memoized segments shared: what
+    /// Crash-Pad stores before an event. Defaults to the flat bytes.
+    fn checkpoint(&mut self) -> Result<Snapshot, String> {
+        self.snapshot().map(Snapshot::from)
+    }
 
     /// Restore state (revives a crashed app — the CRIU-restore analogue).
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String>;
@@ -201,7 +209,7 @@ impl CrashPad {
         self.note_dispatch();
         if self.checkpoints.checkpoint_due(name) {
             let started = Instant::now();
-            if let Ok(bytes) = app.snapshot() {
+            if let Ok(bytes) = app.checkpoint() {
                 let dur_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.record_prepared(id, name, bytes, dur_ns);
             }
@@ -221,7 +229,7 @@ impl CrashPad {
     /// windowed dispatcher uses this directly because it captures
     /// snapshots remotely via the stub RPC queue rather than through a
     /// [`RecoverableApp`] handle.
-    pub fn record_prepared(&mut self, id: AppId, name: &str, bytes: Vec<u8>, dur_ns: u64) {
+    pub fn record_prepared(&mut self, id: AppId, name: &str, bytes: Snapshot, dur_ns: u64) {
         let size = bytes.len() as u64;
         self.obs.emit(
             Some(id),
@@ -416,7 +424,9 @@ impl CrashPad {
             return false;
         };
         let restore_started = Instant::now();
-        if app.restore(&plan.snapshot.bytes).is_err() {
+        // Borrowed, not copied, when the checkpoint is one flat run.
+        let bytes = plan.snapshot.bytes.flat();
+        if app.restore(&bytes).is_err() {
             self.obs.emit(Some(id), RecordKind::Step("restore", "err"));
             return false;
         }
@@ -424,7 +434,7 @@ impl CrashPad {
         self.obs.emit(
             Some(id),
             RecordKind::CheckpointRestored {
-                bytes: plan.snapshot.bytes.len() as u64,
+                bytes: bytes.len() as u64,
                 dur_ns: restore_ns,
             },
         );
@@ -443,7 +453,7 @@ impl CrashPad {
                     // replaying — the app loses the suffix but lives.
                     self.stats.replay_failures += 1;
                     self.metrics.replay_failures.inc();
-                    if app.restore(&plan.snapshot.bytes).is_err() {
+                    if app.restore(&bytes).is_err() {
                         return false;
                     }
                     break;
@@ -480,6 +490,10 @@ impl RecoverableApp for Sandbox {
     }
 
     fn snapshot(&mut self) -> Result<Vec<u8>, String> {
+        self.checkpoint().map(|snapshot| snapshot.to_vec())
+    }
+
+    fn checkpoint(&mut self) -> Result<Snapshot, String> {
         self.capture().map_err(String::from)
     }
 
@@ -526,8 +540,8 @@ mod tests {
                 self.state.link_downs += 1;
             }
         }
-        fn snapshot(&self) -> Vec<u8> {
-            legosdn_controller::snapshot::to_bytes(&self.state).unwrap()
+        fn snapshot(&self) -> Snapshot {
+            Snapshot::of(&self.state)
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.state = legosdn_controller::snapshot::from_bytes(bytes)
@@ -570,7 +584,7 @@ mod tests {
     }
 
     fn brittle_state(sandbox: &Sandbox) -> BrittleState {
-        legosdn_controller::snapshot::from_bytes(&sandbox.capture().unwrap()).unwrap()
+        legosdn_controller::snapshot::from_bytes(&sandbox.capture().unwrap().flat()).unwrap()
     }
 
     #[test]
@@ -729,8 +743,8 @@ mod tests {
                     panic!("tick bomb");
                 }
             }
-            fn snapshot(&self) -> Vec<u8> {
-                vec![]
+            fn snapshot(&self) -> Snapshot {
+                Snapshot::default()
             }
             fn restore(&mut self, _: &[u8]) -> Result<(), RestoreError> {
                 Ok(())
@@ -900,7 +914,7 @@ mod tests {
             fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
                 self.inner.on_event(event, ctx);
             }
-            fn snapshot(&self) -> Vec<u8> {
+            fn snapshot(&self) -> Snapshot {
                 if self.inner.state.events == 2
                     && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst)
                 {

@@ -4,7 +4,7 @@
 //! consistent with what was delivered.
 
 use legosdn_codec::Codec;
-use legosdn_controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::sandbox::Sandbox;
 use legosdn_controller::services::{DeviceView, TopologyView};
@@ -51,8 +51,8 @@ impl SdnApp for Ledger {
             _ => {}
         }
     }
-    fn snapshot(&self) -> Vec<u8> {
-        legosdn_controller::snapshot::to_bytes(&self.state).unwrap()
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::of(&self.state)
     }
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
         self.state = legosdn_controller::snapshot::from_bytes(bytes)
@@ -104,7 +104,7 @@ fn expected_state(steps: &[Step]) -> LedgerState {
 }
 
 fn ledger_state(sandbox: &Sandbox) -> LedgerState {
-    legosdn_controller::snapshot::from_bytes(&sandbox.capture().unwrap()).unwrap()
+    legosdn_controller::snapshot::from_bytes(&sandbox.capture().unwrap().flat()).unwrap()
 }
 
 /// THE Crash-Pad theorem under Absolute Compromise: for any event

@@ -78,7 +78,7 @@ where
 mod tests {
     use super::*;
     use crate::ddmin::ddmin;
-    use legosdn_controller::app::RestoreError;
+    use legosdn_controller::app::{RestoreError, Snapshot};
     use legosdn_controller::event::EventKind;
     use legosdn_openflow::prelude::DatapathId;
 
@@ -104,8 +104,8 @@ mod tests {
                 }
             }
         }
-        fn snapshot(&self) -> Vec<u8> {
-            self.seen.to_be_bytes().to_vec()
+        fn snapshot(&self) -> Snapshot {
+            self.seen.to_be_bytes().to_vec().into()
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
             self.seen =
@@ -215,8 +215,8 @@ mod tests {
             fn on_event(&mut self, _: &Event, _: &mut Ctx<'_>) {
                 panic!("crashes on everything");
             }
-            fn snapshot(&self) -> Vec<u8> {
-                Vec::new()
+            fn snapshot(&self) -> Snapshot {
+                Snapshot::default()
             }
             fn restore(&mut self, _: &[u8]) -> Result<(), RestoreError> {
                 panic!("restore bomb");

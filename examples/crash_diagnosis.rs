@@ -8,7 +8,7 @@
 //! cargo run --example crash_diagnosis
 //! ```
 
-use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
 use legosdn::prelude::*;
 
@@ -36,8 +36,8 @@ impl SdnApp for LeakyApp {
             _ => {}
         }
     }
-    fn snapshot(&self) -> Vec<u8> {
-        self.leaked.to_be_bytes().to_vec()
+    fn snapshot(&self) -> Snapshot {
+        self.leaked.to_be_bytes().to_vec().into()
     }
     fn restore(&mut self, b: &[u8]) -> Result<(), RestoreError> {
         self.leaked = u32::from_be_bytes(b.try_into().map_err(|_| RestoreError("len".into()))?);

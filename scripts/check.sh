@@ -37,9 +37,10 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # survives only as the barrier's hidden shim, `DeliveryResult` only as
 # Crash-Pad's hidden alias. Nor the proxy-side poll pool, the split
 # sink/source traits or the TCP transport (one transport seam, DESIGN.md
-# §11). A bracketed letter keeps a pattern from matching the line that
-# spells it.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport or TCP transport"
+# §11), nor the per-element array codec or a memo encoding held in a
+# `Box` (a byte array is one append; a memo's bytes are shared, §15). A
+# bracketed letter keeps a pattern from matching the line that spells it.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec or boxed memo encoding"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -73,8 +74,9 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'tcp_duplex_pair|TcpFramer|TcpSink|TcpSource|(IsolationMode|TransportKind)::Tcp' \
     crates/ tests/ examples/ \
   || grep -rnE 'FrameSink|FrameSource|into_duplex|queue_duplex_pair|udp_duplex_pair' \
-    crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport name reappeared (see DESIGN.md §4, §5, §5a, §7, §9, §11, §13, §15)" >&2
+    crates/ tests/ examples/ \
+  || grep -rnE 'Codec for \[[T]; N\]|OnceLock<Box<\[u8\]>>' crates/ tests/ examples/; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo name reappeared (see DESIGN.md §4, §5, §5a, §7, §9, §11, §13, §15)" >&2
   exit 1
 fi
 
@@ -107,6 +109,22 @@ CHECKS="$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
 if [ -n "$CHECKS" ]; then
   echo "$CHECKS" >&2
   echo "core names CheckState; the check belongs to NetLog::commit (see DESIGN.md §13)" >&2
+  exit 1
+fi
+
+# One scope for snapshot sharing (DESIGN.md §15): the thread-local naming
+# the buffer a `Snapshot::of` cuts memos out of is written only inside
+# `codec/src/snapshot.rs`'s `Scope`, whose `Drop` puts it back, so a panic
+# mid-encode cannot leave a later encode sharing what it should copy.
+echo "==> snapshot sharing state written only through its guard"
+SETS="$(find crates -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { in_guard = 0 }
+  /^impl (Drop for )?Scope \{/ { in_guard = (FILENAME ~ /crates\/codec\/src\/snapshot\.rs$/) }
+  /^}/ { in_guard = 0 }
+  !in_guard && /CUTTING\.[a-z_]+\(/ && !/CUTTING\.get\(\)/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$SETS" ]; then
+  echo "$SETS" >&2
+  echo "the sharing state is set outside its guard; enter a Scope instead (see DESIGN.md §15)" >&2
   exit 1
 fi
 

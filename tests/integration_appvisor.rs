@@ -151,7 +151,7 @@ fn silent_death_detected_as_comm_failure_over_udp() {
         BugTrigger::OnNthEvent(1),
         BugEffect::Crash,
     );
-    assert!(p.restore(h, &donor.snapshot()).unwrap());
+    assert!(p.restore(h, &donor.snapshot().flat()).unwrap());
     // The app is alive again, but the deterministic OnNthEvent(1) trigger
     // re-fires on its (restored) first event — silence again.
     let outcome = p
@@ -305,7 +305,7 @@ impl SdnApp for SnapshotBomb {
     fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
         self.inner.on_event(event, ctx);
     }
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> legosdn::controller::app::Snapshot {
         let armed = self.armed.swap(false, std::sync::atomic::Ordering::SeqCst);
         assert!(!armed, "snapshot bomb went off");
         self.inner.snapshot()

@@ -8,7 +8,7 @@
 //! residue at every depth, including across crash-triggered
 //! cancellation/re-send.
 
-use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
 use legosdn::netlog::TxRecord;
 use legosdn::netsim::FlowEntry;
@@ -446,8 +446,8 @@ impl SdnApp for OrderProbe {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        self.count.to_le_bytes().to_vec()
+    fn snapshot(&self) -> Snapshot {
+        self.count.to_le_bytes().to_vec().into()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {

@@ -6,7 +6,7 @@
 //! network and the NetLog as a fault the runtime already knew how to
 //! handle would have.
 
-use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn::crashpad::{FailureKind, ProblemTicket};
 use legosdn::netlog::TxRecord;
 use legosdn::netsim::FlowEntry;
@@ -64,9 +64,9 @@ impl SdnApp for Hostile {
         }
         self.handled += 1;
     }
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         self.maybe_panic("snapshot");
-        self.handled.to_le_bytes().to_vec()
+        self.handled.to_le_bytes().to_vec().into()
     }
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
         self.maybe_panic("restore");

@@ -4,7 +4,7 @@
 //! produced — including while a neighboring app is crashing and being
 //! replay-recovered mid-window (DESIGN.md §9).
 
-use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
 use legosdn::netlog::TxRecord;
 use legosdn::netsim::FlowEntry;
@@ -44,8 +44,8 @@ impl SdnApp for SharedSwitchWriter {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        self.count.to_le_bytes().to_vec()
+    fn snapshot(&self) -> Snapshot {
+        self.count.to_le_bytes().to_vec().into()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
@@ -349,8 +349,8 @@ impl SdnApp for OwnSwitchWriter {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        self.count.to_le_bytes().to_vec()
+    fn snapshot(&self) -> Snapshot {
+        self.count.to_le_bytes().to_vec().into()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {

@@ -3,7 +3,7 @@
 //! app restarts, hot-standby groups for non-deterministic bugs, and
 //! STS-guided multi-event diagnosis.
 
-use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
+use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn::controller::services::{DeviceView, TopologyView};
 use legosdn::controller::Sandbox;
 use legosdn::nversion::NVersionApp;
@@ -174,7 +174,7 @@ fn crashes(mirror: &mut Sandbox, event: &Event) -> bool {
     let crashed = mirror
         .on_event(event, &mut Ctx::new(SimTime::ZERO, &topo, &dev))
         .is_err();
-    mirror.revive(&state).unwrap();
+    mirror.revive(&state.flat()).unwrap();
     crashed
 }
 
@@ -242,7 +242,7 @@ fn sts_pinpoints_the_multi_event_trigger() {
     // §5: a crash caused by an accumulation of events. STS (ddmin) over the
     // history isolates the minimal causal sequence and thereby which
     // checkpoint to roll back to.
-    use legosdn::controller::app::{Ctx, RestoreError, SdnApp};
+    use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 
     /// Crashes once it has seen 2 link-downs AND 1 switch-down.
     struct Accumulator {
@@ -266,8 +266,8 @@ fn sts_pinpoints_the_multi_event_trigger() {
                 panic!("cumulative failure");
             }
         }
-        fn snapshot(&self) -> Vec<u8> {
-            vec![self.link_downs as u8, self.switch_downs as u8]
+        fn snapshot(&self) -> Snapshot {
+            vec![self.link_downs as u8, self.switch_downs as u8].into()
         }
         fn restore(&mut self, b: &[u8]) -> Result<(), RestoreError> {
             if b.len() != 2 {
@@ -426,7 +426,7 @@ impl SdnApp for CountingHub {
         self.1.fetch_add(1, Ordering::Relaxed);
         self.0.on_event(event, ctx);
     }
-    fn snapshot(&self) -> Vec<u8> {
+    fn snapshot(&self) -> Snapshot {
         self.0.snapshot()
     }
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {

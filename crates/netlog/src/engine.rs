@@ -8,7 +8,10 @@
 //! Every command applies to the network as it arrives, and the engine
 //! records its inverse (computed from the pre-state the switch reports) in
 //! an undo log, so reads inside a transaction see its own writes. Abort
-//! replays the undo log in reverse: a true network-wide rollback.
+//! replays the undo log in reverse: a true network-wide rollback. A
+//! transaction is one record — what it applied, its undo log, the flow
+//! entries it touched — in vectors the engine hands from each finished
+//! transaction to the next.
 //!
 //! An engine built with [`NetLog::with_checker`] also owns the byzantine guard
 //! (§3.3: output that "violates network invariants, which can be detected
@@ -21,9 +24,9 @@ use crate::counter_cache::CounterCache;
 use legosdn_invariants::{CheckReport, CheckState, Checker};
 use legosdn_netsim::{NetError, Network};
 use legosdn_obs::{AppId, Counter, Obs, RecordKind};
-use legosdn_openflow::inverse::{inverse_of, Inverse, PreState};
+use legosdn_openflow::inverse::{inverse_into, PreState};
 use legosdn_openflow::messages::FlowModCommand;
-use legosdn_openflow::prelude::{DatapathId, Message};
+use legosdn_openflow::prelude::{DatapathId, Match, Message};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -49,19 +52,103 @@ pub enum TxState {
     Aborted,
 }
 
-/// One applied operation with its recorded inverse.
-#[derive(Clone, Debug)]
-struct AppliedOp {
+/// One applied operation: its switch, and where its undo messages end in
+/// the transaction's undo log. They begin where the previous operation's
+/// end.
+#[derive(Clone, Copy, Debug)]
+struct Applied {
     dpid: DatapathId,
-    undo: Vec<Message>,
+    undo_end: usize,
 }
 
-/// An in-flight transaction.
+/// A flow entry an operation displaced — removed, overwrote or rewrote —
+/// or created, with the counters it had then (zero for a created one).
+#[derive(Clone, Debug)]
+struct Touched {
+    dpid: DatapathId,
+    mat: Match,
+    priority: u16,
+    packets: u64,
+    bytes: u64,
+    /// No entry carries these counters on after the operation: it removed
+    /// the entry, replaced it with a fresh one (an add over an identical
+    /// entry), or created it. A modify rewrites an entry in place,
+    /// counters and all.
+    fresh: bool,
+}
+
+impl Touched {
+    fn same_flow(&self, other: &Touched) -> bool {
+        self.dpid == other.dpid && self.priority == other.priority && self.mat == other.mat
+    }
+}
+
+/// What a transaction records as it runs, in vectors [`NetLog`] takes
+/// back when the transaction finishes and hands to the next one it opens,
+/// so a warm transaction allocates nothing for its own bookkeeping.
+#[derive(Debug, Default)]
+struct TxLog {
+    applied: Vec<Applied>,
+    /// Every operation's undo messages, oldest operation first, each
+    /// operation's in the order they apply.
+    undo: Vec<Message>,
+    /// Every flow entry the operations displaced or created, in operation
+    /// order: the counter-cache's input (paper §3.2).
+    touched: Vec<Touched>,
+}
+
+impl TxLog {
+    fn clear(&mut self) {
+        self.applied.clear();
+        self.undo.clear();
+        self.touched.clear();
+    }
+
+    /// Note the entries a flow-mod displaced or created on `dpid`.
+    fn touch(&mut self, dpid: DatapathId, msg: &Message, pre: &PreState) {
+        let Message::FlowMod(fm) = msg else {
+            return;
+        };
+        // An add displaces only an identical entry, and a modify that
+        // matched nothing acts as an add: either created its entry when it
+        // displaced nothing.
+        let (flows, fresh, created) = match pre {
+            PreState::DeletedFlows(flows) => (flows, true, false),
+            PreState::DisplacedFlows(flows) => {
+                (flows, fm.command == FlowModCommand::Add, flows.is_empty())
+            }
+            PreState::PortWasDown(_) => return,
+        };
+        self.touched.extend(flows.iter().map(|s| Touched {
+            dpid,
+            mat: s.mat.clone(),
+            priority: s.priority,
+            packets: s.packet_count,
+            bytes: s.byte_count,
+            fresh,
+        }));
+        if created {
+            self.touched.push(Touched {
+                dpid,
+                mat: fm.mat.clone(),
+                priority: fm.priority,
+                packets: 0,
+                bytes: 0,
+                fresh: true,
+            });
+        }
+    }
+}
+
+/// An in-flight transaction: one record of what it applied, what undoes
+/// it and which flow entries it touched.
 #[derive(Debug)]
 pub struct Transaction {
     id: TxId,
     state: TxState,
-    applied: Vec<AppliedOp>,
+    /// The app its journal records name, when opened for one.
+    app: Option<AppId>,
+    log: TxLog,
     /// Some executed command could alter network state, whether or not
     /// the network accepted it: what puts the commit under the guard.
     alters: bool,
@@ -70,16 +157,6 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    fn open(id: TxId, pinned: bool) -> Self {
-        Transaction {
-            id,
-            state: TxState::Open,
-            applied: Vec::new(),
-            alters: false,
-            pinned,
-        }
-    }
-
     /// This transaction's id.
     #[must_use]
     pub fn id(&self) -> TxId {
@@ -95,13 +172,13 @@ impl Transaction {
     /// Number of operations applied so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.applied.len()
+        self.log.applied.len()
     }
 
     /// True when no operations are applied.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.applied.is_empty()
+        self.log.applied.is_empty()
     }
 }
 
@@ -220,6 +297,9 @@ pub struct NetLog {
     guard: Option<Guard>,
     obs: Obs,
     metrics: NetLogMetrics,
+    /// The emptied record of the last finished transaction, for the next
+    /// one to fill.
+    spare: TxLog,
 }
 
 impl Default for NetLog {
@@ -255,6 +335,7 @@ impl NetLog {
             }),
             metrics: NetLogMetrics::resolve(&obs),
             obs,
+            spare: TxLog::default(),
         }
     }
 
@@ -276,21 +357,35 @@ impl NetLog {
         &self.log
     }
 
+    /// Open a transaction on the record the last finished one left.
+    fn open(&mut self, id: TxId, pinned: bool) -> Transaction {
+        self.stats.begun += 1;
+        self.metrics.txn_begun.inc();
+        Transaction {
+            id,
+            state: TxState::Open,
+            app: None,
+            log: std::mem::take(&mut self.spare),
+            alters: false,
+            pinned,
+        }
+    }
+
     /// Open a transaction.
     pub fn begin(&mut self) -> Transaction {
         self.next_id += 1;
-        self.stats.begun += 1;
-        self.metrics.txn_begun.inc();
-        Transaction::open(TxId(self.next_id), false)
+        self.open(TxId(self.next_id), false)
     }
 
     /// Open a transaction on behalf of the app this engine's `Obs` knows
-    /// as `app`, journaling the `txn → app` binding so later
-    /// commit/rollback records (which only carry the transaction id) can be
-    /// attributed to the app's recovery timeline.
+    /// as `app`: its commit or rollback record names the app, so the
+    /// app's recovery timeline can claim it.
     pub fn begin_for(&mut self, app: &str) -> Transaction {
-        let tx = self.begin();
-        self.bind(tx, self.obs.attach_app(app))
+        let app = Some(self.obs.attach_app(app));
+        Transaction {
+            app,
+            ..self.begin()
+        }
     }
 
     /// Open a transaction with a caller-chosen id. The worker-sharded
@@ -302,22 +397,16 @@ impl NetLog {
     /// the log, which is in finishing order, reads in id order too.
     pub fn begin_at(&mut self, id: TxId) -> Transaction {
         self.next_id = self.next_id.max(id.0);
-        self.stats.begun += 1;
-        self.metrics.txn_begun.inc();
-        Transaction::open(id, true)
+        self.open(id, true)
     }
 
-    /// [`NetLog::begin_at`] plus the `txn → app` journal binding of
-    /// [`NetLog::begin_for`], for the app `Obs::attach_app` named `app`.
+    /// [`NetLog::begin_at`] on behalf of the app `Obs::attach_app` named
+    /// `app`, as [`NetLog::begin_for`] is.
     pub fn begin_for_at(&mut self, app: AppId, id: TxId) -> Transaction {
-        let tx = self.begin_at(id);
-        self.bind(tx, app)
-    }
-
-    fn bind(&self, tx: Transaction, app: AppId) -> Transaction {
-        self.obs
-            .emit(Some(app), RecordKind::TxnBegin { txn: tx.id().0 });
-        tx
+        Transaction {
+            app: Some(app),
+            ..self.begin_at(id)
+        }
     }
 
     /// Execute one command inside the transaction: apply it to the network
@@ -337,55 +426,27 @@ impl NetLog {
         self.metrics.ops_executed.inc();
         tx.alters |= msg.alters_network_state();
         let outcome = net.apply(dpid, msg).map_err(TxError::Net)?;
-        let undo = match &outcome.pre_state {
-            Some(pre) => {
-                self.harvest_counters(dpid, msg, pre);
-                match inverse_of(msg, pre) {
-                    Inverse::Messages(msgs) => msgs,
-                    Inverse::Ephemeral => Vec::new(),
-                }
-            }
-            None => Vec::new(),
-        };
-        self.metrics.inverse_ops_recorded.add(undo.len() as u64);
-        tx.applied.push(AppliedOp { dpid, undo });
+        let log = &mut tx.log;
+        let undo_start = log.undo.len();
+        if let Some(pre) = &outcome.pre_state {
+            inverse_into(msg, pre, &mut log.undo);
+            log.touch(dpid, msg, pre);
+        }
+        let undo_end = log.undo.len();
+        self.metrics
+            .inverse_ops_recorded
+            .add((undo_end - undo_start) as u64);
+        log.applied.push(Applied { dpid, undo_end });
         Ok(outcome.replies)
-    }
-
-    /// Cache counters for flows a delete displaced, so a later rollback can
-    /// restore continuous statistics.
-    fn harvest_counters(&mut self, dpid: DatapathId, msg: &Message, pre: &PreState) {
-        let is_delete = matches!(
-            msg,
-            Message::FlowMod(fm) if matches!(
-                fm.command,
-                FlowModCommand::Delete | FlowModCommand::DeleteStrict
-            )
-        );
-        if !is_delete {
-            return;
-        }
-        if let PreState::DeletedFlows(snaps) = pre {
-            for s in snaps {
-                if s.packet_count > 0 || s.byte_count > 0 {
-                    self.counter_cache.record(
-                        dpid,
-                        &s.mat,
-                        s.priority,
-                        s.packet_count,
-                        s.byte_count,
-                    );
-                }
-            }
-        }
     }
 
     /// Commit the transaction. Under a guard, a transaction that executed
     /// any state-altering command is checked first: on a violation it is
     /// rolled back as [`NetLog::abort`] would, and the check's report
     /// comes back as [`TxError::Blocked`]. Otherwise the log entry is
-    /// sealed and every touched switch gets a barrier, so the
-    /// all-or-nothing boundary is ordered on the wire.
+    /// sealed, every touched switch gets a barrier, so the all-or-nothing
+    /// boundary is ordered on the wire, and the counter-cache forgets the
+    /// baselines of flow entries the transaction removed or began afresh.
     pub fn commit(
         &mut self,
         mut tx: Transaction,
@@ -407,38 +468,45 @@ impl NetLog {
             }
         }
         let report = CommitReport {
-            ops_applied: tx.applied.len(),
+            ops_applied: tx.log.applied.len(),
         };
         // One barrier per touched switch, ascending dpid: repeatedly pick
         // the smallest dpid above the last one served. A scan per distinct
         // switch, no buffer — transactions name a switch or two.
         let mut served: Option<DatapathId> = None;
         while let Some(dpid) = tx
+            .log
             .applied
             .iter()
             .map(|op| op.dpid)
             .filter(|d| served.is_none_or(|s| *d > s))
             .min()
         {
-            let _ = net.apply(dpid, &Message::BarrierRequest);
+            let _ = net.barrier(dpid);
             served = Some(dpid);
+        }
+        for t in tx.log.touched.iter().filter(|t| t.fresh) {
+            self.flow_gone(t.dpid, &t.mat, t.priority);
         }
         tx.state = TxState::Committed;
         self.stats.committed += 1;
         self.metrics.txn_committed.inc();
         self.obs.emit(
-            None,
+            tx.app,
             RecordKind::TxnCommit {
                 txn: tx.id.0,
                 ops: report.ops_applied as u64,
             },
         );
-        self.push_log(&tx, report.ops_applied);
+        self.finish(tx, report.ops_applied);
         Ok(report)
     }
 
     /// Abort the transaction: roll the network back by applying the
-    /// recorded inverses in reverse order.
+    /// recorded inverses, the newest operation's first and each
+    /// operation's in order. Every flow entry the rollback re-adds starts
+    /// its counters afresh, so the counters it had before the transaction
+    /// move into the counter-cache.
     pub fn abort(
         &mut self,
         mut tx: Transaction,
@@ -447,10 +515,14 @@ impl NetLog {
         if tx.state != TxState::Open {
             return Err(TxError::NotOpen(tx.state));
         }
+        let log = &tx.log;
         let mut report = RollbackReport::default();
-        for op in tx.applied.drain(..).rev() {
+        for (i, op) in log.applied.iter().enumerate().rev() {
+            let undo_start = i
+                .checked_sub(1)
+                .map_or(0, |prev| log.applied[prev].undo_end);
             report.ops_rolled_back += 1;
-            for undo in &op.undo {
+            for undo in &log.undo[undo_start..op.undo_end] {
                 report.undo_messages += 1;
                 self.stats.undo_messages_applied += 1;
                 match net.apply(op.dpid, undo) {
@@ -463,24 +535,32 @@ impl NetLog {
                 }
             }
         }
+        // The rollback leaves each flow entry as the first operation that
+        // touched it found it: re-added with its counters then, or gone.
+        for (i, t) in log.touched.iter().enumerate() {
+            if (t.packets > 0 || t.bytes > 0) && !log.touched[..i].iter().any(|e| e.same_flow(t)) {
+                self.counter_cache
+                    .record(t.dpid, &t.mat, t.priority, t.packets, t.bytes);
+            }
+        }
         tx.state = TxState::Aborted;
         self.stats.aborted += 1;
         self.metrics.txn_aborted.inc();
         self.metrics.undo_messages.add(report.undo_messages as u64);
         self.obs.emit(
-            None,
+            tx.app,
             RecordKind::TxnRollback {
                 txn: tx.id.0,
                 undo_ops: report.undo_messages as u64,
             },
         );
-        self.push_log(&tx, report.ops_rolled_back);
+        self.finish(tx, report.ops_rolled_back);
         Ok(report)
     }
 
     /// Append a finished transaction to the log, which is in finishing
-    /// order.
-    fn push_log(&mut self, tx: &Transaction, ops: usize) {
+    /// order, and keep its emptied record for the next one.
+    fn finish(&mut self, mut tx: Transaction, ops: usize) {
         debug_assert!(
             !tx.pinned || self.log.back().is_none_or(|last| last.id < tx.id),
             "pinned transaction {:?} finished after {:?}",
@@ -495,6 +575,8 @@ impl NetLog {
             state: tx.state,
             ops,
         });
+        tx.log.clear();
+        self.spare = tx.log;
     }
 
     /// Pass a switch's statistics reply through the counter-cache so
@@ -512,14 +594,9 @@ impl NetLog {
         }
     }
 
-    /// Forget a flow's counter baseline (it expired or was deleted with no
-    /// rollback pending).
-    pub fn flow_gone(
-        &mut self,
-        dpid: DatapathId,
-        mat: &legosdn_openflow::prelude::Match,
-        priority: u16,
-    ) {
+    /// Forget a flow's counter baseline: the flow expired, or a committed
+    /// transaction removed it or began it afresh.
+    pub fn flow_gone(&mut self, dpid: DatapathId, mat: &Match, priority: u16) {
         self.counter_cache.invalidate(dpid, mat, priority);
     }
 }
@@ -527,7 +604,7 @@ impl NetLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legosdn_netsim::{SimDuration, SimTime, Topology};
+    use legosdn_netsim::{HostSpec, NetEvent, SimDuration, SimTime, Topology};
     use legosdn_openflow::prelude::*;
 
     fn net() -> Network {
@@ -701,6 +778,186 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A flow on the first host's switch with ten packets through it, the
+    /// host, and the flow's match.
+    fn flow_with_traffic(net: &mut Network) -> (HostSpec, Match) {
+        let host = net.hosts()[0].clone();
+        let m = Match::eth_dst(MacAddr::from_index(99));
+        let fm = FlowMod::add(m.clone()).action(Action::Output(PortNo::Phys(1)));
+        net.apply(host.attach.dpid, &Message::FlowMod(fm)).unwrap();
+        let pkt = Packet::ethernet(host.mac, MacAddr::from_index(99));
+        for _ in 0..10 {
+            net.inject(host.mac, pkt.clone()).unwrap();
+        }
+        (host, m)
+    }
+
+    /// The packet count of the flow on `m`, as NetLog reports it.
+    fn reported_packets(nl: &mut NetLog, net: &mut Network, dpid: DatapathId, m: &Match) -> u64 {
+        let out = net
+            .apply(
+                dpid,
+                &Message::StatsRequest(StatsRequest::Flow {
+                    mat: m.clone(),
+                    out_port: PortNo::None,
+                }),
+            )
+            .unwrap();
+        let Some(Message::StatsReply(mut reply)) = out.replies.into_iter().next() else {
+            panic!("no stats reply");
+        };
+        nl.adjust_stats(dpid, &mut reply);
+        match reply {
+            StatsReply::Flow(flows) => {
+                assert_eq!(flows.len(), 1);
+                flows[0].packet_count
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_committed_delete_leaves_no_baseline_for_a_fresh_flow() {
+        let mut nl = NetLog::default();
+        let mut net = net();
+        let (host, m) = flow_with_traffic(&mut net);
+        let dpid = host.attach.dpid;
+        // An earlier rollback left the flow a baseline of its own.
+        let mut tx = nl.begin();
+        nl.execute(
+            &mut tx,
+            &mut net,
+            dpid,
+            &Message::FlowMod(FlowMod::delete(m.clone())),
+        )
+        .unwrap();
+        nl.abort(tx, &mut net).unwrap();
+        assert_eq!(reported_packets(&mut nl, &mut net, dpid, &m), 10);
+        // Deleted for real, then installed afresh: nothing carries over.
+        let mut tx = nl.begin();
+        nl.execute(
+            &mut tx,
+            &mut net,
+            dpid,
+            &Message::FlowMod(FlowMod::delete(m.clone())),
+        )
+        .unwrap();
+        nl.commit(tx, &mut net).unwrap();
+        let fm = FlowMod::add(m.clone()).action(Action::Output(PortNo::Phys(1)));
+        net.apply(dpid, &Message::FlowMod(fm)).unwrap();
+        assert_eq!(reported_packets(&mut nl, &mut net, dpid, &m), 0);
+        assert!(nl.counter_cache.is_empty());
+    }
+
+    #[test]
+    fn a_rolled_back_modify_keeps_the_flows_counters() {
+        let mut nl = NetLog::default();
+        let mut net = net();
+        let (host, m) = flow_with_traffic(&mut net);
+        let dpid = host.attach.dpid;
+        let mut modify = FlowMod::add(m.clone()).action(Action::Output(PortNo::Phys(2)));
+        modify.command = FlowModCommand::ModifyStrict;
+        let overwrite = FlowMod::add(m.clone()).action(Action::Output(PortNo::Phys(2)));
+        for msg in [modify, overwrite] {
+            let mut tx = nl.begin();
+            nl.execute(&mut tx, &mut net, dpid, &Message::FlowMod(msg))
+                .unwrap();
+            nl.abort(tx, &mut net).unwrap();
+            assert_eq!(reported_packets(&mut nl, &mut net, dpid, &m), 10);
+        }
+        // A flow touched twice in one transaction is restored as the
+        // first touch found it: one baseline, not two.
+        let mut tx = nl.begin();
+        for msg in [
+            FlowMod::add(m.clone()).action(Action::Output(PortNo::Phys(3))),
+            FlowMod::delete(m.clone()),
+        ] {
+            nl.execute(&mut tx, &mut net, dpid, &Message::FlowMod(msg))
+                .unwrap();
+        }
+        nl.abort(tx, &mut net).unwrap();
+        assert_eq!(reported_packets(&mut nl, &mut net, dpid, &m), 10);
+        // A flow the transaction created leaves no baseline behind, even
+        // one a packet hit before the transaction deleted it again.
+        let fresh = Match::eth_dst(MacAddr::from_index(98));
+        net.poll_events();
+        net.inject(
+            host.mac,
+            Packet::ethernet(host.mac, MacAddr::from_index(98)),
+        )
+        .unwrap();
+        let buffer_id = net
+            .poll_events()
+            .into_iter()
+            .find_map(|e| match e {
+                NetEvent::FromSwitch(_, Message::PacketIn(pi)) => Some(pi.buffer_id),
+                _ => None,
+            })
+            .expect("a miss is buffered");
+        let mut add = FlowMod::add(fresh.clone()).action(Action::Output(PortNo::Phys(1)));
+        add.buffer_id = buffer_id;
+        let priority = add.priority;
+        let mut tx = nl.begin();
+        for msg in [add, FlowMod::delete(fresh.clone())] {
+            nl.execute(&mut tx, &mut net, dpid, &Message::FlowMod(msg))
+                .unwrap();
+        }
+        nl.abort(tx, &mut net).unwrap();
+        assert_eq!(nl.counter_cache.baseline(dpid, &fresh, priority), None);
+    }
+
+    #[test]
+    fn commit_and_rollback_records_carry_their_app() {
+        let mut nl = NetLog::default();
+        let mut net = net();
+        let obs = Obs::new();
+        nl.set_obs(obs.clone());
+        let writer = obs.attach_app("writer");
+        let tx = nl.begin_for("writer");
+        nl.commit(tx, &mut net).unwrap();
+        let tx = nl.begin_for_at(writer, TxId(9));
+        nl.abort(tx, &mut net).unwrap();
+        let tx = nl.begin();
+        nl.commit(tx, &mut net).unwrap();
+        let apps: Vec<_> = obs.records().iter().map(|r| r.app).collect();
+        assert_eq!(apps, vec![Some(writer), Some(writer), None]);
+        assert!(matches!(
+            obs.records()[1].kind,
+            RecordKind::TxnRollback { txn: 9, .. }
+        ));
+    }
+
+    #[test]
+    fn a_finished_record_is_the_next_ones() {
+        let mut nl = NetLog::default();
+        let mut net = net();
+        let mut tx = nl.begin();
+        for i in 0..6 {
+            nl.execute(&mut tx, &mut net, DatapathId(1), &flowmod(i, 2))
+                .unwrap();
+        }
+        let held = (
+            tx.log.applied.as_ptr(),
+            tx.log.undo.as_ptr(),
+            tx.log.touched.as_ptr(),
+        );
+        nl.abort(tx, &mut net).unwrap();
+        let mut tx = nl.begin();
+        assert!(tx.is_empty() && tx.log.undo.is_empty() && tx.log.touched.is_empty());
+        nl.execute(&mut tx, &mut net, DatapathId(2), &flowmod(1, 2))
+            .unwrap();
+        assert_eq!(
+            (
+                tx.log.applied.as_ptr(),
+                tx.log.undo.as_ptr(),
+                tx.log.touched.as_ptr()
+            ),
+            held
+        );
+        nl.commit(tx, &mut net).unwrap();
+        assert_eq!((table_len(&net, 1), table_len(&net, 2)), (0, 1));
     }
 
     #[test]

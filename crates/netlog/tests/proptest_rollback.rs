@@ -207,15 +207,17 @@ fn seeded_network(pre_ops: &[Op]) -> Network {
 }
 
 /// THE rollback theorem: abort after arbitrary ops == never applied.
+/// One engine runs every case, so each case after the first aborts on
+/// the record the previous one finished with.
 #[test]
 fn abort_restores_forwarding_state() {
+    let mut nl = NetLog::default();
     forall(256, |rng| {
         let pre = rng.gen_vec(0..10, arb_op);
         let tx_ops = rng.gen_vec(1..15, arb_op);
         let mut net = seeded_network(&pre);
         let baseline = forwarding_state(&net);
 
-        let mut nl = NetLog::default();
         let mut tx = nl.begin();
         for op in &tx_ops {
             let (dpid, msg) = op_to_message(op, &net);
@@ -224,6 +226,71 @@ fn abort_restores_forwarding_state() {
         let report = nl.abort(tx, &mut net).unwrap();
         assert_eq!(report.undo_failures, 0, "undo must never fail");
         assert_eq!(forwarding_state(&net), baseline);
+    });
+}
+
+/// Every flow entry's packet and byte counts, as NetLog reports them:
+/// per switch, `(match, priority, packets, bytes)` in table order.
+fn reported_counters(nl: &mut NetLog, net: &mut Network) -> Vec<Vec<(String, u16, u64, u64)>> {
+    let dpids: Vec<DatapathId> = net.switches().map(|s| s.dpid()).collect();
+    dpids
+        .into_iter()
+        .map(|dpid| {
+            let all = Message::StatsRequest(StatsRequest::Flow {
+                mat: Match::any(),
+                out_port: PortNo::None,
+            });
+            let out = net.apply(dpid, &all).unwrap();
+            let Some(Message::StatsReply(mut reply)) = out.replies.into_iter().next() else {
+                panic!("no stats reply from {dpid:?}");
+            };
+            nl.adjust_stats(dpid, &mut reply);
+            let StatsReply::Flow(flows) = reply else {
+                panic!("not a flow stats reply");
+            };
+            let mut flows: Vec<_> = flows
+                .iter()
+                .map(|f| {
+                    (
+                        format!("{:?}", f.mat),
+                        f.priority,
+                        f.packet_count,
+                        f.byte_count,
+                    )
+                })
+                .collect();
+            flows.sort();
+            flows
+        })
+        .collect()
+}
+
+/// The counter-cache's promise (paper §3.2): after an abort, every flow
+/// reports the counts it reported before the transaction, however often
+/// the transaction deleted, overwrote or rewrote it. One engine runs
+/// every case, carrying its counter-cache from case to case.
+#[test]
+fn abort_restores_reported_counters() {
+    let mut nl = NetLog::default();
+    forall(256, |rng| {
+        let pre = rng.gen_vec(0..10, arb_op);
+        let tx_ops = rng.gen_vec(1..15, arb_op);
+        let mut net = seeded_network(&pre);
+        let hosts = net.hosts().to_vec();
+        for _ in 0..rng.gen_range(0..20usize) {
+            let src = rng.pick(&hosts).mac;
+            let dst = MacAddr::from_index(rng.gen_range(1u64..6));
+            net.inject(src, Packet::ethernet(src, dst)).unwrap();
+        }
+        let before = reported_counters(&mut nl, &mut net);
+
+        let mut tx = nl.begin();
+        for op in &tx_ops {
+            let (dpid, msg) = op_to_message(op, &net);
+            let _ = nl.execute(&mut tx, &mut net, dpid, &msg);
+        }
+        nl.abort(tx, &mut net).unwrap();
+        assert_eq!(reported_counters(&mut nl, &mut net), before);
     });
 }
 

@@ -8,12 +8,13 @@
 //! Packets move synchronously: injecting a packet (or emitting one via
 //! packet-out) walks it through flow tables hop by hop until it is
 //! delivered, dropped, punted to the controller, or found to be looping.
-//! The walk is recorded in a [`DataplaneTrace`] — the ground truth for the
-//! black-hole and loop invariants.
+//! An injected packet's walk comes back as a [`DataplaneTrace`]; a
+//! packet-out's is walked on scratch, since its sender reads only the
+//! network it leaves behind.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::flow_table::BuildFnvSplit;
-use crate::switch::Switch;
+use crate::switch::{Switch, SwitchOutput};
 use crate::topology::{Endpoint, HostSpec, LinkSpec, Topology};
 use legosdn_openflow::inverse::PreState;
 use legosdn_openflow::prelude::{DatapathId, MacAddr, Match, Message, Packet};
@@ -68,15 +69,13 @@ pub struct ApplyOutcome {
     pub replies: Vec<Message>,
     /// Pre-state displaced by a state-altering message (for inversion).
     pub pre_state: Option<PreState>,
-    /// Dataplane activity triggered by the message (packet-outs).
-    pub trace: DataplaneTrace,
 }
 
 /// Record of one packet's walk through the dataplane.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DataplaneTrace {
-    /// `(dpid, in_port)` hops in visit order.
-    pub path: Vec<Endpoint>,
+    /// Switch ports the packet (or a copy of it) arrived at.
+    pub hops: usize,
     /// Hosts the packet reached, with the packet as delivered.
     pub delivered: Vec<(MacAddr, Packet)>,
     /// Packet-ins generated during the walk.
@@ -95,12 +94,13 @@ impl DataplaneTrace {
         self.delivered.iter().any(|(m, _)| *m == mac)
     }
 
-    fn merge(&mut self, other: DataplaneTrace) {
-        self.path.extend(other.path);
-        self.delivered.extend(other.delivered);
-        self.packet_ins += other.packet_ins;
-        self.drops += other.drops;
-        self.loop_detected |= other.loop_detected;
+    /// Empty the trace, keeping the storage of `delivered`.
+    fn clear(&mut self) {
+        self.hops = 0;
+        self.delivered.clear();
+        self.packet_ins = 0;
+        self.drops = 0;
+        self.loop_detected = false;
     }
 }
 
@@ -257,8 +257,9 @@ impl PartialEq for Lineage {
 
 impl Eq for Lineage {}
 
-/// The buffers of one dataplane walk, kept between walks so a packet
-/// costs no allocation for them. Not state: a clone starts empty.
+/// The buffers of one dataplane walk and of the switch calls that drive
+/// it, kept between calls so a message or a packet costs no allocation
+/// for them. Not state: a clone starts empty.
 #[derive(Debug, Default)]
 struct WalkScratch {
     queue: VecDeque<(Endpoint, Packet)>,
@@ -266,6 +267,12 @@ struct WalkScratch {
     /// Only ever probed, never iterated, so the hasher is free to be the
     /// cheap deterministic one.
     visited: HashSet<(DatapathId, u16, u64), BuildFnvSplit>,
+    /// What a controller message caused at its switch.
+    control: SwitchOutput,
+    /// What a packet caused at the switch it reached, one hop at a time.
+    hop: SwitchOutput,
+    /// The walk of a packet-out's emissions, which nobody reads.
+    trace: DataplaneTrace,
 }
 
 impl Clone for WalkScratch {
@@ -467,7 +474,8 @@ impl Network {
         if !sw.is_up() {
             return Err(NetError::SwitchDown(dpid));
         }
-        let out = sw.handle_message(msg, now);
+        let mut out = std::mem::take(&mut self.walk.control);
+        sw.handle_message(msg, now, &mut out);
         if msg.alters_network_state() {
             // A flow-mod of any command touches only entries whose match
             // lies inside its own (an add or a strict form: equal to it;
@@ -483,48 +491,53 @@ impl Network {
                 },
             );
         }
-        for n in out.notifications {
+        for n in out.notifications.drain(..) {
             self.events.push_back(NetEvent::FromSwitch(dpid, n));
         }
-        let mut trace = DataplaneTrace::default();
-        for (port, pkt) in out.emissions {
-            if let Some(p) = port.phys() {
-                trace.merge(self.propagate(Endpoint::new(dpid, p), pkt));
+        if !out.emissions.is_empty() {
+            let mut trace = std::mem::take(&mut self.walk.trace);
+            for (port, pkt) in out.emissions.drain(..) {
+                if let Some(p) = port.phys() {
+                    self.route_emission(Endpoint::new(dpid, p), pkt, &mut trace);
+                    self.walk(&mut trace);
+                }
             }
+            trace.clear();
+            self.walk.trace = trace;
         }
-        Ok(ApplyOutcome {
-            replies: out.replies,
-            pre_state: out.pre_state,
-            trace,
-        })
+        let outcome = ApplyOutcome {
+            replies: std::mem::take(&mut out.replies),
+            pre_state: out.pre_state.take(),
+        };
+        self.walk.control = out;
+        Ok(outcome)
+    }
+
+    /// Put a barrier before `dpid`: what was sent to it before takes
+    /// effect before what follows. Messages apply as they arrive here, so
+    /// that holds already; the barrier builds no `BarrierReply`, which
+    /// nobody would read, and fails only where a `BarrierRequest` would.
+    pub fn barrier(&self, dpid: DatapathId) -> Result<(), NetError> {
+        match self.switches.get(&dpid) {
+            None => Err(NetError::UnknownSwitch(dpid)),
+            Some(sw) if !sw.is_up() => Err(NetError::SwitchDown(dpid)),
+            Some(_) => Ok(()),
+        }
     }
 
     /// Inject a packet from a host into the network.
     pub fn inject(&mut self, src: MacAddr, pkt: Packet) -> Result<DataplaneTrace, NetError> {
         let host = self.host_by_mac(src).ok_or(NetError::UnknownHost(src))?;
-        let attach = host.attach;
-        Ok(self.deliver_into(attach, pkt))
-    }
-
-    /// Walk a packet that arrives *into* a switch port (from a host).
-    fn deliver_into(&mut self, at: Endpoint, pkt: Packet) -> DataplaneTrace {
         let mut trace = DataplaneTrace::default();
-        self.walk.queue.push_back((at, pkt));
+        self.walk.queue.push_back((host.attach, pkt));
         self.walk(&mut trace);
-        trace
+        Ok(trace)
     }
 
-    /// Walk a packet that leaves a switch port (packet-out emission).
-    fn propagate(&mut self, from: Endpoint, pkt: Packet) -> DataplaneTrace {
-        let mut trace = DataplaneTrace::default();
-        self.route_emission(from, pkt, &mut trace);
-        self.walk(&mut trace);
-        trace
-    }
-
-    /// Drain the walk queue, then leave the scratch empty for the next
-    /// walk.
+    /// Drain the walk queue into `trace`, then leave the scratch empty for
+    /// the next walk.
     fn walk(&mut self, trace: &mut DataplaneTrace) {
+        let mut out = std::mem::take(&mut self.walk.hop);
         let mut hops = 0usize;
         while let Some((at, pkt)) = self.walk.queue.pop_front() {
             hops += 1;
@@ -541,26 +554,27 @@ impl Network {
                 trace.loop_detected = true;
                 continue;
             }
-            trace.path.push(at);
+            trace.hops += 1;
             let now = self.now;
             let Some(sw) = self.switches.get_mut(&at.dpid) else {
                 trace.drops += 1;
                 self.total_dropped += 1;
                 continue;
             };
-            let out = sw.receive_packet(at.port, &pkt, now);
-            for n in out.notifications {
+            sw.receive_packet(at.port, &pkt, now, &mut out);
+            for n in out.notifications.drain(..) {
                 if matches!(n, Message::PacketIn(_)) {
                     trace.packet_ins += 1;
                 }
                 self.events.push_back(NetEvent::FromSwitch(at.dpid, n));
             }
-            for (port, emitted) in out.emissions {
+            for (port, emitted) in out.emissions.drain(..) {
                 if let Some(p) = port.phys() {
                     self.route_emission(Endpoint::new(at.dpid, p), emitted, trace);
                 }
             }
         }
+        self.walk.hop = out;
         self.walk.queue.clear();
         self.walk.visited.clear();
     }
@@ -787,7 +801,7 @@ mod tests {
         install_path(&mut net, b);
         let trace = net.inject(a, Packet::ethernet(a, b)).unwrap();
         assert!(trace.delivered_to(b), "trace: {trace:?}");
-        assert_eq!(trace.path.len(), 2, "must traverse both switches");
+        assert_eq!(trace.hops, 2, "must traverse both switches");
         assert_eq!(net.delivery_counters().0, 1);
     }
 
@@ -814,10 +828,16 @@ mod tests {
             actions: vec![Action::Output(PortNo::Phys(host_b.attach.port))],
             packet: Some(Packet::ethernet(a, b)),
         };
-        let out = net
-            .apply(host_b.attach.dpid, &Message::PacketOut(po))
+        let delivered = net.delivery_counters().0;
+        net.apply(host_b.attach.dpid, &Message::PacketOut(po))
             .unwrap();
-        assert!(out.trace.delivered_to(b));
+        assert_eq!(net.delivery_counters().0, delivered + 1);
+        let port = net
+            .switch(host_b.attach.dpid)
+            .unwrap()
+            .port(host_b.attach.port)
+            .unwrap();
+        assert_eq!(port.stats.tx_packets, 1, "out of b's port");
     }
 
     #[test]
@@ -837,7 +857,7 @@ mod tests {
         let trace = net.inject(a, Packet::ethernet(a, b)).unwrap();
         assert!(!trace.delivered_to(b));
         // The egress port is link-down, so the switch swallowed the packet.
-        assert_eq!(trace.path.len(), 1, "packet must not cross the dead link");
+        assert_eq!(trace.hops, 1, "packet must not cross the dead link");
         let first = net.host_by_mac(a).unwrap().attach.dpid;
         let tx_dropped: u64 = net
             .switch(first)

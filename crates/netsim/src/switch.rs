@@ -15,7 +15,7 @@ use legosdn_openflow::messages::{
     ErrorMsg, FlowRemoved, FlowRemovedReason, Message, PacketIn, PacketInReason, PortDesc,
     PortStats, PortStatus, PortStatusReason, StatsReply, StatsRequest, SwitchFeatures,
 };
-use legosdn_openflow::prelude::{apply_actions, BufferId, DatapathId, MacAddr, Packet, PortNo};
+use legosdn_openflow::prelude::{Action, BufferId, DatapathId, MacAddr, Packet, PortNo};
 use std::collections::BTreeMap;
 
 /// Everything a message or packet arrival caused.
@@ -34,11 +34,12 @@ pub struct SwitchOutput {
 }
 
 impl SwitchOutput {
-    fn reply(msg: Message) -> Self {
-        SwitchOutput {
-            replies: vec![msg],
-            ..SwitchOutput::default()
-        }
+    /// Empty every part, keeping the lists' storage for the next call.
+    fn clear(&mut self) {
+        self.replies.clear();
+        self.notifications.clear();
+        self.emissions.clear();
+        self.pre_state = None;
     }
 }
 
@@ -159,123 +160,119 @@ impl Switch {
         }))
     }
 
-    /// Handle a controller→switch message.
-    pub fn handle_message(&mut self, msg: &Message, now: SimTime) -> SwitchOutput {
+    /// Handle a controller→switch message, writing what it caused into
+    /// `out`. Whatever `out` held is cleared first and its storage reused,
+    /// so a caller that keeps one `SwitchOutput` allocates only for what
+    /// outgrows it.
+    pub fn handle_message(&mut self, msg: &Message, now: SimTime, out: &mut SwitchOutput) {
+        out.clear();
         if !self.up {
-            return SwitchOutput::default();
+            return;
         }
-        match msg {
-            Message::Hello => SwitchOutput::reply(Message::Hello),
-            Message::EchoRequest(d) => SwitchOutput::reply(Message::EchoReply(d.clone())),
-            Message::FeaturesRequest => {
-                SwitchOutput::reply(Message::FeaturesReply(SwitchFeatures {
-                    datapath_id: self.dpid,
-                    n_buffers: self.n_buffers,
-                    n_tables: 1,
-                    ports: self.ports.values().map(|s| s.desc.clone()).collect(),
-                }))
-            }
-            Message::BarrierRequest => SwitchOutput::reply(Message::BarrierReply),
-            Message::FlowMod(fm) => self.handle_flow_mod(fm, now),
+        let reply = match msg {
+            Message::Hello => Message::Hello,
+            Message::EchoRequest(d) => Message::EchoReply(d.clone()),
+            Message::FeaturesRequest => Message::FeaturesReply(SwitchFeatures {
+                datapath_id: self.dpid,
+                n_buffers: self.n_buffers,
+                n_tables: 1,
+                ports: self.ports.values().map(|s| s.desc.clone()).collect(),
+            }),
+            Message::BarrierRequest => Message::BarrierReply,
+            Message::FlowMod(fm) => return self.handle_flow_mod(fm, now, out),
             Message::PacketOut(po) => {
+                let buffered;
                 let packet = if po.buffer_id.is_some() {
                     match self.take_buffer(po.buffer_id) {
-                        Some((pkt, _)) => pkt,
+                        Some((pkt, _)) => {
+                            buffered = pkt;
+                            &buffered
+                        }
                         None => {
-                            return SwitchOutput::reply(Message::Error(ErrorMsg {
+                            out.replies.push(Message::Error(ErrorMsg {
                                 err_type: ErrorType::BadRequest,
                                 code: ErrorCode::Other(0x100), // bad buffer
                                 data: Vec::new(),
                             }));
+                            return;
                         }
                     }
                 } else {
                     match &po.packet {
-                        Some(p) => p.clone(),
+                        Some(p) => p,
                         None => {
-                            return SwitchOutput::reply(Message::Error(ErrorMsg {
+                            out.replies.push(Message::Error(ErrorMsg {
                                 err_type: ErrorType::BadRequest,
                                 code: ErrorCode::BadPort,
                                 data: Vec::new(),
-                            }))
+                            }));
+                            return;
                         }
                     }
                 };
-                let mut out = SwitchOutput::default();
-                self.emit(&po.actions, &packet, po.in_port, now, &mut out);
-                out
+                return emit(&mut self.ports, &po.actions, packet, po.in_port, out);
             }
             Message::PortMod(pm) => {
-                let Some(p) = pm.port_no.phys() else {
-                    return SwitchOutput::reply(bad_port());
-                };
-                let Some(state) = self.ports.get_mut(&p) else {
-                    return SwitchOutput::reply(bad_port());
+                let Some(state) = pm.port_no.phys().and_then(|p| self.ports.get_mut(&p)) else {
+                    return out.replies.push(bad_port());
                 };
                 let was_down = state.desc.config_down;
                 state.desc.config_down = pm.down;
-                let mut out = SwitchOutput {
-                    pre_state: Some(PreState::PortWasDown(was_down)),
-                    ..SwitchOutput::default()
-                };
+                out.pre_state = Some(PreState::PortWasDown(was_down));
                 if was_down != pm.down {
                     out.notifications.push(Message::PortStatus(PortStatus {
                         reason: PortStatusReason::Modify,
                         desc: state.desc.clone(),
                     }));
                 }
-                out
+                return;
             }
-            Message::StatsRequest(req) => SwitchOutput::reply(self.handle_stats(req, now)),
+            Message::StatsRequest(req) => self.handle_stats(req, now),
             // Switch-to-controller messages arriving at a switch are protocol
             // violations.
-            _ => SwitchOutput::reply(Message::Error(ErrorMsg {
+            _ => Message::Error(ErrorMsg {
                 err_type: ErrorType::BadRequest,
                 code: ErrorCode::Unsupported,
                 data: Vec::new(),
-            })),
-        }
+            }),
+        };
+        out.replies.push(reply);
     }
 
     fn handle_flow_mod(
         &mut self,
         fm: &legosdn_openflow::messages::FlowMod,
         now: SimTime,
-    ) -> SwitchOutput {
-        let mut out = SwitchOutput::default();
-        match self.table.apply(fm, now) {
-            Ok(outcome) => {
-                out.pre_state = Some(if fm.is_delete() {
-                    PreState::DeletedFlows(outcome.displaced.clone())
-                } else {
-                    PreState::DisplacedFlows(outcome.displaced.clone())
-                });
-                for snap in outcome.notify_removed {
-                    out.notifications.push(Message::FlowRemoved(FlowRemoved {
-                        mat: snap.mat,
-                        cookie: snap.cookie,
-                        priority: snap.priority,
-                        reason: FlowRemovedReason::Delete,
-                        duration_sec: snap.duration_sec,
-                        idle_timeout: snap.idle_timeout,
-                        packet_count: snap.packet_count,
-                        byte_count: snap.byte_count,
-                    }));
-                }
-                // A flow-mod naming a buffered packet forwards it through the
-                // (new) table immediately.
-                if fm.buffer_id.is_some() {
-                    if let Some((pkt, in_port)) = self.take_buffer(fm.buffer_id) {
-                        let mut sub = SwitchOutput::default();
-                        self.forward(&pkt, in_port, now, &mut sub);
-                        out.notifications.extend(sub.notifications);
-                        out.emissions.extend(sub.emissions);
-                    }
-                }
-            }
-            Err(e) => out.replies.push(Message::Error(e)),
+        out: &mut SwitchOutput,
+    ) {
+        let outcome = match self.table.apply(fm, now) {
+            Ok(outcome) => outcome,
+            Err(e) => return out.replies.push(Message::Error(e)),
+        };
+        for snap in outcome.notify_removed {
+            out.notifications.push(Message::FlowRemoved(FlowRemoved {
+                mat: snap.mat,
+                cookie: snap.cookie,
+                priority: snap.priority,
+                reason: FlowRemovedReason::Delete,
+                duration_sec: snap.duration_sec,
+                idle_timeout: snap.idle_timeout,
+                packet_count: snap.packet_count,
+                byte_count: snap.byte_count,
+            }));
         }
-        out
+        out.pre_state = Some(if fm.is_delete() {
+            PreState::DeletedFlows(outcome.displaced)
+        } else {
+            PreState::DisplacedFlows(outcome.displaced)
+        });
+        // A flow-mod naming a buffered packet forwards it through the
+        // (new) table immediately.
+        if fm.buffer_id.is_some() {
+            if let Some((pkt, in_port)) = self.take_buffer(fm.buffer_id) {
+                self.forward(&pkt, in_port, now, out);
+            }
+        }
     }
 
     fn handle_stats(&self, req: &StatsRequest, now: SimTime) -> Message {
@@ -307,107 +304,48 @@ impl Switch {
     }
 
     /// A packet arrives on `in_port`. Looks up the flow table; on a miss the
-    /// packet is buffered and punted to the controller.
-    pub fn receive_packet(&mut self, in_port: u16, pkt: &Packet, now: SimTime) -> SwitchOutput {
-        let mut out = SwitchOutput::default();
-        if !self.up {
-            return out;
-        }
-        let live = self
-            .ports
-            .get(&in_port)
-            .map(|p| p.desc.is_live())
-            .unwrap_or(false);
-        if !live {
-            return out;
-        }
-        if let Some(state) = self.ports.get_mut(&in_port) {
-            state.stats.rx_packets += 1;
-            state.stats.rx_bytes += u64::from(pkt.wire_len());
-        }
-        self.forward(pkt, PortNo::Phys(in_port), now, &mut out);
-        out
-    }
-
-    fn forward(&mut self, pkt: &Packet, in_port: PortNo, now: SimTime, out: &mut SwitchOutput) {
-        let actions = match self.table.lookup(pkt, in_port, now) {
-            Some(entry) => entry.actions.clone(),
-            None => {
-                let buffer_id = self.buffer_packet(pkt.clone(), in_port);
-                out.notifications.push(Message::PacketIn(PacketIn {
-                    buffer_id,
-                    in_port,
-                    reason: PacketInReason::NoMatch,
-                    packet: pkt.clone(),
-                }));
-                return;
-            }
-        };
-        if actions.is_empty() {
-            // Explicit drop rule.
-            if let Some(p) = in_port.phys() {
-                if let Some(state) = self.ports.get_mut(&p) {
-                    state.stats.rx_dropped += 1;
-                }
-            }
-            return;
-        }
-        self.emit(&actions, pkt, in_port, now, out);
-    }
-
-    fn emit(
+    /// packet is buffered and punted to the controller. What it caused is
+    /// written into `out`, as [`Switch::handle_message`] does.
+    pub fn receive_packet(
         &mut self,
-        actions: &[legosdn_openflow::prelude::Action],
+        in_port: u16,
         pkt: &Packet,
-        in_port: PortNo,
-        _now: SimTime,
+        now: SimTime,
         out: &mut SwitchOutput,
     ) {
-        let (rewritten, outputs) = apply_actions(actions, pkt);
-        for port in outputs {
-            match port {
-                PortNo::Phys(p) => self.emit_one(p, &rewritten, out),
-                PortNo::InPort => {
-                    if let Some(p) = in_port.phys() {
-                        self.emit_one(p, &rewritten, out);
-                    }
-                }
-                PortNo::Flood | PortNo::All => {
-                    let targets: Vec<u16> = self
-                        .ports
-                        .iter()
-                        .filter(|(p, s)| s.desc.is_live() && Some(**p) != in_port.phys())
-                        .map(|(p, _)| *p)
-                        .collect();
-                    for p in targets {
-                        self.emit_one(p, &rewritten, out);
-                    }
-                }
-                PortNo::Controller => {
-                    out.notifications.push(Message::PacketIn(PacketIn {
-                        buffer_id: BufferId::NONE,
-                        in_port,
-                        reason: PacketInReason::Action,
-                        packet: rewritten.clone(),
-                    }));
-                }
-                // Normal / Local / Table / None: unsupported sinks; drop.
-                _ => {}
-            }
+        out.clear();
+        if !self.up {
+            return;
         }
-    }
-
-    fn emit_one(&mut self, port: u16, pkt: &Packet, out: &mut SwitchOutput) {
-        let Some(state) = self.ports.get_mut(&port) else {
+        let Some(state) = self.ports.get_mut(&in_port).filter(|p| p.desc.is_live()) else {
             return;
         };
-        if !state.desc.is_live() {
-            state.stats.tx_dropped += 1;
+        state.stats.rx_packets += 1;
+        state.stats.rx_bytes += u64::from(pkt.wire_len());
+        self.forward(pkt, PortNo::Phys(in_port), now, out);
+    }
+
+    /// Forward by the matching entry's actions, borrowed where the table
+    /// holds them.
+    fn forward(&mut self, pkt: &Packet, in_port: PortNo, now: SimTime, out: &mut SwitchOutput) {
+        let Some(entry) = self.table.lookup(pkt, in_port, now) else {
+            let buffer_id = self.buffer_packet(pkt.clone(), in_port);
+            out.notifications.push(Message::PacketIn(PacketIn {
+                buffer_id,
+                in_port,
+                reason: PacketInReason::NoMatch,
+                packet: pkt.clone(),
+            }));
+            return;
+        };
+        if entry.actions.is_empty() {
+            // Explicit drop rule.
+            if let Some(state) = in_port.phys().and_then(|p| self.ports.get_mut(&p)) {
+                state.stats.rx_dropped += 1;
+            }
             return;
         }
-        state.stats.tx_packets += 1;
-        state.stats.tx_bytes += u64::from(pkt.wire_len());
-        out.emissions.push((PortNo::Phys(port), pkt.clone()));
+        emit(&mut self.ports, &entry.actions, pkt, in_port, out);
     }
 
     fn buffer_packet(&mut self, pkt: Packet, in_port: PortNo) -> BufferId {
@@ -451,6 +389,71 @@ impl Switch {
     }
 }
 
+/// Send `pkt` as `actions` direct. Every header rewrite in the list
+/// applies to the one packet that each of its outputs sends, in list
+/// order: a first pass rewrites, a second emits.
+fn emit(
+    ports: &mut BTreeMap<u16, PortState>,
+    actions: &[Action],
+    pkt: &Packet,
+    in_port: PortNo,
+    out: &mut SwitchOutput,
+) {
+    let mut rewritten = pkt.clone();
+    for a in actions {
+        a.apply(&mut rewritten);
+    }
+    for a in actions {
+        let Action::Output(port) = *a else {
+            continue;
+        };
+        match port {
+            PortNo::Phys(p) => transmit(ports, p, &rewritten, out),
+            PortNo::InPort => {
+                if let Some(p) = in_port.phys() {
+                    transmit(ports, p, &rewritten, out);
+                }
+            }
+            PortNo::Flood | PortNo::All => {
+                for (&p, state) in ports.iter_mut() {
+                    if state.desc.is_live() && Some(p) != in_port.phys() {
+                        send(state, p, &rewritten, out);
+                    }
+                }
+            }
+            PortNo::Controller => {
+                out.notifications.push(Message::PacketIn(PacketIn {
+                    buffer_id: BufferId::NONE,
+                    in_port,
+                    reason: PacketInReason::Action,
+                    packet: rewritten.clone(),
+                }));
+            }
+            // Normal / Local / Table / None: unsupported sinks; drop.
+            _ => {}
+        }
+    }
+}
+
+/// Send `pkt` out of `port` if it is live; count a drop if not.
+fn transmit(ports: &mut BTreeMap<u16, PortState>, port: u16, pkt: &Packet, out: &mut SwitchOutput) {
+    let Some(state) = ports.get_mut(&port) else {
+        return;
+    };
+    if !state.desc.is_live() {
+        state.stats.tx_dropped += 1;
+        return;
+    }
+    send(state, port, pkt, out);
+}
+
+/// Send `pkt` out of the live port `port`, whose state is `state`.
+fn send(state: &mut PortState, port: u16, pkt: &Packet, out: &mut SwitchOutput) {
+    state.stats.tx_packets += 1;
+    state.stats.tx_bytes += u64::from(pkt.wire_len());
+    out.emissions.push((PortNo::Phys(port), pkt.clone()));
+}
+
 fn bad_port() -> Message {
     Message::Error(ErrorMsg {
         err_type: ErrorType::PortModFailed,
@@ -468,6 +471,18 @@ mod tests {
         Switch::new(DatapathId(1), 4)
     }
 
+    fn handle(s: &mut Switch, msg: &Message) -> SwitchOutput {
+        let mut out = SwitchOutput::default();
+        s.handle_message(msg, SimTime::ZERO, &mut out);
+        out
+    }
+
+    fn receive(s: &mut Switch, in_port: u16) -> SwitchOutput {
+        let mut out = SwitchOutput::default();
+        s.receive_packet(in_port, &pkt(), SimTime::ZERO, &mut out);
+        out
+    }
+
     fn pkt() -> Packet {
         Packet::ethernet(MacAddr::from_index(1), MacAddr::from_index(2))
     }
@@ -475,16 +490,16 @@ mod tests {
     #[test]
     fn hello_and_echo() {
         let mut s = sw();
-        let out = s.handle_message(&Message::Hello, SimTime::ZERO);
+        let out = handle(&mut s, &Message::Hello);
         assert_eq!(out.replies, vec![Message::Hello]);
-        let out = s.handle_message(&Message::EchoRequest(vec![1, 2]), SimTime::ZERO);
+        let out = handle(&mut s, &Message::EchoRequest(vec![1, 2]));
         assert_eq!(out.replies, vec![Message::EchoReply(vec![1, 2])]);
     }
 
     #[test]
     fn features_reply_lists_ports() {
         let mut s = sw();
-        let out = s.handle_message(&Message::FeaturesRequest, SimTime::ZERO);
+        let out = handle(&mut s, &Message::FeaturesRequest);
         match &out.replies[0] {
             Message::FeaturesReply(f) => {
                 assert_eq!(f.datapath_id, DatapathId(1));
@@ -497,7 +512,7 @@ mod tests {
     #[test]
     fn miss_generates_buffered_packet_in() {
         let mut s = sw();
-        let out = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        let out = receive(&mut s, 1);
         assert_eq!(out.notifications.len(), 1);
         match &out.notifications[0] {
             Message::PacketIn(pi) => {
@@ -514,10 +529,10 @@ mod tests {
     fn flow_mod_then_forward() {
         let mut s = sw();
         let fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Phys(2)));
-        let out = s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
+        let out = handle(&mut s, &Message::FlowMod(fm));
         assert!(out.replies.is_empty());
         assert_eq!(out.pre_state, Some(PreState::DisplacedFlows(vec![])));
-        let out = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        let out = receive(&mut s, 1);
         assert_eq!(out.emissions.len(), 1);
         assert_eq!(out.emissions[0].0, PortNo::Phys(2));
     }
@@ -527,8 +542,8 @@ mod tests {
         let mut s = sw();
         s.set_link_down(3, true).unwrap();
         let fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Flood));
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
-        let out = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        handle(&mut s, &Message::FlowMod(fm));
+        let out = receive(&mut s, 1);
         let mut ports: Vec<_> = out.emissions.iter().filter_map(|(p, _)| p.phys()).collect();
         ports.sort_unstable();
         assert_eq!(ports, vec![2, 4]);
@@ -538,8 +553,8 @@ mod tests {
     fn drop_rule_increments_rx_dropped() {
         let mut s = sw();
         let fm = FlowMod::add(Match::any()); // no actions == drop
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
-        let out = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        handle(&mut s, &Message::FlowMod(fm));
+        let out = receive(&mut s, 1);
         assert!(out.emissions.is_empty());
         assert!(out.notifications.is_empty());
         assert_eq!(s.port(1).unwrap().stats.rx_dropped, 1);
@@ -554,7 +569,7 @@ mod tests {
             actions: vec![Action::Output(PortNo::Phys(3))],
             packet: Some(pkt()),
         };
-        let out = s.handle_message(&Message::PacketOut(po), SimTime::ZERO);
+        let out = handle(&mut s, &Message::PacketOut(po));
         assert_eq!(out.emissions.len(), 1);
         assert_eq!(out.emissions[0].0, PortNo::Phys(3));
     }
@@ -562,7 +577,7 @@ mod tests {
     #[test]
     fn packet_out_with_buffer_releases_it() {
         let mut s = sw();
-        let miss = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        let miss = receive(&mut s, 1);
         let buffer_id = match &miss.notifications[0] {
             Message::PacketIn(pi) => pi.buffer_id,
             other => panic!("unexpected {other:?}"),
@@ -573,24 +588,24 @@ mod tests {
             actions: vec![Action::Output(PortNo::Phys(2))],
             packet: None,
         };
-        let out = s.handle_message(&Message::PacketOut(po.clone()), SimTime::ZERO);
+        let out = handle(&mut s, &Message::PacketOut(po.clone()));
         assert_eq!(out.emissions.len(), 1);
         // Second use of the same buffer errors.
-        let out = s.handle_message(&Message::PacketOut(po), SimTime::ZERO);
+        let out = handle(&mut s, &Message::PacketOut(po));
         assert!(matches!(&out.replies[0], Message::Error(_)));
     }
 
     #[test]
     fn flow_mod_with_buffer_forwards_buffered_packet() {
         let mut s = sw();
-        let miss = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        let miss = receive(&mut s, 1);
         let buffer_id = match &miss.notifications[0] {
             Message::PacketIn(pi) => pi.buffer_id,
             other => panic!("unexpected {other:?}"),
         };
         let mut fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Phys(4)));
         fm.buffer_id = buffer_id;
-        let out = s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
+        let out = handle(&mut s, &Message::FlowMod(fm));
         assert_eq!(out.emissions.len(), 1);
         assert_eq!(out.emissions[0].0, PortNo::Phys(4));
     }
@@ -603,17 +618,17 @@ mod tests {
             hw_addr: s.port(2).unwrap().desc.hw_addr,
             down: true,
         };
-        let out = s.handle_message(&Message::PortMod(pm.clone()), SimTime::ZERO);
+        let out = handle(&mut s, &Message::PortMod(pm.clone()));
         assert_eq!(out.pre_state, Some(PreState::PortWasDown(false)));
         assert_eq!(out.notifications.len(), 1);
         // Idempotent re-apply: pre-state now true, no notification.
-        let out = s.handle_message(&Message::PortMod(pm), SimTime::ZERO);
+        let out = handle(&mut s, &Message::PortMod(pm));
         assert_eq!(out.pre_state, Some(PreState::PortWasDown(true)));
         assert!(out.notifications.is_empty());
         // Admin-down port no longer forwards.
         let fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Phys(2)));
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
-        let out = s.receive_packet(1, &pkt(), SimTime::ZERO);
+        handle(&mut s, &Message::FlowMod(fm));
+        let out = receive(&mut s, 1);
         assert!(out.emissions.is_empty());
         assert_eq!(s.port(2).unwrap().stats.tx_dropped, 1);
     }
@@ -626,7 +641,7 @@ mod tests {
             hw_addr: MacAddr::from_index(0),
             down: true,
         };
-        let out = s.handle_message(&Message::PortMod(pm), SimTime::ZERO);
+        let out = handle(&mut s, &Message::PortMod(pm));
         assert!(matches!(&out.replies[0], Message::Error(e) if e.code == ErrorCode::BadPort));
     }
 
@@ -634,14 +649,14 @@ mod tests {
     fn stats_flow_and_aggregate() {
         let mut s = sw();
         let fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Phys(2)));
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
-        s.receive_packet(1, &pkt(), SimTime::ZERO);
-        let out = s.handle_message(
+        handle(&mut s, &Message::FlowMod(fm));
+        receive(&mut s, 1);
+        let out = handle(
+            &mut s,
             &Message::StatsRequest(StatsRequest::Flow {
                 mat: Match::any(),
                 out_port: PortNo::None,
             }),
-            SimTime::ZERO,
         );
         match &out.replies[0] {
             Message::StatsReply(StatsReply::Flow(flows)) => {
@@ -650,12 +665,12 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let out = s.handle_message(
+        let out = handle(
+            &mut s,
             &Message::StatsRequest(StatsRequest::Aggregate {
                 mat: Match::any(),
                 out_port: PortNo::None,
             }),
-            SimTime::ZERO,
         );
         match &out.replies[0] {
             Message::StatsReply(StatsReply::Aggregate {
@@ -673,19 +688,19 @@ mod tests {
     #[test]
     fn stats_port_all_and_single() {
         let mut s = sw();
-        let out = s.handle_message(
+        let out = handle(
+            &mut s,
             &Message::StatsRequest(StatsRequest::Port { port: PortNo::None }),
-            SimTime::ZERO,
         );
         match &out.replies[0] {
             Message::StatsReply(StatsReply::Port(ps)) => assert_eq!(ps.len(), 4),
             other => panic!("unexpected {other:?}"),
         }
-        let out = s.handle_message(
+        let out = handle(
+            &mut s,
             &Message::StatsRequest(StatsRequest::Port {
                 port: PortNo::Phys(2),
             }),
-            SimTime::ZERO,
         );
         match &out.replies[0] {
             Message::StatsReply(StatsReply::Port(ps)) => {
@@ -703,7 +718,7 @@ mod tests {
             .hard_timeout(5)
             .action(Action::Output(PortNo::Phys(2)))
             .notify_removed();
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
+        handle(&mut s, &Message::FlowMod(fm));
         assert!(s.expire_flows(SimTime::from_secs(4)).is_empty());
         let removed = s.expire_flows(SimTime::from_secs(5));
         assert_eq!(removed.len(), 1);
@@ -715,19 +730,50 @@ mod tests {
     fn down_switch_is_silent() {
         let mut s = sw();
         let fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Phys(2)));
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
+        handle(&mut s, &Message::FlowMod(fm));
         s.set_up(false);
-        assert!(s
-            .receive_packet(1, &pkt(), SimTime::ZERO)
-            .notifications
-            .is_empty());
-        assert!(s
-            .handle_message(&Message::Hello, SimTime::ZERO)
-            .replies
-            .is_empty());
+        assert!(receive(&mut s, 1).notifications.is_empty());
+        assert!(handle(&mut s, &Message::Hello).replies.is_empty());
         // Power-cycle loses the flow table.
         s.set_up(true);
         assert!(s.table().is_empty());
+    }
+
+    #[test]
+    fn a_reused_output_holds_only_the_latest_call() {
+        let mut s = sw();
+        let mut out = SwitchOutput::default();
+        s.receive_packet(1, &pkt(), SimTime::ZERO, &mut out);
+        assert_eq!(out.notifications.len(), 1, "a miss punts");
+        let fm = FlowMod::add(Match::any()).action(Action::Output(PortNo::Flood));
+        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO, &mut out);
+        assert!(out.notifications.is_empty() && out.emissions.is_empty());
+        assert_eq!(out.pre_state, Some(PreState::DisplacedFlows(vec![])));
+        s.receive_packet(1, &pkt(), SimTime::ZERO, &mut out);
+        assert_eq!((out.emissions.len(), out.pre_state.is_none()), (3, true));
+        s.handle_message(&Message::Hello, SimTime::ZERO, &mut out);
+        assert_eq!(out.replies, vec![Message::Hello]);
+        assert!(out.emissions.is_empty());
+    }
+
+    #[test]
+    fn rewrites_apply_to_every_output_in_list_order() {
+        let mut s = sw();
+        let fm = FlowMod::add(Match::any())
+            .action(Action::Output(PortNo::Phys(2)))
+            .action(Action::SetEthDst(MacAddr::from_index(9)))
+            .action(Action::Output(PortNo::InPort))
+            .action(Action::Output(PortNo::Controller));
+        handle(&mut s, &Message::FlowMod(fm));
+        let out = receive(&mut s, 1);
+        let ports: Vec<_> = out.emissions.iter().map(|(p, _)| *p).collect();
+        assert_eq!(ports, vec![PortNo::Phys(2), PortNo::Phys(1)]);
+        assert!(out
+            .emissions
+            .iter()
+            .all(|(_, p)| p.eth_dst == MacAddr::from_index(9)));
+        assert!(matches!(&out.notifications[..], [Message::PacketIn(pi)]
+            if pi.reason == PacketInReason::Action && pi.packet.eth_dst == MacAddr::from_index(9)));
     }
 
     #[test]
@@ -737,11 +783,8 @@ mod tests {
         let fm = FlowMod::add(m.clone())
             .priority(9)
             .action(Action::Output(PortNo::Phys(2)));
-        s.handle_message(&Message::FlowMod(fm), SimTime::ZERO);
-        let out = s.handle_message(
-            &Message::FlowMod(FlowMod::delete_strict(m, 9)),
-            SimTime::ZERO,
-        );
+        handle(&mut s, &Message::FlowMod(fm));
+        let out = handle(&mut s, &Message::FlowMod(FlowMod::delete_strict(m, 9)));
         match out.pre_state {
             Some(PreState::DeletedFlows(snaps)) => assert_eq!(snaps.len(), 1),
             other => panic!("unexpected {other:?}"),

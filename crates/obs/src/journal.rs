@@ -52,7 +52,8 @@ impl Verdict {
 
 /// What happened. Every kind but [`RecordKind::Step`] is journaled; the
 /// app it concerns is the record's [`Record::app`], and transaction kinds
-/// name the NetLog transaction id.
+/// name the NetLog transaction id (and carry the app it ran for, when it
+/// ran for one).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecordKind {
     /// An app panicked while handling an event (fail-stop detection).
@@ -69,8 +70,6 @@ pub enum RecordKind {
     CheckpointRestored { bytes: u64, dur_ns: u64 },
     /// Post-restore event replay finished.
     ReplayDone { events_replayed: u64, dur_ns: u64 },
-    /// A NetLog transaction opened.
-    TxnBegin { txn: u64 },
     /// A NetLog transaction committed.
     TxnCommit { txn: u64, ops: u64 },
     /// A NetLog transaction rolled back, undoing `undo_ops` network ops.
@@ -254,7 +253,12 @@ mod tests {
     fn ring_wraparound_keeps_newest() {
         let mut j = Journal::new(4);
         for i in 0..10u64 {
-            j.push(i, None, Some(AppId(0)), RecordKind::TxnBegin { txn: i });
+            j.push(
+                i,
+                None,
+                Some(AppId(0)),
+                RecordKind::TxnCommit { txn: i, ops: 1 },
+            );
         }
         let snap = j.snapshot();
         assert_eq!(snap.len(), 4);

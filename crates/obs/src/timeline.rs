@@ -185,8 +185,8 @@ impl IncidentReport {
 /// - incidents are returned ordered by `detection_seq`;
 /// - per app, incident `[detection_seq, end_seq]` ranges never overlap;
 /// - every record between a detection and its resolution that names the
-///   same app (directly or via its NetLog transaction) is attributed to
-///   exactly that incident.
+///   same app (a NetLog commit or rollback names the app it ran for) is
+///   attributed to exactly that incident.
 #[must_use]
 pub fn reconstruct(records: &[Record], names: &[String]) -> Vec<IncidentReport> {
     let mut sorted: Vec<&Record> = records.iter().collect();
@@ -194,21 +194,9 @@ pub fn reconstruct(records: &[Record], names: &[String]) -> Vec<IncidentReport> 
 
     let mut done: Vec<IncidentReport> = Vec::new();
     let mut open: HashMap<AppId, IncidentReport> = HashMap::new();
-    let mut txn_app: HashMap<u64, AppId> = HashMap::new();
 
     for rec in sorted {
-        // Resolve the app this record concerns, via the txn map for
-        // commit/rollback records.
-        let app = match &rec.kind {
-            RecordKind::TxnCommit { txn, .. } | RecordKind::TxnRollback { txn, .. } => {
-                txn_app.get(txn).copied()
-            }
-            _ => rec.app,
-        };
-        if let (RecordKind::TxnBegin { txn }, Some(app)) = (&rec.kind, rec.app) {
-            txn_app.insert(*txn, app);
-        }
-        let Some(app) = app else { continue };
+        let Some(app) = rec.app else { continue };
 
         if rec.kind.is_detection() {
             if let Some(mut prev) = open.remove(&app) {
@@ -284,7 +272,6 @@ mod tests {
     #[test]
     fn full_recovery_timeline_end_to_end() {
         let mut j = Journal::new(64);
-        j.push(100, None, A, RecordKind::TxnBegin { txn: 1 });
         j.push(
             1_000,
             None,
@@ -296,7 +283,7 @@ mod tests {
         j.push(
             1_100,
             None,
-            None,
+            A,
             RecordKind::TxnRollback {
                 txn: 1,
                 undo_ops: 3,
@@ -369,11 +356,10 @@ mod tests {
                 detail: String::new(),
             },
         );
-        j.push(1, None, B, RecordKind::TxnBegin { txn: 7 });
         j.push(
             2,
             None,
-            None,
+            B,
             RecordKind::TxnRollback {
                 txn: 7,
                 undo_ops: 5,
@@ -425,8 +411,7 @@ mod tests {
     #[test]
     fn non_incident_records_alone_yield_nothing() {
         let mut j = Journal::new(64);
-        j.push(0, None, A, RecordKind::TxnBegin { txn: 1 });
-        j.push(1, None, None, RecordKind::TxnCommit { txn: 1, ops: 4 });
+        j.push(1, None, A, RecordKind::TxnCommit { txn: 1, ops: 4 });
         j.push(
             2,
             None,

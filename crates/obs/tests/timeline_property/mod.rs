@@ -10,20 +10,30 @@
 use legosdn_obs::{reconstruct, AppId, Journal, RecordKind, Resolution, Verdict};
 use legosdn_testkit::{forall, Rng};
 
-/// Transactions begun so far: `open` ones end at most once, while any
-/// `begun` one may be named again — a duplicate or late outcome.
+/// Transactions begun so far, each with the app it ran for (`None`: an
+/// engine-level `begin()`). Beginning one journals nothing. `open` ones
+/// end at most once, while any `begun` one may be named again — a
+/// duplicate or late outcome.
 #[derive(Default)]
 struct Txns {
     next: u64,
-    open: Vec<u64>,
-    begun: Vec<u64>,
+    open: Vec<(u64, Option<AppId>)>,
+    begun: Vec<(u64, Option<AppId>)>,
 }
 
 impl Txns {
+    /// Begin a transaction for `app`, or for no app one time in five.
+    fn begin(&mut self, rng: &mut Rng, app: Option<AppId>) {
+        let txn = (self.next, app.filter(|_| !rng.gen_bool(0.2)));
+        self.next += 1;
+        self.open.push(txn);
+        self.begun.push(txn);
+    }
+
     /// A transaction for an outcome record: usually a still-open one
     /// (which it closes), sometimes any begun one; `None` before any
     /// transaction has begun.
-    fn pick(&mut self, rng: &mut Rng) -> Option<u64> {
+    fn pick(&mut self, rng: &mut Rng) -> Option<(u64, Option<AppId>)> {
         if !self.open.is_empty() && rng.gen_bool(0.75) {
             return Some(self.open.remove(rng.gen_range(0..self.open.len())));
         }
@@ -31,8 +41,8 @@ impl Txns {
     }
 }
 
-/// One random record; transaction outcomes name their transaction, not
-/// an app.
+/// One random record; a transaction's outcome names the app it ran for,
+/// or none.
 fn arb_record(rng: &mut Rng, apps: usize, txns: &mut Txns) -> (Option<AppId>, RecordKind) {
     let app = Some(AppId(rng.gen_range(0..apps as u16)));
     let kind = match rng.gen_range(0u32..15) {
@@ -56,27 +66,22 @@ fn arb_record(rng: &mut Rng, apps: usize, txns: &mut Txns) -> (Option<AppId>, Re
             events_replayed: rng.gen_range(0u64..10),
             dur_ns: rng.gen_range(1u64..100_000),
         },
-        7 => {
-            let txn = txns.next;
-            txns.next += 1;
-            txns.open.push(txn);
-            txns.begun.push(txn);
-            RecordKind::TxnBegin { txn }
+        7..=9 => {
+            if rng.gen_bool(0.5) {
+                txns.begin(rng, app);
+            }
+            match txns.pick(rng) {
+                Some((txn, app)) if rng.gen_bool(0.5) => {
+                    let ops = rng.gen_range(0u64..8);
+                    return (app, RecordKind::TxnCommit { txn, ops });
+                }
+                Some((txn, app)) => {
+                    let undo_ops = rng.gen_range(0u64..8);
+                    return (app, RecordKind::TxnRollback { txn, undo_ops });
+                }
+                None => RecordKind::EventTransformed,
+            }
         }
-        8 => match txns.pick(rng) {
-            Some(txn) => {
-                let ops = rng.gen_range(0u64..8);
-                return (None, RecordKind::TxnCommit { txn, ops });
-            }
-            None => RecordKind::EventTransformed,
-        },
-        9 => match txns.pick(rng) {
-            Some(txn) => {
-                let undo_ops = rng.gen_range(0u64..8);
-                return (None, RecordKind::TxnRollback { txn, undo_ops });
-            }
-            None => RecordKind::EventDropped,
-        },
         10 => RecordKind::PolicyDecision {
             policy: ["absolute", "equivalence", "no-compromise"][rng.gen_range(0usize..3)],
             verdict: Verdict::ALL[rng.gen_range(0usize..4)],

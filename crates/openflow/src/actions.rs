@@ -35,8 +35,9 @@ impl Action {
     /// Apply the action's header rewrite (if any) to `pkt`, returning the
     /// output port if this is an output action.
     ///
-    /// The simulator's dataplane folds a packet through an action list with
-    /// this, collecting output ports.
+    /// The simulator's dataplane folds a packet through every rewrite of an
+    /// action list with this, then emits that one rewritten packet at each
+    /// output of the list, in order. An empty action list means drop.
     pub fn apply(&self, pkt: &mut Packet) -> Option<PortNo> {
         match *self {
             Action::Output(p) => return Some(p),
@@ -80,23 +81,17 @@ impl Action {
     }
 }
 
-/// Fold a packet through an action list, returning the rewritten packet and
-/// the ordered list of output ports. An empty action list means drop.
-#[must_use]
-pub fn apply_actions(actions: &[Action], pkt: &Packet) -> (Packet, Vec<PortNo>) {
-    let mut out = Vec::new();
-    let mut p = pkt.clone();
-    for a in actions {
-        if let Some(port) = a.apply(&mut p) {
-            out.push(port);
-        }
-    }
-    (p, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The packet every output of `actions` emits, and those outputs in
+    /// order: the simulator's two passes over an action list.
+    fn fold(actions: &[Action], pkt: &Packet) -> (Packet, Vec<PortNo>) {
+        let mut p = pkt.clone();
+        let outs = actions.iter().filter_map(|a| a.apply(&mut p)).collect();
+        (p, outs)
+    }
 
     fn pkt() -> Packet {
         Packet::tcp(
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn empty_action_list_drops() {
-        let (_, outs) = apply_actions(&[], &pkt());
+        let (_, outs) = fold(&[], &pkt());
         assert!(outs.is_empty());
     }
 
@@ -121,7 +116,7 @@ mod tests {
             Action::Output(PortNo::Phys(1)),
             Action::Output(PortNo::Phys(2)),
         ];
-        let (_, outs) = apply_actions(&acts, &pkt());
+        let (_, outs) = fold(&acts, &pkt());
         assert_eq!(outs, vec![PortNo::Phys(1), PortNo::Phys(2)]);
     }
 
@@ -132,7 +127,7 @@ mod tests {
             Action::SetTpDst(8080),
             Action::Output(PortNo::Phys(1)),
         ];
-        let (p, outs) = apply_actions(&acts, &pkt());
+        let (p, outs) = fold(&acts, &pkt());
         assert_eq!(p.eth_dst, MacAddr::from_index(9));
         assert_eq!(p.tp_dst, Some(8080));
         assert_eq!(outs.len(), 1);
@@ -141,10 +136,10 @@ mod tests {
     #[test]
     fn vlan_set_and_strip() {
         let acts = vec![Action::SetVlanId(VlanId(7)), Action::SetVlanPcp(3)];
-        let (p, _) = apply_actions(&acts, &pkt());
+        let (p, _) = fold(&acts, &pkt());
         assert_eq!(p.vlan, VlanId(7));
         assert_eq!(p.vlan_pcp, 3);
-        let (p2, _) = apply_actions(&[Action::StripVlan], &p);
+        let (p2, _) = fold(&[Action::StripVlan], &p);
         assert_eq!(p2.vlan, VlanId::NONE);
         assert_eq!(p2.vlan_pcp, 0);
     }
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn ip_rewrite_skipped_on_non_ip() {
         let l2 = Packet::ethernet(MacAddr::from_index(1), MacAddr::from_index(2));
-        let (p, _) = apply_actions(&[Action::SetIpDst(Ipv4Addr::new(1, 1, 1, 1))], &l2);
+        let (p, _) = fold(&[Action::SetIpDst(Ipv4Addr::new(1, 1, 1, 1))], &l2);
         assert_eq!(p.ip_dst, None);
     }
 

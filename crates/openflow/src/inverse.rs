@@ -7,7 +7,8 @@
 //! Inversion needs the *pre-state* the message displaced (the flow entries a
 //! delete removed, the entry an add overwrote, a port's prior admin state).
 //! NetLog captures that pre-state at apply time and calls into this module,
-//! which is purely functional: pre-state in, undo messages out.
+//! which is purely functional: pre-state in, undo messages appended to
+//! the caller's log.
 //!
 //! Undo is imperfect for counters and elapsed timeouts — the paper's
 //! counter-cache handles those; see `legosdn-netlog`.
@@ -25,28 +26,6 @@ pub enum PreState {
     DeletedFlows(Vec<FlowEntrySnapshot>),
     /// For `PortMod`: whether the port was administratively down before.
     PortWasDown(bool),
-}
-
-/// The result of inverting a message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Inverse {
-    /// Apply these messages, in order, to undo the state change.
-    Messages(Vec<Message>),
-    /// The message changed no durable network state (e.g. `PacketOut`):
-    /// nothing to undo. Already-emitted packets are unrecoverable, which the
-    /// paper accepts ("undoing a state change is imperfect").
-    Ephemeral,
-}
-
-impl Inverse {
-    /// The undo messages, empty for ephemeral.
-    #[must_use]
-    pub fn into_messages(self) -> Vec<Message> {
-        match self {
-            Inverse::Messages(v) => v,
-            Inverse::Ephemeral => Vec::new(),
-        }
-    }
 }
 
 /// Rebuild the `FlowMod` that reinstalls a snapshotted entry.
@@ -70,93 +49,69 @@ pub fn restore_flow(snapshot: &FlowEntrySnapshot) -> FlowMod {
     fm
 }
 
-/// Compute the inverse of `msg` given the pre-state it displaced.
+/// Append to `undo` the messages that undo `msg`, given the pre-state it
+/// displaced, in the order they must apply. A message that changed no
+/// durable network state — a packet-out, a read, a barrier, a port-mod
+/// that left the port as it was — appends nothing: already-emitted
+/// packets are unrecoverable, which the paper accepts ("undoing a state
+/// change is imperfect").
 ///
 /// `pre_state` must correspond to the message (`DisplacedFlows` for
 /// add/modify, `DeletedFlows` for delete, `PortWasDown` for port-mod);
 /// mismatches fall back to the conservative interpretation of "nothing
 /// displaced".
-#[must_use]
-pub fn inverse_of(msg: &Message, pre_state: &PreState) -> Inverse {
+pub fn inverse_into(msg: &Message, pre_state: &PreState, undo: &mut Vec<Message>) {
     match msg {
-        Message::FlowMod(fm) => inverse_of_flowmod(fm, pre_state),
+        Message::FlowMod(fm) => flowmod_inverse_into(fm, pre_state, undo),
         Message::PortMod(pm) => {
             let was_down = match pre_state {
                 PreState::PortWasDown(d) => *d,
                 _ => !pm.down,
             };
-            if was_down == pm.down {
-                // No state change happened; inverse is a no-op.
-                Inverse::Messages(Vec::new())
-            } else {
-                Inverse::Messages(vec![Message::PortMod(PortMod {
+            // Otherwise no state changed, and there is nothing to undo.
+            if was_down != pm.down {
+                undo.push(Message::PortMod(PortMod {
                     port_no: pm.port_no,
                     hw_addr: pm.hw_addr,
                     down: was_down,
-                })])
+                }));
             }
         }
         // Packet-outs, stats, barriers, echoes: no durable network state.
-        _ => Inverse::Ephemeral,
+        _ => {}
     }
 }
 
-fn inverse_of_flowmod(fm: &FlowMod, pre_state: &PreState) -> Inverse {
-    match fm.command {
-        FlowModCommand::Add => {
-            let displaced = match pre_state {
-                PreState::DisplacedFlows(v) => v.as_slice(),
-                _ => &[],
-            };
-            let mut undo = Vec::new();
-            if displaced
-                .iter()
-                .any(|s| s.mat == fm.mat && s.priority == fm.priority)
-            {
-                // The add overwrote an identical match+priority entry;
-                // restoring it implicitly removes the new one.
-            } else {
-                undo.push(Message::FlowMod(FlowMod::delete_strict(
-                    fm.mat.clone(),
-                    fm.priority,
-                )));
-            }
-            for snap in displaced {
-                undo.push(Message::FlowMod(restore_flow(snap)));
-            }
-            Inverse::Messages(undo)
+fn flowmod_inverse_into(fm: &FlowMod, pre_state: &PreState, undo: &mut Vec<Message>) {
+    let flows = match (fm.command, pre_state) {
+        (
+            FlowModCommand::Add | FlowModCommand::Modify | FlowModCommand::ModifyStrict,
+            PreState::DisplacedFlows(v),
+        )
+        | (FlowModCommand::Delete | FlowModCommand::DeleteStrict, PreState::DeletedFlows(v)) => {
+            v.as_slice()
         }
-        FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-            let rewritten = match pre_state {
-                PreState::DisplacedFlows(v) => v.as_slice(),
-                _ => &[],
-            };
-            // Re-adding each pre-state entry restores its action list
-            // (OF 1.0 add replaces an identical match+priority entry).
-            // Modify that matched nothing behaves like Add in OF 1.0.
-            let mut undo: Vec<Message> = Vec::new();
-            if rewritten.is_empty() {
-                undo.push(Message::FlowMod(FlowMod::delete_strict(
-                    fm.mat.clone(),
-                    fm.priority,
-                )));
-            }
-            undo.extend(rewritten.iter().map(|s| Message::FlowMod(restore_flow(s))));
-            Inverse::Messages(undo)
-        }
-        FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-            let deleted = match pre_state {
-                PreState::DeletedFlows(v) => v.as_slice(),
-                _ => &[],
-            };
-            Inverse::Messages(
-                deleted
-                    .iter()
-                    .map(|s| Message::FlowMod(restore_flow(s)))
-                    .collect(),
-            )
-        }
+        _ => &[],
+    };
+    let removes_itself = match fm.command {
+        // An add that overwrote an identical match+priority entry is
+        // undone by restoring that entry, which replaces the new one.
+        FlowModCommand::Add => !flows
+            .iter()
+            .any(|s| s.mat == fm.mat && s.priority == fm.priority),
+        // Re-adding each pre-state entry restores its action list (OF 1.0
+        // add replaces an identical match+priority entry); a modify that
+        // matched nothing behaved like an add.
+        FlowModCommand::Modify | FlowModCommand::ModifyStrict => flows.is_empty(),
+        FlowModCommand::Delete | FlowModCommand::DeleteStrict => false,
+    };
+    if removes_itself {
+        undo.push(Message::FlowMod(FlowMod::delete_strict(
+            fm.mat.clone(),
+            fm.priority,
+        )));
     }
+    undo.extend(flows.iter().map(|s| Message::FlowMod(restore_flow(s))));
 }
 
 #[cfg(test)]
@@ -166,6 +121,13 @@ mod tests {
     use crate::matching::Match;
     use crate::messages::{PacketOut, StatsRequest};
     use crate::types::{BufferId, Ipv4Addr, MacAddr, PortNo};
+
+    /// The undo messages of `msg` on their own.
+    fn inverse(msg: &Message, pre_state: &PreState) -> Vec<Message> {
+        let mut undo = Vec::new();
+        inverse_into(msg, pre_state, &mut undo);
+        undo
+    }
 
     fn snap(priority: u16) -> FlowEntrySnapshot {
         FlowEntrySnapshot {
@@ -186,23 +148,18 @@ mod tests {
     #[test]
     fn add_with_nothing_displaced_inverts_to_delete_strict() {
         let fm = FlowMod::add(Match::any()).priority(5);
-        let inv = inverse_of(
+        let msgs = inverse(
             &Message::FlowMod(fm.clone()),
             &PreState::DisplacedFlows(vec![]),
         );
-        match inv {
-            Inverse::Messages(msgs) => {
-                assert_eq!(msgs.len(), 1);
-                match &msgs[0] {
-                    Message::FlowMod(d) => {
-                        assert_eq!(d.command, FlowModCommand::DeleteStrict);
-                        assert_eq!(d.mat, fm.mat);
-                        assert_eq!(d.priority, 5);
-                    }
-                    other => panic!("expected flow-mod, got {other:?}"),
-                }
+        assert_eq!(msgs.len(), 1);
+        match &msgs[0] {
+            Message::FlowMod(d) => {
+                assert_eq!(d.command, FlowModCommand::DeleteStrict);
+                assert_eq!(d.mat, fm.mat);
+                assert_eq!(d.priority, 5);
             }
-            Inverse::Ephemeral => panic!("flow-mod add is not ephemeral"),
+            other => panic!("expected flow-mod, got {other:?}"),
         }
     }
 
@@ -212,11 +169,10 @@ mod tests {
         let fm = FlowMod::add(s.mat.clone())
             .priority(5)
             .action(Action::Output(PortNo::Phys(9)));
-        let inv = inverse_of(
+        let msgs = inverse(
             &Message::FlowMod(fm),
             &PreState::DisplacedFlows(vec![s.clone()]),
         );
-        let msgs = inv.into_messages();
         assert_eq!(msgs.len(), 1);
         match &msgs[0] {
             Message::FlowMod(r) => {
@@ -233,11 +189,10 @@ mod tests {
     fn delete_inverts_to_adds_for_every_deleted_entry() {
         let fm = FlowMod::delete(Match::any());
         let deleted = vec![snap(1), snap(2), snap(3)];
-        let inv = inverse_of(
+        let msgs = inverse(
             &Message::FlowMod(fm),
             &PreState::DeletedFlows(deleted.clone()),
         );
-        let msgs = inv.into_messages();
         assert_eq!(msgs.len(), 3);
         for (m, s) in msgs.iter().zip(&deleted) {
             match m {
@@ -254,8 +209,7 @@ mod tests {
     #[test]
     fn delete_of_nothing_inverts_to_nothing() {
         let fm = FlowMod::delete(Match::any());
-        let inv = inverse_of(&Message::FlowMod(fm), &PreState::DeletedFlows(vec![]));
-        assert_eq!(inv, Inverse::Messages(vec![]));
+        assert!(inverse(&Message::FlowMod(fm), &PreState::DeletedFlows(vec![])).is_empty());
     }
 
     #[test]
@@ -263,11 +217,10 @@ mod tests {
         let s = snap(5);
         let mut fm = FlowMod::add(s.mat.clone()).priority(5);
         fm.command = FlowModCommand::ModifyStrict;
-        let inv = inverse_of(
+        let msgs = inverse(
             &Message::FlowMod(fm),
             &PreState::DisplacedFlows(vec![s.clone()]),
         );
-        let msgs = inv.into_messages();
         assert_eq!(msgs.len(), 1);
         match &msgs[0] {
             Message::FlowMod(r) => assert_eq!(r.actions, s.actions),
@@ -279,8 +232,7 @@ mod tests {
     fn modify_matching_nothing_inverts_to_delete() {
         let mut fm = FlowMod::add(Match::any()).priority(3);
         fm.command = FlowModCommand::Modify;
-        let inv = inverse_of(&Message::FlowMod(fm), &PreState::DisplacedFlows(vec![]));
-        let msgs = inv.into_messages();
+        let msgs = inverse(&Message::FlowMod(fm), &PreState::DisplacedFlows(vec![]));
         assert_eq!(msgs.len(), 1);
         assert!(
             matches!(&msgs[0], Message::FlowMod(d) if d.command == FlowModCommand::DeleteStrict)
@@ -294,8 +246,7 @@ mod tests {
             hw_addr: MacAddr::from_index(1),
             down: true,
         };
-        let inv = inverse_of(&Message::PortMod(pm.clone()), &PreState::PortWasDown(false));
-        let msgs = inv.into_messages();
+        let msgs = inverse(&Message::PortMod(pm.clone()), &PreState::PortWasDown(false));
         assert_eq!(msgs.len(), 1);
         assert!(matches!(&msgs[0], Message::PortMod(p) if !p.down));
     }
@@ -307,8 +258,7 @@ mod tests {
             hw_addr: MacAddr::from_index(1),
             down: true,
         };
-        let inv = inverse_of(&Message::PortMod(pm), &PreState::PortWasDown(true));
-        assert_eq!(inv, Inverse::Messages(vec![]));
+        assert!(inverse(&Message::PortMod(pm), &PreState::PortWasDown(true)).is_empty());
     }
 
     #[test]
@@ -319,22 +269,31 @@ mod tests {
             actions: vec![Action::Output(PortNo::Flood)],
             packet: None,
         });
-        assert_eq!(
-            inverse_of(&po, &PreState::DisplacedFlows(vec![])),
-            Inverse::Ephemeral
-        );
+        assert!(inverse(&po, &PreState::DisplacedFlows(vec![])).is_empty());
     }
 
     #[test]
     fn reads_are_ephemeral() {
         let sr = Message::StatsRequest(StatsRequest::Table);
-        assert_eq!(
-            inverse_of(&sr, &PreState::DeletedFlows(vec![])),
-            Inverse::Ephemeral
+        assert!(inverse(&sr, &PreState::DeletedFlows(vec![])).is_empty());
+        assert!(inverse(&Message::BarrierRequest, &PreState::DeletedFlows(vec![])).is_empty());
+    }
+
+    #[test]
+    fn an_inverse_appends_after_what_the_log_holds() {
+        let held = Message::FlowMod(FlowMod::delete(Match::any()));
+        let mut undo = vec![held.clone()];
+        let fm = FlowMod::add(Match::any()).priority(5);
+        inverse_into(
+            &Message::FlowMod(fm),
+            &PreState::DisplacedFlows(vec![]),
+            &mut undo,
         );
-        assert_eq!(
-            inverse_of(&Message::BarrierRequest, &PreState::DeletedFlows(vec![])),
-            Inverse::Ephemeral
+        inverse_into(&Message::Hello, &PreState::PortWasDown(false), &mut undo);
+        assert_eq!(undo.len(), 2);
+        assert_eq!(undo[0], held);
+        assert!(
+            matches!(&undo[1], Message::FlowMod(d) if d.command == FlowModCommand::DeleteStrict)
         );
     }
 

@@ -47,9 +47,9 @@ pub mod wire;
 
 pub mod prelude {
     //! Convenient glob import of the types used by virtually every consumer.
-    pub use crate::actions::{apply_actions, Action};
+    pub use crate::actions::Action;
     pub use crate::error::{CodecError, ErrorCode, ErrorType};
-    pub use crate::inverse::{inverse_of, Inverse};
+    pub use crate::inverse::inverse_into;
     pub use crate::matching::{ExactKey, Match, WildcardClass};
     pub use crate::messages::{
         ErrorMsg, FlowEntrySnapshot, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason,

@@ -1,7 +1,7 @@
 //! Property-based tests: wire-codec roundtrips, match algebra, and
 //! inversion laws over randomly generated protocol values.
 
-use legosdn_openflow::inverse::{inverse_of, restore_flow, PreState};
+use legosdn_openflow::inverse::{inverse_into, restore_flow, PreState};
 use legosdn_openflow::messages::{ErrorMsg, MessageKind, PortMod, SwitchFeatures};
 use legosdn_openflow::prelude::*;
 use legosdn_openflow::wire;
@@ -341,11 +341,12 @@ fn inverse_add_is_delete() {
     forall(512, |rng| {
         let mut fm = arb_flowmod(rng);
         fm.command = FlowModCommand::Add;
-        let inv = inverse_of(
+        let mut msgs = Vec::new();
+        inverse_into(
             &Message::FlowMod(fm.clone()),
             &PreState::DisplacedFlows(vec![]),
+            &mut msgs,
         );
-        let msgs = inv.into_messages();
         assert_eq!(msgs.len(), 1);
         match &msgs[0] {
             Message::FlowMod(d) => {
@@ -364,11 +365,12 @@ fn inverse_delete_restores_all() {
     forall(512, |rng| {
         let snaps = rng.gen_vec(0..6, arb_snapshot);
         let fm = FlowMod::delete(Match::any());
-        let inv = inverse_of(
+        let mut msgs = Vec::new();
+        inverse_into(
             &Message::FlowMod(fm),
             &PreState::DeletedFlows(snaps.clone()),
+            &mut msgs,
         );
-        let msgs = inv.into_messages();
         assert_eq!(msgs.len(), snaps.len());
     });
 }

@@ -38,9 +38,13 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # Crash-Pad's hidden alias. Nor the proxy-side poll pool, the split
 # sink/source traits or the TCP transport (one transport seam, DESIGN.md
 # §11), nor the per-element array codec or a memo encoding held in a
-# `Box` (a byte array is one append; a memo's bytes are shared, §15). A
-# bracketed letter keeps a pattern from matching the line that spells it.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec or boxed memo encoding"
+# `Box` (a byte array is one append; a memo's bytes are shared, §15),
+# nor a transaction's begin record, its app map, a by-value inverse or
+# an action fold that collects ports (a transaction is one recycled
+# record, its commit or rollback names its app, and forwarding runs on
+# reused scratch, §3, §7, §12). A bracketed letter keeps a pattern from
+# matching the line that spells it.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record or by-value inverse"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -75,8 +79,9 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
     crates/ tests/ examples/ \
   || grep -rnE 'FrameSink|FrameSource|into_duplex|queue_duplex_pair|udp_duplex_pair' \
     crates/ tests/ examples/ \
-  || grep -rnE 'Codec for \[[T]; N\]|OnceLock<Box<\[u8\]>>' crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo name reappeared (see DESIGN.md §4, §5, §5a, §7, §9, §11, §13, §15)" >&2
+  || grep -rnE 'Codec for \[[T]; N\]|OnceLock<Box<\[u8\]>>' crates/ tests/ examples/ \
+  || grep -rnE 'TxnBegin|inverse_of|Inverse::|apply_actions|txn_app' crates/ tests/ examples/; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 

@@ -1,8 +1,10 @@
 //! The per-event allocation budgets of the lean skeleton and the default
 //! configuration, the rule that keeps them — nothing on the per-event path
-//! looks an instrument up by name (DESIGN.md §7) — and the cost of one
-//! warm checkpoint: one allocation at its exact size for plain bytes, none
-//! at all when the state is memoized and unchanged (DESIGN.md §15).
+//! looks an instrument up by name (DESIGN.md §7) — the cost of one warm
+//! checkpoint: one allocation at its exact size for plain bytes, none at
+//! all when the state is memoized and unchanged (DESIGN.md §15) — and of
+//! the network underneath: a NetLog transaction allocates nothing for its
+//! own bookkeeping, and a packet's walk nothing per hop (DESIGN.md §12).
 //!
 //! A test binary of its own with a counting `#[global_allocator]`; its
 //! tests measure one at a time, so nothing else allocates, or touches
@@ -11,6 +13,7 @@
 
 use legosdn::controller::{DeviceView, Sandbox, TopologyView};
 use legosdn::crashpad::CheckpointStore;
+use legosdn::netlog::NetLog;
 use legosdn::netsim::{SimDuration, Topology};
 use legosdn::obs::Obs;
 use legosdn::prelude::*;
@@ -57,26 +60,29 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per translated event the lean skeleton may spend on this
-/// trace. Measured 31.49 since a checkpoint is stored shared (31.50
-/// before; 33.69 before NetLog stopped cloning each executed message into
-/// its undo log); the bound sits ~10 % above, so a per-event `String`,
-/// `Vec` or by-name lookup that creeps back in (each worth 1–3 across
-/// three apps) trips it.
-const ALLOCS_PER_EVENT_BOUND: f64 = 34.5;
+/// trace. Measured 14.78 since a NetLog transaction fills a recycled
+/// record and a packet is forwarded on reused scratch (31.49 before;
+/// 33.69 before NetLog stopped cloning each executed message into its
+/// undo log); the bound sits ~10 % above, so a per-event `String`, `Vec`
+/// or by-name lookup that creeps back in (each worth 1–3 across three
+/// apps) trips it.
+const ALLOCS_PER_EVENT_BOUND: f64 = 16.3;
 
 /// Allocations per translated event the default configuration (a
 /// checkpoint before every event, the invariant guard, every event
-/// traced) may spend on this trace. Measured 32.47 since a checkpoint
-/// after an event that learned nothing allocates nothing (33.47 before;
-/// 45.47 before an event was archived once); the bound sits ~10 % above.
-const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 35.5;
+/// traced) may spend on this trace. Measured 15.76 since a transaction's
+/// record is recycled and forwarding reuses its scratch (32.47 before;
+/// 33.47 before a checkpoint after an event that learned nothing
+/// allocated nothing); the bound sits ~10 % above.
+const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 17.3;
 
 /// Allocations per translated event the lean skeleton may spend on this
 /// trace with its apps behind AppVisor stubs on in-process channels
 /// (window 8, one stub-host thread), the stub side included. Measured
-/// 39.98 since a byte array decodes in one read (46.28 before: every
-/// `MacAddr` in a frame built a `Vec`); the bound sits ~10 % above.
-const CHANNEL_ALLOCS_PER_EVENT_BOUND: f64 = 44.0;
+/// 23.27 since a transaction's record is recycled and forwarding reuses
+/// its scratch (39.98 before; 46.28 before a byte array decoded in one
+/// read); the bound sits ~10 % above.
+const CHANNEL_ALLOCS_PER_EVENT_BOUND: f64 = 25.6;
 
 /// Allocations per event that tracing every event may add to the default
 /// configuration on this trace.
@@ -430,4 +436,123 @@ fn a_warm_checkpoint_allocates_nothing_and_keeps_no_slack() {
         bookkeeping < 1024,
         "stored {len} bytes (from {cap} allocated), holding {bookkeeping} beyond them"
     );
+}
+
+/// The port on switch `from` whose link leads to switch `to`.
+fn port_toward(net: &Network, from: u64, to: u64) -> u16 {
+    net.links()
+        .find_map(|(l, _)| match (l.a.dpid.0, l.b.dpid.0) {
+            (a, b) if (a, b) == (from, to) => Some(l.a.port),
+            (a, b) if (a, b) == (to, from) => Some(l.b.port),
+            _ => None,
+        })
+        .expect("adjacent switches")
+}
+
+/// A guarded NetLog transaction — a flow-mod that installs a hop and a
+/// packet-out that the hop forwards to its host — beside the same two
+/// messages applied straight to a twin network. Once warm, the
+/// transaction allocates exactly what the two `Network::apply` calls do:
+/// it fills the record the last transaction left, its commit barrier
+/// builds no reply, and the guard's warm check allocates nothing. The one
+/// exception is the write-ahead log of finished transactions, a ring that
+/// doubles its storage as it fills toward its bound.
+#[test]
+fn netlog_bookkeeping_allocates_nothing_per_warm_transaction() {
+    let _serial = serial();
+    let topo = Topology::linear(3, 1);
+    let (mut net, mut twin) = (Network::new(&topo), Network::new(&topo));
+    let (h1, h3) = (&topo.hosts[0], &topo.hosts[2]);
+    let (s1, s2, s3) = (DatapathId(1), DatapathId(2), DatapathId(3));
+    let last_hop =
+        FlowMod::add(Match::eth_dst(h3.mac)).action(Action::Output(PortNo::Phys(h3.attach.port)));
+    let hop = FlowMod::add(Match::eth_dst(h3.mac))
+        .action(Action::Output(PortNo::Phys(port_toward(&net, 2, 3))));
+    let unhop = Message::FlowMod(FlowMod::delete_strict(hop.mat.clone(), hop.priority));
+    let (hop, last_hop) = (Message::FlowMod(hop), Message::FlowMod(last_hop));
+    let packet_out = Message::PacketOut(PacketOut {
+        buffer_id: BufferId::NONE,
+        in_port: PortNo::None,
+        actions: vec![Action::Output(PortNo::Phys(port_toward(&net, 1, 2)))],
+        packet: Some(Packet::ethernet(h1.mac, h3.mac)),
+    });
+    for n in [&mut net, &mut twin] {
+        n.apply(s3, &last_hop).unwrap();
+    }
+    let mut netlog = NetLog::with_checker(Some(Checker::default()));
+    for round in 0..40 {
+        let log_room = netlog.log().capacity();
+        let before = ALLOCS.load(Relaxed);
+        let mut tx = netlog.begin();
+        netlog.execute(&mut tx, &mut net, s2, &hop).unwrap();
+        netlog.execute(&mut tx, &mut net, s1, &packet_out).unwrap();
+        netlog.commit(tx, &mut net).expect("a clean hop commits");
+        let in_tx = ALLOCS.load(Relaxed) - before;
+
+        let before = ALLOCS.load(Relaxed);
+        twin.apply(s2, &hop).unwrap();
+        twin.apply(s1, &packet_out).unwrap();
+        let applied = ALLOCS.load(Relaxed) - before;
+
+        for n in [&mut net, &mut twin] {
+            assert_eq!(
+                n.delivery_counters().0,
+                round + 1,
+                "delivered through the hop"
+            );
+            n.apply(s2, &unhop).unwrap();
+        }
+        let log_grew = u64::from(netlog.log().capacity() != log_room);
+        if round >= 8 {
+            println!(
+                "warm transaction: {in_tx} allocation(s), the same messages applied: {applied}, \
+                 log growth: {log_grew}"
+            );
+            assert_eq!(
+                in_tx,
+                applied + log_grew,
+                "NetLog's own bookkeeping allocated"
+            );
+        }
+    }
+}
+
+/// A packet walked over a path of flow rules, hop by hop. Once warm, an
+/// injection allocates one thing: the `delivered` list of the trace it
+/// returns. The switch output, the actions it forwards by and the walk's
+/// queue are borrowed or reused, so the count does not grow with the
+/// hops.
+#[test]
+fn a_warm_dataplane_walk_allocates_nothing_per_hop() {
+    let _serial = serial();
+    let topo = Topology::linear(5, 1);
+    let mut net = Network::new(&topo);
+    let src = topo.hosts[0].mac;
+    for dst in &topo.hosts[1..] {
+        let at = dst.attach.dpid.0;
+        for d in 1..=at {
+            let port = if d == at {
+                dst.attach.port
+            } else {
+                port_toward(&net, d, d + 1)
+            };
+            let fm =
+                FlowMod::add(Match::eth_dst(dst.mac)).action(Action::Output(PortNo::Phys(port)));
+            net.apply(DatapathId(d), &Message::FlowMod(fm)).unwrap();
+        }
+    }
+    for round in 0..4 {
+        for (hops, dst) in (2..).zip(&topo.hosts[1..]) {
+            let packet = Packet::ethernet(src, dst.mac);
+            let before = ALLOCS.load(Relaxed);
+            let trace = net.inject(src, packet).unwrap();
+            let allocs = ALLOCS.load(Relaxed) - before;
+            assert!(trace.delivered_to(dst.mac));
+            assert_eq!((trace.hops, trace.packet_ins), (hops, 0));
+            if round > 0 {
+                println!("warm walk of {hops} hops: {allocs} allocation(s)");
+                assert_eq!(allocs, 1, "only the delivered list, at {hops} hops");
+            }
+        }
+    }
 }

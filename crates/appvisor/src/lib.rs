@@ -5,11 +5,11 @@
 //!
 //! - the **proxy** ([`proxy::AppVisorProxy`]) runs alongside the controller,
 //!   dispatches events to isolated apps, maintains the subscription table,
-//!   and detects crashes via explicit reports, communication failures, and
-//!   heartbeat loss;
+//!   and detects crashes via explicit `Crashed` reports and communication
+//!   failures (no reply by a delivery's deadline);
 //! - the **stub** (hosted by a [`stub::StubHost`]) holds one app in its
-//!   own fault domain, converts controller calls to RPC frames, and sends
-//!   periodic heartbeats.
+//!   own fault domain and converts controller calls to RPC frames; it
+//!   speaks only to answer the proxy.
 //!
 //! The RPC rides a [`transport::Transport`], the one I/O seam on both
 //! sides: an in-memory [`QueueTransport`] or a UDP loopback

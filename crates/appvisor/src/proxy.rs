@@ -7,7 +7,8 @@
 //! SDN-App has crashed."
 //!
 //! The proxy is deliberately runtime-agnostic: it exposes blocking
-//! per-app RPCs (deliver / snapshot / restore) and heartbeat accounting;
+//! per-app RPCs (deliver / snapshot / restore) and detects a crash from
+//! the delivery's reply — a `Crashed` report, or none by the deadline;
 //! the LegoSDN runtime (crate `legosdn`) supplies the dispatch policy and
 //! Crash-Pad supplies recovery.
 
@@ -63,8 +64,6 @@ pub struct ProxyConfig {
     pub deliver_timeout: Duration,
     /// How long to wait for snapshot/restore acks.
     pub rpc_timeout: Duration,
-    /// Heartbeat staleness threshold.
-    pub heartbeat_timeout: Duration,
     /// Stub-side settings used when the proxy spawns the stub itself.
     pub stub: StubConfig,
     /// Size of the stub-host pool; see [`IoMode`].
@@ -76,7 +75,6 @@ impl Default for ProxyConfig {
         ProxyConfig {
             deliver_timeout: Duration::from_millis(500),
             rpc_timeout: Duration::from_millis(500),
-            heartbeat_timeout: Duration::from_millis(100),
             stub: StubConfig::default(),
             io: IoMode::default(),
         }
@@ -156,7 +154,6 @@ struct SlotMetrics {
     events_delivered: Arc<Counter>,
     comm_failures: Arc<Counter>,
     crashes_detected: Arc<Counter>,
-    heartbeat_misses: Arc<Counter>,
     view_resyncs: Arc<Counter>,
     restores: Arc<Counter>,
     /// Proxy-wide (unlabelled): delivery frames that carried full views.
@@ -175,7 +172,6 @@ impl SlotMetrics {
             events_delivered: counter("events_delivered"),
             comm_failures: counter("comm_failures"),
             crashes_detected: counter("crashes_detected"),
-            heartbeat_misses: counter("heartbeat_misses"),
             view_resyncs: counter("view_resyncs"),
             restores: counter("restores"),
             view_full_frames: obs.counter("appvisor", "view_full_frames", ""),
@@ -191,7 +187,6 @@ struct ProxyMetrics {
     deliver: Arc<Histogram>,
     snapshot: Arc<Histogram>,
     restore: Arc<Histogram>,
-    check_liveness: Arc<Histogram>,
 }
 
 impl ProxyMetrics {
@@ -201,7 +196,6 @@ impl ProxyMetrics {
             deliver: timer("deliver"),
             snapshot: timer("snapshot"),
             restore: timer("restore"),
-            check_liveness: timer("check_liveness"),
         }
     }
 }
@@ -211,7 +205,6 @@ struct AppSlot {
     subscriptions: Vec<EventKind>,
     transport: Box<dyn Transport>,
     next_seq: u64,
-    last_heartbeat: Instant,
     alive: bool,
     stats: AppWireStats,
     metrics: SlotMetrics,
@@ -330,7 +323,6 @@ impl AppVisorProxy {
                             subscriptions,
                             transport,
                             next_seq: 0,
-                            last_heartbeat: Instant::now(),
                             alive: true,
                             stats: AppWireStats::default(),
                             shipped: Shipped::Never,
@@ -451,7 +443,6 @@ impl AppVisorProxy {
                 if ok {
                     slot.alive = true;
                     slot.stats.restores += 1;
-                    slot.last_heartbeat = Instant::now();
                     slot.metrics.restores.inc();
                 }
                 Ok(ok)
@@ -547,35 +538,6 @@ impl AppVisorProxy {
         } = slot;
         inbox.retain(|m| reply_seq(m).is_none_or(|s| !cancelled.contains(&s)));
         Ok(())
-    }
-
-    /// Drain pending heartbeats (non-blocking-ish) and return the apps whose
-    /// heartbeat is stale — the paper's background crash detector.
-    pub fn check_liveness(&mut self) -> Vec<AppHandle> {
-        let _span = self.metrics.check_liveness.start();
-        let threshold = self.config.heartbeat_timeout;
-        let mut stale = Vec::new();
-        for (i, slot) in self.apps.iter_mut().enumerate() {
-            // Drain whatever is already queued, without blocking: a sweep
-            // must not stall the control loop, however many apps it covers.
-            while let Ok(Some(frame)) = slot.transport.try_recv() {
-                received(slot, &frame);
-                if matches!(decode_frame(&frame), Ok(RpcMessage::Heartbeat { .. })) {
-                    slot.last_heartbeat = Instant::now();
-                }
-            }
-            if slot.alive && slot.last_heartbeat.elapsed() > threshold {
-                // Not a delivery outcome, so no crash or comm failure is
-                // counted; the views are forgotten all the same.
-                slot.alive = false;
-                slot.shipped = Shipped::Lost;
-                slot.metrics.heartbeat_misses.inc();
-                self.obs
-                    .emit(Some(slot.metrics.app), RecordKind::HeartbeatMiss);
-                stale.push(AppHandle(i));
-            }
-        }
-        stale
     }
 
     /// Shut all stubs down and collect their reports: the stubs get a
@@ -713,7 +675,6 @@ fn settle_delivery(
     let outcome = match reply {
         Ok(Some(RpcMessage::EventAck { commands, .. })) => {
             slot.stats.events_delivered += 1;
-            slot.last_heartbeat = Instant::now();
             slot.metrics.events_delivered.inc();
             DeliverOutcome::Commands(commands)
         }
@@ -756,10 +717,6 @@ fn await_tag(
                 let Ok(msg) = decode_frame(&frame) else {
                     continue;
                 };
-                if matches!(msg, RpcMessage::Heartbeat { .. }) {
-                    slot.last_heartbeat = Instant::now();
-                    continue;
-                }
                 match reply_seq(&msg) {
                     Some(s) if s == seq => {
                         slot.cancelled = slot.cancelled.split_off(&seq);
@@ -820,11 +777,6 @@ mod tests {
         AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::from_millis(300),
             rpc_timeout: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_millis(100),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(10),
-                report_crashes: true,
-            },
             ..Default::default()
         })
     }
@@ -931,9 +883,7 @@ mod tests {
         let mut p = AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::from_millis(100),
             rpc_timeout: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_millis(50),
             stub: StubConfig {
-                heartbeat_period: Duration::from_millis(10),
                 report_crashes: false, // dead process mode
             },
             ..Default::default()
@@ -950,70 +900,6 @@ mod tests {
         assert_eq!(deliver(&mut p, h), DeliverOutcome::CommFailure);
         assert!(!p.is_alive(h).unwrap());
         assert_eq!(p.wire_stats(h).unwrap().comm_failures, 1);
-        let _ = p.shutdown();
-    }
-
-    #[test]
-    fn heartbeat_staleness_detects_silent_death() {
-        let mut p = AppVisorProxy::new(ProxyConfig {
-            deliver_timeout: Duration::from_millis(200),
-            rpc_timeout: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_millis(60),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(10),
-                report_crashes: false,
-            },
-            ..Default::default()
-        });
-        let h = p
-            .launch_app(
-                Box::new(TestApp {
-                    count: 0,
-                    crash_on_count: Some(1),
-                }),
-                TransportKind::Channel,
-            )
-            .unwrap();
-        // Healthy: heartbeats keep it alive.
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(p.check_liveness().is_empty());
-        // Kill it silently (comm failure on the event), then wait out the
-        // heartbeat threshold.
-        let _ = deliver(&mut p, h); // CommFailure marks it dead already
-        let stale = p.check_liveness();
-        assert!(stale.is_empty(), "already marked dead, not re-reported");
-        let _ = p.shutdown();
-    }
-
-    #[test]
-    fn heartbeat_detector_fires_without_delivery() {
-        // Crash the app via a delivery on a second proxy-app, then observe
-        // staleness on the first... simpler: stop heartbeats by crashing
-        // through delivery is the only kill switch we have; instead verify
-        // the detector's arithmetic by shrinking the threshold below the
-        // heartbeat period.
-        let mut p = AppVisorProxy::new(ProxyConfig {
-            deliver_timeout: Duration::from_millis(200),
-            rpc_timeout: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_millis(1),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(500), // slower than threshold
-                report_crashes: true,
-            },
-            ..Default::default()
-        });
-        let h = p
-            .launch_app(
-                Box::new(TestApp {
-                    count: 0,
-                    crash_on_count: None,
-                }),
-                TransportKind::Channel,
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let stale = p.check_liveness();
-        assert_eq!(stale, vec![h], "no heartbeat within 1ms threshold");
         let _ = p.shutdown();
     }
 
@@ -1153,16 +1039,11 @@ mod tests {
     fn expired_deadline_is_one_timeout_classification() {
         // A zero deliver timeout means the deadline has already passed when
         // the recv loop starts: it must short-circuit to exactly one
-        // CommFailure — one comm_failures increment, no heartbeat-miss
-        // double count — without issuing a zero-duration recv.
+        // CommFailure — one comm_failures increment — without issuing a
+        // zero-duration recv.
         let mut p = AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::ZERO,
             rpc_timeout: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_secs(10),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(10),
-                report_crashes: true,
-            },
             ..Default::default()
         });
         let obs = legosdn_obs::Obs::new();
@@ -1185,12 +1066,6 @@ mod tests {
                 .get(),
             1
         );
-        assert_eq!(
-            obs.counter("appvisor", "heartbeat_misses", "proxy-test-app")
-                .get(),
-            0,
-            "timeout must not also count as a heartbeat miss"
-        );
         let _ = p.shutdown();
     }
 
@@ -1199,11 +1074,6 @@ mod tests {
         let mut p = AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::from_millis(300),
             rpc_timeout: Duration::ZERO,
-            heartbeat_timeout: Duration::from_secs(10),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(10),
-                report_crashes: true,
-            },
             ..Default::default()
         });
         // Registration also runs on rpc_timeout: launch under a sane one,
@@ -1477,12 +1347,8 @@ mod tests {
         AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::from_millis(500),
             rpc_timeout: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_millis(100),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(10),
-                report_crashes: true,
-            },
             io: IoMode { io_threads },
+            ..Default::default()
         })
     }
 
@@ -1629,49 +1495,5 @@ mod tests {
         let reports = p.shutdown();
         assert_eq!(reports.len(), 24);
         assert!(reports.iter().all(|r| r.events_processed == 1));
-    }
-
-    #[test]
-    fn liveness_sweep_is_sub_millisecond_across_many_socket_apps() {
-        // Regression for a 1µs recv_timeout in check_liveness that cost a
-        // millisecond of blocking per socket app, so a 16-app sweep cost
-        // ≥16ms. The try_recv drain must keep a sweep under a millisecond
-        // regardless of app count.
-        let mut p = AppVisorProxy::new(ProxyConfig {
-            deliver_timeout: Duration::from_millis(300),
-            rpc_timeout: Duration::from_secs(2),
-            heartbeat_timeout: Duration::from_secs(10),
-            stub: StubConfig {
-                heartbeat_period: Duration::from_millis(50),
-                report_crashes: true,
-            },
-            ..Default::default()
-        });
-        for _ in 0..16 {
-            p.launch_app(
-                Box::new(TestApp {
-                    count: 0,
-                    crash_on_count: None,
-                }),
-                TransportKind::Udp,
-            )
-            .unwrap();
-        }
-        // Best of several sweeps, so scheduler noise cannot fail the
-        // assertion: the old code floor was 16ms on *every* sweep.
-        let best = (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                let stale = p.check_liveness();
-                assert!(stale.is_empty());
-                start.elapsed()
-            })
-            .min()
-            .unwrap();
-        assert!(
-            best < Duration::from_millis(1),
-            "liveness sweep took {best:?}; the non-blocking drain is broken"
-        );
-        let _ = p.shutdown();
     }
 }

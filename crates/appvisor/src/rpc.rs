@@ -35,9 +35,6 @@ pub enum RpcMessage {
         app_name: String,
         subscriptions: Vec<EventKind>,
     },
-    /// Periodic liveness signal ("the stub also sends periodic heart beat
-    /// messages").
-    Heartbeat { seq: u64 },
     /// Event processed successfully; these are the app's commands.
     EventAck { seq: u64, commands: Vec<Command> },
     /// The app crashed processing the event (the stub survives to report it
@@ -76,7 +73,7 @@ pub enum RpcMessage {
 }
 
 /// Smallest buffer a frame is written into: every control frame
-/// (register, heartbeat, requests, acks without commands) fits.
+/// (register, requests, acks without commands) fits.
 const MIN_FRAME_CAPACITY: usize = 64;
 
 /// Write one frame into one buffer: leave room for the length prefix, let
@@ -108,9 +105,9 @@ pub fn encode_frame_sized(msg: &RpcMessage, capacity: usize) -> Vec<u8> {
 /// Variant indices of the snapshot reply and the two delivery frames, as
 /// `#[derive(Codec)]` numbers [`RpcMessage`]'s variants (declaration
 /// order, `u32`).
-const SNAPSHOT_REPLY: u32 = 4;
-const EVENT_DELIVER: u32 = 6;
-const EVENT_DELIVER_DELTA: u32 = 10;
+const SNAPSHOT_REPLY: u32 = 3;
+const EVENT_DELIVER: u32 = 5;
+const EVENT_DELIVER_DELTA: u32 = 9;
 
 /// The bytes of `encode_frame(&RpcMessage::EventDeliver { .. })` from
 /// borrowed parts: the proxy does not clone the event (packet payload
@@ -198,7 +195,6 @@ mod tests {
             app_name: "router".into(),
             subscriptions: vec![EventKind::PacketIn, EventKind::LinkDown],
         });
-        roundtrip(RpcMessage::Heartbeat { seq: 42 });
         roundtrip(RpcMessage::EventAck {
             seq: 7,
             commands: vec![Command {
@@ -287,7 +283,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_error() {
-        let bytes = encode_frame(&RpcMessage::Heartbeat { seq: 1 });
+        let bytes = encode_frame(&RpcMessage::SnapshotRequest { seq: 1 });
         for cut in 0..bytes.len() {
             assert!(decode_frame(&bytes[..cut]).is_err(), "cut {cut}");
         }

@@ -3,7 +3,9 @@
 //!
 //! The stub owns the app, registers it (name + subscriptions) with the
 //! proxy, then serves the RPC protocol: deliver events to the app, return
-//! its commands, answer snapshot/restore requests, and emit heartbeats.
+//! its commands, and answer snapshot/restore requests. After `Register`
+//! it speaks only when spoken to: every frame it sends answers one the
+//! proxy sent.
 //! `StubCore` is that protocol with the I/O hoisted out; a [`StubHost`]
 //! drives many cores from a fixed pool of threads.
 //!
@@ -12,9 +14,10 @@
 //! wall is the app's [`Sandbox`], through which *every* call into app code
 //! goes — `on_event`, `snapshot`, `restore`, and the `name`/`subscriptions`
 //! read at registration. A crashed app is dead in its sandbox: the stub
-//! stops processing events and (configurably) stops heart-beating, which
-//! is exactly the observable a separate dead process would present to the
-//! proxy. A `RestoreRequest` revives it — the CRIU-restore analogue.
+//! reports the crash (or, configurably, goes silent) and stops answering
+//! deliveries, which is exactly the observable a separate dead process
+//! would present to the proxy. A `RestoreRequest` revives it — the
+//! CRIU-restore analogue.
 
 use crate::poll::PollWaker;
 use crate::rpc::{
@@ -34,19 +37,16 @@ use std::time::{Duration, Instant};
 /// Stub behaviour knobs.
 #[derive(Clone, Debug)]
 pub struct StubConfig {
-    /// Heartbeat period (wall clock — the RPC plane is real I/O).
-    pub heartbeat_period: Duration,
     /// If true, a crash is reported with an explicit `Crashed` frame (fast
     /// detection). If false, the stub goes silent like a dead process and
-    /// the proxy must detect the crash from communication failure /
-    /// heartbeat loss — the paper's primary mechanism.
+    /// the proxy detects the crash when the delivery's deadline passes
+    /// (a communication failure).
     pub report_crashes: bool,
 }
 
 impl Default for StubConfig {
     fn default() -> Self {
         StubConfig {
-            heartbeat_period: Duration::from_millis(20),
             report_crashes: true,
         }
     }
@@ -58,7 +58,6 @@ pub struct StubReport {
     pub events_processed: u64,
     pub crashes_contained: u64,
     pub restores: u64,
-    pub heartbeats_sent: u64,
 }
 
 /// What [`StubCore::handle_frame`] asks its I/O driver to do next.
@@ -80,8 +79,6 @@ struct StubCore {
     /// last one this stub took views from. They are the stub's state, not
     /// the app's: a dead app's stub keeps them in step all the same.
     views: Option<(u64, TopologyView, DeviceView)>,
-    hb_seq: u64,
-    last_heartbeat: Instant,
     /// Buffer size the next `EventAck` is written into: the last one's
     /// length rounded up, so a steady-state reply is one allocation.
     ack_capacity: usize,
@@ -94,8 +91,6 @@ impl StubCore {
             sandbox: Sandbox::new(app),
             config,
             views: None,
-            hb_seq: 0,
-            last_heartbeat: Instant::now(),
             ack_capacity: 0,
             report: StubReport::default(),
         }
@@ -115,30 +110,6 @@ impl StubCore {
         } else {
             StubStep::Continue
         }
-    }
-
-    /// A heartbeat frame when one is due (and the app is alive — a dead
-    /// process doesn't beat).
-    fn heartbeat_if_due(&mut self) -> Option<Vec<u8>> {
-        if self.sandbox.is_dead() || self.last_heartbeat.elapsed() < self.config.heartbeat_period {
-            return None;
-        }
-        self.hb_seq += 1;
-        self.report.heartbeats_sent += 1;
-        self.last_heartbeat = Instant::now();
-        Some(encode_frame(&RpcMessage::Heartbeat { seq: self.hb_seq }))
-    }
-
-    /// Time until the next heartbeat is due: zero if overdue, a full
-    /// period for a dead stub (it has nothing to schedule, so it must not
-    /// shorten the host's park).
-    fn heartbeat_due_in(&self) -> Duration {
-        if self.sandbox.is_dead() {
-            return self.config.heartbeat_period;
-        }
-        self.config
-            .heartbeat_period
-            .saturating_sub(self.last_heartbeat.elapsed())
     }
 
     /// Run the app on `event` under the views just taken in.
@@ -212,7 +183,6 @@ impl StubCore {
                 };
                 if ok {
                     self.report.restores += 1;
-                    self.last_heartbeat = Instant::now();
                 }
                 StubStep::Reply(encode_frame(&RpcMessage::RestoreAck { seq, ok }))
             }
@@ -240,7 +210,7 @@ struct HostWorker {
 
 /// Hosts many [`StubCore`]s on a fixed pool of worker threads, each
 /// scanning its stubs' transports with `try_recv` and sending their
-/// replies and heartbeats ([`crate::poll`]). Each app's [`Sandbox`]
+/// replies ([`crate::poll`]). Each app's [`Sandbox`]
 /// walls off its panics — a crashed app goes dead on its worker without
 /// disturbing neighbors —
 /// and a 1000-app fleet costs `workers` threads, not 1000. Stubs are
@@ -365,12 +335,12 @@ impl Drop for StubHost {
     }
 }
 
-/// Floor for the host park interval so an overdue heartbeat cannot spin
-/// the scan loop.
-const HOST_PARK_MIN: Duration = Duration::from_micros(50);
-/// Park ceiling when every channel has a waker (sends end the park early).
+/// Park ceiling when every channel has a waker: a send to any of them
+/// ends the park early, so this only bounds how long a missed wake can
+/// hold a frame.
 const HOST_PARK_MAX: Duration = Duration::from_millis(5);
-/// Park ceiling when any channel is a waker-less socket.
+/// Park ceiling when any channel is a waker-less socket: nothing wakes
+/// the host when a datagram lands, so it polls at this period.
 const HOST_PARK_SCAN: Duration = Duration::from_micros(100);
 
 fn host_loop(
@@ -402,28 +372,19 @@ fn host_loop(
             !retired
         });
         if activity == 0 {
-            let mut park = if stubs.iter().all(|s| s.transport.has_waker()) {
+            let park = if stubs.iter().all(|s| s.transport.has_waker()) {
                 HOST_PARK_MAX
             } else {
                 HOST_PARK_SCAN
             };
-            for s in &stubs {
-                park = park.min(s.core.heartbeat_due_in());
-            }
-            waker.wait_past(seen, park.max(HOST_PARK_MIN));
+            waker.wait_past(seen, park);
         }
     }
 }
 
-/// One scan of one hosted stub: heartbeat if due, then drain and serve
-/// its queued frames. Returns true when the stub retires (shutdown or
-/// transport loss).
+/// One scan of one hosted stub: drain and serve its queued frames.
+/// Returns true when the stub retires (shutdown or transport loss).
 fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
-    if let Some(hb) = s.core.heartbeat_if_due() {
-        if s.transport.send_owned(hb).is_err() {
-            return true;
-        }
-    }
     loop {
         match s.transport.try_recv() {
             Ok(Some(frame)) => {
@@ -523,16 +484,11 @@ mod stub_tests {
     }
 
     fn recv_msg(t: &mut QueueTransport) -> RpcMessage {
-        loop {
-            let frame = t
-                .recv_timeout(Duration::from_secs(2))
-                .expect("transport alive")
-                .expect("frame within deadline");
-            let msg = decode_frame(&frame).expect("valid frame");
-            if !matches!(msg, RpcMessage::Heartbeat { .. }) {
-                return msg;
-            }
-        }
+        let frame = t
+            .recv_timeout(Duration::from_secs(2))
+            .expect("transport alive")
+            .expect("frame within deadline");
+        decode_frame(&frame).expect("valid frame")
     }
 
     #[test]
@@ -575,9 +531,12 @@ mod stub_tests {
             }
             other => panic!("expected crashed, got {other:?}"),
         }
-        // Dead stub ignores further events: at most heartbeats come back.
+        // Dead stub ignores further events: nothing comes back.
         proxy_side.send(&deliver_frame(3)).unwrap();
-        let _ = proxy_side.recv_timeout(Duration::from_millis(100)).unwrap();
+        assert_eq!(
+            proxy_side.recv_timeout(Duration::from_millis(100)),
+            Ok(None)
+        );
         // ...until restored.
         proxy_side
             .send(&encode_frame(&RpcMessage::RestoreRequest {
@@ -606,24 +565,16 @@ mod stub_tests {
     #[test]
     fn silent_crash_mode_goes_quiet() {
         let config = StubConfig {
-            heartbeat_period: Duration::from_millis(10),
             report_crashes: false,
         };
         let (_host, mut proxy_side) = host_one(0, Some(1), config);
         let _ = recv_msg(&mut proxy_side); // register
         proxy_side.send(&deliver_frame(1)).unwrap();
-        // No Crashed frame, no ack, and heartbeats stop: silence.
-        let deadline = Instant::now() + Duration::from_millis(300);
-        let mut last_non_heartbeat = None;
-        while Instant::now() < deadline {
-            if let Ok(Some(frame)) = proxy_side.recv_timeout(Duration::from_millis(20)) {
-                let msg = decode_frame(&frame).unwrap();
-                if !matches!(msg, RpcMessage::Heartbeat { .. }) {
-                    last_non_heartbeat = Some(msg);
-                }
-            }
-        }
-        assert!(last_non_heartbeat.is_none(), "got {last_non_heartbeat:?}");
+        // No Crashed frame and no ack: silence.
+        assert_eq!(
+            proxy_side.recv_timeout(Duration::from_millis(300)),
+            Ok(None)
+        );
         proxy_side
             .send(&encode_frame(&RpcMessage::Shutdown))
             .unwrap();
@@ -647,26 +598,23 @@ mod stub_tests {
     }
 
     #[test]
-    fn heartbeats_flow() {
-        let config = StubConfig {
-            heartbeat_period: Duration::from_millis(5),
-            report_crashes: true,
-        };
-        let (_host, mut proxy_side) = host_one(0, None, config);
-        let _ = proxy_side.recv_timeout(Duration::from_secs(1)); // register
-        let mut beats = 0;
-        let deadline = Instant::now() + Duration::from_millis(200);
-        while Instant::now() < deadline && beats < 3 {
-            if let Ok(Some(frame)) = proxy_side.recv_timeout(Duration::from_millis(50)) {
-                if matches!(decode_frame(&frame), Ok(RpcMessage::Heartbeat { .. })) {
-                    beats += 1;
-                }
-            }
-        }
-        assert!(beats >= 3, "expected heartbeats, got {beats}");
-        proxy_side
-            .send(&encode_frame(&RpcMessage::Shutdown))
-            .unwrap();
+    fn a_healthy_idle_stub_says_nothing_it_was_not_asked() {
+        let (host, mut proxy_side) = host_one(0, None, StubConfig::default());
+        // Long enough for a periodic sender at any sub-30 ms period to
+        // have spoken three times.
+        std::thread::sleep(Duration::from_millis(100));
+        let register = proxy_side.try_recv().unwrap().expect("register frame");
+        assert!(matches!(
+            decode_frame(&register),
+            Ok(RpcMessage::Register { .. })
+        ));
+        let unasked = proxy_side.try_recv().unwrap();
+        assert!(
+            unasked.is_none(),
+            "an idle stub sent {:?}",
+            unasked.map(|f| decode_frame(&f))
+        );
+        retire(host, &mut proxy_side);
     }
 
     /// The proxy's end of a hosted stub's channel, driven by hand.
@@ -685,10 +633,7 @@ mod stub_tests {
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
             if let Some(frame) = proxy_side.try_recv().unwrap() {
-                let msg = decode_frame(&frame).unwrap();
-                if !matches!(msg, RpcMessage::Heartbeat { .. }) {
-                    return msg;
-                }
+                return decode_frame(&frame).unwrap();
             }
             assert!(Instant::now() < deadline, "no frame within deadline");
             std::thread::sleep(Duration::from_millis(1));
@@ -770,15 +715,11 @@ mod stub_tests {
         // the host going away must itself end the proxy's wait.
         let host = StubHost::new(1);
         let (mut proxy_side, stub_side) = QueueTransport::pair();
-        let quiet = StubConfig {
-            heartbeat_period: Duration::from_secs(60),
-            report_crashes: true,
-        };
         let app = TestApp {
             count: 0,
             crash_on: None,
         };
-        host.spawn(Box::new(app), Box::new(stub_side), quiet)
+        host.spawn(Box::new(app), Box::new(stub_side), StubConfig::default())
             .unwrap();
         let register = proxy_side.recv_timeout(Duration::from_secs(2)).unwrap();
         assert!(matches!(
@@ -802,36 +743,5 @@ mod stub_tests {
             "shutdown took {:?} to reach the proxy",
             woke.saturating_duration_since(stopped)
         );
-    }
-
-    #[test]
-    fn hosted_stubs_heartbeat() {
-        let host = StubHost::new(1);
-        let (mut proxy_side, stub_side) = QueueTransport::pair();
-        host.spawn(
-            Box::new(TestApp {
-                count: 0,
-                crash_on: None,
-            }),
-            Box::new(stub_side),
-            StubConfig {
-                heartbeat_period: Duration::from_millis(5),
-                report_crashes: true,
-            },
-        )
-        .unwrap();
-        let mut beats = 0;
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < deadline && beats < 3 {
-            if let Ok(Some(frame)) = proxy_side.try_recv() {
-                if matches!(decode_frame(&frame), Ok(RpcMessage::Heartbeat { .. })) {
-                    beats += 1;
-                }
-            } else {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        assert!(beats >= 3, "expected hosted heartbeats, got {beats}");
-        let _ = host.shutdown(Duration::from_millis(50));
     }
 }

@@ -62,12 +62,8 @@ fn proxy(io_threads: usize, report_crashes: bool) -> AppVisorProxy {
     AppVisorProxy::new(ProxyConfig {
         deliver_timeout: Duration::from_millis(150),
         rpc_timeout: Duration::from_millis(rpc_ms),
-        stub: StubConfig {
-            heartbeat_period: Duration::from_millis(10),
-            report_crashes,
-        },
+        stub: StubConfig { report_crashes },
         io: IoMode { io_threads },
-        ..ProxyConfig::default()
     })
 }
 

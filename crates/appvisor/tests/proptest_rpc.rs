@@ -112,7 +112,6 @@ fn frames_roundtrip() {
                 app_name: name,
                 subscriptions: vec![EventKind::PacketIn, EventKind::Tick],
             },
-            RpcMessage::Heartbeat { seq },
             RpcMessage::EventAck { seq, commands },
             RpcMessage::Crashed {
                 seq,

@@ -127,10 +127,7 @@ fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
     } else {
         Duration::from_millis(60)
     };
-    let stub = StubConfig {
-        heartbeat_period: Duration::from_millis(10),
-        report_crashes: true,
-    };
+    let stub = StubConfig::default();
     let obs = Obs::new();
     let mut proxy = AppVisorProxy::new(ProxyConfig {
         deliver_timeout,
@@ -338,10 +335,7 @@ fn a_dead_stub_keeps_its_views_in_step_and_refuses_a_foreign_base() {
         let deadline = std::time::Instant::now() + Duration::from_millis(wait_ms);
         while let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) {
             if let Some(bytes) = proxy_side.recv_timeout(left).unwrap() {
-                match decode_frame(&bytes).unwrap() {
-                    RpcMessage::Heartbeat { .. } => {}
-                    msg => return Some(msg),
-                }
+                return Some(decode_frame(&bytes).unwrap());
             }
         }
         None

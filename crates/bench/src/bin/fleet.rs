@@ -105,13 +105,7 @@ fn main() {
         // exhaustion, not on a slow CI machine.
         deliver_timeout: Duration::from_secs(30),
         rpc_timeout: Duration::from_secs(30),
-        heartbeat_timeout: Duration::from_secs(60),
-        stub: StubConfig {
-            // A quiet heartbeat plane: the smoke measures event servicing,
-            // not 1000 stubs' idle chatter.
-            heartbeat_period: Duration::from_secs(5),
-            report_crashes: true,
-        },
+        stub: StubConfig::default(),
         io: cfg.io.mode,
     });
 

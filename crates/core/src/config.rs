@@ -116,7 +116,7 @@ impl DispatchConfig {
 pub struct IoConfig {
     /// Size of each shard's stub-host pool; see [`IoMode`].
     pub mode: IoMode,
-    /// AppVisor proxy tuning (timeouts, heartbeats). The proxy's own
+    /// AppVisor proxy tuning (timeouts, stub settings). The proxy's own
     /// `io` field is overwritten with [`IoConfig::mode`] at build /
     /// runtime construction, so `mode` is the single source of truth.
     pub proxy: ProxyConfig,
@@ -427,7 +427,7 @@ mod tests {
         };
         let obs = c.obs.instance.unwrap();
         for _ in 0..17 {
-            obs.emit(None, legosdn_obs::RecordKind::HeartbeatMiss);
+            obs.emit(None, legosdn_obs::RecordKind::CommFailure);
         }
         assert_eq!(obs.records().len(), 16);
     }

@@ -808,7 +808,7 @@ mod tests {
         });
         let obs = rt.obs();
         for _ in 0..5 {
-            obs.emit(None, legosdn_obs::RecordKind::HeartbeatMiss);
+            obs.emit(None, legosdn_obs::RecordKind::CommFailure);
         }
         assert_eq!(obs.records().len(), 4);
     }

@@ -1,9 +1,9 @@
 //! Virtual time.
 //!
 //! The simulator is a deterministic discrete-event system: nothing in it
-//! reads wall-clock time. All timeouts (flow idle/hard expiry, heartbeat
-//! deadlines, detection latencies) are expressed in [`SimTime`] and advance
-//! only when the harness calls `Network::tick`.
+//! reads wall-clock time. All timeouts (flow idle/hard expiry, detection
+//! latencies) are expressed in [`SimTime`] and advance only when the
+//! harness calls `Network::tick`.
 
 use legosdn_codec::Codec;
 use std::fmt;

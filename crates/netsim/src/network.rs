@@ -481,8 +481,7 @@ impl Network {
             // lies inside its own (an add or a strict form: equal to it;
             // a loose modify or delete: subsumed by it). One the table
             // refused (overlap, full) changed nothing, which is inside
-            // any match. A `FlowModBatch` is answered `Unsupported` and
-            // changes nothing either, but is not worth describing.
+            // any match.
             self.stamp(
                 dpid,
                 match msg {
@@ -1145,7 +1144,7 @@ mod tests {
         assert_eq!(since(&net, 0, s2), None);
 
         // Anything but a flow-mod cuts the chain, however recent.
-        let cuts: [fn(&mut Network); 4] = [
+        let cuts: [fn(&mut Network); 3] = [
             |net| {
                 let pm = legosdn_openflow::messages::PortMod {
                     port_no: PortNo::Phys(1),
@@ -1153,10 +1152,6 @@ mod tests {
                     down: true,
                 };
                 net.apply(DatapathId(2), &Message::PortMod(pm)).unwrap();
-            },
-            |net| {
-                net.apply(DatapathId(2), &Message::FlowModBatch(vec![]))
-                    .unwrap();
             },
             |net| net.set_link_up(0, false).unwrap(),
             |net| {

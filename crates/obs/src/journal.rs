@@ -62,8 +62,6 @@ pub enum RecordKind {
     CommFailure,
     /// The invariant checker vetoed an app's commands.
     ByzantineBlocked { violations: u64 },
-    /// A liveness sweep found an app's heartbeat stale.
-    HeartbeatMiss,
     /// Crash-Pad serialized an app snapshot.
     CheckpointTaken { bytes: u64, dur_ns: u64 },
     /// Crash-Pad restored an app from its last snapshot.
@@ -101,7 +99,6 @@ impl RecordKind {
             RecordKind::AppCrash { .. }
                 | RecordKind::CommFailure
                 | RecordKind::ByzantineBlocked { .. }
-                | RecordKind::HeartbeatMiss
         )
     }
 

@@ -364,8 +364,8 @@ mod tests {
     #[test]
     fn journal_timestamps_are_monotonic() {
         let obs = Obs::new();
-        obs.emit(Some(obs.attach_app("a")), RecordKind::HeartbeatMiss);
-        obs.emit(Some(obs.attach_app("a")), RecordKind::HeartbeatMiss);
+        obs.emit(Some(obs.attach_app("a")), RecordKind::CommFailure);
+        obs.emit(Some(obs.attach_app("a")), RecordKind::CommFailure);
         let snap = obs.records();
         assert!(snap[1].seq > snap[0].seq);
         assert!(snap[1].at_ns >= snap[0].at_ns);
@@ -375,7 +375,7 @@ mod tests {
     fn journal_eviction_bumps_the_dropped_counter() {
         let obs = Obs::with_journal_capacity(2);
         for _ in 0..5 {
-            obs.emit(None, RecordKind::HeartbeatMiss);
+            obs.emit(None, RecordKind::CommFailure);
         }
         assert_eq!(obs.counter("journal", "dropped", "").get(), 3);
         assert!(obs.prometheus().contains("legosdn_journal_dropped 3"));
@@ -385,13 +385,13 @@ mod tests {
     fn drop_series_exist_only_once_something_dropped() {
         let obs = Obs::with_journal_capacity(1);
         let id = |seq| TraceId { cycle: 1, seq };
-        obs.emit(None, RecordKind::HeartbeatMiss);
+        obs.emit(None, RecordKind::CommFailure);
         obs.trace_begin(id(0), "PacketIn");
         let text = obs.prometheus();
         assert!(!text.contains("journal_dropped"), "{text}");
         assert!(!text.contains("traces_dropped"), "{text}");
 
-        obs.emit(None, RecordKind::HeartbeatMiss);
+        obs.emit(None, RecordKind::CommFailure);
         assert!(obs.prometheus().contains("legosdn_journal_dropped 1"));
         assert!(!obs.prometheus().contains("traces_dropped"));
 

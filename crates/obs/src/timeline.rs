@@ -45,7 +45,7 @@ pub struct ReplayInfo {
 pub struct IncidentReport {
     pub app: String,
     /// Stable name of the detection record (`app_crash`, `comm_failure`,
-    /// `byzantine_blocked`, `heartbeat_miss`).
+    /// `byzantine_blocked`).
     pub detected_by: &'static str,
     pub detection_detail: String,
     pub detection_seq: u64,
@@ -73,7 +73,6 @@ impl IncidentReport {
                 "byzantine_blocked",
                 format!("{violations} invariant violation(s)"),
             ),
-            RecordKind::HeartbeatMiss => ("heartbeat_miss", String::new()),
             _ => unreachable!("only a detection opens an incident"),
         };
         IncidentReport {
@@ -388,7 +387,7 @@ mod tests {
                 detail: String::new(),
             },
         );
-        j.push(1, None, A, RecordKind::HeartbeatMiss);
+        j.push(1, None, A, RecordKind::CommFailure);
         j.push(2, None, A, RecordKind::AppDead);
 
         let incidents = reconstruct(&j.snapshot(), &names());

@@ -53,7 +53,7 @@ fn arb_record(rng: &mut Rng, apps: usize, txns: &mut Txns) -> (Option<AppId>, Re
         2 => RecordKind::ByzantineBlocked {
             violations: rng.gen_range(1u64..5),
         },
-        3 => RecordKind::HeartbeatMiss,
+        3 => RecordKind::CommFailure,
         4 => RecordKind::CheckpointTaken {
             bytes: rng.gen_range(1u64..4096),
             dur_ns: rng.gen_range(1u64..100_000),

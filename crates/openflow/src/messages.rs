@@ -352,11 +352,6 @@ pub enum Message {
     BarrierRequest,
     BarrierReply,
     Error(ErrorMsg),
-    /// Every flow-mod of one transaction packed into a single frame — the
-    /// wire-level batching that amortises per-message header and transport
-    /// overhead when a commit flushes many installs at once. Semantically
-    /// identical to sending the flow-mods back to back in order.
-    FlowModBatch(Vec<FlowMod>),
 }
 
 /// The kind of a message, used for subscriptions and policy keys.
@@ -423,9 +418,6 @@ impl Message {
             Message::BarrierRequest => MessageKind::BarrierRequest,
             Message::BarrierReply => MessageKind::BarrierReply,
             Message::Error(_) => MessageKind::Error,
-            // A batch is flow-mods for subscription and policy purposes;
-            // it deliberately has no kind of its own (`ALL` stays closed).
-            Message::FlowModBatch(_) => MessageKind::FlowMod,
         }
     }
 
@@ -435,10 +427,7 @@ impl Message {
     /// be inverted.
     #[must_use]
     pub fn alters_network_state(&self) -> bool {
-        matches!(
-            self,
-            Message::FlowMod(_) | Message::PortMod(_) | Message::FlowModBatch(_)
-        )
+        matches!(self, Message::FlowMod(_) | Message::PortMod(_))
     }
 }
 

@@ -74,9 +74,6 @@ const T_STATS_REQUEST: u8 = 16;
 const T_STATS_REPLY: u8 = 17;
 const T_BARRIER_REQUEST: u8 = 18;
 const T_BARRIER_REPLY: u8 = 19;
-/// Extension beyond OF 1.0's type space: a transaction's flow-mods in one
-/// frame (`u16` count, then back-to-back flow-mod bodies).
-const T_FLOW_MOD_BATCH: u8 = 20;
 
 // ofp_flow_wildcards bits
 const OFPFW_IN_PORT: u32 = 1 << 0;
@@ -169,7 +166,6 @@ fn type_byte(msg: &Message) -> u8 {
         Message::StatsReply(_) => T_STATS_REPLY,
         Message::BarrierRequest => T_BARRIER_REQUEST,
         Message::BarrierReply => T_BARRIER_REPLY,
-        Message::FlowModBatch(_) => T_FLOW_MOD_BATCH,
     }
 }
 
@@ -221,14 +217,6 @@ fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             }
         }
         Message::FlowMod(fm) => put_flow_mod(buf, fm),
-        Message::FlowModBatch(fms) => {
-            // The whole-frame u16 length assert in `encode` bounds the batch
-            // (each flow-mod body is ≥ 60 bytes), so the count cannot wrap.
-            buf.put_u16(fms.len() as u16);
-            for fm in fms {
-                put_flow_mod(buf, fm);
-            }
-        }
         Message::FlowRemoved(fr) => {
             put_match(buf, &fr.mat);
             buf.put_u64(fr.cookie);
@@ -390,14 +378,6 @@ fn decode_body(ty: u8, r: &mut Reader<'_>) -> Result<Message, CodecError> {
             })
         }
         T_FLOW_MOD => Message::FlowMod(get_flow_mod(r)?),
-        T_FLOW_MOD_BATCH => {
-            let n = r.u16()? as usize;
-            let mut fms = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                fms.push(get_flow_mod(r)?);
-            }
-            Message::FlowModBatch(fms)
-        }
         T_FLOW_REMOVED => {
             let mat = get_match(r)?;
             let cookie = r.u64()?;
@@ -517,7 +497,7 @@ fn decode_body(ty: u8, r: &mut Reader<'_>) -> Result<Message, CodecError> {
 // structure codecs
 // -------------------------------------------------------------------------
 
-/// The `ofp_flow_mod` body, shared by the singleton frame and the batch.
+/// The `ofp_flow_mod` body.
 fn put_flow_mod(buf: &mut Vec<u8>, fm: &FlowMod) {
     put_match(buf, &fm.mat);
     buf.put_u64(fm.cookie);
@@ -1160,26 +1140,6 @@ mod tests {
             fm.check_overlap = true;
             roundtrip(Message::FlowMod(fm));
         }
-    }
-
-    #[test]
-    fn roundtrip_flow_mod_batch() {
-        roundtrip(Message::FlowModBatch(vec![]));
-        let narrow = FlowMod::add(sample_match())
-            .priority(7)
-            .action(Action::Output(PortNo::Phys(1)));
-        let wide = FlowMod::delete(Match::any());
-        roundtrip(Message::FlowModBatch(vec![narrow, wide]));
-    }
-
-    #[test]
-    fn batch_frames_smaller_than_singleton_frames() {
-        // The point of batching: n flow-mods in one frame cost one header
-        // and a count instead of n headers.
-        let fm = FlowMod::add(sample_match()).action(Action::Output(PortNo::Phys(1)));
-        let batched = encode(&Message::FlowModBatch(vec![fm.clone(); 8]), Xid(0)).len();
-        let singles = 8 * encode(&Message::FlowMod(fm), Xid(0)).len();
-        assert!(batched < singles, "batch {batched} >= singles {singles}");
     }
 
     #[test]

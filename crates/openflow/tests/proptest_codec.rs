@@ -2,7 +2,7 @@
 //! inversion laws over randomly generated protocol values.
 
 use legosdn_openflow::inverse::{inverse_into, restore_flow, PreState};
-use legosdn_openflow::messages::{ErrorMsg, MessageKind, PortMod, SwitchFeatures};
+use legosdn_openflow::messages::{ErrorMsg, PortMod, SwitchFeatures};
 use legosdn_openflow::prelude::*;
 use legosdn_openflow::wire;
 use legosdn_testkit::{forall, Rng};
@@ -171,7 +171,7 @@ fn arb_snapshot(rng: &mut Rng) -> FlowEntrySnapshot {
 }
 
 fn arb_message(rng: &mut Rng) -> Message {
-    match rng.gen_range(0u32..15) {
+    match rng.gen_range(0u32..14) {
         0 => Message::Hello,
         1 => Message::FeaturesRequest,
         2 => Message::BarrierRequest,
@@ -217,7 +217,6 @@ fn arb_message(rng: &mut Rng) -> Message {
             n_tables: arb_u8(rng),
             ports: vec![],
         }),
-        13 => Message::FlowModBatch(rng.gen_vec(0..6, arb_flowmod)),
         _ => Message::Error(ErrorMsg {
             err_type: ErrorType::BadRequest,
             code: ErrorCode::Unsupported,
@@ -261,20 +260,6 @@ fn truncated_never_decodes() {
         let bytes = wire::encode(&msg, Xid(1));
         let cut = rng.gen_range(0..bytes.len());
         assert!(wire::decode(&bytes[..cut]).is_err());
-    });
-}
-
-/// Batched flow-mods roundtrip exactly, classify as flow-mods, and are
-/// state-altering regardless of batch size.
-#[test]
-fn flow_mod_batch_roundtrip() {
-    forall(256, |rng| {
-        let msg = Message::FlowModBatch(rng.gen_vec(0..8, arb_flowmod));
-        let bytes = wire::encode(&msg, Xid(7));
-        let (decoded, _) = wire::decode(&bytes).expect("decode");
-        assert_eq!(decoded, msg);
-        assert_eq!(decoded.kind(), MessageKind::FlowMod);
-        assert!(decoded.alters_network_state());
     });
 }
 

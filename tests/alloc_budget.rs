@@ -7,8 +7,9 @@
 //! own bookkeeping, and a packet's walk nothing per hop (DESIGN.md §12).
 //!
 //! A test binary of its own with a counting `#[global_allocator]`; its
-//! tests measure one at a time, so nothing else allocates, or touches
-//! `Obs::global()`, beside a measurement. Every number is a count of what
+//! tests measure one at a time, so no other test allocates, or touches
+//! `Obs::global()`, beside a measurement, and a measurement of
+//! single-threaded work counts only its own thread's allocations. Every number is a count of what
 //! this program does with a seeded input: it repeats exactly, on any host.
 
 use legosdn::controller::{DeviceView, Sandbox, TopologyView};
@@ -19,6 +20,7 @@ use legosdn::obs::Obs;
 use legosdn::prelude::*;
 use legosdn_testkit::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -29,11 +31,25 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// counts).
 static LIVE: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by this thread. A measurement of single-threaded
+    /// work reads this, not `ALLOCS`: the test harness's own thread
+    /// allocates when an earlier test reports, which can land inside a
+    /// window that `serial()` alone does not close.
+    static HERE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`HERE`]'s count.
+fn allocs_here() -> u64 {
+    HERE.with(Cell::get)
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the counters are
 // statistics and publish nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        HERE.with(|n| n.set(n.get() + 1));
         LIVE.fetch_add(layout.size() as u64, Relaxed);
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
@@ -47,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        HERE.with(|n| n.set(n.get() + 1));
         LIVE.fetch_add(
             (new_size as u64).wrapping_sub(layout.size() as u64),
             Relaxed,
@@ -333,12 +350,12 @@ fn a_warm_checkpoint_is_one_allocation_at_its_exact_size() {
     }
     deliver(&mut app);
 
-    let (before, live) = (ALLOCS.load(Relaxed), LIVE.load(Relaxed));
+    let (before, live) = (allocs_here(), LIVE.load(Relaxed));
     let snapshot = app.capture().unwrap();
     let held = LIVE.load(Relaxed).wrapping_sub(live);
     let len = snapshot.len();
     let stored = store.record_snapshot("fw", snapshot);
-    let allocs = ALLOCS.load(Relaxed) - before;
+    let allocs = allocs_here() - before;
 
     println!("warm checkpoint of {len} bytes: {allocs} allocation(s), {held} bytes held");
     assert!(len > 24, "too few bytes to leave the snapshot itself");
@@ -397,9 +414,9 @@ fn a_warm_checkpoint_allocates_nothing_and_keeps_no_slack() {
     }
     deliver(&mut app, &quiet);
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs_here();
     let stored = store.record_snapshot("ls", app.capture().unwrap());
-    let allocs = ALLOCS.load(Relaxed) - before;
+    let allocs = allocs_here() - before;
 
     let latest = &store.history("ls").last().unwrap().bytes;
     println!(
@@ -482,17 +499,17 @@ fn netlog_bookkeeping_allocates_nothing_per_warm_transaction() {
     let mut netlog = NetLog::with_checker(Some(Checker::default()));
     for round in 0..40 {
         let log_room = netlog.log().capacity();
-        let before = ALLOCS.load(Relaxed);
+        let before = allocs_here();
         let mut tx = netlog.begin();
         netlog.execute(&mut tx, &mut net, s2, &hop).unwrap();
         netlog.execute(&mut tx, &mut net, s1, &packet_out).unwrap();
         netlog.commit(tx, &mut net).expect("a clean hop commits");
-        let in_tx = ALLOCS.load(Relaxed) - before;
+        let in_tx = allocs_here() - before;
 
-        let before = ALLOCS.load(Relaxed);
+        let before = allocs_here();
         twin.apply(s2, &hop).unwrap();
         twin.apply(s1, &packet_out).unwrap();
-        let applied = ALLOCS.load(Relaxed) - before;
+        let applied = allocs_here() - before;
 
         for n in [&mut net, &mut twin] {
             assert_eq!(
@@ -544,9 +561,9 @@ fn a_warm_dataplane_walk_allocates_nothing_per_hop() {
     for round in 0..4 {
         for (hops, dst) in (2..).zip(&topo.hosts[1..]) {
             let packet = Packet::ethernet(src, dst.mac);
-            let before = ALLOCS.load(Relaxed);
+            let before = allocs_here();
             let trace = net.inject(src, packet).unwrap();
-            let allocs = ALLOCS.load(Relaxed) - before;
+            let allocs = allocs_here() - before;
             assert!(trace.delivered_to(dst.mac));
             assert_eq!((trace.hops, trace.packet_ins), (hops, 0));
             if round > 0 {

@@ -19,11 +19,7 @@ fn proxy(report_crashes: bool) -> AppVisorProxy {
     AppVisorProxy::new(ProxyConfig {
         deliver_timeout,
         rpc_timeout: Duration::from_secs(2),
-        heartbeat_timeout: Duration::from_millis(100),
-        stub: StubConfig {
-            heartbeat_period: Duration::from_millis(10),
-            report_crashes,
-        },
+        stub: StubConfig { report_crashes },
         ..Default::default()
     })
 }
@@ -200,14 +196,10 @@ fn lossy_transport_degrades_to_comm_failures_not_hangs() {
     use legosdn::appvisor::{FlakyTransport, QueueTransport, StubHost, Transport};
     // 40% frame loss in each direction: some deliveries ack, some time out
     // as comm failures; nothing hangs, panics, or poisons the proxy.
-    let stub = StubConfig {
-        heartbeat_period: Duration::from_millis(10),
-        report_crashes: true,
-    };
+    let stub = StubConfig::default();
     let mut p = AppVisorProxy::new(ProxyConfig {
         deliver_timeout: Duration::from_millis(80),
         rpc_timeout: Duration::from_secs(2),
-        heartbeat_timeout: Duration::from_millis(200),
         stub: stub.clone(),
         ..Default::default()
     });

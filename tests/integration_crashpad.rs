@@ -435,7 +435,6 @@ fn a_stub_that_dies_silently_files_a_comm_failure_ticket() {
             deliver_timeout: Duration::from_millis(50),
             stub: StubConfig {
                 report_crashes: false,
-                ..StubConfig::default()
             },
             ..ProxyConfig::default()
         }),

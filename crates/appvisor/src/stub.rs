@@ -26,9 +26,10 @@ use crate::rpc::{
 use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Ctx, SdnApp};
 use legosdn_controller::event::Event;
-use legosdn_controller::sandbox::{Fault, Sandbox};
+use legosdn_controller::sandbox::{panic_text, Fault, Sandbox};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -365,7 +366,15 @@ fn host_loop(
         }
         let mut activity = 0u64;
         stubs.retain_mut(|s| {
-            let retired = drive_stub(s, &mut activity);
+            // App code runs behind each stub's sandbox; what panics here
+            // is the stub's own (its transport, its codec), and it retires
+            // that stub alone: the proxy sees its channel go dead, a comm
+            // failure, and the neighbours on this thread keep being served.
+            let retired = catch_unwind(AssertUnwindSafe(|| drive_stub(s, &mut activity)))
+                .unwrap_or_else(|payload| {
+                    drop(panic_text(payload));
+                    true
+                });
             if retired {
                 reports.lock().unwrap().push(s.core.report);
             }

@@ -3,18 +3,22 @@
 //! in `on_event` — kills that app alone, never the host thread and the
 //! stubs that share it, and never the controller thread that launches
 //! it; and with a host thread per stub, an app that merely *stalls*
-//! delays nobody else.
+//! delays nobody else. A panic in a stub's own I/O retires that stub
+//! alone.
 
+use legosdn_appvisor::poll::PollWaker;
 use legosdn_appvisor::{
-    AppHandle, AppVisorProxy, DeliverOutcome, IoMode, ProxyConfig, ProxyError, StubConfig,
-    TransportKind,
+    AppHandle, AppVisorProxy, DeliverOutcome, IoMode, ProxyConfig, ProxyError, QueueTransport,
+    StubConfig, StubHost, Transport, TransportError, TransportKind,
 };
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
 use legosdn_openflow::prelude::*;
+use legosdn_testkit::within;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Answers every event with one command; panics in the one method named.
@@ -224,4 +228,53 @@ fn with_a_host_thread_each_a_stalled_app_delays_no_neighbour() {
         DeliverOutcome::Commands(_)
     ));
     assert_eq!(p.shutdown().len(), 2);
+}
+
+/// A stub's end of a channel whose `try_recv` — what the stub host's scan
+/// calls — panics: a fault in the stub's own I/O, below its app's wall.
+struct PanicsOnScan(QueueTransport);
+
+impl Transport for PanicsOnScan {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+        self.0.send(bytes)
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
+        self.0.recv_timeout(timeout)
+    }
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        panic!("the stub's transport panics mid-scan");
+    }
+    fn set_waker(&mut self, waker: Arc<PollWaker>) {
+        self.0.set_waker(waker);
+    }
+    fn has_waker(&self) -> bool {
+        self.0.has_waker()
+    }
+}
+
+#[test]
+fn a_panic_in_a_stubs_scan_retires_that_stub_and_not_its_neighbour() {
+    within(Duration::from_secs(10), || {
+        // One host thread, a healthy stub first and the faulty one beside it.
+        let host = StubHost::new(1);
+        let mut p = proxy(1, true);
+        let mut host_one = |stub_end: Box<dyn Transport>, proxy_end: QueueTransport| {
+            host.spawn(Hostile::boxed("nothing"), stub_end, StubConfig::default())
+                .unwrap();
+            p.register_transport(Box::new(proxy_end)).unwrap()
+        };
+        let (proxy_end, stub_end) = QueueTransport::pair();
+        let good = host_one(Box::new(stub_end), proxy_end);
+        let (proxy_end, stub_end) = QueueTransport::pair();
+        let bad = host_one(Box::new(PanicsOnScan(stub_end)), proxy_end);
+        // The faulty stub is gone: its channel is dead, a comm failure.
+        assert_eq!(deliver(&mut p, bad), DeliverOutcome::CommFailure);
+        // Its neighbour on the same thread is served, again and again.
+        for _ in 0..3 {
+            assert!(answers(&mut p, good));
+        }
+        drop(p);
+        let reports = host.shutdown(Duration::from_secs(2));
+        assert_eq!(reports.len(), 2, "the retired stub reported too");
+    });
 }

@@ -220,7 +220,7 @@ impl MonolithicController {
                     return Err(Box::new(CrashInfo {
                         app: slot.app.name().to_string(),
                         event: event.clone(),
-                        panic_message: panic_text(&*payload),
+                        panic_message: panic_text(payload).into_owned(),
                     }));
                 }
             }

@@ -1,12 +1,16 @@
 //! The fault wall: outside tests and the monolithic baseline (whose dying
 //! with its apps is the point), a [`Sandbox`] is the only code that calls
-//! into an app. Every call runs under `catch_unwind`; a panic kills the app,
-//! which answers [`Fault::Dead`] uncalled until a restore revives it.
+//! into an app. Every call runs under `catch_unwind`, and so does every
+//! drop of something the app handed back — the app itself, when the
+//! sandbox goes, and a panic's payload, the moment it is caught. A panic
+//! kills the app, which answers [`Fault::Dead`] uncalled until a restore
+//! revives it.
 
 use crate::app::{Command, Ctx, RestoreError, SdnApp};
 use crate::event::{Event, EventKind};
 use legosdn_codec::Snapshot;
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -59,10 +63,10 @@ impl DeliverOutcome {
 /// An app behind the fault wall.
 pub struct Sandbox {
     app: Box<dyn SdnApp>,
-    /// The panic that killed the app, until a restore succeeds: its
-    /// payload, rendered only when asked. A cell, because a panic in a
-    /// `&self` read (`snapshot`, say) kills all the same.
-    dead: OnceCell<Box<dyn Any + Send>>,
+    /// The text of the panic that killed the app, until a restore
+    /// succeeds. A cell, because a panic in a `&self` read (`snapshot`,
+    /// say) kills all the same.
+    dead: OnceCell<Cow<'static, str>>,
 }
 
 impl Sandbox {
@@ -111,31 +115,69 @@ impl Sandbox {
     /// Kill the app without calling it, as a panic with `reason` would. A
     /// dead app keeps what it died of.
     pub fn kill(&mut self, reason: &str) {
-        let _ = self.dead.set(Box::new(reason.to_string()));
+        let _ = self.dead.set(Cow::Owned(reason.to_string()));
+    }
+}
+
+impl Drop for Sandbox {
+    /// The app's own `Drop` is app code too: it runs inside the wall.
+    fn drop(&mut self) {
+        let app = std::mem::replace(&mut self.app, Box::new(Gone));
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drop(app))) {
+            drop(panic_text(payload));
+        }
+    }
+}
+
+/// What a dropped sandbox holds in its app's place: a unit, so putting
+/// it there allocates nothing. Nothing calls it.
+struct Gone;
+
+impl SdnApp for Gone {
+    fn name(&self) -> &str {
+        "gone"
+    }
+    fn subscriptions(&self) -> Vec<EventKind> {
+        Vec::new()
+    }
+    fn on_event(&mut self, _event: &Event, _ctx: &mut Ctx<'_>) {}
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
+    }
+    fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
+        Ok(())
     }
 }
 
 /// Call into an app, unless it is `dead`; a panic kills it.
-fn wall<T>(dead: &OnceCell<Box<dyn Any + Send>>, call: impl FnOnce() -> T) -> Result<T, Fault> {
-    if let Some(payload) = dead.get() {
-        return Err(Fault::Dead(panic_text(&**payload)));
+fn wall<T>(dead: &OnceCell<Cow<'static, str>>, call: impl FnOnce() -> T) -> Result<T, Fault> {
+    if let Some(text) = dead.get() {
+        return Err(Fault::Dead(text.to_string()));
     }
     catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
-        let text = panic_text(&*payload);
-        let _ = dead.set(payload);
-        Fault::Panicked(text)
+        let text = panic_text(payload);
+        let _ = dead.set(text.clone());
+        Fault::Panicked(text.into_owned())
     })
 }
 
-/// Render a panic payload as text (panics carry `String` or `&str`).
-pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".to_string()
+/// Render a caught panic's payload as text, consuming it: a `String` or
+/// `&str` payload is the text; any other is dropped inside the wall,
+/// since its `Drop` may be app code, and if that drop panics too, the
+/// second payload is forgotten rather than dropped.
+pub fn panic_text(payload: Box<dyn Any + Send>) -> Cow<'static, str> {
+    let payload = match payload.downcast::<String>() {
+        Ok(text) => return Cow::Owned(*text),
+        Err(payload) => payload,
+    };
+    let payload = match payload.downcast::<&'static str>() {
+        Ok(text) => return Cow::Borrowed(*text),
+        Err(payload) => payload,
+    };
+    if let Err(again) = catch_unwind(AssertUnwindSafe(|| drop(payload))) {
+        std::mem::forget(again);
     }
+    Cow::Borrowed("<non-string panic payload>")
 }
 
 #[cfg(test)]
@@ -145,6 +187,8 @@ mod tests {
     use legosdn_codec::{to_bytes, Codec, CodecError, Memo, Reader};
     use legosdn_netsim::SimTime;
     use legosdn_openflow::prelude::{DatapathId, Message};
+    use legosdn_testkit::within;
+    use std::time::Duration;
 
     /// Counts events into its state; panics in the one method named.
     struct Hostile {
@@ -310,6 +354,60 @@ mod tests {
         want.extend_from_slice(&plain);
         assert_eq!(shared, want);
         assert_eq!(shared.to_vec(), want);
+    }
+
+    /// A panic payload whose own drop panics.
+    struct PanicsWhenDropped;
+
+    impl Drop for PanicsWhenDropped {
+        fn drop(&mut self) {
+            panic!("a payload's drop panics");
+        }
+    }
+
+    /// Panics with a [`PanicsWhenDropped`] payload on its first event, and
+    /// panics again when it is dropped itself.
+    struct Booby;
+
+    impl SdnApp for Booby {
+        fn name(&self) -> &str {
+            "booby"
+        }
+        fn subscriptions(&self) -> Vec<EventKind> {
+            vec![EventKind::SwitchUp]
+        }
+        fn on_event(&mut self, _event: &Event, _ctx: &mut Ctx<'_>) {
+            std::panic::panic_any(PanicsWhenDropped);
+        }
+        fn snapshot(&self) -> Snapshot {
+            Snapshot::default()
+        }
+        fn restore(&mut self, _bytes: &[u8]) -> Result<(), RestoreError> {
+            Ok(())
+        }
+    }
+
+    impl Drop for Booby {
+        fn drop(&mut self) {
+            panic!("an app's drop panics");
+        }
+    }
+
+    #[test]
+    fn a_payload_whose_drop_panics_is_dropped_inside_the_wall() {
+        within(Duration::from_secs(10), || {
+            let mut sb = Sandbox::new(Box::new(Booby));
+            let fault = deliver(&mut sb).unwrap_err();
+            assert_eq!(fault, Fault::Panicked("<non-string panic payload>".into()));
+            assert!(matches!(deliver(&mut sb), Err(Fault::Dead(_))));
+        });
+    }
+
+    #[test]
+    fn dropping_a_sandbox_whose_app_panics_in_drop_does_not_unwind() {
+        within(Duration::from_secs(10), || {
+            drop(Sandbox::new(Box::new(Booby)))
+        });
     }
 
     #[test]

@@ -241,9 +241,6 @@ pub struct ResourceLimits {
     pub max_events: Option<u64>,
     /// Maximum commands an app may emit (None = unlimited).
     pub max_commands: Option<u64>,
-    /// Maximum snapshot size in bytes (None = unlimited). Oversized apps
-    /// are suspended — a runaway state is itself a resource leak.
-    pub max_snapshot_bytes: Option<u64>,
 }
 
 /// Full runtime configuration.

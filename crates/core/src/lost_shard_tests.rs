@@ -1,0 +1,340 @@
+//! A lost shard is a failed app (DESIGN.md §9). A panic in a shard's own
+//! code — filling the window, harvesting it, or on the commit lane with a
+//! transaction open — kills that shard's apps through Crash-Pad and
+//! nothing else: the cycle returns, the other shard's apps run on, and
+//! the network and the txlog are what the sequential reference leaves
+//! when those apps die at the position the panic interrupted.
+
+use super::*;
+use crate::config::{DispatchConfig, ObsConfig};
+use crate::workers::FaultPoint;
+use legosdn_controller::app::{Ctx, RestoreError};
+use legosdn_controller::event::EventKind;
+use legosdn_crashpad::{CompromisePolicy, FailureKind, ProblemTicket};
+use legosdn_netlog::{TxId, TxRecord, TxState};
+use legosdn_netsim::Topology;
+use legosdn_openflow::prelude::*;
+use legosdn_testkit::within;
+use std::time::{Duration, Instant};
+
+const APPS: usize = 4;
+const WORKERS: usize = 2;
+const DEPTH: usize = 4;
+/// Packet-ins per burst: the burst's slots.
+const SLOTS: u64 = 8;
+/// The shard these tests lose: apps 1 and 3, its locals 0 and 1.
+const LOST: usize = 1;
+const CONTESTED: DatapathId = DatapathId(1);
+const TAG_BASE: u64 = 70_000;
+
+/// The destination of slot `slot`'s packet in burst `burst`.
+fn dst(burst: u64, slot: u64) -> MacAddr {
+    MacAddr::from_index(900 + burst * 100 + slot)
+}
+
+/// Installs two uniquely tagged flows on one contested switch per
+/// packet-in, so each commit is a two-command transaction in an order
+/// only the barrier keeps. Panics on the packet to `dies_on`, if set: how
+/// the oracle's app dies at a position.
+struct Writer {
+    name: String,
+    id: u64,
+    count: u64,
+    dies_on: Option<MacAddr>,
+}
+
+impl SdnApp for Writer {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn subscriptions(&self) -> Vec<EventKind> {
+        vec![EventKind::PacketIn]
+    }
+    fn on_event(&mut self, event: &Event, ctx: &mut Ctx<'_>) {
+        let Event::PacketIn(_, pi) = event else {
+            return;
+        };
+        assert_ne!(Some(pi.packet.eth_dst), self.dies_on, "dies here");
+        for _ in 0..2 {
+            let mut mat = Match::from_packet(&pi.packet, pi.in_port);
+            mat.eth_src = Some(MacAddr::from_index(
+                TAG_BASE + self.id * 10_000 + self.count,
+            ));
+            self.count += 1;
+            ctx.send(CONTESTED, Message::FlowMod(FlowMod::add(mat)));
+        }
+    }
+    fn snapshot(&self) -> legosdn_codec::Snapshot {
+        self.count.to_le_bytes().to_vec().into()
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+        let arr: [u8; 8] = bytes
+            .try_into()
+            .map_err(|_| RestoreError("bad snapshot".into()))?;
+        self.count = u64::from_le_bytes(arr);
+        Ok(())
+    }
+}
+
+/// The network as its switches would report it, and the txlog. A flow
+/// table is read in table order, as snapshots: an install that is rolled
+/// back still took an insertion number, which only orders the entries.
+#[derive(Debug, PartialEq)]
+struct Residue {
+    flow_tables: Vec<(DatapathId, Vec<FlowEntrySnapshot>)>,
+    txlog: Vec<TxRecord>,
+}
+
+/// What a run leaves, and the runtime, still up.
+struct Run {
+    rt: LegoSdnRuntime,
+    residue: Residue,
+    /// Transaction ids begin here in the first burst's cycle.
+    tx_base: u64,
+}
+
+/// Four writers over two shards behind stubs, a handshake cycle, then two
+/// bursts of [`SLOTS`] packet-ins. In the engine run, `arm` names the
+/// points at which shard [`LOST`]'s thread panics in the first burst,
+/// given that burst's first transaction id; in the oracle run, writer
+/// *g* dies on the first burst's slot `dies[g]`.
+fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64>; APPS]) -> Run {
+    let topo = Topology::linear(2, 2);
+    let mut net = Network::new(&topo);
+    let mut config = LegoSdnConfig {
+        isolation: IsolationMode::Channel,
+        dispatch: DispatchConfig::default().window(DEPTH).workers(WORKERS),
+        obs: ObsConfig::instance(Obs::new()),
+        ..LegoSdnConfig::default()
+    };
+    for (g, slot) in dies.iter().enumerate() {
+        if slot.is_some() {
+            let name = format!("writer-{g}");
+            let policies = &mut config.crashpad.policies;
+            policies.set_app(&name, CompromisePolicy::NoCompromise);
+        }
+    }
+    let config = config.build().expect("valid config");
+    let mut rt = if oracle {
+        LegoSdnRuntime::oracle(config)
+    } else {
+        LegoSdnRuntime::new(config)
+    };
+    for (g, slot) in dies.iter().enumerate() {
+        rt.attach(Box::new(Writer {
+            name: format!("writer-{g}"),
+            id: g as u64,
+            count: 0,
+            dies_on: slot.map(|s| dst(0, s)),
+        }))
+        .unwrap();
+    }
+    rt.run_cycle(&mut net); // handshake + discovery
+    let tx_base = rt.txid_cursor;
+    if !oracle {
+        rt.shards[LOST].faults = arm(tx_base);
+    }
+    let a = topo.hosts[0].mac;
+    for burst in 0..2 {
+        for slot in 0..SLOTS {
+            net.inject(a, Packet::ethernet(a, dst(burst, slot)))
+                .unwrap();
+        }
+        let report = rt.run_cycle(&mut net);
+        assert_eq!(report.events, SLOTS as usize, "one slot per packet-in");
+        assert!(report.commands > 0, "burst {burst}: nobody committed");
+    }
+    let now = net.now();
+    let mut flow_tables: Vec<(DatapathId, Vec<FlowEntrySnapshot>)> = net
+        .switches()
+        .map(|sw| {
+            (
+                sw.dpid(),
+                sw.table().iter().map(|e| e.snapshot(now)).collect(),
+            )
+        })
+        .collect();
+    flow_tables.sort_by_key(|(dpid, _)| *dpid);
+    let txlog = rt.netlog().log().iter().cloned().collect();
+    Run {
+        rt,
+        residue: Residue { flow_tables, txlog },
+        tx_base,
+    }
+}
+
+/// The first transaction id of `(slot, local)` on shard [`LOST`].
+fn lost_tx(tx_base: u64, slot: usize, local: usize) -> u64 {
+    tx_base + ((slot * APPS + local * WORKERS + LOST) as u64) * TXS_PER_POS
+}
+
+/// Lose shard [`LOST`] at `fault`, and hold the run to the oracle's in
+/// which writer *g* dies on slot `dies[g]`. A panic on the lane leaves
+/// its transaction open: the drain rolls it back, and that rollback is
+/// the one record the oracle's txlog lacks.
+fn loses_the_shard_as_the_oracle_loses_its_apps(
+    fault: fn(u64) -> FaultPoint,
+    dies: [Option<u64>; APPS],
+) {
+    within(Duration::from_secs(10), move || {
+        let Run {
+            rt,
+            mut residue,
+            tx_base,
+        } = run(false, |base| vec![fault(base)], [None; APPS]);
+        assert!(rt.shards[LOST].faults.is_empty(), "the fault never fired");
+        for g in 0..APPS {
+            let (id, status) = (AppId(g), rt.app_status(AppId(g)));
+            let name = format!("writer-{g}");
+            let tickets: Vec<&ProblemTicket> = (rt.crashpad_for(id).unwrap().tickets.iter())
+                .filter(|t| t.app == name)
+                .collect();
+            let Some(slot) = dies[g] else {
+                assert_eq!(status, Some(&AppStatus::Running), "writer-{g}");
+                assert!(tickets.is_empty(), "writer-{g}: {tickets:?}");
+                continue;
+            };
+            assert_eq!(status, Some(&AppStatus::Dead), "writer-{g}");
+            let [ticket] = tickets[..] else {
+                panic!("writer-{g}: one ticket, not {tickets:?}");
+            };
+            let FailureKind::WorkerLost { panic_message } = &ticket.failure else {
+                panic!("writer-{g}: {:?}", ticket.failure);
+            };
+            assert!(
+                panic_message.starts_with("shard 1 on thread lego-worker-1: injected fault at"),
+                "{panic_message}"
+            );
+            // The event in hand is the slot at the shard's commit cursor,
+            // the first its apps do not commit.
+            let offending = match &ticket.offending_event {
+                Event::PacketIn(_, pi) => pi.packet.eth_dst,
+                other => panic!("writer-{g}: {other:?}"),
+            };
+            let first = dies.iter().flatten().min().copied().unwrap();
+            assert!(
+                offending == dst(0, first) && (slot == first || slot == first + 1),
+                "writer-{g} died at slot {slot}, the shard at {offending:?}"
+            );
+        }
+        assert_eq!(rt.stats().apps_dead, 2);
+        if let FaultPoint::Lane { tx } = fault(tx_base) {
+            let tx = TxId(tx);
+            let lost: Vec<TxRecord> = residue
+                .txlog
+                .iter()
+                .filter(|r| r.id == tx)
+                .cloned()
+                .collect();
+            assert_eq!(
+                lost,
+                [TxRecord {
+                    id: tx,
+                    state: TxState::Aborted,
+                    ops: 1,
+                }],
+                "the open transaction is rolled back"
+            );
+            residue.txlog.retain(|r| r.id != tx);
+        }
+        rt.shutdown();
+        let oracle = run(true, |_| Vec::new(), dies);
+        assert_eq!(
+            residue, oracle.residue,
+            "the residue differs from the oracle's"
+        );
+        oracle.rt.shutdown();
+    });
+}
+
+#[test]
+fn a_panic_filling_the_window_loses_the_shard_at_its_commit_cursor() {
+    // Depth 4: slot 5 is queued while the commit cursor is at slot 2.
+    loses_the_shard_as_the_oracle_loses_its_apps(
+        |_| FaultPoint::Fill { slot: 5, local: 0 },
+        [None, Some(2), None, Some(2)],
+    );
+}
+
+#[test]
+fn a_panic_harvesting_the_window_loses_the_shard_at_the_slot_harvested() {
+    // Local 0's outcome of slot 3 is booked, not committed: it dies too.
+    loses_the_shard_as_the_oracle_loses_its_apps(
+        |_| FaultPoint::Harvest {
+            commit_pos: 3,
+            local: 1,
+        },
+        [None, Some(3), None, Some(3)],
+    );
+}
+
+#[test]
+fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_shard() {
+    // Local 0 commits slot 4 before local 1's transaction opens.
+    loses_the_shard_as_the_oracle_loses_its_apps(
+        |base| FaultPoint::Lane {
+            tx: lost_tx(base, 4, 1),
+        },
+        [None, Some(5), None, Some(4)],
+    );
+}
+
+const DOUBLE_FAULT_TEST: &str = "a_panic_in_a_lost_shards_drain_aborts_the_process";
+const DOUBLE_FAULT_CHILD: &str = "LEGOSDN_DOUBLE_FAULT_CHILD";
+
+#[test]
+fn a_panic_in_a_lost_shards_drain_aborts_the_process() {
+    if std::env::var_os(DOUBLE_FAULT_CHILD).is_some() {
+        run(
+            false,
+            |_| {
+                vec![
+                    FaultPoint::Harvest {
+                        commit_pos: 3,
+                        local: 1,
+                    },
+                    FaultPoint::Drain,
+                ]
+            },
+            [None; APPS],
+        );
+        unreachable!("the drain's panic returned");
+    }
+    // The abort takes the process with it, so it runs in one of its own.
+    let (_, module) = module_path!().split_once("::").expect("a crate path");
+    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            &format!("{module}::{DOUBLE_FAULT_TEST}"),
+            "--exact",
+            "--nocapture",
+        ])
+        .env(DOUBLE_FAULT_CHILD, "1")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run this test in a process of its own");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the double fault hung instead of aborting");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("injected fault at Drain"), "{stderr}");
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(
+            status.signal(),
+            Some(6),
+            "not an abort: {status:?}\n{stderr}"
+        );
+    }
+    assert!(!status.success());
+}

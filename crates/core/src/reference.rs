@@ -67,6 +67,7 @@ impl LegoSdnRuntime {
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
+            open: None,
         };
         commit_on_lane(&mut cx, &mut lane, l, slot, work, tx);
     }

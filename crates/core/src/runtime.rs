@@ -55,6 +55,10 @@ use std::time::Instant;
 #[path = "reference.rs"]
 mod reference;
 
+#[cfg(test)]
+#[path = "lost_shard_tests.rs"]
+mod lost_shard_tests;
+
 /// Identifier of an attached app.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct AppId(pub usize);
@@ -227,6 +231,8 @@ impl LegoSdnRuntime {
                     crashpad,
                     apps: Vec::new(),
                     metrics: ShardMetrics::resolve(&obs, &label),
+                    #[cfg(test)]
+                    faults: Vec::new(),
                 }
             })
             .collect();
@@ -460,8 +466,11 @@ impl LegoSdnRuntime {
     ///
     /// Shard 0 runs inline on this thread; shard *N* ≥ 1 runs as one job
     /// on the pool's long-lived `lego-worker-N` thread, and the cycle ends
-    /// when every shard has finished. A shard's panic reaches the caller
-    /// once the others are done.
+    /// when every shard has finished. A panic in a shard's own loop loses
+    /// that shard, not the cycle: its apps die through Crash-Pad as
+    /// `WorkerLost`, its open transaction is aborted and its remaining
+    /// positions are elided, so its peers finish the window and this
+    /// returns (DESIGN.md §9).
     fn run_window(&mut self, net: &mut Network) {
         let depth = self.config.dispatch.window.max(1);
         self.metrics
@@ -474,6 +483,7 @@ impl LegoSdnRuntime {
         let lane = Mutex::new(CommitLane {
             net,
             netlog: &mut self.netlog,
+            open: None,
         });
         let win = Window {
             store: &store,
@@ -490,7 +500,9 @@ impl LegoSdnRuntime {
         };
         if sharded {
             // Start the workers with work instead of a race for the feed
-            // (with no app anywhere, this session is the whole cycle).
+            // (with no app anywhere, this session is the whole cycle). It
+            // runs before any shard, so a panic translating here leaves
+            // this call (DESIGN.md §5).
             win.top_up(0);
         }
         // A shard without apps owns no position, so nothing ties its
@@ -1324,7 +1336,7 @@ mod tests {
                 Box::new(Hub::new()),
                 ResourceLimits {
                     max_events: Some(2),
-                    ..ResourceLimits::default()
+                    max_commands: None,
                 },
             )
             .unwrap();
@@ -1341,7 +1353,7 @@ mod tests {
             id,
             ResourceLimits {
                 max_events: Some(100),
-                ..ResourceLimits::default()
+                max_commands: None,
             }
         ));
         net.inject(a, Packet::ethernet(a, b)).unwrap();

@@ -22,15 +22,16 @@ use crate::runtime::{AppStatus, Feed, Pull, ResourceUsage, RuntimeStats};
 use legosdn_appvisor::{AppHandle, AppVisorProxy};
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
-use legosdn_controller::sandbox::DeliverOutcome;
+use legosdn_controller::sandbox::{panic_text, DeliverOutcome};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{CompromisePolicy, CrashPad, DispatchResult, FailureKind, RecoverableApp};
 use legosdn_invariants::shutdown_network;
-use legosdn_netlog::{CommitBarrier, NetLog, TxError, TxId};
+use legosdn_netlog::{CommitBarrier, NetLog, Transaction, TxError, TxId};
 use legosdn_netsim::{Network, SimTime};
 use legosdn_obs::{AppId, Counter, Gauge, Histogram, Obs, RecordKind, TraceId};
 use legosdn_openflow::prelude::Message;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -65,6 +66,34 @@ pub(crate) struct WorkerShard {
     pub(crate) crashpad: CrashPad,
     pub(crate) apps: Vec<AppRecord>,
     pub(crate) metrics: ShardMetrics,
+    /// Where a test makes this shard's thread panic, in firing order.
+    #[cfg(test)]
+    pub(crate) faults: Vec<FaultPoint>,
+}
+
+/// A point in a shard's loop where a test can make its thread panic:
+/// what a bug in the runtime's own code there would do.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FaultPoint {
+    /// Filling: about to queue slot `slot` to local app `local`.
+    Fill { slot: usize, local: usize },
+    /// Harvesting the slot at `commit_pos`: about to settle local app
+    /// `local`'s position.
+    Harvest { commit_pos: usize, local: usize },
+    /// On the lane, with transaction `tx` open and one command applied.
+    Lane { tx: u64 },
+    /// A lost shard's drain, about to start.
+    Drain,
+}
+
+/// Panic if `at` is the next point armed on `shard`.
+#[cfg(test)]
+fn fault(shard: &mut WorkerShard, at: FaultPoint) {
+    if shard.faults.first() == Some(&at) {
+        shard.faults.remove(0);
+        panic!("injected fault at {at:?}");
+    }
 }
 
 impl WorkerShard {
@@ -230,10 +259,18 @@ impl SlotStore {
 
 /// The shared commit lane: the one place network effects happen. Workers
 /// take it only for the duration of a single transaction, under barrier
-/// admission.
+/// admission, or for a feed session.
+///
+/// A panic on the lane leaves its lock poisoned and a transaction
+/// perhaps open. Every lock takes the lane back from a [`PoisonError`]:
+/// the open transaction waits in `open` for the lost shard's drain to
+/// abort it, and nobody else can commit before that drain releases the
+/// panicking position at the barrier.
 pub(crate) struct CommitLane<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) netlog: &'a mut NetLog,
+    /// The transaction being executed, from its begin to its commit.
+    pub(crate) open: Option<Transaction>,
 }
 
 /// A shard's view of the runtime while acting on one app: the shard
@@ -408,11 +445,17 @@ fn execute_guarded(
     recover: bool,
     tx: TxId,
 ) -> bool {
-    let mut txn = lane.netlog.begin_for_at(cx.shard.apps[local].id, tx);
+    let txn = lane
+        .open
+        .insert(lane.netlog.begin_for_at(cx.shard.apps[local].id, tx));
     for c in &commands {
+        #[cfg(test)]
+        if txn.len() == 1 {
+            fault(cx.shard, FaultPoint::Lane { tx: tx.0 });
+        }
         // Reads return synchronously; pass stats replies through the
         // counter cache.
-        match lane.netlog.execute(&mut txn, lane.net, c.dpid, &c.msg) {
+        match lane.netlog.execute(txn, lane.net, c.dpid, &c.msg) {
             Ok(replies) => {
                 for mut reply in replies {
                     if let Message::StatsReply(ref mut sr) = reply {
@@ -429,6 +472,7 @@ fn execute_guarded(
 
     // The commit is the byzantine gate: a violation comes back rolled
     // back, with the check's report.
+    let txn = lane.open.take().expect("opened above");
     match lane.netlog.commit(txn, lane.net) {
         Err(TxError::Blocked(check)) => {
             cx.stats.byzantine_blocked += 1;
@@ -478,7 +522,9 @@ fn execute_guarded(
 
 /// What every worker of one cycle's window shares: the slots and the
 /// feed they come from, the commit order, the commit lane and the
-/// read-only knobs. Lock order: feed, then lane.
+/// read-only knobs. Lock order: feed, then lane. A panic mid-translation
+/// poisons both; the next session takes them back and goes on with the
+/// translator as the panic left it (DESIGN.md §5).
 #[derive(Clone, Copy)]
 pub(crate) struct Window<'env, 'net> {
     pub(crate) store: &'env SlotStore,
@@ -525,7 +571,7 @@ impl Window<'_, '_> {
         if self.store.len() >= want {
             return Topped::Full;
         }
-        let mut feed = self.feed.lock().expect("feed poisoned");
+        let mut feed = self.feed.lock().unwrap_or_else(PoisonError::into_inner);
         if feed.ended() {
             return Topped::Ended;
         }
@@ -536,7 +582,7 @@ impl Window<'_, '_> {
         self.store
             .release_below((cursor / self.n_apps.max(1) as u64) as usize);
         let target = if self.workers > 1 { usize::MAX } else { want };
-        let mut lane = self.lane.lock().expect("commit lane poisoned");
+        let mut lane = self.lane.lock().unwrap_or_else(PoisonError::into_inner);
         let mut len = self.store.len();
         while len < target {
             let uncommitted = (len * self.n_apps) as u64;
@@ -622,8 +668,76 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     }
 
     /// Run the window over this shard's apps until the feed has ended and
-    /// every slot it yielded is committed.
+    /// every slot it yielded is committed. A panic in the loop loses the
+    /// shard ([`WorkerRun::lose`]), and the loop runs again as its drain;
+    /// a panic in the drain escapes to the pool, which aborts.
     pub(crate) fn run(&mut self) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.run_loop())) {
+            self.lose(&panic_text(payload));
+            #[cfg(test)]
+            fault(self.shard, FaultPoint::Drain);
+            self.run_loop();
+        }
+        self.scope(None);
+    }
+
+    /// Book this shard as lost to a panic in its own loop: abort the
+    /// transaction it left open on the lane, cancel its in-flight
+    /// entries, and quarantine every app still running through Crash-Pad
+    /// as [`FailureKind::WorkerLost`], whose verdict is always death. With
+    /// no app running, the loop selects none, so every position it has
+    /// left is elided: that is the drain.
+    fn lose(&mut self, panic: &str) {
+        let now = {
+            let mut lane = self.win.lane.lock().unwrap_or_else(PoisonError::into_inner);
+            let CommitLane { net, netlog, open } = &mut *lane;
+            if let Some(txn) = open.take() {
+                let _ = netlog.abort(txn, net);
+            }
+            net.now()
+        };
+        // Deliveries sent but not yet harvested stay uncollected: their
+        // apps are dead for good.
+        for entries in self.pending.iter_mut().skip(self.commit_pos) {
+            entries.clear();
+        }
+        let slot = if self.commit_pos < self.win.store.len() {
+            self.win.store.get(self.commit_pos)
+        } else {
+            // No event of this shard's was in hand: it lost its footing
+            // translating the next one.
+            Arc::new(WindowSlot {
+                event: Event::Tick(now),
+                topology: TopologyView::default(),
+                devices: DeviceView::default(),
+                now,
+                trace: None,
+            })
+        };
+        self.scope(slot.trace);
+        let thread = std::thread::current();
+        let panic_message = format!(
+            "shard {} on thread {}: {panic}",
+            self.shard.id,
+            thread.name().unwrap_or("<unnamed>")
+        );
+        for local in 0..self.shard.apps.len() {
+            if self.shard.apps[local].status != AppStatus::Running {
+                continue;
+            }
+            let failure = FailureKind::WorkerLost {
+                panic_message: panic_message.clone(),
+            };
+            self.shard.with_app(local, |crashpad, app, id, name| {
+                let (event, topo, dev) = (&slot.event, &slot.topology, &slot.devices);
+                crashpad.recover(app, id, name, event, failure, topo, dev, slot.now)
+            });
+            mark_dead(&mut self.cx(), local);
+        }
+    }
+
+    /// [`WorkerRun::run`]'s loop.
+    fn run_loop(&mut self) {
         loop {
             let topped = if self.fed_out {
                 Topped::Ended
@@ -645,7 +759,6 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
                 Topped::Full => unreachable!("a full window holds the commit cursor's slot"),
             }
         }
-        self.scope(None);
     }
 
     /// Queue deliveries for every stored slot inside the window, then
@@ -684,6 +797,8 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             if !matches!(self.shard.apps[local].host, Host::Isolated(_)) {
                 continue;
             }
+            #[cfg(test)]
+            fault(self.shard, FaultPoint::Fill { slot: s, local });
             if !select_app(&mut self.cx(), local, kind) {
                 continue;
             }
@@ -747,6 +862,8 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         // admission wait, so a peer's cursor is never held by our waits.
         let mut settles: Vec<Settle> = Vec::new();
         for local in 0..self.shard.apps.len() {
+            #[cfg(test)]
+            fault(self.shard, FaultPoint::Harvest { commit_pos, local });
             let pos = self.pos_of(commit_pos, local);
             let (result, failed) = if entries.peek().is_some_and(|e| e.local == local) {
                 let entry = entries.next().expect("peeked");
@@ -904,7 +1021,7 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         let tx = TxId(win.tx_cycle_base + pos * TXS_PER_POS);
         win.barrier.acquire(pos);
         let blocked = {
-            let mut lane = win.lane.lock().expect("commit lane poisoned");
+            let mut lane = win.lane.lock().unwrap_or_else(PoisonError::into_inner);
             commit_on_lane(&mut self.cx(), &mut lane, local, slot, work, tx)
         };
         win.barrier.release(pos);

@@ -300,8 +300,14 @@ impl CrashPad {
             format!("failure dispatching {:?} to '{name}'", event.kind()),
             format!("policy resolved to {policy}"),
         ];
-        let (verdict, commands) =
-            self.compromise(app, id, name, event, policy, topology, devices, now);
+        let (verdict, commands) = if let FailureKind::WorkerLost { .. } = failure {
+            // The app's shard lost its thread mid-window, so what the app
+            // was last handed, and what it last answered, is unknown: no
+            // restore can be trusted to put it back in step.
+            (Verdict::LetDie, Vec::new())
+        } else {
+            self.compromise(app, id, name, event, policy, topology, devices, now)
+        };
         self.obs.emit(
             Some(id),
             RecordKind::PolicyDecision {
@@ -853,6 +859,45 @@ mod tests {
             "replay rebuilt the pre-crash suffix"
         );
         assert_eq!(pad.stats().byzantine_failures, 1);
+    }
+
+    #[test]
+    fn a_lost_worker_kills_its_app_under_any_policy_without_touching_it() {
+        for policy in [CompromisePolicy::Absolute, CompromisePolicy::Equivalence] {
+            let mut pad = pad(policy, 1);
+            let mut sandbox = Sandbox::new(Box::new(Brittle::default()));
+            let (topo, dev) = (topo2(), DeviceView::default());
+            let ev = Event::SwitchUp(DatapathId(1));
+            dispatch(&mut pad, &mut sandbox, &ev, &topo);
+            dispatch(&mut pad, &mut sandbox, &ev, &topo);
+            let id = pad.obs.attach_app("brittle");
+            let failure = FailureKind::WorkerLost {
+                panic_message: "shard 1 on thread lego-worker-1: boom".into(),
+            };
+            let r = pad.recover(
+                &mut sandbox,
+                id,
+                "brittle",
+                &ev,
+                failure,
+                &topo,
+                &dev,
+                SimTime::ZERO,
+            );
+            assert!(
+                matches!(r, DispatchResult::AppDead { .. }),
+                "{policy}: {r:?}"
+            );
+            // Neither restored nor replayed: the app is as the worker left it.
+            assert_eq!(brittle_state(&sandbox).events, 2, "{policy}");
+            assert_eq!(pad.stats().recoveries, 0, "{policy}");
+            assert_eq!(pad.stats().apps_let_die, 1, "{policy}");
+            let ticket = pad.tickets.iter().last().unwrap();
+            assert_eq!(ticket.recovery, RecoveryTaken::LetDie);
+            assert!(ticket
+                .render()
+                .contains("worker lost: shard 1 on thread lego-worker-1"));
+        }
     }
 
     #[test]

@@ -21,15 +21,20 @@ pub enum FailureKind {
     CommFailure,
     /// The app's output violated network invariants.
     Byzantine { violations: usize },
+    /// The worker shard hosting the app panicked in the runtime's own
+    /// code; the text names the shard, its thread and the panic.
+    WorkerLost { panic_message: String },
 }
 
 impl FailureKind {
     /// The record that opens an incident for this failure.
     pub(crate) fn detection(&self) -> RecordKind {
         match self {
-            FailureKind::FailStop { panic_message } => RecordKind::AppCrash {
-                detail: panic_message.clone(),
-            },
+            FailureKind::FailStop { panic_message } | FailureKind::WorkerLost { panic_message } => {
+                RecordKind::AppCrash {
+                    detail: panic_message.clone(),
+                }
+            }
             FailureKind::CommFailure => RecordKind::CommFailure,
             FailureKind::Byzantine { violations } => RecordKind::ByzantineBlocked {
                 violations: *violations as u64,
@@ -43,6 +48,7 @@ impl FailureKind {
             FailureKind::FailStop { .. } => "fail_stop",
             FailureKind::CommFailure => "comm_failure",
             FailureKind::Byzantine { .. } => "byzantine",
+            FailureKind::WorkerLost { .. } => "worker_lost",
         }
     }
 
@@ -54,6 +60,7 @@ impl FailureKind {
             FailureKind::Byzantine { violations } => {
                 format!("byzantine output: {violations} invariant violation(s)")
             }
+            FailureKind::WorkerLost { panic_message } => format!("worker lost: {panic_message}"),
         }
     }
 }
@@ -260,13 +267,20 @@ mod tests {
             ),
             (FailureKind::CommFailure, "comm_failure"),
             (FailureKind::Byzantine { violations: 2 }, "byzantine"),
+            (
+                FailureKind::WorkerLost {
+                    panic_message: "shard 1 on lego-worker-1: boom".into(),
+                },
+                "worker_lost",
+            ),
         ];
         for (kind, label) in kinds {
             // A new kind must join the list above.
             match kind {
                 FailureKind::FailStop { .. }
                 | FailureKind::CommFailure
-                | FailureKind::Byzantine { .. } => {}
+                | FailureKind::Byzantine { .. }
+                | FailureKind::WorkerLost { .. } => {}
             }
             assert!(kind.detection().is_detection(), "{kind:?}");
             assert_eq!(kind.class(), label);

@@ -114,11 +114,15 @@ impl CommitBarrier {
     }
 
     /// Mark `pos` done without a transaction. Cursor advances see it
-    /// immediately; the caller never waits.
+    /// immediately; the caller never waits. A position already done is
+    /// left as it is: a lost shard's drain finishes every position of its
+    /// own it reaches, whichever of them it had finished before it lost
+    /// its footing.
     pub fn finish_empty(&self, pos: u64) {
         let mut st = self.lock();
-        st.stats.elided_positions += 1;
-        Self::complete(&mut st, pos);
+        if Self::complete(&mut st, pos) {
+            st.stats.elided_positions += 1;
+        }
         self.wake(st);
     }
 
@@ -148,15 +152,19 @@ impl CommitBarrier {
         self.wake(st);
     }
 
-    fn complete(st: &mut State, pos: u64) {
-        if pos == st.cursor {
-            st.cursor += 1;
-            while st.done.remove(&st.cursor) {
-                st.cursor += 1;
-            }
-        } else {
-            st.done.insert(pos);
+    /// Mark `pos` done; whether it was not done already.
+    fn complete(st: &mut State, pos: u64) -> bool {
+        if pos < st.cursor {
+            return false;
         }
+        if pos > st.cursor {
+            return st.done.insert(pos);
+        }
+        st.cursor += 1;
+        while st.done.remove(&st.cursor) {
+            st.cursor += 1;
+        }
+        true
     }
 
     /// Counters so far (the runtime exports them after each cycle).
@@ -270,6 +278,29 @@ mod tests {
             BarrierStats {
                 ordered_commits: 2,
                 elided_positions: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn finishing_a_finished_position_again_changes_nothing() {
+        let b = CommitBarrier::default();
+        b.finish_empty(0);
+        b.finish_empty(2);
+        b.finish_empty(0); // passed by the cursor
+        b.finish_empty(2); // waiting above it
+        assert_eq!(b.cursor(), 1);
+        b.acquire(1);
+        b.release(1);
+        b.finish_empty(2);
+        b.finish_empty(1); // acquired and released
+        assert_eq!(b.cursor(), 3);
+        assert!(b.lock().done.is_empty(), "a stale done entry");
+        assert_eq!(
+            b.stats(),
+            BarrierStats {
+                ordered_commits: 1,
+                elided_positions: 2,
             }
         );
     }

@@ -1,13 +1,17 @@
 //! Deterministic randomness for LegoSDN: a seedable PRNG used by
 //! `netsim::Topology::random` and the trace generators, plus a tiny
 //! property-test harness replacing `proptest` (the build environment has
-//! no registry access, so both are hand-rolled over std).
+//! no registry access, so both are hand-rolled over std), and a deadline
+//! for tests of code that can hang.
 //!
 //! Determinism is load-bearing: topology generation and fault campaigns
 //! assert same-seed reproducibility, and STS-style replay (ROADMAP) depends
 //! on it.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 
 /// A small, fast, seedable PRNG (splitmix64).
 ///
@@ -161,6 +165,22 @@ pub fn forall(cases: u32, mut body: impl FnMut(&mut Rng)) {
             );
             panic::resume_unwind(payload);
         }
+    }
+}
+
+/// Run `body` on a thread of its own and fail if it panics, or if it has
+/// not returned within `limit`: a test of code that can hang fails rather
+/// than wedge the suite. The thread of a body that hangs is left behind.
+pub fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) => {}
+        Err(RecvTimeoutError::Timeout) => panic!("not done within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the body panicked"),
     }
 }
 

@@ -140,8 +140,8 @@ fn run_campaign_with(
         Extra::Nothing => {}
         Extra::CommandBudget => {
             let limits = ResourceLimits {
+                max_events: None,
                 max_commands: Some(PROBE_BUDGET),
-                ..ResourceLimits::default()
             };
             rt.attach_with_limits(Box::new(OrderProbe { count: 0 }), limits)
                 .unwrap();

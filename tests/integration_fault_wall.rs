@@ -11,7 +11,9 @@ use legosdn::crashpad::{FailureKind, ProblemTicket};
 use legosdn::netlog::TxRecord;
 use legosdn::netsim::FlowEntry;
 use legosdn::prelude::*;
+use legosdn_testkit::within;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// The packet-in count at which a one-shot fault fires.
 const AT: u64 = 3;
@@ -262,5 +264,107 @@ fn a_panic_naming_the_app_fails_its_attach_and_nothing_else() {
                 assert!(run.tickets.is_empty(), "{setup:?}");
             },
         );
+    }
+}
+
+/// A panic payload whose own drop panics.
+struct Bomb;
+
+impl Drop for Bomb {
+    fn drop(&mut self) {
+        panic!("the payload's drop panics too");
+    }
+}
+
+/// Counts the packet-ins it handles and emits nothing; on the [`AT`]th,
+/// once, it panics with a [`Bomb`].
+struct Bomber {
+    handled: u64,
+    armed: AtomicBool,
+}
+
+impl SdnApp for Bomber {
+    fn name(&self) -> &str {
+        "bomber"
+    }
+    fn subscriptions(&self) -> Vec<EventKind> {
+        vec![EventKind::PacketIn]
+    }
+    fn on_event(&mut self, _event: &Event, _ctx: &mut Ctx<'_>) {
+        if self.handled == AT && self.armed.swap(false, Ordering::SeqCst) {
+            std::panic::panic_any(Bomb);
+        }
+        self.handled += 1;
+    }
+    fn snapshot(&self) -> Snapshot {
+        self.handled.to_le_bytes().to_vec().into()
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+        let arr: [u8; 8] = bytes
+            .try_into()
+            .map_err(|_| RestoreError("bad snapshot".into()))?;
+        self.handled = u64::from_le_bytes(arr);
+        Ok(())
+    }
+}
+
+#[test]
+fn a_panic_whose_payload_panics_when_dropped_is_one_crash_of_one_app() {
+    for setup in SETUPS {
+        within(Duration::from_secs(10), move || {
+            let topo = Topology::linear(2, 2);
+            let mut net = Network::new(&topo);
+            let mut config = LegoSdnConfig {
+                obs: ObsConfig::instance(Obs::new()),
+                ..LegoSdnConfig::default()
+            };
+            match setup {
+                Setup::Local { workers } => {
+                    config.dispatch = DispatchConfig::default().workers(workers);
+                }
+                Setup::Channel => {
+                    // Both stubs on one host thread.
+                    config.isolation = IsolationMode::Channel;
+                    config.io.mode.io_threads = 1;
+                }
+            }
+            config
+                .crashpad
+                .policies
+                .set_app("bomber", CompromisePolicy::Absolute);
+            let mut rt = LegoSdnRuntime::new(config.build().expect("valid config"));
+            let switch = rt.attach(Box::new(LearningSwitch::new())).unwrap();
+            let bomber = rt
+                .attach(Box::new(Bomber {
+                    handled: 0,
+                    armed: AtomicBool::new(true),
+                }))
+                .unwrap();
+            rt.run_cycle(&mut net); // handshake + discovery
+            let a = topo.hosts[0].mac;
+            let mut recoveries = 0;
+            for round in 0..3u64 {
+                for slot in 0..3u64 {
+                    let dst = MacAddr::from_index(800 + round * 8 + slot);
+                    net.inject(a, Packet::ethernet(a, dst)).unwrap();
+                }
+                let report = rt.run_cycle(&mut net);
+                recoveries += report.recoveries;
+                // The bomber emits nothing: these are the neighbour's.
+                assert!(report.commands > 0, "{setup:?}: round {round}");
+            }
+            assert_eq!(recoveries, 1, "{setup:?}");
+            assert_eq!(rt.app_status(bomber), Some(&AppStatus::Running));
+            assert_eq!(rt.app_status(switch), Some(&AppStatus::Running));
+            assert_eq!(rt.stats().apps_dead, 0, "{setup:?}");
+            let tickets = &rt.crashpad_for(bomber).unwrap().tickets;
+            let ticket = tickets.iter().find(|t| t.app == "bomber").unwrap();
+            assert_eq!(
+                fail_stop_text(ticket),
+                Some("<non-string panic payload>"),
+                "{setup:?}"
+            );
+            drop(rt);
+        });
     }
 }

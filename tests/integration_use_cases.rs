@@ -52,8 +52,8 @@ fn resource_limited_app_cannot_starve_the_controller() {
         .attach_with_limits(
             Box::new(Hub::new()),
             ResourceLimits {
+                max_events: None,
                 max_commands: Some(3),
-                ..ResourceLimits::default()
             },
         )
         .unwrap();

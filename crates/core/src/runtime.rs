@@ -126,7 +126,6 @@ pub struct LegoCycleReport {
 pub struct ResourceUsage {
     pub events_consumed: u64,
     pub commands_emitted: u64,
-    pub last_snapshot_bytes: u64,
 }
 
 /// Why an app is not being scheduled.

@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The documents code comments cite: every `DESIGN.md §N` and every E-number
+# DESIGN §4 or a test's module doc names resolves, no DESIGN or
+# EXPERIMENTS heading names a PR, and the two stay under 120 000 bytes.
+echo "==> doc guard: cited sections and E-numbers resolve, no PR in a heading, size bound"
+bash scripts/check_docs.sh || { echo "doc guard failed" >&2; exit 1; }
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -42,9 +48,10 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # nor a transaction's begin record, its app map, a by-value inverse or
 # an action fold that collects ports (a transaction is one recycled
 # record, its commit or rollback names its app, and forwarding runs on
-# reused scratch, §3, §7, §12). A bracketed letter keeps a pattern from
-# matching the line that spells it.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record or by-value inverse"
+# reused scratch, §3, §7, §12), nor a per-app usage field nothing writes
+# (`app_usage` reports only what the runtime counts). A bracketed letter
+# keeps a pattern from matching the line that spells it.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse or unwritten usage field"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -81,8 +88,9 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
     crates/ tests/ examples/ \
   || grep -rnE 'Codec for \[[T]; N\]|OnceLock<Box<\[u8\]>>' crates/ tests/ examples/ \
   || grep -rnE 'TxnBegin|inverse_of|Inverse::|apply_actions|txn_app' crates/ tests/ examples/ \
-  || grep -rniE 'heartbeat|check_liveness|FlowModBatch' crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  || grep -rniE 'heartbeat|check_liveness|FlowModBatch' crates/ tests/ examples/ \
+  || grep -rnw last_snapshot_bytes crates/ tests/ examples/; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 

@@ -16,7 +16,8 @@
 //! [`UdpTransport`] (the paper's prototype transport), one type per
 //! medium used at both ends — the I/O model is in [`poll`]. A fault
 //! domain is the app's `Sandbox`, on a pool of host threads — the
-//! process-isolation substitution documented in DESIGN.md §2.
+//! process-isolation substitution documented in DESIGN.md §2. Tests
+//! that turn on a timeout drive the stub inline ([`InlineStub`]).
 
 pub mod poll;
 pub mod proxy;
@@ -34,4 +35,4 @@ pub use rpc::{
     encode_snapshot_reply, RpcMessage,
 };
 pub use stub::{StubConfig, StubHost, StubReport};
-pub use transport::{FlakyTransport, Transport, TransportError, MAX_DATAGRAM};
+pub use transport::{FlakyTransport, InlineStub, Transport, TransportError, MAX_DATAGRAM};

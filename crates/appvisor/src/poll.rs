@@ -8,10 +8,10 @@
 //!   the stubs it hosts with `try_recv`, so 1000 apps need a handful of
 //!   threads, not 1000;
 //! - proxy-side, no thread sits in between: the proxy blocks on its own
-//!   end. A [`QueueTransport`] parks on the queue the stub host writes
-//!   its replies into; a [`UdpTransport`] blocks in a timed `recv` on its
-//!   own socket, so the kernel wakes it when the datagram lands. Either
-//!   way a reply crosses one thread boundary (stub host → proxy).
+//!   end until the request's deadline. A [`QueueTransport`] parks on the
+//!   queue the stub host writes its replies into; a [`UdpTransport`]
+//!   blocks in a timed `recv` on its own socket. Either way a reply
+//!   crosses one thread boundary (stub host → proxy).
 //!
 //! There is no epoll in `std`, so the stub host's readiness is a
 //! level-triggered scan: an in-memory queue read by a scanning worker
@@ -99,16 +99,16 @@ impl<T> ParkLock<T> {
         look(&mut self.lock().value)
     }
 
-    /// Consumer side: park until `ready` yields something or `timeout`
-    /// elapses. `ready` runs under the mutex, first before any wait.
-    fn wait<R>(&self, timeout: Duration, mut ready: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
-        let deadline = Instant::now() + timeout;
+    /// Consumer side: park until `ready` yields something or `deadline`
+    /// passes. `ready` runs under the mutex, and only before the
+    /// deadline: `None` means it has passed.
+    fn wait<R>(&self, deadline: Instant, mut ready: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
         let mut state = self.lock();
         loop {
+            let left = time_to(deadline)?;
             if let Some(out) = ready(&mut state.value) {
                 return Some(out);
             }
-            let left = deadline.checked_duration_since(Instant::now())?;
             state.parked = true;
             state = self
                 .cv
@@ -118,6 +118,12 @@ impl<T> ParkLock<T> {
             state.parked = false;
         }
     }
+}
+
+/// The time left before `deadline`; `None` once it has come.
+fn time_to(deadline: Instant) -> Option<Duration> {
+    let left = deadline.checked_duration_since(Instant::now())?;
+    (!left.is_zero()).then_some(left)
 }
 
 /// A generation-counted condvar: the readiness signal for sources that
@@ -149,9 +155,8 @@ impl PollWaker {
 
     /// Park until the generation moves past `seen` or `timeout` elapses.
     pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) {
-        let _ = self
-            .generation
-            .wait(timeout, |generation| (*generation != seen).then_some(()));
+        let moved = |generation: &mut u64| (*generation != seen).then_some(());
+        let _ = self.generation.wait(Instant::now() + timeout, moved);
     }
 }
 
@@ -177,13 +182,13 @@ impl Frames {
 
 /// One direction of a [`QueueTransport`]: a FIFO of frames between the
 /// sending end and the one receiving end. The receiver either blocks on
-/// the queue itself (`pop_wait` parks on the queue's condvar — the
+/// the queue itself (parks on the queue's condvar until a deadline — the
 /// proxy's end) or scans it from a stub-host worker whose [`PollWaker`]
 /// the queue then carries. Queued frames drain before a close is
 /// reported, and a close wakes a parked receiver.
 struct FrameQueue {
     frames: ParkLock<Frames>,
-    /// The scanning worker to wake, for a queue read with `try_pop` from
+    /// The scanning worker to wake, for a queue read with `try_recv` from
     /// a scan loop. A stub belongs to one worker for its whole life.
     waker: OnceLock<Arc<PollWaker>>,
 }
@@ -221,19 +226,11 @@ impl FrameQueue {
         self.frames.update(|frames| frames.closed = true);
         self.wake_scanner();
     }
-
-    fn try_pop(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        self.frames.peek(Frames::pop).transpose()
-    }
-
-    fn pop_wait(&self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        self.frames.wait(timeout, Frames::pop).transpose()
-    }
 }
 
 /// One end of an in-memory channel: sends move the frame into the far
 /// end's queue, receives park on this end's own queue. No thread sits in
-/// between — the far end's send is what wakes a parked `recv_timeout`,
+/// between — the far end's send is what wakes a parked `recv_until`,
 /// and only then; dropping the far end wakes it too, as
 /// [`TransportError::Disconnected`].
 pub struct QueueTransport {
@@ -256,20 +253,16 @@ impl QueueTransport {
 }
 
 impl Transport for QueueTransport {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        self.out.push(bytes.to_vec())
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.out.push(frame)
     }
 
-    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
-        self.out.push(bytes)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        self.inbound.pop_wait(timeout)
+    fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
+        self.inbound.frames.wait(deadline, Frames::pop).transpose()
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        self.inbound.try_pop()
+        self.inbound.frames.peek(Frames::pop).transpose()
     }
 
     fn set_waker(&mut self, waker: Arc<PollWaker>) {
@@ -299,7 +292,7 @@ fn io_error(e: std::io::Error) -> TransportError {
 
 /// One end of a connected UDP loopback pair — "the proxy and stub
 /// communicate with each other using UDP" (paper §4.1). The proxy blocks
-/// in [`Transport::recv_timeout`], a timed `recv` on this socket; the
+/// in [`Transport::recv_until`], a timed `recv` on this socket; the
 /// stub host scans with [`Transport::try_recv`]. The socket switches
 /// between blocking and non-blocking only when the kind of read changes,
 /// so a steady stream of either kind costs no mode switch.
@@ -347,17 +340,17 @@ impl UdpTransport {
 }
 
 impl Transport for UdpTransport {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        if bytes.len() > MAX_DATAGRAM {
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        if frame.len() > MAX_DATAGRAM {
             return Err(TransportError::Io(format!(
                 "frame of {} bytes exceeds datagram limit {MAX_DATAGRAM}",
-                bytes.len()
+                frame.len()
             )));
         }
         // A non-blocking end can find the send buffer full: retry, bounded.
         let deadline = Instant::now() + SEND_RETRY;
         loop {
-            match self.socket.send(bytes) {
+            match self.socket.send(&frame) {
                 Ok(_) => return Ok(()),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
@@ -371,17 +364,17 @@ impl Transport for UdpTransport {
         }
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        // A socket cannot wait for no time: `set_read_timeout` rejects
-        // zero, which the OS would read as "forever".
-        if timeout.is_zero() {
-            return self.try_recv();
+    fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
+        // Re-armed with the time left (never zero, which `set_read_timeout`
+        // rejects) until the deadline: a timed `recv` can end early.
+        while let Some(left) = time_to(deadline) {
+            self.set_nonblocking(false)?;
+            self.socket.set_read_timeout(Some(left)).map_err(io_error)?;
+            if let Some(frame) = self.recv()? {
+                return Ok(Some(frame));
+            }
         }
-        self.set_nonblocking(false)?;
-        self.socket
-            .set_read_timeout(Some(timeout))
-            .map_err(io_error)?;
-        self.recv()
+        Ok(None)
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -393,6 +386,7 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::in_ms;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -425,7 +419,7 @@ mod tests {
             })
         };
         parked.wait();
-        let got = a.recv_timeout(Duration::from_secs(2));
+        let got = a.recv_until(in_ms(2_000));
         let woke = Instant::now();
         assert_eq!(got, Err(TransportError::Disconnected));
         let dropped = dropper.join().unwrap();
@@ -439,26 +433,26 @@ mod tests {
     #[test]
     fn direct_queued_frames_drain_before_the_disconnect() {
         let (mut a, mut b) = QueueTransport::pair();
-        b.send(b"last words").unwrap();
+        b.send(b"last words".to_vec()).unwrap();
         drop(b);
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
-            b"last words"
-        );
+        assert_eq!(a.recv_until(in_ms(1_000)).unwrap().unwrap(), b"last words");
         assert_eq!(a.try_recv(), Err(TransportError::Disconnected));
         assert_eq!(
-            a.recv_timeout(Duration::from_secs(1)),
+            a.recv_until(in_ms(1_000)),
             Err(TransportError::Disconnected)
         );
-        assert_eq!(a.send(b"anyone?"), Err(TransportError::Disconnected));
+        assert_eq!(
+            a.send(b"anyone?".to_vec()),
+            Err(TransportError::Disconnected)
+        );
     }
 
     const STRESS_FRAMES: u64 = 200_000;
 
     /// One producer, one consumer that parks whenever it finds nothing:
-    /// every `recv_timeout(2 s)` must return the next frame before its
+    /// every `recv_until` 2 s out must return the next frame before its
     /// deadline. A producer that skipped a notify the consumer needed
-    /// shows up as a park that ran the full 2 s.
+    /// shows up as a park that ran the full 2 s: a timeout.
     fn lost_wake_stress(mut tx: impl Transport + 'static, mut rx: impl Transport) {
         let consumed = Arc::new(AtomicU64::new(0));
         let producer = {
@@ -473,24 +467,15 @@ mod tests {
                             std::thread::yield_now();
                         }
                     }
-                    tx.send_owned(i.to_le_bytes().to_vec()).unwrap();
+                    tx.send(i.to_le_bytes().to_vec()).unwrap();
                 }
                 tx // keep the far side open until the consumer is done
             })
         };
         for i in 0..STRESS_FRAMES {
-            // A park that runs out its deadline re-checks the queue on
-            // the way out, so a lost wakeup reads as a late frame, not a
-            // missing one: time the call as well.
-            let start = Instant::now();
-            let frame = rx
-                .recv_timeout(Duration::from_secs(2))
-                .expect("transport alive");
-            assert!(
-                start.elapsed() < Duration::from_secs(2),
-                "frame {i} waited out its deadline: a wakeup was lost"
-            );
-            assert_eq!(frame.expect("within the deadline"), i.to_le_bytes());
+            let frame = rx.recv_until(in_ms(2_000)).expect("transport alive");
+            let frame = frame.unwrap_or_else(|| panic!("frame {i} timed out: a wakeup was lost"));
+            assert_eq!(frame, i.to_le_bytes());
             consumed.store(i + 1, Ordering::SeqCst);
         }
         drop(producer.join().unwrap());
@@ -511,12 +496,11 @@ mod tests {
     }
 
     impl Transport for ScannedEnd {
-        fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-            self.end.send(bytes)
+        fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+            self.end.send(frame)
         }
 
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-            let deadline = Instant::now() + timeout;
+        fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
             loop {
                 let seen = self.waker.current();
                 if let Some(frame) = self.end.try_recv()? {
@@ -524,7 +508,7 @@ mod tests {
                 }
                 // A wake for a frame an earlier scan already took ends
                 // the park early; scan again until the deadline.
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                let Some(left) = time_to(deadline) else {
                     return Ok(None);
                 };
                 self.waker.wait_past(seen, left);

@@ -107,16 +107,6 @@ impl fmt::Display for ProxyError {
 
 impl std::error::Error for ProxyError {}
 
-/// Time remaining before `deadline`, or `None` once it has passed.
-///
-/// Every proxy recv loop gates on this so an expired deadline is
-/// classified as a timeout exactly once, up front — we never hand a
-/// zero-duration timeout to `recv_timeout`.
-fn time_left(deadline: Instant) -> Option<Duration> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    (!remaining.is_zero()).then_some(remaining)
-}
-
 /// Per-app wire counters (the serialization-overhead evidence for E2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AppWireStats {
@@ -299,46 +289,45 @@ impl AppVisorProxy {
     }
 
     /// Register an app over an already-connected transport (the far end
-    /// must be a stub: [`StubHost::spawn`]). Waits for the `Register`
-    /// frame; a stub whose app panicked while naming itself sends
-    /// `Crashed` in its place.
+    /// must be a stub: [`StubHost::spawn`] or an
+    /// [`InlineStub`](crate::transport::InlineStub)). Waits for the
+    /// `Register` frame; a stub whose app panicked while naming itself
+    /// sends `Crashed` in its place.
     pub fn register_transport(
         &mut self,
         mut transport: Box<dyn Transport>,
     ) -> Result<AppHandle, ProxyError> {
         let deadline = Instant::now() + self.config.rpc_timeout;
         loop {
-            let Some(remaining) = time_left(deadline) else {
-                return Err(ProxyError::RegistrationFailed("no register frame".into()));
-            };
-            match transport.recv_timeout(remaining) {
-                Ok(Some(frame)) => match decode_frame(&frame) {
-                    Ok(RpcMessage::Register {
-                        app_name,
+            let frame = transport
+                .recv_until(deadline)
+                .map_err(ProxyError::Transport)?
+                .ok_or_else(|| ProxyError::RegistrationFailed("no register frame".into()))?;
+            match decode_frame(&frame) {
+                Ok(RpcMessage::Register {
+                    app_name,
+                    subscriptions,
+                }) => {
+                    self.apps.push(AppSlot {
+                        metrics: SlotMetrics::resolve(&self.obs, &app_name),
+                        name: app_name,
                         subscriptions,
-                    }) => {
-                        self.apps.push(AppSlot {
-                            metrics: SlotMetrics::resolve(&self.obs, &app_name),
-                            name: app_name,
-                            subscriptions,
-                            transport,
-                            next_seq: 0,
-                            alive: true,
-                            stats: AppWireStats::default(),
-                            shipped: Shipped::Never,
-                            delta_capacity: 0,
-                            inbox: VecDeque::new(),
-                            cancelled: BTreeSet::new(),
-                        });
-                        return Ok(AppHandle(self.apps.len() - 1));
-                    }
-                    Ok(RpcMessage::Crashed { panic_message, .. }) => {
-                        return Err(ProxyError::RegistrationFailed(panic_message));
-                    }
-                    _ => {}
-                },
-                Ok(None) => {}
-                Err(e) => return Err(ProxyError::Transport(e)),
+                        transport,
+                        next_seq: 0,
+                        alive: true,
+                        stats: AppWireStats::default(),
+                        shipped: Shipped::Never,
+                        delta_capacity: 0,
+                        inbox: VecDeque::new(),
+                        cancelled: BTreeSet::new(),
+                    });
+                    return Ok(AppHandle(self.apps.len() - 1));
+                }
+                Ok(RpcMessage::Crashed { panic_message, .. }) => {
+                    return Err(ProxyError::RegistrationFailed(panic_message));
+                }
+                // A stray frame: wait on for the same deadline.
+                _ => {}
             }
         }
     }
@@ -413,8 +402,7 @@ impl AppVisorProxy {
         slot.next_seq += 1;
         let seq = slot.next_seq;
         send_rpc(slot, encode_frame(&RpcMessage::SnapshotRequest { seq }))?;
-        let deadline = Instant::now() + self.config.rpc_timeout;
-        match await_tag(slot, seq, deadline) {
+        match await_tag(slot, seq, Instant::now() + self.config.rpc_timeout) {
             Ok(Some(RpcMessage::SnapshotReply { bytes, .. })) => Ok(bytes),
             Ok(_) => Err(ProxyError::Timeout),
             Err(e) => Err(ProxyError::Transport(e)),
@@ -433,8 +421,7 @@ impl AppVisorProxy {
             slot,
             encode_frame(&RpcMessage::RestoreRequest { seq, bytes }),
         )?;
-        let deadline = Instant::now() + self.config.rpc_timeout;
-        match await_tag(slot, seq, deadline) {
+        match await_tag(slot, seq, Instant::now() + self.config.rpc_timeout) {
             Ok(Some(RpcMessage::RestoreAck { ok, .. })) => {
                 // Anything stashed or cancelled predates this restore and
                 // can never be collected: the in-flight queue starts clean.
@@ -503,9 +490,8 @@ impl AppVisorProxy {
         h: AppHandle,
         seq: u64,
     ) -> Result<DeliverOutcome, ProxyError> {
-        let deadline = Instant::now() + self.config.deliver_timeout;
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        let reply = await_tag(slot, seq, deadline);
+        let reply = await_tag(slot, seq, Instant::now() + self.config.deliver_timeout);
         Ok(settle_delivery(slot, reply, &self.obs))
     }
 
@@ -540,19 +526,15 @@ impl AppVisorProxy {
         Ok(())
     }
 
-    /// Shut all stubs down and collect their reports: the stubs get a
-    /// grace period to serve their `Shutdown` frames before the host pool
-    /// stops.
+    /// Shut all stubs down and collect their reports: the host pool
+    /// serves the `Shutdown` frames, and whatever was queued before them,
+    /// as it stops.
     pub fn shutdown(mut self) -> Vec<StubReport> {
         for slot in &mut self.apps {
-            let _ = slot
-                .transport
-                .send_owned(encode_frame(&RpcMessage::Shutdown));
+            let _ = slot.transport.send(encode_frame(&RpcMessage::Shutdown));
         }
-        self.stub_host
-            .take()
-            .map(|host| host.shutdown(Duration::from_secs(2)))
-            .unwrap_or_default()
+        let reports = self.stub_host.take().map(StubHost::shutdown);
+        reports.unwrap_or_default()
     }
 }
 
@@ -576,7 +558,7 @@ fn mark_failed(slot: &mut AppSlot, outcome: &DeliverOutcome) {
 fn send_frame(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), TransportError> {
     slot.stats.bytes_sent += frame.len() as u64;
     slot.metrics.bytes_sent.add(frame.len() as u64);
-    slot.transport.send_owned(frame)
+    slot.transport.send(frame)
 }
 
 /// [`send_frame`] for a blocking RPC: a failed send marks the slot failed
@@ -696,7 +678,8 @@ fn settle_delivery(
 /// Await the reply tagged `seq`: inbox first, then the transport.
 /// Later tags' replies are stashed in the inbox, cancelled and stale
 /// tags are dropped, and the cancelled set is pruned below a matched tag
-/// (FIFO replies make those unreachable). `Ok(None)` is a timeout.
+/// (FIFO replies make those unreachable). `Ok(None)` is the transport's
+/// verdict that `deadline` passed first.
 fn await_tag(
     slot: &mut AppSlot,
     seq: u64,
@@ -707,40 +690,33 @@ fn await_tag(
         slot.cancelled = slot.cancelled.split_off(&seq);
         return Ok(Some(msg));
     }
-    loop {
-        let Some(remaining) = time_left(deadline) else {
-            return Ok(None);
+    while let Some(frame) = slot.transport.recv_until(deadline)? {
+        received(slot, &frame);
+        let Ok(msg) = decode_frame(&frame) else {
+            continue;
         };
-        match slot.transport.recv_timeout(remaining) {
-            Ok(Some(frame)) => {
-                received(slot, &frame);
-                let Ok(msg) = decode_frame(&frame) else {
-                    continue;
-                };
-                match reply_seq(&msg) {
-                    Some(s) if s == seq => {
-                        slot.cancelled = slot.cancelled.split_off(&seq);
-                        return Ok(Some(msg));
-                    }
-                    Some(s) if slot.cancelled.contains(&s) => {}
-                    // A later tag's reply outran ours (UDP datagrams can
-                    // reorder) or sits ahead of a reply we collect later:
-                    // keep it for that collect.
-                    Some(s) if s > seq => slot.inbox.push_back(msg),
-                    // Below the tag we are waiting on: already collected
-                    // or pre-restore — stale either way.
-                    _ => {}
-                }
+        match reply_seq(&msg) {
+            Some(s) if s == seq => {
+                slot.cancelled = slot.cancelled.split_off(&seq);
+                return Ok(Some(msg));
             }
-            Ok(None) => {}
-            Err(e) => return Err(e),
+            Some(s) if slot.cancelled.contains(&s) => {}
+            // A later tag's reply outran ours (UDP datagrams can
+            // reorder) or sits ahead of a reply we collect later:
+            // keep it for that collect.
+            Some(s) if s > seq => slot.inbox.push_back(msg),
+            // Below the tag we are waiting on: already collected
+            // or pre-restore — stale either way.
+            _ => {}
         }
     }
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::InlineStub;
     use legosdn_controller::app::{Ctx, RestoreError, Snapshot};
     use legosdn_openflow::prelude::*;
 
@@ -880,22 +856,18 @@ mod tests {
 
     #[test]
     fn comm_failure_on_silent_crash() {
-        let mut p = AppVisorProxy::new(ProxyConfig {
-            deliver_timeout: Duration::from_millis(100),
-            rpc_timeout: Duration::from_secs(1),
-            stub: StubConfig {
-                report_crashes: false, // dead process mode
-            },
-            ..Default::default()
-        });
+        // An inline stub serves the delivery inside the proxy's send: no
+        // reply queued then is the timeout, with no deadline waited out.
+        let mut p = proxy();
+        let app = TestApp {
+            count: 0,
+            crash_on_count: Some(1),
+        };
+        let dead_process = StubConfig {
+            report_crashes: false,
+        };
         let h = p
-            .launch_app(
-                Box::new(TestApp {
-                    count: 0,
-                    crash_on_count: Some(1),
-                }),
-                TransportKind::Channel,
-            )
+            .register_transport(Box::new(InlineStub::new(Box::new(app), dead_process)))
             .unwrap();
         assert_eq!(deliver(&mut p, h), DeliverOutcome::CommFailure);
         assert!(!p.is_alive(h).unwrap());
@@ -1038,9 +1010,9 @@ mod tests {
     #[test]
     fn expired_deadline_is_one_timeout_classification() {
         // A zero deliver timeout means the deadline has already passed when
-        // the recv loop starts: it must short-circuit to exactly one
-        // CommFailure — one comm_failures increment — without issuing a
-        // zero-duration recv.
+        // the proxy waits: the transport's verdict is a timeout without a
+        // read, and the proxy books exactly one CommFailure — one
+        // comm_failures increment.
         let mut p = AppVisorProxy::new(ProxyConfig {
             deliver_timeout: Duration::ZERO,
             rpc_timeout: Duration::from_secs(1),
@@ -1144,7 +1116,7 @@ mod tests {
         // it in the inbox without touching the transport.
         let (proxy_side, mut stub_side) = QueueTransport::pair();
         stub_side
-            .send(&encode_frame(&RpcMessage::Register {
+            .send(encode_frame(&RpcMessage::Register {
                 app_name: "manual".into(),
                 subscriptions: vec![EventKind::PacketIn],
             }))
@@ -1164,13 +1136,13 @@ mod tests {
             .unwrap();
         // Reply to d2 first, then d1.
         stub_side
-            .send(&encode_frame(&RpcMessage::EventAck {
+            .send(encode_frame(&RpcMessage::EventAck {
                 seq: d2,
                 commands: vec![],
             }))
             .unwrap();
         stub_side
-            .send(&encode_frame(&RpcMessage::Crashed {
+            .send(encode_frame(&RpcMessage::Crashed {
                 seq: d1,
                 panic_message: "late".into(),
             }))
@@ -1192,7 +1164,7 @@ mod tests {
         // send fails, and each is booked on the slot like a queued send's.
         let (proxy_side, mut stub_side) = QueueTransport::pair();
         stub_side
-            .send(&encode_frame(&RpcMessage::Register {
+            .send(encode_frame(&RpcMessage::Register {
                 app_name: "gone".into(),
                 subscriptions: vec![EventKind::PacketIn],
             }))
@@ -1208,7 +1180,7 @@ mod tests {
         assert_eq!(p.wire_stats(h).unwrap().comm_failures, 3);
     }
 
-    /// A transport whose next `recv_timeout` fails with an I/O error once
+    /// A transport whose next `recv_until` fails with an I/O error once
     /// `fail` is set.
     struct FailNextRecv {
         inner: QueueTransport,
@@ -1216,14 +1188,14 @@ mod tests {
     }
 
     impl Transport for FailNextRecv {
-        fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-            self.inner.send(bytes)
+        fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+            self.inner.send(frame)
         }
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
+        fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
             if self.fail.swap(false, std::sync::atomic::Ordering::SeqCst) {
                 return Err(TransportError::Io("injected".into()));
             }
-            self.inner.recv_timeout(timeout)
+            self.inner.recv_until(deadline)
         }
         fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
             self.inner.try_recv()
@@ -1234,7 +1206,7 @@ mod tests {
     fn a_reply_read_error_is_a_booked_comm_failure() {
         let (proxy_side, mut stub_side) = QueueTransport::pair();
         stub_side
-            .send(&encode_frame(&RpcMessage::Register {
+            .send(encode_frame(&RpcMessage::Register {
                 app_name: "io-error".into(),
                 subscriptions: vec![EventKind::SwitchUp],
             }))
@@ -1260,7 +1232,7 @@ mod tests {
         // One acked delivery: the stub holds the views it was shipped.
         let d1 = queue(&mut p);
         stub_side
-            .send(&encode_frame(&RpcMessage::EventAck {
+            .send(encode_frame(&RpcMessage::EventAck {
                 seq: d1,
                 commands: vec![],
             }))

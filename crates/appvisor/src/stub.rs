@@ -7,7 +7,9 @@
 //! it speaks only when spoken to: every frame it sends answers one the
 //! proxy sent.
 //! `StubCore` is that protocol with the I/O hoisted out; a [`StubHost`]
-//! drives many cores from a fixed pool of threads.
+//! drives many cores from a fixed pool of threads, and an
+//! [`InlineStub`](crate::transport::InlineStub) drives one on the
+//! caller's thread.
 //!
 //! **Fault containment substitution** (DESIGN.md §2): the paper runs the
 //! stub in a separate JVM process; here stubs share host threads, and the
@@ -33,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Stub behaviour knobs.
 #[derive(Clone, Debug)]
@@ -62,7 +64,7 @@ pub struct StubReport {
 }
 
 /// What [`StubCore::handle_frame`] asks its I/O driver to do next.
-enum StubStep {
+pub(crate) enum StubStep {
     /// Nothing to send; keep serving.
     Continue,
     /// Send this frame, then keep serving.
@@ -73,7 +75,7 @@ enum StubStep {
 
 /// The sans-io stub state machine: sandboxed app + report, with all I/O
 /// hoisted out; [`StubHost`] drives many of them per thread.
-struct StubCore {
+pub(crate) struct StubCore {
     sandbox: Sandbox,
     config: StubConfig,
     /// The controller views as of the delivery frame tagged `.0` — the
@@ -87,13 +89,33 @@ struct StubCore {
 }
 
 impl StubCore {
-    fn new(app: Box<dyn SdnApp>, config: StubConfig) -> StubCore {
-        StubCore {
+    /// Start a stub: read the app's name and subscriptions through its
+    /// wall and frame the `Register` the proxy awaits. An app that panics
+    /// naming itself is never served: `Err` holds its `Crashed` frame, or
+    /// nothing from a stub that does not report crashes.
+    pub(crate) fn start(
+        app: Box<dyn SdnApp>,
+        config: StubConfig,
+    ) -> Result<(StubCore, Vec<u8>), Option<Vec<u8>>> {
+        let mut core = StubCore {
             sandbox: Sandbox::new(app),
             config,
             views: None,
             ack_capacity: 0,
             report: StubReport::default(),
+        };
+        match core.sandbox.identity() {
+            Ok((app_name, subscriptions)) => {
+                let register = RpcMessage::Register {
+                    app_name,
+                    subscriptions,
+                };
+                Ok((core, encode_frame(&register)))
+            }
+            Err(fault) => match core.faulted(0, fault) {
+                StubStep::Reply(crashed) => Err(Some(crashed)),
+                _ => Err(None),
+            },
         }
     }
 
@@ -133,7 +155,7 @@ impl StubCore {
     }
 
     /// Serve one proxy frame: deliver/snapshot/restore/shutdown.
-    fn handle_frame(&mut self, frame: &[u8]) -> StubStep {
+    pub(crate) fn handle_frame(&mut self, frame: &[u8]) -> StubStep {
         let Ok(msg) = decode_frame(frame) else {
             return StubStep::Continue;
         };
@@ -206,14 +228,13 @@ struct HostedStub {
 struct HostWorker {
     waker: Arc<PollWaker>,
     inject: Arc<Mutex<Vec<HostedStub>>>,
-    thread: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<Vec<StubReport>>>,
 }
 
 /// Hosts many [`StubCore`]s on a fixed pool of worker threads, each
 /// scanning its stubs' transports with `try_recv` and sending their
-/// replies ([`crate::poll`]). Each app's [`Sandbox`]
-/// walls off its panics — a crashed app goes dead on its worker without
-/// disturbing neighbors —
+/// replies ([`crate::poll`]). Each app's [`Sandbox`] walls off its panics
+/// — a crashed app goes dead on its worker without disturbing neighbors —
 /// and a 1000-app fleet costs `workers` threads, not 1000. Stubs are
 /// placed round-robin, so up to `workers` stubs each get a thread of
 /// their own; beyond that, an app that *stalls* (rather than panics)
@@ -221,9 +242,7 @@ struct HostWorker {
 pub struct StubHost {
     workers: Vec<HostWorker>,
     next: AtomicUsize,
-    spawned: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
-    reports: Arc<Mutex<Vec<StubReport>>>,
 }
 
 impl StubHost {
@@ -231,21 +250,15 @@ impl StubHost {
     #[must_use]
     pub fn new(workers: usize) -> StubHost {
         let stop = Arc::new(AtomicBool::new(false));
-        let reports: Arc<Mutex<Vec<StubReport>>> = Arc::new(Mutex::new(Vec::new()));
         let workers = (0..workers.max(1))
             .map(|i| {
                 let waker = PollWaker::new();
                 let inject: Arc<Mutex<Vec<HostedStub>>> = Arc::new(Mutex::new(Vec::new()));
-                let thread = {
-                    let waker = waker.clone();
-                    let inject = inject.clone();
-                    let stop = stop.clone();
-                    let reports = reports.clone();
-                    std::thread::Builder::new()
-                        .name(format!("appvisor-stubhost-{i}"))
-                        .spawn(move || host_loop(&waker, &inject, &stop, &reports))
-                        .expect("spawn stub host worker")
-                };
+                let (w, queue, stop) = (waker.clone(), inject.clone(), stop.clone());
+                let thread = std::thread::Builder::new()
+                    .name(format!("appvisor-stubhost-{i}"))
+                    .spawn(move || host_loop(&w, &queue, &stop))
+                    .expect("spawn stub host worker");
                 HostWorker {
                     waker,
                     inject,
@@ -256,9 +269,7 @@ impl StubHost {
         StubHost {
             workers,
             next: AtomicUsize::new(0),
-            spawned: Arc::new(AtomicUsize::new(0)),
             stop,
-            reports,
         }
     }
 
@@ -275,21 +286,13 @@ impl StubHost {
         mut transport: Box<dyn Transport>,
         config: StubConfig,
     ) -> Result<(), TransportError> {
-        let mut core = StubCore::new(app, config);
-        let (app_name, subscriptions) = match core.sandbox.identity() {
-            Ok(identity) => identity,
-            Err(fault) => match core.faulted(0, fault) {
-                StubStep::Reply(crashed) => return transport.send_owned(crashed),
-                _ => return Ok(()),
-            },
+        let (core, register) = match StubCore::start(app, config) {
+            Ok(started) => started,
+            Err(crashed) => return crashed.map_or(Ok(()), |frame| transport.send(frame)),
         };
-        transport.send_owned(encode_frame(&RpcMessage::Register {
-            app_name,
-            subscriptions,
-        }))?;
+        transport.send(register)?;
         let worker = &self.workers[self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len()];
         transport.set_waker(worker.waker.clone());
-        self.spawned.fetch_add(1, Ordering::SeqCst);
         worker
             .inject
             .lock()
@@ -299,34 +302,22 @@ impl StubHost {
         Ok(())
     }
 
-    /// Wait up to `grace` for all hosted stubs to retire (a stub retires
-    /// when it serves `Shutdown` or its transport disconnects), then stop
-    /// the workers and return every stub's report. Stubs still live at
-    /// the deadline are cut off and report whatever they had.
-    pub fn shutdown(mut self, grace: Duration) -> Vec<StubReport> {
-        let deadline = Instant::now() + grace;
-        while Instant::now() < deadline {
-            if self.reports.lock().unwrap().len() >= self.spawned.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.stop();
-        std::mem::take(&mut *self.reports.lock().unwrap())
+    /// Stop the workers and return every stub's report. Each worker
+    /// serves what is already queued on its stubs (the proxy's `Shutdown`
+    /// frames among it) before it reports.
+    pub fn shutdown(mut self) -> Vec<StubReport> {
+        self.stop()
     }
 
-    /// Stop and join every worker; a worker files the reports of the
-    /// stubs it still hosts on the way out. Joining twice is a no-op.
-    fn stop(&mut self) {
+    /// Stop and join every worker, and gather the reports they return.
+    /// Stopping twice joins nothing and gathers nothing.
+    fn stop(&mut self) -> Vec<StubReport> {
         self.stop.store(true, Ordering::SeqCst);
         for w in &self.workers {
             w.waker.wake();
         }
-        for w in &mut self.workers {
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+        let threads = self.workers.iter_mut().filter_map(|w| w.thread.take());
+        threads.flat_map(|t| t.join().unwrap_or_default()).collect()
     }
 }
 
@@ -345,25 +336,18 @@ const HOST_PARK_MAX: Duration = Duration::from_millis(5);
 const HOST_PARK_SCAN: Duration = Duration::from_micros(100);
 
 fn host_loop(
-    waker: &Arc<PollWaker>,
-    inject: &Arc<Mutex<Vec<HostedStub>>>,
-    stop: &Arc<AtomicBool>,
-    reports: &Arc<Mutex<Vec<StubReport>>>,
-) {
+    waker: &PollWaker,
+    inject: &Mutex<Vec<HostedStub>>,
+    stop: &AtomicBool,
+) -> Vec<StubReport> {
     let mut stubs: Vec<HostedStub> = Vec::new();
+    let mut reports = Vec::new();
     loop {
         let seen = waker.current();
-        {
-            let mut pending = inject.lock().unwrap();
-            stubs.append(&mut pending);
-        }
-        if stop.load(Ordering::SeqCst) {
-            let mut out = reports.lock().unwrap();
-            for s in stubs.drain(..) {
-                out.push(s.core.report);
-            }
-            return;
-        }
+        stubs.append(&mut inject.lock().unwrap());
+        // Read before the scan, so a stop is followed by one more: the
+        // final drain, which serves every frame sent before the stop.
+        let stopping = stop.load(Ordering::SeqCst);
         let mut activity = 0u64;
         stubs.retain_mut(|s| {
             // App code runs behind each stub's sandbox; what panics here
@@ -376,10 +360,14 @@ fn host_loop(
                     true
                 });
             if retired {
-                reports.lock().unwrap().push(s.core.report);
+                reports.push(s.core.report);
             }
             !retired
         });
+        if stopping {
+            reports.extend(stubs.iter().map(|s| s.core.report));
+            return reports;
+        }
         if activity == 0 {
             let park = if stubs.iter().all(|s| s.transport.has_waker()) {
                 HOST_PARK_MAX
@@ -401,7 +389,7 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
                 match s.core.handle_frame(&frame) {
                     StubStep::Continue => {}
                     StubStep::Reply(reply) => {
-                        if s.transport.send_owned(reply).is_err() {
+                        if s.transport.send(reply).is_err() {
                             return true;
                         }
                     }
@@ -418,11 +406,14 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
 mod stub_tests {
     use super::*;
     use crate::poll::QueueTransport;
+    use crate::transport::tests::in_ms;
+    use crate::transport::InlineStub;
     use legosdn_controller::app::{RestoreError, Snapshot};
     use legosdn_controller::event::{Event, EventKind};
     use legosdn_controller::services::{DeviceView, TopologyView};
     use legosdn_netsim::SimTime;
     use legosdn_openflow::prelude::*;
+    use std::time::Instant;
 
     /// Minimal app: counts events, crashes on demand.
     struct TestApp {
@@ -466,43 +457,51 @@ mod stub_tests {
 
     /// A `TestApp` on a one-thread host, and the proxy's end of its
     /// channel.
-    fn host_one(
-        count: u32,
-        crash_on: Option<u32>,
-        config: StubConfig,
-    ) -> (StubHost, QueueTransport) {
+    fn host_one(count: u32) -> (StubHost, QueueTransport) {
         let host = StubHost::new(1);
         let (proxy_side, stub_side) = QueueTransport::pair();
-        host.spawn(
-            Box::new(TestApp { count, crash_on }),
-            Box::new(stub_side),
-            config,
-        )
-        .unwrap();
+        let app = TestApp {
+            count,
+            crash_on: None,
+        };
+        host.spawn(Box::new(app), Box::new(stub_side), StubConfig::default())
+            .unwrap();
         (host, proxy_side)
+    }
+
+    /// A `TestApp` behind an inline stub: each request is served inside
+    /// `send`, so a reply not queued by then never comes.
+    fn inline_one(crash_on: Option<u32>, config: StubConfig) -> InlineStub {
+        InlineStub::new(Box::new(TestApp { count: 0, crash_on }), config)
     }
 
     /// Serve the `Shutdown` frame and hand back the one stub's report.
     fn retire(host: StubHost, proxy_side: &mut QueueTransport) -> StubReport {
         proxy_side
-            .send(&encode_frame(&RpcMessage::Shutdown))
+            .send(encode_frame(&RpcMessage::Shutdown))
             .unwrap();
-        let reports = host.shutdown(Duration::from_secs(2));
+        let reports = host.shutdown();
         assert_eq!(reports.len(), 1);
         reports[0]
     }
 
-    fn recv_msg(t: &mut QueueTransport) -> RpcMessage {
+    fn recv_msg(t: &mut impl Transport) -> RpcMessage {
         let frame = t
-            .recv_timeout(Duration::from_secs(2))
+            .recv_until(in_ms(2_000))
             .expect("transport alive")
             .expect("frame within deadline");
         decode_frame(&frame).expect("valid frame")
     }
 
+    /// A deadline no inline test waits for: the inline stub's timeout
+    /// verdict comes at once.
+    fn far() -> Instant {
+        in_ms(60_000)
+    }
+
     #[test]
     fn stub_registers_then_serves_events() {
-        let (host, mut proxy_side) = host_one(0, None, StubConfig::default());
+        let (host, mut proxy_side) = host_one(0);
         match recv_msg(&mut proxy_side) {
             RpcMessage::Register {
                 app_name,
@@ -513,7 +512,7 @@ mod stub_tests {
             }
             other => panic!("expected register, got {other:?}"),
         }
-        proxy_side.send(&deliver_frame(1)).unwrap();
+        proxy_side.send(deliver_frame(1)).unwrap();
         match recv_msg(&mut proxy_side) {
             RpcMessage::EventAck { seq, commands } => {
                 assert_eq!(seq, 1);
@@ -528,12 +527,12 @@ mod stub_tests {
 
     #[test]
     fn crash_is_contained_and_reported() {
-        let (host, mut proxy_side) = host_one(0, Some(2), StubConfig::default());
-        let _ = recv_msg(&mut proxy_side); // register
-        proxy_side.send(&deliver_frame(1)).unwrap();
-        let _ = recv_msg(&mut proxy_side); // ack 1
-        proxy_side.send(&deliver_frame(2)).unwrap();
-        match recv_msg(&mut proxy_side) {
+        let mut stub = inline_one(Some(2), StubConfig::default());
+        let _ = recv_msg(&mut stub); // register
+        stub.send(deliver_frame(1)).unwrap();
+        let _ = recv_msg(&mut stub); // ack 1
+        stub.send(deliver_frame(2)).unwrap();
+        match recv_msg(&mut stub) {
             RpcMessage::Crashed { seq, panic_message } => {
                 assert_eq!(seq, 2);
                 assert!(panic_message.contains("test app crash"));
@@ -541,19 +540,15 @@ mod stub_tests {
             other => panic!("expected crashed, got {other:?}"),
         }
         // Dead stub ignores further events: nothing comes back.
-        proxy_side.send(&deliver_frame(3)).unwrap();
-        assert_eq!(
-            proxy_side.recv_timeout(Duration::from_millis(100)),
-            Ok(None)
-        );
+        stub.send(deliver_frame(3)).unwrap();
+        assert_eq!(stub.recv_until(far()), Ok(None));
         // ...until restored.
-        proxy_side
-            .send(&encode_frame(&RpcMessage::RestoreRequest {
-                seq: 4,
-                bytes: 1u32.to_be_bytes().to_vec(),
-            }))
-            .unwrap();
-        match recv_msg(&mut proxy_side) {
+        stub.send(encode_frame(&RpcMessage::RestoreRequest {
+            seq: 4,
+            bytes: 1u32.to_be_bytes().to_vec(),
+        }))
+        .unwrap();
+        match recv_msg(&mut stub) {
             RpcMessage::RestoreAck { seq, ok } => {
                 assert_eq!(seq, 4);
                 assert!(ok);
@@ -561,12 +556,12 @@ mod stub_tests {
             other => panic!("expected restore ack, got {other:?}"),
         }
         // Alive again: counts from the restored state (1), so event → 2 → crash again (deterministic bug).
-        proxy_side.send(&deliver_frame(5)).unwrap();
-        match recv_msg(&mut proxy_side) {
+        stub.send(deliver_frame(5)).unwrap();
+        match recv_msg(&mut stub) {
             RpcMessage::Crashed { seq, .. } => assert_eq!(seq, 5),
             other => panic!("deterministic bug must re-crash, got {other:?}"),
         }
-        let report = retire(host, &mut proxy_side);
+        let report = stub.core.as_ref().expect("still serving").report;
         assert_eq!(report.crashes_contained, 2);
         assert_eq!(report.restores, 1);
     }
@@ -576,25 +571,30 @@ mod stub_tests {
         let config = StubConfig {
             report_crashes: false,
         };
-        let (_host, mut proxy_side) = host_one(0, Some(1), config);
-        let _ = recv_msg(&mut proxy_side); // register
-        proxy_side.send(&deliver_frame(1)).unwrap();
-        // No Crashed frame and no ack: silence.
-        assert_eq!(
-            proxy_side.recv_timeout(Duration::from_millis(300)),
-            Ok(None)
-        );
-        proxy_side
-            .send(&encode_frame(&RpcMessage::Shutdown))
-            .unwrap();
+        let mut stub = inline_one(Some(1), config);
+        let _ = recv_msg(&mut stub); // register
+        stub.send(deliver_frame(1)).unwrap();
+        // No Crashed frame and no ack: a timeout, at once.
+        assert_eq!(stub.recv_until(far()), Ok(None));
+        // Replies are FIFO, so the restore's ack coming next shows that
+        // nothing was held back for delivery 1: the stub stayed silent.
+        stub.send(encode_frame(&RpcMessage::RestoreRequest {
+            seq: 2,
+            bytes: 0u32.to_be_bytes().to_vec(),
+        }))
+        .unwrap();
+        assert!(matches!(
+            recv_msg(&mut stub),
+            RpcMessage::RestoreAck { seq: 2, ok: true }
+        ));
     }
 
     #[test]
     fn snapshot_request_roundtrips() {
-        let (host, mut proxy_side) = host_one(7, None, StubConfig::default());
+        let (host, mut proxy_side) = host_one(7);
         let _ = recv_msg(&mut proxy_side);
         proxy_side
-            .send(&encode_frame(&RpcMessage::SnapshotRequest { seq: 1 }))
+            .send(encode_frame(&RpcMessage::SnapshotRequest { seq: 1 }))
             .unwrap();
         match recv_msg(&mut proxy_side) {
             RpcMessage::SnapshotReply { seq, bytes } => {
@@ -608,7 +608,7 @@ mod stub_tests {
 
     #[test]
     fn a_healthy_idle_stub_says_nothing_it_was_not_asked() {
-        let (host, mut proxy_side) = host_one(0, None, StubConfig::default());
+        let (host, mut proxy_side) = host_one(0);
         // Long enough for a periodic sender at any sub-30 ms period to
         // have spoken three times.
         std::thread::sleep(Duration::from_millis(100));
@@ -656,7 +656,7 @@ mod stub_tests {
         let mut channels: Vec<_> = (0..n).map(|_| hosted(&host, None)).collect();
         for channel in &mut channels {
             assert!(matches!(await_frame(channel), RpcMessage::Register { .. }));
-            channel.send(&deliver_frame(1)).unwrap();
+            channel.send(deliver_frame(1)).unwrap();
         }
         for channel in &mut channels {
             match await_frame(channel) {
@@ -668,9 +668,9 @@ mod stub_tests {
             }
         }
         for channel in &mut channels {
-            channel.send(&encode_frame(&RpcMessage::Shutdown)).unwrap();
+            channel.send(encode_frame(&RpcMessage::Shutdown)).unwrap();
         }
-        let reports = host.shutdown(Duration::from_secs(2));
+        let reports = host.shutdown();
         assert_eq!(reports.len(), n);
         assert!(reports.iter().all(|r| r.events_processed == 1));
     }
@@ -685,7 +685,7 @@ mod stub_tests {
             RpcMessage::Register { .. }
         ));
         assert!(matches!(await_frame(&mut ok), RpcMessage::Register { .. }));
-        crashy.send(&deliver_frame(1)).unwrap();
+        crashy.send(deliver_frame(1)).unwrap();
         match await_frame(&mut crashy) {
             RpcMessage::Crashed { seq, panic_message } => {
                 assert_eq!(seq, 1);
@@ -694,11 +694,11 @@ mod stub_tests {
             other => panic!("expected crashed, got {other:?}"),
         }
         // The neighbor on the same worker is untouched.
-        ok.send(&deliver_frame(1)).unwrap();
+        ok.send(deliver_frame(1)).unwrap();
         assert!(matches!(await_frame(&mut ok), RpcMessage::EventAck { .. }));
         // Restore revives the crashed one.
         crashy
-            .send(&encode_frame(&RpcMessage::RestoreRequest {
+            .send(encode_frame(&RpcMessage::RestoreRequest {
                 seq: 2,
                 bytes: 0u32.to_be_bytes().to_vec(),
             }))
@@ -708,9 +708,9 @@ mod stub_tests {
             RpcMessage::RestoreAck { seq: 2, ok: true }
         ));
         for channel in [&mut crashy, &mut ok] {
-            channel.send(&encode_frame(&RpcMessage::Shutdown)).unwrap();
+            channel.send(encode_frame(&RpcMessage::Shutdown)).unwrap();
         }
-        let reports = host.shutdown(Duration::from_secs(2));
+        let reports = host.shutdown();
         assert_eq!(reports.len(), 2);
         let crashes: u64 = reports.iter().map(|r| r.crashes_contained).sum();
         let restores: u64 = reports.iter().map(|r| r.restores).sum();
@@ -730,7 +730,7 @@ mod stub_tests {
         };
         host.spawn(Box::new(app), Box::new(stub_side), StubConfig::default())
             .unwrap();
-        let register = proxy_side.recv_timeout(Duration::from_secs(2)).unwrap();
+        let register = proxy_side.recv_until(in_ms(2_000)).unwrap();
         assert!(matches!(
             decode_frame(&register.expect("register frame")),
             Ok(RpcMessage::Register { .. })
@@ -741,7 +741,7 @@ mod stub_tests {
             drop(host);
             at
         });
-        let got = proxy_side.recv_timeout(Duration::from_secs(2));
+        let got = proxy_side.recv_until(in_ms(2_000));
         let woke = Instant::now();
         assert_eq!(got, Err(TransportError::Disconnected));
         // `drop(host)` joins its workers, so the close lies between `at`

@@ -2,19 +2,23 @@
 //!
 //! [`Transport`] is the one I/O seam on both sides of AppVisor: the proxy
 //! drives every stub channel through it, blocking in
-//! [`Transport::recv_timeout`], and the stub host scans the other end of
-//! the same channel with [`Transport::try_recv`]. Its two
+//! [`Transport::recv_until`], and the stub host scans the other end of
+//! the same channel with [`Transport::try_recv`]. Its two wall-clock
 //! implementations live in [`crate::poll`], one type per medium used at
 //! both ends: an in-memory [`QueueTransport`](crate::poll::QueueTransport)
 //! and a UDP loopback [`UdpTransport`](crate::poll::UdpTransport) — the
 //! paper's prototype transport, "the proxy and stub communicate with each
-//! other using UDP". [`FlakyTransport`] wraps any transport with seeded
-//! frame loss for the comm-failure tests.
+//! other using UDP". Two test drivers live here: [`FlakyTransport`] wraps
+//! any transport with seeded frame loss, and [`InlineStub`] runs a stub
+//! on the caller's thread, so a timeout is decided without a clock.
 
 use crate::poll::PollWaker;
+use crate::stub::{StubConfig, StubCore, StubStep};
+use legosdn_controller::app::SdnApp;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Transport failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,22 +42,19 @@ impl std::error::Error for TransportError {}
 
 /// A bidirectional, message-oriented byte transport.
 pub trait Transport: Send {
-    /// Send one frame.
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError>;
+    /// Send one frame. The transport takes the buffer: an in-memory one
+    /// moves it to the far end, a socket writes it out.
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError>;
 
-    /// Send one frame the caller is done with. An in-memory transport
-    /// keeps the buffer instead of copying it; everything else writes the
-    /// bytes out as [`Transport::send`] does.
-    fn send_owned(&mut self, bytes: Vec<u8>) -> Result<(), TransportError> {
-        self.send(&bytes)
-    }
-
-    /// Receive one frame, waiting up to `timeout`. `Ok(None)` on timeout.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError>;
+    /// Receive one frame, waiting until `deadline`. `Ok(None)` means the
+    /// deadline has passed: a wall-clock transport says so only once it
+    /// has, and without reading if it had on entry. An [`InlineStub`],
+    /// whose stub never answers later, says so whenever nothing is queued.
+    fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError>;
 
     /// Receive one frame if one is already available, without blocking.
-    /// `Ok(None)` means "nothing queued right now" — what the liveness
-    /// sweep and other opportunistic drains use.
+    /// `Ok(None)` means "nothing queued right now" — what the stub host's
+    /// scan uses.
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
 
     /// Install the waker of the stub-host worker that scans this end, if
@@ -96,21 +97,14 @@ pub struct FlakyTransport<T: Transport> {
 impl<T: Transport> FlakyTransport<T> {
     /// Wrap `inner`, dropping ~`drop_per_mille`/1000 of sent frames.
     /// The seed is mixed through SplitMix64 so adjacent seeds explore
-    /// distinct drop schedules (the old `seed | 1` state made seeds `2k`
-    /// and `2k+1` identical, silently halving campaign coverage).
+    /// distinct drop schedules.
     #[must_use]
     pub fn new(inner: T, drop_per_mille: u32, seed: u64) -> Self {
-        let mixed = splitmix64(seed);
         FlakyTransport {
             inner,
             drop_per_mille,
-            // xorshift has a fixed point at 0; SplitMix64 maps exactly one
-            // seed there, so nudge it off.
-            rng: if mixed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                mixed
-            },
+            // xorshift's fixed point is 0, where SplitMix64 maps one seed.
+            rng: splitmix64(seed).max(1),
             dropped: 0,
         }
     }
@@ -126,16 +120,16 @@ impl<T: Transport> FlakyTransport<T> {
 }
 
 impl<T: Transport> Transport for FlakyTransport<T> {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         if self.roll() % 1000 < u64::from(self.drop_per_mille) {
             self.dropped += 1;
             return Ok(()); // silently eaten, like a lost datagram
         }
-        self.inner.send(bytes)
+        self.inner.send(frame)
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        self.inner.recv_timeout(timeout)
+    fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
+        self.inner.recv_until(deadline)
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -143,38 +137,92 @@ impl<T: Transport> Transport for FlakyTransport<T> {
     }
 }
 
+/// A test driver: the proxy's end of a channel whose stub runs on the
+/// caller's thread. Each frame is served inside `send` and its reply, if
+/// any, queued in order; nothing else will ever answer, so nothing queued
+/// is a timeout at once. The first reply is the `Register` (or `Crashed`)
+/// of [`StubHost::spawn`](crate::stub::StubHost::spawn)'s registration.
+pub struct InlineStub {
+    /// `None` once the stub has retired (served `Shutdown`, or its app
+    /// panicked naming itself): the channel is closed.
+    pub(crate) core: Option<StubCore>,
+    replies: VecDeque<Vec<u8>>,
+}
+
+impl InlineStub {
+    /// Start `app` behind an inline stub.
+    #[must_use]
+    pub fn new(app: Box<dyn SdnApp>, config: StubConfig) -> InlineStub {
+        let (core, replies) = match StubCore::start(app, config) {
+            Ok((core, frame)) => (Some(core), VecDeque::from([frame])),
+            Err(crashed) => (None, crashed.into_iter().collect()),
+        };
+        InlineStub { core, replies }
+    }
+}
+
+impl Transport for InlineStub {
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        let core = self.core.as_mut().ok_or(TransportError::Disconnected)?;
+        match core.handle_frame(&frame) {
+            StubStep::Continue => {}
+            StubStep::Reply(reply) => self.replies.push_back(reply),
+            StubStep::Shutdown => self.core = None,
+        }
+        Ok(())
+    }
+
+    fn recv_until(&mut self, _deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
+        self.try_recv()
+    }
+
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        match self.replies.pop_front() {
+            Some(frame) => Ok(Some(frame)),
+            None if self.core.is_none() => Err(TransportError::Disconnected),
+            None => Ok(None),
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::poll::{QueueTransport, UdpTransport};
-    use std::time::Instant;
+    use std::time::Duration;
+
+    /// A deadline `ms` milliseconds out.
+    pub(crate) fn in_ms(ms: u64) -> Instant {
+        Instant::now() + Duration::from_millis(ms)
+    }
 
     pub(crate) fn exercise<T: Transport>(mut a: T, mut b: T) {
-        a.send(b"hello").unwrap();
-        let got = b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+        a.send(b"hello".to_vec()).unwrap();
+        let got = b.recv_until(in_ms(1_000)).unwrap().unwrap();
         assert_eq!(got, b"hello");
-        b.send(b"world").unwrap();
-        let got = a.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+        b.send(b"world".to_vec()).unwrap();
+        let got = a.recv_until(in_ms(1_000)).unwrap().unwrap();
         assert_eq!(got, b"world");
-        // Timeout path.
-        let got = a.recv_timeout(Duration::from_millis(5)).unwrap();
-        assert!(got.is_none());
+        // Timeout path: `Ok(None)` never comes back before its deadline.
+        let deadline = in_ms(5);
+        assert_eq!(a.recv_until(deadline), Ok(None));
+        assert!(Instant::now() >= deadline, "a timeout came back early");
+        // A deadline that has already passed is a timeout without a read:
+        // the frame waiting is left for the next receive.
+        a.send(b"waiting".to_vec()).unwrap();
+        std::thread::sleep(Duration::from_millis(5)); // loopback delivery
+        assert_eq!(b.recv_until(Instant::now()), Ok(None));
+        assert_eq!(b.recv_until(in_ms(1_000)).unwrap().unwrap(), b"waiting");
         // Ordering.
-        a.send(b"1").unwrap();
-        a.send(b"2").unwrap();
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
-            b"1"
-        );
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
-            b"2"
-        );
+        a.send(b"1".to_vec()).unwrap();
+        a.send(b"2".to_vec()).unwrap();
+        assert_eq!(b.recv_until(in_ms(1_000)).unwrap().unwrap(), b"1");
+        assert_eq!(b.recv_until(in_ms(1_000)).unwrap().unwrap(), b"2");
         // Non-blocking path: a sent frame becomes try_recv-visible (a
         // socket may need a beat for loopback delivery), and
         // an idle transport yields None without blocking.
-        a.send(b"nb").unwrap();
-        let deadline = Instant::now() + Duration::from_secs(1);
+        a.send(b"nb".to_vec()).unwrap();
+        let deadline = in_ms(1_000);
         let got = loop {
             if let Some(frame) = b.try_recv().unwrap() {
                 break frame;
@@ -195,7 +243,7 @@ pub(crate) mod tests {
     fn udp_rejects_oversized_frames() {
         let (mut a, _b) = UdpTransport::pair().unwrap();
         let huge = vec![0u8; MAX_DATAGRAM + 1];
-        assert!(matches!(a.send(&huge), Err(TransportError::Io(_))));
+        assert!(matches!(a.send(huge), Err(TransportError::Io(_))));
     }
 
     #[test]
@@ -204,10 +252,10 @@ pub(crate) mod tests {
         let mut flaky = FlakyTransport::new(a, 500, 42);
         let sent = 200u64;
         for i in 0..sent {
-            flaky.send(&[i as u8]).unwrap();
+            flaky.send(vec![i as u8]).unwrap();
         }
         let mut received = 0u64;
-        while b.recv_timeout(Duration::from_millis(5)).unwrap().is_some() {
+        while b.try_recv().unwrap().is_some() {
             received += 1;
         }
         assert_eq!(received + flaky.dropped, sent);
@@ -221,7 +269,7 @@ pub(crate) mod tests {
         let (a2, _b2) = QueueTransport::pair();
         let mut flaky2 = FlakyTransport::new(a2, 500, 42);
         for i in 0..sent {
-            flaky2.send(&[i as u8]).unwrap();
+            flaky2.send(vec![i as u8]).unwrap();
         }
         assert_eq!(flaky.dropped, flaky2.dropped);
     }
@@ -237,7 +285,7 @@ pub(crate) mod tests {
             (0..200u64)
                 .map(|i| {
                     let before = flaky.dropped;
-                    flaky.send(&[i as u8]).unwrap();
+                    flaky.send(vec![i as u8]).unwrap();
                     flaky.dropped > before
                 })
                 .collect()

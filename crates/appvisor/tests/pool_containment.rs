@@ -235,11 +235,11 @@ fn with_a_host_thread_each_a_stalled_app_delays_no_neighbour() {
 struct PanicsOnScan(QueueTransport);
 
 impl Transport for PanicsOnScan {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        self.0.send(bytes)
+    fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.0.send(frame)
     }
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        self.0.recv_timeout(timeout)
+    fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
+        self.0.recv_until(deadline)
     }
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         panic!("the stub's transport panics mid-scan");
@@ -274,7 +274,7 @@ fn a_panic_in_a_stubs_scan_retires_that_stub_and_not_its_neighbour() {
             assert!(answers(&mut p, good));
         }
         drop(p);
-        let reports = host.shutdown(Duration::from_secs(2));
+        let reports = host.shutdown();
         assert_eq!(reports.len(), 2, "the retired stub reported too");
     });
 }

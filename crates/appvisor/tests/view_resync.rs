@@ -3,13 +3,15 @@
 //! replayed on the way — its app only ever runs on exactly the view pair
 //! the proxy built that delivery frame from.
 //!
-//! The proxy-level tests run over the path the proxy itself launches — a
-//! `StubHost` pool, the proxy blocking on the reply queue — with a
-//! `FlakyTransport` between the two to lose frames on demand.
+//! Every test drives its stub inline (`InlineStub`): the stub serves each
+//! frame inside the proxy's send, so a reply that is not queued when the
+//! proxy looks never will be, and a lost frame or a silent stub is a
+//! timeout at once — no test waits out a deadline. A `FlakyTransport`
+//! around the inline end loses the proxy's frames on demand.
 
 use legosdn_appvisor::{
     decode_frame, encode_frame, AppHandle, AppVisorProxy, DeliverOutcome, FlakyTransport,
-    ProxyConfig, QueueTransport, RpcMessage, StubConfig, StubHost, Transport,
+    InlineStub, ProxyConfig, RpcMessage, StubConfig, Transport,
 };
 use legosdn_controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn_controller::event::{Event, EventKind};
@@ -19,7 +21,6 @@ use legosdn_netsim::{Network, SimTime, Topology};
 use legosdn_obs::Obs;
 use legosdn_openflow::prelude::DatapathId;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 type Views = (TopologyView, DeviceView);
 
@@ -110,41 +111,22 @@ struct Rig {
     h: AppHandle,
     obs: Obs,
     seen: Seen,
-    // The stub's host thread, kept alive for the proxy.
-    _host: StubHost,
 }
 
-/// A `ViewProbe` behind a stub, reached through a transport that loses
-/// `drop_per_mille` of the proxy's frames.
+/// A `ViewProbe` behind an inline stub, reached through a transport that
+/// loses `drop_per_mille` of the proxy's frames. One proxy config serves
+/// lossless and lossy rigs alike: no wait ever reaches its deadline.
 fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
-    // Over a lossless transport every awaited reply arrives (the stub
-    // reports crashes) and a wait ends when it does, so a long deadline
-    // costs nothing — and a loaded box printing a panic backtrace cannot
-    // turn `Crashed` into a timeout. A lossy test waits its deadline out
-    // once per eaten frame.
-    let deliver_timeout = if drop_per_mille == 0 {
-        Duration::from_secs(2)
-    } else {
-        Duration::from_millis(60)
-    };
-    let stub = StubConfig::default();
     let obs = Obs::new();
-    let mut proxy = AppVisorProxy::new(ProxyConfig {
-        deliver_timeout,
-        rpc_timeout: Duration::from_secs(2),
-        stub: stub.clone(),
-        ..Default::default()
-    });
+    let mut proxy = AppVisorProxy::new(ProxyConfig::default());
     proxy.set_obs(obs.clone());
     let seen = Seen::default();
     let app = Box::new(ViewProbe {
         seen: seen.clone(),
         crash_at,
     });
-    let (proxy_side, stub_side) = QueueTransport::pair();
-    let host = StubHost::new(1);
-    host.spawn(app, Box::new(stub_side), stub).unwrap();
-    let lossy = FlakyTransport::new(proxy_side, drop_per_mille, 11);
+    let stub = InlineStub::new(app, StubConfig::default());
+    let lossy = FlakyTransport::new(stub, drop_per_mille, 11);
     let h = proxy
         .register_transport(Box::new(lossy))
         .expect("stub registers");
@@ -153,7 +135,6 @@ fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
         h,
         obs,
         seen,
-        _host: host,
     }
 }
 
@@ -320,25 +301,19 @@ fn a_replay_against_older_views_is_one_more_diff() {
 fn a_dead_stub_keeps_its_views_in_step_and_refuses_a_foreign_base() {
     let history = history(8);
     let seen = Seen::default();
-    let (mut proxy_side, stub_side) = QueueTransport::pair();
     let app = Box::new(ViewProbe {
         seen: seen.clone(),
         crash_at: Some(2),
     });
-    let host = StubHost::new(1);
-    host.spawn(app, Box::new(stub_side), StubConfig::default())
-        .unwrap();
-    let mut reply = move |frame: Option<RpcMessage>, wait_ms: u64| -> Option<RpcMessage> {
+    let mut stub = InlineStub::new(app, StubConfig::default());
+    // The answer to `frame`, if the stub gives one: it is queued by the
+    // time `send` returns, or never.
+    let mut reply = move |frame: Option<RpcMessage>| -> Option<RpcMessage> {
         if let Some(frame) = frame {
-            proxy_side.send(&encode_frame(&frame)).unwrap();
+            stub.send(encode_frame(&frame)).unwrap();
         }
-        let deadline = std::time::Instant::now() + Duration::from_millis(wait_ms);
-        while let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) {
-            if let Some(bytes) = proxy_side.recv_timeout(left).unwrap() {
-                return Some(decode_frame(&bytes).unwrap());
-            }
-        }
-        None
+        let bytes = stub.try_recv().unwrap()?;
+        Some(decode_frame(&bytes).unwrap())
     };
     let delta = |id: u64, base: u64, held: u64| RpcMessage::EventDeliverDelta {
         seq: id,
@@ -348,12 +323,9 @@ fn a_dead_stub_keeps_its_views_in_step_and_refuses_a_foreign_base() {
         devices: history[held as usize].1.diff(&history[id as usize].1),
         now: SimTime::ZERO,
     };
-    assert!(matches!(
-        reply(None, 2_000),
-        Some(RpcMessage::Register { .. })
-    ));
+    assert!(matches!(reply(None), Some(RpcMessage::Register { .. })));
     // A diff before any views: nothing to apply it to.
-    assert_eq!(reply(Some(delta(3, 2, 2)), 80), None);
+    assert_eq!(reply(Some(delta(3, 2, 2))), None);
     let whole = RpcMessage::EventDeliver {
         seq: 1,
         event: Event::Tick(SimTime(1)),
@@ -362,31 +334,31 @@ fn a_dead_stub_keeps_its_views_in_step_and_refuses_a_foreign_base() {
         now: SimTime::ZERO,
     };
     assert!(matches!(
-        reply(Some(whole), 2_000),
+        reply(Some(whole)),
         Some(RpcMessage::EventAck { seq: 1, .. })
     ));
     assert!(matches!(
-        reply(Some(delta(2, 1, 1)), 2_000),
+        reply(Some(delta(2, 1, 1))),
         Some(RpcMessage::Crashed { seq: 2, .. })
     ));
     // Dead: 3 and 4 get no answer, but their views are taken in...
-    assert_eq!(reply(Some(delta(3, 2, 2)), 80), None);
-    assert_eq!(reply(Some(delta(4, 3, 3)), 80), None);
+    assert_eq!(reply(Some(delta(3, 2, 2))), None);
+    assert_eq!(reply(Some(delta(4, 3, 3))), None);
     let restore = RpcMessage::RestoreRequest {
         seq: 5,
         bytes: Vec::new(),
     };
     assert!(matches!(
-        reply(Some(restore), 2_000),
+        reply(Some(restore)),
         Some(RpcMessage::RestoreAck { ok: true, .. })
     ));
     // ...so a diff against frame 4 lands on the right views,
     assert!(matches!(
-        reply(Some(delta(6, 4, 4)), 2_000),
+        reply(Some(delta(6, 4, 4))),
         Some(RpcMessage::EventAck { seq: 6, .. })
     ));
     // and one against frame 4 again (the stub now holds 6) is refused.
-    assert_eq!(reply(Some(delta(7, 4, 4)), 80), None);
+    assert_eq!(reply(Some(delta(7, 4, 4))), None);
     let seen = seen.lock().unwrap();
     let ran: Vec<u64> = seen.iter().map(|(id, _)| *id).collect();
     assert_eq!(ran, [1, 2, 6]);

@@ -112,12 +112,6 @@ impl MonolithicController {
         self.crashed.is_some()
     }
 
-    /// The crash that killed the stack, if any.
-    #[must_use]
-    pub fn crash_info(&self) -> Option<&CrashInfo> {
-        self.crashed.as_ref()
-    }
-
     /// Lifetime counters.
     #[must_use]
     pub fn stats(&self) -> ControllerStats {

@@ -377,12 +377,6 @@ impl LegoSdnRuntime {
         &self.shards[0].crashpad
     }
 
-    /// Mutable Crash-Pad access (operator policy updates at runtime).
-    /// Shard 0's engine; see [`LegoSdnRuntime::crashpad`].
-    pub fn crashpad_mut(&mut self) -> &mut CrashPad {
-        &mut self.shards[0].crashpad
-    }
-
     /// The Crash-Pad engine owning a specific app.
     pub fn crashpad_for(&self, id: AppId) -> Option<&CrashPad> {
         self.worker_of(id).map(|w| &self.shards[w].crashpad)

@@ -89,8 +89,9 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'Codec for \[[T]; N\]|OnceLock<Box<\[u8\]>>' crates/ tests/ examples/ \
   || grep -rnE 'TxnBegin|inverse_of|Inverse::|apply_actions|txn_app' crates/ tests/ examples/ \
   || grep -rniE 'heartbeat|check_liveness|FlowModBatch' crates/ tests/ examples/ \
-  || grep -rnw last_snapshot_bytes crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  || grep -rnw last_snapshot_bytes crates/ tests/ examples/ \
+  || grep -rnE 'send_owned|fn recv_timeout|time_left|crashpad_mut|crash_info\(' crates/ tests/ examples/; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 
@@ -333,15 +334,18 @@ timeout 120 cargo test -q --offline -p legosdn-netlog --lib -- \
     lost_wake_stress_two_workers_ordered lost_wake_stress_four_workers_ordered \
   || { echo "commit barrier lost-wake stress failed or timed out" >&2; exit 1; }
 
-# Two tests that expect an explicit `Crashed` report used to give the
-# stub 60 / 300 ms to send it and went red on a loaded box (the stub was
-# still printing its panic backtrace). They now wait up to 2 s and return
-# when the report arrives. Hold that: 20 rounds with every core kept busy.
+# Tests whose outcome turns on a deadline drive their stub inline
+# (`InlineStub`): a reply not queued when the proxy looks never comes, so
+# a lost frame or a silent stub is a timeout at once and no wall-clock
+# deadline is waited out. Hold that: 20 rounds with every core kept busy,
+# over the view_resync suite and the three appvisor unit tests moved onto
+# it. A test that expects an explicit `Crashed` report from a hosted stub
+# waits up to 2 s and returns when the report arrives; it rides along.
 # The shard pool's tests, the lost-shard tests and the shard-barrier suite
-# ride along: a job handed to a sleeping worker, the latch that waits for
-# it, and a lost shard's drain must hold on a starved box too.
-echo "==> crash-report, shard-pool, lost-shard and shard-barrier tests, 20x beside a busy loop per core (hard 300s timeout)"
-cargo test -q --offline --no-run -p legosdn-appvisor --test view_resync
+# ride along too: a job handed to a sleeping worker, the latch that waits
+# for it, and a lost shard's drain must hold on a starved box too.
+echo "==> inline-stub deadline, crash-report, shard-pool, lost-shard and shard-barrier tests, 20x beside a busy loop per core (hard 300s timeout)"
+cargo test -q --offline --no-run -p legosdn-appvisor --lib --test view_resync
 cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor \
   --test integration_shard_barrier
 for _ in $(seq 1 "$(nproc)"); do
@@ -349,14 +353,15 @@ for _ in $(seq 1 "$(nproc)"); do
   BURN_PIDS="$BURN_PIDS $!"
 done
 for round in $(seq 1 20); do
-  timeout 300 cargo test -q --offline -p legosdn-appvisor --test view_resync -- \
-      a_crash_mid_window_resends_whole_views_then_diffs >/dev/null 2>&1 \
+  timeout 300 cargo test -q --offline -p legosdn-appvisor --test view_resync >/dev/null 2>&1 \
+    && timeout 300 cargo test -q --offline -p legosdn-appvisor --lib -- comm_failure_on_silent_crash \
+      crash_is_contained_and_reported silent_crash_mode_goes_quiet >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --test integration_appvisor -- \
       crash_containment_with_explicit_report >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --lib -- pool:: lost_shard_tests:: >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --test integration_shard_barrier \
       >/dev/null 2>&1 \
-    || { echo "crash-report, shard-pool, lost-shard or shard-barrier test flaked in round $round of 20 under load" >&2; exit 1; }
+    || { echo "inline-stub deadline, crash-report, shard-pool, lost-shard or shard-barrier test flaked in round $round of 20 under load" >&2; exit 1; }
 done
 # shellcheck disable=SC2086
 kill $BURN_PIDS 2>/dev/null || true

@@ -217,8 +217,8 @@ fn lossy_transport_degrades_to_comm_failures_not_hangs() {
                 (Err(_), _) | (_, Err(_)) => return,
                 (Ok(None), Ok(None)) => std::thread::sleep(Duration::from_micros(200)),
                 (Ok(request), Ok(reply)) => {
-                    let sent = request.map(|f| to_stub.send_owned(f));
-                    let answered = reply.map(|f| to_proxy.send_owned(f));
+                    let sent = request.map(|f| to_stub.send(f));
+                    let answered = reply.map(|f| to_proxy.send(f));
                     if matches!(sent, Some(Err(_))) || matches!(answered, Some(Err(_))) {
                         return;
                     }

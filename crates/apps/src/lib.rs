@@ -14,6 +14,8 @@
 //! | [`SpanningTree`] | (loop-free flooding) | broadcast containment |
 //! | [`FaultyApp`] | FlowScale's catastrophic bugs | fault injection |
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod firewall;
 pub mod flooder;

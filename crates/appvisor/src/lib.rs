@@ -19,6 +19,8 @@
 //! process-isolation substitution documented in DESIGN.md §2. Tests
 //! that turn on a timeout drive the stub inline ([`InlineStub`]).
 
+#![forbid(unsafe_code)]
+
 pub mod poll;
 pub mod proxy;
 pub mod rpc;

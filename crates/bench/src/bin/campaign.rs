@@ -63,18 +63,15 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--rounds N] \
 [--switches N] [--hosts N] [--policy absolute|no-compromise|equivalence] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
-[--window DEPTH] [--workers N] [--isolation local|channel|udp] \
+[--window DEPTH] [--isolation local|channel|udp] \
 [--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
 ephemeral port (written to --addr-file for scripts). Events fan out to \
 isolated apps concurrently; --window \
 DEPTH keeps up to DEPTH events of a cycle in flight on each stub's \
 stream (default 1; same network state either way, see DESIGN.md). \
---workers N shards the apps across N worker threads, each running its \
-own window machinery; commits stay in the sequential order through the \
-shared commit barrier (default 1). \
-Isolated stubs are hosted on a fixed pool of stub-host threads per \
-worker; --io-threads N sizes that pool (default 4; with at least as \
+Isolated stubs are hosted on a fixed pool of stub-host threads; \
+--io-threads N sizes that pool (default 4; with at least as \
 many threads as stubs, each stub has a thread of its own). \
 --trace-sample N records a causal flight-recorder trace for every Nth \
 event (default 1: every event; 0 disables tracing), served at /traces \
@@ -109,7 +106,6 @@ fn parse_args(args: &[String]) -> Result<CampaignConfig, String> {
             "--addr" => cfg.addr = it.parsed()?,
             "--addr-file" => cfg.addr_file = Some(it.value()?),
             "--window" => cfg.dispatch = cfg.dispatch.window(at_least_one(&flag, &mut it)?),
-            "--workers" => cfg.dispatch = cfg.dispatch.workers(at_least_one(&flag, &mut it)?),
             "--rounds" => cfg.rounds = it.parsed()?,
             "--switches" => {
                 cfg.switches = it.parsed()?;
@@ -237,14 +233,13 @@ fn main() {
     eprintln!(
         "campaign: serving /metrics /metrics.json /incidents /traces /rollups /healthz on http://{} \
          ({} switches, policy {}, {} fault app(s), {:?} isolation, \
-         window {}, {} worker(s), {} io thread(s), {})",
+         window {}, {} io thread(s), {})",
         server.local_addr(),
         cfg.switches,
         cfg.policy,
         cfg.faults.len(),
         cfg.isolation,
         cfg.dispatch.window,
-        cfg.dispatch.workers,
         cfg.io.mode.io_threads,
         if cfg.rounds == 0 {
             "until killed".to_string()
@@ -304,9 +299,9 @@ mod tests {
 
     #[test]
     fn dispatch_flags_build_the_section() {
-        let cfg = parse(&["--window", "8", "--workers", "4"]).unwrap();
-        assert_eq!(cfg.dispatch, DispatchConfig::default().window(8).workers(4));
-        for flag in ["--window", "--workers", "--hosts"] {
+        let cfg = parse(&["--window", "8"]).unwrap();
+        assert_eq!(cfg.dispatch, DispatchConfig::default().window(8));
+        for flag in ["--window", "--hosts"] {
             let err = parse(&[flag, "0"]).err().expect("a zero count is refused");
             assert_eq!(err, format!("{flag} must be at least 1"));
         }
@@ -321,8 +316,9 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_refused() {
-        // `--dispatch`, `--transport`, `--push-to`, `--campaign` and
-        // `--lookahead` selected paths that no longer exist.
+        // `--dispatch`, `--transport`, `--push-to`, `--campaign`,
+        // `--lookahead` and `--workers` selected paths that no longer
+        // exist.
         for name in [
             "--mystery",
             "--dispatch",
@@ -330,6 +326,7 @@ mod tests {
             "--push-to",
             "--campaign",
             "--lookahead",
+            "--workers",
         ] {
             let err = parse(&[name, "x"]).err().expect("unknown flag accepted");
             assert_eq!(err, format!("unknown flag: {name}"));

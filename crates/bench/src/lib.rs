@@ -4,6 +4,8 @@
 //! over a fat-tree). The paper's claims are held by the tier-1 tests and
 //! stackbench's metrics (DESIGN.md §4); these bins are check.sh's smokes.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod workloads;
 

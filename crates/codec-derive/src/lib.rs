@@ -14,6 +14,8 @@
 //! Generic type parameters are intentionally unsupported — no workspace
 //! snapshot type needs them, and rejecting them keeps the parser honest.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derive `legosdn_codec::Codec` for a struct or enum.

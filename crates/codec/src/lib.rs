@@ -16,6 +16,8 @@
 //! bytes from last time, and a [`Snapshot`] holds those bytes by handle —
 //! what makes a per-event checkpoint cost what the event wrote.
 
+#![forbid(unsafe_code)]
+
 // The derive macro emits `::legosdn_codec::…` paths; alias ourselves so
 // `#[derive(Codec)]` also works inside this crate (mirrors serde's trick).
 extern crate self as legosdn_codec;

@@ -12,6 +12,8 @@
 //! monolithic dispatcher, replacing it with AppVisor isolation, NetLog
 //! transactions, and Crash-Pad recovery.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod event;
 pub mod monolithic;

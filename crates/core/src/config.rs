@@ -1,7 +1,7 @@
 //! LegoSDN runtime configuration.
 //!
-//! The configuration is sectioned: [`DispatchConfig`] (window depth,
-//! worker shards), [`IoConfig`] (stub I/O threads + proxy tuning),
+//! The configuration is sectioned: [`DispatchConfig`] (window depth),
+//! [`IoConfig`] (stub I/O threads + proxy tuning),
 //! and [`ObsConfig`] (observability instance + trace sampling).
 //! Build one with struct update syntax plus the section constructors,
 //! then validate it with [`LegoSdnConfig::build`]:
@@ -10,17 +10,17 @@
 //! use legosdn::config::{DispatchConfig, IoConfig, LegoSdnConfig};
 //!
 //! let cfg = LegoSdnConfig {
-//!     dispatch: DispatchConfig::default().window(8).workers(4),
+//!     dispatch: DispatchConfig::default().window(8),
 //!     io: IoConfig::polled(2),
 //!     ..LegoSdnConfig::default()
 //! }
 //! .build()
 //! .expect("valid config");
-//! assert_eq!(cfg.dispatch.workers, 4);
+//! assert_eq!(cfg.dispatch.window, 8);
 //! ```
 //!
 //! `build()` rejects nonsense up front — window depth 0, zero I/O
-//! threads, zero workers — instead of panicking or silently clamping at
+//! threads — instead of panicking or silently clamping at
 //! use sites. Struct-literal section updates are the only way to
 //! configure.
 
@@ -74,20 +74,11 @@ pub struct DispatchConfig {
     /// (DESIGN.md §9). `1` (the default) delivers and commits one event
     /// at a time.
     pub window: usize,
-    /// Worker shards: apps are dealt round-robin, in attach order, across
-    /// `workers` shards, each with its own AppVisor proxy, Crash-Pad, and
-    /// window machinery (DESIGN.md §9). `1` (the default) runs the
-    /// engine on the calling thread; values above 1 commit through the
-    /// cross-shard barrier, bit-identical to the sequential reference.
-    pub workers: usize,
 }
 
 impl Default for DispatchConfig {
     fn default() -> Self {
-        DispatchConfig {
-            window: 1,
-            workers: 1,
-        }
+        DispatchConfig { window: 1 }
     }
 }
 
@@ -100,11 +91,12 @@ impl DispatchConfig {
         self
     }
 
-    /// Set the worker-shard count. Not clamped: 0 workers is rejected by
-    /// [`LegoSdnConfig::build`].
+    /// Returns `self`: the engine runs on the runtime thread, and the
+    /// argument is ignored. It stays for callers outside this workspace
+    /// that still set it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn workers(self, _ignored: usize) -> Self {
         self
     }
 }
@@ -114,7 +106,7 @@ impl DispatchConfig {
 /// stub channels to service.
 #[derive(Clone, Debug, Default)]
 pub struct IoConfig {
-    /// Size of each shard's stub-host pool; see [`IoMode`].
+    /// Size of the stub-host pool; see [`IoMode`].
     pub mode: IoMode,
     /// AppVisor proxy tuning (timeouts, stub settings). The proxy's own
     /// `io` field is overwritten with [`IoConfig::mode`] at build /
@@ -123,7 +115,7 @@ pub struct IoConfig {
 }
 
 impl IoConfig {
-    /// Pooled servicing with `io_threads` stub-host workers per shard,
+    /// Pooled servicing with `io_threads` stub-host workers,
     /// whichever transport the stubs use. Not clamped: 0 threads is
     /// rejected by [`LegoSdnConfig::build`].
     #[must_use]
@@ -154,9 +146,7 @@ pub struct ObsConfig {
     pub instance: Option<Obs>,
     /// Causal-trace sampling: begin a flight-recorder trace for every
     /// Nth translated event. `1` (the default) traces every event, `0`
-    /// disables tracing entirely. Worker shards share one recorder with
-    /// per-thread scopes, so sampling works at any `dispatch.workers`
-    /// count.
+    /// disables tracing entirely.
     pub trace_sample: u64,
 }
 
@@ -216,8 +206,6 @@ pub enum ConfigError {
     ZeroWindowDepth,
     /// `io.mode.io_threads == 0`: the stub-host pool needs a thread.
     ZeroIoThreads,
-    /// `dispatch.workers == 0`: at least one worker shard must exist.
-    ZeroWorkers,
 }
 
 impl fmt::Display for ConfigError {
@@ -225,7 +213,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroWindowDepth => write!(f, "dispatch.window must be at least 1"),
             ConfigError::ZeroIoThreads => write!(f, "io.mode.io_threads must be at least 1"),
-            ConfigError::ZeroWorkers => write!(f, "dispatch.workers must be at least 1"),
         }
     }
 }
@@ -294,9 +281,6 @@ impl LegoSdnConfig {
         if self.dispatch.window == 0 {
             return Err(ConfigError::ZeroWindowDepth);
         }
-        if self.dispatch.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
         if self.io.mode.io_threads == 0 {
             return Err(ConfigError::ZeroIoThreads);
         }
@@ -313,13 +297,12 @@ mod tests {
     fn defaults_are_the_paper_design() {
         let c = LegoSdnConfig::default();
         assert_eq!(c.isolation, IsolationMode::Local);
-        // The window stays at 1 and the runtime stays single-worker
-        // until the operator widens them.
-        assert_eq!((c.dispatch.window, c.dispatch.workers), (1, 1));
+        // The window stays at 1 until the operator widens it.
+        assert_eq!(c.dispatch, DispatchConfig { window: 1 });
         assert_eq!(
             c.io.mode,
             IoMode { io_threads: 4 },
-            "up to four stubs per shard each get a host thread of their own"
+            "up to four stubs each get a host thread of their own"
         );
         assert!(c.checker.is_some());
         assert_eq!(c.resource_limits, ResourceLimits::default());
@@ -334,14 +317,13 @@ mod tests {
     fn build_accepts_the_default_and_sectioned_configs() {
         assert!(LegoSdnConfig::default().build().is_ok());
         let c = LegoSdnConfig {
-            dispatch: DispatchConfig::default().window(8).workers(4),
+            dispatch: DispatchConfig::default().window(8),
             io: IoConfig::polled(2),
             ..LegoSdnConfig::default()
         }
         .build()
         .unwrap();
         assert_eq!(c.dispatch.window, 8);
-        assert_eq!(c.dispatch.workers, 4);
         assert_eq!(c.io.mode, IoMode { io_threads: 2 });
         // build() stamps the proxy's io field from the section mode.
         assert_eq!(c.io.proxy.io, IoMode { io_threads: 2 });
@@ -357,12 +339,6 @@ mod tests {
             zero_window.build().unwrap_err(),
             ConfigError::ZeroWindowDepth
         );
-
-        let zero_workers = LegoSdnConfig {
-            dispatch: DispatchConfig::default().workers(0),
-            ..LegoSdnConfig::default()
-        };
-        assert_eq!(zero_workers.build().unwrap_err(), ConfigError::ZeroWorkers);
 
         let zero_io = LegoSdnConfig {
             io: IoConfig::polled(0),
@@ -380,13 +356,24 @@ mod tests {
 
     #[test]
     fn config_errors_render_for_cli_use() {
-        for e in [
-            ConfigError::ZeroWindowDepth,
-            ConfigError::ZeroIoThreads,
-            ConfigError::ZeroWorkers,
-        ] {
+        for e in [ConfigError::ZeroWindowDepth, ConfigError::ZeroIoThreads] {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn the_worker_count_is_ignored() {
+        // The engine runs on the runtime thread: a worker count set by an
+        // older caller changes nothing, and zero is no error.
+        assert_eq!(
+            DispatchConfig::default().window(8).workers(4),
+            DispatchConfig::default().window(8)
+        );
+        let zero = LegoSdnConfig {
+            dispatch: DispatchConfig::default().workers(0),
+            ..LegoSdnConfig::default()
+        };
+        assert!(zero.build().is_ok());
     }
 
     #[test]

@@ -60,10 +60,11 @@
 //! | `legosdn-sts` | minimal causal sequences (§5) |
 //! | `legosdn` (this crate) | the runtime + §3.4/§5 extensions |
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod host;
 pub mod nversion;
-mod pool;
 pub mod runtime;
 pub mod workers;
 

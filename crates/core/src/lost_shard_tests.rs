@@ -1,9 +1,9 @@
-//! A lost shard is a failed app (DESIGN.md §9). A panic in a shard's own
-//! code — filling the window, harvesting it, or on the commit lane with a
-//! transaction open — kills that shard's apps through Crash-Pad and
-//! nothing else: the cycle returns, the other shard's apps run on, and
-//! the network and the txlog are what the sequential reference leaves
-//! when those apps die at the position the panic interrupted.
+//! A lost engine is a set of failed apps (DESIGN.md §5). A panic in the
+//! engine's own code — filling the window, harvesting it, or on the
+//! commit lane with a transaction open — kills every running app through
+//! Crash-Pad and nothing else: the cycle returns, and the network and the
+//! txlog are what the sequential reference leaves when every app dies at
+//! the first position the panic kept it from committing.
 
 use super::*;
 use crate::config::{DispatchConfig, ObsConfig};
@@ -18,12 +18,9 @@ use legosdn_testkit::within;
 use std::time::{Duration, Instant};
 
 const APPS: usize = 4;
-const WORKERS: usize = 2;
 const DEPTH: usize = 4;
 /// Packet-ins per burst: the burst's slots.
 const SLOTS: u64 = 8;
-/// The shard these tests lose: apps 1 and 3, its locals 0 and 1.
-const LOST: usize = 1;
 const CONTESTED: DatapathId = DatapathId(1);
 const TAG_BASE: u64 = 70_000;
 
@@ -33,8 +30,8 @@ fn dst(burst: u64, slot: u64) -> MacAddr {
 }
 
 /// Installs two uniquely tagged flows on one contested switch per
-/// packet-in, so each commit is a two-command transaction in an order
-/// only the barrier keeps. Panics on the packet to `dies_on`, if set: how
+/// packet-in, so each commit is a two-command transaction whose order
+/// shows in the switch's table. Panics on the packet to `dies_on`, if set: how
 /// the oracle's app dies at a position.
 struct Writer {
     name: String,
@@ -93,17 +90,17 @@ struct Run {
     tx_base: u64,
 }
 
-/// Four writers over two shards behind stubs, a handshake cycle, then two
-/// bursts of [`SLOTS`] packet-ins. In the engine run, `arm` names the
-/// points at which shard [`LOST`]'s thread panics in the first burst,
-/// given that burst's first transaction id; in the oracle run, writer
-/// *g* dies on the first burst's slot `dies[g]`.
+/// Four writers behind stubs, a handshake cycle, then two bursts of
+/// [`SLOTS`] packet-ins. In the engine run, `arm` names the points at
+/// which the engine panics in the first burst, given that burst's first
+/// transaction id; in the oracle run, writer *g* dies on the first
+/// burst's slot `dies[g]`.
 fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64>; APPS]) -> Run {
     let topo = Topology::linear(2, 2);
     let mut net = Network::new(&topo);
     let mut config = LegoSdnConfig {
         isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::default().window(DEPTH).workers(WORKERS),
+        dispatch: DispatchConfig::default().window(DEPTH),
         obs: ObsConfig::instance(Obs::new()),
         ..LegoSdnConfig::default()
     };
@@ -132,7 +129,7 @@ fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64
     rt.run_cycle(&mut net); // handshake + discovery
     let tx_base = rt.txid_cursor;
     if !oracle {
-        rt.shards[LOST].faults = arm(tx_base);
+        rt.roster.faults = arm(tx_base);
     }
     let a = topo.hosts[0].mac;
     for burst in 0..2 {
@@ -142,7 +139,9 @@ fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64
         }
         let report = rt.run_cycle(&mut net);
         assert_eq!(report.events, SLOTS as usize, "one slot per packet-in");
-        assert!(report.commands > 0, "burst {burst}: nobody committed");
+        // Every writer dies in the first burst, after its first slots.
+        let committed = report.commands > 0;
+        assert_eq!(committed, burst == 0, "burst {burst}: {report:?}");
     }
     let now = net.now();
     let mut flow_tables: Vec<(DatapathId, Vec<FlowEntrySnapshot>)> = net
@@ -163,37 +162,30 @@ fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64
     }
 }
 
-/// The first transaction id of `(slot, local)` on shard [`LOST`].
-fn lost_tx(tx_base: u64, slot: usize, local: usize) -> u64 {
-    tx_base + ((slot * APPS + local * WORKERS + LOST) as u64) * TXS_PER_POS
+/// The first transaction id of app `app`'s position in slot `slot`.
+fn tx_of(tx_base: u64, slot: usize, app: usize) -> u64 {
+    tx_base + ((slot * APPS + app) as u64) * TXS_PER_POS
 }
 
-/// Lose shard [`LOST`] at `fault`, and hold the run to the oracle's in
-/// which writer *g* dies on slot `dies[g]`. A panic on the lane leaves
-/// its transaction open: the drain rolls it back, and that rollback is
-/// the one record the oracle's txlog lacks.
-fn loses_the_shard_as_the_oracle_loses_its_apps(
-    fault: fn(u64) -> FaultPoint,
-    dies: [Option<u64>; APPS],
-) {
+/// Lose the engine at `fault`, and hold the run to the oracle's in which
+/// writer *g* dies on slot `dies[g]`. A panic on the lane leaves its
+/// transaction open: the drain rolls it back, and that rollback is the
+/// one record the oracle's txlog lacks.
+fn loses_the_engine_as_the_oracle_loses_its_apps(fault: fn(u64) -> FaultPoint, dies: [u64; APPS]) {
     within(Duration::from_secs(10), move || {
         let Run {
             rt,
             mut residue,
             tx_base,
         } = run(false, |base| vec![fault(base)], [None; APPS]);
-        assert!(rt.shards[LOST].faults.is_empty(), "the fault never fired");
-        for g in 0..APPS {
-            let (id, status) = (AppId(g), rt.app_status(AppId(g)));
+        assert!(rt.roster.faults.is_empty(), "the fault never fired");
+        let first = dies.iter().min().copied().unwrap();
+        for (g, &slot) in dies.iter().enumerate() {
             let name = format!("writer-{g}");
-            let tickets: Vec<&ProblemTicket> = (rt.crashpad_for(id).unwrap().tickets.iter())
+            let tickets: Vec<&ProblemTicket> = (rt.crashpad().tickets.iter())
                 .filter(|t| t.app == name)
                 .collect();
-            let Some(slot) = dies[g] else {
-                assert_eq!(status, Some(&AppStatus::Running), "writer-{g}");
-                assert!(tickets.is_empty(), "writer-{g}: {tickets:?}");
-                continue;
-            };
+            let status = rt.app_status(AppId(g));
             assert_eq!(status, Some(&AppStatus::Dead), "writer-{g}");
             let [ticket] = tickets[..] else {
                 panic!("writer-{g}: one ticket, not {tickets:?}");
@@ -202,22 +194,22 @@ fn loses_the_shard_as_the_oracle_loses_its_apps(
                 panic!("writer-{g}: {:?}", ticket.failure);
             };
             assert!(
-                panic_message.starts_with("shard 1 on thread lego-worker-1: injected fault at"),
+                panic_message.starts_with("dispatch engine on thread ")
+                    && panic_message.contains(": injected fault at"),
                 "{panic_message}"
             );
-            // The event in hand is the slot at the shard's commit cursor,
-            // the first its apps do not commit.
+            // The event in hand is the slot at the commit cursor, the
+            // first that not every app commits.
             let offending = match &ticket.offending_event {
                 Event::PacketIn(_, pi) => pi.packet.eth_dst,
                 other => panic!("writer-{g}: {other:?}"),
             };
-            let first = dies.iter().flatten().min().copied().unwrap();
             assert!(
                 offending == dst(0, first) && (slot == first || slot == first + 1),
-                "writer-{g} died at slot {slot}, the shard at {offending:?}"
+                "writer-{g} died at slot {slot}, the engine at {offending:?}"
             );
         }
-        assert_eq!(rt.stats().apps_dead, 2);
+        assert_eq!(rt.stats().apps_dead, APPS as u64);
         if let FaultPoint::Lane { tx } = fault(tx_base) {
             let tx = TxId(tx);
             let lost: Vec<TxRecord> = residue
@@ -238,7 +230,7 @@ fn loses_the_shard_as_the_oracle_loses_its_apps(
             residue.txlog.retain(|r| r.id != tx);
         }
         rt.shutdown();
-        let oracle = run(true, |_| Vec::new(), dies);
+        let oracle = run(true, |_| Vec::new(), dies.map(Some));
         assert_eq!(
             residue, oracle.residue,
             "the residue differs from the oracle's"
@@ -250,32 +242,33 @@ fn loses_the_shard_as_the_oracle_loses_its_apps(
 #[test]
 fn a_panic_filling_the_window_loses_the_shard_at_its_commit_cursor() {
     // Depth 4: slot 5 is queued while the commit cursor is at slot 2.
-    loses_the_shard_as_the_oracle_loses_its_apps(
+    loses_the_engine_as_the_oracle_loses_its_apps(
         |_| FaultPoint::Fill { slot: 5, local: 0 },
-        [None, Some(2), None, Some(2)],
+        [2; APPS],
     );
 }
 
 #[test]
 fn a_panic_harvesting_the_window_loses_the_shard_at_the_slot_harvested() {
-    // Local 0's outcome of slot 3 is booked, not committed: it dies too.
-    loses_the_shard_as_the_oracle_loses_its_apps(
+    // App 0's outcome of slot 3 is booked, not committed: it dies there
+    // too.
+    loses_the_engine_as_the_oracle_loses_its_apps(
         |_| FaultPoint::Harvest {
             commit_pos: 3,
             local: 1,
         },
-        [None, Some(3), None, Some(3)],
+        [3; APPS],
     );
 }
 
 #[test]
 fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_shard() {
-    // Local 0 commits slot 4 before local 1's transaction opens.
-    loses_the_shard_as_the_oracle_loses_its_apps(
+    // App 0 commits slot 4 before app 1's transaction opens.
+    loses_the_engine_as_the_oracle_loses_its_apps(
         |base| FaultPoint::Lane {
-            tx: lost_tx(base, 4, 1),
+            tx: tx_of(base, 4, 1),
         },
-        [None, Some(5), None, Some(4)],
+        [5, 4, 4, 4],
     );
 }
 

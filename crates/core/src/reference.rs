@@ -2,8 +2,8 @@
 //! per (event, app), in translation order and attach order, on the
 //! calling thread.
 //!
-//! This is the oracle the determinism and shard-barrier suites compare
-//! the window engine against (a runtime built with
+//! This is the oracle the determinism suites compare the window engine
+//! against (a runtime built with
 //! [`LegoSdnRuntime::oracle`] runs it) — the counterpart of
 //! `netsim::reference::LinearFlowTable`.
 //! It pulls from the same [`Feed`](super::Feed) as the engine, with
@@ -13,7 +13,7 @@
 
 use super::{LegoSdnRuntime, Pull};
 use crate::workers::{
-    book, commit_on_lane, select_app, CommitLane, ShardCtx, WindowSlot, TXS_PER_POS,
+    book, commit_on_lane, select_app, AppCtx, CommitLane, WindowSlot, TXS_PER_POS,
 };
 use legosdn_netlog::TxId;
 use legosdn_netsim::Network;
@@ -26,12 +26,12 @@ impl LegoSdnRuntime {
         loop {
             for slot in slots.drain(..) {
                 self.obs.trace_scope(slot.trace);
-                for global in 0..self.n_apps {
+                for global in 0..self.roster.apps.len() {
                     let tx = TxId(tx_event_base + global as u64 * TXS_PER_POS);
                     self.dispatch_to_app(net, global, &slot, tx);
                 }
                 self.obs.trace_scope(None);
-                tx_event_base += self.n_apps as u64 * TXS_PER_POS;
+                tx_event_base += self.roster.apps.len() as u64 * TXS_PER_POS;
             }
             if self.feed.pull(net, true, |slot| slots.push(slot)) == Pull::End {
                 return;
@@ -42,18 +42,17 @@ impl LegoSdnRuntime {
     /// Select, deliver under Crash-Pad, book and commit one (event, app)
     /// position, whose first transaction id is `tx`.
     fn dispatch_to_app(&mut self, net: &mut Network, global: usize, slot: &WindowSlot, tx: TxId) {
-        let (w, l) = self.loc(global);
-        let mut cx = ShardCtx {
-            shard: &mut self.shards[w],
+        let mut cx = AppCtx {
+            roster: &mut self.roster,
             stats: &mut self.stats,
             obs: &self.obs,
             metrics: &self.metrics,
             shutdown_on_no_compromise: self.config.shutdown_network_on_no_compromise,
         };
-        if !select_app(&mut cx, l, slot.event.kind()) {
+        if !select_app(&mut cx, global, slot.event.kind()) {
             return;
         }
-        let result = cx.shard.with_app(l, |crashpad, app, _, name| {
+        let result = cx.roster.with_app(global, |crashpad, app, _, name| {
             crashpad.dispatch(
                 app,
                 name,
@@ -63,12 +62,12 @@ impl LegoSdnRuntime {
                 slot.now,
             )
         });
-        let work = book(&mut cx, l, slot, result);
+        let work = book(&mut cx, global, slot, result);
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
             open: None,
         };
-        commit_on_lane(&mut cx, &mut lane, l, slot, work, tx);
+        commit_on_lane(&mut cx, &mut lane, global, slot, work, tx);
     }
 }

@@ -1,20 +1,16 @@
-//! Worker shards: the runtime's per-worker half (DESIGN.md §9).
+//! The dispatch engine (DESIGN.md §9): one [`WorkerRun`] per cycle, on
+//! the runtime thread, over every attached app.
 //!
-//! The runtime deals attached apps round-robin across N worker shards
-//! in attach order — app *g* is local app `g / N` of shard `g % N`, for
-//! good — so (shard, local) and the global attach index are arithmetic
-//! both ways and no directory is kept. Each shard owns a private
-//! AppVisor proxy (its stubs and their stub-host pool) and a private
-//! Crash-Pad, so the per-app dispatch path never crosses a shard
-//! boundary. The network and the NetLog stay shared: every commit goes
-//! through one [`CommitLane`] guarded by a mutex, admitted in sequential
-//! position order by the [`legosdn_netlog::CommitBarrier`].
+//! The apps live in one [`Roster`] beside one AppVisor proxy (their stubs
+//! and its stub-host pool) and one Crash-Pad. Every commit runs on the
+//! [`CommitLane`], the one place network effects happen, in (event,
+//! attach) position order.
 //!
 //! Determinism contract: a position's transaction ids are derived from
 //! the position itself (`tx_base + pos * TXS_PER_POS + sub`), as the
 //! reference derives them, and commits land in position order — so the
-//! sharded runtime's residue (network state, txlog, stats, per-app
-//! delivery order) is bit-identical to the single-threaded reference.
+//! engine's residue (network state, txlog, stats, per-app delivery
+//! order) is bit-identical to the single-threaded reference.
 
 use crate::config::ResourceLimits;
 use crate::host::{Host, ProxyAdapter};
@@ -26,20 +22,20 @@ use legosdn_controller::sandbox::{panic_text, DeliverOutcome};
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_crashpad::{CompromisePolicy, CrashPad, DispatchResult, FailureKind, RecoverableApp};
 use legosdn_invariants::shutdown_network;
-use legosdn_netlog::{CommitBarrier, NetLog, Transaction, TxError, TxId};
+use legosdn_netlog::{NetLog, Transaction, TxError, TxId};
 use legosdn_netsim::{Network, SimTime};
 use legosdn_obs::{AppId, Counter, Gauge, Histogram, Obs, RecordKind, TraceId};
 use legosdn_openflow::prelude::Message;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::process;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Transaction-id stride per commit position. Each (event, app) position
 /// owns this many consecutive ids: sub 0 is the top-level transaction,
 /// sub 1 the byzantine-recovery retry. Deriving ids from the position
-/// gives every commit the id the reference (`reference.rs`) gives it,
-/// with no counter shared between workers.
+/// gives every commit the id the reference (`reference.rs`) gives it.
 pub const TXS_PER_POS: u64 = 4;
 
 /// One attached app: identity, fault-domain host, scheduling state.
@@ -58,55 +54,52 @@ pub(crate) struct AppRecord {
     pub(crate) byzantine_blocked: Arc<Counter>,
 }
 
-/// One worker's slice of the runtime: a private proxy and Crash-Pad plus
-/// every `workers`-th attached app, in attach order.
-pub(crate) struct WorkerShard {
-    pub(crate) id: usize,
+/// The attached apps, in attach order, and what reaches them: one
+/// AppVisor proxy and one Crash-Pad.
+pub(crate) struct Roster {
     pub(crate) proxy: AppVisorProxy,
     pub(crate) crashpad: CrashPad,
     pub(crate) apps: Vec<AppRecord>,
-    pub(crate) metrics: ShardMetrics,
-    /// Where a test makes this shard's thread panic, in firing order.
+    /// Where a test makes the engine panic, in firing order.
     #[cfg(test)]
     pub(crate) faults: Vec<FaultPoint>,
 }
 
-/// A point in a shard's loop where a test can make its thread panic:
-/// what a bug in the runtime's own code there would do.
+/// A point in the engine's loop where a test can make it panic: what a
+/// bug in the runtime's own code there would do.
 #[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum FaultPoint {
-    /// Filling: about to queue slot `slot` to local app `local`.
+    /// Filling: about to queue slot `slot` to app `local`.
     Fill { slot: usize, local: usize },
-    /// Harvesting the slot at `commit_pos`: about to settle local app
-    /// `local`'s position.
+    /// Harvesting the slot at `commit_pos`: about to settle app `local`'s
+    /// position.
     Harvest { commit_pos: usize, local: usize },
     /// On the lane, with transaction `tx` open and one command applied.
     Lane { tx: u64 },
-    /// A lost shard's drain, about to start.
+    /// A lost engine's drain, about to start.
     Drain,
 }
 
-/// Panic if `at` is the next point armed on `shard`.
+/// Panic if `at` is the next point armed on `roster`.
 #[cfg(test)]
-fn fault(shard: &mut WorkerShard, at: FaultPoint) {
-    if shard.faults.first() == Some(&at) {
-        shard.faults.remove(0);
+fn fault(roster: &mut Roster, at: FaultPoint) {
+    if roster.faults.first() == Some(&at) {
+        roster.faults.remove(0);
         panic!("injected fault at {at:?}");
     }
 }
 
-impl WorkerShard {
-    /// Reach one app behind this shard's Crash-Pad, whatever hosts it:
-    /// `f` gets the engine, the app as Crash-Pad sees it (the sandbox, or
-    /// the stub through this shard's proxy), and the app's record id and
-    /// name.
+impl Roster {
+    /// Reach one app behind the Crash-Pad, whatever hosts it: `f` gets
+    /// the engine, the app as Crash-Pad sees it (the sandbox, or the stub
+    /// through the proxy), and the app's record id and name.
     pub(crate) fn with_app<R>(
         &mut self,
         local: usize,
         f: impl FnOnce(&mut CrashPad, &mut dyn RecoverableApp, AppId, &str) -> R,
     ) -> R {
-        let WorkerShard {
+        let Roster {
             apps,
             crashpad,
             proxy,
@@ -123,25 +116,6 @@ impl WorkerShard {
     }
 }
 
-/// One shard's window timing series. Unlabelled on a single-worker
-/// runtime, labelled `wN` per worker otherwise, so one shard's fill and
-/// commit timing does not blur into another's.
-pub(crate) struct ShardMetrics {
-    window_fill: Arc<Histogram>,
-    window_commit: Arc<Histogram>,
-    window_queue_ns: Arc<Histogram>,
-}
-
-impl ShardMetrics {
-    pub(crate) fn resolve(obs: &Obs, label: &str) -> Self {
-        ShardMetrics {
-            window_fill: obs.histogram("core", "window_fill", label),
-            window_commit: obs.histogram("core", "window_commit", label),
-            window_queue_ns: obs.histogram("core", "window_queue_ns", label),
-        }
-    }
-}
-
 /// The runtime-wide metric handles of the dispatch path, resolved once in
 /// `LegoSdnRuntime::new` so an event costs atomic adds, not registry
 /// lookups.
@@ -152,13 +126,13 @@ pub(crate) struct CoreMetrics {
     pub(crate) dispatches: Arc<Counter>,
     pub(crate) commands_executed: Arc<Counter>,
     pub(crate) window_depth: Arc<Gauge>,
-    pub(crate) barrier_ordered_commits: Arc<Counter>,
-    pub(crate) barrier_elided_positions: Arc<Counter>,
+    window_fill: Arc<Histogram>,
+    window_commit: Arc<Histogram>,
+    window_queue_ns: Arc<Histogram>,
 }
 
 impl CoreMetrics {
     pub(crate) fn resolve(obs: &Obs) -> Self {
-        let barrier = |name| obs.counter("netlog", name, "");
         CoreMetrics {
             run_cycle: obs.histogram("core", "run_cycle", ""),
             tick_apps: obs.histogram("core", "tick_apps", ""),
@@ -166,8 +140,9 @@ impl CoreMetrics {
             dispatches: obs.counter("core", "dispatches", ""),
             commands_executed: obs.counter("core", "commands_executed", ""),
             window_depth: obs.gauge("core", "window_depth", ""),
-            barrier_ordered_commits: barrier("barrier_ordered_commits"),
-            barrier_elided_positions: barrier("barrier_elided_positions"),
+            window_fill: obs.histogram("core", "window_fill", ""),
+            window_commit: obs.histogram("core", "window_commit", ""),
+            window_queue_ns: obs.histogram("core", "window_queue_ns", ""),
         }
     }
 }
@@ -184,14 +159,13 @@ pub(crate) struct WindowSlot {
     /// Flight-recorder trace for this event, if it was sampled. Window
     /// operations switch the obs trace scope to this id so every layer's
     /// records (proxy queue/collect, Crash-Pad recovery, NetLog commit)
-    /// land in the right causal timeline. Scopes are per-thread cells, so
-    /// worker threads tag their own work without sharing any state.
+    /// land in the right causal timeline.
     pub(crate) trace: Option<TraceId>,
 }
 
 /// One speculative in-flight (event, app) delivery to an isolated stub.
 pub(crate) struct WindowEntry {
-    /// Index into the owning shard's `apps`.
+    /// Index into the roster's `apps`.
     pub(crate) local: usize,
     pub(crate) handle: AppHandle,
     /// Tag of the snapshot queued just before the delivery, if one was
@@ -206,66 +180,9 @@ pub(crate) struct WindowEntry {
     pub(crate) queued_at: Instant,
 }
 
-/// The window's slots, shared by the workers: whichever wants a slot
-/// first appends what the feed yields, all index it by slot number
-/// (counted from the start of the cycle). `Arc` hands a worker a stable
-/// view of a slot without holding the store lock across dispatch work.
-/// Slots every worker has committed are released, so a long burst pins
-/// the views of at most a window's worth of events.
-///
-/// A poisoned lock is still a sound one: each critical section is an
-/// index, a push or a pop, which panics before it mutates (an index out
-/// of range) or cannot panic, so every lock takes the state back from a
-/// [`PoisonError`], as the commit barrier's does.
-#[derive(Default)]
-pub(crate) struct SlotStore {
-    state: Mutex<StoreState>,
-}
-
-#[derive(Default)]
-struct StoreState {
-    /// Slot number of `slots[0]`.
-    base: usize,
-    slots: VecDeque<Arc<WindowSlot>>,
-}
-
-impl SlotStore {
-    /// Slots appended so far this cycle, released ones included.
-    pub(crate) fn len(&self) -> usize {
-        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.base + st.slots.len()
-    }
-
-    pub(crate) fn get(&self, i: usize) -> Arc<WindowSlot> {
-        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(&st.slots[i - st.base])
-    }
-
-    /// Append one slot; returns [`SlotStore::len`] with it in.
-    pub(crate) fn append(&self, slot: WindowSlot) -> usize {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.slots.push_back(Arc::new(slot));
-        st.base + st.slots.len()
-    }
-
-    /// Drop the slots below `committed`: every worker is past them.
-    pub(crate) fn release_below(&self, committed: usize) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.base < committed && st.slots.pop_front().is_some() {
-            st.base += 1;
-        }
-    }
-}
-
-/// The shared commit lane: the one place network effects happen. Workers
-/// take it only for the duration of a single transaction, under barrier
-/// admission, or for a feed session.
-///
-/// A panic on the lane leaves its lock poisoned and a transaction
-/// perhaps open. Every lock takes the lane back from a [`PoisonError`]:
-/// the open transaction waits in `open` for the lost shard's drain to
-/// abort it, and nobody else can commit before that drain releases the
-/// panicking position at the barrier.
+/// The commit lane: the one place network effects happen. A panic on the
+/// lane may leave a transaction open in `open`, and the lost engine's
+/// drain aborts it before anything else commits.
 pub(crate) struct CommitLane<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) netlog: &'a mut NetLog,
@@ -273,10 +190,10 @@ pub(crate) struct CommitLane<'a> {
     pub(crate) open: Option<Transaction>,
 }
 
-/// A shard's view of the runtime while acting on one app: the shard
-/// itself plus the stats sink and shared read-only policy knobs.
-pub(crate) struct ShardCtx<'a> {
-    pub(crate) shard: &'a mut WorkerShard,
+/// The runtime as seen while acting on one app: the roster plus the
+/// stats sink and shared read-only policy knobs.
+pub(crate) struct AppCtx<'a> {
+    pub(crate) roster: &'a mut Roster,
     pub(crate) stats: &'a mut RuntimeStats,
     pub(crate) obs: &'a Obs,
     pub(crate) metrics: &'a CoreMetrics,
@@ -287,8 +204,8 @@ pub(crate) struct ShardCtx<'a> {
 /// when the app should receive the event, charging the event to its
 /// budget. The engine and the reference both use this, so selection (and
 /// its suspension side effects) is identical across them.
-pub(crate) fn select_app(cx: &mut ShardCtx<'_>, local: usize, kind: EventKind) -> bool {
-    let rec = &mut cx.shard.apps[local];
+pub(crate) fn select_app(cx: &mut AppCtx<'_>, local: usize, kind: EventKind) -> bool {
+    let rec = &mut cx.roster.apps[local];
     if !rec.subscriptions.contains(&kind) {
         return false;
     }
@@ -312,10 +229,10 @@ pub(crate) fn select_app(cx: &mut ShardCtx<'_>, local: usize, kind: EventKind) -
     true
 }
 
-/// What one position still needs from the shared commit lane once its
-/// outcome is booked.
+/// What one position still needs from the commit lane once its outcome
+/// is booked.
 pub(crate) enum LaneWork {
-    /// Nothing: the position is *elided* at the barrier.
+    /// Nothing: the position commits no transaction.
     None,
     /// Run `commands` in a NetLog transaction. `recover` is false for
     /// output that already came out of a recovery: if that is byzantine
@@ -334,7 +251,7 @@ pub(crate) enum LaneWork {
 /// neither decides any of this again. An elided position's trace verdict
 /// is emitted here; the lane step emits the others.
 pub(crate) fn book(
-    cx: &mut ShardCtx<'_>,
+    cx: &mut AppCtx<'_>,
     local: usize,
     slot: &WindowSlot,
     result: DispatchResult,
@@ -343,7 +260,7 @@ pub(crate) fn book(
         DispatchResult::Delivered(commands) => ("delivered", charge(cx, local, commands, true)),
         DispatchResult::Recovered { commands, .. } => {
             cx.stats.failstop_recoveries += 1;
-            cx.shard.apps[local].failstop_recoveries.inc();
+            cx.roster.apps[local].failstop_recoveries.inc();
             ("recovered", charge(cx, local, commands, false))
         }
         DispatchResult::AppDead { .. } => {
@@ -357,7 +274,7 @@ pub(crate) fn book(
         }
     };
     if let LaneWork::None = work {
-        let id = cx.shard.apps[local].id;
+        let id = cx.roster.apps[local].id;
         cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
     }
     work
@@ -366,11 +283,11 @@ pub(crate) fn book(
 /// The lane work of one command batch: none if it is empty, or if it
 /// would overrun the app's command budget (which suspends the app and
 /// counts the batch suppressed); its execution otherwise.
-fn charge(cx: &mut ShardCtx<'_>, local: usize, commands: Vec<Command>, recover: bool) -> LaneWork {
+fn charge(cx: &mut AppCtx<'_>, local: usize, commands: Vec<Command>, recover: bool) -> LaneWork {
     if commands.is_empty() {
         return LaneWork::None;
     }
-    let rec = &mut cx.shard.apps[local];
+    let rec = &mut cx.roster.apps[local];
     if let Some(max) = rec.limits.max_commands {
         if rec.usage.commands_emitted + commands.len() as u64 > max {
             rec.status = AppStatus::Suspended("command budget exhausted");
@@ -384,16 +301,16 @@ fn charge(cx: &mut ShardCtx<'_>, local: usize, commands: Vec<Command>, recover: 
 
 /// Whether a failure of this app on this slot's event takes the network
 /// down: its policy is No-Compromise and the runtime is configured to.
-fn shuts_network(cx: &ShardCtx<'_>, local: usize, slot: &WindowSlot) -> bool {
-    let name = &cx.shard.apps[local].name;
+fn shuts_network(cx: &AppCtx<'_>, local: usize, slot: &WindowSlot) -> bool {
+    let name = &cx.roster.apps[local].name;
     cx.shutdown_on_no_compromise
-        && cx.shard.crashpad.policies.lookup(name, slot.event.kind())
+        && cx.roster.crashpad.policies.lookup(name, slot.event.kind())
             == CompromisePolicy::NoCompromise
 }
 
 /// Mark an app dead.
-fn mark_dead(cx: &mut ShardCtx<'_>, local: usize) {
-    let rec = &mut cx.shard.apps[local];
+fn mark_dead(cx: &mut AppCtx<'_>, local: usize) {
+    let rec = &mut cx.roster.apps[local];
     if rec.status != AppStatus::Dead {
         rec.status = AppStatus::Dead;
         cx.stats.apps_dead += 1;
@@ -405,7 +322,7 @@ fn mark_dead(cx: &mut ShardCtx<'_>, local: usize) {
 /// position's first transaction id `tx`, or a network shutdown. Returns
 /// whether the commit was blocked as byzantine.
 pub(crate) fn commit_on_lane(
-    cx: &mut ShardCtx<'_>,
+    cx: &mut AppCtx<'_>,
     lane: &mut CommitLane<'_>,
     local: usize,
     slot: &WindowSlot,
@@ -418,7 +335,7 @@ pub(crate) fn commit_on_lane(
         LaneWork::Execute { recover: false, .. } => "recovered",
         LaneWork::Shutdown => "app_dead",
     };
-    let id = cx.shard.apps[local].id;
+    let id = cx.roster.apps[local].id;
     cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
     match work {
         LaneWork::Execute { commands, recover } => {
@@ -435,9 +352,9 @@ pub(crate) fn commit_on_lane(
 /// is the byzantine gate. `recover` bounds the recursion: output from a
 /// recovery path that is still byzantine is dropped, not re-recovered;
 /// a recovered retry takes the next id. Ids are position-derived, so the
-/// txlog order is independent of barrier admission order.
+/// engine's txlog carries the reference's ids.
 fn execute_guarded(
-    cx: &mut ShardCtx<'_>,
+    cx: &mut AppCtx<'_>,
     lane: &mut CommitLane<'_>,
     local: usize,
     slot: &WindowSlot,
@@ -447,11 +364,11 @@ fn execute_guarded(
 ) -> bool {
     let txn = lane
         .open
-        .insert(lane.netlog.begin_for_at(cx.shard.apps[local].id, tx));
+        .insert(lane.netlog.begin_for_at(cx.roster.apps[local].id, tx));
     for c in &commands {
         #[cfg(test)]
         if txn.len() == 1 {
-            fault(cx.shard, FaultPoint::Lane { tx: tx.0 });
+            fault(cx.roster, FaultPoint::Lane { tx: tx.0 });
         }
         // Reads return synchronously; pass stats replies through the
         // counter cache.
@@ -476,7 +393,7 @@ fn execute_guarded(
     match lane.netlog.commit(txn, lane.net) {
         Err(TxError::Blocked(check)) => {
             cx.stats.byzantine_blocked += 1;
-            cx.shard.apps[local].byzantine_blocked.inc();
+            cx.roster.apps[local].byzantine_blocked.inc();
             if recover {
                 let now = lane.net.now();
                 let failure = FailureKind::Byzantine {
@@ -485,7 +402,7 @@ fn execute_guarded(
                 // Replay sees the views the event was dispatched with (the
                 // windowed scheduler's translator has already advanced past
                 // it by commit time).
-                let result = cx.shard.with_app(local, |crashpad, app, id, name| {
+                let result = cx.roster.with_app(local, |crashpad, app, id, name| {
                     let (event, topo, dev) = (&slot.event, &slot.topology, &slot.devices);
                     crashpad.recover(app, id, name, event, failure, topo, dev, now)
                 });
@@ -514,295 +431,253 @@ fn execute_guarded(
             let applied = committed.map_or(0, |r| r.ops_applied) as u64;
             cx.stats.commands_executed += applied;
             cx.metrics.commands_executed.add(applied);
-            cx.shard.apps[local].usage.commands_emitted += applied;
+            cx.roster.apps[local].usage.commands_emitted += applied;
             false
         }
     }
 }
 
-/// What every worker of one cycle's window shares: the slots and the
-/// feed they come from, the commit order, the commit lane and the
-/// read-only knobs. Lock order: feed, then lane. A panic mid-translation
-/// poisons both; the next session takes them back and goes on with the
-/// translator as the panic left it (DESIGN.md §5).
-#[derive(Clone, Copy)]
-pub(crate) struct Window<'env, 'net> {
-    pub(crate) store: &'env SlotStore,
-    pub(crate) feed: &'env Mutex<&'net mut Feed>,
-    pub(crate) barrier: &'env CommitBarrier,
-    pub(crate) lane: &'env Mutex<CommitLane<'net>>,
-    pub(crate) obs: &'env Obs,
-    pub(crate) metrics: &'env CoreMetrics,
-    pub(crate) shutdown_on_no_compromise: bool,
-    pub(crate) depth: usize,
-    /// Total apps across all shards — the position stride per slot.
-    pub(crate) n_apps: usize,
-    /// First transaction id of the cycle (position 0, sub 0).
-    pub(crate) tx_cycle_base: u64,
-    /// Shard count — the position stride between a shard's consecutive
-    /// local apps.
-    pub(crate) workers: usize,
-}
-
-/// How a [`Window::top_up`] left things.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Topped {
-    /// The store holds the asking worker's window.
-    Full,
-    /// The next raw is impure and waits on commits still in flight;
-    /// worth asking again once the barrier cursor has passed this value.
-    Wait(u64),
-    /// The feed has ended: nothing more to ask it for this cycle.
-    Ended,
-}
-
-impl Window<'_, '_> {
-    /// Top the store up for a worker whose commit cursor is at
-    /// `commit_pos`: if it holds less than a window past that, pull raws
-    /// off the feed. Translation and commits serialize on the same
-    /// network, so a session holds the lane. Alone, a worker translates
-    /// just far enough to fill its window — a slot pins the views of its
-    /// translation, and the next view change would have to copy them.
-    /// With peer shards every session contends with their commits for
-    /// the lane, so one session runs to the end of the pure run instead
-    /// of coming back for every slot.
-    pub(crate) fn top_up(&self, commit_pos: usize) -> Topped {
-        let want = commit_pos + self.depth;
-        if self.store.len() >= want {
-            return Topped::Full;
-        }
-        let mut feed = self.feed.lock().unwrap_or_else(PoisonError::into_inner);
-        if feed.ended() {
-            return Topped::Ended;
-        }
-        // Every position below the cursor has committed: the slots below
-        // its slot are released, and the store counts as drained once the
-        // cursor is past every position in it.
-        let cursor = self.barrier.cursor();
-        self.store
-            .release_below((cursor / self.n_apps.max(1) as u64) as usize);
-        let target = if self.workers > 1 { usize::MAX } else { want };
-        let mut lane = self.lane.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut len = self.store.len();
-        while len < target {
-            let uncommitted = (len * self.n_apps) as u64;
-            let pulled = feed.pull(lane.net, cursor >= uncommitted, |slot| {
-                len = self.store.append(slot);
-            });
-            match pulled {
-                Pull::Fed => {}
-                Pull::End => return Topped::Ended,
-                // An impure raw needs the whole store committed.
-                Pull::Drain => return Topped::Wait(uncommitted - 1),
-            }
-        }
-        Topped::Full
-    }
-}
-
-/// One worker's execution of a cycle's window — the dispatch engine
-/// (DESIGN.md §9): a fill cursor queues deliveries up to `depth` slots
-/// past the commit cursor (pulling the next raw off the shared feed when
-/// the store runs short), the commit cursor settles one slot at a time,
-/// and every commit is admitted by the shared [`CommitBarrier`].
-///
-/// The runtime thread calls [`run`] for shard 0, and shard *N* ≥ 1 runs
-/// it as one job on its long-lived `lego-worker-N` thread
-/// (`crate::pool`), so no cycle starts a thread. Recorder scopes are
-/// per-thread, so every shard records full flight-recorder traces. Stats
-/// accumulate into a worker-local zero-initialized delta the runtime
-/// merges after the cycle — identical totals at any worker count.
-///
-/// [`run`]: WorkerRun::run
-pub(crate) struct WorkerRun<'env, 'net> {
-    shard: &'env mut WorkerShard,
-    win: Window<'env, 'net>,
-    pub(crate) stats: RuntimeStats,
-    /// Speculative in-flight stub entries per slot.
-    pending: Vec<Vec<WindowEntry>>,
-    /// Uncollected deliveries per local app.
+/// The engine's buffers. The runtime keeps them across cycles, so a
+/// cycle allocates none of them anew; each cycle starts them empty.
+#[derive(Default)]
+pub(crate) struct Window {
+    slots: VecDeque<WindowSlot>,
+    pending: VecDeque<Vec<WindowEntry>>,
     inflight: Vec<u64>,
-    next_send: usize,
-    commit_pos: usize,
+    settles: Vec<Settle>,
+}
+
+/// One cycle of the dispatch engine (DESIGN.md §9), on the runtime
+/// thread: a fill cursor queues deliveries to the isolated stubs up to
+/// `depth` slots past the commit cursor, pulling the next raw off the
+/// feed when the window runs short, and the commit cursor settles one
+/// slot at a time, in (event, attach) position order.
+pub(crate) struct WorkerRun<'a> {
+    /// The slots the feed has yielded and the commit cursor has not
+    /// passed: `slots[0]` is the commit cursor's.
+    slots: &'a mut VecDeque<WindowSlot>,
+    feed: &'a mut Feed,
     /// The feed has ended: nothing more to ask it for this cycle.
     fed_out: bool,
+    d: Dispatch<'a>,
 }
 
-impl<'env, 'net> WorkerRun<'env, 'net> {
-    pub(crate) fn new(shard: &'env mut WorkerShard, win: Window<'env, 'net>) -> Self {
+/// Everything a [`WorkerRun`] acts with but its slots and their feed, so
+/// a slot stays borrowed while this changes.
+struct Dispatch<'a> {
+    cx: AppCtx<'a>,
+    lane: CommitLane<'a>,
+    depth: usize,
+    /// First transaction id of the cycle (position 0, sub 0).
+    tx_cycle_base: u64,
+    /// The stub entries in flight, one list per slot sent, aligned with
+    /// the slots: `pending[0]` is the commit cursor's.
+    pending: &'a mut VecDeque<Vec<WindowEntry>>,
+    /// Uncollected deliveries per app.
+    inflight: &'a mut Vec<u64>,
+    /// The booked positions of the slot being committed.
+    settles: &'a mut Vec<Settle>,
+    /// The next slot to send, counted from the start of the cycle.
+    next_send: usize,
+    /// The slot being committed, counted likewise.
+    commit_pos: usize,
+}
+
+impl<'a> WorkerRun<'a> {
+    pub(crate) fn new(
+        cx: AppCtx<'a>,
+        lane: CommitLane<'a>,
+        feed: &'a mut Feed,
+        window: &'a mut Window,
+        depth: usize,
+        tx_cycle_base: u64,
+    ) -> Self {
+        let Window {
+            slots,
+            pending,
+            inflight,
+            settles,
+        } = window;
+        inflight.clear();
+        inflight.resize(cx.roster.apps.len(), 0);
         WorkerRun {
-            inflight: vec![0; shard.apps.len()],
-            shard,
-            win,
-            stats: RuntimeStats::default(),
-            pending: Vec::new(),
-            next_send: 0,
-            commit_pos: 0,
+            slots,
+            feed,
             fed_out: false,
+            d: Dispatch {
+                cx,
+                lane,
+                depth,
+                tx_cycle_base,
+                pending,
+                inflight,
+                settles,
+                next_send: 0,
+                commit_pos: 0,
+            },
         }
     }
 
-    /// Switch this thread's flight-recorder scope: a thread-local write,
-    /// so each worker tags its own fill/commit work with the slot's trace
-    /// without a lock and without disturbing its peers.
-    fn scope(&self, trace: Option<TraceId>) {
-        self.win.obs.trace_scope(trace);
-    }
-
-    /// The shard context for acting on one app.
-    fn cx(&mut self) -> ShardCtx<'_> {
-        ShardCtx {
-            shard: &mut *self.shard,
-            stats: &mut self.stats,
-            obs: self.win.obs,
-            metrics: self.win.metrics,
-            shutdown_on_no_compromise: self.win.shutdown_on_no_compromise,
-        }
-    }
-
-    /// Barrier position of `(slot, local app)`: the index sequential
-    /// dispatch would commit it at (the app's global attach index is
-    /// `local * workers + shard id`).
-    fn pos_of(&self, slot: usize, local: usize) -> u64 {
-        (slot * self.win.n_apps + local * self.win.workers + self.shard.id) as u64
-    }
-
-    /// Run the window over this shard's apps until the feed has ended and
-    /// every slot it yielded is committed. A panic in the loop loses the
-    /// shard ([`WorkerRun::lose`]), and the loop runs again as its drain;
-    /// a panic in the drain escapes to the pool, which aborts.
-    pub(crate) fn run(&mut self) {
+    /// Run the window over every app until the feed has ended and every
+    /// slot it yielded is committed. A panic in the loop loses the engine
+    /// ([`WorkerRun::lose`]), and the loop runs again as its drain. A
+    /// panic in the loss or the drain means the recovery path itself is
+    /// broken and nothing is left to finish the cycle: the process
+    /// aborts.
+    pub(crate) fn run(mut self) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.run_loop())) {
-            self.lose(&panic_text(payload));
-            #[cfg(test)]
-            fault(self.shard, FaultPoint::Drain);
-            self.run_loop();
+            let drained = catch_unwind(AssertUnwindSafe(|| {
+                self.lose(&panic_text(payload));
+                #[cfg(test)]
+                fault(self.d.cx.roster, FaultPoint::Drain);
+                self.run_loop();
+            }));
+            if drained.is_err() {
+                process::abort();
+            }
         }
-        self.scope(None);
+        self.d.cx.obs.trace_scope(None);
     }
 
-    /// Book this shard as lost to a panic in its own loop: abort the
+    /// Book the engine as lost to a panic in its own loop: abort the
     /// transaction it left open on the lane, cancel its in-flight
     /// entries, and quarantine every app still running through Crash-Pad
     /// as [`FailureKind::WorkerLost`], whose verdict is always death. With
     /// no app running, the loop selects none, so every position it has
-    /// left is elided: that is the drain.
+    /// left commits nothing: that is the drain.
     fn lose(&mut self, panic: &str) {
-        let now = {
-            let mut lane = self.win.lane.lock().unwrap_or_else(PoisonError::into_inner);
-            let CommitLane { net, netlog, open } = &mut *lane;
-            if let Some(txn) = open.take() {
-                let _ = netlog.abort(txn, net);
-            }
-            net.now()
-        };
+        let d = &mut self.d;
+        if let Some(txn) = d.lane.open.take() {
+            let _ = d.lane.netlog.abort(txn, d.lane.net);
+        }
         // Deliveries sent but not yet harvested stay uncollected: their
         // apps are dead for good.
-        for entries in self.pending.iter_mut().skip(self.commit_pos) {
+        for entries in d.pending.iter_mut() {
             entries.clear();
         }
-        let slot = if self.commit_pos < self.win.store.len() {
-            self.win.store.get(self.commit_pos)
-        } else {
-            // No event of this shard's was in hand: it lost its footing
+        let now = d.lane.net.now();
+        let tick;
+        let slot = match self.slots.front() {
+            Some(slot) => slot,
+            // No event was in hand: the engine lost its footing
             // translating the next one.
-            Arc::new(WindowSlot {
-                event: Event::Tick(now),
-                topology: TopologyView::default(),
-                devices: DeviceView::default(),
-                now,
-                trace: None,
-            })
+            None => {
+                tick = WindowSlot {
+                    event: Event::Tick(now),
+                    topology: TopologyView::default(),
+                    devices: DeviceView::default(),
+                    now,
+                    trace: None,
+                };
+                &tick
+            }
         };
-        self.scope(slot.trace);
+        d.cx.obs.trace_scope(slot.trace);
         let thread = std::thread::current();
         let panic_message = format!(
-            "shard {} on thread {}: {panic}",
-            self.shard.id,
+            "dispatch engine on thread {}: {panic}",
             thread.name().unwrap_or("<unnamed>")
         );
-        for local in 0..self.shard.apps.len() {
-            if self.shard.apps[local].status != AppStatus::Running {
+        for local in 0..d.cx.roster.apps.len() {
+            if d.cx.roster.apps[local].status != AppStatus::Running {
                 continue;
             }
             let failure = FailureKind::WorkerLost {
                 panic_message: panic_message.clone(),
             };
-            self.shard.with_app(local, |crashpad, app, id, name| {
+            d.cx.roster.with_app(local, |crashpad, app, id, name| {
                 let (event, topo, dev) = (&slot.event, &slot.topology, &slot.devices);
                 crashpad.recover(app, id, name, event, failure, topo, dev, slot.now)
             });
-            mark_dead(&mut self.cx(), local);
+            mark_dead(&mut d.cx, local);
         }
     }
 
     /// [`WorkerRun::run`]'s loop.
     fn run_loop(&mut self) {
         loop {
-            let topped = if self.fed_out {
-                Topped::Ended
-            } else {
-                self.win.top_up(self.commit_pos)
-            };
-            self.fed_out = topped == Topped::Ended;
-            if self.commit_pos < self.win.store.len() {
-                self.step();
-                continue;
+            if !self.fed_out {
+                self.fed_out = self.top_up();
             }
-            match topped {
-                Topped::Ended => break,
-                // Nothing of ours to commit and the next raw waits on
-                // peers' commits.
-                Topped::Wait(past) => {
-                    self.win.barrier.wait_cursor_past(past);
-                }
-                Topped::Full => unreachable!("a full window holds the commit cursor's slot"),
+            // Topping up leaves a slot unless the feed has ended.
+            if self.slots.is_empty() {
+                return;
             }
+            self.step();
         }
     }
 
-    /// Queue deliveries for every stored slot inside the window, then
-    /// commit the slot at the commit cursor (which the caller knows the
-    /// store holds).
+    /// Pull raws off the feed until the window holds `depth` slots, and
+    /// say whether the feed has ended. The engine translates just far
+    /// enough to fill its window: a slot pins the views of its
+    /// translation, and the next view change would have to copy them. An
+    /// impure raw waits until every slot before it has committed, so the
+    /// pull stops there and the commit cursor's slot is what comes next.
+    fn top_up(&mut self) -> bool {
+        while self.slots.len() < self.d.depth {
+            let drained = self.slots.is_empty();
+            let slots = &mut *self.slots;
+            match self
+                .feed
+                .pull(self.d.lane.net, drained, |slot| slots.push_back(slot))
+            {
+                Pull::Fed => {}
+                Pull::Drain => return false,
+                Pull::End => return true,
+            }
+        }
+        false
+    }
+
+    /// Queue deliveries for every slot inside the window, then commit the
+    /// slot at the commit cursor and release it.
     fn step(&mut self) {
-        let len = self.win.store.len();
-        if self.pending.len() < len {
-            self.pending.resize_with(len, Vec::new);
-        }
+        let (slots, d) = (&*self.slots, &mut self.d);
         {
-            let _span = self.shard.metrics.window_fill.start();
-            while self.next_send < len && self.next_send < self.commit_pos + self.win.depth {
-                self.pending[self.next_send] = self.send_slot(self.next_send);
-                self.next_send += 1;
+            let _span = d.cx.metrics.window_fill.start();
+            let end = d.commit_pos + slots.len().min(d.depth);
+            while d.next_send < end {
+                let entries = d.send_slot(&slots[d.next_send - d.commit_pos]);
+                d.pending.push_back(entries);
+                d.next_send += 1;
             }
         }
         {
-            let _span = self.shard.metrics.window_commit.start();
-            self.commit_slot();
+            let _span = d.cx.metrics.window_commit.start();
+            d.commit_slot(slots);
         }
-        self.commit_pos += 1;
+        d.commit_pos += 1;
+        d.pending.pop_front();
+        self.slots.pop_front();
     }
+}
 
+impl Dispatch<'_> {
     /// Speculatively select and queue one slot's deliveries to the
     /// isolated stubs (locals run inline at commit). Selection side
     /// effects (dispatch counters, event budgets, suspension) apply at
     /// send time and are rolled back entry-by-entry if a failure on an
     /// earlier slot cancels the entry.
-    fn send_slot(&mut self, s: usize) -> Vec<WindowEntry> {
-        let slot = self.win.store.get(s);
-        self.scope(slot.trace);
+    fn send_slot(&mut self, slot: &WindowSlot) -> Vec<WindowEntry> {
+        self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
         let mut entries = Vec::new();
-        for local in 0..self.shard.apps.len() {
-            if !matches!(self.shard.apps[local].host, Host::Isolated(_)) {
+        for local in 0..self.cx.roster.apps.len() {
+            if !matches!(self.cx.roster.apps[local].host, Host::Isolated(_)) {
                 continue;
             }
             #[cfg(test)]
-            fault(self.shard, FaultPoint::Fill { slot: s, local });
-            if !select_app(&mut self.cx(), local, kind) {
+            fault(
+                self.cx.roster,
+                FaultPoint::Fill {
+                    slot: self.next_send,
+                    local,
+                },
+            );
+            if !select_app(&mut self.cx, local, kind) {
                 continue;
             }
-            entries.push(self.queue_one(local, &slot));
+            entries.push(self.queue_one(local, slot));
         }
         entries
     }
@@ -813,12 +688,12 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     /// deliveries *k* and *k+1* captures the state after *k* — exactly
     /// the pre-event checkpoint the sequential protocol takes.
     fn queue_one(&mut self, local: usize, slot: &WindowSlot) -> WindowEntry {
-        let WorkerShard {
+        let Roster {
             apps,
             crashpad,
             proxy,
             ..
-        } = &mut *self.shard;
+        } = &mut *self.cx.roster;
         let rec = &apps[local];
         let Host::Isolated(handle) = rec.host else {
             unreachable!("windowed entries are stub-only");
@@ -845,55 +720,52 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         }
     }
 
-    /// Commit the slot at the commit cursor: sweep the shard's apps in
-    /// local (= global) order, settling each position exactly once — a
-    /// collected stub entry, an inline local-sandbox dispatch, or an
-    /// elision at the barrier.
-    fn commit_slot(&mut self) {
-        let commit_pos = self.commit_pos;
-        let slot = self.win.store.get(commit_pos);
-        self.scope(slot.trace);
+    /// Commit the slot at the commit cursor, `slots[0]`: sweep the apps
+    /// in attach order, settling each position exactly once — a
+    /// collected stub entry, an inline local-sandbox dispatch, or nothing
+    /// at all.
+    fn commit_slot(&mut self, slots: &VecDeque<WindowSlot>) {
+        let slot = &slots[0];
+        self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
-        let entries = std::mem::take(&mut self.pending[commit_pos]);
+        let entries = std::mem::take(&mut self.pending[0]);
         let mut entries = entries.into_iter().peekable();
-        // Harvest sweep: collect and book every position's outcome, and
-        // finish each elided one at the barrier the moment it is known.
-        // Every elision of the slot thus lands before this worker's first
-        // admission wait, so a peer's cursor is never held by our waits.
-        let mut settles: Vec<Settle> = Vec::new();
-        for local in 0..self.shard.apps.len() {
+        // Harvest sweep: collect and book every position's outcome.
+        let mut settles = std::mem::take(self.settles);
+        for local in 0..self.cx.roster.apps.len() {
             #[cfg(test)]
-            fault(self.shard, FaultPoint::Harvest { commit_pos, local });
-            let pos = self.pos_of(commit_pos, local);
+            fault(
+                self.cx.roster,
+                FaultPoint::Harvest {
+                    commit_pos: self.commit_pos,
+                    local,
+                },
+            );
             let (result, failed) = if entries.peek().is_some_and(|e| e.local == local) {
                 let entry = entries.next().expect("peeked");
                 self.inflight[local] -= 1;
-                self.harvest_entry(entry, &slot)
-            } else if matches!(self.shard.apps[local].host, Host::Local(_))
-                && select_app(&mut self.cx(), local, kind)
+                self.harvest_entry(entry, slots)
+            } else if matches!(self.cx.roster.apps[local].host, Host::Local(_))
+                && select_app(&mut self.cx, local, kind)
             {
                 // A local sandbox has no stub to overlap with: it runs
                 // inline at commit, against the slot's captured views.
-                (self.deliver_local(local, &slot), false)
+                (self.deliver_local(local, slot), false)
             } else {
-                self.win.barrier.finish_empty(pos);
                 continue;
             };
-            let running = self.shard.apps[local].status == AppStatus::Running;
-            let work = book(&mut self.cx(), local, &slot, result);
+            let running = self.cx.roster.apps[local].status == AppStatus::Running;
+            let work = book(&mut self.cx, local, slot, result);
             let mut cancelled = failed;
-            if running && !failed && self.shard.apps[local].status != AppStatus::Running {
+            if running && !failed && self.cx.roster.apps[local].status != AppStatus::Running {
                 // Booking suspended the app: sequential dispatch would
                 // not have made the deliveries queued after this one.
-                self.cancel_app(local);
+                self.cancel_app(local, slots);
                 cancelled = true;
             }
-            if let LaneWork::None = work {
-                self.win.barrier.finish_empty(pos);
-                // A cancelled stub window still needs its re-send.
-                if !cancelled {
-                    continue;
-                }
+            // A cancelled stub window still needs its re-send.
+            if matches!(work, LaneWork::None) && !cancelled {
+                continue;
             }
             settles.push(Settle {
                 local,
@@ -901,42 +773,42 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
                 cancelled,
             });
         }
-        // Settle sweep, in the same local order: admission + lane
-        // commit, then the window repair (cancel/resend).
+        // Settle sweep, in the same order: the lane commit, then the
+        // window repair (cancel/resend).
+        let stride = self.cx.roster.apps.len();
         for Settle {
             local,
             work,
             cancelled,
-        } in settles
+        } in settles.drain(..)
         {
-            let blocked = match work {
-                LaneWork::None => false,
-                work => self.settle(local, &slot, work),
-            };
-            if !matches!(self.shard.apps[local].host, Host::Isolated(_)) {
+            let pos = (self.commit_pos * stride + local) as u64;
+            let tx = TxId(self.tx_cycle_base + pos * TXS_PER_POS);
+            let blocked = commit_on_lane(&mut self.cx, &mut self.lane, local, slot, work, tx);
+            if !matches!(self.cx.roster.apps[local].host, Host::Isolated(_)) {
                 continue;
             }
             if blocked && !cancelled {
                 // Byzantine caught at commit: the app was restored
                 // mid-stream, so its queued later deliveries ran from
                 // the wrong state.
-                self.cancel_app(local);
+                self.cancel_app(local, slots);
             }
             if cancelled || blocked {
-                self.resend_app(local);
+                self.resend_app(local, slots);
                 // The resend loop re-scoped the recorder to the
                 // refilled slots; later settles still belong here.
-                self.scope(slot.trace);
+                self.cx.obs.trace_scope(slot.trace);
             }
         }
+        *self.settles = settles;
     }
 
     /// Run one local-sandbox dispatch (checkpoint-if-due, deliver,
-    /// gather/recover) against the slot's captured views, without
-    /// touching the barrier.
+    /// gather/recover) against the slot's captured views.
     fn deliver_local(&mut self, local: usize, slot: &WindowSlot) -> DispatchResult {
-        let obs = self.win.obs;
-        self.shard.with_app(local, |crashpad, app, id, name| {
+        let obs = self.cx.obs;
+        self.cx.roster.with_app(local, |crashpad, app, id, name| {
             crashpad.prepare(app, id, name);
             obs.emit(Some(id), RecordKind::Step("send", "local"));
             let delivery = app.deliver(&slot.event, &slot.topology, &slot.devices, slot.now);
@@ -954,21 +826,25 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         })
     }
 
-    /// Collect and gather one in-flight (event, app) entry: snapshot
-    /// collect, delivery collect, failure-path cancellation (before
-    /// recovery restores the app, so the RPC stream is clean when
-    /// replay begins), and the Crash-Pad's completion/recovery.
-    /// Returns the dispatch outcome plus whether the delivery failed;
-    /// settling happens later, after the whole slot is harvested.
-    fn harvest_entry(&mut self, entry: WindowEntry, slot: &WindowSlot) -> (DispatchResult, bool) {
-        let local = entry.local;
-        let WorkerShard {
+    /// Collect and gather one in-flight entry of the commit cursor's
+    /// slot: snapshot collect, delivery collect, failure-path
+    /// cancellation (before recovery restores the app, so the RPC stream
+    /// is clean when replay begins), and the Crash-Pad's
+    /// completion/recovery. Returns the dispatch outcome plus whether the
+    /// delivery failed; settling happens later, after the whole slot is
+    /// harvested.
+    fn harvest_entry(
+        &mut self,
+        entry: WindowEntry,
+        slots: &VecDeque<WindowSlot>,
+    ) -> (DispatchResult, bool) {
+        let (local, slot) = (entry.local, &slots[0]);
+        let Roster {
             apps,
             crashpad,
             proxy,
-            metrics,
             ..
-        } = &mut *self.shard;
+        } = &mut *self.cx.roster;
 
         // The snapshot queued before this delivery: collect and book it.
         // The recorded duration is the wait the proxy actually paid here —
@@ -990,15 +866,15 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
             None => DeliverOutcome::CommFailure,
         };
         let queue_ns = u64::try_from(entry.queued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.window_queue_ns.observe(queue_ns);
+        self.cx.metrics.window_queue_ns.observe(queue_ns);
 
         let failed = !matches!(delivery, DeliverOutcome::Commands(_));
         if failed {
             // Cancel this app's queued later deliveries BEFORE recovery
             // restores it, so the RPC stream is clean when replay begins.
-            self.cancel_app(local);
+            self.cancel_app(local, slots);
         }
-        let result = self.shard.with_app(local, |crashpad, app, id, name| {
+        let result = self.cx.roster.with_app(local, |crashpad, app, id, name| {
             crashpad.complete(
                 app,
                 id,
@@ -1013,57 +889,37 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
         (result, failed)
     }
 
-    /// Settle one booked position: wait for admission and run its lane
-    /// step. Returns whether the commit was blocked as byzantine.
-    fn settle(&mut self, local: usize, slot: &WindowSlot, work: LaneWork) -> bool {
-        let win = self.win;
-        let pos = self.pos_of(self.commit_pos, local);
-        let tx = TxId(win.tx_cycle_base + pos * TXS_PER_POS);
-        win.barrier.acquire(pos);
-        let blocked = {
-            let mut lane = win.lane.lock().unwrap_or_else(PoisonError::into_inner);
-            commit_on_lane(&mut self.cx(), &mut lane, local, slot, work, tx)
-        };
-        win.barrier.release(pos);
-        blocked
-    }
-
     /// Drop an app's in-flight entries beyond the commit cursor and roll
     /// back their speculative selection, so re-selection sees exactly
     /// the post-recovery state sequential dispatch would.
-    fn cancel_app(&mut self, local: usize) {
+    fn cancel_app(&mut self, local: usize, slots: &VecDeque<WindowSlot>) {
         let mut tags = Vec::new();
         let mut handle = None;
-        for (s, slot_entries) in self
-            .pending
-            .iter_mut()
-            .enumerate()
-            .skip(self.commit_pos + 1)
-        {
-            if let Some(pos) = slot_entries.iter().position(|e| e.local == local) {
-                let e = slot_entries.remove(pos);
+        for (entries, slot) in self.pending.iter_mut().zip(slots).skip(1) {
+            if let Some(pos) = entries.iter().position(|e| e.local == local) {
+                let e = entries.remove(pos);
                 tags.extend(e.snap);
                 tags.extend(e.seq);
                 handle = Some(e.handle);
                 // Roll the speculative selection back. (The monotonic obs
                 // dispatch counter keeps the cancelled send; RuntimeStats
                 // is the determinism-bearing surface.)
-                self.stats.dispatches -= 1;
-                self.shard.apps[local].usage.events_consumed -= 1;
+                self.cx.stats.dispatches -= 1;
+                self.cx.roster.apps[local].usage.events_consumed -= 1;
                 self.inflight[local] -= 1;
                 // The cancellation belongs to the *cancelled* event's
                 // timeline, not the failed one currently in scope.
-                if let Some(tid) = self.win.store.get(s).trace {
-                    self.win.obs.emit_to(
+                if let Some(tid) = slot.trace {
+                    self.cx.obs.emit_to(
                         Some(tid),
-                        Some(self.shard.apps[local].id),
+                        Some(self.cx.roster.apps[local].id),
                         RecordKind::Step("cancel", "crash_upstream"),
                     );
                 }
             }
         }
         if let Some(h) = handle {
-            let _ = self.shard.proxy.cancel_pending(h, &tags);
+            let _ = self.cx.roster.proxy.cancel_pending(h, &tags);
         }
     }
 
@@ -1071,19 +927,19 @@ impl<'env, 'net> WorkerRun<'env, 'net> {
     /// state: a revived app is usually re-selected, a dead or suspended
     /// one is skipped and counted, just as sequential dispatch would) and
     /// queue fresh deliveries for the survivors.
-    fn resend_app(&mut self, local: usize) {
-        for s in self.commit_pos + 1..self.next_send {
-            let slot = self.win.store.get(s);
+    fn resend_app(&mut self, local: usize, slots: &VecDeque<WindowSlot>) {
+        let sent = self.next_send - self.commit_pos;
+        for (s, slot) in slots.iter().enumerate().take(sent).skip(1) {
             // Re-queued work records into the re-sent event's trace.
-            self.scope(slot.trace);
-            if !select_app(&mut self.cx(), local, slot.event.kind()) {
+            self.cx.obs.trace_scope(slot.trace);
+            if !select_app(&mut self.cx, local, slot.event.kind()) {
                 continue;
             }
-            self.win.obs.emit(
-                Some(self.shard.apps[local].id),
+            self.cx.obs.emit(
+                Some(self.cx.roster.apps[local].id),
                 RecordKind::Step("resend", "requeued"),
             );
-            let entry = self.queue_one(local, &slot);
+            let entry = self.queue_one(local, slot);
             let pend = &mut self.pending[s];
             let pos = pend
                 .iter()
@@ -1103,53 +959,4 @@ struct Settle {
     local: usize,
     work: LaneWork,
     cancelled: bool,
-}
-
-impl RuntimeStats {
-    /// Fold a worker's zero-initialized per-cycle delta into the global
-    /// totals. Field-complete on purpose: a worker only ever touches the
-    /// dispatch-path counters, and the untouched ones add zero.
-    pub(crate) fn absorb(&mut self, d: &RuntimeStats) {
-        self.events_translated += d.events_translated;
-        self.dispatches += d.dispatches;
-        self.commands_executed += d.commands_executed;
-        self.commands_suppressed += d.commands_suppressed;
-        self.failstop_recoveries += d.failstop_recoveries;
-        self.byzantine_blocked += d.byzantine_blocked;
-        self.apps_dead += d.apps_dead;
-        self.events_skipped += d.events_skipped;
-        self.apps_suspended += d.apps_suspended;
-        self.upgrades += d.upgrades;
-        self.cycles += d.cycles;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use legosdn_openflow::prelude::DatapathId;
-
-    fn slot(dpid: u64) -> WindowSlot {
-        WindowSlot {
-            event: Event::SwitchUp(DatapathId(dpid)),
-            topology: TopologyView::default(),
-            devices: DeviceView::default(),
-            now: SimTime::ZERO,
-            trace: None,
-        }
-    }
-
-    #[test]
-    fn the_slot_store_answers_after_a_panic_under_its_lock() {
-        let store = SlotStore::default();
-        assert_eq!(store.append(slot(1)), 1);
-        let past_the_end = std::thread::scope(|s| s.spawn(|| store.get(5)).join());
-        assert!(past_the_end.is_err(), "a get past the end panics");
-        assert!(store.state.is_poisoned());
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.append(slot(2)), 2);
-        store.release_below(1);
-        assert_eq!(store.len(), 2);
-        assert!(matches!(store.get(1).event, Event::SwitchUp(DatapathId(2))));
-    }
 }

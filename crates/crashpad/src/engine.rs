@@ -301,7 +301,7 @@ impl CrashPad {
             format!("policy resolved to {policy}"),
         ];
         let (verdict, commands) = if let FailureKind::WorkerLost { .. } = failure {
-            // The app's shard lost its thread mid-window, so what the app
+            // The dispatch engine panicked mid-window, so what the app
             // was last handed, and what it last answered, is unknown: no
             // restore can be trusted to put it back in step.
             (Verdict::LetDie, Vec::new())
@@ -872,7 +872,7 @@ mod tests {
             dispatch(&mut pad, &mut sandbox, &ev, &topo);
             let id = pad.obs.attach_app("brittle");
             let failure = FailureKind::WorkerLost {
-                panic_message: "shard 1 on thread lego-worker-1: boom".into(),
+                panic_message: "dispatch engine on thread main: boom".into(),
             };
             let r = pad.recover(
                 &mut sandbox,
@@ -888,7 +888,7 @@ mod tests {
                 matches!(r, DispatchResult::AppDead { .. }),
                 "{policy}: {r:?}"
             );
-            // Neither restored nor replayed: the app is as the worker left it.
+            // Neither restored nor replayed: the app is as the engine left it.
             assert_eq!(brittle_state(&sandbox).events, 2, "{policy}");
             assert_eq!(pad.stats().recoveries, 0, "{policy}");
             assert_eq!(pad.stats().apps_let_die, 1, "{policy}");
@@ -896,7 +896,7 @@ mod tests {
             assert_eq!(ticket.recovery, RecoveryTaken::LetDie);
             assert!(ticket
                 .render()
-                .contains("worker lost: shard 1 on thread lego-worker-1"));
+                .contains("worker lost: dispatch engine on thread main"));
         }
     }
 

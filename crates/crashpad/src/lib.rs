@@ -15,6 +15,8 @@
 //! - [`ticket`]: problem tickets for developer triage.
 //! - [`engine`]: the dispatch/recovery engine over any [`RecoverableApp`].
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod diagnose;
 pub mod engine;

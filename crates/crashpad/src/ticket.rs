@@ -21,8 +21,8 @@ pub enum FailureKind {
     CommFailure,
     /// The app's output violated network invariants.
     Byzantine { violations: usize },
-    /// The worker shard hosting the app panicked in the runtime's own
-    /// code; the text names the shard, its thread and the panic.
+    /// The dispatch engine panicked in the runtime's own code; the text
+    /// names the engine's thread and the panic.
     WorkerLost { panic_message: String },
 }
 
@@ -269,7 +269,7 @@ mod tests {
             (FailureKind::Byzantine { violations: 2 }, "byzantine"),
             (
                 FailureKind::WorkerLost {
-                    panic_message: "shard 1 on lego-worker-1: boom".into(),
+                    panic_message: "dispatch engine on thread main: boom".into(),
                 },
                 "worker_lost",
             ),

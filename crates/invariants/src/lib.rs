@@ -11,6 +11,8 @@
 //!   per network it commits to and checks every state-altering commit
 //!   with it.
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod probe;
 pub mod state;

@@ -388,13 +388,13 @@ impl NetLog {
         }
     }
 
-    /// Open a transaction with a caller-chosen id. The worker-sharded
-    /// runtime derives ids from commit positions (DESIGN.md §9) so
-    /// transactions carry the same ids regardless of which worker commits
-    /// them. The id high-water mark advances past `id`, so later
-    /// [`NetLog::begin`] calls never collide. Pinned transactions must
-    /// finish in id order (the barrier admits them in position order), so
-    /// the log, which is in finishing order, reads in id order too.
+    /// Open a transaction with a caller-chosen id. The runtime derives ids
+    /// from commit positions (DESIGN.md §9), so the engine's transactions
+    /// carry the ids the sequential reference gives them. The id
+    /// high-water mark advances past `id`, so later [`NetLog::begin`]
+    /// calls never collide. Pinned transactions must finish in id order
+    /// (the runtime commits in position order), so the log, which is in
+    /// finishing order, reads in id order too.
     pub fn begin_at(&mut self, id: TxId) -> Transaction {
         self.next_id = self.next_id.max(id.0);
         self.open(id, true)

@@ -16,6 +16,8 @@
 //! timeout, and a [`counter_cache::CounterCache`] rewrites statistics
 //! replies so restored flows report continuous counters.
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod counter_cache;
 pub mod engine;

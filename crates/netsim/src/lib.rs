@@ -17,6 +17,8 @@
 //! yield byte-identical traces, which the recovery and replay experiments
 //! rely on.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod flow_table;
 pub mod network;

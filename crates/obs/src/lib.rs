@@ -25,6 +25,8 @@
 //! [`Obs::disabled`] instance until they are handed one: nothing below
 //! the runtime reports to [`Obs::global`] on its own.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod journal;
 pub mod metrics;

@@ -36,6 +36,8 @@
 //! assert_eq!(xid, Xid(7));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod actions;
 pub mod error;
 pub mod inverse;

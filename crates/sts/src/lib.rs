@@ -11,6 +11,8 @@
 //! [`oracle::AppReplayOracle`] replays candidate subsequences into fresh
 //! app instances with panic containment.
 
+#![forbid(unsafe_code)]
+
 pub mod ddmin;
 pub mod oracle;
 

@@ -8,6 +8,8 @@
 //! assert same-seed reproducibility, and STS-style replay (ROADMAP) depends
 //! on it.
 
+#![forbid(unsafe_code)]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;

@@ -16,7 +16,7 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Every suite in the workspace, once, under one hard timeout: a stub
-# deadlock, a wedged barrier or a lost wakeup hangs a test, and the timeout
+# deadlock or a lost wakeup hangs a test, and the timeout
 # is what turns that into a failure. Suites are re-run by name below only
 # where that adds something this run lacks.
 echo "==> cargo test (hard 600s timeout)"
@@ -49,9 +49,13 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # an action fold that collects ports (a transaction is one recycled
 # record, its commit or rollback names its app, and forwarding runs on
 # reused scratch, §3, §7, §12), nor a per-app usage field nothing writes
-# (`app_usage` reports only what the runtime counts). A bracketed letter
-# keeps a pattern from matching the line that spells it.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse or unwritten usage field"
+# (`app_usage` reports only what the runtime counts), nor the worker
+# shards, their thread pool, the locked slot store, the commit barrier's
+# waits and counters or a worker count anything reads (one engine on the
+# runtime thread, DESIGN.md §9); `DispatchConfig::workers` survives only
+# as `config.rs`'s hidden shim, which ignores its argument. A bracketed
+# letter keeps a pattern from matching the line that spells it.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse, unwritten usage field or worker shard"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -90,8 +94,11 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'TxnBegin|inverse_of|Inverse::|apply_actions|txn_app' crates/ tests/ examples/ \
   || grep -rniE 'heartbeat|check_liveness|FlowModBatch' crates/ tests/ examples/ \
   || grep -rnw last_snapshot_bytes crates/ tests/ examples/ \
-  || grep -rnE 'send_owned|fn recv_timeout|time_left|crashpad_mut|crash_info\(' crates/ tests/ examples/; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  || grep -rnE 'send_owned|fn recv_timeout|time_left|crashpad_mut|crash_info\(' crates/ tests/ examples/ \
+  || grep -rnE 'ShardPool|SlotStore|lego-worker|wait_cursor_past|finish_empty|BarrierStats|worker_of|crashpad_for|ZeroWorkers|barrier_ordered_commits|barrier_elided_positions' \
+    crates/ tests/ examples/ \
+  || grep -rnE '\.workers\(' crates/ tests/ examples/ | grep -v '^crates/core/src/config\.rs:'; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 
@@ -172,17 +179,17 @@ fi
 
 # One failure path for a panic (DESIGN.md §5): outside tests a panic is
 # caught only where it becomes a failed app — the sandbox's wall, the stub
-# host's scan (the stub retires), a shard's loop (its apps die as
-# `WorkerLost`) — or where the shard pool turns one that escaped a drain
-# into an abort; the two exceptions of the guard above stand. Nothing in
-# core re-raises a panic or dies of a poisoned lock.
+# host's scan (the stub retires), the engine's loop (every running app
+# dies as `WorkerLost`), where the engine turns one in its drain into an
+# abort; the two exceptions of the guard above stand. Nothing in core
+# re-raises a panic or dies of a poisoned lock.
 echo "==> one failure path: catch_unwind only at the walls, no re-raise or poison expect in core"
 CATCHES="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
   FNR == 1 { in_tests = 0; prev = "" }
   prev ~ /^#\[cfg\(test\)\]$/ && /^mod / { in_tests = 1 }
   { prev = $0 }
   !in_tests && /catch_unwind/ { print FILENAME ":" FNR ": " $0 }' \
-  | grep -vE '^crates/(controller/src/(sandbox|monolithic)|appvisor/src/stub|core/src/(workers|pool)|testkit/src/lib)\.rs:' \
+  | grep -vE '^crates/(controller/src/(sandbox|monolithic)|appvisor/src/stub|core/src/workers|testkit/src/lib)\.rs:' \
   || true)"
 if [ -n "$CATCHES" ]; then
   echo "$CATCHES" >&2
@@ -194,14 +201,31 @@ if grep -rnE 'resume_unwind|expect\("[^"]*poisoned' crates/core/src; then
   exit 1
 fi
 
-# One `unsafe` block (DESIGN.md §9): the shard pool erases a job's
-# lifetime and argues there why that is sound. The allocation-budget
-# test's counting allocator is the other user: `GlobalAlloc` cannot be
-# implemented without it.
-echo "==> unsafe only in the shard pool and the counting allocator"
-if grep -rnw unsafe crates/ tests/ examples/ \
-    | grep -vE '^(crates/core/src/pool|tests/alloc_budget)\.rs:'; then
-  echo "unsafe outside crates/core/src/pool.rs (see DESIGN.md §9)" >&2
+# No `unsafe` in the library crates, and every one of them says so: the
+# allocation-budget test's counting allocator is the one user, because
+# `GlobalAlloc` cannot be implemented without it.
+echo "==> unsafe only in the counting allocator; every crate forbids unsafe_code"
+if grep -rnw unsafe crates/ tests/ examples/ | grep -v '^tests/alloc_budget\.rs:'; then
+  echo "unsafe outside tests/alloc_budget.rs" >&2
+  exit 1
+fi
+for lib in crates/*/src/lib.rs; do
+  grep -qxF '#![forbid(unsafe_code)]' "$lib" \
+    || { echo "$lib does not forbid unsafe_code" >&2; exit 1; }
+done
+
+# One engine on the runtime thread (DESIGN.md §9): outside its tests the
+# runtime crate starts no thread of its own. Stubs run on the AppVisor
+# stub host's threads.
+echo "==> core starts no thread outside its tests"
+THREADS="$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { in_tests = 0; prev = "" }
+  prev ~ /^#\[cfg\(test\)\]$/ && /^mod / { in_tests = 1 }
+  { prev = $0 }
+  !in_tests && /thread::(spawn|scope|Builder)/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$THREADS" ]; then
+  echo "$THREADS" >&2
+  echo "core starts a thread; the engine runs on the runtime thread (see DESIGN.md §9)" >&2
   exit 1
 fi
 
@@ -241,11 +265,11 @@ done <<'SMOKES'
 defaults|
 isolated stubs|--isolation channel
 isolated stubs sharing 2 host threads|--isolation channel --io-threads 2
-4 worker shards behind the commit barrier|--isolation channel --window 4 --workers 4
+isolated stubs under a 4-deep window|--isolation channel --window 4
 SMOKES
 
 # The flags that selected the deleted paths are gone, not hidden.
-for gone in --dispatch --transport --push-to --campaign --lookahead; do
+for gone in --dispatch --transport --push-to --campaign --lookahead --workers; do
   if ./target/release/campaign --rounds 1 "$gone" x </dev/null >/dev/null 2>&1; then
     echo "campaign still accepts $gone" >&2
     exit 1
@@ -324,15 +348,10 @@ timeout 120 ./target/release/workload --k 30 --events 20000 --seed 7 \
 # conformance suite, and no park-aware signal loses a wakeup in 200k
 # frames — the stub host's scan of a channel among them. Beside 200
 # other tests the stress has the scheduler's noise to hide in; alone, a
-# lost wakeup parks it for 2 s per frame and the timeout fails it. The
-# commit barrier's sleeper-counted wakes get the same: 120k positions at
-# 2 and 4 workers, a lost one hangs its run.
-echo "==> transport conformance + lost-wake stress, alone (hard 120s timeout each)"
+# lost wakeup parks it for 2 s per frame and the timeout fails it.
+echo "==> transport conformance + lost-wake stress, alone (hard 120s timeout)"
 timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_wake_stress \
   || { echo "transport conformance / lost-wake stress failed or timed out" >&2; exit 1; }
-timeout 120 cargo test -q --offline -p legosdn-netlog --lib -- \
-    lost_wake_stress_two_workers_ordered lost_wake_stress_four_workers_ordered \
-  || { echo "commit barrier lost-wake stress failed or timed out" >&2; exit 1; }
 
 # Tests whose outcome turns on a deadline drive their stub inline
 # (`InlineStub`): a reply not queued when the proxy looks never comes, so
@@ -341,13 +360,11 @@ timeout 120 cargo test -q --offline -p legosdn-netlog --lib -- \
 # over the view_resync suite and the three appvisor unit tests moved onto
 # it. A test that expects an explicit `Crashed` report from a hosted stub
 # waits up to 2 s and returns when the report arrives; it rides along.
-# The shard pool's tests, the lost-shard tests and the shard-barrier suite
-# ride along too: a job handed to a sleeping worker, the latch that waits
-# for it, and a lost shard's drain must hold on a starved box too.
-echo "==> inline-stub deadline, crash-report, shard-pool, lost-shard and shard-barrier tests, 20x beside a busy loop per core (hard 300s timeout)"
+# The lost-engine tests ride along too: a lost engine's drain, behind
+# stubs, must hold on a starved box too.
+echo "==> inline-stub deadline, crash-report and lost-engine tests, 20x beside a busy loop per core (hard 300s timeout)"
 cargo test -q --offline --no-run -p legosdn-appvisor --lib --test view_resync
-cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor \
-  --test integration_shard_barrier
+cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor
 for _ in $(seq 1 "$(nproc)"); do
   ( while :; do :; done ) &
   BURN_PIDS="$BURN_PIDS $!"
@@ -358,10 +375,8 @@ for round in $(seq 1 20); do
       crash_is_contained_and_reported silent_crash_mode_goes_quiet >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --test integration_appvisor -- \
       crash_containment_with_explicit_report >/dev/null 2>&1 \
-    && timeout 300 cargo test -q --offline -p legosdn --lib -- pool:: lost_shard_tests:: >/dev/null 2>&1 \
-    && timeout 300 cargo test -q --offline -p legosdn --test integration_shard_barrier \
-      >/dev/null 2>&1 \
-    || { echo "inline-stub deadline, crash-report, shard-pool, lost-shard or shard-barrier test flaked in round $round of 20 under load" >&2; exit 1; }
+    && timeout 300 cargo test -q --offline -p legosdn --lib -- lost_shard_tests:: >/dev/null 2>&1 \
+    || { echo "inline-stub deadline, crash-report or lost-engine test flaked in round $round of 20 under load" >&2; exit 1; }
 done
 # shellcheck disable=SC2086
 kill $BURN_PIDS 2>/dev/null || true

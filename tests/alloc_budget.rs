@@ -27,9 +27,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed (wrapping: a difference is what
-/// counts).
-static LIVE: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Allocations made by this thread. A measurement of single-threaded
@@ -37,11 +34,26 @@ thread_local! {
     /// allocates when an earlier test reports, which can land inside a
     /// window that `serial()` alone does not close.
     static HERE: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed (wrapping: a
+    /// difference is what counts). A measurement of single-threaded work
+    /// reads this, for the reason it reads `HERE`: a free on the
+    /// harness's thread can land inside its window.
+    static HERE_LIVE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// [`HERE`]'s count.
 fn allocs_here() -> u64 {
     HERE.with(Cell::get)
+}
+
+/// [`HERE_LIVE`]'s count.
+fn live_here() -> u64 {
+    HERE_LIVE.with(Cell::get)
+}
+
+/// Add `bytes` (wrapping) to this thread's live count.
+fn held_here(bytes: u64) {
+    HERE_LIVE.with(|n| n.set(n.get().wrapping_add(bytes)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters are
@@ -50,13 +62,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         HERE.with(|n| n.set(n.get() + 1));
-        LIVE.fetch_add(layout.size() as u64, Relaxed);
+        held_here(layout.size() as u64);
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Relaxed);
+        held_here((layout.size() as u64).wrapping_neg());
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,10 +76,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         HERE.with(|n| n.set(n.get() + 1));
-        LIVE.fetch_add(
-            (new_size as u64).wrapping_sub(layout.size() as u64),
-            Relaxed,
-        );
+        held_here((new_size as u64).wrapping_sub(layout.size() as u64));
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -77,29 +86,30 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per translated event the lean skeleton may spend on this
-/// trace. Measured 14.78 since a NetLog transaction fills a recycled
-/// record and a packet is forwarded on reused scratch (31.49 before;
-/// 33.69 before NetLog stopped cloning each executed message into its
-/// undo log); the bound sits ~10 % above, so a per-event `String`, `Vec`
-/// or by-name lookup that creeps back in (each worth 1–3 across three
-/// apps) trips it.
-const ALLOCS_PER_EVENT_BOUND: f64 = 16.3;
+/// trace. Measured 8.78 since the engine holds its window by value in
+/// buffers kept across cycles (14.78 before; 31.49 before a NetLog
+/// transaction filled a recycled record and a packet was forwarded on
+/// reused scratch); the bound sits ~10 % above, so a per-event `String`,
+/// `Vec` or by-name lookup that creeps back in (each worth 1–3 across
+/// three apps) trips it.
+const ALLOCS_PER_EVENT_BOUND: f64 = 9.7;
 
 /// Allocations per translated event the default configuration (a
 /// checkpoint before every event, the invariant guard, every event
-/// traced) may spend on this trace. Measured 15.76 since a transaction's
-/// record is recycled and forwarding reuses its scratch (32.47 before;
-/// 33.47 before a checkpoint after an event that learned nothing
-/// allocated nothing); the bound sits ~10 % above.
-const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 17.3;
+/// traced) may spend on this trace. Measured 9.76 since the engine holds
+/// its window by value in buffers kept across cycles (15.76 before; 32.47
+/// before a transaction's record was recycled and forwarding reused its
+/// scratch); the bound sits ~10 % above.
+const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 10.7;
 
 /// Allocations per translated event the lean skeleton may spend on this
 /// trace with its apps behind AppVisor stubs on in-process channels
 /// (window 8, one stub-host thread), the stub side included. Measured
-/// 23.27 since a transaction's record is recycled and forwarding reuses
-/// its scratch (39.98 before; 46.28 before a byte array decoded in one
-/// read); the bound sits ~10 % above.
-const CHANNEL_ALLOCS_PER_EVENT_BOUND: f64 = 25.6;
+/// 17.25 since the engine holds its window by value in buffers kept
+/// across cycles (23.25 before; 39.98 before a transaction's record was
+/// recycled and forwarding reused its scratch); the bound sits ~10 %
+/// above.
+const CHANNEL_ALLOCS_PER_EVENT_BOUND: f64 = 19.0;
 
 /// Allocations per event that tracing every event may add to the default
 /// configuration on this trace.
@@ -210,7 +220,7 @@ fn lean_skeleton_stays_inside_its_allocation_budget() {
     };
     cfg.crashpad.checkpoints.interval = 64;
     assert_eq!(cfg.isolation, IsolationMode::Local);
-    assert_eq!((cfg.dispatch.window, cfg.dispatch.workers), (1, 1));
+    assert_eq!(cfg.dispatch.window, 1);
     let mut warm = Warm::new(cfg);
 
     let obs = warm.rt.obs();
@@ -350,9 +360,9 @@ fn a_warm_checkpoint_is_one_allocation_at_its_exact_size() {
     }
     deliver(&mut app);
 
-    let (before, live) = (allocs_here(), LIVE.load(Relaxed));
+    let (before, live) = (allocs_here(), live_here());
     let snapshot = app.capture().unwrap();
-    let held = LIVE.load(Relaxed).wrapping_sub(live);
+    let held = live_here().wrapping_sub(live);
     let len = snapshot.len();
     let stored = store.record_snapshot("fw", snapshot);
     let allocs = allocs_here() - before;
@@ -444,9 +454,9 @@ fn a_warm_checkpoint_allocates_nothing_and_keeps_no_slack() {
     roomy.extend_from_slice(&latest.to_vec()[..]);
     roomy[0] ^= 1;
     let (len, cap) = (roomy.len() as u64, roomy.capacity() as u64);
-    let live = LIVE.load(Relaxed);
+    let live = live_here();
     assert!(store.record_snapshot("stub", roomy.into()));
-    let held = LIVE.load(Relaxed).wrapping_sub(live);
+    let held = live_here().wrapping_sub(live);
     // Growing the store's maps for a new app is not the checkpoint.
     let bookkeeping = held.wrapping_sub(len).wrapping_add(cap);
     assert!(

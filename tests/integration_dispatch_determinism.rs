@@ -46,18 +46,7 @@ fn run_campaign(oracle: bool, isolation: IsolationMode, depth: usize) -> Residue
 
 /// [`run_campaign`] with an explicit stub-host pool size.
 fn run_campaign_io(oracle: bool, isolation: IsolationMode, depth: usize, io: IoMode) -> Residue {
-    run_campaign_sharded(oracle, isolation, depth, io, 1)
-}
-
-/// [`run_campaign_io`] with an explicit worker-shard count.
-fn run_campaign_sharded(
-    oracle: bool,
-    isolation: IsolationMode,
-    depth: usize,
-    io: IoMode,
-    workers: usize,
-) -> Residue {
-    run_campaign_with(oracle, isolation, depth, io, workers, Extra::Nothing)
+    run_campaign_with(oracle, isolation, depth, io, Extra::Nothing)
 }
 
 /// One more roster/config input for the campaign: each drives a decision
@@ -78,13 +67,12 @@ enum Extra {
 /// The order probe's command budget under [`Extra::CommandBudget`].
 const PROBE_BUDGET: u64 = 4;
 
-/// [`run_campaign_sharded`] with an [`Extra`] input.
+/// [`run_campaign_io`] with an [`Extra`] input.
 fn run_campaign_with(
     oracle: bool,
     isolation: IsolationMode,
     depth: usize,
     io: IoMode,
-    workers: usize,
     extra: Extra,
 ) -> Residue {
     let topo = Topology::linear(3, 2);
@@ -96,7 +84,7 @@ fn run_campaign_with(
         oracle,
         LegoSdnConfig {
             isolation,
-            dispatch: DispatchConfig::default().window(depth).workers(workers),
+            dispatch: DispatchConfig::default().window(depth),
             io: IoConfig {
                 mode: io,
                 ..IoConfig::default()
@@ -305,7 +293,7 @@ fn polled_transport_preserves_the_dispatch_residue() {
     // leave the exact residue of the sequential reference.
     let reference = run_campaign(true, IsolationMode::Channel, 1);
     for io in [IoMode::default(), IoMode { io_threads: 2 }] {
-        for depth in [1usize, 8] {
+        for depth in [1usize, 2, 8] {
             let run = run_campaign_io(false, IsolationMode::Channel, depth, io);
             assert_eq!(
                 reference.flow_tables, run.flow_tables,
@@ -333,45 +321,6 @@ fn polled_transport_preserves_the_dispatch_residue() {
 }
 
 #[test]
-fn sharded_dispatch_preserves_the_residue_across_worker_counts() {
-    // The tentpole determinism oracle (DESIGN.md §9): sharding the apps
-    // across worker threads changes only *where* they run. For every
-    // {worker count} × {pool size} × {window depth} combination the residue
-    // — flow tables, NetLog transaction order, runtime counters, per-
-    // cycle reports — must be bit-identical to the single-threaded
-    // sequential reference.
-    let reference = run_campaign(true, IsolationMode::Channel, 1);
-    for workers in [1usize, 2, 4] {
-        for io in [IoMode::default(), IoMode { io_threads: 2 }] {
-            for depth in [1usize, 8] {
-                let run = run_campaign_sharded(false, IsolationMode::Channel, depth, io, workers);
-                assert_eq!(
-                    reference.flow_tables, run.flow_tables,
-                    "workers {workers} {io:?} depth {depth}: flow tables diverge"
-                );
-                assert_eq!(
-                    reference.txlog, run.txlog,
-                    "workers {workers} {io:?} depth {depth}: NetLog transaction order diverges"
-                );
-                assert_eq!(
-                    reference.stats, run.stats,
-                    "workers {workers} {io:?} depth {depth}: runtime counters diverge"
-                );
-                assert_eq!(
-                    (
-                        reference.recoveries,
-                        reference.byzantine_blocked,
-                        reference.commands
-                    ),
-                    (run.recoveries, run.byzantine_blocked, run.commands),
-                    "workers {workers} {io:?} depth {depth}: per-cycle reports diverge"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths() {
     // The decisions the engine books at harvest and the reference right
     // before the commit: a command budget running out mid-window, and a
@@ -379,7 +328,7 @@ fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths()
     for extra in [Extra::CommandBudget, Extra::FatalNoCompromise] {
         for isolation in [IsolationMode::Local, IsolationMode::Channel] {
             let io = IoMode::default();
-            let reference = run_campaign_with(true, isolation, 1, io, 1, extra);
+            let reference = run_campaign_with(true, isolation, 1, io, extra);
             let stats = reference.stats;
             match extra {
                 Extra::CommandBudget => assert!(
@@ -391,14 +340,12 @@ fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths()
                     "{isolation:?}: nothing died: {stats:?}"
                 ),
             }
-            for workers in [1usize, 2] {
-                for depth in [1usize, 8] {
-                    let run = run_campaign_with(false, isolation, depth, io, workers, extra);
-                    assert_eq!(
-                        reference, run,
-                        "{extra:?} {isolation:?} workers {workers} depth {depth}: residue diverges"
-                    );
-                }
+            for depth in [1usize, 2, 8] {
+                let run = run_campaign_with(false, isolation, depth, io, extra);
+                assert_eq!(
+                    reference, run,
+                    "{extra:?} {isolation:?} depth {depth}: residue diverges"
+                );
             }
         }
     }
@@ -406,11 +353,11 @@ fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths()
 
 #[test]
 fn sharded_dispatch_is_stable_across_repeated_runs() {
-    // Thread scheduling varies run to run; sharded determinism must not
-    // depend on a lucky interleaving.
-    let reference = run_campaign(true, IsolationMode::Local, 1);
+    // Stub scheduling varies run to run; a deep window must not depend on
+    // a lucky interleaving either.
+    let reference = run_campaign(true, IsolationMode::Channel, 1);
     for _ in 0..3 {
-        let run = run_campaign_sharded(false, IsolationMode::Local, 4, IoMode::default(), 4);
+        let run = run_campaign(false, IsolationMode::Channel, 4);
         assert_eq!(reference.flow_tables, run.flow_tables);
         assert_eq!(reference.txlog, run.txlog);
         assert_eq!(reference.stats, run.stats);
@@ -558,13 +505,13 @@ struct BurstResidue {
     flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
 }
 
-fn run_impure_burst(oracle: bool, depth: usize, workers: usize) -> BurstResidue {
+fn run_impure_burst(oracle: bool, depth: usize) -> BurstResidue {
     let topo = Topology::linear(3, 1);
     let mut net = Network::new(&topo);
     let mut rt = runtime(
         oracle,
         LegoSdnConfig {
-            dispatch: DispatchConfig::default().window(depth).workers(workers),
+            dispatch: DispatchConfig::default().window(depth),
             obs: ObsConfig::instance(Obs::new()),
             ..LegoSdnConfig::default()
         },
@@ -614,18 +561,13 @@ fn impure_raw_mid_burst_matches_the_oracle() {
     // every event ahead of it in the burst has committed. Translating
     // the whole burst up front moves the probe ahead of the first
     // packet's follow-on packet-ins and changes which cycle sees them.
-    let oracle = run_impure_burst(true, 1, 1);
+    let oracle = run_impure_burst(true, 1);
     assert!(
         oracle.cycles.iter().any(|&(_, commands)| commands > 0),
         "the burst produced no commands"
     );
     for depth in [1usize, 2, 8] {
-        for workers in [1usize, 2] {
-            let run = run_impure_burst(false, depth, workers);
-            assert_eq!(
-                oracle, run,
-                "depth {depth} workers {workers}: residue diverges"
-            );
-        }
+        let run = run_impure_burst(false, depth);
+        assert_eq!(oracle, run, "depth {depth}: residue diverges");
     }
 }

@@ -1,7 +1,6 @@
 //! One fault wall: whatever app method panics — `on_event`, `snapshot`,
 //! `restore`, or the `name()`/`subscriptions()` read at attach — the
-//! controller survives, in-process (at one worker and at two) and behind a
-//! stub, on the engine and on the sequential oracle alike. What survives
+//! controller survives, in-process and behind a stub, on the engine and on the sequential oracle alike. What survives
 //! is exactly what the paper's recovery promises: each fault leaves the
 //! network and the NetLog as a fault the runtime already knew how to
 //! handle would have.
@@ -83,15 +82,11 @@ impl SdnApp for Hostile {
 /// Where the apps run.
 #[derive(Clone, Copy, Debug)]
 enum Setup {
-    Local { workers: usize },
+    Local,
     Channel,
 }
 
-const SETUPS: [Setup; 3] = [
-    Setup::Local { workers: 1 },
-    Setup::Local { workers: 2 },
-    Setup::Channel,
-];
+const SETUPS: [Setup; 2] = [Setup::Local, Setup::Channel];
 
 #[derive(Debug, PartialEq)]
 struct Residue {
@@ -99,8 +94,8 @@ struct Residue {
     txlog: Vec<TxRecord>,
 }
 
-/// What one run leaves: the residue, the attach errors, and the tickets
-/// filed against the hostile app's shard.
+/// What one run leaves: the residue, the attach errors, and the
+/// Crash-Pad's tickets.
 struct Run {
     residue: Residue,
     attach_errors: Vec<String>,
@@ -116,9 +111,8 @@ fn run(setup: Setup, oracle: bool, hostile: Option<Box<Hostile>>, no_compromise:
         obs: ObsConfig::instance(Obs::new()),
         ..LegoSdnConfig::default()
     };
-    match setup {
-        Setup::Local { workers } => config.dispatch = DispatchConfig::default().workers(workers),
-        Setup::Channel => config.isolation = IsolationMode::Channel,
+    if let Setup::Channel = setup {
+        config.isolation = IsolationMode::Channel;
     }
     if no_compromise {
         config
@@ -159,13 +153,8 @@ fn run(setup: Setup, oracle: bool, hostile: Option<Box<Hostile>>, no_compromise:
         .collect();
     flow_tables.sort_by_key(|(dpid, _)| *dpid);
     let txlog = rt.netlog().log().iter().cloned().collect();
-    let tickets = hostile_id.map_or_else(Vec::new, |id| {
-        rt.crashpad_for(id)
-            .unwrap()
-            .tickets
-            .iter()
-            .cloned()
-            .collect()
+    let tickets = hostile_id.map_or_else(Vec::new, |_| {
+        rt.crashpad().tickets.iter().cloned().collect()
     });
     rt.shutdown();
     Run {
@@ -215,7 +204,7 @@ fn a_snapshot_panic_is_the_crash_of_the_event_it_precedes() {
             // In-process, the ticket names the panic that killed the app;
             // a stub that dies checkpointing goes silent, which is a comm
             // failure.
-            if let Setup::Local { .. } = setup {
+            if let Setup::Local = setup {
                 assert_eq!(
                     fail_stop_text(&run.tickets[0]),
                     Some("hostile app panics in snapshot"),
@@ -318,15 +307,10 @@ fn a_panic_whose_payload_panics_when_dropped_is_one_crash_of_one_app() {
                 obs: ObsConfig::instance(Obs::new()),
                 ..LegoSdnConfig::default()
             };
-            match setup {
-                Setup::Local { workers } => {
-                    config.dispatch = DispatchConfig::default().workers(workers);
-                }
-                Setup::Channel => {
-                    // Both stubs on one host thread.
-                    config.isolation = IsolationMode::Channel;
-                    config.io.mode.io_threads = 1;
-                }
+            if let Setup::Channel = setup {
+                // Both stubs on one host thread.
+                config.isolation = IsolationMode::Channel;
+                config.io.mode.io_threads = 1;
             }
             config
                 .crashpad
@@ -357,7 +341,7 @@ fn a_panic_whose_payload_panics_when_dropped_is_one_crash_of_one_app() {
             assert_eq!(rt.app_status(bomber), Some(&AppStatus::Running));
             assert_eq!(rt.app_status(switch), Some(&AppStatus::Running));
             assert_eq!(rt.stats().apps_dead, 0, "{setup:?}");
-            let tickets = &rt.crashpad_for(bomber).unwrap().tickets;
+            let tickets = &rt.crashpad().tickets;
             let ticket = tickets.iter().find(|t| t.app == "bomber").unwrap();
             assert_eq!(
                 fail_stop_text(ticket),

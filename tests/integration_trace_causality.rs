@@ -249,45 +249,6 @@ fn depth8_traces_are_causally_ordered_across_the_window() {
     );
 }
 
-/// Sharded dispatch must not silence the flight recorder: with four
-/// worker threads each recording under its own per-thread trace scope,
-/// a fully sampled run still reconstructs causally ordered per-app
-/// phase stories, and commits still land in the traces.
-#[test]
-fn sharded_workers_still_feed_the_flight_recorder() {
-    let topo = Topology::linear(2, 1);
-    let mut net = Network::new(&topo);
-    let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-        isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::default().window(2).workers(4),
-        obs: ObsConfig::instance(Obs::new()).trace_sample(1),
-        ..LegoSdnConfig::default()
-    });
-    let obs = rt.obs();
-    rt.attach(Box::new(LearningSwitch::new())).unwrap();
-    rt.attach(Box::new(ShortestPathRouter::new())).unwrap();
-    for _ in 0..4 {
-        rt.attach(Box::new(Hub::new())).unwrap();
-    }
-    rt.run_cycle(&mut net); // handshake + discovery
-    let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
-    for _ in 0..4 {
-        let _ = net.inject(a, Packet::ethernet(a, b));
-        let _ = net.inject(b, Packet::ethernet(b, a));
-        rt.run_cycle(&mut net);
-    }
-    let traces = obs.traces();
-    rt.shutdown();
-    assert!(!traces.is_empty(), "workers=4 recorded no traces");
-    assert_causal(&traces, 2);
-    assert!(
-        traces
-            .iter()
-            .any(|t| t.events.iter().any(|e| e.phase == "commit")),
-        "workers=4: no trace recorded a commit phase"
-    );
-}
-
 #[test]
 fn sampling_thins_the_recorder_and_zero_disables_it() {
     let topo = Topology::linear(2, 1);

@@ -34,7 +34,6 @@ struct CampaignConfig {
     policy: CompromisePolicy,
     faults: Vec<BugEffect>,
     period: Duration,
-    dispatch: DispatchConfig,
     isolation: IsolationMode,
     io: IoArgs,
     trace_sample: u64,
@@ -51,7 +50,6 @@ impl Default for CampaignConfig {
             policy: CompromisePolicy::Absolute,
             faults: vec![BugEffect::Crash, BugEffect::Blackhole],
             period: Duration::from_millis(20),
-            dispatch: DispatchConfig::default(),
             isolation: IsolationMode::Local,
             io: IoArgs::default(),
             trace_sample: 1,
@@ -63,13 +61,13 @@ const USAGE: &str = "usage: campaign [--addr HOST:PORT] [--addr-file PATH] \
 [--rounds N] \
 [--switches N] [--hosts N] [--policy absolute|no-compromise|equivalence] \
 [--faults crash,blackhole,loop,flush] [--period-ms MS] \
-[--window DEPTH] [--isolation local|channel|udp] \
+[--isolation local|channel|udp] \
 [--io-threads N] [--trace-sample N]\n\
 --rounds 0 (default) serves forever. --addr 127.0.0.1:0 picks an \
 ephemeral port (written to --addr-file for scripts). Events fan out to \
-isolated apps concurrently; --window \
-DEPTH keeps up to DEPTH events of a cycle in flight on each stub's \
-stream (default 1; same network state either way, see DESIGN.md). \
+isolated apps concurrently, up to 8 events of a cycle in flight on each \
+stub's stream; in process they run one at a time (same network state \
+either way, see DESIGN.md). \
 Isolated stubs are hosted on a fixed pool of stub-host threads; \
 --io-threads N sizes that pool (default 4; with at least as \
 many threads as stubs, each stub has a thread of its own). \
@@ -105,7 +103,6 @@ fn parse_args(args: &[String]) -> Result<CampaignConfig, String> {
         match flag.as_str() {
             "--addr" => cfg.addr = it.parsed()?,
             "--addr-file" => cfg.addr_file = Some(it.value()?),
-            "--window" => cfg.dispatch = cfg.dispatch.window(at_least_one(&flag, &mut it)?),
             "--rounds" => cfg.rounds = it.parsed()?,
             "--switches" => {
                 cfg.switches = it.parsed()?;
@@ -183,7 +180,6 @@ fn main() {
     // have accumulated.
     let config = LegoSdnConfig {
         isolation: cfg.isolation,
-        dispatch: cfg.dispatch,
         io: cfg.io.config(),
         obs: ObsConfig::instance(Obs::new()).trace_sample(cfg.trace_sample),
         crashpad: CrashPadConfig {
@@ -233,13 +229,12 @@ fn main() {
     eprintln!(
         "campaign: serving /metrics /metrics.json /incidents /traces /rollups /healthz on http://{} \
          ({} switches, policy {}, {} fault app(s), {:?} isolation, \
-         window {}, {} io thread(s), {})",
+         {} io thread(s), {})",
         server.local_addr(),
         cfg.switches,
         cfg.policy,
         cfg.faults.len(),
         cfg.isolation,
-        cfg.dispatch.window,
         cfg.io.mode.io_threads,
         if cfg.rounds == 0 {
             "until killed".to_string()
@@ -299,12 +294,22 @@ mod tests {
 
     #[test]
     fn dispatch_flags_build_the_section() {
-        let cfg = parse(&["--window", "8"]).unwrap();
-        assert_eq!(cfg.dispatch, DispatchConfig::default().window(8));
-        for flag in ["--window", "--hosts"] {
-            let err = parse(&[flag, "0"]).err().expect("a zero count is refused");
-            assert_eq!(err, format!("{flag} must be at least 1"));
+        // `--isolation` is the one flag that shapes dispatch: the mode
+        // it picks sets the window depth (one event in process, the stub
+        // window behind stubs).
+        for (name, mode) in [
+            ("local", IsolationMode::Local),
+            ("channel", IsolationMode::Channel),
+            ("udp", IsolationMode::Udp),
+        ] {
+            assert_eq!(parse(&["--isolation", name]).unwrap().isolation, mode);
         }
+        let err = parse(&["--isolation", "tcp"]).err().expect("tcp is gone");
+        assert_eq!(err, "unknown isolation mode: tcp");
+        let err = parse(&["--hosts", "0"])
+            .err()
+            .expect("a zero count is refused");
+        assert_eq!(err, "--hosts must be at least 1");
     }
 
     #[test]
@@ -318,7 +323,7 @@ mod tests {
     fn unknown_flags_are_refused() {
         // `--dispatch`, `--transport`, `--push-to`, `--campaign`,
         // `--lookahead` and `--workers` selected paths that no longer
-        // exist.
+        // exist; `--window` set a depth the isolation mode now sets.
         for name in [
             "--mystery",
             "--dispatch",
@@ -327,6 +332,7 @@ mod tests {
             "--campaign",
             "--lookahead",
             "--workers",
+            "--window",
         ] {
             let err = parse(&[name, "x"]).err().expect("unknown flag accepted");
             assert_eq!(err, format!("unknown flag: {name}"));

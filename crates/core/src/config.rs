@@ -1,28 +1,28 @@
 //! LegoSDN runtime configuration.
 //!
-//! The configuration is sectioned: [`DispatchConfig`] (window depth),
-//! [`IoConfig`] (stub I/O threads + proxy tuning),
-//! and [`ObsConfig`] (observability instance + trace sampling).
-//! Build one with struct update syntax plus the section constructors,
-//! then validate it with [`LegoSdnConfig::build`]:
+//! The configuration is sectioned: [`IoConfig`] (stub I/O threads + proxy
+//! tuning) and [`ObsConfig`] (observability instance + trace sampling).
+//! How deep the dispatch window runs is not configured: it belongs to
+//! the [`IsolationMode`] (DESIGN.md §9). Build one with struct update
+//! syntax plus the section constructors, then validate it with
+//! [`LegoSdnConfig::build`]:
 //!
 //! ```
-//! use legosdn::config::{DispatchConfig, IoConfig, LegoSdnConfig};
+//! use legosdn::config::{IoConfig, IsolationMode, LegoSdnConfig};
 //!
 //! let cfg = LegoSdnConfig {
-//!     dispatch: DispatchConfig::default().window(8),
+//!     isolation: IsolationMode::Channel,
 //!     io: IoConfig::polled(2),
 //!     ..LegoSdnConfig::default()
 //! }
 //! .build()
 //! .expect("valid config");
-//! assert_eq!(cfg.dispatch.window, 8);
+//! assert_eq!(cfg.io.proxy.io.io_threads, 2);
 //! ```
 //!
-//! `build()` rejects nonsense up front — window depth 0, zero I/O
-//! threads — instead of panicking or silently clamping at
-//! use sites. Struct-literal section updates are the only way to
-//! configure.
+//! `build()` rejects nonsense up front — zero I/O threads — instead of
+//! panicking or silently clamping at use sites. Struct-literal section
+//! updates are the only way to configure.
 
 use legosdn_appvisor::{IoMode, ProxyConfig};
 use legosdn_crashpad::CrashPadConfig;
@@ -31,7 +31,10 @@ use legosdn_netlog::TxMode;
 use legosdn_obs::Obs;
 use std::fmt;
 
-/// Where each application's fault domain lives.
+/// Where each application's fault domain lives. The mode also sets how
+/// deep the dispatch window runs (DESIGN.md §9): work overlaps only
+/// across fault domains, so an in-process app takes its events one at a
+/// time, and a stub up to [`crate::engine::STUB_WINDOW`] at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IsolationMode {
     /// In-process sandbox with panic containment (fast path; still isolates
@@ -56,45 +59,25 @@ impl IsolationMode {
     }
 }
 
-/// Event-dispatch section: the shape of the one dispatch engine. Each
-/// event is queued on every isolated stub before any ack is collected
-/// (local sandboxes run inline while the stubs work), outcomes are
-/// gathered and only the failures recovered, and each app's commands
-/// commit through NetLog in (event, attach) order. A cycle dispatches
-/// exactly the burst it polled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DispatchConfig {
-    /// Cross-event window depth: up to `window` translated events of one
-    /// cycle are in flight to the isolated stubs at once. Each stub's RPC
-    /// queue carries the deliveries (and any due checkpoint requests) in
-    /// per-app event order, so an app never sees event *k+1* before it
-    /// has answered *k*; gather and commit stay serialized in (event,
-    /// attach) order, keeping network state, the NetLog txlog and the
-    /// runtime counters bit-identical to the sequential reference
-    /// (DESIGN.md §9). `1` (the default) delivers and commits one event
-    /// at a time.
-    pub window: usize,
-}
+/// What an older caller configured as the event-dispatch section. It has
+/// no field: the window depth belongs to the isolation mode (DESIGN.md
+/// §9), and the engine runs on the runtime thread. It stays for callers
+/// outside this workspace that still build one.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DispatchConfig;
 
-impl Default for DispatchConfig {
-    fn default() -> Self {
-        DispatchConfig { window: 1 }
-    }
-}
-
+#[doc(hidden)]
 impl DispatchConfig {
-    /// Set the cross-event window depth. Not clamped: depth 0 is rejected
-    /// by [`LegoSdnConfig::build`].
+    /// Returns `self`: the depth is the isolation mode's, and the
+    /// argument is ignored.
     #[must_use]
-    pub fn window(mut self, depth: usize) -> Self {
-        self.window = depth;
+    pub fn window(self, _ignored: usize) -> Self {
         self
     }
 
     /// Returns `self`: the engine runs on the runtime thread, and the
-    /// argument is ignored. It stays for callers outside this workspace
-    /// that still set it.
-    #[doc(hidden)]
+    /// argument is ignored.
     #[must_use]
     pub fn workers(self, _ignored: usize) -> Self {
         self
@@ -202,8 +185,6 @@ impl ObsConfig {
 /// What [`LegoSdnConfig::build`] rejects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `dispatch.window == 0`: a window must hold at least one event.
-    ZeroWindowDepth,
     /// `io.mode.io_threads == 0`: the stub-host pool needs a thread.
     ZeroIoThreads,
 }
@@ -211,7 +192,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroWindowDepth => write!(f, "dispatch.window must be at least 1"),
             ConfigError::ZeroIoThreads => write!(f, "io.mode.io_threads must be at least 1"),
         }
     }
@@ -233,8 +213,12 @@ pub struct ResourceLimits {
 /// Full runtime configuration.
 #[derive(Clone, Debug)]
 pub struct LegoSdnConfig {
+    /// Where each app's fault domain lives, and so how deep the dispatch
+    /// window runs; see [`IsolationMode`].
     pub isolation: IsolationMode,
-    /// Event-dispatch section; see [`DispatchConfig`].
+    /// Ignored; see [`DispatchConfig`]. It stays for callers outside this
+    /// workspace that still set it.
+    #[doc(hidden)]
     pub dispatch: DispatchConfig,
     /// Stub I/O section; see [`IoConfig`].
     pub io: IoConfig,
@@ -261,7 +245,7 @@ impl Default for LegoSdnConfig {
     fn default() -> Self {
         LegoSdnConfig {
             isolation: IsolationMode::Local,
-            dispatch: DispatchConfig::default(),
+            dispatch: DispatchConfig,
             io: IoConfig::default(),
             obs: ObsConfig::default(),
             netlog_mode: TxMode::Immediate,
@@ -278,9 +262,6 @@ impl LegoSdnConfig {
     /// panicking or silently clamping at use sites. Also stamps
     /// `io.proxy.io` from `io.mode`, so the two can never disagree.
     pub fn build(mut self) -> Result<Self, ConfigError> {
-        if self.dispatch.window == 0 {
-            return Err(ConfigError::ZeroWindowDepth);
-        }
         if self.io.mode.io_threads == 0 {
             return Err(ConfigError::ZeroIoThreads);
         }
@@ -297,8 +278,6 @@ mod tests {
     fn defaults_are_the_paper_design() {
         let c = LegoSdnConfig::default();
         assert_eq!(c.isolation, IsolationMode::Local);
-        // The window stays at 1 until the operator widens it.
-        assert_eq!(c.dispatch, DispatchConfig { window: 1 });
         assert_eq!(
             c.io.mode,
             IoMode { io_threads: 4 },
@@ -317,13 +296,12 @@ mod tests {
     fn build_accepts_the_default_and_sectioned_configs() {
         assert!(LegoSdnConfig::default().build().is_ok());
         let c = LegoSdnConfig {
-            dispatch: DispatchConfig::default().window(8),
+            isolation: IsolationMode::Channel,
             io: IoConfig::polled(2),
             ..LegoSdnConfig::default()
         }
         .build()
         .unwrap();
-        assert_eq!(c.dispatch.window, 8);
         assert_eq!(c.io.mode, IoMode { io_threads: 2 });
         // build() stamps the proxy's io field from the section mode.
         assert_eq!(c.io.proxy.io, IoMode { io_threads: 2 });
@@ -331,15 +309,6 @@ mod tests {
 
     #[test]
     fn build_rejects_nonsense_up_front() {
-        let zero_window = LegoSdnConfig {
-            dispatch: DispatchConfig::default().window(0),
-            ..LegoSdnConfig::default()
-        };
-        assert_eq!(
-            zero_window.build().unwrap_err(),
-            ConfigError::ZeroWindowDepth
-        );
-
         let zero_io = LegoSdnConfig {
             io: IoConfig::polled(0),
             ..LegoSdnConfig::default()
@@ -356,21 +325,17 @@ mod tests {
 
     #[test]
     fn config_errors_render_for_cli_use() {
-        for e in [ConfigError::ZeroWindowDepth, ConfigError::ZeroIoThreads] {
-            assert!(!e.to_string().is_empty());
-        }
+        assert!(!ConfigError::ZeroIoThreads.to_string().is_empty());
     }
 
     #[test]
     fn the_worker_count_is_ignored() {
-        // The engine runs on the runtime thread: a worker count set by an
-        // older caller changes nothing, and zero is no error.
-        assert_eq!(
-            DispatchConfig::default().window(8).workers(4),
-            DispatchConfig::default().window(8)
-        );
+        // The engine runs on the runtime thread and the window depth is
+        // the isolation mode's: a worker count or a depth set by an older
+        // caller changes nothing, and zero is no error.
+        assert_eq!(DispatchConfig.window(8).workers(4), DispatchConfig);
         let zero = LegoSdnConfig {
-            dispatch: DispatchConfig::default().workers(0),
+            dispatch: DispatchConfig.window(0).workers(0),
             ..LegoSdnConfig::default()
         };
         assert!(zero.build().is_ok());

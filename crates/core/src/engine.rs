@@ -1,5 +1,6 @@
-//! The dispatch engine (DESIGN.md §9): one [`WorkerRun`] per cycle, on
-//! the runtime thread, over every attached app.
+//! The dispatch engine (DESIGN.md §9): one [`Engine`] per cycle, on
+//! the runtime thread, over every attached app. Its window is one slot
+//! deep in process and [`STUB_WINDOW`] slots deep behind stubs.
 //!
 //! The apps live in one [`Roster`] beside one AppVisor proxy (their stubs
 //! and its stub-host pool) and one Crash-Pad. Every commit runs on the
@@ -24,7 +25,7 @@ use legosdn_crashpad::{CompromisePolicy, CrashPad, DispatchResult, FailureKind, 
 use legosdn_invariants::shutdown_network;
 use legosdn_netlog::{NetLog, Transaction, TxError, TxId};
 use legosdn_netsim::{Network, SimTime};
-use legosdn_obs::{AppId, Counter, Gauge, Histogram, Obs, RecordKind, TraceId};
+use legosdn_obs::{AppId, Counter, Histogram, Obs, RecordKind, TraceId};
 use legosdn_openflow::prelude::Message;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,6 +38,15 @@ use std::time::Instant;
 /// sub 1 the byzantine-recovery retry. Deriving ids from the position
 /// gives every commit the id the reference (`reference.rs`) gives it.
 pub const TXS_PER_POS: u64 = 4;
+
+/// How many slots the window holds when the apps live behind AppVisor
+/// stubs (`Channel`, `Udp`): each stub's RPC queue carries up to this many
+/// deliveries, so a stub works on later events while the engine commits
+/// earlier ones (paper §5: stubs "can handle multiple events in
+/// parallel"). In process the window is one slot deep: a local sandbox
+/// runs inline at commit, so a deeper window overlaps nothing and only
+/// pins more view generations (DESIGN.md §9).
+pub const STUB_WINDOW: usize = 8;
 
 /// One attached app: identity, fault-domain host, scheduling state.
 pub(crate) struct AppRecord {
@@ -125,7 +135,6 @@ pub(crate) struct CoreMetrics {
     pub(crate) events_translated: Arc<Counter>,
     pub(crate) dispatches: Arc<Counter>,
     pub(crate) commands_executed: Arc<Counter>,
-    pub(crate) window_depth: Arc<Gauge>,
     window_fill: Arc<Histogram>,
     window_commit: Arc<Histogram>,
     window_queue_ns: Arc<Histogram>,
@@ -139,7 +148,6 @@ impl CoreMetrics {
             events_translated: obs.counter("core", "events_translated", ""),
             dispatches: obs.counter("core", "dispatches", ""),
             commands_executed: obs.counter("core", "commands_executed", ""),
-            window_depth: obs.gauge("core", "window_depth", ""),
             window_fill: obs.histogram("core", "window_fill", ""),
             window_commit: obs.histogram("core", "window_commit", ""),
             window_queue_ns: obs.histogram("core", "window_queue_ns", ""),
@@ -452,7 +460,7 @@ pub(crate) struct Window {
 /// `depth` slots past the commit cursor, pulling the next raw off the
 /// feed when the window runs short, and the commit cursor settles one
 /// slot at a time, in (event, attach) position order.
-pub(crate) struct WorkerRun<'a> {
+pub(crate) struct Engine<'a> {
     /// The slots the feed has yielded and the commit cursor has not
     /// passed: `slots[0]` is the commit cursor's.
     slots: &'a mut VecDeque<WindowSlot>,
@@ -462,7 +470,7 @@ pub(crate) struct WorkerRun<'a> {
     d: Dispatch<'a>,
 }
 
-/// Everything a [`WorkerRun`] acts with but its slots and their feed, so
+/// Everything an [`Engine`] acts with but its slots and their feed, so
 /// a slot stays borrowed while this changes.
 struct Dispatch<'a> {
     cx: AppCtx<'a>,
@@ -483,7 +491,7 @@ struct Dispatch<'a> {
     commit_pos: usize,
 }
 
-impl<'a> WorkerRun<'a> {
+impl<'a> Engine<'a> {
     pub(crate) fn new(
         cx: AppCtx<'a>,
         lane: CommitLane<'a>,
@@ -500,7 +508,7 @@ impl<'a> WorkerRun<'a> {
         } = window;
         inflight.clear();
         inflight.resize(cx.roster.apps.len(), 0);
-        WorkerRun {
+        Engine {
             slots,
             feed,
             fed_out: false,
@@ -520,7 +528,7 @@ impl<'a> WorkerRun<'a> {
 
     /// Run the window over every app until the feed has ended and every
     /// slot it yielded is committed. A panic in the loop loses the engine
-    /// ([`WorkerRun::lose`]), and the loop runs again as its drain. A
+    /// ([`Engine::lose`]), and the loop runs again as its drain. A
     /// panic in the loss or the drain means the recovery path itself is
     /// broken and nothing is left to finish the cycle: the process
     /// aborts.
@@ -593,7 +601,7 @@ impl<'a> WorkerRun<'a> {
         }
     }
 
-    /// [`WorkerRun::run`]'s loop.
+    /// [`Engine::run`]'s loop.
     fn run_loop(&mut self) {
         loop {
             if !self.fed_out {

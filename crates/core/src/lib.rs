@@ -63,14 +63,14 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod engine;
 pub mod host;
 pub mod nversion;
 pub mod runtime;
-pub mod workers;
 
-pub use config::{
-    ConfigError, DispatchConfig, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig, ResourceLimits,
-};
+#[doc(hidden)]
+pub use config::DispatchConfig;
+pub use config::{ConfigError, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig, ResourceLimits};
 pub use host::{Host, ProxyAdapter};
 pub use nversion::{NVersionApp, VoteStats};
 pub use runtime::{
@@ -91,9 +91,10 @@ pub use legosdn_sts as sts;
 
 pub mod prelude {
     //! Everything a typical consumer needs.
+    #[doc(hidden)]
+    pub use crate::config::DispatchConfig;
     pub use crate::config::{
-        ConfigError, DispatchConfig, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig,
-        ResourceLimits,
+        ConfigError, IoConfig, IsolationMode, LegoSdnConfig, ObsConfig, ResourceLimits,
     };
     pub use crate::nversion::NVersionApp;
     pub use crate::runtime::{AppId, AppStatus, LegoCycleReport, LegoSdnRuntime, RuntimeStats};

@@ -6,8 +6,8 @@
 //! the first position the panic kept it from committing.
 
 use super::*;
-use crate::config::{DispatchConfig, ObsConfig};
-use crate::workers::FaultPoint;
+use crate::config::ObsConfig;
+use crate::engine::FaultPoint;
 use legosdn_controller::app::{Ctx, RestoreError};
 use legosdn_controller::event::EventKind;
 use legosdn_crashpad::{CompromisePolicy, FailureKind, ProblemTicket};
@@ -18,9 +18,10 @@ use legosdn_testkit::within;
 use std::time::{Duration, Instant};
 
 const APPS: usize = 4;
-const DEPTH: usize = 4;
-/// Packet-ins per burst: the burst's slots.
-const SLOTS: u64 = 8;
+/// Packet-ins per burst: the burst's slots. More than [`STUB_WINDOW`], so
+/// the window slides: a fill past the first queues a slot while the
+/// commit cursor is beyond slot 0 and later slots are in flight.
+const SLOTS: u64 = STUB_WINDOW as u64 + 4;
 const CONTESTED: DatapathId = DatapathId(1);
 const TAG_BASE: u64 = 70_000;
 
@@ -100,7 +101,6 @@ fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64
     let mut net = Network::new(&topo);
     let mut config = LegoSdnConfig {
         isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::default().window(DEPTH),
         obs: ObsConfig::instance(Obs::new()),
         ..LegoSdnConfig::default()
     };
@@ -240,16 +240,22 @@ fn loses_the_engine_as_the_oracle_loses_its_apps(fault: fn(u64) -> FaultPoint, d
 }
 
 #[test]
-fn a_panic_filling_the_window_loses_the_shard_at_its_commit_cursor() {
-    // Depth 4: slot 5 is queued while the commit cursor is at slot 2.
+fn a_panic_filling_the_window_loses_the_engine_at_its_commit_cursor() {
+    // Slot 10 is queued while the commit cursor is at slot 3, with slots
+    // 4 to 9 in flight.
+    const SLOT: usize = 10;
+    const CURSOR: usize = SLOT + 1 - STUB_WINDOW;
     loses_the_engine_as_the_oracle_loses_its_apps(
-        |_| FaultPoint::Fill { slot: 5, local: 0 },
-        [2; APPS],
+        |_| FaultPoint::Fill {
+            slot: SLOT,
+            local: 0,
+        },
+        [CURSOR as u64; APPS],
     );
 }
 
 #[test]
-fn a_panic_harvesting_the_window_loses_the_shard_at_the_slot_harvested() {
+fn a_panic_harvesting_the_window_loses_the_engine_at_the_slot_harvested() {
     // App 0's outcome of slot 3 is booked, not committed: it dies there
     // too.
     loses_the_engine_as_the_oracle_loses_its_apps(
@@ -262,7 +268,7 @@ fn a_panic_harvesting_the_window_loses_the_shard_at_the_slot_harvested() {
 }
 
 #[test]
-fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_shard() {
+fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_engine() {
     // App 0 commits slot 4 before app 1's transaction opens.
     loses_the_engine_as_the_oracle_loses_its_apps(
         |base| FaultPoint::Lane {
@@ -272,11 +278,11 @@ fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_shard() {
     );
 }
 
-const DOUBLE_FAULT_TEST: &str = "a_panic_in_a_lost_shards_drain_aborts_the_process";
+const DOUBLE_FAULT_TEST: &str = "a_panic_in_a_lost_engines_drain_aborts_the_process";
 const DOUBLE_FAULT_CHILD: &str = "LEGOSDN_DOUBLE_FAULT_CHILD";
 
 #[test]
-fn a_panic_in_a_lost_shards_drain_aborts_the_process() {
+fn a_panic_in_a_lost_engines_drain_aborts_the_process() {
     if std::env::var_os(DOUBLE_FAULT_CHILD).is_some() {
         run(
             false,

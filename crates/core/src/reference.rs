@@ -12,7 +12,7 @@
 //! the apps.
 
 use super::{LegoSdnRuntime, Pull};
-use crate::workers::{
+use crate::engine::{
     book, commit_on_lane, select_app, AppCtx, CommitLane, WindowSlot, TXS_PER_POS,
 };
 use legosdn_netlog::TxId;

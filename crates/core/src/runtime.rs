@@ -24,15 +24,18 @@
 //! One engine runs that story (DESIGN.md §9), on the thread that calls
 //! [`LegoSdnRuntime::run_cycle`]: the cycle's `Feed` hands out raw events
 //! one at a time, each translated event becomes a slot of the dispatch
-//! window, and a `WorkerRun` fills the window and commits it over every
+//! window, and an `Engine` fills the window and commits it over every
 //! app in attach order, so the output stays bit-identical to the
-//! sequential reference in `reference.rs`.
+//! sequential reference in `reference.rs`. The window is one slot deep
+//! in process and `STUB_WINDOW` deep behind stubs: the isolation mode
+//! sets it, not an option.
 
 use crate::config::{IsolationMode, LegoSdnConfig, ResourceLimits};
-use crate::host::Host;
-use crate::workers::{
-    AppCtx, AppRecord, CommitLane, CoreMetrics, Roster, Window, WindowSlot, WorkerRun, TXS_PER_POS,
+use crate::engine::{
+    AppCtx, AppRecord, CommitLane, CoreMetrics, Engine, Roster, Window, WindowSlot, STUB_WINDOW,
+    TXS_PER_POS,
 };
+use crate::host::Host;
 use legosdn_appvisor::{AppVisorProxy, TransportKind};
 use legosdn_controller::app::SdnApp;
 use legosdn_controller::event::Event;
@@ -52,8 +55,8 @@ use std::time::Instant;
 mod reference;
 
 #[cfg(test)]
-#[path = "lost_shard_tests.rs"]
-mod lost_shard_tests;
+#[path = "lost_engine_tests.rs"]
+mod lost_engine_tests;
 
 /// Identifier of an attached app.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -178,8 +181,8 @@ impl LegoSdnRuntime {
     /// that records nothing), else [`Obs::global`].
     ///
     /// Call [`LegoSdnConfig::build`] first to validate; this constructor
-    /// tolerates unvalidated configs by clamping (depth floor 1) rather
-    /// than panicking.
+    /// tolerates unvalidated configs by clamping (the stub host runs at
+    /// least one thread) rather than panicking.
     #[must_use]
     pub fn new(config: LegoSdnConfig) -> Self {
         Self::build(config, false)
@@ -187,8 +190,9 @@ impl LegoSdnRuntime {
 
     /// A runtime that dispatches through the sequential reference
     /// (`reference.rs`: one blocking Crash-Pad round trip per (event,
-    /// app), whatever the window depth) — the oracle the determinism suites hold the engine to. Not
-    /// a configuration: nothing but a test should want it.
+    /// app), whatever the isolation mode) — the oracle the determinism
+    /// suites hold the engine to. Not a configuration: nothing but a test
+    /// should want it.
     #[doc(hidden)]
     #[must_use]
     pub fn oracle(config: LegoSdnConfig) -> Self {
@@ -381,19 +385,20 @@ impl LegoSdnRuntime {
         events
     }
 
-    /// The dispatch engine (DESIGN.md §9), on this thread: up to
-    /// `dispatch.window` slots are in flight at once, and commits land in
-    /// (event, attach) position order, so network state, the txlog, and
-    /// runtime counters stay bit-identical to the sequential reference.
-    /// A panic in the engine's own code loses the engine, not the cycle:
-    /// every running app dies through Crash-Pad as `WorkerLost`, the
-    /// open transaction is aborted and the rest of the feed is drained
-    /// with no app selected (DESIGN.md §5).
+    /// The dispatch engine (DESIGN.md §9), on this thread: in process
+    /// one slot at a time, behind stubs up to [`STUB_WINDOW`] slots in
+    /// flight at once, and commits land in (event, attach) position
+    /// order, so network state, the txlog, and runtime counters stay
+    /// bit-identical to the sequential reference. A panic in the
+    /// engine's own code loses the engine, not the cycle: every running
+    /// app dies through Crash-Pad as `WorkerLost`, the open transaction
+    /// is aborted and the rest of the feed is drained with no app
+    /// selected (DESIGN.md §5).
     fn run_window(&mut self, net: &mut Network) {
-        let depth = self.config.dispatch.window.max(1);
-        self.metrics
-            .window_depth
-            .set(i64::try_from(depth).unwrap_or(i64::MAX));
+        let depth = match self.config.isolation {
+            IsolationMode::Local => 1,
+            IsolationMode::Channel | IsolationMode::Udp => STUB_WINDOW,
+        };
         let cx = AppCtx {
             roster: &mut self.roster,
             stats: &mut self.stats,
@@ -406,7 +411,7 @@ impl LegoSdnRuntime {
             netlog: &mut self.netlog,
             open: None,
         };
-        WorkerRun::new(
+        Engine::new(
             cx,
             lane,
             &mut self.feed,
@@ -630,7 +635,7 @@ impl Feed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DispatchConfig, ObsConfig};
+    use crate::config::ObsConfig;
     use legosdn_apps::{BugEffect, BugTrigger, FaultyApp, Hub, LearningSwitch, SpanningTree};
     use legosdn_controller::event::EventKind;
     use legosdn_crashpad::{
@@ -744,8 +749,7 @@ mod tests {
         let (mut net, topo) = net2();
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-            isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::default(),
+            isolation: IsolationMode::Local,
             obs: ObsConfig::instance(obs.clone()),
             ..LegoSdnConfig::default()
         });
@@ -765,7 +769,7 @@ mod tests {
         assert!(!rt.is_crashed());
         // Healthy neighbor still produced network output.
         assert!(report.commands > 0, "{report:?}");
-        // Per-phase instrumentation landed: the default depth-1 window
+        // Per-phase instrumentation landed: the in-process depth-1 window
         // filled and committed once per event.
         for phase in ["window_fill", "window_commit"] {
             assert!(
@@ -782,7 +786,6 @@ mod tests {
         let obs = Obs::new();
         let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
             isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::default().window(4),
             obs: ObsConfig::instance(obs.clone()),
             ..LegoSdnConfig::default()
         });
@@ -817,7 +820,6 @@ mod tests {
         // must equal what sequential dispatch would record.
         assert_eq!(rt.stats().dispatches, 2 * report.events as u64);
         // Window instrumentation landed.
-        assert_eq!(obs.gauge("core", "window_depth", "").get(), 4);
         assert!(obs.histogram("core", "window_queue_ns", "").count() >= 4);
         for phase in ["window_fill", "window_commit"] {
             assert!(

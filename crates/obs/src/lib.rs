@@ -58,8 +58,9 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 thread_local! {
     /// The trace this thread's emissions belong to, and the `Obs` (by
-    /// address) that scoped it: a per-thread cell, so each worker shard
-    /// scopes its own work and switching takes no lock.
+    /// address) that scoped it: a per-thread cell, so the dispatch engine
+    /// scopes the work of the thread it runs on, two runtimes on two
+    /// threads never share a scope, and switching takes no lock.
     static SCOPE: Cell<Option<(usize, TraceId)>> = const { Cell::new(None) };
 }
 

@@ -53,9 +53,13 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # shards, their thread pool, the locked slot store, the commit barrier's
 # waits and counters or a worker count anything reads (one engine on the
 # runtime thread, DESIGN.md §9); `DispatchConfig::workers` survives only
-# as `config.rs`'s hidden shim, which ignores its argument. A bracketed
-# letter keeps a pattern from matching the line that spells it.
-echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse, unwritten usage field or worker shard"
+# as `config.rs`'s hidden shim, which ignores its argument. Nor a window
+# depth anything configures, checks or reports (the isolation mode sets
+# it, DESIGN.md §9): `DispatchConfig::window` is the same kind of shim,
+# and `alloc_budget.rs` calls it once to show an in-process runtime
+# ignores it. A bracketed letter keeps a pattern from matching the line
+# that spells it.
+echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse, unwritten usage field, worker shard or window-depth option"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
     crates/ tests/ examples/ \
@@ -97,8 +101,11 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'send_owned|fn recv_timeout|time_left|crashpad_mut|crash_info\(' crates/ tests/ examples/ \
   || grep -rnE 'ShardPool|SlotStore|lego-worker|wait_cursor_past|finish_empty|BarrierStats|worker_of|crashpad_for|ZeroWorkers|barrier_ordered_commits|barrier_elided_positions' \
     crates/ tests/ examples/ \
-  || grep -rnE '\.workers\(' crates/ tests/ examples/ | grep -v '^crates/core/src/config\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  || grep -rnE '\.workers\(' crates/ tests/ examples/ | grep -v '^crates/core/src/config\.rs:' \
+  || grep -rnE 'ZeroWindowDepth|window_depth' crates/ tests/ examples/ \
+  || grep -rnE '\.window\(' crates/ tests/ examples/ \
+    | grep -vE '^(crates/core/src/config|tests/alloc_budget)\.rs:'; then
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 
@@ -189,7 +196,7 @@ CATCHES="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
   prev ~ /^#\[cfg\(test\)\]$/ && /^mod / { in_tests = 1 }
   { prev = $0 }
   !in_tests && /catch_unwind/ { print FILENAME ":" FNR ": " $0 }' \
-  | grep -vE '^crates/(controller/src/(sandbox|monolithic)|appvisor/src/stub|core/src/workers|testkit/src/lib)\.rs:' \
+  | grep -vE '^crates/(controller/src/(sandbox|monolithic)|appvisor/src/stub|core/src/engine|testkit/src/lib)\.rs:' \
   || true)"
 if [ -n "$CATCHES" ]; then
   echo "$CATCHES" >&2
@@ -265,11 +272,11 @@ done <<'SMOKES'
 defaults|
 isolated stubs|--isolation channel
 isolated stubs sharing 2 host threads|--isolation channel --io-threads 2
-isolated stubs under a 4-deep window|--isolation channel --window 4
+isolated stubs over UDP|--isolation udp
 SMOKES
 
 # The flags that selected the deleted paths are gone, not hidden.
-for gone in --dispatch --transport --push-to --campaign --lookahead --workers; do
+for gone in --dispatch --transport --push-to --campaign --lookahead --workers --window; do
   if ./target/release/campaign --rounds 1 "$gone" x </dev/null >/dev/null 2>&1; then
     echo "campaign still accepts $gone" >&2
     exit 1
@@ -287,10 +294,11 @@ scrape() { # scrape HOST:PORT PATH
   return $rc
 }
 
-# And with a cross-event window: multiple events in flight per stub, with
-# crash/cancel/re-send riding the same failure/recovery story — run in the
-# background so the flight recorder and local rollups can be scraped live.
-echo "==> campaign smoke under windowed dispatch (--window 8) + /traces /rollups"
+# And behind stubs, whose window holds several events in flight per stub,
+# with crash/cancel/re-send riding the same failure/recovery story — run
+# in the background so the flight recorder and local rollups can be
+# scraped live.
+echo "==> campaign smoke behind channel stubs (the stub window) + /traces /rollups"
 CMP_ADDR_FILE="$(mktemp)"
 CMP_OUT="$(mktemp)"
 CMP_PID=""
@@ -299,7 +307,7 @@ BURN_PIDS=""
 trap 'kill "$CMP_PID" $BURN_PIDS 2>/dev/null || true; \
   rm -f "$CMP_ADDR_FILE" "$CMP_OUT"' EXIT
 ./target/release/campaign --addr 127.0.0.1:0 --addr-file "$CMP_ADDR_FILE" \
-  --period-ms 1 --isolation channel --window 8 \
+  --period-ms 1 --isolation channel \
   --trace-sample 1 2>"$CMP_OUT" &
 CMP_PID=$!
 for _ in $(seq 1 100); do
@@ -375,7 +383,7 @@ for round in $(seq 1 20); do
       crash_is_contained_and_reported silent_crash_mode_goes_quiet >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --test integration_appvisor -- \
       crash_containment_with_explicit_report >/dev/null 2>&1 \
-    && timeout 300 cargo test -q --offline -p legosdn --lib -- lost_shard_tests:: >/dev/null 2>&1 \
+    && timeout 300 cargo test -q --offline -p legosdn --lib -- lost_engine_tests:: >/dev/null 2>&1 \
     || { echo "inline-stub deadline, crash-report or lost-engine test flaked in round $round of 20 under load" >&2; exit 1; }
 done
 # shellcheck disable=SC2086
@@ -397,5 +405,14 @@ timeout 120 cargo test -q --offline -p legosdn --test alloc_budget \
 echo "==> stackbench tests + smoke (hard 300s timeout)"
 timeout 300 cargo test -q --offline --manifest-path stackbench/Cargo.toml \
   || { echo "stackbench tests failed or timed out" >&2; exit 1; }
+
+# The A/B behind every TRAJECTORY.md row, in its smoke mode so it cannot
+# rot: HEAD against the working tree (HEAD itself in a clean checkout),
+# each built from source under target/ab, one pair of stackbench's
+# --smoke run per workload; it exits 1 if a run is incorrect or fails an
+# operation.
+echo "==> A/B script smoke: HEAD against the working tree (hard 900s timeout)"
+timeout 900 bash scripts/ab.sh HEAD --smoke \
+  || { echo "scripts/ab.sh --smoke failed or timed out" >&2; exit 1; }
 
 echo "all checks passed"

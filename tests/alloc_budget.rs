@@ -4,7 +4,9 @@
 //! checkpoint: one allocation at its exact size for plain bytes, none at
 //! all when the state is memoized and unchanged (DESIGN.md §15) — and of
 //! the network underneath: a NetLog transaction allocates nothing for its
-//! own bookkeeping, and a packet's walk nothing per hop (DESIGN.md §12).
+//! own bookkeeping, and a packet's walk nothing per hop (DESIGN.md §12) —
+//! and that an in-process window is one slot deep whatever a caller asks
+//! for (DESIGN.md §9).
 //!
 //! A test binary of its own with a counting `#[global_allocator]`; its
 //! tests measure one at a time, so no other test allocates, or touches
@@ -104,7 +106,7 @@ const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 10.7;
 
 /// Allocations per translated event the lean skeleton may spend on this
 /// trace with its apps behind AppVisor stubs on in-process channels
-/// (window 8, one stub-host thread), the stub side included. Measured
+/// (the stub window, one stub-host thread), the stub side included. Measured
 /// 17.25 since the engine holds its window by value in buffers kept
 /// across cycles (23.25 before; 39.98 before a transaction's record was
 /// recycled and forwarding reused its scratch); the bound sits ~10 %
@@ -158,6 +160,29 @@ fn drive(rt: &mut LegoSdnRuntime, net: &mut Network, packets: &[(MacAddr, Packet
         net.inject(*src, pkt.clone()).expect("trace hosts exist");
         events += quiesce(rt, net);
         if (i + 1) % TICK_EVERY == 0 {
+            net.tick(SimDuration::from_secs(1));
+            events += quiesce(rt, net);
+        }
+    }
+    events
+}
+
+/// Offer `packets` in bursts of `burst`, each burst one cycle's feed,
+/// with a tick every [`TICK_EVERY`] packets; returns the translated
+/// events.
+fn drive_bursts(
+    rt: &mut LegoSdnRuntime,
+    net: &mut Network,
+    packets: &[(MacAddr, Packet)],
+    burst: usize,
+) -> u64 {
+    let mut events = 0;
+    for (i, chunk) in packets.chunks(burst).enumerate() {
+        for (src, pkt) in chunk {
+            net.inject(*src, pkt.clone()).expect("trace hosts exist");
+        }
+        events += quiesce(rt, net);
+        if ((i + 1) * burst).is_multiple_of(TICK_EVERY) {
             net.tick(SimDuration::from_secs(1));
             events += quiesce(rt, net);
         }
@@ -220,7 +245,6 @@ fn lean_skeleton_stays_inside_its_allocation_budget() {
     };
     cfg.crashpad.checkpoints.interval = 64;
     assert_eq!(cfg.isolation, IsolationMode::Local);
-    assert_eq!(cfg.dispatch.window, 1);
     let mut warm = Warm::new(cfg);
 
     let obs = warm.rt.obs();
@@ -305,7 +329,6 @@ fn channel_isolation_stays_inside_its_allocation_budget() {
         obs: ObsConfig::disabled(),
         isolation: IsolationMode::Channel,
         io: IoConfig::polled(1),
-        dispatch: DispatchConfig::default().window(8),
         ..LegoSdnConfig::default()
     };
     cfg.crashpad.checkpoints.interval = 64;
@@ -320,6 +343,43 @@ fn channel_isolation_stays_inside_its_allocation_budget() {
         "{per_event:.2} allocations per event, budget {CHANNEL_ALLOCS_PER_EVENT_BOUND}"
     );
     warm.rt.shutdown();
+}
+
+/// In process the window is one slot deep whatever an older caller asks
+/// for: a `Local` runtime given `.window(8)` allocates exactly what the
+/// same configuration without it does, on the shape of the benchmark's
+/// windowed in-process workload (the lean skeleton, obs on, tracing
+/// off, bursts of 32 packets). When the depth was an option, eight slots
+/// in process pinned more view generations: 8.07 allocations per event
+/// on this trace against 7.90 at one slot (8.36 against 6.80 on the
+/// benchmark's `window_shard`).
+#[test]
+fn an_in_process_runtime_runs_one_slot_deep_whatever_it_asks() {
+    let _serial = serial();
+    let per_event = |dispatch: DispatchConfig| {
+        let mut cfg = LegoSdnConfig {
+            checker: None,
+            obs: ObsConfig::instance(Obs::new()).trace_sample(0),
+            dispatch,
+            ..LegoSdnConfig::default()
+        };
+        cfg.crashpad.checkpoints.interval = 64;
+        let mut warm = Warm::new(cfg);
+        let before = allocs_here();
+        let events = drive_bursts(&mut warm.rt, &mut warm.net, &warm.rest, 32);
+        let allocs = allocs_here() - before;
+        assert!(events >= 1_000, "only {events} events translated");
+        warm.rt.shutdown();
+        (allocs, events)
+    };
+    let (plain, events) = per_event(DispatchConfig);
+    let (deep, deep_events) = per_event(DispatchConfig.window(8));
+    println!(
+        "in process: {:.2} allocations/event by default, {:.2} given .window(8)",
+        plain as f64 / events as f64,
+        deep as f64 / deep_events as f64
+    );
+    assert_eq!((deep, deep_events), (plain, events));
 }
 
 /// A firewall, checkpointed the way Crash-Pad does before an event

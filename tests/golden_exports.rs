@@ -154,7 +154,6 @@ fn trace_causality_campaign_exports_are_golden() {
     let mut net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
         isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::default().window(8),
         obs: ObsConfig::instance(Obs::new()),
         crashpad: CrashPadConfig {
             checkpoints: CheckpointPolicy {

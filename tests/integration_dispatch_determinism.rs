@@ -4,15 +4,29 @@
 //! transaction order, same recovery counts — for local sandboxes and
 //! isolated stubs alike. The engine overlaps app *processing* only;
 //! everything that touches the network stays serialized in attach order
-//! (see DESIGN.md §9). The cross-event window must preserve the same
-//! residue at every depth, including across crash-triggered
-//! cancellation/re-send.
+//! (see DESIGN.md §9). The window is one slot deep in process and
+//! `STUB_WINDOW` deep behind stubs; every sweep runs bursts shorter
+//! than, equal to and longer than `STUB_WINDOW`, so a stub window runs
+//! partial, full and sliding, and the residue must hold across
+//! crash-triggered cancellation/re-send in each.
 
 use legosdn::controller::app::{Ctx, RestoreError, SdnApp, Snapshot};
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
+use legosdn::engine::STUB_WINDOW;
 use legosdn::netlog::TxRecord;
 use legosdn::netsim::FlowEntry;
 use legosdn::prelude::*;
+
+/// Burst lengths every sweep runs: shorter than, equal to and longer than
+/// the stub window, so it runs partial, full and sliding.
+const BURSTS: [usize; 3] = [3, STUB_WINDOW, STUB_WINDOW + 5];
+
+/// A burst shorter than the stub window: it runs partly full.
+const SHORT: usize = BURSTS[0];
+
+/// A burst longer than the stub window: it slides, and a mid-burst
+/// failure cancels deliveries queued after the slide.
+const LONG: usize = BURSTS[2];
 
 /// Everything one campaign run leaves behind that an operator could
 /// observe: network state, transaction log, runtime counters.
@@ -24,6 +38,9 @@ struct Residue {
     recoveries: usize,
     byzantine_blocked: usize,
     commands: usize,
+    /// `appvisor/comm_failures`, summed over the apps: a lost or late
+    /// stub frame, which no app in the campaign causes.
+    comm_failures: u64,
 }
 
 /// The engine under `config`, or the sequential reference over the same
@@ -37,16 +54,17 @@ fn runtime(oracle: bool, config: LegoSdnConfig) -> LegoSdnRuntime {
     }
 }
 
-/// One fixed fault campaign — healthy traffic, a byzantine poke, a
-/// fail-stop crash with recovery, more traffic, a tick — executed under
-/// the engine, or (`oracle`) under the sequential reference.
-fn run_campaign(oracle: bool, isolation: IsolationMode, depth: usize) -> Residue {
-    run_campaign_io(oracle, isolation, depth, IoMode::default())
+/// One fixed fault campaign — healthy traffic, a `burst`-packet burst
+/// with a byzantine poke in its middle, a fail-stop crash with recovery,
+/// more traffic, a tick — executed under the engine, or (`oracle`) under
+/// the sequential reference.
+fn run_campaign(oracle: bool, isolation: IsolationMode, burst: usize) -> Residue {
+    run_campaign_io(oracle, isolation, burst, IoMode::default())
 }
 
 /// [`run_campaign`] with an explicit stub-host pool size.
-fn run_campaign_io(oracle: bool, isolation: IsolationMode, depth: usize, io: IoMode) -> Residue {
-    run_campaign_with(oracle, isolation, depth, io, Extra::Nothing)
+fn run_campaign_io(oracle: bool, isolation: IsolationMode, burst: usize, io: IoMode) -> Residue {
+    run_campaign_with(oracle, isolation, burst, io, Extra::Nothing)
 }
 
 /// One more roster/config input for the campaign: each drives a decision
@@ -56,11 +74,14 @@ enum Extra {
     /// The campaign as it is.
     Nothing,
     /// An order probe whose `max_commands` budget runs out in round 0's
-    /// burst, mid-window at depth > 1.
+    /// burst, mid-window behind stubs.
     CommandBudget,
-    /// An order probe under No-Compromise, with
+    /// A learning switch under No-Compromise, with
     /// `shutdown_network_on_no_compromise` on, that crashes (and so dies,
-    /// taking the network down) on a packet in round 2's burst.
+    /// taking the network down) on a packet in the middle of round 2's
+    /// burst. (An order probe's drop flows are byzantine under the
+    /// campaign's checker, so one under No-Compromise would die of its
+    /// first blocked commit instead.)
     FatalNoCompromise,
 }
 
@@ -71,7 +92,7 @@ const PROBE_BUDGET: u64 = 4;
 fn run_campaign_with(
     oracle: bool,
     isolation: IsolationMode,
-    depth: usize,
+    burst: usize,
     io: IoMode,
     extra: Extra,
 ) -> Residue {
@@ -79,12 +100,11 @@ fn run_campaign_with(
     let mut net = Network::new(&topo);
     let fatal = MacAddr::from_index(0xfa7a1);
     let mut policies = PolicyTable::with_default(CompromisePolicy::Absolute);
-    policies.set_app("order-probe#buggy", CompromisePolicy::NoCompromise);
+    policies.set_app("learning-switch#buggy", CompromisePolicy::NoCompromise);
     let mut rt = runtime(
         oracle,
         LegoSdnConfig {
             isolation,
-            dispatch: DispatchConfig::default().window(depth),
             io: IoConfig {
                 mode: io,
                 ..IoConfig::default()
@@ -136,7 +156,7 @@ fn run_campaign_with(
         }
         Extra::FatalNoCompromise => {
             rt.attach(Box::new(FaultyApp::new(
-                Box::new(OrderProbe { count: 0 }),
+                Box::new(LearningSwitch::new()),
                 BugTrigger::OnPacketToMac(fatal),
                 BugEffect::Crash,
             )))
@@ -161,15 +181,30 @@ fn run_campaign_with(
             absorb(rt.run_cycle(&mut net));
         }
         // A multi-packet burst in one cycle with the poison mid-burst:
-        // at depth > 1 the window must cancel and re-send across the
-        // byzantine recovery without changing what lands.
-        let _ = net.inject(a, Packet::ethernet(a, b));
-        let _ = net.inject(a, Packet::ethernet(a, poison));
-        if round == 2 && extra == Extra::FatalNoCompromise {
-            let _ = net.inject(a, Packet::ethernet(a, fatal));
+        // behind stubs the window must cancel and re-send across the
+        // byzantine recovery without changing what lands. The rest of
+        // the burst goes to hosts nobody knows, so no packet hits a
+        // table and every one is an event of the cycle's feed.
+        for i in 0..burst {
+            let stranger = MacAddr::from_index(0x5700 + round * 64 + i as u64);
+            if i == burst / 2 {
+                let _ = net.inject(a, Packet::ethernet(a, poison));
+                if round == 2 && extra == Extra::FatalNoCompromise {
+                    let _ = net.inject(a, Packet::ethernet(a, fatal));
+                }
+            } else if i == burst - 1 {
+                let _ = net.inject(b, Packet::ethernet(b, stranger));
+            } else {
+                let _ = net.inject(a, Packet::ethernet(a, stranger));
+            }
         }
-        let _ = net.inject(b, Packet::ethernet(b, a));
-        absorb(rt.run_cycle(&mut net));
+        let report = rt.run_cycle(&mut net);
+        assert!(
+            report.events >= burst,
+            "{extra:?} round {round}: a {burst}-packet burst translated {} events",
+            report.events
+        );
+        absorb(report);
         let _ = net.set_switch_up(bounce, false);
         absorb(rt.run_cycle(&mut net));
         let _ = net.set_switch_up(bounce, true);
@@ -186,6 +221,10 @@ fn run_campaign_with(
     flow_tables.sort_by_key(|(dpid, _)| *dpid);
     let txlog = rt.netlog().log().iter().cloned().collect();
     let stats = rt.stats();
+    let obs = rt.obs();
+    let comm_failures = (rt.app_names().iter())
+        .map(|name| obs.counter("appvisor", "comm_failures", name).get())
+        .sum();
     rt.shutdown();
     Residue {
         flow_tables,
@@ -194,12 +233,33 @@ fn run_campaign_with(
         recoveries,
         byzantine_blocked,
         commands,
+        comm_failures,
     }
 }
 
+/// Hold `run` to `reference`, field by field, naming the configuration.
+fn assert_same(reference: &Residue, run: &Residue, what: &str) {
+    assert_eq!(
+        reference.flow_tables, run.flow_tables,
+        "{what}: flow tables diverge between the engine and the oracle"
+    );
+    assert_eq!(
+        reference.txlog, run.txlog,
+        "{what}: NetLog transaction order diverges between the engine and the oracle"
+    );
+    assert_eq!(
+        reference.stats, run.stats,
+        "{what}: runtime counters diverge between the engine and the oracle"
+    );
+    assert_eq!(
+        reference, run,
+        "{what}: per-cycle reports or comm failures diverge between the engine and the oracle"
+    );
+}
+
 fn assert_identical(isolation: IsolationMode) {
-    let seq = run_campaign(true, isolation, 1);
-    let pipe = run_campaign(false, isolation, 1);
+    let seq = run_campaign(true, isolation, SHORT);
+    let pipe = run_campaign(false, isolation, SHORT);
     // The campaign must actually exercise the interesting paths, or this
     // test proves nothing.
     assert!(
@@ -212,23 +272,7 @@ fn assert_identical(isolation: IsolationMode) {
     );
     assert!(seq.commands > 0, "campaign produced no network commands");
     assert!(!seq.txlog.is_empty(), "campaign produced no transactions");
-    assert_eq!(
-        seq.flow_tables, pipe.flow_tables,
-        "{isolation:?}: flow tables diverge between the engine and the oracle"
-    );
-    assert_eq!(
-        seq.txlog, pipe.txlog,
-        "{isolation:?}: NetLog transaction order diverges between the engine and the oracle"
-    );
-    assert_eq!(
-        seq.stats, pipe.stats,
-        "{isolation:?}: runtime counters diverge between the engine and the oracle"
-    );
-    assert_eq!(
-        (seq.recoveries, seq.byzantine_blocked, seq.commands),
-        (pipe.recoveries, pipe.byzantine_blocked, pipe.commands),
-        "{isolation:?}: per-cycle reports diverge between the engine and the oracle"
-    );
+    assert_same(&seq, &pipe, &format!("{isolation:?}"));
 }
 
 #[test]
@@ -245,42 +289,35 @@ fn engine_matches_the_oracle_with_isolated_stubs() {
 fn engine_matches_the_oracle_across_repeated_runs() {
     // Stub scheduling varies run to run; determinism must not depend on
     // a lucky interleaving.
-    let reference = run_campaign(true, IsolationMode::Channel, 1);
+    let reference = run_campaign(true, IsolationMode::Channel, SHORT);
     for _ in 0..3 {
-        let pipe = run_campaign(false, IsolationMode::Channel, 1);
-        assert_eq!(reference.flow_tables, pipe.flow_tables);
-        assert_eq!(reference.txlog, pipe.txlog);
-        assert_eq!(reference.stats, pipe.stats);
+        let run = run_campaign(false, IsolationMode::Channel, SHORT);
+        assert_same(&reference, &run, &format!("burst {SHORT}"));
+    }
+}
+
+#[test]
+fn sharded_dispatch_is_stable_across_repeated_runs() {
+    // The same with the stub window full and sliding: deliveries in
+    // flight to several stubs at once must not depend on a lucky
+    // interleaving either.
+    let reference = run_campaign(true, IsolationMode::Channel, LONG);
+    for _ in 0..3 {
+        let run = run_campaign(false, IsolationMode::Channel, LONG);
+        assert_same(&reference, &run, &format!("burst {LONG}"));
     }
 }
 
 #[test]
 fn windowed_dispatch_is_deterministic_across_depths() {
+    // In process the window is one slot deep; behind stubs a burst
+    // shorter than the window runs it partly full, one as long runs it
+    // full and a longer one slides it.
     for isolation in [IsolationMode::Local, IsolationMode::Channel] {
-        let reference = run_campaign(true, isolation, 1);
-        for depth in [1usize, 2, 8] {
-            let win = run_campaign(false, isolation, depth);
-            assert_eq!(
-                reference.flow_tables, win.flow_tables,
-                "{isolation:?} depth {depth}: flow tables diverge"
-            );
-            assert_eq!(
-                reference.txlog, win.txlog,
-                "{isolation:?} depth {depth}: NetLog transaction order diverges"
-            );
-            assert_eq!(
-                reference.stats, win.stats,
-                "{isolation:?} depth {depth}: runtime counters diverge"
-            );
-            assert_eq!(
-                (
-                    reference.recoveries,
-                    reference.byzantine_blocked,
-                    reference.commands
-                ),
-                (win.recoveries, win.byzantine_blocked, win.commands),
-                "{isolation:?} depth {depth}: per-cycle reports diverge"
-            );
+        for burst in BURSTS {
+            let reference = run_campaign(true, isolation, burst);
+            let win = run_campaign(false, isolation, burst);
+            assert_same(&reference, &win, &format!("{isolation:?} burst {burst}"));
         }
     }
 }
@@ -289,62 +326,43 @@ fn windowed_dispatch_is_deterministic_across_depths() {
 fn polled_transport_preserves_the_dispatch_residue() {
     // The size of the stub-host pool changes only *which thread* runs a
     // stub — one each at the default, shared at two — never what the
-    // stub says. Every {pool size} × {window depth} combination must
+    // stub says. Every {pool size} × {burst length} combination must
     // leave the exact residue of the sequential reference.
-    let reference = run_campaign(true, IsolationMode::Channel, 1);
-    for io in [IoMode::default(), IoMode { io_threads: 2 }] {
-        for depth in [1usize, 2, 8] {
-            let run = run_campaign_io(false, IsolationMode::Channel, depth, io);
-            assert_eq!(
-                reference.flow_tables, run.flow_tables,
-                "{io:?} depth {depth}: flow tables diverge"
-            );
-            assert_eq!(
-                reference.txlog, run.txlog,
-                "{io:?} depth {depth}: NetLog transaction order diverges"
-            );
-            assert_eq!(
-                reference.stats, run.stats,
-                "{io:?} depth {depth}: runtime counters diverge"
-            );
-            assert_eq!(
-                (
-                    reference.recoveries,
-                    reference.byzantine_blocked,
-                    reference.commands
-                ),
-                (run.recoveries, run.byzantine_blocked, run.commands),
-                "{io:?} depth {depth}: per-cycle reports diverge"
-            );
+    for burst in BURSTS {
+        let reference = run_campaign(true, IsolationMode::Channel, burst);
+        for io in [IoMode::default(), IoMode { io_threads: 2 }] {
+            let run = run_campaign_io(false, IsolationMode::Channel, burst, io);
+            assert_same(&reference, &run, &format!("{io:?} burst {burst}"));
         }
     }
 }
 
 #[test]
-fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths() {
+fn engine_preserves_the_residue_across_booked_suspensions_and_deaths() {
     // The decisions the engine books at harvest and the reference right
     // before the commit: a command budget running out mid-window, and a
     // No-Compromise death that takes the network down with it.
     for extra in [Extra::CommandBudget, Extra::FatalNoCompromise] {
         for isolation in [IsolationMode::Local, IsolationMode::Channel] {
-            let io = IoMode::default();
-            let reference = run_campaign_with(true, isolation, 1, io, extra);
-            let stats = reference.stats;
-            match extra {
-                Extra::CommandBudget => assert!(
-                    stats.apps_suspended > 0 && stats.commands_suppressed > 0,
-                    "{isolation:?}: the budget never ran out: {stats:?}"
-                ),
-                _ => assert!(
-                    stats.apps_dead > 0,
-                    "{isolation:?}: nothing died: {stats:?}"
-                ),
-            }
-            for depth in [1usize, 2, 8] {
-                let run = run_campaign_with(false, isolation, depth, io, extra);
-                assert_eq!(
-                    reference, run,
-                    "{extra:?} {isolation:?} depth {depth}: residue diverges"
+            for burst in BURSTS {
+                let io = IoMode::default();
+                let reference = run_campaign_with(true, isolation, burst, io, extra);
+                let stats = reference.stats;
+                match extra {
+                    Extra::CommandBudget => assert!(
+                        stats.apps_suspended > 0 && stats.commands_suppressed > 0,
+                        "{isolation:?} burst {burst}: the budget never ran out: {stats:?}"
+                    ),
+                    _ => assert!(
+                        stats.apps_dead > 0,
+                        "{isolation:?} burst {burst}: nothing died: {stats:?}"
+                    ),
+                }
+                let run = run_campaign_with(false, isolation, burst, io, extra);
+                assert_same(
+                    &reference,
+                    &run,
+                    &format!("{extra:?} {isolation:?} burst {burst}"),
                 );
             }
         }
@@ -352,16 +370,15 @@ fn sharded_dispatch_preserves_the_residue_across_booked_suspensions_and_deaths()
 }
 
 #[test]
-fn sharded_dispatch_is_stable_across_repeated_runs() {
-    // Stub scheduling varies run to run; a deep window must not depend on
-    // a lucky interleaving either.
-    let reference = run_campaign(true, IsolationMode::Channel, 1);
-    for _ in 0..3 {
-        let run = run_campaign(false, IsolationMode::Channel, 4);
-        assert_eq!(reference.flow_tables, run.flow_tables);
-        assert_eq!(reference.txlog, run.txlog);
-        assert_eq!(reference.stats, run.stats);
-    }
+fn udp_stubs_match_the_oracle_over_a_sliding_window() {
+    // The paper's prototype transport with more deliveries in flight
+    // than the window holds: every frame of the burst crosses loopback
+    // UDP before its ack is read, and none is lost or late.
+    let reference = run_campaign(true, IsolationMode::Udp, LONG);
+    let run = run_campaign(false, IsolationMode::Udp, LONG);
+    assert!(reference.recoveries > 0 && reference.byzantine_blocked > 0);
+    assert_eq!(run.comm_failures, 0, "a UDP frame was lost or late");
+    assert_same(&reference, &run, "Udp");
 }
 
 /// Installs one uniquely-matched drop flow per packet-in, tagging the
@@ -419,20 +436,34 @@ impl XorShift {
     }
 }
 
-#[test]
-fn per_app_delivery_order_equals_translation_order_under_random_crashes() {
-    // Property: for a healthy app, windowed dispatch delivers each
-    // cycle's events in translation order, no matter where a neighboring
-    // app's crashes land in the burst. The probe's flow installs on the
-    // ingress switch record the order it actually observed.
-    for seed in [11u64, 47, 2026] {
-        let mut rng = XorShift(seed);
-        let topo = Topology::linear(2, 2);
-        let mut net = Network::new(&topo);
-        let poison = topo.hosts[topo.hosts.len() - 1].mac;
-        let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-            isolation: IsolationMode::Channel,
-            dispatch: DispatchConfig::default().window(8),
+/// What [`run_random_crashes`] leaves: the probe's observed delivery
+/// order beside what was injected, and the campaign's residue.
+#[derive(Debug, PartialEq)]
+struct CrashResidue {
+    observed: Vec<MacAddr>,
+    injected: Vec<MacAddr>,
+    flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
+    txlog: Vec<TxRecord>,
+    stats: RuntimeStats,
+}
+
+/// An order probe beside a hub that crashes on a poison packet, over
+/// three `burst`-packet bursts with one or two poison packets at
+/// `seed`-random slots.
+fn run_random_crashes(
+    oracle: bool,
+    isolation: IsolationMode,
+    burst: usize,
+    seed: u64,
+) -> CrashResidue {
+    let mut rng = XorShift(seed);
+    let topo = Topology::linear(2, 2);
+    let mut net = Network::new(&topo);
+    let poison = topo.hosts[topo.hosts.len() - 1].mac;
+    let mut rt = runtime(
+        oracle,
+        LegoSdnConfig {
+            isolation,
             obs: ObsConfig::instance(Obs::new()),
             crashpad: CrashPadConfig {
                 checkpoints: CheckpointPolicy {
@@ -444,55 +475,90 @@ fn per_app_delivery_order_equals_translation_order_under_random_crashes() {
                 transform_direction: TransformDirection::Decompose,
             },
             ..LegoSdnConfig::default()
-        });
-        rt.attach(Box::new(OrderProbe { count: 0 })).unwrap();
-        rt.attach(Box::new(FaultyApp::new(
-            Box::new(Hub::new()),
-            BugTrigger::OnPacketToMac(poison),
-            BugEffect::Crash,
-        )))
-        .unwrap();
-        rt.run_cycle(&mut net); // handshake + discovery
+        },
+    );
+    rt.attach(Box::new(OrderProbe { count: 0 })).unwrap();
+    rt.attach(Box::new(FaultyApp::new(
+        Box::new(Hub::new()),
+        BugTrigger::OnPacketToMac(poison),
+        BugEffect::Crash,
+    )))
+    .unwrap();
+    rt.run_cycle(&mut net); // handshake + discovery
 
-        let a = topo.hosts[0].mac;
-        let ingress = DatapathId(1);
-        let mut injected = Vec::new();
-        for round in 0..3u64 {
-            // A 6-packet burst with 1–2 poison packets at random slots.
-            let poison_a = rng.next() % 6;
-            let poison_b = rng.next() % 6;
-            for slot in 0..6u64 {
-                let dst = if slot == poison_a || slot == poison_b {
-                    poison
-                } else {
-                    MacAddr::from_index(100 + round * 8 + slot)
-                };
-                let _ = net.inject(a, Packet::ethernet(a, dst));
-                injected.push(dst);
-            }
-            let report = rt.run_cycle(&mut net);
-            assert!(report.recoveries >= 1, "seed {seed}: no crash exercised");
+    let a = topo.hosts[0].mac;
+    let ingress = DatapathId(1);
+    let mut injected = Vec::new();
+    for round in 0..3u64 {
+        let len = burst as u64;
+        let poison_a = rng.next() % len;
+        let poison_b = rng.next() % len;
+        for slot in 0..len {
+            let dst = if slot == poison_a || slot == poison_b {
+                poison
+            } else {
+                MacAddr::from_index(100 + round * 32 + slot)
+            };
+            let _ = net.inject(a, Packet::ethernet(a, dst));
+            injected.push(dst);
         }
-        assert!(!rt.is_crashed());
+        let report = rt.run_cycle(&mut net);
+        assert!(report.recoveries >= 1, "seed {seed}: no crash exercised");
+    }
+    assert!(!rt.is_crashed());
 
-        // The probe installed one tagged flow per injected packet;
-        // install order on the ingress switch must equal injection
-        // (translation) order.
-        let observed: Vec<MacAddr> = net
-            .switch(ingress)
-            .unwrap()
-            .table()
-            .iter()
-            .filter(|entry| {
-                entry
-                    .mat
-                    .eth_src
-                    .is_some_and(|m| m >= MacAddr::from_index(PROBE_TAG_BASE))
-            })
-            .filter_map(|entry| entry.mat.eth_dst)
-            .collect();
-        assert_eq!(observed, injected, "seed {seed}: delivery order diverged");
-        rt.shutdown();
+    // The probe installed one tagged flow per injected packet, in the
+    // order it saw them.
+    let observed: Vec<MacAddr> = net
+        .switch(ingress)
+        .unwrap()
+        .table()
+        .iter()
+        .filter(|entry| {
+            entry
+                .mat
+                .eth_src
+                .is_some_and(|m| m >= MacAddr::from_index(PROBE_TAG_BASE))
+        })
+        .filter_map(|entry| entry.mat.eth_dst)
+        .collect();
+    let mut flow_tables: Vec<(DatapathId, Vec<FlowEntry>)> = net
+        .switches()
+        .map(|sw| (sw.dpid(), sw.table().iter().cloned().collect()))
+        .collect();
+    flow_tables.sort_by_key(|(dpid, _)| *dpid);
+    let txlog = rt.netlog().log().iter().cloned().collect();
+    let stats = rt.stats();
+    rt.shutdown();
+    CrashResidue {
+        observed,
+        injected,
+        flow_tables,
+        txlog,
+        stats,
+    }
+}
+
+#[test]
+fn per_app_delivery_order_equals_translation_order_under_random_crashes() {
+    // Property: for a healthy app, dispatch delivers each cycle's events
+    // in translation order, no matter where a neighboring app's crashes
+    // land in the burst or how deep the window runs. The probe's flow
+    // installs on the ingress switch record the order it actually
+    // observed, and the whole residue is the oracle's.
+    for isolation in [IsolationMode::Local, IsolationMode::Channel] {
+        for burst in BURSTS {
+            for seed in [11u64, 47, 2026] {
+                let run = run_random_crashes(false, isolation, burst, seed);
+                let what = format!("{isolation:?} burst {burst} seed {seed}");
+                assert_eq!(
+                    run.observed, run.injected,
+                    "{what}: delivery order diverged"
+                );
+                let reference = run_random_crashes(true, isolation, burst, seed);
+                assert_eq!(reference, run, "{what}: residue diverges from the oracle");
+            }
+        }
     }
 }
 
@@ -505,13 +571,13 @@ struct BurstResidue {
     flow_tables: Vec<(DatapathId, Vec<FlowEntry>)>,
 }
 
-fn run_impure_burst(oracle: bool, depth: usize) -> BurstResidue {
+fn run_impure_burst(oracle: bool, isolation: IsolationMode, burst: usize) -> BurstResidue {
     let topo = Topology::linear(3, 1);
     let mut net = Network::new(&topo);
     let mut rt = runtime(
         oracle,
         LegoSdnConfig {
-            dispatch: DispatchConfig::default().window(depth),
+            isolation,
             obs: ObsConfig::instance(Obs::new()),
             ..LegoSdnConfig::default()
         },
@@ -529,12 +595,22 @@ fn run_impure_burst(oracle: bool, depth: usize) -> BurstResidue {
     settle(&mut rt, &mut net); // handshake + discovery
     net.set_link_up(0, false).unwrap();
     settle(&mut rt, &mut net);
-    // One burst: a packet, a link coming back (its port-status raw probes
-    // the network and drains the queue when translated), another packet.
+    // One burst: a packet, a link coming back mid-burst (its port-status
+    // raw probes the network and drains the queue when translated), and
+    // packets to hosts nobody knows around it, ending with a reply.
     let (a, b) = (topo.hosts[0].mac, topo.hosts[1].mac);
-    let _ = net.inject(a, Packet::ethernet(a, b));
-    net.set_link_up(0, true).unwrap();
-    let _ = net.inject(b, Packet::ethernet(b, a));
+    for i in 0..burst {
+        if i == burst / 2 {
+            net.set_link_up(0, true).unwrap();
+        } else if i == burst - 1 {
+            let _ = net.inject(b, Packet::ethernet(b, a));
+        } else if i == 0 {
+            let _ = net.inject(a, Packet::ethernet(a, b));
+        } else {
+            let stranger = MacAddr::from_index(0x6100 + i as u64);
+            let _ = net.inject(a, Packet::ethernet(a, stranger));
+        }
+    }
     settle(&mut rt, &mut net);
 
     let mut flow_tables: Vec<(DatapathId, Vec<FlowEntry>)> = net
@@ -561,13 +637,15 @@ fn impure_raw_mid_burst_matches_the_oracle() {
     // every event ahead of it in the burst has committed. Translating
     // the whole burst up front moves the probe ahead of the first
     // packet's follow-on packet-ins and changes which cycle sees them.
-    let oracle = run_impure_burst(true, 1);
-    assert!(
-        oracle.cycles.iter().any(|&(_, commands)| commands > 0),
-        "the burst produced no commands"
-    );
-    for depth in [1usize, 2, 8] {
-        let run = run_impure_burst(false, depth);
-        assert_eq!(oracle, run, "depth {depth}: residue diverges");
+    for isolation in [IsolationMode::Local, IsolationMode::Channel] {
+        for burst in BURSTS {
+            let oracle = run_impure_burst(true, isolation, burst);
+            assert!(
+                oracle.cycles.iter().any(|&(_, commands)| commands > 0),
+                "{isolation:?} burst {burst}: the burst produced no commands"
+            );
+            let run = run_impure_burst(false, isolation, burst);
+            assert_eq!(oracle, run, "{isolation:?} burst {burst}: residue diverges");
+        }
     }
 }

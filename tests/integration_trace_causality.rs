@@ -2,13 +2,14 @@
 //! leave flight-recorder traces whose per-(event, app) phases are
 //! causally ordered — fill before send before collect before commit —
 //! with recovery (restore/replay/policy) nested strictly between the
-//! failed delivery and the commit, at window depth 1 and 8 alike. The
-//! depth-8 run must additionally reconstruct a crash-recovery episode as
-//! a single causal trace (the PR's acceptance criterion) and record the
+//! failed delivery and the commit, at window depth 1 (in process) and
+//! 8 (behind stubs) alike. Both must reconstruct a crash-recovery episode
+//! as a single causal trace, and the depth-8 run must record the
 //! cross-event cancellation/re-send story in the cancelled events'
 //! traces.
 
 use legosdn::crashpad::{CheckpointPolicy, CrashPadConfig, PolicyTable, TransformDirection};
+use legosdn::engine::STUB_WINDOW;
 use legosdn::obs::Trace;
 use legosdn::prelude::*;
 
@@ -30,14 +31,13 @@ impl Lcg {
     }
 }
 
-/// Run a seeded fault campaign under Channel isolation at the given
-/// window depth and hand back the recorder's traces.
-fn run_traced_campaign(depth: usize, seed: u64) -> (Obs, Vec<Trace>) {
+/// Run a seeded fault campaign under `isolation` (which sets the window
+/// depth) and hand back the recorder's traces.
+fn run_traced_campaign(isolation: IsolationMode, seed: u64) -> (Obs, Vec<Trace>) {
     let topo = Topology::linear(3, 2);
     let mut net = Network::new(&topo);
     let mut rt = LegoSdnRuntime::new(LegoSdnConfig {
-        isolation: IsolationMode::Channel,
-        dispatch: DispatchConfig::default().window(depth),
+        isolation,
         obs: ObsConfig::instance(Obs::new()),
         crashpad: CrashPadConfig {
             checkpoints: CheckpointPolicy {
@@ -79,7 +79,7 @@ fn run_traced_campaign(depth: usize, seed: u64) -> (Obs, Vec<Trace>) {
         // Seeded traffic so the window fills with packet-ins, then a
         // switch bounce injected *mid-burst*: the SwitchDown crash lands
         // while later events are already queued, exercising
-        // cancellation/re-send at depth > 1.
+        // cancellation/re-send behind stubs.
         for _ in 0..3 {
             let src = topo.hosts[rng.pick(topo.hosts.len())].mac;
             let dst = topo.hosts[rng.pick(topo.hosts.len())].mac;
@@ -214,7 +214,7 @@ fn recovery_trace(traces: &[Trace]) -> Option<&Trace> {
 
 #[test]
 fn depth1_traces_are_causally_ordered() {
-    let (_obs, traces) = run_traced_campaign(1, 0x5eed_0001);
+    let (_obs, traces) = run_traced_campaign(IsolationMode::Local, 0x5eed_0001);
     assert!(!traces.is_empty(), "depth 1 recorded no traces");
     assert_causal(&traces, 1);
     assert!(
@@ -225,9 +225,13 @@ fn depth1_traces_are_causally_ordered() {
 
 #[test]
 fn depth8_traces_are_causally_ordered_across_the_window() {
-    let (obs, traces) = run_traced_campaign(8, 0x5eed_0008);
+    assert_eq!(
+        STUB_WINDOW, 8,
+        "the stub window is the depth this test names"
+    );
+    let (obs, traces) = run_traced_campaign(IsolationMode::Channel, 0x5eed_0008);
     assert!(!traces.is_empty(), "depth 8 recorded no traces");
-    assert_causal(&traces, 8);
+    assert_causal(&traces, STUB_WINDOW);
 
     // Acceptance: a depth-8 crash-recovery episode reconstructs as a
     // single causal trace, and that trace is retrievable by id.

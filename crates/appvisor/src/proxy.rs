@@ -22,7 +22,7 @@ use legosdn_controller::sandbox::DeliverOutcome;
 use legosdn_controller::services::{DeviceView, TopologyView};
 use legosdn_netsim::SimTime;
 use legosdn_obs::{AppId, Counter, Histogram, Obs, RecordKind};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -205,13 +205,9 @@ struct AppSlot {
     /// Tagged replies that arrived while a *different* tag was being
     /// collected (multi-event in-flight queue; also absorbs datagram
     /// reordering on the UDP transport). Consulted before the transport
-    /// on every tagged collect.
+    /// on every tagged collect, which first drops the replies below its
+    /// tag.
     inbox: VecDeque<RpcMessage>,
-    /// Tags whose replies will never be collected — the window cancelled
-    /// them after an earlier failure. Replies matching these are dropped
-    /// on sight; the set is pruned as later tags match (replies are
-    /// FIFO per stub, so an entry below a matched tag is unreachable).
-    cancelled: BTreeSet<u64>,
 }
 
 /// The tag of a stub→proxy reply, if the message carries one.
@@ -319,7 +315,6 @@ impl AppVisorProxy {
                         shipped: Shipped::Never,
                         delta_capacity: 0,
                         inbox: VecDeque::new(),
-                        cancelled: BTreeSet::new(),
                     });
                     return Ok(AppHandle(self.apps.len() - 1));
                 }
@@ -422,11 +417,9 @@ impl AppVisorProxy {
             encode_frame(&RpcMessage::RestoreRequest { seq, bytes }),
         )?;
         match await_tag(slot, seq, Instant::now() + self.config.rpc_timeout) {
+            // Awaiting the restore's tag, the newest, dropped every
+            // older reply: the in-flight queue starts clean.
             Ok(Some(RpcMessage::RestoreAck { ok, .. })) => {
-                // Anything stashed or cancelled predates this restore and
-                // can never be collected: the in-flight queue starts clean.
-                slot.inbox.clear();
-                slot.cancelled.clear();
                 if ok {
                     slot.alive = true;
                     slot.stats.restores += 1;
@@ -509,21 +502,6 @@ impl AppVisorProxy {
             RecordKind::Step("snap_collect", outcome),
         );
         reply
-    }
-
-    /// Drop queued-but-uncollected tags after a failure: their replies —
-    /// if any ever arrive; a dead stub drops the requests silently — are
-    /// discarded on sight, and any already stashed in the inbox are
-    /// purged. Must cover every tag of the app's cancelled window slots
-    /// before the app is restored and the window refills.
-    pub fn cancel_pending(&mut self, h: AppHandle, seqs: &[u64]) -> Result<(), ProxyError> {
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.cancelled.extend(seqs.iter().copied());
-        let AppSlot {
-            inbox, cancelled, ..
-        } = slot;
-        inbox.retain(|m| reply_seq(m).is_none_or(|s| !cancelled.contains(&s)));
-        Ok(())
     }
 
     /// Shut all stubs down and collect their reports: the host pool
@@ -676,19 +654,20 @@ fn settle_delivery(
 }
 
 /// Await the reply tagged `seq`: inbox first, then the transport.
-/// Later tags' replies are stashed in the inbox, cancelled and stale
-/// tags are dropped, and the cancelled set is pruned below a matched tag
-/// (FIFO replies make those unreachable). `Ok(None)` is the transport's
-/// verdict that `deadline` passed first.
+/// Later tags' replies are stashed in the inbox; a reply below `seq` is
+/// stale — collected, abandoned by a cancelled window slot, or
+/// pre-restore — and is dropped, from the inbox too. Tags are collected
+/// in ascending order, so no such reply is ever awaited again.
+/// `Ok(None)` is the transport's verdict that `deadline` passed first.
 fn await_tag(
     slot: &mut AppSlot,
     seq: u64,
     deadline: Instant,
 ) -> Result<Option<RpcMessage>, TransportError> {
+    slot.inbox
+        .retain(|m| reply_seq(m).is_some_and(|s| s >= seq));
     if let Some(pos) = slot.inbox.iter().position(|m| reply_seq(m) == Some(seq)) {
-        let msg = slot.inbox.remove(pos).expect("position is in range");
-        slot.cancelled = slot.cancelled.split_off(&seq);
-        return Ok(Some(msg));
+        return Ok(slot.inbox.remove(pos));
     }
     while let Some(frame) = slot.transport.recv_until(deadline)? {
         received(slot, &frame);
@@ -696,17 +675,12 @@ fn await_tag(
             continue;
         };
         match reply_seq(&msg) {
-            Some(s) if s == seq => {
-                slot.cancelled = slot.cancelled.split_off(&seq);
-                return Ok(Some(msg));
-            }
-            Some(s) if slot.cancelled.contains(&s) => {}
+            Some(s) if s == seq => return Ok(Some(msg)),
             // A later tag's reply outran ours (UDP datagrams can
             // reorder) or sits ahead of a reply we collect later:
             // keep it for that collect.
             Some(s) if s > seq => slot.inbox.push_back(msg),
-            // Below the tag we are waiting on: already collected
-            // or pre-restore — stale either way.
+            // Below the tag we are waiting on: stale.
             _ => {}
         }
     }
@@ -717,7 +691,7 @@ fn await_tag(
 mod tests {
     use super::*;
     use crate::transport::InlineStub;
-    use legosdn_controller::app::{Ctx, RestoreError, Snapshot};
+    use legosdn_controller::app::{Command, Ctx, RestoreError, Snapshot};
     use legosdn_openflow::prelude::*;
 
     struct TestApp {
@@ -1159,6 +1133,51 @@ mod tests {
     }
 
     #[test]
+    fn abandoned_replies_do_not_pile_up_in_the_inbox() {
+        // A reply stashed for a tag that is never collected (its window
+        // slot was cancelled) is stale once a later tag is collected.
+        let (proxy_side, mut stub_side) = QueueTransport::pair();
+        stub_side
+            .send(encode_frame(&RpcMessage::Register {
+                app_name: "manual".into(),
+                subscriptions: vec![EventKind::SwitchUp],
+            }))
+            .unwrap();
+        let mut p = proxy();
+        let h = p.register_transport(Box::new(proxy_side)).unwrap();
+        let (topo, dev) = (TopologyView::default(), DeviceView::default());
+        let ev = Event::SwitchUp(DatapathId(1));
+        let mut queue = || {
+            p.queue_deliver(h, &ev, &topo, &dev, SimTime::ZERO)
+                .unwrap()
+                .unwrap()
+        };
+        let (d1, d2, d3) = (queue(), queue(), queue());
+        let ack = |seq: u64, n: u64| {
+            encode_frame(&RpcMessage::EventAck {
+                seq,
+                commands: vec![Command {
+                    dpid: DatapathId(n),
+                    msg: Message::BarrierRequest,
+                }],
+            })
+        };
+        stub_side.send(ack(d2, 2)).unwrap();
+        stub_side.send(ack(d1, 1)).unwrap();
+        assert!(matches!(
+            p.collect_deliver(h, d1).unwrap(),
+            DeliverOutcome::Commands(c) if c[0].dpid == DatapathId(1)
+        ));
+        assert_eq!(p.apps[h.0].inbox.len(), 1, "d2's reply is stashed");
+        stub_side.send(ack(d3, 3)).unwrap();
+        assert!(matches!(
+            p.collect_deliver(h, d3).unwrap(),
+            DeliverOutcome::Commands(c) if c[0].dpid == DatapathId(3)
+        ));
+        assert!(p.apps[h.0].inbox.is_empty(), "d2's reply is dropped");
+    }
+
+    #[test]
     fn a_failed_blocking_send_is_a_booked_comm_failure() {
         // The stub side goes away after registering: every blocking call's
         // send fails, and each is booked on the slot like a queued send's.
@@ -1289,7 +1308,6 @@ mod tests {
         ));
         assert!(!p.is_alive(h).unwrap());
         // The dead stub silently dropped tags[2]; never collect it.
-        p.cancel_pending(h, &tags[2..]).unwrap();
         assert!(p.restore(h, &checkpoint).unwrap());
         assert!(p.is_alive(h).unwrap());
         // Fresh delivery on the cleaned stream works (count restored to

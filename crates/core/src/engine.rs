@@ -237,63 +237,47 @@ pub(crate) fn select_app(cx: &mut AppCtx<'_>, local: usize, kind: EventKind) -> 
     true
 }
 
-/// What one position still needs from the commit lane once its outcome
-/// is booked.
-pub(crate) enum LaneWork {
-    /// Nothing: the position commits no transaction.
-    None,
-    /// Run `commands` in a NetLog transaction. `recover` is false for
-    /// output that already came out of a recovery: if that is byzantine
-    /// too, it is dropped, not recovered again.
-    Execute {
-        commands: Vec<Command>,
-        recover: bool,
-    },
-    /// A No-Compromise app died and the network goes down with it.
-    Shutdown,
-}
-
-/// Book one app's dispatch outcome — recovery counters, command-budget
-/// suspension, app death — and say what is left for the commit lane. The
-/// engine books at harvest and the reference right before the lane step;
-/// neither decides any of this again. An elided position's trace verdict
-/// is emitted here; the lane step emits the others.
-pub(crate) fn book(
+/// Settle one (event, app) position whose first transaction id is `tx`:
+/// book the app's dispatch outcome — recovery counters, command-budget
+/// suspension, app death — and commit what is left on the lane: its
+/// commands in a NetLog transaction under the byzantine guard, or a
+/// network shutdown. The engine and the reference both settle here, and
+/// this is the one place a position's `commit` trace verdict is emitted.
+/// Returns whether the commit was blocked as byzantine.
+pub(crate) fn settle(
     cx: &mut AppCtx<'_>,
+    lane: &mut CommitLane<'_>,
     local: usize,
     slot: &WindowSlot,
     result: DispatchResult,
-) -> LaneWork {
-    let (verdict, work) = match result {
-        DispatchResult::Delivered(commands) => ("delivered", charge(cx, local, commands, true)),
+    tx: TxId,
+) -> bool {
+    let (verdict, commands, recover) = match result {
+        DispatchResult::Delivered(commands) => ("delivered", charge(cx, local, commands), true),
         DispatchResult::Recovered { commands, .. } => {
             cx.stats.failstop_recoveries += 1;
             cx.roster.apps[local].failstop_recoveries.inc();
-            ("recovered", charge(cx, local, commands, false))
+            ("recovered", charge(cx, local, commands), false)
         }
         DispatchResult::AppDead { .. } => {
             mark_dead(cx, local);
-            let work = if shuts_network(cx, local, slot) {
-                LaneWork::Shutdown
-            } else {
-                LaneWork::None
-            };
-            ("app_dead", work)
+            if shuts_network(cx, local, slot) {
+                shutdown_network(lane.net);
+            }
+            ("app_dead", None, false)
         }
     };
-    if let LaneWork::None = work {
-        let id = cx.roster.apps[local].id;
-        cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
-    }
-    work
+    let id = cx.roster.apps[local].id;
+    cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
+    commands.is_some_and(|commands| execute_guarded(cx, lane, local, slot, commands, recover, tx))
 }
 
-/// The lane work of one command batch: none if it is empty, or if it
-/// would overrun the app's command budget (which suspends the app and
-/// counts the batch suppressed); its execution otherwise.
-fn charge(cx: &mut AppCtx<'_>, local: usize, commands: Vec<Command>, recover: bool) -> LaneWork {
+/// The commands of one batch left to execute: none if it is empty, or if
+/// it would overrun the app's command budget (which suspends the app and
+/// counts the batch suppressed).
+fn charge(cx: &mut AppCtx<'_>, local: usize, commands: Vec<Command>) -> Option<Vec<Command>> {
     if commands.is_empty() {
-        return LaneWork::None;
+        return None;
     }
     let rec = &mut cx.roster.apps[local];
     if let Some(max) = rec.limits.max_commands {
@@ -301,10 +285,10 @@ fn charge(cx: &mut AppCtx<'_>, local: usize, commands: Vec<Command>, recover: bo
             rec.status = AppStatus::Suspended("command budget exhausted");
             cx.stats.apps_suspended += 1;
             cx.stats.commands_suppressed += commands.len() as u64;
-            return LaneWork::None;
+            return None;
         }
     }
-    LaneWork::Execute { commands, recover }
+    Some(commands)
 }
 
 /// Whether a failure of this app on this slot's event takes the network
@@ -322,37 +306,6 @@ fn mark_dead(cx: &mut AppCtx<'_>, local: usize) {
     if rec.status != AppStatus::Dead {
         rec.status = AppStatus::Dead;
         cx.stats.apps_dead += 1;
-    }
-}
-
-/// The lane step: run one booked position's [`LaneWork`] on the commit
-/// lane — a NetLog transaction under the byzantine guard, with the
-/// position's first transaction id `tx`, or a network shutdown. Returns
-/// whether the commit was blocked as byzantine.
-pub(crate) fn commit_on_lane(
-    cx: &mut AppCtx<'_>,
-    lane: &mut CommitLane<'_>,
-    local: usize,
-    slot: &WindowSlot,
-    work: LaneWork,
-    tx: TxId,
-) -> bool {
-    let verdict = match &work {
-        LaneWork::None => return false,
-        LaneWork::Execute { recover: true, .. } => "delivered",
-        LaneWork::Execute { recover: false, .. } => "recovered",
-        LaneWork::Shutdown => "app_dead",
-    };
-    let id = cx.roster.apps[local].id;
-    cx.obs.emit(Some(id), RecordKind::Step("commit", verdict));
-    match work {
-        LaneWork::Execute { commands, recover } => {
-            execute_guarded(cx, lane, local, slot, commands, recover, tx)
-        }
-        _ => {
-            shutdown_network(lane.net);
-            false
-        }
     }
 }
 
@@ -418,9 +371,7 @@ fn execute_guarded(
                     // Recovered output (a transformed event's; an ignored
                     // one's is empty) executes with recovery disabled.
                     DispatchResult::Recovered { commands, .. } => {
-                        if let LaneWork::Execute { commands, .. } =
-                            charge(cx, local, commands, false)
-                        {
+                        if let Some(commands) = charge(cx, local, commands) {
                             execute_guarded(cx, lane, local, slot, commands, false, TxId(tx.0 + 1));
                         }
                     }
@@ -451,15 +402,13 @@ fn execute_guarded(
 pub(crate) struct Window {
     slots: VecDeque<WindowSlot>,
     pending: VecDeque<Vec<WindowEntry>>,
-    inflight: Vec<u64>,
-    settles: Vec<Settle>,
 }
 
 /// One cycle of the dispatch engine (DESIGN.md §9), on the runtime
 /// thread: a fill cursor queues deliveries to the isolated stubs up to
 /// `depth` slots past the commit cursor, pulling the next raw off the
-/// feed when the window runs short, and the commit cursor settles one
-/// slot at a time, in (event, attach) position order.
+/// feed when the window runs short, and the commit cursor takes one
+/// position at a time from harvest to commit, in (event, attach) order.
 pub(crate) struct Engine<'a> {
     /// The slots the feed has yielded and the commit cursor has not
     /// passed: `slots[0]` is the commit cursor's.
@@ -481,10 +430,6 @@ struct Dispatch<'a> {
     /// The stub entries in flight, one list per slot sent, aligned with
     /// the slots: `pending[0]` is the commit cursor's.
     pending: &'a mut VecDeque<Vec<WindowEntry>>,
-    /// Uncollected deliveries per app.
-    inflight: &'a mut Vec<u64>,
-    /// The booked positions of the slot being committed.
-    settles: &'a mut Vec<Settle>,
     /// The next slot to send, counted from the start of the cycle.
     next_send: usize,
     /// The slot being committed, counted likewise.
@@ -500,14 +445,7 @@ impl<'a> Engine<'a> {
         depth: usize,
         tx_cycle_base: u64,
     ) -> Self {
-        let Window {
-            slots,
-            pending,
-            inflight,
-            settles,
-        } = window;
-        inflight.clear();
-        inflight.resize(cx.roster.apps.len(), 0);
+        let Window { slots, pending } = window;
         Engine {
             slots,
             feed,
@@ -518,8 +456,6 @@ impl<'a> Engine<'a> {
                 depth,
                 tx_cycle_base,
                 pending,
-                inflight,
-                settles,
                 next_send: 0,
                 commit_pos: 0,
             },
@@ -692,9 +628,10 @@ impl Dispatch<'_> {
 
     /// Queue (snapshot-if-due, delivery) for one selected stub app.
     /// Snapshot due-ness is projected over the app's uncollected
-    /// in-flight deliveries: a snapshot queued on the FIFO stream between
-    /// deliveries *k* and *k+1* captures the state after *k* — exactly
-    /// the pre-event checkpoint the sequential protocol takes.
+    /// in-flight deliveries, its entries in `pending`: a snapshot queued
+    /// on the FIFO stream between deliveries *k* and *k+1* captures the
+    /// state after *k* — exactly the pre-event checkpoint the sequential
+    /// protocol takes.
     fn queue_one(&mut self, local: usize, slot: &WindowSlot) -> WindowEntry {
         let Roster {
             apps,
@@ -706,9 +643,10 @@ impl Dispatch<'_> {
         let Host::Isolated(handle) = rec.host else {
             unreachable!("windowed entries are stub-only");
         };
+        let inflight = self.pending.iter().flatten().filter(|e| e.local == local);
         let snap = if crashpad
             .checkpoints
-            .checkpoint_due_ahead(&rec.name, self.inflight[local])
+            .checkpoint_due_ahead(&rec.name, inflight.count() as u64)
         {
             proxy.queue_snapshot(handle).ok().flatten()
         } else {
@@ -718,7 +656,6 @@ impl Dispatch<'_> {
             .queue_deliver(handle, &slot.event, &slot.topology, &slot.devices, slot.now)
             .ok()
             .flatten();
-        self.inflight[local] += 1;
         WindowEntry {
             local,
             handle,
@@ -728,19 +665,18 @@ impl Dispatch<'_> {
         }
     }
 
-    /// Commit the slot at the commit cursor, `slots[0]`: sweep the apps
-    /// in attach order, settling each position exactly once — a
-    /// collected stub entry, an inline local-sandbox dispatch, or nothing
-    /// at all.
+    /// Commit the slot at the commit cursor, `slots[0]`: for each app in
+    /// attach order, settle its position start to finish — a collected
+    /// stub entry, an inline local-sandbox dispatch, or nothing at all —
+    /// then repair the app's window.
     fn commit_slot(&mut self, slots: &VecDeque<WindowSlot>) {
         let slot = &slots[0];
         self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
+        let stride = self.cx.roster.apps.len();
         let entries = std::mem::take(&mut self.pending[0]);
         let mut entries = entries.into_iter().peekable();
-        // Harvest sweep: collect and book every position's outcome.
-        let mut settles = std::mem::take(self.settles);
-        for local in 0..self.cx.roster.apps.len() {
+        for local in 0..stride {
             #[cfg(test)]
             fault(
                 self.cx.roster,
@@ -751,7 +687,6 @@ impl Dispatch<'_> {
             );
             let (result, failed) = if entries.peek().is_some_and(|e| e.local == local) {
                 let entry = entries.next().expect("peeked");
-                self.inflight[local] -= 1;
                 self.harvest_entry(entry, slots)
             } else if matches!(self.cx.roster.apps[local].host, Host::Local(_))
                 && select_app(&mut self.cx, local, kind)
@@ -763,53 +698,25 @@ impl Dispatch<'_> {
                 continue;
             };
             let running = self.cx.roster.apps[local].status == AppStatus::Running;
-            let work = book(&mut self.cx, local, slot, result);
-            let mut cancelled = failed;
-            if running && !failed && self.cx.roster.apps[local].status != AppStatus::Running {
-                // Booking suspended the app: sequential dispatch would
-                // not have made the deliveries queued after this one.
-                self.cancel_app(local, slots);
-                cancelled = true;
-            }
-            // A cancelled stub window still needs its re-send.
-            if matches!(work, LaneWork::None) && !cancelled {
-                continue;
-            }
-            settles.push(Settle {
-                local,
-                work,
-                cancelled,
-            });
-        }
-        // Settle sweep, in the same order: the lane commit, then the
-        // window repair (cancel/resend).
-        let stride = self.cx.roster.apps.len();
-        for Settle {
-            local,
-            work,
-            cancelled,
-        } in settles.drain(..)
-        {
             let pos = (self.commit_pos * stride + local) as u64;
             let tx = TxId(self.tx_cycle_base + pos * TXS_PER_POS);
-            let blocked = commit_on_lane(&mut self.cx, &mut self.lane, local, slot, work, tx);
-            if !matches!(self.cx.roster.apps[local].host, Host::Isolated(_)) {
-                continue;
-            }
-            if blocked && !cancelled {
-                // Byzantine caught at commit: the app was restored
-                // mid-stream, so its queued later deliveries ran from
-                // the wrong state.
+            let blocked = settle(&mut self.cx, &mut self.lane, local, slot, result, tx);
+            let stopped = running && self.cx.roster.apps[local].status != AppStatus::Running;
+            if matches!(self.cx.roster.apps[local].host, Host::Isolated(_))
+                && (failed || blocked || stopped)
+            {
+                // The app's queued later deliveries ran from the wrong
+                // state (restored mid-stream by a byzantine block), or
+                // sequential dispatch would not have made them (the app
+                // stopped): drop them and re-select. A failed delivery
+                // dropped them before its recovery.
                 self.cancel_app(local, slots);
-            }
-            if cancelled || blocked {
                 self.resend_app(local, slots);
-                // The resend loop re-scoped the recorder to the
-                // refilled slots; later settles still belong here.
+                // The resend loop re-scoped the recorder to the refilled
+                // slots; later positions still belong here.
                 self.cx.obs.trace_scope(slot.trace);
             }
         }
-        *self.settles = settles;
     }
 
     /// Run one local-sandbox dispatch (checkpoint-if-due, deliver,
@@ -839,8 +746,7 @@ impl Dispatch<'_> {
     /// cancellation (before recovery restores the app, so the RPC stream
     /// is clean when replay begins), and the Crash-Pad's
     /// completion/recovery. Returns the dispatch outcome plus whether the
-    /// delivery failed; settling happens later, after the whole slot is
-    /// harvested.
+    /// delivery failed.
     fn harvest_entry(
         &mut self,
         entry: WindowEntry,
@@ -901,20 +807,14 @@ impl Dispatch<'_> {
     /// back their speculative selection, so re-selection sees exactly
     /// the post-recovery state sequential dispatch would.
     fn cancel_app(&mut self, local: usize, slots: &VecDeque<WindowSlot>) {
-        let mut tags = Vec::new();
-        let mut handle = None;
         for (entries, slot) in self.pending.iter_mut().zip(slots).skip(1) {
             if let Some(pos) = entries.iter().position(|e| e.local == local) {
-                let e = entries.remove(pos);
-                tags.extend(e.snap);
-                tags.extend(e.seq);
-                handle = Some(e.handle);
+                entries.remove(pos);
                 // Roll the speculative selection back. (The monotonic obs
                 // dispatch counter keeps the cancelled send; RuntimeStats
                 // is the determinism-bearing surface.)
                 self.cx.stats.dispatches -= 1;
                 self.cx.roster.apps[local].usage.events_consumed -= 1;
-                self.inflight[local] -= 1;
                 // The cancellation belongs to the *cancelled* event's
                 // timeline, not the failed one currently in scope.
                 if let Some(tid) = slot.trace {
@@ -925,9 +825,6 @@ impl Dispatch<'_> {
                     );
                 }
             }
-        }
-        if let Some(h) = handle {
-            let _ = self.cx.roster.proxy.cancel_pending(h, &tags);
         }
     }
 
@@ -956,15 +853,4 @@ impl Dispatch<'_> {
             pend.insert(pos, entry);
         }
     }
-}
-
-/// One booked position of the slot being committed, between the harvest
-/// sweep (outcome booked) and the settle sweep.
-/// `cancelled`: the harvest cancelled the app's later deliveries (it
-/// failed, or booking suspended it), so they need re-sending; `work` is
-/// [`LaneWork::None`] when that is all the position needs.
-struct Settle {
-    local: usize,
-    work: LaneWork,
-    cancelled: bool,
 }

@@ -91,16 +91,21 @@ struct Run {
     tx_base: u64,
 }
 
-/// Four writers behind stubs, a handshake cycle, then two bursts of
-/// [`SLOTS`] packet-ins. In the engine run, `arm` names the points at
+/// Four writers isolated by `isolation`, a handshake cycle, then two
+/// bursts of [`SLOTS`] packet-ins. In the engine run, `arm` names the points at
 /// which the engine panics in the first burst, given that burst's first
 /// transaction id; in the oracle run, writer *g* dies on the first
 /// burst's slot `dies[g]`.
-fn run(oracle: bool, arm: impl FnOnce(u64) -> Vec<FaultPoint>, dies: [Option<u64>; APPS]) -> Run {
+fn run(
+    isolation: IsolationMode,
+    oracle: bool,
+    arm: impl FnOnce(u64) -> Vec<FaultPoint>,
+    dies: [Option<u64>; APPS],
+) -> Run {
     let topo = Topology::linear(2, 2);
     let mut net = Network::new(&topo);
     let mut config = LegoSdnConfig {
-        isolation: IsolationMode::Channel,
+        isolation,
         obs: ObsConfig::instance(Obs::new()),
         ..LegoSdnConfig::default()
     };
@@ -171,13 +176,17 @@ fn tx_of(tx_base: u64, slot: usize, app: usize) -> u64 {
 /// writer *g* dies on slot `dies[g]`. A panic on the lane leaves its
 /// transaction open: the drain rolls it back, and that rollback is the
 /// one record the oracle's txlog lacks.
-fn loses_the_engine_as_the_oracle_loses_its_apps(fault: fn(u64) -> FaultPoint, dies: [u64; APPS]) {
+fn loses_the_engine_as_the_oracle_loses_its_apps(
+    isolation: IsolationMode,
+    fault: fn(u64) -> FaultPoint,
+    dies: [u64; APPS],
+) {
     within(Duration::from_secs(10), move || {
         let Run {
             rt,
             mut residue,
             tx_base,
-        } = run(false, |base| vec![fault(base)], [None; APPS]);
+        } = run(isolation, false, |base| vec![fault(base)], [None; APPS]);
         assert!(rt.roster.faults.is_empty(), "the fault never fired");
         let first = dies.iter().min().copied().unwrap();
         for (g, &slot) in dies.iter().enumerate() {
@@ -230,7 +239,7 @@ fn loses_the_engine_as_the_oracle_loses_its_apps(fault: fn(u64) -> FaultPoint, d
             residue.txlog.retain(|r| r.id != tx);
         }
         rt.shutdown();
-        let oracle = run(true, |_| Vec::new(), dies.map(Some));
+        let oracle = run(isolation, true, |_| Vec::new(), dies.map(Some));
         assert_eq!(
             residue, oracle.residue,
             "the residue differs from the oracle's"
@@ -239,6 +248,8 @@ fn loses_the_engine_as_the_oracle_loses_its_apps(fault: fn(u64) -> FaultPoint, d
     });
 }
 
+/// `Fill` fires only while queueing to a stub, so this case has no
+/// in-process twin.
 #[test]
 fn a_panic_filling_the_window_loses_the_engine_at_its_commit_cursor() {
     // Slot 10 is queued while the commit cursor is at slot 3, with slots
@@ -246,6 +257,7 @@ fn a_panic_filling_the_window_loses_the_engine_at_its_commit_cursor() {
     const SLOT: usize = 10;
     const CURSOR: usize = SLOT + 1 - STUB_WINDOW;
     loses_the_engine_as_the_oracle_loses_its_apps(
+        IsolationMode::Channel,
         |_| FaultPoint::Fill {
             slot: SLOT,
             local: 0,
@@ -254,28 +266,47 @@ fn a_panic_filling_the_window_loses_the_engine_at_its_commit_cursor() {
     );
 }
 
-#[test]
-fn a_panic_harvesting_the_window_loses_the_engine_at_the_slot_harvested() {
-    // App 0's outcome of slot 3 is booked, not committed: it dies there
-    // too.
+/// App 0 commits slot 3 before app 1's position is harvested.
+fn a_panic_harvesting_loses_the_engine(isolation: IsolationMode) {
     loses_the_engine_as_the_oracle_loses_its_apps(
+        isolation,
         |_| FaultPoint::Harvest {
             commit_pos: 3,
             local: 1,
         },
-        [3; APPS],
+        [4, 3, 3, 3],
     );
 }
 
 #[test]
-fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_engine() {
-    // App 0 commits slot 4 before app 1's transaction opens.
+fn a_panic_harvesting_the_window_loses_the_engine_at_the_slot_harvested() {
+    a_panic_harvesting_loses_the_engine(IsolationMode::Channel);
+}
+
+#[test]
+fn a_panic_harvesting_in_process_loses_the_engine_at_the_slot_harvested() {
+    a_panic_harvesting_loses_the_engine(IsolationMode::Local);
+}
+
+/// App 0 commits slot 4 before app 1's transaction opens.
+fn a_panic_on_the_lane_loses_the_engine(isolation: IsolationMode) {
     loses_the_engine_as_the_oracle_loses_its_apps(
+        isolation,
         |base| FaultPoint::Lane {
             tx: tx_of(base, 4, 1),
         },
         [5, 4, 4, 4],
     );
+}
+
+#[test]
+fn a_panic_on_the_lane_rolls_back_the_open_transaction_and_loses_the_engine() {
+    a_panic_on_the_lane_loses_the_engine(IsolationMode::Channel);
+}
+
+#[test]
+fn a_panic_on_the_lane_in_process_rolls_back_the_open_transaction_and_loses_the_engine() {
+    a_panic_on_the_lane_loses_the_engine(IsolationMode::Local);
 }
 
 const DOUBLE_FAULT_TEST: &str = "a_panic_in_a_lost_engines_drain_aborts_the_process";
@@ -285,6 +316,7 @@ const DOUBLE_FAULT_CHILD: &str = "LEGOSDN_DOUBLE_FAULT_CHILD";
 fn a_panic_in_a_lost_engines_drain_aborts_the_process() {
     if std::env::var_os(DOUBLE_FAULT_CHILD).is_some() {
         run(
+            IsolationMode::Channel,
             false,
             |_| {
                 vec![

@@ -12,9 +12,7 @@
 //! the apps.
 
 use super::{LegoSdnRuntime, Pull};
-use crate::engine::{
-    book, commit_on_lane, select_app, AppCtx, CommitLane, WindowSlot, TXS_PER_POS,
-};
+use crate::engine::{select_app, settle, AppCtx, CommitLane, WindowSlot, TXS_PER_POS};
 use legosdn_netlog::TxId;
 use legosdn_netsim::Network;
 
@@ -39,7 +37,7 @@ impl LegoSdnRuntime {
         }
     }
 
-    /// Select, deliver under Crash-Pad, book and commit one (event, app)
+    /// Select, deliver under Crash-Pad and settle one (event, app)
     /// position, whose first transaction id is `tx`.
     fn dispatch_to_app(&mut self, net: &mut Network, global: usize, slot: &WindowSlot, tx: TxId) {
         let mut cx = AppCtx {
@@ -62,12 +60,11 @@ impl LegoSdnRuntime {
                 slot.now,
             )
         });
-        let work = book(&mut cx, global, slot, result);
         let mut lane = CommitLane {
             net,
             netlog: &mut self.netlog,
             open: None,
         };
-        commit_on_lane(&mut cx, &mut lane, global, slot, work, tx);
+        settle(&mut cx, &mut lane, global, slot, result, tx);
     }
 }

@@ -103,9 +103,10 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
     crates/ tests/ examples/ \
   || grep -rnE '\.workers\(' crates/ tests/ examples/ | grep -v '^crates/core/src/config\.rs:' \
   || grep -rnE 'ZeroWindowDepth|window_depth' crates/ tests/ examples/ \
+  || grep -rnE 'cancel_pending|commit_on_lane|LaneWork|struct Settle|settles' crates/ tests/ examples/ \
   || grep -rnE '\.window\(' crates/ tests/ examples/ \
     | grep -vE '^(crates/core/src/config|tests/alloc_budget)\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 

@@ -68,7 +68,7 @@ fn run_campaign_io(oracle: bool, isolation: IsolationMode, burst: usize, io: IoM
 }
 
 /// One more roster/config input for the campaign: each drives a decision
-/// the engine books at harvest and the reference at commit.
+/// that the engine and the reference both settle per position.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Extra {
     /// The campaign as it is.
@@ -76,6 +76,10 @@ enum Extra {
     /// An order probe whose `max_commands` budget runs out in round 0's
     /// burst, mid-window behind stubs.
     CommandBudget,
+    /// An order probe whose `max_events` budget runs out mid-window:
+    /// behind stubs its selection suspends it while its earlier
+    /// deliveries are still in flight.
+    EventBudget,
     /// A learning switch under No-Compromise, with
     /// `shutdown_network_on_no_compromise` on, that crashes (and so dies,
     /// taking the network down) on a packet in the middle of round 2's
@@ -146,10 +150,16 @@ fn run_campaign_with(
     .unwrap();
     match extra {
         Extra::Nothing => {}
-        Extra::CommandBudget => {
+        Extra::CommandBudget | Extra::EventBudget => {
+            let budget = Some(PROBE_BUDGET);
+            let (max_events, max_commands) = if extra == Extra::EventBudget {
+                (budget, None)
+            } else {
+                (None, budget)
+            };
             let limits = ResourceLimits {
-                max_events: None,
-                max_commands: Some(PROBE_BUDGET),
+                max_events,
+                max_commands,
             };
             rt.attach_with_limits(Box::new(OrderProbe { count: 0 }), limits)
                 .unwrap();
@@ -339,10 +349,14 @@ fn polled_transport_preserves_the_dispatch_residue() {
 
 #[test]
 fn engine_preserves_the_residue_across_booked_suspensions_and_deaths() {
-    // The decisions the engine books at harvest and the reference right
-    // before the commit: a command budget running out mid-window, and a
-    // No-Compromise death that takes the network down with it.
-    for extra in [Extra::CommandBudget, Extra::FatalNoCompromise] {
+    // The decisions settled per position: a command or event budget
+    // running out mid-window, and a No-Compromise death that takes the
+    // network down with it.
+    for extra in [
+        Extra::CommandBudget,
+        Extra::EventBudget,
+        Extra::FatalNoCompromise,
+    ] {
         for isolation in [IsolationMode::Local, IsolationMode::Channel] {
             for burst in BURSTS {
                 let io = IoMode::default();
@@ -351,6 +365,10 @@ fn engine_preserves_the_residue_across_booked_suspensions_and_deaths() {
                 match extra {
                     Extra::CommandBudget => assert!(
                         stats.apps_suspended > 0 && stats.commands_suppressed > 0,
+                        "{isolation:?} burst {burst}: the budget never ran out: {stats:?}"
+                    ),
+                    Extra::EventBudget => assert!(
+                        stats.apps_suspended > 0,
                         "{isolation:?} burst {burst}: the budget never ran out: {stats:?}"
                     ),
                     _ => assert!(

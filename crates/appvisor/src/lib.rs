@@ -31,9 +31,10 @@ pub use legosdn_controller::DeliverOutcome;
 pub use poll::{QueueTransport, UdpTransport};
 pub use proxy::{
     AppHandle, AppVisorProxy, AppWireStats, IoMode, ProxyConfig, ProxyError, TransportKind,
+    STUB_WINDOW,
 };
 pub use rpc::{
-    decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,
+    decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_into,
     encode_snapshot_reply, RpcMessage,
 };
 pub use stub::{StubConfig, StubHost, StubReport};

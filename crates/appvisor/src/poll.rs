@@ -15,16 +15,25 @@
 //!
 //! There is no epoll in `std`, so the stub host's readiness is a
 //! level-triggered scan: an in-memory queue read by a scanning worker
-//! carries that worker's [`PollWaker`] (a generation-counted condvar) and
-//! wakes it on every send — the latency of that path is a condvar signal,
-//! not a poll interval. Sockets have no waker, so a worker hosting one
-//! parks briefly between empty scans.
+//! carries that worker's [`PollWaker`] (a generation-counted condvar).
+//! The end that writes into it rings that waker only when it will wait:
+//! a send rings when the sender holds no unread frame, and a
+//! `recv_until` that finds nothing rings before it parks. An unread
+//! reply proves the host is ahead, and the sender reads it before it
+//! can need the new frame's reply, so a window of sends behind unread
+//! replies costs a stub's worker one wake per batch the proxy drains,
+//! not one per frame. A worker that hosts every stub is woken by the
+//! proxy's wait on any of them; with a worker per stub, a stub's frames
+//! wait for the proxy's wait on that stub (DESIGN.md §11 measures both).
+//! Sockets have no waker, so a worker hosting one parks briefly between
+//! empty scans.
 //!
 //! Every signal here is **park-aware** (`ParkLock`): a producer issues
 //! the condvar notify — a futex syscall in std whether or not anyone
 //! waits — only when the consumer has recorded, under the same mutex,
 //! that it is asleep.
 
+use crate::proxy::STUB_WINDOW;
 use crate::transport::{Transport, TransportError, MAX_DATAGRAM};
 use std::collections::VecDeque;
 use std::io::ErrorKind;
@@ -36,6 +45,12 @@ use std::time::{Duration, Instant};
 /// declaring the transport wedged. Loopback buffers drain in microseconds;
 /// a full second means the far end is gone or livelocked.
 const SEND_RETRY: Duration = Duration::from_secs(1);
+
+/// Frames a queue holds without growing: a proxy keeps up to
+/// [`STUB_WINDOW`] slots in flight per stub, each at most a snapshot
+/// request and a delivery, and the replies come back one per request.
+/// Sized up front, a queue allocates the same however far the host lags.
+const QUEUE_FRAMES: usize = 2 * STUB_WINDOW;
 
 /// A value behind a mutex and condvar that know whether the value's one
 /// consumer is asleep.
@@ -197,7 +212,7 @@ impl FrameQueue {
     fn new() -> Arc<FrameQueue> {
         Arc::new(FrameQueue {
             frames: ParkLock::new(Frames {
-                queue: VecDeque::new(),
+                queue: VecDeque::with_capacity(QUEUE_FRAMES),
                 closed: false,
             }),
             waker: OnceLock::new(),
@@ -217,9 +232,12 @@ impl FrameQueue {
             }
             frames.queue.push_back(frame);
             Ok(())
-        })?;
-        self.wake_scanner();
-        Ok(())
+        })
+    }
+
+    /// Does a frame wait here unread?
+    fn holds_unread(&self) -> bool {
+        self.frames.peek(|frames| !frames.queue.is_empty())
     }
 
     fn close(&self) {
@@ -233,6 +251,10 @@ impl FrameQueue {
 /// between — the far end's send is what wakes a parked `recv_until`,
 /// and only then; dropping the far end wakes it too, as
 /// [`TransportError::Disconnected`].
+///
+/// A far end scanned by a stub-host worker is rung only when this end
+/// will wait for it (the module doc's wake rule): by a send while this
+/// end holds no unread frame, and by a `recv_until` about to park.
 pub struct QueueTransport {
     out: Arc<FrameQueue>,
     inbound: Arc<FrameQueue>,
@@ -254,10 +276,25 @@ impl QueueTransport {
 
 impl Transport for QueueTransport {
     fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.out.push(frame)
+        self.out.push(frame)?;
+        // An unread frame here proves the far end is ahead, and this end
+        // reads it in `recv_until` — which rings if it must wait — before
+        // it can need this frame's reply.
+        if self.out.waker.get().is_some() && !self.inbound.holds_unread() {
+            self.out.wake_scanner();
+        }
+        Ok(())
     }
 
     fn recv_until(&mut self, deadline: Instant) -> Result<Option<Vec<u8>>, TransportError> {
+        if time_to(deadline).is_none() {
+            return Ok(None);
+        }
+        if let Some(frame) = self.inbound.frames.peek(Frames::pop) {
+            return frame.map(Some);
+        }
+        // About to wait: the far end must be serving what this end sent.
+        self.out.wake_scanner();
         self.inbound.frames.wait(deadline, Frames::pop).transpose()
     }
 
@@ -520,16 +557,112 @@ mod tests {
         }
     }
 
+    /// A channel whose second end is scanned through the returned waker,
+    /// as a stub host scans a stub's end.
+    fn scanned_pair() -> (QueueTransport, ScannedEnd) {
+        let (near, mut end) = QueueTransport::pair();
+        let waker = PollWaker::new();
+        end.set_waker(waker.clone());
+        (near, ScannedEnd { end, waker })
+    }
+
     #[test]
     fn lost_wake_stress_queue_scanned_by_a_host_worker() {
         // Every channel request reaches its stub this way: the proxy's
-        // send pushes into the queue, and the queue wakes the host worker
-        // through its waker. A push that skipped that wake parks the
-        // worker until its deadline.
-        let (tx, mut end) = QueueTransport::pair();
-        let waker = PollWaker::new();
-        end.set_waker(waker.clone());
-        lost_wake_stress(tx, ScannedEnd { end, waker });
+        // send pushes into the queue, and the queue rings the host
+        // worker's waker. This producer never reads, so it holds no
+        // unread frame and every send rings; a send that skipped the ring
+        // parks the worker until its deadline.
+        let (tx, scanned) = scanned_pair();
+        lost_wake_stress(tx, scanned);
+    }
+
+    #[test]
+    fn a_send_rings_the_scanner_only_when_nothing_waits_unread() {
+        let (mut near, mut far) = scanned_pair();
+        let g = far.waker.current();
+        // Nothing unread here: the far end must be rung to serve this.
+        near.send(b"first".to_vec()).unwrap();
+        assert_eq!(
+            far.waker.current(),
+            g + 1,
+            "a send with nothing unread rings"
+        );
+        far.send(b"reply".to_vec()).unwrap();
+        // A reply waits unread: the far end is ahead, and this end reads
+        // the reply before it can need the next one.
+        near.send(b"second".to_vec()).unwrap();
+        assert_eq!(
+            far.waker.current(),
+            g + 1,
+            "a send behind an unread frame stays quiet"
+        );
+        // A deadline already passed reads nothing and rings nothing.
+        assert_eq!(near.recv_until(Instant::now()), Ok(None));
+        assert_eq!(far.waker.current(), g + 1);
+        // A queued frame is taken without a ring.
+        assert_eq!(near.recv_until(in_ms(1_000)).unwrap().unwrap(), b"reply");
+        assert_eq!(far.waker.current(), g + 1);
+        // Finding nothing, `recv_until` rings before it waits.
+        assert_eq!(near.recv_until(in_ms(1)), Ok(None));
+        assert_eq!(far.waker.current(), g + 2, "an empty recv_until rings");
+        // And the ring comes before the park: a host that serves only
+        // once rung answers within the wait.
+        let seen = far.waker.current();
+        let host = std::thread::spawn(move || {
+            far.waker.wait_past(seen, Duration::from_secs(2));
+            let frames = [far.try_recv(), far.try_recv()];
+            far.send(b"served".to_vec()).unwrap();
+            (far, frames)
+        });
+        let started = Instant::now();
+        let got = near.recv_until(in_ms(2_000)).unwrap();
+        assert_eq!(
+            got.as_deref(),
+            Some(&b"served"[..]),
+            "the ring came after the park"
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
+        let (_far, frames) = host.join().unwrap();
+        assert_eq!(
+            frames,
+            [Ok(Some(b"first".to_vec())), Ok(Some(b"second".to_vec()))]
+        );
+    }
+
+    #[test]
+    fn lost_wake_stress_windowed_requests_to_a_scanned_echo() {
+        // The proxy's shape behind the stub window: up to eight requests
+        // in flight, so most sends find a reply unread and do not ring.
+        // Only `recv_until` rings the echo's host loop then; a wait that
+        // skipped its ring strands the echo in its park and shows up
+        // here as a frame that timed out.
+        const IN_FLIGHT: u64 = 8;
+        let (mut near, mut far) = scanned_pair();
+        let echo = std::thread::spawn(move || loop {
+            match far.recv_until(in_ms(2_000)) {
+                Ok(Some(frame)) => {
+                    if far.send(frame).is_err() {
+                        return;
+                    }
+                }
+                Ok(None) => {}
+                Err(_) => return,
+            }
+        });
+        let (mut sent, mut got) = (0u64, 0u64);
+        while got < STRESS_FRAMES {
+            while sent < STRESS_FRAMES && sent - got < IN_FLIGHT {
+                near.send(sent.to_le_bytes().to_vec()).unwrap();
+                sent += 1;
+            }
+            let frame = near.recv_until(in_ms(2_000)).expect("echo alive");
+            let frame = frame.unwrap_or_else(|| panic!("frame {got} timed out: a ring was lost"));
+            assert_eq!(frame, got.to_le_bytes());
+            got += 1;
+        }
+        drop(near);
+        echo.join().unwrap();
     }
 
     #[test]

@@ -27,6 +27,16 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How many slots the dispatch window holds when the apps live behind
+/// AppVisor stubs (`Channel`, `Udp`): each stub's RPC queue carries up to
+/// this many deliveries, so a stub works on later events while the
+/// engine commits earlier ones (paper §5: stubs "can handle multiple
+/// events in parallel"). In process the window is one slot deep: a local
+/// sandbox runs inline at commit, so a deeper window overlaps nothing and
+/// only pins more view generations (DESIGN.md §9). The in-memory queues
+/// are sized for it.
+pub const STUB_WINDOW: usize = 8;
+
 /// Which transport carries the proxy⇄stub RPC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
@@ -199,9 +209,16 @@ struct AppSlot {
     stats: AppWireStats,
     metrics: SlotMetrics,
     shipped: Shipped,
-    /// Buffer size the next delta frame is written into: the last one's
-    /// length rounded up, so a steady-state delivery is one allocation.
+    /// Buffer size a delta frame is written into: the longest delta frame
+    /// or ack so far, rounded up to a power of two. A buffer the stub
+    /// wrote its ack into is reusable for the next delta frame.
     delta_capacity: usize,
+    /// Decoded acks kept for the next delivery frames: only those no
+    /// larger than `delta_capacity`, so the acks to ~27 KB first-contact
+    /// frames are not hoarded, and at most [`STUB_WINDOW`] of them. Every
+    /// delivery frame takes one if there is one, and every ack gives at
+    /// most one back.
+    spare: Vec<Vec<u8>>,
     /// Tagged replies that arrived while a *different* tag was being
     /// collected (multi-event in-flight queue; also absorbs datagram
     /// reordering on the UDP transport). Consulted before the transport
@@ -314,6 +331,7 @@ impl AppVisorProxy {
                         stats: AppWireStats::default(),
                         shipped: Shipped::Never,
                         delta_capacity: 0,
+                        spare: Vec::with_capacity(STUB_WINDOW),
                         inbox: VecDeque::new(),
                     });
                     return Ok(AppHandle(self.apps.len() - 1));
@@ -575,16 +593,20 @@ fn deliver_frame(
             devices: held_devices,
         } => {
             slot.metrics.view_delta_frames.inc();
-            let frame = encode_deliver_delta(
+            let mut frame = slot
+                .spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(slot.delta_capacity));
+            encode_deliver_delta(
                 seq,
                 event,
                 base,
                 &held.diff(topology),
                 &held_devices.diff(devices),
                 now,
-                slot.delta_capacity,
+                &mut frame,
             );
-            slot.delta_capacity = frame.len().next_power_of_two();
+            grow_delta_capacity(slot, &frame);
             frame
         }
         unknown => {
@@ -592,7 +614,9 @@ fn deliver_frame(
             if matches!(unknown, Shipped::Lost) {
                 slot.metrics.view_resyncs.inc();
             }
-            encode_deliver(seq, event, topology, devices, now, 0)
+            let mut frame = slot.spare.pop().unwrap_or_default();
+            encode_deliver(seq, event, topology, devices, now, &mut frame);
+            frame
         }
     };
     send_frame(slot, frame)?;
@@ -602,6 +626,12 @@ fn deliver_frame(
         devices: devices.clone(),
     };
     Ok(seq)
+}
+
+/// Grow the slot's delta-frame capacity to cover `frame`, a delta frame
+/// or an ack.
+fn grow_delta_capacity(slot: &mut AppSlot, frame: &[u8]) {
+    slot.delta_capacity = slot.delta_capacity.max(frame.len().next_power_of_two());
 }
 
 /// The tag of a queued request, or `None` (slot marked failed) when the
@@ -671,7 +701,14 @@ fn await_tag(
     }
     while let Some(frame) = slot.transport.recv_until(deadline)? {
         received(slot, &frame);
-        let Ok(msg) = decode_frame(&frame) else {
+        let msg = decode_frame(&frame);
+        if let Ok(RpcMessage::EventAck { .. }) = msg {
+            grow_delta_capacity(slot, &frame);
+            if frame.capacity() <= slot.delta_capacity && slot.spare.len() < STUB_WINDOW {
+                slot.spare.push(frame);
+            }
+        }
+        let Ok(msg) = msg else {
             continue;
         };
         match reply_seq(&msg) {
@@ -1221,8 +1258,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_reply_read_error_is_a_booked_comm_failure() {
+    /// Register on `p` an app whose stub end is driven by hand: the
+    /// handle, that end, and the `fail` flag of the [`FailNextRecv`] it
+    /// sits behind.
+    fn hand_driven_failing_app(
+        p: &mut AppVisorProxy,
+    ) -> (
+        AppHandle,
+        QueueTransport,
+        Arc<std::sync::atomic::AtomicBool>,
+    ) {
         let (proxy_side, mut stub_side) = QueueTransport::pair();
         stub_side
             .send(encode_frame(&RpcMessage::Register {
@@ -1231,15 +1276,21 @@ mod tests {
             }))
             .unwrap();
         let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let obs = Obs::new();
-        let mut p = proxy();
-        p.set_obs(obs.clone());
         let h = p
             .register_transport(Box::new(FailNextRecv {
                 inner: proxy_side,
                 fail: Arc::clone(&fail),
             }))
             .unwrap();
+        (h, stub_side, fail)
+    }
+
+    #[test]
+    fn a_reply_read_error_is_a_booked_comm_failure() {
+        let obs = Obs::new();
+        let mut p = proxy();
+        p.set_obs(obs.clone());
+        let (h, mut stub_side, fail) = hand_driven_failing_app(&mut p);
         let resyncs = obs.counter("appvisor", "view_resyncs", "io-error");
         let (topo, dev) = (TopologyView::default(), DeviceView::default());
         let ev = Event::SwitchUp(DatapathId(1));
@@ -1271,6 +1322,46 @@ mod tests {
         assert_eq!(resyncs.get(), 0);
         queue(&mut p);
         assert_eq!(resyncs.get(), 1);
+    }
+
+    #[test]
+    fn resyncs_keep_the_spare_list_within_the_window() {
+        // A flapping app: each round ships the views whole, then loses a
+        // delta frame whose ack arrives but is not read until the next
+        // round. Acks come back in fresh buffers, as over UDP; each one
+        // read is a buffer the proxy may keep for a later frame.
+        let mut p = proxy();
+        let (h, mut stub_side, fail) = hand_driven_failing_app(&mut p);
+        let (topo, dev) = (TopologyView::default(), DeviceView::default());
+        let ev = Event::SwitchUp(DatapathId(1));
+        let mut queue_acked = |p: &mut AppVisorProxy| {
+            let seq = p
+                .queue_deliver(h, &ev, &topo, &dev, SimTime::ZERO)
+                .unwrap()
+                .unwrap();
+            let ack = RpcMessage::EventAck {
+                seq,
+                commands: vec![],
+            };
+            stub_side.send(encode_frame(&ack)).unwrap();
+            seq
+        };
+        for round in 0..4 * STUB_WINDOW {
+            let whole = queue_acked(&mut p);
+            assert!(matches!(
+                p.collect_deliver(h, whole).unwrap(),
+                DeliverOutcome::Commands(_)
+            ));
+            let lost = queue_acked(&mut p);
+            fail.store(true, std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(p.collect_deliver(h, lost), Ok(DeliverOutcome::CommFailure));
+            let kept = p.apps[h.0].spare.len();
+            assert!(kept <= STUB_WINDOW, "round {round}: {kept} buffers kept");
+        }
+        assert_eq!(
+            p.wire_stats(h).unwrap().comm_failures,
+            4 * STUB_WINDOW as u64
+        );
     }
 
     #[test]

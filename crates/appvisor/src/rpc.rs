@@ -72,34 +72,34 @@ pub enum RpcMessage {
     },
 }
 
-/// Smallest buffer a frame is written into: every control frame
+/// Smallest buffer a fresh frame is written into: every control frame
 /// (register, requests, acks without commands) fits.
 const MIN_FRAME_CAPACITY: usize = 64;
 
-/// Write one frame into one buffer: leave room for the length prefix, let
-/// `body` append the encoding behind it, then fill the prefix in. A
-/// `capacity` that covers the frame makes this a single allocation.
-fn framed(capacity: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(capacity.max(MIN_FRAME_CAPACITY));
+/// Write one frame into `out`, replacing what it held: leave room for the
+/// length prefix, let `body` append the encoding behind it, then fill the
+/// prefix in. A buffer whose capacity covers the frame allocates nothing,
+/// so a buffer that carried one frame can carry the next.
+fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
     out.extend_from_slice(&[0u8; 4]);
-    body(&mut out);
+    body(out);
     let len = u32::try_from(out.len() - 4).expect("an rpc frame body is far below 4 GiB");
     out[..4].copy_from_slice(&len.to_le_bytes());
-    out
 }
 
 /// Encode a frame (length prefix + body).
 #[must_use]
 pub fn encode_frame(msg: &RpcMessage) -> Vec<u8> {
-    encode_frame_sized(msg, 0)
+    let mut out = Vec::with_capacity(MIN_FRAME_CAPACITY);
+    encode_frame_into(msg, &mut out);
+    out
 }
 
-/// [`encode_frame`] into a buffer that starts `capacity` bytes large —
-/// the size the stream's previous frame of this kind came to. Only the
-/// number of allocations depends on it.
-#[must_use]
-pub fn encode_frame_sized(msg: &RpcMessage, capacity: usize) -> Vec<u8> {
-    framed(capacity, |out| msg.encode(out))
+/// [`encode_frame`] into `out`, replacing what it held: the stub writes
+/// its `EventAck` into the buffer its delivery frame arrived in.
+pub fn encode_frame_into(msg: &RpcMessage, out: &mut Vec<u8>) {
+    framed(out, |out| msg.encode(out));
 }
 
 /// Variant indices of the snapshot reply and the two delivery frames, as
@@ -110,30 +110,29 @@ const EVENT_DELIVER: u32 = 5;
 const EVENT_DELIVER_DELTA: u32 = 9;
 
 /// The bytes of `encode_frame(&RpcMessage::EventDeliver { .. })` from
-/// borrowed parts: the proxy does not clone the event (packet payload
-/// included) and both views just to own a message it encodes once.
-#[must_use]
+/// borrowed parts, written into `out` as [`encode_frame_into`] writes:
+/// the proxy does not clone the event (packet payload included) and both
+/// views just to own a message it encodes once.
 pub fn encode_deliver(
     seq: u64,
     event: &Event,
     topology: &TopologyView,
     devices: &DeviceView,
     now: SimTime,
-    capacity: usize,
-) -> Vec<u8> {
-    framed(capacity, |out| {
+    out: &mut Vec<u8>,
+) {
+    framed(out, |out| {
         EVENT_DELIVER.encode(out);
         seq.encode(out);
         event.encode(out);
         topology.encode(out);
         devices.encode(out);
         now.encode(out);
-    })
+    });
 }
 
 /// The bytes of `encode_frame(&RpcMessage::EventDeliverDelta { .. })`
 /// from borrowed parts; see [`encode_deliver`].
-#[must_use]
 pub fn encode_deliver_delta(
     seq: u64,
     event: &Event,
@@ -141,9 +140,9 @@ pub fn encode_deliver_delta(
     topology: &TopologyDelta,
     devices: &DeviceDelta,
     now: SimTime,
-    capacity: usize,
-) -> Vec<u8> {
-    framed(capacity, |out| {
+    out: &mut Vec<u8>,
+) {
+    framed(out, |out| {
         EVENT_DELIVER_DELTA.encode(out);
         seq.encode(out);
         event.encode(out);
@@ -151,7 +150,7 @@ pub fn encode_deliver_delta(
         topology.encode(out);
         devices.encode(out);
         now.encode(out);
-    })
+    });
 }
 
 /// The bytes of `encode_frame(&RpcMessage::SnapshotReply { .. })` from
@@ -159,11 +158,13 @@ pub fn encode_deliver_delta(
 /// the frame.
 #[must_use]
 pub fn encode_snapshot_reply(seq: u64, snapshot: &Snapshot) -> Vec<u8> {
-    framed(snapshot.len() + 32, |out| {
+    let mut out = Vec::with_capacity(snapshot.len() + 32);
+    framed(&mut out, |out| {
         SNAPSHOT_REPLY.encode(out);
         seq.encode(out);
         snapshot.encode(out);
-    })
+    });
+    out
 }
 
 /// Decode a frame produced by [`encode_frame`].

@@ -23,7 +23,7 @@
 
 use crate::poll::PollWaker;
 use crate::rpc::{
-    decode_frame, encode_frame, encode_frame_sized, encode_snapshot_reply, RpcMessage,
+    decode_frame, encode_frame, encode_frame_into, encode_snapshot_reply, RpcMessage,
 };
 use crate::transport::{Transport, TransportError};
 use legosdn_controller::app::{Ctx, SdnApp};
@@ -82,9 +82,6 @@ pub(crate) struct StubCore {
     /// last one this stub took views from. They are the stub's state, not
     /// the app's: a dead app's stub keeps them in step all the same.
     views: Option<(u64, TopologyView, DeviceView)>,
-    /// Buffer size the next `EventAck` is written into: the last one's
-    /// length rounded up, so a steady-state reply is one allocation.
-    ack_capacity: usize,
     report: StubReport,
 }
 
@@ -101,7 +98,6 @@ impl StubCore {
             sandbox: Sandbox::new(app),
             config,
             views: None,
-            ack_capacity: 0,
             report: StubReport::default(),
         };
         match core.sandbox.identity() {
@@ -135,8 +131,10 @@ impl StubCore {
         }
     }
 
-    /// Run the app on `event` under the views just taken in.
-    fn run_app(&mut self, seq: u64, event: &Event, now: SimTime) -> StubStep {
+    /// Run the app on `event` under the views just taken in, and write
+    /// its `EventAck` into `frame`, the buffer the delivery arrived in: a
+    /// buffer goes back and forth instead of one being made per reply.
+    fn run_app(&mut self, seq: u64, event: &Event, now: SimTime, mut frame: Vec<u8>) -> StubStep {
         let (_, topology, devices) = self.views.as_ref().expect("set by the delivery frame");
         let mut ctx = Ctx::new(now, topology, devices);
         match self.sandbox.on_event(event, &mut ctx) {
@@ -146,17 +144,17 @@ impl StubCore {
                     seq,
                     commands: ctx.into_commands(),
                 };
-                let frame = encode_frame_sized(&ack, self.ack_capacity);
-                self.ack_capacity = frame.len().next_power_of_two();
+                encode_frame_into(&ack, &mut frame);
                 StubStep::Reply(frame)
             }
             Err(fault) => self.faulted(seq, fault),
         }
     }
 
-    /// Serve one proxy frame: deliver/snapshot/restore/shutdown.
-    pub(crate) fn handle_frame(&mut self, frame: &[u8]) -> StubStep {
-        let Ok(msg) = decode_frame(frame) else {
+    /// Serve one proxy frame: deliver/snapshot/restore/shutdown. The
+    /// frame is the stub's to keep: an ack is written back into it.
+    pub(crate) fn handle_frame(&mut self, frame: Vec<u8>) -> StubStep {
+        let Ok(msg) = decode_frame(&frame) else {
             return StubStep::Continue;
         };
         match msg {
@@ -168,7 +166,7 @@ impl StubCore {
                 now,
             } => {
                 self.views = Some((seq, topology, devices));
-                self.run_app(seq, &event, now)
+                self.run_app(seq, &event, now, frame)
             }
             RpcMessage::EventDeliverDelta {
                 seq,
@@ -191,7 +189,7 @@ impl StubCore {
                     // failure a lost frame is, and resends views whole.
                     _ => return StubStep::Continue,
                 }
-                self.run_app(seq, &event, now)
+                self.run_app(seq, &event, now, frame)
             }
             RpcMessage::SnapshotRequest { seq } => match self.sandbox.capture() {
                 Ok(snapshot) => StubStep::Reply(encode_snapshot_reply(seq, &snapshot)),
@@ -386,7 +384,7 @@ fn drive_stub(s: &mut HostedStub, activity: &mut u64) -> bool {
         match s.transport.try_recv() {
             Ok(Some(frame)) => {
                 *activity += 1;
-                match s.core.handle_frame(&frame) {
+                match s.core.handle_frame(frame) {
                     StubStep::Continue => {}
                     StubStep::Reply(reply) => {
                         if s.transport.send(reply).is_err() {

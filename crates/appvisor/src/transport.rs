@@ -164,7 +164,7 @@ impl InlineStub {
 impl Transport for InlineStub {
     fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         let core = self.core.as_mut().ok_or(TransportError::Disconnected)?;
-        match core.handle_frame(&frame) {
+        match core.handle_frame(frame) {
             StubStep::Continue => {}
             StubStep::Reply(reply) => self.replies.push_back(reply),
             StubStep::Shutdown => self.core = None,

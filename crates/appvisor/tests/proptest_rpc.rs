@@ -3,8 +3,7 @@
 //! random event streams.
 
 use legosdn_appvisor::{
-    decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_sized,
-    RpcMessage,
+    decode_frame, encode_deliver, encode_deliver_delta, encode_frame, encode_frame_into, RpcMessage,
 };
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
@@ -150,9 +149,10 @@ fn frames_roundtrip() {
     });
 }
 
-/// The proxy writes its delivery frames from borrowed parts; they are
-/// byte for byte the frames of the owned messages, whatever buffer size
-/// the encoder was told to start from.
+/// The proxy writes its delivery frames from borrowed parts, into a
+/// buffer an earlier frame left behind, and the stub writes its ack into
+/// the buffer the delivery arrived in: each is byte for byte the frame of
+/// the owned message, whatever the buffer held and however large it was.
 #[test]
 fn borrowed_delivery_encoders_match_the_owned_frames() {
     forall(256, |rng| {
@@ -162,17 +162,18 @@ fn borrowed_delivery_encoders_match_the_owned_frames() {
         let (topology, devices) = arb_views(rng);
         let (held_topology, held_devices) = arb_views(rng);
         let now = SimTime::from_micros(seq % 1_000_000);
-        let capacity = rng.gen_range(0u64..4096) as usize;
+        let dirt = rng.gen_range(0u64..4096) as usize;
+        let mut buf: Vec<u8> = (0..dirt).map(|i| i as u8 ^ 0xa5).collect();
         let topology_delta = held_topology.diff(&topology);
         let devices_delta = held_devices.diff(&devices);
-        let borrowed_delta = encode_deliver_delta(
+        encode_deliver_delta(
             seq,
             &event,
             base,
             &topology_delta,
             &devices_delta,
             now,
-            capacity,
+            &mut buf,
         );
         let delta = RpcMessage::EventDeliverDelta {
             seq,
@@ -182,9 +183,9 @@ fn borrowed_delivery_encoders_match_the_owned_frames() {
             devices: devices_delta,
             now,
         };
-        assert_eq!(borrowed_delta, encode_frame(&delta));
-        assert_eq!(borrowed_delta, encode_frame_sized(&delta, capacity));
-        let borrowed_full = encode_deliver(seq, &event, &topology, &devices, now, capacity);
+        assert_eq!(buf, encode_frame(&delta));
+        // The same buffer again, dirty with the delta frame.
+        encode_deliver(seq, &event, &topology, &devices, now, &mut buf);
         let full = RpcMessage::EventDeliver {
             seq,
             event,
@@ -192,7 +193,13 @@ fn borrowed_delivery_encoders_match_the_owned_frames() {
             devices,
             now,
         };
-        assert_eq!(borrowed_full, encode_frame(&full));
+        assert_eq!(buf, encode_frame(&full));
+        let ack = RpcMessage::EventAck {
+            seq,
+            commands: Vec::new(),
+        };
+        encode_frame_into(&ack, &mut buf);
+        assert_eq!(buf, encode_frame(&ack));
     });
 }
 
@@ -220,13 +227,14 @@ fn golden_full_view_frame_is_prefix_plus_codec_bytes() {
     let frame = encode_frame(&full);
     assert!(frame.len() > 27_000, "{} B", frame.len());
     assert_eq!(frame, prefixed(&full));
-    let borrowed = encode_deliver(
+    let mut borrowed = Vec::new();
+    encode_deliver(
         1,
         &Event::SwitchUp(DatapathId(1)),
         &tr.topology,
         &tr.devices,
         SimTime::from_secs(1),
-        0,
+        &mut borrowed,
     );
     assert_eq!(borrowed, frame);
     assert_eq!(decode_frame(&frame).unwrap(), full);

@@ -39,14 +39,9 @@ use std::time::Instant;
 /// gives every commit the id the reference (`reference.rs`) gives it.
 pub const TXS_PER_POS: u64 = 4;
 
-/// How many slots the window holds when the apps live behind AppVisor
-/// stubs (`Channel`, `Udp`): each stub's RPC queue carries up to this many
-/// deliveries, so a stub works on later events while the engine commits
-/// earlier ones (paper §5: stubs "can handle multiple events in
-/// parallel"). In process the window is one slot deep: a local sandbox
-/// runs inline at commit, so a deeper window overlaps nothing and only
-/// pins more view generations (DESIGN.md §9).
-pub const STUB_WINDOW: usize = 8;
+// The window's depth behind stubs is AppVisor's constant, which sizes
+// the channel queues for it.
+pub use legosdn_appvisor::STUB_WINDOW;
 
 /// One attached app: identity, fault-domain host, scheduling state.
 pub(crate) struct AppRecord {
@@ -402,6 +397,8 @@ fn execute_guarded(
 pub(crate) struct Window {
     slots: VecDeque<WindowSlot>,
     pending: VecDeque<Vec<WindowEntry>>,
+    /// Emptied entry lists, for the next slots sent.
+    spare: Vec<Vec<WindowEntry>>,
 }
 
 /// One cycle of the dispatch engine (DESIGN.md §9), on the runtime
@@ -430,6 +427,9 @@ struct Dispatch<'a> {
     /// The stub entries in flight, one list per slot sent, aligned with
     /// the slots: `pending[0]` is the commit cursor's.
     pending: &'a mut VecDeque<Vec<WindowEntry>>,
+    /// Emptied entry lists: a slot sent takes one, and committing a slot
+    /// gives its list back.
+    spare: &'a mut Vec<Vec<WindowEntry>>,
     /// The next slot to send, counted from the start of the cycle.
     next_send: usize,
     /// The slot being committed, counted likewise.
@@ -445,7 +445,11 @@ impl<'a> Engine<'a> {
         depth: usize,
         tx_cycle_base: u64,
     ) -> Self {
-        let Window { slots, pending } = window;
+        let Window {
+            slots,
+            pending,
+            spare,
+        } = window;
         Engine {
             slots,
             feed,
@@ -456,6 +460,7 @@ impl<'a> Engine<'a> {
                 depth,
                 tx_cycle_base,
                 pending,
+                spare,
                 next_send: 0,
                 commit_pos: 0,
             },
@@ -605,7 +610,7 @@ impl Dispatch<'_> {
     fn send_slot(&mut self, slot: &WindowSlot) -> Vec<WindowEntry> {
         self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
-        let mut entries = Vec::new();
+        let mut entries = self.spare.pop().unwrap_or_default();
         for local in 0..self.cx.roster.apps.len() {
             if !matches!(self.cx.roster.apps[local].host, Host::Isolated(_)) {
                 continue;
@@ -674,8 +679,10 @@ impl Dispatch<'_> {
         self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
         let stride = self.cx.roster.apps.len();
-        let entries = std::mem::take(&mut self.pending[0]);
-        let mut entries = entries.into_iter().peekable();
+        // Out of `pending` until the slot is settled, so a resend counts none
+        // of it in flight; drained, the list goes back to the spares.
+        let mut list = std::mem::take(&mut self.pending[0]);
+        let mut entries = list.drain(..).peekable();
         for local in 0..stride {
             #[cfg(test)]
             fault(
@@ -717,6 +724,8 @@ impl Dispatch<'_> {
                 self.cx.obs.trace_scope(slot.trace);
             }
         }
+        drop(entries);
+        self.spare.push(list);
     }
 
     /// Run one local-sandbox dispatch (checkpoint-if-due, deliver,

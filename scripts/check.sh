@@ -57,8 +57,10 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # depth anything configures, checks or reports (the isolation mode sets
 # it, DESIGN.md §9): `DispatchConfig::window` is the same kind of shim,
 # and `alloc_budget.rs` calls it once to show an in-process runtime
-# ignores it. A bracketed letter keeps a pattern from matching the line
-# that spells it.
+# ignores it. Nor a frame sized from the stream's last one (frame
+# buffers circulate: the stub acks into the delivery's buffer and the
+# proxy writes deltas into decoded acks, §11). A bracketed letter keeps a
+# pattern from matching the line that spells it.
 echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse, unwritten usage field, worker shard or window-depth option"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
@@ -104,9 +106,10 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE '\.workers\(' crates/ tests/ examples/ | grep -v '^crates/core/src/config\.rs:' \
   || grep -rnE 'ZeroWindowDepth|window_depth' crates/ tests/ examples/ \
   || grep -rnE 'cancel_pending|commit_on_lane|LaneWork|struct Settle|settles' crates/ tests/ examples/ \
+  || grep -rnwE 'ack_capacity|encode_frame_sized' crates/ tests/ examples/ \
   || grep -rnE '\.window\(' crates/ tests/ examples/ \
     | grep -vE '^(crates/core/src/config|tests/alloc_budget)\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag/sized-frame name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 
@@ -370,8 +373,11 @@ timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_w
 # it. A test that expects an explicit `Crashed` report from a hosted stub
 # waits up to 2 s and returns when the report arrives; it rides along.
 # The lost-engine tests ride along too: a lost engine's drain, behind
-# stubs, must hold on a starved box too.
-echo "==> inline-stub deadline, crash-report and lost-engine tests, 20x beside a busy loop per core (hard 300s timeout)"
+# stubs, must hold on a starved box too. So do the channel's wake rule
+# (a send rings the host only with nothing unread, a wait rings before it
+# parks) and its windowed lost-ring stress, where a ring the scheduler
+# delays past a park would surface as a 2 s timeout.
+echo "==> inline-stub deadline, crash-report, lost-engine and wake-rule tests, 20x beside a busy loop per core (hard 300s timeout)"
 cargo test -q --offline --no-run -p legosdn-appvisor --lib --test view_resync
 cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor
 for _ in $(seq 1 "$(nproc)"); do
@@ -385,7 +391,10 @@ for round in $(seq 1 20); do
     && timeout 300 cargo test -q --offline -p legosdn --test integration_appvisor -- \
       crash_containment_with_explicit_report >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --lib -- lost_engine_tests:: >/dev/null 2>&1 \
-    || { echo "inline-stub deadline, crash-report or lost-engine test flaked in round $round of 20 under load" >&2; exit 1; }
+    && timeout 300 cargo test -q --offline -p legosdn-appvisor --lib -- \
+      a_send_rings_the_scanner_only_when_nothing_waits_unread \
+      lost_wake_stress_windowed_requests_to_a_scanned_echo >/dev/null 2>&1 \
+    || { echo "inline-stub deadline, crash-report, lost-engine or wake-rule test flaked in round $round of 20 under load" >&2; exit 1; }
 done
 # shellcheck disable=SC2086
 kill $BURN_PIDS 2>/dev/null || true

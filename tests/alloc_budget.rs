@@ -107,11 +107,13 @@ const DEFAULT_ALLOCS_PER_EVENT_BOUND: f64 = 10.7;
 /// Allocations per translated event the lean skeleton may spend on this
 /// trace with its apps behind AppVisor stubs on in-process channels
 /// (the stub window, one stub-host thread), the stub side included. Measured
-/// 17.25 since the engine holds its window by value in buffers kept
-/// across cycles (23.25 before; 39.98 before a transaction's record was
-/// recycled and forwarding reused its scratch); the bound sits ~10 %
-/// above.
-const CHANNEL_ALLOCS_PER_EVENT_BOUND: f64 = 19.0;
+/// 12.25 since frame buffers circulate (the stub writes its ack into the
+/// delivery's buffer, the proxy its next delta frame into a decoded ack)
+/// and the engine's entry lists are kept (13.25 with frames alone; 17.25
+/// since the engine holds its window by value in buffers kept across
+/// cycles; 23.25 before; 39.98 before a transaction's record was recycled
+/// and forwarding reused its scratch); the bound sits ~10 % above.
+const CHANNEL_ALLOCS_PER_EVENT_BOUND: f64 = 13.5;
 
 /// Allocations per event that tracing every event may add to the default
 /// configuration on this trace.

@@ -1050,6 +1050,40 @@ mod tests {
             1
         );
         let _ = p.shutdown();
+
+        // The same with the reply already queued when the proxy looks: the
+        // deadline is tested before the queue is read, so a passed deadline
+        // is a timeout whatever has arrived.
+        let (proxy_side, mut stub_side) = QueueTransport::pair();
+        stub_side
+            .send(encode_frame(&RpcMessage::Register {
+                app_name: "expired".into(),
+                subscriptions: vec![EventKind::SwitchUp],
+            }))
+            .unwrap();
+        let mut p = AppVisorProxy::new(ProxyConfig {
+            deliver_timeout: Duration::ZERO,
+            rpc_timeout: Duration::from_secs(1),
+            ..Default::default()
+        });
+        let h = p.register_transport(Box::new(proxy_side)).unwrap();
+        let (topo, dev) = (TopologyView::default(), DeviceView::default());
+        let ev = Event::SwitchUp(DatapathId(1));
+        let seq = p
+            .queue_deliver(h, &ev, &topo, &dev, SimTime::ZERO)
+            .unwrap()
+            .expect("send succeeded");
+        stub_side
+            .send(encode_frame(&RpcMessage::EventAck {
+                seq,
+                commands: vec![],
+            }))
+            .unwrap();
+        assert_eq!(
+            p.collect_deliver(h, seq).unwrap(),
+            DeliverOutcome::CommFailure
+        );
+        assert_eq!(p.wire_stats(h).unwrap().comm_failures, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::config::ResourceLimits;
 use crate::host::{Host, ProxyAdapter};
 use crate::runtime::{AppStatus, Feed, Pull, ResourceUsage, RuntimeStats};
-use legosdn_appvisor::{AppHandle, AppVisorProxy};
+use legosdn_appvisor::AppVisorProxy;
 use legosdn_controller::app::Command;
 use legosdn_controller::event::{Event, EventKind};
 use legosdn_controller::sandbox::{panic_text, DeliverOutcome};
@@ -166,11 +166,11 @@ pub(crate) struct WindowSlot {
     pub(crate) trace: Option<TraceId>,
 }
 
-/// One speculative in-flight (event, app) delivery to an isolated stub.
+/// One speculative in-flight (event, app) delivery to an isolated stub,
+/// on its app's queue in [`Window`].
 pub(crate) struct WindowEntry {
-    /// Index into the roster's `apps`.
-    pub(crate) local: usize,
-    pub(crate) handle: AppHandle,
+    /// The slot it delivers, counted from the start of the cycle.
+    pub(crate) pos: usize,
     /// Tag of the snapshot queued just before the delivery, if one was
     /// due (`None`: not due, or its send failed along with the
     /// delivery's).
@@ -391,14 +391,16 @@ fn execute_guarded(
     }
 }
 
-/// The engine's buffers. The runtime keeps them across cycles, so a
-/// cycle allocates none of them anew; each cycle starts them empty.
+/// The engine's buffers: the slots and one in-flight queue per app. The
+/// runtime keeps them across cycles, so a cycle allocates none of them
+/// anew; each cycle starts them empty.
 #[derive(Default)]
 pub(crate) struct Window {
     slots: VecDeque<WindowSlot>,
-    pending: VecDeque<Vec<WindowEntry>>,
-    /// Emptied entry lists, for the next slots sent.
-    spare: Vec<Vec<WindowEntry>>,
+    /// Per app, indexed like the roster's `apps`: its stub's deliveries in
+    /// flight, in the order its FIFO stream serves them. A queue's length
+    /// is the app's in-flight count.
+    inflight: Vec<VecDeque<WindowEntry>>,
 }
 
 /// One cycle of the dispatch engine (DESIGN.md §9), on the runtime
@@ -417,19 +419,17 @@ pub(crate) struct Engine<'a> {
 }
 
 /// Everything an [`Engine`] acts with but its slots and their feed, so
-/// a slot stays borrowed while this changes.
+/// a slot stays borrowed while this changes: the apps, the lane, the two
+/// cursors and one in-flight queue per app.
 struct Dispatch<'a> {
     cx: AppCtx<'a>,
     lane: CommitLane<'a>,
     depth: usize,
     /// First transaction id of the cycle (position 0, sub 0).
     tx_cycle_base: u64,
-    /// The stub entries in flight, one list per slot sent, aligned with
-    /// the slots: `pending[0]` is the commit cursor's.
-    pending: &'a mut VecDeque<Vec<WindowEntry>>,
-    /// Emptied entry lists: a slot sent takes one, and committing a slot
-    /// gives its list back.
-    spare: &'a mut Vec<Vec<WindowEntry>>,
+    /// Each app's stub entries in flight, by `pos`: a front entry whose
+    /// `pos` is `commit_pos` is the commit cursor's.
+    inflight: &'a mut [VecDeque<WindowEntry>],
     /// The next slot to send, counted from the start of the cycle.
     next_send: usize,
     /// The slot being committed, counted likewise.
@@ -445,11 +445,9 @@ impl<'a> Engine<'a> {
         depth: usize,
         tx_cycle_base: u64,
     ) -> Self {
-        let Window {
-            slots,
-            pending,
-            spare,
-        } = window;
+        let Window { slots, inflight } = window;
+        // Apps attach between cycles.
+        inflight.resize_with(cx.roster.apps.len(), VecDeque::new);
         Engine {
             slots,
             feed,
@@ -459,8 +457,7 @@ impl<'a> Engine<'a> {
                 lane,
                 depth,
                 tx_cycle_base,
-                pending,
-                spare,
+                inflight,
                 next_send: 0,
                 commit_pos: 0,
             },
@@ -501,8 +498,8 @@ impl<'a> Engine<'a> {
         }
         // Deliveries sent but not yet harvested stay uncollected: their
         // apps are dead for good.
-        for entries in d.pending.iter_mut() {
-            entries.clear();
+        for queue in d.inflight.iter_mut() {
+            queue.clear();
         }
         let now = d.lane.net.now();
         let tick;
@@ -586,8 +583,7 @@ impl<'a> Engine<'a> {
             let _span = d.cx.metrics.window_fill.start();
             let end = d.commit_pos + slots.len().min(d.depth);
             while d.next_send < end {
-                let entries = d.send_slot(&slots[d.next_send - d.commit_pos]);
-                d.pending.push_back(entries);
+                d.send_slot(&slots[d.next_send - d.commit_pos]);
                 d.next_send += 1;
             }
         }
@@ -596,7 +592,6 @@ impl<'a> Engine<'a> {
             d.commit_slot(slots);
         }
         d.commit_pos += 1;
-        d.pending.pop_front();
         self.slots.pop_front();
     }
 }
@@ -607,10 +602,9 @@ impl Dispatch<'_> {
     /// effects (dispatch counters, event budgets, suspension) apply at
     /// send time and are rolled back entry-by-entry if a failure on an
     /// earlier slot cancels the entry.
-    fn send_slot(&mut self, slot: &WindowSlot) -> Vec<WindowEntry> {
+    fn send_slot(&mut self, slot: &WindowSlot) {
         self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
-        let mut entries = self.spare.pop().unwrap_or_default();
         for local in 0..self.cx.roster.apps.len() {
             if !matches!(self.cx.roster.apps[local].host, Host::Isolated(_)) {
                 continue;
@@ -626,18 +620,17 @@ impl Dispatch<'_> {
             if !select_app(&mut self.cx, local, kind) {
                 continue;
             }
-            entries.push(self.queue_one(local, slot));
+            self.queue_one(local, self.next_send, slot);
         }
-        entries
     }
 
-    /// Queue (snapshot-if-due, delivery) for one selected stub app.
-    /// Snapshot due-ness is projected over the app's uncollected
-    /// in-flight deliveries, its entries in `pending`: a snapshot queued
-    /// on the FIFO stream between deliveries *k* and *k+1* captures the
-    /// state after *k* — exactly the pre-event checkpoint the sequential
-    /// protocol takes.
-    fn queue_one(&mut self, local: usize, slot: &WindowSlot) -> WindowEntry {
+    /// Queue (snapshot-if-due, delivery) of slot `pos` for one selected
+    /// stub app, onto the back of its in-flight queue. Snapshot due-ness
+    /// is projected over the app's uncollected in-flight deliveries, its
+    /// queue: a snapshot queued on the FIFO stream between deliveries *k*
+    /// and *k+1* captures the state after *k* — exactly the pre-event
+    /// checkpoint the sequential protocol takes.
+    fn queue_one(&mut self, local: usize, pos: usize, slot: &WindowSlot) {
         let Roster {
             apps,
             crashpad,
@@ -648,10 +641,10 @@ impl Dispatch<'_> {
         let Host::Isolated(handle) = rec.host else {
             unreachable!("windowed entries are stub-only");
         };
-        let inflight = self.pending.iter().flatten().filter(|e| e.local == local);
+        let queue = &mut self.inflight[local];
         let snap = if crashpad
             .checkpoints
-            .checkpoint_due_ahead(&rec.name, inflight.count() as u64)
+            .checkpoint_due_ahead(&rec.name, queue.len() as u64)
         {
             proxy.queue_snapshot(handle).ok().flatten()
         } else {
@@ -661,28 +654,23 @@ impl Dispatch<'_> {
             .queue_deliver(handle, &slot.event, &slot.topology, &slot.devices, slot.now)
             .ok()
             .flatten();
-        WindowEntry {
-            local,
-            handle,
+        queue.push_back(WindowEntry {
+            pos,
             snap,
             seq,
             queued_at: Instant::now(),
-        }
+        });
     }
 
     /// Commit the slot at the commit cursor, `slots[0]`: for each app in
     /// attach order, settle its position start to finish — a collected
     /// stub entry, an inline local-sandbox dispatch, or nothing at all —
-    /// then repair the app's window.
+    /// then repair the app's in-flight queue.
     fn commit_slot(&mut self, slots: &VecDeque<WindowSlot>) {
         let slot = &slots[0];
         self.cx.obs.trace_scope(slot.trace);
         let kind = slot.event.kind();
         let stride = self.cx.roster.apps.len();
-        // Out of `pending` until the slot is settled, so a resend counts none
-        // of it in flight; drained, the list goes back to the spares.
-        let mut list = std::mem::take(&mut self.pending[0]);
-        let mut entries = list.drain(..).peekable();
         for local in 0..stride {
             #[cfg(test)]
             fault(
@@ -692,9 +680,9 @@ impl Dispatch<'_> {
                     local,
                 },
             );
-            let (result, failed) = if entries.peek().is_some_and(|e| e.local == local) {
-                let entry = entries.next().expect("peeked");
-                self.harvest_entry(entry, slots)
+            let due = self.inflight[local].pop_front_if(|e| e.pos == self.commit_pos);
+            let (result, failed) = if let Some(entry) = due {
+                self.harvest_entry(local, entry, slot)
             } else if matches!(self.cx.roster.apps[local].host, Host::Local(_))
                 && select_app(&mut self.cx, local, kind)
             {
@@ -713,19 +701,15 @@ impl Dispatch<'_> {
                 && (failed || blocked || stopped)
             {
                 // The app's queued later deliveries ran from the wrong
-                // state (restored mid-stream by a byzantine block), or
-                // sequential dispatch would not have made them (the app
-                // stopped): drop them and re-select. A failed delivery
-                // dropped them before its recovery.
-                self.cancel_app(local, slots);
-                self.resend_app(local, slots);
+                // state (restored mid-stream by a recovery or a byzantine
+                // block), or sequential dispatch would not have made them
+                // (the app stopped): drop them and re-select.
+                self.requeue_app(local, slots);
                 // The resend loop re-scoped the recorder to the refilled
                 // slots; later positions still belong here.
                 self.cx.obs.trace_scope(slot.trace);
             }
         }
-        drop(entries);
-        self.spare.push(list);
     }
 
     /// Run one local-sandbox dispatch (checkpoint-if-due, deliver,
@@ -750,24 +734,28 @@ impl Dispatch<'_> {
         })
     }
 
-    /// Collect and gather one in-flight entry of the commit cursor's
-    /// slot: snapshot collect, delivery collect, failure-path
-    /// cancellation (before recovery restores the app, so the RPC stream
-    /// is clean when replay begins), and the Crash-Pad's
-    /// completion/recovery. Returns the dispatch outcome plus whether the
-    /// delivery failed.
+    /// Collect and gather app `local`'s in-flight entry for the commit
+    /// cursor's slot: snapshot collect, delivery collect, and the
+    /// Crash-Pad's completion/recovery. The app's later deliveries stay
+    /// queued through a recovery: its restore is a later tag on the same
+    /// FIFO stream, so their replies come first and are dropped as stale,
+    /// and `commit_slot` requeues them once the position is settled.
+    /// Returns the dispatch outcome plus whether the delivery failed.
     fn harvest_entry(
         &mut self,
+        local: usize,
         entry: WindowEntry,
-        slots: &VecDeque<WindowSlot>,
+        slot: &WindowSlot,
     ) -> (DispatchResult, bool) {
-        let (local, slot) = (entry.local, &slots[0]);
         let Roster {
             apps,
             crashpad,
             proxy,
             ..
         } = &mut *self.cx.roster;
+        let Host::Isolated(handle) = apps[local].host else {
+            unreachable!("windowed entries are stub-only");
+        };
 
         // The snapshot queued before this delivery: collect and book it.
         // The recorded duration is the wait the proxy actually paid here —
@@ -775,7 +763,7 @@ impl Dispatch<'_> {
         // which is the cost this scheduler exists to hide.
         if let Some(tag) = entry.snap {
             let waited = Instant::now();
-            if let Ok(bytes) = proxy.collect_snapshot(entry.handle, tag) {
+            if let Ok(bytes) = proxy.collect_snapshot(handle, tag) {
                 let dur_ns = u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 crashpad.record_prepared(apps[local].id, &apps[local].name, bytes.into(), dur_ns);
             }
@@ -784,7 +772,7 @@ impl Dispatch<'_> {
         crashpad.note_dispatch();
         let delivery = match entry.seq {
             Some(seq) => proxy
-                .collect_deliver(entry.handle, seq)
+                .collect_deliver(handle, seq)
                 .unwrap_or(DeliverOutcome::CommFailure),
             None => DeliverOutcome::CommFailure,
         };
@@ -792,11 +780,6 @@ impl Dispatch<'_> {
         self.cx.metrics.window_queue_ns.observe(queue_ns);
 
         let failed = !matches!(delivery, DeliverOutcome::Commands(_));
-        if failed {
-            // Cancel this app's queued later deliveries BEFORE recovery
-            // restores it, so the RPC stream is clean when replay begins.
-            self.cancel_app(local, slots);
-        }
         let result = self.cx.roster.with_app(local, |crashpad, app, id, name| {
             crashpad.complete(
                 app,
@@ -812,54 +795,37 @@ impl Dispatch<'_> {
         (result, failed)
     }
 
-    /// Drop an app's in-flight entries beyond the commit cursor and roll
-    /// back their speculative selection, so re-selection sees exactly
-    /// the post-recovery state sequential dispatch would.
-    fn cancel_app(&mut self, local: usize, slots: &VecDeque<WindowSlot>) {
-        for (entries, slot) in self.pending.iter_mut().zip(slots).skip(1) {
-            if let Some(pos) = entries.iter().position(|e| e.local == local) {
-                entries.remove(pos);
-                // Roll the speculative selection back. (The monotonic obs
-                // dispatch counter keeps the cancelled send; RuntimeStats
-                // is the determinism-bearing surface.)
-                self.cx.stats.dispatches -= 1;
-                self.cx.roster.apps[local].usage.events_consumed -= 1;
-                // The cancellation belongs to the *cancelled* event's
-                // timeline, not the failed one currently in scope.
-                if let Some(tid) = slot.trace {
-                    self.cx.obs.emit_to(
-                        Some(tid),
-                        Some(self.cx.roster.apps[local].id),
-                        RecordKind::Step("cancel", "crash_upstream"),
-                    );
-                }
+    /// Drop an app's in-flight entries beyond the commit cursor, rolling
+    /// back their speculative selection, then re-run selection for every
+    /// slot sent past the cursor (post-recovery state: a revived app is
+    /// usually re-selected, a dead or suspended one is skipped and
+    /// counted, just as sequential dispatch would) and queue fresh
+    /// deliveries for the survivors.
+    fn requeue_app(&mut self, local: usize, slots: &VecDeque<WindowSlot>) {
+        let id = self.cx.roster.apps[local].id;
+        while let Some(entry) = self.inflight[local].pop_front() {
+            // Roll the speculative selection back. (The monotonic obs
+            // dispatch counter keeps the cancelled send; RuntimeStats is
+            // the determinism-bearing surface.)
+            self.cx.stats.dispatches -= 1;
+            self.cx.roster.apps[local].usage.events_consumed -= 1;
+            // The cancellation belongs to the *cancelled* event's
+            // timeline, not the failed one currently in scope.
+            if let Some(tid) = slots[entry.pos - self.commit_pos].trace {
+                let step = RecordKind::Step("cancel", "crash_upstream");
+                self.cx.obs.emit_to(Some(tid), Some(id), step);
             }
         }
-    }
-
-    /// Re-run selection for an app's cancelled slots (post-recovery
-    /// state: a revived app is usually re-selected, a dead or suspended
-    /// one is skipped and counted, just as sequential dispatch would) and
-    /// queue fresh deliveries for the survivors.
-    fn resend_app(&mut self, local: usize, slots: &VecDeque<WindowSlot>) {
-        let sent = self.next_send - self.commit_pos;
-        for (s, slot) in slots.iter().enumerate().take(sent).skip(1) {
+        for pos in self.commit_pos + 1..self.next_send {
+            let slot = &slots[pos - self.commit_pos];
             // Re-queued work records into the re-sent event's trace.
             self.cx.obs.trace_scope(slot.trace);
             if !select_app(&mut self.cx, local, slot.event.kind()) {
                 continue;
             }
-            self.cx.obs.emit(
-                Some(self.cx.roster.apps[local].id),
-                RecordKind::Step("resend", "requeued"),
-            );
-            let entry = self.queue_one(local, slot);
-            let pend = &mut self.pending[s];
-            let pos = pend
-                .iter()
-                .position(|e| e.local > local)
-                .unwrap_or(pend.len());
-            pend.insert(pos, entry);
+            let step = RecordKind::Step("resend", "requeued");
+            self.cx.obs.emit(Some(id), step);
+            self.queue_one(local, pos, slot);
         }
     }
 }

@@ -107,9 +107,10 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'ZeroWindowDepth|window_depth' crates/ tests/ examples/ \
   || grep -rnE 'cancel_pending|commit_on_lane|LaneWork|struct Settle|settles' crates/ tests/ examples/ \
   || grep -rnwE 'ack_capacity|encode_frame_sized' crates/ tests/ examples/ \
+  || grep -rnwE 'cancel_app|resend_app' crates/ tests/ examples/ \
   || grep -rnE '\.window\(' crates/ tests/ examples/ \
     | grep -vE '^(crates/core/src/config|tests/alloc_budget)\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag/sized-frame name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag/sized-frame/per-slot-entry-list name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 
@@ -376,10 +377,14 @@ timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_w
 # stubs, must hold on a starved box too. So do the channel's wake rule
 # (a send rings the host only with nothing unread, a wait rings before it
 # parks) and its windowed lost-ring stress, where a ring the scheduler
-# delays past a park would surface as a 2 s timeout.
-echo "==> inline-stub deadline, crash-report, lost-engine and wake-rule tests, 20x beside a busy loop per core (hard 300s timeout)"
+# delays past a park would surface as a 2 s timeout. So does the dispatch
+# determinism suite: stub reply timing is the one interleaving the engine
+# has left, and the per-app in-flight queues must match the oracle under
+# any of it.
+echo "==> inline-stub deadline, crash-report, lost-engine, wake-rule and dispatch-determinism tests, 20x beside a busy loop per core (hard 300s timeout)"
 cargo test -q --offline --no-run -p legosdn-appvisor --lib --test view_resync
-cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor
+cargo test -q --offline --no-run -p legosdn --lib --test integration_appvisor \
+  --test integration_dispatch_determinism
 for _ in $(seq 1 "$(nproc)"); do
   ( while :; do :; done ) &
   BURN_PIDS="$BURN_PIDS $!"
@@ -394,7 +399,9 @@ for round in $(seq 1 20); do
     && timeout 300 cargo test -q --offline -p legosdn-appvisor --lib -- \
       a_send_rings_the_scanner_only_when_nothing_waits_unread \
       lost_wake_stress_windowed_requests_to_a_scanned_echo >/dev/null 2>&1 \
-    || { echo "inline-stub deadline, crash-report, lost-engine or wake-rule test flaked in round $round of 20 under load" >&2; exit 1; }
+    && timeout 300 cargo test -q --offline -p legosdn --test integration_dispatch_determinism \
+      >/dev/null 2>&1 \
+    || { echo "inline-stub deadline, crash-report, lost-engine, wake-rule or dispatch-determinism test flaked in round $round of 20 under load" >&2; exit 1; }
 done
 # shellcheck disable=SC2086
 kill $BURN_PIDS 2>/dev/null || true

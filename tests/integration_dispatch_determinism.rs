@@ -307,7 +307,7 @@ fn engine_matches_the_oracle_across_repeated_runs() {
 }
 
 #[test]
-fn sharded_dispatch_is_stable_across_repeated_runs() {
+fn engine_matches_the_oracle_in_repeated_sliding_runs() {
     // The same with the stub window full and sliding: deliveries in
     // flight to several stubs at once must not depend on a lucky
     // interleaving either.
@@ -319,7 +319,7 @@ fn sharded_dispatch_is_stable_across_repeated_runs() {
 }
 
 #[test]
-fn windowed_dispatch_is_deterministic_across_depths() {
+fn engine_matches_the_oracle_across_burst_lengths() {
     // In process the window is one slot deep; behind stubs a burst
     // shorter than the window runs it partly full, one as long runs it
     // full and a longer one slides it.

@@ -25,8 +25,9 @@
 //! not one per frame. A worker that hosts every stub is woken by the
 //! proxy's wait on any of them; with a worker per stub, a stub's frames
 //! wait for the proxy's wait on that stub (DESIGN.md §11 measures both).
-//! Sockets have no waker, so a worker hosting one parks briefly between
-//! empty scans.
+//! A worker whose channels all carry its waker parks until it is rung,
+//! with no timer behind the rule. Sockets have no waker, so a worker
+//! hosting one parks briefly between empty scans.
 //!
 //! Every signal here is **park-aware** (`ParkLock`): a producer issues
 //! the condvar notify — a futex syscall in std whether or not anyone
@@ -114,22 +115,31 @@ impl<T> ParkLock<T> {
         look(&mut self.lock().value)
     }
 
-    /// Consumer side: park until `ready` yields something or `deadline`
-    /// passes. `ready` runs under the mutex, and only before the
-    /// deadline: `None` means it has passed.
-    fn wait<R>(&self, deadline: Instant, mut ready: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
+    /// Consumer side: park until `ready` yields something or `deadline`,
+    /// if there is one, passes. `ready` runs under the mutex, and only
+    /// before the deadline: `None` means it has passed.
+    fn wait<R>(
+        &self,
+        deadline: Option<Instant>,
+        mut ready: impl FnMut(&mut T) -> Option<R>,
+    ) -> Option<R> {
         let mut state = self.lock();
         loop {
-            let left = time_to(deadline)?;
+            let left = match deadline {
+                Some(deadline) => Some(time_to(deadline)?),
+                None => None,
+            };
             if let Some(out) = ready(&mut state.value) {
                 return Some(out);
             }
             state.parked = true;
-            state = self
-                .cv
-                .wait_timeout(state, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            state = match left {
+                Some(left) => {
+                    let woken = self.cv.wait_timeout(state, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
+            };
             state.parked = false;
         }
     }
@@ -168,10 +178,11 @@ impl PollWaker {
         self.generation.peek(|generation| *generation)
     }
 
-    /// Park until the generation moves past `seen` or `timeout` elapses.
-    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) {
+    /// Park until the generation moves past `seen` or `deadline`, if
+    /// there is one, passes.
+    pub(crate) fn wait_past(&self, seen: u64, deadline: Option<Instant>) {
         let moved = |generation: &mut u64| (*generation != seen).then_some(());
-        let _ = self.generation.wait(Instant::now() + timeout, moved);
+        let _ = self.generation.wait(deadline, moved);
     }
 }
 
@@ -295,7 +306,8 @@ impl Transport for QueueTransport {
         }
         // About to wait: the far end must be serving what this end sent.
         self.out.wake_scanner();
-        self.inbound.frames.wait(deadline, Frames::pop).transpose()
+        let frame = self.inbound.frames.wait(Some(deadline), Frames::pop);
+        frame.transpose()
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -545,10 +557,10 @@ mod tests {
                 }
                 // A wake for a frame an earlier scan already took ends
                 // the park early; scan again until the deadline.
-                let Some(left) = time_to(deadline) else {
+                if time_to(deadline).is_none() {
                     return Ok(None);
-                };
-                self.waker.wait_past(seen, left);
+                }
+                self.waker.wait_past(seen, Some(deadline));
             }
         }
 
@@ -610,7 +622,7 @@ mod tests {
         // once rung answers within the wait.
         let seen = far.waker.current();
         let host = std::thread::spawn(move || {
-            far.waker.wait_past(seen, Duration::from_secs(2));
+            far.waker.wait_past(seen, Some(in_ms(2_000)));
             let frames = [far.try_recv(), far.try_recv()];
             far.send(b"served".to_vec()).unwrap();
             (far, frames)
@@ -698,7 +710,7 @@ mod tests {
                 continue;
             }
             let start = Instant::now();
-            waker.wait_past(seen, Duration::from_secs(2));
+            waker.wait_past(seen, Some(in_ms(2_000)));
             assert!(
                 start.elapsed() < Duration::from_secs(2),
                 "parked through a wake after {taken} items"
@@ -713,7 +725,7 @@ mod tests {
         let seen = w.current();
         w.wake(); // races "between scan and park"
         let start = Instant::now();
-        w.wait_past(seen, Duration::from_secs(5));
+        w.wait_past(seen, Some(in_ms(5_000)));
         assert!(
             start.elapsed() < Duration::from_secs(1),
             "pre-park wake must end the park immediately"

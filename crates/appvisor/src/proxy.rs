@@ -6,9 +6,10 @@
 //! [...] uses communication failures with the stub to detect that the
 //! SDN-App has crashed."
 //!
-//! The proxy is deliberately runtime-agnostic: it exposes blocking
-//! per-app RPCs (deliver / snapshot / restore) and detects a crash from
-//! the delivery's reply — a `Crashed` report, or none by the deadline;
+//! The proxy is deliberately runtime-agnostic: it queues tagged per-app
+//! requests (deliver / snapshot) and collects their replies later or at
+//! once, restores an app from a checkpoint, and detects a crash from the
+//! delivery's reply — a `Crashed` report, or none by the deadline;
 //! the LegoSDN runtime (crate `legosdn`) supplies the dispatch policy and
 //! Crash-Pad supplies recovery.
 
@@ -227,6 +228,10 @@ struct AppSlot {
     inbox: VecDeque<RpcMessage>,
 }
 
+/// What a blocking call returns when its request could not be sent: the
+/// send was booked as a comm failure, and the channel is taken as gone.
+const UNSENT: ProxyError = ProxyError::Transport(TransportError::Disconnected);
+
 /// The tag of a stub→proxy reply, if the message carries one.
 fn reply_seq(msg: &RpcMessage) -> Option<u64> {
     match msg {
@@ -383,9 +388,8 @@ impl AppVisorProxy {
             .ok_or(ProxyError::UnknownApp)
     }
 
-    /// Deliver an event to an isolated app and wait for its commands. A
-    /// frame that could not be sent is a comm failure, booked on the slot
-    /// like one the stub never answered.
+    /// Deliver an event to an isolated app and wait for its commands: a
+    /// queued delivery, collected at once.
     pub fn deliver(
         &mut self,
         h: AppHandle,
@@ -395,30 +399,20 @@ impl AppVisorProxy {
         now: SimTime,
     ) -> Result<DeliverOutcome, ProxyError> {
         let _span = self.metrics.deliver.start();
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        self.obs
-            .emit(Some(slot.metrics.app), RecordKind::Step("send", "rpc"));
-        let reply = match deliver_frame(slot, event, topology, devices, now) {
-            Ok(seq) => await_tag(slot, seq, Instant::now() + self.config.deliver_timeout),
-            // A frame that never left gets no reply.
-            Err(_) => Ok(None),
-        };
-        Ok(settle_delivery(slot, reply, &self.obs))
+        match self.queue_deliver(h, event, topology, devices, now)? {
+            Some(seq) => self.collect_deliver(h, seq),
+            None => Ok(DeliverOutcome::CommFailure),
+        }
     }
 
     /// Take a checkpoint of the app's state ("the proxy creates a
     /// checkpoint of an SDN-App process prior to dispatching every
-    /// message").
+    /// message"): a queued snapshot request, collected at once.
     pub fn snapshot(&mut self, h: AppHandle) -> Result<Vec<u8>, ProxyError> {
         let _span = self.metrics.snapshot.start();
-        let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        send_rpc(slot, encode_frame(&RpcMessage::SnapshotRequest { seq }))?;
-        match await_tag(slot, seq, Instant::now() + self.config.rpc_timeout) {
-            Ok(Some(RpcMessage::SnapshotReply { bytes, .. })) => Ok(bytes),
-            Ok(_) => Err(ProxyError::Timeout),
-            Err(e) => Err(ProxyError::Transport(e)),
+        match self.queue_snapshot(h)? {
+            Some(seq) => self.collect_snapshot(h, seq),
+            None => Err(UNSENT),
         }
     }
 
@@ -427,13 +421,8 @@ impl AppVisorProxy {
     pub fn restore(&mut self, h: AppHandle, bytes: &[u8]) -> Result<bool, ProxyError> {
         let _span = self.metrics.restore.start();
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
         let bytes = bytes.to_vec();
-        send_rpc(
-            slot,
-            encode_frame(&RpcMessage::RestoreRequest { seq, bytes }),
-        )?;
+        let seq = request(slot, |seq| RpcMessage::RestoreRequest { seq, bytes }).ok_or(UNSENT)?;
         match await_tag(slot, seq, Instant::now() + self.config.rpc_timeout) {
             // Awaiting the restore's tag, the newest, dropped every
             // older reply: the in-flight queue starts clean.
@@ -475,8 +464,8 @@ impl AppVisorProxy {
         now: SimTime,
     ) -> Result<Option<u64>, ProxyError> {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        let sent = deliver_frame(slot, event, topology, devices, now);
-        Ok(queued(slot, sent, &self.obs, "send"))
+        let tag = deliver_frame(slot, event, topology, devices, now);
+        Ok(queued(slot, tag, &self.obs, "send"))
     }
 
     /// Queue a snapshot request without awaiting the reply. Interleaved
@@ -486,11 +475,8 @@ impl AppVisorProxy {
     /// [`AppVisorProxy::collect_snapshot`].
     pub fn queue_snapshot(&mut self, h: AppHandle) -> Result<Option<u64>, ProxyError> {
         let slot = self.apps.get_mut(h.0).ok_or(ProxyError::UnknownApp)?;
-        slot.next_seq += 1;
-        let seq = slot.next_seq;
-        let sent =
-            send_frame(slot, encode_frame(&RpcMessage::SnapshotRequest { seq })).map(|()| seq);
-        Ok(queued(slot, sent, &self.obs, "snap_send"))
+        let tag = request(slot, |seq| RpcMessage::SnapshotRequest { seq });
+        Ok(queued(slot, tag, &self.obs, "snap_send"))
     }
 
     /// Collect the outcome of a queued delivery. The timeout window opens
@@ -550,20 +536,26 @@ fn mark_failed(slot: &mut AppSlot, outcome: &DeliverOutcome) {
     }
 }
 
-/// Account and push one encoded request frame.
-fn send_frame(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), TransportError> {
+/// Account and push one encoded request frame. A failed send marks the
+/// slot failed and counts one comm failure: the stub can answer nothing
+/// it was never sent.
+fn send_frame(slot: &mut AppSlot, frame: Vec<u8>) -> Option<()> {
     slot.stats.bytes_sent += frame.len() as u64;
     slot.metrics.bytes_sent.add(frame.len() as u64);
-    slot.transport.send(frame)
+    let sent = slot.transport.send(frame).ok();
+    if sent.is_none() {
+        mark_failed(slot, &DeliverOutcome::CommFailure);
+    }
+    sent
 }
 
-/// [`send_frame`] for a blocking RPC: a failed send marks the slot failed
-/// and counts a comm failure, as a failed queued send does.
-fn send_rpc(slot: &mut AppSlot, frame: Vec<u8>) -> Result<(), ProxyError> {
-    send_frame(slot, frame).map_err(|e| {
-        mark_failed(slot, &DeliverOutcome::CommFailure);
-        ProxyError::Transport(e)
-    })
+/// Tag, build, account and send one request, and return its tag; `None`
+/// when the send failed. [`deliver_frame`] does the same for deliveries.
+fn request(slot: &mut AppSlot, build: impl FnOnce(u64) -> RpcMessage) -> Option<u64> {
+    slot.next_seq += 1;
+    let seq = slot.next_seq;
+    send_frame(slot, encode_frame(&build(seq)))?;
+    Some(seq)
 }
 
 /// Account one received frame.
@@ -583,7 +575,7 @@ fn deliver_frame(
     topology: &TopologyView,
     devices: &DeviceView,
     now: SimTime,
-) -> Result<u64, TransportError> {
+) -> Option<u64> {
     slot.next_seq += 1;
     let seq = slot.next_seq;
     let frame = match std::mem::replace(&mut slot.shipped, Shipped::Lost) {
@@ -625,7 +617,7 @@ fn deliver_frame(
         topology: topology.clone(),
         devices: devices.clone(),
     };
-    Ok(seq)
+    Some(seq)
 }
 
 /// Grow the slot's delta-frame capacity to cover `frame`, a delta frame
@@ -634,17 +626,8 @@ fn grow_delta_capacity(slot: &mut AppSlot, frame: &[u8]) {
     slot.delta_capacity = slot.delta_capacity.max(frame.len().next_power_of_two());
 }
 
-/// The tag of a queued request, or `None` (slot marked failed) when the
-/// send itself failed; traced as `phase` either way.
-fn queued(
-    slot: &mut AppSlot,
-    sent: Result<u64, TransportError>,
-    obs: &Obs,
-    phase: &'static str,
-) -> Option<u64> {
-    let tag = sent
-        .map_err(|_| mark_failed(slot, &DeliverOutcome::CommFailure))
-        .ok();
+/// Trace a queued request's send as `phase`, `queued` or `send_failed`.
+fn queued(slot: &AppSlot, tag: Option<u64>, obs: &Obs, phase: &'static str) -> Option<u64> {
     let outcome = if tag.is_some() {
         "queued"
     } else {
@@ -730,6 +713,7 @@ mod tests {
     use crate::transport::InlineStub;
     use legosdn_controller::app::{Command, Ctx, RestoreError, Snapshot};
     use legosdn_openflow::prelude::*;
+    use legosdn_testkit::within;
 
     struct TestApp {
         count: u32,
@@ -932,90 +916,106 @@ mod tests {
             .collect()
     }
 
+    /// One blocking round trip to each stub, then long enough idle for
+    /// their hosts to park: only a ring can start the next request. Under
+    /// [`within`], a ring that never comes fails the test, not hangs it.
+    fn park_hosts(p: &mut AppVisorProxy, handles: &[AppHandle]) {
+        for &h in handles {
+            p.snapshot(h).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
     #[test]
     fn fanout_delivers_to_all_in_parallel() {
-        // Four stubs that each finish the event only once all four are
-        // inside it: queueing before collecting must overlap them (one
-        // delivery at a time would time out at the rendezvous).
-        let mut p = proxy();
-        let rendezvous = Arc::new(std::sync::Barrier::new(4));
-        let handles: Vec<AppHandle> = (0..4)
-            .map(|_| {
-                p.launch_app(
-                    Box::new(RendezvousApp(Arc::clone(&rendezvous))),
-                    TransportKind::Channel,
-                )
-                .unwrap()
-            })
-            .collect();
-        for r in queue_all_then_collect(&mut p, &handles) {
-            assert!(
-                matches!(&r, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
-                "{r:?}"
-            );
-        }
-        let _ = p.shutdown();
+        within(Duration::from_secs(5), || {
+            // Four stubs that each finish the event only once all four
+            // are inside it: queueing before collecting must overlap them
+            // (one delivery at a time would time out at the rendezvous).
+            let mut p = proxy();
+            let rendezvous = Arc::new(std::sync::Barrier::new(4));
+            let handles: Vec<AppHandle> = (0..4)
+                .map(|_| {
+                    p.launch_app(
+                        Box::new(RendezvousApp(Arc::clone(&rendezvous))),
+                        TransportKind::Channel,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            park_hosts(&mut p, &handles);
+            for r in queue_all_then_collect(&mut p, &handles) {
+                assert!(
+                    matches!(&r, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
+                    "{r:?}"
+                );
+            }
+            let _ = p.shutdown();
 
-        // Mixed with a crasher and a bogus handle.
-        let mut p = proxy();
-        let mut all: Vec<AppHandle> = [None, None, Some(1)]
-            .into_iter()
-            .map(|crash_on_count| {
-                p.launch_app(
-                    Box::new(TestApp {
-                        count: 0,
-                        crash_on_count,
-                    }),
-                    TransportKind::Channel,
-                )
-                .unwrap()
-            })
-            .collect();
-        all.push(AppHandle(99));
-        let results = queue_all_then_collect(&mut p, &all);
-        assert!(matches!(&results[2], Ok(DeliverOutcome::Crashed { .. })));
-        assert!(matches!(&results[3], Err(ProxyError::UnknownApp)));
-        // Healthy apps unaffected by their neighbor's crash.
-        for r in &results[..2] {
-            assert!(matches!(r, Ok(DeliverOutcome::Commands(_))), "{r:?}");
-        }
-        let _ = p.shutdown();
+            // Mixed with a crasher and a bogus handle.
+            let mut p = proxy();
+            let mut all: Vec<AppHandle> = [None, None, Some(1)]
+                .into_iter()
+                .map(|crash_on_count| {
+                    p.launch_app(
+                        Box::new(TestApp {
+                            count: 0,
+                            crash_on_count,
+                        }),
+                        TransportKind::Channel,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            all.push(AppHandle(99));
+            let results = queue_all_then_collect(&mut p, &all);
+            assert!(matches!(&results[2], Ok(DeliverOutcome::Crashed { .. })));
+            assert!(matches!(&results[3], Err(ProxyError::UnknownApp)));
+            // Healthy apps unaffected by their neighbor's crash.
+            for r in &results[..2] {
+                assert!(matches!(r, Ok(DeliverOutcome::Commands(_))), "{r:?}");
+            }
+            let _ = p.shutdown();
+        });
     }
 
     #[test]
     fn work_between_queue_and_collect_overlaps_the_stub() {
-        // The dispatch window runs local sandboxes and commits between
-        // queueing a delivery and collecting it. The stub must be inside
-        // the event while the caller is free: the app only finishes once
-        // this thread, having returned from `queue_deliver`, meets it at
-        // the rendezvous.
-        let mut p = proxy();
-        let rendezvous = Arc::new(std::sync::Barrier::new(2));
-        let h = p
-            .launch_app(
-                Box::new(RendezvousApp(Arc::clone(&rendezvous))),
-                TransportKind::Channel,
-            )
-            .unwrap();
-        let topo = TopologyView::default();
-        let dev = DeviceView::default();
-        let seq = p
-            .queue_deliver(
-                h,
-                &Event::SwitchUp(DatapathId(7)),
-                &topo,
-                &dev,
-                SimTime::ZERO,
-            )
-            .unwrap()
-            .expect("send succeeded");
-        rendezvous.wait();
-        let outcome = p.collect_deliver(h, seq);
-        assert!(
-            matches!(&outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
-            "{outcome:?}"
-        );
-        let _ = p.shutdown();
+        within(Duration::from_secs(5), || {
+            // The dispatch window runs local sandboxes and commits between
+            // queueing a delivery and collecting it. The stub must be
+            // inside the event while the caller is free: the app only
+            // finishes once this thread, having returned from
+            // `queue_deliver`, meets it at the rendezvous.
+            let mut p = proxy();
+            let rendezvous = Arc::new(std::sync::Barrier::new(2));
+            let h = p
+                .launch_app(
+                    Box::new(RendezvousApp(Arc::clone(&rendezvous))),
+                    TransportKind::Channel,
+                )
+                .unwrap();
+            park_hosts(&mut p, &[h]);
+            let topo = TopologyView::default();
+            let dev = DeviceView::default();
+            let seq = p
+                .queue_deliver(
+                    h,
+                    &Event::SwitchUp(DatapathId(7)),
+                    &topo,
+                    &dev,
+                    SimTime::ZERO,
+                )
+                .unwrap()
+                .expect("send succeeded");
+            rendezvous.wait();
+            let outcome = p.collect_deliver(h, seq);
+            assert!(
+                matches!(&outcome, Ok(DeliverOutcome::Commands(c)) if c.len() == 1),
+                "{outcome:?}"
+            );
+            let _ = p.shutdown();
+        });
     }
 
     #[test]

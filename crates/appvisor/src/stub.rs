@@ -35,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Stub behaviour knobs.
 #[derive(Clone, Debug)]
@@ -325,12 +325,9 @@ impl Drop for StubHost {
     }
 }
 
-/// Park ceiling when every channel has a waker: a send to any of them
-/// ends the park early, so this only bounds how long a missed wake can
-/// hold a frame.
-const HOST_PARK_MAX: Duration = Duration::from_millis(5);
 /// Park ceiling when any channel is a waker-less socket: nothing wakes
-/// the host when a datagram lands, so it polls at this period.
+/// the host when a datagram lands, so it polls at this period. A worker
+/// whose channels all have wakers parks until one rings it.
 const HOST_PARK_SCAN: Duration = Duration::from_micros(100);
 
 fn host_loop(
@@ -367,12 +364,8 @@ fn host_loop(
             return reports;
         }
         if activity == 0 {
-            let park = if stubs.iter().all(|s| s.transport.has_waker()) {
-                HOST_PARK_MAX
-            } else {
-                HOST_PARK_SCAN
-            };
-            waker.wait_past(seen, park);
+            let socket = stubs.iter().any(|s| !s.transport.has_waker());
+            waker.wait_past(seen, socket.then(|| Instant::now() + HOST_PARK_SCAN));
         }
     }
 }
@@ -411,7 +404,6 @@ mod stub_tests {
     use legosdn_controller::services::{DeviceView, TopologyView};
     use legosdn_netsim::SimTime;
     use legosdn_openflow::prelude::*;
-    use std::time::Instant;
 
     /// Minimal app: counts events, crashes on demand.
     struct TestApp {

@@ -63,7 +63,7 @@ pub trait Transport: Send {
     fn set_waker(&mut self, _waker: Arc<PollWaker>) {}
 
     /// Does this end signal readiness through a waker? A worker whose
-    /// channels all say yes parks long between scans; any `false` forces
+    /// channels all say yes parks until one rings it; any `false` forces
     /// the short scan interval.
     fn has_waker(&self) -> bool {
         false

@@ -681,17 +681,18 @@ impl Dispatch<'_> {
                 },
             );
             let due = self.inflight[local].pop_front_if(|e| e.pos == self.commit_pos);
-            let (result, failed) = if let Some(entry) = due {
+            let result = if let Some(entry) = due {
                 self.harvest_entry(local, entry, slot)
             } else if matches!(self.cx.roster.apps[local].host, Host::Local(_))
                 && select_app(&mut self.cx, local, kind)
             {
                 // A local sandbox has no stub to overlap with: it runs
                 // inline at commit, against the slot's captured views.
-                (self.deliver_local(local, slot), false)
+                self.deliver_local(local, slot)
             } else {
                 continue;
             };
+            let failed = !matches!(result, DispatchResult::Delivered(_));
             let running = self.cx.roster.apps[local].status == AppStatus::Running;
             let pos = (self.commit_pos * stride + local) as u64;
             let tx = TxId(self.tx_cycle_base + pos * TXS_PER_POS);
@@ -740,13 +741,12 @@ impl Dispatch<'_> {
     /// queued through a recovery: its restore is a later tag on the same
     /// FIFO stream, so their replies come first and are dropped as stale,
     /// and `commit_slot` requeues them once the position is settled.
-    /// Returns the dispatch outcome plus whether the delivery failed.
     fn harvest_entry(
         &mut self,
         local: usize,
         entry: WindowEntry,
         slot: &WindowSlot,
-    ) -> (DispatchResult, bool) {
+    ) -> DispatchResult {
         let Roster {
             apps,
             crashpad,
@@ -769,7 +769,6 @@ impl Dispatch<'_> {
             }
         }
 
-        crashpad.note_dispatch();
         let delivery = match entry.seq {
             Some(seq) => proxy
                 .collect_deliver(handle, seq)
@@ -779,8 +778,7 @@ impl Dispatch<'_> {
         let queue_ns = u64::try_from(entry.queued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.cx.metrics.window_queue_ns.observe(queue_ns);
 
-        let failed = !matches!(delivery, DeliverOutcome::Commands(_));
-        let result = self.cx.roster.with_app(local, |crashpad, app, id, name| {
+        self.cx.roster.with_app(local, |crashpad, app, id, name| {
             crashpad.complete(
                 app,
                 id,
@@ -791,8 +789,7 @@ impl Dispatch<'_> {
                 &slot.devices,
                 slot.now,
             )
-        });
-        (result, failed)
+        })
     }
 
     /// Drop an app's in-flight entries beyond the commit cursor, rolling

@@ -199,14 +199,13 @@ impl CrashPad {
         self.complete(app, id, name, event, delivery, topology, devices, now)
     }
 
-    /// First half of a protected dispatch: count it and checkpoint the app
-    /// if one is due. Must be called exactly once per delivery, *before*
-    /// the event reaches the app — the snapshot taken here is what
+    /// First half of a protected dispatch: checkpoint the app if one is
+    /// due. Must be called exactly once per delivery, *before* the event
+    /// reaches the app — the snapshot taken here is what
     /// [`CrashPad::complete`] restores on failure. `id` is the app's
     /// [`Obs::attach_app`] id, `name` what its checkpoints, policies and
     /// tickets are filed under.
     pub fn prepare(&mut self, app: &mut dyn RecoverableApp, id: AppId, name: &str) {
-        self.note_dispatch();
         if self.checkpoints.checkpoint_due(name) {
             let started = Instant::now();
             if let Ok(bytes) = app.checkpoint() {
@@ -214,14 +213,6 @@ impl CrashPad {
                 self.record_prepared(id, name, bytes, dur_ns);
             }
         }
-    }
-
-    /// Count one delivery attempt. [`CrashPad::prepare`] calls this; the
-    /// windowed dispatcher calls it separately as each in-flight delivery
-    /// is collected, so `events_dispatched` counts deliveries that
-    /// actually completed rather than speculative sends.
-    pub fn note_dispatch(&mut self) {
-        self.stats.events_dispatched += 1;
     }
 
     /// Book a pre-event snapshot that took `dur_ns` to capture: journal
@@ -245,10 +236,12 @@ impl CrashPad {
         }
     }
 
-    /// Second half of a protected dispatch: fold the raw delivery outcome
-    /// into checkpoint bookkeeping and, on failure, [`CrashPad::recover`].
-    /// The `app` handle must be the same one [`CrashPad::prepare`]
-    /// checkpointed for this delivery.
+    /// Second half of a protected dispatch: count it, fold the raw
+    /// delivery outcome into checkpoint bookkeeping and, on failure,
+    /// [`CrashPad::recover`]. The `app` handle must be the same one
+    /// [`CrashPad::prepare`] checkpointed for this delivery. A delivery is
+    /// counted here, where it is booked, so `events_dispatched` counts
+    /// completed deliveries, not speculative sends.
     #[allow(clippy::too_many_arguments)]
     pub fn complete(
         &mut self,
@@ -261,6 +254,7 @@ impl CrashPad {
         devices: &DeviceView,
         now: SimTime,
     ) -> DispatchResult {
+        self.stats.events_dispatched += 1;
         let failure = match delivery {
             DeliverOutcome::Commands(commands) => {
                 self.checkpoints.record_delivered(name, event);

@@ -59,8 +59,12 @@ timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incre
 # and `alloc_budget.rs` calls it once to show an in-process runtime
 # ignores it. Nor a frame sized from the stream's last one (frame
 # buffers circulate: the stub acks into the delivery's buffer and the
-# proxy writes deltas into decoded acks, §11). A bracketed letter keeps a
-# pattern from matching the line that spells it.
+# proxy writes deltas into decoded acks, §11). Nor a second request path
+# in the proxy, a timer behind a channel-only stub host's park, or a
+# dispatch counted apart from its booking (a blocking call is a queued
+# request collected at once, a channel host sleeps until rung, and
+# Crash-Pad's `complete` counts what it books, §7, §11). A bracketed
+# letter keeps a pattern from matching the line that spells it.
 echo "==> no second dispatch path, fan-out API, stub host, shard re-balancer, fleet pipeline, cross-cycle lookahead, NetLog mode, commit-path decision, commit fastpath, replay buffer, clone pair, fault vocabulary, bench harness, proxy-side poller, split transport, TCP transport, per-element array codec, boxed memo encoding, transaction begin record, by-value inverse, unwritten usage field, worker shard or window-depth option"
 if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stable_shard' crates/ \
   || grep -rnE 'IoMode::Blocking|spawn_stub|run_stub|DispatchMode|ChannelTransport|IoConfig::blocking' \
@@ -107,10 +111,10 @@ if grep -rnE 'dispatch_pipelined|fanout_send|fanout_collect|deliver_fanout|stabl
   || grep -rnE 'ZeroWindowDepth|window_depth' crates/ tests/ examples/ \
   || grep -rnE 'cancel_pending|commit_on_lane|LaneWork|struct Settle|settles' crates/ tests/ examples/ \
   || grep -rnwE 'ack_capacity|encode_frame_sized' crates/ tests/ examples/ \
-  || grep -rnwE 'cancel_app|resend_app' crates/ tests/ examples/ \
+  || grep -rnwE 'cancel_app|resend_app|send_rpc|HOST_PARK_MAX|note_dispatch' crates/ tests/ examples/ \
   || grep -rnE '\.window\(' crates/ tests/ examples/ \
     | grep -vE '^(crates/core/src/config|tests/alloc_budget)\.rs:'; then
-  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag/sized-frame/per-slot-entry-list name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
+  echo "a deleted dispatch/fan-out/stub-host/placement/fleet-pipeline/two-stream obs/lookahead/NetLog-mode/commit-path/fastpath/replay-buffer/clone-pair/fault-vocabulary/bench-harness/proxy-poller/split-transport/TCP-transport/array-codec/boxed-memo/txn-begin/by-value-inverse/heartbeat/flow-mod-batch/unwritten-usage-field/proxy-deadline/dead-accessor/worker-shard/window-depth/two-pass-settle/cancelled-tag/sized-frame/per-slot-entry-list/blocking-send/park-ceiling/dispatch-count name reappeared (see DESIGN.md §3, §4, §5, §5a, §7, §9, §11, §12, §13, §15)" >&2
   exit 1
 fi
 
@@ -376,8 +380,10 @@ timeout 120 cargo test -q --offline -p legosdn-appvisor --lib -- conforms lost_w
 # The lost-engine tests ride along too: a lost engine's drain, behind
 # stubs, must hold on a starved box too. So do the channel's wake rule
 # (a send rings the host only with nothing unread, a wait rings before it
-# parks) and its windowed lost-ring stress, where a ring the scheduler
-# delays past a park would surface as a 2 s timeout. So does the dispatch
+# parks), its windowed lost-ring stress, where a ring the scheduler
+# delays past a park would surface as a 2 s timeout, and the proxy's two
+# overlap tests, which park the host first so only a send's ring can
+# start the stub (no timer wakes a channel-only host). So does the dispatch
 # determinism suite: stub reply timing is the one interleaving the engine
 # has left, and the per-app in-flight queues must match the oracle under
 # any of it.
@@ -398,7 +404,9 @@ for round in $(seq 1 20); do
     && timeout 300 cargo test -q --offline -p legosdn --lib -- lost_engine_tests:: >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn-appvisor --lib -- \
       a_send_rings_the_scanner_only_when_nothing_waits_unread \
-      lost_wake_stress_windowed_requests_to_a_scanned_echo >/dev/null 2>&1 \
+      lost_wake_stress_windowed_requests_to_a_scanned_echo \
+      fanout_delivers_to_all_in_parallel \
+      work_between_queue_and_collect_overlaps_the_stub >/dev/null 2>&1 \
     && timeout 300 cargo test -q --offline -p legosdn --test integration_dispatch_determinism \
       >/dev/null 2>&1 \
     || { echo "inline-stub deadline, crash-report, lost-engine, wake-rule or dispatch-determinism test flaked in round $round of 20 under load" >&2; exit 1; }

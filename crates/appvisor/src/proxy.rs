@@ -134,8 +134,8 @@ pub struct AppWireStats {
 enum Shipped {
     /// No delivery frame sent yet.
     Never,
-    /// A failure since the last delivery frame: the stub may have missed
-    /// any of them, so what it holds is unknown.
+    /// A comm failure since the last delivery frame: the stub may have
+    /// missed any of them, so what it holds is unknown.
     Lost,
     /// Delivery frame `seq` put these views on the wire.
     At {
@@ -521,16 +521,18 @@ impl AppVisorProxy {
 }
 
 /// Mark a slot failed with `outcome`, a crash or a comm failure, and
-/// count it. Either way the stub may have missed a delivery frame, so the
-/// views it was shipped are forgotten and the next delivery carries them
-/// whole.
+/// count it. A `Crashed` report keeps the views shipped: the stub takes a
+/// frame's views before it asks whether its app is dead, so it holds that
+/// frame's and, in order, every later one's (DESIGN.md §14). After a comm
+/// failure the stub may have missed a delivery frame, so the views are
+/// forgotten and the next delivery carries them whole.
 fn mark_failed(slot: &mut AppSlot, outcome: &DeliverOutcome) {
     slot.alive = false;
-    slot.shipped = Shipped::Lost;
     if let DeliverOutcome::Crashed { .. } = outcome {
         slot.stats.crashes_detected += 1;
         slot.metrics.crashes_detected.inc();
     } else {
+        slot.shipped = Shipped::Lost;
         slot.stats.comm_failures += 1;
         slot.metrics.comm_failures.inc();
     }
@@ -567,8 +569,8 @@ fn received(slot: &mut AppSlot, frame: &[u8]) {
 /// The one delivery-frame builder: tag, build, account and send the
 /// frame that delivers `event` under these views, and return its tag.
 /// A stub known to hold the views of the previous delivery frame gets the
-/// diff against them; otherwise (first contact, or any failure since) the
-/// views travel whole. A failed send leaves the shipped views forgotten.
+/// diff against them; otherwise (first contact, or a comm failure since)
+/// the views travel whole. A failed send leaves the shipped views forgotten.
 fn deliver_frame(
     slot: &mut AppSlot,
     event: &Event,

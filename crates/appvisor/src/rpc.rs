@@ -11,9 +11,10 @@
 //! An app needs the controller's topology/device views to process an
 //! event, and the stub keeps its own copy of them. The proxy ships the
 //! views whole once — [`RpcMessage::EventDeliver`], on first contact and
-//! again after any failure — and from then on only what changed since the
-//! delivery frame before: [`RpcMessage::EventDeliverDelta`] names that
-//! frame in `base` and carries the entry-level diff against its views. A
+//! again after a communication failure (a reported crash keeps the base) —
+//! and from then on only what changed since the delivery frame before:
+//! [`RpcMessage::EventDeliverDelta`] names that frame in `base` and
+//! carries the entry-level diff against its views. A
 //! stub applies a delta only on top of exactly that frame; on any other
 //! `base` it stays silent, so the app never runs on views the proxy did
 //! not build the frame from and the proxy's delivery timeout reports the

@@ -117,6 +117,11 @@ struct Rig {
 /// loses `drop_per_mille` of the proxy's frames. One proxy config serves
 /// lossless and lossy rigs alike: no wait ever reaches its deadline.
 fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
+    rig_with(drop_per_mille, crash_at, StubConfig::default())
+}
+
+/// [`rig`] with a stub configured by `stub`.
+fn rig_with(drop_per_mille: u32, crash_at: Option<u64>, stub: StubConfig) -> Rig {
     let obs = Obs::new();
     let mut proxy = AppVisorProxy::new(ProxyConfig::default());
     proxy.set_obs(obs.clone());
@@ -125,7 +130,7 @@ fn rig(drop_per_mille: u32, crash_at: Option<u64>) -> Rig {
         seen: seen.clone(),
         crash_at,
     });
-    let stub = InlineStub::new(app, StubConfig::default());
+    let stub = InlineStub::new(app, stub);
     let lossy = FlakyTransport::new(stub, drop_per_mille, 11);
     let h = proxy
         .register_transport(Box::new(lossy))
@@ -244,38 +249,76 @@ fn a_lost_delivery_frame_breaks_the_chain_safely() {
     assert_eq!(ran.last(), Some(&10));
 }
 
-#[test]
-fn a_crash_mid_window_resends_whole_views_then_diffs() {
+/// Event 2 crashes the app with 3..=9 queued behind it. The crash is
+/// collected, the app restored from its checkpoint, and 3..=9 re-sent and
+/// collected, as the engine re-sends a failed app's window. Returns the
+/// rig, how event 2's delivery was classified, and the bytes each re-sent
+/// frame put on the wire.
+fn crash_mid_window(report_crashes: bool) -> (Rig, DeliverOutcome, Vec<u64>) {
     let history = history(12);
-    let mut rig = rig(0, Some(2));
+    let mut rig = rig_with(0, Some(2), StubConfig { report_crashes });
     let checkpoint = rig.proxy.snapshot(rig.h).unwrap();
     assert!(is_ack(&rig.deliver(0, &history[0])));
     assert!(is_ack(&rig.deliver(1, &history[1])));
-    // Event 2 crashes the app with 3..=9 queued behind it.
     let tags: Vec<u64> = (2..10)
         .map(|id| rig.queue(id, &history[id as usize]))
         .collect();
-    assert!(matches!(
-        rig.proxy.collect_deliver(rig.h, tags[0]).unwrap(),
-        DeliverOutcome::Crashed { .. }
-    ));
+    let crash = rig.proxy.collect_deliver(rig.h, tags[0]).unwrap();
     assert!(rig.proxy.restore(rig.h, &checkpoint).unwrap());
     assert_eq!(rig.frames(), (1, 9, 0));
-    // Re-send the cancelled slots: the first frame carries the views
-    // whole, the rest are diffs again.
-    let before = rig.bytes_sent();
-    let first = rig.queue(3, &history[3]);
-    assert!(rig.bytes_sent() - before > 2_000);
-    assert_eq!(rig.frames(), (2, 9, 1));
-    let rest: Vec<u64> = (4..10)
-        .map(|id| rig.queue(id, &history[id as usize]))
-        .collect();
-    assert_eq!(rig.frames(), (2, 15, 1));
-    for tag in std::iter::once(first).chain(rest) {
+    let mut sizes = Vec::new();
+    let mut resent = Vec::new();
+    for id in 3..10 {
+        let before = rig.bytes_sent();
+        resent.push(rig.queue(id, &history[id as usize]));
+        sizes.push(rig.bytes_sent() - before);
+    }
+    for tag in resent {
         assert!(is_ack(&rig.proxy.collect_deliver(rig.h, tag).unwrap()));
     }
     let ran = rig.assert_never_stale(&history);
     assert_eq!(ran, (0..10).collect::<Vec<_>>(), "each once");
+    (rig, crash, sizes)
+}
+
+/// A reported crash keeps the view base: the dead app's stub took the
+/// views of 2..=9 in before it asked whether its app was dead, so every
+/// re-sent frame is a diff against frame 9's views. The first one steps
+/// back over the switch loss at step 6, so it carries that switch, its
+/// links and its hosts; the views whole are over 3 KB.
+#[test]
+fn a_crash_mid_window_keeps_the_view_base() {
+    let (rig, crash, sizes) = crash_mid_window(true);
+    assert!(matches!(crash, DeliverOutcome::Crashed { .. }));
+    assert_eq!(rig.frames(), (1, 16, 0), "no frame carries the views whole");
+    assert!(
+        sizes[0] < 1_024,
+        "re-sent delivery 3 put {} B on the wire",
+        sizes[0]
+    );
+    for (id, size) in (4..).zip(&sizes[1..]) {
+        assert!(
+            *size < 512,
+            "re-sent delivery {id} put {size} B on the wire"
+        );
+    }
+}
+
+/// A stub that does not report crashes is silent, and silence is a comm
+/// failure: the proxy no longer knows what the stub holds, so the first
+/// re-sent frame carries the views whole and the rest are diffs again.
+#[test]
+fn a_silent_crash_mid_window_resyncs_once() {
+    let (rig, crash, sizes) = crash_mid_window(false);
+    assert_eq!(crash, DeliverOutcome::CommFailure);
+    assert_eq!(rig.frames(), (2, 15, 1), "one resync");
+    assert!(sizes[0] > 2_000, "the first re-sent frame is whole");
+    for (id, size) in (4..).zip(&sizes[1..]) {
+        assert!(
+            *size < 512,
+            "re-sent delivery {id} put {size} B on the wire"
+        );
+    }
 }
 
 #[test]

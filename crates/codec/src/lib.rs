@@ -12,6 +12,10 @@
 //! The format is not self-describing: decoding must use the same types as
 //! encoding.
 //!
+//! A byte array is one append to encode and one exact-size copy to
+//! decode: `Vec<T>` and `VecDeque<T>` hand their body to
+//! [`Codec::encode_slice`] and [`Codec::decode_vec`], which `u8` overrides.
+//!
 //! [`Memo`] wraps a value so that encoding it again, unchanged, reuses the
 //! bytes from last time, and a [`Snapshot`] holds those bytes by handle —
 //! what makes a per-event checkpoint cost what the event wrote.
@@ -83,7 +87,7 @@ pub enum CodecError {
     Eof,
     /// Input bytes left over after a complete value.
     Trailing(usize),
-    /// Structurally invalid input (bad tag, bad UTF-8, absurd length).
+    /// Structurally invalid input (bad tag, bad UTF-8).
     Invalid(String),
     /// Caller-reported error.
     Message(String),
@@ -115,9 +119,15 @@ impl<'a> Reader<'a> {
         Reader { input, pos: 0 }
     }
 
+    /// Bytes left to read.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.input.len() - self.pos
+    }
+
     /// Take the next `n` bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.input.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(CodecError::Eof);
         }
         let out = &self.input[self.pos..self.pos + n];
@@ -127,13 +137,14 @@ impl<'a> Reader<'a> {
 
     /// Read a `u64 LE` length prefix with a plausibility bound: a length
     /// can't exceed remaining bytes ×8 (every element is at least one
-    /// byte, except units; allow slack).
+    /// byte, except units; allow slack). One past it is input that ends
+    /// early: `Eof`, before anything is read or reserved.
     pub fn get_len(&mut self) -> Result<usize, CodecError> {
         let b = self.take(8)?;
         let len = u64::from_le_bytes(b.try_into().unwrap());
-        let remaining = (self.input.len() - self.pos) as u64;
+        let remaining = self.remaining() as u64;
         if len > remaining.saturating_mul(8).saturating_add(64) {
-            return Err(CodecError::Invalid(format!("length {len} implausible")));
+            return Err(CodecError::Eof);
         }
         Ok(len as usize)
     }
@@ -145,6 +156,26 @@ pub trait Codec: Sized {
     fn encode(&self, out: &mut Vec<u8>);
     /// Decode one value from the reader.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// Append the encodings of `items`, in order: a sequence's body.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decode a sequence's body of `len` values. It reserves no more
+    /// values than the input has bytes left: every value that is not
+    /// zero-sized takes at least one, so a length past the input fails
+    /// before it costs more than the input holds, and a short reservation
+    /// only regrows.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CodecError> {
+        let mut v = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            v.push(Self::decode(r)?);
+        }
+        Ok(v)
+    }
 }
 
 macro_rules! num_codec {
@@ -160,7 +191,24 @@ macro_rules! num_codec {
     )*};
 }
 
-num_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+num_codec!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
+
+/// A byte sequence's body is its bytes: one append, one exact-size copy,
+/// and a length past the input is `Eof` before anything is allocated.
+impl Codec for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(r.take(1)?[0])
+    }
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, CodecError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 // usize/isize travel as fixed 64-bit so snapshots are portable.
 impl Codec for usize {
@@ -285,34 +333,24 @@ impl<T: Codec> Codec for std::sync::Arc<T> {
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.get_len()?;
-        let mut v = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        T::decode_vec(r, len)
     }
 }
 
+/// Encodes as the `Vec` of the same values.
 impl<T: Codec> Codec for std::collections::VecDeque<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            v.encode(out);
-        }
+        let (front, back) = self.as_slices();
+        T::encode_slice(front, out);
+        T::encode_slice(back, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let len = r.get_len()?;
-        let mut v = std::collections::VecDeque::with_capacity(len.min(4096));
-        for _ in 0..len {
-            v.push_back(T::decode(r)?);
-        }
-        Ok(v)
+        Vec::decode(r).map(Self::from)
     }
 }
 
@@ -367,7 +405,7 @@ impl<K: Codec + Eq + Hash, V: Codec> Codec for HashMap<K, V> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.get_len()?;
-        let mut m = HashMap::with_capacity(len.min(4096));
+        let mut m = HashMap::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
@@ -405,7 +443,7 @@ impl<T: Codec + Eq + Hash + Ord> Codec for HashSet<T> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.get_len()?;
-        let mut s = HashSet::with_capacity(len.min(4096));
+        let mut s = HashSet::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             s.insert(T::decode(r)?);
         }

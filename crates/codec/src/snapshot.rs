@@ -307,8 +307,7 @@ impl Codec for Snapshot {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let len = r.get_len()?;
-        Ok(Snapshot::from(r.take(len)?.to_vec()))
+        Vec::<u8>::decode(r).map(Snapshot::from)
     }
 }
 

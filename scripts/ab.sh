@@ -17,8 +17,10 @@
 # so drift in the host's speed cancels. Each run is
 # `stackbench --workload W --seed N --seconds S --trace 0`; its last
 # stdout line is the JSON the script reads. Every run's `events_per_s`,
-# `setup_s` and `allocs_per_event` are printed, so an outlier shows
-# instead of hiding inside a median. If any run of a workload is not
+# `setup_s`, `allocs_per_event` and `cpu_us_per_event` are printed, so an
+# outlier shows instead of hiding inside a median (`cpu_us_per_event`
+# can read 0 on one run and ~9 on the next: it is a median of per-round
+# CPU counted in 10 ms ticks). If any run of a workload is not
 # `correct` or has a failed operation, that workload gets no row and the
 # script exits 1.
 #
@@ -194,9 +196,9 @@ for w in ${WORKLOADS//,/ }; do
       line="$(run_one "$side" "$w" 0)"
       correct="$(printf '%s\n' "$line" | sed -n 's/.*"correct": \([a-z]*\).*/\1/p')"
       failed="$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')"
-      printf '  pair %d %-6s events_per_s %s  setup_s %s  allocs_per_event %s%s\n' \
+      printf '  pair %d %-6s events_per_s %s  setup_s %s  allocs_per_event %s  cpu_us_per_event %s%s\n' \
         "$i" "$side" "$(metric events_per_s "$line")" "$(metric setup_s "$line")" \
-        "$(metric allocs_per_event "$line")" \
+        "$(metric allocs_per_event "$line")" "$(metric cpu_us_per_event "$line")" \
         "$([ "$correct" = true ] && [ "$failed" = 0 ] || echo "  <- correct=${correct:-?} failed=${failed:-?}")" >&2
       if [ "$correct" != true ] || [ "$failed" != 0 ]; then
         VOID="pair $i $side: correct=${correct:-?} failed=${failed:-?}"

@@ -31,6 +31,14 @@ echo "==> warm check == cold check, release sweep (hard 120s timeout)"
 timeout 120 cargo test -q --offline --release -p legosdn-invariants --test incremental_equivalence \
   || { echo "a warm invariant check disagreed with a cold one" >&2; exit 1; }
 
+# A byte array's one-copy body decodes as the per-element path does, at
+# every cut of arrays up to 17 069 bytes long, and a length past the
+# input is `Eof` (DESIGN.md §15). By name, optimized: the per-element
+# twin is the slow side.
+echo "==> bulk bytes == per-element bytes at every cut, release (hard 120s timeout)"
+timeout 120 cargo test -q --offline --release -p legosdn-codec --test bulk_bytes \
+  || { echo "a byte array decoded unlike its per-element twin" >&2; exit 1; }
+
 # Names the one-engine, one-stub-host, static-placement,
 # one-ops-endpoint, one-burst-per-cycle, one-commit, book-once and
 # one-commit-order refactors deleted must not grow back beside what
@@ -417,8 +425,9 @@ BURN_PIDS=""
 
 # The per-event path's budget, by name so a filtered or renamed run
 # cannot skip it: allocations per event of the lean skeleton under its
-# bound, and zero by-name registry lookups across thousands of commits
-# (DESIGN.md §7). Exact counts, so no retry and no load sensitivity.
+# bound, zero by-name registry lookups across thousands of commits
+# (DESIGN.md §7), and a frame's byte array decoded in one exact copy
+# (§15). Exact counts, so no retry and no load sensitivity.
 echo "==> allocation budget + no by-name lookups per event (hard 120s timeout)"
 timeout 120 cargo test -q --offline -p legosdn --test alloc_budget \
   || { echo "allocation budget exceeded, or a by-name lookup is back on the per-event path" >&2; exit 1; }

@@ -2,9 +2,11 @@
 //! configuration, the rule that keeps them — nothing on the per-event path
 //! looks an instrument up by name (DESIGN.md §7) — the cost of one warm
 //! checkpoint: one allocation at its exact size for plain bytes, none at
-//! all when the state is memoized and unchanged (DESIGN.md §15) — and of
-//! the network underneath: a NetLog transaction allocates nothing for its
-//! own bookkeeping, and a packet's walk nothing per hop (DESIGN.md §12) —
+//! all when the state is memoized and unchanged (DESIGN.md §15), a byte
+//! array off a stub's frame one exact copy, and a length past the input
+//! no more than the input holds — and of the network underneath: a NetLog
+//! transaction allocates nothing for its own bookkeeping, and a packet's
+//! walk nothing per hop (DESIGN.md §12) —
 //! and that an in-process window is one slot deep whatever a caller asks
 //! for (DESIGN.md §9).
 //!
@@ -14,6 +16,9 @@
 //! single-threaded work counts only its own thread's allocations. Every number is a count of what
 //! this program does with a seeded input: it repeats exactly, on any host.
 
+use legosdn::appvisor::{decode_frame, encode_frame, RpcMessage};
+use legosdn::controller::app::Snapshot;
+use legosdn::controller::snapshot::{from_bytes, CodecError};
 use legosdn::controller::{DeviceView, Sandbox, TopologyView};
 use legosdn::crashpad::CheckpointStore;
 use legosdn::netlog::NetLog;
@@ -23,6 +28,7 @@ use legosdn::prelude::*;
 use legosdn_testkit::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -41,6 +47,9 @@ thread_local! {
     /// reads this, for the reason it reads `HERE`: a free on the
     /// harness's thread can land inside its window.
     static HERE_LIVE: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for: every allocation's size, and every
+    /// reallocation's new size.
+    static HERE_ASKED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// [`HERE`]'s count.
@@ -53,17 +62,32 @@ fn live_here() -> u64 {
     HERE_LIVE.with(Cell::get)
 }
 
+/// Run `f`; count the allocations it made on this thread and the bytes
+/// they asked for.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let (allocs, asked) = (allocs_here(), HERE_ASKED.with(Cell::get));
+    let out = f();
+    let asked = HERE_ASKED.with(Cell::get) - asked;
+    (out, (allocs_here() - allocs, asked))
+}
+
 /// Add `bytes` (wrapping) to this thread's live count.
 fn held_here(bytes: u64) {
     HERE_LIVE.with(|n| n.set(n.get().wrapping_add(bytes)));
+}
+
+/// Count one allocation of `bytes` on this thread.
+fn asked(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    HERE.with(|n| n.set(n.get() + 1));
+    HERE_ASKED.with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters are
 // statistics and publish nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        HERE.with(|n| n.set(n.get() + 1));
+        asked(layout.size());
         held_here(layout.size() as u64);
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
@@ -76,8 +100,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        HERE.with(|n| n.set(n.get() + 1));
+        asked(new_size);
         held_here((new_size as u64).wrapping_sub(layout.size() as u64));
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -500,7 +523,7 @@ fn a_warm_checkpoint_allocates_nothing_and_keeps_no_slack() {
     // Every piece it stores it shares with the app: the tables' bytes are
     // the very ones the app's next checkpoint holds.
     let next = app.capture().unwrap();
-    let shared = |s: &legosdn::controller::app::Snapshot| -> Vec<*const u8> {
+    let shared = |s: &Snapshot| -> Vec<*const u8> {
         s.chunks()
             .filter(|c| c.len() > 64)
             .map(<[u8]>::as_ptr)
@@ -524,6 +547,83 @@ fn a_warm_checkpoint_allocates_nothing_and_keeps_no_slack() {
     assert!(
         bookkeeping < 1024,
         "stored {len} bytes (from {cap} allocated), holding {bookkeeping} beyond them"
+    );
+}
+
+/// A byte array crosses the stub boundary as one exact-size copy
+/// (DESIGN.md §15): the `bytes` of a `SnapshotReply` or a
+/// `RestoreRequest` frame decode in one allocation of exactly their
+/// length, none when empty, and the checkpoint made of them keeps that
+/// allocation as it is. A frame cut one byte short allocates nothing: a
+/// per-byte body, which also reads a whole array into one exact
+/// reservation, would reserve before it found the end.
+#[test]
+fn a_frames_byte_array_is_one_exact_copy() {
+    let _serial = serial();
+    for n in [0usize, 1, 17_069, 65_536] {
+        let bytes: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+        let frames = [
+            encode_frame(&RpcMessage::SnapshotReply {
+                seq: 3,
+                bytes: bytes.clone(),
+            }),
+            encode_frame(&RpcMessage::RestoreRequest {
+                seq: 4,
+                bytes: bytes.clone(),
+            }),
+        ];
+        for frame in &frames {
+            let (msg, (allocs, size)) = counted(|| decode_frame(frame).unwrap());
+            let (RpcMessage::SnapshotReply { bytes: got, .. }
+            | RpcMessage::RestoreRequest { bytes: got, .. }) = msg
+            else {
+                panic!("decoded as another frame");
+            };
+            println!("{n}-byte array off a frame: {allocs} allocation(s), {size} bytes");
+            assert_eq!(got, bytes);
+            assert_eq!(
+                (allocs, size),
+                (u64::from(n > 0), n as u64),
+                "{n} bytes: one allocation of exactly n"
+            );
+            let (snapshot, (allocs, _)) = counted(|| Snapshot::from(got));
+            assert_eq!(allocs, 0, "{n} bytes kept as they came");
+            assert_eq!(snapshot.len(), n);
+            let mut short = frame[..frame.len() - 1].to_vec();
+            let body = u32::try_from(short.len() - 4).unwrap();
+            short[..4].copy_from_slice(&body.to_le_bytes());
+            let (cut, (allocs, _)) = counted(|| decode_frame(&short));
+            assert_eq!(cut, Err(CodecError::Eof));
+            assert_eq!(allocs, 0, "{n} bytes, cut short");
+        }
+    }
+}
+
+/// A sequence reserves no more values than its input has bytes left, so
+/// a length prefix past the input costs at most what the input holds:
+/// 100 `u64`s declared over 8 bytes reserve 8 (64 B), read one and fail
+/// at the second, and a byte array past its input allocates nothing.
+#[test]
+fn a_sequence_reserves_no_more_than_its_input_holds() {
+    let _serial = serial();
+    let mut input = 100u64.to_le_bytes().to_vec();
+    input.extend_from_slice(&7u64.to_le_bytes());
+    let (vec, as_vec) = counted(|| from_bytes::<Vec<u64>>(&input));
+    let (deque, as_deque) = counted(|| from_bytes::<VecDeque<u64>>(&input));
+    let (bytes, as_bytes) = counted(|| from_bytes::<Vec<u8>>(&input));
+    assert_eq!(vec, Err(CodecError::Eof));
+    assert_eq!(deque, Err(CodecError::Eof));
+    assert_eq!(bytes, Err(CodecError::Eof));
+    println!(
+        "100 declared over 8 bytes: Vec<u64> {as_vec:?}, VecDeque<u64> {as_deque:?}, \
+         Vec<u8> {as_bytes:?} (allocations, bytes)"
+    );
+    assert_eq!(as_vec, (1, 64), "at most 8 u64s reserved");
+    assert_eq!(as_deque, (1, 64), "at most 8 u64s reserved");
+    assert_eq!(
+        as_bytes,
+        (0, 0),
+        "a byte array past its input allocates nothing"
     );
 }
 
